@@ -419,7 +419,7 @@ func BenchmarkE14WorkerScale(b *testing.B) {
 	minRatio, allEq := 1.0, 1.0
 	for i := 0; i < b.N; i++ {
 		minRatio, allEq = 1.0, 1.0
-		for _, r := range experiments.E14Scale(int64(i+1), benchScale(), nil, nil, false) {
+		for _, r := range experiments.E14Scale(int64(i+1), benchScale(), nil, nil) {
 			if r.Ratio < minRatio {
 				minRatio = r.Ratio
 			}

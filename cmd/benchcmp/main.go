@@ -46,7 +46,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		nsRatio    = fs.Float64("ns-ratio", 0, "ns/op regression threshold (0 = report only)")
 		metricTol  = fs.Float64("metric-tol", 0, "headline metric relative tolerance (0 = default 1e-9)")
 		regressRat = fs.Float64("regress-ratio", 0, "lower-is-better metric regression threshold (0 = default 1.10)")
-		only       = fs.String("only", "", "comma-separated experiments to compare (for smoke gates over a subset)")
 		trajectory = fs.Bool("trajectory", false, "print the headline-metric history across bench-dir's BENCH_*.json snapshots")
 		benchDir   = fs.String("bench-dir", "bench", "directory holding dated BENCH_*.json snapshots (with -trajectory)")
 	)
@@ -66,16 +65,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 	cur, err := benchcmp.Load(*newPath)
 	if err != nil {
 		return 2, err
-	}
-	if *only != "" {
-		names := strings.Split(*only, ",")
-		base = filter(base, names)
-		cur = filter(cur, names)
-		for _, name := range names {
-			if !hasEntry(base, strings.TrimSpace(name)) {
-				return 2, fmt.Errorf("no entry %q in baseline %s", strings.TrimSpace(name), *basePath)
-			}
-		}
 	}
 	opts := benchcmp.DefaultOptions()
 	if *allocRatio > 0 {
@@ -139,32 +128,4 @@ func runTrajectory(dir string, stdout io.Writer) (int, error) {
 	fmt.Fprintf(stdout, "headline-metric trajectory across %d snapshots in %s\n", len(snaps), dir)
 	fmt.Fprint(stdout, table)
 	return 0, nil
-}
-
-// filter narrows a snapshot to the named entries, so a smoke job that
-// regenerated a handful of experiments can gate them against the full
-// committed baseline without tripping the missing-entry check.
-func filter(s benchcmp.Snapshot, names []string) benchcmp.Snapshot {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[strings.TrimSpace(n)] = true
-	}
-	kept := s.Entries[:0:0]
-	for _, e := range s.Entries {
-		if want[e.Name] {
-			kept = append(kept, e)
-		}
-	}
-	s.Entries = kept
-	return s
-}
-
-// hasEntry reports whether the snapshot contains the named experiment.
-func hasEntry(s benchcmp.Snapshot, name string) bool {
-	for _, e := range s.Entries {
-		if e.Name == name {
-			return true
-		}
-	}
-	return false
 }

@@ -63,90 +63,6 @@ func TestLooseThresholdOverride(t *testing.T) {
 	}
 }
 
-// TestOnlyFilterIgnoresOtherBaseEntries compares a single-experiment
-// snapshot against a multi-entry baseline: without -only the other
-// baseline entries count as missing and fail; with -only the gate
-// narrows to the named experiment (the e17-smoke CI shape).
-func TestOnlyFilterIgnoresOtherBaseEntries(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	if err := benchcmp.Save(base, benchcmp.Snapshot{
-		Stamp: "base",
-		Entries: []benchcmp.Entry{
-			{Name: "e1", NsOp: 1e6, AllocsOp: 1000, MetricName: "ratio", Metric: 1},
-			{Name: "e17", NsOp: 1e6, AllocsOp: 1000, MetricName: "guarded", Metric: 0.7},
-		},
-	}); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	cur := filepath.Join(dir, "cur.json")
-	if err := benchcmp.Save(cur, benchcmp.Snapshot{
-		Stamp: "cur",
-		Entries: []benchcmp.Entry{
-			{Name: "e17", NsOp: 1.1e6, AllocsOp: 1010, MetricName: "guarded", Metric: 0.7},
-		},
-	}); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-
-	var out bytes.Buffer
-	code, err := run([]string{"-base", base, "-new", cur}, &out)
-	if err != nil || code != 1 {
-		t.Fatalf("unfiltered compare: code=%d err=%v, want missing-entry failure\n%s", code, err, out.String())
-	}
-
-	out.Reset()
-	code, err = run([]string{"-only", "e17", "-base", base, "-new", cur}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("-only e17: code=%d err=%v\n%s", code, err, out.String())
-	}
-
-	out.Reset()
-	if _, err := run([]string{"-only", "e99", "-base", base, "-new", cur}, &out); err == nil {
-		t.Fatal("-only with unknown experiment accepted")
-	}
-}
-
-// TestOnlyFilterCommaList gates several experiments at once — the shape
-// a smoke job uses when it regenerates two related experiments but not
-// the whole suite.
-func TestOnlyFilterCommaList(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "base.json")
-	if err := benchcmp.Save(base, benchcmp.Snapshot{
-		Stamp: "base",
-		Entries: []benchcmp.Entry{
-			{Name: "e1", NsOp: 1e6, AllocsOp: 1000, MetricName: "ratio", Metric: 1},
-			{Name: "e17", NsOp: 1e6, AllocsOp: 1000, MetricName: "guarded", Metric: 0.7},
-			{Name: "e18", NsOp: 1e6, AllocsOp: 1000, MetricName: "guarded", Metric: 0.9},
-		},
-	}); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	cur := filepath.Join(dir, "cur.json")
-	if err := benchcmp.Save(cur, benchcmp.Snapshot{
-		Stamp: "cur",
-		Entries: []benchcmp.Entry{
-			{Name: "e17", NsOp: 1.1e6, AllocsOp: 1010, MetricName: "guarded", Metric: 0.7},
-			{Name: "e18", NsOp: 1.1e6, AllocsOp: 1010, MetricName: "guarded", Metric: 0.9},
-		},
-	}); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-
-	var out bytes.Buffer
-	code, err := run([]string{"-only", "e17, e18", "-base", base, "-new", cur}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("-only e17,e18: code=%d err=%v\n%s", code, err, out.String())
-	}
-
-	out.Reset()
-	_, err = run([]string{"-only", "e17,e99", "-base", base, "-new", cur}, &out)
-	if err == nil || !strings.Contains(err.Error(), "e99") {
-		t.Fatalf("-only with one unknown name: err=%v, want complaint about e99", err)
-	}
-}
-
 // TestTrajectoryMode renders the history table from dated snapshots in
 // a bench dir, without needing -new at all.
 func TestTrajectoryMode(t *testing.T) {

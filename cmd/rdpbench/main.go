@@ -9,7 +9,7 @@
 //	rdpbench -parallel 4     # run experiments concurrently
 //	rdpbench -json           # write a BENCH_<stamp>.json snapshot
 //	rdpbench -exp e13 -regions 2 -serial   # e13 at a fixed partition, serial
-//	rdpbench -exp e14 -e14tier 64:50000:16:3 -workers 8 -steal   # one e14 smoke row
+//	rdpbench -exp e14 -e14tier 64:50000:16:3 -workers 8   # one e14 smoke row
 //	rdpbench -cpuprofile cpu.pprof         # profile the run
 //
 // Experiments are independent simulations, so -parallel runs them on
@@ -94,12 +94,11 @@ var (
 	e13Workers    int   // 0 = one worker per core, 1 = serial
 )
 
-// e14TierList/e14WorkerList/e14Steal carry the -e14tier/-workers/-steal
-// flags into the E14 spec functions the same way.
+// e14TierList/e14WorkerList carry the -e14tier/-workers flags into the
+// E14 spec functions the same way.
 var (
 	e14TierList   []experiments.E14Tier // nil = the scale's default tiers
 	e14WorkerList []int                 // nil = the scale's worker sweep
-	e14Steal      bool                  // run every e14 row under work stealing
 )
 
 func run(args []string, stdout io.Writer) error {
@@ -115,7 +114,6 @@ func run(args []string, stdout io.Writer) error {
 		regions = fs.String("regions", "", "comma-separated region counts for e13 (default: the scale's sweep)")
 		serial  = fs.Bool("serial", false, "run the e13 parallel engine with one worker (the serial reference)")
 		workers = fs.String("workers", "", "comma-separated worker counts for e14 (default: the scale's sweep)")
-		steal   = fs.Bool("steal", false, "run every e14 row under per-window work stealing")
 		e14tier = fs.String("e14tier", "", "e14 tier override as cells:mhs:regions:horizonSec (the CI smoke tier)")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
@@ -147,7 +145,6 @@ func run(args []string, stdout io.Writer) error {
 			e14WorkerList = append(e14WorkerList, n)
 		}
 	}
-	e14Steal = *steal
 	e14TierList = nil
 	if *e14tier != "" {
 		tier, ok := experiments.ParseE14Tier(*e14tier)
@@ -792,11 +789,11 @@ func metricE18(seed int64, sc experiments.Scale) (string, float64) {
 
 func printE14(r *renderer, seed int64, sc experiments.Scale) {
 	r.header("E14", "multi-core engine: worker count never changes a byte; wall-clock and RSS at scale")
-	t := metrics.NewTable("cells", "mhs", "regions", "workers", "steal", "cores", "issued", "delivered",
+	t := metrics.NewTable("cells", "mhs", "regions", "workers", "cores", "issued", "delivered",
 		"ratio", "dups", "missing", "xframes", "build", "wall", "speedup", "peak-rss", "headline-eq")
-	for _, row := range experiments.E14Scale(seed, sc, e14TierList, e14WorkerList, e14Steal) {
+	for _, row := range experiments.E14Scale(seed, sc, e14TierList, e14WorkerList) {
 		t.AddRow(strconv.Itoa(row.Cells), strconv.Itoa(row.MHs), strconv.Itoa(row.Regions),
-			strconv.Itoa(row.Workers), fmt.Sprint(row.Steal), strconv.Itoa(row.Cores),
+			strconv.Itoa(row.Workers), strconv.Itoa(row.Cores),
 			d(row.Issued), d(row.Delivered), f(row.Ratio, 4), d(row.Duplicates),
 			strconv.Itoa(row.Missing), d(row.CrossFrames), dur(row.Build), dur(row.Wall),
 			f(row.Speedup, 2), metrics.FormatBytes(row.PeakRSS, row.PeakRSSOK), fmt.Sprint(row.HeadlineEq))
@@ -806,13 +803,12 @@ func printE14(r *renderer, seed int64, sc experiments.Scale) {
 
 // metricE14 is the snapshot headline: total delivered across the sweep,
 // forced to -1 whenever a row breaks full-Summary equality with its
-// tier's baseline row. The e14-smoke CI job compares -workers 1,
-// -workers 8, and -workers 8 -steal snapshots of the same tier with
-// benchcmp, so the metric must be worker-invariant — which is exactly
-// the property E14 pins.
+// tier's baseline row. The e14-smoke CI job compares -workers 1 and
+// -workers 8 snapshots of the same tier with benchcmp, so the metric
+// must be worker-invariant — which is exactly the property E14 pins.
 func metricE14(seed int64, sc experiments.Scale) (string, float64) {
 	var delivered int64
-	for _, row := range experiments.E14Scale(seed, sc, e14TierList, e14WorkerList, e14Steal) {
+	for _, row := range experiments.E14Scale(seed, sc, e14TierList, e14WorkerList) {
 		if !row.HeadlineEq {
 			return "delivered_total", -1
 		}

@@ -141,18 +141,18 @@ func TestJSONDefaultPath(t *testing.T) {
 }
 
 // TestE14SmokeFlags runs the e14 CI-smoke shape — a single tier
-// override at a single worker count under work stealing — and checks
-// the row comes back clean.
+// override at a single worker count — and checks exactly one row comes
+// back, clean.
 func TestE14SmokeFlags(t *testing.T) {
-	out, err := runBuf(t, "-quick", "-exp", "e14", "-e14tier", "8:200:4:2", "-workers", "2", "-steal")
+	out, err := runBuf(t, "-quick", "-exp", "e14", "-e14tier", "8:200:4:2", "-workers", "2")
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(out, "=== E14") {
 		t.Fatalf("output missing E14 header:\n%s", out)
 	}
-	if !strings.Contains(out, "true") {
-		t.Errorf("E14 smoke row not marked steal/headline-eq true:\n%s", out)
+	if n := strings.Count(out, "true"); n != 1 {
+		t.Errorf("E14 smoke: %d rows marked headline-eq true, want exactly 1:\n%s", n, out)
 	}
 }
 

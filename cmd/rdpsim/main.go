@@ -14,11 +14,11 @@ import (
 	"os"
 	"time"
 
+	rdp "repro"
 	"repro/internal/ids"
 	"repro/internal/livenet"
 	"repro/internal/netsim"
 	"repro/internal/rdpcore"
-	"repro/internal/tcpnet"
 	"repro/internal/workload"
 )
 
@@ -70,28 +70,20 @@ func run(args []string) error {
 	cfg.ServerProc = netsim.Exponential{MeanDelay: *serverMs, Floor: *serverMs / 10}
 
 	var (
-		rt *livenet.Runtime
-		w  *rdpcore.World
+		rt     *livenet.Runtime
+		w      *rdpcore.World
+		tcpNet *rdp.TCPNet
 	)
 	if *live {
 		rt = livenet.New(*seed)
 		if *tcp {
-			members := make([]ids.NodeID, 0, *mss+*servers)
-			for i := 1; i <= *mss; i++ {
-				members = append(members, ids.MSS(i).Node())
-			}
-			for i := 1; i <= *servers; i++ {
-				members = append(members, ids.Server(i).Node())
-			}
-			n := tcpnet.New(rt, members)
-			if err := n.Start(); err != nil {
+			var err error
+			if w, tcpNet, err = rdp.NewTCPWorld(rt, cfg); err != nil {
 				return err
 			}
-			defer n.Close()
-			w = rdpcore.NewWorldWith(rt, cfg, n, n)
-			n.SetReachable(w.Reachable)
+			defer tcpNet.Close()
 			fmt.Fprintf(os.Stderr, "tcp mode: %d loopback endpoints (e.g. mss1 at %s)\n",
-				len(members), n.Addr(ids.MSS(1).Node()))
+				*mss+*servers, tcpNet.Addr(ids.MSS(1).Node()))
 		} else {
 			w = rdpcore.NewWorldOn(rt, cfg)
 		}
@@ -187,12 +179,10 @@ func run(args []string) error {
 	fmt.Printf("orphan messages        %8d\n", s.OrphanMessages.Value())
 	fmt.Printf("protocol violations    %8d\n", s.Violations.Value())
 	fmt.Printf("result latency         %s\n", s.ResultLatency.Summary())
-	if *tcp {
-		if n, ok := w.Wired.(*tcpnet.Net); ok {
-			ws := n.Stats()
-			fmt.Printf("tcp wire traffic       %8d wired frames (%d B)  %d radio frames (%d B)\n",
-				ws.WiredFrames, ws.WiredBytes, ws.WirelessFrames, ws.WirelessBytes)
-		}
+	if tcpNet != nil {
+		ws := tcpNet.Stats()
+		fmt.Printf("tcp wire traffic       %8d wired frames (%d B)  %d radio frames (%d B)\n",
+			ws.WiredFrames, ws.WiredBytes, ws.WirelessFrames, ws.WirelessBytes)
 	}
 
 	if err := w.CheckInvariants(); err != nil {

@@ -19,9 +19,9 @@ import (
 // output — so the full Summary (every counter, not just the headline)
 // must be identical down the column. What changes is wall-clock time:
 // construction (bulk parallel AddMHs), the windows themselves
-// (size-aware static dealing or per-window work stealing), the barrier
-// drain (per-region, on the stepping worker), and the post-run merges
-// (sharded Summary, parallel MissingResults) all scale with Workers.
+// (size-aware static dealing), the barrier drain (per-region, on the
+// stepping worker), and the post-run merges (sharded Summary, parallel
+// MissingResults) all scale with Workers.
 //
 // The table reports build and run wall-clock separately, the speedup
 // over the tier's Workers=1 row, the process peak RSS, and the core
@@ -47,9 +47,6 @@ type E14Tier struct {
 type E14Row struct {
 	E14Tier
 	Workers int
-	// Steal marks the per-window work-stealing row (Workers = the
-	// sweep's maximum).
-	Steal bool
 	// Cores is runtime.GOMAXPROCS(0) at measurement time — the
 	// parallelism the row could actually use.
 	Cores int
@@ -87,7 +84,7 @@ type E14Row struct {
 // E14Run builds and runs one configuration and returns its row plus the
 // full Summary (the sweep compares Summaries across worker counts;
 // Speedup and HeadlineEq are filled by the sweep).
-func E14Run(seed int64, tier E14Tier, workers int, steal bool) (E14Row, psim.Summary) {
+func E14Run(seed int64, tier E14Tier, workers int) (E14Row, psim.Summary) {
 	base := e13Config(seed, tier.Cells)
 	cells := make([]ids.MSS, tier.Cells)
 	for i := range cells {
@@ -104,7 +101,6 @@ func E14Run(seed int64, tier E14Tier, workers int, steal bool) (E14Row, psim.Sum
 		Base:      base,
 		Regions:   tier.Regions,
 		Workers:   workers,
-		WorkSteal: steal,
 		Lookahead: E13Lookahead,
 	})
 	pw.AddMHs(tier.MHs, func(i int) (ids.MH, ids.MSS, []psim.MHEvent) {
@@ -123,7 +119,6 @@ func E14Run(seed int64, tier E14Tier, workers int, steal bool) (E14Row, psim.Sum
 	return E14Row{
 		E14Tier:     tier,
 		Workers:     workers,
-		Steal:       steal,
 		Cores:       runtime.GOMAXPROCS(0),
 		Issued:      s.Issued,
 		Delivered:   s.Delivered,
@@ -184,49 +179,32 @@ func ParseE14Tier(s string) (E14Tier, bool) {
 	}, true
 }
 
-// E14Scale runs the full sweep: every tier at every worker count. When
-// the worker list sweeps (more than one count), one extra work-stealing
-// row at the maximum count rides along; steal=true instead runs every
-// row under work stealing (the CI smoke's third variant, which needs
-// exactly one row per invocation so its snapshots compare 1:1). tiers
+// E14Scale runs the full sweep: every tier at every worker count. tiers
 // nil means E14Tiers(sc); workers nil means E14Workers(sc). Each tier's
 // first row is the speedup and equality baseline: HeadlineEq on every
 // other row asserts the full Summary equal to it.
-func E14Scale(seed int64, sc Scale, tiers []E14Tier, workers []int, steal bool) []E14Row {
+func E14Scale(seed int64, sc Scale, tiers []E14Tier, workers []int) []E14Row {
 	if tiers == nil {
 		tiers = E14Tiers(sc)
 	}
 	if workers == nil {
 		workers = E14Workers(sc)
 	}
-	maxW := 0
-	for _, w := range workers {
-		if w > maxW {
-			maxW = w
-		}
-	}
 	var out []E14Row
 	for _, tier := range tiers {
 		var base psim.Summary
 		var baseWall time.Duration
-		haveBase := false
-		runOne := func(w int, st bool) {
-			row, s := E14Run(seed, tier, w, st)
-			if !haveBase {
+		for i, w := range workers {
+			row, s := E14Run(seed, tier, w)
+			if i == 0 {
 				row.Speedup = 1
 				row.HeadlineEq = true
-				base, baseWall, haveBase = s, row.Wall, true
+				base, baseWall = s, row.Wall
 			} else {
 				row.Speedup = float64(baseWall) / float64(row.Wall)
 				row.HeadlineEq = s == base
 			}
 			out = append(out, row)
-		}
-		for _, w := range workers {
-			runOne(w, steal)
-		}
-		if !steal && len(workers) > 1 && maxW > 1 {
-			runOne(maxW, true)
 		}
 	}
 	return out

@@ -8,56 +8,34 @@ import (
 // TestE14QuickSweep runs the quick-scale E14 worker sweep and enforces
 // the experiment's gates: perfect delivery, no stragglers, no protocol
 // violations, and full-Summary equality between the Workers=1 baseline
-// and every other row of a tier — including the work-stealing row the
-// sweep appends at the maximum worker count.
+// and every other row of a tier.
 func TestE14QuickSweep(t *testing.T) {
-	rows := E14Scale(1, SmallScale(), nil, nil, false)
+	rows := E14Scale(1, SmallScale(), nil, nil)
 	if len(rows) == 0 {
 		t.Fatal("empty sweep")
 	}
-	var stealRows int
 	for _, r := range rows {
 		if r.Ratio != 1.0 {
-			t.Errorf("workers=%d steal=%v: ratio %.6f, want 1.0", r.Workers, r.Steal, r.Ratio)
+			t.Errorf("workers=%d: ratio %.6f, want 1.0", r.Workers, r.Ratio)
 		}
 		if r.Missing != 0 {
-			t.Errorf("workers=%d steal=%v: %d undelivered requests", r.Workers, r.Steal, r.Missing)
+			t.Errorf("workers=%d: %d undelivered requests", r.Workers, r.Missing)
 		}
 		if r.Violations != 0 {
-			t.Errorf("workers=%d steal=%v: %d protocol violations", r.Workers, r.Steal, r.Violations)
+			t.Errorf("workers=%d: %d protocol violations", r.Workers, r.Violations)
 		}
 		if !r.HeadlineEq {
-			t.Errorf("workers=%d steal=%v: Summary differs from the Workers=1 run", r.Workers, r.Steal)
+			t.Errorf("workers=%d: Summary differs from the Workers=1 run", r.Workers)
 		}
 		if r.Issued == 0 {
-			t.Errorf("workers=%d steal=%v: no requests issued", r.Workers, r.Steal)
+			t.Errorf("workers=%d: no requests issued", r.Workers)
 		}
 		if r.CrossFrames == 0 {
-			t.Errorf("workers=%d steal=%v: no cross-region frames in a %d-region world", r.Workers, r.Steal, r.Regions)
+			t.Errorf("workers=%d: no cross-region frames in a %d-region world", r.Workers, r.Regions)
 		}
 		if r.PeakRSS == 0 {
-			t.Errorf("workers=%d steal=%v: peak RSS not measured", r.Workers, r.Steal)
+			t.Errorf("workers=%d: peak RSS not measured", r.Workers)
 		}
-		if r.Steal {
-			stealRows++
-		}
-	}
-	if stealRows == 0 {
-		t.Error("sweep appended no work-stealing row")
-	}
-}
-
-// TestE14ScaleStealOnly checks the CI smoke's single-row mode: an
-// explicit worker list of one entry with steal=true yields exactly one
-// row per tier, under work stealing.
-func TestE14ScaleStealOnly(t *testing.T) {
-	tiers := []E14Tier{{Cells: 8, MHs: 200, Regions: 4, Horizon: 2 * time.Second}}
-	rows := E14Scale(1, SmallScale(), tiers, []int{2}, true)
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want exactly 1", len(rows))
-	}
-	if !rows[0].Steal || rows[0].Workers != 2 {
-		t.Errorf("row = workers=%d steal=%v, want workers=2 steal=true", rows[0].Workers, rows[0].Steal)
 	}
 }
 

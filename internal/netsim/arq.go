@@ -3,6 +3,8 @@ package netsim
 import (
 	"time"
 
+	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/sim"
 )
 
@@ -55,93 +57,146 @@ func (c ARQConfig) backoff(attempt int) time.Duration {
 	return d
 }
 
-// ARQSender is the send half of the link-layer ARQ for one directed
-// link. It assigns sequence numbers, calls transmit for the first copy
-// and every retransmission, and keeps retransmitting until Ack. It is
-// substrate-agnostic: Wired drives it with simulated frames, tcpnet
-// with real sockets.
-type ARQSender struct {
-	k        sim.Scheduler
-	cfg      ARQConfig
-	transmit func(seq uint64, attempt int)
+// wiredLink is the ARQ state of one directed wired link: the send half
+// (sequence counter and un-acked frames) and the receive half (dedup).
+// Like the links themselves it belongs to the network fabric, not to the
+// hosts at either end, so it survives their crashes. Frames are retried
+// without bound and handed up in arrival order — a different contract
+// from the radio's internal/wtp (bounded retries, in-order delivery).
+// Wired is the ARQ's only host; the TCP substrate relies on TCP instead.
+type wiredLink struct {
+	from, to ids.NodeID
 	nextSeq  uint64
-	pending  map[uint64]*arqPending
-	// Retransmits counts timeout-driven re-sends on this link.
-	Retransmits int64
+	pending  map[uint64]*arqPending // un-acked frames by seq
+	// retransmits counts timeout-driven re-sends on this link.
+	retransmits int64
+	recv        arqReceiver
 }
 
+// arqPending is one un-acked frame. fire performs the delivery (through
+// the causal endpoint when configured); every retransmission reuses it,
+// so the causal stamp is assigned exactly once per message.
 type arqPending struct {
+	m       msg.Message
+	fire    func()
 	attempt int
 	timer   sim.Canceler
 }
 
-// NewARQSender builds a sender that transmits via the given callback.
-func NewARQSender(k sim.Scheduler, cfg ARQConfig, transmit func(seq uint64, attempt int)) *ARQSender {
-	return &ARQSender{k: k, cfg: cfg, transmit: transmit, pending: make(map[uint64]*arqPending)}
-}
-
-// Send assigns the next sequence number, calls prepare with it (so the
-// caller can register the frame payload before the first transmission),
-// transmits, and arms the retransmission timer. It returns the sequence
-// number.
-func (s *ARQSender) Send(prepare func(seq uint64)) uint64 {
-	s.nextSeq++
-	seq := s.nextSeq
-	if prepare != nil {
-		prepare(seq)
+// link returns (creating on first use) the ARQ state of a directed link.
+func (w *Wired) link(from, to ids.NodeID) *wiredLink {
+	key := linkKey{from: from, to: to}
+	l, ok := w.links[key]
+	if !ok {
+		l = &wiredLink{
+			from: from, to: to,
+			pending: make(map[uint64]*arqPending),
+			recv:    arqReceiver{ahead: make(map[uint64]bool)},
+		}
+		w.links[key] = l
 	}
-	p := &arqPending{attempt: 1}
-	s.pending[seq] = p
-	s.transmit(seq, 1)
-	s.arm(seq, p)
-	return seq
+	return l
 }
 
-func (s *ARQSender) arm(seq uint64, p *arqPending) {
-	p.timer = s.k.After(s.cfg.backoff(p.attempt), func() {
-		if _, live := s.pending[seq]; !live {
+// sendARQ assigns m the link's next sequence number, transmits it and
+// keeps retransmitting until the frame is acked.
+func (w *Wired) sendARQ(from, to ids.NodeID, m msg.Message, fire func()) {
+	l := w.link(from, to)
+	l.nextSeq++
+	seq := l.nextSeq
+	p := &arqPending{m: m, fire: fire, attempt: 1}
+	l.pending[seq] = p
+	w.transmitFrame(l, seq, p)
+	w.armRetransmit(l, seq, p)
+}
+
+func (w *Wired) armRetransmit(l *wiredLink, seq uint64, p *arqPending) {
+	p.timer = w.k.After(w.cfg.ARQ.backoff(p.attempt), func() {
+		if _, live := l.pending[seq]; !live {
 			return
 		}
 		p.attempt++
-		s.Retransmits++
-		s.transmit(seq, p.attempt)
-		s.arm(seq, p)
+		l.retransmits++
+		w.transmitFrame(l, seq, p)
+		w.armRetransmit(l, seq, p)
 	})
 }
 
-// Ack confirms receipt of a frame and stops its retransmission. Acking
-// an unknown or already-acked sequence number is a no-op (acks are
-// themselves duplicated by a faulty link).
-func (s *ARQSender) Ack(seq uint64) {
-	p, ok := s.pending[seq]
-	if !ok {
+// transmitFrame is one physical transmission attempt of an ARQ frame. A
+// shed attempt (full link queue) leaves the frame un-acked; the ARQ
+// timeout re-offers it after the queue has had time to drain.
+func (w *Wired) transmitFrame(l *wiredLink, seq uint64, p *arqPending) {
+	frame := msg.LinkFrame{Seq: seq, Inner: p.m}
+	f := w.fault(l.from, l.to, frame)
+	if f.Drop {
+		w.observe(EventDroppedLoss, l.from, l.to, frame)
 		return
 	}
-	if p.timer != nil {
-		p.timer.Cancel()
-	}
-	delete(s.pending, seq)
+	w.enqueue(l.from, l.to, frame, f, func() { w.receiveFrame(l, seq, p) })
 }
 
-// Outstanding reports the number of un-acked frames.
-func (s *ARQSender) Outstanding() int { return len(s.pending) }
+// receiveFrame runs at the receiving end of an ARQ link. A frame that
+// arrives at a down host is dropped un-acked, so it keeps retransmitting
+// until the host restarts. Every accepted arrival is acked — including
+// duplicates, whose first ack may have been lost.
+func (w *Wired) receiveFrame(l *wiredLink, seq uint64, p *arqPending) {
+	if w.cfg.Down != nil && w.cfg.Down(l.to) {
+		w.observe(EventDroppedUnreachable, l.from, l.to, msg.LinkFrame{Seq: seq, Inner: p.m})
+		return
+	}
+	w.sendAck(l, seq)
+	if !l.recv.accept(seq) {
+		return
+	}
+	p.fire()
+}
 
-// ARQReceiver is the receive half: at-most-once delivery by sequence
+// sendAck transmits a LinkAck on the reverse direction of the link. Ack
+// frames are subject to the same faults; a lost ack just costs one
+// retransmission. Acks are processed regardless of the original
+// sender's up/down state: the link-layer state lives in the network
+// fabric, not in the crashing host. Acking an unknown or already-acked
+// sequence number is a no-op (a faulty link duplicates acks too).
+func (w *Wired) sendAck(l *wiredLink, seq uint64) {
+	ack := msg.LinkAck{Seq: seq}
+	f := w.fault(l.to, l.from, ack)
+	if f.Drop {
+		w.observe(EventDroppedLoss, l.to, l.from, ack)
+		return
+	}
+	w.enqueue(l.to, l.from, ack, f, func() {
+		p, ok := l.pending[seq]
+		if !ok {
+			return
+		}
+		if p.timer != nil {
+			p.timer.Cancel()
+		}
+		delete(l.pending, seq)
+	})
+}
+
+// ARQStats sums link-layer retransmissions and still-outstanding
+// (un-acked) frames over all links.
+func (w *Wired) ARQStats() (retransmits int64, outstanding int) {
+	for _, l := range w.links {
+		retransmits += l.retransmits
+		outstanding += len(l.pending)
+	}
+	return retransmits, outstanding
+}
+
+// arqReceiver is the receive half: at-most-once delivery by sequence
 // number. Because the sender assigns contiguous numbers and every frame
 // is eventually delivered, the seen-set is compacted into a contiguous
 // watermark plus a (transient) set of out-of-order arrivals.
-type ARQReceiver struct {
+type arqReceiver struct {
 	contig uint64 // every seq <= contig has been accepted
 	ahead  map[uint64]bool
 }
 
-// NewARQReceiver returns an empty receiver.
-func NewARQReceiver() *ARQReceiver {
-	return &ARQReceiver{ahead: make(map[uint64]bool)}
-}
-
-// Accept reports whether seq is seen for the first time, recording it.
-func (r *ARQReceiver) Accept(seq uint64) bool {
+// accept reports whether seq is seen for the first time, recording it.
+func (r *arqReceiver) accept(seq uint64) bool {
 	if seq <= r.contig || r.ahead[seq] {
 		return false
 	}

@@ -193,21 +193,21 @@ func TestARQBackoffIsCapped(t *testing.T) {
 }
 
 func TestARQReceiverCompactsSeenSet(t *testing.T) {
-	r := NewARQReceiver()
+	r := arqReceiver{ahead: make(map[uint64]bool)}
 	for _, seq := range []uint64{2, 1, 3} {
-		if !r.Accept(seq) {
+		if !r.accept(seq) {
 			t.Fatalf("first Accept(%d) = false", seq)
 		}
 	}
 	for _, seq := range []uint64{1, 2, 3} {
-		if r.Accept(seq) {
+		if r.accept(seq) {
 			t.Fatalf("second Accept(%d) = true", seq)
 		}
 	}
 	if len(r.ahead) != 0 || r.contig != 3 {
 		t.Errorf("receiver not compacted: contig=%d ahead=%d", r.contig, len(r.ahead))
 	}
-	if !r.Accept(5) || len(r.ahead) != 1 {
+	if !r.accept(5) || len(r.ahead) != 1 {
 		t.Error("out-of-order accept should park in ahead set")
 	}
 }

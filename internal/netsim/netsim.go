@@ -210,22 +210,6 @@ type Wired struct {
 	shed     int64           // frames shed by full link queues
 }
 
-// wiredLink is the ARQ state of one directed wired link.
-type wiredLink struct {
-	sender   *ARQSender
-	recv     *ARQReceiver
-	inflight map[uint64]wiredFrame // un-acked frames by seq (sender side)
-}
-
-// wiredFrame is one protocol message in flight on an ARQ link. fire
-// performs the delivery (through the causal endpoint when configured);
-// it is reused verbatim on retransmission so the causal stamp is
-// assigned exactly once per message.
-type wiredFrame struct {
-	fire func()
-	p    wiredPayload
-}
-
 // wiredPayload is what travels through the causal layer.
 type wiredPayload struct {
 	from ids.NodeID
@@ -309,10 +293,7 @@ func (w *Wired) Send(from, to ids.NodeID, m msg.Message) {
 		return
 	}
 	if w.cfg.ARQ.Enabled {
-		l := w.link(from, to)
-		l.sender.Send(func(seq uint64) {
-			l.inflight[seq] = wiredFrame{fire: fire, p: p}
-		})
+		w.sendARQ(from, to, m, fire)
 		return
 	}
 	w.transmitRaw(from, to, p.m, fire)
@@ -376,72 +357,6 @@ func (w *Wired) enqueue(from, to ids.NodeID, m msg.Message, f LinkFault, deliver
 // Shed returns the number of frames shed by full link queues.
 func (w *Wired) Shed() int64 { return w.shed }
 
-// link returns (creating on first use) the ARQ state of a directed link.
-func (w *Wired) link(from, to ids.NodeID) *wiredLink {
-	key := linkKey{from: from, to: to}
-	l, ok := w.links[key]
-	if !ok {
-		l = &wiredLink{recv: NewARQReceiver(), inflight: make(map[uint64]wiredFrame)}
-		l.sender = NewARQSender(w.k, w.cfg.ARQ, func(seq uint64, attempt int) {
-			fr, live := l.inflight[seq]
-			if !live {
-				return
-			}
-			w.transmitFrame(from, to, seq, fr)
-		})
-		w.links[key] = l
-	}
-	return l
-}
-
-// transmitFrame is one physical transmission attempt of an ARQ frame. A
-// shed attempt (full link queue) leaves the frame un-acked; the ARQ
-// timeout re-offers it after the queue has had time to drain.
-func (w *Wired) transmitFrame(from, to ids.NodeID, seq uint64, fr wiredFrame) {
-	frame := msg.LinkFrame{Seq: seq, Inner: fr.p.m}
-	f := w.fault(from, to, frame)
-	if f.Drop {
-		w.observe(EventDroppedLoss, from, to, frame)
-		return
-	}
-	w.enqueue(from, to, frame, f, func() { w.receiveFrame(from, to, seq, fr) })
-}
-
-// receiveFrame runs at the receiving end of an ARQ link. A frame that
-// arrives at a down host is dropped un-acked, so it keeps retransmitting
-// until the host restarts. Every accepted arrival is acked — including
-// duplicates, whose first ack may have been lost.
-func (w *Wired) receiveFrame(from, to ids.NodeID, seq uint64, fr wiredFrame) {
-	if w.cfg.Down != nil && w.cfg.Down(to) {
-		w.observe(EventDroppedUnreachable, from, to, msg.LinkFrame{Seq: seq, Inner: fr.p.m})
-		return
-	}
-	w.sendAck(from, to, seq)
-	if !w.link(from, to).recv.Accept(seq) {
-		return
-	}
-	fr.fire()
-}
-
-// sendAck transmits a LinkAck on the reverse direction of the link. Ack
-// frames are subject to the same faults; a lost ack just costs one
-// retransmission. Acks are processed regardless of the original
-// sender's up/down state: the link-layer state lives in the network
-// fabric, not in the crashing host.
-func (w *Wired) sendAck(origFrom, origTo ids.NodeID, seq uint64) {
-	ack := msg.LinkAck{Seq: seq}
-	f := w.fault(origTo, origFrom, ack)
-	if f.Drop {
-		w.observe(EventDroppedLoss, origTo, origFrom, ack)
-		return
-	}
-	w.enqueue(origTo, origFrom, ack, f, func() {
-		l := w.link(origFrom, origTo)
-		l.sender.Ack(seq)
-		delete(l.inflight, seq)
-	})
-}
-
 // fault consults the fault hook, if any.
 func (w *Wired) fault(from, to ids.NodeID, m msg.Message) LinkFault {
 	if w.cfg.Faults == nil {
@@ -459,16 +374,6 @@ func (w *Wired) sampleLatency(from, to ids.NodeID) time.Duration {
 		}
 	}
 	return lat.Sample(w.rng)
-}
-
-// ARQStats sums link-layer retransmissions and still-outstanding
-// (un-acked) frames over all links.
-func (w *Wired) ARQStats() (retransmits int64, outstanding int) {
-	for _, l := range w.links {
-		retransmits += l.sender.Retransmits
-		outstanding += l.sender.Outstanding()
-	}
-	return retransmits, outstanding
 }
 
 // deliver hands a message to its destination handler.
@@ -626,11 +531,6 @@ func wirelessControl(m msg.Message) bool {
 	}
 	return false
 }
-
-// WirelessControl reports whether m is beacon-channel control signaling
-// (see WirelessConfig.QueueLimit). Exported for mirrored transports —
-// tcpnet keeps control traffic out of its windowed links the same way.
-func WirelessControl(m msg.Message) bool { return wirelessControl(m) }
 
 // sendOrShed schedules fire after the link's FIFO delay, unless the
 // directed link already has QueueLimit frames in flight, in which case

@@ -1,6 +1,6 @@
 // Property-test harness for the multi-core engine (E14's satellite):
-// randomized (partition, workers, seed, steal) sweeps assert that the
-// worker count and dealing policy never change a byte of output, that
+// randomized (partition, workers, seed, bulk) sweeps assert that the
+// worker count never changes a byte of output, that
 // the bulk construction path is equivalent to the serial AddMH loop,
 // that a skewed partition both balances and stays exact, and that the
 // worker pool's lifecycle (goroutine hygiene, panic propagation, more
@@ -43,14 +43,13 @@ func propScript(base rdpcore.Config, horizon time.Duration, mob workload.CellPic
 }
 
 // buildProp constructs a partitioned world with full engine knobs
-// (worker count, dealing policy, bulk construction).
-func buildProp(base rdpcore.Config, regions, workers int, steal bool,
+// (worker count, bulk construction).
+func buildProp(base rdpcore.Config, regions, workers int,
 	assign map[ids.MSS]int, mhs int, horizon time.Duration, bulk bool) *psim.World {
 	cfg := psim.Config{
 		Base:      base,
 		Regions:   regions,
 		Workers:   workers,
-		WorkSteal: steal,
 		Lookahead: 2 * time.Millisecond,
 	}
 	if assign != nil {
@@ -76,8 +75,8 @@ func buildProp(base rdpcore.Config, regions, workers int, steal bool,
 }
 
 // TestPropSerialParallelSweep is the randomized determinism sweep:
-// random partitions, seeds, worker counts from {2,4,8}, both dealing
-// policies and both construction paths, each trial compared counter by
+// random partitions, seeds, worker counts from {2,4,8} and both
+// construction paths, each trial compared counter by
 // counter against its own serial (Workers=1, AddMH loop) reference.
 func TestPropSerialParallelSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -87,16 +86,15 @@ func TestPropSerialParallelSweep(t *testing.T) {
 		seed := int64(1000 + rng.Intn(10000))
 		regions := 2 + rng.Intn(3)
 		workers := workerChoices[rng.Intn(len(workerChoices))]
-		steal := rng.Intn(2) == 1
 		bulk := rng.Intn(2) == 1
 		base := e1Base(seed)
 		assign := randomAssignment(rng, base.NumMSS, regions)
-		label := fmt.Sprintf("trial=%d seed=%d regions=%d workers=%d steal=%v bulk=%v",
-			trial, seed, regions, workers, steal, bulk)
+		label := fmt.Sprintf("trial=%d seed=%d regions=%d workers=%d bulk=%v",
+			trial, seed, regions, workers, bulk)
 
-		serial := buildProp(base, regions, 1, false, assign, 20, horizon, false)
+		serial := buildProp(base, regions, 1, assign, 20, horizon, false)
 		serial.RunUntil(horizon + horizon/2)
-		parallel := buildProp(base, regions, workers, steal, assign, 20, horizon, bulk)
+		parallel := buildProp(base, regions, workers, assign, 20, horizon, bulk)
 		parallel.RunUntil(horizon + horizon/2)
 
 		assertRunsEqual(t, serial, parallel, label)
@@ -113,9 +111,9 @@ func TestPropSerialParallelSweep(t *testing.T) {
 func TestPropAddMHsMatchesLoop(t *testing.T) {
 	const horizon = 3 * time.Second
 	base := e1Base(4242)
-	loop := buildProp(base, 3, 1, false, nil, 24, horizon, false)
+	loop := buildProp(base, 3, 1, nil, 24, horizon, false)
 	loop.RunUntil(horizon + horizon/2)
-	bulk := buildProp(base, 3, 4, false, nil, 24, horizon, true)
+	bulk := buildProp(base, 3, 4, nil, 24, horizon, true)
 	bulk.RunUntil(horizon + horizon/2)
 	assertRunsEqual(t, loop, bulk, "addmhs")
 }
@@ -206,11 +204,11 @@ func TestPropAggregatedSerialParallel(t *testing.T) {
 	aggBase := faithfulBase
 	aggBase.AggregatedState = true
 
-	faithful := buildProp(faithfulBase, 3, 1, false, nil, 20, horizon, false)
+	faithful := buildProp(faithfulBase, 3, 1, nil, 20, horizon, false)
 	faithful.RunUntil(horizon + horizon/2)
-	serial := buildProp(aggBase, 3, 1, false, nil, 20, horizon, false)
+	serial := buildProp(aggBase, 3, 1, nil, 20, horizon, false)
 	serial.RunUntil(horizon + horizon/2)
-	parallel := buildProp(aggBase, 3, 4, true, nil, 20, horizon, true)
+	parallel := buildProp(aggBase, 3, 4, nil, 20, horizon, true)
 	parallel.RunUntil(horizon + horizon/2)
 
 	assertRunsEqual(t, faithful, serial, "aggregated vs faithful representation")
@@ -244,7 +242,7 @@ func waitGoroutines(t *testing.T, base int, label string) {
 func TestPoolGoroutineHygiene(t *testing.T) {
 	const horizon = 2 * time.Second
 	baseline := runtime.NumGoroutine()
-	pw := buildProp(e1Base(7), 4, 4, false, nil, 12, horizon, false)
+	pw := buildProp(e1Base(7), 4, 4, nil, 12, horizon, false)
 	for _, d := range []time.Duration{horizon / 2, horizon, horizon + horizon/2} {
 		pw.RunUntil(d)
 		waitGoroutines(t, baseline, "after RunUntil slice")
@@ -285,24 +283,21 @@ func TestPoolPanicPropagation(t *testing.T) {
 }
 
 // TestWorkersExceedRegions checks the degenerate pool shapes: more
-// workers than regions (clamped), zero workers (GOMAXPROCS default),
-// and work stealing with a single region — all must equal the serial
-// run.
+// workers than regions (clamped) and zero workers (GOMAXPROCS default)
+// — both must equal the serial run.
 func TestWorkersExceedRegions(t *testing.T) {
 	const horizon = 3 * time.Second
 	base := e1Base(21)
-	serial := buildProp(base, 2, 1, false, nil, 12, horizon, false)
+	serial := buildProp(base, 2, 1, nil, 12, horizon, false)
 	serial.RunUntil(horizon + horizon/2)
 	for _, tc := range []struct {
 		workers int
-		steal   bool
 		label   string
 	}{
-		{8, false, "workers=8 regions=2"},
-		{0, false, "workers=default"},
-		{8, true, "workers=8 steal"},
+		{8, "workers=8 regions=2"},
+		{0, "workers=default"},
 	} {
-		pw := buildProp(base, 2, tc.workers, tc.steal, nil, 12, horizon, false)
+		pw := buildProp(base, 2, tc.workers, nil, 12, horizon, false)
 		pw.RunUntil(horizon + horizon/2)
 		assertRunsEqual(t, serial, pw, tc.label)
 	}

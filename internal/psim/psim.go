@@ -23,9 +23,8 @@
 // different worker count can never change a metric. The same argument
 // covers how regions are dealt to workers: the size-aware static plan
 // (regions weighted by resident-host count, largest-first onto the
-// lightest worker) and the optional per-window work-stealing mode both
-// guarantee that exactly one worker steps each region per window, so
-// neither can change a byte of output — only wall-clock time.
+// lightest worker) has exactly one worker step each region per window,
+// so it cannot change a byte of output — only wall-clock time.
 //
 // Mobile hosts are driven by pre-generated per-host scripts (AddMH,
 // or AddMHs for bulk parallel construction) rather than live
@@ -39,7 +38,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ids"
@@ -62,15 +60,6 @@ type Config struct {
 	// the reference the determinism tests compare against. Workers never
 	// affects results, only wall-clock time.
 	Workers int
-	// WorkSteal switches the worker pool from the size-aware static
-	// assignment to per-window work stealing: the coordinator re-sorts
-	// regions by current resident-host count before each window and the
-	// workers pull from the shared list through an atomic cursor, so a
-	// region whose population ballooned mid-run cannot strand the static
-	// plan. Exactly one worker still steps each region per window, so
-	// results stay byte-identical to the serial run; only wall-clock
-	// time changes.
-	WorkSteal bool
 	// Lookahead is the conservative window width. Every cross-region
 	// wired latency sample must be >= Lookahead (the region link panics
 	// otherwise); the minimum wired latency of the topology is the
@@ -516,24 +505,19 @@ func (pw *World) inject(end sim.Time) {
 }
 
 // pool runs the per-window region stepping on persistent worker
-// goroutines. Regions are dealt by the size-aware static plan (or
-// pulled through the work-stealing cursor); the barrier is two channel
-// rounds per window (start fan-out, done fan-in), which also carry the
-// happens-before edges that hand region state between the coordinator
-// and the workers. Each worker owns a sim.Arena, so every region it
-// steps recycles events from one shared pool.
+// goroutines. Regions are dealt by the size-aware static plan; the
+// barrier is two channel rounds per window (start fan-out, done
+// fan-in), which also carry the happens-before edges that hand region
+// state between the coordinator and the workers. Each worker owns a
+// sim.Arena, so every region it steps recycles events from one shared
+// pool.
 type pool struct {
 	pw    *World
 	start []chan sim.Time
 	done  chan struct{}
-	// plan is the static assignment (nil under WorkSteal): plan[w] lists
-	// the region indices worker w steps each window.
+	// plan is the static assignment: plan[w] lists the region indices
+	// worker w steps each window.
 	plan [][]int
-	// order and next implement work stealing: order is re-sorted by
-	// current region weight before each window and workers pull indices
-	// through the atomic cursor.
-	order []int
-	next  atomic.Int64
 }
 
 // regionWeights returns each region's current step weight: one unit of
@@ -612,11 +596,10 @@ func (pw *World) startPool() *pool {
 	if pw.workers <= 1 {
 		return nil
 	}
-	p := &pool{pw: pw, done: make(chan struct{}, pw.workers)}
-	if pw.cfg.WorkSteal {
-		p.order = make([]int, len(pw.regions))
-	} else {
-		p.plan = balancePlan(pw.regionWeights(), pw.workers)
+	p := &pool{
+		pw:   pw,
+		done: make(chan struct{}, pw.workers),
+		plan: balancePlan(pw.regionWeights(), pw.workers),
 	}
 	for w := 0; w < pw.workers; w++ {
 		ch := make(chan sim.Time)
@@ -627,35 +610,19 @@ func (pw *World) startPool() *pool {
 }
 
 // worker steps its regions every window until the start channel closes.
-// The arena lives as long as the worker: every region it steps — static
-// plan or stolen — recycles retired events through it.
+// The arena lives as long as the worker: every region it steps recycles
+// retired events through it.
 func (p *pool) worker(w int, ch chan sim.Time) {
 	arena := sim.NewArena()
 	for end := range ch {
-		if p.plan != nil {
-			for _, ri := range p.plan[w] {
-				stepRegion(p.pw.regions[ri], end, arena)
-			}
-		} else {
-			for {
-				i := p.next.Add(1) - 1
-				if i >= int64(len(p.order)) {
-					break
-				}
-				stepRegion(p.pw.regions[p.order[i]], end, arena)
-			}
+		for _, ri := range p.plan[w] {
+			stepRegion(p.pw.regions[ri], end, arena)
 		}
 		p.done <- struct{}{}
 	}
 }
 
 func (p *pool) run(end sim.Time) {
-	if p.order != nil {
-		// Work stealing: heaviest regions first, so a giant region starts
-		// on some worker immediately while the tail packs around it.
-		copy(p.order, weightOrder(p.pw.regionWeights()))
-		p.next.Store(0)
-	}
 	for _, ch := range p.start {
 		ch <- end
 	}

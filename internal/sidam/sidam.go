@@ -325,9 +325,6 @@ type TIS struct {
 // ID returns the server identifier the TIS answers as.
 func (t *TIS) ID() ids.Server { return t.id }
 
-// Subscribers returns the number of live subscriptions (test hook).
-func (t *TIS) Subscribers() int { return len(t.subs) }
-
 func (t *TIS) kernel() sim.Scheduler { return t.net.world.Kernel }
 
 func (t *TIS) ensureRNG() *sim.RNG {

@@ -11,9 +11,12 @@
 // per-connection TCP FIFO alone does not give cross-host causal order).
 // Wireless frames also ride TCP here, with the radio semantics —
 // delivery gated on cell membership and activity — enforced at the
-// receiving edge, mirroring netsim. EnableARQ layers netsim's link-layer
-// retransmission protocol under the causal stamps, for deployments where
-// frames can be lost between the endpoints despite TCP.
+// receiving edge, mirroring netsim.
+//
+// TCP is the reliable link here: there is no link-layer ARQ, windowed
+// radio transport, queue bound or fault injector on this substrate —
+// those exist once, in netsim, and rdp.NewTCPWorld rejects a Config that
+// asks for them.
 package tcpnet
 
 import (
@@ -29,7 +32,6 @@ import (
 	"repro/internal/livenet"
 	"repro/internal/msg"
 	"repro/internal/netsim"
-	"repro/internal/wtp"
 )
 
 // frame layout: layer(1) fromKind(1) fromNum(4) toKind(1) toNum(4)
@@ -58,25 +60,10 @@ type Net struct {
 
 	reachable func(ids.MSS, ids.MH) bool
 
-	// Link-layer ARQ (EnableARQ), sharing netsim's sender/receiver halves.
-	// All three fields are dispatcher-only, like the protocol state.
-	arqCfg    netsim.ARQConfig
-	arqOut    map[connKey]*arqLink
-	arqIn     map[connKey]*netsim.ARQReceiver
-	wiredLoss func(from, to ids.NodeID, m msg.Message) bool
-	sendLimit int
-
-	// Windowed wireless transport (EnableWTP), sharing internal/wtp's
-	// sender/receiver halves per directed downlink. Dispatcher-only.
-	wtpCfg wtp.Config
-	wtpOut map[connKey]*wtp.Sender
-	wtpIn  map[connKey]*wtp.Receiver
-
 	stats struct {
 		sync.Mutex
 		wiredFrames, wiredBytes       uint64
 		wirelessFrames, wirelessBytes uint64
-		wiredShed                     uint64
 	}
 }
 
@@ -87,9 +74,6 @@ type Net struct {
 type Stats struct {
 	WiredFrames, WiredBytes       uint64
 	WirelessFrames, WirelessBytes uint64
-	// WiredShed counts initial transmissions skipped by the bounded
-	// send queue (SetSendQueueLimit); the ARQ re-offers them later.
-	WiredShed uint64
 }
 
 // Stats returns a snapshot of the wire-level counters.
@@ -99,14 +83,7 @@ func (n *Net) Stats() Stats {
 	return Stats{
 		WiredFrames: n.stats.wiredFrames, WiredBytes: n.stats.wiredBytes,
 		WirelessFrames: n.stats.wirelessFrames, WirelessBytes: n.stats.wirelessBytes,
-		WiredShed: n.stats.wiredShed,
 	}
-}
-
-func (n *Net) countShed() {
-	n.stats.Lock()
-	defer n.stats.Unlock()
-	n.stats.wiredShed++
 }
 
 func (n *Net) countFrame(layer netsim.Layer, bytes int) {
@@ -160,125 +137,6 @@ type wiredDelivery struct {
 // SetReachable installs the radio gate (the world's cell/activity
 // oracle). Must be set before traffic flows.
 func (n *Net) SetReachable(f func(ids.MSS, ids.MH) bool) { n.reachable = f }
-
-// --- wired link-layer ARQ ---
-
-// arqLink is the send half of the ARQ for one directed TCP link plus the
-// framed payloads awaiting acknowledgement, kept verbatim (causal stamp
-// included) so retransmissions are byte-identical to the original.
-type arqLink struct {
-	s      *netsim.ARQSender
-	frames map[uint64]frame
-}
-
-// EnableARQ layers the netsim link-layer ARQ — sequence numbers,
-// positive acks, capped-exponential retransmission, receiver dedup —
-// over every wired TCP link, exactly as Wired layers it over simulated
-// links. TCP is already reliable per connection, so the ARQ earns its
-// keep only when frames can vanish between the endpoints: a lossy
-// overlay installed with SetWiredLoss, or a peer process crash taking
-// its accepted-but-unprocessed frames with it. Retransmission timers run
-// on the runtime's dispatcher. Call before Start.
-func (n *Net) EnableARQ(cfg netsim.ARQConfig) {
-	cfg.Enabled = true
-	n.arqCfg = cfg
-	n.arqOut = make(map[connKey]*arqLink)
-	n.arqIn = make(map[connKey]*netsim.ARQReceiver)
-}
-
-// EnableWTP layers the windowed wireless transport (internal/wtp, E15)
-// over every downlink, exactly as Wireless layers it over simulated
-// radio links and the way EnableARQ mirrors the wired ARQ: coalesced
-// WtpData frames ride the same TCP path as plain radio frames, the
-// radio gate still applies at the receiving edge, acks travel the
-// reverse direction, and control signaling (netsim.WirelessControl)
-// bypasses the window. Retransmission and coalescing timers run on the
-// runtime's dispatcher. Call before Start.
-func (n *Net) EnableWTP(cfg wtp.Config) {
-	cfg.Enabled = true
-	n.wtpCfg = cfg
-	n.wtpOut = make(map[connKey]*wtp.Sender)
-	n.wtpIn = make(map[connKey]*wtp.Receiver)
-}
-
-// WTPRetransmits sums windowed-transport retransmissions across all
-// downlinks. Dispatcher-only, like the transport state it reads.
-func (n *Net) WTPRetransmits() int64 {
-	var total int64
-	for _, s := range n.wtpOut {
-		total += s.Retransmits
-	}
-	return total
-}
-
-// wtpLinkFor returns (creating on first use) the send-side windowed
-// transport of the from→to downlink.
-func (n *Net) wtpLinkFor(from ids.MSS, to ids.MH) *wtp.Sender {
-	key := connKey{from: from.Node(), to: to.Node()}
-	s := n.wtpOut[key]
-	if s == nil {
-		s = wtp.NewSender(n.rt, n.wtpCfg, func(f msg.WtpData) {
-			n.write(frame{layer: netsim.LayerWireless, from: from.Node(), to: to.Node(), m: f, via: from.Node()})
-		})
-		n.wtpOut[key] = s
-	}
-	return s
-}
-
-// SetWiredLoss installs a wired loss filter for fault testing: a frame
-// for which it returns true is silently discarded instead of written
-// (the TCP analogue of netsim's injected drops). Call before Start; the
-// filter runs on the dispatcher.
-func (n *Net) SetWiredLoss(f func(from, to ids.NodeID, m msg.Message) bool) {
-	n.wiredLoss = f
-}
-
-// SetSendQueueLimit bounds the number of un-acked frames in flight on
-// each directed wired link — the TCP deployment's mirror of netsim's
-// WiredConfig.QueueLimit. When a new send would exceed the limit its
-// initial transmission is skipped (counted in Stats.WiredShed); the
-// frame stays registered with the ARQ sender, whose retransmission
-// timer re-offers it once acks have drained the queue, so the limit is
-// backpressure, not loss. Requires EnableARQ (ignored without it, since
-// shedding below a bare TCP link would silently lose the frame). Call
-// before Start.
-func (n *Net) SetSendQueueLimit(limit int) { n.sendLimit = limit }
-
-// ARQRetransmits sums timeout-driven re-sends across all wired links.
-// Dispatcher-only, like the ARQ state it reads.
-func (n *Net) ARQRetransmits() int64 {
-	var total int64
-	for _, l := range n.arqOut {
-		total += l.s.Retransmits
-	}
-	return total
-}
-
-// arqLinkFor returns (creating on first use) the send-side ARQ state of
-// the from→to link.
-func (n *Net) arqLinkFor(key connKey) *arqLink {
-	l := n.arqOut[key]
-	if l == nil {
-		l = &arqLink{frames: make(map[uint64]frame)}
-		l.s = netsim.NewARQSender(n.rt, n.arqCfg, func(seq uint64, attempt int) {
-			fr, ok := l.frames[seq]
-			if !ok {
-				return
-			}
-			// Bounded send queue: shed the *initial* attempt when the
-			// link already carries sendLimit un-acked frames (the frame
-			// itself is counted, hence the strict >). Retransmissions
-			// always go out so the queue is guaranteed to drain.
-			if n.sendLimit > 0 && attempt == 1 && len(l.frames) > n.sendLimit {
-				n.countShed()
-				return
-			}
-			n.write(fr)
-		})
-		n.arqOut[key] = l
-	}
-	return l
-}
 
 // Start opens one loopback TCP listener per member and begins accepting.
 func (n *Net) Start() error {
@@ -341,32 +199,6 @@ func (n *Net) readLoop(conn net.Conn) {
 func (n *Net) dispatch(f frame) {
 	switch f.layer {
 	case netsim.LayerWired:
-		// The ARQ layer sits under causal delivery: frames are unwrapped
-		// (and deduped) here, acks are consumed here, and only first
-		// copies of inner messages continue up the stack.
-		if n.arqCfg.Enabled {
-			switch lm := f.m.(type) {
-			case msg.LinkFrame:
-				// Ack every copy — the ack for an earlier one may be lost.
-				n.write(frame{layer: netsim.LayerWired, from: f.to, to: f.from, m: msg.LinkAck{Seq: lm.Seq}})
-				key := connKey{from: f.from, to: f.to}
-				r := n.arqIn[key]
-				if r == nil {
-					r = netsim.NewARQReceiver()
-					n.arqIn[key] = r
-				}
-				if !r.Accept(lm.Seq) {
-					return // retransmitted copy of a frame already delivered
-				}
-				f.m = lm.Inner
-			case msg.LinkAck:
-				if l := n.arqOut[connKey{from: f.to, to: f.from}]; l != nil {
-					l.s.Ack(lm.Seq)
-					delete(l.frames, lm.Seq)
-				}
-				return
-			}
-		}
 		ti, ok := n.index[f.to]
 		if !ok {
 			return
@@ -387,39 +219,8 @@ func (n *Net) dispatch(f frame) {
 			if n.reachable == nil || !n.reachable(mss, mh) {
 				return
 			}
-			if wf, isWtp := f.m.(msg.WtpData); isWtp && n.wtpCfg.Enabled {
-				// Windowed frame: reorder/dedup at the mobile edge, hand
-				// the coalesced messages up in order, ack on the reverse
-				// link (terminating at the serving station's endpoint).
-				key := connKey{from: f.from, to: f.to}
-				r := n.wtpIn[key]
-				if r == nil {
-					r = wtp.NewReceiver(n.wtpCfg)
-					n.wtpIn[key] = r
-				}
-				deliver, ack, live := r.Accept(wf)
-				if !live {
-					return
-				}
-				h := n.mhHandlers[mh]
-				for _, in := range deliver {
-					if h != nil {
-						h.HandleMessage(f.from, in)
-					}
-				}
-				n.write(frame{layer: netsim.LayerWireless, from: f.to, to: f.from, m: ack, via: f.from})
-				return
-			}
 			if h := n.mhHandlers[mh]; h != nil {
 				h.HandleMessage(f.from, f.m)
-			}
-			return
-		}
-		if wa, isAck := f.m.(msg.WtpAck); isAck && n.wtpCfg.Enabled {
-			// Transport ack: terminates inside the sender, never at the
-			// station's protocol handler.
-			if s := n.wtpOut[connKey{from: f.to, to: f.from}]; s != nil {
-				s.OnAck(wa)
 			}
 			return
 		}
@@ -443,21 +244,9 @@ func (n *Net) Send(from, to ids.NodeID, m msg.Message) {
 		panic(fmt.Sprintf("tcpnet: wired send to non-member %v", to))
 	}
 	st := n.eps[fi].Send(ti)
-	f := frame{
+	n.write(frame{
 		layer: netsim.LayerWired, from: from, to: to, m: m,
 		hasStamp: true, stampFrom: st.From, stamp: st.Sent,
-	}
-	if !n.arqCfg.Enabled {
-		n.write(f)
-		return
-	}
-	// The causal stamp is taken once, here; every retransmission carries
-	// the original stamp so the receiver's causal layer sees one send.
-	l := n.arqLinkFor(connKey{from: from, to: to})
-	l.s.Send(func(seq uint64) {
-		wf := f
-		wf.m = msg.LinkFrame{Seq: seq, Inner: m}
-		l.frames[seq] = wf
 	})
 }
 
@@ -473,10 +262,6 @@ func (n *Net) Register(node ids.NodeID, h netsim.Handler) {
 // still in the cell, still active — applies at delivery time there,
 // mirroring netsim's delivery-time reachability check.
 func (n *Net) SendDownlink(from ids.MSS, to ids.MH, m msg.Message) {
-	if n.wtpCfg.Enabled && !netsim.WirelessControl(m) {
-		n.wtpLinkFor(from, to).Queue(m)
-		return
-	}
 	n.write(frame{layer: netsim.LayerWireless, from: from.Node(), to: to.Node(), m: m, via: from.Node()})
 }
 
@@ -503,9 +288,6 @@ var (
 // write frames and sends a message over the (lazily dialed) connection
 // toward the endpoint that must process it.
 func (n *Net) write(f frame) {
-	if f.layer == netsim.LayerWired && n.wiredLoss != nil && n.wiredLoss(f.from, f.to, f.m) {
-		return
-	}
 	dest := f.to
 	if f.via.Valid() {
 		// Wireless frames terminate at the serving station's endpoint:

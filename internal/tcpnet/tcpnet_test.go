@@ -492,143 +492,3 @@ func TestWireStats(t *testing.T) {
 			s.WiredBytes/s.WiredFrames, s.WirelessBytes/s.WirelessFrames)
 	}
 }
-
-// TestARQOverLossyTCP reuses netsim's link-layer ARQ over the real
-// sockets: a loss filter discards every third wired link-frame and every
-// fifth link-ack, and the protocol must still deliver every result —
-// retransmission recovers the frames, receiver-side dedup absorbs the
-// copies that a lost ack forces the sender to repeat.
-func TestARQOverLossyTCP(t *testing.T) {
-	cfg := testConfig()
-	rt := livenet.New(cfg.Seed)
-	members := []ids.NodeID{}
-	for i := 1; i <= cfg.NumMSS; i++ {
-		members = append(members, ids.MSS(i).Node())
-	}
-	for i := 1; i <= cfg.NumServers; i++ {
-		members = append(members, ids.Server(i).Node())
-	}
-	n := New(rt, members)
-	n.EnableARQ(netsim.ARQConfig{RTO: 40 * time.Millisecond, MaxBackoff: 200 * time.Millisecond})
-	var frames, acks int
-	n.SetWiredLoss(func(_, _ ids.NodeID, m msg.Message) bool {
-		switch m.Kind() {
-		case msg.KindLinkFrame:
-			frames++
-			return frames%3 == 0
-		case msg.KindLinkAck:
-			acks++
-			return acks%5 == 0
-		}
-		return false
-	})
-	if err := n.Start(); err != nil {
-		t.Fatalf("tcpnet start: %v", err)
-	}
-	w := rdpcore.NewWorldWith(rt, cfg, n, n)
-	n.SetReachable(w.Reachable)
-	rt.Start()
-	t.Cleanup(func() {
-		rt.Stop()
-		n.Close()
-	})
-
-	const reqs = 5
-	done := make(chan ids.RequestID, reqs)
-	rt.Do(func() {
-		mh := w.AddMH(1, 1)
-		mh.OnResult(func(req ids.RequestID, _ []byte, dup bool) {
-			if !dup {
-				done <- req
-			}
-		})
-		for i := 0; i < reqs; i++ {
-			mh.IssueRequest(1, []byte("lossy"))
-		}
-	})
-	for i := 0; i < reqs; i++ {
-		select {
-		case <-done:
-		case <-time.After(15 * time.Second):
-			t.Fatalf("only %d of %d results delivered over the lossy link", i, reqs)
-		}
-	}
-	rt.Do(func() {
-		if n.ARQRetransmits() == 0 {
-			t.Error("no ARQ retransmissions despite injected loss")
-		}
-		if err := w.CheckInvariants(); err != nil {
-			t.Errorf("invariants after lossy run: %v", err)
-		}
-	})
-}
-
-// TestSendQueueLimitShedsAndRecovers mirrors netsim's bounded-queue
-// contract on the TCP deployment: with a one-frame send window, a burst
-// of requests must shed initial transmissions (Stats.WiredShed) yet
-// still deliver every result, because shed frames stay registered with
-// the ARQ and its retransmissions re-offer them as acks drain the link.
-func TestSendQueueLimitShedsAndRecovers(t *testing.T) {
-	cfg := testConfig()
-	rt := livenet.New(cfg.Seed)
-	members := []ids.NodeID{}
-	for i := 1; i <= cfg.NumMSS; i++ {
-		members = append(members, ids.MSS(i).Node())
-	}
-	for i := 1; i <= cfg.NumServers; i++ {
-		members = append(members, ids.Server(i).Node())
-	}
-	n := New(rt, members)
-	n.EnableARQ(netsim.ARQConfig{RTO: 40 * time.Millisecond, MaxBackoff: 200 * time.Millisecond})
-	n.SetSendQueueLimit(1)
-	// Loopback acks drain the window faster than the dispatcher can
-	// offer frames; dropping the first few acks keeps frames un-acked
-	// long enough for the burst to hit the one-frame window.
-	var acks int
-	n.SetWiredLoss(func(_, _ ids.NodeID, m msg.Message) bool {
-		if m.Kind() == msg.KindLinkAck {
-			acks++
-			return acks <= 10
-		}
-		return false
-	})
-	if err := n.Start(); err != nil {
-		t.Fatalf("tcpnet start: %v", err)
-	}
-	w := rdpcore.NewWorldWith(rt, cfg, n, n)
-	n.SetReachable(w.Reachable)
-	rt.Start()
-	t.Cleanup(func() {
-		rt.Stop()
-		n.Close()
-	})
-
-	const reqs = 6
-	done := make(chan ids.RequestID, reqs)
-	rt.Do(func() {
-		mh := w.AddMH(1, 1)
-		mh.OnResult(func(req ids.RequestID, _ []byte, dup bool) {
-			if !dup {
-				done <- req
-			}
-		})
-		for i := 0; i < reqs; i++ {
-			mh.IssueRequest(1, []byte("burst"))
-		}
-	})
-	for i := 0; i < reqs; i++ {
-		select {
-		case <-done:
-		case <-time.After(15 * time.Second):
-			t.Fatalf("only %d of %d results delivered with a bounded send queue", i, reqs)
-		}
-	}
-	if s := n.Stats(); s.WiredShed == 0 {
-		t.Error("no sheds recorded; one-frame send window never engaged")
-	}
-	rt.Do(func() {
-		if err := w.CheckInvariants(); err != nil {
-			t.Errorf("invariants after bounded-queue run: %v", err)
-		}
-	})
-}

@@ -5,14 +5,14 @@
 // halve-on-loss), and downlink coalescing — many small results destined
 // for one mobile merge into a single frame up to an MTU budget.
 //
-// The package is substrate-agnostic and deliberately free of any
-// randomness: all state advances through the deterministic
-// sim.Scheduler, so a windowed link inside a psim region replays
-// identically under any worker count. netsim.Wireless drives it with
-// simulated radio frames; tcpnet mirrors it over real sockets the way
-// EnableARQ mirrors the wired stop-and-wait ARQ.
+// The package is a pure algorithm, deliberately free of any randomness:
+// the caller passes an output callback and a sim.Scheduler, and all
+// state advances through that scheduler, so a windowed link inside a
+// psim region replays identically under any worker count.
+// netsim.Wireless is its one host, driving it with simulated radio
+// frames.
 //
-// Contrast with netsim.ARQSender (the E10 link layer): that protocol
+// Contrast with netsim's wired ARQ (the E10 link layer): that protocol
 // retransmits each frame independently with no window, no congestion
 // response and no batching — fine for the fast wired backbone, but on a
 // lossy high-latency radio link it serializes one frame per round trip.

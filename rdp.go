@@ -37,6 +37,7 @@
 package rdp
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/faults"
@@ -195,7 +196,29 @@ type TCPNet = tcpnet.Net
 // the wire and causal stamps on wired frames. Construct it before
 // calling rt.Start, drive it through rt.Do, and Close the returned net
 // after rt.Stop.
+//
+// TCP is the reliable link on this substrate: it has no link-layer ARQ,
+// windowed radio transport, fault injector, delivery sequencer or queue
+// bound. A Config that sets one of those is rejected with an error
+// naming the field, so a caller never believes a layer is on that is
+// not.
 func NewTCPWorld(rt *LiveRuntime, cfg Config) (*World, *TCPNet, error) {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"WiredARQ", cfg.WiredARQ.Enabled},
+		{"WirelessWTP", cfg.WirelessWTP.Enabled},
+		{"WiredFaults", cfg.WiredFaults != nil},
+		{"WiredSeq", cfg.WiredSeq != nil},
+		{"WirelessSeq", cfg.WirelessSeq != nil},
+		{"WiredQueueLimit", cfg.WiredQueueLimit > 0},
+		{"WirelessQueueLimit", cfg.WirelessQueueLimit > 0},
+	} {
+		if f.set {
+			return nil, nil, fmt.Errorf("rdp: Config.%s is set, but the TCP substrate has no such layer", f.name)
+		}
+	}
 	members := make([]NodeID, 0, cfg.NumMSS+cfg.NumServers)
 	for i := 1; i <= cfg.NumMSS; i++ {
 		members = append(members, MSS(i).Node())
@@ -258,7 +281,7 @@ type (
 	// injected faults.
 	FaultInjector = faults.Injector
 	// ARQConfig parameterizes the wired link-layer retransmission
-	// protocol (Config.WiredARQ, TCPNet.EnableARQ).
+	// protocol of the simulated network (Config.WiredARQ).
 	ARQConfig = netsim.ARQConfig
 )
 

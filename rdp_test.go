@@ -1,10 +1,12 @@
 package rdp_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	rdp "repro"
+	"repro/internal/netsim"
 )
 
 // TestPublicQuickstart is the README quick-start, verified.
@@ -158,6 +160,45 @@ func TestPublicTCPWorld(t *testing.T) {
 	}
 	if addr := net.Addr(rdp.MSS(1).Node()); addr == "" {
 		t.Error("station 1 has no TCP address")
+	}
+}
+
+type nopSequencer struct{}
+
+func (nopSequencer) Offer(netsim.Layer, rdp.NodeID, rdp.NodeID, func()) {}
+
+// TestTCPWorldRejectsLinkLayerSettings: the TCP substrate has no ARQ,
+// windowed transport, fault injector, sequencer or queue bound, so a
+// Config that asks for one must fail loudly, naming the field, instead
+// of running without it.
+func TestTCPWorldRejectsLinkLayerSettings(t *testing.T) {
+	_, injector := rdp.NewFaultedWorld(rdp.DefaultConfig(), rdp.FaultPlan{})
+	for _, tc := range []struct {
+		field string
+		set   func(*rdp.Config)
+	}{
+		{"WiredARQ", func(c *rdp.Config) { c.WiredARQ.Enabled = true }},
+		{"WirelessWTP", func(c *rdp.Config) { c.WirelessWTP.Enabled = true }},
+		{"WiredFaults", func(c *rdp.Config) { c.WiredFaults = injector }},
+		{"WiredSeq", func(c *rdp.Config) { c.WiredSeq = nopSequencer{} }},
+		{"WirelessSeq", func(c *rdp.Config) { c.WirelessSeq = nopSequencer{} }},
+		{"WiredQueueLimit", func(c *rdp.Config) { c.WiredQueueLimit = 4 }},
+		{"WirelessQueueLimit", func(c *rdp.Config) { c.WirelessQueueLimit = 4 }},
+	} {
+		cfg := rdp.DefaultConfig()
+		tc.set(&cfg)
+		world, net, err := rdp.NewTCPWorld(rdp.NewLiveRuntime(1), cfg)
+		if err == nil {
+			net.Close()
+			t.Errorf("%s: accepted, want an error", tc.field)
+			continue
+		}
+		if world != nil || net != nil {
+			t.Errorf("%s: non-nil world/net returned alongside the error", tc.field)
+		}
+		if !strings.Contains(err.Error(), "Config."+tc.field) {
+			t.Errorf("%s: error %q does not name the field", tc.field, err)
+		}
 	}
 }
 
