@@ -1,6 +1,8 @@
 package causal
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -232,37 +234,126 @@ func TestRandomizedCausalOrderProperty(t *testing.T) {
 	}
 }
 
-func TestMatrixClone(t *testing.T) {
-	m := NewMatrix(3)
-	m[1][2] = 7
-	c := m.Clone()
-	c[1][2] = 9
-	if m[1][2] != 7 {
-		t.Error("Clone aliases the original")
+// benchSizes are the group widths the causal micro-benches sweep, so the
+// per-message cost's growth with n is on file (DESIGN.md §10): 54 is the
+// benchmark's region, 1024 is past E16's 984-wide group.
+var benchSizes = []int{16, 54, 256, 1024}
+
+func benchSendReceive(b *testing.B, pooled bool) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			eps := Group(n, func(int, any) {}, Pooled(pooled))
+			var payload any = struct{}{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				from := i % n
+				to := (i + 1) % n
+				eps[to].Receive(eps[from].Send(to), payload)
+			}
+		})
 	}
 }
 
-func TestMatrixMaxInPlace(t *testing.T) {
-	a := NewMatrix(2)
-	b := NewMatrix(2)
-	a[0][1] = 3
-	b[0][1] = 5
-	b[1][0] = 2
-	a.MaxInPlace(b)
-	if a[0][1] != 5 || a[1][0] != 2 {
-		t.Errorf("MaxInPlace = %v", a)
+func BenchmarkCausalSendReceive(b *testing.B) { benchSendReceive(b, false) }
+
+// BenchmarkCausalSendReceivePooled is the pooled counterpart: steady-state
+// stamp traffic with recycled rows, vectors and buffer entries.
+func BenchmarkCausalSendReceivePooled(b *testing.B) { benchSendReceive(b, true) }
+
+// TestPooledSteadyStateAllocatesNothing is the allocation budget of the
+// wired substrate's configuration: at the benchmark's region width a
+// pooled Send plus its in-order Receive costs no allocation once the
+// free lists have warmed up.
+func TestPooledSteadyStateAllocatesNothing(t *testing.T) {
+	const n = 54
+	eps := Group(n, func(int, any) {}, Pooled(true))
+	var payload any = struct{}{}
+	i := 0
+	step := func() {
+		from := i % n
+		to := (i*7 + 1) % n
+		eps[to].Receive(eps[from].Send(to), payload)
+		i++
+	}
+	for i < 20*n {
+		step()
+	}
+	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
+		t.Errorf("pooled Send+Receive = %v allocs/op in steady state, want 0", avg)
 	}
 }
 
-func BenchmarkCausalSendReceive(b *testing.B) {
-	eps := Group(8, func(int, any) {})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		from := i % 8
-		to := (i + 1) % 8
-		st := eps[from].Send(to)
-		eps[to].Receive(st, i)
+// TestStampWireRoundTrip sends a stamp through its wire form: the parsed
+// copy must be held back and released exactly like the original.
+func TestStampWireRoundTrip(t *testing.T) {
+	h := newHarness(3)
+	m1 := h.send(0, 2, "m1")
+	m2 := h.send(0, 1, "m2")
+	h.arrive(m2)
+	m3 := h.send(1, 2, "m3")
+
+	wire := m3.st.AppendBinary(nil)
+	if want := 8 + 3*3*8; len(wire) != want {
+		t.Fatalf("wire form is %d bytes, want %d", len(wire), want)
 	}
+	parsed, err := ParseStamp(wire, 3)
+	if err != nil {
+		t.Fatalf("ParseStamp: %v", err)
+	}
+	if again := parsed.AppendBinary(nil); !bytes.Equal(again, wire) {
+		t.Fatalf("re-encoding differs:\n first  %x\n second %x", wire, again)
+	}
+	h.eps[2].Receive(parsed, "m3")
+	if len(h.delivered[2]) != 0 {
+		t.Fatalf("parsed stamp lost its dependency: delivered %v", h.delivered[2])
+	}
+	h.arrive(m1)
+	if got := h.delivered[2]; len(got) != 2 || got[0] != "m1" || got[1] != "m3" {
+		t.Fatalf("delivery order = %v, want [m1 m3]", got)
+	}
+}
+
+// TestParseStampRejectsWrongShape pins the remote-crash fix: a stamp
+// that is well-formed for some other group size, or is not well-formed
+// at all, is an error — it never reaches Receive's indexing.
+func TestParseStampRejectsWrongShape(t *testing.T) {
+	wireFor := func(n int) []byte {
+		return Group(n, func(int, any) {})[0].Send(n - 1).AppendBinary(nil)
+	}
+	good := wireFor(3)
+	badSender := append([]byte(nil), good...)
+	badSender[3] = 3
+	cases := map[string][]byte{
+		"empty":             nil,
+		"short header":      good[:7],
+		"smaller group":     wireFor(1),
+		"larger group":      wireFor(4),
+		"truncated body":    good[:len(good)-1],
+		"trailing byte":     append(append([]byte(nil), good...), 0),
+		"sender past group": badSender,
+	}
+	for name, b := range cases {
+		if _, err := ParseStamp(b, 3); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := ParseStamp(good, 3); err != nil {
+		t.Errorf("well-formed stamp rejected: %v", err)
+	}
+}
+
+// TestReceiveRejectsForeignStamp: a stamp from a group of another size
+// is a programming error, reported by name rather than as an index out
+// of range.
+func TestReceiveRejectsForeignStamp(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("stamp from a 1-wide group accepted by a 3-wide one")
+		}
+	}()
+	foreign := Group(1, func(int, any) {})[0].Send(0)
+	Group(3, func(int, any) {})[0].Receive(foreign, nil)
 }
 
 func TestSelfSendDoesNotWedgeOtherSenders(t *testing.T) {

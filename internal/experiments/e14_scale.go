@@ -31,8 +31,9 @@ import (
 //
 // The topology and workload are E13's (2ms constant wired latency =
 // lookahead, ring mobility, Poisson requests); the region count per
-// tier keeps the per-region causal matrix (n×n in wired group size)
-// small enough that the 1M tier fits in CI-class RAM.
+// tier keeps each region's wired causal group, and with it the stamp on
+// every in-flight wired message (linear in the group size), small
+// enough that the 1M tier fits in CI-class RAM.
 
 // E14Tier is one world size of the worker sweep. Regions is fixed per
 // tier: E14 varies workers, not the partition.

@@ -4,23 +4,24 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/causal"
 	"repro/internal/ids"
+	"repro/internal/livenet"
 	"repro/internal/msg"
 	"repro/internal/netsim"
 )
 
 // FuzzReadFrame feeds arbitrary byte streams to the frame reader: it
-// must never panic or over-allocate, and every frame it does accept
-// must re-encode to the same bytes it consumed (when it consumed the
-// whole input).
+// must never panic or over-allocate, every frame it does accept must
+// re-encode to the same bytes it consumed (when it consumed the whole
+// input), and dispatching it into a 3-member network must not panic
+// whatever its stamp claims to be.
 func FuzzReadFrame(f *testing.F) {
 	seed := []frame{
 		{
 			layer: netsim.LayerWired,
 			from:  ids.MSS(1).Node(), to: ids.Server(1).Node(),
-			m:        msg.ServerRequest{Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 9}, Payload: []byte("fuzz")},
-			hasStamp: true, stampFrom: 1, stamp: causal.NewMatrix(3),
+			m:     msg.ServerRequest{Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 9}, Payload: []byte("fuzz")},
+			stamp: wireStamp(3, 1),
 		},
 		{
 			layer: netsim.LayerWireless,
@@ -37,6 +38,18 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	// Well-formed frames whose stamp is for a smaller and a larger group
+	// than the receiver's: once a dispatcher panic, now a counted drop.
+	for _, nn := range []int{1, 4} {
+		fr := seed[0]
+		fr.stamp = wireStamp(nn, 0)
+		b, err := encodeFrame(fr)
+		if err != nil {
+			f.Fatalf("seed encode: %v", err)
+		}
+		f.Add(b)
+	}
+	net := New(livenet.New(1), []ids.NodeID{ids.MSS(1).Node(), ids.MSS(2).Node(), ids.Server(1).Node()})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -47,6 +60,7 @@ func FuzzReadFrame(f *testing.F) {
 		if got.m == nil {
 			t.Fatal("readFrame returned a frame with a nil message and no error")
 		}
+		net.dispatch(got)
 		// Accepted frames must re-encode (possibly canonicalizing loose
 		// input, e.g. non-zero-or-one bool bytes), and the re-encoding
 		// must be a fixed point: decode(encode(f)) == encode(f).
@@ -59,7 +73,7 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
 		if got2.layer != got.layer || got2.from != got.from || got2.to != got.to ||
-			got2.hasStamp != got.hasStamp || got2.stampFrom != got.stampFrom ||
+			!bytes.Equal(got2.stamp, got.stamp) ||
 			got2.m.Kind() != got.m.Kind() {
 			t.Fatalf("round trip changed the frame: %+v vs %+v", got, got2)
 		}

@@ -35,8 +35,9 @@ import (
 )
 
 // frame layout: layer(1) fromKind(1) fromNum(4) toKind(1) toNum(4)
-// stampLen(4) stamp msgLen(4) msg. A non-empty stamp is
-// from(4) n(4) followed by the n×n SENT matrix as uint64s.
+// stampLen(4) stamp msgLen(4) msg. A non-empty stamp is the causal
+// package's wire form (causal.Stamp.AppendBinary); framing carries it
+// as opaque bytes and the dispatcher parses it against the group size.
 
 // Net is one in-process "network" of TCP endpoints. All handler
 // execution is posted to the runtime's dispatcher, so protocol state
@@ -64,6 +65,7 @@ type Net struct {
 		sync.Mutex
 		wiredFrames, wiredBytes       uint64
 		wirelessFrames, wirelessBytes uint64
+		badStamps                     uint64
 	}
 }
 
@@ -74,6 +76,10 @@ type Net struct {
 type Stats struct {
 	WiredFrames, WiredBytes       uint64
 	WirelessFrames, WirelessBytes uint64
+	// BadStamps counts received wired frames dropped because their
+	// causal stamp did not parse for this network's group (malformed,
+	// or built for a group of another size).
+	BadStamps uint64
 }
 
 // Stats returns a snapshot of the wire-level counters.
@@ -83,6 +89,7 @@ func (n *Net) Stats() Stats {
 	return Stats{
 		WiredFrames: n.stats.wiredFrames, WiredBytes: n.stats.wiredBytes,
 		WirelessFrames: n.stats.wirelessFrames, WirelessBytes: n.stats.wirelessBytes,
+		BadStamps: n.stats.badStamps,
 	}
 }
 
@@ -204,8 +211,17 @@ func (n *Net) dispatch(f frame) {
 			return
 		}
 		p := wiredDelivery{from: f.from, to: f.to, m: f.m}
-		if f.hasStamp {
-			n.eps[ti].Receive(causal.Stamp{From: f.stampFrom, Sent: f.stamp}, p)
+		if f.stamp != nil {
+			st, err := causal.ParseStamp(f.stamp, len(n.eps))
+			if err != nil {
+				// A peer speaking for some other group: drop the frame,
+				// keep the connection and the dispatcher.
+				n.stats.Lock()
+				n.stats.badStamps++
+				n.stats.Unlock()
+				return
+			}
+			n.eps[ti].Receive(st, p)
 			return
 		}
 		if h := n.wiredHandlers[f.to]; h != nil {
@@ -243,10 +259,9 @@ func (n *Net) Send(from, to ids.NodeID, m msg.Message) {
 	if !ok {
 		panic(fmt.Sprintf("tcpnet: wired send to non-member %v", to))
 	}
-	st := n.eps[fi].Send(ti)
 	n.write(frame{
 		layer: netsim.LayerWired, from: from, to: to, m: m,
-		hasStamp: true, stampFrom: st.From, stamp: st.Sent,
+		stamp: n.eps[fi].Send(ti).AppendBinary(nil),
 	})
 }
 
@@ -349,13 +364,11 @@ func (n *Net) dropConn(from, to ids.NodeID) {
 
 // frame is one on-the-wire unit.
 type frame struct {
-	layer     netsim.Layer
-	from, to  ids.NodeID
-	via       ids.NodeID // endpoint that terminates the frame (wireless)
-	m         msg.Message
-	hasStamp  bool
-	stampFrom int
-	stamp     causal.Matrix
+	layer    netsim.Layer
+	from, to ids.NodeID
+	via      ids.NodeID // endpoint that terminates the frame (wireless)
+	m        msg.Message
+	stamp    []byte // causal stamp in wire form; nil on unstamped frames
 }
 
 // encodeFrame serializes a frame (header + stamp + message) into a
@@ -365,28 +378,17 @@ func encodeFrame(f frame) ([]byte, error) {
 	return appendFrame(nil, f)
 }
 
-// appendFrame serializes a frame onto dst, writing the stamp and the
-// message body in place (behind length placeholders patched afterwards)
-// so framing needs no intermediate buffers.
+// appendFrame serializes a frame onto dst, writing the message body in
+// place (behind a length placeholder patched afterwards) so framing
+// needs no intermediate buffer for it.
 func appendFrame(dst []byte, f frame) ([]byte, error) {
 	out := dst
 	out = append(out, byte(f.layer), byte(f.from.Kind))
 	out = binary.BigEndian.AppendUint32(out, f.from.Num)
 	out = append(out, byte(f.to.Kind))
 	out = binary.BigEndian.AppendUint32(out, f.to.Num)
-	stampLenAt := len(out)
-	out = binary.BigEndian.AppendUint32(out, 0)
-	if f.hasStamp {
-		nn := len(f.stamp)
-		out = binary.BigEndian.AppendUint32(out, uint32(f.stampFrom))
-		out = binary.BigEndian.AppendUint32(out, uint32(nn))
-		for i := 0; i < nn; i++ {
-			for j := 0; j < nn; j++ {
-				out = binary.BigEndian.AppendUint64(out, f.stamp[i][j])
-			}
-		}
-		binary.BigEndian.PutUint32(out[stampLenAt:], uint32(len(out)-stampLenAt-4))
-	}
+	out = binary.BigEndian.AppendUint32(out, uint32(len(f.stamp)))
+	out = append(out, f.stamp...)
 	bodyLenAt := len(out)
 	out = binary.BigEndian.AppendUint32(out, 0)
 	out, err := msg.AppendEncode(out, f.m)
@@ -416,31 +418,9 @@ func readFrame(r io.Reader) (frame, error) {
 		return f, errors.New("tcpnet: stamp too large")
 	}
 	if stampLen > 0 {
-		if stampLen < 8 {
-			return f, errors.New("tcpnet: stamp too short")
-		}
-		stamp := make([]byte, stampLen)
-		if _, err := io.ReadFull(r, stamp); err != nil {
+		f.stamp = make([]byte, stampLen)
+		if _, err := io.ReadFull(r, f.stamp); err != nil {
 			return f, err
-		}
-		f.hasStamp = true
-		f.stampFrom = int(binary.BigEndian.Uint32(stamp[0:]))
-		nn := int(binary.BigEndian.Uint32(stamp[4:]))
-		// The size consistency check runs in uint64 so a huge nn cannot
-		// wrap back onto stampLen and trigger an n×n allocation.
-		if nn < 0 || 8+uint64(nn)*uint64(nn)*8 != uint64(stampLen) {
-			return f, errors.New("tcpnet: stamp size mismatch")
-		}
-		if f.stampFrom < 0 || f.stampFrom >= nn {
-			return f, errors.New("tcpnet: stamp sender out of range")
-		}
-		f.stamp = causal.NewMatrix(nn)
-		off := 8
-		for i := 0; i < nn; i++ {
-			for j := 0; j < nn; j++ {
-				f.stamp[i][j] = binary.BigEndian.Uint64(stamp[off:])
-				off += 8
-			}
 		}
 	}
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {

@@ -248,15 +248,12 @@ func TestManyRequestsManyHostsOverTCP(t *testing.T) {
 // TestFrameRoundTrip checks the wire codec on both stamped and
 // unstamped frames.
 func TestFrameRoundTrip(t *testing.T) {
-	stamp := causal.NewMatrix(3)
-	stamp[0][1] = 7
-	stamp[2][0] = 42
 	frames := []frame{
 		{
 			layer: netsim.LayerWired,
 			from:  ids.MSS(1).Node(), to: ids.Server(1).Node(),
-			m:        msg.ServerRequest{Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 1}, Payload: []byte("x")},
-			hasStamp: true, stampFrom: 2, stamp: stamp,
+			m:     msg.ServerRequest{Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 1}, Payload: []byte("x")},
+			stamp: wireStamp(3, 2),
 		},
 		{
 			layer: netsim.LayerWireless,
@@ -276,17 +273,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if got.layer != f.layer || got.from != f.from || got.to != f.to {
 			t.Errorf("header mismatch: got %+v want %+v", got, f)
 		}
-		if got.hasStamp != f.hasStamp || got.stampFrom != f.stampFrom {
-			t.Errorf("stamp meta mismatch: got %+v want %+v", got, f)
-		}
-		if f.hasStamp {
-			for i := range f.stamp {
-				for j := range f.stamp[i] {
-					if got.stamp[i][j] != f.stamp[i][j] {
-						t.Errorf("stamp[%d][%d] = %d, want %d", i, j, got.stamp[i][j], f.stamp[i][j])
-					}
-				}
-			}
+		if !bytes.Equal(got.stamp, f.stamp) {
+			t.Errorf("stamp mismatch: got %x want %x", got.stamp, f.stamp)
 		}
 		if got.m.Kind() != f.m.Kind() {
 			t.Errorf("message kind %v, want %v", got.m.Kind(), f.m.Kind())
@@ -300,8 +288,8 @@ func TestFrameTruncation(t *testing.T) {
 	f := frame{
 		layer: netsim.LayerWired,
 		from:  ids.MSS(1).Node(), to: ids.Server(1).Node(),
-		m:        msg.ServerRequest{Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 1}, Payload: []byte("payload")},
-		hasStamp: true, stampFrom: 0, stamp: causal.NewMatrix(2),
+		m:     msg.ServerRequest{Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 1}, Payload: []byte("payload")},
+		stamp: wireStamp(2, 0),
 	}
 	b, err := encodeFrame(f)
 	if err != nil {
@@ -405,20 +393,53 @@ func TestOversizeFrameRejected(t *testing.T) {
 	if _, err := readFrame(bytes.NewReader(huge)); err == nil {
 		t.Error("huge body length accepted")
 	}
-	// A stamp length that disagrees with its own n field must error.
-	stamped := frame{
-		layer: netsim.LayerWired,
-		from:  ids.MSS(1).Node(), to: ids.MSS(2).Node(),
-		m:        msg.Greet{MH: 1},
-		hasStamp: true, stampFrom: 0, stamp: causal.NewMatrix(2),
+}
+
+// wireStamp is the wire form of a stamp process from would send in a
+// fresh group of n.
+func wireStamp(n, from int) []byte {
+	return causal.Group(n, func(int, any) {})[from].Send((from + 1) % n).AppendBinary(nil)
+}
+
+// TestMisshapenStampDropped pins the remote-crash fix: a well-formed
+// frame whose stamp is built for a smaller or larger group than this
+// network's (or disagrees with its own size field) used to reach
+// Endpoint.Receive and panic the dispatcher with an index out of range.
+// It is now dropped and counted, and the network keeps working.
+func TestMisshapenStampDropped(t *testing.T) {
+	rt := livenet.New(1)
+	a, b := ids.MSS(1).Node(), ids.MSS(2).Node()
+	n := New(rt, []ids.NodeID{a, b, ids.Server(1).Node()})
+	var got []msg.Message
+	n.Register(b, netsim.HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) }))
+
+	inconsistent := wireStamp(3, 0)
+	inconsistent[7]++ // the stamp now claims n = 4 in a 3-wide body
+	for name, stamp := range map[string][]byte{
+		"smaller group": wireStamp(1, 0),
+		"larger group":  wireStamp(4, 0),
+		"inconsistent":  inconsistent,
+		"truncated":     wireStamp(3, 0)[:20],
+	} {
+		raw, err := encodeFrame(frame{layer: netsim.LayerWired, from: a, to: b, m: msg.Greet{MH: 1}, stamp: stamp})
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		f, err := readFrame(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: framing rejected a well-formed frame: %v", name, err)
+		}
+		n.dispatch(f)
 	}
-	sb, err := encodeFrame(stamped)
-	if err != nil {
-		t.Fatalf("encode stamped: %v", err)
+	if len(got) != 0 {
+		t.Errorf("misshapen stamps delivered %d messages", len(got))
 	}
-	sb[22]++ // bump n inside the stamp (header 11 + stampLen 4 + from 4 + 3) without resizing it
-	if _, err := readFrame(bytes.NewReader(sb)); err == nil {
-		t.Error("inconsistent stamp size accepted")
+	if bad := n.Stats().BadStamps; bad != 4 {
+		t.Errorf("BadStamps = %d, want 4", bad)
+	}
+	n.dispatch(frame{layer: netsim.LayerWired, from: a, to: b, m: msg.Greet{MH: 1}, stamp: wireStamp(3, 0)})
+	if len(got) != 1 {
+		t.Errorf("well-formed stamp after the bad ones: delivered %d messages, want 1", len(got))
 	}
 }
 
