@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race race bench cover fmt vet check experiments examples explore viz bench-baseline bench-compare bench-profile bench-profile-test
+.PHONY: all build test test-race race allocs bench cover fmt vet check experiments examples explore viz bench-baseline bench-compare bench-profile bench-profile-test
 
 all: build test
 
@@ -18,18 +18,28 @@ test-race:
 
 race: test-race
 
-# check is the full pre-commit gate: formatting, vet, build, tests,
-# the parallel-engine race sweep (the E14 serial==parallel property
-# harness and the kernel arena under the race detector — first, because
-# a data race there invalidates the rest), and the whole-tree race
-# sweep.
+# allocs runs every allocation pin on the message path: what a kernel
+# event, a causal stamp, a codec round trip, a wired or radio hop, a
+# server job and a station's self-send may allocate once warm. The pins
+# use testing.AllocsPerRun, so they run without the race detector.
+allocs:
+	go test -count=1 -run 'Alloc|Budget' ./internal/sim ./internal/causal ./internal/msg \
+		./internal/netsim ./internal/server ./internal/rdpcore
+
+# check is the full pre-commit gate: formatting, vet, build, tests, the
+# allocation pins, the race sweep of everything that owns a free list
+# (the E14 serial==parallel property harness, the kernel arena, the
+# pooled frame records under psim regions and livenet's dispatcher —
+# first, because a data race there invalidates the rest), and the
+# whole-tree race sweep.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
 	go build ./...
 	go test ./...
-	go test -race ./internal/psim ./internal/sim
+	$(MAKE) allocs
+	go test -race ./internal/psim ./internal/sim ./internal/netsim ./internal/livenet
 	go test -race -run TestChaosMHCrash ./internal/rdpcore
 	go test -race ./...
 

@@ -73,23 +73,24 @@ type wiredLink struct {
 	recv        arqReceiver
 }
 
-// arqPending is one un-acked frame. fire performs the delivery (through
-// the causal endpoint when configured); every retransmission reuses it,
-// so the causal stamp is assigned exactly once per message.
+// arqPending is one un-acked frame. frame performs the delivery; every
+// transmission shares it, so the causal stamp is assigned exactly once
+// per message, and it is let go when it fires — a retransmission of a
+// delivered frame stops at the receiver's dedup and never sees it.
 type arqPending struct {
 	m       msg.Message
-	fire    func()
+	frame   *wiredFrame
 	attempt int
 	timer   sim.Canceler
 }
 
 // link returns (creating on first use) the ARQ state of a directed link.
-func (w *Wired) link(from, to ids.NodeID) *wiredLink {
-	key := linkKey{from: from, to: to}
+func (w *Wired) link(fi, ti int) *wiredLink {
+	key := fi*len(w.members) + ti
 	l, ok := w.links[key]
 	if !ok {
 		l = &wiredLink{
-			from: from, to: to,
+			from: w.members[fi], to: w.members[ti],
 			pending: make(map[uint64]*arqPending),
 			recv:    arqReceiver{ahead: make(map[uint64]bool)},
 		}
@@ -98,13 +99,13 @@ func (w *Wired) link(from, to ids.NodeID) *wiredLink {
 	return l
 }
 
-// sendARQ assigns m the link's next sequence number, transmits it and
-// keeps retransmitting until the frame is acked.
-func (w *Wired) sendARQ(from, to ids.NodeID, m msg.Message, fire func()) {
-	l := w.link(from, to)
+// sendARQ assigns f's message the link's next sequence number, transmits
+// it and keeps retransmitting until the frame is acked.
+func (w *Wired) sendARQ(f *wiredFrame) {
+	l := w.link(f.fi, f.ti)
 	l.nextSeq++
 	seq := l.nextSeq
-	p := &arqPending{m: m, fire: fire, attempt: 1}
+	p := &arqPending{m: f.m, frame: f, attempt: 1}
 	l.pending[seq] = p
 	w.transmitFrame(l, seq, p)
 	w.armRetransmit(l, seq, p)
@@ -148,7 +149,9 @@ func (w *Wired) receiveFrame(l *wiredLink, seq uint64, p *arqPending) {
 	if !l.recv.accept(seq) {
 		return
 	}
-	p.fire()
+	f := p.frame
+	p.frame = nil
+	w.arrive(f)
 }
 
 // sendAck transmits a LinkAck on the reverse direction of the link. Ack

@@ -197,24 +197,35 @@ type WiredConfig struct {
 // default, faulty when a FaultHook is configured, and reliable again on
 // top of faults when the ARQ layer is enabled.
 type Wired struct {
-	k        sim.Scheduler
-	cfg      WiredConfig
-	rng      *sim.RNG
-	index    map[ids.NodeID]int
+	k   sim.Scheduler
+	cfg WiredConfig
+	rng *sim.RNG
+	// index maps, per node kind, a node number to its member index plus
+	// one (0: not a member): two array reads per hop instead of a hash.
+	index    [ids.KindServer + 1][]int32
 	members  []ids.NodeID
 	handlers []Handler
 	eps      []*causal.Endpoint
 	observer Observer
-	links    map[linkKey]*wiredLink
-	queued   map[linkKey]int // frames in flight per directed link
-	shed     int64           // frames shed by full link queues
+	links    map[int]*wiredLink // ARQ state per directed pair (see link)
+	queued   map[linkKey]int    // frames in flight per directed link
+	shed     int64              // frames shed by full link queues
+	frames   sim.FreeList[wiredFrame]
+	pooled   bool // a frame fires at most once, so fired records are recycled
 }
 
-// wiredPayload is what travels through the causal layer.
-type wiredPayload struct {
-	from ids.NodeID
-	to   ids.NodeID
-	m    msg.Message
+// wiredFrame is one message in flight on the wired network: what the
+// kernel fires, what the causal layer holds back and hands up, what an
+// ARQ link keeps until first delivery. Lifetime (DESIGN §10, Hops): a
+// record is released just before the handler it delivers to runs —
+// handlers send — or when its frame is dropped on arrival; a held-back
+// frame keeps it until handed up; nothing touches it after release.
+type wiredFrame struct {
+	w      *Wired
+	fi, ti int          // member indices of sender and destination
+	st     causal.Stamp // under Causal
+	m      msg.Message
+	run    func() // fire, bound once when the record is first allocated
 }
 
 // NewWired builds the wired network for a fixed membership of static
@@ -228,40 +239,54 @@ func NewWired(k sim.Scheduler, members []ids.NodeID, cfg WiredConfig, obs Observ
 		k:        k,
 		cfg:      cfg,
 		rng:      k.RNG().Fork(),
-		index:    make(map[ids.NodeID]int, len(members)),
 		members:  append([]ids.NodeID(nil), members...),
 		handlers: make([]Handler, len(members)),
 		observer: obs,
-		links:    make(map[linkKey]*wiredLink),
+		links:    make(map[int]*wiredLink),
 		queued:   make(map[linkKey]int),
 	}
 	for i, n := range members {
-		if n.Kind == ids.KindMH {
-			panic(fmt.Sprintf("netsim: mobile host %v cannot be a wired member", n))
+		if n.Kind == ids.KindMH || int(n.Kind) >= len(w.index) {
+			panic(fmt.Sprintf("netsim: %v cannot be a wired member", n))
 		}
-		if _, dup := w.index[n]; dup {
+		if w.memberIndex(n) >= 0 {
 			panic(fmt.Sprintf("netsim: duplicate wired member %v", n))
 		}
-		w.index[n] = i
+		t := w.index[n.Kind]
+		if grow := int(n.Num) + 1 - len(t); grow > 0 {
+			t = append(t, make([]int32, grow)...)
+		}
+		t[n.Num] = int32(i + 1)
+		w.index[n.Kind] = t
 	}
-	// Stamp recycling needs at-most-once delivery per stamp: with ARQ the
-	// receiver dedups frames, and without faults nothing duplicates. A
-	// faulty link without ARQ can fire the same stamp twice (duplication
-	// fault), and the sequencer hook replays fires adversarially — both
-	// must keep the allocating path.
-	pooled := cfg.Seq == nil && (cfg.Faults == nil || cfg.ARQ.Enabled)
+	// Recycling — of frame records here, of stamps in the causal layer —
+	// needs at-most-once delivery: with ARQ the receiver dedups frames,
+	// and without faults nothing duplicates. A faulty link without ARQ
+	// can fire the same frame twice (duplication fault), and the
+	// sequencer hook replays fires adversarially — both leave fired
+	// records to the GC.
+	w.pooled = cfg.Seq == nil && (cfg.Faults == nil || cfg.ARQ.Enabled)
 	w.eps = causal.Group(len(members), func(dst int, payload any) {
-		p := payload.(wiredPayload)
-		w.deliver(p)
-	}, causal.Pooled(pooled))
+		w.deliver(payload.(*wiredFrame))
+	}, causal.Pooled(w.pooled))
 	return w
+}
+
+// memberIndex resolves a node to its member index, -1 for a non-member.
+func (w *Wired) memberIndex(n ids.NodeID) int {
+	if int(n.Kind) < len(w.index) {
+		if t := w.index[n.Kind]; int(n.Num) < len(t) {
+			return int(t[n.Num]) - 1
+		}
+	}
+	return -1
 }
 
 // Register installs the message handler for a member node. Every member
 // must be registered before it can receive.
 func (w *Wired) Register(n ids.NodeID, h Handler) {
-	i, ok := w.index[n]
-	if !ok {
+	i := w.memberIndex(n)
+	if i < 0 {
 		panic(fmt.Sprintf("netsim: %v is not a wired member", n))
 	}
 	w.handlers[i] = h
@@ -271,53 +296,73 @@ func (w *Wired) Register(n ids.NodeID, h Handler) {
 // members. Delivery is reliable (under faults: reliable iff ARQ is on);
 // order is causal when configured.
 func (w *Wired) Send(from, to ids.NodeID, m msg.Message) {
-	fi, ok := w.index[from]
-	if !ok {
+	fi, ti := w.memberIndex(from), w.memberIndex(to)
+	if fi < 0 {
 		panic(fmt.Sprintf("netsim: wired send from non-member %v", from))
 	}
-	ti, ok := w.index[to]
-	if !ok {
+	if ti < 0 {
 		panic(fmt.Sprintf("netsim: wired send to non-member %v", to))
 	}
 	w.observe(EventSent, from, to, m)
-	p := wiredPayload{from: from, to: to, m: m}
-	var fire func()
+	f := w.frames.Get()
+	if f == nil {
+		f = &wiredFrame{w: w}
+		f.run = f.fire
+	}
+	f.fi, f.ti, f.m = fi, ti, m
 	if w.cfg.Causal {
-		st := w.eps[fi].Send(ti)
-		fire = func() { w.eps[ti].Receive(st, p) }
-	} else {
-		fire = func() { w.deliver(p) }
+		f.st = w.eps[fi].Send(ti)
 	}
-	if w.cfg.Seq != nil {
-		w.cfg.Seq.Offer(LayerWired, from, to, fire)
-		return
+	switch {
+	case w.cfg.Seq != nil:
+		w.cfg.Seq.Offer(LayerWired, from, to, f.run)
+	case w.cfg.ARQ.Enabled:
+		w.sendARQ(f)
+	default:
+		w.transmitRaw(f)
 	}
-	if w.cfg.ARQ.Enabled {
-		w.sendARQ(from, to, m, fire)
-		return
-	}
-	w.transmitRaw(from, to, p.m, fire)
 }
 
 // transmitRaw is the non-ARQ physical path: one attempt, subject to
 // faults and the Down gate. Without ARQ a lost frame stays lost.
-func (w *Wired) transmitRaw(from, to ids.NodeID, m msg.Message, fire func()) {
-	f := w.fault(from, to, m)
-	if f.Drop {
-		w.observe(EventDroppedLoss, from, to, m)
+func (w *Wired) transmitRaw(f *wiredFrame) {
+	from, to := w.members[f.fi], w.members[f.ti]
+	lf := w.fault(from, to, f.m)
+	if lf.Drop {
+		w.observe(EventDroppedLoss, from, to, f.m)
 		return
 	}
-	deliver := fire
-	if w.cfg.Down != nil {
-		deliver = func() {
-			if w.cfg.Down(to) {
-				w.observe(EventDroppedUnreachable, from, to, m)
-				return
-			}
-			fire()
-		}
+	w.enqueue(from, to, f.m, lf, f.run)
+}
+
+// fire is the frame's arrival off the raw link — the Down gate, then
+// up — or out of the sequencer, which bypasses the gate.
+func (f *wiredFrame) fire() {
+	w := f.w
+	if to := w.members[f.ti]; w.cfg.Seq == nil && w.cfg.Down != nil && w.cfg.Down(to) {
+		w.observe(EventDroppedUnreachable, w.members[f.fi], to, f.m)
+		w.release(f)
+		return
 	}
-	w.enqueue(from, to, m, f, deliver)
+	w.arrive(f)
+}
+
+// arrive hands a frame up: through the causal layer, which may hold it
+// back, when configured.
+func (w *Wired) arrive(f *wiredFrame) {
+	if w.cfg.Causal {
+		w.eps[f.ti].Receive(f.st, f)
+		return
+	}
+	w.deliver(f)
+}
+
+// release retires a fired record (see wiredFrame for when).
+func (w *Wired) release(f *wiredFrame) {
+	if w.pooled {
+		f.m, f.st = nil, causal.Stamp{}
+		w.frames.Put(f)
+	}
 }
 
 // enqueue schedules the physical delivery attempts of one frame (one
@@ -376,14 +421,16 @@ func (w *Wired) sampleLatency(from, to ids.NodeID) time.Duration {
 	return lat.Sample(w.rng)
 }
 
-// deliver hands a message to its destination handler.
-func (w *Wired) deliver(p wiredPayload) {
-	h := w.handlers[w.index[p.to]]
+// deliver hands a frame's message to its destination handler.
+func (w *Wired) deliver(f *wiredFrame) {
+	h := w.handlers[f.ti]
+	from, to, m := w.members[f.fi], w.members[f.ti], f.m
 	if h == nil {
-		panic(fmt.Sprintf("netsim: wired member %v has no handler", p.to))
+		panic(fmt.Sprintf("netsim: wired member %v has no handler", to))
 	}
-	w.observe(EventDelivered, p.from, p.to, p.m)
-	h.HandleMessage(p.from, p.m)
+	w.release(f)
+	w.observe(EventDelivered, from, to, m)
+	h.HandleMessage(from, m)
 }
 
 func (w *Wired) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
@@ -399,8 +446,8 @@ func (w *Wired) MeanLatency() time.Duration { return w.cfg.Latency.Mean() }
 // CausalQueue reports the causally blocked messages buffered at a
 // member's endpoint (diagnostic; empty without the causal layer).
 func (w *Wired) CausalQueue(n ids.NodeID) []causal.QueuedInfo {
-	i, ok := w.index[n]
-	if !ok || w.eps == nil {
+	i := w.memberIndex(n)
+	if i < 0 {
 		return nil
 	}
 	return w.eps[i].QueuedPayloads()
@@ -474,21 +521,68 @@ type Wireless struct {
 	mhs      map[ids.MH]Handler
 	stations map[ids.MSS]Handler
 	observer Observer
-	lastRx   map[linkKey]sim.Time // per-link FIFO horizon
-	queued   map[linkKey]int      // frames in flight per directed link
-	shed     int64                // frames shed by full link queues
+	lastRx   [2]map[uint64]sim.Time // per-link FIFO horizon, by direction and radioKey
+	queued   [2]map[uint64]int      // frames in flight per directed link, likewise
+	shed     int64                  // frames shed by full link queues
+	frames   sim.FreeList[radioFrame]
 
 	// Windowed-transport state (E15), allocated only when cfg.WTP is
 	// enabled. Like the wired ARQ state, it is part of the network
-	// fabric keyed by directed (MSS, MH) link.
-	wtpOut map[linkKey]*wtp.Sender
-	wtpIn  map[linkKey]*wtp.Receiver
+	// fabric keyed by (downlink) radioKey.
+	wtpOut map[uint64]*wtp.Sender
+	wtpIn  map[uint64]*wtp.Receiver
 }
 
-// linkKey identifies one directed radio link.
+// linkKey identifies one directed wired link.
 type linkKey struct {
 	from ids.NodeID
 	to   ids.NodeID
+}
+
+// radioKey packs a cell link's two ends into one word: with the
+// direction (0 down, 1 up), the key of all per-link state.
+func radioKey(mss ids.MSS, mh ids.MH) uint64 { return uint64(mss)<<32 | uint64(mh) }
+
+// radioOp says what a radio frame carries; odd ops fly up.
+type radioOp uint8
+
+const (
+	opDownlink radioOp = iota // a message, station to host
+	opUplink                  // a message, host to station
+	opWtpData                 // a windowed data frame, station to host
+	opWtpAck                  // a windowed ack, host to station
+)
+
+// radioFrame is one frame on the air, recycled under wiredFrame's
+// lifetime rule. Station-to-host frames are gated (reachability, loss,
+// drop filter) when they fire, host-to-station frames before they fly.
+type radioFrame struct {
+	w      *Wireless
+	op     radioOp
+	queued bool // holds a slot of the bounded link queue until it fires
+	mss    ids.MSS
+	mh     ids.MH
+	from   ids.NodeID  // the sending end
+	to     ids.NodeID  // the receiving end
+	m      msg.Message // opDownlink, opUplink
+	data   msg.WtpData // opWtpData
+	ack    msg.WtpAck  // opWtpAck
+	run    func()      // fire, bound once when the record is first allocated
+}
+
+func (f *radioFrame) dir() int { return int(f.op & 1) }
+
+// envelope is the frame's content as observers and the drop filter see
+// it. The typed fields keep the windowed transport's frames unboxed
+// until somebody asks.
+func (f *radioFrame) envelope() msg.Message {
+	switch f.op {
+	case opWtpData:
+		return f.data
+	case opWtpAck:
+		return f.ack
+	}
+	return f.m
 }
 
 // NewWireless builds the wireless substrate.
@@ -506,12 +600,14 @@ func NewWireless(k sim.Scheduler, cfg WirelessConfig, obs Observer) *Wireless {
 		mhs:      make(map[ids.MH]Handler),
 		stations: make(map[ids.MSS]Handler),
 		observer: obs,
-		lastRx:   make(map[linkKey]sim.Time),
-		queued:   make(map[linkKey]int),
+	}
+	for d := range w.lastRx {
+		w.lastRx[d] = make(map[uint64]sim.Time)
+		w.queued[d] = make(map[uint64]int)
 	}
 	if cfg.WTP.Enabled {
-		w.wtpOut = make(map[linkKey]*wtp.Sender)
-		w.wtpIn = make(map[linkKey]*wtp.Receiver)
+		w.wtpOut = make(map[uint64]*wtp.Sender)
+		w.wtpIn = make(map[uint64]*wtp.Receiver)
 	}
 	return w
 }
@@ -532,25 +628,109 @@ func wirelessControl(m msg.Message) bool {
 	return false
 }
 
-// sendOrShed schedules fire after the link's FIFO delay, unless the
+// frame takes a record for one frame between mss and mh.
+func (w *Wireless) frame(op radioOp, mss ids.MSS, mh ids.MH) *radioFrame {
+	f := w.frames.Get()
+	if f == nil {
+		f = &radioFrame{w: w}
+		f.run = f.fire
+	}
+	f.op, f.mss, f.mh = op, mss, mh
+	f.from, f.to = mss.Node(), mh.Node()
+	if f.dir() == 1 {
+		f.from, f.to = f.to, f.from
+	}
+	return f
+}
+
+// release retires a fired or dropped record. The sequencer may fire a
+// record again, so under it records are left to the GC.
+func (w *Wireless) release(f *radioFrame) {
+	if w.cfg.Seq == nil {
+		f.queued, f.m, f.data, f.ack = false, nil, msg.WtpData{}, msg.WtpAck{}
+		w.frames.Put(f)
+	}
+}
+
+// finish observes the frame's fate and retires it.
+func (w *Wireless) finish(kind EventKind, f *radioFrame) {
+	w.observeFrame(kind, f)
+	w.release(f)
+}
+
+// sendOrShed schedules f after the link's FIFO delay, unless the
 // directed link already has QueueLimit frames in flight, in which case
 // the frame is shed.
-func (w *Wireless) sendOrShed(from, to ids.NodeID, m msg.Message, fire func()) {
-	if w.cfg.QueueLimit <= 0 {
-		w.k.Defer(w.fifoDelay(from, to), fire)
+func (w *Wireless) sendOrShed(f *radioFrame) {
+	if w.cfg.QueueLimit > 0 {
+		q, key := w.queued[f.dir()], radioKey(f.mss, f.mh)
+		if q[key] >= w.cfg.QueueLimit {
+			w.shed++
+			w.finish(EventShed, f)
+			return
+		}
+		q[key]++
+		f.queued = true
+	}
+	w.k.Defer(w.fifoDelay(f), f.run)
+}
+
+// dispatch puts a message frame on its way. Control signaling rides the
+// beacon exchange outside the bounded data queue: a control reply can
+// never pin the link and starve a result, and a join is never shed (a
+// lost one would desynchronize the cell model).
+func (w *Wireless) dispatch(f *radioFrame, control bool) {
+	switch {
+	case w.cfg.Seq != nil:
+		w.cfg.Seq.Offer(LayerWireless, f.from, f.to, f.run)
+	case control:
+		w.k.Defer(w.fifoDelay(f), f.run)
+	default:
+		w.sendOrShed(f)
+	}
+}
+
+// fire is the frame's arrival at the far end of the link.
+func (f *radioFrame) fire() {
+	w, key := f.w, radioKey(f.mss, f.mh)
+	if f.queued {
+		w.queued[f.dir()][key]--
+	}
+	var h Handler
+	switch f.op {
+	case opWtpAck:
+		// Acks terminate inside the transport, at the sender whose frame
+		// they answer, never at the station.
+		s, ack := w.wtpOut[key], f.ack
+		w.finish(EventDelivered, f)
+		s.OnAck(ack)
+		return
+	case opUplink:
+		h = w.stations[f.mss]
+	default:
+		if !w.cfg.Reachable(f.mss, f.mh) {
+			w.finish(EventDroppedUnreachable, f)
+			return
+		}
+		if w.rng.Prob(w.cfg.LossProb) || w.filtered(f) {
+			w.finish(EventDroppedLoss, f)
+			return
+		}
+		h = w.mhs[f.mh]
+	}
+	if h == nil {
+		w.finish(EventDroppedUnreachable, f)
 		return
 	}
-	key := linkKey{from: from, to: to}
-	if w.queued[key] >= w.cfg.QueueLimit {
-		w.shed++
-		w.observe(EventShed, from, to, m)
+	if f.op == opWtpData {
+		mss, mh, data := f.mss, f.mh, f.data
+		w.release(f)
+		w.receiveWtpFrame(mss, mh, data, h)
 		return
 	}
-	w.queued[key]++
-	w.k.Defer(w.fifoDelay(from, to), func() {
-		w.queued[key]--
-		fire()
-	})
+	from, m := f.from, f.m
+	w.finish(EventDelivered, f)
+	h.HandleMessage(from, m)
 }
 
 // RegisterMH installs the radio handler of a mobile host.
@@ -567,48 +747,23 @@ func (w *Wireless) RegisterMSS(mss ids.MSS, h Handler) { w.stations[mss] = h }
 // proxy's job.
 func (w *Wireless) SendDownlink(from ids.MSS, to ids.MH, m msg.Message) {
 	w.observe(EventSent, from.Node(), to.Node(), m)
-	fire := func() {
-		if !w.cfg.Reachable(from, to) {
-			w.observe(EventDroppedUnreachable, from.Node(), to.Node(), m)
-			return
-		}
-		if w.rng.Prob(w.cfg.LossProb) || w.filtered(from.Node(), to.Node(), m) {
-			w.observe(EventDroppedLoss, from.Node(), to.Node(), m)
-			return
-		}
-		h := w.mhs[to]
-		if h == nil {
-			w.observe(EventDroppedUnreachable, from.Node(), to.Node(), m)
-			return
-		}
-		w.observe(EventDelivered, from.Node(), to.Node(), m)
-		h.HandleMessage(from.Node(), m)
-	}
-	if w.cfg.Seq != nil {
-		w.cfg.Seq.Offer(LayerWireless, from.Node(), to.Node(), fire)
-		return
-	}
-	if wirelessControl(m) {
-		// Admission signaling (reg-confirm, admit, busy) rides the
-		// beacon exchange: outside the bounded data queue, so a control
-		// reply can never pin the link and starve a result delivery.
-		w.k.Defer(w.fifoDelay(from.Node(), to.Node()), fire)
-		return
-	}
-	if w.cfg.WTP.Enabled {
+	control := wirelessControl(m)
+	if w.cfg.WTP.Enabled && w.cfg.Seq == nil && !control {
 		// Windowed transport: the message joins the per-link coalescing
 		// buffer and travels inside a WtpData frame; the sender decides
 		// when (window, congestion, retransmission).
 		w.wtpSender(from, to).Queue(m)
 		return
 	}
-	w.sendOrShed(from.Node(), to.Node(), m, fire)
+	f := w.frame(opDownlink, from, to)
+	f.m = m
+	w.dispatch(f, control)
 }
 
 // wtpSender returns (creating on first use) the windowed-transport
 // sender of a directed downlink.
 func (w *Wireless) wtpSender(from ids.MSS, to ids.MH) *wtp.Sender {
-	key := linkKey{from: from.Node(), to: to.Node()}
+	key := radioKey(from, to)
 	s, ok := w.wtpOut[key]
 	if !ok {
 		s = wtp.NewSender(w.k, w.cfg.WTP, func(f msg.WtpData) {
@@ -626,24 +781,10 @@ func (w *Wireless) wtpSender(from ids.MSS, to ids.MH) *wtp.Sender {
 // (loss, shed, unreachable) are observed with the WtpData envelope; the
 // coalesced messages inside observe EventSent at Queue time and
 // EventDelivered when the receiver hands them up in order.
-func (w *Wireless) transmitWtpFrame(from ids.MSS, to ids.MH, f msg.WtpData) {
-	fire := func() {
-		if !w.cfg.Reachable(from, to) {
-			w.observe(EventDroppedUnreachable, from.Node(), to.Node(), f)
-			return
-		}
-		if w.rng.Prob(w.cfg.LossProb) || w.filtered(from.Node(), to.Node(), f) {
-			w.observe(EventDroppedLoss, from.Node(), to.Node(), f)
-			return
-		}
-		h := w.mhs[to]
-		if h == nil {
-			w.observe(EventDroppedUnreachable, from.Node(), to.Node(), f)
-			return
-		}
-		w.receiveWtpFrame(from, to, f, h)
-	}
-	w.sendOrShed(from.Node(), to.Node(), f, fire)
+func (w *Wireless) transmitWtpFrame(from ids.MSS, to ids.MH, data msg.WtpData) {
+	f := w.frame(opWtpData, from, to)
+	f.data = data
+	w.sendOrShed(f)
 }
 
 // receiveWtpFrame runs at the mobile end of a windowed downlink: the
@@ -651,7 +792,7 @@ func (w *Wireless) transmitWtpFrame(from ids.MSS, to ids.MH, f msg.WtpData) {
 // handler, and every live frame is acknowledged (cumulative watermark
 // plus selective blocks) on the reverse link.
 func (w *Wireless) receiveWtpFrame(from ids.MSS, to ids.MH, f msg.WtpData, h Handler) {
-	key := linkKey{from: from.Node(), to: to.Node()}
+	key := radioKey(from, to)
 	r, ok := w.wtpIn[key]
 	if !ok {
 		r = wtp.NewReceiver(w.cfg.WTP)
@@ -663,8 +804,11 @@ func (w *Wireless) receiveWtpFrame(from ids.MSS, to ids.MH, f msg.WtpData, h Han
 	}
 	// The frame itself is observed as delivered (tracing sees the
 	// transport's arrows, not just the payloads); drop accounting never
-	// counts wireless deliveries, so stats are unaffected.
-	w.observe(EventDelivered, from.Node(), to.Node(), f)
+	// counts wireless deliveries, so stats are unaffected. Boxing f is
+	// the cost, so the listener check comes first.
+	if w.observer != nil {
+		w.observer(w.k.Now(), LayerWireless, EventDelivered, from.Node(), to.Node(), f)
+	}
 	for _, in := range deliver {
 		w.observe(EventDelivered, from.Node(), to.Node(), in)
 		h.HandleMessage(from.Node(), in)
@@ -674,20 +818,15 @@ func (w *Wireless) receiveWtpFrame(from ids.MSS, to ids.MH, f msg.WtpData, h Han
 
 // sendWtpAck returns an acknowledgment on the reverse radio link. Acks
 // are subject to random loss (a lost ack costs one retransmission) but,
-// like the beacon control traffic, ride outside the bounded data queue;
-// they terminate inside the transport, never at the station handler.
+// like the beacon control traffic, ride outside the bounded data queue.
 func (w *Wireless) sendWtpAck(from ids.MSS, to ids.MH, a msg.WtpAck) {
+	f := w.frame(opWtpAck, from, to)
+	f.ack = a
 	if w.rng.Prob(w.cfg.LossProb) {
-		w.observe(EventDroppedLoss, to.Node(), from.Node(), a)
+		w.finish(EventDroppedLoss, f)
 		return
 	}
-	key := linkKey{from: from.Node(), to: to.Node()}
-	w.k.Defer(w.fifoDelay(to.Node(), from.Node()), func() {
-		if s, ok := w.wtpOut[key]; ok {
-			w.observe(EventDelivered, to.Node(), from.Node(), a)
-			s.OnAck(a)
-		}
-	})
+	w.k.Defer(w.fifoDelay(f), f.run)
 }
 
 // WTPStats aggregates windowed-transport counters over all downlinks:
@@ -716,62 +855,48 @@ func (w *Wireless) WTPStats() (retransmits, fast, resets, frames, msgs, dups int
 // of how a MH learns that it is entering or leaving a cell").
 func (w *Wireless) SendUplink(from ids.MH, to ids.MSS, m msg.Message) {
 	w.observe(EventSent, from.Node(), to.Node(), m)
-	lossy := true
-	switch m.Kind() {
-	case msg.KindJoin, msg.KindLeave, msg.KindGreet:
-		lossy = false
-	}
+	f := w.frame(opUplink, to, from)
+	f.m = m
+	control := wirelessControl(m)
 	if !w.cfg.Reachable(to, from) {
-		w.observe(EventDroppedUnreachable, from.Node(), to.Node(), m)
+		w.finish(EventDroppedUnreachable, f)
 		return
 	}
-	if lossy && (w.rng.Prob(w.cfg.LossProb) || w.filtered(from.Node(), to.Node(), m)) {
-		w.observe(EventDroppedLoss, from.Node(), to.Node(), m)
+	if !control && (w.rng.Prob(w.cfg.LossProb) || w.filtered(f)) {
+		w.finish(EventDroppedLoss, f)
 		return
 	}
-	fire := func() {
-		h := w.stations[to]
-		if h == nil {
-			w.observe(EventDroppedUnreachable, from.Node(), to.Node(), m)
-			return
-		}
-		w.observe(EventDelivered, from.Node(), to.Node(), m)
-		h.HandleMessage(from.Node(), m)
-	}
-	if w.cfg.Seq != nil {
-		w.cfg.Seq.Offer(LayerWireless, from.Node(), to.Node(), fire)
-		return
-	}
-	if !lossy {
-		// Registration control rides the reliable beacon exchange; it is
-		// never shed and does not occupy the bounded data queue (a lost
-		// join would desynchronize the cell model).
-		w.k.Defer(w.fifoDelay(from.Node(), to.Node()), fire)
-		return
-	}
-	w.sendOrShed(from.Node(), to.Node(), m, fire)
+	w.dispatch(f, control)
 }
 
-// fifoDelay samples a link delay and stretches it so this frame arrives
+// fifoDelay samples a link delay and stretches it so the frame arrives
 // no earlier than the previous frame on the same directed link.
-func (w *Wireless) fifoDelay(from, to ids.NodeID) time.Duration {
-	key := linkKey{from: from, to: to}
+func (w *Wireless) fifoDelay(f *radioFrame) time.Duration {
+	last, key := w.lastRx[f.dir()], radioKey(f.mss, f.mh)
 	arrival := w.k.Now() + sim.Time(w.cfg.Latency.Sample(w.rng))
-	if prev := w.lastRx[key]; arrival < prev {
+	if prev := last[key]; arrival < prev {
 		arrival = prev
 	}
-	w.lastRx[key] = arrival
+	last[key] = arrival
 	return time.Duration(arrival - w.k.Now())
 }
 
 // filtered consults the DropFilter test hook, if any.
-func (w *Wireless) filtered(from, to ids.NodeID, m msg.Message) bool {
-	return w.cfg.DropFilter != nil && w.cfg.DropFilter(from, to, m)
+func (w *Wireless) filtered(f *radioFrame) bool {
+	return w.cfg.DropFilter != nil && w.cfg.DropFilter(f.from, f.to, f.envelope())
 }
 
 func (w *Wireless) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
 	if w.observer != nil {
 		w.observer(w.k.Now(), LayerWireless, kind, from, to, m)
+	}
+}
+
+// observeFrame reports a frame-level event (the envelope is boxed only
+// when somebody is listening).
+func (w *Wireless) observeFrame(kind EventKind, f *radioFrame) {
+	if w.observer != nil {
+		w.observer(w.k.Now(), LayerWireless, kind, f.from, f.to, f.envelope())
 	}
 }
 

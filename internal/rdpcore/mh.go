@@ -388,10 +388,11 @@ func (h *MHNode) IssueRequest(server ids.Server, payload []byte) ids.RequestID {
 	h.issuedAt[req] = h.w.Kernel.Now()
 	h.outstanding[req] = true
 	h.w.Stats.RequestsIssued.Inc()
-	m := msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc}
+	r := msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc}
 	if h.w.cfg.BusyRetryBase > 0 {
-		h.pending[req] = m
+		h.pending[req] = r
 	}
+	var m msg.Message = r // boxed once for the offline queue, the radio and the timers
 	if h.joined && h.w.IsActive(h.id) && h.w.IsDisconnected(h.id) {
 		// Out of coverage: journal for in-order replay on reconnection
 		// (E17). Retry and deadline timers arm at replay time, not now —

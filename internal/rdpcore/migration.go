@@ -249,7 +249,7 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	for _, bs := range m.Batches {
 		if bs.Aborted {
 			if _, ok := p.abortedBatches[bs.Batch]; !ok {
-				p.abortedBatches[bs.Batch] = nil
+				setLazy(&p.abortedBatches, bs.Batch, nil)
 				p.abortOrder = append(p.abortOrder, bs.Batch)
 			}
 			continue
@@ -260,7 +260,7 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 				b.members = append(b.members, req)
 			}
 		}
-		p.batches[bs.Batch] = b
+		setLazy(&p.batches, bs.Batch, b)
 		p.batchOrder = append(p.batchOrder, bs.Batch)
 		if !b.released {
 			p.armBatchDeadline(b)

@@ -164,6 +164,8 @@ type MSSNode struct {
 	// procFn caches the processNext method value so scheduleProcessing
 	// does not materialize a fresh closure per processed message.
 	procFn func()
+	// selfHops carries the station's messages to itself (sendToStation).
+	selfHops *sim.Calls[msg.Message]
 }
 
 // classInbox is the station's priority inbox: one FIFO queue per
@@ -240,6 +242,7 @@ func newMSSNode(id ids.MSS, w *World) *MSSNode {
 		cache:           dcache.New(w.cfg.ResultCache),
 	}
 	n.procFn = n.processNext
+	n.selfHops = sim.NewCalls(w.Kernel, func(m msg.Message) { n.process(id.Node(), m) })
 	n.armLeaseBeat()
 	return n
 }
@@ -1554,8 +1557,7 @@ func (n *MSSNode) sendWired(to ids.NodeID, m msg.Message) {
 // co-located).
 func (n *MSSNode) sendToStation(to ids.MSS, m msg.Message) {
 	if to == n.id {
-		local := m
-		n.w.Kernel.Defer(0, func() { n.process(n.id.Node(), local) })
+		n.selfHops.Defer(0, m)
 		return
 	}
 	n.sendWired(to.Node(), m)

@@ -112,11 +112,18 @@ func newProxy(id ids.ProxyID, mh ids.MH, host *MSSNode) *Proxy {
 		host:           host,
 		currentLoc:     host.id,
 		reqs:           make(map[ids.RequestID]*proxyReq),
-		batches:        make(map[ids.BatchID]*proxyBatch),
-		abortedBatches: make(map[ids.BatchID][]ids.RequestID),
 		createdAt:      host.w.Kernel.Now(),
 		lastMigAttempt: host.w.Kernel.Now() - sim.Time(host.w.cfg.Migration.MinInterval),
 	}
+}
+
+// setLazy stores m[k] = v in a map made on first write: most proxies
+// never see a batch (E17), so the two batch maps start nil.
+func setLazy[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }
 
 // ID returns the proxy identifier.
@@ -342,7 +349,7 @@ func (p *Proxy) ensureBatch(id ids.BatchID, inc ids.Incarnation) *proxyBatch {
 		}
 	}
 	b := &proxyBatch{id: id, inc: inc}
-	p.batches[id] = b
+	setLazy(&p.batches, id, b)
 	p.batchOrder = append(p.batchOrder, id)
 	p.host.w.Stats.BatchesOpened.Inc()
 	p.host.persistProxy(p)
@@ -480,7 +487,7 @@ func (p *Proxy) abortBatch(b *proxyBatch) {
 			break
 		}
 	}
-	p.abortedBatches[b.id] = reqs
+	setLazy(&p.abortedBatches, b.id, reqs)
 	p.abortOrder = append(p.abortOrder, b.id)
 	p.host.persistProxy(p)
 	p.host.w.Stats.BatchesAborted.Inc()

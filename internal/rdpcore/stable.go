@@ -452,7 +452,7 @@ func (n *MSSNode) restoreFromStore() {
 				expected: br.expected, committed: br.committed, released: br.released,
 				inc: br.inc,
 			}
-			p.batches[b.id] = b
+			setLazy(&p.batches, b.id, b)
 			p.batchOrder = append(p.batchOrder, b.id)
 			if !b.released {
 				// A fresh, full deadline per incarnation: pre-crash timers
@@ -463,7 +463,7 @@ func (n *MSSNode) restoreFromStore() {
 			}
 		}
 		for _, ar := range pr.aborted {
-			p.abortedBatches[ar.id] = append([]ids.RequestID(nil), ar.reqs...)
+			setLazy(&p.abortedBatches, ar.id, append([]ids.RequestID(nil), ar.reqs...))
 			p.abortOrder = append(p.abortOrder, ar.id)
 		}
 		n.proxies[seq] = p

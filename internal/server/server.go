@@ -36,7 +36,6 @@ func Echo(req []byte) []byte {
 // AppServer is one application server on the wired network.
 type AppServer struct {
 	id      ids.Server
-	kernel  sim.Scheduler
 	wired   netsim.WiredTransport
 	proc    netsim.LatencyModel
 	rng     *sim.RNG
@@ -47,6 +46,7 @@ type AppServer struct {
 	// processing (its proxy migrated), so the reply chases the proxy's
 	// new home instead of the tombstone.
 	pending map[ids.RequestID]ids.ProxyID
+	jobs    *sim.Calls[msg.ServerRequest] // requests in processing
 
 	// Served counts completed requests; Acked counts application-level
 	// acks received from proxies.
@@ -63,15 +63,16 @@ func New(id ids.Server, kernel sim.Scheduler, wired netsim.WiredTransport, proc 
 	if handler == nil {
 		handler = Echo
 	}
-	return &AppServer{
+	s := &AppServer{
 		id:      id,
-		kernel:  kernel,
 		wired:   wired,
 		proc:    proc,
 		rng:     kernel.RNG().Fork(),
 		handler: handler,
 		pending: make(map[ids.RequestID]ids.ProxyID),
 	}
+	s.jobs = sim.NewCalls(kernel, s.finish)
+	return s
 }
 
 // ID returns the server identifier.
@@ -88,22 +89,7 @@ func (s *AppServer) HandleMessage(from ids.NodeID, m msg.Message) {
 	switch v := m.(type) {
 	case msg.ServerRequest:
 		s.pending[v.Req] = v.Proxy
-		delay := s.proc.Sample(s.rng)
-		s.kernel.Defer(delay, func() {
-			s.Served.Inc()
-			reply := s.handler(v.Payload)
-			// Read the live binding: a pref_redirect may have rebound it
-			// while the request was processing. A duplicate re-request
-			// (recovery) whose entry was already consumed replies to the
-			// proxy it named, matching the pre-migration behavior.
-			to, ok := s.pending[v.Req]
-			if !ok {
-				to = v.Proxy
-			}
-			delete(s.pending, v.Req)
-			s.wired.Send(s.id.Node(), to.Host.Node(),
-				msg.ServerResult{Proxy: to, Req: v.Req, Payload: reply})
-		})
+		s.jobs.Defer(s.proc.Sample(s.rng), v)
 	case msg.PrefRedirect:
 		if v.Confirm {
 			return // echoes are station-bound; ignore a misdelivered one
@@ -118,6 +104,23 @@ func (s *AppServer) HandleMessage(from ids.NodeID, m msg.Message) {
 	case msg.ServerAck:
 		s.Acked.Inc()
 	}
+}
+
+// finish completes a request whose processing delay has elapsed.
+func (s *AppServer) finish(v msg.ServerRequest) {
+	s.Served.Inc()
+	reply := s.handler(v.Payload)
+	// Read the live binding: a pref_redirect may have rebound it while
+	// the request was processing. A duplicate re-request (recovery) whose
+	// entry was already consumed replies to the proxy it named, matching
+	// the pre-migration behavior.
+	to, ok := s.pending[v.Req]
+	if !ok {
+		to = v.Proxy
+	}
+	delete(s.pending, v.Req)
+	s.wired.Send(s.id.Node(), to.Host.Node(),
+		msg.ServerResult{Proxy: to, Req: v.Req, Payload: reply})
 }
 
 // Directory is the name service of §2: "each server maintains a fixed

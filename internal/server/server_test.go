@@ -130,3 +130,36 @@ func TestDirectory(t *testing.T) {
 		t.Errorf("Names = %v", names)
 	}
 }
+
+// sink is a wired transport that drops what it is given, so the job's
+// own cost is all that is measured.
+type sink struct{ sent int }
+
+func (s *sink) Send(_, _ ids.NodeID, _ msg.Message) { s.sent++ }
+func (s *sink) Register(ids.NodeID, netsim.Handler) {}
+
+// TestServerJobAllocBudget: a request in processing is a recycled job
+// record; what one still costs is the reply — Echo's slice and the
+// ServerResult boxed for the wire.
+func TestServerJobAllocBudget(t *testing.T) {
+	k := sim.NewKernel(1)
+	out := &sink{}
+	srv := New(1, k, out, netsim.Constant(time.Millisecond), nil)
+	var req msg.Message = msg.ServerRequest{
+		Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 7, Seq: 1}, Payload: []byte("q"),
+	}
+	step := func() {
+		srv.HandleMessage(ids.MSS(1).Node(), req)
+		srv.HandleMessage(ids.MSS(1).Node(), req) // two in processing at once
+		k.Run()
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(200, step); avg > 4 {
+		t.Errorf("two server jobs: %.1f allocs, budget 4 (a reply slice and a boxed ServerResult each)", avg)
+	}
+	if out.sent != 2*(8+201) {
+		t.Errorf("server sent %d replies, want %d", out.sent, 2*(8+201))
+	}
+}

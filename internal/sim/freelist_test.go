@@ -1,0 +1,80 @@
+package sim
+
+import (
+	"testing"
+	"time"
+)
+
+type rec struct{ n int }
+
+// take mimics a substrate's Get-or-allocate.
+func take(l *FreeList[rec]) *rec {
+	if r := l.Get(); r != nil {
+		return r
+	}
+	return new(rec)
+}
+
+// TestFreeListAllocBudget: a steady load recycles and never trims.
+func TestFreeListAllocBudget(t *testing.T) {
+	var l FreeList[rec]
+	held := make([]*rec, 0, 3000)
+	cycle := func() {
+		for i := 0; i < 3000; i++ {
+			held = append(held, take(&l))
+		}
+		// Down to a third of the high-water and back: above the quarter
+		// that would trim.
+		for len(held) > 1000 {
+			l.Put(held[len(held)-1])
+			held = held[:len(held)-1]
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Errorf("steady cycle: %.1f allocs, budget 0", avg)
+	}
+}
+
+// TestFreeListTrimsAfterBurst: once the records out fall below a quarter
+// of the total, the list lets half of them go — and again as the load
+// keeps falling — instead of pinning the burst for the rest of the run.
+func TestFreeListTrimsAfterBurst(t *testing.T) {
+	var l FreeList[rec]
+	var held []*rec
+	for i := 0; i < 8*shrinkMinCap; i++ {
+		held = append(held, take(&l))
+	}
+	for _, r := range held[8:] {
+		l.Put(r)
+	}
+	if total := l.out + len(l.free); l.out != 8 || total >= shrinkMinCap {
+		t.Fatalf("after the burst: %d out, %d tracked; want 8 out and fewer than %d tracked", l.out, total, shrinkMinCap)
+	}
+	if cap(l.free) > 2*shrinkMinCap {
+		t.Errorf("free list kept a backing array of %d", cap(l.free))
+	}
+	// What is left is still a working free list.
+	r := l.Get()
+	if r == nil {
+		t.Fatal("trimmed list handed out nothing")
+	}
+	l.Put(r)
+}
+
+// TestArenaTrimsWithTheQueue: events retired into an arena are released
+// when the kernel's queue shrinks, like the kernel's private free list.
+func TestArenaTrimsWithTheQueue(t *testing.T) {
+	a := NewArena()
+	k := NewKernel(1)
+	k.SetArena(a)
+	fn := func() {}
+	const burst = 16 * shrinkMinCap
+	for i := 0; i < burst; i++ {
+		k.Defer(time.Duration(i)*time.Microsecond, fn)
+	}
+	k.Run()
+	if len(a.free) > shrinkMinCap {
+		t.Errorf("arena pins %d of %d burst events after the drain", len(a.free), burst)
+	}
+}

@@ -51,7 +51,9 @@ type Kernel struct {
 // it every kernel pins its own burst high-water mark of event structs;
 // with an arena, kernels that execute on the same OS thread in turn —
 // the parallel engine's regions, dealt to one worker — recycle a single
-// pool sized to the worker's peak, not the sum of per-kernel peaks.
+// pool sized to the worker's peak, not the sum of per-kernel peaks. It
+// is trimmed along with the queue of whichever kernel has it attached
+// (see maybeShrink), like a kernel's private list.
 //
 // An Arena is not safe for concurrent use: at most one kernel may have
 // it attached at a time, and the attach/detach calls must be serialized
@@ -268,11 +270,11 @@ func (k *Kernel) maybeShrink(n int) {
 	copy(nq, k.queue)
 	k.queue = nq
 	// The free list grew to the same burst size; cap it at the shrunk
-	// queue capacity so the retired events can be collected too.
-	if len(k.free) > nc {
-		nf := make([]*event, nc)
-		copy(nf, k.free[:nc])
-		k.free = nf
+	// queue capacity so the retired events can be collected too. With an
+	// arena attached that list is the arena's.
+	k.free = trimmed(k.free, nc)
+	if k.arena != nil {
+		k.arena.free = trimmed(k.arena.free, nc)
 	}
 }
 

@@ -1,0 +1,91 @@
+#!/bin/sh
+# A/B one perf workload between two commits, the way a claimed gain is
+# judged (choosing-metrics §8):
+#
+#   scripts/perf-ab.sh <base-ref> <head-ref> <workload> [pairs]
+#
+# Both ./perf binaries are built once, from `git archive` exports under
+# .bench_build/ab/ (a ref of "." exports the working tree instead, for a
+# change not yet committed). Then [pairs] (default 10) pairs of runs,
+# base and head alternating with the order flipped every pair and a fresh
+# input seed per pair, each for BENCHMARK.json's run length. It prints
+# every pair's norm_results_per_s, each side's median and quartiles, and
+# the verdict: head wins at least nine pairs in ten (ties count for
+# neither) and the medians differ by more than the base's own
+# interquartile range. It reads the result line perf prints and changes
+# nothing under perf/.
+set -eu
+if [ $# -lt 3 ]; then
+	echo "usage: $0 <base-ref> <head-ref> <workload> [pairs]" >&2
+	exit 2
+fi
+base_ref=$1 head_ref=$2 workload=$3 pairs=${4:-10}
+metric=norm_results_per_s
+cd "$(dirname "$0")/.."
+root=$PWD/.bench_build/ab
+export GOCACHE="$PWD/.bench_build/gocache" GOTMPDIR="$PWD/.bench_build/tmp" GOFLAGS=-mod=mod
+mkdir -p "$GOTMPDIR"
+
+build() { # side ref
+	rm -rf "$root/$1"
+	mkdir -p "$root/$1"
+	if [ "$2" = . ]; then
+		git ls-files -z --cached --others --exclude-standard | tar -c --null -T - 2>/dev/null | tar -x -C "$root/$1"
+	else
+		git archive "$2" | tar -x -C "$root/$1"
+	fi
+	(cd "$root/$1" && go build -o "$root/$1.perfbench" ./perf)
+}
+build base "$base_ref"
+build head "$head_ref"
+
+run() { # side seed
+	out=$(cd "$root/$1" && "$root/$1.perfbench" -workload "$workload" -seed "$2" -trace 0 | tail -n 1)
+	v=$(printf '%s\n' "$out" | sed -n 's/.*"'$metric'":{"value":\([0-9.eE+-]*\).*/\1/p')
+	if [ -z "$v" ]; then
+		echo "perf-ab: $1 run printed no $metric (seed $2)" >&2
+		exit 1
+	fi
+	printf '%s\n' "$v"
+}
+
+: >"$root/base.runs"
+: >"$root/head.runs"
+i=1
+while [ "$i" -le "$pairs" ]; do
+	seed=$((100 + i))
+	if [ $((i % 2)) -eq 1 ]; then
+		b=$(run base "$seed") h=$(run head "$seed")
+	else
+		h=$(run head "$seed") b=$(run base "$seed")
+	fi
+	echo "$b" >>"$root/base.runs"
+	echo "$h" >>"$root/head.runs"
+	echo "pair $i seed $seed: base $b head $h"
+	i=$((i + 1))
+done
+
+quartiles() { # file -> "q1 median q3", linear interpolation
+	sort -g "$1" | awk '{ v[NR] = $1 } END {
+		for (k = 1; k <= 3; k++) {
+			p = (NR - 1) * k / 4 + 1; lo = int(p); hi = (lo < NR) ? lo + 1 : lo
+			printf "%s%.6g", (k > 1 ? " " : ""), v[lo] + (v[hi] - v[lo]) * (p - lo)
+		}
+		print ""
+	}'
+}
+bq=$(quartiles "$root/base.runs")
+hq=$(quartiles "$root/head.runs")
+echo "$workload $metric over $pairs pairs"
+echo "  base ($base_ref): q1 median q3 = $bq"
+echo "  head ($head_ref): q1 median q3 = $hq"
+paste "$root/base.runs" "$root/head.runs" | awk -v bq="$bq" -v hq="$hq" '
+	$2 > $1 { wins++ } $2 < $1 { losses++ }
+	END {
+		split(bq, b, " "); split(hq, h, " ")
+		gap = h[2] - b[2]; iqr = b[3] - b[1]
+		printf "  head wins %d, loses %d of %d pairs; median gap %+.2f%% of base (%.6g), base IQR %.2f%% (%.6g)\n",
+			wins, losses, NR, 100 * gap / b[2], gap, 100 * iqr / b[2], iqr
+		if (wins * 10 >= NR * 9 && gap > iqr) print "  verdict: gain"
+		else print "  verdict: no gain shown"
+	}'
