@@ -2,10 +2,14 @@
 // implementation: mobile hosts, mobile support stations, application
 // servers, proxies and requests.
 //
-// Identifiers are small value types so they can be used as map keys and
-// embedded in wire messages without allocation. The zero value of every
-// identifier type is reserved as "none"/"invalid"; valid identifiers are
-// numbered starting at 1 (see NodeKind for the rationale).
+// Identifiers are small value types, embedded in wire messages without
+// allocation. The zero value of every identifier type is reserved as
+// "none"/"invalid"; valid identifiers are numbered starting at 1 (see
+// NodeKind for the rationale). Host, station and request sequence
+// numbers are dense from 1, so they index rather than hash: per-entity
+// state belongs on the entity (a host's device state on its node, its
+// requests in a table indexed by sequence number), not in a map keyed by
+// the identifier beside it.
 package ids
 
 import "strconv"

@@ -133,10 +133,11 @@ func (pw *World) exec(r *region, s *script) {
 		}
 	case EvMigrate, EvActivate:
 		if ev.Kind == EvMigrate && (r.world.IsDisconnected(s.id) || r.world.IsCrashed(s.id)) {
-			// Out of coverage or powered off: the move is suppressed (the
-			// serial E17/E18 drivers do the same) — in particular the host
-			// must not transfer regions, which would drop its disconnected
-			// or crashed state along with its incarnation counter.
+			// Out of coverage or powered off: the move is suppressed, as
+			// the serial E17/E18 drivers suppress it, so the regions replay
+			// the serial run. (A transfer itself would be safe: the host's
+			// disconnected and crashed state and its incarnation word
+			// live on the node and travel with it.)
 			break
 		}
 		dst, ok := pw.stationRegion[ev.Cell]

@@ -34,3 +34,33 @@ func TestStationSelfSendAllocBudget(t *testing.T) {
 		t.Errorf("processed %d self-sends, want %d", got, 2*101)
 	}
 }
+
+// TestRequestRoundTripAllocBudget pins one warm request's whole cycle —
+// issue → proxy created → server → result forwarded → delivered → Ack
+// relayed → proxy deleted — in a two-station fault-free world. The
+// host's request row is amortized table growth and the station's ledger
+// keeps its capacity; what is left is the proxy, its requestList's first
+// slot and the entry in it, the server's reply payload, and one boxing
+// per protocol message put on a wire: Request, ServerRequest,
+// ServerResult, ResultForward, ResultDeliver, AckMH, AckForward.
+func TestRequestRoundTripAllocBudget(t *testing.T) {
+	w, h := roundTripWorld()
+	payload := []byte("q")
+	step := func() {
+		h.IssueRequest(1, payload)
+		w.Run()
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	before := w.Stats.ResultsDelivered.Value()
+	if avg := testing.AllocsPerRun(200, step); avg > 11 {
+		t.Errorf("request round trip: %.2f allocs, budget 11", avg)
+	}
+	if got := w.Stats.ResultsDelivered.Value() - before; got != 201 {
+		t.Errorf("delivered %d results, want 201", got)
+	}
+	if w.TotalProxies() != 0 || w.Stats.Violations.Value() != 0 {
+		t.Errorf("%d proxies left, %d violations", w.TotalProxies(), w.Stats.Violations.Value())
+	}
+}

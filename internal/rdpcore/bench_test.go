@@ -1,0 +1,67 @@
+package rdpcore
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/ids"
+)
+
+// roundTripWorld is the smallest world that runs the whole protocol: two
+// stations, one server, one stationary host, no faults and no timers, so
+// Run drains after every request.
+func roundTripWorld() (*World, *MHNode) {
+	cfg := DefaultConfig()
+	cfg.NumMSS = 2
+	w := NewWorld(cfg)
+	h := w.AddMH(1, 1)
+	w.Run()
+	return w, h
+}
+
+// BenchmarkRequestRoundTrip measures one request's whole life in the
+// protocol layer and the substrates under it: issue → proxy created →
+// server → result forwarded → delivered → Ack relayed → proxy deleted.
+func BenchmarkRequestRoundTrip(b *testing.B) {
+	w, h := roundTripWorld()
+	payload := []byte("q")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.IssueRequest(1, payload)
+		w.Run()
+	}
+	if got := w.Stats.ResultsDelivered.Value(); got != int64(b.N) {
+		b.Fatalf("delivered %d of %d", got, b.N)
+	}
+}
+
+// BenchmarkReachable measures the radio gate every wireless frame passes
+// in each direction, probing hosts in a scattered order: at 1000 hosts
+// (the paper's regime) the population sits in cache; at 65536 the probe
+// pays for the host's cold cache line, which the frame's handler — the
+// host itself — touches next in any case.
+func BenchmarkReachable(b *testing.B) {
+	for _, hosts := range []int{1000, 1 << 16} {
+		b.Run(fmt.Sprint("hosts=", hosts), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.NumMSS = 8
+			w := NewWorld(cfg)
+			for i := 1; i <= hosts; i++ {
+				w.AddMH(ids.MH(i), ids.MSS(1+i%8))
+			}
+			w.Run()
+			b.ResetTimer()
+			hit := 0
+			for i := 0; i < b.N; i++ {
+				mh := ids.MH(1 + (i*7919)%hosts)
+				if w.reachable(ids.MSS(1+int(mh)%8), mh) {
+					hit++
+				}
+			}
+			if hit != b.N {
+				b.Fatalf("%d of %d probes reachable", hit, b.N)
+			}
+		})
+	}
+}

@@ -36,28 +36,40 @@ type MHNode struct {
 	// old respMss: a station that never actually registered the MH (its
 	// greet was lost to a crash) must not anchor the hand-off chain.
 	regOld ids.MSS
-	// inc is the host's current incarnation number (E18), mirrored from
-	// the world's non-volatile flash word. It is stamped on every
-	// registration and request so that, after a crash-with-amnesia and
-	// restart, state belonging to the dead incarnation can be recognized
-	// and scrubbed everywhere — and a result addressed to a dead
-	// incarnation is never delivered to its successor.
+	// inc is the host's current incarnation number (E18): the one word of
+	// non-volatile flash on the device, which crash() leaves alone and
+	// World.RestartMH bumps. It is stamped on every registration and
+	// request so that, after a crash-with-amnesia and restart, state
+	// belonging to the dead incarnation can be recognized and scrubbed
+	// everywhere — and a result addressed to a dead incarnation is never
+	// delivered to its successor.
 	inc ids.Incarnation
-	// Transfer stash (psim region hand-over): DetachMH parks the host's
-	// world-resident durable state — incarnation word, crash flag,
-	// offline journal — here so AttachMH restores it in the destination
-	// world. The flash chip travels with the device.
-	xferInc     ids.Incarnation
-	xferCrashed bool
+
+	// Device state — the ground truth the radio gate (World.reachable)
+	// reads, kept on the device so it travels with it between region
+	// worlds: the cell the host is in, whether it is active (§2),
+	// disconnected — radio gone entirely, as opposed to merely inactive:
+	// no frame reaches it in either direction, and requests it issues are
+	// journaled for replay on reconnection (E17) — and crashed: fail-
+	// stopped with amnesia, dead to the radio until World.RestartMH (E18).
+	loc          ids.MSS
+	active       bool
+	disconnected bool
+	crashed      bool
+	// xferJournal carries the host's offline journal — the one piece of
+	// its durable state that lives in a world's stable store — from
+	// DetachMH to AttachMH.
 	xferJournal []byte
 
-	nextSeq  uint32
-	seen     map[ids.RequestID]bool
-	issuedAt map[ids.RequestID]sim.Time
-	// outstanding holds requests issued whose results have not yet been
-	// received; its emptiness is piggybacked on every Ack (see
-	// msg.AckMH.HaveOutstanding).
-	outstanding map[ids.RequestID]bool
+	// reqs is the request table, indexed by Seq-1: "Seq is unique per MH"
+	// (assumption 5), so the host's own sequence numbers are the index.
+	// stray holds the rows of identifiers this host never issued (a
+	// foreign origin, or a sequence beyond the table), made on first use.
+	// nOutstanding counts the rows still awaiting their result; whether
+	// it is zero is piggybacked on every Ack (msg.AckMH.HaveOutstanding).
+	reqs         []mhReq
+	stray        map[ids.RequestID]*mhReq
+	nOutstanding int
 
 	// queued holds requests issued while inactive; they are transmitted
 	// on the next activation (a minimal QRPC-style request queue; the
@@ -71,19 +83,11 @@ type MHNode struct {
 	// seen-set make the replay idempotent.
 	offline []msg.Message
 
-	// admitted marks requests the responsible MSS acknowledged past
-	// admission control (msg.Admit): they are covered by the delivery
-	// guarantee and are never abandoned or busy-retried again.
-	admitted map[ids.RequestID]bool
-	// abandoned marks never-admitted requests whose per-request deadline
-	// expired (Config.RequestDeadline); the client gave up on them.
-	abandoned map[ids.RequestID]bool
 	// pending retains the full request message while it may still need a
 	// busy re-issue (a Busy NACK only carries the request identifier).
+	// Made on first write, like retryMsgs: only busy-retry and timeout
+	// configurations fill them.
 	pending map[ids.RequestID]msg.Request
-	// busyAttempts counts Busy NACKs per request, driving the capped
-	// exponential backoff.
-	busyAttempts map[ids.RequestID]int
 	// rng is a lazily forked random stream for backoff jitter. Lazy so
 	// configurations without busy-retry never draw from the kernel
 	// stream (golden traces depend on the default draw order).
@@ -96,19 +100,16 @@ type MHNode struct {
 	// no longer inhabits). timerSeq keys the map.
 	timers   map[uint64]sim.Canceler
 	timerSeq uint64
-	// retryMsgs retains the message behind each live retry chain and
-	// deadlines the set of armed request deadlines, so timers cancelled
-	// at detach can re-arm from live state on attach.
+	// retryMsgs retains the message behind each live retry chain, so
+	// timers cancelled at detach can re-arm from live state on attach
+	// (armed deadlines are a flag in the request table).
 	retryMsgs map[ids.RequestID]msg.Message
-	deadlines map[ids.RequestID]bool
 
 	// --- Atomic request batches (E17) ---
 
 	nextBatchSeq uint32
-	// batches holds this host's batch bookkeeping; batchOf maps member
-	// requests back to their batch.
+	// batches holds this host's batch bookkeeping, made on first write.
 	batches map[ids.BatchID]*mhBatch
-	batchOf map[ids.RequestID]ids.BatchID
 
 	// onResult, when set, observes every result delivery (first or
 	// duplicate) for application callbacks and tests.
@@ -126,25 +127,118 @@ type mhBatch struct {
 	aborted   bool
 }
 
+// mhReq is one row of a host's request table: when the request was
+// issued, how many Busy NACKs it has drawn (driving the capped
+// exponential backoff), and its life-cycle flags.
+type mhReq struct {
+	issuedAt sim.Time
+	busy     uint32
+	flags    uint8
+}
+
+// Request life-cycle flags (mhReq.flags).
+const (
+	// reqIssued: this host issued the request, so issuedAt is meaningful
+	// (stray rows never carry it).
+	reqIssued uint8 = 1 << iota
+	// reqOutstanding: issued and still awaiting its result.
+	reqOutstanding
+	// reqSeen: the result was received — the duplicate-detection set of
+	// assumption 5.
+	reqSeen
+	// reqAdmitted: the responsible MSS acknowledged the request past
+	// admission control (msg.Admit); it is covered by the delivery
+	// guarantee and is never abandoned or busy-retried again.
+	reqAdmitted
+	// reqAbandoned: never admitted and its deadline expired
+	// (Config.RequestDeadline), or its batch aborted; the client gave up.
+	reqAbandoned
+	// reqDeadline: a request deadline is armed, to be re-armed on attach.
+	reqDeadline
+)
+
 // newMHNode constructs a mobile host bound to a world.
 func newMHNode(id ids.MH, w *World) *MHNode {
 	return &MHNode{
-		id:           id,
-		w:            w,
-		inc:          ids.FirstIncarnation,
-		seen:         make(map[ids.RequestID]bool),
-		issuedAt:     make(map[ids.RequestID]sim.Time),
-		outstanding:  make(map[ids.RequestID]bool),
-		admitted:     make(map[ids.RequestID]bool),
-		abandoned:    make(map[ids.RequestID]bool),
-		pending:      make(map[ids.RequestID]msg.Request),
-		busyAttempts: make(map[ids.RequestID]int),
-		timers:       make(map[uint64]sim.Canceler),
-		retryMsgs:    make(map[ids.RequestID]msg.Message),
-		deadlines:    make(map[ids.RequestID]bool),
-		batches:      make(map[ids.BatchID]*mhBatch),
-		batchOf:      make(map[ids.RequestID]ids.BatchID),
+		id:     id,
+		w:      w,
+		inc:    ids.FirstIncarnation,
+		timers: make(map[uint64]sim.Canceler),
 	}
+}
+
+// find returns req's row, or nil when the host holds no state for it.
+func (h *MHNode) find(req ids.RequestID) *mhReq {
+	if i := req.Seq - 1; req.Origin == h.id && i < uint32(len(h.reqs)) {
+		return &h.reqs[i]
+	}
+	return h.stray[req]
+}
+
+// row returns req's row, making a stray one for an identifier this host
+// did not issue. The pointer is good until the next issue grows the table.
+func (h *MHNode) row(req ids.RequestID) *mhReq {
+	q := h.find(req)
+	if q == nil {
+		q = new(mhReq)
+		setLazy(&h.stray, req, q)
+	}
+	return q
+}
+
+// has reports whether req carries any of the given flags.
+func (h *MHNode) has(req ids.RequestID, flags uint8) bool {
+	q := h.find(req)
+	return q != nil && q.flags&flags != 0
+}
+
+// flagged lists the requests carrying flag, in identifier order.
+func (h *MHNode) flagged(flag uint8) []ids.RequestID {
+	var out []ids.RequestID
+	for i := range h.reqs {
+		if h.reqs[i].flags&flag != 0 {
+			out = append(out, ids.RequestID{Origin: h.id, Seq: uint32(i + 1)})
+		}
+	}
+	for req, q := range h.stray {
+		if q.flags&flag != 0 {
+			out = append(out, req)
+		}
+	}
+	sortRequestIDs(out)
+	return out
+}
+
+// newRequest appends a row to the request table and returns its
+// identifier: the sequence number is the row's index plus one.
+func (h *MHNode) newRequest() ids.RequestID {
+	req := ids.RequestID{Origin: h.id, Seq: uint32(len(h.reqs) + 1)}
+	q := mhReq{issuedAt: h.w.Kernel.Now(), flags: reqIssued | reqOutstanding}
+	if s := h.stray[req]; s != nil {
+		// What was noted about the identifier before it was issued (a
+		// result beyond the table) stays noted once the table reaches it.
+		q.flags |= s.flags
+		q.busy = s.busy
+		delete(h.stray, req)
+	}
+	h.reqs = append(h.reqs, q)
+	h.nOutstanding++
+	h.w.Stats.RequestsIssued.Inc()
+	return req
+}
+
+// settle ends a request's client-side life (result received, abandoned
+// or aborted): it no longer counts as outstanding and its busy-retry,
+// retry-chain and deadline state is dropped.
+func (h *MHNode) settle(req ids.RequestID, q *mhReq) {
+	if q.flags&reqOutstanding != 0 {
+		q.flags &^= reqOutstanding
+		h.nOutstanding--
+	}
+	q.flags &^= reqDeadline
+	q.busy = 0
+	delete(h.pending, req)
+	delete(h.retryMsgs, req)
 }
 
 // after arms a tracked kernel timer: the handle is retained until the
@@ -190,12 +284,7 @@ func (h *MHNode) rearmTimers() {
 	for _, req := range reqs {
 		h.scheduleRetry(req, h.retryMsgs[req])
 	}
-	dls := make([]ids.RequestID, 0, len(h.deadlines))
-	for req := range h.deadlines {
-		dls = append(dls, req)
-	}
-	sortRequestIDs(dls)
-	for _, req := range dls {
+	for _, req := range h.flagged(reqDeadline) {
 		h.scheduleDeadline(req)
 	}
 	bs := make([]ids.BatchID, 0, len(h.batches))
@@ -221,16 +310,16 @@ func (h *MHNode) RespMss() ids.MSS { return h.respMss }
 func (h *MHNode) Joined() bool { return h.joined }
 
 // Seen reports whether the result of req has been received.
-func (h *MHNode) Seen(req ids.RequestID) bool { return h.seen[req] }
+func (h *MHNode) Seen(req ids.RequestID) bool { return h.has(req, reqSeen) }
 
 // Admitted reports whether the responsible MSS acknowledged req past
 // admission control (overload protection, E11). A request that was
 // delivered counts as admitted even if the explicit Admit was lost.
-func (h *MHNode) Admitted(req ids.RequestID) bool { return h.admitted[req] || h.seen[req] }
+func (h *MHNode) Admitted(req ids.RequestID) bool { return h.has(req, reqAdmitted|reqSeen) }
 
 // Abandoned reports whether the client gave up on a never-admitted
 // request at its deadline (see Config.RequestDeadline).
-func (h *MHNode) Abandoned(req ids.RequestID) bool { return h.abandoned[req] }
+func (h *MHNode) Abandoned(req ids.RequestID) bool { return h.has(req, reqAbandoned) }
 
 // OnResult installs the result observer callback.
 func (h *MHNode) OnResult(fn func(req ids.RequestID, payload []byte, duplicate bool)) {
@@ -271,7 +360,7 @@ func (h *MHNode) scheduleRefresh() {
 		if !h.joined {
 			return
 		}
-		if h.w.IsActive(h.id) && !h.w.IsDisconnected(h.id) {
+		if h.active && !h.disconnected {
 			h.refreshGreet()
 		}
 		h.scheduleRefresh()
@@ -290,36 +379,32 @@ func (h *MHNode) leave() {
 	// The membership is over: its timers must not fire into a later
 	// rejoin, and the retry/deadline bookkeeping dies with it.
 	h.cancelTimers()
-	h.retryMsgs = make(map[ids.RequestID]msg.Message)
-	h.deadlines = make(map[ids.RequestID]bool)
+	h.retryMsgs = nil
+	for _, req := range h.flagged(reqDeadline) {
+		h.find(req).flags &^= reqDeadline
+	}
 }
 
 // crash wipes the host's volatile state (E18, World.CrashMH): every
-// timer, the duplicate-detection seen-set, the outstanding/admitted/
-// abandoned/pending bookkeeping, the activation and offline queues, the
-// batch objects, and both sequence counters. Only what the model puts
-// in non-volatile flash survives: the incarnation counter (held by the
-// World) and the journaled offline queue in the stable store. The
-// membership itself survives too — the host never sent a Leave, so the
-// system still considers it registered; it is the *memory* that died.
+// timer, the request table — and with it the duplicate-detection set,
+// the outstanding/admitted/abandoned bookkeeping and the request
+// sequence, so identifiers restart under the next incarnation — the
+// pending and retry messages, the activation and offline queues, and
+// the batch objects with their sequence counter. Only what the model
+// puts in non-volatile flash survives: the incarnation word (inc) and
+// the journaled offline queue in the stable store. The membership
+// itself survives too — the host never sent a Leave, so the system
+// still considers it registered; it is the *memory* that died.
 func (h *MHNode) crash() {
 	h.cancelTimers()
 	h.regOld = 0
-	h.nextSeq = 0
 	h.nextBatchSeq = 0
-	h.seen = make(map[ids.RequestID]bool)
-	h.issuedAt = make(map[ids.RequestID]sim.Time)
-	h.outstanding = make(map[ids.RequestID]bool)
+	h.reqs, h.stray, h.nOutstanding = nil, nil, 0
 	h.queued = nil
 	h.offline = nil
-	h.admitted = make(map[ids.RequestID]bool)
-	h.abandoned = make(map[ids.RequestID]bool)
-	h.pending = make(map[ids.RequestID]msg.Request)
-	h.busyAttempts = make(map[ids.RequestID]int)
-	h.retryMsgs = make(map[ids.RequestID]msg.Message)
-	h.deadlines = make(map[ids.RequestID]bool)
-	h.batches = make(map[ids.BatchID]*mhBatch)
-	h.batchOf = make(map[ids.RequestID]ids.BatchID)
+	h.pending = nil
+	h.retryMsgs = nil
+	h.batches = nil
 }
 
 // reboot brings a crashed host back under a fresh incarnation (E18,
@@ -333,8 +418,7 @@ func (h *MHNode) crash() {
 // state can be scrubbed everywhere.
 func (h *MHNode) reboot(inc ids.Incarnation) {
 	h.inc = inc
-	cell := h.w.loc[h.id]
-	h.respMss = cell
+	h.respMss = h.loc
 	kept := h.offline[:0]
 	for _, m := range h.w.loadOffline(h.id) {
 		stale := true
@@ -364,7 +448,7 @@ func (h *MHNode) reboot(inc ids.Incarnation) {
 	if h.w.cfg.GreetRefresh > 0 {
 		h.scheduleRefresh()
 	}
-	if h.w.IsActive(h.id) && !h.w.IsDisconnected(h.id) {
+	if h.active && !h.disconnected {
 		// Register announces the new incarnation: the station bumps its
 		// own record, scrubs stale held state, and immediately
 		// heartbeats the proxy so orphaned entries are swept without
@@ -378,22 +462,18 @@ func (h *MHNode) reboot(inc ids.Incarnation) {
 // sent on the next activation. The returned identifier lets callers
 // correlate the eventual result.
 func (h *MHNode) IssueRequest(server ids.Server, payload []byte) ids.RequestID {
-	if h.w.IsCrashed(h.id) {
+	if h.crashed {
 		// A crashed host runs no code; the driver's scheduled request
 		// simply never happens (E18).
 		return ids.RequestID{}
 	}
-	h.nextSeq++
-	req := ids.RequestID{Origin: h.id, Seq: h.nextSeq}
-	h.issuedAt[req] = h.w.Kernel.Now()
-	h.outstanding[req] = true
-	h.w.Stats.RequestsIssued.Inc()
+	req := h.newRequest()
 	r := msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc}
 	if h.w.cfg.BusyRetryBase > 0 {
-		h.pending[req] = r
+		setLazy(&h.pending, req, r)
 	}
 	var m msg.Message = r // boxed once for the offline queue, the radio and the timers
-	if h.joined && h.w.IsActive(h.id) && h.w.IsDisconnected(h.id) {
+	if h.joined && h.active && h.disconnected {
 		// Out of coverage: journal for in-order replay on reconnection
 		// (E17). Retry and deadline timers arm at replay time, not now —
 		// a long disconnection must not retry into a dead radio or
@@ -412,9 +492,9 @@ func (h *MHNode) IssueRequest(server ids.Server, payload []byte) ids.RequestID {
 // disconnected (E17).
 func (h *MHNode) transmit(m msg.Message) {
 	switch {
-	case !h.joined || !h.w.IsActive(h.id):
+	case !h.joined || !h.active:
 		h.queued = append(h.queued, m)
-	case h.w.IsDisconnected(h.id):
+	case h.disconnected:
 		h.queueOffline(m)
 	default:
 		h.uplink(m)
@@ -434,11 +514,11 @@ func (h *MHNode) queueOffline(m msg.Message) {
 // tracked request, where configured.
 func (h *MHNode) armRequestTimers(req ids.RequestID, m msg.Message) {
 	if h.w.cfg.RequestTimeout > 0 {
-		h.retryMsgs[req] = m
+		setLazy(&h.retryMsgs, req, m)
 		h.scheduleRetry(req, m)
 	}
 	if h.w.cfg.RequestDeadline > 0 {
-		h.deadlines[req] = true
+		h.row(req).flags |= reqDeadline
 		h.scheduleDeadline(req)
 	}
 }
@@ -460,12 +540,12 @@ func (h *MHNode) onReconnect(cell ids.MSS) {
 	for _, m := range offline {
 		switch v := m.(type) {
 		case msg.Request:
-			if h.seen[v.Req] || h.abandoned[v.Req] {
+			if h.has(v.Req, reqSeen|reqAbandoned) {
 				continue
 			}
 			h.armRequestTimers(v.Req, m)
 		case msg.BatchItem:
-			if h.seen[v.Req] || h.abandoned[v.Req] {
+			if h.has(v.Req, reqSeen|reqAbandoned) {
 				continue
 			}
 		}
@@ -480,15 +560,13 @@ func (h *MHNode) onReconnect(cell ids.MSS) {
 // stops the busy-retry machinery for this request.
 func (h *MHNode) scheduleDeadline(req ids.RequestID) {
 	h.after(h.w.cfg.RequestDeadline, func() {
-		delete(h.deadlines, req)
-		if h.seen[req] || h.admitted[req] {
+		q := h.row(req)
+		q.flags &^= reqDeadline
+		if q.flags&(reqSeen|reqAdmitted) != 0 {
 			return
 		}
-		h.abandoned[req] = true
-		delete(h.outstanding, req)
-		delete(h.pending, req)
-		delete(h.busyAttempts, req)
-		delete(h.retryMsgs, req)
+		q.flags |= reqAbandoned
+		h.settle(req, q)
 		h.w.Stats.RequestsAbandoned.Inc()
 	})
 }
@@ -503,11 +581,11 @@ func (h *MHNode) scheduleDeadline(req ids.RequestID) {
 // alive for after reconnection.
 func (h *MHNode) scheduleRetry(req ids.RequestID, m msg.Message) {
 	h.after(h.w.cfg.RequestTimeout, func() {
-		if h.seen[req] || h.abandoned[req] || !h.joined {
+		if h.has(req, reqSeen|reqAbandoned) || !h.joined {
 			delete(h.retryMsgs, req)
 			return
 		}
-		if h.w.IsActive(h.id) && !h.w.IsDisconnected(h.id) {
+		if h.active && !h.disconnected {
 			h.w.Stats.RequestRetries.Inc()
 			h.uplink(m)
 		}
@@ -521,8 +599,7 @@ func (h *MHNode) scheduleRetry(req ids.RequestID, m msg.Message) {
 // while the host cannot transmit. The proxy deduplicates re-arrivals
 // and re-forwards a stored result, so retransmission is always safe.
 func (h *MHNode) Retransmit(req ids.RequestID, server ids.Server, payload []byte) {
-	if h.seen[req] || h.abandoned[req] || !h.joined || !h.w.IsActive(h.id) ||
-		h.w.IsDisconnected(h.id) || h.w.IsCrashed(h.id) {
+	if h.has(req, reqSeen|reqAbandoned) || !h.joined || !h.active || h.disconnected || h.crashed {
 		return
 	}
 	h.w.Stats.RequestRetries.Inc()
@@ -574,10 +651,10 @@ func (h *MHNode) HandleMessage(from ids.NodeID, m msg.Message) {
 	if a, ok := m.(msg.Admit); ok {
 		// The request is past admission control: the delivery guarantee
 		// now covers it, so the busy-retry machinery stands down.
-		h.admitted[a.Req] = true
+		q := h.row(a.Req)
+		q.flags = q.flags&^reqDeadline | reqAdmitted
+		q.busy = 0
 		delete(h.pending, a.Req)
-		delete(h.busyAttempts, a.Req)
-		delete(h.deadlines, a.Req)
 		return
 	}
 	if b, ok := m.(msg.Busy); ok {
@@ -601,27 +678,23 @@ func (h *MHNode) HandleMessage(from ids.NodeID, m msg.Message) {
 		h.w.Stats.StaleIncarnationDrops.Inc()
 		return
 	}
-	duplicate := h.seen[r.Req]
-	h.seen[r.Req] = true
-	delete(h.outstanding, r.Req)
-	delete(h.pending, r.Req)
-	delete(h.busyAttempts, r.Req)
-	delete(h.retryMsgs, r.Req)
-	delete(h.deadlines, r.Req)
-	delete(h.batchOf, r.Req)
+	q := h.row(r.Req)
+	duplicate := q.flags&reqSeen != 0
+	q.flags |= reqSeen
+	h.settle(r.Req, q)
 	if duplicate {
 		h.w.Stats.DuplicateDeliveries.Inc()
 	} else {
 		h.w.Stats.ResultsDelivered.Inc()
-		if at, known := h.issuedAt[r.Req]; known {
-			h.w.Stats.ResultLatency.Observe(time.Duration(h.w.Kernel.Now() - at))
+		if q.flags&reqIssued != 0 {
+			h.w.Stats.ResultLatency.Observe(time.Duration(h.w.Kernel.Now() - q.issuedAt))
 		}
 	}
 	// Assumption 4: an active MH acknowledges every message from its
 	// respMss — including retransmissions, or the proxy would re-send
 	// forever. The Ack states whether other requests are still awaiting
 	// results (§3.3's "not preceded by any new request" condition).
-	h.uplink(msg.AckMH{MH: h.id, Req: r.Req, HaveOutstanding: len(h.outstanding) > 0})
+	h.uplink(msg.AckMH{MH: h.id, Req: r.Req, HaveOutstanding: h.nOutstanding > 0})
 	if h.onResult != nil {
 		h.onResult(r.Req, r.Payload, duplicate)
 	}
@@ -633,17 +706,19 @@ func (h *MHNode) HandleMessage(from ids.NodeID, m msg.Message) {
 // another Busy (scheduling the next, longer backoff), or dies with a
 // lost frame, in which case the request deadline is the backstop.
 func (h *MHNode) onBusy(req ids.RequestID) {
+	const done = reqSeen | reqAdmitted | reqAbandoned
 	m, ok := h.pending[req]
-	if !ok || h.seen[req] || h.admitted[req] || h.abandoned[req] {
+	if !ok || h.has(req, done) {
 		return
 	}
-	attempt := h.busyAttempts[req]
-	h.busyAttempts[req] = attempt + 1
+	q := h.row(req)
+	attempt := int(q.busy)
+	q.busy++
 	h.after(h.backoff(attempt), func() {
-		if _, live := h.pending[req]; !live || h.seen[req] || h.admitted[req] || h.abandoned[req] {
+		if _, live := h.pending[req]; !live || h.has(req, done) {
 			return
 		}
-		if !h.joined || !h.w.IsActive(h.id) || h.w.IsDisconnected(h.id) {
+		if !h.joined || !h.active || h.disconnected {
 			return
 		}
 		h.w.Stats.BusyRetries.Inc()
@@ -681,13 +756,13 @@ func (h *MHNode) backoff(attempt int) time.Duration {
 // member result present at the proxy), and the proxy-side deadline
 // (Config.BatchDeadline) aborts the batch as a unit — all or nothing.
 func (h *MHNode) BeginBatch() ids.BatchID {
-	if h.w.IsCrashed(h.id) {
+	if h.crashed {
 		return ids.BatchID{}
 	}
 	h.nextBatchSeq++
 	id := ids.BatchID{Origin: h.id, Seq: h.nextBatchSeq}
 	b := &mhBatch{id: id, open: msg.BatchOpen{MH: h.id, Batch: id, Inc: h.inc}}
-	h.batches[id] = b
+	setLazy(&h.batches, id, b)
 	h.transmit(b.open)
 	return id
 }
@@ -697,19 +772,14 @@ func (h *MHNode) BeginBatch() ids.BatchID {
 // whole batch releases. It panics on an unknown or closed batch —
 // batches are driver-local objects, so that is a programming error.
 func (h *MHNode) BatchRequest(batch ids.BatchID, server ids.Server, payload []byte) ids.RequestID {
-	if h.w.IsCrashed(h.id) {
+	if h.crashed {
 		return ids.RequestID{}
 	}
 	b := h.batches[batch]
 	if b == nil || b.committed || b.aborted {
 		panic(fmt.Sprintf("rdpcore: BatchRequest on closed batch %v", batch))
 	}
-	h.nextSeq++
-	req := ids.RequestID{Origin: h.id, Seq: h.nextSeq}
-	h.issuedAt[req] = h.w.Kernel.Now()
-	h.outstanding[req] = true
-	h.batchOf[req] = batch
-	h.w.Stats.RequestsIssued.Inc()
+	req := h.newRequest()
 	it := msg.BatchItem{MH: h.id, Batch: batch, Req: req, Server: server, Payload: payload, Inc: h.inc}
 	b.items = append(b.items, it)
 	h.transmit(it)
@@ -721,7 +791,7 @@ func (h *MHNode) BatchRequest(batch ids.BatchID, server ids.Server, payload []by
 // period until every member result arrived or the proxy aborted it —
 // the batch-level analogue of scheduleRetry.
 func (h *MHNode) CommitBatch(batch ids.BatchID) {
-	if h.w.IsCrashed(h.id) {
+	if h.crashed {
 		return
 	}
 	b := h.batches[batch]
@@ -743,7 +813,7 @@ func (h *MHNode) batchResolved(b *mhBatch) bool {
 		return false
 	}
 	for _, it := range b.items {
-		if !h.seen[it.Req] {
+		if !h.has(it.Req, reqSeen) {
 			return false
 		}
 	}
@@ -761,11 +831,11 @@ func (h *MHNode) scheduleBatchRetry(b *mhBatch) {
 		if h.batchResolved(b) || !h.joined {
 			return
 		}
-		if h.w.IsActive(h.id) && !h.w.IsDisconnected(h.id) {
+		if h.active && !h.disconnected {
 			h.w.Stats.RequestRetries.Inc()
 			h.uplink(b.open)
 			for _, it := range b.items {
-				if !h.seen[it.Req] {
+				if !h.has(it.Req, reqSeen) {
 					h.uplink(it)
 				}
 			}
@@ -797,20 +867,16 @@ func (h *MHNode) onBatchAbort(a msg.BatchAbort) {
 			continue
 		}
 		handled[req] = true
-		if h.seen[req] {
+		q := h.row(req)
+		if q.flags&reqSeen != 0 {
 			h.w.Stats.Violations.Inc()
 			continue
 		}
-		if h.abandoned[req] {
+		if q.flags&reqAbandoned != 0 {
 			continue
 		}
-		h.abandoned[req] = true
-		delete(h.outstanding, req)
-		delete(h.pending, req)
-		delete(h.busyAttempts, req)
-		delete(h.retryMsgs, req)
-		delete(h.deadlines, req)
-		delete(h.batchOf, req)
+		q.flags |= reqAbandoned
+		h.settle(req, q)
 	}
 }
 
@@ -823,7 +889,7 @@ func (h *MHNode) BatchStatus(id ids.BatchID) (delivered, members int, aborted bo
 		return 0, 0, false
 	}
 	for _, it := range b.items {
-		if h.seen[it.Req] {
+		if h.has(it.Req, reqSeen) {
 			delivered++
 		}
 	}

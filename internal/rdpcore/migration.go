@@ -174,10 +174,9 @@ func (n *MSSNode) migrateOut(p *Proxy, newID ids.ProxyID) {
 	// The lease's vouched-for incarnation moves with the proxy (E18);
 	// the lease clock itself restarts at the new host.
 	st.LeaseInc = p.leaseInc
-	for _, req := range p.order {
-		r := p.reqs[req]
+	for _, r := range p.reqs {
 		st.Reqs = append(st.Reqs, msg.MigReqState{
-			Req: req, Server: r.server, Payload: r.payload,
+			Req: r.id, Server: r.server, Payload: r.payload,
 			Result: r.result, HasResult: r.hasResult, Forwarded: r.forwarded,
 			Batch: r.batch, Inc: r.inc,
 		})
@@ -234,12 +233,11 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	// between cells must not drag its proxy along inside the cooldown.
 	p.lastMigAttempt = n.w.Kernel.Now()
 	for _, r := range m.Reqs {
-		p.reqs[r.Req] = &proxyReq{
-			server: r.Server, payload: r.Payload,
+		p.reqs.add(&proxyReq{
+			id: r.Req, server: r.Server, payload: r.Payload,
 			result: r.Result, hasResult: r.HasResult, forwarded: r.Forwarded,
 			batch: r.Batch, inc: r.Inc,
-		}
-		p.order = append(p.order, r.Req)
+		})
 	}
 	// Rebuild batch state: members are recovered from the requests' batch
 	// tags (snapshot order = registration order); abort memos arrive with
@@ -255,9 +253,9 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 			continue
 		}
 		b := &proxyBatch{id: bs.Batch, expected: bs.Expected, committed: bs.Committed, released: bs.Released, inc: bs.Inc}
-		for _, req := range p.order {
-			if p.reqs[req].batch == bs.Batch {
-				b.members = append(b.members, req)
+		for _, r := range p.reqs {
+			if r.batch == bs.Batch {
+				b.members = append(b.members, r.id)
 			}
 		}
 		setLazy(&p.batches, bs.Batch, b)
@@ -292,10 +290,10 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	}
 	// Announce the new pref to every server still owing a reply; each
 	// confirms to the old host, draining the tombstone's confirm set.
-	for _, req := range p.order {
-		if r := p.reqs[req]; !r.hasResult {
+	for _, r := range p.reqs {
+		if !r.hasResult {
 			n.sendWired(r.server.Node(),
-				msg.PrefRedirect{MH: m.MH, OldProxy: m.Proxy, NewProxy: m.NewProxy, Req: req})
+				msg.PrefRedirect{MH: m.MH, OldProxy: m.Proxy, NewProxy: m.NewProxy, Req: r.id})
 		}
 	}
 	// Traffic that arrived for the new identity before the state did.

@@ -1,6 +1,7 @@
 package rdpcore
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/aggstate"
@@ -65,8 +66,10 @@ type MSSNode struct {
 	// received" — the RKpR flag alone is not enough, because a request
 	// can pass through before the del-pref result arrives and arms the
 	// flag. Like the pref's other local context, this knowledge is not
-	// transferred on hand-off.
-	outstanding map[ids.MH]map[ids.RequestID]ids.Incarnation
+	// transferred on hand-off. One flat ledger per MH (outAdd, outHas,
+	// outRemove, outFilter); an emptied ledger keeps its capacity for the
+	// host's next request and goes when the host leaves or hands off.
+	outstanding map[ids.MH][]outReq
 	// proxies are the proxy objects hosted at this station, by sequence.
 	proxies      map[uint32]*Proxy
 	nextProxySeq uint32
@@ -221,7 +224,7 @@ func newMSSNode(id ids.MSS, w *World) *MSSNode {
 		localMhs:        newHostSet(w.cfg.AggregatedState),
 		prefs:           newPrefTable(w.cfg.AggregatedState),
 		incs:            make(map[ids.MH]ids.Incarnation),
-		outstanding:     make(map[ids.MH]map[ids.RequestID]ids.Incarnation),
+		outstanding:     make(map[ids.MH][]outReq),
 		proxies:         make(map[uint32]*Proxy),
 		groupProxies:    make(map[uint32]*GroupProxy),
 		topicProxies:    make(map[groupKey]uint32),
@@ -245,6 +248,56 @@ func newMSSNode(id ids.MSS, w *World) *MSSNode {
 	n.selfHops = sim.NewCalls(w.Kernel, func(m msg.Message) { n.process(id.Node(), m) })
 	n.armLeaseBeat()
 	return n
+}
+
+// outReq is one entry of a station's outstanding ledger: a routed
+// request and the incarnation that issued it.
+type outReq struct {
+	req ids.RequestID
+	inc ids.Incarnation
+}
+
+// outHas reports whether req is on mh's ledger.
+func (n *MSSNode) outHas(mh ids.MH, req ids.RequestID) bool {
+	for _, o := range n.outstanding[mh] {
+		if o.req == req {
+			return true
+		}
+	}
+	return false
+}
+
+// outAdd puts req on mh's ledger, re-tagging an entry already there.
+func (n *MSSNode) outAdd(mh ids.MH, req ids.RequestID, inc ids.Incarnation) {
+	set := n.outstanding[mh]
+	for i := range set {
+		if set[i].req == req {
+			set[i].inc = inc
+			return
+		}
+	}
+	n.outstanding[mh] = append(set, outReq{req: req, inc: inc})
+}
+
+// outRemove takes req off mh's ledger and returns how many entries are
+// left.
+func (n *MSSNode) outRemove(mh ids.MH, req ids.RequestID) int {
+	set := n.outstanding[mh]
+	for i := range set {
+		if set[i].req == req {
+			set = append(set[:i], set[i+1:]...)
+			n.outstanding[mh] = set
+			break
+		}
+	}
+	return len(set)
+}
+
+// outFilter takes the entries drop reports off mh's ledger.
+func (n *MSSNode) outFilter(mh ids.MH, drop func(outReq) bool) {
+	if set := n.outstanding[mh]; len(set) > 0 {
+		n.outstanding[mh] = slices.DeleteFunc(set, drop)
+	}
 }
 
 // ID returns the station identifier.
@@ -367,7 +420,7 @@ func (n *MSSNode) refuseAdmission(m msg.Request) bool {
 	if !n.localMhs.contains(mh) {
 		return false
 	}
-	if _, ok := n.outstanding[mh][m.Req]; ok {
+	if n.outHas(mh, m.Req) {
 		return false // already admitted; the delivery guarantee covers it
 	}
 	refuse := false
@@ -503,17 +556,13 @@ func (n *MSSNode) noteInc(mh ids.MH, inc ids.Incarnation) {
 		return
 	}
 	n.incs[mh] = inc
-	if set := n.outstanding[mh]; set != nil {
-		for req, old := range set {
-			if incLess(old, inc) {
-				delete(set, req)
-				n.w.Stats.StaleIncarnationDrops.Inc()
-			}
+	n.outFilter(mh, func(o outReq) bool {
+		stale := incLess(o.inc, inc)
+		if stale {
+			n.w.Stats.StaleIncarnationDrops.Inc()
 		}
-		if len(set) == 0 {
-			delete(n.outstanding, mh)
-		}
-	}
+		return stale
+	})
 	if held := n.held[mh]; len(held) > 0 {
 		keep := held[:0]
 		for _, r := range held {
@@ -581,16 +630,8 @@ func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
 		pref.RKpR = false
 		n.prefs.set(m.MH, pref)
 	}
-	if set := n.outstanding[m.MH]; set != nil {
-		for req, inc := range set {
-			if !incLess(m.Inc, inc) { // inc <= memo's incarnation
-				delete(set, req)
-			}
-		}
-		if len(set) == 0 {
-			delete(n.outstanding, m.MH)
-		}
-	}
+	// Entries of incarnations the memo covers (inc <= m.Inc) go.
+	n.outFilter(m.MH, func(o outReq) bool { return !incLess(m.Inc, o.inc) })
 	n.persistMH(m.MH)
 }
 
@@ -865,10 +906,7 @@ func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 	n.noteInc(mh, m.Inc)
 	pref, _ := n.prefs.get(mh) // registered MHs always have an entry
 	pref.RKpR = false          // §3.3: a new request re-arms the proxy
-	if n.outstanding[mh] == nil {
-		n.outstanding[mh] = make(map[ids.RequestID]ids.Incarnation)
-	}
-	n.outstanding[mh][m.Req] = normInc(m.Inc)
+	n.outAdd(mh, m.Req, normInc(m.Inc))
 	if !pref.HasProxy() {
 		// Shared group proxy (E16): a groupable request binds the MH to
 		// the cell's per-(server, topic) proxy instead of building one of
@@ -959,12 +997,7 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 		n.noteHeldAck(m.MH, m.Req)
 		return
 	}
-	if set := n.outstanding[m.MH]; set != nil {
-		delete(set, m.Req)
-		if len(set) == 0 {
-			delete(n.outstanding, m.MH)
-		}
-	}
+	left := n.outRemove(m.MH, m.Req)
 	if isSharedProxy(pref.Proxy) {
 		// Shared prefs are never deleted (E16): the group proxy is durable
 		// cell infrastructure, so §3.3 removal does not apply. The ack is
@@ -978,7 +1011,7 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 	// been answered — judged both from this station's routing knowledge
 	// and from the MH's own statement on the Ack (the latter covers
 	// requests routed through a previous respMss and still in flight).
-	delProxy := pref.RKpR && len(n.outstanding[m.MH]) == 0 && !m.HaveOutstanding
+	delProxy := pref.RKpR && left == 0 && !m.HaveOutstanding
 	proxy := pref.Proxy
 	if delProxy {
 		// §3.3: erase the proxy address and confirm removal.
@@ -1473,10 +1506,7 @@ func (n *MSSNode) handleBatchItem(from ids.NodeID, m msg.BatchItem) {
 		return
 	}
 	n.noteInc(m.MH, m.Inc)
-	if n.outstanding[m.MH] == nil {
-		n.outstanding[m.MH] = make(map[ids.RequestID]ids.Incarnation)
-	}
-	n.outstanding[m.MH][m.Req] = normInc(m.Inc)
+	n.outAdd(m.MH, m.Req, normInc(m.Inc))
 	id, p := n.batchProxyRef(m.MH)
 	if p != nil {
 		p.onBatchItem(m)
@@ -1534,12 +1564,9 @@ func (n *MSSNode) handleBatchAbort(from ids.NodeID, m msg.BatchAbort) {
 		n.w.Stats.OrphanMessages.Inc()
 		return
 	}
-	if set := n.outstanding[m.MH]; set != nil {
+	if len(n.outstanding[m.MH]) > 0 {
 		for _, req := range m.Reqs {
-			delete(set, req)
-		}
-		if len(set) == 0 {
-			delete(n.outstanding, m.MH)
+			n.outRemove(m.MH, req)
 		}
 		n.persistMH(m.MH)
 	}

@@ -172,7 +172,7 @@ func TestRequestBufferedDuringHandoff(t *testing.T) {
 	if got := len(mss2.arriving[7].buffered); got != 1 {
 		t.Fatalf("buffered = %d, want 1", got)
 	}
-	w.loc[7] = 2 // ground truth catches up with the greet
+	w.MHs[7].loc = 2 // ground truth catches up with the greet
 	w.Run()
 	// After deregack the buffered request proceeds: a proxy now exists.
 	if mss2.HostedProxies() != 1 {

@@ -1,6 +1,8 @@
 package rdpcore
 
 import (
+	"slices"
+
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -11,6 +13,7 @@ import (
 // result, once present, survives until then so it can be re-sent on
 // every location update.
 type proxyReq struct {
+	id        ids.RequestID
 	server    ids.Server
 	payload   []byte
 	result    []byte
@@ -24,6 +27,36 @@ type proxyReq struct {
 	// RequestID can name two different requests across a crash; the
 	// incarnation disambiguates them.
 	inc ids.Incarnation
+}
+
+// requestList is a proxy's requestList (§3.1) in insertion order, which
+// keeps iteration deterministic. It holds one MH's pending requests — a
+// handful — so lookup and removal are scans.
+type requestList []*proxyReq
+
+// get returns req's entry, or nil.
+func (l requestList) get(req ids.RequestID) *proxyReq {
+	for _, r := range l {
+		if r.id == req {
+			return r
+		}
+	}
+	return nil
+}
+
+// add appends a new entry.
+func (l *requestList) add(r *proxyReq) { *l = append(*l, r) }
+
+// remove splices req's entry out, keeping the order of the rest, and
+// returns it (nil if absent).
+func (l *requestList) remove(req ids.RequestID) *proxyReq {
+	for i, r := range *l {
+		if r.id == req {
+			*l = slices.Delete(*l, i, i+1)
+			return r
+		}
+	}
+	return nil
 }
 
 // proxyBatch is the proxy side of one atomic batch (E17): the member
@@ -54,8 +87,7 @@ type Proxy struct {
 	mh         ids.MH
 	host       *MSSNode
 	currentLoc ids.MSS
-	reqs       map[ids.RequestID]*proxyReq
-	order      []ids.RequestID // insertion order; keeps iteration deterministic
+	reqs       requestList
 	createdAt  sim.Time
 
 	// Atomic batch state (E17). batchOrder/abortOrder keep map iteration
@@ -111,14 +143,14 @@ func newProxy(id ids.ProxyID, mh ids.MH, host *MSSNode) *Proxy {
 		mh:             mh,
 		host:           host,
 		currentLoc:     host.id,
-		reqs:           make(map[ids.RequestID]*proxyReq),
 		createdAt:      host.w.Kernel.Now(),
 		lastMigAttempt: host.w.Kernel.Now() - sim.Time(host.w.cfg.Migration.MinInterval),
 	}
 }
 
 // setLazy stores m[k] = v in a map made on first write: most proxies
-// never see a batch (E17), so the two batch maps start nil.
+// never see a batch (E17) and most hosts never a busy-NACK, a retry
+// timeout or a stray result, so those maps start nil.
 func setLazy[K comparable, V any](m *map[K]V, k K, v V) {
 	if *m == nil {
 		*m = make(map[K]V)
@@ -151,15 +183,15 @@ func (p *Proxy) Pending() int { return len(p.reqs) }
 // a newer incarnation is a brand-new request that reuses the identifier,
 // so the orphaned entry is replaced and the new request executed.
 func (p *Proxy) addRequest(req ids.RequestID, server ids.Server, payload []byte, inc ids.Incarnation) {
-	r, ok := p.reqs[req]
-	if ok {
+	r := p.reqs.get(req)
+	if r != nil {
 		if incLess(inc, r.inc) {
 			p.host.w.Stats.StaleIncarnationDrops.Inc()
 			return
 		}
 		if !incLess(r.inc, inc) {
 			if r.hasResult {
-				p.forwardResult(req, r)
+				p.forwardResult(r)
 			}
 			return
 		}
@@ -167,16 +199,15 @@ func (p *Proxy) addRequest(req ids.RequestID, server ids.Server, payload []byte,
 		r.server, r.payload, r.inc = server, payload, inc
 		r.result, r.hasResult, r.forwarded = nil, false, false
 	} else {
-		r = &proxyReq{server: server, payload: payload, inc: inc}
-		p.reqs[req] = r
-		p.order = append(p.order, req)
+		r = &proxyReq{id: req, server: server, payload: payload, inc: inc}
+		p.reqs.add(r)
 	}
 	if result, ok := p.host.cacheLookup(server, payload); ok {
 		// Answered from the station's result cache (E17): no server
 		// round-trip. The cached copy is forwarded like a fresh result.
 		r.result = result
 		r.hasResult = true
-		p.forwardResult(req, r) // persists inside
+		p.forwardResult(r) // persists inside
 		return
 	}
 	p.host.persistProxy(p)
@@ -206,8 +237,8 @@ func (p *Proxy) detachFromBatch(req ids.RequestID, r *proxyReq) {
 // current location (§3.1). Late or duplicate server replies (for
 // requests already acked and removed) are dropped.
 func (p *Proxy) onServerResult(req ids.RequestID, payload []byte) {
-	r, ok := p.reqs[req]
-	if !ok {
+	r := p.reqs.get(req)
+	if r == nil {
 		p.host.w.Stats.OrphanMessages.Inc()
 		return
 	}
@@ -225,13 +256,13 @@ func (p *Proxy) onServerResult(req ids.RequestID, payload []byte) {
 		p.checkBatchRelease(p.batches[r.batch])
 		return
 	}
-	p.forwardResult(req, r)
+	p.forwardResult(r)
 }
 
 // forwardResult sends one stored result to currentLoc, piggybacking
 // del-pref when this is the proxy's only pending request (§3.3: the
 // flag rides on "the result of the last pending request").
-func (p *Proxy) forwardResult(req ids.RequestID, r *proxyReq) {
+func (p *Proxy) forwardResult(r *proxyReq) {
 	if r.batch.Valid() {
 		// Atomicity gate (E17): no member result ever leaves the proxy
 		// before its batch releases. This single check covers every
@@ -250,7 +281,7 @@ func (p *Proxy) forwardResult(req ids.RequestID, r *proxyReq) {
 	r.forwarded = true
 	p.host.persistProxy(p) // result + forwarded flag reach stable store
 	p.host.w.Stats.ResultForwards[p.host.id]++
-	fwd := msg.ResultForward{Proxy: p.id, MH: p.mh, Req: req, Payload: r.result, DelPref: delPref, Inc: r.inc}
+	fwd := msg.ResultForward{Proxy: p.id, MH: p.mh, Req: r.id, Payload: r.result, DelPref: delPref, Inc: r.inc}
 	p.host.sendToStation(p.currentLoc, fwd)
 	// Every forward is a migration-policy observation (migration.go); a
 	// fired trigger only sends an offer, so the proxy stays intact here.
@@ -264,12 +295,10 @@ func (p *Proxy) forwardResult(req ids.RequestID, r *proxyReq) {
 func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
 	p.currentLoc = newLoc
 	p.host.persistProxy(p)
-	for _, req := range p.order {
-		r, ok := p.reqs[req]
-		if !ok || !r.hasResult {
-			continue
+	for _, r := range p.reqs {
+		if r.hasResult {
+			p.forwardResult(r)
 		}
-		p.forwardResult(req, r)
 	}
 }
 
@@ -282,15 +311,8 @@ func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
 // its result has already been forwarded, the proxy sends the special
 // del-pref-only message so the respMss can arm RKpR.
 func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
-	r, ok := p.reqs[req]
-	if ok {
-		delete(p.reqs, req)
-		for i, q := range p.order {
-			if q == req {
-				p.order = append(p.order[:i], p.order[i+1:]...)
-				break
-			}
-		}
+	r := p.reqs.remove(req)
+	if r != nil {
 		if p.host.w.cfg.ServerAcks {
 			p.host.sendWired(r.server.Node(), msg.ServerAck{Req: req})
 			p.host.w.Stats.ServerAcks.Inc()
@@ -305,9 +327,8 @@ func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
 		}
 		return true
 	}
-	if ok && len(p.reqs) == 1 {
-		sole := p.reqs[p.order[0]]
-		if sole.hasResult && sole.forwarded {
+	if r != nil && len(p.reqs) == 1 {
+		if sole := p.reqs[0]; sole.hasResult && sole.forwarded {
 			p.host.sendToStation(p.currentLoc, msg.DelPrefOnly{Proxy: p.id, MH: p.mh})
 		}
 	}
@@ -362,23 +383,20 @@ func (p *Proxy) ensureBatch(id ids.BatchID, inc ids.Incarnation) *proxyBatch {
 // abortBatch, no abort memo is kept and nobody is notified — the owner
 // no longer exists to care.
 func (p *Proxy) dropBatch(b *proxyBatch) {
+	p.forgetBatch(b)
+	p.host.persistProxy(p)
+}
+
+// forgetBatch takes a batch's members off the requestList and the batch
+// itself off the live set (dropBatch, abortBatch).
+func (p *Proxy) forgetBatch(b *proxyBatch) {
 	for _, req := range b.members {
-		delete(p.reqs, req)
-		for i, q := range p.order {
-			if q == req {
-				p.order = append(p.order[:i], p.order[i+1:]...)
-				break
-			}
-		}
+		p.reqs.remove(req)
 	}
 	delete(p.batches, b.id)
-	for i, id := range p.batchOrder {
-		if id == b.id {
-			p.batchOrder = append(p.batchOrder[:i], p.batchOrder[i+1:]...)
-			break
-		}
+	if i := slices.Index(p.batchOrder, b.id); i >= 0 {
+		p.batchOrder = slices.Delete(p.batchOrder, i, i+1)
 	}
-	p.host.persistProxy(p)
 }
 
 // onBatchOpen registers a batch. A re-open of an aborted batch (retry
@@ -407,12 +425,11 @@ func (p *Proxy) onBatchItem(m msg.BatchItem) {
 		// forwarded (and possibly acked away); never re-execute.
 		return
 	}
-	if _, ok := p.reqs[m.Req]; ok {
+	if p.reqs.get(m.Req) != nil {
 		return // duplicate member (retry); first registration wins
 	}
-	r := &proxyReq{server: m.Server, payload: m.Payload, batch: m.Batch, inc: m.Inc}
-	p.reqs[m.Req] = r
-	p.order = append(p.order, m.Req)
+	r := &proxyReq{id: m.Req, server: m.Server, payload: m.Payload, batch: m.Batch, inc: m.Inc}
+	p.reqs.add(r)
 	b.members = append(b.members, m.Req)
 	if result, ok := p.host.cacheLookup(m.Server, m.Payload); ok {
 		r.result = result
@@ -455,14 +472,14 @@ func (p *Proxy) checkBatchRelease(b *proxyBatch) {
 		return
 	}
 	for _, req := range b.members {
-		if r, ok := p.reqs[req]; !ok || !r.hasResult {
+		if r := p.reqs.get(req); r == nil || !r.hasResult {
 			return
 		}
 	}
 	b.released = true
 	p.host.persistProxy(p)
 	for _, req := range b.members {
-		p.forwardResult(req, p.reqs[req])
+		p.forwardResult(p.reqs.get(req))
 	}
 }
 
@@ -471,22 +488,7 @@ func (p *Proxy) checkBatchRelease(b *proxyBatch) {
 // forwardResult gate guarantees none was ever delivered.
 func (p *Proxy) abortBatch(b *proxyBatch) {
 	reqs := append([]ids.RequestID(nil), b.members...)
-	for _, req := range reqs {
-		delete(p.reqs, req)
-		for i, q := range p.order {
-			if q == req {
-				p.order = append(p.order[:i], p.order[i+1:]...)
-				break
-			}
-		}
-	}
-	delete(p.batches, b.id)
-	for i, id := range p.batchOrder {
-		if id == b.id {
-			p.batchOrder = append(p.batchOrder[:i], p.batchOrder[i+1:]...)
-			break
-		}
-	}
+	p.forgetBatch(b)
 	setLazy(&p.abortedBatches, b.id, reqs)
 	p.abortOrder = append(p.abortOrder, b.id)
 	p.host.persistProxy(p)
@@ -603,15 +605,11 @@ func (p *Proxy) scrubStale(inc ids.Incarnation) {
 	for _, b := range deadBatches {
 		p.dropBatch(b)
 	}
-	var keep []ids.RequestID
-	for _, req := range p.order {
-		r := p.reqs[req]
-		if r != nil && incLess(r.inc, inc) {
-			delete(p.reqs, req)
-			p.host.w.Stats.StaleIncarnationDrops.Inc()
-			continue
+	p.reqs = slices.DeleteFunc(p.reqs, func(r *proxyReq) bool {
+		if !incLess(r.inc, inc) {
+			return false
 		}
-		keep = append(keep, req)
-	}
-	p.order = keep
+		p.host.w.Stats.StaleIncarnationDrops.Inc()
+		return true
+	})
 }

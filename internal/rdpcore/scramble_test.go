@@ -37,7 +37,7 @@ func TestDeregOvertakesGreetKeepsPref(t *testing.T) {
 	// greet(old=mss2) and deregs mss2 — which knows nothing yet. The MH
 	// itself is already in cell 3 and believes in mss3 (it sent both
 	// greets; only their arrivals are reordered).
-	w.loc[7] = 3
+	w.MHs[7].loc = 3
 	mh.respMss = 3
 	mss3.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 2})
 	w.RunUntil(60 * time.Millisecond)

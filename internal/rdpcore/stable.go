@@ -33,7 +33,7 @@ type mhRecord struct {
 	// incarnation that issued it, so a restart can still scrub entries
 	// orphaned by a pre-crash reboot of the host.
 	inc         ids.Incarnation
-	outstanding map[ids.RequestID]ids.Incarnation
+	outstanding []outReq
 }
 
 // proxyReqRecord is one journaled requestList entry.
@@ -194,10 +194,7 @@ func (n *MSSNode) persistMH(mh ids.MH) {
 	}
 	r.inc = n.incs[mh]
 	if set := n.outstanding[mh]; len(set) > 0 {
-		r.outstanding = make(map[ids.RequestID]ids.Incarnation, len(set))
-		for req, inc := range set {
-			r.outstanding[req] = inc
-		}
+		r.outstanding = append([]outReq(nil), set...)
 	}
 	if !r.responsible && !r.hasPref && !r.ignoreAcks && !r.hasForward {
 		delete(rec.mhs, mh)
@@ -215,10 +212,9 @@ func (n *MSSNode) persistProxy(p *Proxy) {
 	}
 	rec := n.w.store.station(n.id)
 	pr := &proxyRecord{id: p.id, mh: p.mh, currentLoc: p.currentLoc, leaseInc: p.leaseInc}
-	for _, req := range p.order {
-		r := p.reqs[req]
+	for _, r := range p.reqs {
 		pr.reqs = append(pr.reqs, proxyReqRecord{
-			req: req, server: r.server, payload: r.payload,
+			req: r.id, server: r.server, payload: r.payload,
 			result: r.result, hasResult: r.hasResult, forwarded: r.forwarded,
 			batch: r.batch, inc: r.inc,
 		})
@@ -377,7 +373,7 @@ func (n *MSSNode) crash() {
 	n.aggAckBuf = make(map[ids.ProxyID]*groupAckBuf)
 	n.aggLocArmed, n.aggAckArmed = false, false
 	n.incs = make(map[ids.MH]ids.Incarnation)
-	n.outstanding = make(map[ids.MH]map[ids.RequestID]ids.Incarnation)
+	n.outstanding = make(map[ids.MH][]outReq)
 	n.proxies = make(map[uint32]*Proxy)
 	n.ignoreAcks = make(map[ids.MH]bool)
 	n.forwardTo = make(map[ids.MH]ids.MSS)
@@ -412,11 +408,7 @@ func (n *MSSNode) restoreFromStore() {
 			n.incs[mh] = r.inc
 		}
 		if len(r.outstanding) > 0 {
-			set := make(map[ids.RequestID]ids.Incarnation, len(r.outstanding))
-			for req, inc := range r.outstanding {
-				set[req] = inc
-			}
-			n.outstanding[mh] = set
+			n.outstanding[mh] = append([]outReq(nil), r.outstanding...)
 		}
 	}
 	if rec.nextSeq > n.nextProxySeq {
@@ -439,12 +431,11 @@ func (n *MSSNode) restoreFromStore() {
 		p.currentLoc = pr.currentLoc
 		p.leaseInc = pr.leaseInc
 		for _, rr := range pr.reqs {
-			p.reqs[rr.req] = &proxyReq{
-				server: rr.server, payload: rr.payload,
+			p.reqs.add(&proxyReq{
+				id: rr.req, server: rr.server, payload: rr.payload,
 				result: rr.result, hasResult: rr.hasResult, forwarded: rr.forwarded,
 				batch: rr.batch, inc: rr.inc,
-			}
-			p.order = append(p.order, rr.req)
+			})
 		}
 		for _, br := range pr.batches {
 			b := &proxyBatch{
@@ -592,13 +583,12 @@ func (n *MSSNode) recoveryResend() {
 	sort.Ints(seqs)
 	for _, seq := range seqs {
 		p := n.proxies[uint32(seq)]
-		for _, req := range p.order {
-			r := p.reqs[req]
+		for _, r := range p.reqs {
 			n.w.Stats.RecoveryResends.Inc()
 			if r.hasResult {
-				p.forwardResult(req, r)
+				p.forwardResult(r)
 			} else {
-				n.sendWired(r.server.Node(), msg.ServerRequest{Proxy: p.id, Req: req, Payload: r.payload})
+				n.sendWired(r.server.Node(), msg.ServerRequest{Proxy: p.id, Req: r.id, Payload: r.payload})
 			}
 		}
 		// A crash can land between the journal write that completed a

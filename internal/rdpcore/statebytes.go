@@ -37,7 +37,7 @@ const (
 	bytesWaiter     = 16
 	bytesMemberLoc  = 16
 	bytesAckIdx     = 16
-	// Outstanding ledger: per-MH map header plus per-request entry.
+	// Outstanding ledger: per-MH header plus per-request entry.
 	bytesOutstandingMH  = 48
 	bytesOutstandingReq = 56
 )
@@ -70,8 +70,7 @@ func (n *MSSNode) StateBytes() int {
 	total += len(n.incs) * bytesIncEntry
 	for _, p := range n.proxies {
 		total += bytesProxy
-		for _, req := range p.order {
-			r := p.reqs[req]
+		for _, r := range p.reqs {
 			total += bytesProxyReq + len(r.payload) + len(r.result)
 		}
 	}
@@ -95,7 +94,9 @@ func (n *MSSNode) StateBytes() int {
 func (n *MSSNode) OutstandingBytes() int {
 	total := 0
 	for _, set := range n.outstanding {
-		total += bytesOutstandingMH + len(set)*bytesOutstandingReq
+		if len(set) > 0 { // an emptied ledger keeps only its capacity
+			total += bytesOutstandingMH + len(set)*bytesOutstandingReq
+		}
 	}
 	return total
 }

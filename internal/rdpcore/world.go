@@ -274,28 +274,15 @@ type World struct {
 	Wired    netsim.WiredTransport
 	Wireless netsim.WirelessTransport
 
+	// MHs is the one index of hosts: location, activity, coverage, crash
+	// state and the incarnation word live on the MHNode itself, so a host
+	// absent from MHs (never added, or detached and in transit between
+	// region worlds) reads as absent everywhere.
 	MSSs    map[ids.MSS]*MSSNode
 	Servers map[ids.Server]*server.AppServer
 	MHs     map[ids.MH]*MHNode
 
 	mssList []ids.MSS
-	loc     map[ids.MH]ids.MSS
-	active  map[ids.MH]bool
-
-	// disconnected marks hosts whose radio is gone entirely (out of
-	// coverage), as opposed to merely inactive: no frame reaches them in
-	// either direction, and requests they issue are journaled for replay
-	// on reconnection (E17 disconnected operation).
-	disconnected map[ids.MH]bool
-
-	// crashedMH marks hosts that fail-stopped with amnesia (E18): the
-	// host is dead to the radio and its volatile protocol state is gone.
-	// mhInc is each host's incarnation counter, modeled as a tiny
-	// non-volatile flash word on the device: it lives in the World (not
-	// the node) precisely so a crash cannot wipe it, and RestartMH bumps
-	// it before reboot.
-	crashedMH map[ids.MH]bool
-	mhInc     map[ids.MH]ids.Incarnation
 
 	// down marks crashed stations; see CrashMSS/RestartMSS. store is the
 	// in-sim stable storage stations journal to when Config.Checkpoint is
@@ -348,14 +335,8 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 		MSSs:    make(map[ids.MSS]*MSSNode, len(stations)),
 		Servers: make(map[ids.Server]*server.AppServer, len(servers)),
 		MHs:     make(map[ids.MH]*MHNode),
-		loc:     make(map[ids.MH]ids.MSS),
-		active:  make(map[ids.MH]bool),
 		down:    make(map[ids.MSS]bool),
 		store:   newStableStore(),
-
-		disconnected: make(map[ids.MH]bool),
-		crashedMH:    make(map[ids.MH]bool),
-		mhInc:        make(map[ids.MH]ids.Incarnation),
 	}
 
 	members := make([]ids.NodeID, 0, len(stations)+len(servers))
@@ -532,9 +513,7 @@ func (w *World) AddMH(id ids.MH, cell ids.MSS) *MHNode {
 	h := newMHNode(id, w)
 	w.MHs[id] = h
 	w.Wireless.RegisterMH(id, h)
-	w.loc[id] = cell
-	w.active[id] = true
-	w.mhInc[id] = ids.FirstIncarnation
+	h.loc, h.active = cell, true
 	h.join(cell)
 	return h
 }
@@ -563,8 +542,7 @@ func (w *World) Rejoin(id ids.MH, cell ids.MSS) {
 	if _, ok := w.MSSs[cell]; !ok {
 		panic(fmt.Sprintf("rdpcore: unknown cell %v", cell))
 	}
-	w.loc[id] = cell
-	w.active[id] = true
+	h.loc, h.active = cell, true
 	h.join(cell)
 }
 
@@ -580,11 +558,11 @@ func (w *World) Migrate(id ids.MH, cell ids.MSS) {
 	if _, ok := w.MSSs[cell]; !ok {
 		panic(fmt.Sprintf("rdpcore: unknown cell %v", cell))
 	}
-	if w.loc[id] == cell {
+	if h.loc == cell {
 		return
 	}
-	w.loc[id] = cell
-	if w.active[id] && !w.crashedMH[id] {
+	h.loc = cell
+	if h.active && !h.crashed {
 		// A crashed host is carried silently; it greets from the cell it
 		// reboots in (E18).
 		h.onMigrate(cell)
@@ -592,38 +570,30 @@ func (w *World) Migrate(id ids.MH, cell ids.MSS) {
 }
 
 // DetachMH removes a mobile host from this world without ending its
-// protocol life: the node object — respMss belief, duplicate-detection
-// set, outstanding requests — survives and can be re-attached to another
-// world with AttachMH. This is the parallel engine's region hand-off:
-// the host is radio-silent while in transit between region worlds, and
-// its protocol state at the stations stays put (the next greet reaches
-// the old respMss over the wired path exactly as in a serial world). It
-// reports whether the host was active at detach time.
+// protocol life: the node object — respMss belief, request table, and
+// the device state (activity, coverage, crash flag, incarnation word) —
+// survives whole and can be re-attached to another world with AttachMH.
+// This is the parallel engine's region hand-off: the host is radio-silent
+// while in transit between region worlds, and its protocol state at the
+// stations stays put (the next greet reaches the old respMss over the
+// wired path exactly as in a serial world). It reports whether the host
+// was active at detach time.
 func (w *World) DetachMH(id ids.MH) (h *MHNode, active bool) {
 	h, ok := w.MHs[id]
 	if !ok {
 		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
 	}
-	active = w.active[id]
-	// The device's flash chip travels with it: park the incarnation
-	// counter, crash flag, and offline journal on the node so AttachMH
-	// restores them in the destination world (E18) — otherwise a region
-	// transfer would be an accidental amnesia wipe.
-	h.xferInc = w.mhInc[id]
-	h.xferCrashed = w.crashedMH[id]
+	// The offline journal is the one piece of the device's durable state
+	// held by the world (its stable store); it rides on the node so
+	// AttachMH can hand it to the destination world's store.
 	h.xferJournal = w.store.offline[id]
 	delete(w.MHs, id)
-	delete(w.loc, id)
-	delete(w.active, id)
-	delete(w.disconnected, id)
-	delete(w.mhInc, id)
-	delete(w.crashedMH, id)
 	delete(w.store.offline, id)
 	// The host is radio-silent in transit: stop its retransmit, deadline
 	// and refresh timers so a detached host leaks no kernel events. The
 	// timers re-arm from live state on the next attach-side activity.
 	h.cancelTimers()
-	return h, active
+	return h, h.active
 }
 
 // AttachMH inserts a detached mobile host into this world in the given
@@ -644,21 +614,14 @@ func (w *World) AttachMH(h *MHNode, cell ids.MSS, active bool) {
 	h.w = w
 	w.MHs[h.id] = h
 	w.Wireless.RegisterMH(h.id, h)
-	w.loc[h.id] = cell
-	w.active[h.id] = active
-	// Restore the flash chip DetachMH parked on the node — before any
-	// greet, so the radio model sees a crashed host as unreachable.
-	if h.xferInc != 0 {
-		w.mhInc[h.id] = h.xferInc
-	}
-	if h.xferCrashed {
-		w.crashedMH[h.id] = true
-	}
+	h.loc, h.active = cell, active
 	if len(h.xferJournal) != 0 {
 		w.store.offline[h.id] = h.xferJournal
 	}
-	h.xferInc, h.xferCrashed, h.xferJournal = 0, false, nil
-	if active && h.joined && !w.crashedMH[h.id] {
+	h.xferJournal = nil
+	if active && h.joined && !h.crashed {
+		// A disconnected host's greet dies at the radio gate, as on a
+		// serial Migrate; Reconnect re-greets from here.
 		h.onMigrate(cell)
 	}
 	// Rebuild the timer set DetachMH cancelled (refresh beacon, retry
@@ -736,12 +699,12 @@ func (w *World) SetActive(id ids.MH, activeNow bool) {
 	if !ok {
 		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
 	}
-	if w.active[id] == activeNow {
+	if h.active == activeNow {
 		return
 	}
-	w.active[id] = activeNow
-	if activeNow && !w.crashedMH[id] {
-		h.onActivate(w.loc[id])
+	h.active = activeNow
+	if activeNow && !h.crashed {
+		h.onActivate(h.loc)
 	}
 }
 
@@ -750,7 +713,7 @@ func (w *World) SetActive(id ids.MH, activeNow bool) {
 // Config.GreetRefresh. It is a no-op for inactive or departed hosts.
 func (w *World) Refresh(id ids.MH) {
 	h, ok := w.MHs[id]
-	if !ok || !h.joined || !w.active[id] {
+	if !ok || !h.joined || !h.active {
 		return
 	}
 	h.refreshGreet()
@@ -763,10 +726,11 @@ func (w *World) Refresh(id ids.MH) {
 // running — disconnected operation, not dormancy. No-op if already
 // disconnected.
 func (w *World) Disconnect(id ids.MH) {
-	if _, ok := w.MHs[id]; !ok {
+	h, ok := w.MHs[id]
+	if !ok {
 		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
 	}
-	w.disconnected[id] = true
+	h.disconnected = true
 }
 
 // Reconnect restores the MH's radio. The host re-greets its station
@@ -779,27 +743,40 @@ func (w *World) Reconnect(id ids.MH) {
 	if !ok {
 		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
 	}
-	if !w.disconnected[id] {
+	if !h.disconnected {
 		return
 	}
-	delete(w.disconnected, id)
-	if w.active[id] && h.joined && !w.crashedMH[id] {
-		h.onReconnect(w.loc[id])
+	h.disconnected = false
+	if h.active && h.joined && !h.crashed {
+		h.onReconnect(h.loc)
 	}
 }
 
+// absentMH is what the by-id accessors read for a host that is not
+// resident in the world (unknown, or detached and in transit): in no
+// cell, inactive, no incarnation. It is never written.
+var absentMH MHNode
+
+// host returns the resident node for id, or absentMH.
+func (w *World) host(id ids.MH) *MHNode {
+	if h := w.MHs[id]; h != nil {
+		return h
+	}
+	return &absentMH
+}
+
 // IsDisconnected reports whether the MH is currently out of coverage.
-func (w *World) IsDisconnected(id ids.MH) bool { return w.disconnected[id] }
+func (w *World) IsDisconnected(id ids.MH) bool { return w.host(id).disconnected }
 
 // InCell reports whether the MH is currently located in the cell of the
 // given station.
-func (w *World) InCell(id ids.MH, cell ids.MSS) bool { return w.loc[id] == cell }
+func (w *World) InCell(id ids.MH, cell ids.MSS) bool { return w.host(id).loc == cell }
 
 // IsActive reports the MH's activity state.
-func (w *World) IsActive(id ids.MH) bool { return w.active[id] }
+func (w *World) IsActive(id ids.MH) bool { return w.host(id).active }
 
 // Location returns the MH's current cell.
-func (w *World) Location(id ids.MH) ids.MSS { return w.loc[id] }
+func (w *World) Location(id ids.MH) ids.MSS { return w.host(id).loc }
 
 // distance returns the topological distance between two stations
 // (Config.StationDistance, defaulting to the flat metric): the unit of
@@ -818,8 +795,8 @@ func (w *World) distance(a, b ids.MSS) int {
 // active, not disconnected, not crashed, and the station's radio itself
 // up (a crashed station neither transmits nor receives).
 func (w *World) reachable(mss ids.MSS, mh ids.MH) bool {
-	return w.loc[mh] == mss && w.active[mh] && !w.down[mss] &&
-		!w.disconnected[mh] && !w.crashedMH[mh]
+	h := w.MHs[mh]
+	return h != nil && h.loc == mss && h.active && !h.disconnected && !h.crashed && !w.down[mss]
 }
 
 // nodeDown is the wired substrate's down gate: frames addressed to a
@@ -877,12 +854,12 @@ func (w *World) RestartMSS(id ids.MSS) {
 // heartbeats: a cellular station can distinguish a dead handset from a
 // merely silent one at the link layer, which the simulation abstracts
 // into this one predicate.
-func (w *World) IsCrashed(id ids.MH) bool { return w.crashedMH[id] }
+func (w *World) IsCrashed(id ids.MH) bool { return w.host(id).crashed }
 
 // IncarnationOf returns the MH's current incarnation number — the
 // monotonic counter in the host's non-volatile flash that survives
 // crashes and is bumped on every restart (E18).
-func (w *World) IncarnationOf(id ids.MH) ids.Incarnation { return w.mhInc[id] }
+func (w *World) IncarnationOf(id ids.MH) ids.Incarnation { return w.host(id).inc }
 
 // CrashMH fail-stops a mobile host with amnesia (E18): its radio goes
 // dead and every piece of volatile protocol state — the seen-set, the
@@ -897,10 +874,10 @@ func (w *World) CrashMH(id ids.MH) {
 	if !ok {
 		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
 	}
-	if w.crashedMH[id] {
+	if h.crashed {
 		return
 	}
-	w.crashedMH[id] = true
+	h.crashed = true
 	w.Stats.MHCrashes.Inc()
 	h.crash()
 }
@@ -917,18 +894,12 @@ func (w *World) RestartMH(id ids.MH) {
 	if !ok {
 		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
 	}
-	if !w.crashedMH[id] {
+	if !h.crashed {
 		return
 	}
-	delete(w.crashedMH, id)
+	h.crashed = false
 	w.Stats.MHRestarts.Inc()
-	inc := w.mhInc[id]
-	if inc == 0 {
-		inc = ids.FirstIncarnation
-	}
-	inc++
-	w.mhInc[id] = inc
-	h.reboot(inc)
+	h.reboot(h.inc + 1)
 }
 
 // CheckpointWrites returns the number of journal writes stations have
@@ -1097,15 +1068,15 @@ func (w *World) CheckQuiescent() error {
 				// E18: once traffic drains, no proxy state may belong to
 				// a dead incarnation — the lease machinery must have
 				// scrubbed or reclaimed it.
-				cur := w.mhInc[p.mh]
+				cur := w.IncarnationOf(p.mh)
 				if incLess(p.leaseInc, cur) {
 					return fmt.Errorf("quiescence: proxy %v leased to dead incarnation %v of %v (current %v)",
 						p.id, normInc(p.leaseInc), p.mh, normInc(cur))
 				}
-				for req, r := range p.reqs {
+				for _, r := range p.reqs {
 					if incLess(r.inc, cur) {
 						return fmt.Errorf("quiescence: proxy %v holds request %v from dead incarnation %v of %v",
-							p.id, req, normInc(r.inc), p.mh)
+							p.id, r.id, normInc(r.inc), p.mh)
 					}
 				}
 				for bid, b := range p.batches {

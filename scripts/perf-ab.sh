@@ -2,13 +2,15 @@
 # A/B one perf workload between two commits, the way a claimed gain is
 # judged (choosing-metrics §8):
 #
-#   scripts/perf-ab.sh <base-ref> <head-ref> <workload> [pairs]
+#   scripts/perf-ab.sh <base-ref> <head-ref> <workload> [pairs [seed0]]
 #
 # Both ./perf binaries are built once, from `git archive` exports under
 # .bench_build/ab/ (a ref of "." exports the working tree instead, for a
 # change not yet committed). Then [pairs] (default 10) pairs of runs,
 # base and head alternating with the order flipped every pair and a fresh
-# input seed per pair, each for BENCHMARK.json's run length. It prints
+# input seed per pair (seed0+1, seed0+2, …; seed0 defaults to 100 — pass
+# another to judge a change on seeds it was not written against), each
+# for BENCHMARK.json's run length. It prints
 # every pair's norm_results_per_s, each side's median and quartiles, and
 # the verdict: head wins at least nine pairs in ten (ties count for
 # neither) and the medians differ by more than the base's own
@@ -16,10 +18,10 @@
 # nothing under perf/.
 set -eu
 if [ $# -lt 3 ]; then
-	echo "usage: $0 <base-ref> <head-ref> <workload> [pairs]" >&2
+	echo "usage: $0 <base-ref> <head-ref> <workload> [pairs [seed0]]" >&2
 	exit 2
 fi
-base_ref=$1 head_ref=$2 workload=$3 pairs=${4:-10}
+base_ref=$1 head_ref=$2 workload=$3 pairs=${4:-10} seed0=${5:-100}
 metric=norm_results_per_s
 cd "$(dirname "$0")/.."
 root=$PWD/.bench_build/ab
@@ -53,7 +55,7 @@ run() { # side seed
 : >"$root/head.runs"
 i=1
 while [ "$i" -le "$pairs" ]; do
-	seed=$((100 + i))
+	seed=$((seed0 + i))
 	if [ $((i % 2)) -eq 1 ]; then
 		b=$(run base "$seed") h=$(run head "$seed")
 	else
