@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race race allocs bench cover fmt vet check experiments examples explore viz bench-baseline bench-compare bench-profile bench-profile-test
+.PHONY: all build test test-race race allocs bench cover fmt vet check experiments examples explore viz bench-profile bench-profile-test
 
 all: build test
 
@@ -45,20 +45,6 @@ check:
 
 bench:
 	go test -bench=. -benchmem .
-
-# Rewrite the committed benchmark baseline. Run on a quiet machine
-# after an intentional performance change, and commit the result.
-bench-baseline:
-	go run ./cmd/rdpbench -quick -json -out bench/baseline.json
-
-# Gate the working tree against the committed baseline: allocation
-# counts and headline metrics must stay within internal/benchcmp's
-# thresholds (times are reported, not gated).
-bench-compare:
-	@mkdir -p /tmp/rdpbench.$$$$ && \
-	go run ./cmd/rdpbench -quick -json -out /tmp/rdpbench.$$$$/current.json >/dev/null && \
-	go run ./cmd/benchcmp -base bench/baseline.json -new /tmp/rdpbench.$$$$/current.json; \
-	status=$$?; rm -rf /tmp/rdpbench.$$$$; exit $$status
 
 # Profile a quick evaluation pass: writes cpu.pprof and mem.pprof in the
 # repo root (gitignored) for `go tool pprof`. The script removes stale

@@ -2,12 +2,10 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/benchcmp"
+	"repro/internal/experiments"
 )
 
 // runBuf runs the CLI with output captured in a buffer.
@@ -58,17 +56,24 @@ func TestCSVMode(t *testing.T) {
 }
 
 // TestQuickAll runs the complete evaluation at reduced scale — the same
-// path `rdpbench -quick` takes — and checks every experiment header is
-// present.
+// path `rdpbench -quick` takes — and checks every registry entry's
+// block is present, in registry order.
 func TestQuickAll(t *testing.T) {
 	out, err := runBuf(t, "-quick")
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"} {
-		if !strings.Contains(out, "=== "+want) {
-			t.Errorf("full run missing %s header", want)
+	at := 0
+	for _, e := range experiments.Registry {
+		header := "=== " + strings.ToUpper(e.Name) + " — "
+		i := strings.Index(out[at:], header)
+		if i < 0 {
+			t.Fatalf("full run: %s block missing or out of registry order", e.Name)
 		}
+		at += i + len(header)
+	}
+	if n := strings.Count(out, "\n=== "); n != len(experiments.Registry) {
+		t.Errorf("full run printed %d blocks, the registry has %d entries", n, len(experiments.Registry))
 	}
 }
 
@@ -91,52 +96,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	if serial != parallel {
 		t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
-
-// TestJSONSnapshot writes a snapshot and checks its shape.
-func TestJSONSnapshot(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "snap.json")
-	if _, err := runBuf(t, "-quick", "-exp", "e4,e6", "-json", "-out", out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	snap, err := benchcmp.Load(out)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if len(snap.Entries) != 2 {
-		t.Fatalf("got %d entries, want 2", len(snap.Entries))
-	}
-	for _, e := range snap.Entries {
-		if e.AllocsOp <= 0 || e.NsOp <= 0 {
-			t.Errorf("%s: non-positive measurement: %+v", e.Name, e)
-		}
-		if e.MetricName == "" {
-			t.Errorf("%s: missing headline metric name", e.Name)
-		}
-	}
-	if snap.Scale != "quick" {
-		t.Errorf("scale = %q, want quick", snap.Scale)
-	}
-}
-
-// TestJSONDefaultPath checks the BENCH_<stamp>.json default naming.
-func TestJSONDefaultPath(t *testing.T) {
-	dir := t.TempDir()
-	old, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(old)
-	if _, err := runBuf(t, "-quick", "-exp", "e6", "-json"); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	m, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(m) != 1 {
-		t.Fatalf("expected one BENCH_*.json, got %v (err %v)", m, err)
 	}
 }
 

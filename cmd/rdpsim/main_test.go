@@ -92,6 +92,24 @@ func TestTCPRun(t *testing.T) {
 	}
 }
 
+// TestTCPRejectsLinkSettings: -loss and -no-causal configure layers the
+// TCP substrate does not have, so combined with -tcp they must fail
+// naming the Config field rather than run loss-free and causal.
+func TestTCPRejectsLinkSettings(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		args  []string
+	}{
+		{"Config.WirelessLoss", []string{"-tcp", "-loss", "0.1"}},
+		{"Config.Causal", []string{"-tcp", "-no-causal"}},
+	} {
+		_, err := capture(t, func() error { return run(tc.args) })
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.field)
+		}
+	}
+}
+
 func TestBadFlag(t *testing.T) {
 	if _, err := capture(t, func() error { return run([]string{"-nope"}) }); err == nil {
 		t.Fatal("bad flag accepted")

@@ -157,8 +157,8 @@ func E14Workers(sc Scale) []int {
 	return []int{1, 2, 4, 8}
 }
 
-// ParseE14Tier parses a "cells:mhs:regions:horizonSec" override (the CI
-// smoke tier) into a single-tier sweep.
+// ParseE14Tier parses a "cells:mhs:regions:horizonSec" override
+// (rdpbench -e14tier) into a single-tier sweep.
 func ParseE14Tier(s string) (E14Tier, bool) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 4 {

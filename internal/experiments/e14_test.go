@@ -5,36 +5,47 @@ import (
 	"time"
 )
 
-// TestE14QuickSweep runs the quick-scale E14 worker sweep and enforces
-// the experiment's gates: perfect delivery, no stragglers, no protocol
-// violations, and full-Summary equality between the Workers=1 baseline
-// and every other row of a tier.
+// TestE14QuickSweep runs the quick-scale E14 worker sweep, then the
+// 64-cell/50k-host/16-region tier at one worker and at eight, and
+// enforces the experiment's gates on both: perfect delivery, no
+// stragglers, no protocol violations, and full-Summary equality between
+// a tier's first row and every other — any worker-count-dependent byte
+// in internal/psim fails here.
 func TestE14QuickSweep(t *testing.T) {
-	rows := E14Scale(1, SmallScale(), nil, nil)
-	if len(rows) == 0 {
-		t.Fatal("empty sweep")
+	checkE14(t, E14Scale(1, SmallScale(), nil, nil))
+	if testing.Short() {
+		return
+	}
+	tier, _ := ParseE14Tier("64:50000:16:3")
+	checkE14(t, E14Scale(1, SmallScale(), []E14Tier{tier}, []int{1, 8}))
+}
+
+func checkE14(t *testing.T, rows []E14Row) {
+	t.Helper()
+	if len(rows) < 2 {
+		t.Fatalf("sweep has %d rows, want a baseline and at least one more", len(rows))
 	}
 	for _, r := range rows {
 		if r.Ratio != 1.0 {
-			t.Errorf("workers=%d: ratio %.6f, want 1.0", r.Workers, r.Ratio)
+			t.Errorf("mhs=%d workers=%d: ratio %.6f, want 1.0", r.MHs, r.Workers, r.Ratio)
 		}
 		if r.Missing != 0 {
-			t.Errorf("workers=%d: %d undelivered requests", r.Workers, r.Missing)
+			t.Errorf("mhs=%d workers=%d: %d undelivered requests", r.MHs, r.Workers, r.Missing)
 		}
 		if r.Violations != 0 {
-			t.Errorf("workers=%d: %d protocol violations", r.Workers, r.Violations)
+			t.Errorf("mhs=%d workers=%d: %d protocol violations", r.MHs, r.Workers, r.Violations)
 		}
 		if !r.HeadlineEq {
-			t.Errorf("workers=%d: Summary differs from the Workers=1 run", r.Workers)
+			t.Errorf("mhs=%d workers=%d: Summary differs from the tier's first row", r.MHs, r.Workers)
 		}
 		if r.Issued == 0 {
-			t.Errorf("workers=%d: no requests issued", r.Workers)
+			t.Errorf("mhs=%d workers=%d: no requests issued", r.MHs, r.Workers)
 		}
 		if r.CrossFrames == 0 {
-			t.Errorf("workers=%d: no cross-region frames in a %d-region world", r.Workers, r.Regions)
+			t.Errorf("mhs=%d workers=%d: no cross-region frames in a %d-region world", r.MHs, r.Workers, r.Regions)
 		}
 		if r.PeakRSS == 0 {
-			t.Errorf("workers=%d: peak RSS not measured", r.Workers)
+			t.Errorf("mhs=%d workers=%d: peak RSS not measured", r.MHs, r.Workers)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/ids"
@@ -85,19 +84,6 @@ type E15Row struct {
 	CwndMean float64
 }
 
-// e15Memo caches the sweep per (seed, scale): rdpbench exposes two
-// snapshot entries (e15 goodput ratio, e15lat p99) over one run.
-var (
-	e15Mu   sync.Mutex
-	e15Memo = map[e15Key][]E15Row{}
-)
-
-type e15Key struct {
-	seed    int64
-	mhs     int
-	horizon time.Duration
-}
-
 // E15WindowedTransport runs the loss × load × transport grid. Expected
 // shape: the windowed transport holds goodput near the offered load at
 // every point (coalescing lifts the per-frame ceiling, the window
@@ -107,12 +93,6 @@ type e15Key struct {
 // it silently sheds admitted results; I-TCP over the same windowed hop
 // matches windowed RDP.
 func E15WindowedTransport(seed int64, sc Scale) []E15Row {
-	e15Mu.Lock()
-	defer e15Mu.Unlock()
-	key := e15Key{seed: seed, mhs: sc.MHs, horizon: sc.Horizon}
-	if rows, ok := e15Memo[key]; ok {
-		return rows
-	}
 	var rows []E15Row
 	for _, loss := range []float64{0.05, 0.10, 0.20} {
 		for _, mult := range []float64{1, 2} {
@@ -125,7 +105,6 @@ func E15WindowedTransport(seed int64, sc Scale) []E15Row {
 			}
 		}
 	}
-	e15Memo[key] = rows
 	return rows
 }
 
@@ -311,8 +290,8 @@ func ReplayE15Windowed(obs netsim.Observer) *rdpcore.World {
 }
 
 // E15Headline extracts the windowed and stop-and-wait rows at the
-// headline grid point — 10% loss, 2× the stop-and-wait ceiling — used
-// for the snapshot metrics and their CI gate.
+// headline grid point — 10% loss, 2× the stop-and-wait ceiling — that
+// E15's two pinned headlines are read from.
 func E15Headline(rows []E15Row) (windowed, stopwait E15Row, ok bool) {
 	var haveW, haveS bool
 	for _, r := range rows {

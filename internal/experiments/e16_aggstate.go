@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/ids"
@@ -282,28 +281,10 @@ func E16Tiers(sc Scale) ([]int, bool) {
 	return []int{1000, 10000, 100000}, true
 }
 
-// e16Memo caches the sweep per (seed, scale): rdpbench's table and
-// snapshot paths share one run.
-var (
-	e16Mu   sync.Mutex
-	e16Memo = map[e16Key][]E16Row{}
-)
-
-type e16Key struct {
-	seed int64
-	mhs  int
-}
-
 // E16Aggregation runs the sweep: each tier in both representations
 // (pairing the rows and computing the guarded reductions on the
 // aggregated one), then the aggregated-only 1M tier.
 func E16Aggregation(seed int64, sc Scale) []E16Row {
-	e16Mu.Lock()
-	defer e16Mu.Unlock()
-	key := e16Key{seed: seed, mhs: sc.MHs}
-	if rows, ok := e16Memo[key]; ok {
-		return rows
-	}
 	tiers, top := E16Tiers(sc)
 	var out []E16Row
 	for _, mhs := range tiers {

@@ -1,10 +1,12 @@
-// Package experiments implements the paper's evaluation: one function
-// per experiment (E1–E8 of DESIGN.md) plus the Figure 3 / Figure 4
-// scenario replays. Each function builds the required worlds, drives the
-// paper's workload, and returns the rows of the table the experiment
-// regenerates; cmd/rdpbench renders them and bench_test.go wraps them as
-// Go benchmarks. EXPERIMENTS.md records the measured outcomes against
-// the paper's claims.
+// Package experiments implements the paper's evaluation: one sweep
+// function per experiment (E1–E18 of DESIGN.md) plus the Figure 3 /
+// Figure 4 / migration scenario replays. Each sweep builds the required
+// worlds, drives the paper's workload, and returns the rows of the table
+// the experiment regenerates. Registry (registry.go) describes every
+// experiment once — claim line, tables, headlines — and is what
+// cmd/rdpbench prints, the root package's BenchmarkExperiments times and
+// the pin tests hold to testdata/. EXPERIMENTS.md records the measured
+// outcomes against the paper's claims.
 package experiments
 
 import (

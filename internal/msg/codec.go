@@ -17,9 +17,9 @@ import (
 //
 // Two encode entry points exist: Encode allocates a fresh buffer, and
 // AppendEncode appends to a caller-owned one so steady-state encoding
-// reuses storage. Decode mirrors that split: it allocates copies of all
-// variable-length fields, while DecodeInto fills a caller-owned struct
-// and aliases payloads into the input buffer, allocating nothing.
+// reuses storage. Decode copies every variable-length field out of its
+// input, so a transport may recycle the frame buffer as soon as it
+// returns.
 const codecVersion = 1
 
 // Codec errors. ErrTruncated and ErrBadMessage are matched by callers
@@ -320,9 +320,7 @@ func (e *encoder) message(m Message) error {
 	return nil
 }
 
-// Per-kind field decoders, shared by Decode (which boxes the result
-// into the Message interface) and DecodeInto (which writes it straight
-// into a caller-owned struct). Each reads exactly the fields its encode
+// Per-kind field decoders. Each reads exactly the fields its encode
 // case wrote; errors latch in the decoder.
 
 func decJoin(d *decoder) Join   { return Join{MH: ids.MH(d.u32())} }
@@ -745,137 +743,6 @@ func Decode(b []byte) (Message, error) {
 	return m, nil
 }
 
-// DecodeInto parses a message of a statically known kind into the
-// caller-owned *dst, avoiding the interface boxing of Decode. In this
-// mode variable-length fields ALIAS the input buffer instead of copying
-// it: the decoded message is only valid while b is, which makes the
-// common transport round trip (read frame, decode, handle, recycle
-// buffer) allocation-free. A LinkFrame destination still allocates for
-// its inner message.
-//
-// The wire kind must match dst's kind; a mismatch reports ErrBadKind
-// without touching *dst.
-func DecodeInto[M Message](b []byte, dst *M) error {
-	d := decoder{buf: b, alias: true}
-	if v := d.u8(); d.err == nil && v != codecVersion {
-		return fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
-	kind := Kind(d.u8())
-	if d.err != nil {
-		return d.err
-	}
-	if want := (*dst).Kind(); kind != want {
-		return fmt.Errorf("%w: decoding kind %d into %T", ErrBadKind, uint8(kind), *dst)
-	}
-	switch p := any(dst).(type) {
-	case *Join:
-		*p = decJoin(&d)
-	case *Leave:
-		*p = decLeave(&d)
-	case *Greet:
-		*p = decGreet(&d)
-	case *Request:
-		*p = decRequest(&d)
-	case *ResultDeliver:
-		*p = decResultDeliver(&d)
-	case *AckMH:
-		*p = decAckMH(&d)
-	case *Dereg:
-		*p = decDereg(&d)
-	case *DeregAck:
-		*p = decDeregAck(&d)
-	case *RequestForward:
-		*p = decRequestForward(&d)
-	case *UpdateCurrentLoc:
-		*p = decUpdateCurrentLoc(&d)
-	case *ResultForward:
-		*p = decResultForward(&d)
-	case *AckForward:
-		*p = decAckForward(&d)
-	case *DelPrefOnly:
-		*p = decDelPrefOnly(&d)
-	case *ServerRequest:
-		*p = decServerRequest(&d)
-	case *ServerResult:
-		*p = decServerResult(&d)
-	case *ServerAck:
-		*p = decServerAck(&d)
-	case *MIPRegister:
-		*p = decMIPRegister(&d)
-	case *MIPData:
-		*p = decMIPData(&d)
-	case *MIPTunnel:
-		*p = decMIPTunnel(&d)
-	case *ImageTransfer:
-		*p = decImageTransfer(&d)
-	case *TISQuery:
-		*p = decTISQuery(&d)
-	case *TISDeliver:
-		*p = decTISDeliver(&d)
-	case *TISReply:
-		*p = decTISReply(&d)
-	case *LinkFrame:
-		lf, err := decLinkFrame(&d)
-		if err != nil {
-			return err
-		}
-		*p = lf
-	case *LinkAck:
-		*p = decLinkAck(&d)
-	case *RegConfirm:
-		*p = decRegConfirm(&d)
-	case *Busy:
-		*p = decBusy(&d)
-	case *Admit:
-		*p = decAdmit(&d)
-	case *MigOffer:
-		*p = decMigOffer(&d)
-	case *MigCommit:
-		*p = decMigCommit(&d)
-	case *MigState:
-		*p = decMigState(&d)
-	case *PrefRedirect:
-		*p = decPrefRedirect(&d)
-	case *MigGC:
-		*p = decMigGC(&d)
-	case *BatchOpen:
-		*p = decBatchOpen(&d)
-	case *BatchItem:
-		*p = decBatchItem(&d)
-	case *BatchCommit:
-		*p = decBatchCommit(&d)
-	case *BatchAbort:
-		*p = decBatchAbort(&d)
-	case *Register:
-		*p = decRegister(&d)
-	case *LeaseHeartbeat:
-		*p = decLeaseHeartbeat(&d)
-	case *ReclaimMemo:
-		*p = decReclaimMemo(&d)
-	case *WtpData:
-		f, err := decWtpData(&d)
-		if err != nil {
-			return err
-		}
-		*p = f
-	case *WtpAck:
-		*p = decWtpAck(&d)
-	case *GroupUpdateLoc:
-		*p = decGroupUpdateLoc(&d)
-	case *GroupAckForward:
-		*p = decGroupAckForward(&d)
-	default:
-		return fmt.Errorf("%w: %T", ErrBadKind, dst)
-	}
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.buf) != d.off {
-		return ErrTrailing
-	}
-	return nil
-}
-
 // encoder appends fields to a buffer.
 type encoder struct {
 	buf []byte
@@ -920,14 +787,11 @@ func (e *encoder) batch(b ids.BatchID) {
 
 func (e *encoder) inc(i ids.Incarnation) { e.u32(uint32(i)) }
 
-// decoder consumes fields from a buffer, latching the first error. With
-// alias set, bytes() returns subslices of the input instead of copies
-// (the DecodeInto contract).
+// decoder consumes fields from a buffer, latching the first error.
 type decoder struct {
-	buf   []byte
-	off   int
-	err   error
-	alias bool
+	buf []byte
+	off int
+	err error
 }
 
 func (d *decoder) fail() {
@@ -998,11 +862,6 @@ func (d *decoder) bytes() []byte {
 	}
 	if n == 0 {
 		return nil
-	}
-	if d.alias {
-		b := d.buf[d.off : d.off+n : d.off+n]
-		d.off += n
-		return b
 	}
 	b := make([]byte, n)
 	copy(b, d.buf[d.off:d.off+n])

@@ -509,12 +509,22 @@ func sortProxyIDs(out []ids.ProxyID) {
 	})
 }
 
+// hostedGroup returns the group proxy id names when this station hosts
+// it; otherwise the message that named it is counted as an orphan
+// (group proxies never migrate, so there is nowhere to redirect it).
+func (n *MSSNode) hostedGroup(id ids.ProxyID) *GroupProxy {
+	if g := n.groupProxies[id.Seq]; g != nil && g.id == id {
+		return g
+	}
+	n.w.Stats.OrphanMessages.Inc()
+	return nil
+}
+
 // handleGroupUpdateLoc applies a coalesced hand-off notification to a
 // hosted group proxy.
 func (n *MSSNode) handleGroupUpdateLoc(m msg.GroupUpdateLoc) {
-	g := n.groupProxies[m.Proxy.Seq]
-	if g == nil || g.id != m.Proxy {
-		n.w.Stats.OrphanMessages.Inc()
+	g := n.hostedGroup(m.Proxy)
+	if g == nil {
 		return
 	}
 	moved, err := aggstate.DecodeDelta(m.Members)
@@ -529,9 +539,8 @@ func (n *MSSNode) handleGroupUpdateLoc(m msg.GroupUpdateLoc) {
 // proxy. Seqs aligns with the ascending iteration of the member set; a
 // mismatched pair is rejected whole.
 func (n *MSSNode) handleGroupAckForward(m msg.GroupAckForward) {
-	g := n.groupProxies[m.Proxy.Seq]
-	if g == nil || g.id != m.Proxy {
-		n.w.Stats.OrphanMessages.Inc()
+	g := n.hostedGroup(m.Proxy)
+	if g == nil {
 		return
 	}
 	set, err := aggstate.DecodeDelta(m.Members)

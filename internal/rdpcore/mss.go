@@ -596,12 +596,8 @@ func (n *MSSNode) handleRegister(m msg.Register) {
 
 // handleLeaseHeartbeat renews a hosted proxy's incarnation lease.
 func (n *MSSNode) handleLeaseHeartbeat(from ids.NodeID, m msg.LeaseHeartbeat) {
-	p := n.proxies[m.Proxy.Seq]
-	if p == nil || p.id != m.Proxy {
-		if n.redirectOrHold(m.Proxy, from, m) {
-			return
-		}
-		n.w.Stats.OrphanMessages.Inc()
+	p := hostedProxy(n, from, m.Proxy, m)
+	if p == nil {
 		return
 	}
 	p.renewLease(m.Inc)
@@ -706,6 +702,35 @@ func (n *MSSNode) reclaimProxy(p *Proxy, memoInc ids.Incarnation) {
 	n.sendToStation(rr.dest, rr.memo)
 }
 
+// hostedProxy returns the proxy a wired message addresses when this
+// station hosts it. Otherwise the message has been dealt with — sent
+// after a migrated proxy, parked for one in flight (redirectOrHold), or
+// counted as an orphan — and the caller just returns. It is generic so
+// that m is boxed only on the miss path.
+func hostedProxy[M msg.Message](n *MSSNode, from ids.NodeID, id ids.ProxyID, m M) *Proxy {
+	if p := n.proxies[id.Seq]; p != nil && p.id == id {
+		return p
+	}
+	if !n.redirectOrHold(id, from, m) {
+		n.w.Stats.OrphanMessages.Inc()
+	}
+	return nil
+}
+
+// forget erases everything the station keeps about a host it is no
+// longer responsible for (departure or hand-off) and persists the
+// erasure.
+func (n *MSSNode) forget(mh ids.MH) {
+	n.localMhs.remove(mh)
+	n.prefs.delete(mh)
+	delete(n.held, mh)
+	delete(n.heldAcksPending, mh)
+	delete(n.deferredUpdate, mh)
+	delete(n.outstanding, mh)
+	delete(n.incs, mh)
+	n.persistMH(mh)
+}
+
 // handleJoin registers a new MH in the cell (§2).
 func (n *MSSNode) handleJoin(m msg.Join) {
 	n.localMhs.add(m.MH)
@@ -737,14 +762,7 @@ func (n *MSSNode) handleLeave(m msg.Leave) {
 	if p, ok := n.prefs.get(m.MH); ok && p.HasProxy() && !isSharedProxy(p.Proxy) {
 		n.w.Stats.Violations.Inc()
 	}
-	n.localMhs.remove(m.MH)
-	n.prefs.delete(m.MH)
-	delete(n.held, m.MH)
-	delete(n.heldAcksPending, m.MH)
-	delete(n.deferredUpdate, m.MH)
-	delete(n.outstanding, m.MH)
-	delete(n.incs, m.MH)
-	n.persistMH(m.MH)
+	n.forget(m.MH)
 }
 
 // handleGreet implements §3.2: a greet from a new cell starts the
@@ -1057,14 +1075,7 @@ func (n *MSSNode) handleDereg(from ids.NodeID, m msg.Dereg) {
 		// The deregack carries the registered incarnation (E18): the new
 		// respMss must not vouch for (or gate against) an older one.
 		inc := n.incs[m.MH]
-		n.localMhs.remove(m.MH)
-		n.prefs.delete(m.MH)
-		delete(n.held, m.MH)
-		delete(n.heldAcksPending, m.MH)
-		delete(n.deferredUpdate, m.MH)
-		delete(n.outstanding, m.MH)
-		delete(n.incs, m.MH)
-		n.persistMH(m.MH)
+		n.forget(m.MH)
 		n.sendWired(m.NewMSS.Node(), msg.DeregAck{MH: m.MH, Pref: pref, Inc: inc})
 		return
 	}
@@ -1134,20 +1145,15 @@ func (n *MSSNode) handleRequestForward(from ids.NodeID, m msg.RequestForward) {
 		// A member MH moved to another cell but kept its shared pref; its
 		// later request arrives here as a forward and (re-)joins the group
 		// with the sender station as its delivery location (E16).
-		g := n.groupProxies[m.Proxy.Seq]
-		if g == nil || g.id != m.Proxy {
-			n.w.Stats.OrphanMessages.Inc()
+		g := n.hostedGroup(m.Proxy)
+		if g == nil {
 			return
 		}
 		g.join(m.Req.Origin, from.MSS(), m.Req, m.Server, m.Payload, m.Inc)
 		return
 	}
-	p := n.proxies[m.Proxy.Seq]
-	if p == nil || p.id != m.Proxy {
-		if n.redirectOrHold(m.Proxy, from, m) {
-			return
-		}
-		n.w.Stats.OrphanMessages.Inc()
+	p := hostedProxy(n, from, m.Proxy, m)
+	if p == nil {
 		return
 	}
 	p.addRequest(m.Req, m.Server, m.Payload, m.Inc)
@@ -1159,9 +1165,8 @@ func (n *MSSNode) handleUpdateCurrentLoc(from ids.NodeID, m msg.UpdateCurrentLoc
 		// A single-member location update addressed to a group proxy
 		// (sent by stations running without coalescing, or by the
 		// faithful update path on a mixed deployment).
-		g := n.groupProxies[m.Proxy.Seq]
-		if g == nil || g.id != m.Proxy {
-			n.w.Stats.OrphanMessages.Inc()
+		g := n.hostedGroup(m.Proxy)
+		if g == nil {
 			return
 		}
 		var one aggstate.Set
@@ -1169,12 +1174,8 @@ func (n *MSSNode) handleUpdateCurrentLoc(from ids.NodeID, m msg.UpdateCurrentLoc
 		g.updateLoc(&one, m.NewLoc)
 		return
 	}
-	p := n.proxies[m.Proxy.Seq]
-	if p == nil || p.id != m.Proxy {
-		if n.redirectOrHold(m.Proxy, from, m) {
-			return
-		}
-		n.w.Stats.OrphanMessages.Inc()
+	p := hostedProxy(n, from, m.Proxy, m)
+	if p == nil {
 		return
 	}
 	p.onUpdateLoc(m.NewLoc)
@@ -1298,20 +1299,15 @@ func (n *MSSNode) handleAckForward(from ids.NodeID, m msg.AckForward) {
 	if isSharedProxy(m.Proxy) {
 		// Single-member ack for a group entry (stale-incarnation bounce or
 		// uncoalesced deployment). DelProxy never applies to group proxies.
-		g := n.groupProxies[m.Proxy.Seq]
-		if g == nil || g.id != m.Proxy {
-			n.w.Stats.OrphanMessages.Inc()
+		g := n.hostedGroup(m.Proxy)
+		if g == nil {
 			return
 		}
 		g.ack(m.MH, m.Req.Seq)
 		return
 	}
-	p := n.proxies[m.Proxy.Seq]
-	if p == nil || p.id != m.Proxy {
-		if n.redirectOrHold(m.Proxy, from, m) {
-			return
-		}
-		n.w.Stats.OrphanMessages.Inc()
+	p := hostedProxy(n, from, m.Proxy, m)
+	if p == nil {
 		return
 	}
 	if p.onAck(m.Req, m.DelProxy) {
@@ -1325,20 +1321,15 @@ func (n *MSSNode) handleAckForward(from ids.NodeID, m msg.AckForward) {
 // handleServerResult hands a server reply to the addressed proxy.
 func (n *MSSNode) handleServerResult(from ids.NodeID, m msg.ServerResult) {
 	if isSharedProxy(m.Proxy) {
-		g := n.groupProxies[m.Proxy.Seq]
-		if g == nil || g.id != m.Proxy {
-			n.w.Stats.OrphanMessages.Inc()
+		g := n.hostedGroup(m.Proxy)
+		if g == nil {
 			return
 		}
 		g.onServerResult(m.Req, m.Payload)
 		return
 	}
-	p := n.proxies[m.Proxy.Seq]
-	if p == nil || p.id != m.Proxy {
-		if n.redirectOrHold(m.Proxy, from, m) {
-			return
-		}
-		n.w.Stats.OrphanMessages.Inc()
+	p := hostedProxy(n, from, m.Proxy, m)
+	if p == nil {
 		return
 	}
 	p.onServerResult(m.Req, m.Payload)
@@ -1452,12 +1443,8 @@ func (n *MSSNode) batchProxyRef(mh ids.MH) (ids.ProxyID, *Proxy) {
 // handleBatchOpen routes a batch_open on either leg.
 func (n *MSSNode) handleBatchOpen(from ids.NodeID, m msg.BatchOpen) {
 	if m.Proxy != ids.NoProxy {
-		p := n.proxies[m.Proxy.Seq]
-		if p == nil || p.id != m.Proxy {
-			if n.redirectOrHold(m.Proxy, from, m) {
-				return
-			}
-			n.w.Stats.OrphanMessages.Inc()
+		p := hostedProxy(n, from, m.Proxy, m)
+		if p == nil {
 			return
 		}
 		p.onBatchOpen(m.Batch, m.Inc)
@@ -1487,12 +1474,8 @@ func (n *MSSNode) handleBatchOpen(from ids.NodeID, m msg.BatchOpen) {
 // ledger like an admitted request (§3.3 proxy-removal accounting).
 func (n *MSSNode) handleBatchItem(from ids.NodeID, m msg.BatchItem) {
 	if m.Proxy != ids.NoProxy {
-		p := n.proxies[m.Proxy.Seq]
-		if p == nil || p.id != m.Proxy {
-			if n.redirectOrHold(m.Proxy, from, m) {
-				return
-			}
-			n.w.Stats.OrphanMessages.Inc()
+		p := hostedProxy(n, from, m.Proxy, m)
+		if p == nil {
 			return
 		}
 		p.onBatchItem(m)
@@ -1522,12 +1505,8 @@ func (n *MSSNode) handleBatchItem(from ids.NodeID, m msg.BatchItem) {
 // handleBatchCommit routes a batch_commit on either leg.
 func (n *MSSNode) handleBatchCommit(from ids.NodeID, m msg.BatchCommit) {
 	if m.Proxy != ids.NoProxy {
-		p := n.proxies[m.Proxy.Seq]
-		if p == nil || p.id != m.Proxy {
-			if n.redirectOrHold(m.Proxy, from, m) {
-				return
-			}
-			n.w.Stats.OrphanMessages.Inc()
+		p := hostedProxy(n, from, m.Proxy, m)
+		if p == nil {
 			return
 		}
 		p.onBatchCommit(m)

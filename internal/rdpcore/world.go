@@ -74,8 +74,6 @@ type Config struct {
 	// ServerProc models server-side request processing time (the paper
 	// targets services with "long request processing times").
 	ServerProc netsim.LatencyModel
-	// ServerHandler computes reply payloads; nil means server.Echo.
-	ServerHandler server.Handler
 	// WiredFaults, when set, injects per-attempt faults (drop, duplicate,
 	// delay, partition) on every wired transmission — typically a
 	// faults.Injector. Nil keeps the paper's reliable backbone.
@@ -382,7 +380,7 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 		w.Wireless.RegisterMSS(id, n)
 	}
 	for _, id := range servers {
-		s := server.New(id, w.Kernel, w.Wired, cfg.ServerProc, cfg.ServerHandler)
+		s := server.New(id, w.Kernel, w.Wired, cfg.ServerProc, nil)
 		w.Servers[id] = s
 		w.Wired.Register(id.Node(), s)
 	}

@@ -198,10 +198,11 @@ type TCPNet = tcpnet.Net
 // after rt.Stop.
 //
 // TCP is the reliable link on this substrate: it has no link-layer ARQ,
-// windowed radio transport, fault injector, delivery sequencer or queue
-// bound. A Config that sets one of those is rejected with an error
-// naming the field, so a caller never believes a layer is on that is
-// not.
+// windowed radio transport, fault injector, delivery sequencer, queue
+// bound, radio loss model or per-pair latency model, and its wired
+// frames are always causally stamped. A Config that asks for anything
+// else is rejected with an error naming the field, so a caller never
+// believes a setting is in force that is not.
 func NewTCPWorld(rt *LiveRuntime, cfg Config) (*World, *TCPNet, error) {
 	for _, f := range []struct {
 		name string
@@ -214,9 +215,13 @@ func NewTCPWorld(rt *LiveRuntime, cfg Config) (*World, *TCPNet, error) {
 		{"WirelessSeq", cfg.WirelessSeq != nil},
 		{"WiredQueueLimit", cfg.WiredQueueLimit > 0},
 		{"WirelessQueueLimit", cfg.WirelessQueueLimit > 0},
+		{"WirelessLoss", cfg.WirelessLoss > 0},
+		{"WirelessDropFilter", cfg.WirelessDropFilter != nil},
+		{"WiredPairLatency", cfg.WiredPairLatency != nil},
+		{"Causal=false", !cfg.Causal},
 	} {
 		if f.set {
-			return nil, nil, fmt.Errorf("rdp: Config.%s is set, but the TCP substrate has no such layer", f.name)
+			return nil, nil, fmt.Errorf("rdp: Config.%s is set, but the TCP substrate cannot honour it", f.name)
 		}
 	}
 	members := make([]NodeID, 0, cfg.NumMSS+cfg.NumServers)

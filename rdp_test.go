@@ -6,6 +6,7 @@ import (
 	"time"
 
 	rdp "repro"
+	"repro/internal/msg"
 	"repro/internal/netsim"
 )
 
@@ -168,8 +169,9 @@ type nopSequencer struct{}
 func (nopSequencer) Offer(netsim.Layer, rdp.NodeID, rdp.NodeID, func()) {}
 
 // TestTCPWorldRejectsLinkLayerSettings: the TCP substrate has no ARQ,
-// windowed transport, fault injector, sequencer or queue bound, so a
-// Config that asks for one must fail loudly, naming the field, instead
+// windowed transport, fault injector, sequencer, queue bound, radio loss
+// or per-pair latency, and always orders wired frames causally, so a
+// Config that asks otherwise must fail loudly, naming the field, instead
 // of running without it.
 func TestTCPWorldRejectsLinkLayerSettings(t *testing.T) {
 	_, injector := rdp.NewFaultedWorld(rdp.DefaultConfig(), rdp.FaultPlan{})
@@ -184,6 +186,12 @@ func TestTCPWorldRejectsLinkLayerSettings(t *testing.T) {
 		{"WirelessSeq", func(c *rdp.Config) { c.WirelessSeq = nopSequencer{} }},
 		{"WiredQueueLimit", func(c *rdp.Config) { c.WiredQueueLimit = 4 }},
 		{"WirelessQueueLimit", func(c *rdp.Config) { c.WirelessQueueLimit = 4 }},
+		{"WirelessLoss", func(c *rdp.Config) { c.WirelessLoss = 0.2 }},
+		{"WirelessDropFilter", func(c *rdp.Config) {
+			c.WirelessDropFilter = func(_, _ rdp.NodeID, _ msg.Message) bool { return false }
+		}},
+		{"WiredPairLatency", func(c *rdp.Config) { c.WiredPairLatency = rdp.RingLatency(3, 0, time.Millisecond) }},
+		{"Causal", func(c *rdp.Config) { c.Causal = false }},
 	} {
 		cfg := rdp.DefaultConfig()
 		tc.set(&cfg)
