@@ -1,7 +1,7 @@
 package rdpcore
 
 import (
-	"sort"
+	"cmp"
 
 	"repro/internal/aggstate"
 	"repro/internal/ids"
@@ -198,13 +198,8 @@ func (h *hostSet) len() int {
 // sorted before iterating anyway.
 func (h *hostSet) forEach(fn func(ids.MH)) {
 	if !h.agg {
-		mhs := make([]int, 0, len(h.m))
-		for mh := range h.m {
-			mhs = append(mhs, int(mh))
-		}
-		sort.Ints(mhs)
-		for _, mh := range mhs {
-			fn(ids.MH(mh))
+		for _, mh := range sortedKeys(h.m, cmp.Compare[ids.MH]) {
+			fn(mh)
 		}
 		return
 	}

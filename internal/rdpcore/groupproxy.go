@@ -1,7 +1,7 @@
 package rdpcore
 
 import (
-	"sort"
+	"cmp"
 
 	"repro/internal/aggstate"
 	"repro/internal/dcache"
@@ -226,6 +226,14 @@ func (e *sharedEntry) waiterIndex(mh ids.MH, seq uint32) int {
 	return -1
 }
 
+// indexAcks builds ackIdx over the current waiters.
+func (e *sharedEntry) indexAcks() {
+	e.ackIdx = make(map[waiterKey]int, len(e.waiters))
+	for i, w := range e.waiters {
+		e.ackIdx[waiterKey{mh: w.mh, seq: w.seq}] = i
+	}
+}
+
 // forward sends the entry's result to one waiter's current respMss.
 // DelPref never rides along: shared prefs are permanent (file comment).
 func (g *GroupProxy) forward(e *sharedEntry, i int) {
@@ -269,10 +277,7 @@ func (g *GroupProxy) onServerResult(req ids.RequestID, payload []byte) {
 	e.result = payload
 	e.hasResult = true
 	g.host.cacheStore(e.server, e.payload, payload)
-	e.ackIdx = make(map[waiterKey]int, len(e.waiters))
-	for i := range e.waiters {
-		e.ackIdx[waiterKey{mh: e.waiters[i].mh, seq: e.waiters[i].seq}] = i
-	}
+	e.indexAcks()
 	g.host.persistGroup(g)
 	for i := range e.waiters {
 		if !e.waiters[i].acked {
@@ -317,10 +322,6 @@ func (g *GroupProxy) completeEntry(key dcache.Key, e *sharedEntry) {
 			g.entryOrder = append(g.entryOrder[:i], g.entryOrder[i+1:]...)
 			break
 		}
-	}
-	if g.host.w.cfg.ServerAcks {
-		g.host.sendWired(e.server.Node(), msg.ServerAck{Req: e.leaderReq})
-		g.host.w.Stats.ServerAcks.Inc()
 	}
 	g.host.persistGroup(g)
 }
@@ -410,7 +411,7 @@ func (n *MSSNode) bufferGroupLoc(proxy ids.ProxyID, mh ids.MH) {
 // message per proxy, in deterministic proxy order.
 func (n *MSSNode) flushGroupLocs() {
 	n.aggLocArmed = false
-	for _, proxy := range sortedProxyIDs(n.aggLocBuf) {
+	for _, proxy := range sortedKeys(n.aggLocBuf, compareProxyIDs) {
 		n.sendGroupLoc(proxy, n.aggLocBuf[proxy])
 		delete(n.aggLocBuf, proxy)
 	}
@@ -463,7 +464,7 @@ func (n *MSSNode) bufferGroupAck(proxy ids.ProxyID, mh ids.MH, seq uint32) {
 // flushGroupAcks ships every buffered ack batch in deterministic order.
 func (n *MSSNode) flushGroupAcks() {
 	n.aggAckArmed = false
-	for _, proxy := range sortedProxyIDsAck(n.aggAckBuf) {
+	for _, proxy := range sortedKeys(n.aggAckBuf, compareProxyIDs) {
 		n.sendGroupAck(proxy, n.aggAckBuf[proxy])
 		delete(n.aggAckBuf, proxy)
 	}
@@ -482,31 +483,9 @@ func (n *MSSNode) sendGroupAck(proxy ids.ProxyID, buf *groupAckBuf) {
 	})
 }
 
-func sortedProxyIDs(m map[ids.ProxyID]*aggstate.Set) []ids.ProxyID {
-	out := make([]ids.ProxyID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sortProxyIDs(out)
-	return out
-}
-
-func sortedProxyIDsAck(m map[ids.ProxyID]*groupAckBuf) []ids.ProxyID {
-	out := make([]ids.ProxyID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sortProxyIDs(out)
-	return out
-}
-
-func sortProxyIDs(out []ids.ProxyID) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Host != out[j].Host {
-			return out[i].Host < out[j].Host
-		}
-		return out[i].Seq < out[j].Seq
-	})
+// compareProxyIDs orders proxy identifiers by host, then sequence.
+func compareProxyIDs(a, b ids.ProxyID) int {
+	return cmp.Or(cmp.Compare(a.Host, b.Host), cmp.Compare(a.Seq, b.Seq))
 }
 
 // hostedGroup returns the group proxy id names when this station hosts

@@ -1,0 +1,242 @@
+package rdpcore
+
+import (
+	"slices"
+
+	"repro/internal/ids"
+	"repro/internal/msg"
+	"repro/internal/sim"
+)
+
+// stationHost is one station's record of one mobile host (MSSNode.hosts),
+// the station-side twin of the MHNode table: all a station keeps about a
+// host besides the responsibility bit and the pref (localMhs/prefs, whose
+// two representations are E16's subject and fix the StateBytes contract).
+// Every station a host has visited holds one, so the inline words are
+// few, and whatever only a hand-off in flight, a held result or a
+// delivery attempt needs sits behind x.
+//
+// Lifetime: made by the first write (rec), never by a read — an unknown
+// host reads as absentHost; the whole table goes in a crash; hostDurable
+// is the half the journal copies (persistMH) and a restart brings back.
+type stationHost struct {
+	hostDurable
+	x *hostTransient // made on first use (transient), retired once idle (settle)
+}
+
+// hostDurable is the journaled half of a stationHost.
+type hostDurable struct {
+	// out is the outstanding ledger: the requests this station has routed
+	// for the host whose Acks it has not yet seen, tagged with the
+	// incarnation that issued each. §3.3 confirms proxy removal "only if
+	// ... RKpR = true and for all of MH's requests the corresponding Ack
+	// has been received" — the RKpR flag alone is not enough, because a
+	// request can pass through before the del-pref result arrives and arms
+	// the flag. Like the pref's other local context, this knowledge is not
+	// transferred on hand-off. An emptied ledger keeps its capacity for
+	// the host's next request and goes when the host leaves or hands off.
+	out []outReq
+	// departed marks a host whose dereg has been processed: "it will
+	// ignore all future Ack messages from this MH" (§3.1). forwardTo is
+	// then the station that took over responsibility, learned from the
+	// Dereg (NoMSS otherwise). A request can be in flight over the old
+	// cell's radio when the hand-off completes; dropping it would break the
+	// delivery guarantee for that request, and unlike Acks (which
+	// retransmission covers) nothing would ever re-create it. The paper
+	// does not discuss this in-flight case; forwarding along the hand-off
+	// chain is the completing decision (cf. DESIGN.md).
+	departed  bool
+	forwardTo ids.MSS
+	// inc is the newest incarnation this station has registered for the
+	// host (E18). Requests, greets and registrations carry the issuing
+	// incarnation; learning a newer one scrubs everything the dead ones
+	// owned (noteInc). Zero means the first incarnation — the pre-E18
+	// world.
+	inc ids.Incarnation
+}
+
+// hostTransient is the volatile, mostly empty part of a stationHost.
+type hostTransient struct {
+	// arr is the hand-off in flight toward this station, if any.
+	arr *arrival
+	// parked holds deregs for a host this station knows nothing about
+	// *yet*. An MH only names a station as its old respMss after greeting
+	// it, so such a dereg means our own greet (and hand-off) for that MH
+	// is still in flight, merely overtaken on another radio link; the
+	// dereg is served once the greet lands (it moves into that arrival's
+	// deferred queue) or a join registers the MH. Answering immediately
+	// with an empty pref would fabricate a registration and lose the real
+	// proxy reference.
+	parked []inboxItem
+	// held stores results kept for the host while inactive (§5 footnote 3
+	// optimization); heldAcks is which of the just-delivered ones still
+	// await their Ack, and deferredUpdate says the reactivation
+	// update_currentLoc is postponed until those Acks have passed through
+	// — otherwise the update would reach the proxy before the Acks and
+	// trigger exactly the retransmission holding exists to save.
+	held           []msg.ResultDeliver
+	heldAcks       map[ids.RequestID]bool
+	deferredUpdate bool
+	// lastAttempt (valid once attempted) and attempts record when this
+	// station last sent a ResultDeliver to the (then-reachable) host,
+	// overall and per request. With registration-refresh beacons on
+	// (Config.GreetRefresh), a refresh arriving inside the delivery round
+	// trip must not prompt the proxy into re-sending a result whose Ack is
+	// simply still in the air — and a redundant forward of a result whose
+	// own delivery attempt is still in flight (e.g. an ARQ-held forward
+	// racing a recovery re-send after a restart) is not re-transmitted
+	// over the radio. Only attempts younger than the delivery window are
+	// kept: an older one already reads as none.
+	attempted   bool
+	lastAttempt sim.Time
+	attempts    []attempt
+}
+
+// arrival tracks a mobile host whose greet has been received but whose
+// hand-off has not yet completed (dereg sent, deregack pending). Paper
+// §2 assumption 4: during the hand-off the MH "may be considered
+// inactive by both" stations, so traffic from it is buffered rather than
+// processed.
+//
+// A fast-moving host can leave and re-enter cells while earlier
+// hand-offs are still settling, producing greets and deregs that arrive
+// at a station whose own registration for that host is pending. Those
+// control messages are recorded in deferred, in arrival order, and
+// replayed once the registration completes — reconstructing the host's
+// true migration chronology one hand-off at a time (see
+// handleDeregAck). The paper's presentation assumes hand-offs complete
+// before the next migration starts; this queue is the completing
+// decision for when they do not.
+type arrival struct {
+	greetAt  sim.Time
+	oldMSS   ids.MSS     // the greet's old respMss (dedups refresh beacons)
+	buffered []inboxItem // wireless data (requests, acks) from the MH
+	deferred []inboxItem // greets/deregs awaiting our registration
+}
+
+// outReq is one entry of the outstanding ledger: a routed request and
+// the incarnation that issued it.
+type outReq struct {
+	req ids.RequestID
+	inc ids.Incarnation
+}
+
+// attempt is one delivery attempt: a ResultDeliver for req went out (or
+// was acknowledged) at at.
+type attempt struct {
+	req ids.RequestID
+	at  sim.Time
+}
+
+// absentHost is what a station reads for a host it holds no record of.
+// It is never written: whatever writes either takes its record from rec
+// or writes only what it found non-zero.
+var absentHost stationHost
+
+// peek returns mh's record for reading, or absentHost.
+func (n *MSSNode) peek(mh ids.MH) *stationHost {
+	if h := n.hosts[mh]; h != nil {
+		return h
+	}
+	return &absentHost
+}
+
+// hostSlab is how many records one allocation holds. Small, because a
+// large world has many stations that have met few hosts and each idles
+// half a slab (perf region_scale: 64 costs 2 % more live bytes per host
+// than 8 and saves 0.3 % of the allocations).
+const hostSlab = 8
+
+// rec returns mh's record for writing, making it on first use. Records
+// are only ever freed all at once, by a crash, so they are cut from
+// slabs, and a record stays where it is while the station is up: the
+// pointer survives nested message processing.
+func (n *MSSNode) rec(mh ids.MH) *stationHost {
+	h := n.hosts[mh]
+	if h == nil {
+		if len(n.slab) == cap(n.slab) {
+			n.slab = make([]stationHost, 0, hostSlab)
+		}
+		n.slab = append(n.slab, stationHost{})
+		h = &n.slab[len(n.slab)-1]
+		n.hosts[mh] = h
+	}
+	return h
+}
+
+// transient returns h's volatile part for writing. Every hand-off needs
+// one for a few round trips and hand-offs into one cell seldom overlap,
+// so the last one retired (n.spare) serves the next.
+func (n *MSSNode) transient(h *stationHost) *hostTransient {
+	if h.x == nil {
+		if h.x = n.spare; h.x == nil {
+			h.x = new(hostTransient)
+		}
+		n.spare = nil
+	}
+	return h.x
+}
+
+// settle retires h's volatile part once nothing in it is live: a host
+// that merely passed through costs the station its inline words only.
+func (n *MSSNode) settle(h *stationHost) {
+	if x := h.x; x != nil && x.arr == nil && len(x.parked) == 0 && len(x.held) == 0 &&
+		len(x.heldAcks) == 0 && !x.deferredUpdate && len(x.attempts) == 0 {
+		*x = hostTransient{}
+		n.spare, h.x = x, nil
+	}
+}
+
+// arrival returns the hand-off in flight toward this station, or nil.
+func (h *stationHost) arrival() *arrival {
+	if h.x == nil {
+		return nil
+	}
+	return h.x.arr
+}
+
+// returned notes that the host is (again) this station's own: its Acks
+// count and nothing is passed along.
+func (h *stationHost) returned() {
+	if h.departed {
+		h.departed, h.forwardTo = false, ids.NoMSS
+	}
+}
+
+// outIndex returns req's place on the ledger, or -1.
+func (h *stationHost) outIndex(req ids.RequestID) int {
+	return slices.IndexFunc(h.out, func(o outReq) bool { return o.req == req })
+}
+
+// outAdd puts req on the ledger, re-tagging an entry already there.
+func (h *stationHost) outAdd(req ids.RequestID, inc ids.Incarnation) {
+	if i := h.outIndex(req); i >= 0 {
+		h.out[i].inc = inc
+		return
+	}
+	h.out = append(h.out, outReq{req: req, inc: inc})
+}
+
+// outRemove takes req off the ledger and returns how many entries are
+// left.
+func (h *stationHost) outRemove(req ids.RequestID) int {
+	if i := h.outIndex(req); i >= 0 {
+		h.out = slices.Delete(h.out, i, i+1)
+	}
+	return len(h.out)
+}
+
+// attemptedWithin reports whether a delivery attempt for req is younger
+// than window at now.
+func (x *hostTransient) attemptedWithin(req ids.RequestID, now, window sim.Time) bool {
+	i := slices.IndexFunc(x.attempts, func(a attempt) bool { return a.req == req })
+	return i >= 0 && now-x.attempts[i].at < window
+}
+
+// noteAttempt records (or refreshes) a delivery attempt for req at now
+// and drops every attempt window or more old.
+func (x *hostTransient) noteAttempt(req ids.RequestID, now, window sim.Time) {
+	x.attempts = append(slices.DeleteFunc(x.attempts, func(a attempt) bool {
+		return a.req == req || now-a.at >= window
+	}), attempt{req: req, at: now})
+}

@@ -1,6 +1,7 @@
 package rdpcore
 
 import (
+	"maps"
 	"time"
 
 	"repro/internal/ids"
@@ -56,6 +57,13 @@ type tombstone struct {
 	mh             ids.MH
 	pendingServers map[ids.Server]bool
 	gcEpoch        int // invalidates superseded linger timers
+}
+
+// clone returns a deep copy without the timer epoch: what the journal
+// stores, and what a restart revives from it.
+func (t tombstone) clone() tombstone {
+	t.pendingServers, t.gcEpoch = maps.Clone(t.pendingServers), 0
+	return t
 }
 
 // migReservation is the target-side bookkeeping of an accepted offer:
@@ -275,8 +283,8 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 		n.prefs.set(m.MH, pref)
 		n.persistMH(m.MH)
 		n.w.Stats.PrefRedirects.Inc()
-	} else if next, ok := n.forwardTo[m.MH]; ok {
-		n.sendWired(next.Node(),
+	} else if h := n.peek(m.MH); h.departed {
+		n.sendWired(h.forwardTo.Node(),
 			msg.PrefRedirect{MH: m.MH, OldProxy: m.Proxy, NewProxy: m.NewProxy})
 	}
 	// If the MH is here but the snapshot still points elsewhere, this is
@@ -325,7 +333,8 @@ func (n *MSSNode) handlePrefRedirect(from ids.NodeID, m msg.PrefRedirect) {
 		}
 		return
 	}
-	if arr, ok := n.arriving[m.MH]; ok {
+	h := n.peek(m.MH)
+	if arr := h.arrival(); arr != nil {
 		// Our registration for the MH is in flight; apply the rebind
 		// after the deregack installs the pref it should act on.
 		arr.deferred = append(arr.deferred, inboxItem{from: from, m: m})
@@ -338,8 +347,8 @@ func (n *MSSNode) handlePrefRedirect(from ids.NodeID, m msg.PrefRedirect) {
 		n.w.Stats.PrefRedirects.Inc()
 		return
 	}
-	if next, ok := n.forwardTo[m.MH]; ok {
-		n.sendWired(next.Node(), m)
+	if h.departed {
+		n.sendWired(h.forwardTo.Node(), m)
 	}
 	// Otherwise stale: the pref was already rebound, erased, or lives on
 	// a chain this station has no trace of; the tombstone covers it.

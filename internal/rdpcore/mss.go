@@ -11,28 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// arrival tracks a mobile host whose greet has been received but whose
-// hand-off has not yet completed (dereg sent, deregack pending). Paper
-// §2 assumption 4: during the hand-off the MH "may be considered
-// inactive by both" stations, so traffic from it is buffered rather than
-// processed.
-//
-// A fast-moving host can leave and re-enter cells while earlier
-// hand-offs are still settling, producing greets and deregs that arrive
-// at a station whose own registration for that host is pending. Those
-// control messages are recorded in deferred, in arrival order, and
-// replayed once the registration completes — reconstructing the host's
-// true migration chronology one hand-off at a time (see
-// handleDeregAck). The paper's presentation assumes hand-offs complete
-// before the next migration starts; this queue is the completing
-// decision for when they do not.
-type arrival struct {
-	greetAt  sim.Time
-	oldMSS   ids.MSS     // the greet's old respMss (dedups refresh beacons)
-	buffered []inboxItem // wireless data (requests, acks) from the MH
-	deferred []inboxItem // greets/deregs awaiting our registration
-}
-
 // inboxItem is one queued message at an MSS.
 type inboxItem struct {
 	from ids.NodeID
@@ -53,23 +31,11 @@ type MSSNode struct {
 	// containers switch representation under Config.AggregatedState
 	// (aggtable.go, E16).
 	prefs *prefTable
-	// incs records, per responsible MH, the newest incarnation this
-	// station has registered (E18). Requests, greets and registrations
-	// carry the issuing incarnation; learning a newer one scrubs every
-	// piece of per-MH state owned by the dead ones (see noteInc). A
-	// missing entry means the first incarnation — the pre-E18 world.
-	incs map[ids.MH]ids.Incarnation
-	// outstanding tracks, per MH, the requests this station has routed
-	// whose Acks it has not yet seen, tagged with the incarnation that
-	// issued each. §3.3 confirms proxy removal "only if ... RKpR = true
-	// and for all of MH's requests the corresponding Ack has been
-	// received" — the RKpR flag alone is not enough, because a request
-	// can pass through before the del-pref result arrives and arms the
-	// flag. Like the pref's other local context, this knowledge is not
-	// transferred on hand-off. One flat ledger per MH (outAdd, outHas,
-	// outRemove, outFilter); an emptied ledger keeps its capacity for the
-	// host's next request and goes when the host leaves or hands off.
-	outstanding map[ids.MH][]outReq
+	// hosts is everything else the station keeps about a mobile host, one
+	// record each (hosttable.go); slab and spare are its allocation stock.
+	hosts map[ids.MH]*stationHost
+	slab  []stationHost
+	spare *hostTransient
 	// proxies are the proxy objects hosted at this station, by sequence.
 	proxies      map[uint32]*Proxy
 	nextProxySeq uint32
@@ -95,50 +61,6 @@ type MSSNode struct {
 	tombstones  map[uint32]*tombstone
 	migInbound  map[uint32]*migReservation
 	migOutbound map[uint32]sim.Time
-	// ignoreAcks marks MHs whose dereg has been processed: "it will
-	// ignore all future Ack messages from this MH" (§3.1).
-	ignoreAcks map[ids.MH]bool
-	// forwardTo records, per de-registered MH, the station that took over
-	// responsibility (learned from the Dereg). A request can be in flight
-	// over the old cell's radio when the hand-off completes; dropping it
-	// would break the delivery guarantee for that request, and unlike
-	// Acks (which retransmission covers) nothing would ever re-create it.
-	// The paper does not discuss this in-flight case; forwarding along
-	// the hand-off chain is the completing decision (cf. DESIGN.md).
-	forwardTo map[ids.MH]ids.MSS
-	// arriving tracks in-flight hand-offs keyed by MH.
-	arriving map[ids.MH]*arrival
-	// pendingDeregs holds deregs for MHs this station knows nothing
-	// about *yet*. An MH only names a station as its old respMss after
-	// greeting it, so such a dereg means our own greet (and hand-off)
-	// for that MH is still in flight, merely overtaken on another radio
-	// link; the dereg is served once the greet lands (it moves into that
-	// arrival's deferred queue) or a join registers the MH. Answering
-	// immediately with an empty pref would fabricate a registration and
-	// lose the real proxy reference.
-	pendingDeregs map[ids.MH][]inboxItem
-	// held stores results kept for inactive MHs when the §5 footnote 3
-	// optimization is enabled. heldAcksPending tracks which of the
-	// just-delivered held results still await their Ack, and
-	// deferredUpdate marks MHs whose reactivation update_currentLoc is
-	// postponed until those Acks have passed through — otherwise the
-	// update would reach the proxy before the Acks and trigger exactly
-	// the retransmission the optimization exists to save.
-	held            map[ids.MH][]msg.ResultDeliver
-	heldAcksPending map[ids.MH]map[ids.RequestID]bool
-	deferredUpdate  map[ids.MH]bool
-	// lastAttempt and reqAttempt record when this station last sent a
-	// ResultDeliver to each (then-reachable) MH, overall and per request.
-	// With registration-refresh beacons on (Config.GreetRefresh), a
-	// refresh arriving inside the delivery round trip must not prompt the
-	// proxy into re-sending a result whose Ack is simply still in the
-	// air — and a redundant forward of a result whose own delivery
-	// attempt is still in flight (e.g. an ARQ-held forward racing a
-	// recovery re-send after a restart) is not re-transmitted over the
-	// radio. Volatile: lost on crash, like the rest of the radio-side
-	// bookkeeping.
-	lastAttempt map[ids.MH]sim.Time
-	reqAttempt  map[ids.RequestID]sim.Time
 
 	// cache is the station's result cache (E17): proxies hosted here
 	// consult it before issuing server requests and feed it every reply.
@@ -218,86 +140,12 @@ type reclaimRecord struct {
 
 // newMSSNode constructs a station bound to a world.
 func newMSSNode(id ids.MSS, w *World) *MSSNode {
-	n := &MSSNode{
-		id:              id,
-		w:               w,
-		localMhs:        newHostSet(w.cfg.AggregatedState),
-		prefs:           newPrefTable(w.cfg.AggregatedState),
-		incs:            make(map[ids.MH]ids.Incarnation),
-		outstanding:     make(map[ids.MH][]outReq),
-		proxies:         make(map[uint32]*Proxy),
-		groupProxies:    make(map[uint32]*GroupProxy),
-		topicProxies:    make(map[groupKey]uint32),
-		aggLocBuf:       make(map[ids.ProxyID]*aggstate.Set),
-		aggAckBuf:       make(map[ids.ProxyID]*groupAckBuf),
-		ignoreAcks:      make(map[ids.MH]bool),
-		forwardTo:       make(map[ids.MH]ids.MSS),
-		arriving:        make(map[ids.MH]*arrival),
-		pendingDeregs:   make(map[ids.MH][]inboxItem),
-		tombstones:      make(map[uint32]*tombstone),
-		migInbound:      make(map[uint32]*migReservation),
-		migOutbound:     make(map[uint32]sim.Time),
-		held:            make(map[ids.MH][]msg.ResultDeliver),
-		heldAcksPending: make(map[ids.MH]map[ids.RequestID]bool),
-		deferredUpdate:  make(map[ids.MH]bool),
-		lastAttempt:     make(map[ids.MH]sim.Time),
-		reqAttempt:      make(map[ids.RequestID]sim.Time),
-		cache:           dcache.New(w.cfg.ResultCache),
-	}
+	n := &MSSNode{id: id, w: w}
+	n.crash() // a station starts as a crash leaves one: with empty tables
 	n.procFn = n.processNext
 	n.selfHops = sim.NewCalls(w.Kernel, func(m msg.Message) { n.process(id.Node(), m) })
 	n.armLeaseBeat()
 	return n
-}
-
-// outReq is one entry of a station's outstanding ledger: a routed
-// request and the incarnation that issued it.
-type outReq struct {
-	req ids.RequestID
-	inc ids.Incarnation
-}
-
-// outHas reports whether req is on mh's ledger.
-func (n *MSSNode) outHas(mh ids.MH, req ids.RequestID) bool {
-	for _, o := range n.outstanding[mh] {
-		if o.req == req {
-			return true
-		}
-	}
-	return false
-}
-
-// outAdd puts req on mh's ledger, re-tagging an entry already there.
-func (n *MSSNode) outAdd(mh ids.MH, req ids.RequestID, inc ids.Incarnation) {
-	set := n.outstanding[mh]
-	for i := range set {
-		if set[i].req == req {
-			set[i].inc = inc
-			return
-		}
-	}
-	n.outstanding[mh] = append(set, outReq{req: req, inc: inc})
-}
-
-// outRemove takes req off mh's ledger and returns how many entries are
-// left.
-func (n *MSSNode) outRemove(mh ids.MH, req ids.RequestID) int {
-	set := n.outstanding[mh]
-	for i := range set {
-		if set[i].req == req {
-			set = append(set[:i], set[i+1:]...)
-			n.outstanding[mh] = set
-			break
-		}
-	}
-	return len(set)
-}
-
-// outFilter takes the entries drop reports off mh's ledger.
-func (n *MSSNode) outFilter(mh ids.MH, drop func(outReq) bool) {
-	if set := n.outstanding[mh]; len(set) > 0 {
-		n.outstanding[mh] = slices.DeleteFunc(set, drop)
-	}
 }
 
 // ID returns the station identifier.
@@ -414,13 +262,11 @@ func (n *MSSNode) refuseAdmission(m msg.Request) bool {
 		return false
 	}
 	mh := m.Req.Origin
-	if _, ok := n.arriving[mh]; ok {
+	h := n.peek(mh)
+	if h.arrival() != nil || !n.localMhs.contains(mh) {
 		return false
 	}
-	if !n.localMhs.contains(mh) {
-		return false
-	}
-	if n.outHas(mh, m.Req) {
+	if h.outIndex(m.Req) >= 0 {
 		return false // already admitted; the delivery guarantee covers it
 	}
 	refuse := false
@@ -543,7 +389,7 @@ func (n *MSSNode) process(from ids.NodeID, m msg.Message) {
 
 // incOf returns the newest incarnation registered for mh (first if none
 // is known).
-func (n *MSSNode) incOf(mh ids.MH) ids.Incarnation { return normInc(n.incs[mh]) }
+func (n *MSSNode) incOf(mh ids.MH) ids.Incarnation { return normInc(n.peek(mh).inc) }
 
 // noteInc records that mh is running incarnation inc. Learning a newer
 // incarnation than the registered one means the host crashed and
@@ -552,33 +398,26 @@ func (n *MSSNode) incOf(mh ids.MH) ids.Incarnation { return normInc(n.incs[mh]) 
 // scrubbed — the reborn host has no memory of them and will never
 // acknowledge anything on their behalf.
 func (n *MSSNode) noteInc(mh ids.MH, inc ids.Incarnation) {
-	if inc == 0 || !incLess(n.incs[mh], inc) {
+	if inc == 0 || !incLess(n.peek(mh).inc, inc) {
 		return
 	}
-	n.incs[mh] = inc
-	n.outFilter(mh, func(o outReq) bool {
-		stale := incLess(o.inc, inc)
-		if stale {
-			n.w.Stats.StaleIncarnationDrops.Inc()
-		}
-		return stale
-	})
-	if held := n.held[mh]; len(held) > 0 {
-		keep := held[:0]
-		for _, r := range held {
-			if incLess(r.Inc, inc) {
-				n.w.Stats.StaleIncarnationDrops.Inc()
-				continue
-			}
-			keep = append(keep, r)
-		}
-		if len(keep) == 0 {
-			delete(n.held, mh)
-		} else {
-			n.held[mh] = keep
-		}
+	h := n.rec(mh)
+	h.inc = inc
+	h.out = slices.DeleteFunc(h.out, func(o outReq) bool { return n.staleInc(o.inc, inc) })
+	if x := h.x; x != nil {
+		x.held = slices.DeleteFunc(x.held, func(r msg.ResultDeliver) bool { return n.staleInc(r.Inc, inc) })
 	}
 	n.persistMH(mh)
+}
+
+// staleInc reports (and counts as dropped) state owned by an incarnation
+// older than cur.
+func (n *MSSNode) staleInc(owner, cur ids.Incarnation) bool {
+	stale := incLess(owner, cur)
+	if stale {
+		n.w.Stats.StaleIncarnationDrops.Inc()
+	}
+	return stale
 }
 
 // handleRegister processes the re-registration a rebooted host sends
@@ -609,13 +448,14 @@ func (n *MSSNode) handleLeaseHeartbeat(from ids.NodeID, m msg.LeaseHeartbeat) {
 // incarnation the memo covers is scrubbed. The memo chases a moved
 // registration along the forwarding chain like any per-MH traffic.
 func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
-	if arr, ok := n.arriving[m.MH]; ok {
+	h := n.peek(m.MH)
+	if arr := h.arrival(); arr != nil {
 		arr.deferred = append(arr.deferred, inboxItem{from: from, m: m})
 		return
 	}
 	if !n.localMhs.contains(m.MH) {
-		if next, ok := n.forwardTo[m.MH]; ok {
-			n.sendWired(next.Node(), m)
+		if h.departed {
+			n.sendWired(h.forwardTo.Node(), m)
 			return
 		}
 		n.w.Stats.OrphanMessages.Inc()
@@ -627,7 +467,9 @@ func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
 		n.prefs.set(m.MH, pref)
 	}
 	// Entries of incarnations the memo covers (inc <= m.Inc) go.
-	n.outFilter(m.MH, func(o outReq) bool { return !incLess(m.Inc, o.inc) })
+	if len(h.out) > 0 {
+		h.out = slices.DeleteFunc(h.out, func(o outReq) bool { return !incLess(m.Inc, o.inc) })
+	}
 	n.persistMH(m.MH)
 }
 
@@ -723,19 +565,23 @@ func hostedProxy[M msg.Message](n *MSSNode, from ids.NodeID, id ids.ProxyID, m M
 func (n *MSSNode) forget(mh ids.MH) {
 	n.localMhs.remove(mh)
 	n.prefs.delete(mh)
-	delete(n.held, mh)
-	delete(n.heldAcksPending, mh)
-	delete(n.deferredUpdate, mh)
-	delete(n.outstanding, mh)
-	delete(n.incs, mh)
+	if h := n.hosts[mh]; h != nil {
+		// What outlives responsibility is where the host went, a hand-off
+		// still in flight toward this station, and recent delivery
+		// attempts.
+		h.out, h.inc = nil, 0
+		if x := h.x; x != nil {
+			x.held, x.heldAcks, x.deferredUpdate = nil, nil, false
+			n.settle(h)
+		}
+	}
 	n.persistMH(mh)
 }
 
 // handleJoin registers a new MH in the cell (§2).
 func (n *MSSNode) handleJoin(m msg.Join) {
 	n.localMhs.add(m.MH)
-	delete(n.ignoreAcks, m.MH)
-	delete(n.forwardTo, m.MH)
+	n.peek(m.MH).returned()
 	if !n.prefs.has(m.MH) {
 		n.prefs.set(m.MH, msg.Pref{})
 	}
@@ -743,8 +589,9 @@ func (n *MSSNode) handleJoin(m msg.Join) {
 	n.sendRegConfirm(m.MH)
 	// Serve deregs that were parked while we knew nothing about the MH:
 	// now registered, the normal responsible path answers them.
-	if parked := n.pendingDeregs[m.MH]; len(parked) > 0 {
-		delete(n.pendingDeregs, m.MH)
+	if x := n.peek(m.MH).x; x != nil && len(x.parked) > 0 {
+		parked := x.parked
+		x.parked = nil
 		for _, it := range parked {
 			n.process(it.from, it.m)
 		}
@@ -771,7 +618,8 @@ func (n *MSSNode) handleLeave(m msg.Leave) {
 // results).
 func (n *MSSNode) handleGreet(m msg.Greet) {
 	n.noteInc(m.MH, m.Inc)
-	if arr, ok := n.arriving[m.MH]; ok {
+	h := n.peek(m.MH)
+	if arr := h.arrival(); arr != nil {
 		if n.w.cfg.RegConfirm && m.OldMSS == arr.oldMSS {
 			// A registration-refresh beacon repeating the greet that
 			// started the pending hand-off; deferring it would replay a
@@ -788,14 +636,14 @@ func (n *MSSNode) handleGreet(m msg.Greet) {
 		// Reactivation within the same cell: "no Hand-off is initiated".
 		n.w.Stats.Reactivations.Inc()
 		if !n.localMhs.contains(m.MH) {
-			if next, ok := n.forwardTo[m.MH]; ok {
+			if h.departed {
 				// The MH believes it is registered here, but an earlier
 				// hand-off chain (greets reordered across radio links)
 				// carried the registration elsewhere. Fetch it back: run
 				// a normal hand-off toward the station we forwarded to;
 				// the dereg follows the chain to the current holder.
-				n.arriving[m.MH] = &arrival{greetAt: n.w.Kernel.Now(), oldMSS: m.OldMSS}
-				n.sendDereg(next, m.MH)
+				n.transient(h).arr = &arrival{greetAt: n.w.Kernel.Now(), oldMSS: m.OldMSS}
+				n.sendDereg(h.forwardTo, m.MH)
 				return
 			}
 			// Genuinely unknown MH with no trace of a registration: there
@@ -820,9 +668,8 @@ func (n *MSSNode) handleGreet(m msg.Greet) {
 	}
 	// Migration into this cell: start the Hand-off with the old station.
 	// Deregs that overtook this greet join the arrival's deferred queue.
-	arr := &arrival{greetAt: n.w.Kernel.Now(), oldMSS: m.OldMSS, deferred: n.pendingDeregs[m.MH]}
-	delete(n.pendingDeregs, m.MH)
-	n.arriving[m.MH] = arr
+	x := n.transient(n.rec(m.MH))
+	x.arr, x.parked = &arrival{greetAt: n.w.Kernel.Now(), oldMSS: m.OldMSS, deferred: x.parked}, nil
 	n.sendDereg(m.OldMSS, m.MH)
 }
 
@@ -830,7 +677,10 @@ func (n *MSSNode) handleGreet(m msg.Greet) {
 // prompt the proxy with an update_currentLoc (or defer it behind held
 // deliveries) and flush held results.
 func (n *MSSNode) reactivateInPlace(mh ids.MH) {
-	delete(n.deferredUpdate, mh) // recomputed below
+	x := n.peek(mh).x
+	if x != nil {
+		x.deferredUpdate = false // recomputed below
+	}
 	if pref, ok := n.prefs.get(mh); ok && pref.HasProxy() {
 		if n.w.cfg.GreetRefresh > 0 {
 			// With refresh beacons on, a greet can land between a
@@ -840,17 +690,16 @@ func (n *MSSNode) reactivateInPlace(mh ids.MH) {
 			// round trip can still complete — if that delivery was in
 			// fact lost, the next beacon falls outside the window and
 			// recovers it.
-			if at, ok := n.lastAttempt[mh]; ok &&
-				n.w.Kernel.Now()-at < n.deliveryWindow() {
+			if x != nil && x.attempted && n.w.Kernel.Now()-x.lastAttempt < n.deliveryWindow() {
 				n.deliverHeld(mh)
 				return
 			}
 		}
-		if len(n.held[mh]) > 0 {
+		if x != nil && len(x.held) > 0 {
 			// Held results are about to be delivered; defer the
 			// update_currentLoc until their Acks pass through so the
 			// proxy is not prompted into a redundant retransmission.
-			n.deferredUpdate[mh] = true
+			x.deferredUpdate = true
 		} else {
 			n.announceLoc(pref.Proxy, mh)
 		}
@@ -864,22 +713,16 @@ func (n *MSSNode) reactivateInPlace(mh ids.MH) {
 // old station may have crashed before serving it.
 func (n *MSSNode) sendDereg(old ids.MSS, mh ids.MH) {
 	n.sendWired(old.Node(), msg.Dereg{MH: mh, NewMSS: n.id})
-	if n.w.cfg.HandoffTimeout > 0 {
-		n.armHandoffTimer(old, mh)
+	if n.w.cfg.HandoffTimeout <= 0 {
+		return
 	}
-}
-
-func (n *MSSNode) armHandoffTimer(old ids.MSS, mh ids.MH) {
 	n.w.Kernel.Defer(n.w.cfg.HandoffTimeout, func() {
-		if n.w.down[n.id] {
-			return // we crashed ourselves; the arrival is gone
-		}
-		if _, pending := n.arriving[mh]; !pending {
+		// Down: we crashed ourselves and the arrival is gone with the rest.
+		if n.w.down[n.id] || n.peek(mh).arrival() == nil {
 			return
 		}
 		n.w.Stats.HandoffReissues.Inc()
-		n.sendWired(old.Node(), msg.Dereg{MH: mh, NewMSS: n.id})
-		n.armHandoffTimer(old, mh)
+		n.sendDereg(old, mh)
 	})
 }
 
@@ -897,19 +740,7 @@ func (n *MSSNode) sendRegConfirm(mh ids.MH) {
 // all cases clear RKpR — a new request keeps the proxy alive.
 func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 	mh := m.Req.Origin
-	if arr, ok := n.arriving[mh]; ok {
-		arr.buffered = append(arr.buffered, inboxItem{from: from, m: m})
-		return
-	}
-	if !n.localMhs.contains(mh) {
-		// In flight across a completed hand-off: pass it along the chain
-		// of responsibility; it ends at the MH's current (or arriving)
-		// station.
-		if next, ok := n.forwardTo[mh]; ok {
-			n.sendWired(next.Node(), m)
-			return
-		}
-		n.w.Stats.OrphanMessages.Inc()
+	if !routeUplink(n, from, mh, m) {
 		return
 	}
 	// Incarnation gates (E18): a request from a dead incarnation is a
@@ -917,14 +748,13 @@ func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 	// promise a delivery nobody will ever acknowledge. A request from a
 	// *newer* incarnation than the registered one means the host's
 	// re-registration was lost; the request itself is the proof of life.
-	if incLess(m.Inc, n.incOf(mh)) {
-		n.w.Stats.StaleIncarnationDrops.Inc()
+	if n.staleInc(m.Inc, n.incOf(mh)) {
 		return
 	}
 	n.noteInc(mh, m.Inc)
 	pref, _ := n.prefs.get(mh) // registered MHs always have an entry
 	pref.RKpR = false          // §3.3: a new request re-arms the proxy
-	n.outAdd(mh, m.Req, normInc(m.Inc))
+	n.rec(mh).outAdd(m.Req, normInc(m.Inc))
 	if !pref.HasProxy() {
 		// Shared group proxy (E16): a groupable request binds the MH to
 		// the cell's per-(server, topic) proxy instead of building one of
@@ -939,18 +769,7 @@ func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 			n.sendAdmit(mh, m.Req)
 			return
 		}
-		n.nextProxySeq++
-		n.persistSeq()
-		id := ids.ProxyID{Host: n.id, Seq: n.nextProxySeq}
-		p := newProxy(id, mh, n)
-		n.proxies[id.Seq] = p
-		pref.Proxy = id
-		n.prefs.set(mh, pref)
-		n.persistMH(mh)
-		n.w.Stats.ProxiesCreated.Inc()
-		n.w.Stats.ProxyCreations[n.id]++
-		p.armLease()
-		p.addRequest(m.Req, m.Server, m.Payload, m.Inc)
+		n.createProxy(mh, pref).addRequest(m.Req, m.Server, m.Payload, m.Inc)
 		n.sendAdmit(mh, m.Req)
 		return
 	}
@@ -981,6 +800,23 @@ func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 	n.sendAdmit(mh, m.Req)
 }
 
+// createProxy builds a proxy for mh at this station, its current respMss
+// (§3.1), and installs pref pointing at it.
+func (n *MSSNode) createProxy(mh ids.MH, pref msg.Pref) *Proxy {
+	n.nextProxySeq++
+	n.persistSeq()
+	id := ids.ProxyID{Host: n.id, Seq: n.nextProxySeq}
+	p := newProxy(id, mh, n)
+	n.proxies[id.Seq] = p
+	pref.Proxy = id
+	n.prefs.set(mh, pref)
+	n.persistMH(mh)
+	n.w.Stats.ProxiesCreated.Inc()
+	n.w.Stats.ProxyCreations[n.id]++
+	p.armLease()
+	return p
+}
+
 // handleAckMH relays an MH's Ack to its proxy (§3.1), confirming proxy
 // removal when RKpR is armed and no new request intervened (§3.3).
 func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
@@ -988,11 +824,12 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 	// us again, so we are its next respMss and must buffer (not ignore)
 	// its traffic until the deregack arrives — the ignore rule below
 	// applies only to our *old* respMss role.
-	if arr, ok := n.arriving[m.MH]; ok {
+	h := n.peek(m.MH)
+	if arr := h.arrival(); arr != nil {
 		arr.buffered = append(arr.buffered, inboxItem{from: from, m: m})
 		return
 	}
-	if n.ignoreAcks[m.MH] {
+	if h.departed {
 		n.w.Stats.IgnoredAcks.Inc()
 		return
 	}
@@ -1001,7 +838,8 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 		// the attempt record: a redundant forward of the same result may
 		// still be in the backbone — dropped once and resurrected by the
 		// ARQ well after the Ack — and must be suppressed when it lands.
-		n.reqAttempt[m.Req] = n.w.Kernel.Now()
+		h = n.rec(m.MH)
+		n.transient(h).noteAttempt(m.Req, n.w.Kernel.Now(), n.deliveryWindow())
 	}
 	if !n.localMhs.contains(m.MH) {
 		n.w.Stats.OrphanMessages.Inc()
@@ -1015,7 +853,7 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 		n.noteHeldAck(m.MH, m.Req)
 		return
 	}
-	left := n.outRemove(m.MH, m.Req)
+	left := h.outRemove(m.Req)
 	if isSharedProxy(pref.Proxy) {
 		// Shared prefs are never deleted (E16): the group proxy is durable
 		// cell infrastructure, so §3.3 removal does not apply. The ack is
@@ -1057,7 +895,8 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 // wherever it sent the pref. Only a station that is itself *about to
 // receive* the pref defers the dereg until its registration completes.
 func (n *MSSNode) handleDereg(from ids.NodeID, m msg.Dereg) {
-	if m.NewMSS == n.id && n.localMhs.contains(m.MH) && n.arriving[m.MH] == nil {
+	h := n.peek(m.MH)
+	if m.NewMSS == n.id && n.localMhs.contains(m.MH) && h.arrival() == nil {
 		// A re-issued Dereg of ours returned along the forwarding chain
 		// after its hand-off already completed (the deregack outran it,
 		// typically held by ARQ across our crash window): we are
@@ -1069,28 +908,29 @@ func (n *MSSNode) handleDereg(from ids.NodeID, m msg.Dereg) {
 		return
 	}
 	if n.localMhs.contains(m.MH) {
-		n.ignoreAcks[m.MH] = true
-		n.forwardTo[m.MH] = m.NewMSS
+		h = n.rec(m.MH)
+		h.departed, h.forwardTo = true, m.NewMSS
 		pref, _ := n.prefs.get(m.MH)
 		// The deregack carries the registered incarnation (E18): the new
 		// respMss must not vouch for (or gate against) an older one.
-		inc := n.incs[m.MH]
+		inc := h.inc
 		n.forget(m.MH)
 		n.sendWired(m.NewMSS.Node(), msg.DeregAck{MH: m.MH, Pref: pref, Inc: inc})
 		return
 	}
-	if next, ok := n.forwardTo[m.MH]; ok {
-		n.sendWired(next.Node(), m)
+	if h.departed {
+		n.sendWired(h.forwardTo.Node(), m)
 		return
 	}
-	if arr, ok := n.arriving[m.MH]; ok {
+	if arr := h.arrival(); arr != nil {
 		arr.deferred = append(arr.deferred, inboxItem{from: from, m: m})
 		return
 	}
 	// Unknown MH: our own greet for it must still be in flight (an MH
 	// names us as old respMss only after greeting us); park the dereg
 	// until that greet or a join arrives.
-	n.pendingDeregs[m.MH] = append(n.pendingDeregs[m.MH], inboxItem{from: from, m: m})
+	x := n.transient(n.rec(m.MH))
+	x.parked = append(x.parked, inboxItem{from: from, m: m})
 }
 
 // handleDeregAck completes the Hand-off on the new station (§3.2):
@@ -1099,11 +939,13 @@ func (n *MSSNode) handleDereg(from ids.NodeID, m msg.Dereg) {
 // hand-off is processed.
 func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 	n.noteInc(m.MH, m.Inc)
-	arr := n.arriving[m.MH]
-	delete(n.arriving, m.MH)
+	h := n.peek(m.MH)
+	arr := h.arrival()
+	if arr != nil {
+		h.x.arr = nil
+	}
 	n.localMhs.add(m.MH)
-	delete(n.ignoreAcks, m.MH)
-	delete(n.forwardTo, m.MH)
+	h.returned()
 	pref := m.Pref
 	n.prefs.set(m.MH, pref)
 	n.persistMH(m.MH)
@@ -1125,11 +967,12 @@ func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 		// that new arrival record and replays after *its* registration.
 		for i, it := range arr.deferred {
 			n.process(it.from, it.m)
-			if next, ok := n.arriving[m.MH]; ok {
+			if next := h.arrival(); next != nil {
 				next.deferred = append(next.deferred, arr.deferred[i+1:]...)
 				break
 			}
 		}
+		n.settle(h)
 	}
 }
 
@@ -1193,8 +1036,7 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 	// request and would either drop it (wasted delivery) or, worse, have
 	// reused the identifier. Acking it back instead lets the proxy
 	// retire the orphaned entry.
-	if incLess(m.Inc, n.incOf(m.MH)) {
-		n.w.Stats.StaleIncarnationDrops.Inc()
+	if n.staleInc(m.Inc, n.incOf(m.MH)) {
 		n.sendToStation(m.Proxy.Host,
 			msg.AckForward{Proxy: m.Proxy, MH: m.MH, Req: m.Req})
 		return
@@ -1209,21 +1051,23 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 	deliver := msg.ResultDeliver{Req: m.Req, Payload: m.Payload, DelPref: m.DelPref, Inc: m.Inc}
 	if n.w.cfg.HoldForInactive && n.localMhs.contains(m.MH) &&
 		n.w.InCell(m.MH, n.id) && !n.w.IsActive(m.MH) {
-		n.held[m.MH] = append(n.held[m.MH], deliver)
+		x := n.transient(n.rec(m.MH))
+		x.held = append(x.held, deliver)
 		n.w.Stats.HeldResults.Inc()
 		return
 	}
 	if n.w.cfg.GreetRefresh > 0 && n.w.Reachable(n.id, m.MH) {
-		now := n.w.Kernel.Now()
-		if at, ok := n.reqAttempt[m.Req]; ok && now-at < n.deliveryWindow() {
+		now, window := n.w.Kernel.Now(), n.deliveryWindow()
+		x := n.transient(n.rec(m.MH))
+		if x.attemptedWithin(m.Req, now, window) {
 			// A delivery attempt for this very result went out to the
 			// reachable MH within the last round trip; this forward is a
 			// redundant copy (beacon- or recovery-prompted) whose
 			// original may still be acknowledged.
 			return
 		}
-		n.lastAttempt[m.MH] = now
-		n.reqAttempt[m.Req] = now
+		x.attempted, x.lastAttempt = true, now
+		x.noteAttempt(m.Req, now, window)
 	}
 	n.w.Wireless.SendDownlink(n.id, m.MH, deliver)
 }
@@ -1232,9 +1076,14 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 // MH may remain unconfirmed before the refresh machinery treats it as
 // lost: two wireless legs (result out, Ack back) with slack, plus — when
 // the backbone runs the ARQ — enough room for a redundant forward that
-// was dropped on the wire to be resurrected by retransmission.
+// was dropped on the wire to be resurrected by retransmission. A world on
+// real substrates (NewWorldWith) models no radio latency and gets no
+// window from it: there every attempt counts as settled at once.
 func (n *MSSNode) deliveryWindow() sim.Time {
-	w := sim.Time(4 * n.w.cfg.WirelessLatency.Mean())
+	var w sim.Time
+	if lat := n.w.cfg.WirelessLatency; lat != nil {
+		w = sim.Time(4 * lat.Mean())
+	}
 	if n.w.cfg.WiredARQ.Enabled {
 		w += sim.Time(2 * n.w.cfg.WiredARQ.MaxBackoff)
 	}
@@ -1244,18 +1093,17 @@ func (n *MSSNode) deliveryWindow() sim.Time {
 // deliverHeld flushes results held for an inactive MH (footnote 3),
 // recording which Acks the deferred update_currentLoc is waiting on.
 func (n *MSSNode) deliverHeld(mh ids.MH) {
-	held := n.held[mh]
-	if len(held) == 0 {
+	x := n.peek(mh).x
+	if x == nil || len(x.held) == 0 {
 		return
 	}
-	delete(n.held, mh)
-	pending := n.heldAcksPending[mh]
-	if pending == nil {
-		pending = make(map[ids.RequestID]bool, len(held))
-		n.heldAcksPending[mh] = pending
+	held := x.held
+	x.held = nil
+	if x.heldAcks == nil {
+		x.heldAcks = make(map[ids.RequestID]bool, len(held))
 	}
 	for _, r := range held {
-		pending[r.Req] = true
+		x.heldAcks[r.Req] = true
 		n.w.Wireless.SendDownlink(n.id, mh, r)
 	}
 }
@@ -1264,19 +1112,19 @@ func (n *MSSNode) deliverHeld(mh ids.MH) {
 // releases the deferred update_currentLoc once all held results are
 // acknowledged.
 func (n *MSSNode) noteHeldAck(mh ids.MH, req ids.RequestID) {
-	set := n.heldAcksPending[mh]
-	if set == nil {
+	x := n.peek(mh).x
+	if x == nil || x.heldAcks == nil {
 		return
 	}
-	delete(set, req)
-	if len(set) > 0 {
+	delete(x.heldAcks, req)
+	if len(x.heldAcks) > 0 {
 		return
 	}
-	delete(n.heldAcksPending, mh)
-	if !n.deferredUpdate[mh] {
+	x.heldAcks = nil
+	if !x.deferredUpdate {
 		return
 	}
-	delete(n.deferredUpdate, mh)
+	x.deferredUpdate = false
 	if pref, ok := n.prefs.get(mh); ok && pref.HasProxy() {
 		n.announceLoc(pref.Proxy, mh)
 	}
@@ -1381,24 +1229,28 @@ func (n *MSSNode) cacheStore(server ids.Server, reqPayload, result []byte) {
 // whole batch toward its abort deadline, turning overload shedding into
 // batch aborts; the batch deadline itself is the back-pressure.
 
-// batchUplinkRoute applies the respMss routing preamble shared by every
-// uplink batch message: buffer during a pending hand-off, pass along the
-// forwarding chain when responsibility moved on. It reports whether the
-// caller should continue processing locally.
-func (n *MSSNode) batchUplinkRoute(from ids.NodeID, mh ids.MH, m msg.Message) bool {
-	if arr, ok := n.arriving[mh]; ok {
+// routeUplink applies the respMss routing preamble shared by everything
+// a host sends up — requests and batch traffic — and by the batch aborts
+// that chase it: buffer during a pending hand-off; when responsibility
+// moved on, pass the message along the chain of responsibility (it ends
+// at the MH's current, or arriving, station). It reports whether the
+// caller should go on processing locally. It is generic so that m is
+// boxed only when it is queued or sent on.
+func routeUplink[M msg.Message](n *MSSNode, from ids.NodeID, mh ids.MH, m M) bool {
+	h := n.peek(mh)
+	if arr := h.arrival(); arr != nil {
 		arr.buffered = append(arr.buffered, inboxItem{from: from, m: m})
 		return false
 	}
-	if !n.localMhs.contains(mh) {
-		if next, ok := n.forwardTo[mh]; ok {
-			n.sendWired(next.Node(), m)
-			return false
-		}
-		n.w.Stats.OrphanMessages.Inc()
-		return false
+	if n.localMhs.contains(mh) {
+		return true
 	}
-	return true
+	if h.departed {
+		n.sendWired(h.forwardTo.Node(), m)
+	} else {
+		n.w.Stats.OrphanMessages.Inc()
+	}
+	return false
 }
 
 // batchProxyRef resolves (creating if necessary) the proxy for a
@@ -1409,18 +1261,8 @@ func (n *MSSNode) batchProxyRef(mh ids.MH) (ids.ProxyID, *Proxy) {
 	pref, _ := n.prefs.get(mh)
 	pref.RKpR = false
 	if !pref.HasProxy() {
-		n.nextProxySeq++
-		n.persistSeq()
-		id := ids.ProxyID{Host: n.id, Seq: n.nextProxySeq}
-		p := newProxy(id, mh, n)
-		n.proxies[id.Seq] = p
-		pref.Proxy = id
-		n.prefs.set(mh, pref)
-		n.persistMH(mh)
-		n.w.Stats.ProxiesCreated.Inc()
-		n.w.Stats.ProxyCreations[n.id]++
-		p.armLease()
-		return id, p
+		p := n.createProxy(mh, pref)
+		return p.id, p
 	}
 	n.prefs.set(mh, pref)
 	n.persistMH(mh)
@@ -1450,11 +1292,10 @@ func (n *MSSNode) handleBatchOpen(from ids.NodeID, m msg.BatchOpen) {
 		p.onBatchOpen(m.Batch, m.Inc)
 		return
 	}
-	if !n.batchUplinkRoute(from, m.MH, m) {
+	if !routeUplink(n, from, m.MH, m) {
 		return
 	}
-	if incLess(m.Inc, n.incOf(m.MH)) {
-		n.w.Stats.StaleIncarnationDrops.Inc()
+	if n.staleInc(m.Inc, n.incOf(m.MH)) {
 		return
 	}
 	n.noteInc(m.MH, m.Inc)
@@ -1481,15 +1322,14 @@ func (n *MSSNode) handleBatchItem(from ids.NodeID, m msg.BatchItem) {
 		p.onBatchItem(m)
 		return
 	}
-	if !n.batchUplinkRoute(from, m.MH, m) {
+	if !routeUplink(n, from, m.MH, m) {
 		return
 	}
-	if incLess(m.Inc, n.incOf(m.MH)) {
-		n.w.Stats.StaleIncarnationDrops.Inc()
+	if n.staleInc(m.Inc, n.incOf(m.MH)) {
 		return
 	}
 	n.noteInc(m.MH, m.Inc)
-	n.outAdd(m.MH, m.Req, normInc(m.Inc))
+	n.rec(m.MH).outAdd(m.Req, normInc(m.Inc))
 	id, p := n.batchProxyRef(m.MH)
 	if p != nil {
 		p.onBatchItem(m)
@@ -1512,7 +1352,7 @@ func (n *MSSNode) handleBatchCommit(from ids.NodeID, m msg.BatchCommit) {
 		p.onBatchCommit(m)
 		return
 	}
-	if !n.batchUplinkRoute(from, m.MH, m) {
+	if !routeUplink(n, from, m.MH, m) {
 		return
 	}
 	id, p := n.batchProxyRef(m.MH)
@@ -1531,21 +1371,12 @@ func (n *MSSNode) handleBatchCommit(from ids.NodeID, m msg.BatchCommit) {
 // respMss, scrubbing the aborted members from the routing ledger — they
 // will never be acked and must not block proxy removal (§3.3).
 func (n *MSSNode) handleBatchAbort(from ids.NodeID, m msg.BatchAbort) {
-	if arr, ok := n.arriving[m.MH]; ok {
-		arr.buffered = append(arr.buffered, inboxItem{from: from, m: m})
+	if !routeUplink(n, from, m.MH, m) {
 		return
 	}
-	if !n.localMhs.contains(m.MH) {
-		if next, ok := n.forwardTo[m.MH]; ok {
-			n.sendWired(next.Node(), m)
-			return
-		}
-		n.w.Stats.OrphanMessages.Inc()
-		return
-	}
-	if len(n.outstanding[m.MH]) > 0 {
+	if h := n.peek(m.MH); len(h.out) > 0 {
 		for _, req := range m.Reqs {
-			n.outRemove(m.MH, req)
+			h.outRemove(req)
 		}
 		n.persistMH(m.MH)
 	}

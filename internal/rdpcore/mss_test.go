@@ -154,8 +154,8 @@ func TestDuplicateGreetDuringHandoffIgnored(t *testing.T) {
 	// Two greets before the hand-off completes: only one dereg may flow.
 	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1})
 	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1})
-	if len(mss2.arriving) != 1 {
-		t.Fatalf("arriving entries = %d, want 1", len(mss2.arriving))
+	if arr := mss2.peek(7).arrival(); arr == nil || len(arr.deferred) != 1 {
+		t.Fatalf("arrival = %+v, want one pending hand-off with the second greet deferred", arr)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestRequestBufferedDuringHandoff(t *testing.T) {
 	mss2.process(ids.MH(7).Node(), msg.Request{
 		Req: ids.RequestID{Origin: 7, Seq: 1}, Server: 1, Payload: []byte("q"),
 	})
-	if got := len(mss2.arriving[7].buffered); got != 1 {
+	if got := len(mss2.peek(7).arrival().buffered); got != 1 {
 		t.Fatalf("buffered = %d, want 1", got)
 	}
 	w.MHs[7].loc = 2 // ground truth catches up with the greet

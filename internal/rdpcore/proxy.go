@@ -77,6 +77,13 @@ type proxyBatch struct {
 	inc ids.Incarnation
 }
 
+// clone returns a deep copy without the timer epoch: what the journal
+// stores, and what a restart revives from it.
+func (b proxyBatch) clone() proxyBatch {
+	b.members, b.deadlineEpoch = slices.Clone(b.members), 0
+	return b
+}
+
 // Proxy is the paper's proxy-for-requests (§3.1): created at the MH's
 // respMss when it issues a request and has none, it provides the fixed
 // wired-network location for server replies, tracks pending requests,
@@ -303,9 +310,8 @@ func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
 }
 
 // onAck processes a relayed Ack: the request is completed and removed
-// from the requestList (§3.1); an application-level ack may be owed to
-// the server. It reports whether the proxy must now be deleted (del-proxy
-// piggybacked; §3.3).
+// from the requestList (§3.1). It reports whether the proxy must now be
+// deleted (del-proxy piggybacked; §3.3).
 //
 // Fig. 4 rule: if after removal exactly one pending request remains and
 // its result has already been forwarded, the proxy sends the special
@@ -313,10 +319,6 @@ func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
 func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
 	r := p.reqs.remove(req)
 	if r != nil {
-		if p.host.w.cfg.ServerAcks {
-			p.host.sendWired(r.server.Node(), msg.ServerAck{Req: req})
-			p.host.w.Stats.ServerAcks.Inc()
-		}
 		p.host.persistProxy(p)
 	}
 	if delProxy {

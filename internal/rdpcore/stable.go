@@ -1,8 +1,10 @@
 package rdpcore
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/aggstate"
 	"repro/internal/dcache"
@@ -20,50 +22,22 @@ import (
 // the station's memory; a restart replays the journal and, after a
 // grace period, re-issues whatever the journal shows incomplete.
 
-// mhRecord is the journaled per-MH state of one station.
-type mhRecord struct {
+// The journal stores value copies of the live types — proxyReq,
+// proxyBatch, sharedWaiter, tombstone, a host record's hostDurable —
+// deep enough that later mutation of the live state cannot reach into
+// stable storage. What a copy carries of the live type's volatile fields
+// (timer epochs) is zeroed on the way in.
+
+// hostJournal is the journaled per-MH state of one station: the two
+// facts kept outside the host table, and the record's durable half —
+// the registered incarnation and the incarnation-tagged ledger among it,
+// so a restart can still scrub entries orphaned by a pre-crash reboot of
+// the host.
+type hostJournal struct {
 	responsible bool
-	pref        msg.Pref
 	hasPref     bool
-	ignoreAcks  bool
-	forwardTo   ids.MSS
-	hasForward  bool
-	// inc is the newest incarnation of the MH this station has
-	// registered (E18); outstanding tags each admitted request with the
-	// incarnation that issued it, so a restart can still scrub entries
-	// orphaned by a pre-crash reboot of the host.
-	inc         ids.Incarnation
-	outstanding []outReq
-}
-
-// proxyReqRecord is one journaled requestList entry.
-type proxyReqRecord struct {
-	req       ids.RequestID
-	server    ids.Server
-	payload   []byte
-	result    []byte
-	hasResult bool
-	forwarded bool
-	batch     ids.BatchID
-	inc       ids.Incarnation
-}
-
-// proxyBatchRecord is the journaled image of one atomic batch (E17).
-type proxyBatchRecord struct {
-	id        ids.BatchID
-	members   []ids.RequestID
-	expected  uint32
-	committed bool
-	released  bool
-	inc       ids.Incarnation
-}
-
-// proxyAbortRecord journals a batch-abort memo: the decision to refuse
-// a batch must survive the crash, or replayed batch traffic could be
-// accepted (and delivered) after the MH was told to abandon it.
-type proxyAbortRecord struct {
-	id   ids.BatchID
-	reqs []ids.RequestID
+	pref        msg.Pref
+	hostDurable
 }
 
 // proxyRecord is the journaled image of one hosted proxy.
@@ -71,22 +45,18 @@ type proxyRecord struct {
 	id         ids.ProxyID
 	mh         ids.MH
 	currentLoc ids.MSS
-	reqs       []proxyReqRecord   // insertion order
-	batches    []proxyBatchRecord // batchOrder
-	aborted    []proxyAbortRecord // abortOrder
+	reqs       []proxyReq   // insertion order
+	batches    []proxyBatch // batchOrder
+	// aborted and abortOrder are the batch-abort memos: the decision to
+	// refuse a batch must survive the crash, or replayed batch traffic
+	// could be accepted (and delivered) after the MH was told to abandon
+	// it. A memo's member list is never written after the abort, so live
+	// state and journal share it.
+	aborted    map[ids.BatchID][]ids.RequestID
+	abortOrder []ids.BatchID
 	// leaseInc is the newest MH incarnation a lease heartbeat has
 	// vouched for (E18); the lease clock itself restarts on recovery.
 	leaseInc ids.Incarnation
-}
-
-// groupWaiterRecord journals one member subscription of a shared entry
-// (E16).
-type groupWaiterRecord struct {
-	mh        ids.MH
-	seq       uint32
-	inc       ids.Incarnation
-	acked     bool
-	forwarded bool
 }
 
 // groupEntryRecord journals one shared entry of a group proxy.
@@ -96,7 +66,7 @@ type groupEntryRecord struct {
 	leaderReq ids.RequestID
 	result    []byte
 	hasResult bool
-	waiters   []groupWaiterRecord
+	waiters   []sharedWaiter
 }
 
 // groupRecord is the journaled image of one shared group proxy (E16):
@@ -113,24 +83,16 @@ type groupRecord struct {
 	entries   []groupEntryRecord // entryOrder
 }
 
-// tombstoneRecord is the journaled image of a migration tombstone: the
-// old-to-new identity map plus the servers still owing a pref
-// confirmation. A crash mid-migration must not lose the redirect — the
-// transferred proxy lives on at the new host, and stale prefs keep
-// addressing the old identity.
-type tombstoneRecord struct {
-	oldProxy       ids.ProxyID
-	newProxy       ids.ProxyID
-	mh             ids.MH
-	pendingServers map[ids.Server]bool
-}
-
 // stationRecord is one station's journal.
 type stationRecord struct {
-	mhs        map[ids.MH]*mhRecord
-	proxies    map[uint32]*proxyRecord
-	groups     map[uint32]*groupRecord
-	tombstones map[uint32]*tombstoneRecord
+	mhs     map[ids.MH]hostJournal
+	proxies map[uint32]*proxyRecord
+	groups  map[uint32]*groupRecord
+	// tombstones journals the old-to-new identity map plus the servers
+	// still owing a pref confirmation. A crash mid-migration must not lose
+	// the redirect — the transferred proxy lives on at the new host, and
+	// stale prefs keep addressing the old identity.
+	tombstones map[uint32]tombstone
 	nextSeq    uint32
 	// reclaims is a checksummed record log (journal.go) of proxy
 	// reclamation memos (E18): each record is a u32 destination MSS
@@ -152,6 +114,20 @@ type stableStore struct {
 	writes  int64
 }
 
+// sortedKeys returns m's keys in ascending order. Whatever arms timers
+// or sends per entry of a map walks it this way: Go's randomized map
+// order would shuffle kernel event sequence numbers and make runs
+// diverge under the same seed. (slices.Sorted(maps.Keys(m)) once go.mod
+// reaches 1.23.)
+func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, cmp)
+	return keys
+}
+
 func newStableStore() *stableStore {
 	return &stableStore{
 		stations: make(map[ids.MSS]*stationRecord),
@@ -163,10 +139,10 @@ func (s *stableStore) station(id ids.MSS) *stationRecord {
 	rec := s.stations[id]
 	if rec == nil {
 		rec = &stationRecord{
-			mhs:        make(map[ids.MH]*mhRecord),
+			mhs:        make(map[ids.MH]hostJournal),
 			proxies:    make(map[uint32]*proxyRecord),
 			groups:     make(map[uint32]*groupRecord),
-			tombstones: make(map[uint32]*tombstoneRecord),
+			tombstones: make(map[uint32]tombstone),
 		}
 		s.stations[id] = rec
 	}
@@ -174,32 +150,21 @@ func (s *stableStore) station(id ids.MSS) *stationRecord {
 }
 
 // persistMH journals this station's complete per-MH state for mh. Call
-// it after any mutation of localMhs/prefs/ignoreAcks/forwardTo/
-// outstanding for that MH; a snapshot with nothing left to remember
-// erases the record.
+// it after any mutation of localMhs/prefs or of the durable half of the
+// host's record; a snapshot with nothing left to remember erases the
+// journal entry.
 func (n *MSSNode) persistMH(mh ids.MH) {
 	if !n.w.cfg.Checkpoint {
 		return
 	}
 	rec := n.w.store.station(n.id)
-	r := &mhRecord{
-		responsible: n.localMhs.contains(mh),
-		ignoreAcks:  n.ignoreAcks[mh],
-	}
-	if p, ok := n.prefs.get(mh); ok {
-		r.pref, r.hasPref = p, true
-	}
-	if f, ok := n.forwardTo[mh]; ok {
-		r.forwardTo, r.hasForward = f, true
-	}
-	r.inc = n.incs[mh]
-	if set := n.outstanding[mh]; len(set) > 0 {
-		r.outstanding = append([]outReq(nil), set...)
-	}
-	if !r.responsible && !r.hasPref && !r.ignoreAcks && !r.hasForward {
+	j := hostJournal{responsible: n.localMhs.contains(mh), hostDurable: n.peek(mh).hostDurable}
+	j.pref, j.hasPref = n.prefs.get(mh)
+	j.out = append([]outReq(nil), j.out...)
+	if !j.responsible && !j.hasPref && !j.departed {
 		delete(rec.mhs, mh)
 	} else {
-		rec.mhs[mh] = r
+		rec.mhs[mh] = j
 	}
 	n.w.store.writes++
 }
@@ -211,26 +176,13 @@ func (n *MSSNode) persistProxy(p *Proxy) {
 		return
 	}
 	rec := n.w.store.station(n.id)
-	pr := &proxyRecord{id: p.id, mh: p.mh, currentLoc: p.currentLoc, leaseInc: p.leaseInc}
+	pr := &proxyRecord{id: p.id, mh: p.mh, currentLoc: p.currentLoc, leaseInc: p.leaseInc,
+		aborted: maps.Clone(p.abortedBatches), abortOrder: slices.Clone(p.abortOrder)}
 	for _, r := range p.reqs {
-		pr.reqs = append(pr.reqs, proxyReqRecord{
-			req: r.id, server: r.server, payload: r.payload,
-			result: r.result, hasResult: r.hasResult, forwarded: r.forwarded,
-			batch: r.batch, inc: r.inc,
-		})
+		pr.reqs = append(pr.reqs, *r)
 	}
 	for _, id := range p.batchOrder {
-		b := p.batches[id]
-		pr.batches = append(pr.batches, proxyBatchRecord{
-			id: b.id, members: append([]ids.RequestID(nil), b.members...),
-			expected: b.expected, committed: b.committed, released: b.released,
-			inc: b.inc,
-		})
-	}
-	for _, id := range p.abortOrder {
-		pr.aborted = append(pr.aborted, proxyAbortRecord{
-			id: id, reqs: append([]ids.RequestID(nil), p.abortedBatches[id]...),
-		})
+		pr.batches = append(pr.batches, p.batches[id].clone())
 	}
 	rec.proxies[p.id.Seq] = pr
 	n.w.store.writes++
@@ -251,23 +203,14 @@ func (n *MSSNode) persistGroup(g *GroupProxy) {
 		members: g.members.AppendDelta(nil),
 	}
 	if len(g.memberLoc) > 0 {
-		gr.memberLoc = make(map[ids.MH]ids.MSS, len(g.memberLoc))
-		for mh, loc := range g.memberLoc {
-			gr.memberLoc[mh] = loc
-		}
+		gr.memberLoc = maps.Clone(g.memberLoc)
 	}
 	for _, key := range g.entryOrder {
 		e := g.entries[key]
-		er := groupEntryRecord{
+		gr.entries = append(gr.entries, groupEntryRecord{
 			server: e.server, payload: e.payload, leaderReq: e.leaderReq,
-			result: e.result, hasResult: e.hasResult,
-		}
-		for _, w := range e.waiters {
-			er.waiters = append(er.waiters, groupWaiterRecord{
-				mh: w.mh, seq: w.seq, inc: w.inc, acked: w.acked, forwarded: w.forwarded,
-			})
-		}
-		gr.entries = append(gr.entries, er)
+			result: e.result, hasResult: e.hasResult, waiters: slices.Clone(e.waiters),
+		})
 	}
 	rec.groups[g.id.Seq] = gr
 	n.w.store.writes++
@@ -289,16 +232,7 @@ func (n *MSSNode) persistTombstone(t *tombstone) {
 	if !n.w.cfg.Checkpoint {
 		return
 	}
-	tr := &tombstoneRecord{
-		oldProxy:       t.oldProxy,
-		newProxy:       t.newProxy,
-		mh:             t.mh,
-		pendingServers: make(map[ids.Server]bool, len(t.pendingServers)),
-	}
-	for s := range t.pendingServers {
-		tr.pendingServers[s] = true
-	}
-	n.w.store.station(n.id).tombstones[t.oldProxy.Seq] = tr
+	n.w.store.station(n.id).tombstones[t.oldProxy.Seq] = t.clone()
 	n.w.store.writes++
 }
 
@@ -351,19 +285,13 @@ func (n *MSSNode) persistReclaim(dest ids.MSS, memo msg.ReclaimMemo) {
 // elsewhere onto a fresh proxy.
 func (n *MSSNode) crash() {
 	n.inbox = classInbox{}
-	n.arriving = make(map[ids.MH]*arrival)
-	n.pendingDeregs = make(map[ids.MH][]inboxItem)
-	n.held = make(map[ids.MH][]msg.ResultDeliver)
-	n.heldAcksPending = make(map[ids.MH]map[ids.RequestID]bool)
-	n.deferredUpdate = make(map[ids.MH]bool)
-	n.lastAttempt = make(map[ids.MH]sim.Time)
-	n.reqAttempt = make(map[ids.RequestID]sim.Time)
+	n.hosts, n.slab, n.spare = make(map[ids.MH]*stationHost), nil, nil
+	n.localMhs = newHostSet(n.w.cfg.AggregatedState)
+	n.prefs = newPrefTable(n.w.cfg.AggregatedState)
 	// The result cache is volatile by design (dcache doc): rebuilding it
 	// empty costs recomputation, never correctness. batchEpochSeq is NOT
 	// reset — it invalidates batch-deadline timers armed before the crash.
 	n.cache = dcache.New(n.w.cfg.ResultCache)
-	n.localMhs = newHostSet(n.w.cfg.AggregatedState)
-	n.prefs = newPrefTable(n.w.cfg.AggregatedState)
 	// Group proxies are recoverable from the journal; the signaling
 	// coalescing buffers are volatile (a stale flush timer finds empty
 	// buffers and does nothing).
@@ -372,11 +300,7 @@ func (n *MSSNode) crash() {
 	n.aggLocBuf = make(map[ids.ProxyID]*aggstate.Set)
 	n.aggAckBuf = make(map[ids.ProxyID]*groupAckBuf)
 	n.aggLocArmed, n.aggAckArmed = false, false
-	n.incs = make(map[ids.MH]ids.Incarnation)
-	n.outstanding = make(map[ids.MH][]outReq)
 	n.proxies = make(map[uint32]*Proxy)
-	n.ignoreAcks = make(map[ids.MH]bool)
-	n.forwardTo = make(map[ids.MH]ids.MSS)
 	n.reclaims = nil
 	// Migration state: tombstones are recoverable from the journal;
 	// inbound reservations and outbound-offer clocks are volatile (the
@@ -391,58 +315,36 @@ func (n *MSSNode) crash() {
 // restoreFromStore replays the journal into memory after a restart.
 func (n *MSSNode) restoreFromStore() {
 	rec := n.w.store.station(n.id)
-	for mh, r := range rec.mhs {
-		if r.responsible {
+	for mh, j := range rec.mhs {
+		if j.responsible {
 			n.localMhs.add(mh)
 		}
-		if r.hasPref {
-			n.prefs.set(mh, r.pref)
+		if j.hasPref {
+			n.prefs.set(mh, j.pref)
 		}
-		if r.ignoreAcks {
-			n.ignoreAcks[mh] = true
-		}
-		if r.hasForward {
-			n.forwardTo[mh] = r.forwardTo
-		}
-		if r.inc > ids.FirstIncarnation {
-			n.incs[mh] = r.inc
-		}
-		if len(r.outstanding) > 0 {
-			n.outstanding[mh] = append([]outReq(nil), r.outstanding...)
+		if d := j.hostDurable; len(d.out) > 0 || d.inc != 0 || d.departed {
+			d.out = slices.Clone(d.out)
+			n.rec(mh).hostDurable = d
 		}
 	}
 	if rec.nextSeq > n.nextProxySeq {
 		n.nextProxySeq = rec.nextSeq
 	}
-	// Journal maps are iterated in sorted key order: restoring arms
-	// timers (tombstone GC below), and arming them in Go's randomized
-	// map order would shuffle kernel event sequence numbers, making
-	// post-crash runs diverge under the same seed.
-	proxySeqs := make([]int, 0, len(rec.proxies))
-	for seq := range rec.proxies {
-		proxySeqs = append(proxySeqs, int(seq))
-	}
-	sort.Ints(proxySeqs)
-	for _, s := range proxySeqs {
-		seq, pr := uint32(s), rec.proxies[uint32(s)]
+	// Restoring arms timers (batch deadlines, leases, tombstone GC), hence
+	// sorted key order.
+	for _, seq := range sortedKeys(rec.proxies, cmp.Compare[uint32]) {
+		pr := rec.proxies[seq]
 		// createdAt restarts at the restart instant; the station's
 		// ProxySeconds accounting loses the pre-crash span.
 		p := newProxy(pr.id, pr.mh, n)
 		p.currentLoc = pr.currentLoc
 		p.leaseInc = pr.leaseInc
-		for _, rr := range pr.reqs {
-			p.reqs.add(&proxyReq{
-				id: rr.req, server: rr.server, payload: rr.payload,
-				result: rr.result, hasResult: rr.hasResult, forwarded: rr.forwarded,
-				batch: rr.batch, inc: rr.inc,
-			})
+		for _, r := range pr.reqs {
+			p.reqs.add(&r)
 		}
 		for _, br := range pr.batches {
-			b := &proxyBatch{
-				id: br.id, members: append([]ids.RequestID(nil), br.members...),
-				expected: br.expected, committed: br.committed, released: br.released,
-				inc: br.inc,
-			}
+			b := new(proxyBatch)
+			*b = br.clone()
 			setLazy(&p.batches, b.id, b)
 			p.batchOrder = append(p.batchOrder, b.id)
 			if !b.released {
@@ -453,23 +355,15 @@ func (n *MSSNode) restoreFromStore() {
 				p.armBatchDeadline(b)
 			}
 		}
-		for _, ar := range pr.aborted {
-			setLazy(&p.abortedBatches, ar.id, append([]ids.RequestID(nil), ar.reqs...))
-			p.abortOrder = append(p.abortOrder, ar.id)
-		}
+		p.abortedBatches, p.abortOrder = maps.Clone(pr.aborted), slices.Clone(pr.abortOrder)
 		n.proxies[seq] = p
 		// The lease clock restarts with a fresh, full TTL: pre-crash
 		// expiry timers are invalidated by the epoch guard, and the next
 		// heartbeat renews the lease anyway.
 		p.armLease()
 	}
-	groupSeqs := make([]int, 0, len(rec.groups))
-	for seq := range rec.groups {
-		groupSeqs = append(groupSeqs, int(seq))
-	}
-	sort.Ints(groupSeqs)
-	for _, s := range groupSeqs {
-		seq, gr := uint32(s), rec.groups[uint32(s)]
+	for _, seq := range sortedKeys(rec.groups, cmp.Compare[uint32]) {
+		gr := rec.groups[seq]
 		g := &GroupProxy{
 			id:        gr.id,
 			host:      n,
@@ -488,22 +382,16 @@ func (n *MSSNode) restoreFromStore() {
 		for _, er := range gr.entries {
 			e := &sharedEntry{
 				server: er.server, payload: er.payload, leaderReq: er.leaderReq,
-				result: er.result, hasResult: er.hasResult,
+				result: er.result, hasResult: er.hasResult, waiters: slices.Clone(er.waiters),
 			}
-			for _, wr := range er.waiters {
-				e.entrants.Add(uint32(wr.mh))
-				if !wr.acked {
+			for _, w := range e.waiters {
+				e.entrants.Add(uint32(w.mh))
+				if !w.acked {
 					e.unacked++
 				}
-				e.waiters = append(e.waiters, sharedWaiter{
-					mh: wr.mh, seq: wr.seq, inc: wr.inc, acked: wr.acked, forwarded: wr.forwarded,
-				})
 			}
 			if e.hasResult {
-				e.ackIdx = make(map[waiterKey]int, len(e.waiters))
-				for i := range e.waiters {
-					e.ackIdx[waiterKey{mh: e.waiters[i].mh, seq: e.waiters[i].seq}] = i
-				}
+				e.indexAcks()
 			}
 			key := dcache.Key{Server: er.server, Digest: dcache.Digest(er.payload)}
 			g.entries[key] = e
@@ -512,27 +400,13 @@ func (n *MSSNode) restoreFromStore() {
 		n.groupProxies[seq] = g
 		n.topicProxies[groupKey{server: gr.server, topic: gr.topic}] = seq
 	}
-	tombSeqs := make([]int, 0, len(rec.tombstones))
-	for seq := range rec.tombstones {
-		tombSeqs = append(tombSeqs, int(seq))
-	}
-	sort.Ints(tombSeqs)
-	for _, s := range tombSeqs {
-		seq, tr := uint32(s), rec.tombstones[uint32(s)]
-		t := &tombstone{
-			oldProxy:       tr.oldProxy,
-			newProxy:       tr.newProxy,
-			mh:             tr.mh,
-			pendingServers: make(map[ids.Server]bool, len(tr.pendingServers)),
-		}
-		for s := range tr.pendingServers {
-			t.pendingServers[s] = true
-		}
-		n.tombstones[seq] = t
+	for _, seq := range sortedKeys(rec.tombstones, cmp.Compare[uint32]) {
+		t := rec.tombstones[seq].clone()
+		n.tombstones[seq] = &t
 		// A fully-confirmed tombstone restarts its quiet period; one still
 		// awaiting confirms re-arms when the ARQ redelivers them.
 		if len(t.pendingServers) == 0 {
-			n.armTombstoneGC(t)
+			n.armTombstoneGC(&t)
 		}
 	}
 	// Replay the durable reclaim log (E18). The scan verifies each
@@ -576,13 +450,8 @@ func (n *MSSNode) restoreFromStore() {
 // MH's location, prompting that proxy to re-send anything stranded.
 // Iteration is sorted so recovery traffic is deterministic.
 func (n *MSSNode) recoveryResend() {
-	seqs := make([]int, 0, len(n.proxies))
-	for seq := range n.proxies {
-		seqs = append(seqs, int(seq))
-	}
-	sort.Ints(seqs)
-	for _, seq := range seqs {
-		p := n.proxies[uint32(seq)]
+	for _, seq := range sortedKeys(n.proxies, cmp.Compare[uint32]) {
+		p := n.proxies[seq]
 		for _, r := range p.reqs {
 			n.w.Stats.RecoveryResends.Inc()
 			if r.hasResult {
@@ -602,13 +471,8 @@ func (n *MSSNode) recoveryResend() {
 	// Restored group proxies (E16): re-issue the server request of every
 	// result-less entry and re-fan-out every stored, still-unacked
 	// result — the group analogue of the per-proxy loop above.
-	gseqs := make([]int, 0, len(n.groupProxies))
-	for seq := range n.groupProxies {
-		gseqs = append(gseqs, int(seq))
-	}
-	sort.Ints(gseqs)
-	for _, s := range gseqs {
-		g := n.groupProxies[uint32(s)]
+	for _, seq := range sortedKeys(n.groupProxies, cmp.Compare[uint32]) {
+		g := n.groupProxies[seq]
 		for _, key := range g.entryOrder {
 			e := g.entries[key]
 			if !e.hasResult {

@@ -67,7 +67,11 @@ func (t *prefTable) stateBytes() int {
 // every hosted proxy with its stored requests and results.
 func (n *MSSNode) StateBytes() int {
 	total := n.localMhs.stateBytes() + n.prefs.stateBytes()
-	total += len(n.incs) * bytesIncEntry
+	for _, h := range n.hosts {
+		if h.inc != 0 { // the incarnation table: records with one registered
+			total += bytesIncEntry
+		}
+	}
 	for _, p := range n.proxies {
 		total += bytesProxy
 		for _, r := range p.reqs {
@@ -93,9 +97,9 @@ func (n *MSSNode) StateBytes() int {
 // (reported separately from StateBytes; see file comment).
 func (n *MSSNode) OutstandingBytes() int {
 	total := 0
-	for _, set := range n.outstanding {
-		if len(set) > 0 { // an emptied ledger keeps only its capacity
-			total += bytesOutstandingMH + len(set)*bytesOutstandingReq
+	for _, h := range n.hosts {
+		if len(h.out) > 0 { // an emptied ledger keeps only its capacity
+			total += bytesOutstandingMH + len(h.out)*bytesOutstandingReq
 		}
 	}
 	return total

@@ -38,8 +38,6 @@ type Stats struct {
 	// AckForwards counts Ack messages relayed respMss -> proxy (overhead
 	// term 2 of §5: one per acknowledged result).
 	AckForwards metrics.Counter
-	// ServerAcks counts application-level acks sent proxy -> server.
-	ServerAcks metrics.Counter
 	// Handoffs counts completed Hand-off protocol runs (deregack
 	// processed at the new MSS).
 	Handoffs metrics.Counter

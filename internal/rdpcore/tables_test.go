@@ -1,8 +1,11 @@
 package rdpcore
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -339,13 +342,13 @@ func TestOutstandingLedgerRoundTrip(t *testing.T) {
 	if want := 2*bytesOutstandingMH + 3*bytesOutstandingReq; before != want {
 		t.Fatalf("OutstandingBytes = %d, want %d", before, want)
 	}
-	ledger := fmt.Sprint(n.outstanding)
+	ledger := fmt.Sprint(n.peek(1).out, n.peek(2).out)
 	w.CrashMSS(1)
 	if n.OutstandingBytes() != 0 {
 		t.Fatal("crash left a ledger behind")
 	}
 	w.RestartMSS(1)
-	if got := fmt.Sprint(n.outstanding); got != ledger || n.OutstandingBytes() != before {
+	if got := fmt.Sprint(n.peek(1).out, n.peek(2).out); got != ledger || n.OutstandingBytes() != before {
 		t.Errorf("restored ledger %s (%d B), want %s (%d B)", got, n.OutstandingBytes(), ledger, before)
 	}
 	w.RunUntil(5 * time.Second)
@@ -354,5 +357,591 @@ func TestOutstandingLedgerRoundTrip(t *testing.T) {
 	}
 	if !a.Seen(ids.RequestID{Origin: 1, Seq: 2}) || !b.Seen(ids.RequestID{Origin: 2, Seq: 1}) {
 		t.Error("results lost across the station crash")
+	}
+}
+
+// silentWired is a backbone that carries nothing and keeps what was sent.
+type silentWired struct{ sent []msg.Message }
+
+func (s *silentWired) Send(_, _ ids.NodeID, m msg.Message) { s.sent = append(s.sent, m) }
+func (s *silentWired) Register(ids.NodeID, netsim.Handler) {}
+
+// oracleArrival is a pending hand-off in the station oracle.
+type oracleArrival struct {
+	oldMSS             ids.MSS
+	buffered, deferred []msg.Message
+}
+
+// oracleHeld is one held result in the station oracle.
+type oracleHeld struct {
+	req ids.RequestID
+	inc ids.Incarnation
+}
+
+// stationOracle is the per-host bookkeeping of one station as the ten
+// plain maps MSSNode kept before its host table (prefs and the hand-off
+// records ride along so that the handlers can be replayed), with the
+// handlers written against them the way mss.go read before the change.
+type stationOracle struct {
+	me             ids.MSS
+	w              *World
+	responsible    map[ids.MH]bool
+	prefs          map[ids.MH]msg.Pref
+	ignoreAcks     map[ids.MH]bool
+	forwardTo      map[ids.MH]ids.MSS
+	ledger         map[ids.MH][]outReq
+	incs           map[ids.MH]ids.Incarnation
+	arriving       map[ids.MH]*oracleArrival
+	parked         map[ids.MH][]msg.Message
+	held           map[ids.MH][]oracleHeld
+	heldAcks       map[ids.MH]map[ids.RequestID]bool
+	deferredUpdate map[ids.MH]bool
+	nextProxySeq   uint32
+
+	ignoredAcks, orphans, staleDrops int64
+}
+
+func newStationOracle(me ids.MSS, w *World) *stationOracle {
+	o := &stationOracle{me: me, w: w}
+	o.responsible, o.prefs = map[ids.MH]bool{}, map[ids.MH]msg.Pref{}
+	o.ignoreAcks, o.forwardTo = map[ids.MH]bool{}, map[ids.MH]ids.MSS{}
+	o.ledger, o.incs = map[ids.MH][]outReq{}, map[ids.MH]ids.Incarnation{}
+	o.wipeVolatile()
+	return o
+}
+
+func (o *stationOracle) wipeVolatile() {
+	o.arriving, o.parked = map[ids.MH]*oracleArrival{}, map[ids.MH][]msg.Message{}
+	o.held, o.heldAcks = map[ids.MH][]oracleHeld{}, map[ids.MH]map[ids.RequestID]bool{}
+	o.deferredUpdate = map[ids.MH]bool{}
+}
+
+// crash is a station crash and journal replay: the volatile maps go, and
+// of the durable ones what the journal had an entry for comes back.
+func (o *stationOracle) crash() {
+	o.wipeVolatile()
+	journaled := func(mh ids.MH) bool {
+		_, pref := o.prefs[mh]
+		return o.responsible[mh] || pref || o.ignoreAcks[mh]
+	}
+	for mh := range o.ledger {
+		if !journaled(mh) {
+			delete(o.ledger, mh)
+		}
+	}
+	for mh := range o.incs {
+		if !journaled(mh) {
+			delete(o.incs, mh)
+		}
+	}
+}
+
+func (o *stationOracle) noteInc(mh ids.MH, inc ids.Incarnation) {
+	if inc == 0 || !incLess(o.incs[mh], inc) {
+		return
+	}
+	o.incs[mh] = inc
+	o.ledger[mh] = slices.DeleteFunc(o.ledger[mh], func(r outReq) bool {
+		if incLess(r.inc, inc) {
+			o.staleDrops++
+			return true
+		}
+		return false
+	})
+	o.held[mh] = slices.DeleteFunc(o.held[mh], func(r oracleHeld) bool {
+		if incLess(r.inc, inc) {
+			o.staleDrops++
+			return true
+		}
+		return false
+	})
+}
+
+func (o *stationOracle) forget(mh ids.MH) {
+	delete(o.responsible, mh)
+	delete(o.prefs, mh)
+	delete(o.held, mh)
+	delete(o.heldAcks, mh)
+	delete(o.deferredUpdate, mh)
+	delete(o.ledger, mh)
+	delete(o.incs, mh)
+}
+
+func (o *stationOracle) join(mh ids.MH) {
+	o.responsible[mh] = true
+	delete(o.ignoreAcks, mh)
+	delete(o.forwardTo, mh)
+	if _, ok := o.prefs[mh]; !ok {
+		o.prefs[mh] = msg.Pref{}
+	}
+	parked := o.parked[mh]
+	delete(o.parked, mh)
+	for _, m := range parked {
+		o.process(m)
+	}
+}
+
+func (o *stationOracle) reactivate(mh ids.MH) {
+	delete(o.deferredUpdate, mh)
+	if o.prefs[mh].HasProxy() && len(o.held[mh]) > 0 {
+		o.deferredUpdate[mh] = true
+	}
+	if held := o.held[mh]; len(held) > 0 {
+		delete(o.held, mh)
+		if o.heldAcks[mh] == nil {
+			o.heldAcks[mh] = map[ids.RequestID]bool{}
+		}
+		for _, r := range held {
+			o.heldAcks[mh][r.req] = true
+		}
+	}
+}
+
+func (o *stationOracle) noteHeldAck(mh ids.MH, req ids.RequestID) {
+	if o.heldAcks[mh] == nil {
+		return
+	}
+	delete(o.heldAcks[mh], req)
+	if len(o.heldAcks[mh]) == 0 {
+		delete(o.heldAcks, mh)
+		delete(o.deferredUpdate, mh)
+	}
+}
+
+func (o *stationOracle) process(m msg.Message) {
+	switch m := m.(type) {
+	case msg.Join:
+		o.join(m.MH)
+	case msg.Leave:
+		o.forget(m.MH)
+	case msg.Register:
+		o.noteInc(m.MH, m.Inc)
+		o.process(msg.Greet{MH: m.MH, OldMSS: o.me, Inc: m.Inc})
+	case msg.Greet:
+		o.noteInc(m.MH, m.Inc)
+		if arr := o.arriving[m.MH]; arr != nil {
+			arr.deferred = append(arr.deferred, m)
+			return
+		}
+		if m.OldMSS == o.me {
+			if !o.responsible[m.MH] {
+				if _, ok := o.forwardTo[m.MH]; ok {
+					o.arriving[m.MH] = &oracleArrival{oldMSS: m.OldMSS}
+					return
+				}
+				o.join(m.MH)
+			}
+			o.reactivate(m.MH)
+			return
+		}
+		o.arriving[m.MH] = &oracleArrival{oldMSS: m.OldMSS, deferred: o.parked[m.MH]}
+		delete(o.parked, m.MH)
+	case msg.Request:
+		mh := m.Req.Origin
+		if arr := o.arriving[mh]; arr != nil {
+			arr.buffered = append(arr.buffered, m)
+			return
+		}
+		if !o.responsible[mh] {
+			if _, ok := o.forwardTo[mh]; !ok {
+				o.orphans++
+			}
+			return
+		}
+		if incLess(m.Inc, normInc(o.incs[mh])) {
+			o.staleDrops++
+			return
+		}
+		o.noteInc(mh, m.Inc)
+		pref := o.prefs[mh]
+		pref.RKpR = false
+		if i := slices.IndexFunc(o.ledger[mh], func(r outReq) bool { return r.req == m.Req }); i >= 0 {
+			o.ledger[mh][i].inc = normInc(m.Inc)
+		} else {
+			o.ledger[mh] = append(o.ledger[mh], outReq{req: m.Req, inc: normInc(m.Inc)})
+		}
+		if !pref.HasProxy() {
+			o.nextProxySeq++
+			pref.Proxy = ids.ProxyID{Host: o.me, Seq: o.nextProxySeq}
+		}
+		o.prefs[mh] = pref
+	case msg.AckMH:
+		if arr := o.arriving[m.MH]; arr != nil {
+			arr.buffered = append(arr.buffered, m)
+			return
+		}
+		if o.ignoreAcks[m.MH] {
+			o.ignoredAcks++
+			return
+		}
+		if !o.responsible[m.MH] {
+			o.orphans++
+			return
+		}
+		pref := o.prefs[m.MH]
+		if !pref.HasProxy() {
+			o.orphans++
+			o.noteHeldAck(m.MH, m.Req)
+			return
+		}
+		o.ledger[m.MH] = slices.DeleteFunc(o.ledger[m.MH], func(r outReq) bool { return r.req == m.Req })
+		if pref.RKpR && len(o.ledger[m.MH]) == 0 && !m.HaveOutstanding {
+			o.prefs[m.MH] = msg.Pref{}
+		}
+		o.noteHeldAck(m.MH, m.Req)
+	case msg.Dereg:
+		if m.NewMSS == o.me && o.responsible[m.MH] && o.arriving[m.MH] == nil {
+			return
+		}
+		if o.responsible[m.MH] {
+			o.ignoreAcks[m.MH] = true
+			o.forwardTo[m.MH] = m.NewMSS
+			o.forget(m.MH)
+			return
+		}
+		if _, ok := o.forwardTo[m.MH]; ok {
+			return
+		}
+		if arr := o.arriving[m.MH]; arr != nil {
+			arr.deferred = append(arr.deferred, m)
+			return
+		}
+		o.parked[m.MH] = append(o.parked[m.MH], m)
+	case msg.DeregAck:
+		o.noteInc(m.MH, m.Inc)
+		arr := o.arriving[m.MH]
+		delete(o.arriving, m.MH)
+		o.responsible[m.MH] = true
+		delete(o.ignoreAcks, m.MH)
+		delete(o.forwardTo, m.MH)
+		o.prefs[m.MH] = m.Pref
+		if arr == nil {
+			return
+		}
+		for _, b := range arr.buffered {
+			o.process(b)
+		}
+		for i, d := range arr.deferred {
+			o.process(d)
+			if next := o.arriving[m.MH]; next != nil {
+				next.deferred = append(next.deferred, arr.deferred[i+1:]...)
+				break
+			}
+		}
+	case msg.ResultForward:
+		if incLess(m.Inc, normInc(o.incs[m.MH])) {
+			o.staleDrops++
+			return
+		}
+		if pref, ok := o.prefs[m.MH]; ok && m.DelPref && pref.Proxy == m.Proxy {
+			pref.RKpR = true
+			o.prefs[m.MH] = pref
+		}
+		if o.responsible[m.MH] && o.w.InCell(m.MH, o.me) && !o.w.IsActive(m.MH) {
+			o.held[m.MH] = append(o.held[m.MH], oracleHeld{req: m.Req, inc: m.Inc})
+		}
+	}
+}
+
+// TestStationTableAgainstMapOracle drives one station by hand through
+// random histories of join / greet (from a new cell, in place, overtaken
+// by its own dereg) / dereg / deregack / request / ack / result forward
+// (to an active or an inactive host) / reboot under a newer incarnation /
+// leave / station crash and restart, with both substrates silent and the
+// kernel never run, and checks after every step that the host table
+// answers exactly as the plain maps would.
+func TestStationTableAgainstMapOracle(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { stationTableHistory(t, seed) })
+	}
+}
+
+func stationTableHistory(t *testing.T, seed int64) {
+	const me = ids.MSS(1)
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.NumMSS = seed, 3
+	cfg.HoldForInactive, cfg.Checkpoint = true, true
+	wired := &silentWired{}
+	w := NewWorldWith(sim.NewKernel(seed), cfg, wired, &silentRadio{})
+	n := w.MSSs[me]
+	o := newStationOracle(me, w)
+	rnd := rand.New(rand.NewSource(seed))
+	hosts := []ids.MH{1, 2, 3, 4}
+	inc := map[ids.MH]ids.Incarnation{}
+	seq := map[ids.MH]uint32{}
+	gaveAway := map[ids.MH]msg.DeregAck{} // the station's last deregack per host
+	for _, mh := range hosts {
+		w.AddMH(mh, me)
+		inc[mh] = ids.FirstIncarnation
+	}
+	for step := 0; step < 500; step++ {
+		mh := hosts[rnd.Intn(len(hosts))]
+		other := ids.MSS(2 + rnd.Intn(2))
+		anyInc := ids.Incarnation(rnd.Intn(int(inc[mh]) + 1)) // 0 (unknown) … current
+		var m msg.Message
+		switch op := rnd.Intn(16); op {
+		case 0:
+			m = msg.Join{MH: mh}
+		case 1, 2:
+			m = msg.Greet{MH: mh, OldMSS: other, Inc: inc[mh]}
+		case 3:
+			m = msg.Greet{MH: mh, OldMSS: me, Inc: anyInc}
+		case 4:
+			m = msg.Dereg{MH: mh, NewMSS: ids.MSS(1 + rnd.Intn(3))}
+		case 5, 6:
+			ack := gaveAway[mh]
+			if rnd.Intn(3) == 0 {
+				ack = msg.DeregAck{}
+			}
+			ack.MH = mh
+			m = ack
+		case 7, 8:
+			seq[mh]++
+			m = msg.Request{Req: ids.RequestID{Origin: mh, Seq: seq[mh]}, Server: 1, Payload: []byte("q"), Inc: anyInc}
+		case 9, 14:
+			m = msg.AckMH{MH: mh, Req: ids.RequestID{Origin: mh, Seq: uint32(1 + rnd.Intn(int(seq[mh])+1))},
+				HaveOutstanding: rnd.Intn(3) == 0}
+		case 10, 15:
+			h := w.MHs[mh]
+			h.active, h.loc = rnd.Intn(2) == 0, ids.MSS(1+rnd.Intn(4)/3)
+			pref, _ := n.PrefOf(mh)
+			if rnd.Intn(4) > 0 {
+				anyInc = inc[mh]
+			}
+			m = msg.ResultForward{Proxy: pref.Proxy, MH: mh, Req: ids.RequestID{Origin: mh, Seq: uint32(1 + rnd.Intn(int(seq[mh])+1))},
+				Payload: []byte("r"), DelPref: rnd.Intn(2) == 0, Inc: anyInc}
+		case 11:
+			inc[mh]++
+			m = msg.Register{MH: mh, Inc: inc[mh]}
+		case 12:
+			m = msg.Leave{MH: mh}
+		case 13:
+			w.CrashMSS(me)
+			w.RestartMSS(me)
+			o.crash()
+		}
+		if m != nil {
+			wired.sent = wired.sent[:0]
+			n.process(mh.Node(), m)
+			o.process(m)
+			for _, s := range wired.sent {
+				if ack, ok := s.(msg.DeregAck); ok {
+					gaveAway[ack.MH] = ack
+				}
+			}
+		}
+		outBytes := 0
+		for _, mh := range hosts {
+			h := n.peek(mh)
+			pref, hasPref := n.PrefOf(mh)
+			wantPref, wantHasPref := o.prefs[mh]
+			fwd, hasFwd := o.forwardTo[mh]
+			got := fmt.Sprint(n.Responsible(mh), pref, hasPref, h.departed, h.forwardTo, h.out, h.inc)
+			want := fmt.Sprint(o.responsible[mh], wantPref, wantHasPref, o.ignoreAcks[mh], fwd, o.ledger[mh], o.incs[mh])
+			if got != want || hasFwd != o.ignoreAcks[mh] {
+				t.Fatalf("step %d %T %v: durable state %s, oracle %s", step, m, mh, got, want)
+			}
+			x := h.x
+			if x == nil {
+				x = &hostTransient{}
+			}
+			arrGot, arrWant := "none", "none"
+			if x.arr != nil {
+				arrGot = fmt.Sprint(x.arr.oldMSS, len(x.arr.buffered), len(x.arr.deferred))
+			}
+			if a := o.arriving[mh]; a != nil {
+				arrWant = fmt.Sprint(a.oldMSS, len(a.buffered), len(a.deferred))
+			}
+			got = fmt.Sprint(arrGot, len(x.parked), len(x.held), len(x.heldAcks), x.deferredUpdate)
+			want = fmt.Sprint(arrWant, len(o.parked[mh]), len(o.held[mh]), len(o.heldAcks[mh]), o.deferredUpdate[mh])
+			if got != want {
+				t.Fatalf("step %d %T %v: volatile state %s, oracle %s", step, m, mh, got, want)
+			}
+			if len(o.ledger[mh]) > 0 {
+				outBytes += bytesOutstandingMH + len(o.ledger[mh])*bytesOutstandingReq
+			}
+		}
+		if got := n.OutstandingBytes(); got != outBytes {
+			t.Fatalf("step %d: OutstandingBytes = %d, oracle %d", step, got, outBytes)
+		}
+		got := fmt.Sprint(w.Stats.IgnoredAcks.Value(), w.Stats.OrphanMessages.Value(), w.Stats.StaleIncarnationDrops.Value())
+		if want := fmt.Sprint(o.ignoredAcks, o.orphans, o.staleDrops); got != want {
+			t.Fatalf("step %d %T: ignored/orphan/stale counts %s, oracle %s", step, m, got, want)
+		}
+	}
+	if a := &absentHost; a.x != nil || a.out != nil || a.departed || a.forwardTo != 0 || a.inc != 0 {
+		t.Errorf("the shared absent record was written: %+v", *a)
+	}
+	if w.Stats.Handoffs.Value() == 0 || w.Stats.HeldResults.Value() == 0 || o.ignoredAcks == 0 ||
+		o.orphans == 0 || o.staleDrops == 0 {
+		t.Errorf("thin history: %d hand-offs, %d held results, %d ignored acks, %d orphans, %d stale drops",
+			w.Stats.Handoffs.Value(), w.Stats.HeldResults.Value(), o.ignoredAcks, o.orphans, o.staleDrops)
+	}
+}
+
+// TestAttemptRecordsBounded: with refresh beacons on, the station keeps a
+// delivery-attempt record only while it can still matter — the delivery
+// window — and not one per result ever forwarded.
+func TestAttemptRecordsBounded(t *testing.T) {
+	w := quickWorld(func(c *Config) { c.GreetRefresh = 2 * time.Second })
+	mh := w.AddMH(1, 1)
+	const n, every = 300, 100 * time.Millisecond // window: 4 x 10 ms
+	for i := 0; i < n; i++ {
+		w.Schedule(time.Duration(i)*every, func() { mh.IssueRequest(1, []byte("q")) })
+	}
+	w.RunUntil(n*every + time.Second)
+	if got := w.Stats.ResultLatency.Count(); got != n {
+		t.Fatalf("%d of %d results delivered", got, n)
+	}
+	x := w.MSSs[1].peek(1).x
+	if x == nil || len(x.attempts) == 0 || len(x.attempts) > 2 {
+		t.Errorf("station holds %+v after %d delivered results, want the last window's one or two attempts", x, n)
+	}
+}
+
+// journalScript builds station 1 of a silent world into every durable
+// shape the journal has a record for: hosts that are responsible with
+// and without a proxy, departed, rebooted, subscribed to a group proxy,
+// and (volatile only) arriving, parked and holding a result; a private
+// proxy with a stored result and an open, a released and an aborted
+// batch; a group proxy with an acked and an un-acked waiter; a tombstone
+// still owed two confirmations.
+func journalScript() (*World, *MSSNode) {
+	cfg := DefaultConfig()
+	cfg.NumMSS, cfg.NumServers = 3, 2
+	cfg.Checkpoint, cfg.HoldForInactive, cfg.AggregatedState = true, true, true
+	cfg.GroupTopic = func(s ids.Server, _ []byte) (uint32, bool) { return 7, s == 2 }
+	w := NewWorldWith(sim.NewKernel(1), cfg, &silentWired{}, &silentRadio{})
+	n := w.MSSs[1]
+	do := func(m msg.Message) { n.process(ids.MSS(2).Node(), m) }
+	req := func(mh ids.MH, seq uint32) ids.RequestID { return ids.RequestID{Origin: mh, Seq: seq} }
+	for mh := ids.MH(1); mh <= 5; mh++ {
+		do(msg.Join{MH: mh})
+	}
+	do(msg.Join{MH: 8})
+	// mh1: private proxy, one answered and one open request, three batches.
+	do(msg.Request{Req: req(1, 1), Server: 1, Payload: []byte("a"), Inc: 1})
+	do(msg.Request{Req: req(1, 2), Server: 1, Payload: []byte("b"), Inc: 1})
+	pref, _ := n.PrefOf(1)
+	p := n.ProxyByID(pref.Proxy)
+	do(msg.ServerResult{Proxy: p.id, Req: req(1, 1), Payload: []byte("result-a")})
+	open, released, aborted := ids.BatchID{Origin: 1, Seq: 1}, ids.BatchID{Origin: 1, Seq: 2}, ids.BatchID{Origin: 1, Seq: 3}
+	do(msg.BatchOpen{MH: 1, Batch: open, Inc: 1})
+	do(msg.BatchItem{MH: 1, Batch: open, Req: req(1, 3), Server: 1, Payload: []byte("c"), Inc: 1})
+	do(msg.BatchOpen{MH: 1, Batch: released, Inc: 1})
+	do(msg.BatchItem{MH: 1, Batch: released, Req: req(1, 4), Server: 1, Payload: []byte("d"), Inc: 1})
+	do(msg.BatchCommit{MH: 1, Batch: released, Count: 1})
+	do(msg.ServerResult{Proxy: p.id, Req: req(1, 4), Payload: []byte("result-d")})
+	do(msg.BatchOpen{MH: 1, Batch: aborted, Inc: 1})
+	do(msg.BatchItem{MH: 1, Batch: aborted, Req: req(1, 5), Server: 1, Payload: []byte("e"), Inc: 1})
+	p.abortBatch(p.batches[aborted])
+	// mh3 departs; mh4 reboots twice and asks again.
+	do(msg.Dereg{MH: 3, NewMSS: 2})
+	do(msg.Register{MH: 4, Inc: 3})
+	do(msg.Request{Req: req(4, 1), Server: 1, Payload: []byte("f"), Inc: 3})
+	// mh5 and mh8 share a group entry; mh5's copy is acknowledged.
+	do(msg.Request{Req: req(5, 1), Server: 2, Payload: []byte("topic"), Inc: 1})
+	do(msg.Request{Req: req(8, 1), Server: 2, Payload: []byte("topic"), Inc: 1})
+	shared, _ := n.PrefOf(5)
+	do(msg.ServerResult{Proxy: shared.Proxy, Req: req(5, 1), Payload: []byte("news")})
+	do(msg.AckForward{Proxy: shared.Proxy, MH: 5, Req: req(5, 1)})
+	// A migrated proxy's tombstone, two servers yet to confirm.
+	t := &tombstone{oldProxy: ids.ProxyID{Host: 1, Seq: 900}, newProxy: ids.ProxyID{Host: 2, Seq: 5}, mh: 1,
+		pendingServers: map[ids.Server]bool{1: true, 2: true}}
+	n.tombstones[t.oldProxy.Seq] = t
+	n.persistTombstone(t)
+	// Volatile only: mh6 arriving with a buffered request, a dereg parked
+	// for mh7, a result held for the inactive mh2.
+	do(msg.Greet{MH: 6, OldMSS: 3, Inc: 1})
+	do(msg.Request{Req: req(6, 1), Server: 1, Payload: []byte("g"), Inc: 1})
+	do(msg.Dereg{MH: 7, NewMSS: 3})
+	w.AddMH(2, 1).active = false
+	do(msg.ResultForward{Proxy: ids.ProxyID{Host: 3, Seq: 1}, MH: 2, Req: req(2, 1), Payload: []byte("h"), Inc: 1})
+	return w, n
+}
+
+// journalDump prints the durable half of a station deterministically.
+func journalDump(n *MSSNode) string {
+	var b strings.Builder
+	for mh := ids.MH(1); mh <= 8; mh++ {
+		pref, hasPref := n.PrefOf(mh)
+		fmt.Fprintf(&b, "host %v: %v %v %v %+v\n", mh, n.Responsible(mh), pref, hasPref, n.peek(mh).hostDurable)
+	}
+	for _, seq := range sortedKeys(n.proxies, cmp.Compare[uint32]) {
+		p := n.proxies[seq]
+		fmt.Fprintf(&b, "proxy %v %v %v %v\n", p.id, p.mh, p.currentLoc, p.leaseInc)
+		for _, r := range p.reqs {
+			fmt.Fprintf(&b, "  req %+v\n", *r)
+		}
+		for _, id := range p.batchOrder {
+			fmt.Fprintf(&b, "  batch %+v\n", *p.batches[id])
+		}
+		for _, id := range p.abortOrder {
+			fmt.Fprintf(&b, "  aborted %v %v\n", id, p.abortedBatches[id])
+		}
+	}
+	for _, seq := range sortedKeys(n.groupProxies, cmp.Compare[uint32]) {
+		g := n.groupProxies[seq]
+		fmt.Fprintf(&b, "group %v %v %v %v %v\n", g.id, g.server, g.topic, g.members.Members(), g.memberLoc)
+		for _, key := range g.entryOrder {
+			e := g.entries[key]
+			fmt.Fprintf(&b, "  entry %v %q %v %q %v unacked %d waiters %+v index %v entrants %v\n", e.server, e.payload,
+				e.leaderReq, e.result, e.hasResult, e.unacked, e.waiters, e.ackIdx, e.entrants.Members())
+		}
+	}
+	for _, seq := range sortedKeys(n.tombstones, cmp.Compare[uint32]) {
+		fmt.Fprintf(&b, "tombstone %+v\n", *n.tombstones[seq])
+	}
+	fmt.Fprintf(&b, "nextProxySeq %d topics %v\n", n.nextProxySeq, n.topicProxies)
+	return b.String()
+}
+
+// TestJournalRoundTrip: crash plus journal replay gives back the durable
+// half of every record exactly, leaves every volatile field zero, and
+// the script costs the stable-store writes it always did.
+func TestJournalRoundTrip(t *testing.T) {
+	w, n := journalScript()
+	const writes = 44 // counted at the parent of the host-table change
+	if got := w.CheckpointWrites(); got != writes {
+		t.Errorf("script made %d journal writes, want %d", got, writes)
+	}
+	if n.peek(6).arrival() == nil || len(n.peek(7).x.parked) != 1 || len(n.peek(2).x.held) != 1 {
+		t.Fatal("fixture: the volatile state to lose is not there")
+	}
+	before := journalDump(n)
+	for _, want := range []string{"departed:true forwardTo:2", "inc:3}", "hasResult:true", "released:true",
+		"aborted", "acked:true", "acked:false", "pendingServers:map[1:true 2:true]"} {
+		if !strings.Contains(before, want) {
+			t.Errorf("fixture: dump lacks %q:\n%s", want, before)
+		}
+	}
+	w.CrashMSS(1)
+	if n.Responsible(1) || len(n.hosts)+len(n.proxies)+len(n.groupProxies)+len(n.tombstones) != 0 {
+		t.Fatal("crash left memory behind")
+	}
+	w.RestartMSS(1)
+	if after := journalDump(n); after != before {
+		t.Errorf("durable state changed across crash and replay:\n--- before\n%s--- after\n%s", before, after)
+	}
+	for mh, h := range n.hosts {
+		if h.x != nil {
+			t.Errorf("%v: volatile part survived the crash: %+v", mh, h.x)
+		}
+	}
+	for _, p := range n.proxies {
+		if p.remoteForwards != 0 || p.host != n {
+			t.Errorf("proxy %v: volatile fields not reset", p.id)
+		}
+		for _, bt := range p.batches {
+			if bt.deadlineEpoch != 0 {
+				t.Errorf("proxy %v batch %v: timer epoch restored", p.id, bt.id)
+			}
+		}
+	}
+	if n.inbox.len()+len(n.migInbound)+len(n.migOutbound)+len(n.aggLocBuf)+len(n.aggAckBuf) != 0 || n.spare != nil {
+		t.Error("station-level volatile state survived the crash")
+	}
+	if got := w.CheckpointWrites(); got != writes {
+		t.Errorf("crash and replay made %d journal writes", got-writes)
 	}
 }

@@ -54,10 +54,6 @@ type Config struct {
 	// can detect the destination MH is inactive keeps the result and
 	// delivers it on reactivation, saving a proxy retransmission.
 	HoldForInactive bool
-	// ServerAcks makes proxies send application-level acks to servers
-	// once the MH acknowledged a result (§3.1 "depending on the
-	// particular application-level client-server protocol").
-	ServerAcks bool
 	// RequestTimeout, when positive, enables client-side request retry
 	// (QRPC-style shim); zero disables it.
 	RequestTimeout time.Duration
@@ -1096,10 +1092,19 @@ func (w *World) CheckQuiescent() error {
 		if len(st.aggLocBuf) > 0 || len(st.aggAckBuf) > 0 {
 			return fmt.Errorf("quiescence: %v still has buffered group signaling", id)
 		}
-		if len(st.arriving) > 0 {
-			return fmt.Errorf("quiescence: %v still has %d pending hand-offs", id, len(st.arriving))
+		arriving, parked := 0, 0
+		for _, h := range st.hosts {
+			if x := h.x; x != nil {
+				parked += len(x.parked)
+				if x.arr != nil {
+					arriving++
+				}
+			}
 		}
-		if len(st.pendingDeregs) > 0 {
+		if arriving > 0 {
+			return fmt.Errorf("quiescence: %v still has %d pending hand-offs", id, arriving)
+		}
+		if parked > 0 {
 			return fmt.Errorf("quiescence: %v still has parked deregs", id)
 		}
 		if len(st.tombstones) > 0 {

@@ -410,19 +410,6 @@ func TestHandoffStateBytesConstant(t *testing.T) {
 	}
 }
 
-func TestServerAcksOption(t *testing.T) {
-	w := quickWorld(func(c *Config) { c.ServerAcks = true })
-	mh := w.AddMH(1, 1)
-	w.Kernel.After(0, func() { mh.IssueRequest(1, []byte("x")) })
-	w.RunUntil(time.Second)
-	if got := w.Stats.ServerAcks.Value(); got != 1 {
-		t.Errorf("ServerAcks = %d, want 1", got)
-	}
-	if got := w.Servers[1].Acked.Value(); got != 1 {
-		t.Errorf("server recorded %d acks, want 1", got)
-	}
-}
-
 func TestMigrateToSameCellIsNoop(t *testing.T) {
 	w := quickWorld(nil)
 	w.AddMH(1, 1)

@@ -14,8 +14,11 @@
 # every pair's norm_results_per_s, each side's median and quartiles, and
 # the verdict: head wins at least nine pairs in ten (ties count for
 # neither) and the medians differ by more than the base's own
-# interquartile range. It reads the result line perf prints and changes
-# nothing under perf/.
+# interquartile range. Then, from the same runs, every end-to-end metric
+# BENCHMARK.json declares: both sides' medians, the change in %, and
+# WORSE where head is worse than base by more than that metric's bound —
+# what a change that claims no gain has to show. It reads the result line
+# perf prints and changes nothing under perf/.
 set -eu
 if [ $# -lt 3 ]; then
 	echo "usage: $0 <base-ref> <head-ref> <workload> [pairs [seed0]]" >&2
@@ -43,6 +46,7 @@ build head "$head_ref"
 
 run() { # side seed
 	out=$(cd "$root/$1" && "$root/$1.perfbench" -workload "$workload" -seed "$2" -trace 0 | tail -n 1)
+	printf '%s\n' "$out" >>"$root/$1.lines"
 	v=$(printf '%s\n' "$out" | sed -n 's/.*"'$metric'":{"value":\([0-9.eE+-]*\).*/\1/p')
 	if [ -z "$v" ]; then
 		echo "perf-ab: $1 run printed no $metric (seed $2)" >&2
@@ -53,6 +57,8 @@ run() { # side seed
 
 : >"$root/base.runs"
 : >"$root/head.runs"
+: >"$root/base.lines"
+: >"$root/head.lines"
 i=1
 while [ "$i" -le "$pairs" ]; do
 	seed=$((seed0 + i))
@@ -91,3 +97,41 @@ paste "$root/base.runs" "$root/head.runs" | awk -v bq="$bq" -v hq="$hq" '
 		if (wins * 10 >= NR * 9 && gap > iqr) print "  verdict: gain"
 		else print "  verdict: no gain shown"
 	}'
+
+# Every end-to-end metric of BENCHMARK.json, from the result lines kept
+# above. The array's objects hold no nested braces, so one pattern finds
+# each; a metric the result line lacks is reported as missing.
+echo "  end-to-end metrics, medians of $pairs runs a side (WORSE: past the BENCHMARK.json bound):"
+awk -v bench="$(tr -d ' \n\t' <BENCHMARK.json)" '
+	function field(obj, key,    v) { # string or number value of "key" in a flat object
+		if (!match(obj, "\"" key "\":(\"[^\"]*\"|[-+0-9.eE]+)")) return ""
+		v = substr(obj, RSTART + length(key) + 3, RLENGTH - length(key) - 3)
+		gsub(/"/, "", v)
+		return v
+	}
+	function median(side, name,    n, i, j, t, l, v) {
+		n = 0
+		for (l = 1; l <= lines[side]; l++)
+			if (match(line[side, l], "\"" name "\":\\{\"value\":[-+0-9.eE]+")) {
+				t = substr(line[side, l], RSTART, RLENGTH); sub(/.*:/, "", t); v[++n] = t + 0
+			}
+		if (n == 0) return "missing"
+		for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+		return (v[int((n + 1) / 2)] + v[int(n / 2) + 1]) / 2
+	}
+	FNR == 1 { side++ }
+	{ line[side, ++lines[side]] = $0 }
+	END {
+		s = substr(bench, index(bench, "\"end_to_end\":["))
+		s = substr(s, 1, index(s, "]"))
+		while (match(s, /\{[^{}]*\}/)) {
+			obj = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
+			name = field(obj, "name"); better = field(obj, "better"); bound = field(obj, "bound") + 0
+			b = median(1, name); h = median(2, name)
+			if (b == "missing" || h == "missing") { printf "    %-24s missing from the result line\n", name; continue }
+			worse = (better == "lower") ? h - b : b - h # how far head moved the wrong way
+			mark = (b != 0 ? worse / (b < 0 ? -b : b) > bound : worse > 0) ? "  WORSE" : ""
+			delta = (b != 0) ? sprintf("%+.2f%%", 100 * (h - b) / (b < 0 ? -b : b)) : "n/a"
+			printf "    %-24s base %-12.6g head %-12.6g %9s  (%s is better, bound %g%%)%s\n", name, b, h, delta, better, 100 * bound, mark
+		}
+	}' "$root/base.lines" "$root/head.lines"
