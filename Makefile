@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race race allocs bench cover fmt vet check experiments examples explore viz bench-profile bench-profile-test
+.PHONY: all build test test-race race allocs bench cover fmt vet check loc experiments examples explore viz bench-profile bench-profile-test
 
 all: build test
 
@@ -42,6 +42,11 @@ check:
 	go test -race ./internal/psim ./internal/sim ./internal/netsim ./internal/livenet
 	go test -race -run TestChaosMHCrash ./internal/rdpcore
 	go test -race ./...
+
+# loc prints, per package, the non-test Go lines and how many of them are
+# neither blank nor comment — the size figures CHANGES.md quotes.
+loc:
+	sh scripts/loc.sh
 
 bench:
 	go test -bench=. -benchmem .

@@ -116,6 +116,40 @@ func TestEveryKindCovered(t *testing.T) {
 	}
 }
 
+// TestProxyFieldIsAddressOrListed: a kind with a Proxy field either
+// names the proxy it is for — then it is ProxyAddressed, and WithProxy
+// changes that field and nothing else — or it is listed here as naming
+// the proxy it comes from or speaks about, being addressed to a respMss
+// or a server. A new kind with a Proxy field has to take a side.
+func TestProxyFieldIsAddressOrListed(t *testing.T) {
+	notTheAddressee := map[Kind]bool{
+		KindResultForward: true, KindDelPrefOnly: true, KindBatchAbort: true, KindReclaimMemo: true, // to the respMss
+		KindServerRequest: true, KindTISQuery: true, // to a server: the return address
+		KindMigOffer: true, KindMigCommit: true, KindMigState: true, // migration control between two stations
+	}
+	other := ids.ProxyID{Host: 9, Seq: 99}
+	for _, m := range sampleMessages() {
+		f, hasField := reflect.TypeOf(m).FieldByName("Proxy")
+		a, addressed := m.(ProxyAddressed)
+		switch {
+		case !hasField || f.Type != reflect.TypeOf(other):
+			if addressed || notTheAddressee[m.Kind()] {
+				t.Errorf("%v has no Proxy field but is ProxyAddressed or listed", m.Kind())
+			}
+		case addressed == notTheAddressee[m.Kind()]:
+			t.Errorf("%v has a Proxy field: ProxyAddressed %v, listed %v — want exactly one", m.Kind(), addressed, addressed)
+		case addressed:
+			moved := a.WithProxy(other)
+			back, ok := moved.(ProxyAddressed)
+			if !ok || back.ProxyID() != other || a.ProxyID() == other {
+				t.Errorf("%v: WithProxy gave %v", m.Kind(), moved)
+			} else if !reflect.DeepEqual(back.WithProxy(a.ProxyID()), m) {
+				t.Errorf("%v: WithProxy changed more than the Proxy field: %v", m.Kind(), moved)
+			}
+		}
+	}
+}
+
 func TestDecodeRejectsBadVersion(t *testing.T) {
 	b, err := Encode(Join{MH: 1})
 	if err != nil {

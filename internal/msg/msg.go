@@ -827,6 +827,43 @@ func (GroupUpdateLoc) Kind() Kind   { return KindGroupUpdateLoc }
 func (GroupAckForward) Kind() Kind  { return KindGroupAckForward }
 
 // ---------------------------------------------------------------------
+// Proxy-addressed kinds.
+
+// ProxyAddressed is implemented by the kinds whose Proxy field names
+// the proxy they are for (not, as on ResultForward or ServerRequest, the
+// proxy they come from): the station hosting that identity delivers them
+// by it alone, and a migrated proxy's forwarding stub re-addresses them
+// without knowing the kind. The batch kinds answer NoProxy on their
+// wireless leg.
+type ProxyAddressed interface {
+	Message
+	ProxyID() ids.ProxyID
+	WithProxy(ids.ProxyID) Message
+}
+
+func (m RequestForward) ProxyID() ids.ProxyID   { return m.Proxy }
+func (m UpdateCurrentLoc) ProxyID() ids.ProxyID { return m.Proxy }
+func (m AckForward) ProxyID() ids.ProxyID       { return m.Proxy }
+func (m ServerResult) ProxyID() ids.ProxyID     { return m.Proxy }
+func (m LeaseHeartbeat) ProxyID() ids.ProxyID   { return m.Proxy }
+func (m BatchOpen) ProxyID() ids.ProxyID        { return m.Proxy }
+func (m BatchItem) ProxyID() ids.ProxyID        { return m.Proxy }
+func (m BatchCommit) ProxyID() ids.ProxyID      { return m.Proxy }
+func (m GroupUpdateLoc) ProxyID() ids.ProxyID   { return m.Proxy }
+func (m GroupAckForward) ProxyID() ids.ProxyID  { return m.Proxy }
+
+func (m RequestForward) WithProxy(id ids.ProxyID) Message   { m.Proxy = id; return m }
+func (m UpdateCurrentLoc) WithProxy(id ids.ProxyID) Message { m.Proxy = id; return m }
+func (m AckForward) WithProxy(id ids.ProxyID) Message       { m.Proxy = id; return m }
+func (m ServerResult) WithProxy(id ids.ProxyID) Message     { m.Proxy = id; return m }
+func (m LeaseHeartbeat) WithProxy(id ids.ProxyID) Message   { m.Proxy = id; return m }
+func (m BatchOpen) WithProxy(id ids.ProxyID) Message        { m.Proxy = id; return m }
+func (m BatchItem) WithProxy(id ids.ProxyID) Message        { m.Proxy = id; return m }
+func (m BatchCommit) WithProxy(id ids.ProxyID) Message      { m.Proxy = id; return m }
+func (m GroupUpdateLoc) WithProxy(id ids.ProxyID) Message   { m.Proxy = id; return m }
+func (m GroupAckForward) WithProxy(id ids.ProxyID) Message  { m.Proxy = id; return m }
+
+// ---------------------------------------------------------------------
 // String methods (trace rendering).
 
 func (m Join) String() string  { return fmt.Sprintf("join(%v)", m.MH) }

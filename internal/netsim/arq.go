@@ -33,7 +33,9 @@ func (c ARQConfig) rto() time.Duration {
 	return 50 * time.Millisecond
 }
 
-func (c ARQConfig) maxBackoff() time.Duration {
+// BackoffCap returns the backoff cap in effect: MaxBackoff, or its
+// default when unset.
+func (c ARQConfig) BackoffCap() time.Duration {
 	if c.MaxBackoff > 0 {
 		return c.MaxBackoff
 	}
@@ -44,7 +46,7 @@ func (c ARQConfig) maxBackoff() time.Duration {
 // given attempt number (1-based): RTO doubled per attempt, capped.
 func (c ARQConfig) backoff(attempt int) time.Duration {
 	d := c.rto()
-	max := c.maxBackoff()
+	max := c.BackoffCap()
 	for i := 1; i < attempt; i++ {
 		d *= 2
 		if d >= max {

@@ -33,8 +33,10 @@ import (
 
 // sharedProxyBit marks a ProxyID.Seq as naming a group proxy. The bit
 // rides inside the existing identifier space so every message, pref and
-// stable-store record that carries a ProxyID works unchanged; stations
-// route on the bit (group table vs. proxy table) without a new field.
+// stable-store record that carries a ProxyID works unchanged, and a group
+// proxy takes a slot of the station's one addressee table like any other
+// identity; the respMss reads the bit off a pref where shared prefs follow
+// other rules (no lease, no §3.3 removal, coalesced signaling).
 const sharedProxyBit = uint32(1) << 31
 
 // isSharedProxy reports whether id names a shared group proxy.
@@ -109,7 +111,7 @@ type GroupProxy struct {
 // this cell, creating it on first use — or nil when aggregation is off
 // or the deployment's topic classifier declines the request.
 func (n *MSSNode) sharedGroupFor(server ids.Server, payload []byte) *GroupProxy {
-	if !n.w.cfg.AggregatedState || n.w.cfg.GroupTopic == nil {
+	if !n.w.cfg.AggregatedState || n.w.cfg.GroupTopic == nil || !server.Valid() {
 		return nil
 	}
 	topic, ok := n.w.cfg.GroupTopic(server, payload)
@@ -118,7 +120,7 @@ func (n *MSSNode) sharedGroupFor(server ids.Server, payload []byte) *GroupProxy 
 	}
 	key := groupKey{server: server, topic: topic}
 	if seq, ok := n.topicProxies[key]; ok {
-		return n.groupProxies[seq]
+		return n.hosted[seq].(*GroupProxy)
 	}
 	// Group proxies draw from the same persistent sequence counter as
 	// per-request proxies, so identifiers stay unique across crashes.
@@ -134,7 +136,7 @@ func (n *MSSNode) sharedGroupFor(server ids.Server, payload []byte) *GroupProxy 
 		entries:   make(map[dcache.Key]*sharedEntry),
 		createdAt: n.w.Kernel.Now(),
 	}
-	n.groupProxies[id.Seq] = g
+	n.put(id.Seq, g)
 	n.topicProxies[key] = id.Seq
 	n.w.Stats.SharedProxies.Inc()
 	n.persistGroup(g)
@@ -488,48 +490,48 @@ func compareProxyIDs(a, b ids.ProxyID) int {
 	return cmp.Or(cmp.Compare(a.Host, b.Host), cmp.Compare(a.Seq, b.Seq))
 }
 
-// hostedGroup returns the group proxy id names when this station hosts
-// it; otherwise the message that named it is counted as an orphan
-// (group proxies never migrate, so there is nowhere to redirect it).
-func (n *MSSNode) hostedGroup(id ids.ProxyID) *GroupProxy {
-	if g := n.groupProxies[id.Seq]; g != nil && g.id == id {
-		return g
+// handle takes one message addressed to the group proxy
+// (MSSNode.deliver): the coalesced group signaling, and the per-member
+// kinds a private proxy takes too — a member that moved to another cell
+// kept its shared pref, so its later requests arrive as forwards and
+// (re-)join the group with the sender station as delivery location;
+// single-member location updates and acks come from stations running
+// without coalescing and from stale-incarnation bounces. DelProxy never
+// applies to a group proxy, and nothing else does either: leases and
+// batches are counted as orphans.
+func (g *GroupProxy) handle(from ids.NodeID, m msg.ProxyAddressed) {
+	switch v := m.(type) {
+	case msg.RequestForward:
+		g.join(v.Req.Origin, from.MSS(), v.Req, v.Server, v.Payload, v.Inc)
+	case msg.UpdateCurrentLoc:
+		var one aggstate.Set
+		one.Add(uint32(v.MH))
+		g.updateLoc(&one, v.NewLoc)
+	case msg.AckForward:
+		g.ack(v.MH, v.Req.Seq)
+	case msg.ServerResult:
+		g.onServerResult(v.Req, v.Payload)
+	case msg.GroupUpdateLoc:
+		moved, err := aggstate.DecodeDelta(v.Members)
+		if err != nil {
+			g.host.w.Stats.OrphanMessages.Inc()
+			return
+		}
+		g.updateLoc(moved, v.NewLoc)
+	case msg.GroupAckForward:
+		// Seqs aligns with the ascending iteration of the member set; a
+		// mismatched pair is rejected whole.
+		set, err := aggstate.DecodeDelta(v.Members)
+		if err != nil || set.Len() != len(v.Seqs) {
+			g.host.w.Stats.OrphanMessages.Inc()
+			return
+		}
+		i := 0
+		set.ForEach(func(mh uint32) {
+			g.ack(ids.MH(mh), v.Seqs[i])
+			i++
+		})
+	default:
+		g.host.w.Stats.OrphanMessages.Inc()
 	}
-	n.w.Stats.OrphanMessages.Inc()
-	return nil
-}
-
-// handleGroupUpdateLoc applies a coalesced hand-off notification to a
-// hosted group proxy.
-func (n *MSSNode) handleGroupUpdateLoc(m msg.GroupUpdateLoc) {
-	g := n.hostedGroup(m.Proxy)
-	if g == nil {
-		return
-	}
-	moved, err := aggstate.DecodeDelta(m.Members)
-	if err != nil {
-		n.w.Stats.OrphanMessages.Inc()
-		return
-	}
-	g.updateLoc(moved, m.NewLoc)
-}
-
-// handleGroupAckForward applies a coalesced ack batch to a hosted group
-// proxy. Seqs aligns with the ascending iteration of the member set; a
-// mismatched pair is rejected whole.
-func (n *MSSNode) handleGroupAckForward(m msg.GroupAckForward) {
-	g := n.hostedGroup(m.Proxy)
-	if g == nil {
-		return
-	}
-	set, err := aggstate.DecodeDelta(m.Members)
-	if err != nil || set.Len() != len(m.Seqs) {
-		n.w.Stats.OrphanMessages.Inc()
-		return
-	}
-	i := 0
-	set.ForEach(func(v uint32) {
-		g.ack(ids.MH(v), m.Seqs[i])
-		i++
-	})
 }

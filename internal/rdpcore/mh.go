@@ -83,11 +83,12 @@ type MHNode struct {
 	// seen-set make the replay idempotent.
 	offline []msg.Message
 
-	// pending retains the full request message while it may still need a
-	// busy re-issue (a Busy NACK only carries the request identifier).
-	// Made on first write, like retryMsgs: only busy-retry and timeout
-	// configurations fill them.
-	pending map[ids.RequestID]msg.Request
+	// sent retains a request's message while it may still have to go out
+	// again: a busy re-issue (a Busy NACK only carries the identifier) or
+	// a timeout retry, which of the two being the row's reqBusyRetry and
+	// reqRetry flags. Made on first write: only busy-retry and timeout
+	// configurations fill it.
+	sent map[ids.RequestID]msg.Message
 	// rng is a lazily forked random stream for backoff jitter. Lazy so
 	// configurations without busy-retry never draw from the kernel
 	// stream (golden traces depend on the default draw order).
@@ -97,13 +98,11 @@ type MHNode struct {
 	// beacons, request retries, deadlines, busy backoffs, batch retries)
 	// so detach and leave can cancel them: a detached host must leak no
 	// kernel events (its timers would otherwise fire against a world it
-	// no longer inhabits). timerSeq keys the map.
+	// no longer inhabits). timerSeq keys the map. Timers cancelled at
+	// detach re-arm on attach from the request table's reqRetry and
+	// reqDeadline flags.
 	timers   map[uint64]sim.Canceler
 	timerSeq uint64
-	// retryMsgs retains the message behind each live retry chain, so
-	// timers cancelled at detach can re-arm from live state on attach
-	// (armed deadlines are a flag in the request table).
-	retryMsgs map[ids.RequestID]msg.Message
 
 	// --- Atomic request batches (E17) ---
 
@@ -155,6 +154,12 @@ const (
 	reqAbandoned
 	// reqDeadline: a request deadline is armed, to be re-armed on attach.
 	reqDeadline
+	// reqBusyRetry: a Busy NACK for the request is answered by re-issuing
+	// it (Config.BusyRetryBase) — until it is admitted or settled.
+	reqBusyRetry
+	// reqRetry: a timeout retry chain is live (Config.RequestTimeout), to
+	// be re-armed on attach.
+	reqRetry
 )
 
 // newMHNode constructs a mobile host bound to a world.
@@ -235,10 +240,17 @@ func (h *MHNode) settle(req ids.RequestID, q *mhReq) {
 		q.flags &^= reqOutstanding
 		h.nOutstanding--
 	}
-	q.flags &^= reqDeadline
 	q.busy = 0
-	delete(h.pending, req)
-	delete(h.retryMsgs, req)
+	h.unsend(req, q, reqDeadline|reqBusyRetry|reqRetry)
+}
+
+// unsend clears flags of req's row and drops the retained message once
+// neither a busy re-issue nor a retry can want it.
+func (h *MHNode) unsend(req ids.RequestID, q *mhReq, flags uint8) {
+	q.flags &^= flags
+	if q.flags&(reqBusyRetry|reqRetry) == 0 {
+		delete(h.sent, req)
+	}
 }
 
 // after arms a tracked kernel timer: the handle is retained until the
@@ -276,13 +288,8 @@ func (h *MHNode) rearmTimers() {
 	if h.w.cfg.GreetRefresh > 0 {
 		h.scheduleRefresh()
 	}
-	reqs := make([]ids.RequestID, 0, len(h.retryMsgs))
-	for req := range h.retryMsgs {
-		reqs = append(reqs, req)
-	}
-	sortRequestIDs(reqs)
-	for _, req := range reqs {
-		h.scheduleRetry(req, h.retryMsgs[req])
+	for _, req := range h.flagged(reqRetry) {
+		h.scheduleRetry(req, h.sent[req])
 	}
 	for _, req := range h.flagged(reqDeadline) {
 		h.scheduleDeadline(req)
@@ -379,9 +386,8 @@ func (h *MHNode) leave() {
 	// The membership is over: its timers must not fire into a later
 	// rejoin, and the retry/deadline bookkeeping dies with it.
 	h.cancelTimers()
-	h.retryMsgs = nil
-	for _, req := range h.flagged(reqDeadline) {
-		h.find(req).flags &^= reqDeadline
+	for _, req := range h.flagged(reqDeadline | reqRetry) {
+		h.unsend(req, h.find(req), reqDeadline|reqRetry)
 	}
 }
 
@@ -402,8 +408,7 @@ func (h *MHNode) crash() {
 	h.reqs, h.stray, h.nOutstanding = nil, nil, 0
 	h.queued = nil
 	h.offline = nil
-	h.pending = nil
-	h.retryMsgs = nil
+	h.sent = nil
 	h.batches = nil
 }
 
@@ -468,11 +473,12 @@ func (h *MHNode) IssueRequest(server ids.Server, payload []byte) ids.RequestID {
 		return ids.RequestID{}
 	}
 	req := h.newRequest()
-	r := msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc}
+	// Boxed once for the offline queue, the radio, the timers and sent.
+	var m msg.Message = msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc}
 	if h.w.cfg.BusyRetryBase > 0 {
-		setLazy(&h.pending, req, r)
+		h.row(req).flags |= reqBusyRetry
+		setLazy(&h.sent, req, m)
 	}
-	var m msg.Message = r // boxed once for the offline queue, the radio and the timers
 	if h.joined && h.active && h.disconnected {
 		// Out of coverage: journal for in-order replay on reconnection
 		// (E17). Retry and deadline timers arm at replay time, not now —
@@ -514,7 +520,8 @@ func (h *MHNode) queueOffline(m msg.Message) {
 // tracked request, where configured.
 func (h *MHNode) armRequestTimers(req ids.RequestID, m msg.Message) {
 	if h.w.cfg.RequestTimeout > 0 {
-		setLazy(&h.retryMsgs, req, m)
+		h.row(req).flags |= reqRetry
+		setLazy(&h.sent, req, m)
 		h.scheduleRetry(req, m)
 	}
 	if h.w.cfg.RequestDeadline > 0 {
@@ -582,7 +589,7 @@ func (h *MHNode) scheduleDeadline(req ids.RequestID) {
 func (h *MHNode) scheduleRetry(req ids.RequestID, m msg.Message) {
 	h.after(h.w.cfg.RequestTimeout, func() {
 		if h.has(req, reqSeen|reqAbandoned) || !h.joined {
-			delete(h.retryMsgs, req)
+			h.unsend(req, h.row(req), reqRetry)
 			return
 		}
 		if h.active && !h.disconnected {
@@ -652,9 +659,9 @@ func (h *MHNode) HandleMessage(from ids.NodeID, m msg.Message) {
 		// The request is past admission control: the delivery guarantee
 		// now covers it, so the busy-retry machinery stands down.
 		q := h.row(a.Req)
-		q.flags = q.flags&^reqDeadline | reqAdmitted
+		q.flags |= reqAdmitted
 		q.busy = 0
-		delete(h.pending, a.Req)
+		h.unsend(a.Req, q, reqDeadline|reqBusyRetry)
 		return
 	}
 	if b, ok := m.(msg.Busy); ok {
@@ -707,15 +714,15 @@ func (h *MHNode) HandleMessage(from ids.NodeID, m msg.Message) {
 // lost frame, in which case the request deadline is the backstop.
 func (h *MHNode) onBusy(req ids.RequestID) {
 	const done = reqSeen | reqAdmitted | reqAbandoned
-	m, ok := h.pending[req]
-	if !ok || h.has(req, done) {
+	q := h.find(req)
+	if q == nil || q.flags&reqBusyRetry == 0 || q.flags&done != 0 {
 		return
 	}
-	q := h.row(req)
 	attempt := int(q.busy)
 	q.busy++
+	m := h.sent[req]
 	h.after(h.backoff(attempt), func() {
-		if _, live := h.pending[req]; !live || h.has(req, done) {
+		if !h.has(req, reqBusyRetry) || h.has(req, done) {
 			return
 		}
 		if !h.joined || !h.active || h.disconnected {

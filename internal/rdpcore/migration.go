@@ -52,6 +52,7 @@ import (
 // still owed a reply at snapshot time and have not yet confirmed the
 // new pref.
 type tombstone struct {
+	host           *MSSNode
 	oldProxy       ids.ProxyID
 	newProxy       ids.ProxyID
 	mh             ids.MH
@@ -59,10 +60,10 @@ type tombstone struct {
 	gcEpoch        int // invalidates superseded linger timers
 }
 
-// clone returns a deep copy without the timer epoch: what the journal
-// stores, and what a restart revives from it.
+// clone returns a deep copy without the host and the timer epoch: what
+// the journal stores, and what a restart revives from it.
 func (t tombstone) clone() tombstone {
-	t.pendingServers, t.gcEpoch = maps.Clone(t.pendingServers), 0
+	t.host, t.pendingServers, t.gcEpoch = nil, maps.Clone(t.pendingServers), 0
 	return t
 }
 
@@ -98,27 +99,25 @@ func (n *MSSNode) maybeMigrate(p *Proxy, dist int) {
 	if !pol.Enabled() {
 		return
 	}
-	if at, pending := n.migOutbound[p.id.Seq]; pending &&
-		time.Duration(n.w.Kernel.Now()-at) < pol.Linger() {
+	if p.migOffered && time.Duration(n.w.Kernel.Now()-p.lastMigAttempt) < pol.Linger() {
 		return // offer in flight
 	}
 	reason, ok := pol.Decide(proxymig.Observation{
 		Distance:       dist,
 		RemoteForwards: p.remoteForwards,
-		HostProxies:    len(n.proxies),
+		HostProxies:    n.nProxies,
 		SinceAttempt:   time.Duration(n.w.Kernel.Now() - p.lastMigAttempt),
 	})
 	if !ok {
 		return
 	}
-	p.lastMigAttempt = n.w.Kernel.Now()
-	n.migOutbound[p.id.Seq] = n.w.Kernel.Now()
+	p.lastMigAttempt, p.migOffered = n.w.Kernel.Now(), true
 	n.w.Stats.MigOffers.Inc()
 	n.sendWired(p.currentLoc.Node(), msg.MigOffer{
 		Proxy:     p.id,
 		MH:        p.mh,
 		Pending:   uint32(len(p.reqs)),
-		HostLoad:  uint32(len(n.proxies)),
+		HostLoad:  uint32(n.nProxies),
 		LoadCheck: reason == proxymig.ReasonLoad,
 	})
 }
@@ -128,13 +127,13 @@ func (n *MSSNode) maybeMigrate(p *Proxy, dist int) {
 // again.
 func (n *MSSNode) handleMigOffer(m msg.MigOffer) {
 	refuse := !n.localMhs.contains(m.MH) // the MH moved on (or never arrived)
-	if q := n.w.cfg.ProxyQuota; q > 0 && len(n.proxies)+len(n.migInbound) >= q {
+	if q := n.w.cfg.ProxyQuota; q > 0 && n.nProxies+n.nReserved >= q {
 		refuse = true // inbound migration is proxy-quota pressure
 	}
 	if hw := n.w.cfg.AdmissionHighWater; hw > 0 && n.inbox.len() >= hw {
 		refuse = true // an overloaded station does not adopt more work
 	}
-	if m.LoadCheck && !proxymig.AcceptLoad(int(m.HostLoad), len(n.proxies)+len(n.migInbound)) {
+	if m.LoadCheck && !proxymig.AcceptLoad(int(m.HostLoad), n.nProxies+n.nReserved) {
 		refuse = true // load-driven move must improve the balance
 	}
 	if refuse {
@@ -145,19 +144,21 @@ func (n *MSSNode) handleMigOffer(m msg.MigOffer) {
 	n.nextProxySeq++
 	n.persistSeq() // the identity must never be reused, even across a crash
 	newID := ids.ProxyID{Host: n.id, Seq: n.nextProxySeq}
-	n.migInbound[newID.Seq] = &migReservation{oldProxy: m.Proxy}
+	n.put(newID.Seq, &migReservation{oldProxy: m.Proxy})
 	n.sendWired(m.Proxy.Host.Node(),
 		msg.MigCommit{Proxy: m.Proxy, NewProxy: newID, MH: m.MH, Accept: true})
 }
 
 // handleMigCommit completes (or abandons) the offer at the old host.
 func (n *MSSNode) handleMigCommit(m msg.MigCommit) {
-	delete(n.migOutbound, m.Proxy.Seq)
+	p := n.proxyAt(m.Proxy.Seq)
+	if p != nil {
+		p.migOffered = false
+	}
 	if !m.Accept {
 		return
 	}
-	p := n.proxies[m.Proxy.Seq]
-	if p == nil || p.id != m.Proxy {
+	if p == nil {
 		// The proxy is gone — acked away, or migrated on an earlier
 		// commit. Cancel the target's reservation; the allocated
 		// sequence number is simply burnt.
@@ -174,6 +175,7 @@ func (n *MSSNode) handleMigCommit(m msg.MigCommit) {
 func (n *MSSNode) migrateOut(p *Proxy, newID ids.ProxyID) {
 	st := msg.MigState{Proxy: p.id, NewProxy: newID, MH: p.mh, CurrentLoc: p.currentLoc}
 	t := &tombstone{
+		host:           n,
 		oldProxy:       p.id,
 		newProxy:       newID,
 		mh:             p.mh,
@@ -205,11 +207,9 @@ func (n *MSSNode) migrateOut(p *Proxy, newID ids.ProxyID) {
 	for _, id := range p.abortOrder {
 		st.Batches = append(st.Batches, msg.MigBatchState{Batch: id, Aborted: true})
 	}
-	delete(n.proxies, p.id.Seq)
-	n.unpersistProxy(p.id.Seq)
-	n.tombstones[p.id.Seq] = t
+	n.retire(p)
+	n.put(p.id.Seq, t)
 	n.persistTombstone(t)
-	n.w.Stats.ProxySeconds[n.id] += time.Duration(n.w.Kernel.Now() - p.createdAt)
 	n.sendWired(newID.Host.Node(), st)
 	if len(t.pendingServers) == 0 {
 		n.armTombstoneGC(t)
@@ -223,17 +223,16 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 		n.w.Stats.OrphanMessages.Inc()
 		return
 	}
-	if n.proxies[m.NewProxy.Seq] != nil {
-		return // duplicate install
-	}
-	if n.tombstones[m.NewProxy.Seq] != nil {
-		return // stale duplicate: this identity already lived here and moved on
-	}
-	res := n.migInbound[m.NewProxy.Seq]
-	delete(n.migInbound, m.NewProxy.Seq)
 	// A missing reservation is legal: a crash on this station wiped it,
 	// but the sequence number was persisted at allocation, so the
 	// identity is still uniquely ours and the install proceeds.
+	held := n.hosted[m.NewProxy.Seq]
+	res, _ := held.(*migReservation)
+	if held != nil && res == nil {
+		// A duplicate install, or a stale one: this identity already lived
+		// here and moved on.
+		return
+	}
 	p := newProxy(m.NewProxy, m.MH, n)
 	p.currentLoc = m.CurrentLoc
 	p.leaseInc = m.LeaseInc
@@ -272,7 +271,8 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 			p.armBatchDeadline(b)
 		}
 	}
-	n.proxies[m.NewProxy.Seq] = p
+	n.take(m.NewProxy.Seq) // the reservation, unless a crash wiped it
+	n.put(m.NewProxy.Seq, p)
 	n.persistProxy(p)
 	p.armLease()                     // fresh lease at the new host (E18)
 	n.w.Stats.ProxyCreations[n.id]++ // placement accounting (E12 fairness)
@@ -318,7 +318,7 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 // if the MH has moved on).
 func (n *MSSNode) handlePrefRedirect(from ids.NodeID, m msg.PrefRedirect) {
 	if m.Confirm {
-		t := n.tombstones[m.OldProxy.Seq]
+		t, _ := n.hosted[m.OldProxy.Seq].(*tombstone)
 		if t == nil || from.Kind != ids.KindServer {
 			return
 		}
@@ -358,66 +358,24 @@ func (n *MSSNode) handlePrefRedirect(from ids.NodeID, m msg.PrefRedirect) {
 // (or the offer was cancelled before the state transfer), so the
 // reservation bookkeeping can be dropped.
 func (n *MSSNode) handleMigGC(m msg.MigGC) {
-	delete(n.migInbound, m.NewProxy.Seq)
+	if _, reserved := n.hosted[m.NewProxy.Seq].(*migReservation); reserved {
+		n.take(m.NewProxy.Seq)
+	}
 }
 
-// redirectOrHold gives proxy-addressed traffic whose proxy is not (or
-// no longer) hosted here a second chance: a tombstone redirects it to
-// the proxy's new home, an inbound reservation holds it until the
-// mig_state installs. It reports whether the message was consumed.
-func (n *MSSNode) redirectOrHold(id ids.ProxyID, from ids.NodeID, m msg.Message) bool {
-	if id.Host != n.id {
-		return false
-	}
-	if t := n.tombstones[id.Seq]; t != nil {
-		n.forwardThroughTombstone(t, from, m)
-		return true
-	}
-	if res := n.migInbound[id.Seq]; res != nil {
-		res.buffered = append(res.buffered, inboxItem{from: from, m: m})
-		return true
-	}
-	return false
+// handle holds a message that reached the new identity before the
+// mig_state did; handleMigState replays it once the proxy is installed.
+func (r *migReservation) handle(from ids.NodeID, m msg.ProxyAddressed) {
+	r.buffered = append(r.buffered, inboxItem{from: from, m: m})
 }
 
-// forwardThroughTombstone rewrites the proxy identity on a redirected
-// message, forwards it to the new host, lazily re-binds the stale
-// sender's pref, and extends the tombstone's quiet period.
-func (n *MSSNode) forwardThroughTombstone(t *tombstone, from ids.NodeID, m msg.Message) {
-	var fwd msg.Message
-	switch v := m.(type) {
-	case msg.ServerResult:
-		v.Proxy = t.newProxy
-		fwd = v
-	case msg.AckForward:
-		v.Proxy = t.newProxy
-		fwd = v
-	case msg.RequestForward:
-		v.Proxy = t.newProxy
-		fwd = v
-	case msg.UpdateCurrentLoc:
-		v.Proxy = t.newProxy
-		fwd = v
-	case msg.BatchOpen:
-		v.Proxy = t.newProxy
-		fwd = v
-	case msg.BatchItem:
-		v.Proxy = t.newProxy
-		fwd = v
-	case msg.BatchCommit:
-		v.Proxy = t.newProxy
-		fwd = v
-	case msg.LeaseHeartbeat:
-		v.Proxy = t.newProxy
-		fwd = v
-	default:
-		n.w.Stats.OrphanMessages.Inc()
-		return
-	}
-	n.sendWired(t.newProxy.Host.Node(), fwd)
+// handle sends a message for the departed proxy after it, under the new
+// identity, tells the station that sent it where the proxy went — so the
+// next one goes direct — and extends the tombstone's quiet period.
+func (t *tombstone) handle(from ids.NodeID, m msg.ProxyAddressed) {
+	n := t.host
+	n.sendWired(t.newProxy.Host.Node(), m.WithProxy(t.newProxy))
 	if from.Kind == ids.KindMSS && ids.MSS(from.Num) != n.id {
-		// The sender addressed a proxy that has moved: tell it the new
-		// identity so the next message goes direct.
 		n.sendWired(from,
 			msg.PrefRedirect{MH: t.mh, OldProxy: t.oldProxy, NewProxy: t.newProxy})
 	}
@@ -436,8 +394,7 @@ func (n *MSSNode) armTombstoneGC(t *tombstone) {
 		if n.w.down[n.id] {
 			return // restoreFromStore re-arms journaled tombstones
 		}
-		cur := n.tombstones[t.oldProxy.Seq]
-		if cur != t || cur.gcEpoch != epoch || len(cur.pendingServers) > 0 {
+		if n.hosted[t.oldProxy.Seq] != t || t.gcEpoch != epoch || len(t.pendingServers) > 0 {
 			return
 		}
 		n.gcTombstone(t)
@@ -447,7 +404,7 @@ func (n *MSSNode) armTombstoneGC(t *tombstone) {
 // gcTombstone retires a fully-confirmed, quiet tombstone and tells the
 // new host the episode is over.
 func (n *MSSNode) gcTombstone(t *tombstone) {
-	delete(n.tombstones, t.oldProxy.Seq)
+	n.take(t.oldProxy.Seq)
 	n.unpersistTombstone(t.oldProxy.Seq)
 	n.w.Stats.MigCompleted.Inc()
 	n.sendWired(t.newProxy.Host.Node(),

@@ -36,14 +36,18 @@ type MSSNode struct {
 	hosts map[ids.MH]*stationHost
 	slab  []stationHost
 	spare *hostTransient
-	// proxies are the proxy objects hosted at this station, by sequence.
-	proxies      map[uint32]*Proxy
+	// hosted is what answers for each proxy identity of this station, by
+	// sequence — exactly one addressee each (see deliver). nProxies and
+	// nReserved count the private proxies and the inbound migration
+	// reservations among them, for the quota and the migration policy; put
+	// and take keep them.
+	hosted       map[uint32]addressee
+	nProxies     int
+	nReserved    int
 	nextProxySeq uint32
-	// groupProxies are the shared group proxies hosted here (E16), keyed
-	// by sequence (always carrying the shared bit); topicProxies maps a
-	// (server, topic) pair to the hosting sequence so joins dedup onto
-	// one proxy per group. See groupproxy.go.
-	groupProxies map[uint32]*GroupProxy
+	// topicProxies maps a (server, topic) pair to the sequence of the
+	// cell's group proxy for it (E16), so joins dedup onto one proxy per
+	// group. See groupproxy.go.
 	topicProxies map[groupKey]uint32
 	// aggLocBuf and aggAckBuf coalesce per-MH group-proxy signaling
 	// (hand-off location updates, forwarded-result acks) into
@@ -53,14 +57,6 @@ type MSSNode struct {
 	aggAckBuf   map[ids.ProxyID]*groupAckBuf
 	aggLocArmed bool
 	aggAckArmed bool
-	// tombstones are the forwarding stubs of proxies that migrated away,
-	// keyed by the departed proxy's sequence; migInbound reserves the
-	// identities of accepted inbound migrations whose mig_state has not
-	// yet arrived; migOutbound timestamps the in-flight offer (if any)
-	// per local proxy sequence. See migration.go.
-	tombstones  map[uint32]*tombstone
-	migInbound  map[uint32]*migReservation
-	migOutbound map[uint32]sim.Time
 
 	// cache is the station's result cache (E17): proxies hosted here
 	// consult it before issuing server requests and feed it every reply.
@@ -162,14 +158,60 @@ func (n *MSSNode) PrefOf(mh ids.MH) (msg.Pref, bool) {
 }
 
 // HostedProxies returns the number of proxies currently hosted here.
-func (n *MSSNode) HostedProxies() int { return len(n.proxies) }
+func (n *MSSNode) HostedProxies() int { return n.nProxies }
 
 // ProxyByID returns a hosted proxy (tests and invariant checks).
 func (n *MSSNode) ProxyByID(id ids.ProxyID) *Proxy {
 	if id.Host != n.id {
 		return nil
 	}
-	return n.proxies[id.Seq]
+	return n.proxyAt(id.Seq)
+}
+
+// addressee is what answers for one proxy identity hosted at a station:
+// a private *Proxy, a shared *GroupProxy, the *tombstone of a proxy that
+// migrated away, or the *migReservation of one on its way in.
+type addressee interface {
+	handle(from ids.NodeID, m msg.ProxyAddressed)
+}
+
+// put installs a as what answers for seq, an empty slot.
+func (n *MSSNode) put(seq uint32, a addressee) {
+	n.hosted[seq] = a
+	n.count(a, +1)
+}
+
+// take empties seq's slot.
+func (n *MSSNode) take(seq uint32) {
+	n.count(n.hosted[seq], -1)
+	delete(n.hosted, seq)
+}
+
+func (n *MSSNode) count(a addressee, d int) {
+	switch a.(type) {
+	case *Proxy:
+		n.nProxies += d
+	case *migReservation:
+		n.nReserved += d
+	}
+}
+
+// proxyAt returns the private proxy answering for seq, or nil.
+func (n *MSSNode) proxyAt(seq uint32) *Proxy {
+	p, _ := n.hosted[seq].(*Proxy)
+	return p
+}
+
+// deliver is the one way in for a message that names the proxy it is
+// for: whatever answers for that identity here handles it. An identity
+// of another station, or one nothing answers for any more, makes the
+// message an orphan.
+func (n *MSSNode) deliver(from ids.NodeID, id ids.ProxyID, m msg.ProxyAddressed) {
+	if a := n.hosted[id.Seq]; a != nil && id.Host == n.id {
+		a.handle(from, m)
+		return
+	}
+	n.w.Stats.OrphanMessages.Inc()
 }
 
 // HandleMessage implements netsim.Handler for both substrates. New
@@ -211,17 +253,20 @@ func (n *MSSNode) procDelay() time.Duration {
 // everything) or plain FIFO applies.
 func (n *MSSNode) classOf(m msg.Message) int {
 	if n.w.cfg.PriorityClasses {
-		switch v := m.(type) {
+		switch m.(type) {
 		case msg.Request:
 			return 2
 		case msg.ServerResult, msg.ResultForward, msg.RequestForward:
 			return 1
-		case msg.BatchOpen:
-			return batchClass(v.Proxy)
-		case msg.BatchItem:
-			return batchClass(v.Proxy)
-		case msg.BatchCommit:
-			return batchClass(v.Proxy)
+		case msg.BatchOpen, msg.BatchItem, msg.BatchCommit:
+			// On the wireless uplink leg (Proxy still unset) batch traffic
+			// is new work like a plain request; once addressed to a proxy
+			// it is admitted work in progress. BatchAbort is control
+			// traffic and stays in class 0.
+			if m.(msg.ProxyAddressed).ProxyID() == ids.NoProxy {
+				return 2
+			}
+			return 1
 		default:
 			return 0
 		}
@@ -230,17 +275,6 @@ func (n *MSSNode) classOf(m msg.Message) int {
 		return 1
 	}
 	return 0
-}
-
-// batchClass places batch traffic in the priority scheme: on the
-// wireless uplink leg (Proxy still unset) it is new work like a plain
-// request; once addressed to a proxy it is admitted work in progress.
-// BatchAbort is control traffic and stays in class 0.
-func batchClass(proxy ids.ProxyID) int {
-	if proxy == ids.NoProxy {
-		return 2
-	}
-	return 1
 }
 
 // admissionEnabled reports whether any admission-control bound is
@@ -275,7 +309,7 @@ func (n *MSSNode) refuseAdmission(m msg.Request) bool {
 	}
 	// An accepted inbound migration is committed proxy storage the
 	// mig_state has merely not yet filled; it counts against the quota.
-	if q := n.w.cfg.ProxyQuota; q > 0 && len(n.proxies)+len(n.migInbound) >= q {
+	if q := n.w.cfg.ProxyQuota; q > 0 && n.nProxies+n.nReserved >= q {
 		if pref, ok := n.prefs.get(mh); !ok || !pref.HasProxy() {
 			refuse = true // needs a proxy we have no room for
 		}
@@ -340,18 +374,10 @@ func (n *MSSNode) process(from ids.NodeID, m msg.Message) {
 		n.handleDereg(from, v)
 	case msg.DeregAck:
 		n.handleDeregAck(v)
-	case msg.RequestForward:
-		n.handleRequestForward(from, v)
-	case msg.UpdateCurrentLoc:
-		n.handleUpdateCurrentLoc(from, v)
 	case msg.ResultForward:
 		n.handleResultForward(v)
 	case msg.DelPrefOnly:
 		n.handleDelPrefOnly(v)
-	case msg.AckForward:
-		n.handleAckForward(from, v)
-	case msg.ServerResult:
-		n.handleServerResult(from, v)
 	case msg.MigOffer:
 		n.handleMigOffer(v)
 	case msg.MigCommit:
@@ -362,24 +388,20 @@ func (n *MSSNode) process(from ids.NodeID, m msg.Message) {
 		n.handlePrefRedirect(from, v)
 	case msg.MigGC:
 		n.handleMigGC(v)
-	case msg.BatchOpen:
-		n.handleBatchOpen(from, v)
-	case msg.BatchItem:
-		n.handleBatchItem(from, v)
-	case msg.BatchCommit:
-		n.handleBatchCommit(from, v)
 	case msg.BatchAbort:
 		n.handleBatchAbort(from, v)
 	case msg.Register:
 		n.handleRegister(v)
-	case msg.LeaseHeartbeat:
-		n.handleLeaseHeartbeat(from, v)
 	case msg.ReclaimMemo:
 		n.handleReclaimMemo(from, v)
-	case msg.GroupUpdateLoc:
-		n.handleGroupUpdateLoc(v)
-	case msg.GroupAckForward:
-		n.handleGroupAckForward(v)
+	case msg.ProxyAddressed:
+		// Every kind that names the proxy it is for goes through the one
+		// door; batch traffic on its wireless leg names none yet.
+		if id := v.ProxyID(); id != ids.NoProxy {
+			n.deliver(from, id, v)
+		} else {
+			n.handleBatchUplink(from, v)
+		}
 	default:
 		n.w.Stats.OrphanMessages.Inc()
 	}
@@ -431,15 +453,6 @@ func (n *MSSNode) handleRegister(m msg.Register) {
 	n.noteInc(m.MH, m.Inc)
 	n.handleGreet(msg.Greet{MH: m.MH, OldMSS: n.id, Inc: m.Inc})
 	n.beatOne(m.MH)
-}
-
-// handleLeaseHeartbeat renews a hosted proxy's incarnation lease.
-func (n *MSSNode) handleLeaseHeartbeat(from ids.NodeID, m msg.LeaseHeartbeat) {
-	p := hostedProxy(n, from, m.Proxy, m)
-	if p == nil {
-		return
-	}
-	p.renewLease(m.Inc)
 }
 
 // handleReclaimMemo is the respMss side of proxy reclamation: the named
@@ -528,13 +541,11 @@ func (n *MSSNode) beatOne(mh ids.MH) {
 // entries of incarnations <= memoInc are dead — requests a surviving
 // incarnation has in flight must not be swept up.
 func (n *MSSNode) reclaimProxy(p *Proxy, memoInc ids.Incarnation) {
-	if cur, ok := n.proxies[p.id.Seq]; !ok || cur != p {
+	if n.hosted[p.id.Seq] != p {
 		return
 	}
-	delete(n.proxies, p.id.Seq)
-	n.unpersistProxy(p.id.Seq)
+	n.retire(p)
 	n.w.Stats.ProxiesReclaimed.Inc()
-	n.w.Stats.ProxySeconds[n.id] += time.Duration(n.w.Kernel.Now() - p.createdAt)
 	rr := reclaimRecord{
 		dest: p.currentLoc,
 		memo: msg.ReclaimMemo{Proxy: p.id, MH: p.mh, Inc: memoInc},
@@ -542,21 +553,6 @@ func (n *MSSNode) reclaimProxy(p *Proxy, memoInc ids.Incarnation) {
 	n.reclaims = append(n.reclaims, rr)
 	n.persistReclaim(rr.dest, rr.memo)
 	n.sendToStation(rr.dest, rr.memo)
-}
-
-// hostedProxy returns the proxy a wired message addresses when this
-// station hosts it. Otherwise the message has been dealt with — sent
-// after a migrated proxy, parked for one in flight (redirectOrHold), or
-// counted as an orphan — and the caller just returns. It is generic so
-// that m is boxed only on the miss path.
-func hostedProxy[M msg.Message](n *MSSNode, from ids.NodeID, id ids.ProxyID, m M) *Proxy {
-	if p := n.proxies[id.Seq]; p != nil && p.id == id {
-		return p
-	}
-	if !n.redirectOrHold(id, from, m) {
-		n.w.Stats.OrphanMessages.Inc()
-	}
-	return nil
 }
 
 // forget erases everything the station keeps about a host it is no
@@ -735,9 +731,9 @@ func (n *MSSNode) sendRegConfirm(mh ids.MH) {
 	n.w.Wireless.SendDownlink(n.id, mh, msg.RegConfirm{MH: mh})
 }
 
-// handleRequest implements §3.1/§3.3 request routing: create a proxy
-// locally when the pref is empty, otherwise forward to the proxy, and in
-// all cases clear RKpR — a new request keeps the proxy alive.
+// handleRequest implements §3.1/§3.3 request routing: the request goes to
+// the MH's proxy (proxyFor) — registered with it in this same event when
+// it is hosted here, forwarded to its host otherwise.
 func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 	mh := m.Req.Origin
 	if !routeUplink(n, from, mh, m) {
@@ -752,69 +748,73 @@ func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 		return
 	}
 	n.noteInc(mh, m.Inc)
-	pref, _ := n.prefs.get(mh) // registered MHs always have an entry
-	pref.RKpR = false          // §3.3: a new request re-arms the proxy
 	n.rec(mh).outAdd(m.Req, normInc(m.Inc))
-	if !pref.HasProxy() {
-		// Shared group proxy (E16): a groupable request binds the MH to
-		// the cell's per-(server, topic) proxy instead of building one of
-		// its own. The pref it installs is the proxy's shared identity —
-		// the MH's only proxy reference, so every later request of this
-		// MH routes through the same group host.
-		if g := n.sharedGroupFor(m.Server, m.Payload); g != nil {
-			pref.Proxy = g.id
-			n.prefs.set(mh, pref)
-			n.persistMH(mh)
-			g.join(mh, n.id, m.Req, m.Server, m.Payload, m.Inc)
-			n.sendAdmit(mh, m.Req)
+	id, local := n.proxyFor(mh, m.Server, m.Payload)
+	switch a := local.(type) {
+	case *Proxy:
+		a.addRequest(m.Req, m.Server, m.Payload, m.Inc)
+	case *GroupProxy:
+		a.join(mh, n.id, m.Req, m.Server, m.Payload, m.Inc)
+	default:
+		if id.Host == n.id {
+			n.w.Stats.Violations.Inc() // pref names a proxy we no longer host
 			return
 		}
-		n.createProxy(mh, pref).addRequest(m.Req, m.Server, m.Payload, m.Inc)
-		n.sendAdmit(mh, m.Req)
-		return
+		// A remote shared proxy takes the same forward: its host joins the
+		// MH into the matching group entry (GroupProxy.handle).
+		n.sendWired(id.Host.Node(),
+			msg.RequestForward{Proxy: id, Req: m.Req, Server: m.Server, Payload: m.Payload, Inc: m.Inc})
 	}
-	n.prefs.set(mh, pref)
-	n.persistMH(mh)
-	if isSharedProxy(pref.Proxy) && pref.Proxy.Host == n.id {
-		if g := n.groupProxies[pref.Proxy.Seq]; g != nil && g.id == pref.Proxy {
-			g.join(mh, n.id, m.Req, m.Server, m.Payload, m.Inc)
-			n.sendAdmit(mh, m.Req)
-			return
-		}
-		n.w.Stats.Violations.Inc() // pref points at a group we no longer host
-		return
-	}
-	if pref.Proxy.Host == n.id {
-		if p := n.proxies[pref.Proxy.Seq]; p != nil {
-			p.addRequest(m.Req, m.Server, m.Payload, m.Inc)
-			n.sendAdmit(mh, m.Req)
-			return
-		}
-		n.w.Stats.Violations.Inc() // pref points at a proxy we no longer host
-		return
-	}
-	// A remote shared proxy takes the same forward: the host joins the
-	// MH into the matching group entry (handleRequestForward).
-	n.sendWired(pref.Proxy.Host.Node(),
-		msg.RequestForward{Proxy: pref.Proxy, Req: m.Req, Server: m.Server, Payload: m.Payload, Inc: m.Inc})
 	n.sendAdmit(mh, m.Req)
 }
 
-// createProxy builds a proxy for mh at this station, its current respMss
-// (§3.1), and installs pref pointing at it.
-func (n *MSSNode) createProxy(mh ids.MH, pref msg.Pref) *Proxy {
-	n.nextProxySeq++
-	n.persistSeq()
-	id := ids.ProxyID{Host: n.id, Seq: n.nextProxySeq}
-	p := newProxy(id, mh, n)
-	n.proxies[id.Seq] = p
-	pref.Proxy = id
+// proxyFor resolves the proxy a responsible host's uplink traffic goes
+// to — pref → identity (§3.1) — making the proxy when the pref is empty:
+// the cell's shared group proxy for a groupable request (E16; its
+// identity is then the MH's only proxy reference, so every later request
+// routes through the same group host), a private one otherwise. New
+// uplink work keeps the proxy alive: RKpR is cleared (§3.3). Batch
+// traffic passes NoServer and is never grouped. With the identity comes
+// what answers for it at this station — nil for another station's.
+func (n *MSSNode) proxyFor(mh ids.MH, server ids.Server, payload []byte) (ids.ProxyID, addressee) {
+	pref, _ := n.prefs.get(mh) // registered MHs always have an entry
+	pref.RKpR = false
+	var local addressee
+	if pref.HasProxy() {
+		if pref.Proxy.Host == n.id {
+			local = n.hosted[pref.Proxy.Seq]
+		}
+	} else if g := n.sharedGroupFor(server, payload); g != nil {
+		pref.Proxy, local = g.id, g
+	} else {
+		p := n.createProxy(mh)
+		pref.Proxy, local = p.id, p
+	}
 	n.prefs.set(mh, pref)
 	n.persistMH(mh)
+	return pref.Proxy, local
+}
+
+// createProxy builds a proxy for mh at this station, its current respMss
+// (§3.1).
+func (n *MSSNode) createProxy(mh ids.MH) *Proxy {
+	n.nextProxySeq++
+	n.persistSeq()
+	p := newProxy(ids.ProxyID{Host: n.id, Seq: n.nextProxySeq}, mh, n)
+	n.put(p.id.Seq, p)
 	n.w.Stats.ProxiesCreated.Inc()
 	n.w.Stats.ProxyCreations[n.id]++
 	p.armLease()
 	return p
+}
+
+// retire takes a proxy that was acknowledged away, reclaimed or migrated
+// off the table and out of the journal, and closes its hosting-time
+// account.
+func (n *MSSNode) retire(p *Proxy) {
+	n.take(p.id.Seq)
+	n.unpersistProxy(p.id.Seq)
+	n.w.Stats.ProxySeconds[n.id] += time.Duration(n.w.Kernel.Now() - p.createdAt)
 }
 
 // handleAckMH relays an MH's Ack to its proxy (§3.1), confirming proxy
@@ -982,48 +982,6 @@ func (n *MSSNode) sendUpdateCurrLoc(proxy ids.ProxyID, mh ids.MH) {
 	n.sendToStation(proxy.Host, msg.UpdateCurrentLoc{Proxy: proxy, MH: mh, NewLoc: n.id})
 }
 
-// handleRequestForward delivers a forwarded request to a hosted proxy.
-func (n *MSSNode) handleRequestForward(from ids.NodeID, m msg.RequestForward) {
-	if isSharedProxy(m.Proxy) {
-		// A member MH moved to another cell but kept its shared pref; its
-		// later request arrives here as a forward and (re-)joins the group
-		// with the sender station as its delivery location (E16).
-		g := n.hostedGroup(m.Proxy)
-		if g == nil {
-			return
-		}
-		g.join(m.Req.Origin, from.MSS(), m.Req, m.Server, m.Payload, m.Inc)
-		return
-	}
-	p := hostedProxy(n, from, m.Proxy, m)
-	if p == nil {
-		return
-	}
-	p.addRequest(m.Req, m.Server, m.Payload, m.Inc)
-}
-
-// handleUpdateCurrentLoc updates a hosted proxy's currentLoc.
-func (n *MSSNode) handleUpdateCurrentLoc(from ids.NodeID, m msg.UpdateCurrentLoc) {
-	if isSharedProxy(m.Proxy) {
-		// A single-member location update addressed to a group proxy
-		// (sent by stations running without coalescing, or by the
-		// faithful update path on a mixed deployment).
-		g := n.hostedGroup(m.Proxy)
-		if g == nil {
-			return
-		}
-		var one aggstate.Set
-		one.Add(uint32(m.MH))
-		g.updateLoc(&one, m.NewLoc)
-		return
-	}
-	p := hostedProxy(n, from, m.Proxy, m)
-	if p == nil {
-		return
-	}
-	p.onUpdateLoc(m.NewLoc)
-}
-
 // handleResultForward is the respMss side of result delivery (§3.1,
 // §3.3): arm RKpR if del-pref rides along and the pref matches, then
 // attempt exactly one wireless forward — or hold the result for an
@@ -1085,7 +1043,7 @@ func (n *MSSNode) deliveryWindow() sim.Time {
 		w = sim.Time(4 * lat.Mean())
 	}
 	if n.w.cfg.WiredARQ.Enabled {
-		w += sim.Time(2 * n.w.cfg.WiredARQ.MaxBackoff)
+		w += sim.Time(2 * n.w.cfg.WiredARQ.BackoffCap())
 	}
 	return w
 }
@@ -1141,48 +1099,6 @@ func (n *MSSNode) handleDelPrefOnly(m msg.DelPrefOnly) {
 	n.w.Stats.OrphanMessages.Inc()
 }
 
-// handleAckForward hands a relayed Ack to a hosted proxy, deleting the
-// proxy when del-proxy is confirmed (§3.3).
-func (n *MSSNode) handleAckForward(from ids.NodeID, m msg.AckForward) {
-	if isSharedProxy(m.Proxy) {
-		// Single-member ack for a group entry (stale-incarnation bounce or
-		// uncoalesced deployment). DelProxy never applies to group proxies.
-		g := n.hostedGroup(m.Proxy)
-		if g == nil {
-			return
-		}
-		g.ack(m.MH, m.Req.Seq)
-		return
-	}
-	p := hostedProxy(n, from, m.Proxy, m)
-	if p == nil {
-		return
-	}
-	if p.onAck(m.Req, m.DelProxy) {
-		delete(n.proxies, m.Proxy.Seq)
-		n.unpersistProxy(m.Proxy.Seq)
-		n.w.Stats.ProxiesDeleted.Inc()
-		n.w.Stats.ProxySeconds[n.id] += time.Duration(n.w.Kernel.Now() - p.createdAt)
-	}
-}
-
-// handleServerResult hands a server reply to the addressed proxy.
-func (n *MSSNode) handleServerResult(from ids.NodeID, m msg.ServerResult) {
-	if isSharedProxy(m.Proxy) {
-		g := n.hostedGroup(m.Proxy)
-		if g == nil {
-			return
-		}
-		g.onServerResult(m.Req, m.Payload)
-		return
-	}
-	p := hostedProxy(n, from, m.Proxy, m)
-	if p == nil {
-		return
-	}
-	p.onServerResult(m.Req, m.Payload)
-}
-
 // cacheLookup consults the station's result cache (E17) for the result
 // of an identical earlier request. Stale entries count separately: the
 // TTL expired between storing and asking.
@@ -1223,8 +1139,8 @@ func (n *MSSNode) cacheStore(server ids.Server, reqPayload, result []byte) {
 // wireless uplink leg (Proxy unset) is routed by the respMss like a
 // plain request — buffered during hand-offs, forwarded along the
 // responsibility chain, creating the proxy if the pref is empty — and
-// the wired leg (Proxy set) is delivered to the hosting station's proxy
-// like a RequestForward. Batch traffic bypasses admission control:
+// the wired leg (Proxy set) reaches the hosting station's proxy through
+// deliver like a RequestForward. Batch traffic bypasses admission control:
 // refusing a single member of a half-transmitted batch would force the
 // whole batch toward its abort deadline, turning overload shedding into
 // batch aborts; the batch deadline itself is the back-pressure.
@@ -1253,118 +1169,54 @@ func routeUplink[M msg.Message](n *MSSNode, from ids.NodeID, mh ids.MH, m M) boo
 	return false
 }
 
-// batchProxyRef resolves (creating if necessary) the proxy for a
-// responsible MH's batch traffic, mirroring handleRequest's pref logic:
-// batch activity keeps the proxy alive (RKpR cleared). It returns the
-// proxy object when hosted locally, or just the remote identity.
-func (n *MSSNode) batchProxyRef(mh ids.MH) (ids.ProxyID, *Proxy) {
-	pref, _ := n.prefs.get(mh)
-	pref.RKpR = false
-	if !pref.HasProxy() {
-		p := n.createProxy(mh, pref)
-		return p.id, p
+// handleBatchUplink routes the wireless leg of batch traffic: gated by
+// incarnation and entered in the routing ledger like a plain request
+// (§3.3 proxy-removal accounting), then handed to the host's proxy —
+// here, or at its host under the identity filled in.
+func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
+	var (
+		mh     ids.MH
+		inc    ids.Incarnation
+		member ids.RequestID
+	)
+	switch v := m.(type) {
+	case msg.BatchOpen:
+		mh, inc = v.MH, normInc(v.Inc)
+	case msg.BatchItem:
+		mh, inc, member = v.MH, normInc(v.Inc), v.Req
+	case msg.BatchCommit:
+		// Carries no incarnation: the open and items that precede it
+		// already settled the batch's ownership.
+		mh = v.MH
+	default:
+		n.w.Stats.OrphanMessages.Inc() // no other kind travels unaddressed
+		return
 	}
-	n.prefs.set(mh, pref)
-	n.persistMH(mh)
-	if isSharedProxy(pref.Proxy) {
-		// Batches and shared group prefs are an unsupported combination:
-		// return the bare remote identity, so the wired leg lands at the
-		// group host and is counted as an orphan there (documented).
-		return pref.Proxy, nil
+	if !routeUplink(n, from, mh, m) {
+		return
 	}
-	if pref.Proxy.Host == n.id {
-		if p := n.proxies[pref.Proxy.Seq]; p != nil {
-			return pref.Proxy, p
-		}
-		n.w.Stats.Violations.Inc() // pref points at a proxy we no longer host
-		return ids.NoProxy, nil
-	}
-	return pref.Proxy, nil
-}
-
-// handleBatchOpen routes a batch_open on either leg.
-func (n *MSSNode) handleBatchOpen(from ids.NodeID, m msg.BatchOpen) {
-	if m.Proxy != ids.NoProxy {
-		p := hostedProxy(n, from, m.Proxy, m)
-		if p == nil {
+	if inc != 0 {
+		if n.staleInc(inc, n.incOf(mh)) {
 			return
 		}
-		p.onBatchOpen(m.Batch, m.Inc)
-		return
+		n.noteInc(mh, inc)
 	}
-	if !routeUplink(n, from, m.MH, m) {
-		return
+	if member.Valid() {
+		n.rec(mh).outAdd(member, inc)
 	}
-	if n.staleInc(m.Inc, n.incOf(m.MH)) {
-		return
-	}
-	n.noteInc(m.MH, m.Inc)
-	id, p := n.batchProxyRef(m.MH)
-	if p != nil {
-		p.onBatchOpen(m.Batch, m.Inc)
-		return
-	}
-	if id == ids.NoProxy {
-		return
-	}
-	m.Proxy = id
-	n.sendWired(id.Host.Node(), m)
-}
-
-// handleBatchItem routes a batch member, recording it in the routing
-// ledger like an admitted request (§3.3 proxy-removal accounting).
-func (n *MSSNode) handleBatchItem(from ids.NodeID, m msg.BatchItem) {
-	if m.Proxy != ids.NoProxy {
-		p := hostedProxy(n, from, m.Proxy, m)
-		if p == nil {
+	id, local := n.proxyFor(mh, ids.NoServer, nil)
+	switch local.(type) {
+	case *Proxy, *GroupProxy:
+		// A group proxy counts it as an orphan: batches and shared prefs
+		// do not combine (DESIGN §10).
+		local.handle(from, m)
+	default:
+		if id.Host == n.id {
+			n.w.Stats.Violations.Inc() // pref names a proxy we no longer host
 			return
 		}
-		p.onBatchItem(m)
-		return
+		n.sendWired(id.Host.Node(), m.WithProxy(id))
 	}
-	if !routeUplink(n, from, m.MH, m) {
-		return
-	}
-	if n.staleInc(m.Inc, n.incOf(m.MH)) {
-		return
-	}
-	n.noteInc(m.MH, m.Inc)
-	n.rec(m.MH).outAdd(m.Req, normInc(m.Inc))
-	id, p := n.batchProxyRef(m.MH)
-	if p != nil {
-		p.onBatchItem(m)
-		return
-	}
-	if id == ids.NoProxy {
-		return
-	}
-	m.Proxy = id
-	n.sendWired(id.Host.Node(), m)
-}
-
-// handleBatchCommit routes a batch_commit on either leg.
-func (n *MSSNode) handleBatchCommit(from ids.NodeID, m msg.BatchCommit) {
-	if m.Proxy != ids.NoProxy {
-		p := hostedProxy(n, from, m.Proxy, m)
-		if p == nil {
-			return
-		}
-		p.onBatchCommit(m)
-		return
-	}
-	if !routeUplink(n, from, m.MH, m) {
-		return
-	}
-	id, p := n.batchProxyRef(m.MH)
-	if p != nil {
-		p.onBatchCommit(m)
-		return
-	}
-	if id == ids.NoProxy {
-		return
-	}
-	m.Proxy = id
-	n.sendWired(id.Host.Node(), m)
 }
 
 // handleBatchAbort delivers a batch abort to the MH through its current

@@ -111,10 +111,13 @@ type Proxy struct {
 	// migration-policy cooldown clock (see internal/proxymig). A fresh
 	// proxy may offer immediately (the clock starts backdated by the
 	// cooldown); a migrated incarnation must sit out MinInterval first —
-	// the ping-pong guard (see handleMigState). Both are per-incarnation
-	// observations, deliberately volatile across crash recovery.
+	// the ping-pong guard (see handleMigState). migOffered marks an offer
+	// made at lastMigAttempt and not yet answered. All three are
+	// per-incarnation observations, deliberately volatile across crash
+	// recovery.
 	remoteForwards int
 	lastMigAttempt sim.Time
+	migOffered     bool
 
 	// Incarnation lease (E18, Config.LeaseTTL > 0): the MH's respMss
 	// heartbeats every proxy it holds a preference for; a heartbeat
@@ -176,6 +179,34 @@ func (p *Proxy) CurrentLoc() ids.MSS { return p.currentLoc }
 
 // Pending returns the number of pending (un-acked) requests.
 func (p *Proxy) Pending() int { return len(p.reqs) }
+
+// handle takes one message addressed to the proxy (MSSNode.deliver). A
+// relayed Ack carrying del-proxy ends it (§3.3).
+func (p *Proxy) handle(_ ids.NodeID, m msg.ProxyAddressed) {
+	switch v := m.(type) {
+	case msg.RequestForward:
+		p.addRequest(v.Req, v.Server, v.Payload, v.Inc)
+	case msg.UpdateCurrentLoc:
+		p.onUpdateLoc(v.NewLoc)
+	case msg.AckForward:
+		if p.onAck(v.Req, v.DelProxy) {
+			p.host.retire(p)
+			p.host.w.Stats.ProxiesDeleted.Inc()
+		}
+	case msg.ServerResult:
+		p.onServerResult(v.Req, v.Payload)
+	case msg.LeaseHeartbeat:
+		p.renewLease(v.Inc)
+	case msg.BatchOpen:
+		p.onBatchOpen(v.Batch, v.Inc)
+	case msg.BatchItem:
+		p.onBatchItem(v)
+	case msg.BatchCommit:
+		p.onBatchCommit(v)
+	default:
+		p.host.w.Stats.OrphanMessages.Inc() // group signaling for a private proxy
+	}
+}
 
 // addRequest registers a request and issues it to the server. From the
 // server's perspective the proxy is a fixed client (§3.1). A duplicate
@@ -516,13 +547,13 @@ func (p *Proxy) armBatchDeadline(b *proxyBatch) {
 	host.batchEpochSeq++
 	epoch := host.batchEpochSeq
 	b.deadlineEpoch = epoch
-	proxyID, batchID := p.id, b.id
+	seq, batchID := p.id.Seq, b.id
 	host.w.Kernel.Defer(host.w.cfg.BatchDeadline, func() {
 		if host.w.down[host.id] {
 			return
 		}
-		cur, ok := host.proxies[proxyID.Seq]
-		if !ok || cur.id != proxyID {
+		cur := host.proxyAt(seq)
+		if cur == nil {
 			return
 		}
 		bb, ok := cur.batches[batchID]
@@ -557,13 +588,13 @@ func (p *Proxy) armLease() {
 	epoch := host.leaseEpochSeq
 	p.leaseEpoch = epoch
 	p.leaseAt = host.w.Kernel.Now()
-	proxyID := p.id
+	seq := p.id.Seq
 	host.w.Kernel.Defer(ttl, func() {
 		if host.w.down[host.id] {
 			return
 		}
-		cur, ok := host.proxies[proxyID.Seq]
-		if !ok || cur.id != proxyID || cur.leaseEpoch != epoch {
+		cur := host.proxyAt(seq)
+		if cur == nil || cur.leaseEpoch != epoch {
 			return
 		}
 		// No renewal for a full TTL: the host (and every incarnation up

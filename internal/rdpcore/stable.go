@@ -10,7 +10,6 @@ import (
 	"repro/internal/dcache"
 	"repro/internal/ids"
 	"repro/internal/msg"
-	"repro/internal/sim"
 )
 
 // This file implements MSS crash/recovery. The paper assumes support
@@ -292,24 +291,21 @@ func (n *MSSNode) crash() {
 	// empty costs recomputation, never correctness. batchEpochSeq is NOT
 	// reset — it invalidates batch-deadline timers armed before the crash.
 	n.cache = dcache.New(n.w.cfg.ResultCache)
-	// Group proxies are recoverable from the journal; the signaling
-	// coalescing buffers are volatile (a stale flush timer finds empty
-	// buffers and does nothing).
-	n.groupProxies = make(map[uint32]*GroupProxy)
+	// Of the addressee table, proxies, group proxies and tombstones are
+	// recoverable from the journal. Inbound migration reservations are
+	// volatile, like a proxy's offer-in-flight mark: the reserved sequence
+	// numbers were persisted at allocation, so a post-restart mig_state
+	// still installs under a unique identity, and a lost offer merely
+	// leaves the proxy fixed until the next trigger. So are the signaling
+	// coalescing buffers (a stale flush timer finds empty buffers and does
+	// nothing).
+	n.hosted = make(map[uint32]addressee)
+	n.nProxies, n.nReserved = 0, 0
 	n.topicProxies = make(map[groupKey]uint32)
 	n.aggLocBuf = make(map[ids.ProxyID]*aggstate.Set)
 	n.aggAckBuf = make(map[ids.ProxyID]*groupAckBuf)
 	n.aggLocArmed, n.aggAckArmed = false, false
-	n.proxies = make(map[uint32]*Proxy)
 	n.reclaims = nil
-	// Migration state: tombstones are recoverable from the journal;
-	// inbound reservations and outbound-offer clocks are volatile (the
-	// reserved sequence numbers were persisted at allocation, so a
-	// post-restart mig_state still installs under a unique identity, and
-	// a lost offer merely leaves the proxy fixed until the next trigger).
-	n.tombstones = make(map[uint32]*tombstone)
-	n.migInbound = make(map[uint32]*migReservation)
-	n.migOutbound = make(map[uint32]sim.Time)
 }
 
 // restoreFromStore replays the journal into memory after a restart.
@@ -356,7 +352,7 @@ func (n *MSSNode) restoreFromStore() {
 			}
 		}
 		p.abortedBatches, p.abortOrder = maps.Clone(pr.aborted), slices.Clone(pr.abortOrder)
-		n.proxies[seq] = p
+		n.put(seq, p)
 		// The lease clock restarts with a fresh, full TTL: pre-crash
 		// expiry timers are invalidated by the epoch guard, and the next
 		// heartbeat renews the lease anyway.
@@ -397,12 +393,13 @@ func (n *MSSNode) restoreFromStore() {
 			g.entries[key] = e
 			g.entryOrder = append(g.entryOrder, key)
 		}
-		n.groupProxies[seq] = g
+		n.put(seq, g)
 		n.topicProxies[groupKey{server: gr.server, topic: gr.topic}] = seq
 	}
 	for _, seq := range sortedKeys(rec.tombstones, cmp.Compare[uint32]) {
 		t := rec.tombstones[seq].clone()
-		n.tombstones[seq] = &t
+		t.host = n
+		n.put(seq, &t)
 		// A fully-confirmed tombstone restarts its quiet period; one still
 		// awaiting confirms re-arms when the ARQ redelivers them.
 		if len(t.pendingServers) == 0 {
@@ -450,41 +447,43 @@ func (n *MSSNode) restoreFromStore() {
 // MH's location, prompting that proxy to re-send anything stranded.
 // Iteration is sorted so recovery traffic is deterministic.
 func (n *MSSNode) recoveryResend() {
-	for _, seq := range sortedKeys(n.proxies, cmp.Compare[uint32]) {
-		p := n.proxies[seq]
-		for _, r := range p.reqs {
-			n.w.Stats.RecoveryResends.Inc()
-			if r.hasResult {
-				p.forwardResult(r)
-			} else {
-				n.sendWired(r.server.Node(), msg.ServerRequest{Proxy: p.id, Req: r.id, Payload: r.payload})
-			}
-		}
-		// A crash can land between the journal write that completed a
-		// batch's last member and the one that recorded its release;
-		// re-judge every restored batch. (The forwardResult calls above
-		// withheld any unreleased members.)
-		for _, id := range p.batchOrder {
-			p.checkBatchRelease(p.batches[id])
-		}
-	}
-	// Restored group proxies (E16): re-issue the server request of every
-	// result-less entry and re-fan-out every stored, still-unacked
-	// result — the group analogue of the per-proxy loop above.
-	for _, seq := range sortedKeys(n.groupProxies, cmp.Compare[uint32]) {
-		g := n.groupProxies[seq]
-		for _, key := range g.entryOrder {
-			e := g.entries[key]
-			if !e.hasResult {
+	// Ascending sequence is private proxies first, then group proxies
+	// (the shared bit is the top one).
+	for _, seq := range sortedKeys(n.hosted, cmp.Compare[uint32]) {
+		switch a := n.hosted[seq].(type) {
+		case *Proxy:
+			for _, r := range a.reqs {
 				n.w.Stats.RecoveryResends.Inc()
-				n.sendWired(e.server.Node(),
-					msg.ServerRequest{Proxy: g.id, Req: e.leaderReq, Payload: e.payload})
-				continue
+				if r.hasResult {
+					a.forwardResult(r)
+				} else {
+					n.sendWired(r.server.Node(), msg.ServerRequest{Proxy: a.id, Req: r.id, Payload: r.payload})
+				}
 			}
-			for i := range e.waiters {
-				if !e.waiters[i].acked {
+			// A crash can land between the journal write that completed a
+			// batch's last member and the one that recorded its release;
+			// re-judge every restored batch. (The forwardResult calls above
+			// withheld any unreleased members.)
+			for _, id := range a.batchOrder {
+				a.checkBatchRelease(a.batches[id])
+			}
+		case *GroupProxy:
+			// The group analogue (E16): re-issue the server request of
+			// every result-less entry, re-fan-out every stored,
+			// still-unacked result.
+			for _, key := range a.entryOrder {
+				e := a.entries[key]
+				if !e.hasResult {
 					n.w.Stats.RecoveryResends.Inc()
-					g.forward(e, i)
+					n.sendWired(e.server.Node(),
+						msg.ServerRequest{Proxy: a.id, Req: e.leaderReq, Payload: e.payload})
+					continue
+				}
+				for i := range e.waiters {
+					if !e.waiters[i].acked {
+						n.w.Stats.RecoveryResends.Inc()
+						a.forward(e, i)
+					}
 				}
 			}
 		}

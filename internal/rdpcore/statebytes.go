@@ -72,20 +72,22 @@ func (n *MSSNode) StateBytes() int {
 			total += bytesIncEntry
 		}
 	}
-	for _, p := range n.proxies {
-		total += bytesProxy
-		for _, r := range p.reqs {
-			total += bytesProxyReq + len(r.payload) + len(r.result)
-		}
-	}
-	for _, g := range n.groupProxies {
-		total += bytesGroupProxy + g.members.MemBytes() + len(g.memberLoc)*bytesMemberLoc
-		for _, key := range g.entryOrder {
-			e := g.entries[key]
-			total += bytesGroupEntry + len(e.payload) + len(e.result)
-			total += len(e.waiters)*bytesWaiter + e.entrants.MemBytes()
-			if e.ackIdx != nil {
-				total += len(e.ackIdx) * bytesAckIdx
+	for _, a := range n.hosted {
+		switch a := a.(type) {
+		case *Proxy:
+			total += bytesProxy
+			for _, r := range a.reqs {
+				total += bytesProxyReq + len(r.payload) + len(r.result)
+			}
+		case *GroupProxy:
+			total += bytesGroupProxy + a.members.MemBytes() + len(a.memberLoc)*bytesMemberLoc
+			for _, key := range a.entryOrder {
+				e := a.entries[key]
+				total += bytesGroupEntry + len(e.payload) + len(e.result)
+				total += len(e.waiters)*bytesWaiter + e.entrants.MemBytes()
+				if e.ackIdx != nil {
+					total += len(e.ackIdx) * bytesAckIdx
+				}
 			}
 		}
 	}

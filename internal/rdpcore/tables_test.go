@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aggstate"
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/netsim"
@@ -360,10 +361,16 @@ func TestOutstandingLedgerRoundTrip(t *testing.T) {
 	}
 }
 
-// silentWired is a backbone that carries nothing and keeps what was sent.
-type silentWired struct{ sent []msg.Message }
+// silentWired is a backbone that carries nothing and keeps what was
+// sent, and to whom.
+type silentWired struct {
+	sent []msg.Message
+	to   []ids.NodeID
+}
 
-func (s *silentWired) Send(_, _ ids.NodeID, m msg.Message) { s.sent = append(s.sent, m) }
+func (s *silentWired) Send(_, to ids.NodeID, m msg.Message) {
+	s.sent, s.to = append(s.sent, m), append(s.to, to)
+}
 func (s *silentWired) Register(ids.NodeID, netsim.Handler) {}
 
 // oracleArrival is a pending hand-off in the station oracle.
@@ -846,9 +853,9 @@ func journalScript() (*World, *MSSNode) {
 	do(msg.ServerResult{Proxy: shared.Proxy, Req: req(5, 1), Payload: []byte("news")})
 	do(msg.AckForward{Proxy: shared.Proxy, MH: 5, Req: req(5, 1)})
 	// A migrated proxy's tombstone, two servers yet to confirm.
-	t := &tombstone{oldProxy: ids.ProxyID{Host: 1, Seq: 900}, newProxy: ids.ProxyID{Host: 2, Seq: 5}, mh: 1,
+	t := &tombstone{host: n, oldProxy: ids.ProxyID{Host: 1, Seq: 900}, newProxy: ids.ProxyID{Host: 2, Seq: 5}, mh: 1,
 		pendingServers: map[ids.Server]bool{1: true, 2: true}}
-	n.tombstones[t.oldProxy.Seq] = t
+	n.put(t.oldProxy.Seq, t)
 	n.persistTombstone(t)
 	// Volatile only: mh6 arriving with a buffered request, a dereg parked
 	// for mh7, a result held for the inactive mh2.
@@ -867,30 +874,36 @@ func journalDump(n *MSSNode) string {
 		pref, hasPref := n.PrefOf(mh)
 		fmt.Fprintf(&b, "host %v: %v %v %v %+v\n", mh, n.Responsible(mh), pref, hasPref, n.peek(mh).hostDurable)
 	}
-	for _, seq := range sortedKeys(n.proxies, cmp.Compare[uint32]) {
-		p := n.proxies[seq]
-		fmt.Fprintf(&b, "proxy %v %v %v %v\n", p.id, p.mh, p.currentLoc, p.leaseInc)
-		for _, r := range p.reqs {
-			fmt.Fprintf(&b, "  req %+v\n", *r)
+	for _, seq := range sortedKeys(n.hosted, cmp.Compare[uint32]) {
+		switch a := n.hosted[seq].(type) {
+		case *Proxy:
+			fmt.Fprintf(&b, "proxy %v %v %v %v\n", a.id, a.mh, a.currentLoc, a.leaseInc)
+			for _, r := range a.reqs {
+				fmt.Fprintf(&b, "  req %+v\n", *r)
+			}
+			for _, id := range a.batchOrder {
+				fmt.Fprintf(&b, "  batch %+v\n", *a.batches[id])
+			}
+			for _, id := range a.abortOrder {
+				fmt.Fprintf(&b, "  aborted %v %v\n", id, a.abortedBatches[id])
+			}
+		case *GroupProxy:
+			fmt.Fprintf(&b, "group %v %v %v %v %v\n", a.id, a.server, a.topic, a.members.Members(), a.memberLoc)
+			for _, key := range a.entryOrder {
+				e := a.entries[key]
+				fmt.Fprintf(&b, "  entry %v %q %v %q %v unacked %d waiters %+v index %v entrants %v\n", e.server, e.payload,
+					e.leaderReq, e.result, e.hasResult, e.unacked, e.waiters, e.ackIdx, e.entrants.Members())
+			}
+		case *tombstone:
+			if a.host != n {
+				fmt.Fprintf(&b, "tombstone %v: host not restored\n", a.oldProxy)
+			}
+			t := *a
+			t.host = nil
+			fmt.Fprintf(&b, "tombstone %+v\n", t)
+		default:
+			fmt.Fprintf(&b, "%d: %T\n", seq, a)
 		}
-		for _, id := range p.batchOrder {
-			fmt.Fprintf(&b, "  batch %+v\n", *p.batches[id])
-		}
-		for _, id := range p.abortOrder {
-			fmt.Fprintf(&b, "  aborted %v %v\n", id, p.abortedBatches[id])
-		}
-	}
-	for _, seq := range sortedKeys(n.groupProxies, cmp.Compare[uint32]) {
-		g := n.groupProxies[seq]
-		fmt.Fprintf(&b, "group %v %v %v %v %v\n", g.id, g.server, g.topic, g.members.Members(), g.memberLoc)
-		for _, key := range g.entryOrder {
-			e := g.entries[key]
-			fmt.Fprintf(&b, "  entry %v %q %v %q %v unacked %d waiters %+v index %v entrants %v\n", e.server, e.payload,
-				e.leaderReq, e.result, e.hasResult, e.unacked, e.waiters, e.ackIdx, e.entrants.Members())
-		}
-	}
-	for _, seq := range sortedKeys(n.tombstones, cmp.Compare[uint32]) {
-		fmt.Fprintf(&b, "tombstone %+v\n", *n.tombstones[seq])
 	}
 	fmt.Fprintf(&b, "nextProxySeq %d topics %v\n", n.nextProxySeq, n.topicProxies)
 	return b.String()
@@ -916,7 +929,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		}
 	}
 	w.CrashMSS(1)
-	if n.Responsible(1) || len(n.hosts)+len(n.proxies)+len(n.groupProxies)+len(n.tombstones) != 0 {
+	if n.Responsible(1) || len(n.hosts)+len(n.hosted)+n.nProxies+n.nReserved != 0 {
 		t.Fatal("crash left memory behind")
 	}
 	w.RestartMSS(1)
@@ -928,8 +941,12 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Errorf("%v: volatile part survived the crash: %+v", mh, h.x)
 		}
 	}
-	for _, p := range n.proxies {
-		if p.remoteForwards != 0 || p.host != n {
+	for _, a := range n.hosted {
+		p, ok := a.(*Proxy)
+		if !ok {
+			continue
+		}
+		if p.remoteForwards != 0 || p.migOffered || p.host != n {
 			t.Errorf("proxy %v: volatile fields not reset", p.id)
 		}
 		for _, bt := range p.batches {
@@ -938,10 +955,204 @@ func TestJournalRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if n.inbox.len()+len(n.migInbound)+len(n.migOutbound)+len(n.aggLocBuf)+len(n.aggAckBuf) != 0 || n.spare != nil {
+	if n.inbox.len()+n.nReserved+len(n.aggLocBuf)+len(n.aggAckBuf) != 0 || n.spare != nil {
 		t.Error("station-level volatile state survived the crash")
 	}
 	if got := w.CheckpointWrites(); got != writes {
 		t.Errorf("crash and replay made %d journal writes", got-writes)
+	}
+}
+
+// doorWorld builds station 1 of a silent three-station world with one
+// proxy identity answered by the named sort of addressee (or by nothing,
+// or belonging to another station) and returns that identity with the
+// host the messages for it speak of.
+func doorWorld(t *testing.T, slot string) (*World, *MSSNode, *silentWired, ids.ProxyID, ids.MH) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.NumMSS, cfg.NumServers = 3, 2
+	cfg.Checkpoint, cfg.AggregatedState = true, true
+	cfg.GroupTopic = func(s ids.Server, _ []byte) (uint32, bool) { return 7, s == 2 }
+	wired := &silentWired{}
+	w := NewWorldWith(sim.NewKernel(1), cfg, wired, &silentRadio{})
+	n := w.MSSs[1]
+	up := func(mh ids.MH, m msg.Message) { n.process(mh.Node(), m) }
+	req := func(mh ids.MH, seq uint32) ids.RequestID { return ids.RequestID{Origin: mh, Seq: seq} }
+	var id ids.ProxyID
+	mh := ids.MH(1)
+	switch slot {
+	case "private", "foreign":
+		// Two open requests and an open batch.
+		up(1, msg.Join{MH: 1})
+		up(1, msg.Request{Req: req(1, 1), Server: 1, Payload: []byte("a"), Inc: 1})
+		up(1, msg.Request{Req: req(1, 2), Server: 1, Payload: []byte("b"), Inc: 1})
+		up(1, msg.BatchOpen{MH: 1, Batch: ids.BatchID{Origin: 1, Seq: 1}, Inc: 1})
+		pref, _ := n.PrefOf(1)
+		id = pref.Proxy
+		if slot == "foreign" {
+			id.Host = 2
+		}
+	case "group":
+		// One entry fanned out to mh5 and not yet acknowledged, one still
+		// waiting for the server (its leader is request 2 of mh5 below).
+		mh = 5
+		up(5, msg.Join{MH: 5})
+		up(5, msg.Request{Req: req(5, 1), Server: 2, Payload: []byte("topic"), Inc: 1})
+		up(5, msg.Request{Req: req(5, 2), Server: 2, Payload: []byte("other"), Inc: 1})
+		pref, _ := n.PrefOf(5)
+		id = pref.Proxy
+		n.process(ids.Server(2).Node(), msg.ServerResult{Proxy: id, Req: req(5, 1), Payload: []byte("news")})
+	case "tombstone":
+		id = ids.ProxyID{Host: 1, Seq: 900}
+		n.put(id.Seq, &tombstone{host: n, oldProxy: id, newProxy: ids.ProxyID{Host: 2, Seq: 5}, mh: 1,
+			pendingServers: map[ids.Server]bool{}})
+	case "reservation":
+		id = ids.ProxyID{Host: 1, Seq: 901}
+		n.put(id.Seq, &migReservation{oldProxy: ids.ProxyID{Host: 2, Seq: 4}})
+	case "empty":
+		id = ids.ProxyID{Host: 1, Seq: 77}
+	}
+	if isSharedProxy(id) != (slot == "group") || w.Stats.OrphanMessages.Value()+w.Stats.Violations.Value() != 0 {
+		t.Fatalf("fixture %s: identity %v, %d orphans, %d violations", slot, id,
+			w.Stats.OrphanMessages.Value(), w.Stats.Violations.Value())
+	}
+	wired.sent, wired.to = nil, nil
+	return w, n, wired, id, mh
+}
+
+// doorMessages is one message of every proxy-addressed kind for id, each
+// of which changes the state of a doorWorld addressee that takes its
+// kind: mh is the host they speak of, whose request 2 is still open.
+func doorMessages(id ids.ProxyID, mh ids.MH) []msg.ProxyAddressed {
+	var one aggstate.Set
+	one.Add(uint32(mh))
+	b1 := ids.BatchID{Origin: mh, Seq: 1}
+	req := func(seq uint32) ids.RequestID { return ids.RequestID{Origin: mh, Seq: seq} }
+	return []msg.ProxyAddressed{
+		msg.RequestForward{Proxy: id, Req: req(7), Server: 2, Payload: []byte("topic"), Inc: 1},
+		msg.UpdateCurrentLoc{Proxy: id, MH: mh, NewLoc: 3},
+		msg.AckForward{Proxy: id, MH: mh, Req: req(1)},
+		msg.ServerResult{Proxy: id, Req: req(2), Payload: []byte("r")},
+		msg.LeaseHeartbeat{Proxy: id, MH: mh, Inc: 2},
+		msg.BatchOpen{Proxy: id, MH: mh, Batch: ids.BatchID{Origin: mh, Seq: 2}, Inc: 1},
+		msg.BatchItem{Proxy: id, MH: mh, Batch: b1, Req: req(8), Server: 1, Payload: []byte("c"), Inc: 1},
+		msg.BatchCommit{Proxy: id, MH: mh, Batch: b1, Count: 5},
+		msg.GroupUpdateLoc{Proxy: id, NewLoc: 3, Members: one.AppendDelta(nil)},
+		msg.GroupAckForward{Proxy: id, Members: one.AppendDelta(nil), Seqs: []uint32{1}},
+	}
+}
+
+// journaled renders what the journal holds for a proxy identity: every
+// handled message changes it, since proxies write through.
+func journaled(w *World, id ids.ProxyID) string {
+	rec := w.store.station(1)
+	return fmt.Sprintf("%+v %+v", rec.proxies[id.Seq], rec.groups[id.Seq])
+}
+
+// TestOneDoor sends a message of every proxy-addressed kind, from a
+// remote station, to an identity answered by each sort of addressee, by
+// nothing, and by another station. A private or group proxy handles the
+// kinds it takes and counts the others as orphans; a tombstone sends the
+// message after the proxy under the new identity and tells the sender; a
+// reservation holds it until the mig_state installs the proxy, which then
+// gets it; an empty slot or a foreign identity is one orphan.
+func TestOneDoor(t *testing.T) {
+	from := ids.MSS(3).Node()
+	takes := map[string][]bool{ // by doorMessages index
+		"private": {true, true, true, true, true, true, true, true, false, false},
+		"group":   {true, true, true, true, false, false, false, false, true, true},
+	}
+	for _, slot := range []string{"private", "group", "tombstone", "reservation", "empty", "foreign"} {
+		for k := range doorMessages(ids.NoProxy, 1) {
+			w, n, wired, id, mh := doorWorld(t, slot)
+			m := doorMessages(id, mh)[k]
+			name := fmt.Sprintf("%s/%T", slot, m)
+			before := journaled(w, id)
+			n.process(from, m)
+			orphans, changed := w.Stats.OrphanMessages.Value(), journaled(w, id) != before
+			switch slot {
+			case "private", "group":
+				if taken := takes[slot][k]; taken != (orphans == 0) || taken != changed {
+					t.Errorf("%s: taken %v, but %d orphans, state changed %v", name, taken, orphans, changed)
+				}
+			case "tombstone":
+				ts := n.hosted[id.Seq].(*tombstone)
+				want := []msg.Message{m.WithProxy(ts.newProxy), msg.PrefRedirect{MH: 1, OldProxy: id, NewProxy: ts.newProxy}}
+				if fmt.Sprint(wired.sent, wired.to) != fmt.Sprint(want, []ids.NodeID{ids.MSS(2).Node(), from}) ||
+					orphans != 0 || ts.gcEpoch != 1 {
+					t.Errorf("%s: sent %v to %v, %d orphans, quiet period armed %d times",
+						name, wired.sent, wired.to, orphans, ts.gcEpoch)
+				}
+				if got := wired.sent[0].(msg.ProxyAddressed); got.Kind() != m.Kind() || got.ProxyID() != ts.newProxy {
+					t.Errorf("%s: redirected as %v", name, got)
+				}
+			case "reservation":
+				res := n.hosted[id.Seq].(*migReservation)
+				if len(res.buffered) != 1 || orphans != 0 || len(wired.sent) != 0 {
+					t.Fatalf("%s: %d held, %d orphans, sent %v", name, len(res.buffered), orphans, wired.sent)
+				}
+				// The proxy of the private fixture arrives; a twin station
+				// that held nothing gives the state without the replay.
+				st := msg.MigState{Proxy: res.oldProxy, NewProxy: id, MH: 1, CurrentLoc: 2,
+					Reqs: []msg.MigReqState{
+						{Req: ids.RequestID{Origin: 1, Seq: 1}, Server: 1, Payload: []byte("a"), Inc: 1},
+						{Req: ids.RequestID{Origin: 1, Seq: 2}, Server: 1, Payload: []byte("b"), Inc: 1}},
+					Batches: []msg.MigBatchState{{Batch: ids.BatchID{Origin: 1, Seq: 1}, Inc: 1}}}
+				w2, n2, _, _, _ := doorWorld(t, slot)
+				n.process(ids.MSS(2).Node(), st)
+				n2.process(ids.MSS(2).Node(), st)
+				orphans, changed = w.Stats.OrphanMessages.Value(), journaled(w, id) != journaled(w2, id)
+				if taken := takes["private"][k]; taken != (orphans == 0) || taken != changed || n.nReserved != 0 {
+					t.Errorf("%s: replay taken %v, but %d orphans, state changed %v, %d reservations left",
+						name, taken, orphans, changed, n.nReserved)
+				}
+			default:
+				if orphans != 1 || changed || len(wired.sent) != 0 {
+					t.Errorf("%s: %d orphans, state changed %v, sent %v", name, orphans, changed, wired.sent)
+				}
+			}
+			if v := w.Stats.Violations.Value(); v != 0 {
+				t.Errorf("%s: %d violations", name, v)
+			}
+		}
+	}
+}
+
+// TestBatchOfGroupMemberOrphanedOnTheSpot: batches and shared prefs do
+// not combine, and a host bound to a group proxy of its own station finds
+// that out in the event that carries its batch traffic — not after a
+// wired send from the station to itself.
+func TestBatchOfGroupMemberOrphanedOnTheSpot(t *testing.T) {
+	w, n, wired, _, mh := doorWorld(t, "group")
+	b := ids.BatchID{Origin: mh, Seq: 1}
+	for _, m := range []msg.Message{
+		msg.BatchOpen{MH: mh, Batch: b, Inc: 1},
+		msg.BatchItem{MH: mh, Batch: b, Req: ids.RequestID{Origin: mh, Seq: 3}, Server: 1, Payload: []byte("q"), Inc: 1},
+		msg.BatchCommit{MH: mh, Batch: b, Count: 1},
+	} {
+		n.process(mh.Node(), m)
+	}
+	if got := w.Stats.OrphanMessages.Value(); got != 3 || len(wired.sent) != 0 || w.Stats.Violations.Value() != 0 {
+		t.Errorf("%d orphans, %d violations, sent %v; want 3 orphans counted in place",
+			got, w.Stats.Violations.Value(), wired.sent)
+	}
+}
+
+// TestDeliveryWindowARQSlack: the ARQ's share of the delivery window is
+// twice the backoff cap in effect — also when the config leaves the cap
+// at its default.
+func TestDeliveryWindowARQSlack(t *testing.T) {
+	for _, c := range []struct {
+		arq  netsim.ARQConfig
+		want time.Duration
+	}{
+		{netsim.ARQConfig{}, 40 * time.Millisecond},
+		{netsim.ARQConfig{Enabled: true}, 40*time.Millisecond + 2*2*time.Second},
+		{netsim.ARQConfig{Enabled: true, MaxBackoff: 250 * time.Millisecond}, 540 * time.Millisecond},
+	} {
+		w := quickWorld(func(cfg *Config) { cfg.GreetRefresh, cfg.WiredARQ = 2*time.Second, c.arq })
+		if got := time.Duration(w.MSSs[1].deliveryWindow()); got != c.want {
+			t.Errorf("%+v: delivery window %v, want %v", c.arq, got, c.want)
+		}
 	}
 }

@@ -1007,23 +1007,14 @@ func (w *World) resolveProxyRef(mh ids.MH, p ids.ProxyID) error {
 		if !ok {
 			return fmt.Errorf("invariant 3: pref of %v names unknown host %v", mh, p.Host)
 		}
-		if isSharedProxy(p) {
-			// Group proxies (E16) never migrate and are never deleted, so
-			// the reference must resolve directly at the named host.
-			if g := host.groupProxies[p.Seq]; g != nil && g.id == p {
-				return nil
-			}
-			return fmt.Errorf("invariant 3: pref of %v names dead group proxy %v", mh, p)
-		}
-		if q := host.proxies[p.Seq]; q != nil && q.id == p {
+		switch a := host.hosted[p.Seq].(type) {
+		case *Proxy, *GroupProxy:
 			return nil
-		}
-		if t := host.tombstones[p.Seq]; t != nil {
-			p = t.newProxy
-			continue
-		}
-		if _, reserved := host.migInbound[p.Seq]; reserved {
+		case *migReservation:
 			return nil // mig_state install in flight
+		case *tombstone:
+			p = a.newProxy
+			continue
 		}
 		return fmt.Errorf("invariant 3: pref of %v names dead proxy %v", mh, p)
 	}
@@ -1049,44 +1040,27 @@ func (w *World) CheckQuiescent() error {
 	}
 	for _, id := range w.mssList {
 		st := w.MSSs[id]
-		for _, p := range st.proxies {
-			if !referenced[p.id] {
-				return fmt.Errorf("quiescence: proxy %v for %v is orphaned (pending=%d)", p.id, p.mh, p.Pending())
-			}
-			for _, bid := range p.batchOrder {
-				if !p.batches[bid].released {
-					return fmt.Errorf("quiescence: proxy %v still holds unreleased batch %v", p.id, bid)
+		tombstones, reservations := 0, 0
+		for _, a := range st.hosted {
+			switch a := a.(type) {
+			case *Proxy:
+				if !referenced[a.id] {
+					return fmt.Errorf("quiescence: proxy %v for %v is orphaned (pending=%d)", a.id, a.mh, a.Pending())
 				}
-			}
-			if w.cfg.LeaseTTL > 0 {
-				// E18: once traffic drains, no proxy state may belong to
-				// a dead incarnation — the lease machinery must have
-				// scrubbed or reclaimed it.
-				cur := w.IncarnationOf(p.mh)
-				if incLess(p.leaseInc, cur) {
-					return fmt.Errorf("quiescence: proxy %v leased to dead incarnation %v of %v (current %v)",
-						p.id, normInc(p.leaseInc), p.mh, normInc(cur))
+				if err := w.settledProxy(a); err != nil {
+					return err
 				}
-				for _, r := range p.reqs {
-					if incLess(r.inc, cur) {
-						return fmt.Errorf("quiescence: proxy %v holds request %v from dead incarnation %v of %v",
-							p.id, r.id, normInc(r.inc), p.mh)
-					}
+			case *GroupProxy:
+				// Group proxies themselves persist (durable infrastructure),
+				// but their entries must have drained: every subscribed
+				// member acknowledged its fan-out.
+				if len(a.entries) > 0 {
+					return fmt.Errorf("quiescence: group proxy %v still has %d open entries", a.id, len(a.entries))
 				}
-				for bid, b := range p.batches {
-					if incLess(b.inc, cur) {
-						return fmt.Errorf("quiescence: proxy %v holds batch %v from dead incarnation %v of %v",
-							p.id, bid, normInc(b.inc), p.mh)
-					}
-				}
-			}
-		}
-		for _, g := range st.groupProxies {
-			// Group proxies themselves persist (durable infrastructure),
-			// but their entries must have drained: every subscribed member
-			// acknowledged its fan-out.
-			if len(g.entries) > 0 {
-				return fmt.Errorf("quiescence: group proxy %v still has %d open entries", g.id, len(g.entries))
+			case *tombstone:
+				tombstones++
+			case *migReservation:
+				reservations++
 			}
 		}
 		if len(st.aggLocBuf) > 0 || len(st.aggAckBuf) > 0 {
@@ -1107,11 +1081,43 @@ func (w *World) CheckQuiescent() error {
 		if parked > 0 {
 			return fmt.Errorf("quiescence: %v still has parked deregs", id)
 		}
-		if len(st.tombstones) > 0 {
-			return fmt.Errorf("quiescence: %v still has %d migration tombstones", id, len(st.tombstones))
+		if tombstones > 0 {
+			return fmt.Errorf("quiescence: %v still has %d migration tombstones", id, tombstones)
 		}
-		if len(st.migInbound) > 0 {
-			return fmt.Errorf("quiescence: %v still has %d inbound migration reservations", id, len(st.migInbound))
+		if reservations > 0 {
+			return fmt.Errorf("quiescence: %v still has %d inbound migration reservations", id, reservations)
+		}
+	}
+	return nil
+}
+
+// settledProxy is CheckQuiescent's view of one private proxy: no batch
+// still unreleased and, under leases (E18), nothing owned by a dead
+// incarnation — the lease machinery must have scrubbed or reclaimed it.
+func (w *World) settledProxy(p *Proxy) error {
+	for _, bid := range p.batchOrder {
+		if !p.batches[bid].released {
+			return fmt.Errorf("quiescence: proxy %v still holds unreleased batch %v", p.id, bid)
+		}
+	}
+	if w.cfg.LeaseTTL <= 0 {
+		return nil
+	}
+	cur := w.IncarnationOf(p.mh)
+	if incLess(p.leaseInc, cur) {
+		return fmt.Errorf("quiescence: proxy %v leased to dead incarnation %v of %v (current %v)",
+			p.id, normInc(p.leaseInc), p.mh, normInc(cur))
+	}
+	for _, r := range p.reqs {
+		if incLess(r.inc, cur) {
+			return fmt.Errorf("quiescence: proxy %v holds request %v from dead incarnation %v of %v",
+				p.id, r.id, normInc(r.inc), p.mh)
+		}
+	}
+	for bid, b := range p.batches {
+		if incLess(b.inc, cur) {
+			return fmt.Errorf("quiescence: proxy %v holds batch %v from dead incarnation %v of %v",
+				p.id, bid, normInc(b.inc), p.mh)
 		}
 	}
 	return nil
