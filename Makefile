@@ -26,8 +26,9 @@ allocs:
 	go test -count=1 -run 'Alloc|Budget' ./internal/sim ./internal/causal ./internal/msg \
 		./internal/netsim ./internal/server ./internal/rdpcore
 
-# check is the full pre-commit gate: formatting, vet, build, tests, the
-# allocation pins, the race sweep of everything that owns a free list
+# check is the full pre-commit gate: formatting, vet, the station's doors
+# (scripts/station-doors.sh: one timer door, one journal writer), build,
+# tests, the allocation pins, the race sweep of everything that owns a free list
 # (the E14 serial==parallel property harness, the kernel arena, the
 # pooled frame records under psim regions and livenet's dispatcher —
 # first, because a data race there invalidates the rest), and the
@@ -36,6 +37,7 @@ check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
+	sh scripts/station-doors.sh
 	go build ./...
 	go test ./...
 	$(MAKE) allocs

@@ -178,6 +178,9 @@ func run(args []string) error {
 	fmt.Printf("ignored acks           %8d\n", s.IgnoredAcks.Value())
 	fmt.Printf("orphan messages        %8d\n", s.OrphanMessages.Value())
 	fmt.Printf("protocol violations    %8d\n", s.Violations.Value())
+	for _, v := range w.ViolationLog() {
+		fmt.Printf("  %s\n", v)
+	}
 	fmt.Printf("result latency         %s\n", s.ResultLatency.Summary())
 	if tcpNet != nil {
 		ws := tcpNet.Stats()

@@ -148,22 +148,3 @@ func ExampleInstallSidam() {
 	// region 4 congestion 55%
 	// region 4 congestion 55%
 }
-
-// Queued RPC accepts invocations while disconnected and completes them
-// after reconnection.
-func ExampleQRPCClient() {
-	world := rdp.NewWorld(rdp.DefaultConfig())
-	mh := world.AddMH(1, 1)
-	client := rdp.NewQRPC(world, mh, rdp.QRPCOptions{Timeout: 300 * time.Millisecond})
-
-	world.Schedule(0, func() { world.SetActive(1, false) }) // offline
-	world.Schedule(10*time.Millisecond, func() {
-		client.Invoke(1, []byte("queued offline"), func(p []byte) {
-			fmt.Printf("reply: %s\n", p)
-		})
-	})
-	world.Schedule(time.Second, func() { world.SetActive(1, true) }) // back online
-	world.RunUntil(5 * time.Second)
-	// Output:
-	// reply: re:queued offline
-}

@@ -66,12 +66,6 @@ func (t *prefTable) get(mh ids.MH) (msg.Pref, bool) {
 	return msg.Pref{}, false
 }
 
-// has reports whether mh has a registered pref (possibly the zero pref).
-func (t *prefTable) has(mh ids.MH) bool {
-	_, ok := t.get(mh)
-	return ok
-}
-
 // set registers (or replaces) mh's pref.
 func (t *prefTable) set(mh ids.MH, p msg.Pref) {
 	if !t.agg {

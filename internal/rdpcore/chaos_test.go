@@ -128,6 +128,36 @@ func TestCrashAmnesiaLosesResult(t *testing.T) {
 	}
 }
 
+// TestLeaseBeatSingleChainAcrossQuickRestart: a station that restarts
+// before its pre-crash heartbeat timer comes due still runs one heartbeat
+// chain, not two — the old timer died with the crash (MSSNode.after) — so
+// a long-lived proxy hears as many heartbeats with the outage as without.
+func TestLeaseBeatSingleChainAcrossQuickRestart(t *testing.T) {
+	beats := func(outage bool) int64 {
+		cfg := recoveryConfig(1)
+		cfg.NumMSS = 1
+		cfg.LeaseTTL = 3 * time.Second                     // a beat every second
+		cfg.ServerProc = netsim.Constant(60 * time.Second) // the proxy outlives the run
+		w := NewWorld(cfg)
+		mh := w.AddMH(1, 1)
+		w.Schedule(0, func() { mh.IssueRequest(1, []byte("slow")) })
+		if outage {
+			w.Schedule(1200*time.Millisecond, func() { w.CrashMSS(1) })
+			w.Schedule(1300*time.Millisecond, func() { w.RestartMSS(1) })
+		}
+		// Half a period past the 30th second: the restarted chain beats 0.3 s
+		// after the original one would have.
+		w.RunUntil(30*time.Second + 500*time.Millisecond)
+		if w.TotalProxies() != 1 {
+			t.Fatalf("outage %v: %d proxies, want the one leased proxy alive", outage, w.TotalProxies())
+		}
+		return w.Stats.LeaseHeartbeats.Value()
+	}
+	if calm, crashed := beats(false), beats(true); calm != crashed || calm < 30 {
+		t.Errorf("%d heartbeats without the outage, %d with it; want equal, one a second", calm, crashed)
+	}
+}
+
 // TestHandoffTimeoutUnsticksCrashedOldStation migrates an MH away from a
 // station that crashed with its dereg unreachable (no ARQ). The new
 // station's hand-off timer re-issues the dereg until the old one

@@ -124,9 +124,7 @@ func (n *MSSNode) sharedGroupFor(server ids.Server, payload []byte) *GroupProxy 
 	}
 	// Group proxies draw from the same persistent sequence counter as
 	// per-request proxies, so identifiers stay unique across crashes.
-	n.nextProxySeq++
-	n.persistSeq()
-	id := ids.ProxyID{Host: n.id, Seq: sharedProxyBit | n.nextProxySeq}
+	id := ids.ProxyID{Host: n.id, Seq: sharedProxyBit | n.newSeq()}
 	g := &GroupProxy{
 		id:        id,
 		host:      n,
@@ -139,7 +137,6 @@ func (n *MSSNode) sharedGroupFor(server ids.Server, payload []byte) *GroupProxy 
 	n.put(id.Seq, g)
 	n.topicProxies[key] = id.Seq
 	n.w.Stats.SharedProxies.Inc()
-	n.persistGroup(g)
 	return g
 }
 
@@ -195,7 +192,6 @@ func (g *GroupProxy) join(mh ids.MH, loc ids.MSS, req ids.RequestID, server ids.
 		if e.hasResult && !w.acked {
 			g.forward(e, i)
 		}
-		g.host.persistGroup(g)
 		return
 	}
 	e.entrants.Add(uint32(mh))
@@ -208,7 +204,6 @@ func (g *GroupProxy) join(mh ids.MH, loc ids.MSS, req ids.RequestID, server ids.
 	if e.hasResult {
 		g.forward(e, i)
 	}
-	g.host.persistGroup(g)
 }
 
 // waiterIndex finds the waiter for (mh, seq), or -1. Only reached on
@@ -280,7 +275,6 @@ func (g *GroupProxy) onServerResult(req ids.RequestID, payload []byte) {
 	e.hasResult = true
 	g.host.cacheStore(e.server, e.payload, payload)
 	e.indexAcks()
-	g.host.persistGroup(g)
 	for i := range e.waiters {
 		if !e.waiters[i].acked {
 			g.forward(e, i)
@@ -306,9 +300,7 @@ func (g *GroupProxy) ack(mh ids.MH, seq uint32) {
 		e.waiters[i].acked = true
 		e.unacked--
 		if e.unacked == 0 {
-			g.completeEntry(key, e)
-		} else {
-			g.host.persistGroup(g)
+			g.completeEntry(key)
 		}
 		return
 	}
@@ -317,7 +309,7 @@ func (g *GroupProxy) ack(mh ids.MH, seq uint32) {
 
 // completeEntry retires a fully-acknowledged entry, freeing its result,
 // waiters, ack index and entrants guard in one delete.
-func (g *GroupProxy) completeEntry(key dcache.Key, e *sharedEntry) {
+func (g *GroupProxy) completeEntry(key dcache.Key) {
 	delete(g.entries, key)
 	for i, k := range g.entryOrder {
 		if k == key {
@@ -325,7 +317,6 @@ func (g *GroupProxy) completeEntry(key dcache.Key, e *sharedEntry) {
 			break
 		}
 	}
-	g.host.persistGroup(g)
 }
 
 // updateLoc applies a (possibly coalesced) hand-off notification: every
@@ -341,7 +332,6 @@ func (g *GroupProxy) updateLoc(moved *aggstate.Set, newLoc ids.MSS) {
 			g.memberLoc[mh] = newLoc
 		}
 	})
-	g.host.persistGroup(g)
 	for _, key := range g.entryOrder {
 		e := g.entries[key]
 		if e == nil || !e.hasResult || e.unacked == 0 {
@@ -400,12 +390,7 @@ func (n *MSSNode) bufferGroupLoc(proxy ids.ProxyID, mh ids.MH) {
 	set.Add(uint32(mh))
 	if !n.aggLocArmed {
 		n.aggLocArmed = true
-		n.w.Kernel.Defer(n.w.cfg.AggFlushDelay, func() {
-			if n.w.down[n.id] {
-				return
-			}
-			n.flushGroupLocs()
-		})
+		n.after(n.w.cfg.AggFlushDelay, n.flushGroupLocs)
 	}
 }
 
@@ -454,12 +439,7 @@ func (n *MSSNode) bufferGroupAck(proxy ids.ProxyID, mh ids.MH, seq uint32) {
 	buf.seqs[mh] = seq
 	if !n.aggAckArmed {
 		n.aggAckArmed = true
-		n.w.Kernel.Defer(n.w.cfg.AggFlushDelay, func() {
-			if n.w.down[n.id] {
-				return
-			}
-			n.flushGroupAcks()
-		})
+		n.after(n.w.cfg.AggFlushDelay, n.flushGroupAcks)
 	}
 }
 

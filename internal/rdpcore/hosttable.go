@@ -16,9 +16,10 @@ import (
 // few, and whatever only a hand-off in flight, a held result or a
 // delivery attempt needs sits behind x.
 //
-// Lifetime: made by the first write (rec), never by a read — an unknown
-// host reads as absentHost; the whole table goes in a crash; hostDurable
-// is the half the journal copies (persistMH) and a restart brings back.
+// Lifetime: made by the first write (rec, entry), never by a read — an
+// unknown host reads as absentHost; the whole table goes in a crash;
+// hostDurable is the half the journal copies (hostImage) and a restart
+// brings back.
 type stationHost struct {
 	hostDurable
 	x *hostTransient // made on first use (transient), retired once idle (settle)
@@ -130,7 +131,7 @@ type attempt struct {
 
 // absentHost is what a station reads for a host it holds no record of.
 // It is never written: whatever writes either takes its record from rec
-// or writes only what it found non-zero.
+// or entry, or writes only what it found non-zero.
 var absentHost stationHost
 
 // peek returns mh's record for reading, or absentHost.
@@ -147,11 +148,19 @@ func (n *MSSNode) peek(mh ids.MH) *stationHost {
 // than 8 and saves 0.3 % of the allocations).
 const hostSlab = 8
 
-// rec returns mh's record for writing, making it on first use. Records
-// are only ever freed all at once, by a crash, so they are cut from
-// slabs, and a record stays where it is while the station is up: the
-// pointer survives nested message processing.
+// rec returns mh's record for writing its durable half, and marks it for
+// the journal: flushJournal writes it on the way out of the event.
 func (n *MSSNode) rec(mh ids.MH) *stationHost {
+	n.markHost(mh)
+	return n.entry(mh)
+}
+
+// entry returns mh's record, making it on first use — for writing its
+// volatile part (transient); the durable half is written through rec.
+// Records are only ever freed all at once, by a crash, so they are cut
+// from slabs, and a record stays where it is while the station is up: the
+// pointer survives nested message processing.
+func (n *MSSNode) entry(mh ids.MH) *stationHost {
 	h := n.hosts[mh]
 	if h == nil {
 		if len(n.slab) == cap(n.slab) {

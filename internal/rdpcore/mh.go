@@ -600,19 +600,6 @@ func (h *MHNode) scheduleRetry(req ids.RequestID, m msg.Message) {
 	})
 }
 
-// Retransmit re-sends a previously issued request through the current
-// respMss — the hook the queued-RPC layer (internal/qrpc) uses for its
-// backoff resends. It is a no-op once the result has been received or
-// while the host cannot transmit. The proxy deduplicates re-arrivals
-// and re-forwards a stored result, so retransmission is always safe.
-func (h *MHNode) Retransmit(req ids.RequestID, server ids.Server, payload []byte) {
-	if h.has(req, reqSeen|reqAbandoned) || !h.joined || !h.active || h.disconnected || h.crashed {
-		return
-	}
-	h.w.Stats.RequestRetries.Inc()
-	h.uplink(msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc})
-}
-
 // onMigrate is invoked by the World when the (active) MH enters a new
 // cell: it greets the new station, naming the old one so the Hand-off
 // can start (§2, §3.2). From this moment the MH answers only the new
@@ -876,7 +863,7 @@ func (h *MHNode) onBatchAbort(a msg.BatchAbort) {
 		handled[req] = true
 		q := h.row(req)
 		if q.flags&reqSeen != 0 {
-			h.w.Stats.Violations.Inc()
+			h.w.violate(violBatchPartial, h.id, a.Proxy, req)
 			continue
 		}
 		if q.flags&reqAbandoned != 0 {

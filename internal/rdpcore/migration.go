@@ -141,9 +141,7 @@ func (n *MSSNode) handleMigOffer(m msg.MigOffer) {
 		n.sendWired(m.Proxy.Host.Node(), msg.MigCommit{Proxy: m.Proxy, MH: m.MH})
 		return
 	}
-	n.nextProxySeq++
-	n.persistSeq() // the identity must never be reused, even across a crash
-	newID := ids.ProxyID{Host: n.id, Seq: n.nextProxySeq}
+	newID := ids.ProxyID{Host: n.id, Seq: n.newSeq()}
 	n.put(newID.Seq, &migReservation{oldProxy: m.Proxy})
 	n.sendWired(m.Proxy.Host.Node(),
 		msg.MigCommit{Proxy: m.Proxy, NewProxy: newID, MH: m.MH, Accept: true})
@@ -171,7 +169,8 @@ func (n *MSSNode) handleMigCommit(m msg.MigCommit) {
 
 // migrateOut atomically snapshots the proxy, ships the snapshot, and
 // replaces the proxy with a tombstone — all in one simulation event, so
-// a crash either precedes the whole step or follows it.
+// a crash either precedes the whole step or follows it, and the journal
+// swaps the one image for the other in the event's one write of the slot.
 func (n *MSSNode) migrateOut(p *Proxy, newID ids.ProxyID) {
 	st := msg.MigState{Proxy: p.id, NewProxy: newID, MH: p.mh, CurrentLoc: p.currentLoc}
 	t := &tombstone{
@@ -209,7 +208,6 @@ func (n *MSSNode) migrateOut(p *Proxy, newID ids.ProxyID) {
 	}
 	n.retire(p)
 	n.put(p.id.Seq, t)
-	n.persistTombstone(t)
 	n.sendWired(newID.Host.Node(), st)
 	if len(t.pendingServers) == 0 {
 		n.armTombstoneGC(t)
@@ -273,15 +271,13 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	}
 	n.take(m.NewProxy.Seq) // the reservation, unless a crash wiped it
 	n.put(m.NewProxy.Seq, p)
-	n.persistProxy(p)
 	p.armLease()                     // fresh lease at the new host (E18)
 	n.w.Stats.ProxyCreations[n.id]++ // placement accounting (E12 fairness)
 	// Rebind the local pref, or chase it along the hand-off chain if the
 	// MH deregistered between commit and install.
 	if pref, ok := n.prefs.get(m.MH); ok && n.localMhs.contains(m.MH) && pref.Proxy == m.Proxy {
 		pref.Proxy = m.NewProxy
-		n.prefs.set(m.MH, pref)
-		n.persistMH(m.MH)
+		n.setPref(m.MH, pref)
 		n.w.Stats.PrefRedirects.Inc()
 	} else if h := n.peek(m.MH); h.departed {
 		n.sendWired(h.forwardTo.Node(),
@@ -307,7 +303,7 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	// Traffic that arrived for the new identity before the state did.
 	if res != nil {
 		for _, it := range res.buffered {
-			n.process(it.from, it.m)
+			n.dispatch(it.from, it.m)
 		}
 	}
 }
@@ -326,8 +322,8 @@ func (n *MSSNode) handlePrefRedirect(from ids.NodeID, m msg.PrefRedirect) {
 		if !t.pendingServers[srv] {
 			return
 		}
+		n.markSlot(m.OldProxy.Seq)
 		delete(t.pendingServers, srv)
-		n.persistTombstone(t)
 		if len(t.pendingServers) == 0 {
 			n.armTombstoneGC(t)
 		}
@@ -342,8 +338,7 @@ func (n *MSSNode) handlePrefRedirect(from ids.NodeID, m msg.PrefRedirect) {
 	}
 	if pref, ok := n.prefs.get(m.MH); ok && pref.Proxy == m.OldProxy {
 		pref.Proxy = m.NewProxy
-		n.prefs.set(m.MH, pref)
-		n.persistMH(m.MH)
+		n.setPref(m.MH, pref)
 		n.w.Stats.PrefRedirects.Inc()
 		return
 	}
@@ -390,14 +385,10 @@ func (t *tombstone) handle(from ids.NodeID, m msg.ProxyAddressed) {
 func (n *MSSNode) armTombstoneGC(t *tombstone) {
 	t.gcEpoch++
 	epoch := t.gcEpoch
-	n.w.Kernel.Defer(n.w.cfg.Migration.Linger(), func() {
-		if n.w.down[n.id] {
-			return // restoreFromStore re-arms journaled tombstones
+	n.after(n.w.cfg.Migration.Linger(), func() {
+		if n.hosted[t.oldProxy.Seq] == t && t.gcEpoch == epoch && len(t.pendingServers) == 0 {
+			n.gcTombstone(t)
 		}
-		if n.hosted[t.oldProxy.Seq] != t || t.gcEpoch != epoch || len(t.pendingServers) > 0 {
-			return
-		}
-		n.gcTombstone(t)
 	})
 }
 
@@ -405,7 +396,6 @@ func (n *MSSNode) armTombstoneGC(t *tombstone) {
 // new host the episode is over.
 func (n *MSSNode) gcTombstone(t *tombstone) {
 	n.take(t.oldProxy.Seq)
-	n.unpersistTombstone(t.oldProxy.Seq)
 	n.w.Stats.MigCompleted.Inc()
 	n.sendWired(t.newProxy.Host.Node(),
 		msg.MigGC{OldProxy: t.oldProxy, NewProxy: t.newProxy, MH: t.mh})

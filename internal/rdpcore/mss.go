@@ -63,12 +63,15 @@ type MSSNode struct {
 	// Volatile — rebuilt empty on crash (stale answers across a crash
 	// would be worse than cold misses); nil when the cache is disabled.
 	cache *dcache.Cache
-	// batchEpochSeq numbers batch-deadline timers so stale closures
-	// (armed by a pre-crash or pre-migration incarnation) can detect they
-	// were superseded. Monotonic across crashes, like nextProxySeq.
-	batchEpochSeq uint64
-	// leaseEpochSeq numbers lease-expiry timers the same way (E18).
-	leaseEpochSeq uint64
+	// boot counts the station's crashes: a timer armed through after is
+	// void once the count has moved on from the one it was armed under.
+	boot uint64
+	// dirtyHosts and dirtySlots name the host records and proxy-sequence
+	// slots written during the current event; flushJournal journals them on
+	// the way out (stable.go). Empty between events, and always when
+	// Config.Checkpoint is off.
+	dirtyHosts []ids.MH
+	dirtySlots []uint32
 	// reclaims mirrors the durable reclaim-memo log (stable.go): every
 	// proxy this station has reclaimed, with the respMss the memo was
 	// addressed to, so recovery can re-send memos the crash swallowed.
@@ -178,22 +181,35 @@ type addressee interface {
 // put installs a as what answers for seq, an empty slot.
 func (n *MSSNode) put(seq uint32, a addressee) {
 	n.hosted[seq] = a
-	n.count(a, +1)
+	n.count(seq, a, +1)
 }
 
 // take empties seq's slot.
 func (n *MSSNode) take(seq uint32) {
-	n.count(n.hosted[seq], -1)
+	n.count(seq, n.hosted[seq], -1)
 	delete(n.hosted, seq)
 }
 
-func (n *MSSNode) count(a addressee, d int) {
+// count keeps nProxies and nReserved and marks the slot for the journal;
+// a reservation is volatile, so filling or emptying its slot journals
+// nothing.
+func (n *MSSNode) count(seq uint32, a addressee, d int) {
 	switch a.(type) {
 	case *Proxy:
 		n.nProxies += d
 	case *migReservation:
 		n.nReserved += d
+		return
 	}
+	n.markSlot(seq)
+}
+
+// newSeq allocates the next proxy sequence number, journaled at once: an
+// identity must never be reused, even across a crash.
+func (n *MSSNode) newSeq() uint32 {
+	n.nextProxySeq++
+	n.persistSeq()
+	return n.nextProxySeq
 }
 
 // proxyAt returns the private proxy answering for seq, or nil.
@@ -203,11 +219,13 @@ func (n *MSSNode) proxyAt(seq uint32) *Proxy {
 }
 
 // deliver is the one way in for a message that names the proxy it is
-// for: whatever answers for that identity here handles it. An identity
+// for: whatever answers for that identity here handles it, and what it
+// made of the slot is journaled on the way out of the event. An identity
 // of another station, or one nothing answers for any more, makes the
 // message an orphan.
 func (n *MSSNode) deliver(from ids.NodeID, id ids.ProxyID, m msg.ProxyAddressed) {
 	if a := n.hosted[id.Seq]; a != nil && id.Host == n.id {
+		n.markSlot(id.Seq)
 		a.handle(from, m)
 		return
 	}
@@ -339,6 +357,20 @@ func (n *MSSNode) scheduleProcessing() {
 	n.w.Kernel.Defer(n.procDelay(), n.procFn)
 }
 
+// after is the one way a station's own timer gets back in: fn runs after
+// d unless the station crashed in between — whatever it was about died
+// with the station's memory, and a restart arms its own — and what fn
+// wrote is journaled on the way out.
+func (n *MSSNode) after(d time.Duration, fn func()) {
+	boot := n.boot
+	n.w.Kernel.Defer(d, func() {
+		if n.boot == boot {
+			fn()
+			n.flushJournal()
+		}
+	})
+}
+
 // processNext pops one inbox item — lowest priority class first — and
 // processes it.
 func (n *MSSNode) processNext() {
@@ -351,14 +383,23 @@ func (n *MSSNode) processNext() {
 	n.scheduleProcessing()
 }
 
-// process dispatches one message.
+// process is the one way a message gets in — on arrival, off the inbox,
+// or from the station itself: it is dispatched, and the records and slots
+// its handlers wrote are journaled on the way out.
 func (n *MSSNode) process(from ids.NodeID, m msg.Message) {
 	// A crashed host loses whatever was addressed to it: the network
-	// substrates gate external traffic, and this guard covers the
-	// remaining internal paths (self-sends and timers armed pre-crash).
+	// substrates gate external traffic, and this guard covers self-sends
+	// and inbox turns queued before the crash.
 	if n.w.down[n.id] {
 		return
 	}
+	n.dispatch(from, m)
+	n.flushJournal()
+}
+
+// dispatch hands one message to its handler. Handlers that replay queued
+// messages call it directly: they are still inside the event.
+func (n *MSSNode) dispatch(from ids.NodeID, m msg.Message) {
 	switch v := m.(type) {
 	case msg.Join:
 		n.handleJoin(v)
@@ -429,7 +470,6 @@ func (n *MSSNode) noteInc(mh ids.MH, inc ids.Incarnation) {
 	if x := h.x; x != nil {
 		x.held = slices.DeleteFunc(x.held, func(r msg.ResultDeliver) bool { return n.staleInc(r.Inc, inc) })
 	}
-	n.persistMH(mh)
 }
 
 // staleInc reports (and counts as dropped) state owned by an incarnation
@@ -477,13 +517,13 @@ func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
 	if pref, ok := n.prefs.get(m.MH); ok && pref.Proxy == m.Proxy {
 		pref.Proxy = ids.NoProxy
 		pref.RKpR = false
-		n.prefs.set(m.MH, pref)
+		n.setPref(m.MH, pref)
 	}
 	// Entries of incarnations the memo covers (inc <= m.Inc) go.
 	if len(h.out) > 0 {
+		h = n.rec(m.MH)
 		h.out = slices.DeleteFunc(h.out, func(o outReq) bool { return !incLess(m.Inc, o.inc) })
 	}
-	n.persistMH(m.MH)
 }
 
 // armLeaseBeat starts the station's heartbeat loop (E18): every
@@ -495,10 +535,7 @@ func (n *MSSNode) armLeaseBeat() {
 	if ttl <= 0 {
 		return
 	}
-	n.w.Kernel.Defer(ttl/3, func() {
-		if n.w.down[n.id] {
-			return
-		}
+	n.after(ttl/3, func() {
 		n.leaseBeat()
 		n.armLeaseBeat()
 	})
@@ -555,10 +592,25 @@ func (n *MSSNode) reclaimProxy(p *Proxy, memoInc ids.Incarnation) {
 	n.sendToStation(rr.dest, rr.memo)
 }
 
+// setPref registers (or replaces) mh's pref.
+func (n *MSSNode) setPref(mh ids.MH, pref msg.Pref) {
+	n.prefs.set(mh, pref)
+	n.markHost(mh)
+}
+
+// adopt makes the station responsible for mh, under pref — a join, or the
+// deregack that completes a hand-off: the host's Acks count (again) and
+// nothing is passed along.
+func (n *MSSNode) adopt(mh ids.MH, pref msg.Pref) {
+	n.localMhs.add(mh)
+	n.peek(mh).returned()
+	n.setPref(mh, pref)
+}
+
 // forget erases everything the station keeps about a host it is no
-// longer responsible for (departure or hand-off) and persists the
-// erasure.
+// longer responsible for (departure or hand-off).
 func (n *MSSNode) forget(mh ids.MH) {
+	n.markHost(mh)
 	n.localMhs.remove(mh)
 	n.prefs.delete(mh)
 	if h := n.hosts[mh]; h != nil {
@@ -571,17 +623,12 @@ func (n *MSSNode) forget(mh ids.MH) {
 			n.settle(h)
 		}
 	}
-	n.persistMH(mh)
 }
 
 // handleJoin registers a new MH in the cell (§2).
 func (n *MSSNode) handleJoin(m msg.Join) {
-	n.localMhs.add(m.MH)
-	n.peek(m.MH).returned()
-	if !n.prefs.has(m.MH) {
-		n.prefs.set(m.MH, msg.Pref{})
-	}
-	n.persistMH(m.MH)
+	pref, _ := n.prefs.get(m.MH) // the empty pref, unless a pref is already held
+	n.adopt(m.MH, pref)
 	n.sendRegConfirm(m.MH)
 	// Serve deregs that were parked while we knew nothing about the MH:
 	// now registered, the normal responsible path answers them.
@@ -589,7 +636,7 @@ func (n *MSSNode) handleJoin(m msg.Join) {
 		parked := x.parked
 		x.parked = nil
 		for _, it := range parked {
-			n.process(it.from, it.m)
+			n.dispatch(it.from, it.m)
 		}
 	}
 }
@@ -603,7 +650,7 @@ func (n *MSSNode) handleLeave(m msg.Leave) {
 	// lazily at the proxy (E16), so holding one at departure violates
 	// nothing.
 	if p, ok := n.prefs.get(m.MH); ok && p.HasProxy() && !isSharedProxy(p.Proxy) {
-		n.w.Stats.Violations.Inc()
+		n.w.violate(violLeaveWithProxy, m.MH, p.Proxy, ids.RequestID{})
 	}
 	n.forget(m.MH)
 }
@@ -664,7 +711,7 @@ func (n *MSSNode) handleGreet(m msg.Greet) {
 	}
 	// Migration into this cell: start the Hand-off with the old station.
 	// Deregs that overtook this greet join the arrival's deferred queue.
-	x := n.transient(n.rec(m.MH))
+	x := n.transient(n.entry(m.MH))
 	x.arr, x.parked = &arrival{greetAt: n.w.Kernel.Now(), oldMSS: m.OldMSS, deferred: x.parked}, nil
 	n.sendDereg(m.OldMSS, m.MH)
 }
@@ -712,13 +759,11 @@ func (n *MSSNode) sendDereg(old ids.MSS, mh ids.MH) {
 	if n.w.cfg.HandoffTimeout <= 0 {
 		return
 	}
-	n.w.Kernel.Defer(n.w.cfg.HandoffTimeout, func() {
-		// Down: we crashed ourselves and the arrival is gone with the rest.
-		if n.w.down[n.id] || n.peek(mh).arrival() == nil {
-			return
+	n.after(n.w.cfg.HandoffTimeout, func() {
+		if n.peek(mh).arrival() != nil {
+			n.w.Stats.HandoffReissues.Inc()
+			n.sendDereg(old, mh)
 		}
-		n.w.Stats.HandoffReissues.Inc()
-		n.sendDereg(old, mh)
 	})
 }
 
@@ -757,7 +802,7 @@ func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 		a.join(mh, n.id, m.Req, m.Server, m.Payload, m.Inc)
 	default:
 		if id.Host == n.id {
-			n.w.Stats.Violations.Inc() // pref names a proxy we no longer host
+			n.w.violate(violPrefDeadProxy, mh, id, m.Req)
 			return
 		}
 		// A remote shared proxy takes the same forward: its host joins the
@@ -775,7 +820,8 @@ func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 // routes through the same group host), a private one otherwise. New
 // uplink work keeps the proxy alive: RKpR is cleared (§3.3). Batch
 // traffic passes NoServer and is never grouped. With the identity comes
-// what answers for it at this station — nil for another station's.
+// what answers for it at this station, marked for the journal since the
+// caller is about to hand it the traffic — nil for another station's.
 func (n *MSSNode) proxyFor(mh ids.MH, server ids.Server, payload []byte) (ids.ProxyID, addressee) {
 	pref, _ := n.prefs.get(mh) // registered MHs always have an entry
 	pref.RKpR = false
@@ -790,17 +836,17 @@ func (n *MSSNode) proxyFor(mh ids.MH, server ids.Server, payload []byte) (ids.Pr
 		p := n.createProxy(mh)
 		pref.Proxy, local = p.id, p
 	}
-	n.prefs.set(mh, pref)
-	n.persistMH(mh)
+	n.setPref(mh, pref)
+	if local != nil {
+		n.markSlot(pref.Proxy.Seq)
+	}
 	return pref.Proxy, local
 }
 
 // createProxy builds a proxy for mh at this station, its current respMss
 // (§3.1).
 func (n *MSSNode) createProxy(mh ids.MH) *Proxy {
-	n.nextProxySeq++
-	n.persistSeq()
-	p := newProxy(ids.ProxyID{Host: n.id, Seq: n.nextProxySeq}, mh, n)
+	p := newProxy(ids.ProxyID{Host: n.id, Seq: n.newSeq()}, mh, n)
 	n.put(p.id.Seq, p)
 	n.w.Stats.ProxiesCreated.Inc()
 	n.w.Stats.ProxyCreations[n.id]++
@@ -809,11 +855,9 @@ func (n *MSSNode) createProxy(mh ids.MH) *Proxy {
 }
 
 // retire takes a proxy that was acknowledged away, reclaimed or migrated
-// off the table and out of the journal, and closes its hosting-time
-// account.
+// off the table and closes its hosting-time account.
 func (n *MSSNode) retire(p *Proxy) {
 	n.take(p.id.Seq)
-	n.unpersistProxy(p.id.Seq)
 	n.w.Stats.ProxySeconds[n.id] += time.Duration(n.w.Kernel.Now() - p.createdAt)
 }
 
@@ -838,7 +882,7 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 		// the attempt record: a redundant forward of the same result may
 		// still be in the backbone — dropped once and resurrected by the
 		// ARQ well after the Ack — and must be suppressed when it lands.
-		h = n.rec(m.MH)
+		h = n.entry(m.MH)
 		n.transient(h).noteAttempt(m.Req, n.w.Kernel.Now(), n.deliveryWindow())
 	}
 	if !n.localMhs.contains(m.MH) {
@@ -853,12 +897,15 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 		n.noteHeldAck(m.MH, m.Req)
 		return
 	}
-	left := h.outRemove(m.Req)
+	left := 0
+	if len(h.out) > 0 { // so h is the host's own record, not absentHost
+		n.markHost(m.MH)
+		left = h.outRemove(m.Req)
+	}
 	if isSharedProxy(pref.Proxy) {
 		// Shared prefs are never deleted (E16): the group proxy is durable
 		// cell infrastructure, so §3.3 removal does not apply. The ack is
 		// coalesced with other members' acks into one group_ack_forward.
-		n.persistMH(m.MH)
 		n.bufferGroupAck(pref.Proxy, m.MH, m.Req.Seq)
 		n.noteHeldAck(m.MH, m.Req)
 		return
@@ -873,9 +920,8 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 		// §3.3: erase the proxy address and confirm removal.
 		pref.Proxy = ids.NoProxy
 		pref.RKpR = false
-		n.prefs.set(m.MH, pref)
+		n.setPref(m.MH, pref)
 	}
-	n.persistMH(m.MH)
 	n.w.Stats.AckForwards.Inc()
 	n.sendToStation(proxy.Host,
 		msg.AckForward{Proxy: proxy, MH: m.MH, Req: m.Req, DelProxy: delProxy})
@@ -929,7 +975,7 @@ func (n *MSSNode) handleDereg(from ids.NodeID, m msg.Dereg) {
 	// Unknown MH: our own greet for it must still be in flight (an MH
 	// names us as old respMss only after greeting us); park the dereg
 	// until that greet or a join arrives.
-	x := n.transient(n.rec(m.MH))
+	x := n.transient(n.entry(m.MH))
 	x.parked = append(x.parked, inboxItem{from: from, m: m})
 }
 
@@ -944,11 +990,8 @@ func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 	if arr != nil {
 		h.x.arr = nil
 	}
-	n.localMhs.add(m.MH)
-	h.returned()
 	pref := m.Pref
-	n.prefs.set(m.MH, pref)
-	n.persistMH(m.MH)
+	n.adopt(m.MH, pref)
 	n.sendRegConfirm(m.MH)
 	n.w.Stats.Handoffs.Inc()
 	if arr != nil {
@@ -959,14 +1002,14 @@ func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 	}
 	if arr != nil {
 		for _, it := range arr.buffered {
-			n.process(it.from, it.m)
+			n.dispatch(it.from, it.m)
 		}
 		// Replay deferred greets/deregs in arrival order. Processing one
 		// may start the next hand-off of the chain (re-entering the
 		// arriving state); the rest of the queue then carries over to
 		// that new arrival record and replays after *its* registration.
 		for i, it := range arr.deferred {
-			n.process(it.from, it.m)
+			n.dispatch(it.from, it.m)
 			if next := h.arrival(); next != nil {
 				next.deferred = append(next.deferred, arr.deferred[i+1:]...)
 				break
@@ -1002,21 +1045,20 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 	if m.DelPref {
 		if pref, ok := n.prefs.get(m.MH); ok && pref.Proxy == m.Proxy {
 			pref.RKpR = true
-			n.prefs.set(m.MH, pref)
-			n.persistMH(m.MH)
+			n.setPref(m.MH, pref)
 		}
 	}
 	deliver := msg.ResultDeliver{Req: m.Req, Payload: m.Payload, DelPref: m.DelPref, Inc: m.Inc}
 	if n.w.cfg.HoldForInactive && n.localMhs.contains(m.MH) &&
 		n.w.InCell(m.MH, n.id) && !n.w.IsActive(m.MH) {
-		x := n.transient(n.rec(m.MH))
+		x := n.transient(n.entry(m.MH))
 		x.held = append(x.held, deliver)
 		n.w.Stats.HeldResults.Inc()
 		return
 	}
 	if n.w.cfg.GreetRefresh > 0 && n.w.Reachable(n.id, m.MH) {
 		now, window := n.w.Kernel.Now(), n.deliveryWindow()
-		x := n.transient(n.rec(m.MH))
+		x := n.transient(n.entry(m.MH))
 		if x.attemptedWithin(m.Req, now, window) {
 			// A delivery attempt for this very result went out to the
 			// reachable MH within the last round trip; this forward is a
@@ -1092,8 +1134,7 @@ func (n *MSSNode) noteHeldAck(mh ids.MH, req ids.RequestID) {
 func (n *MSSNode) handleDelPrefOnly(m msg.DelPrefOnly) {
 	if pref, ok := n.prefs.get(m.MH); ok && pref.Proxy == m.Proxy {
 		pref.RKpR = true
-		n.prefs.set(m.MH, pref)
-		n.persistMH(m.MH)
+		n.setPref(m.MH, pref)
 		return
 	}
 	n.w.Stats.OrphanMessages.Inc()
@@ -1212,7 +1253,7 @@ func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 		local.handle(from, m)
 	default:
 		if id.Host == n.id {
-			n.w.Stats.Violations.Inc() // pref names a proxy we no longer host
+			n.w.violate(violPrefDeadProxy, mh, id, member)
 			return
 		}
 		n.sendWired(id.Host.Node(), m.WithProxy(id))
@@ -1226,11 +1267,11 @@ func (n *MSSNode) handleBatchAbort(from ids.NodeID, m msg.BatchAbort) {
 	if !routeUplink(n, from, m.MH, m) {
 		return
 	}
-	if h := n.peek(m.MH); len(h.out) > 0 {
+	if len(n.peek(m.MH).out) > 0 {
+		h := n.rec(m.MH)
 		for _, req := range m.Reqs {
 			h.outRemove(req)
 		}
-		n.persistMH(m.MH)
 	}
 	n.w.Wireless.SendDownlink(n.id, m.MH, m)
 }

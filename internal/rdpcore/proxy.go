@@ -70,17 +70,14 @@ type proxyBatch struct {
 	expected  uint32 // commit's member count; 0 until committed
 	committed bool
 	released  bool
-	// deadlineEpoch invalidates superseded deadline timers (a restored
-	// or migrated incarnation re-arms its own; see armBatchDeadline).
-	deadlineEpoch uint64
 	// inc is the MH incarnation that opened the batch (E18).
 	inc ids.Incarnation
 }
 
-// clone returns a deep copy without the timer epoch: what the journal
-// stores, and what a restart revives from it.
+// clone returns a deep copy: what the journal stores, and what a restart
+// revives from it.
 func (b proxyBatch) clone() proxyBatch {
-	b.members, b.deadlineEpoch = slices.Clone(b.members), 0
+	b.members = slices.Clone(b.members)
 	return b
 }
 
@@ -123,11 +120,9 @@ type Proxy struct {
 	// heartbeats every proxy it holds a preference for; a heartbeat
 	// carrying a newer incarnation scrubs state owned by dead ones, and
 	// a lease that expires without renewal reclaims the orphan. leaseInc
-	// is the newest vouched-for incarnation, leaseAt the last renewal
-	// instant, and leaseEpoch invalidates superseded expiry timers
-	// (same pattern as deadlineEpoch above).
+	// is the newest vouched-for incarnation, and leaseEpoch counts the
+	// renewals: an expiry timer armed under an earlier count is superseded.
 	leaseInc   ids.Incarnation
-	leaseAt    sim.Time
 	leaseEpoch uint64
 }
 
@@ -245,10 +240,9 @@ func (p *Proxy) addRequest(req ids.RequestID, server ids.Server, payload []byte,
 		// round-trip. The cached copy is forwarded like a fresh result.
 		r.result = result
 		r.hasResult = true
-		p.forwardResult(r) // persists inside
+		p.forwardResult(r)
 		return
 	}
-	p.host.persistProxy(p)
 	p.host.sendWired(server.Node(), msg.ServerRequest{Proxy: p.id, Req: req, Payload: payload})
 }
 
@@ -290,7 +284,6 @@ func (p *Proxy) onServerResult(req ids.RequestID, payload []byte) {
 	if r.batch.Valid() {
 		// Batch members are withheld until the whole batch is complete;
 		// this result may be the one that releases it.
-		p.host.persistProxy(p)
 		p.checkBatchRelease(p.batches[r.batch])
 		return
 	}
@@ -317,7 +310,6 @@ func (p *Proxy) forwardResult(r *proxyReq) {
 		p.host.w.Stats.Retransmissions.Inc()
 	}
 	r.forwarded = true
-	p.host.persistProxy(p) // result + forwarded flag reach stable store
 	p.host.w.Stats.ResultForwards[p.host.id]++
 	fwd := msg.ResultForward{Proxy: p.id, MH: p.mh, Req: r.id, Payload: r.result, DelPref: delPref, Inc: r.inc}
 	p.host.sendToStation(p.currentLoc, fwd)
@@ -332,7 +324,6 @@ func (p *Proxy) forwardResult(r *proxyReq) {
 // from pending requests to be re-sent to the new location").
 func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
 	p.currentLoc = newLoc
-	p.host.persistProxy(p)
 	for _, r := range p.reqs {
 		if r.hasResult {
 			p.forwardResult(r)
@@ -349,14 +340,11 @@ func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
 // del-pref-only message so the respMss can arm RKpR.
 func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
 	r := p.reqs.remove(req)
-	if r != nil {
-		p.host.persistProxy(p)
-	}
 	if delProxy {
 		if len(p.reqs) != 0 {
 			// del-proxy may only be confirmed when no request is pending
 			// (§3.3); a violation indicates a protocol bug.
-			p.host.w.Stats.Violations.Inc()
+			p.host.w.violate(violDelProxyPending, p.mh, p.id, req)
 		}
 		return true
 	}
@@ -406,23 +394,15 @@ func (p *Proxy) ensureBatch(id ids.BatchID, inc ids.Incarnation) *proxyBatch {
 	setLazy(&p.batches, id, b)
 	p.batchOrder = append(p.batchOrder, id)
 	p.host.w.Stats.BatchesOpened.Inc()
-	p.host.persistProxy(p)
 	p.armBatchDeadline(b)
 	return b
 }
 
-// dropBatch silently discards a batch owned by a dead incarnation: its
-// members leave the requestList and the record disappears. Unlike
-// abortBatch, no abort memo is kept and nobody is notified — the owner
-// no longer exists to care.
+// dropBatch takes a batch's members off the requestList and the batch
+// itself off the live set. That is all that happens to a batch owned by a
+// dead incarnation: unlike abortBatch, no abort memo is kept and nobody is
+// notified — the owner no longer exists to care.
 func (p *Proxy) dropBatch(b *proxyBatch) {
-	p.forgetBatch(b)
-	p.host.persistProxy(p)
-}
-
-// forgetBatch takes a batch's members off the requestList and the batch
-// itself off the live set (dropBatch, abortBatch).
-func (p *Proxy) forgetBatch(b *proxyBatch) {
 	for _, req := range b.members {
 		p.reqs.remove(req)
 	}
@@ -467,11 +447,9 @@ func (p *Proxy) onBatchItem(m msg.BatchItem) {
 	if result, ok := p.host.cacheLookup(m.Server, m.Payload); ok {
 		r.result = result
 		r.hasResult = true
-		p.host.persistProxy(p)
 		p.checkBatchRelease(b)
 		return
 	}
-	p.host.persistProxy(p)
 	p.host.sendWired(m.Server.Node(), msg.ServerRequest{Proxy: p.id, Req: m.Req, Payload: m.Payload})
 }
 
@@ -493,7 +471,6 @@ func (p *Proxy) onBatchCommit(m msg.BatchCommit) {
 	b.committed = true
 	b.expected = m.Count
 	p.host.w.Stats.BatchesCommitted.Inc()
-	p.host.persistProxy(p)
 	p.checkBatchRelease(b)
 }
 
@@ -510,7 +487,6 @@ func (p *Proxy) checkBatchRelease(b *proxyBatch) {
 		}
 	}
 	b.released = true
-	p.host.persistProxy(p)
 	for _, req := range b.members {
 		p.forwardResult(p.reqs.get(req))
 	}
@@ -521,10 +497,9 @@ func (p *Proxy) checkBatchRelease(b *proxyBatch) {
 // forwardResult gate guarantees none was ever delivered.
 func (p *Proxy) abortBatch(b *proxyBatch) {
 	reqs := append([]ids.RequestID(nil), b.members...)
-	p.forgetBatch(b)
+	p.dropBatch(b)
 	setLazy(&p.abortedBatches, b.id, reqs)
 	p.abortOrder = append(p.abortOrder, b.id)
-	p.host.persistProxy(p)
 	p.host.w.Stats.BatchesAborted.Inc()
 	p.sendAbort(b.id, reqs)
 }
@@ -533,34 +508,21 @@ func (p *Proxy) sendAbort(id ids.BatchID, reqs []ids.RequestID) {
 	p.host.sendToStation(p.currentLoc, msg.BatchAbort{Proxy: p.id, MH: p.mh, Batch: id, Reqs: reqs})
 }
 
-// armBatchDeadline starts the batch's abort timer. The epoch guard (a
-// station-level counter that survives crashes) keeps timers armed by a
-// previous incarnation from aborting a restored or migrated batch; each
-// incarnation arms its own fresh, full deadline — conservative, but
-// deadline precision across crashes is not part of the atomicity
-// contract.
+// armBatchDeadline starts the batch's abort timer: it aborts this very
+// batch record if it is still live, here, when the deadline passes. A
+// restored or migrated batch is a new record that arms its own fresh, full
+// deadline — conservative, but deadline precision across crashes and moves
+// is not part of the atomicity contract.
 func (p *Proxy) armBatchDeadline(b *proxyBatch) {
-	if p.host.w.cfg.BatchDeadline <= 0 {
+	host := p.host
+	if host.w.cfg.BatchDeadline <= 0 {
 		return
 	}
-	host := p.host
-	host.batchEpochSeq++
-	epoch := host.batchEpochSeq
-	b.deadlineEpoch = epoch
-	seq, batchID := p.id.Seq, b.id
-	host.w.Kernel.Defer(host.w.cfg.BatchDeadline, func() {
-		if host.w.down[host.id] {
-			return
+	host.after(host.w.cfg.BatchDeadline, func() {
+		if host.proxyAt(p.id.Seq) == p && p.batches[b.id] == b && !b.released {
+			host.markSlot(p.id.Seq)
+			p.abortBatch(b)
 		}
-		cur := host.proxyAt(seq)
-		if cur == nil {
-			return
-		}
-		bb, ok := cur.batches[batchID]
-		if !ok || bb.released || bb.deadlineEpoch != epoch {
-			return
-		}
-		cur.abortBatch(bb)
 	})
 }
 
@@ -574,32 +536,23 @@ func (p *Proxy) armBatchDeadline(b *proxyBatch) {
 // expires unrenewed is reclaimed, and a heartbeat carrying a newer
 // incarnation scrubs everything owned by dead ones.
 
-// armLease (re)starts the proxy's lease-expiry timer. The epoch guard
-// invalidates timers armed by earlier renewals or by a pre-crash
-// incarnation of the hosting station (leaseEpochSeq survives crashes,
-// like batchEpochSeq).
+// armLease (re)starts the proxy's lease-expiry timer; each arming
+// supersedes the one before (leaseEpoch).
 func (p *Proxy) armLease() {
 	host := p.host
 	ttl := host.w.cfg.LeaseTTL
 	if ttl <= 0 {
 		return
 	}
-	host.leaseEpochSeq++
-	epoch := host.leaseEpochSeq
-	p.leaseEpoch = epoch
-	p.leaseAt = host.w.Kernel.Now()
-	seq := p.id.Seq
-	host.w.Kernel.Defer(ttl, func() {
-		if host.w.down[host.id] {
-			return
+	p.leaseEpoch++
+	epoch := p.leaseEpoch
+	host.after(ttl, func() {
+		if p.leaseEpoch == epoch {
+			// No renewal for a full TTL: the host (and every incarnation up
+			// to the last one vouched for) is presumed dead. reclaimProxy
+			// does nothing for a proxy that is gone already.
+			host.reclaimProxy(p, normInc(p.leaseInc))
 		}
-		cur := host.proxyAt(seq)
-		if cur == nil || cur.leaseEpoch != epoch {
-			return
-		}
-		// No renewal for a full TTL: the host (and every incarnation up
-		// to the last one vouched for) is presumed dead.
-		host.reclaimProxy(cur, normInc(cur.leaseInc))
 	})
 }
 
@@ -613,7 +566,6 @@ func (p *Proxy) renewLease(inc ids.Incarnation) {
 	if incLess(p.leaseInc, inc) {
 		p.scrubStale(inc)
 		p.leaseInc = inc
-		p.host.persistProxy(p)
 		if len(p.reqs) == 0 && len(p.batches) == 0 {
 			// Only the incarnations below inc are dead; the memo must not
 			// sweep up requests the live incarnation has in flight.

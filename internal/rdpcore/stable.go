@@ -17,15 +17,15 @@ import (
 // their protocol state — responsibility, prefs with life-cycle flags,
 // forwarding pointers, outstanding-request routing knowledge, and the
 // full requestList of every hosted proxy — to an in-sim stable store on
-// every mutation (write-through snapshots per entity). A crash wipes
-// the station's memory; a restart replays the journal and, after a
-// grace period, re-issues whatever the journal shows incomplete.
+// every event that mutates them (one snapshot per entity written). A
+// crash wipes the station's memory; a restart replays the journal and,
+// after a grace period, re-issues whatever the journal shows incomplete.
 
 // The journal stores value copies of the live types — proxyReq,
 // proxyBatch, sharedWaiter, tombstone, a host record's hostDurable —
 // deep enough that later mutation of the live state cannot reach into
 // stable storage. What a copy carries of the live type's volatile fields
-// (timer epochs) is zeroed on the way in.
+// (a tombstone's host and timer epoch) is zeroed on the way in.
 
 // hostJournal is the journaled per-MH state of one station: the two
 // facts kept outside the host table, and the record's durable half —
@@ -148,33 +148,74 @@ func (s *stableStore) station(id ids.MSS) *stationRecord {
 	return rec
 }
 
-// persistMH journals this station's complete per-MH state for mh. Call
-// it after any mutation of localMhs/prefs or of the durable half of the
-// host's record; a snapshot with nothing left to remember erases the
-// journal entry.
-func (n *MSSNode) persistMH(mh ids.MH) {
-	if !n.w.cfg.Checkpoint {
+// The journal is written at the event boundary. A station is entered by a
+// message (process), by one of its own timers (after) or by a restart;
+// inside, whatever writes a host record's durable half, a pref, the
+// responsibility set or what answers for a proxy-sequence slot does so
+// through an accessor that marks the record or the slot (rec, setPref,
+// adopt, forget; put, take, deliver, proxyFor); and on the way out
+// flushJournal writes the current image of everything marked, once each.
+// A crash strikes between events, so it cannot see a half-written one.
+
+// markHost notes that the event wrote mh's journaled state.
+func (n *MSSNode) markHost(mh ids.MH) {
+	if n.w.cfg.Checkpoint && !slices.Contains(n.dirtyHosts, mh) {
+		n.dirtyHosts = append(n.dirtyHosts, mh)
+	}
+}
+
+// markSlot notes that the event wrote what answers for seq.
+func (n *MSSNode) markSlot(seq uint32) {
+	if n.w.cfg.Checkpoint && !slices.Contains(n.dirtySlots, seq) {
+		n.dirtySlots = append(n.dirtySlots, seq)
+	}
+}
+
+// flushJournal journals the marked host records and slots as they are
+// now — one stable-store write each — and clears the marks.
+func (n *MSSNode) flushJournal() {
+	if len(n.dirtyHosts)+len(n.dirtySlots) == 0 {
 		return
 	}
 	rec := n.w.store.station(n.id)
+	for _, mh := range n.dirtyHosts {
+		// A snapshot with nothing left to remember erases the entry.
+		if j := n.hostImage(mh); j.responsible || j.hasPref || j.departed {
+			rec.mhs[mh] = j
+		} else {
+			delete(rec.mhs, mh)
+		}
+	}
+	for _, seq := range n.dirtySlots {
+		// The image of what answers for the slot now replaces whatever the
+		// journal had there; an empty slot (or a reservation, which is
+		// volatile) leaves nothing. Group proxies are never deleted.
+		delete(rec.proxies, seq)
+		delete(rec.tombstones, seq)
+		switch a := n.hosted[seq].(type) {
+		case *Proxy:
+			rec.proxies[seq] = a.image()
+		case *GroupProxy:
+			rec.groups[seq] = a.image()
+		case *tombstone:
+			rec.tombstones[seq] = a.clone()
+		}
+	}
+	n.w.store.writes += int64(len(n.dirtyHosts) + len(n.dirtySlots))
+	n.dirtyHosts, n.dirtySlots = n.dirtyHosts[:0], n.dirtySlots[:0]
+}
+
+// hostImage is this station's complete journaled state for mh.
+func (n *MSSNode) hostImage(mh ids.MH) hostJournal {
 	j := hostJournal{responsible: n.localMhs.contains(mh), hostDurable: n.peek(mh).hostDurable}
 	j.pref, j.hasPref = n.prefs.get(mh)
 	j.out = append([]outReq(nil), j.out...)
-	if !j.responsible && !j.hasPref && !j.departed {
-		delete(rec.mhs, mh)
-	} else {
-		rec.mhs[mh] = j
-	}
-	n.w.store.writes++
+	return j
 }
 
-// persistProxy journals the full image of a hosted proxy. Call it after
-// any requestList or currentLoc mutation.
-func (n *MSSNode) persistProxy(p *Proxy) {
-	if !n.w.cfg.Checkpoint {
-		return
-	}
-	rec := n.w.store.station(n.id)
+// image is the journaled image of the proxy: identity, currentLoc and the
+// full requestList and batch state.
+func (p *Proxy) image() *proxyRecord {
 	pr := &proxyRecord{id: p.id, mh: p.mh, currentLoc: p.currentLoc, leaseInc: p.leaseInc,
 		aborted: maps.Clone(p.abortedBatches), abortOrder: slices.Clone(p.abortOrder)}
 	for _, r := range p.reqs {
@@ -183,18 +224,11 @@ func (n *MSSNode) persistProxy(p *Proxy) {
 	for _, id := range p.batchOrder {
 		pr.batches = append(pr.batches, p.batches[id].clone())
 	}
-	rec.proxies[p.id.Seq] = pr
-	n.w.store.writes++
+	return pr
 }
 
-// persistGroup journals the full image of a hosted group proxy (E16).
-// Call it after any membership, location or entry mutation. Groups are
-// never deleted, so there is no unpersist counterpart.
-func (n *MSSNode) persistGroup(g *GroupProxy) {
-	if !n.w.cfg.Checkpoint {
-		return
-	}
-	rec := n.w.store.station(n.id)
+// image is the journaled image of the group proxy (E16).
+func (g *GroupProxy) image() *groupRecord {
 	gr := &groupRecord{
 		id:      g.id,
 		server:  g.server,
@@ -211,42 +245,12 @@ func (n *MSSNode) persistGroup(g *GroupProxy) {
 			result: e.result, hasResult: e.hasResult, waiters: slices.Clone(e.waiters),
 		})
 	}
-	rec.groups[g.id.Seq] = gr
-	n.w.store.writes++
-}
-
-// unpersistProxy erases a deleted proxy's journal entry.
-func (n *MSSNode) unpersistProxy(seq uint32) {
-	if !n.w.cfg.Checkpoint {
-		return
-	}
-	delete(n.w.store.station(n.id).proxies, seq)
-	n.w.store.writes++
-}
-
-// persistTombstone journals a migration tombstone's current state. Call
-// it when the tombstone is created and whenever its confirmation set
-// shrinks.
-func (n *MSSNode) persistTombstone(t *tombstone) {
-	if !n.w.cfg.Checkpoint {
-		return
-	}
-	n.w.store.station(n.id).tombstones[t.oldProxy.Seq] = t.clone()
-	n.w.store.writes++
-}
-
-// unpersistTombstone erases a garbage-collected tombstone's journal
-// entry.
-func (n *MSSNode) unpersistTombstone(seq uint32) {
-	if !n.w.cfg.Checkpoint {
-		return
-	}
-	delete(n.w.store.station(n.id).tombstones, seq)
-	n.w.store.writes++
+	return gr
 }
 
 // persistSeq journals the proxy sequence counter so a restarted station
-// never reuses a proxy identifier.
+// never reuses a proxy identifier. It is written where it is allocated
+// (newSeq): one word, not the image of something an event marks.
 func (n *MSSNode) persistSeq() {
 	if !n.w.cfg.Checkpoint {
 		return
@@ -256,7 +260,7 @@ func (n *MSSNode) persistSeq() {
 }
 
 // persistReclaim appends one reclamation memo to the station's durable
-// reclaim log (E18). Unlike the snapshot journals above, the log is
+// reclaim log (E18). Unlike the snapshots flushJournal writes, the log is
 // append-only and checksummed per record, so a torn write surfaces as a
 // truncation on replay instead of silent corruption.
 func (n *MSSNode) persistReclaim(dest ids.MSS, memo msg.ReclaimMemo) {
@@ -283,13 +287,13 @@ func (n *MSSNode) persistReclaim(dest ids.MSS, memo msg.ReclaimMemo) {
 // a proxy identifier after an amnesiac restart would alias stale prefs
 // elsewhere onto a fresh proxy.
 func (n *MSSNode) crash() {
+	n.boot++ // voids every timer armed through after
 	n.inbox = classInbox{}
 	n.hosts, n.slab, n.spare = make(map[ids.MH]*stationHost), nil, nil
 	n.localMhs = newHostSet(n.w.cfg.AggregatedState)
 	n.prefs = newPrefTable(n.w.cfg.AggregatedState)
 	// The result cache is volatile by design (dcache doc): rebuilding it
-	// empty costs recomputation, never correctness. batchEpochSeq is NOT
-	// reset — it invalidates batch-deadline timers armed before the crash.
+	// empty costs recomputation, never correctness.
 	n.cache = dcache.New(n.w.cfg.ResultCache)
 	// Of the addressee table, proxies, group proxies and tombstones are
 	// recoverable from the journal. Inbound migration reservations are
@@ -297,8 +301,7 @@ func (n *MSSNode) crash() {
 	// numbers were persisted at allocation, so a post-restart mig_state
 	// still installs under a unique identity, and a lost offer merely
 	// leaves the proxy fixed until the next trigger. So are the signaling
-	// coalescing buffers (a stale flush timer finds empty buffers and does
-	// nothing).
+	// coalescing buffers.
 	n.hosted = make(map[uint32]addressee)
 	n.nProxies, n.nReserved = 0, 0
 	n.topicProxies = make(map[groupKey]uint32)
@@ -308,7 +311,9 @@ func (n *MSSNode) crash() {
 	n.reclaims = nil
 }
 
-// restoreFromStore replays the journal into memory after a restart.
+// restoreFromStore replays the journal into memory after a restart. It
+// writes the tables directly or drops the marks: what was just read from
+// the journal needs no writing back.
 func (n *MSSNode) restoreFromStore() {
 	rec := n.w.store.station(n.id)
 	for mh, j := range rec.mhs {
@@ -320,7 +325,7 @@ func (n *MSSNode) restoreFromStore() {
 		}
 		if d := j.hostDurable; len(d.out) > 0 || d.inc != 0 || d.departed {
 			d.out = slices.Clone(d.out)
-			n.rec(mh).hostDurable = d
+			n.entry(mh).hostDurable = d
 		}
 	}
 	if rec.nextSeq > n.nextProxySeq {
@@ -345,17 +350,16 @@ func (n *MSSNode) restoreFromStore() {
 			p.batchOrder = append(p.batchOrder, b.id)
 			if !b.released {
 				// A fresh, full deadline per incarnation: pre-crash timers
-				// are invalidated by the epoch guard, and deadline
-				// precision across crashes is outside the atomicity
-				// contract.
+				// died with the crash, and deadline precision across
+				// crashes is outside the atomicity contract.
 				p.armBatchDeadline(b)
 			}
 		}
 		p.abortedBatches, p.abortOrder = maps.Clone(pr.aborted), slices.Clone(pr.abortOrder)
 		n.put(seq, p)
 		// The lease clock restarts with a fresh, full TTL: pre-crash
-		// expiry timers are invalidated by the epoch guard, and the next
-		// heartbeat renews the lease anyway.
+		// expiry timers died with the crash, and the next heartbeat
+		// renews the lease anyway.
 		p.armLease()
 	}
 	for _, seq := range sortedKeys(rec.groups, cmp.Compare[uint32]) {
@@ -435,6 +439,7 @@ func (n *MSSNode) restoreFromStore() {
 			}
 		}
 	}
+	n.dirtySlots = n.dirtySlots[:0]
 	// The heartbeat loop died with the crash; re-arm it.
 	n.armLeaseBeat()
 }
@@ -450,6 +455,7 @@ func (n *MSSNode) recoveryResend() {
 	// Ascending sequence is private proxies first, then group proxies
 	// (the shared bit is the top one).
 	for _, seq := range sortedKeys(n.hosted, cmp.Compare[uint32]) {
+		n.markSlot(seq) // re-forwarding and releasing write the forwarded and released flags
 		switch a := n.hosted[seq].(type) {
 		case *Proxy:
 			for _, r := range a.reqs {
@@ -460,10 +466,8 @@ func (n *MSSNode) recoveryResend() {
 					n.sendWired(r.server.Node(), msg.ServerRequest{Proxy: a.id, Req: r.id, Payload: r.payload})
 				}
 			}
-			// A crash can land between the journal write that completed a
-			// batch's last member and the one that recorded its release;
-			// re-judge every restored batch. (The forwardResult calls above
-			// withheld any unreleased members.)
+			// Re-judge every restored batch for release. (The forwardResult
+			// calls above withheld any unreleased members.)
 			for _, id := range a.batchOrder {
 				a.checkBatchRelease(a.batches[id])
 			}

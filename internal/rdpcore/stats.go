@@ -56,8 +56,9 @@ type Stats struct {
 	// IgnoredAcks counts MH acks dropped by an MSS that had already
 	// received a dereg for that MH (§3.1).
 	IgnoredAcks metrics.Counter
-	// Violations counts internal invariant breaches. It must stay zero;
-	// experiments assert on it.
+	// Violations counts internal invariant breaches (World.violate, which
+	// also records the first few). It must stay zero; experiments assert
+	// on it.
 	Violations metrics.Counter
 	// WirelessDrops counts frames lost on the wireless layer (random
 	// loss, migration or inactivity at delivery time).

@@ -1,8 +1,11 @@
 package rdpcore
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -10,10 +13,14 @@ import (
 	"time"
 
 	"repro/internal/aggstate"
+	"repro/internal/faults"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/msg"
 	"repro/internal/netsim"
+	"repro/internal/proxymig"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // silentRadio is a wireless substrate that carries nothing: it records
@@ -841,7 +848,9 @@ func journalScript() (*World, *MSSNode) {
 	do(msg.ServerResult{Proxy: p.id, Req: req(1, 4), Payload: []byte("result-d")})
 	do(msg.BatchOpen{MH: 1, Batch: aborted, Inc: 1})
 	do(msg.BatchItem{MH: 1, Batch: aborted, Req: req(1, 5), Server: 1, Payload: []byte("e"), Inc: 1})
+	n.markSlot(p.id.Seq) // as the deadline timer does
 	p.abortBatch(p.batches[aborted])
+	n.flushJournal()
 	// mh3 departs; mh4 reboots twice and asks again.
 	do(msg.Dereg{MH: 3, NewMSS: 2})
 	do(msg.Register{MH: 4, Inc: 3})
@@ -856,7 +865,7 @@ func journalScript() (*World, *MSSNode) {
 	t := &tombstone{host: n, oldProxy: ids.ProxyID{Host: 1, Seq: 900}, newProxy: ids.ProxyID{Host: 2, Seq: 5}, mh: 1,
 		pendingServers: map[ids.Server]bool{1: true, 2: true}}
 	n.put(t.oldProxy.Seq, t)
-	n.persistTombstone(t)
+	n.flushJournal()
 	// Volatile only: mh6 arriving with a buffered request, a dereg parked
 	// for mh7, a result held for the inactive mh2.
 	do(msg.Greet{MH: 6, OldMSS: 3, Inc: 1})
@@ -914,7 +923,7 @@ func journalDump(n *MSSNode) string {
 // the script costs the stable-store writes it always did.
 func TestJournalRoundTrip(t *testing.T) {
 	w, n := journalScript()
-	const writes = 44 // counted at the parent of the host-table change
+	const writes = 41 // 44 while every mutation wrote at once; one write per record or slot per event since
 	if got := w.CheckpointWrites(); got != writes {
 		t.Errorf("script made %d journal writes, want %d", got, writes)
 	}
@@ -949,17 +958,266 @@ func TestJournalRoundTrip(t *testing.T) {
 		if p.remoteForwards != 0 || p.migOffered || p.host != n {
 			t.Errorf("proxy %v: volatile fields not reset", p.id)
 		}
-		for _, bt := range p.batches {
-			if bt.deadlineEpoch != 0 {
-				t.Errorf("proxy %v batch %v: timer epoch restored", p.id, bt.id)
-			}
-		}
 	}
 	if n.inbox.len()+n.nReserved+len(n.aggLocBuf)+len(n.aggAckBuf) != 0 || n.spare != nil {
 		t.Error("station-level volatile state survived the crash")
 	}
 	if got := w.CheckpointWrites(); got != writes {
 		t.Errorf("crash and replay made %d journal writes", got-writes)
+	}
+}
+
+// --- Journal oracles ----------------------------------------------------
+//
+// The contract of the stable store is that between kernel events — the
+// only instants a crash can strike — a station's journal holds exactly
+// the durable half of its live tables. liveRecord builds, by hand, the
+// journal a station ought to have from what it has in memory: the
+// reference the station's own writes are held to.
+func liveRecord(n *MSSNode) *stationRecord {
+	rec := &stationRecord{mhs: map[ids.MH]hostJournal{}, proxies: map[uint32]*proxyRecord{},
+		groups: map[uint32]*groupRecord{}, tombstones: map[uint32]tombstone{}, nextSeq: n.nextProxySeq}
+	host := func(mh ids.MH) {
+		j := hostJournal{responsible: n.Responsible(mh), hostDurable: n.peek(mh).hostDurable}
+		j.pref, j.hasPref = n.PrefOf(mh)
+		// A host the station is neither responsible for, nor holds a pref
+		// of, nor passes traffic on for is not worth an entry.
+		if j.responsible || j.hasPref || j.departed {
+			rec.mhs[mh] = j
+		}
+	}
+	for mh := range n.hosts {
+		host(mh)
+	}
+	n.localMhs.forEach(host)
+	n.prefs.forEach(func(mh ids.MH, _ msg.Pref) { host(mh) })
+	for seq, a := range n.hosted {
+		switch a := a.(type) {
+		case *Proxy:
+			pr := &proxyRecord{id: a.id, mh: a.mh, currentLoc: a.currentLoc, leaseInc: a.leaseInc,
+				aborted: a.abortedBatches, abortOrder: a.abortOrder}
+			for _, r := range a.reqs {
+				pr.reqs = append(pr.reqs, *r)
+			}
+			for _, id := range a.batchOrder {
+				pr.batches = append(pr.batches, *a.batches[id])
+			}
+			rec.proxies[seq] = pr
+		case *GroupProxy:
+			gr := &groupRecord{id: a.id, server: a.server, topic: a.topic,
+				members: a.members.AppendDelta(nil), memberLoc: a.memberLoc}
+			for _, key := range a.entryOrder {
+				e := a.entries[key]
+				gr.entries = append(gr.entries, groupEntryRecord{server: e.server, payload: e.payload,
+					leaderReq: e.leaderReq, result: e.result, hasResult: e.hasResult, waiters: e.waiters})
+			}
+			rec.groups[seq] = gr
+		case *tombstone:
+			rec.tombstones[seq] = a.clone()
+		}
+	}
+	for _, rr := range n.reclaims {
+		enc, _ := msg.Encode(rr.memo)
+		rec.reclaims = journalAppend(rec.reclaims, append(binary.BigEndian.AppendUint32(nil, uint32(rr.dest)), enc...))
+	}
+	return rec
+}
+
+// sameRecord reports whether two journals hold the same state, timer
+// epochs aside.
+func sameRecord(a, b *stationRecord) bool {
+	same := a.nextSeq == b.nextSeq && bytes.Equal(a.reclaims, b.reclaims) &&
+		maps.EqualFunc(a.mhs, b.mhs, func(x, y hostJournal) bool {
+			return x.responsible == y.responsible && x.hasPref == y.hasPref && x.pref == y.pref &&
+				slices.Equal(x.out, y.out) && x.departed == y.departed && x.forwardTo == y.forwardTo && x.inc == y.inc
+		}) &&
+		maps.EqualFunc(a.tombstones, b.tombstones, func(x, y tombstone) bool {
+			return x.oldProxy == y.oldProxy && x.newProxy == y.newProxy && x.mh == y.mh &&
+				maps.Equal(x.pendingServers, y.pendingServers)
+		})
+	return same && maps.EqualFunc(a.proxies, b.proxies, func(x, y *proxyRecord) bool {
+		return x.id == y.id && x.mh == y.mh && x.currentLoc == y.currentLoc && x.leaseInc == y.leaseInc &&
+			slices.Equal(x.abortOrder, y.abortOrder) &&
+			maps.EqualFunc(x.aborted, y.aborted, func(p, q []ids.RequestID) bool { return slices.Equal(p, q) }) &&
+			slices.EqualFunc(x.reqs, y.reqs, func(p, q proxyReq) bool {
+				return p.id == q.id && p.server == q.server && bytes.Equal(p.payload, q.payload) &&
+					bytes.Equal(p.result, q.result) && p.hasResult == q.hasResult && p.forwarded == q.forwarded &&
+					p.batch == q.batch && p.inc == q.inc
+			}) &&
+			slices.EqualFunc(x.batches, y.batches, func(p, q proxyBatch) bool {
+				return p.id == q.id && slices.Equal(p.members, q.members) && p.expected == q.expected &&
+					p.committed == q.committed && p.released == q.released && p.inc == q.inc
+			})
+	}) && maps.EqualFunc(a.groups, b.groups, func(x, y *groupRecord) bool {
+		return x.id == y.id && x.server == y.server && x.topic == y.topic && bytes.Equal(x.members, y.members) &&
+			maps.Equal(x.memberLoc, y.memberLoc) &&
+			slices.EqualFunc(x.entries, y.entries, func(p, q groupEntryRecord) bool {
+				return p.server == q.server && bytes.Equal(p.payload, q.payload) && p.leaderReq == q.leaderReq &&
+					bytes.Equal(p.result, q.result) && p.hasResult == q.hasResult && slices.Equal(p.waiters, q.waiters)
+			})
+	})
+}
+
+// dumpRecord prints a journal for a failure message.
+func dumpRecord(rec *stationRecord) string {
+	var b strings.Builder
+	for _, mh := range sortedKeys(rec.mhs, cmp.Compare[ids.MH]) {
+		fmt.Fprintf(&b, "host %v: %+v\n", mh, rec.mhs[mh])
+	}
+	for _, seq := range sortedKeys(rec.proxies, cmp.Compare[uint32]) {
+		fmt.Fprintf(&b, "proxy %+v\n", *rec.proxies[seq])
+	}
+	for _, seq := range sortedKeys(rec.groups, cmp.Compare[uint32]) {
+		fmt.Fprintf(&b, "group %+v\n", *rec.groups[seq])
+	}
+	for _, seq := range sortedKeys(rec.tombstones, cmp.Compare[uint32]) {
+		fmt.Fprintf(&b, "tombstone %+v\n", rec.tombstones[seq])
+	}
+	fmt.Fprintf(&b, "nextSeq %d, %d B of reclaim log\n", rec.nextSeq, len(rec.reclaims))
+	return b.String()
+}
+
+// journalChaos schedules a short run that exercises every journaled
+// shape at once on four lossy, duplicating stations: hosts 1-4 roam and
+// ask server 1 through private proxies — plain requests and two-member
+// batches under a deadline, with the proxies migrating after them and
+// leased — hosts 5 and 6 roam and share the group proxies of server 2's
+// one topic; two stations crash and restart, host 1 reboots under a new
+// incarnation and host 4 dies for good.
+func journalChaos(seed int64, horizon time.Duration) *World {
+	cfg := recoveryConfig(seed)
+	cfg.NumMSS, cfg.NumServers = 4, 2
+	cfg.GreetRefresh, cfg.RequestTimeout = time.Second, 1500*time.Millisecond
+	cfg.WiredLatency = netsim.Uniform{Lo: time.Millisecond, Hi: 15 * time.Millisecond}
+	cfg.WirelessLatency = netsim.Constant(20 * time.Millisecond)
+	cfg.ServerProc = netsim.Exponential{MeanDelay: 150 * time.Millisecond, Floor: 20 * time.Millisecond}
+	cfg.Migration = proxymig.Policy{HopThreshold: 1, MinInterval: 400 * time.Millisecond, TombstoneLinger: 600 * time.Millisecond}
+	cfg.LeaseTTL, cfg.BatchDeadline = 1500*time.Millisecond, 250*time.Millisecond
+	cfg.HoldForInactive, cfg.AggregatedState, cfg.AggFlushDelay = true, true, 5*time.Millisecond
+	cfg.GroupTopic = func(s ids.Server, _ []byte) (uint32, bool) { return 7, s == 2 }
+	k := sim.NewKernel(seed)
+	inj := faults.New(k, faults.Plan{
+		Default: faults.LinkFaults{DropProb: 0.10, DupProb: 0.03, DelayProb: 0.10, DelayMax: 20 * time.Millisecond},
+		Crashes: []faults.Crash{
+			{MSS: 2, At: horizon / 4, RestartAt: horizon/4 + horizon/10},
+			{MSS: 3, At: horizon / 2, RestartAt: horizon/2 + horizon/5},
+		},
+	})
+	cfg.WiredFaults = inj
+	w := NewWorldOn(k, cfg)
+	inj.Schedule(w.CrashMSS, w.RestartMSS)
+	w.Schedule(horizon/3, func() { w.CrashMH(1) })
+	w.Schedule(horizon/3+200*time.Millisecond, func() { w.RestartMH(1) })
+	w.Schedule(2*horizon/3, func() { w.CrashMH(4) })
+	cells := w.StationList()
+	for i := 1; i <= 6; i++ {
+		id, server := ids.MH(i), ids.Server(1+i/5)
+		rng := k.RNG().Fork()
+		start := cells[rng.Intn(len(cells))]
+		mh := w.AddMH(id, start)
+		mob := workload.Mobility{
+			Picker:    workload.UniformCells{Cells: cells},
+			Residence: netsim.Exponential{MeanDelay: 500 * time.Millisecond, Floor: 50 * time.Millisecond},
+		}
+		for _, ev := range workload.Itinerary(rng, mob, start, horizon) {
+			ev := ev
+			w.Schedule(ev.At, func() {
+				switch ev.Kind {
+				case workload.EvMigrate:
+					w.Migrate(id, ev.Cell)
+				case workload.EvDeactivate:
+					w.SetActive(id, false)
+				case workload.EvActivate:
+					w.SetActive(id, true)
+				}
+			})
+		}
+		reqs := workload.Requests{
+			Interarrival: netsim.Exponential{MeanDelay: 250 * time.Millisecond, Floor: 10 * time.Millisecond},
+			Servers:      []ids.Server{server},
+			PayloadBytes: 8,
+		}
+		for j, a := range workload.Schedule(rng, reqs, horizon) {
+			j, a := j, a
+			w.Schedule(a.At, func() {
+				if server == 1 && j%3 == 2 {
+					if b := mh.BeginBatch(); b.Valid() {
+						mh.BatchRequest(b, 1, a.Payload)
+						mh.BatchRequest(b, 1, append([]byte("2"), a.Payload...))
+						mh.CommitBatch(b)
+					}
+					return
+				}
+				mh.IssueRequest(server, a.Payload)
+			})
+		}
+	}
+	return w
+}
+
+// TestJournalMatchesLiveStateEveryStep: after every single kernel event
+// of the chaos script, every station that is up has in its journal
+// exactly the durable half of what it has in memory.
+func TestJournalMatchesLiveStateEveryStep(t *testing.T) {
+	const horizon = 4 * time.Second
+	seen := map[string]int64{}
+	for seed := int64(1); seed <= 20; seed++ {
+		w := journalChaos(seed, horizon)
+		k := w.kernel()
+		for k.Step() && k.Now() < sim.Time(horizon) {
+			for _, id := range w.StationList() {
+				if w.IsDown(id) {
+					continue
+				}
+				if live, stored := liveRecord(w.MSSs[id]), w.store.station(id); !sameRecord(live, stored) {
+					t.Fatalf("seed %d step %d at %v, %v: journal differs from live state\n--- live\n%s--- journal\n%s",
+						seed, k.Steps(), k.Now(), id, dumpRecord(live), dumpRecord(stored))
+				}
+			}
+		}
+		s := w.Stats
+		for name, c := range map[string]*metrics.Counter{
+			"hand-offs": &s.Handoffs, "migrations": &s.MigCompleted, "batches committed": &s.BatchesCommitted,
+			"batches aborted": &s.BatchesAborted, "proxies reclaimed": &s.ProxiesReclaimed,
+			"shared joins": &s.SharedJoins, "station restarts": &s.MSSRestarts, "results": &s.ResultsDelivered,
+		} {
+			seen[name] += c.Value()
+		}
+	}
+	for name, v := range seen {
+		if v == 0 {
+			t.Errorf("thin script: no %s", name)
+		}
+	}
+}
+
+// TestCrashAtEveryBoundary: wherever between two events of the script a
+// station crashes, replaying its journal gives it back the durable half
+// of what it had.
+func TestCrashAtEveryBoundary(t *testing.T) {
+	const horizon = 1200 * time.Millisecond
+	ref := journalChaos(1, horizon)
+	ref.RunUntil(horizon)
+	steps := ref.kernel().Steps()
+	if ref.Stats.Handoffs.Value() == 0 || ref.Stats.MSSRestarts.Value() == 0 || ref.Stats.ResultsDelivered.Value() == 0 {
+		t.Fatal("thin script")
+	}
+	for k := uint64(1); k <= steps; k++ {
+		w := journalChaos(1, horizon)
+		w.kernel().RunLimit(k)
+		for _, id := range w.StationList() {
+			if w.IsDown(id) {
+				continue
+			}
+			n := w.MSSs[id]
+			before := liveRecord(n)
+			w.CrashMSS(id)
+			w.RestartMSS(id)
+			if after := liveRecord(n); !sameRecord(before, after) {
+				t.Fatalf("crash of %v after step %d: restored state differs\n--- before\n%s--- after\n%s",
+					id, k, dumpRecord(before), dumpRecord(after))
+			}
+		}
 	}
 }
 

@@ -283,6 +283,74 @@ type World struct {
 	// on — it survives crashes by construction.
 	down  map[ids.MSS]bool
 	store *stableStore
+
+	// violations holds the first maxViolations breaches violate recorded.
+	violations []violation
+}
+
+// violationKind names a way the protocol can find itself off its rails
+// while running.
+type violationKind uint8
+
+const (
+	// violDelProxyPending: a relayed Ack confirmed del-proxy while the
+	// proxy still had requests pending (§3.3 forbids it).
+	violDelProxyPending violationKind = iota
+	// violLeaveWithProxy: a host left the system with a live private
+	// proxy (assumption 6: it has acknowledged everything).
+	violLeaveWithProxy
+	// violPrefDeadProxy: a pref names a proxy of this station that the
+	// station no longer hosts.
+	violPrefDeadProxy
+	// violBatchPartial: a batch was aborted after one of its members had
+	// already been delivered (E17 atomicity).
+	violBatchPartial
+)
+
+func (k violationKind) String() string {
+	return [...]string{
+		"del-proxy confirmed with requests pending",
+		"host left with a live proxy",
+		"pref names a proxy its host no longer has",
+		"aborted batch had a member delivered",
+	}[k]
+}
+
+// violation is one recorded breach: what broke, when, and the host, proxy
+// and request it was noticed on (zero where the kind has none).
+type violation struct {
+	kind  violationKind
+	at    sim.Time
+	mh    ids.MH
+	proxy ids.ProxyID
+	req   ids.RequestID
+}
+
+func (v violation) String() string {
+	return fmt.Sprintf("%v at %v: %v %v %v", v.kind, v.at, v.mh, v.proxy, v.req)
+}
+
+// maxViolations bounds the record: Stats.Violations counts them all, and
+// the first few are what a diagnosis starts from.
+const maxViolations = 16
+
+// violate counts a breach of a protocol invariant noticed while running
+// and records the first maxViolations with their context.
+func (w *World) violate(kind violationKind, mh ids.MH, proxy ids.ProxyID, req ids.RequestID) {
+	w.Stats.Violations.Inc()
+	if len(w.violations) < maxViolations {
+		w.violations = append(w.violations, violation{kind: kind, at: w.Kernel.Now(), mh: mh, proxy: proxy, req: req})
+	}
+}
+
+// ViolationLog describes the first breaches Stats.Violations counted, in
+// the order they were noticed.
+func (w *World) ViolationLog() []string {
+	out := make([]string, len(w.violations))
+	for i, v := range w.violations {
+		out[i] = v.String()
+	}
+	return out
 }
 
 // NewWorld builds a world from cfg on a deterministic discrete-event
@@ -806,12 +874,17 @@ func (w *World) IsDown(id ids.MSS) bool { return w.down[id] }
 // CrashMSS fail-stops a station: its volatile state (message queues,
 // pending hand-offs, held results — and, without Config.Checkpoint, all
 // protocol state) is lost, and both its radio and its wired interface go
-// dead until RestartMSS. A crash strikes between simulation events, so
-// checkpointed mutations are atomic. No-op if already down.
+// dead until RestartMSS. A crash strikes between simulation events, and
+// the journal is written on the way out of each (stable.go), so a
+// checkpointed event is atomic; crashing a station from inside one of its
+// own events is a harness bug and panics. No-op if already down.
 func (w *World) CrashMSS(id ids.MSS) {
 	n, ok := w.MSSs[id]
 	if !ok || w.down[id] {
 		return
+	}
+	if len(n.dirtyHosts)+len(n.dirtySlots) != 0 {
+		panic(fmt.Sprintf("rdpcore: CrashMSS(%v) inside one of the station's events: its journal marks are not flushed", id))
 	}
 	w.down[id] = true
 	w.Stats.MSSCrashes.Inc()
@@ -835,12 +908,7 @@ func (w *World) RestartMSS(id ids.MSS) {
 		return
 	}
 	n.restoreFromStore()
-	w.Kernel.Defer(w.cfg.RecoveryGrace, func() {
-		if w.down[id] {
-			return
-		}
-		n.recoveryResend()
-	})
+	n.after(w.cfg.RecoveryGrace, n.recoveryResend)
 }
 
 // IsCrashed reports whether the MH is currently crashed (E18). Stations
@@ -939,7 +1007,9 @@ func (w *World) TotalProxies() int {
 
 // CheckInvariants verifies cross-node protocol invariants that hold at
 // every instant, and returns a descriptive error on the first violation
-// found. Tests call it after (and during) randomized runs.
+// found — naming, for context, the first breach a node recorded while
+// running (violate), if any. Tests call it after (and during) randomized
+// runs.
 //
 // Invariants checked:
 //  1. Each MH has at most one proxy *referenced by a pref* (§3.1: "at
@@ -993,6 +1063,10 @@ func (w *World) CheckInvariants() error {
 				fail(err)
 			}
 		})
+	}
+	if firstErr != nil && len(w.violations) > 0 {
+		return fmt.Errorf("%w (first of %d violations recorded while running: %v)",
+			firstErr, w.Stats.Violations.Value(), w.violations[0])
 	}
 	return firstErr
 }

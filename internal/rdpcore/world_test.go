@@ -332,6 +332,11 @@ func TestLeaveWithPendingRequestIsViolation(t *testing.T) {
 	if got := w.Stats.Violations.Value(); got == 0 {
 		t.Error("leave with pending request not flagged as violation")
 	}
+	// The breach is recorded with its context.
+	log := w.ViolationLog()
+	if want := "host left with a live proxy at 110ms: mh1 proxy(mss1#1) req(nil)"; len(log) != 1 || log[0] != want {
+		t.Errorf("violation log %q, want exactly %q", log, want)
+	}
 }
 
 func TestCleanLeaveIsNoViolation(t *testing.T) {
@@ -595,24 +600,35 @@ func TestAccessorsAndLoadVectors(t *testing.T) {
 	}
 }
 
+// TestMHRetransmitGuards: the request-timeout retry re-sends a request
+// while its result is pending, holds its fire while the host cannot
+// transmit, and stops once the result is in.
 func TestMHRetransmitGuards(t *testing.T) {
-	w := quickWorld(func(c *Config) { c.ServerProc = netsim.Constant(5 * time.Second) })
+	w := quickWorld(func(c *Config) {
+		c.ServerProc = netsim.Constant(time.Second)
+		c.RequestTimeout = 100 * time.Millisecond
+	})
 	mh := w.AddMH(1, 1)
 	var req ids.RequestID
 	w.Schedule(0, func() { req = mh.IssueRequest(1, []byte("x")) })
-	w.RunUntil(100 * time.Millisecond)
-	// Retransmit while pending goes out.
-	w.Schedule(0, func() { mh.Retransmit(req, 1, []byte("x")) })
-	w.RunUntil(200 * time.Millisecond)
+	w.RunUntil(150 * time.Millisecond)
 	if got := w.Stats.RequestRetries.Value(); got != 1 {
-		t.Fatalf("RequestRetries = %d, want 1", got)
+		t.Fatalf("RequestRetries = %d after one timeout, want 1", got)
 	}
-	// Retransmit while inactive is a no-op.
 	w.Schedule(0, func() { w.SetActive(1, false) })
-	w.Schedule(10*time.Millisecond, func() { mh.Retransmit(req, 1, []byte("x")) })
-	w.RunUntil(300 * time.Millisecond)
+	w.RunUntil(550 * time.Millisecond)
 	if got := w.Stats.RequestRetries.Value(); got != 1 {
 		t.Fatalf("RequestRetries while inactive = %d, want still 1", got)
+	}
+	w.Schedule(0, func() { w.SetActive(1, true) })
+	w.RunUntil(3 * time.Second)
+	retries := w.Stats.RequestRetries.Value()
+	if !mh.Seen(req) || retries < 2 {
+		t.Fatalf("after waking: seen %v, %d retries; want the result and the retry chain resumed", mh.Seen(req), retries)
+	}
+	w.RunUntil(5 * time.Second)
+	if got := w.Stats.RequestRetries.Value(); got != retries {
+		t.Errorf("%d retries after the result arrived", got-retries)
 	}
 }
 

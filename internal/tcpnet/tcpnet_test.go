@@ -11,7 +11,6 @@ import (
 	"repro/internal/livenet"
 	"repro/internal/msg"
 	"repro/internal/netsim"
-	"repro/internal/qrpc"
 	"repro/internal/rdpcore"
 )
 
@@ -444,22 +443,25 @@ func TestMisshapenStampDropped(t *testing.T) {
 }
 
 // TestQueuedRPCOverTCP composes the §4 pairing over real sockets: a
-// queued-RPC invocation issued while the host is disconnected is
-// transmitted on reactivation, and the result comes back through the
-// RDP proxy — reliable sending + reliable delivery end to end on TCP.
+// request issued while the host is inactive is queued on the host and
+// transmitted on reactivation (the retry timer, Config.RequestTimeout,
+// covering a lost send), and the result comes back through the RDP proxy
+// — reliable sending + reliable delivery end to end on TCP.
 func TestQueuedRPCOverTCP(t *testing.T) {
 	cfg := testConfig()
-	cfg.RequestTimeout = 0 // qrpc owns retransmission
+	cfg.RequestTimeout = 50 * time.Millisecond
 	w, rt, _ := tcpWorld(t, cfg)
 
 	done := make(chan []byte, 1)
 	rt.Do(func() {
 		mh := w.AddMH(1, 1)
-		w.SetActive(1, false) // asleep before the invocation
-		cli := qrpc.New(w, mh, qrpc.Options{Timeout: 50 * time.Millisecond})
-		cli.Invoke(1, []byte("queued-while-off"), func(payload []byte) {
-			done <- payload
+		w.SetActive(1, false) // asleep before the request
+		mh.OnResult(func(_ ids.RequestID, payload []byte, dup bool) {
+			if !dup {
+				done <- payload
+			}
 		})
+		mh.IssueRequest(1, []byte("queued-while-off"))
 	})
 	time.Sleep(150 * time.Millisecond)
 	select {
@@ -471,10 +473,10 @@ func TestQueuedRPCOverTCP(t *testing.T) {
 	select {
 	case got := <-done:
 		if !bytes.Contains(got, []byte("queued-while-off")) {
-			t.Fatalf("reply %q does not echo the invocation", got)
+			t.Fatalf("reply %q does not echo the request", got)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("queued invocation never completed over TCP")
+		t.Fatal("queued request never completed over TCP")
 	}
 }
 
