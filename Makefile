@@ -27,7 +27,9 @@ allocs:
 		./internal/netsim ./internal/server ./internal/rdpcore
 
 # check is the full pre-commit gate: formatting, vet, the station's doors
-# (scripts/station-doors.sh: one timer door, one journal writer), build,
+# (scripts/station-doors.sh: one timer door, one journal writer), the one
+# driver (scripts/one-driver.sh: host scripts are generated and
+# interpreted only in internal/workload), build,
 # tests, the allocation pins, the race sweep of everything that owns a free list
 # (the E14 serial==parallel property harness, the kernel arena, the
 # pooled frame records under psim regions and livenet's dispatcher —
@@ -38,6 +40,7 @@ check:
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	go vet ./...
 	sh scripts/station-doors.sh
+	sh scripts/one-driver.sh
 	go build ./...
 	go test ./...
 	$(MAKE) allocs

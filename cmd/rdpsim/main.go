@@ -92,58 +92,28 @@ func run(args []string) error {
 		w = rdpcore.NewWorld(cfg)
 	}
 
+	// Every host lives one generated script: a random itinerary with
+	// inactivity, Poisson requests, and a wake-up call after the horizon.
 	cells := w.StationList()
-	srvList := make([]ids.Server, 0, *servers)
-	for i := 1; i <= *servers; i++ {
-		srvList = append(srvList, ids.Server(i))
-	}
-
-	type pendingReq struct {
-		mh  ids.MH
-		req ids.RequestID
-	}
-	var reqs []pendingReq
-	for i := 1; i <= *mhs; i++ {
-		mhID := ids.MH(i)
-		rng := w.Kernel.RNG().Fork()
-		start := cells[rng.Intn(len(cells))]
-		mh := w.AddMH(mhID, start)
-		mob := workload.Mobility{
+	life := workload.Script{
+		Cells: cells,
+		Mobility: workload.Mobility{
 			Picker:            workload.UniformCells{Cells: cells},
 			Residence:         netsim.Exponential{MeanDelay: *residence, Floor: *residence / 10},
 			InactiveProb:      *inactive,
 			InactiveDur:       netsim.Exponential{MeanDelay: 2 * *residence, Floor: *residence / 5},
 			MoveWhileInactive: 0.4,
-		}
-		for _, ev := range workload.Itinerary(rng, mob, start, *duration) {
-			ev := ev
-			w.Schedule(ev.At, func() {
-				switch ev.Kind {
-				case workload.EvMigrate:
-					w.Migrate(mhID, ev.Cell)
-				case workload.EvDeactivate:
-					w.SetActive(mhID, false)
-				case workload.EvActivate:
-					if ev.Cell != w.Location(mhID) {
-						w.Migrate(mhID, ev.Cell)
-					}
-					w.SetActive(mhID, true)
-				}
-			})
-		}
-		w.Schedule(*duration+500*time.Millisecond, func() { w.SetActive(mhID, true) })
-		reqCfg := workload.Requests{
+		},
+		Requests: workload.Requests{
 			Interarrival: netsim.Exponential{MeanDelay: *interarr, Floor: *interarr / 20},
-			Servers:      srvList,
+			Servers:      w.ServerList(),
 			PayloadBytes: 32,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, *duration) {
-			a := a
-			w.Schedule(a.At, func() {
-				reqs = append(reqs, pendingReq{mh: mhID, req: mh.IssueRequest(a.Server, a.Payload)})
-			})
-		}
+		},
+		Horizon: *duration,
+		WakeAt:  *duration + 500*time.Millisecond,
 	}
+	pl := &workload.Player{Sched: w.Kernel, Sys: w}
+	pl.Play(*mhs, life.Generate, func(id ids.MH, cell ids.MSS) { w.AddMH(id, cell) })
 
 	start := time.Now()
 	if *live {
@@ -156,8 +126,8 @@ func run(args []string) error {
 	wall := time.Since(start)
 
 	var missing int
-	for _, pr := range reqs {
-		if !w.MHs[pr.mh].Seen(pr.req) {
+	for _, is := range pl.Ledger {
+		if !w.MHs[is.MH].Seen(is.Req) {
 			missing++
 		}
 	}

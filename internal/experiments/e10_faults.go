@@ -103,18 +103,14 @@ func E10WiredFaults(seed int64, sc Scale) []E10Row {
 				cfg.WiredFaults = inj
 				w := rdpcore.NewWorldOn(k, cfg)
 				inj.Schedule(w.CrashMSS, w.RestartMSS)
-				issued, delivered := drive(w, sc, netsim.Exponential{MeanDelay: 3 * time.Second, Floor: 300 * time.Millisecond}, 0)
-				ratio := 0.0
-				if issued > 0 {
-					ratio = float64(delivered) / float64(issued)
-				}
+				d := drive(rdpWorld{w}, sc, netsim.Exponential{MeanDelay: 3 * time.Second, Floor: 300 * time.Millisecond}, 0)
 				rows = append(rows, E10Row{
 					Loss:            loss,
 					Crashes:         crashes,
 					Recovery:        recovery,
-					Issued:          issued,
-					Delivered:       delivered,
-					Ratio:           ratio,
+					Issued:          d.issued,
+					Delivered:       d.delivered,
+					Ratio:           d.ratio(),
 					Duplicates:      w.Stats.DuplicateDeliveries.Value(),
 					WiredDrops:      w.Stats.WiredDrops.Value(),
 					RecoveryResends: w.Stats.RecoveryResends.Value(),

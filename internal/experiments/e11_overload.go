@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/rdpcore"
 	"repro/internal/workload"
@@ -114,30 +113,18 @@ func e11Run(seed int64, sc Scale, mult float64, protected bool) E11Row {
 	w := rdpcore.NewWorld(cfg)
 	horizon := sc.Horizon
 
-	type pendingReq struct {
-		mh  ids.MH
-		req ids.RequestID
-	}
-	var reqs []pendingReq
 	// Poisson arrivals per host, dimensioned so the aggregate offered
 	// rate is mult × capacity.
 	mean := time.Duration(float64(sc.MHs) / (e11Capacity() * mult) * float64(time.Second))
-	for i := 1; i <= sc.MHs; i++ {
-		mhID := ids.MH(i)
-		rng := w.Kernel.RNG().Fork()
-		mh := w.AddMH(mhID, 1)
-		reqCfg := workload.Requests{
+	pl := play(rdpWorld{w}, sc.MHs, workload.Script{
+		Start: 1,
+		Requests: workload.Requests{
 			Interarrival: netsim.Exponential{MeanDelay: mean, Floor: time.Millisecond},
-			Servers:      serverList(w),
+			Servers:      w.ServerList(),
 			PayloadBytes: 32,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, horizon) {
-			a := a
-			w.Schedule(a.At, func() {
-				reqs = append(reqs, pendingReq{mh: mhID, req: mh.IssueRequest(a.Server, a.Payload)})
-			})
-		}
-	}
+		},
+		Horizon: horizon,
+	}.Generate)
 	// Goodput is measured over the issuing horizon only — the
 	// steady-state plateau — so neither variant gets credit for backlog
 	// drained after the offered load stops.
@@ -146,16 +133,15 @@ func e11Run(seed int64, sc Scale, mult float64, protected bool) E11Row {
 	w.RunUntil(horizon + horizon/2)
 
 	var lostAdmitted int64
-	for _, pr := range reqs {
-		mh := w.MHs[pr.mh]
-		if mh.Admitted(pr.req) && !mh.Seen(pr.req) {
+	for _, is := range pl.Ledger {
+		if mh := w.MHs[is.MH]; mh.Admitted(is.Req) && !mh.Seen(is.Req) {
 			lostAdmitted++
 		}
 	}
 	return E11Row{
 		OfferedX:      mult,
 		Protected:     protected,
-		Issued:        int64(len(reqs)),
+		Issued:        int64(len(pl.Ledger)),
 		Delivered:     w.Stats.ResultsDelivered.Value(),
 		Refusals:      w.Stats.BusyRefusals.Value(),
 		ClientRetries: w.Stats.BusyRetries.Value() + w.Stats.RequestRetries.Value(),

@@ -65,53 +65,26 @@ func e12Config(seed int64, pol proxymig.Policy) rdpcore.Config {
 	return cfg
 }
 
-// e12Drive runs the E12 workload: every MH walks the ring cell by cell
-// (workload.RingWalk) with ≈500ms residence, so its distance from any
-// fixed anchor drifts upward, issuing Poisson requests against the slow
-// servers.
-func e12Drive(w *rdpcore.World, sc Scale) (issued, delivered int64) {
-	cells := w.StationList()
-	horizon := sc.Horizon
-	type pendingReq struct {
-		mh  ids.MH
-		req ids.RequestID
-	}
-	var reqs []pendingReq
-	for i := 1; i <= sc.MHs; i++ {
-		mhID := ids.MH(i)
-		rng := w.Kernel.RNG().Fork()
-		start := cells[rng.Intn(len(cells))]
-		mh := w.AddMH(mhID, start)
-		mob := workload.Mobility{
-			Picker:    workload.RingWalk{Cells: cells},
+// e12Drive runs the E12 workload on either protocol: every MH walks the
+// ring cell by cell (workload.RingWalk) with ≈500ms residence, so its
+// distance from any fixed anchor drifts upward, issuing Poisson requests
+// against the slow servers.
+func e12Drive(p protocol, sc Scale) delivery {
+	pl := play(p, sc.MHs, workload.Script{
+		Cells: p.StationList(),
+		Mobility: workload.Mobility{
+			Picker:    workload.RingWalk{Cells: p.StationList()},
 			Residence: netsim.Exponential{MeanDelay: 500 * time.Millisecond, Floor: 100 * time.Millisecond},
-		}
-		for _, ev := range workload.Itinerary(rng, mob, start, horizon) {
-			ev := ev
-			if ev.Kind == workload.EvMigrate {
-				w.Schedule(ev.At, func() { w.Migrate(mhID, ev.Cell) })
-			}
-		}
-		reqCfg := workload.Requests{
+		},
+		Requests: workload.Requests{
 			Interarrival: netsim.Exponential{MeanDelay: 1200 * time.Millisecond, Floor: 50 * time.Millisecond},
-			Servers:      serverList(w),
+			Servers:      p.ServerList(),
 			PayloadBytes: 32,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, horizon) {
-			a := a
-			w.Schedule(a.At, func() {
-				reqs = append(reqs, pendingReq{mh: mhID, req: mh.IssueRequest(a.Server, a.Payload)})
-			})
-		}
-	}
-	w.RunUntil(horizon + horizon/2)
-	for _, pr := range reqs {
-		issued++
-		if w.MHs[pr.mh].Seen(pr.req) {
-			delivered++
-		}
-	}
-	return issued, delivered
+		},
+		Horizon: sc.Horizon,
+	}.Generate)
+	p.RunUntil(sc.Horizon + sc.Horizon/2)
+	return tally(p, pl.Ledger)
 }
 
 // E12Migration sweeps the proxy-migration policy — fixed proxy, hop
@@ -138,20 +111,16 @@ func E12Migration(seed int64, sc Scale) []E12Row {
 	var rows []E12Row
 	for _, v := range variants {
 		w := rdpcore.NewWorld(e12Config(seed, v.pol))
-		issued, delivered := e12Drive(w, sc)
-		ratio := 0.0
-		if issued > 0 {
-			ratio = float64(delivered) / float64(issued)
-		}
+		d := e12Drive(rdpWorld{w}, sc)
 		meanHops := 0.0
 		if c := w.Stats.ForwardCount.Value(); c > 0 {
 			meanHops = float64(w.Stats.ForwardHops.Value()) / float64(c)
 		}
 		rows = append(rows, E12Row{
 			Policy:      v.name,
-			Issued:      issued,
-			Delivered:   delivered,
-			Ratio:       ratio,
+			Issued:      d.issued,
+			Delivered:   d.delivered,
+			Ratio:       d.ratio(),
 			MeanHops:    meanHops,
 			WorstHops:   w.Stats.ForwardHopMax.Value(),
 			MeanLatency: w.Stats.ResultLatency.Mean(),
@@ -174,14 +143,7 @@ func E12Migration(seed int64, sc Scale) []E12Row {
 func e12MobileIP(seed int64, sc Scale) E12Row {
 	dist := proxymig.RingDistance(e12Stations)
 	var hopSum, worstHops int64
-	mcfg := mobileip.DefaultConfig()
-	mcfg.Seed = seed
-	mcfg.NumMSS = e12Stations
-	mcfg.NumServers = 2
-	mcfg.WiredLatency = netsim.Constant(5 * time.Millisecond)
-	mcfg.WiredPairLatency = netsim.RingLatency(e12Stations, e12RingBase, e12RingPerHop)
-	mcfg.WirelessLatency = netsim.Constant(10 * time.Millisecond)
-	mcfg.ServerProc = netsim.Exponential{MeanDelay: 2 * time.Second, Floor: 200 * time.Millisecond}
+	mcfg := mipConfig(e12Config(seed, proxymig.Policy{}))
 	mcfg.RequestTimeout = 2 * time.Second // upper-layer recovery shim
 	mcfg.Observer = func(at sim.Time, layer netsim.Layer, kind netsim.EventKind, from, to ids.NodeID, m msg.Message) {
 		if layer != netsim.LayerWired || kind != netsim.EventSent || m.Kind() != msg.KindMIPTunnel {
@@ -194,52 +156,8 @@ func e12MobileIP(seed int64, sc Scale) E12Row {
 		}
 	}
 	mw := mobileip.NewWorld(mcfg)
-	cells := mw.StationList()
-	horizon := sc.Horizon
-	type pendingReq struct {
-		mn  *mobileip.MobileNode
-		req ids.RequestID
-	}
-	var reqs []pendingReq
-	for i := 1; i <= sc.MHs; i++ {
-		rng := mw.Kernel.RNG().Fork()
-		mhID := ids.MH(i)
-		start := cells[rng.Intn(len(cells))]
-		mn := mw.AddMH(mhID, start, start) // home agent = starting cell
-		mob := workload.Mobility{
-			Picker:    workload.RingWalk{Cells: cells},
-			Residence: netsim.Exponential{MeanDelay: 500 * time.Millisecond, Floor: 100 * time.Millisecond},
-		}
-		for _, ev := range workload.Itinerary(rng, mob, start, horizon) {
-			ev := ev
-			if ev.Kind == workload.EvMigrate {
-				mw.Kernel.After(ev.At, func() { mw.Migrate(mhID, ev.Cell) })
-			}
-		}
-		reqCfg := workload.Requests{
-			Interarrival: netsim.Exponential{MeanDelay: 1200 * time.Millisecond, Floor: 50 * time.Millisecond},
-			Servers:      []ids.Server{1, 2},
-			PayloadBytes: 32,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, horizon) {
-			a := a
-			mw.Kernel.After(a.At, func() {
-				reqs = append(reqs, pendingReq{mn: mn, req: mn.IssueRequest(a.Server, a.Payload)})
-			})
-		}
-	}
-	mw.RunUntil(horizon + horizon/2)
-	var issued, delivered int64
-	for _, pr := range reqs {
-		issued++
-		if pr.mn.Seen(pr.req) {
-			delivered++
-		}
-	}
-	ratio := 0.0
-	if issued > 0 {
-		ratio = float64(delivered) / float64(issued)
-	}
+	// Home agent = starting cell.
+	d := e12Drive(mipWorld{mw, func(_ ids.MH, start ids.MSS) ids.MSS { return start }}, sc)
 	// Local tunnels (care-of = home) never hit the wire; they count as
 	// zero-hop forwards in the mean, same as an RDP proxy forwarding to
 	// its own cell.
@@ -247,20 +165,16 @@ func e12MobileIP(seed int64, sc Scale) E12Row {
 	if tn := mw.Stats.Tunnels.Value(); tn > 0 {
 		meanHops = float64(hopSum) / float64(tn)
 	}
-	loads := make([]float64, 0, len(cells))
-	for _, st := range cells {
-		loads = append(loads, float64(mw.Stats.TunnelLoad[st]))
-	}
 	return E12Row{
 		Policy:      "MobileIP home=start",
-		Issued:      issued,
-		Delivered:   delivered,
-		Ratio:       ratio,
+		Issued:      d.issued,
+		Delivered:   d.delivered,
+		Ratio:       d.ratio(),
 		MeanHops:    meanHops,
 		WorstHops:   worstHops,
 		MeanLatency: mw.Stats.ResultLatency.Mean(),
 		P95Latency:  mw.Stats.ResultLatency.Quantile(0.95),
-		Jain:        metrics.JainIndex(loads),
+		Jain:        metrics.JainIndex(tunnelLoads(mw)),
 		Dups:        mw.Stats.Duplicates.Value(),
 	}
 }

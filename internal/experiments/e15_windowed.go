@@ -131,46 +131,45 @@ func e15Config(seed int64, loss float64, transport string) rdpcore.Config {
 	return cfg
 }
 
+// e15Play offers the E15 load to either protocol: one static host per
+// cell slot issuing Poisson requests at mult × the stop-and-wait ceiling.
+func e15Play(p protocol, sc Scale, mult float64) *workload.Player {
+	cells := len(p.StationList())
+	s := workload.Script{
+		Requests: workload.Requests{
+			Interarrival: netsim.Exponential{MeanDelay: time.Duration(float64(time.Second) / (e15LinkRate() * mult)), Floor: time.Millisecond},
+			Servers:      p.ServerList(),
+			PayloadBytes: 32,
+		},
+		Horizon: sc.Horizon,
+	}
+	pl := &workload.Player{Sched: p.sched(), Sys: p}
+	for i := 1; i <= e15MHs(sc); i++ {
+		s.Start = ids.MSS(i%cells + 1)
+		_, script := s.Generate(p.sched().RNG().Fork())
+		p.addHost(ids.MH(i), s.Start)
+		pl.Schedule(ids.MH(i), script)
+	}
+	return pl
+}
+
 // e15Run executes one RDP sweep point and gathers its row.
 func e15Run(seed int64, sc Scale, loss, mult float64, transport string) E15Row {
 	cfg := e15Config(seed, loss, transport)
 	w := rdpcore.NewWorld(cfg)
 	horizon := sc.Horizon
-
-	type pendingReq struct {
-		mh  ids.MH
-		req ids.RequestID
-	}
-	var reqs []pendingReq
-	mean := time.Duration(float64(time.Second) / (e15LinkRate() * mult))
-	for i := 1; i <= e15MHs(sc); i++ {
-		mhID := ids.MH(i)
-		rng := w.Kernel.RNG().Fork()
-		mh := w.AddMH(mhID, ids.MSS(i%cfg.NumMSS+1))
-		reqCfg := workload.Requests{
-			Interarrival: netsim.Exponential{MeanDelay: mean, Floor: time.Millisecond},
-			Servers:      serverList(w),
-			PayloadBytes: 32,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, horizon) {
-			a := a
-			w.Schedule(a.At, func() {
-				reqs = append(reqs, pendingReq{mh: mhID, req: mh.IssueRequest(a.Server, a.Payload)})
-			})
-		}
-	}
+	pl := e15Play(rdpWorld{w}, sc, mult)
 	var deliveredAtHorizon int64
 	w.Schedule(horizon, func() { deliveredAtHorizon = w.Stats.ResultsDelivered.Value() })
 	w.RunUntil(horizon + horizon/2)
 
 	var lostAdmitted int64
-	for _, pr := range reqs {
-		mh := w.MHs[pr.mh]
-		if mh.Admitted(pr.req) && !mh.Seen(pr.req) {
+	for _, is := range pl.Ledger {
+		if mh := w.MHs[is.MH]; mh.Admitted(is.Req) && !mh.Seen(is.Req) {
 			lostAdmitted++
 		}
 	}
-	offered := int64(len(reqs))
+	offered := int64(len(pl.Ledger))
 	goodput := 0.0
 	if offered > 0 {
 		goodput = 100 * float64(deliveredAtHorizon) / float64(offered)
@@ -196,45 +195,29 @@ func e15Run(seed int64, sc Scale, loss, mult float64, transport string) E15Row {
 	}
 }
 
+// e15ITCPConfig is the I-TCP baseline on the E15 network, its downlink
+// carried by the same windowed transport.
+func e15ITCPConfig(seed int64, loss float64) itcp.Config {
+	cfg := e15Config(seed, loss, "windowed")
+	icfg := itcp.DefaultConfig()
+	icfg.Seed, icfg.NumMSS, icfg.NumServers = seed, cfg.NumMSS, cfg.NumServers
+	icfg.WiredLatency, icfg.WirelessLatency, icfg.ServerProc = cfg.WiredLatency, cfg.WirelessLatency, cfg.ServerProc
+	icfg.WirelessLoss, icfg.WirelessWTP = loss, cfg.WirelessWTP
+	return icfg
+}
+
 // e15RunITCP executes the cross-protocol baseline point: the I-TCP
 // world from E6 with its downlink carried by the windowed transport.
 func e15RunITCP(seed int64, sc Scale, loss, mult float64) E15Row {
-	icfg := itcp.DefaultConfig()
-	icfg.Seed = seed
-	icfg.NumMSS = 8
-	icfg.NumServers = 2
-	icfg.WiredLatency = netsim.Constant(e15WiredOneWay)
-	icfg.WirelessLatency = netsim.Constant(e15WirelessOneWay)
-	icfg.ServerProc = netsim.Constant(time.Millisecond)
-	icfg.WirelessLoss = loss
-	icfg.WirelessWTP = wtp.Config{Enabled: true}
-	iw := itcp.NewWorld(icfg)
+	iw := itcp.NewWorld(e15ITCPConfig(seed, loss))
 	horizon := sc.Horizon
-
-	servers := []ids.Server{1, 2}
-	var offered int64
-	mean := time.Duration(float64(time.Second) / (e15LinkRate() * mult))
-	for i := 1; i <= e15MHs(sc); i++ {
-		rng := iw.Kernel.RNG().Fork()
-		m := iw.AddMH(ids.MH(i), ids.MSS(i%icfg.NumMSS+1))
-		reqCfg := workload.Requests{
-			Interarrival: netsim.Exponential{MeanDelay: mean, Floor: time.Millisecond},
-			Servers:      servers,
-			PayloadBytes: 32,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, horizon) {
-			a := a
-			iw.Kernel.After(a.At, func() {
-				m.IssueRequest(a.Server, a.Payload)
-				offered++
-			})
-		}
-	}
+	pl := e15Play(itcpWorld{iw}, sc, mult)
 	var deliveredAtHorizon int64
 	iw.Kernel.After(horizon, func() { deliveredAtHorizon = iw.Stats.ResultsDelivered.Value() })
 	iw.RunUntil(horizon + horizon/2)
 
 	retrans, _, resets, frames, msgs, _ := iw.Wireless.WTPStats()
+	offered := int64(len(pl.Ledger))
 	goodput := 0.0
 	if offered > 0 {
 		goodput = 100 * float64(deliveredAtHorizon) / float64(offered)

@@ -94,6 +94,38 @@ func e17Plan(sc Scale, dur time.Duration, crashes int, mhs int) faults.Plan {
 	return plan
 }
 
+// e17Life deals every E17/E18 host its life: slow roaming (a host out of
+// coverage does not change cells) under plain Poisson traffic that
+// continues through every fault window. Payloads come from the small
+// shared pool — one draw per request, after the arrivals are drawn — so
+// the same (server, payload) computation recurs across hosts and time.
+func e17Life(w *rdpcore.World, horizon time.Duration, pool [][]byte) func(*sim.RNG) (ids.MSS, []workload.Event) {
+	roam := workload.Script{
+		Cells: w.StationList(),
+		Mobility: workload.Mobility{
+			Picker:    workload.UniformCells{Cells: w.StationList()},
+			Residence: netsim.Exponential{MeanDelay: 2 * time.Second, Floor: 200 * time.Millisecond},
+		},
+		Horizon: horizon,
+	}
+	traffic := workload.Script{
+		Requests: workload.Requests{
+			Interarrival: netsim.Exponential{MeanDelay: 800 * time.Millisecond, Floor: 20 * time.Millisecond},
+			Servers:      w.ServerList(),
+			PayloadBytes: 8,
+		},
+		Horizon: horizon,
+	}
+	return func(rng *sim.RNG) (ids.MSS, []workload.Event) {
+		start, moves := roam.Generate(rng)
+		_, reqs := traffic.Generate(rng)
+		for i := range reqs {
+			reqs[i].Payload = pool[rng.Intn(len(pool))]
+		}
+		return start, workload.Merge(moves, reqs)
+	}
+}
+
 // e17Batch tracks one issued batch for post-run judgment.
 type e17Batch struct {
 	mh ids.MH
@@ -136,8 +168,7 @@ func e17Run(seed int64, sc Scale, dur time.Duration, crashes int, migration bool
 	inj.Schedule(w.CrashMSS, w.RestartMSS)
 	inj.ScheduleDisconnects(w.Disconnect, w.Reconnect)
 
-	cells := w.StationList()
-	servers := serverList(w)
+	servers := w.ServerList()
 	horizon := sc.Horizon
 	disconnectAt := horizon * 35 / 100
 
@@ -147,48 +178,18 @@ func e17Run(seed int64, sc Scale, dur time.Duration, crashes int, migration bool
 		pool = append(pool, []byte(fmt.Sprintf("query-%d", i)))
 	}
 
-	type pendingReq struct {
-		mh  ids.MH
-		req ids.RequestID
-	}
-	var plain []pendingReq
 	var batches []e17Batch
+	// Requests issued inside the disconnection window are journaled and
+	// replayed.
+	pl := &workload.Player{Sched: k, Sys: w}
+	life := e17Life(w, horizon, pool)
 
 	for i := 1; i <= sc.MHs; i++ {
 		mhID := ids.MH(i)
-		rng := w.Kernel.RNG().Fork()
-		start := cells[rng.Intn(len(cells))]
+		rng := k.RNG().Fork()
+		start, script := life(rng)
 		mh := w.AddMH(mhID, start)
-
-		mob := workload.Mobility{
-			Picker:    workload.UniformCells{Cells: cells},
-			Residence: netsim.Exponential{MeanDelay: 2 * time.Second, Floor: 200 * time.Millisecond},
-		}
-		for _, ev := range workload.Itinerary(rng, mob, start, horizon) {
-			ev := ev
-			if ev.Kind == workload.EvMigrate {
-				w.Schedule(ev.At, func() {
-					if !w.IsDisconnected(mhID) {
-						w.Migrate(mhID, ev.Cell)
-					}
-				})
-			}
-		}
-
-		// Plain repeated-query traffic, continuing through the
-		// disconnection window (journaled + replayed there).
-		reqCfg := workload.Requests{
-			Interarrival: netsim.Exponential{MeanDelay: 800 * time.Millisecond, Floor: 20 * time.Millisecond},
-			Servers:      servers,
-			PayloadBytes: 8,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, horizon) {
-			a := a
-			payload := pool[rng.Intn(len(pool))]
-			w.Schedule(a.At, func() {
-				plain = append(plain, pendingReq{mh: mhID, req: mh.IssueRequest(a.Server, payload)})
-			})
-		}
+		pl.Schedule(mhID, script)
 
 		// One connected-issue batch per MH: opened, filled and committed
 		// in one go well before the disconnection window; must deliver
@@ -234,14 +235,8 @@ func e17Run(seed int64, sc Scale, dur time.Duration, crashes int, migration bool
 		CacheMisses:   w.Stats.CacheMisses.Value(),
 		CacheStale:    w.Stats.CacheStale.Value(),
 	}
-	for _, pr := range plain {
-		row.Issued++
-		if w.MHs[pr.mh].Seen(pr.req) {
-			row.Delivered++
-		} else {
-			row.Lost++
-		}
-	}
+	d := tally(rdpWorld{w}, pl.Ledger)
+	row.Issued, row.Delivered, row.Lost = d.issued, d.delivered, d.issued-d.delivered
 	for _, b := range batches {
 		delivered, members, aborted := w.MHs[b.mh].BatchStatus(b.id)
 		row.Batches++

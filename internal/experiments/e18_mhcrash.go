@@ -149,6 +149,19 @@ func E18MHCrash(seed int64, sc Scale) []E18Row {
 	return rows
 }
 
+// e18Recorder is the E18 world as the player sees it: every request a
+// script issues is reported with the world state it was issued in.
+type e18Recorder struct {
+	*rdpcore.World
+	record func(ids.MH, ids.RequestID)
+}
+
+func (r e18Recorder) IssueRequest(id ids.MH, srv ids.Server, payload []byte) ids.RequestID {
+	req := r.World.IssueRequest(id, srv, payload)
+	r.record(id, req)
+	return req
+}
+
 func e18Run(seed int64, sc Scale, dur time.Duration, mssCrashes int, migration bool) E18Row {
 	cfg := e18Config(seed, sc, migration)
 	k := sim.NewKernel(cfg.Seed)
@@ -159,8 +172,7 @@ func e18Run(seed int64, sc Scale, dur time.Duration, mssCrashes int, migration b
 	inj.ScheduleDisconnects(w.Disconnect, w.Reconnect)
 	inj.ScheduleMHCrashes(w.CrashMH, w.RestartMH)
 
-	cells := w.StationList()
-	servers := serverList(w)
+	servers := w.ServerList()
 	horizon := sc.Horizon
 	crashAt := horizon * 55 / 100
 
@@ -188,10 +200,26 @@ func e18Run(seed int64, sc Scale, dur time.Duration, mssCrashes int, migration b
 	issueInc := make(map[pendingReq]bool)
 	var crossInc int64
 
+	// record notes an issued request under the incarnation that issued it;
+	// a crashed host's request never happened.
+	record := func(mhID ids.MH, req ids.RequestID) {
+		if req.Seq == 0 {
+			return
+		}
+		pr := pendingReq{mh: mhID, req: req, inc: w.IncarnationOf(mhID)}
+		plain = append(plain, pr)
+		issueInc[pr] = true
+	}
+	// Roaming and plain traffic through every fault window: disconnected
+	// issues journal offline, crash-window issues are swallowed (the host
+	// is dead), post-restart issues re-enter under the new incarnation.
+	pl := &workload.Player{Sched: k, Sys: e18Recorder{w, record}}
+	life := e17Life(w, horizon, pool)
+
 	for i := 1; i <= sc.MHs; i++ {
 		mhID := ids.MH(i)
-		rng := w.Kernel.RNG().Fork()
-		start := cells[rng.Intn(len(cells))]
+		rng := k.RNG().Fork()
+		start, script := life(rng)
 		mh := w.AddMH(mhID, start)
 
 		mh.OnResult(func(req ids.RequestID, payload []byte, duplicate bool) {
@@ -202,44 +230,7 @@ func e18Run(seed int64, sc Scale, dur time.Duration, mssCrashes int, migration b
 				crossInc++
 			}
 		})
-
-		mob := workload.Mobility{
-			Picker:    workload.UniformCells{Cells: cells},
-			Residence: netsim.Exponential{MeanDelay: 2 * time.Second, Floor: 200 * time.Millisecond},
-		}
-		for _, ev := range workload.Itinerary(rng, mob, start, horizon) {
-			ev := ev
-			if ev.Kind == workload.EvMigrate {
-				w.Schedule(ev.At, func() {
-					if !w.IsDisconnected(mhID) {
-						w.Migrate(mhID, ev.Cell)
-					}
-				})
-			}
-		}
-
-		// Plain traffic through every fault window: disconnected issues
-		// journal offline, crash-window issues are swallowed (the host
-		// is dead), post-restart issues re-enter under the new
-		// incarnation.
-		reqCfg := workload.Requests{
-			Interarrival: netsim.Exponential{MeanDelay: 800 * time.Millisecond, Floor: 20 * time.Millisecond},
-			Servers:      servers,
-			PayloadBytes: 8,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, horizon) {
-			a := a
-			payload := pool[rng.Intn(len(pool))]
-			w.Schedule(a.At, func() {
-				req := mh.IssueRequest(a.Server, payload)
-				if req.Seq == 0 {
-					return // host crashed: the request never happened
-				}
-				pr := pendingReq{mh: mhID, req: req, inc: w.IncarnationOf(mhID)}
-				plain = append(plain, pr)
-				issueInc[pr] = true
-			})
-		}
+		pl.Schedule(mhID, script)
 
 		// A burst just before the crash instant guarantees every victim
 		// dies with in-flight state: the results land at a proxy whose
@@ -252,13 +243,7 @@ func e18Run(seed int64, sc Scale, dur time.Duration, mssCrashes int, migration b
 					// Unique payloads bypass the result cache: the burst
 					// must still be at the server when the host dies.
 					payload := []byte(fmt.Sprintf("orphan-%d-%d", i, j))
-					req := mh.IssueRequest(servers[j%len(servers)], payload)
-					if req.Seq == 0 {
-						return
-					}
-					pr := pendingReq{mh: mhID, req: req, inc: w.IncarnationOf(mhID)}
-					plain = append(plain, pr)
-					issueInc[pr] = true
+					record(mhID, mh.IssueRequest(servers[j%len(servers)], payload))
 				}
 			})
 		}

@@ -37,25 +37,19 @@ func E5DynamicShift(seed int64, sc Scale) []E5ShiftRow {
 	w.Schedule(sc.Horizon/2, func() {
 		rdpPhase1 = w.Stats.ForwardLoads(w.StationList())
 	})
-	drivePhased(rdpDriver{w}, w.Kernel.RNG().Fork, sc)
+	drivePhased(rdpWorld{w}, sc)
 	w.RunUntil(sc.Horizon + sc.Horizon/4)
 	rdpPhase2 := diff(w.Stats.ForwardLoads(w.StationList()), rdpPhase1)
 
 	// Mobile IP run with homes spread round-robin (its best static case).
-	mcfg := mobileip.DefaultConfig()
-	mcfg.Seed = seed
-	mcfg.NumMSS = cfg.NumMSS
-	mcfg.NumServers = cfg.NumServers
-	mcfg.WiredLatency = cfg.WiredLatency
-	mcfg.WirelessLatency = cfg.WirelessLatency
-	mcfg.ServerProc = cfg.ServerProc
+	mcfg := mipConfig(cfg)
 	mcfg.RequestTimeout = 2 * time.Second
 	mw := mobileip.NewWorld(mcfg)
 	var mipPhase1 []float64
 	mw.Kernel.After(sc.Horizon/2, func() {
 		mipPhase1 = tunnelLoads(mw)
 	})
-	drivePhased(mipDriver{mw, mcfg.NumMSS}, mw.Kernel.RNG().Fork, sc)
+	drivePhased(mipWorld{mw, homeSpread(mcfg.NumMSS)}, sc)
 	mw.RunUntil(sc.Horizon + sc.Horizon/4)
 	mipPhase2 := diff(tunnelLoads(mw), mipPhase1)
 
@@ -73,88 +67,42 @@ func E5DynamicShift(seed int64, sc Scale) []E5ShiftRow {
 	}
 }
 
-// protocolDriver abstracts the two worlds for the shared phased driver.
-type protocolDriver interface {
-	stations() []ids.MSS
-	addHost(id ids.MH, cell ids.MSS)
-	schedule(at time.Duration, fn func())
-	migrate(id ids.MH, cell ids.MSS)
-	request(id ids.MH, srv ids.Server, payload []byte)
-}
-
-type rdpDriver struct{ w *rdpcore.World }
-
-func (d rdpDriver) stations() []ids.MSS { return d.w.StationList() }
-func (d rdpDriver) addHost(id ids.MH, cell ids.MSS) {
-	d.w.AddMH(id, cell)
-}
-func (d rdpDriver) schedule(at time.Duration, fn func()) { d.w.Schedule(at, fn) }
-func (d rdpDriver) migrate(id ids.MH, cell ids.MSS)      { d.w.Migrate(id, cell) }
-func (d rdpDriver) request(id ids.MH, srv ids.Server, payload []byte) {
-	d.w.MHs[id].IssueRequest(srv, payload)
-}
-
-type mipDriver struct {
-	w    *mobileip.World
-	mssN int
-}
-
-func (d mipDriver) stations() []ids.MSS { return d.w.StationList() }
-func (d mipDriver) addHost(id ids.MH, cell ids.MSS) {
-	d.w.AddMH(id, cell, ids.MSS(int(id)%d.mssN+1))
-}
-func (d mipDriver) schedule(at time.Duration, fn func()) { d.w.Kernel.After(at, fn) }
-func (d mipDriver) migrate(id ids.MH, cell ids.MSS)      { d.w.Migrate(id, cell) }
-
-func (d mipDriver) request(id ids.MH, srv ids.Server, payload []byte) {
-	d.w.Node(id).IssueRequest(srv, payload)
-}
-
-// drivePhased runs the two-phase workload: phase 1 roams all cells,
-// phase 2 confines every host to the first two.
-func drivePhased(d protocolDriver, fork func() *sim.RNG, sc Scale) {
-	cells := d.stations()
+// drivePhased schedules the two-phase workload on either protocol: in
+// phase 1 hosts roam all cells, at the boundary everyone relocates
+// downtown, in phase 2 they roam the two hotspot cells only.
+func drivePhased(p protocol, sc Scale) {
+	cells, half := p.StationList(), sc.Horizon/2
 	hotspot := cells[:2]
-	res := 800 * time.Millisecond
-	for i := 1; i <= sc.MHs; i++ {
-		id := ids.MH(i)
-		rng := fork()
-		d.addHost(id, cells[rng.Intn(len(cells))])
-
-		phase1 := workload.Itinerary(rng, workload.Mobility{
-			Picker:    workload.UniformCells{Cells: cells},
-			Residence: netsim.Exponential{MeanDelay: res, Floor: res / 10},
-		}, cells[0], sc.Horizon/2)
-		for _, ev := range phase1 {
-			ev := ev
-			if ev.Kind == workload.EvMigrate {
-				d.schedule(ev.At, func() { d.migrate(id, ev.Cell) })
-			}
-		}
-		// Phase boundary: everyone relocates downtown.
-		start2 := hotspot[rng.Intn(len(hotspot))]
-		d.schedule(sc.Horizon/2, func() { d.migrate(id, start2) })
-		phase2 := workload.Itinerary(rng, workload.Mobility{
-			Picker:    workload.UniformCells{Cells: hotspot},
-			Residence: netsim.Exponential{MeanDelay: res, Floor: res / 10},
-		}, start2, sc.Horizon/2)
-		for _, ev := range phase2 {
-			ev := ev
-			if ev.Kind == workload.EvMigrate {
-				d.schedule(sc.Horizon/2+ev.At, func() { d.migrate(id, ev.Cell) })
-			}
-		}
-
-		reqs := workload.Schedule(rng, workload.Requests{
-			Interarrival: netsim.Exponential{MeanDelay: 700 * time.Millisecond, Floor: 20 * time.Millisecond},
-			Servers:      []ids.Server{1, 2},
-			PayloadBytes: 24,
-		}, sc.Horizon)
-		for _, a := range reqs {
-			a := a
-			d.schedule(a.At, func() { d.request(id, a.Server, a.Payload) })
+	walk := func(over []ids.MSS) workload.Mobility {
+		return workload.Mobility{
+			Picker:    workload.UniformCells{Cells: over},
+			Residence: netsim.Exponential{MeanDelay: 800 * time.Millisecond, Floor: 80 * time.Millisecond},
 		}
 	}
+	// The phase-1 walk is generated as if from cells[0], wherever the host
+	// actually starts; the pinned tables hold that quirk.
+	roam := workload.Script{Start: cells[0], Mobility: walk(cells), Horizon: half}
+	downtown := workload.Script{Cells: hotspot, Mobility: walk(hotspot), Horizon: half}
+	traffic := workload.Script{
+		Requests: workload.Requests{
+			Interarrival: netsim.Exponential{MeanDelay: 700 * time.Millisecond, Floor: 20 * time.Millisecond},
+			Servers:      p.ServerList(),
+			PayloadBytes: 24,
+		},
+		Horizon: sc.Horizon,
+	}
+	play(p, sc.MHs, func(rng *sim.RNG) (ids.MSS, []workload.Event) {
+		start := cells[rng.Intn(len(cells))]
+		_, moves := roam.Generate(rng)
+		start2, phase2 := downtown.Generate(rng)
+		moves = append(moves, workload.Event{At: half, Kind: workload.EvMigrate, Cell: start2})
+		for _, ev := range phase2 {
+			ev.At += half
+			moves = append(moves, ev)
+		}
+		_, reqs := traffic.Generate(rng)
+		return start, workload.Merge(moves, reqs)
+	})
 }
 
 func tunnelLoads(mw *mobileip.World) []float64 {

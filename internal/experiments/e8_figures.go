@@ -46,6 +46,17 @@ func E8Subscriptions(seed int64, sc Scale) []E8Row {
 
 		var received int64
 		subscribers := sc.MHs
+		pl := &workload.Player{Sched: w.Kernel, Sys: w}
+		roam := workload.Script{
+			Mobility: workload.Mobility{
+				Picker:       workload.UniformCells{Cells: cells},
+				Residence:    netsim.Exponential{MeanDelay: res, Floor: res / 10},
+				InactiveProb: 0.1,
+				InactiveDur:  netsim.Exponential{MeanDelay: res, Floor: res / 5},
+			},
+			Horizon: sc.Horizon,
+			WakeAt:  sc.Horizon + 200*time.Millisecond,
+		}
 		// Subscribers roam and watch one region each (threshold 20),
 		// re-subscribing after each notification for a continuous feed.
 		for i := 1; i <= subscribers; i++ {
@@ -65,26 +76,9 @@ func E8Subscriptions(seed int64, sc Scale) []E8Row {
 			})
 			w.Schedule(0, resub)
 
-			mob := workload.Mobility{
-				Picker:       workload.UniformCells{Cells: cells},
-				Residence:    netsim.Exponential{MeanDelay: res, Floor: res / 10},
-				InactiveProb: 0.1,
-				InactiveDur:  netsim.Exponential{MeanDelay: res, Floor: res / 5},
-			}
-			for _, ev := range workload.Itinerary(rng, mob, start, sc.Horizon) {
-				ev := ev
-				w.Schedule(ev.At, func() {
-					switch ev.Kind {
-					case workload.EvMigrate:
-						w.Migrate(mhID, ev.Cell)
-					case workload.EvDeactivate:
-						w.SetActive(mhID, false)
-					case workload.EvActivate:
-						w.SetActive(mhID, true)
-					}
-				})
-			}
-			w.Schedule(sc.Horizon+200*time.Millisecond, func() { w.SetActive(mhID, true) })
+			roam.Start = start
+			_, script := roam.Generate(rng)
+			pl.Schedule(mhID, script)
 		}
 
 		// Staff hosts feed updates that swing each region's congestion

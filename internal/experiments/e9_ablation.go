@@ -35,7 +35,7 @@ func E9HoldForInactive(seed int64, sc Scale) []E9Row {
 			cfg := baseConfig(seed)
 			cfg.HoldForInactive = hold
 			w := rdpcore.NewWorld(cfg)
-			_, delivered := drive(w, sc, netsim.Exponential{MeanDelay: time.Second, Floor: 100 * time.Millisecond}, inact)
+			delivered := drive(rdpWorld{w}, sc, netsim.Exponential{MeanDelay: time.Second, Floor: 100 * time.Millisecond}, inact).delivered
 			rows = append(rows, E9Row{
 				InactiveProb:   inact,
 				Hold:           hold,

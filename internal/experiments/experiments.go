@@ -18,6 +18,7 @@ import (
 	"repro/internal/mobileip"
 	"repro/internal/netsim"
 	"repro/internal/rdpcore"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -55,83 +56,6 @@ func baseConfig(seed int64) rdpcore.Config {
 	return cfg
 }
 
-// drive runs a standard workload over an RDP world: every MH follows a
-// random itinerary with the given mean cell-residence time (and optional
-// inactivity), issuing Poisson requests during the horizon; the world
-// then drains. It returns the fraction of issued requests delivered.
-func drive(w *rdpcore.World, sc Scale, residence workload.Sampler, inactiveProb float64) (issued, delivered int64) {
-	cells := w.StationList()
-	horizon := sc.Horizon
-	drain := sc.Horizon / 2
-	type pendingReq struct {
-		mh  ids.MH
-		req ids.RequestID
-	}
-	var reqs []pendingReq
-
-	for i := 1; i <= sc.MHs; i++ {
-		mhID := ids.MH(i)
-		rng := w.Kernel.RNG().Fork()
-		start := cells[rng.Intn(len(cells))]
-		mh := w.AddMH(mhID, start)
-
-		mob := workload.Mobility{
-			Picker:            workload.UniformCells{Cells: cells},
-			Residence:         residence,
-			InactiveProb:      inactiveProb,
-			InactiveDur:       netsim.Exponential{MeanDelay: 2 * residence.Mean(), Floor: residence.Mean() / 5},
-			MoveWhileInactive: 0.4,
-		}
-		for _, ev := range workload.Itinerary(rng, mob, start, horizon) {
-			ev := ev
-			w.Schedule(ev.At, func() {
-				switch ev.Kind {
-				case workload.EvMigrate:
-					w.Migrate(mhID, ev.Cell)
-				case workload.EvDeactivate:
-					w.SetActive(mhID, false)
-				case workload.EvActivate:
-					if ev.Cell != w.Location(mhID) {
-						w.Migrate(mhID, ev.Cell)
-					}
-					w.SetActive(mhID, true)
-				}
-			})
-		}
-		w.Schedule(horizon+500*time.Millisecond, func() { w.SetActive(mhID, true) })
-
-		reqCfg := workload.Requests{
-			Interarrival: netsim.Exponential{MeanDelay: 800 * time.Millisecond, Floor: 20 * time.Millisecond},
-			Servers:      serverList(w),
-			PayloadBytes: 32,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, horizon) {
-			a := a
-			w.Schedule(a.At, func() {
-				reqs = append(reqs, pendingReq{mh: mhID, req: mh.IssueRequest(a.Server, a.Payload)})
-			})
-		}
-	}
-	w.RunUntil(horizon + drain)
-
-	for _, pr := range reqs {
-		issued++
-		if w.MHs[pr.mh].Seen(pr.req) {
-			delivered++
-		}
-	}
-	return issued, delivered
-}
-
-func serverList(w *rdpcore.World) []ids.Server {
-	cfg := w.Config()
-	out := make([]ids.Server, 0, cfg.NumServers)
-	for i := 1; i <= cfg.NumServers; i++ {
-		out = append(out, ids.Server(i))
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------
 // E1 — reliability: delivery ratio under swept mobility and inactivity.
 
@@ -161,17 +85,13 @@ func E1Reliability(seed int64, sc Scale) []E1Row {
 		for _, inact := range []float64{0, 0.25} {
 			cfg := baseConfig(seed)
 			w := rdpcore.NewWorld(cfg)
-			issued, delivered := drive(w, sc, netsim.Exponential{MeanDelay: res, Floor: res / 10}, inact)
-			ratio := 0.0
-			if issued > 0 {
-				ratio = float64(delivered) / float64(issued)
-			}
+			d := drive(rdpWorld{w}, sc, netsim.Exponential{MeanDelay: res, Floor: res / 10}, inact)
 			rows = append(rows, E1Row{
 				MeanResidence: res,
 				InactiveProb:  inact,
-				Issued:        issued,
-				Delivered:     delivered,
-				Ratio:         ratio,
+				Issued:        d.issued,
+				Delivered:     d.delivered,
+				Ratio:         d.ratio(),
 				Handoffs:      w.Stats.Handoffs.Value(),
 				Retrans:       w.Stats.Retransmissions.Value(),
 			})
@@ -235,31 +155,32 @@ func E2ExactlyOnce(seed int64, sc Scale) []E2Row {
 		// Adversarial schedule: every MH migrates immediately after each
 		// delivery, racing the Ack against the hand-off.
 		cells := w.StationList()
-		var issued int64
+		pl := &workload.Player{Sched: w.Kernel, Sys: w}
+		traffic := workload.Script{
+			Cells: cells,
+			Requests: workload.Requests{
+				Interarrival: netsim.Exponential{MeanDelay: 400 * time.Millisecond, Floor: 10 * time.Millisecond},
+				Servers:      w.ServerList(),
+				PayloadBytes: 16,
+			},
+			Horizon: sc.Horizon,
+		}
 		for i := 1; i <= sc.MHs; i++ {
 			mhID := ids.MH(i)
 			rng := w.Kernel.RNG().Fork()
-			mh := w.AddMH(mhID, cells[rng.Intn(len(cells))])
-			mh.OnResult(func(ids.RequestID, []byte, bool) {
+			start, script := traffic.Generate(rng)
+			w.AddMH(mhID, start).OnResult(func(ids.RequestID, []byte, bool) {
 				cell := cells[rng.Intn(len(cells))]
 				w.Schedule(200*time.Microsecond, func() { w.Migrate(mhID, cell) })
 			})
-			reqCfg := workload.Requests{
-				Interarrival: netsim.Exponential{MeanDelay: 400 * time.Millisecond, Floor: 10 * time.Millisecond},
-				Servers:      serverList(w),
-				PayloadBytes: 16,
-			}
-			for _, a := range workload.Schedule(rng, reqCfg, sc.Horizon) {
-				a := a
-				w.Schedule(a.At, func() { mh.IssueRequest(a.Server, a.Payload); issued++ })
-			}
+			pl.Schedule(mhID, script)
 		}
 		w.RunUntil(sc.Horizon + sc.Horizon/2)
 		rows = append(rows, E2Row{
 			Name:        v.name,
 			Causal:      v.causal,
 			AckPriority: v.ackPriority,
-			Issued:      issued,
+			Issued:      int64(len(pl.Ledger)),
 			Delivered:   w.Stats.ResultsDelivered.Value(),
 			Duplicates:  w.Stats.DuplicateDeliveries.Value(),
 			Violations:  w.Stats.Violations.Value(),
@@ -303,7 +224,7 @@ func E3RetransmissionThreshold(seed int64, sc Scale) []E3Row {
 		// (an exponential would smear mass below the threshold at every
 		// ratio) while enough jitter avoids phase-locking between the
 		// migration cycle and the retransmission cycle.
-		_, delivered := drive(w, sc, netsim.Uniform{Lo: res / 2, Hi: res * 3 / 2}, 0)
+		delivered := drive(rdpWorld{w}, sc, netsim.Uniform{Lo: res / 2, Hi: res * 3 / 2}, 0).delivered
 		retrans := w.Stats.Retransmissions.Value()
 		per := 0.0
 		if delivered > 0 {
@@ -354,46 +275,27 @@ func E4Overhead(seed int64, sc Scale) []E4Row {
 		cfg.ServerProc = netsim.Exponential{MeanDelay: 1200 * time.Millisecond, Floor: 200 * time.Millisecond}
 		w := rdpcore.NewWorld(cfg)
 		cells := w.StationList()
-		for i := 1; i <= sc.MHs; i++ {
-			mhID := ids.MH(i)
-			rng := w.Kernel.RNG().Fork()
-			start := cells[rng.Intn(len(cells))]
-			mh := w.AddMH(mhID, start)
-			// Priming burst pins the proxy alive from t=0.
-			w.Schedule(0, func() {
-				for j := 0; j < 4; j++ {
-					mh.IssueRequest(1, []byte("prime"))
-				}
-			})
-			mob := workload.Mobility{
+		roam := workload.Script{
+			Cells: cells,
+			Mobility: workload.Mobility{
 				Picker:       workload.UniformCells{Cells: cells},
 				Residence:    netsim.Exponential{MeanDelay: res, Floor: res / 10},
 				InactiveProb: 0.15,
 				InactiveDur:  netsim.Exponential{MeanDelay: res, Floor: res / 5},
-			}
-			for _, ev := range workload.Itinerary(rng, mob, start, sc.Horizon) {
-				ev := ev
-				w.Schedule(ev.At, func() {
-					switch ev.Kind {
-					case workload.EvMigrate:
-						w.Migrate(mhID, ev.Cell)
-					case workload.EvDeactivate:
-						w.SetActive(mhID, false)
-					case workload.EvActivate:
-						w.SetActive(mhID, true)
-					}
-				})
-			}
-			reqCfg := workload.Requests{
+			},
+			Requests: workload.Requests{
 				Interarrival: netsim.Exponential{MeanDelay: 300 * time.Millisecond, Floor: 20 * time.Millisecond},
-				Servers:      serverList(w),
+				Servers:      w.ServerList(),
 				PayloadBytes: 16,
-			}
-			for _, a := range workload.Schedule(rng, reqCfg, sc.Horizon) {
-				a := a
-				w.Schedule(a.At, func() { mh.IssueRequest(a.Server, a.Payload) })
-			}
+			},
+			Horizon: sc.Horizon,
 		}
+		// Priming burst pins the proxy alive from t=0.
+		prime := workload.Event{Kind: workload.EvRequest, Server: 1, Payload: []byte("prime")}
+		play(rdpWorld{w}, sc.MHs, func(rng *sim.RNG) (ids.MSS, []workload.Event) {
+			start, script := roam.Generate(rng)
+			return start, append([]workload.Event{prime, prime, prime, prime}, script...)
+		})
 		// Mobility and issuing stop at the horizon; a short quiescence
 		// drain lets in-flight results and ack relays complete so the
 		// counters are closed totals. (The pipeline stays deep through
@@ -445,88 +347,29 @@ func E5LoadBalance(seed int64, sc Scale) []E5Row {
 	// RDP: result-forward work per hosting station.
 	cfg := baseConfig(seed)
 	w := rdpcore.NewWorld(cfg)
-	drive(w, sc, netsim.Exponential{MeanDelay: time.Second, Floor: 100 * time.Millisecond}, 0)
+	residence := netsim.Exponential{MeanDelay: time.Second, Floor: 100 * time.Millisecond}
+	drive(rdpWorld{w}, sc, residence, 0)
 	rdpLoads := w.Stats.ForwardLoads(w.StationList())
 
 	// Mobile IP: tunnel work per station; all homes at mss1.
-	mcfg := mobileip.DefaultConfig()
-	mcfg.Seed = seed
-	mcfg.NumMSS = cfg.NumMSS
-	mcfg.NumServers = cfg.NumServers
-	mcfg.WiredLatency = cfg.WiredLatency
-	mcfg.WirelessLatency = cfg.WirelessLatency
-	mcfg.ServerProc = cfg.ServerProc
+	mcfg := mipConfig(cfg)
 	mcfg.RequestTimeout = 2 * time.Second
 	mw := mobileip.NewWorld(mcfg)
-	driveMIP(mw, sc, time.Second, func(i int) ids.MSS { return 1 })
-	mipLoads := make([]float64, 0, len(mw.StationList()))
-	for _, st := range mw.StationList() {
-		mipLoads = append(mipLoads, float64(mw.Stats.TunnelLoad[st]))
-	}
+	drive(mipWorld{mw, func(ids.MH, ids.MSS) ids.MSS { return 1 }}, sc, residence, 0)
+	mipLoads := tunnelLoads(mw)
 
 	// Mobile IP with homes spread round-robin (best case for MIP): load
 	// is static per MH regardless of where it roams.
 	mcfg.Seed = seed + 1
 	mw2 := mobileip.NewWorld(mcfg)
-	driveMIP(mw2, sc, time.Second, func(i int) ids.MSS {
-		return ids.MSS(i%mcfg.NumMSS + 1)
-	})
-	mip2Loads := make([]float64, 0, len(mw2.StationList()))
-	for _, st := range mw2.StationList() {
-		mip2Loads = append(mip2Loads, float64(mw2.Stats.TunnelLoad[st]))
-	}
+	drive(mipWorld{mw2, homeSpread(mcfg.NumMSS)}, sc, residence, 0)
+	mip2Loads := tunnelLoads(mw2)
 
 	return []E5Row{
 		{Protocol: "RDP (proxies follow users)", Jain: metrics.JainIndex(rdpLoads), MaxOverMean: metrics.MaxOverMean(rdpLoads), Loads: rdpLoads},
 		{Protocol: "Mobile IP (shared home)", Jain: metrics.JainIndex(mipLoads), MaxOverMean: metrics.MaxOverMean(mipLoads), Loads: mipLoads},
 		{Protocol: "Mobile IP (spread homes)", Jain: metrics.JainIndex(mip2Loads), MaxOverMean: metrics.MaxOverMean(mip2Loads), Loads: mip2Loads},
 	}
-}
-
-// driveMIP runs the standard roaming workload over a Mobile IP world.
-func driveMIP(w *mobileip.World, sc Scale, meanResidence time.Duration, homeOf func(i int) ids.MSS) (issued, delivered int64) {
-	cells := w.StationList()
-	horizon := sc.Horizon
-	type pendingReq struct {
-		mn  *mobileip.MobileNode
-		req ids.RequestID
-	}
-	var reqs []pendingReq
-	for i := 1; i <= sc.MHs; i++ {
-		rng := w.Kernel.RNG().Fork()
-		mhID := ids.MH(i)
-		start := cells[rng.Intn(len(cells))]
-		mn := w.AddMH(mhID, start, homeOf(i))
-		mob := workload.Mobility{
-			Picker:    workload.UniformCells{Cells: cells},
-			Residence: netsim.Exponential{MeanDelay: meanResidence, Floor: meanResidence / 10},
-		}
-		for _, ev := range workload.Itinerary(rng, mob, start, horizon) {
-			ev := ev
-			if ev.Kind == workload.EvMigrate {
-				w.Kernel.After(ev.At, func() { w.Migrate(mhID, ev.Cell) })
-			}
-		}
-		reqCfg := workload.Requests{
-			Interarrival: netsim.Exponential{MeanDelay: 800 * time.Millisecond, Floor: 20 * time.Millisecond},
-			Servers:      []ids.Server{1, 2},
-			PayloadBytes: 32,
-		}
-		for _, a := range workload.Schedule(rng, reqCfg, horizon) {
-			a := a
-			w.Kernel.After(a.At, func() {
-				reqs = append(reqs, pendingReq{mn: mn, req: mn.IssueRequest(a.Server, a.Payload)})
-			})
-		}
-	}
-	w.RunUntil(horizon + horizon/2)
-	for _, pr := range reqs {
-		issued++
-		if pr.mn.Seen(pr.req) {
-			delivered++
-		}
-	}
-	return issued, delivered
 }
 
 // ---------------------------------------------------------------------
@@ -567,15 +410,8 @@ func E6HandoffState(seed int64, sc Scale) []E6Row {
 		cfg.WirelessLatency = netsim.Constant(10 * time.Millisecond)
 		cfg.ServerProc = netsim.Constant(300 * time.Millisecond)
 		w := rdpcore.NewWorld(cfg)
-		mh := w.AddMH(1, 1)
-		w.Schedule(0, func() {
-			for i := 0; i < pending; i++ {
-				mh.IssueRequest(1, make([]byte, 128))
-			}
-		})
-		w.Schedule(250*time.Millisecond, func() { w.SetActive(1, false) })
-		w.Schedule(600*time.Millisecond, func() { w.Migrate(1, 2) }) // carried asleep
-		w.Schedule(800*time.Millisecond, func() { w.SetActive(1, true) })
+		w.AddMH(1, 1)
+		(&workload.Player{Sched: w.Kernel, Sys: w}).Schedule(1, e6Script(pending))
 		w.RunUntil(10 * time.Second)
 		if h := w.Stats.Handoffs.Value(); h > 0 {
 			row.RDPBytesPerHO = float64(w.Stats.HandoffStateBytes.Value()) / float64(h)
@@ -590,15 +426,8 @@ func E6HandoffState(seed int64, sc Scale) []E6Row {
 		icfg.WirelessLatency = cfg.WirelessLatency
 		icfg.ServerProc = cfg.ServerProc
 		iw := itcp.NewWorld(icfg)
-		im := iw.AddMH(1, 1)
-		iw.Kernel.After(0, func() {
-			for i := 0; i < pending; i++ {
-				im.IssueRequest(1, make([]byte, 128))
-			}
-		})
-		iw.Kernel.After(250*time.Millisecond, func() { iw.SetActive(1, false) })
-		iw.Kernel.After(600*time.Millisecond, func() { iw.Migrate(1, 2) })
-		iw.Kernel.After(800*time.Millisecond, func() { iw.SetActive(1, true) })
+		iw.AddMH(1, 1)
+		(&workload.Player{Sched: iw.Kernel, Sys: iw}).Schedule(1, e6Script(pending))
 		iw.RunUntil(10 * time.Second)
 		if h := iw.Stats.Handoffs.Value(); h > 0 {
 			row.ITCPBytesPerHO = float64(iw.Stats.HandoffStateBytes.Value()) / float64(h)
@@ -609,6 +438,19 @@ func E6HandoffState(seed int64, sc Scale) []E6Row {
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// e6Script is the scenario both protocols replay: a burst of requests,
+// sleep before the results arrive, a carry to cell 2, wake there.
+func e6Script(pending int) []workload.Event {
+	var script []workload.Event
+	for i := 0; i < pending; i++ {
+		script = append(script, workload.Event{Kind: workload.EvRequest, Server: 1, Payload: make([]byte, 128)})
+	}
+	return append(script,
+		workload.Event{At: 250 * time.Millisecond, Kind: workload.EvDeactivate},
+		workload.Event{At: 600 * time.Millisecond, Kind: workload.EvMigrate, Cell: 2}, // carried asleep
+		workload.Event{At: 800 * time.Millisecond, Kind: workload.EvActivate, Cell: 2})
 }
 
 // ---------------------------------------------------------------------
@@ -636,48 +478,33 @@ type E7Row struct {
 func E7VsMobileIP(seed int64, sc Scale) []E7Row {
 	var rows []E7Row
 	for _, res := range []time.Duration{500 * time.Millisecond, 2 * time.Second, 8 * time.Second} {
+		residence := netsim.Exponential{MeanDelay: res, Floor: res / 10}
 		// RDP.
 		cfg := baseConfig(seed)
 		w := rdpcore.NewWorld(cfg)
-		issued, delivered := drive(w, sc, netsim.Exponential{MeanDelay: res, Floor: res / 10}, 0.15)
-		rows = append(rows, e7row("RDP", res, issued, delivered, &w.Stats.ResultLatency))
+		rows = append(rows, e7row("RDP", res, drive(rdpWorld{w}, sc, residence, 0.15), &w.Stats.ResultLatency))
 
-		// Plain Mobile IP (no recovery).
-		mcfg := mobileip.DefaultConfig()
-		mcfg.Seed = seed
-		mcfg.NumMSS = cfg.NumMSS
-		mcfg.NumServers = cfg.NumServers
-		mcfg.WiredLatency = cfg.WiredLatency
-		mcfg.WirelessLatency = cfg.WirelessLatency
-		mcfg.ServerProc = cfg.ServerProc
+		// Plain Mobile IP (no recovery). Its hosts roam the same way but
+		// never sleep: the pinned rows have always run without inactivity.
+		mcfg := mipConfig(cfg)
 		mw := mobileip.NewWorld(mcfg)
-		mi, md := driveMIP(mw, sc, res, func(i int) ids.MSS {
-			return ids.MSS(i%mcfg.NumMSS + 1)
-		})
-		rows = append(rows, e7row("MobileIP", res, mi, md, &mw.Stats.ResultLatency))
+		rows = append(rows, e7row("MobileIP", res, drive(mipWorld{mw, homeSpread(mcfg.NumMSS)}, sc, residence, 0), &mw.Stats.ResultLatency))
 
 		// Mobile IP + upper-layer timeout recovery.
 		mcfg.RequestTimeout = 2 * time.Second
 		mw2 := mobileip.NewWorld(mcfg)
-		ri, rd := driveMIP(mw2, sc, res, func(i int) ids.MSS {
-			return ids.MSS(i%mcfg.NumMSS + 1)
-		})
-		rows = append(rows, e7row("MobileIP+retry", res, ri, rd, &mw2.Stats.ResultLatency))
+		rows = append(rows, e7row("MobileIP+retry", res, drive(mipWorld{mw2, homeSpread(mcfg.NumMSS)}, sc, residence, 0), &mw2.Stats.ResultLatency))
 	}
 	return rows
 }
 
-func e7row(proto string, res time.Duration, issued, delivered int64, lat *metrics.Histogram) E7Row {
-	ratio := 0.0
-	if issued > 0 {
-		ratio = float64(delivered) / float64(issued)
-	}
+func e7row(proto string, res time.Duration, d delivery, lat *metrics.Histogram) E7Row {
 	return E7Row{
 		Protocol:      proto,
 		MeanResidence: res,
-		Issued:        issued,
-		Delivered:     delivered,
-		Ratio:         ratio,
+		Issued:        d.issued,
+		Delivered:     d.delivered,
+		Ratio:         d.ratio(),
 		MeanLatency:   lat.Mean(),
 		P50Latency:    lat.Quantile(0.5),
 		P95Latency:    lat.Quantile(0.95),

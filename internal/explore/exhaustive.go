@@ -1,9 +1,10 @@
 package explore
 
 import (
+	"fmt"
+
 	"repro/internal/ids"
 	"repro/internal/rdpcore"
-	"repro/internal/sim"
 )
 
 // This file adds systematic exploration: instead of random walks over
@@ -22,9 +23,14 @@ type scriptedChooser struct {
 	fanouts []int
 }
 
-// choose returns the branch to take among n options at this decision
-// point and records n.
-func (s *scriptedChooser) choose(n int) int {
+// next returns the branch to take among the options of this decision
+// point (the next action, if any, then the k deliveries) and records
+// their number.
+func (s *scriptedChooser) next(act bool, k int) int {
+	n := k
+	if act {
+		n++
+	}
 	s.fanouts = append(s.fanouts, n)
 	pick := 0
 	if s.step < len(s.prefix) {
@@ -36,6 +42,10 @@ func (s *scriptedChooser) choose(n int) int {
 	}
 	return pick
 }
+
+// settle: settlement order is not enumerated (it would explode the
+// tree); deliveries fire head-first deterministically.
+func (s *scriptedChooser) settle(int) int { return 0 }
 
 // ExhaustiveResult summarizes a systematic exploration.
 type ExhaustiveResult struct {
@@ -61,7 +71,7 @@ func RunExhaustive(sc Scenario, budget, maxRefresh int, errf func(format string,
 			return res
 		}
 		chooser := &scriptedChooser{prefix: prefix}
-		runScheduled(sc, chooser, maxRefresh, res.Schedules, errf)
+		runSchedule(sc, rdpcore.DefaultConfig().Seed, chooser, maxRefresh, fmt.Sprintf("exhaustive schedule %d", res.Schedules), errf)
 		res.Schedules++
 		if len(chooser.fanouts) > res.MaxDepth {
 			res.MaxDepth = len(chooser.fanouts)
@@ -89,106 +99,6 @@ func RunExhaustive(sc Scenario, budget, maxRefresh int, errf func(format string,
 		}
 		prefix = next
 	}
-}
-
-// runScheduled executes one schedule driven by the chooser.
-func runScheduled(sc Scenario, chooser *scriptedChooser, maxRefresh, scheduleID int, errf func(format string, args ...any)) {
-	ctl := NewController(sim.NewRNG(1)) // rng unused: choices come from the chooser
-	cfg := rdpcore.DefaultConfig()
-	cfg.NumMSS = sc.Stations
-	cfg.NumServers = 1
-	cfg.WiredSeq = ctl
-	cfg.WirelessSeq = ctl
-	w := rdpcore.NewWorld(cfg)
-
-	actions, requests := sc.Build(w)
-	drain := func() { w.Run() }
-	drain()
-
-	checkSafety := func(at string) {
-		if err := w.CheckInvariants(); err != nil {
-			errf("%s: exhaustive schedule %d (%s): invariants: %v", sc.Name, scheduleID, at, err)
-		}
-		if v := w.Stats.Violations.Value(); v != 0 {
-			errf("%s: exhaustive schedule %d (%s): violations = %d", sc.Name, scheduleID, at, v)
-		}
-	}
-
-	ai := 0
-	for ai < len(actions) || ctl.Eligible() > 0 {
-		// Enumerate the combined choice: option 0 = next action (when one
-		// remains), options 1..k = the k eligible deliveries.
-		actionOpt := 0
-		if ai < len(actions) {
-			actionOpt = 1
-		}
-		k := ctl.Eligible()
-		pick := chooser.choose(actionOpt + k)
-		if actionOpt == 1 && pick == 0 {
-			actions[ai]()
-			ai++
-		} else {
-			ctl.StepAt(pick - actionOpt)
-		}
-		drain()
-		checkSafety("mid-run")
-	}
-
-	delivered := func() bool {
-		for mh, reqs := range requests() {
-			for _, r := range reqs {
-				if !w.MHs[mh].Seen(r) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	rounds := 0
-	for !delivered() && rounds < maxRefresh {
-		rounds++
-		for mh := range requests() {
-			w.SetActive(mh, true)
-			w.Refresh(mh)
-			for ctl.Eligible() > 0 {
-				// Settlement order is not enumerated (it would explode the
-				// tree); deliveries fire head-first deterministically.
-				ctl.StepAt(0)
-				drain()
-			}
-			drain()
-		}
-	}
-	if !delivered() {
-		errf("%s: exhaustive schedule %d: undelivered after %d refresh rounds", sc.Name, scheduleID, maxRefresh)
-	}
-	checkSafety("end")
-	if err := w.CheckQuiescent(); err != nil {
-		errf("%s: exhaustive schedule %d: %v", sc.Name, scheduleID, err)
-	}
-}
-
-// StepAt fires the idx-th eligible delivery (0-based over the same
-// ordering Eligible counts: pooled wired deliveries first, then the
-// lane heads in stable key order). It panics on an out-of-range index.
-func (c *Controller) StepAt(idx int) {
-	if idx < len(c.pool) {
-		p := c.pool[idx]
-		c.pool = append(c.pool[:idx], c.pool[idx+1:]...)
-		p.fire()
-		return
-	}
-	idx -= len(c.pool)
-	keys := c.laneKeys()
-	k := keys[idx]
-	lane := c.lanes[k]
-	p := lane[0]
-	if len(lane) == 1 {
-		delete(c.lanes, k)
-	} else {
-		c.lanes[k] = lane[1:]
-	}
-	p.fire()
 }
 
 // Tiny returns the smallest interesting scenario — one request and one

@@ -122,12 +122,14 @@ func TestAdversarialSchedules(t *testing.T) {
 // two frames on one link fire in order regardless of schedule choices.
 func TestControllerWirelessFIFO(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		ctl := NewController(sim.NewRNG(seed))
+		rng := sim.NewRNG(seed)
+		ctl := NewController()
 		var fired []int
 		ctl.Offer(netsim.LayerWireless, ids.MH(1).Node(), ids.MSS(1).Node(), func() { fired = append(fired, 1) })
 		ctl.Offer(netsim.LayerWireless, ids.MH(1).Node(), ids.MSS(1).Node(), func() { fired = append(fired, 2) })
 		ctl.Offer(netsim.LayerWired, ids.MSS(1).Node(), ids.MSS(2).Node(), func() { fired = append(fired, 3) })
-		for ctl.Step() {
+		for ctl.Eligible() > 0 {
+			ctl.StepAt(rng.Intn(ctl.Eligible()))
 		}
 		if len(fired) != 3 {
 			t.Fatalf("fired %d of 3", len(fired))
@@ -144,7 +146,7 @@ func TestControllerWirelessFIFO(t *testing.T) {
 
 // TestControllerEligibleCounts checks the eligibility accounting.
 func TestControllerEligibleCounts(t *testing.T) {
-	ctl := NewController(sim.NewRNG(1))
+	ctl := NewController()
 	if ctl.Eligible() != 0 {
 		t.Fatal("fresh controller not empty")
 	}
@@ -155,8 +157,9 @@ func TestControllerEligibleCounts(t *testing.T) {
 	if got := ctl.Eligible(); got != 2 {
 		t.Fatalf("Eligible = %d, want 2", got)
 	}
-	if !ctl.Step() {
-		t.Fatal("Step fired nothing")
+	ctl.StepAt(1) // the lane head; its successor becomes eligible
+	if got := ctl.Eligible(); got != 2 {
+		t.Fatalf("Eligible after firing a lane head = %d, want 2", got)
 	}
 }
 

@@ -235,6 +235,21 @@ func (w *World) SetActive(id ids.MH, activeNow bool) {
 	}
 }
 
+// ServerList returns server identifiers in ascending order.
+func (w *World) ServerList() []ids.Server {
+	out := make([]ids.Server, w.cfg.NumServers)
+	for i := range out {
+		out[i] = ids.Server(i + 1)
+	}
+	return out
+}
+
+// IssueRequest makes the MH issue a request (by id, as scripted
+// workloads address hosts).
+func (w *World) IssueRequest(id ids.MH, server ids.Server, payload []byte) ids.RequestID {
+	return w.Node(id).IssueRequest(server, payload)
+}
+
 // RunUntil advances the simulation.
 func (w *World) RunUntil(t time.Duration) { w.Kernel.RunUntil(sim.Time(t)) }
 

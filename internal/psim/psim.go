@@ -74,12 +74,6 @@ type Config struct {
 	AssignServer func(ids.Server) int
 }
 
-// Issued records one scripted request for post-run verification.
-type Issued struct {
-	MH  ids.MH
-	Req ids.RequestID
-}
-
 // frame is one unit of cross-region traffic — a wired message or a
 // migrating host — parked at its source region until its arrival window.
 // Frames are ordered by (arrival, src, seq): arrival for causality, the

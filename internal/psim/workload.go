@@ -8,60 +8,38 @@ import (
 	"repro/internal/workload"
 )
 
-// ScriptConfig parameterizes BuildScript.
-type ScriptConfig struct {
-	// Mobility and Requests are the workload shapes (itinerary and
-	// request arrivals), both generated over [0, Horizon).
-	Mobility workload.Mobility
-	Requests workload.Requests
-	Horizon  time.Duration
-	// FlushAt is the instant of the end-of-run delivery sweep (EvFlush);
-	// zero defaults to Horizon + 500ms. It must leave enough drain time
-	// before the run's deadline for the re-forwards it triggers.
-	FlushAt time.Duration
-}
+// The host-script vocabulary is internal/workload's; these names remain
+// because perf/ and the engine's callers spell them.
+type (
+	EventKind    = workload.EventKind
+	MHEvent      = workload.Event
+	ScriptConfig = workload.Script
+	// Issued records one scripted request for post-run verification.
+	Issued = workload.Issued
+)
+
+const (
+	EvMigrate    = workload.EvMigrate
+	EvDeactivate = workload.EvDeactivate
+	EvActivate   = workload.EvActivate
+	EvRequest    = workload.EvRequest
+	EvDisconnect = workload.EvDisconnect
+	EvReconnect  = workload.EvReconnect
+	EvFlush      = workload.EvFlush
+	EvCrash      = workload.EvCrash
+	EvRestart    = workload.EvRestart
+)
 
 // BuildScript generates one host's full life — start cell, itinerary,
-// request arrivals, final flush — from the master seed and the host
-// identifier alone. Each host draws from its own SubSeed stream, so the
-// script is independent of every other host, of the partition, and of
-// the worker count: the foundation of the engine's partition-invariant
-// headline metrics.
+// request arrivals, final flush (FlushAt, defaulting to Horizon + 500ms)
+// — from the master seed and the host identifier alone. Each host draws
+// from its own SubSeed stream, so the script is independent of every
+// other host, of the partition, and of the worker count: the foundation
+// of the engine's partition-invariant headline metrics.
 func BuildScript(seed int64, id ids.MH, cells []ids.MSS, cfg ScriptConfig) (start ids.MSS, events []MHEvent) {
-	rng := sim.NewRNG(SubSeed(seed, int64(id)))
-	start = cells[rng.Intn(len(cells))]
-	itin := workload.Itinerary(rng, cfg.Mobility, start, cfg.Horizon)
-	reqs := workload.Schedule(rng, cfg.Requests, cfg.Horizon)
-
-	events = make([]MHEvent, 0, len(itin)+len(reqs)+1)
-	i, j := 0, 0
-	for i < len(itin) || j < len(reqs) {
-		// Stable merge, itinerary first on ties: a migration and a
-		// request at the same instant behave like the serial drivers,
-		// which schedule mobility before traffic.
-		if j >= len(reqs) || (i < len(itin) && itin[i].At <= reqs[j].At) {
-			ev := itin[i]
-			i++
-			var kind EventKind
-			switch ev.Kind {
-			case workload.EvMigrate:
-				kind = EvMigrate
-			case workload.EvDeactivate:
-				kind = EvDeactivate
-			case workload.EvActivate:
-				kind = EvActivate
-			}
-			events = append(events, MHEvent{At: ev.At, Kind: kind, Cell: ev.Cell})
-			continue
-		}
-		a := reqs[j]
-		j++
-		events = append(events, MHEvent{At: a.At, Kind: EvRequest, Server: a.Server, Payload: a.Payload})
+	cfg.Cells = cells
+	if cfg.FlushAt == 0 {
+		cfg.FlushAt = cfg.Horizon + 500*time.Millisecond
 	}
-	flushAt := cfg.FlushAt
-	if flushAt == 0 {
-		flushAt = cfg.Horizon + 500*time.Millisecond
-	}
-	events = append(events, MHEvent{At: flushAt, Kind: EvFlush})
-	return start, events
+	return cfg.Generate(sim.NewRNG(SubSeed(seed, int64(id))))
 }

@@ -27,8 +27,6 @@ func TestDeregOvertakesGreetKeepsPref(t *testing.T) {
 	w.RunUntil(50 * time.Millisecond) // request answered; pref history at mss1
 
 	// Re-issue so a live proxy exists at mss1 during the scramble.
-	cfg := w.Config()
-	_ = cfg
 	w.Schedule(0, func() { req = mh.IssueRequest(1, []byte("y")) })
 	w.RunUntil(52 * time.Millisecond) // request in flight: proxy pending at mss1
 

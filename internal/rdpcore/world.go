@@ -277,6 +277,7 @@ type World struct {
 	MHs     map[ids.MH]*MHNode
 
 	mssList []ids.MSS
+	srvList []ids.Server
 
 	// down marks crashed stations; see CrashMSS/RestartMSS. store is the
 	// in-sim stable storage stations journal to when Config.Checkpoint is
@@ -392,6 +393,7 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 	}
 	w := &World{
 		cfg:     cfg,
+		srvList: servers,
 		Stats:   NewStats(),
 		Kernel:  sched,
 		MSSs:    make(map[ids.MSS]*MSSNode, len(stations)),
@@ -560,6 +562,12 @@ func (w *World) StationList() []ids.MSS {
 	return append([]ids.MSS(nil), w.mssList...)
 }
 
+// ServerList returns the server identifiers in configuration order —
+// what a workload's Requests.Servers should name.
+func (w *World) ServerList() []ids.Server {
+	return append([]ids.Server(nil), w.srvList...)
+}
+
 // AddMH creates a mobile host in the given cell; the host immediately
 // joins the system, active. It panics on duplicate ids or unknown cells.
 func (w *World) AddMH(id ids.MH, cell ids.MSS) *MHNode {
@@ -569,9 +577,7 @@ func (w *World) AddMH(id ids.MH, cell ids.MSS) *MHNode {
 	if _, dup := w.MHs[id]; dup {
 		panic(fmt.Sprintf("rdpcore: duplicate MH %v", id))
 	}
-	if _, ok := w.MSSs[cell]; !ok {
-		panic(fmt.Sprintf("rdpcore: unknown cell %v", cell))
-	}
+	w.mustCell(cell)
 	h := newMHNode(id, w)
 	w.MHs[id] = h
 	w.Wireless.RegisterMH(id, h)
@@ -594,16 +600,11 @@ func (w *World) Leave(id ids.MH) {
 // its station — a clean leave (assumption 6) guarantees nothing was
 // pending.
 func (w *World) Rejoin(id ids.MH, cell ids.MSS) {
-	h, ok := w.MHs[id]
-	if !ok {
-		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
-	}
+	h := w.mustHost(id)
 	if h.Joined() {
 		panic(fmt.Sprintf("rdpcore: %v is still joined", id))
 	}
-	if _, ok := w.MSSs[cell]; !ok {
-		panic(fmt.Sprintf("rdpcore: unknown cell %v", cell))
-	}
+	w.mustCell(cell)
 	h.loc, h.active = cell, true
 	h.join(cell)
 }
@@ -613,13 +614,8 @@ func (w *World) Rejoin(id ids.MH, cell ids.MSS) {
 // greets on reactivation (§2: the greet is sent "whenever a MH enters a
 // new cell" or "when it becomes active again").
 func (w *World) Migrate(id ids.MH, cell ids.MSS) {
-	h, ok := w.MHs[id]
-	if !ok {
-		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
-	}
-	if _, ok := w.MSSs[cell]; !ok {
-		panic(fmt.Sprintf("rdpcore: unknown cell %v", cell))
-	}
+	h := w.mustHost(id)
+	w.mustCell(cell)
 	if h.loc == cell {
 		return
 	}
@@ -629,6 +625,13 @@ func (w *World) Migrate(id ids.MH, cell ids.MSS) {
 		// reboots in (E18).
 		h.onMigrate(cell)
 	}
+}
+
+// IssueRequest makes the MH issue a service request (MHNode.IssueRequest
+// by id — the form scripted workloads use). A crashed host issues
+// nothing and the zero RequestID comes back.
+func (w *World) IssueRequest(id ids.MH, server ids.Server, payload []byte) ids.RequestID {
+	return w.mustHost(id).IssueRequest(server, payload)
 }
 
 // DetachMH removes a mobile host from this world without ending its
@@ -641,10 +644,7 @@ func (w *World) Migrate(id ids.MH, cell ids.MSS) {
 // wired path exactly as in a serial world). It reports whether the host
 // was active at detach time.
 func (w *World) DetachMH(id ids.MH) (h *MHNode, active bool) {
-	h, ok := w.MHs[id]
-	if !ok {
-		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
-	}
+	h = w.mustHost(id)
 	// The offline journal is the one piece of the device's durable state
 	// held by the world (its stable store); it rides on the node so
 	// AttachMH can hand it to the destination world's store.
@@ -670,9 +670,7 @@ func (w *World) AttachMH(h *MHNode, cell ids.MSS, active bool) {
 	if _, dup := w.MHs[h.id]; dup {
 		panic(fmt.Sprintf("rdpcore: duplicate MH %v", h.id))
 	}
-	if _, ok := w.MSSs[cell]; !ok {
-		panic(fmt.Sprintf("rdpcore: unknown cell %v", cell))
-	}
+	w.mustCell(cell)
 	h.w = w
 	w.MHs[h.id] = h
 	w.Wireless.RegisterMH(h.id, h)
@@ -757,10 +755,7 @@ func (w *World) loadOffline(mh ids.MH) []msg.Message {
 // SetActive switches the MH between the active and inactive states of
 // §2. Activation greets the station of the current cell.
 func (w *World) SetActive(id ids.MH, activeNow bool) {
-	h, ok := w.MHs[id]
-	if !ok {
-		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
-	}
+	h := w.mustHost(id)
 	if h.active == activeNow {
 		return
 	}
@@ -788,10 +783,7 @@ func (w *World) Refresh(id ids.MH) {
 // running — disconnected operation, not dormancy. No-op if already
 // disconnected.
 func (w *World) Disconnect(id ids.MH) {
-	h, ok := w.MHs[id]
-	if !ok {
-		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
-	}
+	h := w.mustHost(id)
 	h.disconnected = true
 }
 
@@ -801,10 +793,7 @@ func (w *World) Disconnect(id ids.MH) {
 // deduplicate against the MH's own seen-set, the proxy's request
 // memoization and the result cache. No-op if not disconnected.
 func (w *World) Reconnect(id ids.MH) {
-	h, ok := w.MHs[id]
-	if !ok {
-		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
-	}
+	h := w.mustHost(id)
 	if !h.disconnected {
 		return
 	}
@@ -825,6 +814,23 @@ func (w *World) host(id ids.MH) *MHNode {
 		return h
 	}
 	return &absentMH
+}
+
+// mustHost returns the resident node for id; the by-id lifecycle
+// methods panic on a host the world does not hold.
+func (w *World) mustHost(id ids.MH) *MHNode {
+	h, ok := w.MHs[id]
+	if !ok {
+		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
+	}
+	return h
+}
+
+// mustCell panics unless cell is one of the world's stations.
+func (w *World) mustCell(cell ids.MSS) {
+	if _, ok := w.MSSs[cell]; !ok {
+		panic(fmt.Sprintf("rdpcore: unknown cell %v", cell))
+	}
 }
 
 // IsDisconnected reports whether the MH is currently out of coverage.
@@ -932,10 +938,7 @@ func (w *World) IncarnationOf(id ids.MH) ids.Incarnation { return w.host(id).inc
 // incarnation are left orphaned; the lease machinery (Config.LeaseTTL)
 // reclaims them. No-op if already crashed.
 func (w *World) CrashMH(id ids.MH) {
-	h, ok := w.MHs[id]
-	if !ok {
-		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
-	}
+	h := w.mustHost(id)
 	if h.crashed {
 		return
 	}
@@ -952,10 +955,7 @@ func (w *World) CrashMH(id ids.MH) {
 // current cell, carrying the new incarnation so stale state everywhere
 // can be scrubbed. No-op if not crashed.
 func (w *World) RestartMH(id ids.MH) {
-	h, ok := w.MHs[id]
-	if !ok {
-		panic(fmt.Sprintf("rdpcore: unknown MH %v", id))
-	}
+	h := w.mustHost(id)
 	if !h.crashed {
 		return
 	}

@@ -148,34 +148,74 @@ func (m Markov) Next(rng *sim.RNG, cur ids.MSS) ids.MSS {
 	return UniformCells{Cells: m.Cells}.Next(rng, cur)
 }
 
-// EventKind classifies itinerary events.
+// EventKind classifies the events of a mobile host's life.
 type EventKind uint8
 
-// Itinerary event kinds.
+// Event kinds. A script is a sorted []Event; Apply is the one place that
+// says what each kind does to a system.
 const (
+	// EvMigrate moves the host to Cell. Active hosts greet the new
+	// station (starting a hand-off); inactive and crashed hosts are
+	// carried silently; a host out of coverage does not move.
 	EvMigrate EventKind = iota + 1
+	// EvDeactivate turns the host inactive in place.
 	EvDeactivate
+	// EvActivate wakes the host in Cell — the cell it was carried to
+	// while inactive (equal to its current cell when it did not move).
 	EvActivate
+	// EvRequest issues a service request to Server with Payload.
+	EvRequest
+	// EvDisconnect drops the host off the radio in place (E17):
+	// requests it issues while disconnected journal into the offline
+	// queue instead of reaching the station.
+	EvDisconnect
+	// EvReconnect brings the host back on the air, re-registering and
+	// replaying its offline queue in issue order.
+	EvReconnect
+	// EvFlush is the partitioned engine's end-of-run delivery sweep: an
+	// inactive host wakes (greeting its station), an active host
+	// re-greets in place. Either way the station announces the host's
+	// location to its proxy, which re-forwards any undelivered result.
+	EvFlush
+	// EvCrash power-fails the host in place (E18): volatile protocol
+	// state is lost and only the incarnation counter and offline journal
+	// survive in stable store.
+	EvCrash
+	// EvRestart reboots a crashed host under its next incarnation.
+	EvRestart
+	// EvWake is the serial experiments' end-of-run sweep: a host still
+	// asleep at the horizon wakes where it is; an awake host is left
+	// alone (no extra greet enters the counted protocol traffic).
+	EvWake
 )
+
+var kindNames = [...]string{
+	EvMigrate: "migrate", EvDeactivate: "deactivate", EvActivate: "activate",
+	EvRequest: "request", EvDisconnect: "disconnect", EvReconnect: "reconnect",
+	EvFlush: "flush", EvCrash: "crash", EvRestart: "restart", EvWake: "wake",
+}
 
 // String names the event kind.
 func (k EventKind) String() string {
-	switch k {
-	case EvMigrate:
-		return "migrate"
-	case EvDeactivate:
-		return "deactivate"
-	default:
-		return "activate"
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one itinerary step for a mobile host.
+// Event is one step of a mobile host's life. Scripts are generated up
+// front from per-host RNG streams, so a workload — every migration
+// instant, every request — is a pure function of its seed.
 type Event struct {
-	At   time.Duration // offset from itinerary start
-	Kind EventKind
-	Cell ids.MSS // destination cell for EvMigrate; current cell otherwise
+	At      time.Duration // offset from the start of the run
+	Kind    EventKind
+	Cell    ids.MSS    // EvMigrate, EvActivate: destination cell
+	Server  ids.Server // EvRequest
+	Payload []byte     // EvRequest
 }
+
+// Arrival is a generated request: an Event of kind EvRequest.
+type Arrival = Event
 
 // Mobility parameterizes itinerary generation for one MH.
 type Mobility struct {
@@ -237,13 +277,6 @@ type Requests struct {
 	PayloadBytes int
 }
 
-// Arrival is one generated request.
-type Arrival struct {
-	At      time.Duration
-	Server  ids.Server
-	Payload []byte
-}
-
 // Schedule generates the request arrivals of one MH over [0, horizon).
 func Schedule(rng *sim.RNG, cfg Requests, horizon time.Duration) []Arrival {
 	if cfg.Interarrival == nil || len(cfg.Servers) == 0 {
@@ -268,6 +301,7 @@ func Schedule(rng *sim.RNG, cfg Requests, horizon time.Duration) []Arrival {
 		}
 		out = append(out, Arrival{
 			At:      now,
+			Kind:    EvRequest,
 			Server:  cfg.Servers[rng.Intn(len(cfg.Servers))],
 			Payload: payload,
 		})

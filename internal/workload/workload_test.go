@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -203,13 +204,8 @@ func TestItineraryDeterministic(t *testing.T) {
 	}
 	a := Itinerary(sim.NewRNG(9), cfg, 1, time.Minute)
 	b := Itinerary(sim.NewRNG(9), cfg, 1, time.Minute)
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("itineraries diverge at %d: %+v vs %+v", i, a[i], b[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("itineraries diverge:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -274,7 +270,8 @@ func TestSchedulePanicsWithoutServers(t *testing.T) {
 }
 
 func TestEventKindString(t *testing.T) {
-	if EvMigrate.String() != "migrate" || EvDeactivate.String() != "deactivate" || EvActivate.String() != "activate" {
+	if EvMigrate.String() != "migrate" || EvDeactivate.String() != "deactivate" || EvActivate.String() != "activate" ||
+		EvWake.String() != "wake" || EventKind(0).String() != "kind(0)" || EventKind(99).String() != "kind(99)" {
 		t.Error("EventKind names wrong")
 	}
 }
@@ -340,4 +337,62 @@ func abs(v int) int {
 		return -v
 	}
 	return v
+}
+
+// TestGenerateDrawOrder pins the generator's contract: one stream, drawn
+// start cell → itinerary → requests; the two merged stably with the
+// itinerary first on ties; sweeps last; and a part the description
+// leaves out costs no draw.
+func TestGenerateDrawOrder(t *testing.T) {
+	s := Script{
+		Cells: cells(4),
+		Mobility: Mobility{
+			Picker:       UniformCells{Cells: cells(4)},
+			Residence:    netsim.Exponential{MeanDelay: time.Second, Floor: 100 * time.Millisecond},
+			InactiveProb: 0.3,
+			InactiveDur:  netsim.Constant(500 * time.Millisecond),
+		},
+		Requests: Requests{Interarrival: netsim.Exponential{MeanDelay: 400 * time.Millisecond}, Servers: []ids.Server{1, 2}, PayloadBytes: 4},
+		Horizon:  20 * time.Second,
+		WakeAt:   21 * time.Second,
+		FlushAt:  22 * time.Second,
+	}
+	start, got := s.Generate(sim.NewRNG(5))
+
+	rng := sim.NewRNG(5)
+	wantStart := s.Cells[rng.Intn(len(s.Cells))]
+	itin := Itinerary(rng, s.Mobility, wantStart, s.Horizon)
+	reqs := Schedule(rng, s.Requests, s.Horizon)
+	want := append(Merge(itin, reqs), Event{At: s.WakeAt, Kind: EvWake}, Event{At: s.FlushAt, Kind: EvFlush})
+	if start != wantStart || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Generate drew a different life than start, Itinerary, Schedule in that order")
+	}
+	if len(itin) == 0 || len(reqs) == 0 || len(got) != cap(got) {
+		t.Fatalf("itinerary %d, requests %d, len %d cap %d", len(itin), len(reqs), len(got), cap(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].At < got[i-1].At {
+			t.Fatalf("script not sorted at %d", i)
+		}
+	}
+
+	static := Script{Start: 3, Requests: s.Requests, Horizon: s.Horizon}
+	start, got = static.Generate(sim.NewRNG(5))
+	if start != 3 || !reflect.DeepEqual(got, Schedule(sim.NewRNG(5), s.Requests, s.Horizon)) {
+		t.Error("a description without Cells and Mobility must draw requests only")
+	}
+}
+
+// TestMergeItineraryFirstOnTies: a move and a request at one instant run
+// in the order a serial driver would have inserted them.
+func TestMergeItineraryFirstOnTies(t *testing.T) {
+	moves := []Event{{At: 5, Kind: EvMigrate, Cell: 2}, {At: 9, Kind: EvMigrate, Cell: 3}}
+	reqs := []Event{{At: 5, Kind: EvRequest}, {At: 7, Kind: EvRequest}}
+	var kinds []EventKind
+	for _, ev := range Merge(moves, reqs) {
+		kinds = append(kinds, ev.Kind)
+	}
+	if want := []EventKind{EvMigrate, EvRequest, EvRequest, EvMigrate}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("merged order %v, want %v", kinds, want)
+	}
 }
