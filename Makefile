@@ -29,7 +29,8 @@ allocs:
 # check is the full pre-commit gate: formatting, vet, the station's doors
 # (scripts/station-doors.sh: one timer door, one journal writer), the one
 # driver (scripts/one-driver.sh: host scripts are generated and
-# interpreted only in internal/workload), build,
+# interpreted only in internal/workload), the module map
+# (scripts/design-types.sh: the key types DESIGN.md §4 names exist), build,
 # tests, the allocation pins, the race sweep of everything that owns a free list
 # (the E14 serial==parallel property harness, the kernel arena, the
 # pooled frame records under psim regions and livenet's dispatcher —
@@ -41,6 +42,7 @@ check:
 	go vet ./...
 	sh scripts/station-doors.sh
 	sh scripts/one-driver.sh
+	sh scripts/design-types.sh
 	go build ./...
 	go test ./...
 	$(MAKE) allocs

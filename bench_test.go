@@ -16,6 +16,8 @@ import (
 
 	rdp "repro"
 	"repro/internal/experiments"
+	"repro/internal/rdpcore"
+	"repro/internal/scenario"
 )
 
 // BenchmarkExperiments runs every registry entry at the scale that
@@ -36,11 +38,20 @@ func BenchmarkExperiments(b *testing.B) {
 	}
 }
 
+// replay plays one scenario of internal/scenario's table on the clock.
+func replay(b *testing.B, name string) *rdpcore.World {
+	sc, err := scenario.Lookup(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return scenario.Play(sc, nil)
+}
+
 // BenchmarkFigure3Replay regenerates the Figure 3 worked example
 // (trace-validated in internal/rdpcore's scenario tests).
 func BenchmarkFigure3Replay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w := experiments.ReplayFigure3(nil)
+		w := replay(b, "fig3")
 		if w.Stats.ResultsDelivered.Value() != 1 {
 			b.Fatal("figure 3 replay did not deliver")
 		}
@@ -50,7 +61,7 @@ func BenchmarkFigure3Replay(b *testing.B) {
 // BenchmarkFigure4Replay regenerates the Figure 4 worked example.
 func BenchmarkFigure4Replay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w := experiments.ReplayFigure4(nil)
+		w := replay(b, "fig4")
 		if w.Stats.ResultsDelivered.Value() != 3 {
 			b.Fatal("figure 4 replay did not deliver")
 		}
@@ -61,7 +72,7 @@ func BenchmarkFigure4Replay(b *testing.B) {
 // (trace-pinned in internal/experiments' golden tests).
 func BenchmarkMigrationReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w := experiments.ReplayMigration1(nil)
+		w := replay(b, "mig1")
 		if w.Stats.MigCompleted.Value() != 1 {
 			b.Fatal("migration replay did not complete a migration")
 		}

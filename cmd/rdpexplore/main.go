@@ -2,10 +2,13 @@
 // protocol: deliveries fire in controller-chosen orders rather than
 // latency order, probing interleavings no latency assignment produces.
 //
-//	rdpexplore                          # random walks over every scenario
+//	rdpexplore                          # random walks over every scenario gated on them
 //	rdpexplore -schedules 5000          # more samples per scenario
-//	rdpexplore -exhaustive              # fully enumerate the tiny scenario
+//	rdpexplore -exhaustive              # enumerate the tiny scenarios' trees
 //	rdpexplore -exhaustive -budget 1e6  # enumerate a larger tree
+//
+// The scenarios are those of internal/scenario's table whose Gate is
+// Walks or Tree (walked) and Tree (enumerated).
 package main
 
 import (
@@ -15,8 +18,7 @@ import (
 	"time"
 
 	"repro/internal/explore"
-	"repro/internal/ids"
-	"repro/internal/rdpcore"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -45,115 +47,31 @@ func run(args []string) error {
 		fmt.Printf("FAIL: "+format+"\n", a...)
 	}
 
-	if *exhaustive {
-		// Tiny and TinySleep enumerate completely within the default
-		// budget; the bounce tree exceeds two million schedules, so its
-		// run is a systematic DFS prefix unless -budget is raised.
-		for _, sc := range []explore.Scenario{explore.Tiny(), explore.TinySleep(), explore.TinyHandoffBack()} {
-			start := time.Now()
+	// Walks take every scenario gated on the adversary; -exhaustive
+	// takes those whose trees are small. The migration and sleep trees
+	// enumerate completely within the default budget; the bounce tree
+	// exceeds two million schedules, so its run is a systematic DFS
+	// prefix unless -budget is raised.
+	for _, sc := range scenario.All {
+		start := time.Now()
+		switch {
+		case *exhaustive && sc.Gate == scenario.Tree:
 			res := explore.RunExhaustive(sc, int(*budget), *maxRefresh, errf)
 			fmt.Printf("exhaustive %-28q %7d schedules, complete=%-5t max depth %2d, %v\n",
 				sc.Name, res.Schedules, res.Complete, res.MaxDepth,
 				time.Since(start).Round(time.Millisecond))
+		case !*exhaustive && sc.Gate != scenario.Clock:
+			res := explore.Run(sc, *seed, *schedules, *maxRefresh, errf)
+			fmt.Printf("%-32s %5d schedules  %7d firings  %4d needed recovery (max %d beacons)  %v\n",
+				sc.Name, *schedules, res.TotalFirings, res.TotalRecovery, res.MaxRefreshes,
+				time.Since(start).Round(time.Millisecond))
 		}
-		if failures > 0 {
-			return fmt.Errorf("%d property failures", failures)
-		}
-		return nil
-	}
-
-	for _, sc := range scenarioSet() {
-		start := time.Now()
-		res := explore.Run(sc, *seed, *schedules, *maxRefresh, errf)
-		fmt.Printf("%-32s %5d schedules  %7d firings  %4d needed recovery (max %d beacons)  %v\n",
-			sc.Name, res.Schedules, res.TotalFirings, res.TotalRecovery, res.MaxRefreshes,
-			time.Since(start).Round(time.Millisecond))
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d property failures", failures)
 	}
-	fmt.Println("all schedules satisfied safety and bounded-liveness")
-	return nil
-}
-
-// scenarioSet mirrors the scenarios exercised by the explore package's
-// tests.
-func scenarioSet() []explore.Scenario {
-	return []explore.Scenario{
-		explore.Tiny(),
-		{
-			Name:     "single-request-two-migrations",
-			Stations: 3,
-			Build: func(w *rdpcore.World) ([]func(), func() map[ids.MH][]ids.RequestID) {
-				mh := w.AddMH(1, 1)
-				var reqs []ids.RequestID
-				actions := []func(){
-					func() { reqs = append(reqs, mh.IssueRequest(1, []byte("q"))) },
-					func() { w.Migrate(1, 2) },
-					func() { w.Migrate(1, 3) },
-				}
-				return actions, func() map[ids.MH][]ids.RequestID {
-					return map[ids.MH][]ids.RequestID{1: reqs}
-				}
-			},
-		},
-		{
-			Name:     "bounce-back-overlap",
-			Stations: 2,
-			Build: func(w *rdpcore.World) ([]func(), func() map[ids.MH][]ids.RequestID) {
-				mh := w.AddMH(1, 1)
-				var reqs []ids.RequestID
-				issue := func() { reqs = append(reqs, mh.IssueRequest(1, []byte("q"))) }
-				actions := []func(){
-					issue,
-					func() { w.Migrate(1, 2) },
-					issue,
-					func() { w.Migrate(1, 1) },
-					func() { w.Migrate(1, 2) },
-					issue,
-				}
-				return actions, func() map[ids.MH][]ids.RequestID {
-					return map[ids.MH][]ids.RequestID{1: reqs}
-				}
-			},
-		},
-		{
-			Name:     "sleep-carry-wake",
-			Stations: 3,
-			Build: func(w *rdpcore.World) ([]func(), func() map[ids.MH][]ids.RequestID) {
-				mh := w.AddMH(1, 1)
-				var reqs []ids.RequestID
-				actions := []func(){
-					func() { reqs = append(reqs, mh.IssueRequest(1, []byte("a"))) },
-					func() { w.SetActive(1, false) },
-					func() { w.Migrate(1, 3) },
-					func() { w.SetActive(1, true) },
-					func() { reqs = append(reqs, mh.IssueRequest(1, []byte("b"))) },
-				}
-				return actions, func() map[ids.MH][]ids.RequestID {
-					return map[ids.MH][]ids.RequestID{1: reqs}
-				}
-			},
-		},
-		{
-			Name:     "two-hosts-crossing",
-			Stations: 3,
-			Build: func(w *rdpcore.World) ([]func(), func() map[ids.MH][]ids.RequestID) {
-				a := w.AddMH(1, 1)
-				b := w.AddMH(2, 3)
-				var ra, rb []ids.RequestID
-				actions := []func(){
-					func() { ra = append(ra, a.IssueRequest(1, []byte("a"))) },
-					func() { rb = append(rb, b.IssueRequest(1, []byte("b"))) },
-					func() { w.Migrate(1, 2) },
-					func() { w.Migrate(2, 2) },
-					func() { w.Migrate(1, 3) },
-					func() { w.Migrate(2, 1) },
-				}
-				return actions, func() map[ids.MH][]ids.RequestID {
-					return map[ids.MH][]ids.RequestID{1: ra, 2: rb}
-				}
-			},
-		},
+	if !*exhaustive {
+		fmt.Println("all schedules satisfied safety and bounded-liveness")
 	}
+	return nil
 }

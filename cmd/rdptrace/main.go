@@ -1,6 +1,6 @@
-// Command rdptrace replays the paper's worked protocol examples and
-// prints the full message trace, so the flow of Figures 3 and 4 can be
-// read line by line:
+// Command rdptrace replays the paper's worked protocol examples — or any
+// other scenario of internal/scenario's table — and prints the full
+// message trace, so the flow of Figures 3 and 4 can be read line by line:
 //
 //	rdptrace -scenario fig3     # single request, two migrations
 //	rdptrace -scenario fig4     # three requests, proxy life-cycle
@@ -13,8 +13,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/experiments"
-	"repro/internal/rdpcore"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -28,40 +27,21 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("rdptrace", flag.ContinueOnError)
 	var (
-		scenario = fs.String("scenario", "fig3", "scenario to replay: fig3, fig4 or mig1")
-		all      = fs.Bool("all", false, "print sent and dropped events, not only deliveries")
+		name = fs.String("scenario", "fig3", "scenario to replay: "+scenario.Names())
+		all  = fs.Bool("all", false, "print sent and dropped events, not only deliveries")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	sc, err := scenario.Lookup(*name)
+	if err != nil {
+		return err
+	}
+	fmt.Println(sc.About)
+	fmt.Println()
 
 	rec := trace.New()
-	var w *rdpcore.World
-	switch *scenario {
-	case "fig3":
-		fmt.Println("Figure 3 — single request; the MH migrates MssP(mss1) -> MssO(mss2) -> MssN(mss3)")
-		fmt.Println("while the result is in flight. The forward to mss2 is lost; the update from mss3")
-		fmt.Println("triggers the retransmission that delivers, and the Ack carries del-proxy.")
-		fmt.Println()
-		w = experiments.ReplayFigure3(rec.Observe)
-	case "fig4":
-		fmt.Println("Figure 4 — requests A, B, C overlap on one proxy at mss1 while the MH sits at mss2.")
-		fmt.Println("Watch RKpR arm on resultA's del-pref, clear on requestB, and the del-pref-only")
-		fmt.Println("special message after AckB; AckC finally carries del-proxy.")
-		fmt.Println()
-		w = experiments.ReplayFigure4(rec.Observe)
-	case "mig1":
-		fmt.Println("Migration — two requests share a proxy at mss1; the MH moves to mss2 at 50ms.")
-		fmt.Println("The fast result's remote forward fires the hop trigger: watch mig-offer,")
-		fmt.Println("mig-commit, mig-state move the proxy, pref-redirect rebind the pending server")
-		fmt.Println("(and its confirm echo), and mig-gc collect the tombstone. The slow result")
-		fmt.Println("then takes the direct path from the migrated proxy.")
-		fmt.Println()
-		w = experiments.ReplayMigration1(rec.Observe)
-	default:
-		return fmt.Errorf("unknown scenario %q (fig3, fig4 or mig1)", *scenario)
-	}
-
+	w := scenario.Play(sc, rec.Observe)
 	entries := rec.Deliveries()
 	if *all {
 		entries = rec.Entries()

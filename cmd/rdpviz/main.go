@@ -1,7 +1,7 @@
-// Command rdpviz renders the paper's worked examples as ASCII
-// space-time diagrams — the same visual form as the paper's Figures 3
-// and 4 (one lane per node, time flowing downward, one labeled arrow
-// per message).
+// Command rdpviz renders the paper's worked examples — or any other
+// scenario of internal/scenario's table — as ASCII space-time diagrams,
+// the visual form of the paper's Figures 3 and 4 (one lane per node,
+// time flowing downward, one labeled arrow per message).
 //
 //	rdpviz -scenario fig3            # Figure 3: migration chases a result
 //	rdpviz -scenario fig4 -drops     # Figure 4, including lost frames
@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -28,31 +28,22 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("rdpviz", flag.ContinueOnError)
 	var (
-		scenario = fs.String("scenario", "fig3", "scenario to draw: fig3, fig4 or e15")
-		width    = fs.Int("width", 14, "columns per node lane")
-		drops    = fs.Bool("drops", false, "draw dropped frames (head 'x')")
+		name  = fs.String("scenario", "fig3", "scenario to draw: "+scenario.Names())
+		width = fs.Int("width", 14, "columns per node lane")
+		drops = fs.Bool("drops", false, "draw dropped frames (head 'x')")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	sc, err := scenario.Lookup(*name)
+	if err != nil {
+		return err
+	}
+	fmt.Println(sc.About)
+	fmt.Println()
 
 	rec := trace.New()
-	switch *scenario {
-	case "fig3":
-		fmt.Println("Figure 3 — one request; the host migrates twice while the result is in flight.")
-		experiments.ReplayFigure3(rec.Observe)
-	case "fig4":
-		fmt.Println("Figure 4 — three overlapping requests on one proxy; del-pref / RKpR / del-proxy life-cycle.")
-		experiments.ReplayFigure4(rec.Observe)
-	case "e15":
-		fmt.Println("E15 — three results over the windowed downlink: coalesced wtp-data frames, a dropped")
-		fmt.Println("frame (run with -drops to see it), the SACK from the out-of-order arrival, and the")
-		fmt.Println("RTO retransmission that repairs the hole.")
-		experiments.ReplayE15Windowed(rec.Observe)
-	default:
-		return fmt.Errorf("unknown scenario %q (fig3, fig4 or e15)", *scenario)
-	}
-	fmt.Println()
+	scenario.Play(sc, rec.Observe)
 	fmt.Print(rec.Diagram(trace.DiagramOptions{LaneWidth: *width, ShowDrops: *drops}))
 	return nil
 }

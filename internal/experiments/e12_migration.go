@@ -178,25 +178,3 @@ func e12MobileIP(seed int64, sc Scale) E12Row {
 		Dups:        mw.Stats.Duplicates.Value(),
 	}
 }
-
-// ReplayMigration1 reruns the migration worked example on the Figure 3
-// network (3 stations, 5ms wired, 10ms wireless): two requests share a
-// proxy at mss1 (server times 800ms and 250ms), the MH moves to mss2 at
-// 50ms, and the fast result's remote forward fires the hop-threshold
-// trigger. The full mig_offer → mig_commit → mig_state → pref_redirect
-// (+ confirm) → mig_gc exchange runs while the slow request is still at
-// the server; its result then takes the direct path from the migrated
-// proxy. Attach a trace recorder through obs to print the message flow
-// (cmd/rdptrace -scenario mig1).
-func ReplayMigration1(obs netsim.Observer) *rdpcore.World {
-	proc := &scriptedProc{delays: []time.Duration{800 * time.Millisecond, 250 * time.Millisecond}}
-	cfg := figureConfig(proc, obs)
-	cfg.Migration = proxymig.Policy{HopThreshold: 1}
-	w := rdpcore.NewWorld(cfg)
-	mh := w.AddMH(1, 1)
-	w.Schedule(0, func() { mh.IssueRequest(1, []byte("slow")) })
-	w.Schedule(5*time.Millisecond, func() { mh.IssueRequest(1, []byte("fast")) })
-	w.Schedule(50*time.Millisecond, func() { w.Migrate(1, 2) })
-	w.RunUntil(3 * time.Second)
-	return w
-}

@@ -60,7 +60,7 @@ func TestE12MigrationBoundsHops(t *testing.T) {
 // and the slow result's direct delivery from the migrated proxy.
 func TestMigrationReplayTrace(t *testing.T) {
 	rec := trace.New()
-	w := ReplayMigration1(rec.Observe)
+	w := replay(t, "mig1", rec)
 
 	if got := w.Stats.ResultsDelivered.Value(); got != 2 {
 		t.Fatalf("ResultsDelivered = %d, want 2", got)

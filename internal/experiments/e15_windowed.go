@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/itcp"
-	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/rdpcore"
 	"repro/internal/workload"
@@ -237,39 +236,6 @@ func e15RunITCP(seed int64, sc Scale, loss, mult float64) E15Row {
 		Duplicates:   iw.Stats.Duplicates.Value(),
 		LostAdmitted: -1,
 	}
-}
-
-// ReplayE15Windowed reruns a deterministic miniature of the windowed
-// downlink for tracing: three quick requests whose results coalesce
-// into wtp-data frames, with the very first data frame force-dropped so
-// the trace shows the SACK from the out-of-order arrival and the RTO
-// retransmission that repairs the hole. Attach a trace recorder through
-// obs to print the message flow (drops render with ShowDrops).
-func ReplayE15Windowed(obs netsim.Observer) *rdpcore.World {
-	cfg := rdpcore.DefaultConfig()
-	cfg.NumMSS = 2
-	cfg.WiredLatency = netsim.Constant(5 * time.Millisecond)
-	cfg.WirelessLatency = netsim.Constant(10 * time.Millisecond)
-	cfg.ServerProc = &scriptedProc{delays: []time.Duration{
-		30 * time.Millisecond, 32 * time.Millisecond, 34 * time.Millisecond,
-	}}
-	cfg.Observer = obs
-	cfg.WirelessWTP = wtp.Config{Enabled: true, Window: 4, CoalesceDelay: 5 * time.Millisecond}
-	dropped := false
-	cfg.WirelessDropFilter = func(from, to ids.NodeID, m msg.Message) bool {
-		if m.Kind() == msg.KindWtpData && !dropped {
-			dropped = true
-			return true
-		}
-		return false
-	}
-	w := rdpcore.NewWorld(cfg)
-	mh := w.AddMH(1, 1)
-	w.Schedule(0, func() { mh.IssueRequest(1, []byte("A")) })
-	w.Schedule(2*time.Millisecond, func() { mh.IssueRequest(1, []byte("B")) })
-	w.Schedule(4*time.Millisecond, func() { mh.IssueRequest(1, []byte("C")) })
-	w.RunUntil(2 * time.Second)
-	return w
 }
 
 // E15Headline extracts the windowed and stop-and-wait rows at the

@@ -7,7 +7,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/rdpcore"
 	"repro/internal/sidam"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -117,66 +116,4 @@ func E8Subscriptions(seed int64, sc Scale) []E8Row {
 		})
 	}
 	return rows
-}
-
-// scriptedProc replays a fixed sequence of processing delays, then zero.
-type scriptedProc struct {
-	delays []time.Duration
-	i      int
-}
-
-// Sample implements netsim.LatencyModel.
-func (s *scriptedProc) Sample(*sim.RNG) time.Duration {
-	if s.i < len(s.delays) {
-		d := s.delays[s.i]
-		s.i++
-		return d
-	}
-	return 0
-}
-
-// Mean implements netsim.LatencyModel.
-func (s *scriptedProc) Mean() time.Duration { return 0 }
-
-// figureConfig is the deterministic 3-station network of the paper's
-// worked examples: 5ms wired, 10ms wireless.
-func figureConfig(proc netsim.LatencyModel, obs netsim.Observer) rdpcore.Config {
-	cfg := rdpcore.DefaultConfig()
-	cfg.NumMSS = 3
-	cfg.WiredLatency = netsim.Constant(5 * time.Millisecond)
-	cfg.WirelessLatency = netsim.Constant(10 * time.Millisecond)
-	cfg.ServerProc = proc
-	cfg.Observer = obs
-	return cfg
-}
-
-// ReplayFigure3 reruns the Figure 3 scenario (single request, two
-// migrations, one lost forward, retransmission, del-proxy) and returns
-// the finished world. Attach a trace recorder through obs to print the
-// message flow.
-func ReplayFigure3(obs netsim.Observer) *rdpcore.World {
-	w := rdpcore.NewWorld(figureConfig(netsim.Constant(100*time.Millisecond), obs))
-	mh := w.AddMH(1, 1)
-	w.Schedule(0, func() { mh.IssueRequest(1, []byte("q")) })
-	w.Schedule(20*time.Millisecond, func() { w.Migrate(1, 2) })
-	w.Schedule(126*time.Millisecond, func() { w.Migrate(1, 3) })
-	w.RunUntil(2 * time.Second)
-	return w
-}
-
-// ReplayFigure4 reruns the Figure 4 scenario (three overlapping
-// requests, RKpR arming and re-arming, the del-pref-only special
-// message) and returns the finished world.
-func ReplayFigure4(obs netsim.Observer) *rdpcore.World {
-	proc := &scriptedProc{delays: []time.Duration{
-		30 * time.Millisecond, 60 * time.Millisecond, 55 * time.Millisecond,
-	}}
-	w := rdpcore.NewWorld(figureConfig(proc, obs))
-	mh := w.AddMH(1, 1)
-	w.Schedule(0, func() { mh.IssueRequest(1, []byte("A")) })
-	w.Schedule(20*time.Millisecond, func() { w.Migrate(1, 2) })
-	w.Schedule(60*time.Millisecond, func() { mh.IssueRequest(1, []byte("B")) })
-	w.Schedule(80*time.Millisecond, func() { mh.IssueRequest(1, []byte("C")) })
-	w.RunUntil(2 * time.Second)
-	return w
 }

@@ -189,7 +189,7 @@ func TestE8NotificationsReachRoamingSubscribers(t *testing.T) {
 
 func TestReplayFigure3Shape(t *testing.T) {
 	rec := trace.New()
-	w := ReplayFigure3(rec.Observe)
+	w := replay(t, "fig3", rec)
 	if got := w.Stats.ResultsDelivered.Value(); got != 1 {
 		t.Errorf("ResultsDelivered = %d, want 1", got)
 	}
@@ -203,7 +203,7 @@ func TestReplayFigure3Shape(t *testing.T) {
 
 func TestReplayFigure4Shape(t *testing.T) {
 	rec := trace.New()
-	w := ReplayFigure4(rec.Observe)
+	w := replay(t, "fig4", rec)
 	if got := w.Stats.ResultsDelivered.Value(); got != 3 {
 		t.Errorf("ResultsDelivered = %d, want 3", got)
 	}

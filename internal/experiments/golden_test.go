@@ -5,8 +5,20 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/rdpcore"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
+
+// replay plays a scenario of the table on the clock.
+func replay(t *testing.T, name string, rec *trace.Recorder) *rdpcore.World {
+	t.Helper()
+	sc, err := scenario.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scenario.Play(sc, rec.Observe)
+}
 
 // The figure replays are pinned to golden traces: every event (sends,
 // deliveries, drops), its timing, endpoints and flags must match the
@@ -14,19 +26,12 @@ import (
 // behaviour and the simulator's determinism; any intentional protocol
 // change must regenerate the goldens consciously.
 func TestFigureReplaysMatchGoldenTraces(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		run  func(rec *trace.Recorder)
-	}{
-		{"fig3", func(rec *trace.Recorder) { ReplayFigure3(rec.Observe) }},
-		{"fig4", func(rec *trace.Recorder) { ReplayFigure4(rec.Observe) }},
-		{"mig1", func(rec *trace.Recorder) { ReplayMigration1(rec.Observe) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, name := range []string{"fig3", "fig4", "mig1"} {
+		t.Run(name, func(t *testing.T) {
 			rec := trace.New()
-			tc.run(rec)
+			replay(t, name, rec)
 			got := rec.String()
-			goldenPath := filepath.Join("testdata", tc.name+".trace")
+			goldenPath := filepath.Join("testdata", name+".trace")
 			want, err := os.ReadFile(goldenPath)
 			if err != nil {
 				t.Fatalf("read golden: %v", err)

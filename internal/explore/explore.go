@@ -13,275 +13,318 @@
 // and its liveness property (all results delivered) after bounded
 // registration-refresh rounds, mirroring how a real deployment's
 // periodic beacons bound recovery time.
+//
+// Besides random walks, RunExhaustive enumerates the schedule tree
+// depth-first by replaying the scenario from scratch for every choice
+// prefix. Replay is cheap (the worlds are tiny and deterministic), so
+// full enumeration is feasible for scenarios with a few concurrent
+// messages — where it proves that *no* delivery order violates the
+// checked properties, not merely that none of N samples does.
+//
+// What is explored is a scenario.Scenario: the explorer builds the
+// world from its config, applies its steps in table order through
+// workload.Apply, and a schedule is fully named by the scenario and
+// the list of picks taken (Outcome.Choices, Replay).
 package explore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/rdpcore"
+	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // pendingFire is one controller-held delivery.
 type pendingFire struct {
-	layer netsim.Layer
-	from  ids.NodeID
-	to    ids.NodeID
-	fire  func()
-}
-
-// Controller implements netsim.Sequencer: it pools offered deliveries
-// and fires them in the order its caller picks (StepAt). Wireless deliveries
-// respect per-directed-link FIFO (one radio channel per direction);
-// wired deliveries are unconstrained — with the causal layer enabled,
-// causally-premature arrivals are buffered by the endpoints themselves,
-// so the explorer covers exactly the orders a causal network permits.
-type Controller struct {
-	lanes map[linkKey][]*pendingFire // wireless FIFO lanes
-	pool  []*pendingFire             // wired (unordered)
+	wireless bool
+	link     linkKey
+	fire     func()
 }
 
 type linkKey struct{ from, to ids.NodeID }
 
-// NewController returns an empty controller.
-func NewController() *Controller {
-	return &Controller{lanes: make(map[linkKey][]*pendingFire)}
+// Controller implements netsim.Sequencer: it holds offered deliveries
+// and fires them in the order its caller picks (StepAt). Wireless
+// deliveries respect per-directed-link FIFO (one radio channel per
+// direction); wired deliveries are unconstrained — with the causal layer
+// enabled, causally-premature arrivals are buffered by the endpoints
+// themselves, so the explorer covers exactly the orders a causal network
+// permits. The zero Controller is ready to use.
+type Controller struct {
+	held []pendingFire // in offer order
 }
 
 // Offer implements netsim.Sequencer.
 func (c *Controller) Offer(layer netsim.Layer, from, to ids.NodeID, fire func()) {
-	p := &pendingFire{layer: layer, from: from, to: to, fire: fire}
-	if layer == netsim.LayerWireless {
-		k := linkKey{from: from, to: to}
-		c.lanes[k] = append(c.lanes[k], p)
-		return
-	}
-	c.pool = append(c.pool, p)
+	c.held = append(c.held, pendingFire{layer == netsim.LayerWireless, linkKey{from, to}, fire})
 }
 
-// Eligible returns the number of deliveries that may fire next: every
-// pooled wired delivery plus each wireless lane's head.
-func (c *Controller) Eligible() int {
-	n := len(c.pool)
-	for _, lane := range c.lanes {
-		if len(lane) > 0 {
-			n++
+// eligible returns the indices in held of the deliveries that may fire
+// next, in the order StepAt numbers them: every wired delivery in offer
+// order, then each radio link's oldest frame, links sorted by (from, to).
+func (c *Controller) eligible() []int {
+	var wired, heads []int
+	for i, p := range c.held {
+		sameLink := func(q pendingFire) bool { return q.wireless && q.link == p.link }
+		switch {
+		case !p.wireless:
+			wired = append(wired, i)
+		case !slices.ContainsFunc(c.held[:i], sameLink):
+			heads = append(heads, i)
 		}
 	}
-	return n
+	slices.SortFunc(heads, func(i, j int) int {
+		a, b := c.held[i].link, c.held[j].link
+		return cmp.Or(cmp.Compare(a.from.Kind, b.from.Kind), cmp.Compare(a.from.Num, b.from.Num),
+			cmp.Compare(a.to.Kind, b.to.Kind), cmp.Compare(a.to.Num, b.to.Num))
+	})
+	return append(wired, heads...)
 }
 
-// StepAt fires the idx-th eligible delivery (0-based over the same
-// ordering Eligible counts: pooled wired deliveries first, then the
-// lane heads in stable key order). It panics on an out-of-range index.
+// Eligible returns the number of deliveries that may fire next.
+func (c *Controller) Eligible() int { return len(c.eligible()) }
+
+// StepAt fires the idx-th eligible delivery (0-based). It panics on an
+// out-of-range index.
 func (c *Controller) StepAt(idx int) {
-	if idx < len(c.pool) {
-		p := c.pool[idx]
-		c.pool = append(c.pool[:idx], c.pool[idx+1:]...)
-		p.fire()
-		return
-	}
-	idx -= len(c.pool)
-	keys := c.laneKeys()
-	k := keys[idx]
-	lane := c.lanes[k]
-	p := lane[0]
-	if len(lane) == 1 {
-		delete(c.lanes, k)
-	} else {
-		c.lanes[k] = lane[1:]
-	}
-	p.fire()
-}
-
-// laneKeys returns the non-empty lane keys in a stable order.
-func (c *Controller) laneKeys() []linkKey {
-	keys := make([]linkKey, 0, len(c.lanes))
-	for k, lane := range c.lanes {
-		if len(lane) > 0 {
-			keys = append(keys, k)
-		}
-	}
-	// Sort by (from, to) tuples for determinism across map iteration.
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keyLess(keys[j], keys[i]) {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
-	return keys
-}
-
-func keyLess(a, b linkKey) bool {
-	if a.from != b.from {
-		return nodeLess(a.from, b.from)
-	}
-	return nodeLess(a.to, b.to)
-}
-
-func nodeLess(a, b ids.NodeID) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	return a.Num < b.Num
-}
-
-// Scenario is one explorable protocol situation.
-type Scenario struct {
-	Name string
-	// Hosts is the number of stations in the world.
-	Stations int
-	// Build populates the world and returns the ordered world actions
-	// (migrations, requests, activity flips) the adversary interleaves
-	// with deliveries, plus the request set whose delivery the liveness
-	// check demands.
-	Build func(w *rdpcore.World) (actions []func(), requests func() map[ids.MH][]ids.RequestID)
+	i := c.eligible()[idx]
+	fire := c.held[i].fire
+	c.held = slices.Delete(c.held, i, i+1)
+	fire()
 }
 
 // Result summarizes one exploration.
 type Result struct {
-	Schedules     int
 	MaxRefreshes  int // worst-case settlement rounds needed
 	TotalFirings  int
 	TotalRecovery int // schedules that needed at least one refresh round
 }
 
-// chooser decides a schedule: which option to take at each mid-run
-// decision point, and which delivery fires next during settlement.
-type chooser interface {
-	// next picks among n = (1 if act) + k options: option 0 is the next
-	// world action when act is true, the rest are the k eligible
-	// deliveries. At least one option exists.
-	next(act bool, k int) int
-	// settle picks among the k > 0 eligible deliveries of a refresh round.
-	settle(k int) int
+// Outcome is one executed schedule. Choices lists every pick the
+// chooser made, mid-run picks first and settlement picks after: with the
+// scenario's name it identifies the schedule, and Replay re-runs it.
+type Outcome struct {
+	// Fanouts holds the number of options at each mid-run decision
+	// point; its length is the schedule's firings (world actions plus
+	// deliveries).
+	Fanouts []int
+	Rounds  int // refresh rounds the settlement needed
+	Choices []int
+	World   *rdpcore.World // the finished world (statistics, ViolationLog)
 }
 
-// seededChooser walks the choice tree at random: it takes the next action
-// with probability 0.4 (always, when nothing is in flight) and otherwise
-// a uniformly drawn delivery. Action and delivery choices draw from
+// chooser decides a schedule: it picks among n > 0 options. When act is
+// true option 0 is the next world action and the rest are the eligible
+// deliveries; otherwise (and throughout the settlement) all n are
+// deliveries.
+type chooser func(act bool, n int) int
+
+// seeded walks the choice tree at random: it takes the next action with
+// probability 0.4 (always, when nothing is in flight) and otherwise a
+// uniformly drawn delivery. Action and delivery choices draw from
 // separate streams.
-type seededChooser struct{ act, pick *sim.RNG }
-
-func (c seededChooser) next(act bool, k int) int {
-	switch {
-	case !act:
-		return c.pick.Intn(k)
-	case k == 0 || c.act.Prob(0.4):
-		return 0
+func seeded(rng *sim.RNG) chooser {
+	actions, picks := rng, rng.Fork()
+	return func(act bool, n int) int {
+		switch {
+		case !act:
+			return picks.Intn(n)
+		case n == 1 || actions.Prob(0.4):
+			return 0
+		}
+		return 1 + picks.Intn(n-1)
 	}
-	return 1 + c.pick.Intn(k)
 }
 
-func (c seededChooser) settle(k int) int { return c.pick.Intn(k) }
+// scripted follows a recorded choice list, then always takes option 0.
+func scripted(list []int) chooser {
+	return func(_ bool, n int) int {
+		if len(list) == 0 {
+			return 0
+		}
+		pick := min(list[0], n-1)
+		list = list[1:]
+		return pick
+	}
+}
 
 // Run explores the scenario under `schedules` random delivery orders
 // and reports via errf (typically t.Errorf) on any property violation;
 // see runSchedule for the properties.
-func Run(sc Scenario, seed int64, schedules, maxRefresh int, errf func(format string, args ...any)) Result {
-	res := Result{Schedules: schedules}
+func Run(sc scenario.Scenario, seed int64, schedules, maxRefresh int, errf func(format string, args ...any)) Result {
+	var res Result
 	for i := 0; i < schedules; i++ {
-		rng := sim.NewRNG(seed + int64(i)*7919)
-		firings, rounds := runSchedule(sc, seed+int64(i), seededChooser{act: rng, pick: rng.Fork()}, maxRefresh, fmt.Sprintf("schedule %d", i), errf)
-		res.TotalFirings += firings
-		if rounds > res.MaxRefreshes {
-			res.MaxRefreshes = rounds
-		}
-		if rounds > 0 {
+		o := Walk(sc, seed, i, maxRefresh, errf)
+		res.TotalFirings += len(o.Fanouts)
+		res.MaxRefreshes = max(res.MaxRefreshes, o.Rounds)
+		if o.Rounds > 0 {
 			res.TotalRecovery++
 		}
 	}
 	return res
 }
 
+// Walk executes the i-th random schedule of Run at seed.
+func Walk(sc scenario.Scenario, seed int64, i, maxRefresh int, errf func(format string, args ...any)) Outcome {
+	return runSchedule(sc, seeded(sim.NewRNG(seed+int64(i)*7919)), maxRefresh, fmt.Sprintf("schedule %d", i), errf)
+}
+
+// Replay executes the schedule a recorded choice list names.
+func Replay(sc scenario.Scenario, choices []int, maxRefresh int, errf func(format string, args ...any)) Outcome {
+	return runSchedule(sc, scripted(choices), maxRefresh, "replay", errf)
+}
+
+// ExhaustiveResult summarizes a systematic exploration.
+type ExhaustiveResult struct {
+	// Schedules is the number of complete schedules executed.
+	Schedules int
+	// Complete reports whether the whole tree was enumerated (false when
+	// the budget ran out first).
+	Complete bool
+	// MaxDepth is the longest decision sequence seen.
+	MaxDepth int
+}
+
+// RunExhaustive enumerates the scenario's schedule tree depth-first,
+// executing every complete schedule up to budget runs, checking the
+// same properties as Run on each. Choice points are (a) take the next
+// world action vs. fire a delivery, and (b) which eligible delivery to
+// fire.
+func RunExhaustive(sc scenario.Scenario, budget, maxRefresh int, errf func(format string, args ...any)) ExhaustiveResult {
+	res := ExhaustiveResult{}
+	var prefix []int
+	for res.Schedules < budget {
+		o := runSchedule(sc, scripted(prefix), maxRefresh, fmt.Sprintf("exhaustive schedule %d", res.Schedules), errf)
+		res.Schedules++
+		res.MaxDepth = max(res.MaxDepth, len(o.Fanouts))
+		// Advance like an odometer over the mid-run picks just taken:
+		// the deepest decision that can still take a later branch does,
+		// and everything below it starts over. Settlement order is not
+		// enumerated (it would explode the tree): past the prefix its
+		// deliveries fire head-first.
+		i := len(o.Fanouts) - 1
+		for i >= 0 && o.Choices[i]+1 >= o.Fanouts[i] {
+			i--
+		}
+		if i < 0 {
+			res.Complete = true
+			return res
+		}
+		o.Choices[i]++
+		prefix = o.Choices[:i+1]
+	}
+	return res
+}
+
 // runSchedule executes one schedule of the scenario, every choice made
-// by ch, and reports how many mid-run steps and refresh rounds it took.
+// by choose: the world is built from the scenario's config with a Controller
+// as both sequencers, and the scenario's steps — in table order, their
+// instants ignored — are interleaved with the deliveries they induce.
+// Kernel timers (server processing) still run to completion after every
+// step; latencies order nothing, the chooser does.
 //
 // Properties checked:
 //
 //	safety   — cross-node invariants and Violations == 0 at every
 //	           quiescent point (after each step, each refresh round, and
 //	           at the end), and nothing left behind at quiescence;
-//	liveness — all of the scenario's requests delivered within
-//	           maxRefresh registration-refresh rounds after the action
-//	           script ends (each round models one refresh beacon).
-func runSchedule(sc Scenario, worldSeed int64, ch chooser, maxRefresh int, label string, errf func(format string, args ...any)) (firings, rounds int) {
-	ctl := NewController()
-	cfg := rdpcore.DefaultConfig()
-	cfg.Seed = worldSeed
-	cfg.NumMSS = sc.Stations
-	cfg.NumServers = 1
-	// Latencies are irrelevant under the controller (they would only
-	// order what the controller now orders), but kernel timers still
-	// drive server processing.
+//	liveness — all of the requests the steps issued delivered within
+//	           maxRefresh registration-refresh rounds after the last
+//	           step (each round models one refresh beacon per host, in
+//	           the scenario's host order).
+func runSchedule(sc scenario.Scenario, choose chooser, maxRefresh int, label string, errf func(format string, args ...any)) Outcome {
+	ctl := &Controller{}
+	cfg := sc.Config()
 	cfg.WiredSeq = ctl
 	cfg.WirelessSeq = ctl
 	w := rdpcore.NewWorld(cfg)
-
-	actions, requests := sc.Build(w)
+	for _, h := range sc.Hosts {
+		w.AddMH(h.ID, h.Start)
+	}
 	w.Run()
 
+	out := Outcome{World: w}
+	label = sc.Name + ": " + label + ": "
+	failed := false
+	fail := func(format string, args ...any) {
+		failed = true
+		errf(label+format, args...)
+	}
 	checkSafety := func(at string) {
 		if err := w.CheckInvariants(); err != nil {
-			errf("%s: %s (%s): invariants: %v", sc.Name, label, at, err)
+			fail("(%s): invariants: %v", at, err)
 		}
 		if v := w.Stats.Violations.Value(); v != 0 {
-			errf("%s: %s (%s): violations = %d", sc.Name, label, at, v)
+			fail("(%s): violations = %d", at, v)
 		}
 	}
 
-	// Interleave actions and deliveries as the chooser says.
-	for len(actions) > 0 || ctl.Eligible() > 0 {
-		act := len(actions) > 0
-		pick := ch.next(act, ctl.Eligible())
+	// Interleave steps and deliveries as the chooser says, keeping the
+	// ledger of issued requests for the liveness check.
+	steps := sc.Steps
+	var ledger []workload.Issued
+	for len(steps) > 0 || ctl.Eligible() > 0 {
+		act, n := len(steps) > 0, ctl.Eligible()
+		if act {
+			n++
+		}
+		pick := choose(act, n)
+		out.Choices, out.Fanouts = append(out.Choices, pick), append(out.Fanouts, n)
 		switch {
 		case act && pick == 0:
-			actions[0]()
-			actions = actions[1:]
+			if req := workload.Apply(w, steps[0].Host, &steps[0].Event); req.Seq != 0 {
+				ledger = append(ledger, workload.Issued{MH: steps[0].Host, Req: req})
+			}
+			steps = steps[1:]
 		case act:
 			ctl.StepAt(pick - 1)
 		default:
 			ctl.StepAt(pick)
 		}
 		w.Run()
-		firings++
 		checkSafety("mid-run")
 	}
 
 	// Settlement: fire refresh beacons until everything is delivered
 	// (each round is one greet per host, as a real refresh would be).
 	delivered := func() bool {
-		for mh, reqs := range requests() {
-			for _, r := range reqs {
-				if !w.MHs[mh].Seen(r) {
-					return false
-				}
+		for _, l := range ledger {
+			if !w.MHs[l.MH].Seen(l.Req) {
+				return false
 			}
 		}
 		return true
 	}
-	for !delivered() && rounds < maxRefresh {
-		rounds++
-		for mh := range requests() {
-			w.SetActive(mh, true) // no-op when already active
-			w.Refresh(mh)
+	for !delivered() && out.Rounds < maxRefresh {
+		out.Rounds++
+		for _, h := range sc.Hosts {
+			w.SetActive(h.ID, true) // no-op when already active
+			w.Refresh(h.ID)
 			for ctl.Eligible() > 0 {
-				ctl.StepAt(ch.settle(ctl.Eligible()))
+				pick := choose(false, ctl.Eligible())
+				out.Choices = append(out.Choices, pick)
+				ctl.StepAt(pick)
 				w.Run()
 			}
 			w.Run()
 		}
-		checkSafety(fmt.Sprintf("refresh round %d", rounds))
+		checkSafety(fmt.Sprintf("refresh round %d", out.Rounds))
 	}
 	if !delivered() {
-		errf("%s: %s: requests undelivered after %d refresh rounds", sc.Name, label, maxRefresh)
+		fail("requests undelivered after %d refresh rounds", maxRefresh)
 	}
 	checkSafety("end")
 	if err := w.CheckQuiescent(); err != nil {
-		errf("%s: %s: %v", sc.Name, label, err)
+		fail("%v", err)
 	}
-	return firings, rounds
+	if failed {
+		errf(label+"replay with choices %v", out.Choices)
+	}
+	return out
 }

@@ -518,7 +518,7 @@ type RegConfirm struct {
 // Admission control (overload protection).
 
 // Busy is the station's NACK for a request it refuses to admit — its
-// inbox is past the high-watermark or its proxy storage is at quota.
+// inbox is past the high-watermark.
 // The request was not enqueued and no proxy exists for it; the MH backs
 // off and re-issues. Refusal is explicit so overload never silently
 // breaks the delivery guarantee: a request is either admitted (and then

@@ -15,8 +15,8 @@ import (
 //
 //	old host            target (MH's respMss)         servers
 //	  │ ── mig_offer ──────▶ │  admission: responsible,
-//	  │                      │  quota (incl. inbound), inbox,
-//	  │                      │  load-improvement check
+//	  │                      │  inbox, load-improvement check
+//	  │                      │  (counting inbound reservations)
 //	  │ ◀─ mig_commit ────── │  (allocates + reserves NewProxy)
 //	  │ ── mig_state ──────▶ │  installs proxy under NewProxy,
 //	  │  (tombstone up)      │  rebinds local pref, announces:
@@ -41,11 +41,11 @@ import (
 //     message. The inbound reservation is volatile — losing it is safe
 //     because the allocated sequence number was persisted and a
 //     post-restart mig_state installs regardless.
-//   - E11 overload: an inbound reservation counts against ProxyQuota at
-//     both request admission and offer admission; migration control
-//     travels class 0 of the priority inbox (see classOf) and, being
-//     wired control traffic, is never silently shed (wired sheds are
-//     ARQ backpressure).
+//   - E11 overload: a station past its inbox high-water mark refuses
+//     offers as it refuses new requests, and an inbound reservation
+//     counts as load in the load check; migration control travels class
+//     0 of the priority inbox (see classOf) and, being wired control
+//     traffic, is never silently shed (wired sheds are ARQ backpressure).
 
 // tombstone is the forwarding stub left at a proxy's old host after it
 // migrated: the old→new identity map, plus the set of servers that
@@ -127,9 +127,6 @@ func (n *MSSNode) maybeMigrate(p *Proxy, dist int) {
 // again.
 func (n *MSSNode) handleMigOffer(m msg.MigOffer) {
 	refuse := !n.localMhs.contains(m.MH) // the MH moved on (or never arrived)
-	if q := n.w.cfg.ProxyQuota; q > 0 && n.nProxies+n.nReserved >= q {
-		refuse = true // inbound migration is proxy-quota pressure
-	}
 	if hw := n.w.cfg.AdmissionHighWater; hw > 0 && n.inbox.len() >= hw {
 		refuse = true // an overloaded station does not adopt more work
 	}

@@ -119,41 +119,6 @@ func TestMigrationRedirectsInFlightReply(t *testing.T) {
 	}
 }
 
-// TestMigrationRefusedAtQuota pins the target at its proxy quota: the
-// offer must be refused, the proxy stays where it is, and delivery is
-// unaffected.
-func TestMigrationRefusedAtQuota(t *testing.T) {
-	proc := &scriptedProc{delays: []time.Duration{
-		2 * time.Second,        // mh2's request keeps a proxy pinned at mss2
-		250 * time.Millisecond, // mh1's request
-	}}
-	w := migrationWorld(t, proxymig.Policy{HopThreshold: 1}, proc)
-	w.cfg.ProxyQuota = 1
-	mss1, mss2 := ids.MSS(1), ids.MSS(2)
-	srv := ids.Server(1)
-	mh1 := w.AddMH(1, mss1)
-	mh2 := w.AddMH(2, mss2)
-
-	var req1, req2 ids.RequestID
-	w.Kernel.After(0, func() { req2 = mh2.IssueRequest(srv, []byte("pin")) })
-	w.Kernel.After(5*time.Millisecond, func() { req1 = mh1.IssueRequest(srv, []byte("q")) })
-	w.Kernel.After(50*time.Millisecond, func() { w.Migrate(1, mss2) })
-	w.RunUntil(4 * time.Second)
-
-	if !mh1.Seen(req1) || !mh2.Seen(req2) {
-		t.Error("a result was never delivered")
-	}
-	if got := w.Stats.MigRefusals.Value(); got == 0 {
-		t.Error("MigRefusals = 0, want the quota refusal")
-	}
-	if got := w.Stats.MigCompleted.Value(); got != 0 {
-		t.Errorf("MigCompleted = %d, want 0 (offer was refused)", got)
-	}
-	if err := w.CheckQuiescent(); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestMigrationLoadDriven exercises the load trigger: the offering host
 // carries three proxies, the target none, so AcceptLoad admits the move.
 func TestMigrationLoadDriven(t *testing.T) {
@@ -221,16 +186,16 @@ func TestMigrationDisabledNeverOffers(t *testing.T) {
 
 // TestMigrationCooldownSuppressesSecondOffer verifies MinInterval: a
 // fresh proxy may offer at once (its cooldown clock starts backdated),
-// but after that first offer — refused by quota, so the proxy stays put
-// and forwards remotely again — the second qualifying forward falls
-// inside the cooldown and must stay silent.
+// but after that first offer — refused by the load check (one proxy at
+// each station is no imbalance), so the proxy stays put and forwards
+// remotely again — the second qualifying forward falls inside the
+// cooldown and must stay silent.
 func TestMigrationCooldownSuppressesSecondOffer(t *testing.T) {
 	proc := &scriptedProc{delays: []time.Duration{
-		2 * time.Second,                                // pin at mss2 (quota)
+		2 * time.Second,                                // pin at mss2 (load)
 		250 * time.Millisecond, 400 * time.Millisecond, // mh1's two requests
 	}}
-	w := migrationWorld(t, proxymig.Policy{HopThreshold: 1, MinInterval: 10 * time.Second}, proc)
-	w.cfg.ProxyQuota = 1
+	w := migrationWorld(t, proxymig.Policy{LoadDriven: true, MinInterval: 10 * time.Second}, proc)
 	mss1, mss2 := ids.MSS(1), ids.MSS(2)
 	srv := ids.Server(1)
 	mh1 := w.AddMH(1, mss1)

@@ -39,7 +39,7 @@ type MSSNode struct {
 	// hosted is what answers for each proxy identity of this station, by
 	// sequence — exactly one addressee each (see deliver). nProxies and
 	// nReserved count the private proxies and the inbound migration
-	// reservations among them, for the quota and the migration policy; put
+	// reservations among them, for the migration policy's load check; put
 	// and take keep them.
 	hosted       map[uint32]addressee
 	nProxies     int
@@ -295,10 +295,10 @@ func (n *MSSNode) classOf(m msg.Message) int {
 	return 0
 }
 
-// admissionEnabled reports whether any admission-control bound is
+// admissionEnabled reports whether the admission-control bound is
 // configured.
 func (n *MSSNode) admissionEnabled() bool {
-	return n.w.cfg.AdmissionHighWater > 0 || n.w.cfg.ProxyQuota > 0
+	return n.w.cfg.AdmissionHighWater > 0
 }
 
 // refuseAdmission decides, at ingress, whether a new request must be
@@ -306,9 +306,8 @@ func (n *MSSNode) admissionEnabled() bool {
 // for and has not already admitted are candidates: retries of admitted
 // requests, requests buffered during a hand-off, and requests merely
 // passing through along the forwarding chain are never refused here
-// (the chain's end runs its own admission check on arrival). Refusal
-// grounds are a full inbox (past the high-watermark) or exhausted proxy
-// storage (at quota, and this request needs a new proxy).
+// (the chain's end runs its own admission check on arrival). The
+// refusal ground is a full inbox (past the high-watermark).
 func (n *MSSNode) refuseAdmission(m msg.Request) bool {
 	if !n.admissionEnabled() || n.w.down[n.id] {
 		return false
@@ -321,22 +320,12 @@ func (n *MSSNode) refuseAdmission(m msg.Request) bool {
 	if h.outIndex(m.Req) >= 0 {
 		return false // already admitted; the delivery guarantee covers it
 	}
-	refuse := false
-	if hw := n.w.cfg.AdmissionHighWater; hw > 0 && n.inbox.len() >= hw {
-		refuse = true
+	if n.inbox.len() < n.w.cfg.AdmissionHighWater {
+		return false
 	}
-	// An accepted inbound migration is committed proxy storage the
-	// mig_state has merely not yet filled; it counts against the quota.
-	if q := n.w.cfg.ProxyQuota; q > 0 && n.nProxies+n.nReserved >= q {
-		if pref, ok := n.prefs.get(mh); !ok || !pref.HasProxy() {
-			refuse = true // needs a proxy we have no room for
-		}
-	}
-	if refuse {
-		n.w.Stats.BusyRefusals.Inc()
-		n.w.Wireless.SendDownlink(n.id, mh, msg.Busy{Req: m.Req})
-	}
-	return refuse
+	n.w.Stats.BusyRefusals.Inc()
+	n.w.Wireless.SendDownlink(n.id, mh, msg.Busy{Req: m.Req})
+	return true
 }
 
 // sendAdmit confirms admission to the MH once its request is routed

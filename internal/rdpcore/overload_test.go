@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/netsim"
 )
 
 // overloadWorld is a quickWorld with station processing time and the
@@ -127,30 +126,6 @@ func TestRequestDeadlineAbandonsOnlyUnadmitted(t *testing.T) {
 		case !mh.Admitted(req) && !mh.Abandoned(req):
 			t.Errorf("request %v neither admitted nor abandoned", req)
 		}
-	}
-	if err := w.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestProxyQuotaRefusesNewProxies(t *testing.T) {
-	w := overloadWorld(func(c *Config) {
-		c.ProxyQuota = 1
-		c.ServerProc = netsim.Constant(400 * time.Millisecond)
-	})
-	a := w.AddMH(1, 1)
-	b := w.AddMH(2, 1)
-	// Stagger so a's proxy exists (and still holds the quota slot —
-	// the server is slow) when b's request reaches admission.
-	w.Kernel.After(200*time.Millisecond, func() { a.IssueRequest(1, []byte("x")) })
-	w.Kernel.After(300*time.Millisecond, func() { b.IssueRequest(1, []byte("y")) })
-	w.RunUntil(2 * time.Second)
-
-	if got := w.Stats.BusyRefusals.Value(); got != 1 {
-		t.Errorf("BusyRefusals = %d, want 1 (second MH needs a proxy past quota)", got)
-	}
-	if got := w.Stats.ResultsDelivered.Value(); got != 1 {
-		t.Errorf("ResultsDelivered = %d, want 1", got)
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Error(err)

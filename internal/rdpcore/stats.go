@@ -99,8 +99,8 @@ type Stats struct {
 	// substrate (netsim.EventShed).
 	NetworkShed metrics.Counter
 	// MigOffers counts proxy-migration offers sent by proxy hosts;
-	// MigRefusals counts offers the target refused (not responsible, at
-	// quota, inbox past the high-watermark, or no load improvement);
+	// MigRefusals counts offers the target refused (not responsible,
+	// inbox past the high-watermark, or no load improvement);
 	// MigCompleted counts finished migration episodes (tombstone
 	// garbage-collected at the old host). See internal/proxymig and E12.
 	MigOffers    metrics.Counter

@@ -123,11 +123,6 @@ type Config struct {
 	// which new requests are refused with a busy-NACK instead of
 	// enqueued. Retries of already-admitted requests are never refused.
 	AdmissionHighWater int
-	// ProxyQuota, when positive, bounds the proxies a station will
-	// host: a request needing a new proxy beyond the quota is refused
-	// with a busy-NACK (proxy storage is the station resource the paper
-	// assumes infinite).
-	ProxyQuota int
 	// BusyRetryBase, when positive, makes an MH whose request was
 	// busy-refused re-issue it after a capped exponential backoff with
 	// jitter: base·2^attempt, clamped to BusyRetryMax, plus up to 50%

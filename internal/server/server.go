@@ -5,15 +5,9 @@
 // retrieval protocols" — and reply to whoever asked. Under RDP the asker
 // is always a proxy, so "from the server's point of view, the service is
 // being requested from a fixed client" (§5).
-//
-// The package also provides the directory service through which clients
-// obtain server addresses (§2).
 package server
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/msg"
@@ -121,37 +115,4 @@ func (s *AppServer) finish(v msg.ServerRequest) {
 	delete(s.pending, v.Req)
 	s.wired.Send(s.id.Node(), to.Host.Node(),
 		msg.ServerResult{Proxy: to, Req: v.Req, Payload: reply})
-}
-
-// Directory is the name service of §2: "each server maintains a fixed
-// address which can be obtained by querying a directory service".
-type Directory struct {
-	byName map[string]ids.Server
-}
-
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{byName: make(map[string]ids.Server)}
-}
-
-// Register binds a name to a server; re-registering a name overwrites.
-func (d *Directory) Register(name string, s ids.Server) { d.byName[name] = s }
-
-// Lookup resolves a name.
-func (d *Directory) Lookup(name string) (ids.Server, error) {
-	s, ok := d.byName[name]
-	if !ok {
-		return ids.NoServer, fmt.Errorf("directory: no server named %q", name)
-	}
-	return s, nil
-}
-
-// Names lists registered names in sorted order.
-func (d *Directory) Names() []string {
-	out := make([]string, 0, len(d.byName))
-	for n := range d.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -110,27 +110,6 @@ func TestEcho(t *testing.T) {
 	}
 }
 
-func TestDirectory(t *testing.T) {
-	d := NewDirectory()
-	if _, err := d.Lookup("traffic"); err == nil {
-		t.Error("lookup on empty directory should fail")
-	}
-	d.Register("traffic", 1)
-	d.Register("weather", 2)
-	s, err := d.Lookup("traffic")
-	if err != nil || s != 1 {
-		t.Errorf("Lookup = %v,%v", s, err)
-	}
-	d.Register("traffic", 3) // overwrite
-	if s, _ := d.Lookup("traffic"); s != 3 {
-		t.Errorf("overwritten Lookup = %v, want 3", s)
-	}
-	names := d.Names()
-	if len(names) != 2 || names[0] != "traffic" || names[1] != "weather" {
-		t.Errorf("Names = %v", names)
-	}
-}
-
 // sink is a wired transport that drops what it is given, so the job's
 // own cost is all that is measured.
 type sink struct{ sent int }
