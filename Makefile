@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-race race allocs bench cover fmt vet check loc experiments examples explore viz bench-profile bench-profile-test
+.PHONY: all build test test-race race allocs perf-smoke bench cover fmt vet check loc experiments examples explore viz bench-profile bench-profile-test
 
 all: build test
 
@@ -25,6 +25,21 @@ race: test-race
 allocs:
 	go test -count=1 -run 'Alloc|Budget' ./internal/sim ./internal/causal ./internal/msg \
 		./internal/netsim ./internal/server ./internal/rdpcore
+
+# perf-smoke runs the yardstick itself for a second a workload, the way
+# the benchmark driver does, and fails unless each run's result line says
+# its outputs were correct and no operation failed: perf/ checks what the
+# tests do not (every Stats counter equal across repetitions,
+# CheckQuiescent clean), and a change should meet those checks before it
+# is judged by them.
+perf-smoke:
+	@for w in cell_mobility lossy_radio fault_recovery region_scale; do \
+		line=$$(bash perf/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		case "$$line" in \
+		*'"correct":true,'*'"failed":0,'*) echo "perf-smoke: $$w ok" ;; \
+		*) echo "perf-smoke: $$w: $$line"; exit 1 ;; \
+		esac; \
+	done
 
 # check is the full pre-commit gate: formatting, vet, the station's doors
 # (scripts/station-doors.sh: one timer door, one journal writer), the one

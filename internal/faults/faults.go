@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/metrics"
-	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -160,7 +159,7 @@ func New(k sim.Scheduler, plan Plan) *Injector {
 // OnWired decides the fault for one physical transmission attempt. The
 // partition check runs first (no RNG draw); then drop, duplicate and
 // delay are sampled in a fixed order so the stream stays reproducible.
-func (inj *Injector) OnWired(from, to ids.NodeID, m msg.Message) netsim.LinkFault {
+func (inj *Injector) OnWired(from, to ids.NodeID) netsim.LinkFault {
 	if inj.partitioned(from, to) {
 		inj.Stats.PartitionDrops.Inc()
 		inj.Stats.Drops.Inc()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -16,7 +15,7 @@ func TestInjectorDeterministic(t *testing.T) {
 		inj := New(sim.NewKernel(42), plan)
 		var out []netsim.LinkFault
 		for i := 0; i < 200; i++ {
-			out = append(out, inj.OnWired(ids.MSS(1).Node(), ids.MSS(2).Node(), msg.LinkAck{Seq: uint64(i)}))
+			out = append(out, inj.OnWired(ids.MSS(1).Node(), ids.MSS(2).Node()))
 		}
 		return out
 	}
@@ -28,7 +27,7 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 	inj := New(sim.NewKernel(42), plan)
 	for i := 0; i < 200; i++ {
-		inj.OnWired(ids.MSS(1).Node(), ids.MSS(2).Node(), msg.LinkAck{Seq: uint64(i)})
+		inj.OnWired(ids.MSS(1).Node(), ids.MSS(2).Node())
 	}
 	if inj.Stats.Drops.Value() == 0 || inj.Stats.Dups.Value() == 0 || inj.Stats.Delays.Value() == 0 {
 		t.Errorf("expected every fault type to fire over 200 draws: drops=%d dups=%d delays=%d",
@@ -44,10 +43,10 @@ func TestLinkOverride(t *testing.T) {
 		},
 	}
 	inj := New(sim.NewKernel(1), plan)
-	if f := inj.OnWired(ids.MSS(1).Node(), ids.MSS(2).Node(), msg.LinkAck{}); !f.Drop {
+	if f := inj.OnWired(ids.MSS(1).Node(), ids.MSS(2).Node()); !f.Drop {
 		t.Error("overridden link should always drop")
 	}
-	if f := inj.OnWired(ids.MSS(2).Node(), ids.MSS(1).Node(), msg.LinkAck{}); f.Drop {
+	if f := inj.OnWired(ids.MSS(2).Node(), ids.MSS(1).Node()); f.Drop {
 		t.Error("reverse direction uses the default (no drop)")
 	}
 }
@@ -61,7 +60,7 @@ func TestPartitionWindow(t *testing.T) {
 		B:     []ids.MSS{2, 3},
 	}}}
 	inj := New(k, plan)
-	probe := func() bool { return inj.OnWired(ids.MSS(2).Node(), ids.MSS(1).Node(), msg.LinkAck{}).Drop }
+	probe := func() bool { return inj.OnWired(ids.MSS(2).Node(), ids.MSS(1).Node()).Drop }
 	var before, during, after bool
 	k.After(50*time.Millisecond, func() { before = probe() })
 	k.After(150*time.Millisecond, func() { during = probe() })
@@ -74,10 +73,10 @@ func TestPartitionWindow(t *testing.T) {
 	k2 := sim.NewKernel(1)
 	inj2 := New(k2, plan)
 	k2.After(150*time.Millisecond, func() {
-		if inj2.OnWired(ids.MSS(1).Node(), ids.Server(1).Node(), msg.LinkAck{}).Drop {
+		if inj2.OnWired(ids.MSS(1).Node(), ids.Server(1).Node()).Drop {
 			t.Error("MSS->server link must not be partitioned")
 		}
-		if inj2.OnWired(ids.MSS(2).Node(), ids.MSS(3).Node(), msg.LinkAck{}).Drop {
+		if inj2.OnWired(ids.MSS(2).Node(), ids.MSS(3).Node()).Drop {
 			t.Error("intra-group link must not be partitioned")
 		}
 	})

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/msg"
-	"repro/internal/sim"
 )
 
 // ARQConfig parameterizes the wired link-layer retransmission protocol
@@ -60,7 +59,7 @@ func (c ARQConfig) backoff(attempt int) time.Duration {
 }
 
 // wiredLink is the ARQ state of one directed wired link: the send half
-// (sequence counter and un-acked frames) and the receive half (dedup).
+// (sequence counter and un-acked count) and the receive half (dedup).
 // Like the links themselves it belongs to the network fabric, not to the
 // hosts at either end, so it survives their crashes. Frames are retried
 // without bound and handed up in arrival order — a different contract
@@ -68,22 +67,37 @@ func (c ARQConfig) backoff(attempt int) time.Duration {
 // Wired is the ARQ's only host; the TCP substrate relies on TCP instead.
 type wiredLink struct {
 	from, to ids.NodeID
+	fi, ti   int // their member indices
 	nextSeq  uint64
-	pending  map[uint64]*arqPending // un-acked frames by seq
+	pending  int // un-acked frames
 	// retransmits counts timeout-driven re-sends on this link.
 	retransmits int64
 	recv        arqReceiver
 }
 
-// arqPending is one un-acked frame. frame performs the delivery; every
-// transmission shares it, so the causal stamp is assigned exactly once
-// per message, and it is let go when it fires — a retransmission of a
-// delivered frame stops at the receiver's dedup and never sees it.
+// arqPending is one message the ARQ answers for, from Send until it is
+// acked: a recycled record, like the wiredFrame it delivers (DESIGN §10,
+// Hops), so a hop over the fault-tolerant backbone allocates nothing.
+// Every kernel event of the exchange — an arrival of the frame (each
+// transmission, each fault duplicate), an ack on its way back, the armed
+// retransmission — is one of the three fire methods bound below, and refs
+// counts the events still scheduled: the record outlives frame, which is
+// handed up at first accept and then belongs to the delivery, and is
+// retired once the message is acked and refs is back to zero. No timer is
+// cancelled: the retransmission that finds its message acked drops its
+// reference and does nothing else, so the schedule of every event that
+// does something is what cancelling would have left.
 type arqPending struct {
-	m       msg.Message
-	frame   *wiredFrame
+	w       *Wired
+	l       *wiredLink
+	seq     uint64
+	m       msg.Message // what observers see inside a lost frame
+	frame   *wiredFrame // performs the delivery; nil once handed up
 	attempt int
-	timer   sim.Canceler
+	acked   bool
+	refs    int
+	// The fire methods, bound once when the record is first allocated.
+	recv, retx, ack func()
 }
 
 // link returns (creating on first use) the ARQ state of a directed link.
@@ -92,9 +106,8 @@ func (w *Wired) link(fi, ti int) *wiredLink {
 	l, ok := w.links[key]
 	if !ok {
 		l = &wiredLink{
-			from: w.members[fi], to: w.members[ti],
-			pending: make(map[uint64]*arqPending),
-			recv:    arqReceiver{ahead: make(map[uint64]bool)},
+			from: w.members[fi], to: w.members[ti], fi: fi, ti: ti,
+			recv: arqReceiver{ahead: make(map[uint64]bool)},
 		}
 		w.links[key] = l
 	}
@@ -106,79 +119,114 @@ func (w *Wired) link(fi, ti int) *wiredLink {
 func (w *Wired) sendARQ(f *wiredFrame) {
 	l := w.link(f.fi, f.ti)
 	l.nextSeq++
-	seq := l.nextSeq
-	p := &arqPending{m: f.m, frame: f, attempt: 1}
-	l.pending[seq] = p
-	w.transmitFrame(l, seq, p)
-	w.armRetransmit(l, seq, p)
+	l.pending++
+	p := w.arq.Get()
+	if p == nil {
+		p = &arqPending{w: w}
+		p.recv, p.retx, p.ack = p.onArrival, p.onTimeout, p.onAck
+	}
+	p.l, p.seq, p.m, p.frame, p.attempt, p.acked = l, l.nextSeq, f.m, f, 1, false
+	p.transmit(false)
+	p.arm()
 }
 
-func (w *Wired) armRetransmit(l *wiredLink, seq uint64, p *arqPending) {
-	p.timer = w.k.After(w.cfg.ARQ.backoff(p.attempt), func() {
-		if _, live := l.pending[seq]; !live {
-			return
-		}
-		p.attempt++
-		l.retransmits++
-		w.transmitFrame(l, seq, p)
-		w.armRetransmit(l, seq, p)
-	})
+// arm schedules the retransmission that follows the current attempt.
+func (p *arqPending) arm() {
+	p.refs++
+	p.w.k.Defer(p.w.cfg.ARQ.backoff(p.attempt), p.retx)
 }
 
-// transmitFrame is one physical transmission attempt of an ARQ frame. A
-// shed attempt (full link queue) leaves the frame un-acked; the ARQ
-// timeout re-offers it after the queue has had time to drain.
-func (w *Wired) transmitFrame(l *wiredLink, seq uint64, p *arqPending) {
-	frame := msg.LinkFrame{Seq: seq, Inner: p.m}
-	f := w.fault(l.from, l.to, frame)
-	if f.Drop {
-		w.observe(EventDroppedLoss, l.from, l.to, frame)
+func (p *arqPending) onTimeout() {
+	p.refs--
+	if p.acked {
+		p.retire()
 		return
 	}
-	w.enqueue(l.from, l.to, frame, f, func() { w.receiveFrame(l, seq, p) })
+	p.attempt++
+	p.l.retransmits++
+	p.transmit(false)
+	p.arm()
 }
 
-// receiveFrame runs at the receiving end of an ARQ link. A frame that
+// transmit is one physical transmission attempt: of the frame, or of its
+// ack on the reverse direction of the link. Both are subject to the same
+// faults; a lost ack just costs one retransmission. A shed attempt (full
+// link queue) leaves the frame un-acked; the ARQ timeout re-offers it
+// after the queue has had time to drain.
+func (p *arqPending) transmit(ack bool) {
+	fi, ti, fire := p.l.fi, p.l.ti, p.recv
+	if ack {
+		fi, ti, fire = ti, fi, p.ack
+	}
+	lf := p.w.fault(p.w.members[fi], p.w.members[ti])
+	if lf.Drop {
+		p.observe(EventDroppedLoss, ack)
+		return
+	}
+	sent, shed := p.w.enqueue(fi, ti, lf, fire)
+	p.refs += sent
+	for ; shed > 0; shed-- {
+		p.observe(EventShed, ack)
+	}
+}
+
+// observe reports the fate of the frame or of its ack. The link-layer
+// envelope exists only here: it is boxed when somebody is listening.
+func (p *arqPending) observe(kind EventKind, ack bool) {
+	switch {
+	case p.w.observer == nil:
+	case ack:
+		p.w.observe(kind, p.l.to, p.l.from, msg.LinkAck{Seq: p.seq})
+	default:
+		p.w.observe(kind, p.l.from, p.l.to, msg.LinkFrame{Seq: p.seq, Inner: p.m})
+	}
+}
+
+// onArrival runs at the receiving end of an ARQ link. A frame that
 // arrives at a down host is dropped un-acked, so it keeps retransmitting
 // until the host restarts. Every accepted arrival is acked — including
 // duplicates, whose first ack may have been lost.
-func (w *Wired) receiveFrame(l *wiredLink, seq uint64, p *arqPending) {
+func (p *arqPending) onArrival() {
+	w, l := p.w, p.l
+	p.refs--
+	w.dequeue(l.fi, l.ti)
 	if w.cfg.Down != nil && w.cfg.Down(l.to) {
-		w.observe(EventDroppedUnreachable, l.from, l.to, msg.LinkFrame{Seq: seq, Inner: p.m})
+		p.observe(EventDroppedUnreachable, false)
+		p.retire()
 		return
 	}
-	w.sendAck(l, seq)
-	if !l.recv.accept(seq) {
+	p.transmit(true)
+	if !l.recv.accept(p.seq) {
+		p.retire()
 		return
 	}
+	// First accept: un-acked, so the record stays; the handler may send.
 	f := p.frame
 	p.frame = nil
 	w.arrive(f)
 }
 
-// sendAck transmits a LinkAck on the reverse direction of the link. Ack
-// frames are subject to the same faults; a lost ack just costs one
-// retransmission. Acks are processed regardless of the original
-// sender's up/down state: the link-layer state lives in the network
-// fabric, not in the crashing host. Acking an unknown or already-acked
-// sequence number is a no-op (a faulty link duplicates acks too).
-func (w *Wired) sendAck(l *wiredLink, seq uint64) {
-	ack := msg.LinkAck{Seq: seq}
-	f := w.fault(l.to, l.from, ack)
-	if f.Drop {
-		w.observe(EventDroppedLoss, l.to, l.from, ack)
-		return
+// onAck runs where an ack lands. Acks are processed regardless of the
+// original sender's up/down state: the link-layer state lives in the
+// network fabric, not in the crashing host. A second ack for the same
+// frame (a faulty link duplicates acks too) only drops its reference.
+func (p *arqPending) onAck() {
+	p.refs--
+	p.w.dequeue(p.l.ti, p.l.fi)
+	if !p.acked {
+		p.acked = true
+		p.l.pending--
 	}
-	w.enqueue(l.to, l.from, ack, f, func() {
-		p, ok := l.pending[seq]
-		if !ok {
-			return
-		}
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
-		delete(l.pending, seq)
-	})
+	p.retire()
+}
+
+// retire recycles the record once its message is acked and no scheduled
+// event names it any more; nothing touches it afterwards.
+func (p *arqPending) retire() {
+	if p.acked && p.refs == 0 {
+		p.m = nil
+		p.w.arq.Put(p)
+	}
 }
 
 // ARQStats sums link-layer retransmissions and still-outstanding
@@ -186,7 +234,7 @@ func (w *Wired) sendAck(l *wiredLink, seq uint64) {
 func (w *Wired) ARQStats() (retransmits int64, outstanding int) {
 	for _, l := range w.links {
 		retransmits += l.retransmits
-		outstanding += len(l.pending)
+		outstanding += l.pending
 	}
 	return retransmits, outstanding
 }

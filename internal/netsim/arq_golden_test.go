@@ -23,7 +23,7 @@ type seededFaults struct {
 	rng *sim.RNG
 }
 
-func (s *seededFaults) OnWired(from, to ids.NodeID, m msg.Message) LinkFault {
+func (s *seededFaults) OnWired(from, to ids.NodeID) LinkFault {
 	var f LinkFault
 	f.Drop = s.rng.Prob(0.10)
 	f.Duplicate = s.rng.Prob(0.025)
@@ -95,7 +95,6 @@ func arqGolden(t *testing.T, golden string, messages, queueLimit int) {
 		fmt.Fprintf(&out, "%d %v %v>%v %s\n", int64(at), kind, from, to, describe(m))
 	})
 	for _, n := range members {
-		n := n
 		w.Register(n, HandlerFunc(func(from ids.NodeID, m msg.Message) {
 			if v, ok := m.(msg.Dereg); ok && v.MH%7 == 0 { // send from inside delivery
 				w.Send(n, from, msg.Greet{MH: v.MH})

@@ -75,3 +75,31 @@ func TestWiredDeliveryAllocBudget(t *testing.T) {
 		t.Errorf("wired causal delivery: %.1f allocs/op, budget 0", avg)
 	}
 }
+
+// BenchmarkWiredARQHop measures one message over the fault-tolerant
+// backbone — causal stamp, ARQ frame, ack, retransmission timer — on a
+// clean link and on one that drops, duplicates and delays at
+// fault_recovery's rates (where a hop also pays its retransmissions).
+func BenchmarkWiredARQHop(b *testing.B) {
+	for _, name := range []string{"clean", "faulty"} {
+		b.Run(name, func(b *testing.B) {
+			k := sim.NewKernel(1)
+			members := staticMembers()
+			w := NewWired(k, members, WiredConfig{
+				Latency: Constant(time.Millisecond), Causal: true, Faults: arqLinks[name](k),
+				ARQ: ARQConfig{Enabled: true, RTO: 60 * time.Millisecond, MaxBackoff: 250 * time.Millisecond},
+			}, nil)
+			for _, n := range members {
+				w.Register(n, nopHandler())
+			}
+			from, to := ids.MSS(1).Node(), ids.MSS(2).Node()
+			var m msg.Message = msg.Dereg{MH: 7, NewMSS: 2}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Send(from, to, m)
+				k.Run()
+			}
+		})
+	}
+}

@@ -151,7 +151,7 @@ type LinkFault struct {
 // ack frames — so loss probabilities apply per attempt, as on a real
 // link. internal/faults provides the standard seeded implementation.
 type FaultHook interface {
-	OnWired(from, to ids.NodeID, m msg.Message) LinkFault
+	OnWired(from, to ids.NodeID) LinkFault
 }
 
 // WiredConfig parameterizes the wired network.
@@ -208,10 +208,15 @@ type Wired struct {
 	eps      []*causal.Endpoint
 	observer Observer
 	links    map[int]*wiredLink // ARQ state per directed pair (see link)
-	queued   map[linkKey]int    // frames in flight per directed link
-	shed     int64              // frames shed by full link queues
-	frames   sim.FreeList[wiredFrame]
-	pooled   bool // a frame fires at most once, so fired records are recycled
+	// queued counts the frames in flight per directed link, at from*n+to,
+	// when links are bounded (QueueLimit). Every scheduled arrival holds a
+	// slot until it fires; the sequencer bypasses the links, so under it
+	// nothing is counted.
+	queued []int32
+	shed   int64 // frames shed by full link queues
+	frames sim.FreeList[wiredFrame]
+	arq    sim.FreeList[arqPending]
+	pooled bool // a frame fires at most once, so fired records are recycled
 }
 
 // wiredFrame is one message in flight on the wired network: what the
@@ -243,7 +248,9 @@ func NewWired(k sim.Scheduler, members []ids.NodeID, cfg WiredConfig, obs Observ
 		handlers: make([]Handler, len(members)),
 		observer: obs,
 		links:    make(map[int]*wiredLink),
-		queued:   make(map[linkKey]int),
+	}
+	if cfg.QueueLimit > 0 && cfg.Seq == nil {
+		w.queued = make([]int32, len(members)*len(members))
 	}
 	for i, n := range members {
 		if n.Kind == ids.KindMH || int(n.Kind) >= len(w.index) {
@@ -264,7 +271,8 @@ func NewWired(k sim.Scheduler, members []ids.NodeID, cfg WiredConfig, obs Observ
 	// and without faults nothing duplicates. A faulty link without ARQ
 	// can fire the same frame twice (duplication fault), and the
 	// sequencer hook replays fires adversarially — both leave fired
-	// records to the GC.
+	// records to the GC. (The ARQ's own records count their scheduled
+	// events and always recycle: the sequencer bypasses the ARQ.)
 	w.pooled = cfg.Seq == nil && (cfg.Faults == nil || cfg.ARQ.Enabled)
 	w.eps = causal.Group(len(members), func(dst int, payload any) {
 		w.deliver(payload.(*wiredFrame))
@@ -327,18 +335,21 @@ func (w *Wired) Send(from, to ids.NodeID, m msg.Message) {
 // faults and the Down gate. Without ARQ a lost frame stays lost.
 func (w *Wired) transmitRaw(f *wiredFrame) {
 	from, to := w.members[f.fi], w.members[f.ti]
-	lf := w.fault(from, to, f.m)
+	lf := w.fault(from, to)
 	if lf.Drop {
 		w.observe(EventDroppedLoss, from, to, f.m)
 		return
 	}
-	w.enqueue(from, to, f.m, lf, f.run)
+	for _, shed := w.enqueue(f.fi, f.ti, lf, f.run); shed > 0; shed-- {
+		w.observe(EventShed, from, to, f.m)
+	}
 }
 
 // fire is the frame's arrival off the raw link — the Down gate, then
 // up — or out of the sequencer, which bypasses the gate.
 func (f *wiredFrame) fire() {
 	w := f.w
+	w.dequeue(f.fi, f.ti)
 	if to := w.members[f.ti]; w.cfg.Seq == nil && w.cfg.Down != nil && w.cfg.Down(to) {
 		w.observe(EventDroppedUnreachable, w.members[f.fi], to, f.m)
 		w.release(f)
@@ -365,37 +376,37 @@ func (w *Wired) release(f *wiredFrame) {
 	}
 }
 
-// enqueue schedules the physical delivery attempts of one frame (one
-// attempt, or two under a duplication fault), each subject to the
-// per-link queue bound: an attempt that finds the link full is shed —
-// observed as EventShed and never scheduled.
-func (w *Wired) enqueue(from, to ids.NodeID, m msg.Message, f LinkFault, deliver func()) {
-	if w.cfg.QueueLimit <= 0 {
-		// Unbounded link: no occupancy to track, so the delivery closure
-		// schedules directly (the common configuration's zero-extra-alloc
-		// path).
-		w.k.Defer(w.sampleLatency(from, to)+f.Delay, deliver)
-		if f.Duplicate {
-			w.k.Defer(w.sampleLatency(from, to)+f.Delay, deliver)
-		}
-		return
+// enqueue schedules the physical arrivals of one transmission — one, or
+// two under a duplication fault — each subject to the per-link queue
+// bound: a copy that finds the link full is shed, never scheduled, and
+// the caller observes it as EventShed. fire gives its slot back
+// (dequeue) when it runs.
+func (w *Wired) enqueue(fi, ti int, lf LinkFault, fire func()) (sent, shed int) {
+	from, to := w.members[fi], w.members[ti]
+	copies := 1
+	if lf.Duplicate {
+		copies = 2
 	}
-	key := linkKey{from: from, to: to}
-	attempt := func() {
-		if w.queued[key] >= w.cfg.QueueLimit {
-			w.shed++
-			w.observe(EventShed, from, to, m)
-			return
+	for ; copies > 0; copies-- {
+		if w.queued != nil {
+			q := &w.queued[fi*len(w.members)+ti]
+			if int(*q) >= w.cfg.QueueLimit {
+				w.shed++
+				shed++
+				continue
+			}
+			*q++
 		}
-		w.queued[key]++
-		w.k.Defer(w.sampleLatency(from, to)+f.Delay, func() {
-			w.queued[key]--
-			deliver()
-		})
+		w.k.Defer(w.sampleLatency(from, to)+lf.Delay, fire)
+		sent++
 	}
-	attempt()
-	if f.Duplicate {
-		attempt()
+	return sent, shed
+}
+
+// dequeue returns the queue slot of an arrival that has fired.
+func (w *Wired) dequeue(fi, ti int) {
+	if w.queued != nil {
+		w.queued[fi*len(w.members)+ti]--
 	}
 }
 
@@ -403,11 +414,11 @@ func (w *Wired) enqueue(from, to ids.NodeID, m msg.Message, f LinkFault, deliver
 func (w *Wired) Shed() int64 { return w.shed }
 
 // fault consults the fault hook, if any.
-func (w *Wired) fault(from, to ids.NodeID, m msg.Message) LinkFault {
+func (w *Wired) fault(from, to ids.NodeID) LinkFault {
 	if w.cfg.Faults == nil {
 		return LinkFault{}
 	}
-	return w.cfg.Faults.OnWired(from, to, m)
+	return w.cfg.Faults.OnWired(from, to)
 }
 
 // sampleLatency draws the link delay for one attempt.
@@ -531,12 +542,6 @@ type Wireless struct {
 	// fabric keyed by (downlink) radioKey.
 	wtpOut map[uint64]*wtp.Sender
 	wtpIn  map[uint64]*wtp.Receiver
-}
-
-// linkKey identifies one directed wired link.
-type linkKey struct {
-	from ids.NodeID
-	to   ids.NodeID
 }
 
 // radioKey packs a cell link's two ends into one word: with the

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/msg"
+	"repro/internal/netsim"
 )
 
 // TestStationSelfSendAllocBudget: a station's message to itself (a proxy
@@ -62,5 +63,58 @@ func TestRequestRoundTripAllocBudget(t *testing.T) {
 	}
 	if w.TotalProxies() != 0 || w.Stats.Violations.Value() != 0 {
 		t.Errorf("%d proxies left, %d violations", w.TotalProxies(), w.Stats.Violations.Value())
+	}
+}
+
+// TestFaultTolerantRoundTripAllocBudget is TestRequestRoundTripAllocBudget
+// over the E10 stack — wired ARQ, station journal, confirmed registration.
+// The ARQ's frames, acks and timers and the journal's writes of the host
+// record and the proxy add nothing once warm; what the stack still adds to
+// the fault-free trip's eleven is the journal image of each new proxy (its
+// record and its one-request list), written when the proxy is created.
+func TestFaultTolerantRoundTripAllocBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumMSS = 2
+	cfg.WiredARQ = netsim.ARQConfig{Enabled: true}
+	cfg.Checkpoint = true
+	cfg.RegConfirm = true
+	w := NewWorld(cfg)
+	h := w.AddMH(1, 1)
+	w.Run()
+	payload := []byte("q")
+	step := func() {
+		h.IssueRequest(1, payload)
+		w.Run()
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	before := w.Stats.ResultsDelivered.Value()
+	if avg := testing.AllocsPerRun(200, step); avg > 13 {
+		t.Errorf("fault-tolerant request round trip: %.2f allocs, budget 13", avg)
+	}
+	if got := w.Stats.ResultsDelivered.Value() - before; got != 201 {
+		t.Errorf("delivered %d results, want 201", got)
+	}
+	if w.TotalProxies() != 0 || w.Stats.Violations.Value() != 0 || w.CheckpointWrites() == 0 {
+		t.Errorf("%d proxies left, %d violations, %d journal writes", w.TotalProxies(), w.Stats.Violations.Value(), w.CheckpointWrites())
+	}
+}
+
+// TestJournalWriteAllocBudget: an event that wrote a host record and a
+// proxy journals both for nothing — each image is written over the stored
+// one, into the slices that one owns.
+func TestJournalWriteAllocBudget(t *testing.T) {
+	n, seq := journalWorld(t)
+	writes := n.w.CheckpointWrites()
+	if avg := testing.AllocsPerRun(200, func() {
+		n.markHost(1)
+		n.markSlot(seq)
+		n.flushJournal()
+	}); avg != 0 {
+		t.Errorf("journal write of a host record and a proxy: %.1f allocs, budget 0", avg)
+	}
+	if got := n.w.CheckpointWrites() - writes; got != 2*201 {
+		t.Errorf("%d journal writes counted, want %d", got, 2*201)
 	}
 }

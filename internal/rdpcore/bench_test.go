@@ -3,8 +3,10 @@ package rdpcore
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/ids"
+	"repro/internal/netsim"
 )
 
 // roundTripWorld is the smallest world that runs the whole protocol: two
@@ -63,5 +65,44 @@ func BenchmarkReachable(b *testing.B) {
 				b.Fatalf("%d of %d probes reachable", hit, b.N)
 			}
 		})
+	}
+}
+
+// journalWorld is a checkpointing station mid-protocol: host 1's proxy at
+// station 1 holds three requests the server has not answered yet, and the
+// host's ledger there two of them. It returns the station and the proxy's
+// slot.
+func journalWorld(tb testing.TB) (*MSSNode, uint32) {
+	cfg := DefaultConfig()
+	cfg.NumMSS = 2
+	cfg.Checkpoint = true
+	cfg.ServerProc = netsim.Constant(time.Hour)
+	w := NewWorld(cfg)
+	h := w.AddMH(1, 1)
+	for i := 0; i < 3; i++ {
+		h.IssueRequest(1, []byte("q"))
+	}
+	w.RunUntil(time.Second)
+	n := w.MSSs[1]
+	pref, _ := n.PrefOf(1)
+	p := n.proxyAt(pref.Proxy.Seq)
+	if p == nil || len(p.reqs) != 3 || len(n.peek(1).out) != 3 {
+		tb.Fatalf("set-up: proxy %v, ledger %v", p, n.peek(1).out)
+	}
+	n.rec(1).out = n.rec(1).out[:2]
+	n.flushJournal()
+	return n, pref.Proxy.Seq
+}
+
+// BenchmarkJournalFlush measures one event's journal write: a host record
+// and a proxy marked, and flushJournal storing the image of each.
+func BenchmarkJournalFlush(b *testing.B) {
+	n, seq := journalWorld(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.markHost(1)
+		n.markSlot(seq)
+		n.flushJournal()
 	}
 }

@@ -25,7 +25,12 @@ import (
 // proxyBatch, sharedWaiter, tombstone, a host record's hostDurable —
 // deep enough that later mutation of the live state cannot reach into
 // stable storage. What a copy carries of the live type's volatile fields
-// (a tombstone's host and timer epoch) is zeroed on the way in.
+// (a tombstone's host and timer epoch) is zeroed on the way in. The two
+// images an ordinary event writes — a host's and a proxy's — are written
+// over the stored one, into the slices it already owns: still a deep copy
+// (the store's backing arrays are the store's alone; a restart clones out
+// of them), but a journal write allocates nothing once the image has
+// reached its size.
 
 // hostJournal is the journaled per-MH state of one station: the two
 // facts kept outside the host table, and the record's durable half —
@@ -180,7 +185,7 @@ func (n *MSSNode) flushJournal() {
 	rec := n.w.store.station(n.id)
 	for _, mh := range n.dirtyHosts {
 		// A snapshot with nothing left to remember erases the entry.
-		if j := n.hostImage(mh); j.responsible || j.hasPref || j.departed {
+		if j := n.hostImage(mh, rec.mhs[mh].out); j.responsible || j.hasPref || j.departed {
 			rec.mhs[mh] = j
 		} else {
 			delete(rec.mhs, mh)
@@ -190,41 +195,57 @@ func (n *MSSNode) flushJournal() {
 		// The image of what answers for the slot now replaces whatever the
 		// journal had there; an empty slot (or a reservation, which is
 		// volatile) leaves nothing. Group proxies are never deleted.
-		delete(rec.proxies, seq)
 		delete(rec.tombstones, seq)
 		switch a := n.hosted[seq].(type) {
 		case *Proxy:
-			rec.proxies[seq] = a.image()
+			pr := rec.proxies[seq]
+			if pr == nil {
+				pr = new(proxyRecord)
+				rec.proxies[seq] = pr
+			}
+			a.image(pr)
+			continue // the stored record stays: it has just been written over
 		case *GroupProxy:
 			rec.groups[seq] = a.image()
 		case *tombstone:
 			rec.tombstones[seq] = a.clone()
 		}
+		delete(rec.proxies, seq)
 	}
 	n.w.store.writes += int64(len(n.dirtyHosts) + len(n.dirtySlots))
 	n.dirtyHosts, n.dirtySlots = n.dirtyHosts[:0], n.dirtySlots[:0]
 }
 
-// hostImage is this station's complete journaled state for mh.
-func (n *MSSNode) hostImage(mh ids.MH) hostJournal {
+// hostImage is this station's complete journaled state for mh, its
+// ledger copied into stored — the ledger of the image it replaces.
+func (n *MSSNode) hostImage(mh ids.MH, stored []outReq) hostJournal {
 	j := hostJournal{responsible: n.localMhs.contains(mh), hostDurable: n.peek(mh).hostDurable}
 	j.pref, j.hasPref = n.prefs.get(mh)
-	j.out = append([]outReq(nil), j.out...)
+	j.out = append(stored[:0], j.out...)
 	return j
 }
 
-// image is the journaled image of the proxy: identity, currentLoc and the
-// full requestList and batch state.
-func (p *Proxy) image() *proxyRecord {
-	pr := &proxyRecord{id: p.id, mh: p.mh, currentLoc: p.currentLoc, leaseInc: p.leaseInc,
-		aborted: maps.Clone(p.abortedBatches), abortOrder: slices.Clone(p.abortOrder)}
+// image writes the journaled image of the proxy — identity, currentLoc
+// and the full requestList and batch state — over pr, the image it
+// replaces (or a new record).
+func (p *Proxy) image(pr *proxyRecord) {
+	pr.id, pr.mh, pr.currentLoc, pr.leaseInc = p.id, p.mh, p.currentLoc, p.leaseInc
+	pr.aborted, pr.abortOrder = maps.Clone(p.abortedBatches), append(pr.abortOrder[:0], p.abortOrder...)
+	stale := pr.reqs
+	pr.reqs = pr.reqs[:0]
 	for _, r := range p.reqs {
 		pr.reqs = append(pr.reqs, *r)
 	}
-	for _, id := range p.batchOrder {
-		pr.batches = append(pr.batches, p.batches[id].clone())
+	if len(pr.reqs) < len(stale) {
+		clear(stale[len(pr.reqs):]) // payloads and results of requests since removed
 	}
-	return pr
+	// A stored batch keeps its member array, also past the image's length.
+	pr.batches = slices.Grow(pr.batches[:0], len(p.batchOrder))[:len(p.batchOrder)]
+	for i, id := range p.batchOrder {
+		b, members := &pr.batches[i], pr.batches[i].members
+		*b = *p.batches[id]
+		b.members = append(members[:0], b.members...)
+	}
 }
 
 // image is the journaled image of the group proxy (E16).

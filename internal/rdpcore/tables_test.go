@@ -1221,6 +1221,85 @@ func TestCrashAtEveryBoundary(t *testing.T) {
 	}
 }
 
+// journalAliasWorld is journalWorld with a batch and an abort memo on the
+// proxy, journaled: every slice an image owns is in use.
+func journalAliasWorld(t *testing.T) (n *MSSNode, seq uint32, p *Proxy, stored *stationRecord) {
+	n, seq = journalWorld(t)
+	p = n.proxyAt(seq)
+	b := &proxyBatch{id: ids.BatchID{Origin: 1, Seq: 1}, members: []ids.RequestID{p.reqs[0].id, p.reqs[1].id}, inc: 1}
+	setLazy(&p.batches, b.id, b)
+	p.batchOrder = append(p.batchOrder, b.id)
+	p.abortOrder = append(p.abortOrder, ids.BatchID{Origin: 1, Seq: 9})
+	setLazy(&p.abortedBatches, p.abortOrder[0], []ids.RequestID{{Origin: 1, Seq: 77}})
+	n.markSlot(seq)
+	n.flushJournal()
+	return n, seq, p, n.w.store.station(n.id)
+}
+
+// TestJournalImageOutOfLiveReach: the journal writes an image over the one
+// it stored before, into the same arrays — so those arrays must be the
+// store's alone. Whatever an event does to the live tables afterwards,
+// the stored image does not move until the next flush; and that flush,
+// overwriting in place, reproduces the live state again.
+func TestJournalImageOutOfLiveReach(t *testing.T) {
+	n, seq, p, stored := journalAliasWorld(t)
+	all := p.reqs
+	for round := 0; round < 3; round++ { // the second and third rounds scribble over reused arrays
+		before := dumpRecord(stored)
+		h := n.entry(1)
+		h.out[0].inc += 5
+		h.out = append(h.out[:1], outReq{req: ids.RequestID{Origin: 1, Seq: 40}, inc: 2})
+		h.inc++
+		p.currentLoc, p.leaseInc = 2, p.leaseInc+1
+		p.reqs[0].hasResult, p.reqs[0].result = true, []byte{byte(round)}
+		all[0], all[1] = all[1], all[0]
+		p.reqs = all[:2+round%2] // the image shrinks, then grows back
+		b := p.batches[p.batchOrder[0]]
+		b.members[0].Seq += 10
+		b.members = append(b.members, ids.RequestID{Origin: 1, Seq: uint32(50 + round)})
+		b.committed = !b.committed
+		p.abortOrder[0].Seq++
+		if after := dumpRecord(stored); after != before {
+			t.Fatalf("round %d: live writes reached the stored image:\n--- before\n%s--- after\n%s", round, before, after)
+		}
+		p.abortOrder[0].Seq-- // its memo is keyed by it
+		n.markHost(1)
+		n.markSlot(seq)
+		n.flushJournal()
+		if live := liveRecord(n); !sameRecord(live, stored) {
+			t.Fatalf("round %d: journal differs from live state after the flush:\n--- live\n%s--- journal\n%s",
+				round, dumpRecord(live), dumpRecord(stored))
+		}
+	}
+}
+
+// TestRestoredStateOutOfJournalReach: the other direction. A restart
+// clones out of the store, so overwriting the stored images in place —
+// by hand here, by the next flush in service — leaves what was restored
+// from them alone.
+func TestRestoredStateOutOfJournalReach(t *testing.T) {
+	n, seq, _, stored := journalAliasWorld(t)
+	n.w.CrashMSS(1)
+	n.w.RestartMSS(1)
+	restored := dumpRecord(liveRecord(n))
+	pr, j := stored.proxies[seq], stored.mhs[1]
+	pr.reqs[0].id.Seq, pr.reqs[1].hasResult = 99, true
+	pr.batches[0].members[0].Seq, pr.batches[0].released = 98, true
+	pr.abortOrder[0].Seq = 97
+	j.out[0].inc = 96
+	if now := dumpRecord(liveRecord(n)); now != restored {
+		t.Fatalf("writes to the stored images reached the restored state:\n--- restored\n%s--- now\n%s", restored, now)
+	}
+	// The next flush writes over the scribbled arrays, and gets them right.
+	n.markHost(1)
+	n.markSlot(seq)
+	n.flushJournal()
+	if now := dumpRecord(liveRecord(n)); now != restored || !sameRecord(liveRecord(n), stored) {
+		t.Fatalf("flush after restart: live state moved or journal differs:\n--- restored\n%s--- live\n%s--- journal\n%s",
+			restored, now, dumpRecord(stored))
+	}
+}
+
 // doorWorld builds station 1 of a silent three-station world with one
 // proxy identity answered by the named sort of addressee (or by nothing,
 // or belonging to another station) and returns that identity with the

@@ -42,6 +42,10 @@ func (l *FreeList[T]) Put(x *T) {
 	}
 }
 
+// Out returns how many records are handed out and not yet returned: zero
+// once everything a substrate scheduled has fired, or a record leaked.
+func (l *FreeList[T]) Out() int { return l.out }
+
 // trimmed returns the first n entries of free in a right-sized backing
 // array, so the dropped records and the old array can both be collected.
 func trimmed[T any](free []*T, n int) []*T {

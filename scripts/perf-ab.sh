@@ -2,7 +2,7 @@
 # A/B one perf workload between two commits, the way a claimed gain is
 # judged (choosing-metrics §8):
 #
-#   scripts/perf-ab.sh <base-ref> <head-ref> <workload> [pairs [seed0]]
+#   scripts/perf-ab.sh <base-ref> <head-ref> <workload> [pairs [seed0 [metric]]]
 #
 # Both ./perf binaries are built once, from `git archive` exports under
 # .bench_build/ab/ (a ref of "." exports the working tree instead, for a
@@ -10,23 +10,34 @@
 # base and head alternating with the order flipped every pair and a fresh
 # input seed per pair (seed0+1, seed0+2, …; seed0 defaults to 100 — pass
 # another to judge a change on seeds it was not written against), each
-# for BENCHMARK.json's run length. It prints
-# every pair's norm_results_per_s, each side's median and quartiles, and
-# the verdict: head wins at least nine pairs in ten (ties count for
-# neither) and the medians differ by more than the base's own
-# interquartile range. Then, from the same runs, every end-to-end metric
+# for BENCHMARK.json's run length. It prints every pair's reading of the
+# claimed metric — any end-to-end metric BENCHMARK.json declares, which
+# also says whether lower or higher is better; norm_results_per_s by
+# default — each side's median and quartiles, and the verdict: head wins
+# at least nine pairs in ten (ties count for neither) and the medians
+# differ, in the better direction, by more than the base's own
+# interquartile range. A metric whose unit is "count" may carry a claim
+# only if it repeats exactly (choosing-metrics §8), so for one each side
+# runs every seed twice and the script says whether the two readings
+# agreed. Then, from the pairs' runs, every end-to-end metric
 # BENCHMARK.json declares: both sides' medians, the change in %, and
 # WORSE where head is worse than base by more than that metric's bound —
 # what a change that claims no gain has to show. It reads the result line
 # perf prints and changes nothing under perf/.
 set -eu
 if [ $# -lt 3 ]; then
-	echo "usage: $0 <base-ref> <head-ref> <workload> [pairs [seed0]]" >&2
+	echo "usage: $0 <base-ref> <head-ref> <workload> [pairs [seed0 [metric]]]" >&2
 	exit 2
 fi
-base_ref=$1 head_ref=$2 workload=$3 pairs=${4:-10} seed0=${5:-100}
-metric=norm_results_per_s
+base_ref=$1 head_ref=$2 workload=$3 pairs=${4:-10} seed0=${5:-100} metric=${6:-norm_results_per_s}
 cd "$(dirname "$0")/.."
+decl=$(tr -d ' \n\t' <BENCHMARK.json | sed -n 's/.*"end_to_end":\[\([^]]*\)\].*/\1/p' | tr '}' '\n' | grep "\"name\":\"$metric\"" || true)
+if [ -z "$decl" ]; then
+	echo "perf-ab: BENCHMARK.json declares no end-to-end metric \"$metric\"" >&2
+	exit 2
+fi
+better=$(printf '%s' "$decl" | sed -n 's/.*"better":"\([a-z]*\)".*/\1/p')
+unit=$(printf '%s' "$decl" | sed -n 's/.*"unit":"\([^"]*\)".*/\1/p')
 root=$PWD/.bench_build/ab
 export GOCACHE="$PWD/.bench_build/gocache" GOTMPDIR="$PWD/.bench_build/tmp" GOFLAGS=-mod=mod
 mkdir -p "$GOTMPDIR"
@@ -44,9 +55,9 @@ build() { # side ref
 build base "$base_ref"
 build head "$head_ref"
 
-run() { # side seed
+run() { # side seed [file the result line is kept in]
 	out=$(cd "$root/$1" && "$root/$1.perfbench" -workload "$workload" -seed "$2" -trace 0 | tail -n 1)
-	printf '%s\n' "$out" >>"$root/$1.lines"
+	printf '%s\n' "$out" >>"${3:-$root/$1.lines}"
 	v=$(printf '%s\n' "$out" | sed -n 's/.*"'$metric'":{"value":\([0-9.eE+-]*\).*/\1/p')
 	if [ -z "$v" ]; then
 		echo "perf-ab: $1 run printed no $metric (seed $2)" >&2
@@ -59,6 +70,7 @@ run() { # side seed
 : >"$root/head.runs"
 : >"$root/base.lines"
 : >"$root/head.lines"
+: >"$root/repeats"
 i=1
 while [ "$i" -le "$pairs" ]; do
 	seed=$((seed0 + i))
@@ -70,6 +82,9 @@ while [ "$i" -le "$pairs" ]; do
 	echo "$b" >>"$root/base.runs"
 	echo "$h" >>"$root/head.runs"
 	echo "pair $i seed $seed: base $b head $h"
+	if [ "$unit" = count ]; then
+		echo "$b $(run base "$seed" /dev/null) $h $(run head "$seed" /dev/null)" >>"$root/repeats"
+	fi
 	i=$((i + 1))
 done
 
@@ -84,19 +99,30 @@ quartiles() { # file -> "q1 median q3", linear interpolation
 }
 bq=$(quartiles "$root/base.runs")
 hq=$(quartiles "$root/head.runs")
-echo "$workload $metric over $pairs pairs"
+echo "$workload $metric ($unit, $better is better) over $pairs pairs"
 echo "  base ($base_ref): q1 median q3 = $bq"
 echo "  head ($head_ref): q1 median q3 = $hq"
-paste "$root/base.runs" "$root/head.runs" | awk -v bq="$bq" -v hq="$hq" '
-	$2 > $1 { wins++ } $2 < $1 { losses++ }
+paste "$root/base.runs" "$root/head.runs" | awk -v bq="$bq" -v hq="$hq" -v sign="$([ "$better" = lower ] && echo -1 || echo 1)" '
+	sign * ($2 - $1) > 0 { wins++ } sign * ($2 - $1) < 0 { losses++ }
 	END {
 		split(bq, b, " "); split(hq, h, " ")
 		gap = h[2] - b[2]; iqr = b[3] - b[1]
 		printf "  head wins %d, loses %d of %d pairs; median gap %+.2f%% of base (%.6g), base IQR %.2f%% (%.6g)\n",
 			wins, losses, NR, 100 * gap / b[2], gap, 100 * iqr / b[2], iqr
-		if (wins * 10 >= NR * 9 && gap > iqr) print "  verdict: gain"
+		if (wins * 10 >= NR * 9 && sign * gap > iqr) print "  verdict: gain"
 		else print "  verdict: no gain shown"
 	}'
+if [ "$unit" = count ]; then
+	awk '
+		function off(a, b) { return (a == b) ? 0 : (a > b ? a - b : b - a) / a * 100 }
+		{ if ($1 == $2) bsame++; if ($3 == $4) hsame++
+		  if (off($1, $2) > bmax) bmax = off($1, $2); if (off($3, $4) > hmax) hmax = off($3, $4) }
+		END {
+			if (bsame == NR && hsame == NR) { print "  count metric: every seed repeated exactly on both sides"; exit }
+			printf "  count metric: NOT exactly repeatable — a second run of the same seed read the same on %d of %d seeds for base (largest difference %.4f%%), %d of %d for head (%.4f%%)\n",
+				bsame, NR, bmax, hsame, NR, hmax
+		}' "$root/repeats"
+fi
 
 # Every end-to-end metric of BENCHMARK.json, from the result lines kept
 # above. The array's objects hold no nested braces, so one pattern finds
