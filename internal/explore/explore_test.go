@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -139,6 +140,28 @@ func TestMigrationUnderAdversary(t *testing.T) {
 		t.Skipf("known finding, ROADMAP item 1 bug (i): mig1 is not adversary-clean (walk %d)", i)
 	}
 	t.Logf("2000 walks of %s: no violation recorded, %d property failures", sc.Name, failures)
+}
+
+// TestBounceBackOverlapReplay stands ROADMAP item 1's plain-protocol
+// reproducer of bug (i): walk 5843 of bounce-back-overlap at seed 1 — one
+// host, three requests, three migrations, default config — confirms a
+// del-proxy while a request is still pending. While the violation
+// reproduces the test skips with it, like TestMigrationUnderAdversary;
+// item 1(d)'s fix deletes the skip and the replay becomes a gate.
+func TestBounceBackOverlapReplay(t *testing.T) {
+	choices := []int{0, 1, 1, 1, 1, 1, 0, 2, 1, 2, 1, 1, 0, 2, 1, 1, 1, 1, 0, 3, 2, 0, 1, 2,
+		3, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 2, 2, 0, 0, 0, 0, 0, 0}
+	var failures []string
+	o := Replay(lookup(t, "bounce-back-overlap"), choices, 5, func(format string, args ...any) {
+		failures = append(failures, fmt.Sprintf(format, args...))
+	})
+	const known = "del-proxy confirmed with requests pending at 450ms: mh1 proxy(mss1#1) req(mh1#2)"
+	if slices.Contains(o.World.ViolationLog(), known) {
+		t.Skipf("known finding, ROADMAP item 1 bug (i): %s", known)
+	}
+	for _, f := range failures {
+		t.Error(f)
+	}
 }
 
 // TestControllerWirelessFIFO verifies the controller's lane discipline:

@@ -137,10 +137,7 @@ func (e *encoder) message(m Message) error {
 		e.bytes(v.Payload)
 	case ImageTransfer:
 		e.u32(uint32(v.MH))
-		e.u32(uint32(len(v.Pending)))
-		for _, r := range v.Pending {
-			e.req(r)
-		}
+		e.reqs(v.Pending)
 		e.u32(uint32(len(v.Results)))
 		for _, b := range v.Results {
 			e.bytes(b)
@@ -226,6 +223,7 @@ func (e *encoder) message(m Message) error {
 			e.bool(b.Released)
 			e.bool(b.Aborted)
 			e.inc(b.Inc)
+			e.reqs(b.Members)
 		}
 		e.inc(v.LeaseInc)
 	case PrefRedirect:
@@ -260,10 +258,7 @@ func (e *encoder) message(m Message) error {
 		e.proxy(v.Proxy)
 		e.u32(uint32(v.MH))
 		e.batch(v.Batch)
-		e.u32(uint32(len(v.Reqs)))
-		for _, r := range v.Reqs {
-			e.req(r)
-		}
+		e.reqs(v.Reqs)
 	case Register:
 		e.u32(uint32(v.MH))
 		e.inc(v.Inc)
@@ -392,15 +387,8 @@ func decMIPTunnel(d *decoder) MIPTunnel {
 }
 
 func decImageTransfer(d *decoder) ImageTransfer {
-	it := ImageTransfer{MH: ids.MH(d.u32())}
+	it := ImageTransfer{MH: ids.MH(d.u32()), Pending: d.reqs()}
 	n := d.len()
-	if n > 0 && d.err == nil {
-		it.Pending = make([]ids.RequestID, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		it.Pending = append(it.Pending, d.req())
-	}
-	n = d.len()
 	if n > 0 && d.err == nil {
 		it.Results = make([][]byte, 0, n)
 	}
@@ -480,10 +468,10 @@ func decMigState(d *decoder) MigState {
 	ms := MigState{Proxy: d.proxy(), NewProxy: d.proxy(), MH: ids.MH(d.u32()), CurrentLoc: ids.MSS(d.u32())}
 	n := d.len()
 	if n > 0 && d.err == nil {
-		ms.Reqs = make([]MigReqState, 0, n)
+		ms.Reqs = make([]ProxyReq, 0, n)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
-		ms.Reqs = append(ms.Reqs, MigReqState{
+		ms.Reqs = append(ms.Reqs, ProxyReq{
 			Req:       d.req(),
 			Server:    ids.Server(d.u32()),
 			Payload:   d.bytes(),
@@ -496,16 +484,17 @@ func decMigState(d *decoder) MigState {
 	}
 	n = d.len()
 	if n > 0 && d.err == nil {
-		ms.Batches = make([]MigBatchState, 0, n)
+		ms.Batches = make([]ProxyBatch, 0, n)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
-		ms.Batches = append(ms.Batches, MigBatchState{
+		ms.Batches = append(ms.Batches, ProxyBatch{
 			Batch:     d.batch(),
 			Expected:  d.u32(),
 			Committed: d.bool(),
 			Released:  d.bool(),
 			Aborted:   d.bool(),
 			Inc:       d.inc(),
+			Members:   d.reqs(),
 		})
 	}
 	ms.LeaseInc = d.inc()
@@ -541,15 +530,7 @@ func decBatchCommit(d *decoder) BatchCommit {
 }
 
 func decBatchAbort(d *decoder) BatchAbort {
-	ba := BatchAbort{Proxy: d.proxy(), MH: ids.MH(d.u32()), Batch: d.batch()}
-	n := d.len()
-	if n > 0 && d.err == nil {
-		ba.Reqs = make([]ids.RequestID, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		ba.Reqs = append(ba.Reqs, d.req())
-	}
-	return ba
+	return BatchAbort{Proxy: d.proxy(), MH: ids.MH(d.u32()), Batch: d.batch(), Reqs: d.reqs()}
 }
 
 func decRegister(d *decoder) Register {
@@ -770,6 +751,13 @@ func (e *encoder) req(r ids.RequestID) {
 	e.u32(r.Seq)
 }
 
+func (e *encoder) reqs(rs []ids.RequestID) {
+	e.u32(uint32(len(rs)))
+	for _, r := range rs {
+		e.req(r)
+	}
+}
+
 func (e *encoder) proxy(p ids.ProxyID) {
 	e.u32(uint32(p.Host))
 	e.u32(p.Seq)
@@ -871,6 +859,19 @@ func (d *decoder) bytes() []byte {
 
 func (d *decoder) req() ids.RequestID {
 	return ids.RequestID{Origin: ids.MH(d.u32()), Seq: d.u32()}
+}
+
+// reqs decodes a length-prefixed request list; an empty one is nil.
+func (d *decoder) reqs() []ids.RequestID {
+	n := d.len()
+	if n == 0 {
+		return nil
+	}
+	rs := make([]ids.RequestID, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		rs = append(rs, d.req())
+	}
+	return rs
 }
 
 func (d *decoder) proxy() ids.ProxyID {

@@ -57,13 +57,14 @@ func sampleMessages() []Message {
 			NewProxy:   ids.ProxyID{Host: 4, Seq: 9},
 			MH:         3,
 			CurrentLoc: 4,
-			Reqs: []MigReqState{
+			Reqs: []ProxyReq{
 				{Req: req, Server: 1, Payload: []byte("q"), Result: []byte("r"), HasResult: true, Forwarded: true, Inc: 1},
 				{Req: ids.RequestID{Origin: 3, Seq: 42}, Server: 2, Payload: []byte("q2"), Batch: ids.BatchID{Origin: 3, Seq: 1}, Inc: 2},
 			},
-			Batches: []MigBatchState{
-				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Expected: 2, Committed: true, Inc: 2},
-				{Batch: ids.BatchID{Origin: 3, Seq: 2}, Aborted: true},
+			// One live batch and one abort memo, each with its members.
+			Batches: []ProxyBatch{
+				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Members: []ids.RequestID{{Origin: 3, Seq: 42}}, Expected: 2, Committed: true, Inc: 2},
+				{Batch: ids.BatchID{Origin: 3, Seq: 2}, Members: []ids.RequestID{{Origin: 3, Seq: 43}, {Origin: 3, Seq: 44}}, Aborted: true, Inc: 2},
 			},
 			LeaseInc: 2,
 		},
@@ -205,6 +206,23 @@ func TestDecodeRejectsHugeLengthPrefix(t *testing.T) {
 	e.u32(0xFFFFFFFF) // absurd payload length
 	if _, err := Decode(e.buf); !errors.Is(err, ErrTruncated) {
 		t.Errorf("Decode = %v, want ErrTruncated", err)
+	}
+}
+
+// TestDecodeRejectsTruncatedMemberList: a batch's member list that ends
+// before its count says is a truncation, wherever the input stops.
+func TestDecodeRejectsTruncatedMemberList(t *testing.T) {
+	memo := ProxyBatch{Batch: ids.BatchID{Origin: 3, Seq: 2}, Aborted: true,
+		Members: []ids.RequestID{{Origin: 3, Seq: 43}, {Origin: 3, Seq: 44}}}
+	b, err := Encode(MigState{MH: 3, Batches: []ProxyBatch{memo}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The image ends in the memo's two members and the lease incarnation.
+	for name, cut := range map[string]int{"one member short": 4 + 8, "half a member": 4 + 4, "no members": 4 + 16} {
+		if _, err := Decode(b[:len(b)-cut]); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: Decode = %v, want ErrTruncated", name, err)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 			NewProxy:   ids.ProxyID{Host: 2, Seq: 7},
 			MH:         3,
 			CurrentLoc: 2,
-			Reqs: []MigReqState{
+			Reqs: []ProxyReq{
 				{Req: ids.RequestID{Origin: 3, Seq: 9}, Server: 1, Payload: []byte("q"), Result: []byte("res"), HasResult: true, Forwarded: true},
 			},
 		}},
@@ -56,11 +56,11 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 			Proxy:    ids.ProxyID{Host: 1, Seq: 2},
 			NewProxy: ids.ProxyID{Host: 2, Seq: 7},
 			MH:       3,
-			Reqs: []MigReqState{
+			Reqs: []ProxyReq{
 				{Req: ids.RequestID{Origin: 3, Seq: 9}, Server: 1, Payload: []byte("q"), Batch: ids.BatchID{Origin: 3, Seq: 1}},
 			},
-			Batches: []MigBatchState{
-				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Expected: 1, Committed: true, Released: false},
+			Batches: []ProxyBatch{
+				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Members: []ids.RequestID{{Origin: 3, Seq: 9}}, Expected: 1, Committed: true},
 			},
 		}},
 		// Crash/amnesia-recovery messages (E18), bare and ARQ-framed,
@@ -75,10 +75,10 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 			NewProxy: ids.ProxyID{Host: 2, Seq: 7},
 			MH:       3,
 			LeaseInc: 3,
-			Reqs: []MigReqState{
+			Reqs: []ProxyReq{
 				{Req: ids.RequestID{Origin: 3, Seq: 9}, Server: 1, Payload: []byte("q"), Inc: 2},
 			},
-			Batches: []MigBatchState{
+			Batches: []ProxyBatch{
 				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Expected: 1, Inc: 3},
 			},
 		}},

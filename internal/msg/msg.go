@@ -561,31 +561,38 @@ type MigCommit struct {
 	Accept   bool
 }
 
-// MigReqState is one entry of a migrating proxy's requestList: the
-// request, its target server, the original payload (for crash-recovery
-// re-issue), the stored result if the server already answered, and
-// whether that result has been forwarded toward the MH at least once.
-type MigReqState struct {
+// ProxyReq is one entry of a proxy's requestList (§3.1): the request, its
+// target server, the original payload (for crash-recovery re-issue), the
+// stored result if the server already answered, and whether that result
+// has been forwarded toward the MH at least once. A request is pending
+// from insertion until its Ack arrives; the stored result survives until
+// then so it can be re-sent on every location update.
+type ProxyReq struct {
 	Req       ids.RequestID
 	Server    ids.Server
 	Payload   []byte
 	Result    []byte
 	HasResult bool
 	Forwarded bool
-	Batch     ids.BatchID     // batch membership; zero for ordinary requests
-	Inc       ids.Incarnation // issuing incarnation of the origin MH (E18)
+	Batch     ids.BatchID // batch membership (E17); zero for ordinary requests
+	// Inc is the MH incarnation that issued the request (E18): a rebooted
+	// host restarts its sequence counter, so the same RequestID can name
+	// two different requests across a crash.
+	Inc ids.Incarnation
 }
 
-// MigBatchState is one atomic batch's control state within a migrating
-// proxy: the batch identity, the committed member count (zero until
-// commit arrives), and whether the batch has been sealed or released.
-// The adopting host re-arms the batch deadline from scratch — the
-// deadline is a per-host conservative bound, not a global clock.
-// Aborted entries carry the abort memo: the decision to refuse a batch
-// must survive migration (and crashes), or a replayed batch could be
-// delivered after its members were told to abandon it.
-type MigBatchState struct {
+// ProxyBatch is one atomic batch (E17) at its proxy: the member set in
+// arrival order, the commit's member count (zero until the commit
+// arrives), and whether the batch has been committed, released or
+// aborted. A released batch stays as a memo so a late duplicate item
+// cannot re-execute a completed computation; an aborted one is the abort
+// memo, members and all — the decision to refuse a batch must survive
+// migration and crashes, or a replayed batch could be delivered after
+// its members were told to abandon it. The deadline is not part of it:
+// whoever revives the batch arms a fresh, full one.
+type ProxyBatch struct {
 	Batch     ids.BatchID
+	Members   []ids.RequestID
 	Expected  uint32
 	Committed bool
 	Released  bool
@@ -593,22 +600,22 @@ type MigBatchState struct {
 	Inc       ids.Incarnation // opening incarnation of the batch (E18)
 }
 
-// MigState transfers the full proxy state from the old host to the
-// target that accepted the offer. CurrentLoc is the proxy's view of the
-// MH's station at snapshot time; Reqs is the requestList in issue order;
-// Batches carries the control state of every atomic batch with members
-// in Reqs.
+// MigState is a proxy's durable image: what a station journals for it,
+// and what the old host ships to the target that accepted a migration
+// offer. CurrentLoc is the proxy's view of the MH's station; Reqs is the
+// requestList in issue order; Batches holds every batch and abort memo
+// in opening order. NewProxy is the identity at the target (zero in a
+// journal image).
 type MigState struct {
-	Proxy      ids.ProxyID // old identity
-	NewProxy   ids.ProxyID // identity at the target
+	Proxy      ids.ProxyID // the identity the image was taken under
+	NewProxy   ids.ProxyID
 	MH         ids.MH
 	CurrentLoc ids.MSS
-	Reqs       []MigReqState
-	Batches    []MigBatchState
-	// LeaseInc is the newest incarnation the migrating proxy's lease has
-	// heard for its MH; the adopting host installs it and re-arms the
-	// lease-expiry timer from scratch (E18 — lease state survives
-	// migration the way batch state does).
+	Reqs       []ProxyReq
+	Batches    []ProxyBatch
+	// LeaseInc is the newest incarnation the proxy's lease has heard for
+	// its MH; whoever revives the image re-arms the lease-expiry timer
+	// from scratch (E18).
 	LeaseInc ids.Incarnation
 }
 

@@ -845,9 +845,9 @@ func (h *MHNode) scheduleBatchRetry(b *mhBatch) {
 // abort time would be a partial delivery — the proxy guarantees this
 // cannot happen, so it is counted as a violation.
 func (h *MHNode) onBatchAbort(a msg.BatchAbort) {
-	// Union the abort's member list with our own: a re-abort from a
-	// migrated proxy incarnation carries an empty list (the memo travels
-	// without members), but this host knows exactly what it issued.
+	// Union the abort's member list with our own: the proxy names the
+	// members it registered, but this host knows exactly what it issued —
+	// also an item that never reached the proxy before the abort.
 	reqs := append([]ids.RequestID(nil), a.Reqs...)
 	if b := h.batches[a.Batch]; b != nil {
 		b.aborted = true

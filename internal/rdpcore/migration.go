@@ -164,12 +164,18 @@ func (n *MSSNode) handleMigCommit(m msg.MigCommit) {
 	n.migrateOut(p, m.NewProxy)
 }
 
-// migrateOut atomically snapshots the proxy, ships the snapshot, and
-// replaces the proxy with a tombstone — all in one simulation event, so
-// a crash either precedes the whole step or follows it, and the journal
-// swaps the one image for the other in the event's one write of the slot.
+// migrateOut atomically takes the proxy's image, ships it, and replaces
+// the proxy with a tombstone — all in one simulation event, so a crash
+// either precedes the whole step or follows it, and the journal swaps the
+// one image for the other in the event's one write of the slot. The image
+// is a fresh copy of the one the journal keeps: requests, batches and
+// abort memos with their members, and the lease's vouched-for incarnation
+// (E17/E18) — the new incarnation answers replayed batch traffic with the
+// same abort, and the lease clock itself restarts at the new host.
 func (n *MSSNode) migrateOut(p *Proxy, newID ids.ProxyID) {
-	st := msg.MigState{Proxy: p.id, NewProxy: newID, MH: p.mh, CurrentLoc: p.currentLoc}
+	var st msg.MigState
+	p.image(&st)
+	st.NewProxy = newID
 	t := &tombstone{
 		host:           n,
 		oldProxy:       p.id,
@@ -177,31 +183,10 @@ func (n *MSSNode) migrateOut(p *Proxy, newID ids.ProxyID) {
 		mh:             p.mh,
 		pendingServers: make(map[ids.Server]bool),
 	}
-	// The lease's vouched-for incarnation moves with the proxy (E18);
-	// the lease clock itself restarts at the new host.
-	st.LeaseInc = p.leaseInc
 	for _, r := range p.reqs {
-		st.Reqs = append(st.Reqs, msg.MigReqState{
-			Req: r.id, Server: r.server, Payload: r.payload,
-			Result: r.result, HasResult: r.hasResult, Forwarded: r.forwarded,
-			Batch: r.batch, Inc: r.inc,
-		})
-		if !r.hasResult {
-			t.pendingServers[r.server] = true
+		if !r.HasResult {
+			t.pendingServers[r.Server] = true
 		}
-	}
-	// Batch state (E17) moves with the proxy: open batches keep their
-	// commit/release progress, and abort memos travel so the new
-	// incarnation answers replayed batch traffic with the same abort.
-	for _, id := range p.batchOrder {
-		b := p.batches[id]
-		st.Batches = append(st.Batches, msg.MigBatchState{
-			Batch: b.id, Expected: b.expected, Committed: b.committed, Released: b.released,
-			Inc: b.inc,
-		})
-	}
-	for _, id := range p.abortOrder {
-		st.Batches = append(st.Batches, msg.MigBatchState{Batch: id, Aborted: true})
 	}
 	n.retire(p)
 	n.put(p.id.Seq, t)
@@ -228,47 +213,11 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 		// here and moved on.
 		return
 	}
-	p := newProxy(m.NewProxy, m.MH, n)
-	p.currentLoc = m.CurrentLoc
-	p.leaseInc = m.LeaseInc
+	n.take(m.NewProxy.Seq) // the reservation, unless a crash wiped it
+	p := n.revive(m.NewProxy, &m)
 	// The install itself counts as a migration attempt: an MH ping-ponging
 	// between cells must not drag its proxy along inside the cooldown.
 	p.lastMigAttempt = n.w.Kernel.Now()
-	for _, r := range m.Reqs {
-		p.reqs.add(&proxyReq{
-			id: r.Req, server: r.Server, payload: r.Payload,
-			result: r.Result, hasResult: r.HasResult, forwarded: r.Forwarded,
-			batch: r.Batch, inc: r.Inc,
-		})
-	}
-	// Rebuild batch state: members are recovered from the requests' batch
-	// tags (snapshot order = registration order); abort memos arrive with
-	// empty member lists — the MH-side abort handler merges in its own
-	// member knowledge. Unreleased live batches get a fresh, full
-	// deadline at the new host.
-	for _, bs := range m.Batches {
-		if bs.Aborted {
-			if _, ok := p.abortedBatches[bs.Batch]; !ok {
-				setLazy(&p.abortedBatches, bs.Batch, nil)
-				p.abortOrder = append(p.abortOrder, bs.Batch)
-			}
-			continue
-		}
-		b := &proxyBatch{id: bs.Batch, expected: bs.Expected, committed: bs.Committed, released: bs.Released, inc: bs.Inc}
-		for _, r := range p.reqs {
-			if r.batch == bs.Batch {
-				b.members = append(b.members, r.id)
-			}
-		}
-		setLazy(&p.batches, bs.Batch, b)
-		p.batchOrder = append(p.batchOrder, bs.Batch)
-		if !b.released {
-			p.armBatchDeadline(b)
-		}
-	}
-	n.take(m.NewProxy.Seq) // the reservation, unless a crash wiped it
-	n.put(m.NewProxy.Seq, p)
-	p.armLease()                     // fresh lease at the new host (E18)
 	n.w.Stats.ProxyCreations[n.id]++ // placement accounting (E12 fairness)
 	// Rebind the local pref, or chase it along the hand-off chain if the
 	// MH deregistered between commit and install.
@@ -292,9 +241,9 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	// Announce the new pref to every server still owing a reply; each
 	// confirms to the old host, draining the tombstone's confirm set.
 	for _, r := range p.reqs {
-		if !r.hasResult {
-			n.sendWired(r.server.Node(),
-				msg.PrefRedirect{MH: m.MH, OldProxy: m.Proxy, NewProxy: m.NewProxy, Req: r.id})
+		if !r.HasResult {
+			n.sendWired(r.Server.Node(),
+				msg.PrefRedirect{MH: m.MH, OldProxy: m.Proxy, NewProxy: m.NewProxy, Req: r.Req})
 		}
 	}
 	// Traffic that arrived for the new identity before the state did.

@@ -1,12 +1,15 @@
 package rdpcore
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/proxymig"
+	"repro/internal/sim"
 )
 
 // migrationWorld builds the deterministic 3-station world of the figure
@@ -181,6 +184,67 @@ func TestMigrationDisabledNeverOffers(t *testing.T) {
 	}
 	if err := w.CheckQuiescent(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMigratedAbortMemoKeepsMembers: an abort memo keeps its members when
+// its proxy migrates. A batch aborts at mss1 — the abort scrubs mss1's
+// ledger — the host moves to mss2, the proxy follows it into a
+// reservation there, and the host replays its batch item. The adopted
+// proxy must answer with the same abort, members and all, so that mss2
+// scrubs the replayed item from its ledger too; otherwise the proxy
+// outlives the host's next completed request and the host leaves with a
+// live proxy. The same script without the migration is the control.
+func TestMigratedAbortMemoKeepsMembers(t *testing.T) {
+	for _, migrate := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.NumMSS, cfg.BatchDeadline = 2, 100*time.Millisecond
+		// The member's server never answers; later requests are answered at once.
+		cfg.ServerProc = &scriptedProc{delays: []time.Duration{time.Hour}}
+		var aborts []msg.BatchAbort
+		cfg.Observer = func(_ sim.Time, _ netsim.Layer, kind netsim.EventKind, _, to ids.NodeID, m msg.Message) {
+			if a, ok := m.(msg.BatchAbort); ok && kind == netsim.EventDelivered && to.Kind == ids.KindMH {
+				aborts = append(aborts, a)
+			}
+		}
+		w := NewWorld(cfg)
+		h := w.AddMH(1, 1)
+		b := h.BeginBatch()
+		member := h.BatchRequest(b, 1, []byte("q"))
+		w.RunUntil(time.Second) // the deadline aborts the batch at mss1
+		w.Migrate(1, 2)
+		w.RunUntil(2 * time.Second)
+		if migrate {
+			pref, _ := w.MSSs[2].PrefOf(1)
+			w.MSSs[2].process(ids.MSS(1).Node(), msg.MigOffer{Proxy: pref.Proxy, MH: 1})
+			w.RunUntil(3 * time.Second)
+			if got := w.Stats.ProxyCreations[2]; got != 1 {
+				t.Fatalf("migrate: the proxy was not adopted at mss2 (%d placements)", got)
+			}
+		}
+		h.uplink(h.batches[b].items[0]) // the host replays its item
+		w.RunUntil(4 * time.Second)
+		if len(aborts) != 2 {
+			t.Fatalf("migrate %v: %d aborts reached the host, want 2", migrate, len(aborts))
+		}
+		for _, a := range aborts {
+			if !slices.Contains(a.Reqs, member) {
+				t.Errorf("migrate %v: abort %v does not name the member %v", migrate, a, member)
+			}
+		}
+		if out := w.MSSs[2].peek(1).out; len(out) != 0 {
+			t.Errorf("migrate %v: mss2's ledger keeps %v", migrate, out)
+		}
+		req := h.IssueRequest(1, []byte("r"))
+		w.RunUntil(5 * time.Second)
+		if !h.Seen(req) || w.TotalProxies() != 0 {
+			t.Errorf("migrate %v: later request seen %v, %d proxies left", migrate, h.Seen(req), w.TotalProxies())
+		}
+		w.Leave(1)
+		w.RunUntil(6 * time.Second)
+		if log := w.ViolationLog(); len(log) != 0 {
+			t.Errorf("migrate %v: %q", migrate, log)
+		}
 	}
 }
 

@@ -8,79 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// proxyReq is one entry of the proxy's requestList. A request is
-// "pending" from insertion until its Ack arrives (§3.1); the stored
-// result, once present, survives until then so it can be re-sent on
-// every location update.
-type proxyReq struct {
-	id        ids.RequestID
-	server    ids.Server
-	payload   []byte
-	result    []byte
-	hasResult bool
-	forwarded bool // result forwarded at least once (retransmission accounting)
-	// batch, when valid, marks this request a member of an atomic batch
-	// (E17): its result is withheld until the batch releases.
-	batch ids.BatchID
-	// inc is the MH incarnation that issued the request (E18). A
-	// rebooted host restarts its sequence counter, so the same
-	// RequestID can name two different requests across a crash; the
-	// incarnation disambiguates them.
-	inc ids.Incarnation
-}
-
-// requestList is a proxy's requestList (§3.1) in insertion order, which
-// keeps iteration deterministic. It holds one MH's pending requests — a
-// handful — so lookup and removal are scans.
-type requestList []*proxyReq
-
-// get returns req's entry, or nil.
-func (l requestList) get(req ids.RequestID) *proxyReq {
-	for _, r := range l {
-		if r.id == req {
-			return r
-		}
-	}
-	return nil
-}
-
-// add appends a new entry.
-func (l *requestList) add(r *proxyReq) { *l = append(*l, r) }
-
-// remove splices req's entry out, keeping the order of the rest, and
-// returns it (nil if absent).
-func (l *requestList) remove(req ids.RequestID) *proxyReq {
-	for i, r := range *l {
-		if r.id == req {
-			*l = slices.Delete(*l, i, i+1)
-			return r
-		}
-	}
-	return nil
-}
-
-// proxyBatch is the proxy side of one atomic batch (E17): the member
-// set in arrival order, the commit's member count, and the release
-// flag. Released batches stay as memos so late duplicate items cannot
-// re-execute a completed computation; aborted ones move to the aborted
-// memo instead.
-type proxyBatch struct {
-	id        ids.BatchID
-	members   []ids.RequestID
-	expected  uint32 // commit's member count; 0 until committed
-	committed bool
-	released  bool
-	// inc is the MH incarnation that opened the batch (E18).
-	inc ids.Incarnation
-}
-
-// clone returns a deep copy: what the journal stores, and what a restart
-// revives from it.
-func (b proxyBatch) clone() proxyBatch {
-	b.members = slices.Clone(b.members)
-	return b
-}
-
 // Proxy is the paper's proxy-for-requests (§3.1): created at the MH's
 // respMss when it issues a request and has none, it provides the fixed
 // wired-network location for server replies, tracks pending requests,
@@ -91,17 +18,22 @@ type Proxy struct {
 	mh         ids.MH
 	host       *MSSNode
 	currentLoc ids.MSS
-	reqs       requestList
 	createdAt  sim.Time
 
-	// Atomic batch state (E17). batchOrder/abortOrder keep map iteration
-	// deterministic for persistence and migration transfer. abortedBatches
-	// is the durable abort memo: batch id -> member list at abort time, so
-	// a late or replayed batch message is answered with the same abort.
-	batches        map[ids.BatchID]*proxyBatch
-	batchOrder     []ids.BatchID
-	abortedBatches map[ids.BatchID][]ids.RequestID
-	abortOrder     []ids.BatchID
+	// reqs is the requestList (§3.1) in insertion order, which keeps
+	// iteration deterministic; it holds one MH's pending requests — a
+	// handful — so lookup and removal are scans. batches holds every atomic
+	// batch (E17) in opening order: live, released, and the abort memos
+	// that answer a late or replayed batch message with the same abort.
+	// With the identity, currentLoc and leaseInc they are the proxy's
+	// durable image (image, revive).
+	reqs    []msg.ProxyReq
+	batches []msg.ProxyBatch
+	// batchGen numbers the batch records this proxy has opened, and gens[i]
+	// is batches[i]'s number: a deadline aborts the record it was armed
+	// for, never a later one that reuses the identifier.
+	batchGen uint32
+	gens     []uint32
 
 	// remoteForwards counts results forwarded to a station other than the
 	// host since creation or installation here, and lastMigAttempt is the
@@ -153,9 +85,9 @@ func newProxy(id ids.ProxyID, mh ids.MH, host *MSSNode) *Proxy {
 	}
 }
 
-// setLazy stores m[k] = v in a map made on first write: most proxies
-// never see a batch (E17) and most hosts never a busy-NACK, a retry
-// timeout or a stray result, so those maps start nil.
+// setLazy stores m[k] = v in a map made on first write: most hosts never
+// see a batch (E17), a busy-NACK, a retry timeout or a stray result, so
+// those maps start nil.
 func setLazy[K comparable, V any](m *map[K]V, k K, v V) {
 	if *m == nil {
 		*m = make(map[K]V)
@@ -175,6 +107,42 @@ func (p *Proxy) CurrentLoc() ids.MSS { return p.currentLoc }
 // Pending returns the number of pending (un-acked) requests.
 func (p *Proxy) Pending() int { return len(p.reqs) }
 
+// req returns id's requestList entry, or nil.
+func (p *Proxy) req(id ids.RequestID) *msg.ProxyReq {
+	for i := range p.reqs {
+		if p.reqs[i].Req == id {
+			return &p.reqs[i]
+		}
+	}
+	return nil
+}
+
+// removeReq splices id's entry out of the requestList, keeping the order
+// of the rest, and reports whether it was there.
+func (p *Proxy) removeReq(id ids.RequestID) bool {
+	for i := range p.reqs {
+		if p.reqs[i].Req == id {
+			p.reqs = slices.Delete(p.reqs, i, i+1)
+			return true
+		}
+	}
+	return false
+}
+
+// batchAt returns the index of id's batch record, or -1.
+func (p *Proxy) batchAt(id ids.BatchID) int {
+	return slices.IndexFunc(p.batches, func(b msg.ProxyBatch) bool { return b.Batch == id })
+}
+
+// batch returns id's batch record — live, released or an abort memo — or
+// nil.
+func (p *Proxy) batch(id ids.BatchID) *msg.ProxyBatch {
+	if i := p.batchAt(id); i >= 0 {
+		return &p.batches[i]
+	}
+	return nil
+}
+
 // handle takes one message addressed to the proxy (MSSNode.deliver). A
 // relayed Ack carrying del-proxy ends it (§3.3).
 func (p *Proxy) handle(_ ids.NodeID, m msg.ProxyAddressed) {
@@ -193,7 +161,9 @@ func (p *Proxy) handle(_ ids.NodeID, m msg.ProxyAddressed) {
 	case msg.LeaseHeartbeat:
 		p.renewLease(v.Inc)
 	case msg.BatchOpen:
-		p.onBatchOpen(v.Batch, v.Inc)
+		if !p.answerAborted(v.Batch) {
+			p.ensureBatch(v.Batch, v.Inc)
+		}
 	case msg.BatchItem:
 		p.onBatchItem(v)
 	case msg.BatchCommit:
@@ -203,88 +173,86 @@ func (p *Proxy) handle(_ ids.NodeID, m msg.ProxyAddressed) {
 	}
 }
 
-// addRequest registers a request and issues it to the server. From the
-// server's perspective the proxy is a fixed client (§3.1). A duplicate
-// registration (client-side retry) is not re-issued to the server; if
-// the result is already stored it is re-forwarded instead, which is what
-// lets a stationary MH recover from a lost wireless delivery.
+// addRequest registers a request and issues it to the server. A duplicate
+// registration (client-side retry) is not re-issued to the server; if the
+// result is already stored it is re-forwarded instead, which is what lets
+// a stationary MH recover from a lost wireless delivery.
 //
 // Incarnation arbitration (E18): an amnesiac reboot restarts the MH's
 // sequence counter, so the same RequestID can arrive twice meaning two
 // different requests. A registration from an older incarnation than the
 // stored entry is a ghost retry of a dead host and is dropped; one from
 // a newer incarnation is a brand-new request that reuses the identifier,
-// so the orphaned entry is replaced and the new request executed.
+// so the orphaned entry is replaced where it stands and the new request
+// executed.
 func (p *Proxy) addRequest(req ids.RequestID, server ids.Server, payload []byte, inc ids.Incarnation) {
-	r := p.reqs.get(req)
-	if r != nil {
-		if incLess(inc, r.inc) {
-			p.host.w.Stats.StaleIncarnationDrops.Inc()
-			return
-		}
-		if !incLess(r.inc, inc) {
-			if r.hasResult {
-				p.forwardResult(r)
-			}
-			return
-		}
-		p.detachFromBatch(req, r)
-		r.server, r.payload, r.inc = server, payload, inc
-		r.result, r.hasResult, r.forwarded = nil, false, false
-	} else {
-		r = &proxyReq{id: req, server: server, payload: payload, inc: inc}
-		p.reqs.add(r)
-	}
-	if result, ok := p.host.cacheLookup(server, payload); ok {
-		// Answered from the station's result cache (E17): no server
-		// round-trip. The cached copy is forwarded like a fresh result.
-		r.result = result
-		r.hasResult = true
-		p.forwardResult(r)
+	r := p.req(req)
+	switch {
+	case r == nil:
+		p.reqs = append(p.reqs, msg.ProxyReq{})
+		r = &p.reqs[len(p.reqs)-1]
+	case incLess(inc, r.Inc):
+		p.host.w.Stats.StaleIncarnationDrops.Inc()
 		return
+	case !incLess(r.Inc, inc):
+		if r.HasResult {
+			p.forwardResult(r)
+		}
+		return
+	default:
+		p.detachFromBatch(r)
 	}
-	p.host.sendWired(server.Node(), msg.ServerRequest{Proxy: p.id, Req: req, Payload: payload})
+	*r = msg.ProxyReq{Req: req, Server: server, Payload: payload, Inc: inc}
+	p.issue(r)
 }
 
-// detachFromBatch removes a replaced request from its old batch's
-// member list (the batch belonged to a dead incarnation; its release
-// bookkeeping must not wait on an identifier that now names something
-// else).
-func (p *Proxy) detachFromBatch(req ids.RequestID, r *proxyReq) {
-	if !r.batch.Valid() {
-		return
-	}
-	if b := p.batches[r.batch]; b != nil {
-		for i, q := range b.members {
-			if q == req {
-				b.members = append(b.members[:i], b.members[i+1:]...)
-				break
-			}
+// detachFromBatch takes a replaced request off its old batch's member
+// list (the batch belonged to a dead incarnation; its release bookkeeping
+// must not wait on an identifier that now names something else).
+func (p *Proxy) detachFromBatch(r *msg.ProxyReq) {
+	if b := p.batch(r.Batch); b != nil {
+		if i := slices.Index(b.Members, r.Req); i >= 0 {
+			b.Members = slices.Delete(b.Members, i, i+1)
 		}
 	}
-	r.batch = ids.BatchID{}
+}
+
+// issue sends a newly registered request to its server — from the
+// server's perspective the proxy is a fixed client (§3.1) — or answers it
+// from the station's result cache (E17), with no server round trip.
+func (p *Proxy) issue(r *msg.ProxyReq) {
+	if result, ok := p.host.cacheLookup(r.Server, r.Payload); ok {
+		r.Result, r.HasResult = result, true
+		p.resultReady(r)
+		return
+	}
+	p.host.sendWired(r.Server.Node(), msg.ServerRequest{Proxy: p.id, Req: r.Req, Payload: r.Payload})
 }
 
 // onServerResult stores the server's reply and forwards it to the MH's
 // current location (§3.1). Late or duplicate server replies (for
 // requests already acked and removed) are dropped.
 func (p *Proxy) onServerResult(req ids.RequestID, payload []byte) {
-	r := p.reqs.get(req)
+	r := p.req(req)
 	if r == nil {
 		p.host.w.Stats.OrphanMessages.Inc()
 		return
 	}
-	if r.hasResult {
+	if r.HasResult {
 		// Duplicate server reply; the stored copy wins.
 		return
 	}
-	r.result = payload
-	r.hasResult = true
-	p.host.cacheStore(r.server, r.payload, payload)
-	if r.batch.Valid() {
-		// Batch members are withheld until the whole batch is complete;
-		// this result may be the one that releases it.
-		p.checkBatchRelease(p.batches[r.batch])
+	r.Result, r.HasResult = payload, true
+	p.host.cacheStore(r.Server, r.Payload, payload)
+	p.resultReady(r)
+}
+
+// resultReady forwards a freshly stored result — unless it belongs to a
+// batch member, which is withheld until the whole batch is complete: then
+// this result may be the one that releases it.
+func (p *Proxy) resultReady(r *msg.ProxyReq) {
+	if r.Batch.Valid() {
+		p.checkBatchRelease(p.batch(r.Batch))
 		return
 	}
 	p.forwardResult(r)
@@ -293,25 +261,25 @@ func (p *Proxy) onServerResult(req ids.RequestID, payload []byte) {
 // forwardResult sends one stored result to currentLoc, piggybacking
 // del-pref when this is the proxy's only pending request (§3.3: the
 // flag rides on "the result of the last pending request").
-func (p *Proxy) forwardResult(r *proxyReq) {
-	if r.batch.Valid() {
+func (p *Proxy) forwardResult(r *msg.ProxyReq) {
+	if r.Batch.Valid() {
 		// Atomicity gate (E17): no member result ever leaves the proxy
 		// before its batch releases. This single check covers every
 		// forwarding path — fresh results, location updates, crash
 		// recovery resends — so an aborted batch delivers nothing and a
 		// released one delivers everything.
-		if b := p.batches[r.batch]; b == nil || !b.released {
+		if b := p.batch(r.Batch); b == nil || !b.Released {
 			p.host.w.Stats.BatchResultsWithheld.Inc()
 			return
 		}
 	}
 	delPref := len(p.reqs) == 1
-	if r.forwarded {
+	if r.Forwarded {
 		p.host.w.Stats.Retransmissions.Inc()
 	}
-	r.forwarded = true
+	r.Forwarded = true
 	p.host.w.Stats.ResultForwards[p.host.id]++
-	fwd := msg.ResultForward{Proxy: p.id, MH: p.mh, Req: r.id, Payload: r.result, DelPref: delPref, Inc: r.inc}
+	fwd := msg.ResultForward{Proxy: p.id, MH: p.mh, Req: r.Req, Payload: r.Result, DelPref: delPref, Inc: r.Inc}
 	p.host.sendToStation(p.currentLoc, fwd)
 	// Every forward is a migration-policy observation (migration.go); a
 	// fired trigger only sends an offer, so the proxy stays intact here.
@@ -324,9 +292,9 @@ func (p *Proxy) forwardResult(r *proxyReq) {
 // from pending requests to be re-sent to the new location").
 func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
 	p.currentLoc = newLoc
-	for _, r := range p.reqs {
-		if r.hasResult {
-			p.forwardResult(r)
+	for i := range p.reqs {
+		if p.reqs[i].HasResult {
+			p.forwardResult(&p.reqs[i])
 		}
 	}
 }
@@ -339,7 +307,7 @@ func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
 // its result has already been forwarded, the proxy sends the special
 // del-pref-only message so the respMss can arm RKpR.
 func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
-	r := p.reqs.remove(req)
+	removed := p.removeReq(req)
 	if delProxy {
 		if len(p.reqs) != 0 {
 			// del-proxy may only be confirmed when no request is pending
@@ -348,8 +316,8 @@ func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
 		}
 		return true
 	}
-	if r != nil && len(p.reqs) == 1 {
-		if sole := p.reqs[0]; sole.hasResult && sole.forwarded {
+	if removed && len(p.reqs) == 1 {
+		if sole := &p.reqs[0]; sole.HasResult && sole.Forwarded {
 			p.host.sendToStation(p.currentLoc, msg.DelPrefOnly{Proxy: p.id, MH: p.mh})
 		}
 	}
@@ -363,9 +331,10 @@ func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
 // arrived and all members have results, then releases the batch and
 // forwards the members in order. A batch that misses its deadline is
 // aborted: members are dropped, the MH is told to abandon them, and the
-// abort memo persists so replayed batch traffic gets the same answer.
+// record stays as the abort memo so replayed batch traffic gets the same
+// answer.
 
-// ensureBatch returns the batch record for id, creating it on first
+// ensureBatch returns the live record of batch id, creating it on first
 // contact (any member/commit message may arrive first after a retry).
 //
 // Incarnation arbitration (E18) mirrors addRequest: batch identifiers
@@ -373,155 +342,147 @@ func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
 // colliding identifier is a ghost (older — drop, nil returned), the
 // same batch (equal or unknown), or a reuse by a rebooted host (newer —
 // the orphaned record is torn down and replaced).
-func (p *Proxy) ensureBatch(id ids.BatchID, inc ids.Incarnation) *proxyBatch {
-	if b, ok := p.batches[id]; ok {
-		if inc != 0 {
-			if incLess(inc, b.inc) {
-				p.host.w.Stats.StaleIncarnationDrops.Inc()
-				return nil
-			}
-			if incLess(b.inc, inc) {
-				p.dropBatch(b)
-			} else {
-				b.inc = inc
-				return b
-			}
-		} else {
+func (p *Proxy) ensureBatch(id ids.BatchID, inc ids.Incarnation) *msg.ProxyBatch {
+	if i := p.batchAt(id); i >= 0 {
+		b := &p.batches[i]
+		switch {
+		case inc == 0:
+			return b
+		case incLess(inc, b.Inc):
+			p.host.w.Stats.StaleIncarnationDrops.Inc()
+			return nil
+		case !incLess(b.Inc, inc):
+			b.Inc = inc
 			return b
 		}
+		p.dropBatch(i)
 	}
-	b := &proxyBatch{id: id, inc: inc}
-	setLazy(&p.batches, id, b)
-	p.batchOrder = append(p.batchOrder, id)
+	p.openBatch(msg.ProxyBatch{Batch: id, Inc: inc})
 	p.host.w.Stats.BatchesOpened.Inc()
-	p.armBatchDeadline(b)
-	return b
+	return &p.batches[len(p.batches)-1]
+}
+
+// openBatch appends a batch record under the next number and arms the
+// deadline of a live, unreleased one.
+func (p *Proxy) openBatch(b msg.ProxyBatch) {
+	p.batchGen++
+	p.batches, p.gens = append(p.batches, b), append(p.gens, p.batchGen)
+	if !b.Released && !b.Aborted {
+		p.armBatchDeadline(p.batchGen)
+	}
 }
 
 // dropBatch takes a batch's members off the requestList and the batch
-// itself off the live set. That is all that happens to a batch owned by a
+// record off the proxy. That is all that happens to a batch owned by a
 // dead incarnation: unlike abortBatch, no abort memo is kept and nobody is
 // notified — the owner no longer exists to care.
-func (p *Proxy) dropBatch(b *proxyBatch) {
-	for _, req := range b.members {
-		p.reqs.remove(req)
+func (p *Proxy) dropBatch(i int) {
+	for _, req := range p.batches[i].Members {
+		p.removeReq(req)
 	}
-	delete(p.batches, b.id)
-	if i := slices.Index(p.batchOrder, b.id); i >= 0 {
-		p.batchOrder = slices.Delete(p.batchOrder, i, i+1)
-	}
+	p.batches, p.gens = slices.Delete(p.batches, i, i+1), slices.Delete(p.gens, i, i+1)
 }
 
-// onBatchOpen registers a batch. A re-open of an aborted batch (retry
-// raced the abort) is answered with the abort again.
-func (p *Proxy) onBatchOpen(id ids.BatchID, inc ids.Incarnation) {
-	if reqs, ok := p.abortedBatches[id]; ok {
-		p.sendAbort(id, reqs)
-		return
+// answerAborted answers a message for an aborted batch (a retry that
+// raced the abort, or a replay) with the abort again, and reports whether
+// it did.
+func (p *Proxy) answerAborted(id ids.BatchID) bool {
+	b := p.batch(id)
+	if b == nil || !b.Aborted {
+		return false
 	}
-	p.ensureBatch(id, inc)
+	p.sendAbort(b)
+	return true
 }
 
 // onBatchItem registers one batch member and issues it to the server
 // (or answers it from the cache).
 func (p *Proxy) onBatchItem(m msg.BatchItem) {
-	if reqs, ok := p.abortedBatches[m.Batch]; ok {
-		p.sendAbort(m.Batch, reqs)
+	if p.answerAborted(m.Batch) {
 		return
 	}
 	b := p.ensureBatch(m.Batch, m.Inc)
-	if b == nil {
+	if b == nil || b.Released || p.req(m.Req) != nil {
+		// A ghost; a late duplicate of an already-delivered batch, whose
+		// members were forwarded (and possibly acked away) and must never
+		// re-execute; or a duplicate member (retry): the first registration
+		// wins.
 		return
 	}
-	if b.released {
-		// Late duplicate of an already-delivered batch: the members were
-		// forwarded (and possibly acked away); never re-execute.
-		return
-	}
-	if p.reqs.get(m.Req) != nil {
-		return // duplicate member (retry); first registration wins
-	}
-	r := &proxyReq{id: m.Req, server: m.Server, payload: m.Payload, batch: m.Batch, inc: m.Inc}
-	p.reqs.add(r)
-	b.members = append(b.members, m.Req)
-	if result, ok := p.host.cacheLookup(m.Server, m.Payload); ok {
-		r.result = result
-		r.hasResult = true
-		p.checkBatchRelease(b)
-		return
-	}
-	p.host.sendWired(m.Server.Node(), msg.ServerRequest{Proxy: p.id, Req: m.Req, Payload: m.Payload})
+	b.Members = append(b.Members, m.Req)
+	p.reqs = append(p.reqs, msg.ProxyReq{Req: m.Req, Server: m.Server, Payload: m.Payload, Batch: m.Batch, Inc: m.Inc})
+	p.issue(&p.reqs[len(p.reqs)-1])
 }
 
 // onBatchCommit seals the member set. The commit's count is the
 // completeness criterion: release waits until that many members are
 // registered and all hold results.
 func (p *Proxy) onBatchCommit(m msg.BatchCommit) {
-	if reqs, ok := p.abortedBatches[m.Batch]; ok {
-		p.sendAbort(m.Batch, reqs)
+	if p.answerAborted(m.Batch) {
 		return
 	}
 	// BatchCommit carries no incarnation; the open/items that precede it
 	// already settled the batch's ownership.
 	b := p.ensureBatch(m.Batch, 0)
-	if b.committed {
-		p.checkBatchRelease(b) // duplicate commit (retry); just re-check
-		return
+	if !b.Committed { // else a duplicate commit (retry): just re-check
+		b.Committed, b.Expected = true, m.Count
+		p.host.w.Stats.BatchesCommitted.Inc()
 	}
-	b.committed = true
-	b.expected = m.Count
-	p.host.w.Stats.BatchesCommitted.Inc()
 	p.checkBatchRelease(b)
 }
 
 // checkBatchRelease releases the batch once it is committed, fully
 // registered, and every member holds a result; then all members are
 // forwarded in registration order.
-func (p *Proxy) checkBatchRelease(b *proxyBatch) {
-	if b == nil || b.released || !b.committed || uint32(len(b.members)) != b.expected {
+func (p *Proxy) checkBatchRelease(b *msg.ProxyBatch) {
+	if b == nil || b.Released || b.Aborted || !b.Committed || uint32(len(b.Members)) != b.Expected {
 		return
 	}
-	for _, req := range b.members {
-		if r := p.reqs.get(req); r == nil || !r.hasResult {
+	for _, req := range b.Members {
+		if r := p.req(req); r == nil || !r.HasResult {
 			return
 		}
 	}
-	b.released = true
-	for _, req := range b.members {
-		p.forwardResult(p.reqs.get(req))
+	b.Released = true
+	for _, req := range b.Members {
+		p.forwardResult(p.req(req))
 	}
 }
 
-// abortBatch drops every member, records the abort memo, and notifies
-// the MH. Exactly-once for aborted members means exactly-zero: the
-// forwardResult gate guarantees none was ever delivered.
-func (p *Proxy) abortBatch(b *proxyBatch) {
-	reqs := append([]ids.RequestID(nil), b.members...)
-	p.dropBatch(b)
-	setLazy(&p.abortedBatches, b.id, reqs)
-	p.abortOrder = append(p.abortOrder, b.id)
+// abortBatch drops every member, keeps the record as the abort memo, and
+// notifies the MH. Exactly-once for aborted members means exactly-zero:
+// the forwardResult gate guarantees none was ever delivered.
+func (p *Proxy) abortBatch(b *msg.ProxyBatch) {
+	for _, req := range b.Members {
+		p.removeReq(req)
+	}
+	b.Aborted = true
 	p.host.w.Stats.BatchesAborted.Inc()
-	p.sendAbort(b.id, reqs)
+	p.sendAbort(b)
 }
 
-func (p *Proxy) sendAbort(id ids.BatchID, reqs []ids.RequestID) {
-	p.host.sendToStation(p.currentLoc, msg.BatchAbort{Proxy: p.id, MH: p.mh, Batch: id, Reqs: reqs})
+// sendAbort tells the MH, through its respMss, to abandon the members of
+// an aborted batch. The memo's member list is never written again, so the
+// message may share it.
+func (p *Proxy) sendAbort(b *msg.ProxyBatch) {
+	p.host.sendToStation(p.currentLoc, msg.BatchAbort{Proxy: p.id, MH: p.mh, Batch: b.Batch, Reqs: b.Members})
 }
 
-// armBatchDeadline starts the batch's abort timer: it aborts this very
-// batch record if it is still live, here, when the deadline passes. A
+// armBatchDeadline starts the abort timer of batch record gen: it aborts
+// that very record if it is still live, here, when the deadline passes. A
 // restored or migrated batch is a new record that arms its own fresh, full
 // deadline — conservative, but deadline precision across crashes and moves
 // is not part of the atomicity contract.
-func (p *Proxy) armBatchDeadline(b *proxyBatch) {
+func (p *Proxy) armBatchDeadline(gen uint32) {
 	host := p.host
 	if host.w.cfg.BatchDeadline <= 0 {
 		return
 	}
 	host.after(host.w.cfg.BatchDeadline, func() {
-		if host.proxyAt(p.id.Seq) == p && p.batches[b.id] == b && !b.released {
+		i := slices.Index(p.gens, gen)
+		if host.proxyAt(p.id.Seq) == p && i >= 0 && !p.batches[i].Released && !p.batches[i].Aborted {
 			host.markSlot(p.id.Seq)
-			p.abortBatch(b)
+			p.abortBatch(&p.batches[i])
 		}
 	})
 }
@@ -558,15 +519,16 @@ func (p *Proxy) armLease() {
 
 // renewLease processes one heartbeat. A newer incarnation than the one
 // last vouched for means the host rebooted: state owned by older
-// incarnations is scrubbed, and a proxy left completely empty by the
-// scrub is reclaimed on the spot (the pref at the respMss is dropped by
-// the reclaim memo, so the next request builds a fresh proxy).
+// incarnations is scrubbed, and a proxy left with neither a request nor a
+// live batch by the scrub is reclaimed on the spot (the pref at the
+// respMss is dropped by the reclaim memo, so the next request builds a
+// fresh proxy).
 func (p *Proxy) renewLease(inc ids.Incarnation) {
 	p.host.w.Stats.LeaseHeartbeats.Inc()
 	if incLess(p.leaseInc, inc) {
 		p.scrubStale(inc)
 		p.leaseInc = inc
-		if len(p.reqs) == 0 && len(p.batches) == 0 {
+		if len(p.reqs) == 0 && !slices.ContainsFunc(p.batches, liveBatch) {
 			// Only the incarnations below inc are dead; the memo must not
 			// sweep up requests the live incarnation has in flight.
 			p.host.reclaimProxy(p, inc-1)
@@ -576,25 +538,77 @@ func (p *Proxy) renewLease(inc ids.Incarnation) {
 	p.armLease()
 }
 
-// scrubStale drops every request and batch owned by an incarnation
+// liveBatch reports whether a batch record is a batch rather than an abort
+// memo.
+func liveBatch(b msg.ProxyBatch) bool { return !b.Aborted }
+
+// scrubStale drops every request and live batch owned by an incarnation
 // older than inc. No abort or ack flows anywhere: the owner lost its
 // memory of all of it, and the incarnation gates keep any replayed
 // traffic from resurrecting it.
 func (p *Proxy) scrubStale(inc ids.Incarnation) {
-	var deadBatches []*proxyBatch
-	for _, id := range p.batchOrder {
-		if b := p.batches[id]; b != nil && incLess(b.inc, inc) {
-			deadBatches = append(deadBatches, b)
+	for i := len(p.batches) - 1; i >= 0; i-- {
+		if b := p.batches[i]; liveBatch(b) && incLess(b.Inc, inc) {
+			p.dropBatch(i)
 		}
 	}
-	for _, b := range deadBatches {
-		p.dropBatch(b)
-	}
-	p.reqs = slices.DeleteFunc(p.reqs, func(r *proxyReq) bool {
-		if !incLess(r.inc, inc) {
+	p.reqs = slices.DeleteFunc(p.reqs, func(r msg.ProxyReq) bool {
+		if !incLess(r.Inc, inc) {
 			return false
 		}
 		p.host.w.Stats.StaleIncarnationDrops.Inc()
 		return true
 	})
+}
+
+// --- The durable image -------------------------------------------------
+//
+// A proxy's durable state is one msg.MigState: identity, currentLoc, the
+// requestList, the batches and abort memos, and the lease's incarnation.
+// The journal keeps one per hosted proxy (flushJournal writes it, a restart
+// revives it) and a migration ships one (migrateOut takes it, the adopting
+// station revives it): one copy function each way, whichever path moves
+// the proxy.
+
+// image writes the proxy's image over dst, into the arrays dst already
+// owns: a deep copy — the request list and every member list are dst's
+// alone; payloads and results are shared, as nobody writes them — that
+// allocates nothing once dst has reached the image's size. The tail a
+// shrinking request list leaves is cleared, so dst never pins a removed
+// request's payload; a batch keeps its member array, also past the image's
+// length.
+func (p *Proxy) image(dst *msg.MigState) {
+	reqs, batches := dst.Reqs, dst.Batches
+	*dst = msg.MigState{Proxy: p.id, MH: p.mh, CurrentLoc: p.currentLoc, LeaseInc: p.leaseInc,
+		Reqs:    append(reqs[:0], p.reqs...),
+		Batches: slices.Grow(batches[:0], len(p.batches))[:len(p.batches)]}
+	if len(dst.Reqs) < len(reqs) {
+		clear(reqs[len(dst.Reqs):])
+	}
+	for i, b := range p.batches {
+		members := dst.Batches[i].Members
+		dst.Batches[i] = b
+		dst.Batches[i].Members = append(members[:0], b.Members...)
+	}
+}
+
+// revive installs at n, under identity id, the proxy an image describes —
+// the journal's after a restart, or a migration's on adoption. It clones
+// out of the image, so whatever later writes over the image leaves the
+// proxy alone, and arms what does not travel: a fresh, full deadline for
+// every live unreleased batch — pre-crash timers died with the crash,
+// pre-move ones stayed behind, and deadline precision across either is
+// outside the atomicity contract — and a fresh lease. createdAt restarts
+// now, so the station's ProxySeconds accounting starts over.
+func (n *MSSNode) revive(id ids.ProxyID, st *msg.MigState) *Proxy {
+	p := newProxy(id, st.MH, n)
+	p.currentLoc, p.leaseInc = st.CurrentLoc, st.LeaseInc
+	p.reqs = slices.Clone(st.Reqs)
+	for _, b := range st.Batches {
+		b.Members = slices.Clone(b.Members)
+		p.openBatch(b)
+	}
+	n.put(id.Seq, p)
+	p.armLease()
+	return p
 }

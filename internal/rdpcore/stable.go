@@ -21,16 +21,16 @@ import (
 // crash wipes the station's memory; a restart replays the journal and,
 // after a grace period, re-issues whatever the journal shows incomplete.
 
-// The journal stores value copies of the live types — proxyReq,
-// proxyBatch, sharedWaiter, tombstone, a host record's hostDurable —
-// deep enough that later mutation of the live state cannot reach into
-// stable storage. What a copy carries of the live type's volatile fields
-// (a tombstone's host and timer epoch) is zeroed on the way in. The two
-// images an ordinary event writes — a host's and a proxy's — are written
-// over the stored one, into the slices it already owns: still a deep copy
-// (the store's backing arrays are the store's alone; a restart clones out
-// of them), but a journal write allocates nothing once the image has
-// reached its size.
+// The journal stores value copies of the live types — a proxy's image
+// (msg.MigState, which is also what a migration ships), sharedWaiter,
+// tombstone, a host record's hostDurable — deep enough that later
+// mutation of the live state cannot reach into stable storage. What a
+// copy carries of the live type's volatile fields (a tombstone's host and
+// timer epoch) is zeroed on the way in. The two images an ordinary event
+// writes — a host's and a proxy's — are written over the stored one, into
+// the slices it already owns: still a deep copy (the store's backing
+// arrays are the store's alone; a restart clones out of them), but a
+// journal write allocates nothing once the image has reached its size.
 
 // hostJournal is the journaled per-MH state of one station: the two
 // facts kept outside the host table, and the record's durable half —
@@ -42,25 +42,6 @@ type hostJournal struct {
 	hasPref     bool
 	pref        msg.Pref
 	hostDurable
-}
-
-// proxyRecord is the journaled image of one hosted proxy.
-type proxyRecord struct {
-	id         ids.ProxyID
-	mh         ids.MH
-	currentLoc ids.MSS
-	reqs       []proxyReq   // insertion order
-	batches    []proxyBatch // batchOrder
-	// aborted and abortOrder are the batch-abort memos: the decision to
-	// refuse a batch must survive the crash, or replayed batch traffic
-	// could be accepted (and delivered) after the MH was told to abandon
-	// it. A memo's member list is never written after the abort, so live
-	// state and journal share it.
-	aborted    map[ids.BatchID][]ids.RequestID
-	abortOrder []ids.BatchID
-	// leaseInc is the newest MH incarnation a lease heartbeat has
-	// vouched for (E18); the lease clock itself restarts on recovery.
-	leaseInc ids.Incarnation
 }
 
 // groupEntryRecord journals one shared entry of a group proxy.
@@ -90,7 +71,7 @@ type groupRecord struct {
 // stationRecord is one station's journal.
 type stationRecord struct {
 	mhs     map[ids.MH]hostJournal
-	proxies map[uint32]*proxyRecord
+	proxies map[uint32]*msg.MigState // each hosted proxy's image (Proxy.image)
 	groups  map[uint32]*groupRecord
 	// tombstones journals the old-to-new identity map plus the servers
 	// still owing a pref confirmation. A crash mid-migration must not lose
@@ -144,7 +125,7 @@ func (s *stableStore) station(id ids.MSS) *stationRecord {
 	if rec == nil {
 		rec = &stationRecord{
 			mhs:        make(map[ids.MH]hostJournal),
-			proxies:    make(map[uint32]*proxyRecord),
+			proxies:    make(map[uint32]*msg.MigState),
 			groups:     make(map[uint32]*groupRecord),
 			tombstones: make(map[uint32]tombstone),
 		}
@@ -198,12 +179,12 @@ func (n *MSSNode) flushJournal() {
 		delete(rec.tombstones, seq)
 		switch a := n.hosted[seq].(type) {
 		case *Proxy:
-			pr := rec.proxies[seq]
-			if pr == nil {
-				pr = new(proxyRecord)
-				rec.proxies[seq] = pr
+			st := rec.proxies[seq]
+			if st == nil {
+				st = new(msg.MigState)
+				rec.proxies[seq] = st
 			}
-			a.image(pr)
+			a.image(st)
 			continue // the stored record stays: it has just been written over
 		case *GroupProxy:
 			rec.groups[seq] = a.image()
@@ -223,29 +204,6 @@ func (n *MSSNode) hostImage(mh ids.MH, stored []outReq) hostJournal {
 	j.pref, j.hasPref = n.prefs.get(mh)
 	j.out = append(stored[:0], j.out...)
 	return j
-}
-
-// image writes the journaled image of the proxy — identity, currentLoc
-// and the full requestList and batch state — over pr, the image it
-// replaces (or a new record).
-func (p *Proxy) image(pr *proxyRecord) {
-	pr.id, pr.mh, pr.currentLoc, pr.leaseInc = p.id, p.mh, p.currentLoc, p.leaseInc
-	pr.aborted, pr.abortOrder = maps.Clone(p.abortedBatches), append(pr.abortOrder[:0], p.abortOrder...)
-	stale := pr.reqs
-	pr.reqs = pr.reqs[:0]
-	for _, r := range p.reqs {
-		pr.reqs = append(pr.reqs, *r)
-	}
-	if len(pr.reqs) < len(stale) {
-		clear(stale[len(pr.reqs):]) // payloads and results of requests since removed
-	}
-	// A stored batch keeps its member array, also past the image's length.
-	pr.batches = slices.Grow(pr.batches[:0], len(p.batchOrder))[:len(p.batchOrder)]
-	for i, id := range p.batchOrder {
-		b, members := &pr.batches[i], pr.batches[i].members
-		*b = *p.batches[id]
-		b.members = append(members[:0], b.members...)
-	}
 }
 
 // image is the journaled image of the group proxy (E16).
@@ -355,33 +313,8 @@ func (n *MSSNode) restoreFromStore() {
 	// Restoring arms timers (batch deadlines, leases, tombstone GC), hence
 	// sorted key order.
 	for _, seq := range sortedKeys(rec.proxies, cmp.Compare[uint32]) {
-		pr := rec.proxies[seq]
-		// createdAt restarts at the restart instant; the station's
-		// ProxySeconds accounting loses the pre-crash span.
-		p := newProxy(pr.id, pr.mh, n)
-		p.currentLoc = pr.currentLoc
-		p.leaseInc = pr.leaseInc
-		for _, r := range pr.reqs {
-			p.reqs.add(&r)
-		}
-		for _, br := range pr.batches {
-			b := new(proxyBatch)
-			*b = br.clone()
-			setLazy(&p.batches, b.id, b)
-			p.batchOrder = append(p.batchOrder, b.id)
-			if !b.released {
-				// A fresh, full deadline per incarnation: pre-crash timers
-				// died with the crash, and deadline precision across
-				// crashes is outside the atomicity contract.
-				p.armBatchDeadline(b)
-			}
-		}
-		p.abortedBatches, p.abortOrder = maps.Clone(pr.aborted), slices.Clone(pr.abortOrder)
-		n.put(seq, p)
-		// The lease clock restarts with a fresh, full TTL: pre-crash
-		// expiry timers died with the crash, and the next heartbeat
-		// renews the lease anyway.
-		p.armLease()
+		st := rec.proxies[seq]
+		n.revive(st.Proxy, st)
 	}
 	for _, seq := range sortedKeys(rec.groups, cmp.Compare[uint32]) {
 		gr := rec.groups[seq]
@@ -479,18 +412,18 @@ func (n *MSSNode) recoveryResend() {
 		n.markSlot(seq) // re-forwarding and releasing write the forwarded and released flags
 		switch a := n.hosted[seq].(type) {
 		case *Proxy:
-			for _, r := range a.reqs {
+			for i := range a.reqs {
 				n.w.Stats.RecoveryResends.Inc()
-				if r.hasResult {
+				if r := &a.reqs[i]; r.HasResult {
 					a.forwardResult(r)
 				} else {
-					n.sendWired(r.server.Node(), msg.ServerRequest{Proxy: a.id, Req: r.id, Payload: r.payload})
+					n.sendWired(r.Server.Node(), msg.ServerRequest{Proxy: a.id, Req: r.Req, Payload: r.Payload})
 				}
 			}
 			// Re-judge every restored batch for release. (The forwardResult
 			// calls above withheld any unreleased members.)
-			for _, id := range a.batchOrder {
-				a.checkBatchRelease(a.batches[id])
+			for i := range a.batches {
+				a.checkBatchRelease(&a.batches[i])
 			}
 		case *GroupProxy:
 			// The group analogue (E16): re-issue the server request of

@@ -77,7 +77,7 @@ func (n *MSSNode) StateBytes() int {
 		case *Proxy:
 			total += bytesProxy
 			for _, r := range a.reqs {
-				total += bytesProxyReq + len(r.payload) + len(r.result)
+				total += bytesProxyReq + len(r.Payload) + len(r.Result)
 			}
 		case *GroupProxy:
 			total += bytesGroupProxy + a.members.MemBytes() + len(a.memberLoc)*bytesMemberLoc

@@ -210,7 +210,7 @@ func TestRequestListOrder(t *testing.T) {
 	id := func(seq uint32) ids.RequestID { return ids.RequestID{Origin: 1, Seq: seq} }
 	order := func() (seqs []uint32) {
 		for _, r := range p.reqs {
-			seqs = append(seqs, r.id.Seq)
+			seqs = append(seqs, r.Req.Seq)
 		}
 		return seqs
 	}
@@ -233,13 +233,13 @@ func TestRequestListOrder(t *testing.T) {
 	expect("after ack", first.Seq, 3, 4)
 	p.addRequest(id(2), 1, []byte("again"), ids.FirstIncarnation)
 	expect("after re-add", first.Seq, 3, 4, 2)
-	old := p.reqs.get(id(3))
+	old := p.req(id(3))
 	p.addRequest(id(3), 1, []byte("reborn"), ids.FirstIncarnation+1)
 	expect("after incarnation replacement", first.Seq, 3, 4, 2)
-	if r := p.reqs.get(id(3)); r != old || r.inc != ids.FirstIncarnation+1 || string(r.payload) != "reborn" {
+	if r := p.req(id(3)); r != old || r.Inc != ids.FirstIncarnation+1 || string(r.Payload) != "reborn" {
 		t.Errorf("replacement: entry %+v, want the same entry re-tagged inc2/reborn", r)
 	}
-	if p.reqs.get(id(9)) != nil || p.reqs.remove(id(9)) != nil {
+	if p.req(id(9)) != nil || p.removeReq(id(9)) {
 		t.Error("absent request found")
 	}
 	// The E16 accounting model sees the list exactly as it saw the map:
@@ -849,7 +849,7 @@ func journalScript() (*World, *MSSNode) {
 	do(msg.BatchOpen{MH: 1, Batch: aborted, Inc: 1})
 	do(msg.BatchItem{MH: 1, Batch: aborted, Req: req(1, 5), Server: 1, Payload: []byte("e"), Inc: 1})
 	n.markSlot(p.id.Seq) // as the deadline timer does
-	p.abortBatch(p.batches[aborted])
+	p.abortBatch(p.batch(aborted))
 	n.flushJournal()
 	// mh3 departs; mh4 reboots twice and asks again.
 	do(msg.Dereg{MH: 3, NewMSS: 2})
@@ -888,13 +888,10 @@ func journalDump(n *MSSNode) string {
 		case *Proxy:
 			fmt.Fprintf(&b, "proxy %v %v %v %v\n", a.id, a.mh, a.currentLoc, a.leaseInc)
 			for _, r := range a.reqs {
-				fmt.Fprintf(&b, "  req %+v\n", *r)
+				fmt.Fprintf(&b, "  req %+v\n", r)
 			}
-			for _, id := range a.batchOrder {
-				fmt.Fprintf(&b, "  batch %+v\n", *a.batches[id])
-			}
-			for _, id := range a.abortOrder {
-				fmt.Fprintf(&b, "  aborted %v %v\n", id, a.abortedBatches[id])
+			for _, bt := range a.batches {
+				fmt.Fprintf(&b, "  batch %+v\n", bt)
 			}
 		case *GroupProxy:
 			fmt.Fprintf(&b, "group %v %v %v %v %v\n", a.id, a.server, a.topic, a.members.Members(), a.memberLoc)
@@ -931,8 +928,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal("fixture: the volatile state to lose is not there")
 	}
 	before := journalDump(n)
-	for _, want := range []string{"departed:true forwardTo:2", "inc:3}", "hasResult:true", "released:true",
-		"aborted", "acked:true", "acked:false", "pendingServers:map[1:true 2:true]"} {
+	for _, want := range []string{"departed:true forwardTo:2", "inc:3}", "HasResult:true", "Released:true",
+		"Aborted:true", "acked:true", "acked:false", "pendingServers:map[1:true 2:true]"} {
 		if !strings.Contains(before, want) {
 			t.Errorf("fixture: dump lacks %q:\n%s", want, before)
 		}
@@ -975,7 +972,7 @@ func TestJournalRoundTrip(t *testing.T) {
 // journal a station ought to have from what it has in memory: the
 // reference the station's own writes are held to.
 func liveRecord(n *MSSNode) *stationRecord {
-	rec := &stationRecord{mhs: map[ids.MH]hostJournal{}, proxies: map[uint32]*proxyRecord{},
+	rec := &stationRecord{mhs: map[ids.MH]hostJournal{}, proxies: map[uint32]*msg.MigState{},
 		groups: map[uint32]*groupRecord{}, tombstones: map[uint32]tombstone{}, nextSeq: n.nextProxySeq}
 	host := func(mh ids.MH) {
 		j := hostJournal{responsible: n.Responsible(mh), hostDurable: n.peek(mh).hostDurable}
@@ -994,15 +991,8 @@ func liveRecord(n *MSSNode) *stationRecord {
 	for seq, a := range n.hosted {
 		switch a := a.(type) {
 		case *Proxy:
-			pr := &proxyRecord{id: a.id, mh: a.mh, currentLoc: a.currentLoc, leaseInc: a.leaseInc,
-				aborted: a.abortedBatches, abortOrder: a.abortOrder}
-			for _, r := range a.reqs {
-				pr.reqs = append(pr.reqs, *r)
-			}
-			for _, id := range a.batchOrder {
-				pr.batches = append(pr.batches, *a.batches[id])
-			}
-			rec.proxies[seq] = pr
+			rec.proxies[seq] = &msg.MigState{Proxy: a.id, MH: a.mh, CurrentLoc: a.currentLoc, LeaseInc: a.leaseInc,
+				Reqs: a.reqs, Batches: a.batches}
 		case *GroupProxy:
 			gr := &groupRecord{id: a.id, server: a.server, topic: a.topic,
 				members: a.members.AppendDelta(nil), memberLoc: a.memberLoc}
@@ -1035,20 +1025,7 @@ func sameRecord(a, b *stationRecord) bool {
 			return x.oldProxy == y.oldProxy && x.newProxy == y.newProxy && x.mh == y.mh &&
 				maps.Equal(x.pendingServers, y.pendingServers)
 		})
-	return same && maps.EqualFunc(a.proxies, b.proxies, func(x, y *proxyRecord) bool {
-		return x.id == y.id && x.mh == y.mh && x.currentLoc == y.currentLoc && x.leaseInc == y.leaseInc &&
-			slices.Equal(x.abortOrder, y.abortOrder) &&
-			maps.EqualFunc(x.aborted, y.aborted, func(p, q []ids.RequestID) bool { return slices.Equal(p, q) }) &&
-			slices.EqualFunc(x.reqs, y.reqs, func(p, q proxyReq) bool {
-				return p.id == q.id && p.server == q.server && bytes.Equal(p.payload, q.payload) &&
-					bytes.Equal(p.result, q.result) && p.hasResult == q.hasResult && p.forwarded == q.forwarded &&
-					p.batch == q.batch && p.inc == q.inc
-			}) &&
-			slices.EqualFunc(x.batches, y.batches, func(p, q proxyBatch) bool {
-				return p.id == q.id && slices.Equal(p.members, q.members) && p.expected == q.expected &&
-					p.committed == q.committed && p.released == q.released && p.inc == q.inc
-			})
-	}) && maps.EqualFunc(a.groups, b.groups, func(x, y *groupRecord) bool {
+	return same && maps.EqualFunc(a.proxies, b.proxies, sameImage) && maps.EqualFunc(a.groups, b.groups, func(x, y *groupRecord) bool {
 		return x.id == y.id && x.server == y.server && x.topic == y.topic && bytes.Equal(x.members, y.members) &&
 			maps.Equal(x.memberLoc, y.memberLoc) &&
 			slices.EqualFunc(x.entries, y.entries, func(p, q groupEntryRecord) bool {
@@ -1058,6 +1035,29 @@ func sameRecord(a, b *stationRecord) bool {
 	})
 }
 
+// sameImage reports whether two proxy images hold the same state, an empty
+// list and a missing one alike.
+func sameImage(x, y *msg.MigState) bool {
+	return x.Proxy == y.Proxy && x.NewProxy == y.NewProxy && x.MH == y.MH && x.CurrentLoc == y.CurrentLoc &&
+		x.LeaseInc == y.LeaseInc &&
+		slices.EqualFunc(x.Reqs, y.Reqs, func(p, q msg.ProxyReq) bool {
+			return p.Req == q.Req && p.Server == q.Server && bytes.Equal(p.Payload, q.Payload) &&
+				bytes.Equal(p.Result, q.Result) && p.HasResult == q.HasResult && p.Forwarded == q.Forwarded &&
+				p.Batch == q.Batch && p.Inc == q.Inc
+		}) &&
+		slices.EqualFunc(x.Batches, y.Batches, func(p, q msg.ProxyBatch) bool {
+			return p.Batch == q.Batch && slices.Equal(p.Members, q.Members) && p.Expected == q.Expected &&
+				p.Committed == q.Committed && p.Released == q.Released && p.Aborted == q.Aborted && p.Inc == q.Inc
+		})
+}
+
+// imageString prints a proxy image field by field (MigState's String is the
+// trace form).
+func imageString(st *msg.MigState) string {
+	return fmt.Sprintf("%v->%v %v at %v lease %v reqs %+v batches %+v",
+		st.Proxy, st.NewProxy, st.MH, st.CurrentLoc, st.LeaseInc, st.Reqs, st.Batches)
+}
+
 // dumpRecord prints a journal for a failure message.
 func dumpRecord(rec *stationRecord) string {
 	var b strings.Builder
@@ -1065,7 +1065,7 @@ func dumpRecord(rec *stationRecord) string {
 		fmt.Fprintf(&b, "host %v: %+v\n", mh, rec.mhs[mh])
 	}
 	for _, seq := range sortedKeys(rec.proxies, cmp.Compare[uint32]) {
-		fmt.Fprintf(&b, "proxy %+v\n", *rec.proxies[seq])
+		fmt.Fprintf(&b, "proxy %s\n", imageString(rec.proxies[seq]))
 	}
 	for _, seq := range sortedKeys(rec.groups, cmp.Compare[uint32]) {
 		fmt.Fprintf(&b, "group %+v\n", *rec.groups[seq])
@@ -1221,16 +1221,64 @@ func TestCrashAtEveryBoundary(t *testing.T) {
 	}
 }
 
+// TestTransferAtEveryBoundary holds the migration path to the journal's
+// oracle: after every event of the chaos script, every live proxy's image,
+// sent through the codec and revived at a twin station, gives back the
+// image it was — as a crash and replay must. The journal and the wire move
+// the same image, so neither can drop what the other keeps.
+func TestTransferAtEveryBoundary(t *testing.T) {
+	const horizon = 4 * time.Second
+	twin := NewWorldWith(sim.NewKernel(1), DefaultConfig(), &silentWired{}, &silentRadio{}).MSSs[1]
+	var images, memos int
+	for seed := int64(1); seed <= 20; seed++ {
+		w := journalChaos(seed, horizon)
+		k := w.kernel()
+		for k.Step() && k.Now() < sim.Time(horizon) {
+			for _, id := range w.StationList() {
+				for _, a := range w.MSSs[id].hosted {
+					p, ok := a.(*Proxy)
+					if !ok {
+						continue
+					}
+					var sent, back msg.MigState
+					p.image(&sent)
+					enc, err := msg.Encode(sent)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := msg.Decode(enc)
+					if err != nil {
+						t.Fatalf("seed %d step %d: %v: %v", seed, k.Steps(), p.id, err)
+					}
+					st := got.(msg.MigState)
+					twin.revive(p.id, &st).image(&back)
+					twin.take(p.id.Seq)
+					if !sameImage(&back, &sent) {
+						t.Fatalf("seed %d step %d at %v, %v: transfer changed the image\n--- sent\n%s\n--- revived\n%s",
+							seed, k.Steps(), k.Now(), p.id, imageString(&sent), imageString(&back))
+					}
+					images++
+					for _, b := range sent.Batches {
+						if b.Aborted && len(b.Members) > 0 {
+							memos++
+						}
+					}
+				}
+			}
+		}
+	}
+	if images == 0 || memos == 0 {
+		t.Errorf("thin script: %d images, %d with an abort memo", images, memos)
+	}
+}
+
 // journalAliasWorld is journalWorld with a batch and an abort memo on the
 // proxy, journaled: every slice an image owns is in use.
 func journalAliasWorld(t *testing.T) (n *MSSNode, seq uint32, p *Proxy, stored *stationRecord) {
 	n, seq = journalWorld(t)
 	p = n.proxyAt(seq)
-	b := &proxyBatch{id: ids.BatchID{Origin: 1, Seq: 1}, members: []ids.RequestID{p.reqs[0].id, p.reqs[1].id}, inc: 1}
-	setLazy(&p.batches, b.id, b)
-	p.batchOrder = append(p.batchOrder, b.id)
-	p.abortOrder = append(p.abortOrder, ids.BatchID{Origin: 1, Seq: 9})
-	setLazy(&p.abortedBatches, p.abortOrder[0], []ids.RequestID{{Origin: 1, Seq: 77}})
+	p.openBatch(msg.ProxyBatch{Batch: ids.BatchID{Origin: 1, Seq: 1}, Members: []ids.RequestID{p.reqs[0].Req, p.reqs[1].Req}, Inc: 1})
+	p.openBatch(msg.ProxyBatch{Batch: ids.BatchID{Origin: 1, Seq: 9}, Members: []ids.RequestID{{Origin: 1, Seq: 77}}, Aborted: true})
 	n.markSlot(seq)
 	n.flushJournal()
 	return n, seq, p, n.w.store.station(n.id)
@@ -1251,18 +1299,18 @@ func TestJournalImageOutOfLiveReach(t *testing.T) {
 		h.out = append(h.out[:1], outReq{req: ids.RequestID{Origin: 1, Seq: 40}, inc: 2})
 		h.inc++
 		p.currentLoc, p.leaseInc = 2, p.leaseInc+1
-		p.reqs[0].hasResult, p.reqs[0].result = true, []byte{byte(round)}
+		p.reqs[0].HasResult, p.reqs[0].Result = true, []byte{byte(round)}
 		all[0], all[1] = all[1], all[0]
 		p.reqs = all[:2+round%2] // the image shrinks, then grows back
-		b := p.batches[p.batchOrder[0]]
-		b.members[0].Seq += 10
-		b.members = append(b.members, ids.RequestID{Origin: 1, Seq: uint32(50 + round)})
-		b.committed = !b.committed
-		p.abortOrder[0].Seq++
+		b, memo := &p.batches[0], &p.batches[1]
+		b.Members[0].Seq += 10
+		b.Members = append(b.Members, ids.RequestID{Origin: 1, Seq: uint32(50 + round)})
+		b.Committed = !b.Committed
+		memo.Batch.Seq++
+		memo.Members[0].Seq++
 		if after := dumpRecord(stored); after != before {
 			t.Fatalf("round %d: live writes reached the stored image:\n--- before\n%s--- after\n%s", round, before, after)
 		}
-		p.abortOrder[0].Seq-- // its memo is keyed by it
 		n.markHost(1)
 		n.markSlot(seq)
 		n.flushJournal()
@@ -1283,9 +1331,9 @@ func TestRestoredStateOutOfJournalReach(t *testing.T) {
 	n.w.RestartMSS(1)
 	restored := dumpRecord(liveRecord(n))
 	pr, j := stored.proxies[seq], stored.mhs[1]
-	pr.reqs[0].id.Seq, pr.reqs[1].hasResult = 99, true
-	pr.batches[0].members[0].Seq, pr.batches[0].released = 98, true
-	pr.abortOrder[0].Seq = 97
+	pr.Reqs[0].Req.Seq, pr.Reqs[1].HasResult = 99, true
+	pr.Batches[0].Members[0].Seq, pr.Batches[0].Released = 98, true
+	pr.Batches[1].Batch.Seq, pr.Batches[1].Members[0].Seq = 97, 96
 	j.out[0].inc = 96
 	if now := dumpRecord(liveRecord(n)); now != restored {
 		t.Fatalf("writes to the stored images reached the restored state:\n--- restored\n%s--- now\n%s", restored, now)
@@ -1383,7 +1431,10 @@ func doorMessages(id ids.ProxyID, mh ids.MH) []msg.ProxyAddressed {
 // handled message changes it, since proxies write through.
 func journaled(w *World, id ids.ProxyID) string {
 	rec := w.store.station(1)
-	return fmt.Sprintf("%+v %+v", rec.proxies[id.Seq], rec.groups[id.Seq])
+	if st := rec.proxies[id.Seq]; st != nil {
+		return imageString(st)
+	}
+	return fmt.Sprintf("%+v", rec.groups[id.Seq])
 }
 
 // TestOneDoor sends a message of every proxy-addressed kind, from a
@@ -1431,10 +1482,10 @@ func TestOneDoor(t *testing.T) {
 				// The proxy of the private fixture arrives; a twin station
 				// that held nothing gives the state without the replay.
 				st := msg.MigState{Proxy: res.oldProxy, NewProxy: id, MH: 1, CurrentLoc: 2,
-					Reqs: []msg.MigReqState{
+					Reqs: []msg.ProxyReq{
 						{Req: ids.RequestID{Origin: 1, Seq: 1}, Server: 1, Payload: []byte("a"), Inc: 1},
 						{Req: ids.RequestID{Origin: 1, Seq: 2}, Server: 1, Payload: []byte("b"), Inc: 1}},
-					Batches: []msg.MigBatchState{{Batch: ids.BatchID{Origin: 1, Seq: 1}, Inc: 1}}}
+					Batches: []msg.ProxyBatch{{Batch: ids.BatchID{Origin: 1, Seq: 1}, Inc: 1}}}
 				w2, n2, _, _, _ := doorWorld(t, slot)
 				n.process(ids.MSS(2).Node(), st)
 				n2.process(ids.MSS(2).Node(), st)

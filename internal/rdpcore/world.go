@@ -1164,9 +1164,9 @@ func (w *World) CheckQuiescent() error {
 // still unreleased and, under leases (E18), nothing owned by a dead
 // incarnation — the lease machinery must have scrubbed or reclaimed it.
 func (w *World) settledProxy(p *Proxy) error {
-	for _, bid := range p.batchOrder {
-		if !p.batches[bid].released {
-			return fmt.Errorf("quiescence: proxy %v still holds unreleased batch %v", p.id, bid)
+	for _, b := range p.batches {
+		if liveBatch(b) && !b.Released {
+			return fmt.Errorf("quiescence: proxy %v still holds unreleased batch %v", p.id, b.Batch)
 		}
 	}
 	if w.cfg.LeaseTTL <= 0 {
@@ -1178,15 +1178,15 @@ func (w *World) settledProxy(p *Proxy) error {
 			p.id, normInc(p.leaseInc), p.mh, normInc(cur))
 	}
 	for _, r := range p.reqs {
-		if incLess(r.inc, cur) {
+		if incLess(r.Inc, cur) {
 			return fmt.Errorf("quiescence: proxy %v holds request %v from dead incarnation %v of %v",
-				p.id, r.id, normInc(r.inc), p.mh)
+				p.id, r.Req, normInc(r.Inc), p.mh)
 		}
 	}
-	for bid, b := range p.batches {
-		if incLess(b.inc, cur) {
+	for _, b := range p.batches {
+		if liveBatch(b) && incLess(b.Inc, cur) {
 			return fmt.Errorf("quiescence: proxy %v holds batch %v from dead incarnation %v of %v",
-				p.id, bid, normInc(b.inc), p.mh)
+				p.id, b.Batch, normInc(b.Inc), p.mh)
 		}
 	}
 	return nil

@@ -12,7 +12,9 @@
 #     image builders) only in stable.go: everything else marks what it
 #     wrote (markHost, markSlot — mostly inside the write accessors) or
 #     uses the two immediate writers (persistSeq, persistReclaim), and
-#     flushJournal does the writing at the event boundary.
+#     flushJournal does the writing at the event boundary. A proxy's
+#     image (Proxy.image) is also what a migration ships, so migrateOut
+#     may take one: a copy into a message, not a journal write.
 #
 # It prints what it counted and exits 1 on a breach, or when the explicit
 # mark/persist call sites outside stable.go outgrow their budget.
@@ -39,9 +41,15 @@ if [ -n "$strays" ]; then
 	fail=1
 fi
 
-# The stable store and the image builders, outside stable.go.
+# The stable store and the image builders, outside stable.go (but for the
+# image migrateOut ships), by enclosing function.
 others=$(printf '%s\n' $station | grep -v '^stable\.go$')
-leaks=$(grep -nE '\.store\b|\.image\(\)|hostImage\(|journalAppend\(' $others | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+leaks=$(awk '
+	/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
+	/^[[:space:]]*\/\// { next }
+	/\.image\(/ && fn == "migrateOut" { next }
+	/\.store([^A-Za-z0-9_]|$)|\.image\(|hostImage\(|journalAppend\(/ { print FILENAME ":" FNR ": in " fn }
+' $others)
 if [ -n "$leaks" ]; then
 	echo "station-doors: journal written outside stable.go:"
 	printf '%s\n' "$leaks"
