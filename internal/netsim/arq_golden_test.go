@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,14 +46,26 @@ func (c *countedLatency) Sample(rng *sim.RNG) time.Duration {
 }
 
 // describe renders a message as the observer saw it: its kind, which
-// message of the run it is and, for a boxed link frame, the sequence
-// number and what it carries.
+// message of the run it is and, for a link-layer frame, its epoch and
+// sequence number and what it carries or acknowledges.
 func describe(m msg.Message) string {
 	switch v := m.(type) {
 	case msg.LinkFrame:
 		return fmt.Sprintf("%v/%d/%s", v.Kind(), v.Seq, describe(v.Inner))
 	case msg.LinkAck:
 		return fmt.Sprintf("%v/%d", v.Kind(), v.Seq)
+	case msg.WtpData:
+		inner := make([]string, len(v.Inner))
+		for i, in := range v.Inner {
+			inner[i] = describe(in)
+		}
+		return fmt.Sprintf("%v/%d/%d[%s]", v.Kind(), v.Epoch, v.Seq, strings.Join(inner, " "))
+	case msg.WtpAck:
+		return fmt.Sprintf("%v/%d/%d%v", v.Kind(), v.Epoch, v.Cum, v.Sacks)
+	case msg.ResultDeliver:
+		return fmt.Sprintf("%v:%d/%d/%dB", v.Kind(), v.Req.Origin, v.Req.Seq, len(v.Payload))
+	case msg.Request:
+		return fmt.Sprintf("%v:%d/%d", v.Kind(), v.Req.Origin, v.Req.Seq)
 	case msg.Dereg:
 		return fmt.Sprintf("%v:%d", v.Kind(), v.MH)
 	case msg.Greet:
@@ -124,13 +137,19 @@ func arqGolden(t *testing.T, golden string, messages, queueLimit int) {
 	retransmits, outstanding := w.ARQStats()
 	fmt.Fprintf(&out, "# totals\nretransmits %d outstanding %d delay-samples %d shed %d\n",
 		retransmits, outstanding, lat.n, w.Shed())
+	checkGolden(t, golden, out.Bytes())
+}
 
+// checkGolden compares a run's record with testdata/golden, or rewrites
+// the file under -update, and names the first line that differs.
+func checkGolden(t *testing.T, golden string, out []byte) {
+	t.Helper()
 	path := filepath.Join("testdata", golden)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -139,8 +158,8 @@ func arqGolden(t *testing.T, golden string, messages, queueLimit int) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to record it)", err)
 	}
-	if !bytes.Equal(out.Bytes(), want) {
-		got, wantLines := bytes.Split(out.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	if !bytes.Equal(out, want) {
+		got, wantLines := bytes.Split(out, []byte("\n")), bytes.Split(want, []byte("\n"))
 		for i := range got {
 			if i >= len(wantLines) || !bytes.Equal(got[i], wantLines[i]) {
 				wantLine := "<end of file>"
