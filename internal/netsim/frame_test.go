@@ -112,9 +112,9 @@ func TestRadioAllocBudget(t *testing.T) {
 }
 
 // TestWtpFrameAllocBudget: a windowed data frame and the ack it provokes
-// cost the radio nothing; what is left belongs to the receiver (here a
-// frame it has already seen, so it hands nothing up and acks without
-// selective blocks).
+// cost nothing — a frame the receiver has already seen, which it only
+// re-acks, and a fresh one in order, whose messages it hands up as the
+// frame's own list.
 func TestWtpFrameAllocBudget(t *testing.T) {
 	k := sim.NewKernel(1)
 	w := radioPair(k, WirelessConfig{QueueLimit: 8, WTP: wtp.Config{Enabled: true}})
@@ -122,7 +122,17 @@ func TestWtpFrameAllocBudget(t *testing.T) {
 	k.Run()
 	seen := msg.WtpData{Epoch: 1, Seq: 1}
 	if avg := hopAllocs(k, func() { w.transmitWtpFrame(1, 7, seen) }); avg != 0 {
-		t.Errorf("wtp frame + ack: %.1f allocs/op, budget 0", avg)
+		t.Errorf("wtp frame already seen + ack: %.1f allocs/op, budget 0", avg)
+	}
+	fresh := msg.WtpData{Epoch: 2, Inner: []msg.Message{msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 2}}}}
+	if avg := hopAllocs(k, func() {
+		fresh.Seq++
+		w.transmitWtpFrame(1, 7, fresh)
+	}); avg != 0 {
+		t.Errorf("fresh wtp frame in order + ack: %.1f allocs/op, budget 0", avg)
+	}
+	if r := w.wtpIn[radioKey(1, 7)]; r.Cum() != fresh.Seq {
+		t.Errorf("receiver watermark %d, want every fresh frame (%d) handed up", r.Cum(), fresh.Seq)
 	}
 }
 

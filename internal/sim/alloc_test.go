@@ -30,7 +30,9 @@ func TestKernelAllocBudget(t *testing.T) {
 }
 
 // TestTimerAllocBudget documents the cost of the cancellable path: one
-// Timer handle per After, and nothing else once warm.
+// Timer handle per After, and nothing else once warm. The message path
+// has left it — the wired ARQ and the windowed radio let spent timers
+// fire as no-ops — and the host's retry chain is its one protocol user.
 func TestTimerAllocBudget(t *testing.T) {
 	k := NewKernel(1)
 	fn := func() {}

@@ -1,0 +1,149 @@
+package wtp
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/msg"
+	"repro/internal/sim"
+)
+
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
+// senderAllocs warms a sender on cycle and returns the cycle's
+// steady-state allocations. The transmissions land in out, which the
+// cycle empties.
+func senderAllocs(cfg Config, cycle func(k *sim.Kernel, s *Sender, out *[]msg.WtpData)) float64 {
+	k := sim.NewKernel(1)
+	out := make([]msg.WtpData, 0, 8)
+	s := NewSender(k, cfg, func(f msg.WtpData) { out = append(out, f) })
+	run := func() {
+		cycle(k, s, &out)
+		out = out[:0]
+		k.Run() // the spent retransmission timers fire as no-ops
+	}
+	for i := 0; i < 64; i++ {
+		run()
+	}
+	return testing.AllocsPerRun(200, run)
+}
+
+// ackAll acknowledges everything transmitted so far.
+func ackAll(s *Sender, out []msg.WtpData) {
+	s.OnAck(msg.WtpAck{Epoch: s.Epoch(), Cum: out[len(out)-1].Seq})
+}
+
+// TestSenderAllocBudget: once warm, a frame costs its sender one
+// allocation — its message list, which the receiver and observers keep
+// — from Queue through the coalescing flush, the transmission and the
+// ack. The flush and retransmission timers are recycled records, the
+// frame a value in the ring; a timeout retransmission and a fast
+// retransmission cost nothing more.
+func TestSenderAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes msg.WireSize's pooled buffer allocate")
+	}
+	var m msg.Message = req(1)
+	coalesced := Config{Enabled: true}
+	if avg := senderAllocs(coalesced, func(k *sim.Kernel, s *Sender, out *[]msg.WtpData) {
+		s.Queue(m)
+		s.Queue(m)
+		k.RunUntil(k.Now() + sim.Time(coalesced.coalesceDelay())) // the flush
+		ackAll(s, *out)
+	}); avg > 1 {
+		t.Errorf("queue, flush, transmit, ack: %.1f allocs per frame, budget 1", avg)
+	}
+	if avg := senderAllocs(coalesced, func(k *sim.Kernel, s *Sender, out *[]msg.WtpData) {
+		s.Queue(m)
+		for len(*out) < 2 { // the first transmission is lost: wait for the timeout
+			k.Step()
+		}
+		ackAll(s, *out)
+	}); avg > 1 {
+		t.Errorf("timeout retransmission: %.1f allocs per frame, budget 1", avg)
+	}
+	sacks := make([]uint64, 1)
+	if avg := senderAllocs(Config{Enabled: true, CoalesceDelay: -1, DupThresh: 1}, func(k *sim.Kernel, s *Sender, out *[]msg.WtpData) {
+		s.Queue(m) // frame a, lost
+		s.Queue(m) // frame b, sacked: a goes again at once
+		a, b := (*out)[0].Seq, (*out)[1].Seq
+		sacks[0] = b
+		s.OnAck(msg.WtpAck{Epoch: s.Epoch(), Cum: a - 1, Sacks: sacks})
+		if len(*out) != 3 || (*out)[2].Seq != a {
+			t.Fatalf("no fast retransmission of frame %d: sent %v", a, *out)
+		}
+		ackAll(s, *out)
+	}); avg > 2 {
+		t.Errorf("fast retransmission: %.1f allocs per two frames, budget 2", avg)
+	}
+}
+
+// TestReceiverAllocBudget: a frame that arrives in order is handed up as
+// its own list and costs nothing; out of order, the only allocation is
+// the sack list of an ack that has frames parked to report.
+func TestReceiverAllocBudget(t *testing.T) {
+	r := NewReceiver(Config{Enabled: true})
+	inner := []msg.Message{req(1), req(2)}
+	seq := uint64(0)
+	accept := func(s uint64) { r.Accept(msg.WtpData{Seq: s, Inner: inner}) }
+	inOrder := func() {
+		seq++
+		accept(seq)
+	}
+	// Frames +2 and +4 park; +1 fills the first hole and hands up +1 and +2
+	// with +4 still parked; +3 fills the last. Three acks carry sacks.
+	holes := func() {
+		accept(seq + 2)
+		accept(seq + 4)
+		accept(seq + 1)
+		accept(seq + 3)
+		seq += 4
+	}
+	for i := 0; i < 64; i++ {
+		inOrder()
+		holes()
+	}
+	if avg := testing.AllocsPerRun(200, inOrder); avg != 0 {
+		t.Errorf("in-order frame: %.1f allocs, budget 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, holes); avg > 3 {
+		t.Errorf("two holes filled: %.1f allocs, budget 3 (the acks with sack lists)", avg)
+	}
+}
+
+// TestAcceptContract: a hand-up is valid until the next Accept, which
+// clears it rather than keep the results alive; an ack, sacks included,
+// stays as it was for as long as the caller holds it — netsim's in-flight
+// ack frame and perf's wtp benchmark hold acks across later Accepts.
+func TestAcceptContract(t *testing.T) {
+	r := NewReceiver(Config{Enabled: true})
+	data := func(seq uint32) msg.WtpData {
+		return msg.WtpData{Seq: uint64(seq), Inner: []msg.Message{req(seq)}}
+	}
+	var held []msg.WtpAck
+	for _, seq := range []uint32{2, 4, 3} {
+		_, ack, _ := r.Accept(data(seq))
+		held = append(held, ack)
+	}
+	deliver, _, _ := r.Accept(data(1))
+	if got := messageIDs(deliver); !slices.Equal(got, []uint32{1, 2, 3, 4}) {
+		t.Fatalf("filling the hole handed up %v, want [1 2 3 4]", got)
+	}
+	r.Accept(data(5)) // in order: handed up as its own list
+	if slices.ContainsFunc(deliver, func(m msg.Message) bool { return m != nil }) {
+		t.Errorf("the next Accept left the earlier hand-up holding %v", deliver)
+	}
+	for _, seq := range []uint32{7, 9, 6, 8} { // park, sack and drain again
+		r.Accept(data(seq))
+	}
+	want := [][]uint64{{2}, {2, 4}, {2, 3, 4}}
+	for i, ack := range held {
+		if !slices.Equal(ack.Sacks, want[i]) {
+			t.Errorf("held ack %d: sacks %v, want %v", i, ack.Sacks, want[i])
+		}
+	}
+	if r.Cum() != 9 {
+		t.Errorf("cum = %d, want 9", r.Cum())
+	}
+}

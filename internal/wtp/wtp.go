@@ -12,6 +12,12 @@
 // netsim.Wireless is its one host, driving it with simulated radio
 // frames.
 //
+// A warm link makes no garbage beyond each frame's message list and each
+// selective ack's block list: frames are values in a ring indexed by
+// sequence number, and timers are recycled records that are never
+// cancelled — a spent one fires, finds its generation gone and does
+// nothing.
+//
 // Contrast with netsim's wired ARQ (the E10 link layer): that protocol
 // retransmits each frame independently with no window, no congestion
 // response and no batching — fine for the fast wired backbone, but on a
@@ -22,7 +28,7 @@
 package wtp
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/msg"
@@ -164,16 +170,23 @@ func (c Config) maxSacks() int {
 	return 32
 }
 
-// frame is one in-flight (or backlogged) data frame.
+// frame is one data frame, from the flush that closes it until an ack
+// covers it: a value in the sender's ring, at its sequence number.
 type frame struct {
-	seq     uint64
 	inner   []msg.Message
-	attempt int // transmissions so far (0 = still backlogged)
 	sentAt  sim.Time
-	rtxed   bool // ever retransmitted: Karn's rule bars its RTT sample
-	gapAcks int  // acks seen that advanced past this hole
-	timer   sim.Canceler
+	timer   uint64 // generation of its armed retransmission; 0 when none is
+	attempt int32  // transmissions so far (0 = still backlogged)
+	gapAcks int32  // acks seen that advanced past this hole
+	rtxed   bool   // ever retransmitted: Karn's rule bars its RTT sample
+	acked   bool   // covered by an ack (a sacked frame above the lowest un-acked)
 }
+
+// timer is one wake-up a sender scheduled — its coalescing flush or a
+// frame's retransmission — named by the generation it was armed with.
+// Disarming moves the generation on instead of cancelling, so a spent
+// timer finds another one when it fires and does nothing.
+type timer struct{ seq, gen uint64 }
 
 // Sender is the transmit half of one directed windowed link. All
 // methods must be called from the owning kernel's goroutine.
@@ -181,17 +194,25 @@ type Sender struct {
 	k        sim.Scheduler
 	cfg      Config
 	transmit func(msg.WtpData)
+	timers   *sim.Calls[timer]
+	gen      uint64 // the last timer generation handed out
+	flushGen uint64 // the armed coalescing flush's; 0 when none is
 
 	epoch   uint64
 	nextSeq uint64
 
-	// Coalescing buffer: messages accepted but not yet framed.
+	// Coalescing buffer: messages accepted but not yet framed. Its array
+	// is reused; each frame takes a copy of exactly its messages.
 	pend      []msg.Message
 	pendBytes int
-	flush     sim.Canceler
 
-	backlog []uint64          // framed, waiting for the window to open
-	pending map[uint64]*frame // transmitted, not yet acknowledged
+	// ring holds the frames from the lowest un-acked one, base, to
+	// nextSeq, frame seq at ring[seq&(len(ring)-1)]. Those up to sent have
+	// been transmitted; the rest wait for the window. unacked counts the
+	// frames in it no ack has covered.
+	ring       []frame
+	base, sent uint64
+	unacked    int
 
 	// Congestion and RTT state.
 	cwnd     float64
@@ -213,17 +234,20 @@ type Sender struct {
 
 // NewSender builds a sender that emits frames via transmit. The
 // callback owns actual delivery (radio simulation, socket write); the
-// sender only decides what to send when.
+// sender only decides what to send when. transmit must not call back
+// into the sender.
 func NewSender(k sim.Scheduler, cfg Config, transmit func(msg.WtpData)) *Sender {
 	s := &Sender{
 		k:        k,
 		cfg:      cfg,
 		transmit: transmit,
-		pending:  make(map[uint64]*frame),
+		ring:     make([]frame, 8),
+		base:     1,
 		cwnd:     float64(cfg.initialCwnd()),
 		ssthresh: float64(cfg.window()),
 		rto:      cfg.initialRTO(),
 	}
+	s.timers = sim.NewCalls(k, s.fire)
 	return s
 }
 
@@ -239,11 +263,21 @@ func (s *Sender) RTO() time.Duration { return s.rto }
 // SRTT returns the smoothed round-trip estimate (0 before any sample).
 func (s *Sender) SRTT() time.Duration { return s.srtt }
 
-// Outstanding reports frames transmitted and not yet acknowledged.
-func (s *Sender) Outstanding() int { return len(s.pending) }
+// Outstanding reports frames not yet acknowledged, transmitted or not.
+func (s *Sender) Outstanding() int { return s.unacked }
 
 // Backlog reports frames and unframed messages waiting for the window.
-func (s *Sender) Backlog() int { return len(s.backlog) + len(s.pend) }
+func (s *Sender) Backlog() int { return int(s.nextSeq-s.sent) + len(s.pend) }
+
+// at returns the ring slot of seq.
+func (s *Sender) at(seq uint64) *frame { return &s.ring[seq&uint64(len(s.ring)-1)] }
+
+// arm schedules a timer after d and returns its generation.
+func (s *Sender) arm(seq uint64, d time.Duration) uint64 {
+	s.gen++
+	s.timers.Defer(d, timer{seq, s.gen})
+	return s.gen
+}
 
 // Queue accepts one message for (coalesced) reliable delivery.
 func (s *Sender) Queue(m msg.Message) {
@@ -257,34 +291,36 @@ func (s *Sender) Queue(m msg.Message) {
 		s.flushNow()
 		return
 	}
-	if s.flush == nil {
+	if s.flushGen == 0 {
 		d := s.cfg.coalesceDelay()
 		if d <= 0 {
 			s.flushNow()
 			return
 		}
-		s.flush = s.k.After(d, func() {
-			s.flush = nil
-			s.flushNow()
-		})
+		s.flushGen = s.arm(0, d)
 	}
 }
 
 // flushNow closes the coalescing buffer into one frame and pumps.
 func (s *Sender) flushNow() {
-	if s.flush != nil {
-		s.flush.Cancel()
-		s.flush = nil
-	}
+	s.flushGen = 0
 	if len(s.pend) == 0 {
 		return
 	}
 	s.nextSeq++
-	f := &frame{seq: s.nextSeq, inner: s.pend}
-	s.pend = nil
-	s.pendBytes = 0
-	s.pending[f.seq] = f
-	s.backlog = append(s.backlog, f.seq)
+	if s.nextSeq-s.base == uint64(len(s.ring)) {
+		ring := make([]frame, 2*len(s.ring))
+		for seq := s.base; seq < s.nextSeq; seq++ {
+			ring[seq&uint64(len(ring)-1)] = *s.at(seq)
+		}
+		s.ring = ring
+	}
+	// The list is the frame's for good: the receiver parks and hands it
+	// up by reference, and observers keep the WtpData they are shown.
+	*s.at(s.nextSeq) = frame{inner: slices.Clone(s.pend)}
+	s.unacked++
+	clear(s.pend)
+	s.pend, s.pendBytes = s.pend[:0], 0
 	s.pump()
 }
 
@@ -301,25 +337,22 @@ func (s *Sender) effWindow() int {
 	return w
 }
 
-// inflight counts transmitted-but-unacked frames (backlogged frames
-// live in pending too but have not consumed window yet).
-func (s *Sender) inflight() int { return len(s.pending) - len(s.backlog) }
+// inflight counts transmitted-but-unacked frames.
+func (s *Sender) inflight() int { return s.unacked - int(s.nextSeq-s.sent) }
 
 // pump transmits backlogged frames while the window has room.
 func (s *Sender) pump() {
-	for len(s.backlog) > 0 && s.inflight() < s.effWindow() {
-		seq := s.backlog[0]
-		s.backlog = s.backlog[1:]
-		f, ok := s.pending[seq]
-		if !ok {
-			continue
-		}
-		s.sendFrame(f)
+	for s.sent < s.nextSeq && s.inflight() < s.effWindow() {
+		s.sent++
+		s.sendFrame(s.sent)
 	}
 }
 
-// sendFrame performs one transmission attempt of f and arms its timer.
-func (s *Sender) sendFrame(f *frame) {
+// sendFrame performs one transmission attempt of frame seq and arms its
+// retransmission, with per-frame exponential backoff over the current
+// smoothed RTO.
+func (s *Sender) sendFrame(seq uint64) {
+	f := s.at(seq)
 	f.attempt++
 	if f.attempt == 1 {
 		f.sentAt = s.k.Now()
@@ -329,41 +362,36 @@ func (s *Sender) sendFrame(f *frame) {
 			s.cfg.OnFrame(len(f.inner))
 		}
 	}
-	s.transmit(msg.WtpData{Epoch: s.epoch, Seq: f.seq, Inner: f.inner})
-	s.arm(f)
-}
-
-// arm schedules f's retransmission with per-frame exponential backoff
-// over the current smoothed RTO.
-func (s *Sender) arm(f *frame) {
-	d := s.rto
-	max := s.cfg.maxRTO()
-	for i := 1; i < f.attempt && d < max; i++ {
+	s.transmit(msg.WtpData{Epoch: s.epoch, Seq: seq, Inner: f.inner})
+	d, max := s.rto, s.cfg.maxRTO()
+	for i := int32(1); i < f.attempt && d < max; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	f.timer = s.arm(seq, min(d, max))
+}
+
+// fire runs a timer: the coalescing flush, or the retransmission of the
+// frame it was armed for — unless it is spent.
+func (s *Sender) fire(t timer) {
+	if t.gen == s.flushGen {
+		s.flushNow()
+		return
 	}
-	epoch := s.epoch
-	f.timer = s.k.After(d, func() {
-		if s.epoch != epoch {
-			return
-		}
-		if cur, live := s.pending[f.seq]; !live || cur != f {
-			return
-		}
-		if f.attempt >= s.cfg.maxRetries() {
-			s.reset()
-			return
-		}
-		s.onLoss(f.seq)
-		f.rtxed = true
-		s.Retransmits++
-		if s.cfg.OnRetransmit != nil {
-			s.cfg.OnRetransmit()
-		}
-		s.sendFrame(f)
-	})
+	f := s.at(t.seq)
+	if f.timer != t.gen {
+		return // spent: acked, retransmitted since, or the link was reset
+	}
+	if int(f.attempt) >= s.cfg.maxRetries() {
+		s.reset()
+		return
+	}
+	s.onLoss(t.seq)
+	f.rtxed = true
+	s.Retransmits++
+	if s.cfg.OnRetransmit != nil {
+		s.cfg.OnRetransmit()
+	}
+	s.sendFrame(t.seq)
 }
 
 // onLoss applies the multiplicative decrease once per loss event: the
@@ -384,15 +412,16 @@ func (s *Sender) onLoss(seq uint64) {
 	}
 }
 
-// ackFrame retires one frame: timer off, Karn-valid RTT sample,
-// additive (or slow-start) window growth.
-func (s *Sender) ackFrame(f *frame) {
-	if f.timer != nil {
-		f.timer.Cancel()
-		f.timer = nil
+// ackFrame retires frame seq unless an ack already did: timer disarmed,
+// Karn-valid RTT sample, additive (or slow-start) window growth.
+func (s *Sender) ackFrame(seq uint64) {
+	f := s.at(seq)
+	if f.acked {
+		return
 	}
-	delete(s.pending, f.seq)
-	if f.attempt >= 1 && !f.rtxed {
+	f.acked, f.timer, f.inner = true, 0, nil
+	s.unacked--
+	if !f.rtxed {
 		s.sampleRTT(time.Duration(s.k.Now() - f.sentAt))
 	}
 	if s.cwnd < s.ssthresh {
@@ -446,64 +475,49 @@ func (s *Sender) sampleRTT(rtt time.Duration) {
 	}
 }
 
-// OnAck processes one acknowledgment frame from the receiver.
+// OnAck processes one acknowledgment frame from the receiver. Frames
+// are retired walking up by sequence number — the cumulative run, then
+// the selective blocks as listed (ascending, from a Receiver) — an order
+// the RTT and window hooks' order-sensitive consumers rely on.
 func (s *Sender) OnAck(a msg.WtpAck) {
 	if a.Epoch != s.epoch {
 		return // stale epoch: a reset outran this ack
 	}
 	// Cumulative portion: everything at or below Cum is delivered.
-	// Iterate the pending map via the backlog-free seq range; pending
-	// is small (≤ Window + backlog), so a scan is fine — but keep it
-	// deterministic by collecting and sorting.
-	var acked []uint64
-	for seq := range s.pending {
-		if seq <= a.Cum {
-			acked = append(acked, seq)
-		}
-	}
-	sort.Slice(acked, func(i, j int) bool { return acked[i] < acked[j] })
-	for _, seq := range acked {
-		s.ackFrame(s.pending[seq])
+	for seq := s.base; seq <= a.Cum && seq <= s.nextSeq; seq++ {
+		s.ackFrame(seq)
 	}
 	// Selective portion: sacked frames are held by the receiver for
 	// reordering; they are as delivered as the cumulative ones.
 	topSack := a.Cum
 	for _, seq := range a.Sacks {
-		if seq > topSack {
-			topSack = seq
+		topSack = max(topSack, seq)
+		if seq >= s.base && seq <= s.nextSeq {
+			s.ackFrame(seq)
 		}
-		if f, ok := s.pending[seq]; ok {
-			s.ackFrame(f)
-		}
+	}
+	for s.base <= s.nextSeq && s.at(s.base).acked {
+		*s.at(s.base) = frame{}
+		s.base++
 	}
 	// Gap detection: every in-flight frame below the highest sacked
 	// sequence was overtaken; enough overtakes trigger one fast
 	// retransmission (and one window cut per loss event).
-	if topSack > a.Cum {
-		var holes []uint64
-		for seq, f := range s.pending {
-			if seq < topSack && f.attempt > 0 {
-				holes = append(holes, seq)
-			}
+	for seq := s.base; seq < topSack && seq <= s.sent; seq++ {
+		f := s.at(seq)
+		if f.acked {
+			continue
 		}
-		sort.Slice(holes, func(i, j int) bool { return holes[i] < holes[j] })
-		for _, seq := range holes {
-			f := s.pending[seq]
-			f.gapAcks++
-			if f.gapAcks >= s.cfg.dupThresh() {
-				f.gapAcks = 0
-				s.onLoss(seq)
-				f.rtxed = true
-				s.FastRetransmits++
-				s.Retransmits++
-				if s.cfg.OnRetransmit != nil {
-					s.cfg.OnRetransmit()
-				}
-				if f.timer != nil {
-					f.timer.Cancel()
-				}
-				s.sendFrame(f)
+		if f.gapAcks++; int(f.gapAcks) >= s.cfg.dupThresh() {
+			f.gapAcks = 0
+			s.onLoss(seq)
+			f.rtxed = true
+			s.FastRetransmits++
+			s.Retransmits++
+			if s.cfg.OnRetransmit != nil {
+				s.cfg.OnRetransmit()
 			}
+			s.sendFrame(seq)
 		}
 	}
 	s.pump()
@@ -519,22 +533,14 @@ func (s *Sender) Reset() { s.reset() }
 
 func (s *Sender) reset() {
 	dropped := len(s.pend)
-	for _, f := range s.pending {
-		if f.timer != nil {
-			f.timer.Cancel()
-		}
-		dropped += len(f.inner)
+	for seq := s.base; seq <= s.nextSeq; seq++ {
+		dropped += len(s.at(seq).inner) // nil once acked
+		*s.at(seq) = frame{}
 	}
-	s.pending = make(map[uint64]*frame)
-	s.backlog = nil
-	s.pend = nil
-	s.pendBytes = 0
-	if s.flush != nil {
-		s.flush.Cancel()
-		s.flush = nil
-	}
+	clear(s.pend)
+	s.pend, s.pendBytes, s.flushGen = s.pend[:0], 0, 0
 	s.epoch++
-	s.nextSeq = 0
+	s.nextSeq, s.base, s.sent, s.unacked = 0, 1, 0, 0
 	s.recoverSeq = 0
 	s.cwnd = float64(s.cfg.initialCwnd())
 	s.ssthresh = float64(s.cfg.window())
@@ -556,6 +562,7 @@ type Receiver struct {
 	epoch uint64
 	cum   uint64 // every seq <= cum delivered
 	ahead map[uint64][]msg.Message
+	run   []msg.Message // the last hand-up that drained parked frames
 
 	// Duplicates counts redundant data frames (retransmissions that
 	// lost the race with their ack).
@@ -575,34 +582,40 @@ func (r *Receiver) Cum() uint64 { return r.cum }
 // cares has moved on). Otherwise deliver holds the messages newly
 // deliverable in sequence order (possibly none) and ack is the
 // acknowledgment to send back.
+//
+// deliver is valid until the next Accept: it is the frame's own list
+// when the frame arrives in order with nothing parked, and otherwise a
+// buffer the next call clears and reuses. ack, Sacks included, is the
+// caller's for as long as it holds it.
 func (r *Receiver) Accept(f msg.WtpData) (deliver []msg.Message, ack msg.WtpAck, ok bool) {
 	if f.Epoch < r.epoch {
 		return nil, msg.WtpAck{}, false
 	}
+	clear(r.run)
+	r.run = r.run[:0]
 	if f.Epoch > r.epoch {
 		// The sender reset: adopt the new epoch with fresh state.
-		r.epoch = f.Epoch
-		r.cum = 0
-		r.ahead = make(map[uint64][]msg.Message)
+		r.epoch, r.cum = f.Epoch, 0
+		clear(r.ahead)
 	}
 	_, buffered := r.ahead[f.Seq]
 	switch {
 	case f.Seq <= r.cum || buffered:
 		r.Duplicates++
+	case f.Seq == r.cum+1 && len(r.ahead) == 0:
+		r.cum++
+		deliver = f.Inner
 	default:
 		if f.Inner == nil {
 			f.Inner = []msg.Message{} // presence must survive an empty frame
 		}
 		r.ahead[f.Seq] = f.Inner
-		for {
-			inner, ok := r.ahead[r.cum+1]
-			if !ok {
-				break
-			}
-			deliver = append(deliver, inner...)
+		for inner, ok := r.ahead[r.cum+1]; ok; inner, ok = r.ahead[r.cum+1] {
+			r.run = append(r.run, inner...)
 			delete(r.ahead, r.cum+1)
 			r.cum++
 		}
+		deliver = r.run
 	}
 	ack = msg.WtpAck{Epoch: r.epoch, Cum: r.cum}
 	if len(r.ahead) > 0 {
@@ -610,11 +623,8 @@ func (r *Receiver) Accept(f msg.WtpData) (deliver []msg.Message, ack msg.WtpAck,
 		for seq := range r.ahead {
 			sacks = append(sacks, seq)
 		}
-		sort.Slice(sacks, func(i, j int) bool { return sacks[i] < sacks[j] })
-		if max := r.cfg.maxSacks(); len(sacks) > max {
-			sacks = sacks[:max]
-		}
-		ack.Sacks = sacks
+		slices.Sort(sacks)
+		ack.Sacks = sacks[:min(len(sacks), r.cfg.maxSacks())]
 	}
 	return deliver, ack, true
 }
