@@ -20,12 +20,13 @@ race: test-race
 
 # allocs runs every allocation pin on the message path: what a kernel
 # event, a causal stamp, a codec round trip, a wired or radio hop, a
-# windowed-radio frame, a server job and a station's self-send may
-# allocate once warm. The pins use testing.AllocsPerRun, so they run
-# without the race detector.
+# windowed-radio frame, a server job, a station's self-send, a pref
+# change in the aggregated table, and a cross-region frame or script
+# event of the partitioned engine may allocate once warm. The pins use
+# testing.AllocsPerRun, so they run without the race detector.
 allocs:
 	go test -count=1 -run 'Alloc|Budget' ./internal/sim ./internal/causal ./internal/msg \
-		./internal/netsim ./internal/wtp ./internal/server ./internal/rdpcore
+		./internal/netsim ./internal/wtp ./internal/server ./internal/rdpcore ./internal/psim
 
 # perf-smoke runs the yardstick itself for a second a workload, the way
 # the benchmark driver does, and fails unless each run's result line says

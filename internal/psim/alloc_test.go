@@ -1,0 +1,88 @@
+package psim
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/ids"
+	"repro/internal/msg"
+	"repro/internal/netsim"
+	"repro/internal/rdpcore"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// TestCrossFrameAllocBudget pins the barrier's per-frame cost on warm
+// regions: a wired frame from one region to another — emitted into the
+// source's outbox, parked at the barrier, merged onto the destination's
+// inbound list, scheduled through its recycled delivery records and
+// delivered — costs nothing, and neither does a script event, which
+// schedules the run function its script bound once. The steps are the
+// ones a window runs, driven by hand so a worker's arena outlives them
+// the way it outlives a pooled run's windows.
+func TestCrossFrameAllocBudget(t *testing.T) {
+	base := rdpcore.DefaultConfig()
+	base.NumMSS = 2
+	base.WiredLatency = netsim.Constant(2 * time.Millisecond)
+	pw := New(Config{Base: base, Regions: 2, Workers: 1, Lookahead: 2 * time.Millisecond})
+	// A host in region 0 whose script deactivates it every 10ms from 1s
+	// on: after the first, each event is a no-op that schedules the next.
+	events := make([]MHEvent, 1000)
+	for i := range events {
+		events[i] = MHEvent{At: time.Second + time.Duration(i)*10*time.Millisecond, Kind: workload.EvDeactivate}
+	}
+	pw.AddMH(1, 1, events)
+	pw.RunUntil(500 * time.Millisecond)
+	r0, r1 := pw.regions[0], pw.regions[1]
+	arena := sim.NewArena()
+
+	t.Run("wired frame", func(t *testing.T) {
+		from, to := ids.MSS(1).Node(), ids.MSS(2).Node()
+		// An orphan at the destination station: processed by counting it.
+		var m msg.Message = msg.DelPrefOnly{Proxy: ids.ProxyID{Host: 2, Seq: 9}, MH: 7}
+		now := r0.kernel.Now()
+		hop := func() {
+			now += sim.Time(time.Millisecond)
+			r0.kernel.AdvanceTo(now)
+			r0.link.Send(from, to, m) // emit
+			r0.drain()                // park
+			pw.inject(now + pw.lookahead + 1)
+			if len(r1.inbound) != 1 {
+				t.Fatalf("merge put %d frames on the destination's inbound list, want 1", len(r1.inbound))
+			}
+			stepRegion(r1, now+pw.lookahead+1, arena) // schedule, deliver
+		}
+		for i := 0; i < 8; i++ {
+			hop()
+		}
+		before := r1.world.Stats.OrphanMessages.Value()
+		if avg := testing.AllocsPerRun(100, hop); avg != 0 {
+			t.Errorf("cross-region wired frame: %.1f allocs, budget 0", avg)
+		}
+		if got := r1.world.Stats.OrphanMessages.Value() - before; got != 101 {
+			t.Errorf("delivered %d frames, want 101", got)
+		}
+	})
+
+	t.Run("script event", func(t *testing.T) {
+		s := pw.scripts[1]
+		at := sim.Time(time.Second)
+		event := func() {
+			at += sim.Time(10 * time.Millisecond)
+			stepRegion(r0, at, arena)
+		}
+		for i := 0; i < 8; i++ {
+			event()
+		}
+		before := s.next
+		if avg := testing.AllocsPerRun(100, event); avg != 0 {
+			t.Errorf("script event: %.1f allocs, budget 0", avg)
+		}
+		if got := s.next - before; got != 101 {
+			t.Errorf("ran %d script events, want 101", got)
+		}
+	})
+	if out := r1.crossCalls.Out(); out != 0 {
+		t.Errorf("%d delivery records out after the last frame landed, want 0", out)
+	}
+}

@@ -51,7 +51,7 @@ func (pw *World) AddMHs(n int, gen func(i int) (ids.MH, ids.MSS, []MHEvent)) {
 		if !ok {
 			panic(fmt.Sprintf("psim: unknown start cell %v", h.start))
 		}
-		pw.scripts[h.id] = &script{id: h.id, events: h.events}
+		pw.scripts[h.id] = newScript(h.id, h.events)
 		perRegion[ridx] = append(perRegion[ridx], i)
 	}
 

@@ -15,16 +15,18 @@
 // (arrival, seq)-ordered heap — drained by the worker that stepped it,
 // at the barrier, with no coordinator-side copying — and before the
 // next window opens the coordinator k-way-merges the heap tops in
-// deterministic (arrival time, source region, sequence) order straight
-// into the destination kernels. Because each region's event order and
-// RNG stream depend only on its own inputs — and those inputs are
-// merged deterministically — a run with W worker threads is
-// byte-identical to the same partition run serially (Workers=1), and a
-// different worker count can never change a metric. The same argument
-// covers how regions are dealt to workers: the size-aware static plan
-// (regions weighted by resident-host count, largest-first onto the
-// lightest worker) has exactly one worker step each region per window,
-// so it cannot change a byte of output — only wall-clock time.
+// deterministic (arrival time, source region, sequence) order onto the
+// destination regions' inbound lists, which the stepping workers
+// schedule on their kernels before the window runs. Because each
+// region's event order and RNG stream depend only on its own inputs —
+// and those inputs are merged deterministically — a run with W worker
+// threads is byte-identical to the same partition run serially
+// (Workers=1), and a different worker count can never change a metric.
+// The same argument covers how regions are dealt to workers: the
+// size-aware static plan (regions weighted by resident-host count,
+// largest-first onto the lightest worker) has exactly one worker step
+// each region per window, so it cannot change a byte of output — only
+// wall-clock time.
 //
 // Mobile hosts are driven by pre-generated per-host scripts (AddMH,
 // or AddMHs for bulk parallel construction) rather than live
@@ -78,17 +80,22 @@ type Config struct {
 // migrating host — parked at its source region until its arrival window.
 // Frames are ordered by (arrival, src, seq): arrival for causality, the
 // (src, seq) pair to break same-instant ties identically on every run.
+// A wired frame carries its message by value and is delivered through
+// the destination region's recycled records; only a host transfer, which
+// is rare, carries a closure.
 type frame struct {
 	arrival sim.Time
 	src     int
 	seq     uint64
 	dst     int
-	fire    func()
+	wired   netsim.CrossFrame
+	move    func() // set for a host transfer instead of wired
 }
 
 // region is one partition: a full rdpcore world over the region's
 // stations and servers, on a private kernel.
 type region struct {
+	pw     *World
 	idx    int
 	kernel *sim.Kernel
 	world  *rdpcore.World
@@ -99,9 +106,18 @@ type region struct {
 	// window, so collection costs the coordinator nothing.
 	outbox []frame
 	// parked holds drained frames ordered by (arrival, seq) — src is
-	// constant per region — until the coordinator's k-way merge injects
-	// them into their destination kernels.
-	parked      frameHeap
+	// constant per region — until the coordinator's k-way merge moves
+	// them onto their destination regions' inbound lists.
+	parked frameHeap
+	// inbound holds the frames the coordinator's merge gave this region
+	// for the coming window, in merge order. The worker that steps the
+	// region schedules them first, with its arena attached, so the
+	// kernel's insertion order is the merge order.
+	inbound []frame
+	// crossCalls delivers inbound wired frames through recycled records
+	// instead of a closure each. Only the goroutine stepping the region
+	// touches it.
+	crossCalls  *sim.Calls[netsim.CrossFrame]
 	nextSeq     uint64
 	issued      []Issued
 	crossFrames int64
@@ -287,7 +303,7 @@ func (pw *World) buildRegion(idx int, stations []ids.MSS, servers []ids.Server) 
 	for _, id := range servers {
 		members = append(members, id.Node())
 	}
-	r := &region{idx: idx, kernel: k}
+	r := &region{pw: pw, idx: idx, kernel: k}
 	relay := &netObsRelay{}
 	wired := netsim.NewWired(k, members, netsim.WiredConfig{
 		Latency:     pw.cfg.Base.WiredLatency,
@@ -303,6 +319,7 @@ func (pw *World) buildRegion(idx int, stations []ids.MSS, servers []ids.Server) 
 		Lookahead:    pw.cfg.Lookahead,
 		Emit:         func(f netsim.CrossFrame) { pw.emitWired(r, f) },
 	}, relay.observe)
+	r.crossCalls = sim.NewCalls(k, r.link.Deliver)
 	rcfg := pw.cfg.Base
 	rcfg.Stations = stations
 	// Non-nil even when the region hosts no servers: a nil ServerIDs
@@ -356,14 +373,12 @@ func (pw *World) nodeRegion(n ids.NodeID) int {
 // emitWired parks an outbound wired frame in the source region's
 // outbox. Runs on the source region's worker, inside a window.
 func (pw *World) emitWired(r *region, f netsim.CrossFrame) {
-	dst := pw.nodeRegion(f.To)
-	dr := pw.regions[dst]
 	r.outbox = append(r.outbox, frame{
 		arrival: f.Arrival,
 		src:     r.idx,
 		seq:     r.nextSeq,
-		dst:     dst,
-		fire:    func() { dr.link.Deliver(f) },
+		dst:     pw.nodeRegion(f.To),
+		wired:   f,
 	})
 	r.nextSeq++
 }
@@ -424,9 +439,10 @@ func (pw *World) RunUntil(d time.Duration) {
 	}
 }
 
-// stepRegion executes one region's window — kernel steps, then the
-// barrier drain — with the worker's shared arena attached and any panic
-// captured for deterministic re-raise after the barrier.
+// stepRegion executes one region's window — the merged inbound frames
+// scheduled, kernel steps, then the barrier drain — with the worker's
+// shared arena attached and any panic captured for deterministic re-raise
+// after the barrier.
 func stepRegion(r *region, end sim.Time, arena *sim.Arena) {
 	defer func() {
 		r.kernel.SetArena(nil)
@@ -435,8 +451,24 @@ func stepRegion(r *region, end sim.Time, arena *sim.Arena) {
 		}
 	}()
 	r.kernel.SetArena(arena)
+	r.scheduleInbound()
 	r.kernel.StepUntil(end)
 	r.drain()
+}
+
+// scheduleInbound puts the window's inbound frames on the region's
+// kernel in merge order, each at its arrival instant.
+func (r *region) scheduleInbound() {
+	for i := range r.inbound {
+		f := &r.inbound[i]
+		if f.move != nil {
+			r.kernel.DeferAt(f.arrival, f.move)
+		} else {
+			r.crossCalls.DeferAt(f.arrival, f.wired)
+		}
+		*f = frame{}
+	}
+	r.inbound = r.inbound[:0]
 }
 
 // raiseRegionPanics re-raises the first (lowest-region-index) panic
@@ -473,12 +505,13 @@ func (pw *World) low() (sim.Time, bool) {
 }
 
 // inject k-way-merges the regions' parked heaps, moving every frame
-// with arrival < end into its destination kernel in (arrival, src, seq)
-// order. It runs between windows, single-threaded; kernel insertion
-// order fixes the tie-break among same-instant frames, making the merge
-// deterministic. Each heap's top is its region's minimum, so comparing
-// tops yields the same global order the old coordinator-side heap did —
-// without ever copying a frame into a coordinator buffer.
+// with arrival < end onto its destination region's inbound list in
+// (arrival, src, seq) order. It runs between windows, single-threaded;
+// the worker that steps the destination schedules the list in that
+// order, and kernel insertion order fixes the tie-break among
+// same-instant frames, making the merge deterministic. Each heap's top
+// is its region's minimum, so comparing tops yields the same global
+// order the old coordinator-side heap did.
 func (pw *World) inject(end sim.Time) {
 	for {
 		best := -1
@@ -494,7 +527,8 @@ func (pw *World) inject(end sim.Time) {
 			return
 		}
 		f := pw.regions[best].parked.pop()
-		pw.regions[f.dst].kernel.DeferAt(f.arrival, f.fire)
+		dr := pw.regions[f.dst]
+		dr.inbound = append(dr.inbound, f)
 	}
 }
 
@@ -700,10 +734,10 @@ func (h *frameHeap) pop() frame {
 const frameShrinkMinCap = 1024
 
 // maybeShrink halves the backing array once the heap drains below a
-// quarter of its capacity, releasing a burst's frames (and the closures
-// they pin) instead of holding the high-water mark for the rest of the
-// run. Halving per shrink keeps the cost amortized O(1) per pop —
-// the same policy as the kernel's event queue.
+// quarter of its capacity, releasing a burst's frames (and the messages
+// and transfers they pin) instead of holding the high-water mark for
+// the rest of the run. Halving per shrink keeps the cost amortized O(1)
+// per pop — the same policy as the kernel's event queue.
 func (h *frameHeap) maybeShrink(n int) {
 	c := cap(*h)
 	if c < frameShrinkMinCap || n >= c/4 {

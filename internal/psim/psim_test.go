@@ -382,6 +382,39 @@ func TestSerialMatchesParallelWTP(t *testing.T) {
 	}
 }
 
+// TestPooledRecordsDoNotLeak: with every station its own region, every
+// wired message crosses a region boundary, and hosts walking the ring
+// cross them too. Pooled stepping schedules each region's inbound frames
+// and script events on whichever worker steps it; at drain every
+// delivery record has fired and come back, every script has run to its
+// end, and the run equals the serial one.
+func TestPooledRecordsDoNotLeak(t *testing.T) {
+	const horizon = 4 * time.Second
+	base := e1Base(17)
+	var ref psim.Summary
+	for _, workers := range []int{1, 4} {
+		pw := build(t, base, base.NumMSS, workers, 64, horizon, nil, workload.RingWalk{Cells: cellList(base.NumMSS)})
+		pw.RunUntil(horizon + 2*time.Second)
+		s := pw.Summary()
+		if s.CrossFrames < 500 {
+			t.Fatalf("workers=%d: %d cross-region frames; the partition is not cross-heavy", workers, s.CrossFrames)
+		}
+		if workers == 1 {
+			ref = s
+		} else if s != ref {
+			t.Fatalf("workers=%d: summary differs\nserial: %+v\npooled: %+v", workers, ref, s)
+		}
+		for i, out := range pw.CrossRecordsOut() {
+			if out != 0 {
+				t.Errorf("workers=%d: region %d holds %d cross-frame records at drain", workers, i, out)
+			}
+		}
+		if n := pw.UnfinishedScripts(); n != 0 {
+			t.Errorf("workers=%d: %d scripts have events left at drain", workers, n)
+		}
+	}
+}
+
 // TestHeadlineIsPartitionInvariant runs the constant-latency topology
 // under three different partitions of the same seed: the headline
 // metrics must agree exactly, the ratio must be exactly 1, and no

@@ -17,7 +17,20 @@ type script struct {
 	id     ids.MH
 	events []MHEvent
 	next   int
+	// r is the owning region, set by chain. run is fire, bound once when
+	// the script is made: every event the script schedules fires it, so
+	// an event costs no closure.
+	r   *region
+	run func()
 }
+
+func newScript(id ids.MH, events []MHEvent) *script {
+	s := &script{id: id, events: events}
+	s.run = s.fire
+	return s
+}
+
+func (s *script) fire() { s.r.pw.exec(s.r, s) }
 
 // AddMH creates a mobile host in the start cell with the given script.
 // Call before RunUntil; events must be sorted by At.
@@ -36,7 +49,7 @@ func (pw *World) AddMH(id ids.MH, start ids.MSS, events []MHEvent) {
 	}
 	r := pw.regions[ridx]
 	r.world.AddMH(id, start)
-	s := &script{id: id, events: events}
+	s := newScript(id, events)
 	pw.scripts[id] = s
 	pw.chain(r, s)
 }
@@ -48,7 +61,8 @@ func (pw *World) chain(r *region, s *script) {
 	if s.next >= len(s.events) {
 		return
 	}
-	r.kernel.DeferAt(sim.Time(s.events[s.next].At), func() { pw.exec(r, s) })
+	s.r = r
+	r.kernel.DeferAt(sim.Time(s.events[s.next].At), s.run)
 }
 
 // exec runs the script's next event in its owning region. What the
@@ -91,7 +105,7 @@ func (pw *World) transfer(r, dr *region, s *script, ev *workload.Event) {
 		src:     r.idx,
 		seq:     r.nextSeq,
 		dst:     dr.idx,
-		fire: func() {
+		move: func() {
 			dr.world.AttachMH(h, ev.Cell, active)
 			workload.Apply(dr.world, s.id, ev)
 			pw.chain(dr, s)

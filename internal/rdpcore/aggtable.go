@@ -34,15 +34,71 @@ type prefTable struct {
 	// groups is the aggregated representation: members by pref value.
 	// Lookups scan the groups — O(#distinct prefs), which is the point:
 	// the representation is built for workloads where prefs collapse
-	// onto few shared values (group proxies, empty prefs). Workloads
-	// with per-MH proxies should keep AggregatedState off.
-	groups map[msg.Pref]*aggstate.Set
+	// onto few shared values (group proxies, empty prefs). Per-MH
+	// proxies give each host prefs of its own, so their groups are
+	// singletons: a lone member sits inline in its group, and creating or
+	// dropping one allocates nothing; only the scan grows with the hosts.
+	groups map[msg.Pref]prefGroup
+}
+
+// prefGroup is the hosts sharing one pref value: a lone member inline in
+// one, and from the second member on a set holding them all (one is then
+// unused). A group keeps its set until its last member leaves, so a
+// shared group that churns around one member does not reallocate it.
+type prefGroup struct {
+	one ids.MH
+	set *aggstate.Set
+}
+
+func (g prefGroup) contains(mh ids.MH) bool {
+	if g.set == nil {
+		return g.one == mh
+	}
+	return g.set.Contains(uint32(mh))
+}
+
+func (g prefGroup) len() int {
+	if g.set == nil {
+		return 1
+	}
+	return g.set.Len()
+}
+
+// add returns the group with mh joined; a second member brings the set.
+func (g prefGroup) add(mh ids.MH) prefGroup {
+	if g.set == nil {
+		if g.one == mh {
+			return g
+		}
+		g.set = &aggstate.Set{}
+		g.set.Add(uint32(g.one))
+	}
+	g.set.Add(uint32(mh))
+	return g
+}
+
+// remove takes mh, a member, out of the group and reports whether
+// anyone is left.
+func (g prefGroup) remove(mh ids.MH) bool {
+	if g.set == nil {
+		return false
+	}
+	g.set.Remove(uint32(mh))
+	return g.set.Len() > 0
+}
+
+func (g prefGroup) forEach(fn func(ids.MH)) {
+	if g.set == nil {
+		fn(g.one)
+		return
+	}
+	g.set.ForEach(func(v uint32) { fn(ids.MH(v)) })
 }
 
 func newPrefTable(agg bool) *prefTable {
 	t := &prefTable{agg: agg}
 	if agg {
-		t.groups = make(map[msg.Pref]*aggstate.Set)
+		t.groups = make(map[msg.Pref]prefGroup)
 	} else {
 		t.byMH = make(map[ids.MH]*msg.Pref)
 	}
@@ -58,8 +114,8 @@ func (t *prefTable) get(mh ids.MH) (msg.Pref, bool) {
 		}
 		return *p, true
 	}
-	for p, set := range t.groups {
-		if set.Contains(uint32(mh)) {
+	for p, g := range t.groups {
+		if g.contains(mh) {
 			return p, true
 		}
 	}
@@ -77,25 +133,23 @@ func (t *prefTable) set(mh ids.MH, p msg.Pref) {
 		}
 		return
 	}
-	for g, set := range t.groups {
-		if !set.Contains(uint32(mh)) {
+	for q, g := range t.groups {
+		if !g.contains(mh) {
 			continue
 		}
-		if g == p {
+		if q == p {
 			return
 		}
-		set.Remove(uint32(mh))
-		if set.Len() == 0 {
-			delete(t.groups, g)
+		if !g.remove(mh) {
+			delete(t.groups, q)
 		}
 		break
 	}
-	set := t.groups[p]
-	if set == nil {
-		set = &aggstate.Set{}
-		t.groups[p] = set
+	if g, ok := t.groups[p]; ok {
+		t.groups[p] = g.add(mh)
+	} else {
+		t.groups[p] = prefGroup{one: mh}
 	}
-	set.Add(uint32(mh))
 }
 
 // delete erases mh's pref entirely (system departure, hand-off out).
@@ -104,10 +158,10 @@ func (t *prefTable) delete(mh ids.MH) {
 		delete(t.byMH, mh)
 		return
 	}
-	for g, set := range t.groups {
-		if set.Remove(uint32(mh)) {
-			if set.Len() == 0 {
-				delete(t.groups, g)
+	for q, g := range t.groups {
+		if g.contains(mh) {
+			if !g.remove(mh) {
+				delete(t.groups, q)
 			}
 			return
 		}
@@ -120,8 +174,8 @@ func (t *prefTable) len() int {
 		return len(t.byMH)
 	}
 	n := 0
-	for _, set := range t.groups {
-		n += set.Len()
+	for _, g := range t.groups {
+		n += g.len()
 	}
 	return n
 }
@@ -135,9 +189,9 @@ func (t *prefTable) forEach(fn func(ids.MH, msg.Pref)) {
 		}
 		return
 	}
-	for g, set := range t.groups {
-		p := g
-		set.ForEach(func(v uint32) { fn(ids.MH(v), p) })
+	for q, g := range t.groups {
+		p := q
+		g.forEach(func(mh ids.MH) { fn(mh, p) })
 	}
 }
 

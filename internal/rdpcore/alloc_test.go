@@ -3,6 +3,7 @@ package rdpcore
 import (
 	"testing"
 
+	"repro/internal/aggstate"
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/netsim"
@@ -99,6 +100,60 @@ func TestFaultTolerantRoundTripAllocBudget(t *testing.T) {
 	}
 	if w.TotalProxies() != 0 || w.Stats.Violations.Value() != 0 || w.CheckpointWrites() == 0 {
 		t.Errorf("%d proxies left, %d violations, %d journal writes", w.TotalProxies(), w.Stats.Violations.Value(), w.CheckpointWrites())
+	}
+}
+
+// setSink keeps the reference set of TestAggPrefTableAllocBudget on the
+// heap, where the table's sets live.
+var setSink *aggstate.Set
+
+// TestAggPrefTableAllocBudget: on a warm aggregated pref table, a host
+// with a private proxy takes its pref through {P} → {P, RKpR} → {} for
+// nothing — each of P's groups has one member, held inline, and the
+// empty pref's group is a warm set — and a second member joining a group
+// costs only the set it brings.
+func TestAggPrefTableAllocBudget(t *testing.T) {
+	tab := newPrefTable(true)
+	for mh := ids.MH(1); mh <= 8; mh++ {
+		tab.set(mh, msg.Pref{})
+	}
+	seq := uint32(0)
+	next := func() msg.Pref {
+		seq++
+		return msg.Pref{Proxy: ids.ProxyID{Host: 1, Seq: seq}}
+	}
+	private := func() {
+		p := next()
+		tab.set(9, p)
+		p.RKpR = true
+		tab.set(9, p)
+		tab.set(9, msg.Pref{})
+	}
+	for i := 0; i < 8; i++ {
+		private()
+	}
+	if avg := testing.AllocsPerRun(200, private); avg != 0 {
+		t.Errorf("private proxy's pref {P} -> {P, RKpR} -> {}: %.1f allocs, budget 0", avg)
+	}
+
+	shared := func() {
+		p := next()
+		tab.set(10, p)
+		tab.set(11, p)
+		tab.delete(10)
+		tab.delete(11)
+	}
+	set := testing.AllocsPerRun(100, func() {
+		setSink = &aggstate.Set{}
+		setSink.Add(10)
+		setSink.Add(11)
+	})
+	shared()
+	if avg := testing.AllocsPerRun(200, shared); avg != set {
+		t.Errorf("a group's second member: %.1f allocs, want its set's %.1f", avg, set)
+	}
+	if n := tab.len(); n != 9 {
+		t.Errorf("%d prefs left, want 9", n)
 	}
 }
 

@@ -326,18 +326,23 @@ func TestStateBytesExact(t *testing.T) {
 		entry := bytesGroupEntry + 1 + 3*bytesWaiter + s123 // payload "q", 3 waiters, entrants
 		want := map[string][2]int{
 			// hostSet + prefTable group + group proxy (+ members) + entry.
-			// mss2's only state so far is its (empty) responsibility set
-			// header.
+			// The pref group has three members, so it holds a set. mss2's
+			// only state so far is its (empty) responsibility set header.
 			"subscribed": {s123 + bytesPrefGroup + s123 + bytesGroupProxy + s123 + entry, setBytes()},
 			// MH2 moved: one memberLoc exception at mss1, its pref at mss2.
+			// mss1's group keeps its set ({1, 3}, the capacity of a set
+			// built that way); at mss2 MH2 is its group's lone member,
+			// held inline, so the group costs its record alone:
+			// s2 (98) + bytesPrefGroup (64) = 162 — a set would add
+			// another s2, 260.
 			"handoff": {
 				s13 + bytesPrefGroup + s13 + bytesGroupProxy + s123 + bytesMemberLoc + entry,
-				s2 + bytesPrefGroup + s2,
+				s2 + bytesPrefGroup,
 			},
 			// Entry retired; group and (never-deleted) shared prefs remain.
 			"drained": {
 				s13 + bytesPrefGroup + s13 + bytesGroupProxy + s123 + bytesMemberLoc,
-				s2 + bytesPrefGroup + s2,
+				s2 + bytesPrefGroup,
 			},
 			// Members left: per-MH state gone, the group skeleton stays
 			// (append-only membership, documented). The drained
@@ -357,6 +362,33 @@ func TestStateBytesExact(t *testing.T) {
 		faithful := 3*bytesHostEntry + 3*bytesPrefEntry + 3*(bytesProxy+bytesProxyReq+1)
 		if got := at["subscribed"][0]; got >= faithful {
 			t.Errorf("aggregated subscribed footprint %d not below faithful %d", got, faithful)
+		}
+	})
+
+	// One group pref through its whole life: a lone member inline (the
+	// group record alone, 64), a second member bringing the set (64 + 104:
+	// header 32, one chunk pointer 8, the chunk 56, an array of 4 uint16
+	// — two members' append growth), back to one member (the set stays,
+	// and Remove keeps its capacity, so still 168), and gone with its last
+	// member.
+	t.Run("group lifecycle", func(t *testing.T) {
+		tab := newPrefTable(true)
+		p := msg.Pref{Proxy: ids.ProxyID{Host: 1, Seq: 4}}
+		steps := []struct {
+			name string
+			do   func()
+			want int
+		}{
+			{"singleton", func() { tab.set(7, p) }, bytesPrefGroup},
+			{"set", func() { tab.set(9, p) }, bytesPrefGroup + setBytes(7, 9)},
+			{"one member left", func() { tab.delete(7) }, bytesPrefGroup + setBytes(7, 9)},
+			{"gone", func() { tab.delete(9) }, 0},
+		}
+		for _, s := range steps {
+			s.do()
+			if got := tab.stateBytes(); got != s.want {
+				t.Errorf("%s: stateBytes = %d, want %d", s.name, got, s.want)
+			}
 		}
 	})
 }

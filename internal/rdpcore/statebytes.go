@@ -19,8 +19,9 @@ const (
 	// Faithful per-MH containers.
 	bytesHostEntry = 48 // one localMhs map entry
 	bytesPrefEntry = 80 // one prefs map entry + heap-allocated Pref
-	// Aggregated pref-table group record: map entry keyed by Pref value
-	// plus the member-set header (the set's payload is MemBytes).
+	// Aggregated pref-table group record: map entry keyed by Pref value,
+	// holding a lone member inline or a member set (the set's header and
+	// payload are its MemBytes).
 	bytesPrefGroup = 64
 	// Incarnation table entry (identical in both modes).
 	bytesIncEntry = 52
@@ -55,9 +56,11 @@ func (t *prefTable) stateBytes() int {
 	if !t.agg {
 		return len(t.byMH) * bytesPrefEntry
 	}
-	total := 0
-	for _, set := range t.groups {
-		total += bytesPrefGroup + set.MemBytes()
+	total := len(t.groups) * bytesPrefGroup
+	for _, g := range t.groups {
+		if g.set != nil {
+			total += g.set.MemBytes()
+		}
 	}
 	return total
 }

@@ -92,6 +92,15 @@ func (c *Calls[T]) Defer(delay time.Duration, arg T) {
 	c.k.Defer(delay, r.run)
 }
 
+// DeferAt schedules fn(arg) at the absolute instant at; an instant in the
+// past runs now, as with Kernel.DeferAt.
+func (c *Calls[T]) DeferAt(at Time, arg T) {
+	c.Defer(time.Duration(at-c.k.Now()), arg)
+}
+
+// Out returns how many calls are scheduled and have not fired yet.
+func (c *Calls[T]) Out() int { return c.free.Out() }
+
 func (r *call[T]) fire() {
 	c, arg := r.c, r.arg
 	var zero T

@@ -62,6 +62,30 @@ func TestFreeListTrimsAfterBurst(t *testing.T) {
 	l.Put(r)
 }
 
+// TestCallsDeferAt: a call deferred to an absolute instant fires there,
+// one deferred to a past instant fires now, and Out counts the calls
+// not yet fired.
+func TestCallsDeferAt(t *testing.T) {
+	k := NewKernel(1)
+	var fired []Time
+	c := NewCalls(k, func(want Time) {
+		if k.Now() != want {
+			t.Errorf("call for %v fired at %v", want, k.Now())
+		}
+		fired = append(fired, want)
+	})
+	k.RunUntil(Time(10 * time.Millisecond))
+	c.DeferAt(Time(15*time.Millisecond), Time(15*time.Millisecond))
+	c.DeferAt(Time(5*time.Millisecond), Time(10*time.Millisecond))
+	if c.Out() != 2 {
+		t.Fatalf("Out = %d before the run, want 2", c.Out())
+	}
+	k.Run()
+	if c.Out() != 0 || len(fired) != 2 || fired[0] != Time(10*time.Millisecond) {
+		t.Errorf("after the run: Out = %d, fired %v", c.Out(), fired)
+	}
+}
+
 // TestArenaTrimsWithTheQueue: events retired into an arena are released
 // when the kernel's queue shrinks, like the kernel's private free list.
 func TestArenaTrimsWithTheQueue(t *testing.T) {
