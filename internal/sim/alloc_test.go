@@ -49,6 +49,34 @@ func TestTimerAllocBudget(t *testing.T) {
 	}
 }
 
+// TestFarTimerAllocBudget: a timer seconds ahead waits in the far tier,
+// and filing it there, pouring its bucket into the heap and firing it
+// recycle everything once warm. The load is a 3 s timer per step with
+// steps 10 ms apart, so the measured window crosses five refills.
+func TestFarTimerAllocBudget(t *testing.T) {
+	k := NewKernel(1)
+	fn := func() {}
+	for i := 0; i < 300; i++ {
+		k.Defer(time.Duration(i)*10*time.Millisecond, fn)
+	}
+	op := func() {
+		k.Defer(3*time.Second, fn)
+		if !k.Step() {
+			panic("kernel empty")
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		op()
+	}
+	before := k.Now()
+	if avg := testing.AllocsPerRun(500, op); avg != 0 {
+		t.Errorf("far Defer+Step steady state: %.1f allocs/op, budget 0", avg)
+	}
+	if crossed := (k.Now() - before) / bucketWidth; crossed < 4 {
+		t.Fatalf("measured window crossed %d buckets, want several refills", crossed)
+	}
+}
+
 // TestFreeListReuseIsGuarded: a Timer kept across its event's firing
 // must not cancel the recycled event that now occupies the same slot.
 func TestFreeListReuseIsGuarded(t *testing.T) {
@@ -68,6 +96,34 @@ func TestFreeListReuseIsGuarded(t *testing.T) {
 	if fired != 2 {
 		t.Errorf("fired = %d, want 2 (recycled event must still run)", fired)
 	}
+}
+
+// BenchmarkKernelPreScheduled times a step at cell_mobility's measured
+// shape: about 140 000 events scheduled up front over 58 s of virtual
+// time under about 550 in-flight chains of 1–200 ms hops. Each
+// pre-scheduled event re-arms 58 s after it fires, so the far load stays
+// the same however many steps the benchmark runs.
+func BenchmarkKernelPreScheduled(b *testing.B) {
+	const (
+		preScheduled = 140_000
+		span         = 58 * time.Second
+		inFlight     = 550
+	)
+	k := NewKernel(1)
+	rng := k.RNG()
+	var rearm, hop func()
+	rearm = func() { k.Defer(span, rearm) }
+	hop = func() { k.Defer(rng.Uniform(time.Millisecond, 200*time.Millisecond), hop) }
+	for i := 0; i < preScheduled; i++ {
+		k.Defer(rng.Uniform(0, span), rearm)
+	}
+	for i := 0; i < inFlight; i++ {
+		hop()
+	}
+	k.RunLimit(preScheduled) // settle into the steady mix
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.RunLimit(uint64(b.N))
 }
 
 // BenchmarkKernelDefer measures the no-handle scheduling fast path

@@ -8,11 +8,10 @@ import "time"
 // the kernel it serves it is single-threaded — one list per substrate,
 // never shared between regions or goroutines.
 //
-// It trims by the kernel's rule (see maybeShrink), with the records it
-// tracks — out plus free — in the place of the queue's capacity: once
-// fewer than a quarter of them are out, half of them are dropped. A
-// burst's high-water mark is not pinned for the rest of the run, and a
-// steady load never trims.
+// It trims by shed's rule, the one the kernel's own event list follows:
+// once fewer than a quarter of the records it tracks — out plus free —
+// are out, half of them are dropped. A burst's high-water mark is not
+// pinned for the rest of the run, and a steady load never trims.
 type FreeList[T any] struct {
 	free []*T
 	out  int // records handed out and not yet returned
@@ -36,15 +35,22 @@ func (l *FreeList[T]) Get() *T {
 // record references first; nothing may touch it afterwards.
 func (l *FreeList[T]) Put(x *T) {
 	l.out--
-	l.free = append(l.free, x)
-	if total := l.out + len(l.free); total >= shrinkMinCap && l.out < total/4 {
-		l.free = trimmed(l.free, len(l.free)-total/2)
-	}
+	l.free = shed(append(l.free, x), l.out)
 }
 
 // Out returns how many records are handed out and not yet returned: zero
 // once everything a substrate scheduled has fired, or a record leaked.
 func (l *FreeList[T]) Out() int { return l.out }
+
+// shed applies the trimming rule to a free list with out records handed
+// out: once they are fewer than a quarter of all records tracked (and
+// those number at least shrinkMinCap), half of the tracked are dropped.
+func shed[T any](free []*T, out int) []*T {
+	if total := out + len(free); total >= shrinkMinCap && out < total/4 {
+		return trimmed(free, len(free)-total/2)
+	}
+	return free
+}
 
 // trimmed returns the first n entries of free in a right-sized backing
 // array, so the dropped records and the old array can both be collected.

@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation kernel:
-// a virtual clock, an event queue with stable tie-breaking, cancellable
-// timers and a seeded random source.
+// a virtual clock, a two-tier event queue with stable tie-breaking,
+// cancellable timers and a seeded random source.
 //
 // The kernel is single-threaded by design. All protocol actors run as
 // event handlers; two runs with the same seed and the same schedule of
@@ -9,9 +9,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -22,23 +24,53 @@ type Time time.Duration
 // String renders the instant as a duration, e.g. "1.5s".
 func (t Time) String() string { return time.Duration(t).String() }
 
+// maxTime is the last representable instant; a delay that would pass it
+// saturates there.
+const maxTime = Time(math.MaxInt64)
+
 // event is one scheduled callback. Events are recycled through the
 // kernel's free list once fired or cancel-popped, so the steady-state
 // event rate causes no allocation; seq doubles as a generation counter
 // that keeps stale Timer handles from cancelling a recycled event.
 type event struct {
-	at       Time
-	seq      uint64 // insertion order; breaks ties deterministically
-	fn       func()
-	canceled bool
+	at   Time
+	seq  uint64 // insertion order; breaks ties deterministically
+	fn   func() // nil once cancelled or retired
+	next *event // the rest of its far-tier bucket
+}
+
+// bucketWidth is the far tier's granularity: an event whose instant lies
+// in a later bucket than the near tier's waits in that bucket's unsorted
+// chain instead of the heap. One second keeps the heap to the current
+// second's events (about 3 000 on cell_mobility, where 140 000 are
+// scheduled up front) while a run's future spans a few dozen buckets;
+// DESIGN §10 has the measurements behind the choice. It is a constant,
+// not a setting.
+const bucketWidth = Time(time.Second)
+
+// bucket is the far tier's share of one bucketWidth of virtual time: its
+// events in no particular order, chained through event.next.
+type bucket struct {
+	num   int64 // instant / bucketWidth
+	first *event
 }
 
 // Kernel is the discrete-event scheduler. It is not safe for concurrent
 // use; all interaction must happen from the goroutine driving Run (or
 // from within event callbacks, which amounts to the same thing).
+//
+// Its queue has two tiers. The near tier is a binary heap of the events
+// in buckets below nearEnd; the far tier holds every later event in its
+// bucket. Every near event is earlier than every far one, so popping the
+// heap — and pouring the earliest bucket into it once it runs dry —
+// fires events in exactly (at, seq) order, while the heap stays the size
+// of one second's traffic however much of the future is scheduled.
 type Kernel struct {
 	now     Time
-	queue   []*event // binary heap ordered by (at, seq)
+	queue   []*event // near tier: binary heap ordered by (at, seq)
+	nearEnd int64    // first bucket of the far tier
+	far     []bucket // far tier: non-empty buckets in ascending order
+	live    int      // events scheduled and not yet retired, both tiers
 	free    []*event // retired events awaiting reuse
 	arena   *Arena   // optional shared free list; see SetArena
 	rng     *RNG
@@ -52,8 +84,8 @@ type Kernel struct {
 // with an arena, kernels that execute on the same OS thread in turn —
 // the parallel engine's regions, dealt to one worker — recycle a single
 // pool sized to the worker's peak, not the sum of per-kernel peaks. It
-// is trimmed along with the queue of whichever kernel has it attached
-// (see maybeShrink), like a kernel's private list.
+// is trimmed when the heap of whichever kernel has it attached shrinks
+// (see maybeShrink).
 //
 // An Arena is not safe for concurrent use: at most one kernel may have
 // it attached at a time, and the attach/detach calls must be serialized
@@ -79,7 +111,7 @@ func (k *Kernel) SetArena(a *Arena) { k.arena = a }
 // NewKernel returns a kernel whose random source is seeded with seed.
 // Equal seeds yield identical simulations.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: NewRNG(seed)}
+	return &Kernel{rng: NewRNG(seed), nearEnd: 1}
 }
 
 // Now returns the current virtual time.
@@ -91,12 +123,19 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 // Steps returns the number of events executed so far.
 func (k *Kernel) Steps() uint64 { return k.steps }
 
-// Pending returns the number of events still scheduled.
+// Pending returns the number of events still scheduled, in both tiers.
 func (k *Kernel) Pending() int {
 	n := 0
 	for _, e := range k.queue {
-		if !e.canceled {
+		if e.fn != nil {
 			n++
+		}
+	}
+	for _, b := range k.far {
+		for e := b.first; e != nil; e = e.next {
+			if e.fn != nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -115,21 +154,31 @@ type Timer struct {
 // already-cancelled timer is a no-op. It reports whether the event was
 // still pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.e == nil || t.e.seq != t.seq || t.e.canceled {
+	if t == nil || t.e == nil || t.e.seq != t.seq || t.e.fn == nil {
 		return false
 	}
-	t.e.canceled = true
+	t.e.fn = nil
 	return true
 }
 
 // After schedules fn to run after delay of virtual time. A negative
 // delay is treated as zero (fn runs at the current instant, after any
-// events already scheduled for it).
+// events already scheduled for it); one reaching past the last
+// representable instant schedules fn there.
 func (k *Kernel) After(delay time.Duration, fn func()) Canceler {
+	return k.At(k.later(delay), fn)
+}
+
+// later is the instant delay after now, clamped to [now, maxTime]: a
+// huge delay must not wrap into the past and fire at once.
+func (k *Kernel) later(delay time.Duration) Time {
 	if delay < 0 {
-		delay = 0
+		return k.now
 	}
-	return k.At(k.now+Time(delay), fn)
+	if Time(delay) > maxTime-k.now {
+		return maxTime
+	}
+	return k.now + Time(delay)
 }
 
 // At schedules fn for the given absolute virtual instant. Instants in
@@ -144,13 +193,10 @@ func (k *Kernel) At(at Time, fn func()) Canceler {
 // free list). It is the right call for the fire-and-forget schedules
 // that dominate the hot path — message deliveries, processing steps.
 func (k *Kernel) Defer(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	k.schedule(k.now+Time(delay), fn)
+	k.schedule(k.later(delay), fn)
 }
 
-// schedule allocates (or recycles) an event and pushes it on the heap.
+// schedule allocates (or recycles) an event and files it in its tier.
 func (k *Kernel) schedule(at Time, fn func()) *event {
 	if fn == nil {
 		panic("sim: nil event callback")
@@ -173,23 +219,73 @@ func (k *Kernel) schedule(at Time, fn func()) *event {
 	if e == nil {
 		e = new(event)
 	}
-	e.at, e.seq, e.fn, e.canceled = at, k.nextSeq, fn, false
+	e.at, e.seq, e.fn = at, k.nextSeq, fn
 	k.nextSeq++
-	k.push(e)
+	k.live++
+	if b := int64(at / bucketWidth); b < k.nearEnd {
+		k.push(e)
+	} else {
+		k.stash(b, e)
+	}
 	return e
 }
 
+// stash files e in the far tier's bucket b, which it creates if needed.
+// The pending seconds are usually all non-empty, so b's index is usually
+// its distance from the first bucket; otherwise a binary search finds
+// it. Creating a bucket shifts the later ones, so it costs at most the
+// number of distinct seconds pending.
+func (k *Kernel) stash(b int64, e *event) {
+	i := -1
+	if len(k.far) > 0 {
+		if d := b - k.far[0].num; d >= 0 && d < int64(len(k.far)) && k.far[d].num == b {
+			i = int(d)
+		}
+	}
+	if i < 0 {
+		var found bool
+		i, found = slices.BinarySearchFunc(k.far, b, func(x bucket, b int64) int { return cmp.Compare(x.num, b) })
+		if !found {
+			k.far = slices.Insert(k.far, i, bucket{num: b})
+		}
+	}
+	e.next = k.far[i].first
+	k.far[i].first = e
+}
+
+// refill pours the earliest far bucket into the heap, which has run dry,
+// and moves the near tier's end past it. It reports false when the far
+// tier is empty too.
+func (k *Kernel) refill() bool {
+	if len(k.far) == 0 {
+		return false
+	}
+	b := k.far[0]
+	k.far = slices.Delete(k.far, 0, 1)
+	k.nearEnd = b.num + 1
+	for e := b.first; e != nil; {
+		next := e.next
+		e.next = nil
+		k.push(e)
+		e = next
+	}
+	return true
+}
+
 // retire returns a popped event to the free list (the shared arena when
-// one is attached). canceled stays set so a stale Timer holding the
-// event sees it as spent until reuse bumps its seq.
+// one is attached). fn stays nil so a stale Timer holding the event sees
+// it as spent until reuse bumps its seq. The private list sheds retired
+// events by FreeList's rule, with the events still scheduled in either
+// tier as the ones out: a pre-scheduled load keeps it intact, and only a
+// drained burst lets it go.
 func (k *Kernel) retire(e *event) {
 	e.fn = nil
-	e.canceled = true
+	k.live--
 	if k.arena != nil {
 		k.arena.free = append(k.arena.free, e)
 		return
 	}
-	k.free = append(k.free, e)
+	k.free = shed(append(k.free, e), k.live)
 }
 
 // eventLess orders events by (at, seq).
@@ -218,7 +314,8 @@ func (k *Kernel) push(e *event) {
 	q[i] = e
 }
 
-// pop removes and returns the minimum event.
+// pop removes and returns the heap's minimum event; the heap must not be
+// empty.
 func (k *Kernel) pop() *event {
 	q := k.queue
 	top := q[0]
@@ -245,7 +342,7 @@ func (k *Kernel) pop() *event {
 		}
 		q[i] = e
 	}
-	k.maybeShrink(n)
+	k.maybeShrink()
 	return top
 }
 
@@ -255,24 +352,23 @@ func (k *Kernel) pop() *event {
 // events) trips the release path.
 const shrinkMinCap = 1024
 
-// maybeShrink releases most of a burst's memory once the queue drains
-// below a quarter of its capacity: without it the heap's backing array —
-// and, through the free list, every event the burst allocated — stays
-// pinned at the high-water mark for the rest of the run. Halving per
-// shrink keeps the cost amortized O(1) per pop.
-func (k *Kernel) maybeShrink(n int) {
+// maybeShrink releases most of a burst's heap once the events scheduled
+// in both tiers fall below a quarter of its capacity: without it the
+// backing array stays pinned at the high-water mark for the rest of the
+// run. Counting the far tier keeps one second's refill from shrinking the
+// heap the next second regrows. Halving per shrink keeps the cost
+// amortized O(1) per pop.
+func (k *Kernel) maybeShrink() {
 	c := cap(k.queue)
-	if c < shrinkMinCap || n >= c/4 {
+	if c < shrinkMinCap || k.live >= c/4 {
 		return
 	}
 	nc := c / 2
-	nq := make([]*event, n, nc)
+	nq := make([]*event, len(k.queue), nc)
 	copy(nq, k.queue)
 	k.queue = nq
-	// The free list grew to the same burst size; cap it at the shrunk
-	// queue capacity so the retired events can be collected too. With an
-	// arena attached that list is the arena's.
-	k.free = trimmed(k.free, nc)
+	// An attached arena grew with the burst too; cap it at the shrunk
+	// heap's capacity so the retired events can be collected.
 	if k.arena != nil {
 		k.arena.free = trimmed(k.arena.free, nc)
 	}
@@ -284,9 +380,9 @@ func (k *Kernel) Step() bool {
 	if k.stopped {
 		return false
 	}
-	for len(k.queue) > 0 {
+	for len(k.queue) > 0 || k.refill() {
 		e := k.pop()
-		if e.canceled {
+		if e.fn == nil {
 			k.retire(e)
 			continue
 		}
@@ -391,8 +487,8 @@ func (k *Kernel) Resume() { k.stopped = false }
 
 // peek returns the earliest non-cancelled event without popping it.
 func (k *Kernel) peek() *event {
-	for len(k.queue) > 0 {
-		if e := k.queue[0]; !e.canceled {
+	for len(k.queue) > 0 || k.refill() {
+		if e := k.queue[0]; e.fn != nil {
 			return e
 		}
 		k.retire(k.pop())

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -143,16 +144,39 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 	k.Run()
 }
 
+// A delay reaching past the last representable instant saturates there
+// instead of wrapping into the past, where it would fire at once.
+func TestHugeDelaySaturates(t *testing.T) {
+	k := NewKernel(1)
+	k.RunUntil(Time(time.Second))
+	var fired []string
+	k.Defer(math.MaxInt64, func() { fired = append(fired, "defer") })
+	k.After(math.MaxInt64-1, func() { fired = append(fired, "after") })
+	k.Defer(time.Second, func() { fired = append(fired, "soon") })
+	if !k.Step() || len(fired) != 1 || fired[0] != "soon" {
+		t.Fatalf("first step fired %v, want [soon]", fired)
+	}
+	if at, ok := k.NextEventAt(); !ok || at != maxTime {
+		t.Fatalf("NextEventAt = %v,%v; want the last instant", at, ok)
+	}
+	k.Run()
+	if len(fired) != 3 || fired[1] != "defer" || fired[2] != "after" || k.Now() != maxTime {
+		t.Fatalf("fired %v ending at %v, want [soon defer after] at the last instant", fired, k.Now())
+	}
+}
+
+// Pending counts the events of both tiers, less the cancelled ones.
 func TestPending(t *testing.T) {
 	k := NewKernel(1)
 	t1 := k.After(time.Second, func() {})
 	k.After(2*time.Second, func() {})
-	if got := k.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
+	k.After(time.Millisecond, func() {})
+	if got := k.Pending(); got != 3 {
+		t.Fatalf("Pending = %d, want 3", got)
 	}
 	t1.Cancel()
-	if got := k.Pending(); got != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", got)
+	if got := k.Pending(); got != 2 {
+		t.Fatalf("Pending after cancel = %d, want 2", got)
 	}
 }
 

@@ -86,32 +86,80 @@ func TestAdvanceTo(t *testing.T) {
 	k.AdvanceTo(Time(20 * time.Millisecond))
 }
 
-// A burst that inflates the heap must not pin its high-water backing
-// array (or the matching free-list growth) for the rest of the run.
+// A burst must not pin its high-water memory for the rest of the run:
+// not the heap's backing array, not the free list's growth, and — for a
+// burst scheduled over a minute — not the far tier, which keeps only a
+// header per pending second and never grows the heap past one second's
+// share of the burst.
 func TestQueueShrinksAfterBurst(t *testing.T) {
-	k := NewKernel(1)
 	const burst = 1 << 15
-	for i := 0; i < burst; i++ {
-		k.Defer(time.Duration(i)*time.Microsecond, func() {})
+	for _, tc := range []struct {
+		name string
+		span time.Duration
+	}{
+		{"near", burst * time.Microsecond},
+		{"pre-scheduled", 60 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel(1)
+			for i := 0; i < burst; i++ {
+				k.Defer(time.Duration(i)*(tc.span/burst), func() {})
+			}
+			if tc.span < time.Duration(bucketWidth) && cap(k.queue) < burst {
+				t.Fatalf("burst did not grow the heap: cap=%d", cap(k.queue))
+			}
+			if tc.span > time.Duration(bucketWidth) && len(k.queue) > burst/30 {
+				t.Fatalf("heap holds %d of %d events spread over %v, want one second's share", len(k.queue), burst, tc.span)
+			}
+			k.Run()
+			if c := cap(k.queue); c >= shrinkMinCap {
+				t.Fatalf("drained queue kept cap=%d, want < %d", c, shrinkMinCap)
+			}
+			if f := len(k.free); f > shrinkMinCap {
+				t.Fatalf("free list kept %d retired events, want <= %d", f, shrinkMinCap)
+			}
+			if n, c := len(k.far), cap(k.far); n != 0 || c > 128 {
+				t.Fatalf("drained far tier holds %d buckets in %d headers, want 0 in about one per second of the span", n, c)
+			}
+			// The kernel must still work after shrinking.
+			ran := 0
+			for i := 0; i < 100; i++ {
+				k.Defer(time.Duration(i)*time.Microsecond, func() { ran++ })
+			}
+			k.Run()
+			if ran != 100 {
+				t.Fatalf("post-shrink events ran %d/100", ran)
+			}
+		})
 	}
-	if cap(k.queue) < burst {
-		t.Fatalf("burst did not grow the heap: cap=%d", cap(k.queue))
+}
+
+// Near churn that inflates the heap past shrinkMinCap and drains it,
+// second after second, under a load pre-scheduled for the rest of the
+// run: neither the heap nor the free list may shrink as one second's
+// refill drains only to be regrown, allocating, the next.
+func TestSawtoothUnderFarLoadAllocBudget(t *testing.T) {
+	k := NewKernel(1)
+	fn := func() {}
+	const far = 16 * shrinkMinCap
+	const span = 64 * time.Second
+	for i := 0; i < far; i++ {
+		k.Defer(time.Second+time.Duration(i)*(span/far), fn)
 	}
-	k.Run()
-	if c := cap(k.queue); c >= shrinkMinCap {
-		t.Fatalf("drained queue kept cap=%d, want < %d", c, shrinkMinCap)
+	saw := func() {
+		next := (k.Now()/bucketWidth + 1) * bucketWidth
+		for i := 0; i < 4*shrinkMinCap; i++ {
+			k.Defer(time.Duration(i)*time.Microsecond, fn)
+		}
+		k.RunUntil(next)
 	}
-	if f := len(k.free); f > shrinkMinCap {
-		t.Fatalf("free list kept %d retired events, want <= %d", f, shrinkMinCap)
+	saw()
+	saw()
+	if allocs := testing.AllocsPerRun(20, saw); allocs > 0 {
+		t.Fatalf("sawtooth over a far load allocates %.1f/second, want 0", allocs)
 	}
-	// The kernel must still work after shrinking.
-	ran := 0
-	for i := 0; i < 100; i++ {
-		k.Defer(time.Duration(i)*time.Microsecond, func() { ran++ })
-	}
-	k.Run()
-	if ran != 100 {
-		t.Fatalf("post-shrink events ran %d/100", ran)
+	if k.Now() >= Time(span) {
+		t.Fatalf("far load ran out at %v", k.Now())
 	}
 }
 
