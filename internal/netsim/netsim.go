@@ -532,9 +532,8 @@ type Wireless struct {
 	mhs      map[ids.MH]Handler
 	stations map[ids.MSS]Handler
 	observer Observer
-	lastRx   [2]map[uint64]sim.Time // per-link FIFO horizon, by direction and radioKey
-	queued   [2]map[uint64]int      // frames in flight per directed link, likewise
-	shed     int64                  // frames shed by full link queues
+	links    [2]map[uint64]radioLink // links with frames in flight, by direction and radioKey
+	shed     int64                   // frames shed by full link queues
 	frames   sim.FreeList[radioFrame]
 
 	// Windowed-transport state (E15), allocated only when cfg.WTP is
@@ -547,6 +546,14 @@ type Wireless struct {
 // radioKey packs a cell link's two ends into one word: with the
 // direction (0 down, 1 up), the key of all per-link state.
 func radioKey(mss ids.MSS, mh ids.MH) uint64 { return uint64(mss)<<32 | uint64(mh) }
+
+// radioLink is a directed radio link's state while frames are in flight
+// on it. The last of them to arrive drops it, so the table holds only
+// live links: a horizon no later than now holds back no later frame.
+type radioLink struct {
+	last   sim.Time // FIFO horizon: no later frame on the link arrives earlier
+	queued int      // frames holding a slot of the bounded link queue
+}
 
 // radioOp says what a radio frame carries; odd ops fly up.
 type radioOp uint8
@@ -606,9 +613,8 @@ func NewWireless(k sim.Scheduler, cfg WirelessConfig, obs Observer) *Wireless {
 		stations: make(map[ids.MSS]Handler),
 		observer: obs,
 	}
-	for d := range w.lastRx {
-		w.lastRx[d] = make(map[uint64]sim.Time)
-		w.queued[d] = make(map[uint64]int)
+	for d := range w.links {
+		w.links[d] = make(map[uint64]radioLink)
 	}
 	if cfg.WTP.Enabled {
 		w.wtpOut = make(map[uint64]*wtp.Sender)
@@ -663,21 +669,30 @@ func (w *Wireless) finish(kind EventKind, f *radioFrame) {
 	w.release(f)
 }
 
-// sendOrShed schedules f after the link's FIFO delay, unless the
-// directed link already has QueueLimit frames in flight, in which case
-// the frame is shed.
-func (w *Wireless) sendOrShed(f *radioFrame) {
-	if w.cfg.QueueLimit > 0 {
-		q, key := w.queued[f.dir()], radioKey(f.mss, f.mh)
-		if q[key] >= w.cfg.QueueLimit {
+// send schedules f after a sampled link delay, stretched so the frame
+// arrives no earlier than the previous frame on the same directed link.
+// A bounded frame takes a slot of the link queue, or is shed when the
+// link already has QueueLimit frames in flight.
+func (w *Wireless) send(f *radioFrame, bounded bool) {
+	links, key := w.links[f.dir()], radioKey(f.mss, f.mh)
+	l := links[key]
+	if bounded && w.cfg.QueueLimit > 0 {
+		if l.queued >= w.cfg.QueueLimit {
 			w.shed++
 			w.finish(EventShed, f)
 			return
 		}
-		q[key]++
+		l.queued++
 		f.queued = true
 	}
-	w.k.Defer(w.fifoDelay(f), f.run)
+	now := w.k.Now()
+	arrival := now + sim.Time(w.cfg.Latency.Sample(w.rng))
+	if arrival < l.last {
+		arrival = l.last
+	}
+	l.last = arrival
+	links[key] = l
+	w.k.Defer(time.Duration(arrival-now), f.run)
 }
 
 // dispatch puts a message frame on its way. Control signaling rides the
@@ -688,18 +703,25 @@ func (w *Wireless) dispatch(f *radioFrame, control bool) {
 	switch {
 	case w.cfg.Seq != nil:
 		w.cfg.Seq.Offer(LayerWireless, f.from, f.to, f.run)
-	case control:
-		w.k.Defer(w.fifoDelay(f), f.run)
 	default:
-		w.sendOrShed(f)
+		w.send(f, !control)
 	}
 }
 
 // fire is the frame's arrival at the far end of the link.
 func (f *radioFrame) fire() {
-	w, key := f.w, radioKey(f.mss, f.mh)
-	if f.queued {
-		w.queued[f.dir()][key]--
+	w, links, key := f.w, f.w.links[f.dir()], radioKey(f.mss, f.mh)
+	// The record is absent under the sequencer, which bypasses send, and
+	// after a frame arriving at this same instant dropped it.
+	if l, ok := links[key]; ok {
+		if f.queued {
+			l.queued--
+		}
+		if l.queued == 0 && l.last <= w.k.Now() {
+			delete(links, key)
+		} else if f.queued {
+			links[key] = l
+		}
 	}
 	var h Handler
 	switch f.op {
@@ -789,7 +811,7 @@ func (w *Wireless) wtpSender(from ids.MSS, to ids.MH) *wtp.Sender {
 func (w *Wireless) transmitWtpFrame(from ids.MSS, to ids.MH, data msg.WtpData) {
 	f := w.frame(opWtpData, from, to)
 	f.data = data
-	w.sendOrShed(f)
+	w.send(f, true)
 }
 
 // receiveWtpFrame runs at the mobile end of a windowed downlink: the
@@ -831,7 +853,7 @@ func (w *Wireless) sendWtpAck(from ids.MSS, to ids.MH, a msg.WtpAck) {
 		w.finish(EventDroppedLoss, f)
 		return
 	}
-	w.k.Defer(w.fifoDelay(f), f.run)
+	w.send(f, false)
 }
 
 // WTPStats aggregates windowed-transport counters over all downlinks:
@@ -872,18 +894,6 @@ func (w *Wireless) SendUplink(from ids.MH, to ids.MSS, m msg.Message) {
 		return
 	}
 	w.dispatch(f, control)
-}
-
-// fifoDelay samples a link delay and stretches it so the frame arrives
-// no earlier than the previous frame on the same directed link.
-func (w *Wireless) fifoDelay(f *radioFrame) time.Duration {
-	last, key := w.lastRx[f.dir()], radioKey(f.mss, f.mh)
-	arrival := w.k.Now() + sim.Time(w.cfg.Latency.Sample(w.rng))
-	if prev := last[key]; arrival < prev {
-		arrival = prev
-	}
-	last[key] = arrival
-	return time.Duration(arrival - w.k.Now())
 }
 
 // filtered consults the DropFilter test hook, if any.

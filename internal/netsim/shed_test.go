@@ -143,6 +143,68 @@ func TestWirelessQueueLimitShedsDownlink(t *testing.T) {
 	}
 }
 
+// TestRadioLinkTableDrains: the radio link table, each link's FIFO
+// horizon and queue count, holds only links with frames in flight. After
+// a burst over every link between two stations and three hosts, both
+// ways, with jittered delays and a bounded queue, it is empty, and a
+// second burst is still delivered in order on every link.
+func TestRadioLinkTableDrains(t *testing.T) {
+	k := sim.NewKernel(1)
+	w := NewWireless(k, WirelessConfig{
+		Latency:    Uniform{Lo: time.Millisecond, Hi: 30 * time.Millisecond},
+		Reachable:  func(ids.MSS, ids.MH) bool { return true },
+		QueueLimit: 4,
+	}, nil)
+	last := make(map[[2]ids.NodeID]uint32) // per directed link, the last Seq delivered
+	delivered := 0
+	order := func(self ids.NodeID) Handler {
+		return HandlerFunc(func(from ids.NodeID, m msg.Message) {
+			var seq uint32
+			switch m := m.(type) {
+			case msg.ResultDeliver:
+				seq = m.Req.Seq
+			case msg.Request:
+				seq = m.Req.Seq
+			}
+			link := [2]ids.NodeID{from, self}
+			if seq <= last[link] {
+				t.Errorf("%v -> %v: seq %d after %d", from, self, seq, last[link])
+			}
+			last[link] = seq
+			delivered++
+		})
+	}
+	for mss := ids.MSS(1); mss <= 2; mss++ {
+		w.RegisterMSS(mss, order(mss.Node()))
+	}
+	for mh := ids.MH(1); mh <= 3; mh++ {
+		w.RegisterMH(mh, order(mh.Node()))
+	}
+	seq := uint32(0)
+	burst := func() {
+		for i := 0; i < 6; i++ {
+			seq++
+			for mss := ids.MSS(1); mss <= 2; mss++ {
+				for mh := ids.MH(1); mh <= 3; mh++ {
+					w.SendDownlink(mss, mh, msg.ResultDeliver{Req: ids.RequestID{Origin: mh, Seq: seq}})
+					w.SendUplink(mh, mss, msg.Request{Req: ids.RequestID{Origin: mh, Seq: seq}, Server: 1})
+				}
+			}
+		}
+		k.Run()
+		for d, links := range w.links {
+			if len(links) != 0 {
+				t.Errorf("direction %d after the burst drained: %d links left", d, len(links))
+			}
+		}
+	}
+	burst()
+	burst()
+	if shed := int(w.Shed()); delivered+shed != 2*6*2*2*3 || shed == 0 {
+		t.Errorf("delivered %d, shed %d of %d frames; the queue limit should have engaged", delivered, shed, 2*6*2*2*3)
+	}
+}
+
 func TestWirelessQueueLimitExemptsControlUplink(t *testing.T) {
 	k := sim.NewKernel(1)
 	w := NewWireless(k, WirelessConfig{

@@ -16,8 +16,8 @@ import (
 // The aggregated representation exploits that prefs are tiny and
 // massively shared: a subscriber population served by shared group
 // proxies collapses into a handful of distinct Pref *values*, so the
-// table becomes a map from Pref value to a compact member set
-// (aggstate.Set, ~2 bits per member in dense cells), and the
+// table keeps a compact member set per shared value (aggstate.Set, ~2
+// bits per member in dense cells), and the
 // responsibility set becomes one such member set — O(cells·servers)
 // group entries instead of O(hosts) map entries.
 //
@@ -31,78 +31,47 @@ type prefTable struct {
 	agg bool
 	// byMH is the faithful representation (§3.1: one pref per MH).
 	byMH map[ids.MH]*msg.Pref
-	// groups is the aggregated representation: members by pref value.
-	// Lookups scan the groups — O(#distinct prefs), which is the point:
-	// the representation is built for workloads where prefs collapse
-	// onto few shared values (group proxies, empty prefs). Per-MH
-	// proxies give each host prefs of its own, so their groups are
-	// singletons: a lone member sits inline in its group, and creating or
-	// dropping one allocates nothing; only the scan grows with the hosts.
-	groups map[msg.Pref]prefGroup
+	// The aggregated representation keeps members by pref value, in one
+	// of two forms. A value one host holds is indexed by that host: lone
+	// maps the host to it and owner maps it back, so the holder is found
+	// in one probe — per-MH proxies give every host prefs of its own, and
+	// this is the form they take. A value that has had two holders at
+	// once (the empty pref, a group proxy's) is a member set in shared,
+	// kept until its last member leaves, so a shared value that churns
+	// around one member does not reallocate it. A host sits in lone or in
+	// one shared set, never both; finding a host that is not lone scans
+	// shared, a station's few shared values — a slice, which a scan
+	// walks faster than a map.
+	lone   map[ids.MH]msg.Pref
+	owner  map[msg.Pref]ids.MH
+	shared []sharedPref
 }
 
-// prefGroup is the hosts sharing one pref value: a lone member inline in
-// one, and from the second member on a set holding them all (one is then
-// unused). A group keeps its set until its last member leaves, so a
-// shared group that churns around one member does not reallocate it.
-type prefGroup struct {
-	one ids.MH
+// sharedPref is a pref value with its member set.
+type sharedPref struct {
+	p   msg.Pref
 	set *aggstate.Set
-}
-
-func (g prefGroup) contains(mh ids.MH) bool {
-	if g.set == nil {
-		return g.one == mh
-	}
-	return g.set.Contains(uint32(mh))
-}
-
-func (g prefGroup) len() int {
-	if g.set == nil {
-		return 1
-	}
-	return g.set.Len()
-}
-
-// add returns the group with mh joined; a second member brings the set.
-func (g prefGroup) add(mh ids.MH) prefGroup {
-	if g.set == nil {
-		if g.one == mh {
-			return g
-		}
-		g.set = &aggstate.Set{}
-		g.set.Add(uint32(g.one))
-	}
-	g.set.Add(uint32(mh))
-	return g
-}
-
-// remove takes mh, a member, out of the group and reports whether
-// anyone is left.
-func (g prefGroup) remove(mh ids.MH) bool {
-	if g.set == nil {
-		return false
-	}
-	g.set.Remove(uint32(mh))
-	return g.set.Len() > 0
-}
-
-func (g prefGroup) forEach(fn func(ids.MH)) {
-	if g.set == nil {
-		fn(g.one)
-		return
-	}
-	g.set.ForEach(func(v uint32) { fn(ids.MH(v)) })
 }
 
 func newPrefTable(agg bool) *prefTable {
 	t := &prefTable{agg: agg}
 	if agg {
-		t.groups = make(map[msg.Pref]prefGroup)
+		t.lone = make(map[ids.MH]msg.Pref)
+		t.owner = make(map[msg.Pref]ids.MH)
 	} else {
 		t.byMH = make(map[ids.MH]*msg.Pref)
 	}
 	return t
+}
+
+// sharedOf returns the index in shared of the value mh holds, or -1.
+func (t *prefTable) sharedOf(mh ids.MH) int {
+	for i := range t.shared {
+		if t.shared[i].set.Contains(uint32(mh)) {
+			return i
+		}
+	}
+	return -1
 }
 
 // get returns the pref registered for mh, if any.
@@ -114,10 +83,11 @@ func (t *prefTable) get(mh ids.MH) (msg.Pref, bool) {
 		}
 		return *p, true
 	}
-	for p, g := range t.groups {
-		if g.contains(mh) {
-			return p, true
-		}
+	if p, ok := t.lone[mh]; ok {
+		return p, true
+	}
+	if i := t.sharedOf(mh); i >= 0 {
+		return t.shared[i].p, true
 	}
 	return msg.Pref{}, false
 }
@@ -133,22 +103,47 @@ func (t *prefTable) set(mh ids.MH, p msg.Pref) {
 		}
 		return
 	}
-	for q, g := range t.groups {
-		if !g.contains(mh) {
-			continue
-		}
+	if q, ok := t.lone[mh]; ok {
 		if q == p {
 			return
 		}
-		if !g.remove(mh) {
-			delete(t.groups, q)
+		delete(t.lone, mh)
+		delete(t.owner, q)
+	} else if i := t.sharedOf(mh); i >= 0 {
+		if t.shared[i].p == p {
+			return
 		}
-		break
+		t.leave(i, mh)
 	}
-	if g, ok := t.groups[p]; ok {
-		t.groups[p] = g.add(mh)
-	} else {
-		t.groups[p] = prefGroup{one: mh}
+	for i := range t.shared {
+		if t.shared[i].p == p {
+			t.shared[i].set.Add(uint32(mh))
+			return
+		}
+	}
+	if one, ok := t.owner[p]; ok { // p's second holder brings its set
+		s := &aggstate.Set{}
+		s.Add(uint32(one))
+		s.Add(uint32(mh))
+		t.shared = append(t.shared, sharedPref{p, s})
+		delete(t.lone, one)
+		delete(t.owner, p)
+		return
+	}
+	t.lone[mh] = p
+	t.owner[p] = mh
+}
+
+// leave takes mh out of shared[i]'s set, dropping the value with its
+// last member.
+func (t *prefTable) leave(i int, mh ids.MH) {
+	s := t.shared[i].set
+	s.Remove(uint32(mh))
+	if s.Len() == 0 {
+		last := len(t.shared) - 1
+		t.shared[i] = t.shared[last]
+		t.shared[last] = sharedPref{}
+		t.shared = t.shared[:last]
 	}
 }
 
@@ -158,13 +153,11 @@ func (t *prefTable) delete(mh ids.MH) {
 		delete(t.byMH, mh)
 		return
 	}
-	for q, g := range t.groups {
-		if g.contains(mh) {
-			if !g.remove(mh) {
-				delete(t.groups, q)
-			}
-			return
-		}
+	if q, ok := t.lone[mh]; ok {
+		delete(t.lone, mh)
+		delete(t.owner, q)
+	} else if i := t.sharedOf(mh); i >= 0 {
+		t.leave(i, mh)
 	}
 }
 
@@ -173,9 +166,9 @@ func (t *prefTable) len() int {
 	if !t.agg {
 		return len(t.byMH)
 	}
-	n := 0
-	for _, g := range t.groups {
-		n += g.len()
+	n := len(t.lone)
+	for _, sp := range t.shared {
+		n += sp.set.Len()
 	}
 	return n
 }
@@ -189,9 +182,11 @@ func (t *prefTable) forEach(fn func(ids.MH, msg.Pref)) {
 		}
 		return
 	}
-	for q, g := range t.groups {
-		p := q
-		g.forEach(func(mh ids.MH) { fn(mh, p) })
+	for mh, p := range t.lone {
+		fn(mh, p)
+	}
+	for _, sp := range t.shared {
+		sp.set.ForEach(func(v uint32) { fn(ids.MH(v), sp.p) })
 	}
 }
 

@@ -1,6 +1,7 @@
 package rdpcore
 
 import (
+	"fmt"
 	"maps"
 	"testing"
 
@@ -81,6 +82,51 @@ func (m prefModel) stateBytes() int {
 	return total
 }
 
+// checkPrefIndex holds an aggregated table's index to its invariants
+// for hosts 1 to maxMH: lone and owner mirror each other, a value is
+// lone or shared but not both and shared once, no shared set is empty, a
+// host holds at most one value, and get finds what a scan of every value
+// finds.
+func checkPrefIndex(tab *prefTable, maxMH ids.MH) error {
+	if len(tab.lone) != len(tab.owner) {
+		return fmt.Errorf("%d lone hosts, %d owned values", len(tab.lone), len(tab.owner))
+	}
+	for mh, p := range tab.lone {
+		if tab.owner[p] != mh {
+			return fmt.Errorf("%v holds %v lone, owner says %v", mh, p, tab.owner[p])
+		}
+	}
+	seen := make(map[msg.Pref]bool)
+	for _, sp := range tab.shared {
+		if _, lone := tab.owner[sp.p]; lone || seen[sp.p] {
+			return fmt.Errorf("%v is shared and also lone or shared again", sp.p)
+		}
+		seen[sp.p] = true
+		if sp.set.Len() == 0 {
+			return fmt.Errorf("shared %v kept with no members", sp.p)
+		}
+	}
+	for mh := ids.MH(1); mh <= maxMH; mh++ {
+		var held []msg.Pref
+		if p, ok := tab.lone[mh]; ok {
+			held = append(held, p)
+		}
+		for _, sp := range tab.shared {
+			if sp.set.Contains(uint32(mh)) {
+				held = append(held, sp.p)
+			}
+		}
+		if len(held) > 1 {
+			return fmt.Errorf("%v holds %v", mh, held)
+		}
+		p, ok := tab.get(mh)
+		if ok != (len(held) == 1) || ok && p != held[0] {
+			return fmt.Errorf("get(%v) = %v %v, a scan finds %v", mh, p, ok, held)
+		}
+	}
+	return nil
+}
+
 func tableContents(t *prefTable) map[ids.MH]msg.Pref {
 	out := make(map[ids.MH]msg.Pref)
 	t.forEach(func(mh ids.MH, p msg.Pref) {
@@ -94,8 +140,9 @@ func tableContents(t *prefTable) map[ids.MH]msg.Pref {
 
 // FuzzPrefTable runs one sequence of set/get/delete/len/forEach calls
 // against a faithful and an aggregated pref table: every answer must
-// agree, and the aggregated footprint must equal the model's after every
-// step — through groups promoted to a set and shrunk back.
+// agree, the aggregated index must hold (checkPrefIndex), and the
+// aggregated footprint must equal the model's after every step — through
+// lone values gaining a second holder and shared sets shrunk back.
 func FuzzPrefTable(f *testing.F) {
 	// Op byte: op = b%5 (set, get, delete, len, forEach), MH = b/5%6+1;
 	// the next byte picks the pref. MH 2 and 3 share pref 1 (promotion)
@@ -103,6 +150,10 @@ func FuzzPrefTable(f *testing.F) {
 	// to pref 2; then len and forEach.
 	f.Add([]byte{5, 1, 10, 1, 7, 0, 12, 0, 5, 1, 5, 2, 13, 0, 9, 0})
 	f.Add([]byte{0, 0, 5, 0, 10, 0, 15, 3, 20, 3, 2, 0, 1, 0, 3, 0, 4, 0})
+	// MH 1 holds pref 3 lone and MH 2 joins it (the set comes), MH 1
+	// leaves (the set stays); MH 3 holds pref 1 lone and leaves, and MH 4
+	// takes pref 1; then get for MH 4, 2 and 1, len and forEach.
+	f.Add([]byte{0, 3, 5, 3, 2, 0, 10, 1, 12, 0, 15, 1, 16, 0, 6, 0, 1, 0, 3, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		faithful, agg := newPrefTable(false), newPrefTable(true)
 		model := prefModel{}
@@ -132,6 +183,9 @@ func FuzzPrefTable(f *testing.F) {
 				if fc, ac := tableContents(faithful), tableContents(agg); !maps.Equal(fc, ac) {
 					t.Fatalf("step %d: forEach visits %v faithful, %v aggregated", i/2, fc, ac)
 				}
+			}
+			if err := checkPrefIndex(agg, 6); err != nil {
+				t.Fatalf("step %d: %v", i/2, err)
 			}
 			if got, want := agg.stateBytes(), model.stateBytes(); got != want {
 				t.Fatalf("step %d: aggregated stateBytes = %d, model %d", i/2, got, want)

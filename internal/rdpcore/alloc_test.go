@@ -109,9 +109,10 @@ var setSink *aggstate.Set
 
 // TestAggPrefTableAllocBudget: on a warm aggregated pref table, a host
 // with a private proxy takes its pref through {P} → {P, RKpR} → {} for
-// nothing — each of P's groups has one member, held inline, and the
-// empty pref's group is a warm set — and a second member joining a group
-// costs only the set it brings.
+// nothing — each of P's values has one holder, indexed by the host in
+// lone and owner, and the empty pref is a warm shared set — a lone
+// host's delete costs nothing either, and a value's second holder costs
+// only the set it brings.
 func TestAggPrefTableAllocBudget(t *testing.T) {
 	tab := newPrefTable(true)
 	for mh := ids.MH(1); mh <= 8; mh++ {
@@ -129,11 +130,19 @@ func TestAggPrefTableAllocBudget(t *testing.T) {
 		tab.set(9, p)
 		tab.set(9, msg.Pref{})
 	}
+	lone := func() {
+		tab.set(12, next())
+		tab.delete(12)
+	}
 	for i := 0; i < 8; i++ {
 		private()
+		lone()
 	}
 	if avg := testing.AllocsPerRun(200, private); avg != 0 {
 		t.Errorf("private proxy's pref {P} -> {P, RKpR} -> {}: %.1f allocs, budget 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, lone); avg != 0 {
+		t.Errorf("a lone host's set and delete: %.1f allocs, budget 0", avg)
 	}
 
 	shared := func() {
@@ -150,7 +159,7 @@ func TestAggPrefTableAllocBudget(t *testing.T) {
 	})
 	shared()
 	if avg := testing.AllocsPerRun(200, shared); avg != set {
-		t.Errorf("a group's second member: %.1f allocs, want its set's %.1f", avg, set)
+		t.Errorf("a value's second holder: %.1f allocs, want its set's %.1f", avg, set)
 	}
 	if n := tab.len(); n != 9 {
 		t.Errorf("%d prefs left, want 9", n)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/netsim"
 )
 
@@ -63,6 +64,53 @@ func BenchmarkReachable(b *testing.B) {
 			}
 			if hit != b.N {
 				b.Fatalf("%d of %d probes reachable", hit, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkAggPrefTable measures the aggregated pref table at a
+// region_scale-shaped station: 500 hosts on the empty pref and 100 or
+// 10 000 hosts each holding a private proxy's pref. get probes an
+// empty-pref host and a private one in turn, each in a scattered order;
+// cycle takes one more host's pref through {P} → {P, RKpR} → {} with a
+// fresh P each time, a private proxy's life. Neither should grow with
+// the private hosts.
+func BenchmarkAggPrefTable(b *testing.B) {
+	const empty = 500
+	for _, private := range []int{100, 10_000} {
+		tab := newPrefTable(true)
+		for mh := ids.MH(1); mh <= empty; mh++ {
+			tab.set(mh, msg.Pref{})
+		}
+		for i := 1; i <= private; i++ {
+			tab.set(ids.MH(empty+i), msg.Pref{Proxy: ids.ProxyID{Host: 1, Seq: uint32(i)}})
+		}
+		b.Run(fmt.Sprint("get/private=", private), func(b *testing.B) {
+			found := 0
+			for i := 0; i < b.N; i++ {
+				mh := ids.MH(1 + (i/2*7919)%empty) // even: an empty-pref host
+				if i%2 == 1 {
+					mh = ids.MH(empty + 1 + (i/2*7919)%private)
+				}
+				if _, ok := tab.get(mh); ok {
+					found++
+				}
+			}
+			if found != b.N {
+				b.Fatalf("found %d of %d hosts", found, b.N)
+			}
+		})
+		b.Run(fmt.Sprint("cycle/private=", private), func(b *testing.B) {
+			mh, seq := ids.MH(empty+private+1), uint32(private)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				seq++
+				p := msg.Pref{Proxy: ids.ProxyID{Host: 1, Seq: seq}}
+				tab.set(mh, p)
+				p.RKpR = true
+				tab.set(mh, p)
+				tab.set(mh, msg.Pref{})
 			}
 		})
 	}

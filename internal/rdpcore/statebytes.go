@@ -19,9 +19,9 @@ const (
 	// Faithful per-MH containers.
 	bytesHostEntry = 48 // one localMhs map entry
 	bytesPrefEntry = 80 // one prefs map entry + heap-allocated Pref
-	// Aggregated pref-table group record: map entry keyed by Pref value,
-	// holding a lone member inline or a member set (the set's header and
-	// payload are its MemBytes).
+	// Aggregated pref-table group record: one per Pref value held, a
+	// lone holder's index entries or a shared value's record (its
+	// member set's header and payload are the set's MemBytes).
 	bytesPrefGroup = 64
 	// Incarnation table entry (identical in both modes).
 	bytesIncEntry = 52
@@ -56,11 +56,9 @@ func (t *prefTable) stateBytes() int {
 	if !t.agg {
 		return len(t.byMH) * bytesPrefEntry
 	}
-	total := len(t.groups) * bytesPrefGroup
-	for _, g := range t.groups {
-		if g.set != nil {
-			total += g.set.MemBytes()
-		}
+	total := (len(t.lone) + len(t.shared)) * bytesPrefGroup
+	for _, sp := range t.shared {
+		total += sp.set.MemBytes()
 	}
 	return total
 }

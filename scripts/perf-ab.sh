@@ -19,8 +19,13 @@
 # interquartile range. A metric whose unit is "count" may carry a claim
 # only if it repeats exactly (choosing-metrics §8), so for one each side
 # runs every seed twice and the script says whether the two readings
-# agreed. Then, from the pairs' runs, every end-to-end metric
-# BENCHMARK.json declares: both sides' medians, the change in %, and
+# agreed. Every pair also says whether base and head ran the same
+# simulation: raw.kernel_steps, raw.results and raw.protocol_violations
+# equal on the seed (identical) or not (DIFFERS) — what a change
+# claiming bit-identical behaviour has to show. Each run's full report
+# is kept as .bench_build/ab/<side>.<seed>.json. Then, from the pairs'
+# runs, every end-to-end metric BENCHMARK.json declares: both sides'
+# medians, the change in %, and
 # WORSE where head is worse than base by more than that metric's bound —
 # what a change that claims no gain has to show. It reads the result line
 # perf prints and changes nothing under perf/.
@@ -56,7 +61,12 @@ build base "$base_ref"
 build head "$head_ref"
 
 run() { # side seed [file the result line is kept in]
-	out=$(cd "$root/$1" && "$root/$1.perfbench" -workload "$workload" -seed "$2" -trace 0 | tail -n 1)
+	report=$root/$1.$2.json
+	if ! (cd "$root/$1" && "$root/$1.perfbench" -workload "$workload" -seed "$2" -trace 0) >"$report"; then
+		echo "perf-ab: $1 run failed (seed $2), report in $report" >&2
+		exit 1
+	fi
+	out=$(tail -n 1 "$report")
 	printf '%s\n' "$out" >>"${3:-$root/$1.lines}"
 	v=$(printf '%s\n' "$out" | sed -n 's/.*"'$metric'":{"value":\([0-9.eE+-]*\).*/\1/p')
 	if [ -z "$v" ]; then
@@ -66,11 +76,18 @@ run() { # side seed [file the result line is kept in]
 	printf '%s\n' "$v"
 }
 
+counts() { # side seed -> "kernel_steps results protocol_violations" of its report
+	for key in kernel_steps results protocol_violations; do
+		sed -n 's/^ *"'$key'": \([0-9-]*\),*$/\1/p' "$root/$1.$2.json"
+	done | paste -sd ' ' -
+}
+
 : >"$root/base.runs"
 : >"$root/head.runs"
 : >"$root/base.lines"
 : >"$root/head.lines"
 : >"$root/repeats"
+: >"$root/identical"
 i=1
 while [ "$i" -le "$pairs" ]; do
 	seed=$((seed0 + i))
@@ -81,7 +98,14 @@ while [ "$i" -le "$pairs" ]; do
 	fi
 	echo "$b" >>"$root/base.runs"
 	echo "$h" >>"$root/head.runs"
-	echo "pair $i seed $seed: base $b head $h"
+	bc=$(counts base "$seed") hc=$(counts head "$seed")
+	if [ "$bc" = "$hc" ]; then
+		same="identical ($bc)"
+		echo "$seed" >>"$root/identical"
+	else
+		same="DIFFERS (base $bc, head $hc)"
+	fi
+	echo "pair $i seed $seed: base $b head $h; steps results violations $same"
 	if [ "$unit" = count ]; then
 		echo "$b $(run base "$seed" /dev/null) $h $(run head "$seed" /dev/null)" >>"$root/repeats"
 	fi
@@ -112,6 +136,7 @@ paste "$root/base.runs" "$root/head.runs" | awk -v bq="$bq" -v hq="$hq" -v sign=
 		if (wins * 10 >= NR * 9 && sign * gap > iqr) print "  verdict: gain"
 		else print "  verdict: no gain shown"
 	}'
+echo "  kernel_steps, results and protocol_violations identical on $(wc -l <"$root/identical" | tr -d ' ') of $pairs pairs"
 if [ "$unit" = count ]; then
 	awk '
 		function off(a, b) { return (a == b) ? 0 : (a > b ? a - b : b - a) / a * 100 }
