@@ -22,11 +22,12 @@ race: test-race
 # event, a causal stamp, a codec round trip, a wired or radio hop, a
 # windowed-radio frame, a server job, a station's self-send, a pref
 # change in the aggregated table, and a cross-region frame or script
-# event of the partitioned engine may allocate once warm — and that the
-# kernel's heap and free lists let a drained burst go. The pins use
+# event of the partitioned engine may allocate once warm — that the
+# kernel's heap and free lists let a drained burst go, and that its heap
+# holds one wheel slot's events (HeapHolds). The pins use
 # testing.AllocsPerRun, so they run without the race detector.
 allocs:
-	go test -count=1 -run 'Alloc|Budget|Shrink' ./internal/sim ./internal/causal ./internal/msg \
+	go test -count=1 -run 'Alloc|Budget|Shrink|HeapHolds' ./internal/sim ./internal/causal ./internal/msg \
 		./internal/netsim ./internal/wtp ./internal/server ./internal/rdpcore ./internal/psim
 
 # perf-smoke runs the yardstick itself for a second a workload, the way

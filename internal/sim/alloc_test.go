@@ -50,9 +50,10 @@ func TestTimerAllocBudget(t *testing.T) {
 }
 
 // TestFarTimerAllocBudget: a timer seconds ahead waits in the far tier,
-// and filing it there, pouring its bucket into the heap and firing it
-// recycle everything once warm. The load is a 3 s timer per step with
-// steps 10 ms apart, so the measured window crosses five refills.
+// and filing it there, spreading its bucket over the wheel, pouring its
+// slot into the heap and firing it recycle everything once warm. The load
+// is a 3 s timer per step with steps 10 ms apart, so the measured window
+// crosses four refills.
 func TestFarTimerAllocBudget(t *testing.T) {
 	k := NewKernel(1)
 	fn := func() {}
@@ -98,18 +99,45 @@ func TestFreeListReuseIsGuarded(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelPreScheduled times a step at cell_mobility's measured
-// shape: about 140 000 events scheduled up front over 58 s of virtual
-// time under about 550 in-flight chains of 1–200 ms hops. Each
-// pre-scheduled event re-arms 58 s after it fires, so the far load stays
-// the same however many steps the benchmark runs.
-func BenchmarkKernelPreScheduled(b *testing.B) {
+// TestWheelAllocBudget: a warm kernel whose events cross slots, turn the
+// wheel over to the next bucket and pour far buckets recycles everything.
+// Chains of 1–200 ms hops land in later slots of the near bucket and in
+// the next one, 3 s timers wait in the far tier, and each measured run is
+// one bucket of virtual time: a full turn of the wheel and a far pour.
+func TestWheelAllocBudget(t *testing.T) {
+	k := NewKernel(1)
+	rng := k.RNG()
+	var hop, timer func()
+	hop = func() { k.Defer(rng.Uniform(time.Millisecond, 200*time.Millisecond), hop) }
+	timer = func() { k.Defer(3*time.Second, timer) }
+	for i := 0; i < 64; i++ {
+		hop()
+		k.Defer(time.Duration(i)*47*time.Millisecond, timer)
+	}
+	turn := func() { k.RunUntil(k.Now() + bucketWidth) }
+	for i := 0; i < 3; i++ {
+		turn()
+	}
+	steps := k.Steps()
+	if avg := testing.AllocsPerRun(5, turn); avg != 0 {
+		t.Errorf("wheel Defer+Step steady state: %.1f allocs per turn, budget 0", avg)
+	}
+	if ran := k.Steps() - steps; ran < 6*64*5 {
+		t.Fatalf("measured window ran %d steps, want several hundred a turn", ran)
+	}
+}
+
+// preScheduled loads k with cell_mobility's measured shape: about 140 000
+// events scheduled up front over 58 s of virtual time under about 550
+// in-flight chains of 1–200 ms hops. Each pre-scheduled event re-arms
+// 58 s after it fires, so the far load stays the same however many steps
+// run. It returns after the kernel has settled into the steady mix.
+func preScheduled(k *Kernel) {
 	const (
 		preScheduled = 140_000
 		span         = 58 * time.Second
 		inFlight     = 550
 	)
-	k := NewKernel(1)
 	rng := k.RNG()
 	var rearm, hop func()
 	rearm = func() { k.Defer(span, rearm) }
@@ -120,7 +148,36 @@ func BenchmarkKernelPreScheduled(b *testing.B) {
 	for i := 0; i < inFlight; i++ {
 		hop()
 	}
-	k.RunLimit(preScheduled) // settle into the steady mix
+	k.RunLimit(preScheduled)
+}
+
+// TestHeapHoldsOneSlot: at cell_mobility's shape the heap holds one
+// slot's events — a handful — not the near second's thousands. A
+// structural pin: it fails without a timer if the heap goes deep again.
+func TestHeapHoldsOneSlot(t *testing.T) {
+	k := NewKernel(1)
+	preScheduled(k)
+	const steps, most = 100_000, 64
+	sum, high := 0, 0
+	for i := 0; i < steps; i++ {
+		if !k.Step() {
+			t.Fatal("kernel empty")
+		}
+		n := len(k.queue)
+		sum += n
+		high = max(high, n)
+	}
+	t.Logf("heap depth after each step: mean %.1f, max %d", float64(sum)/steps, high)
+	if high > most {
+		t.Errorf("heap held up to %d events, want at most %d", high, most)
+	}
+}
+
+// BenchmarkKernelPreScheduled times a step at cell_mobility's measured
+// shape (see preScheduled).
+func BenchmarkKernelPreScheduled(b *testing.B) {
+	k := NewKernel(1)
+	preScheduled(k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.RunLimit(uint64(b.N))

@@ -96,10 +96,15 @@ func addSat(now Time, d time.Duration) Time {
 }
 
 // FuzzKernel drives the kernel with a program of schedules (Defer, After,
-// At and DeferAt, near and far, tied, past and saturating), cancellations
-// (stale handles included), Step, RunUntil, StepUntil, AdvanceTo and
-// arena attach/detach, and after every call compares the fire order,
-// Now, Steps and Pending with the reference model's.
+// At and DeferAt, in the current slot, across slots and buckets, at their
+// edges and a wheel turn ahead, tied, past and saturating), cancellations
+// (stale handles included), Step, RunUntil, StepUntil, AdvanceTo,
+// NextEventAt and arena attach/detach, and after every call compares the
+// fire order, Now, Steps and Pending with the reference model's. The
+// seed corpus under testdata/fuzz/FuzzKernel replays the wheel's hazards
+// on every plain test run: a slot poured by a peek (NextEventAt,
+// StepUntil) before an event lands below it, a cancelled event waiting in
+// the wheel, and the wheel turning over from one bucket to the next.
 func FuzzKernel(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 1, 3, 4, 5, 0, 5, 5, 5})
 	f.Add([]byte{1, 3, 2, 1, 3, 5, 4, 0, 6, 3, 9, 9, 0, 4, 2, 7, 3, 7, 5, 8, 2, 200, 5, 5})
@@ -127,10 +132,10 @@ func FuzzKernel(f *testing.F) {
 		var handles []handle
 
 		// delay draws a delay relative to now from one of the classes
-		// the two tiers treat differently.
+		// the three tiers treat differently.
 		delay := func() time.Duration {
 			now := k.Now()
-			switch next() % 8 {
+			switch next() % 11 {
 			case 0:
 				return 0
 			case 1: // within a few milliseconds
@@ -146,8 +151,16 @@ func FuzzKernel(f *testing.F) {
 				return math.MaxInt64 - time.Duration(next())
 			case 6: // into the past
 				return -time.Duration(next()) * time.Millisecond
-			default: // the instant last scheduled: a tie
+			case 7: // the instant last scheduled: a tie
 				return time.Duration(lastAt - now)
+			case 8: // at a slot boundary a few slots on, or 1 ns either side
+				edge := slotWidth - now%slotWidth + Time(next()%4)*slotWidth
+				return time.Duration(edge) + time.Duration(next()%3-1)
+			case 9: // one wheel turn ahead, or 1 ns either side
+				return time.Duration(wheelSize*slotWidth) + time.Duration(next()%3-1)
+			default: // into the last slot before a bucket boundary
+				edge := bucketWidth - now%bucketWidth - slotWidth
+				return time.Duration(edge) + time.Duration(next()%3-1)
 			}
 		}
 		fn := func(id int) func() {
@@ -160,7 +173,7 @@ func FuzzKernel(f *testing.F) {
 		}
 
 		for step := 0; pos < len(prog); step++ {
-			op := next() % 10
+			op := next() % 11
 			switch op {
 			case 0, 1, 2, 3:
 				id++
@@ -225,6 +238,11 @@ func FuzzKernel(f *testing.F) {
 					k.SetArena(arena)
 				} else {
 					k.SetArena(nil)
+				}
+			case 10:
+				at, ok := k.NextEventAt()
+				if w := len(m.pending) > 0; ok != w || ok && at != m.pending[0].at {
+					t.Fatalf("step %d: NextEventAt = %v,%v; model %v", step, at, ok, m.pending)
 				}
 			}
 			if !slices.Equal(got, m.fired) {

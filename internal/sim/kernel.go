@@ -1,5 +1,5 @@
 // Package sim provides a deterministic discrete-event simulation kernel:
-// a virtual clock, a two-tier event queue with stable tie-breaking,
+// a virtual clock, a three-tier event queue with stable tie-breaking,
 // cancellable timers and a seeded random source.
 //
 // The kernel is single-threaded by design. All protocol actors run as
@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -36,17 +37,34 @@ type event struct {
 	at   Time
 	seq  uint64 // insertion order; breaks ties deterministically
 	fn   func() // nil once cancelled or retired
-	next *event // the rest of its far-tier bucket
+	next *event // the rest of its wheel slot or far bucket
 }
 
+// slotWidth is the wheel's granularity: the near bucket is cut into
+// slots this wide, and the heap holds one slot's events at a time — about
+// one at cell_mobility's shape, where a second holds about 3 000. It is
+// 2^18 ns (about 262 µs); DESIGN §10 has the widths measured.
+//
 // bucketWidth is the far tier's granularity: an event whose instant lies
-// in a later bucket than the near tier's waits in that bucket's unsorted
-// chain instead of the heap. One second keeps the heap to the current
-// second's events (about 3 000 on cell_mobility, where 140 000 are
-// scheduled up front) while a run's future spans a few dozen buckets;
-// DESIGN §10 has the measurements behind the choice. It is a constant,
-// not a setting.
-const bucketWidth = Time(time.Second)
+// in a later bucket than the wheel's waits in that bucket's unsorted
+// chain. 2^30 ns (about 1.07 s) keeps the wheel to one bucket while a
+// run's future spans a few dozen buckets.
+//
+// Both are powers of two, so numbering a slot or a bucket is a shift, and
+// constants, not settings. The wheel holds exactly one bucket: wheelSize
+// slots, 32 KB of chain heads a kernel.
+const (
+	slotBits    = 18
+	bucketBits  = 30
+	slotWidth   = Time(1 << slotBits)
+	bucketWidth = Time(1 << bucketBits)
+	wheelSize   = 1 << (bucketBits - slotBits)
+)
+
+// bucketOf and slotOf number the bucket and the slot an instant falls in;
+// instants are never negative, so both are shifts.
+func bucketOf(at Time) int64 { return int64(uint64(at) / uint64(bucketWidth)) }
+func slotOf(at Time) int64   { return int64(uint64(at) / uint64(slotWidth)) }
 
 // bucket is the far tier's share of one bucketWidth of virtual time: its
 // events in no particular order, chained through event.next.
@@ -59,24 +77,31 @@ type bucket struct {
 // use; all interaction must happen from the goroutine driving Run (or
 // from within event callbacks, which amounts to the same thing).
 //
-// Its queue has two tiers. The near tier is a binary heap of the events
-// in buckets below nearEnd; the far tier holds every later event in its
-// bucket. Every near event is earlier than every far one, so popping the
-// heap — and pouring the earliest bucket into it once it runs dry —
-// fires events in exactly (at, seq) order, while the heap stays the size
-// of one second's traffic however much of the future is scheduled.
+// Its queue has three tiers. The heap holds the events of slots up to
+// cur; the wheel holds the rest of the near bucket (nearEnd-1), one
+// unsorted chain per slot; the far tier holds every later event in its
+// bucket. Every heap event is earlier than every wheel event, and every
+// wheel event earlier than every far one, so popping the heap — pouring
+// the next occupied slot into it once it runs dry, and the earliest far
+// bucket into the wheel once that is empty too — fires events in exactly
+// (at, seq) order, while the heap stays the size of one slot's traffic
+// however much of the future is scheduled.
 type Kernel struct {
-	now     Time
-	queue   []*event // near tier: binary heap ordered by (at, seq)
-	nearEnd int64    // first bucket of the far tier
-	far     []bucket // far tier: non-empty buckets in ascending order
-	live    int      // events scheduled and not yet retired, both tiers
-	free    []*event // retired events awaiting reuse
-	arena   *Arena   // optional shared free list; see SetArena
-	rng     *RNG
-	nextSeq uint64
-	stopped bool
-	steps   uint64
+	now      Time
+	queue    []*event               // heap ordered by (at, seq): the slots up to cur
+	cur      int64                  // last slot poured into the heap
+	wheel    [wheelSize]*event      // the near bucket's later slots, by slot mod wheelSize
+	occupied [wheelSize / 64]uint64 // bit i: wheel[i] holds a chain
+	nearEnd  int64                  // first bucket of the far tier
+	far      []bucket               // far tier: non-empty buckets in ascending order
+	live     int                    // events scheduled and not yet retired, all tiers
+	peak     int                    // most events live at once since the last shrink
+	free     []*event               // retired events awaiting reuse
+	arena    *Arena                 // optional shared free list; see SetArena
+	rng      *RNG
+	nextSeq  uint64
+	stopped  bool
+	steps    uint64
 }
 
 // Arena is a free list of retired events shared between kernels. Without
@@ -84,8 +109,8 @@ type Kernel struct {
 // with an arena, kernels that execute on the same OS thread in turn —
 // the parallel engine's regions, dealt to one worker — recycle a single
 // pool sized to the worker's peak, not the sum of per-kernel peaks. It
-// is trimmed when the heap of whichever kernel has it attached shrinks
-// (see maybeShrink).
+// is trimmed when whichever kernel has it attached drains a burst (see
+// shrink).
 //
 // An Arena is not safe for concurrent use: at most one kernel may have
 // it attached at a time, and the attach/detach calls must be serialized
@@ -123,7 +148,8 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 // Steps returns the number of events executed so far.
 func (k *Kernel) Steps() uint64 { return k.steps }
 
-// Pending returns the number of events still scheduled, in both tiers.
+// Pending returns the number of events still scheduled, in all three
+// tiers.
 func (k *Kernel) Pending() int {
 	n := 0
 	for _, e := range k.queue {
@@ -131,12 +157,20 @@ func (k *Kernel) Pending() int {
 			n++
 		}
 	}
-	for _, b := range k.far {
-		for e := b.first; e != nil; e = e.next {
+	count := func(e *event) {
+		for ; e != nil; e = e.next {
 			if e.fn != nil {
 				n++
 			}
 		}
+	}
+	for w, word := range k.occupied {
+		for ; word != 0; word &= word - 1 {
+			count(k.wheel[w*64+bits.TrailingZeros64(word)])
+		}
+	}
+	for _, b := range k.far {
+		count(b.first)
 	}
 	return n
 }
@@ -196,7 +230,9 @@ func (k *Kernel) Defer(delay time.Duration, fn func()) {
 	k.schedule(k.later(delay), fn)
 }
 
-// schedule allocates (or recycles) an event and files it in its tier.
+// schedule allocates (or recycles) an event and files it in its tier. The
+// far test comes first, so a far event — most of a load scheduled up
+// front — pays for no slot number; only a near one computes its slot.
 func (k *Kernel) schedule(at Time, fn func()) *event {
 	if fn == nil {
 		panic("sim: nil event callback")
@@ -221,20 +257,27 @@ func (k *Kernel) schedule(at Time, fn func()) *event {
 	}
 	e.at, e.seq, e.fn = at, k.nextSeq, fn
 	k.nextSeq++
-	k.live++
-	if b := int64(at / bucketWidth); b < k.nearEnd {
-		k.push(e)
-	} else {
+	if k.live++; k.live > k.peak {
+		k.peak = k.live
+	}
+	if b := bucketOf(at); b >= k.nearEnd {
 		k.stash(b, e)
+	} else if s := slotOf(at); s > k.cur {
+		k.file(s, e)
+	} else {
+		// The current slot, or one below it: an event injected after a
+		// peek poured a later slot (NextEventAt, StepUntil) must not be
+		// filed in the wheel, at an index the scan has passed.
+		k.push(e)
 	}
 	return e
 }
 
 // stash files e in the far tier's bucket b, which it creates if needed.
-// The pending seconds are usually all non-empty, so b's index is usually
+// The pending buckets are usually all non-empty, so b's index is usually
 // its distance from the first bucket; otherwise a binary search finds
 // it. Creating a bucket shifts the later ones, so it costs at most the
-// number of distinct seconds pending.
+// number of distinct buckets pending.
 func (k *Kernel) stash(b int64, e *event) {
 	i := -1
 	if len(k.far) > 0 {
@@ -253,17 +296,58 @@ func (k *Kernel) stash(b int64, e *event) {
 	k.far[i].first = e
 }
 
-// refill pours the earliest far bucket into the heap, which has run dry,
-// and moves the near tier's end past it. It reports false when the far
-// tier is empty too.
+// file pushes e onto the chain of wheel slot s, which lies after cur in
+// the near bucket.
+func (k *Kernel) file(s int64, e *event) {
+	i := uint64(s) % wheelSize
+	e.next = k.wheel[i]
+	k.wheel[i] = e
+	k.occupied[i/64] |= 1 << (i % 64)
+}
+
+// refill fills the heap, which has run dry: with the wheel's next
+// occupied slot or, once the wheel is empty too, from the earliest far
+// bucket, which it first spreads over the wheel as the new near bucket.
+// It reports false when all three tiers are empty.
 func (k *Kernel) refill() bool {
+	if k.pour() {
+		return true
+	}
 	if len(k.far) == 0 {
 		return false
 	}
 	b := k.far[0]
 	k.far = slices.Delete(k.far, 0, 1)
 	k.nearEnd = b.num + 1
+	k.cur = b.num*wheelSize - 1
 	for e := b.first; e != nil; {
+		next := e.next
+		k.file(slotOf(e.at), e)
+		e = next
+	}
+	return k.pour()
+}
+
+// pour moves the wheel's first occupied slot after cur into the heap and
+// makes it cur. The wheel is one bucket and cur lies in it or just
+// before it, so the scan runs from cur's successor to the wheel's end. It
+// reports false when the wheel is empty.
+func (k *Kernel) pour() bool {
+	i := uint64(k.cur+1) % wheelSize
+	w := i / 64
+	word := k.occupied[w] &^ (1<<(i%64) - 1)
+	for word == 0 {
+		if w++; w == uint64(len(k.occupied)) {
+			return false
+		}
+		word = k.occupied[w]
+	}
+	i = w*64 + uint64(bits.TrailingZeros64(word))
+	k.occupied[w] &^= 1 << (i % 64)
+	k.cur = (k.nearEnd-1)*wheelSize + int64(i)
+	e := k.wheel[i]
+	k.wheel[i] = nil
+	for e != nil {
 		next := e.next
 		e.next = nil
 		k.push(e)
@@ -275,12 +359,15 @@ func (k *Kernel) refill() bool {
 // retire returns a popped event to the free list (the shared arena when
 // one is attached). fn stays nil so a stale Timer holding the event sees
 // it as spent until reuse bumps its seq. The private list sheds retired
-// events by FreeList's rule, with the events still scheduled in either
-// tier as the ones out: a pre-scheduled load keeps it intact, and only a
+// events by FreeList's rule, with the events still scheduled in any tier
+// as the ones out: a pre-scheduled load keeps it intact, and only a
 // drained burst lets it go.
 func (k *Kernel) retire(e *event) {
 	e.fn = nil
 	k.live--
+	if k.live < k.peak/4 && k.peak >= shrinkMinCap {
+		k.shrink()
+	}
 	if k.arena != nil {
 		k.arena.free = append(k.arena.free, e)
 		return
@@ -342,35 +429,35 @@ func (k *Kernel) pop() *event {
 		}
 		q[i] = e
 	}
-	k.maybeShrink()
 	return top
 }
 
-// shrinkMinCap is the queue capacity below which the heap never shrinks:
-// small steady-state queues keep their backing array so the common case
-// stays allocation-free. Only a genuine burst (thousands of concurrent
-// events) trips the release path.
+// shrinkMinCap is the burst size below which the kernel never shrinks:
+// small steady-state loads keep their heap array and free lists so the
+// common case stays allocation-free. Only a genuine burst (thousands of
+// concurrent events) trips the release path.
 const shrinkMinCap = 1024
 
-// maybeShrink releases most of a burst's heap once the events scheduled
-// in both tiers fall below a quarter of its capacity: without it the
-// backing array stays pinned at the high-water mark for the rest of the
-// run. Counting the far tier keeps one second's refill from shrinking the
-// heap the next second regrows. Halving per shrink keeps the cost
-// amortized O(1) per pop.
-func (k *Kernel) maybeShrink() {
-	c := cap(k.queue)
-	if c < shrinkMinCap || k.live >= c/4 {
-		return
+// shrink lets a drained burst go once the events scheduled in all tiers
+// fall below a quarter of their peak: it halves the peak, halves the
+// heap's backing array if that is larger, and caps an attached arena at
+// the peak — without it all three stay pinned at the burst's high-water
+// mark for the rest of the run. It keys on live, not on the heap's
+// capacity, because the heap holds one slot and never grows with a burst
+// spread over many, and because a pre-scheduled load draining through
+// the heap refill by refill has not drained. The arena is capped at this
+// kernel's halved peak, never at its live count: the kernels sharing it
+// draw on it in turn. Halving per shrink keeps the cost amortized O(1)
+// per retire.
+func (k *Kernel) shrink() {
+	k.peak /= 2
+	if c := cap(k.queue); c > k.peak {
+		nq := make([]*event, len(k.queue), c/2)
+		copy(nq, k.queue)
+		k.queue = nq
 	}
-	nc := c / 2
-	nq := make([]*event, len(k.queue), nc)
-	copy(nq, k.queue)
-	k.queue = nq
-	// An attached arena grew with the burst too; cap it at the shrunk
-	// heap's capacity so the retired events can be collected.
 	if k.arena != nil {
-		k.arena.free = trimmed(k.arena.free, nc)
+		k.arena.free = trimmed(k.arena.free, k.peak)
 	}
 }
 
