@@ -65,8 +65,8 @@ func runMobileIP() []float64 {
 		rng := world.Kernel.RNG().Fork()
 		mn := world.AddMH(id, stations[rng.Intn(len(stations))], 1 /* shared home */)
 		scheduleRoaming(rng, stations,
-			func(at time.Duration, cell rdp.MSS) { world.Kernel.After(at, func() { world.Migrate(id, cell) }) },
-			func(at time.Duration) { world.Kernel.After(at, func() { mn.IssueRequest(1, []byte("q")) }) })
+			func(at time.Duration, cell rdp.MSS) { world.Kernel.Defer(at, func() { world.Migrate(id, cell) }) },
+			func(at time.Duration) { world.Kernel.Defer(at, func() { mn.IssueRequest(1, []byte("q")) }) })
 	}
 	world.RunUntil(runFor + 10*time.Second)
 	out := make([]float64, 0, len(stations))

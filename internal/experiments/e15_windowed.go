@@ -212,7 +212,7 @@ func e15RunITCP(seed int64, sc Scale, loss, mult float64) E15Row {
 	horizon := sc.Horizon
 	pl := e15Play(itcpWorld{iw}, sc, mult)
 	var deliveredAtHorizon int64
-	iw.Kernel.After(horizon, func() { deliveredAtHorizon = iw.Stats.ResultsDelivered.Value() })
+	iw.Kernel.Defer(horizon, func() { deliveredAtHorizon = iw.Stats.ResultsDelivered.Value() })
 	iw.RunUntil(horizon + horizon/2)
 
 	retrans, _, resets, frames, msgs, _ := iw.Wireless.WTPStats()

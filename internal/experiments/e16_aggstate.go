@@ -190,7 +190,7 @@ func E16Run(seed int64, mhs int, agg bool) E16Row {
 	}
 	for off, bucket := range subBuckets {
 		bucket := bucket
-		w.Kernel.After(time.Duration(off)*time.Millisecond, func() {
+		w.Kernel.Defer(time.Duration(off)*time.Millisecond, func() {
 			for _, id := range bucket {
 				s := stationOf(int(id))
 				region := regionOf(s)
@@ -205,7 +205,7 @@ func E16Run(seed int64, mhs int, agg bool) E16Row {
 	// must chase it.
 	for off, bucket := range migBuckets {
 		bucket := bucket
-		w.Kernel.After(e16MigrateAt+time.Duration(off)*time.Millisecond, func() {
+		w.Kernel.Defer(e16MigrateAt+time.Duration(off)*time.Millisecond, func() {
 			for _, id := range bucket {
 				s := stationOf(int(id))
 				w.Migrate(id, ids.MSS(1+int(s)%stations))
@@ -223,7 +223,7 @@ func E16Run(seed int64, mhs int, agg bool) E16Row {
 			value int32
 		}{{e16Update1At + stag, e16Update1}, {e16Update2At(stations) + stag, e16Update2}} {
 			wave, value := uw.at, uw.value
-			w.Kernel.After(wave, func() {
+			w.Kernel.Defer(wave, func() {
 				mh := w.MHs[id]
 				r := mh.IssueRequest(net.Owner(region), sidam.EncodeUpdate(region, value))
 				reqs = append(reqs, pendingReq{mh: id, req: r})
@@ -232,7 +232,7 @@ func E16Run(seed int64, mhs int, agg bool) E16Row {
 	}
 
 	var stateBytes, outstanding int64
-	w.Kernel.After(e16MeasureAt, func() {
+	w.Kernel.Defer(e16MeasureAt, func() {
 		stateBytes = w.StateBytes()
 		outstanding = w.OutstandingBytes()
 	})

@@ -46,7 +46,7 @@ func E5DynamicShift(seed int64, sc Scale) []E5ShiftRow {
 	mcfg.RequestTimeout = 2 * time.Second
 	mw := mobileip.NewWorld(mcfg)
 	var mipPhase1 []float64
-	mw.Kernel.After(sc.Horizon/2, func() {
+	mw.Kernel.Defer(sc.Horizon/2, func() {
 		mipPhase1 = tunnelLoads(mw)
 	})
 	drivePhased(mipWorld{mw, homeSpread(mcfg.NumMSS)}, sc)

@@ -62,9 +62,9 @@ func TestPartitionWindow(t *testing.T) {
 	inj := New(k, plan)
 	probe := func() bool { return inj.OnWired(ids.MSS(2).Node(), ids.MSS(1).Node()).Drop }
 	var before, during, after bool
-	k.After(50*time.Millisecond, func() { before = probe() })
-	k.After(150*time.Millisecond, func() { during = probe() })
-	k.After(250*time.Millisecond, func() { after = probe() })
+	k.Defer(50*time.Millisecond, func() { before = probe() })
+	k.Defer(150*time.Millisecond, func() { during = probe() })
+	k.Defer(250*time.Millisecond, func() { after = probe() })
 	k.Run()
 	if before || !during || after {
 		t.Errorf("partition gating wrong: before=%t during=%t after=%t", before, during, after)
@@ -72,7 +72,7 @@ func TestPartitionWindow(t *testing.T) {
 	// Links with at least one endpoint outside both groups are unaffected.
 	k2 := sim.NewKernel(1)
 	inj2 := New(k2, plan)
-	k2.After(150*time.Millisecond, func() {
+	k2.Defer(150*time.Millisecond, func() {
 		if inj2.OnWired(ids.MSS(1).Node(), ids.Server(1).Node()).Drop {
 			t.Error("MSS->server link must not be partitioned")
 		}
@@ -130,10 +130,10 @@ func TestSlowdownWindow(t *testing.T) {
 		{MSS: 2, Start: 0, End: time.Second, Extra: 5 * time.Millisecond},
 	}})
 	var before, during, overlap, after time.Duration
-	k.After(50*time.Millisecond, func() { before = inj.ExtraProcDelay(1) })
-	k.After(120*time.Millisecond, func() { during = inj.ExtraProcDelay(1) })
-	k.After(170*time.Millisecond, func() { overlap = inj.ExtraProcDelay(1) })
-	k.After(300*time.Millisecond, func() { after = inj.ExtraProcDelay(1) })
+	k.Defer(50*time.Millisecond, func() { before = inj.ExtraProcDelay(1) })
+	k.Defer(120*time.Millisecond, func() { during = inj.ExtraProcDelay(1) })
+	k.Defer(170*time.Millisecond, func() { overlap = inj.ExtraProcDelay(1) })
+	k.Defer(300*time.Millisecond, func() { after = inj.ExtraProcDelay(1) })
 	k.Run()
 	if before != 0 || during != 30*time.Millisecond ||
 		overlap != 40*time.Millisecond || after != 0 {

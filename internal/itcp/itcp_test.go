@@ -25,7 +25,7 @@ func TestStationaryDelivery(t *testing.T) {
 	w := build(nil)
 	m := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = m.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(0, func() { req = m.IssueRequest(1, []byte("q")) })
 	w.RunUntil(time.Second)
 	if !m.Seen(req) {
 		t.Fatal("result not delivered")
@@ -40,8 +40,8 @@ func TestImageMovesOnHandoff(t *testing.T) {
 	w := build(func(c *Config) { c.ServerProc = netsim.Constant(500 * time.Millisecond) })
 	m := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = m.IssueRequest(1, []byte("q")) })
-	w.Kernel.After(100*time.Millisecond, func() { w.Migrate(1, 2) })
+	w.Kernel.Defer(0, func() { req = m.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(100*time.Millisecond, func() { w.Migrate(1, 2) })
 	w.RunUntil(2 * time.Second)
 	if !m.Seen(req) {
 		t.Fatal("result lost across image hand-off")
@@ -63,12 +63,12 @@ func TestHandoffStateGrowsWithBufferedResults(t *testing.T) {
 	bytesFor := func(pending int) int64 {
 		w := build(func(c *Config) { c.ServerProc = netsim.Constant(5 * time.Second) })
 		m := w.AddMH(1, 1)
-		w.Kernel.After(0, func() {
+		w.Kernel.Defer(0, func() {
 			for i := 0; i < pending; i++ {
 				m.IssueRequest(1, make([]byte, 100))
 			}
 		})
-		w.Kernel.After(200*time.Millisecond, func() { w.Migrate(1, 2) })
+		w.Kernel.Defer(200*time.Millisecond, func() { w.Migrate(1, 2) })
 		w.RunUntil(time.Second)
 		return w.Stats.HandoffStateBytes.Value()
 	}
@@ -87,12 +87,12 @@ func TestBufferedResultTransfersAndRedelivers(t *testing.T) {
 	w := build(nil)
 	m := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = m.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(0, func() { req = m.IssueRequest(1, []byte("q")) })
 	// Result reaches mss1 at ~70ms and the downlink at ~80ms; sleep at
 	// 75ms so the delivery drops and the result stays buffered.
-	w.Kernel.After(75*time.Millisecond, func() { w.SetActive(1, false) })
-	w.Kernel.After(200*time.Millisecond, func() { w.Migrate(1, 3) }) // carried asleep
-	w.Kernel.After(400*time.Millisecond, func() { w.SetActive(1, true) })
+	w.Kernel.Defer(75*time.Millisecond, func() { w.SetActive(1, false) })
+	w.Kernel.Defer(200*time.Millisecond, func() { w.Migrate(1, 3) }) // carried asleep
+	w.Kernel.Defer(400*time.Millisecond, func() { w.SetActive(1, true) })
 	w.RunUntil(3 * time.Second)
 	if !m.Seen(req) {
 		t.Fatal("buffered result not redelivered after wake-up hand-off")
@@ -106,9 +106,9 @@ func TestReactivationRetransmitsInPlace(t *testing.T) {
 	w := build(nil)
 	m := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = m.IssueRequest(1, []byte("q")) })
-	w.Kernel.After(75*time.Millisecond, func() { w.SetActive(1, false) })
-	w.Kernel.After(300*time.Millisecond, func() { w.SetActive(1, true) })
+	w.Kernel.Defer(0, func() { req = m.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(75*time.Millisecond, func() { w.SetActive(1, false) })
+	w.Kernel.Defer(300*time.Millisecond, func() { w.SetActive(1, true) })
 	w.RunUntil(2 * time.Second)
 	if !m.Seen(req) {
 		t.Fatal("buffered result not retransmitted on reactivation")
@@ -122,10 +122,10 @@ func TestDeliveryAcrossManyMigrations(t *testing.T) {
 	w := build(func(c *Config) { c.ServerProc = netsim.Constant(400 * time.Millisecond) })
 	m := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = m.IssueRequest(1, []byte("x")) })
+	w.Kernel.Defer(0, func() { req = m.IssueRequest(1, []byte("x")) })
 	for i := 1; i <= 10; i++ {
 		cell := ids.MSS(i%4 + 1)
-		w.Kernel.After(time.Duration(i)*70*time.Millisecond, func() { w.Migrate(1, cell) })
+		w.Kernel.Defer(time.Duration(i)*70*time.Millisecond, func() { w.Migrate(1, cell) })
 	}
 	w.RunUntil(5 * time.Second)
 	if !m.Seen(req) {
@@ -172,8 +172,8 @@ func TestLateRequestFollowsImageChain(t *testing.T) {
 	w := build(func(c *Config) { c.ServerProc = netsim.Constant(300 * time.Millisecond) })
 	m := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = m.IssueRequest(1, []byte("q")) })
-	w.Kernel.After(50*time.Millisecond, func() { w.Migrate(1, 2) })
+	w.Kernel.Defer(0, func() { req = m.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(50*time.Millisecond, func() { w.Migrate(1, 2) })
 	w.RunUntil(100 * time.Millisecond)
 	// The stale station receives the same request again (a late frame).
 	w.stationFor(1).HandleMessage(ids.MH(1).Node(), msg.Request{Req: req, Server: 1, Payload: []byte("q")})

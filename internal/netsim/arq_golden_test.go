@@ -114,13 +114,13 @@ func arqGolden(t *testing.T, golden string, messages, queueLimit int) {
 			}
 		}))
 	}
-	k.After(100*time.Millisecond, func() { down = true })
-	k.After(250*time.Millisecond, func() { down = false })
+	k.Defer(100*time.Millisecond, func() { down = true })
+	k.Defer(250*time.Millisecond, func() { down = false })
 	for i := 0; i < messages; i++ {
 		from := i % len(members)
 		to := (from + 1 + (i/len(members))%(len(members)-1)) % len(members)
 		m := msg.Dereg{MH: ids.MH(i + 1)}
-		k.After(time.Duration(i)*500*time.Microsecond, func() { w.Send(members[from], members[to], m) })
+		k.Defer(time.Duration(i)*500*time.Microsecond, func() { w.Send(members[from], members[to], m) })
 	}
 	k.Run()
 

@@ -147,7 +147,7 @@ func TestWiredDownGateHoldsFramesUntilRestart(t *testing.T) {
 	w.Register(a, HandlerFunc(func(ids.NodeID, msg.Message) {}))
 	w.Register(b, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) }))
 	w.Send(a, b, msg.Dereg{MH: 7, NewMSS: 2})
-	k.After(50*time.Millisecond, func() { down = false })
+	k.Defer(50*time.Millisecond, func() { down = false })
 	k.Run()
 	if len(got) != 1 {
 		t.Fatalf("delivered %d messages, want 1 after restart", len(got))

@@ -189,7 +189,7 @@ func TestWirelessDownlinkLostWhenMigratedMidFlight(t *testing.T) {
 	w.RegisterMH(7, collector(&got))
 	w.SendDownlink(1, 7, msg.ResultDeliver{})
 	// The MH migrates to cell 2 while the frame is in flight.
-	k.After(5*time.Millisecond, func() { wd.loc[7] = 2 })
+	k.Defer(5*time.Millisecond, func() { wd.loc[7] = 2 })
 	k.Run()
 	if len(got) != 0 {
 		t.Fatal("frame delivered despite mid-flight migration")
@@ -320,7 +320,7 @@ func TestWirelessPerLinkFIFO(t *testing.T) {
 	for i := uint32(1); i <= n; i++ {
 		i := i
 		// Stagger sends a little so draws overlap adversarially.
-		k.After(time.Duration(i)*100*time.Microsecond, func() {
+		k.Defer(time.Duration(i)*100*time.Microsecond, func() {
 			w.SendUplink(7, 1, msg.Request{Req: ids.RequestID{Origin: 7, Seq: i}})
 		})
 	}

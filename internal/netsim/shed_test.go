@@ -59,7 +59,7 @@ func TestWiredQueueLimitBoundsConcurrencyNotTotal(t *testing.T) {
 	w.Register(ids.Server(1).Node(), HandlerFunc(func(ids.NodeID, msg.Message) {}))
 	for i := 0; i < 5; i++ {
 		mh := ids.MH(i + 1)
-		k.After(time.Duration(i)*50*time.Millisecond, func() {
+		k.Defer(time.Duration(i)*50*time.Millisecond, func() {
 			w.Send(ids.MSS(1).Node(), ids.MSS(2).Node(), msg.Join{MH: mh})
 		})
 	}

@@ -80,8 +80,8 @@ func TestWtpLossyGolden(t *testing.T) {
 			w.SendDownlink(mss, req.Req.Origin, result(req.Req.Origin, req.Req.Seq+200000, 96))
 		}))
 	}
-	k.After(300*time.Millisecond, func() { away = true })
-	k.After(2300*time.Millisecond, func() { away = false })
+	k.Defer(300*time.Millisecond, func() { away = true })
+	k.Defer(2300*time.Millisecond, func() { away = false })
 	seq := uint32(0)
 	for i := 0; i < 600; i++ {
 		mh := ids.MH(1 + i%hosts)
@@ -89,7 +89,7 @@ func TestWtpLossyGolden(t *testing.T) {
 		if i%25 == 0 {
 			burst = 6
 		}
-		k.After(time.Duration(i)*5*time.Millisecond, func() {
+		k.Defer(time.Duration(i)*5*time.Millisecond, func() {
 			for j := 0; j < burst; j++ {
 				seq++
 				w.SendDownlink(home(mh), mh, result(mh, seq, 20+int(seq*37)%200))

@@ -26,7 +26,7 @@ func TestWirelessWTPDeliversInOrderUnderLoss(t *testing.T) {
 		seq := uint32(i + 1)
 		// Spread over time so coalescing closes many frames, each a
 		// separate loss trial.
-		k.After(time.Duration(i)*time.Millisecond, func() {
+		k.Defer(time.Duration(i)*time.Millisecond, func() {
 			w.SendDownlink(1, 7, msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: seq}})
 		})
 	}

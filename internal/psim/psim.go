@@ -343,9 +343,12 @@ func validateBase(base rdpcore.Config, regions int) {
 		return
 	}
 	// A mobile host's self-armed timers (retry, refresh, deadline, busy
-	// backoff) are events on the kernel that scheduled them; after a
-	// region transfer they would fire on the old region's kernel and
-	// race with the host's new owner. Scripted workloads replace them.
+	// backoff) are events on the kernel that scheduled them. DetachMH
+	// voids them by moving the host's timer generation on, but they still
+	// fire, on the old region's kernel and worker: each would read that
+	// generation while the host's new region writes it. Refusing host
+	// timers here is what lets the generation live on the host. Scripted
+	// workloads replace them.
 	if base.RequestTimeout != 0 || base.GreetRefresh != 0 ||
 		base.RequestDeadline != 0 || base.BusyRetryBase != 0 {
 		panic("psim: MH-side timers (RequestTimeout/GreetRefresh/RequestDeadline/BusyRetryBase) must be zero with Regions > 1")

@@ -2,6 +2,7 @@ package rdpcore
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/aggstate"
 	"repro/internal/ids"
@@ -34,6 +35,33 @@ func TestStationSelfSendAllocBudget(t *testing.T) {
 	}
 	if got := w.Stats.OrphanMessages.Value() - before; got != 2*101 {
 		t.Errorf("processed %d self-sends, want %d", got, 2*101)
+	}
+}
+
+// TestHostTimerAllocBudget: a host's timer goes through MHNode.after,
+// the host's generation door, for the one closure that carries the
+// generation — the kernel event is recycled, and no handle or table
+// entry is kept to cancel it by.
+func TestHostTimerAllocBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumMSS = 2
+	w := NewWorld(cfg)
+	h := w.AddMH(1, 1)
+	w.Run()
+	fired := 0
+	fn := func() { fired++ }
+	step := func() {
+		h.after(time.Millisecond, fn)
+		w.Run()
+	}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(200, step); avg > 1 {
+		t.Errorf("host timer armed and fired: %.1f allocs, budget 1 (the guard closure)", avg)
+	}
+	if fired != 8+201 {
+		t.Errorf("%d timers fired, want %d", fired, 8+201)
 	}
 }
 

@@ -382,7 +382,7 @@ func chaos(t *testing.T, p chaosParams) (w *World, missing, total, admittedLost 
 		}
 		for _, ev := range workload.Itinerary(rng, mob, start, issueUntil) {
 			ev := ev
-			w.Kernel.After(ev.At, func() {
+			w.Kernel.Defer(ev.At, func() {
 				// A host out of coverage stays put (the E17 drivers
 				// suppress moves the same way); no-op without p.disconnect.
 				if ev.Kind == workload.EvMigrate && !w.IsDisconnected(mhID) {
@@ -408,7 +408,7 @@ func chaos(t *testing.T, p chaosParams) (w *World, missing, total, admittedLost 
 			}
 			for c := 0; c < copies; c++ {
 				at := a.At + time.Duration(c)*7*time.Millisecond
-				w.Kernel.After(at, func() {
+				w.Kernel.Defer(at, func() {
 					if r := mh.IssueRequest(a.Server, a.Payload); r.Seq != 0 {
 						reqs[mhID] = append(reqs[mhID], chaosReq{req: r, inc: w.IncarnationOf(mhID)})
 					}

@@ -46,7 +46,7 @@ func TestSharedGroupFanout(t *testing.T) {
 		mhs = append(mhs, w.AddMH(ids.MH(i), ids.MSS(2)))
 	}
 	reqs := make([]ids.RequestID, len(mhs))
-	w.Kernel.After(0, func() {
+	w.Kernel.Defer(0, func() {
 		for i, mh := range mhs {
 			reqs[i] = mh.IssueRequest(srv, []byte("sub"))
 		}
@@ -97,11 +97,11 @@ func TestSharedGroupHandoff(t *testing.T) {
 	mh := w.AddMH(1, ids.MSS(1))
 	stay := w.AddMH(2, ids.MSS(1))
 	var req1, req2 ids.RequestID
-	w.Kernel.After(0, func() {
+	w.Kernel.Defer(0, func() {
 		req1 = mh.IssueRequest(srv, []byte("sub"))
 		req2 = stay.IssueRequest(srv, []byte("sub"))
 	})
-	w.Kernel.After(100*time.Millisecond, func() { w.Migrate(1, ids.MSS(2)) })
+	w.Kernel.Defer(100*time.Millisecond, func() { w.Migrate(1, ids.MSS(2)) })
 	w.RunUntil(2 * time.Second)
 
 	if !mh.Seen(req1) || !stay.Seen(req2) {
@@ -133,9 +133,9 @@ func TestSharedGroupRemoteRejoin(t *testing.T) {
 	srv := ids.Server(1)
 	mh := w.AddMH(1, ids.MSS(1))
 	var req1, req2 ids.RequestID
-	w.Kernel.After(0, func() { req1 = mh.IssueRequest(srv, []byte("sub")) })
-	w.Kernel.After(300*time.Millisecond, func() { w.Migrate(1, ids.MSS(2)) })
-	w.Kernel.After(500*time.Millisecond, func() { req2 = mh.IssueRequest(srv, []byte("sub2")) })
+	w.Kernel.Defer(0, func() { req1 = mh.IssueRequest(srv, []byte("sub")) })
+	w.Kernel.Defer(300*time.Millisecond, func() { w.Migrate(1, ids.MSS(2)) })
+	w.Kernel.Defer(500*time.Millisecond, func() { req2 = mh.IssueRequest(srv, []byte("sub2")) })
 	w.RunUntil(2 * time.Second)
 
 	if !mh.Seen(req1) || !mh.Seen(req2) {
@@ -186,15 +186,15 @@ func TestSharedGroupCrashRestore(t *testing.T) {
 		mhs = append(mhs, w.AddMH(ids.MH(i), ids.MSS(1)))
 	}
 	reqs := make([]ids.RequestID, len(mhs))
-	w.Kernel.After(0, func() {
+	w.Kernel.Defer(0, func() {
 		for i, mh := range mhs {
 			reqs[i] = mh.IssueRequest(srv, []byte("sub"))
 		}
 	})
 	// Crash after the joins are journaled but before the server reply
 	// (due ~320ms) lands; the reply is lost with the station down.
-	w.Kernel.After(150*time.Millisecond, func() { w.CrashMSS(1) })
-	w.Kernel.After(400*time.Millisecond, func() { w.RestartMSS(1) })
+	w.Kernel.Defer(150*time.Millisecond, func() { w.CrashMSS(1) })
+	w.Kernel.Defer(400*time.Millisecond, func() { w.RestartMSS(1) })
 	w.RunUntil(3 * time.Second)
 
 	for i, mh := range mhs {
@@ -267,20 +267,20 @@ func TestStateBytesExact(t *testing.T) {
 		for i := 1; i <= 3; i++ {
 			mhs = append(mhs, w.AddMH(ids.MH(i), ids.MSS(1)))
 		}
-		w.Kernel.After(0, func() {
+		w.Kernel.Defer(0, func() {
 			for _, mh := range mhs {
 				mh.IssueRequest(srv, []byte("q"))
 			}
 		})
-		w.Kernel.After(100*time.Millisecond, func() { w.Migrate(2, ids.MSS(2)) })
-		w.Kernel.After(700*time.Millisecond, func() {
+		w.Kernel.Defer(100*time.Millisecond, func() { w.Migrate(2, ids.MSS(2)) })
+		w.Kernel.Defer(700*time.Millisecond, func() {
 			w.Leave(1)
 			w.Leave(2)
 			w.Leave(3)
 		})
 		at = make(map[string][2]int)
 		snap := func(name string, after time.Duration) {
-			w.Kernel.After(after, func() {
+			w.Kernel.Defer(after, func() {
 				at[name] = [2]int{w.MSSs[1].StateBytes(), w.MSSs[2].StateBytes()}
 			})
 		}
@@ -413,13 +413,13 @@ func TestOutstandingBytesModeInvariant(t *testing.T) {
 		for i := 1; i <= 4; i++ {
 			mhs = append(mhs, w.AddMH(ids.MH(i), ids.MSS(1)))
 		}
-		w.Kernel.After(0, func() {
+		w.Kernel.Defer(0, func() {
 			for _, mh := range mhs {
 				mh.IssueRequest(srv, []byte("q"))
 			}
 		})
 		var out int64
-		w.Kernel.After(100*time.Millisecond, func() { out = w.OutstandingBytes() })
+		w.Kernel.Defer(100*time.Millisecond, func() { out = w.OutstandingBytes() })
 		w.RunUntil(150 * time.Millisecond)
 		return out
 	}

@@ -94,15 +94,13 @@ type MHNode struct {
 	// stream (golden traces depend on the default draw order).
 	rng *sim.RNG
 
-	// timers tracks every pending kernel timer this host armed (refresh
-	// beacons, request retries, deadlines, busy backoffs, batch retries)
-	// so detach and leave can cancel them: a detached host must leak no
-	// kernel events (its timers would otherwise fire against a world it
-	// no longer inhabits). timerSeq keys the map. Timers cancelled at
-	// detach re-arm on attach from the request table's reqRetry and
-	// reqDeadline flags.
-	timers   map[uint64]sim.Canceler
-	timerSeq uint64
+	// timerGen is the generation of the timers this host arms (refresh
+	// beacons, request retries, deadlines, busy backoffs, batch retries):
+	// leave, crash and DetachMH move it on, and a timer armed under an
+	// older one fires as a no-op — against a membership, a memory or a
+	// world the host no longer has. Timers voided at detach re-arm on
+	// attach from the request table's reqRetry and reqDeadline flags.
+	timerGen uint64
 
 	// --- Atomic request batches (E17) ---
 
@@ -164,12 +162,7 @@ const (
 
 // newMHNode constructs a mobile host bound to a world.
 func newMHNode(id ids.MH, w *World) *MHNode {
-	return &MHNode{
-		id:     id,
-		w:      w,
-		inc:    ids.FirstIncarnation,
-		timers: make(map[uint64]sim.Canceler),
-	}
+	return &MHNode{id: id, w: w, inc: ids.FirstIncarnation}
 }
 
 // find returns req's row, or nil when the host holds no state for it.
@@ -253,26 +246,17 @@ func (h *MHNode) unsend(req ids.RequestID, q *mhReq, flags uint8) {
 	}
 }
 
-// after arms a tracked kernel timer: the handle is retained until the
-// callback fires or cancelTimers sweeps it, so no detached host leaves
-// events behind in the kernel.
+// after is the one way a host's own timer gets back in, as
+// MSSNode.after is a station's: fn runs after d unless the host's timer
+// generation moved on in between (leave, crash, DetachMH), in which case
+// the event fires and does nothing. Nothing is cancelled.
 func (h *MHNode) after(d time.Duration, fn func()) {
-	h.timerSeq++
-	id := h.timerSeq
-	h.timers[id] = h.w.Kernel.After(d, func() {
-		delete(h.timers, id)
-		fn()
+	gen := h.timerGen
+	h.w.Kernel.Defer(d, func() {
+		if h.timerGen == gen {
+			fn()
+		}
 	})
-}
-
-// cancelTimers cancels every pending timer (detach, leave). Cancellation
-// order does not matter: cancelling never schedules events, so map
-// iteration order cannot perturb the kernel's event sequence.
-func (h *MHNode) cancelTimers() {
-	for id, c := range h.timers {
-		c.Cancel()
-		delete(h.timers, id)
-	}
 }
 
 // rearmTimers rebuilds the timer set from live state after an attach:
@@ -385,7 +369,7 @@ func (h *MHNode) leave() {
 	h.joined = false
 	// The membership is over: its timers must not fire into a later
 	// rejoin, and the retry/deadline bookkeeping dies with it.
-	h.cancelTimers()
+	h.timerGen++
 	for _, req := range h.flagged(reqDeadline | reqRetry) {
 		h.unsend(req, h.find(req), reqDeadline|reqRetry)
 	}
@@ -402,7 +386,7 @@ func (h *MHNode) leave() {
 // itself survives too — the host never sent a Leave, so the system
 // still considers it registered; it is the *memory* that died.
 func (h *MHNode) crash() {
-	h.cancelTimers()
+	h.timerGen++
 	h.regOld = 0
 	h.nextBatchSeq = 0
 	h.reqs, h.stray, h.nOutstanding = nil, nil, 0

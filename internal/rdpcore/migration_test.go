@@ -39,9 +39,9 @@ func TestMigrationTransfersPendingRequest(t *testing.T) {
 	mh := w.AddMH(1, mss1)
 
 	var reqA, reqB ids.RequestID
-	w.Kernel.After(0, func() { reqA = mh.IssueRequest(srv, []byte("slow")) })
-	w.Kernel.After(5*time.Millisecond, func() { reqB = mh.IssueRequest(srv, []byte("fast")) })
-	w.Kernel.After(50*time.Millisecond, func() { w.Migrate(1, mss2) })
+	w.Kernel.Defer(0, func() { reqA = mh.IssueRequest(srv, []byte("slow")) })
+	w.Kernel.Defer(5*time.Millisecond, func() { reqB = mh.IssueRequest(srv, []byte("fast")) })
+	w.Kernel.Defer(50*time.Millisecond, func() { w.Migrate(1, mss2) })
 	w.RunUntil(3 * time.Second)
 
 	for _, req := range []ids.RequestID{reqA, reqB} {
@@ -98,9 +98,9 @@ func TestMigrationRedirectsInFlightReply(t *testing.T) {
 	mh := w.AddMH(1, mss1)
 
 	var reqA, reqB ids.RequestID
-	w.Kernel.After(0, func() { reqA = mh.IssueRequest(srv, []byte("A")) })
-	w.Kernel.After(5*time.Millisecond, func() { reqB = mh.IssueRequest(srv, []byte("B")) })
-	w.Kernel.After(50*time.Millisecond, func() { w.Migrate(1, mss2) })
+	w.Kernel.Defer(0, func() { reqA = mh.IssueRequest(srv, []byte("A")) })
+	w.Kernel.Defer(5*time.Millisecond, func() { reqB = mh.IssueRequest(srv, []byte("B")) })
+	w.Kernel.Defer(50*time.Millisecond, func() { w.Migrate(1, mss2) })
 	w.RunUntil(3 * time.Second)
 
 	for _, req := range []ids.RequestID{reqA, reqB} {
@@ -137,10 +137,10 @@ func TestMigrationLoadDriven(t *testing.T) {
 	mh4 := w.AddMH(4, mss1)
 
 	var req1 ids.RequestID
-	w.Kernel.After(0, func() { mh3.IssueRequest(srv, []byte("pin3")) })
-	w.Kernel.After(1*time.Millisecond, func() { mh4.IssueRequest(srv, []byte("pin4")) })
-	w.Kernel.After(5*time.Millisecond, func() { req1 = mh1.IssueRequest(srv, []byte("q")) })
-	w.Kernel.After(50*time.Millisecond, func() { w.Migrate(1, mss2) })
+	w.Kernel.Defer(0, func() { mh3.IssueRequest(srv, []byte("pin3")) })
+	w.Kernel.Defer(1*time.Millisecond, func() { mh4.IssueRequest(srv, []byte("pin4")) })
+	w.Kernel.Defer(5*time.Millisecond, func() { req1 = mh1.IssueRequest(srv, []byte("q")) })
+	w.Kernel.Defer(50*time.Millisecond, func() { w.Migrate(1, mss2) })
 	w.RunUntil(4 * time.Second)
 
 	if !mh1.Seen(req1) {
@@ -164,9 +164,9 @@ func TestMigrationDisabledNeverOffers(t *testing.T) {
 	srv := ids.Server(1)
 	mh := w.AddMH(1, mss1)
 
-	w.Kernel.After(0, func() { mh.IssueRequest(srv, []byte("slow")) })
-	w.Kernel.After(5*time.Millisecond, func() { mh.IssueRequest(srv, []byte("fast")) })
-	w.Kernel.After(50*time.Millisecond, func() { w.Migrate(1, mss2) })
+	w.Kernel.Defer(0, func() { mh.IssueRequest(srv, []byte("slow")) })
+	w.Kernel.Defer(5*time.Millisecond, func() { mh.IssueRequest(srv, []byte("fast")) })
+	w.Kernel.Defer(50*time.Millisecond, func() { w.Migrate(1, mss2) })
 	w.RunUntil(3 * time.Second)
 
 	if got := w.Stats.MigOffers.Value(); got != 0 {
@@ -265,10 +265,10 @@ func TestMigrationCooldownSuppressesSecondOffer(t *testing.T) {
 	mh1 := w.AddMH(1, mss1)
 	mh2 := w.AddMH(2, mss2)
 
-	w.Kernel.After(0, func() { mh2.IssueRequest(srv, []byte("pin")) })
-	w.Kernel.After(5*time.Millisecond, func() { mh1.IssueRequest(srv, []byte("a")) })
-	w.Kernel.After(10*time.Millisecond, func() { mh1.IssueRequest(srv, []byte("b")) })
-	w.Kernel.After(50*time.Millisecond, func() { w.Migrate(1, mss2) })
+	w.Kernel.Defer(0, func() { mh2.IssueRequest(srv, []byte("pin")) })
+	w.Kernel.Defer(5*time.Millisecond, func() { mh1.IssueRequest(srv, []byte("a")) })
+	w.Kernel.Defer(10*time.Millisecond, func() { mh1.IssueRequest(srv, []byte("b")) })
+	w.Kernel.Defer(50*time.Millisecond, func() { w.Migrate(1, mss2) })
 	w.RunUntil(4 * time.Second)
 
 	if got := w.Stats.MigOffers.Value(); got != 1 {

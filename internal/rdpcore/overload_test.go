@@ -25,7 +25,7 @@ func TestAdmissionRefusesPastHighWater(t *testing.T) {
 	reqs := make([]ids.RequestID, 0, n)
 	// Burst after registration has settled: admission only guards
 	// requests from MHs the station knows it is responsible for.
-	w.Kernel.After(200*time.Millisecond, func() {
+	w.Kernel.Defer(200*time.Millisecond, func() {
 		for i := 0; i < n; i++ {
 			reqs = append(reqs, mh.IssueRequest(1, []byte("x")))
 		}
@@ -56,7 +56,7 @@ func TestAdmittedRequestsGetAdmitMessage(t *testing.T) {
 	w := overloadWorld(func(c *Config) { c.AdmissionHighWater = 100 })
 	mh := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(1, []byte("x")) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(1, []byte("x")) })
 	w.RunUntil(2 * time.Second)
 
 	if !mh.Admitted(req) || !mh.Seen(req) {
@@ -75,7 +75,7 @@ func TestBusyRetryEventuallyAdmitsEverything(t *testing.T) {
 	mh := w.AddMH(1, 1)
 	const n = 12
 	reqs := make([]ids.RequestID, 0, n)
-	w.Kernel.After(200*time.Millisecond, func() {
+	w.Kernel.Defer(200*time.Millisecond, func() {
 		for i := 0; i < n; i++ {
 			reqs = append(reqs, mh.IssueRequest(1, []byte("x")))
 		}
@@ -106,7 +106,7 @@ func TestRequestDeadlineAbandonsOnlyUnadmitted(t *testing.T) {
 	mh := w.AddMH(1, 1)
 	const n = 8
 	reqs := make([]ids.RequestID, 0, n)
-	w.Kernel.After(200*time.Millisecond, func() {
+	w.Kernel.Defer(200*time.Millisecond, func() {
 		for i := 0; i < n; i++ {
 			reqs = append(reqs, mh.IssueRequest(1, []byte("x")))
 		}
@@ -136,7 +136,7 @@ func TestInboxPeakBoundedByAdmission(t *testing.T) {
 	burst := func(admit int) int64 {
 		w := overloadWorld(func(c *Config) { c.AdmissionHighWater = admit })
 		mh := w.AddMH(1, 1)
-		w.Kernel.After(200*time.Millisecond, func() {
+		w.Kernel.Defer(200*time.Millisecond, func() {
 			for i := 0; i < 40; i++ {
 				mh.IssueRequest(1, []byte("x"))
 			}
@@ -158,7 +158,7 @@ func TestStationDelayHookSlowsProcessing(t *testing.T) {
 			c.StationDelayHook = func(ids.MSS) time.Duration { return extra }
 		})
 		mh := w.AddMH(1, 1)
-		w.Kernel.After(0, func() { mh.IssueRequest(1, []byte("x")) })
+		w.Kernel.Defer(0, func() { mh.IssueRequest(1, []byte("x")) })
 		w.RunUntil(10 * time.Second)
 		if got := w.Stats.ResultsDelivered.Value(); got != 1 {
 			t.Fatalf("ResultsDelivered = %d, want 1 (extra=%v)", got, extra)

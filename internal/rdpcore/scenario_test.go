@@ -64,14 +64,14 @@ func TestScenarioFigure3(t *testing.T) {
 	// t=0: request issued at MssP (reaches it at 10ms; server reply
 	// ready at 115ms, back at proxy at 120ms).
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(srv, []byte("q")) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(srv, []byte("q")) })
 	// t=20ms: migrate to MssO (hand-off completes ~40ms; update_currl
 	// reaches the proxy at 45ms).
-	w.Kernel.After(20*time.Millisecond, func() { w.Migrate(1, mssO) })
+	w.Kernel.Defer(20*time.Millisecond, func() { w.Migrate(1, mssO) })
 	// t=126ms: migrate to MssN just after the proxy forwarded the result
 	// to MssO (125ms) but before MssO's wireless delivery lands (135ms),
 	// so the first delivery attempt is lost.
-	w.Kernel.After(126*time.Millisecond, func() { w.Migrate(1, mssN) })
+	w.Kernel.Defer(126*time.Millisecond, func() { w.Migrate(1, mssN) })
 
 	w.RunUntil(2 * time.Second)
 
@@ -152,14 +152,14 @@ func TestScenarioFigure4(t *testing.T) {
 	mh := w.AddMH(1, mssP)
 
 	var reqA, reqB, reqC ids.RequestID
-	w.Kernel.After(0, func() { reqA = mh.IssueRequest(srv, []byte("A")) })
+	w.Kernel.Defer(0, func() { reqA = mh.IssueRequest(srv, []byte("A")) })
 	// t=20ms: migrate to mss2; hand-off completes by 40ms.
-	w.Kernel.After(20*time.Millisecond, func() { w.Migrate(1, mss2) })
+	w.Kernel.Defer(20*time.Millisecond, func() { w.Migrate(1, mss2) })
 	// resultA delivered to the MH at 65ms; requestB is issued at 60ms so
 	// it reaches mss2 (70ms) before AckA does (75ms) — the paper's
 	// "issues a new requestB before sending an Ack for resultA" race.
-	w.Kernel.After(60*time.Millisecond, func() { reqB = mh.IssueRequest(srv, []byte("B")) })
-	w.Kernel.After(80*time.Millisecond, func() { reqC = mh.IssueRequest(srv, []byte("C")) })
+	w.Kernel.Defer(60*time.Millisecond, func() { reqB = mh.IssueRequest(srv, []byte("B")) })
+	w.Kernel.Defer(80*time.Millisecond, func() { reqC = mh.IssueRequest(srv, []byte("C")) })
 
 	w.RunUntil(2 * time.Second)
 
@@ -263,10 +263,10 @@ func TestScenarioFigure4AlternativeEnding(t *testing.T) {
 	mh := w.AddMH(1, mssP)
 
 	var reqD ids.RequestID
-	w.Kernel.After(0, func() { mh.IssueRequest(srv, []byte("A")) })
-	w.Kernel.After(20*time.Millisecond, func() { w.Migrate(1, mss2) })
-	w.Kernel.After(60*time.Millisecond, func() { mh.IssueRequest(srv, []byte("B")) })
-	w.Kernel.After(80*time.Millisecond, func() { mh.IssueRequest(srv, []byte("C")) })
+	w.Kernel.Defer(0, func() { mh.IssueRequest(srv, []byte("A")) })
+	w.Kernel.Defer(20*time.Millisecond, func() { w.Migrate(1, mss2) })
+	w.Kernel.Defer(60*time.Millisecond, func() { mh.IssueRequest(srv, []byte("B")) })
+	w.Kernel.Defer(80*time.Millisecond, func() { mh.IssueRequest(srv, []byte("C")) })
 	w.RunUntil(1 * time.Second)
 
 	// The del-pref-only message was sent but arrived with RKpR disarmed
@@ -284,7 +284,7 @@ func TestScenarioFigure4AlternativeEnding(t *testing.T) {
 
 	// The surviving proxy serves the next request, and a fresh
 	// del-pref/ack round finally deletes it.
-	w.Kernel.After(0, func() { reqD = mh.IssueRequest(srv, []byte("D")) })
+	w.Kernel.Defer(0, func() { reqD = mh.IssueRequest(srv, []byte("D")) })
 	w.RunUntil(2 * time.Second)
 	if !mh.Seen(reqD) {
 		t.Error("request D not answered by the surviving proxy")

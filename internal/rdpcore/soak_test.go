@@ -68,7 +68,7 @@ func soak(t *testing.T, p soakParams) *World {
 		// the guarantee is "eventually", conditioned on reactivation).
 		for _, ev := range workload.Itinerary(rng, mob, start, issueUntil) {
 			ev := ev
-			w.Kernel.After(ev.At, func() {
+			w.Kernel.Defer(ev.At, func() {
 				switch ev.Kind {
 				case workload.EvMigrate:
 					w.Migrate(mhID, ev.Cell)
@@ -82,7 +82,7 @@ func soak(t *testing.T, p soakParams) *World {
 				}
 			})
 		}
-		w.Kernel.After(issueUntil+500*time.Millisecond, func() {
+		w.Kernel.Defer(issueUntil+500*time.Millisecond, func() {
 			w.SetActive(mhID, true) // no-op when already active
 		})
 		reqCfg := workload.Requests{
@@ -92,7 +92,7 @@ func soak(t *testing.T, p soakParams) *World {
 		}
 		for _, a := range workload.Schedule(rng, reqCfg, issueUntil) {
 			a := a
-			w.Kernel.After(a.At, func() {
+			w.Kernel.Defer(a.At, func() {
 				reqs[mhID] = append(reqs[mhID], mh.IssueRequest(a.Server, a.Payload))
 			})
 		}
@@ -101,7 +101,7 @@ func soak(t *testing.T, p soakParams) *World {
 	// Invariant probes during the run.
 	for frac := 1; frac <= 4; frac++ {
 		at := p.horizon * time.Duration(frac) / 5
-		w.Kernel.After(at, func() {
+		w.Kernel.Defer(at, func() {
 			if err := w.CheckInvariants(); err != nil {
 				t.Errorf("invariants at %v: %v", at, err)
 			}
@@ -232,11 +232,11 @@ func TestSoakPingPong(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		at := time.Duration(i) * 60 * time.Millisecond
 		cell := ids.MSS(i%2 + 1)
-		w.Kernel.After(at, func() { w.Migrate(1, cell) })
+		w.Kernel.Defer(at, func() { w.Migrate(1, cell) })
 	}
 	for i := 0; i < 10; i++ {
 		at := time.Duration(i) * 250 * time.Millisecond
-		w.Kernel.After(at, func() { reqs = append(reqs, mh.IssueRequest(1, []byte("pp"))) })
+		w.Kernel.Defer(at, func() { reqs = append(reqs, mh.IssueRequest(1, []byte("pp"))) })
 	}
 	w.RunUntil(30 * time.Second)
 

@@ -646,10 +646,10 @@ func (w *World) DetachMH(id ids.MH) (h *MHNode, active bool) {
 	h.xferJournal = w.store.offline[id]
 	delete(w.MHs, id)
 	delete(w.store.offline, id)
-	// The host is radio-silent in transit: stop its retransmit, deadline
-	// and refresh timers so a detached host leaks no kernel events. The
+	// The host is radio-silent in transit: void its retransmit, deadline
+	// and refresh timers, which still pending here fire as no-ops. The
 	// timers re-arm from live state on the next attach-side activity.
-	h.cancelTimers()
+	h.timerGen++
 	return h, h.active
 }
 
@@ -679,7 +679,7 @@ func (w *World) AttachMH(h *MHNode, cell ids.MSS, active bool) {
 		// serial Migrate; Reconnect re-greets from here.
 		h.onMigrate(cell)
 	}
-	// Rebuild the timer set DetachMH cancelled (refresh beacon, retry
+	// Rebuild the timer set DetachMH voided (refresh beacon, retry
 	// chains, deadlines, batch retries) from the host's live state.
 	h.rearmTimers()
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -27,7 +28,7 @@ func TestSingleRequestNoMigration(t *testing.T) {
 	w := quickWorld(nil)
 	mh := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(1, []byte("hello")) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(1, []byte("hello")) })
 	w.RunUntil(time.Second)
 
 	if !mh.Seen(req) {
@@ -55,7 +56,7 @@ func TestResultEchoPayload(t *testing.T) {
 	mh := w.AddMH(1, 1)
 	var got []byte
 	mh.OnResult(func(_ ids.RequestID, payload []byte, dup bool) { got = payload })
-	w.Kernel.After(0, func() { mh.IssueRequest(1, []byte("ping")) })
+	w.Kernel.Defer(0, func() { mh.IssueRequest(1, []byte("ping")) })
 	w.RunUntil(time.Second)
 	if string(got) != "re:ping" {
 		t.Errorf("result payload = %q, want %q", got, "re:ping")
@@ -68,11 +69,11 @@ func TestDeliveryAcrossManyMigrations(t *testing.T) {
 	w := quickWorld(func(c *Config) { c.ServerProc = netsim.Constant(400 * time.Millisecond) })
 	mh := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(1, []byte("x")) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(1, []byte("x")) })
 	// Migrate every 30ms across all four cells while the server thinks.
 	for i := 1; i <= 20; i++ {
 		cell := ids.MSS(i%4 + 1)
-		w.Kernel.After(time.Duration(i)*30*time.Millisecond, func() { w.Migrate(1, cell) })
+		w.Kernel.Defer(time.Duration(i)*30*time.Millisecond, func() { w.Migrate(1, cell) })
 	}
 	w.RunUntil(3 * time.Second)
 
@@ -100,9 +101,9 @@ func TestInactivityDelaysDelivery(t *testing.T) {
 	w := quickWorld(nil)
 	mh := w.AddMH(1, 2)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(1, []byte("x")) })
-	w.Kernel.After(30*time.Millisecond, func() { w.SetActive(1, false) })
-	w.Kernel.After(500*time.Millisecond, func() { w.SetActive(1, true) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(1, []byte("x")) })
+	w.Kernel.Defer(30*time.Millisecond, func() { w.SetActive(1, false) })
+	w.Kernel.Defer(500*time.Millisecond, func() { w.SetActive(1, true) })
 	w.RunUntil(2 * time.Second)
 
 	if !mh.Seen(req) {
@@ -131,9 +132,9 @@ func TestHoldForInactiveOptimization(t *testing.T) {
 	w := quickWorld(func(c *Config) { c.HoldForInactive = true })
 	mh := w.AddMH(1, 2)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(1, []byte("x")) })
-	w.Kernel.After(30*time.Millisecond, func() { w.SetActive(1, false) })
-	w.Kernel.After(500*time.Millisecond, func() { w.SetActive(1, true) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(1, []byte("x")) })
+	w.Kernel.Defer(30*time.Millisecond, func() { w.SetActive(1, false) })
+	w.Kernel.Defer(500*time.Millisecond, func() { w.SetActive(1, true) })
 	w.RunUntil(2 * time.Second)
 
 	if !mh.Seen(req) {
@@ -157,9 +158,9 @@ func TestRequestIssuedWhileInactiveIsQueued(t *testing.T) {
 	w := quickWorld(nil)
 	mh := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { w.SetActive(1, false) })
-	w.Kernel.After(10*time.Millisecond, func() { req = mh.IssueRequest(1, []byte("q")) })
-	w.Kernel.After(300*time.Millisecond, func() { w.SetActive(1, true) })
+	w.Kernel.Defer(0, func() { w.SetActive(1, false) })
+	w.Kernel.Defer(10*time.Millisecond, func() { req = mh.IssueRequest(1, []byte("q")) })
+	w.Kernel.Defer(300*time.Millisecond, func() { w.SetActive(1, true) })
 	w.RunUntil(2 * time.Second)
 	if !mh.Seen(req) {
 		t.Fatal("queued request not answered after activation")
@@ -172,10 +173,10 @@ func TestWakeUpInDifferentCell(t *testing.T) {
 	w := quickWorld(func(c *Config) { c.ServerProc = netsim.Constant(300 * time.Millisecond) })
 	mh := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(1, []byte("x")) })
-	w.Kernel.After(20*time.Millisecond, func() { w.SetActive(1, false) })
-	w.Kernel.After(40*time.Millisecond, func() { w.Migrate(1, 3) }) // carried while asleep
-	w.Kernel.After(600*time.Millisecond, func() { w.SetActive(1, true) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(1, []byte("x")) })
+	w.Kernel.Defer(20*time.Millisecond, func() { w.SetActive(1, false) })
+	w.Kernel.Defer(40*time.Millisecond, func() { w.Migrate(1, 3) }) // carried while asleep
+	w.Kernel.Defer(600*time.Millisecond, func() { w.SetActive(1, true) })
 	w.RunUntil(3 * time.Second)
 
 	if !mh.Seen(req) {
@@ -220,11 +221,11 @@ func TestExactlyOnceUnderCausalOrder(t *testing.T) {
 		mh.OnResult(func(ids.RequestID, []byte, bool) {
 			cell := next
 			next = next%6 + 1
-			w.Kernel.After(100*time.Microsecond, func() { w.Migrate(1, cell) })
+			w.Kernel.Defer(100*time.Microsecond, func() { w.Migrate(1, cell) })
 		})
 		issue := func() { mh.IssueRequest(1, []byte("x")) }
 		for i := 0; i < 400; i++ {
-			w.Kernel.After(time.Duration(i)*120*time.Millisecond, issue)
+			w.Kernel.Defer(time.Duration(i)*120*time.Millisecond, issue)
 		}
 		w.RunUntil(2 * time.Minute)
 		if err := w.CheckInvariants(); err != nil && causal {
@@ -277,11 +278,11 @@ func TestAckPriorityReducesIgnoredAcks(t *testing.T) {
 		mh.OnResult(func(ids.RequestID, []byte, bool) {
 			cell := next
 			next = next%6 + 1
-			w.Kernel.After(0, func() { w.Migrate(1, cell) })
+			w.Kernel.Defer(0, func() { w.Migrate(1, cell) })
 		})
 		issue := func() { mh.IssueRequest(1, []byte("x")) }
 		for i := 0; i < 300; i++ {
-			w.Kernel.After(time.Duration(i)*150*time.Millisecond, issue)
+			w.Kernel.Defer(time.Duration(i)*150*time.Millisecond, issue)
 		}
 		w.RunUntil(2 * time.Minute)
 		return w.Stats.IgnoredAcks.Value(), w.Stats.DuplicateDeliveries.Value()
@@ -305,7 +306,7 @@ func TestClientRetryRecoversFromWirelessLoss(t *testing.T) {
 	})
 	mh := w.AddMH(1, 1)
 	reqs := make([]ids.RequestID, 0, 20)
-	w.Kernel.After(0, func() {
+	w.Kernel.Defer(0, func() {
 		for i := 0; i < 20; i++ {
 			reqs = append(reqs, mh.IssueRequest(1, []byte("x")))
 		}
@@ -326,8 +327,8 @@ func TestLeaveWithPendingRequestIsViolation(t *testing.T) {
 	// Leaving with a live proxy must be flagged.
 	w := quickWorld(func(c *Config) { c.ServerProc = netsim.Constant(time.Second) })
 	mh := w.AddMH(1, 1)
-	w.Kernel.After(0, func() { mh.IssueRequest(1, []byte("x")) })
-	w.Kernel.After(100*time.Millisecond, func() { w.Leave(1) })
+	w.Kernel.Defer(0, func() { mh.IssueRequest(1, []byte("x")) })
+	w.Kernel.Defer(100*time.Millisecond, func() { w.Leave(1) })
 	w.RunUntil(3 * time.Second)
 	if got := w.Stats.Violations.Value(); got == 0 {
 		t.Error("leave with pending request not flagged as violation")
@@ -343,8 +344,8 @@ func TestCleanLeaveIsNoViolation(t *testing.T) {
 	w := quickWorld(nil)
 	mh := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(1, []byte("x")) })
-	w.Kernel.After(1500*time.Millisecond, func() { w.Leave(1) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(1, []byte("x")) })
+	w.Kernel.Defer(1500*time.Millisecond, func() { w.Leave(1) })
 	w.RunUntil(3 * time.Second)
 	if !mh.Seen(req) {
 		t.Fatal("result not delivered")
@@ -365,14 +366,14 @@ func TestOverheadAccounting(t *testing.T) {
 	w := quickWorld(func(c *Config) { c.ServerProc = netsim.Constant(2 * time.Second) })
 	mh := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(1, []byte("x")) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(1, []byte("x")) })
 	// Three migrations and one inactivity cycle, all while the request
 	// is pending (server busy until t=2s).
-	w.Kernel.After(100*time.Millisecond, func() { w.Migrate(1, 2) })
-	w.Kernel.After(400*time.Millisecond, func() { w.Migrate(1, 3) })
-	w.Kernel.After(700*time.Millisecond, func() { w.SetActive(1, false) })
-	w.Kernel.After(900*time.Millisecond, func() { w.SetActive(1, true) })
-	w.Kernel.After(1200*time.Millisecond, func() { w.Migrate(1, 4) })
+	w.Kernel.Defer(100*time.Millisecond, func() { w.Migrate(1, 2) })
+	w.Kernel.Defer(400*time.Millisecond, func() { w.Migrate(1, 3) })
+	w.Kernel.Defer(700*time.Millisecond, func() { w.SetActive(1, false) })
+	w.Kernel.Defer(900*time.Millisecond, func() { w.SetActive(1, true) })
+	w.Kernel.Defer(1200*time.Millisecond, func() { w.Migrate(1, 4) })
 	w.RunUntil(5 * time.Second)
 
 	if !mh.Seen(req) {
@@ -397,12 +398,12 @@ func TestHandoffStateBytesConstant(t *testing.T) {
 	bytesFor := func(pending int) int64 {
 		w := quickWorld(func(c *Config) { c.ServerProc = netsim.Constant(5 * time.Second) })
 		mh := w.AddMH(1, 1)
-		w.Kernel.After(0, func() {
+		w.Kernel.Defer(0, func() {
 			for i := 0; i < pending; i++ {
 				mh.IssueRequest(1, []byte("payload-of-some-size"))
 			}
 		})
-		w.Kernel.After(200*time.Millisecond, func() { w.Migrate(1, 2) })
+		w.Kernel.Defer(200*time.Millisecond, func() { w.Migrate(1, 2) })
 		w.RunUntil(time.Second)
 		return w.Stats.HandoffStateBytes.Value()
 	}
@@ -418,7 +419,7 @@ func TestHandoffStateBytesConstant(t *testing.T) {
 func TestMigrateToSameCellIsNoop(t *testing.T) {
 	w := quickWorld(nil)
 	w.AddMH(1, 1)
-	w.Kernel.After(0, func() { w.Migrate(1, 1) })
+	w.Kernel.Defer(0, func() { w.Migrate(1, 1) })
 	w.RunUntil(100 * time.Millisecond)
 	if got := w.Stats.Handoffs.Value(); got != 0 {
 		t.Errorf("Handoffs = %d, want 0", got)
@@ -451,10 +452,10 @@ func TestProxyPlacementFollowsRequestOrigin(t *testing.T) {
 	w := quickWorld(nil)
 	mh := w.AddMH(1, 1)
 	var r1, r2 ids.RequestID
-	w.Kernel.After(0, func() { r1 = mh.IssueRequest(1, []byte("a")) })
+	w.Kernel.Defer(0, func() { r1 = mh.IssueRequest(1, []byte("a")) })
 	// After r1 completes (proxy deleted), move and issue again.
-	w.Kernel.After(500*time.Millisecond, func() { w.Migrate(1, 3) })
-	w.Kernel.After(800*time.Millisecond, func() { r2 = mh.IssueRequest(1, []byte("b")) })
+	w.Kernel.Defer(500*time.Millisecond, func() { w.Migrate(1, 3) })
+	w.Kernel.Defer(800*time.Millisecond, func() { r2 = mh.IssueRequest(1, []byte("b")) })
 	w.RunUntil(2 * time.Second)
 
 	if !mh.Seen(r1) || !mh.Seen(r2) {
@@ -496,19 +497,46 @@ func TestLeaveAndRejoinLifecycle(t *testing.T) {
 	}
 }
 
-// TestDetachAttachLeaksNoKernelTimers pins the kernel event count
-// across detach/attach cycles. DetachMH must cancel every tracked MH
-// timer — refresh beacon, per-request retry chains, batch retries — so
-// a host bouncing between region worlds cannot leave orphaned events
-// behind; a single untracked Scheduler.Defer in any MH path would grow
-// the pending set by one event per cycle and fail the equality below.
+// mhSends counts, through a Config.Observer, the wireless frames each
+// host sends, by message kind.
+type mhSends map[ids.MH]map[msg.Kind]int
+
+func (c mhSends) observe(_ sim.Time, layer netsim.Layer, kind netsim.EventKind, from, _ ids.NodeID, m msg.Message) {
+	if layer != netsim.LayerWireless || kind != netsim.EventSent || from.Kind != ids.KindMH {
+		return
+	}
+	if c[from.MH()] == nil {
+		c[from.MH()] = map[msg.Kind]int{}
+	}
+	c[from.MH()][m.Kind()]++
+}
+
+// total is how many frames h sent, of every kind.
+func (c mhSends) total(h ids.MH) int {
+	n := 0
+	for _, k := range c[h] {
+		n += k
+	}
+	return n
+}
+
+// TestDetachAttachLeaksNoKernelTimers holds DetachMH's timer door across
+// detach/attach cycles. DetachMH voids every timer the host armed —
+// refresh beacon, per-request retry chains, batch retries — so they
+// fire as no-ops: while detached the host sends nothing, and once they
+// have fired the pending set is back at the same baseline every cycle.
+// A timer that escaped the door would send a retry or a greet from the
+// detached host, and a single untracked Scheduler.Defer in any MH path
+// would grow the pending set by one event per cycle.
 func TestDetachAttachLeaksNoKernelTimers(t *testing.T) {
+	sends := mhSends{}
 	w := quickWorld(func(cfg *Config) {
 		cfg.GreetRefresh = 100 * time.Millisecond
 		cfg.RequestTimeout = 300 * time.Millisecond
 		// The server never answers inside the horizon, so the retry
 		// chains and the batch retry stay permanently armed.
 		cfg.ServerProc = netsim.Constant(time.Hour)
+		cfg.Observer = sends.observe
 	})
 	kernel := w.Kernel.(*sim.Kernel) // virtual worlds always run on the event kernel
 	mh := w.AddMH(1, 1)
@@ -527,13 +555,18 @@ func TestDetachAttachLeaksNoKernelTimers(t *testing.T) {
 		if !active {
 			t.Fatalf("cycle %d: host detached inactive", cycle)
 		}
-		if n := len(h.timers); n != 0 {
-			t.Fatalf("cycle %d: %d tracked timers survive DetachMH", cycle, n)
-		}
-		// Drain the frames in flight at detach time; what remains must
-		// be cycle-invariant (only the parked server completions).
+		// Drain the frames in flight at detach time and let every voided
+		// timer fire; what remains must be cycle-invariant (only the
+		// parked server completions).
+		sent, retries := sends.total(1), w.Stats.RequestRetries.Value()
 		at += 2 * time.Second
 		w.RunUntil(at)
+		if n := sends.total(1) - sent; n != 0 {
+			t.Fatalf("cycle %d: the detached host sent %d frames", cycle, n)
+		}
+		if n := w.Stats.RequestRetries.Value() - retries; n != 0 {
+			t.Fatalf("cycle %d: the detached host retried %d times", cycle, n)
+		}
 		if pend := kernel.Pending(); baseline < 0 {
 			baseline = pend
 		} else if pend != baseline {
@@ -543,6 +576,33 @@ func TestDetachAttachLeaksNoKernelTimers(t *testing.T) {
 		w.AttachMH(h, ids.MSS(cycle%4+1), true)
 		at += time.Second
 		w.RunUntil(at)
+	}
+}
+
+// TestRejoinVoidsOldBeacon: the refresh beacon a host armed before
+// Leave fires as a no-op, so after Rejoin only the new membership's
+// chain greets — k periods carry k greets, not 2k.
+func TestRejoinVoidsOldBeacon(t *testing.T) {
+	const period, k = 100 * time.Millisecond, 5
+	sends := mhSends{}
+	w := quickWorld(func(cfg *Config) {
+		cfg.GreetRefresh = period
+		cfg.Observer = sends.observe
+	})
+	w.AddMH(1, 1)
+	// Leave between two beacons, so one is armed, and rejoin before it
+	// is due.
+	w.RunUntil(1050 * time.Millisecond)
+	w.Leave(1)
+	w.RunUntil(1060 * time.Millisecond)
+	w.Rejoin(1, 2)
+	before := sends[1][msg.KindGreet]
+	w.RunUntil(1060*time.Millisecond + k*period + period/2)
+	if got := sends[1][msg.KindGreet] - before; got != k {
+		t.Errorf("%d greets in the %d periods after Rejoin, want %d", got, k, k)
+	}
+	if err := w.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -104,7 +104,7 @@ func TestLocalQuery(t *testing.T) {
 	})
 	// Region 0 is owned by the lowest TIS; query it directly.
 	target := n.Owner(0)
-	w.Kernel.After(0, func() { mh.IssueRequest(target, EncodeQuery(0)) })
+	w.Kernel.Defer(0, func() { mh.IssueRequest(target, EncodeQuery(0)) })
 	w.RunUntil(time.Second)
 	if got.Region != 0 || got.Congestion != 0 {
 		t.Errorf("reading = %+v, want region 0 congestion 0", got)
@@ -137,7 +137,7 @@ func TestRemoteQueryRoutesThroughRing(t *testing.T) {
 	if n.Owner(2) == entry {
 		t.Fatal("test setup: region 2 must not be owned by the entry TIS")
 	}
-	w.Kernel.After(0, func() { mh.IssueRequest(entry, EncodeQuery(2)) })
+	w.Kernel.Defer(0, func() { mh.IssueRequest(entry, EncodeQuery(2)) })
 	w.RunUntil(2 * time.Second)
 	if delivered != 1 {
 		t.Fatalf("delivered %d results, want 1", delivered)
@@ -162,8 +162,8 @@ func TestUpdateVisibleToLaterQuery(t *testing.T) {
 		}
 	})
 	entry := n.AnyTIS()
-	w.Kernel.After(0, func() { mh.IssueRequest(entry, EncodeUpdate(4, 87)) })
-	w.Kernel.After(500*time.Millisecond, func() { mh.IssueRequest(entry, EncodeQuery(4)) })
+	w.Kernel.Defer(0, func() { mh.IssueRequest(entry, EncodeUpdate(4, 87)) })
+	w.Kernel.Defer(500*time.Millisecond, func() { mh.IssueRequest(entry, EncodeQuery(4)) })
 	w.RunUntil(2 * time.Second)
 	if last.Region != 4 || last.Congestion != 87 {
 		t.Errorf("query after update = %+v, want region 4 congestion 87", last)
@@ -187,10 +187,10 @@ func TestSubscriptionFiresOnThresholdCrossing(t *testing.T) {
 		}
 	})
 	entry := n.AnyTIS()
-	w.Kernel.After(0, func() { sub.IssueRequest(entry, EncodeSubscribe(3, 30)) })
+	w.Kernel.Defer(0, func() { sub.IssueRequest(entry, EncodeSubscribe(3, 30)) })
 	// A small change must NOT notify; a large one must.
-	w.Kernel.After(300*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(3, 10)) })
-	w.Kernel.After(600*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(3, 55)) })
+	w.Kernel.Defer(300*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(3, 10)) })
+	w.Kernel.Defer(600*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(3, 55)) })
 	w.RunUntil(3 * time.Second)
 
 	if len(notified) != 1 {
@@ -220,10 +220,10 @@ func TestSubscriptionNotifiesMigratedSubscriber(t *testing.T) {
 		}
 	})
 	entry := n.AnyTIS()
-	w.Kernel.After(0, func() { sub.IssueRequest(entry, EncodeSubscribe(5, 20)) })
-	w.Kernel.After(200*time.Millisecond, func() { w.Migrate(1, 3) })
-	w.Kernel.After(400*time.Millisecond, func() { w.Migrate(1, 4) })
-	w.Kernel.After(600*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(5, 90)) })
+	w.Kernel.Defer(0, func() { sub.IssueRequest(entry, EncodeSubscribe(5, 20)) })
+	w.Kernel.Defer(200*time.Millisecond, func() { w.Migrate(1, 3) })
+	w.Kernel.Defer(400*time.Millisecond, func() { w.Migrate(1, 4) })
+	w.Kernel.Defer(600*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(5, 90)) })
 	w.RunUntil(3 * time.Second)
 	if notified != 1 {
 		t.Fatalf("notified = %d, want 1 despite two migrations", notified)
@@ -246,9 +246,9 @@ func TestSubscriptionIsOneShot(t *testing.T) {
 		}
 	})
 	entry := n.AnyTIS()
-	w.Kernel.After(0, func() { sub.IssueRequest(entry, EncodeSubscribe(0, 10)) })
-	w.Kernel.After(300*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(0, 50)) })
-	w.Kernel.After(600*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(0, 99)) })
+	w.Kernel.Defer(0, func() { sub.IssueRequest(entry, EncodeSubscribe(0, 10)) })
+	w.Kernel.Defer(300*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(0, 50)) })
+	w.Kernel.Defer(600*time.Millisecond, func() { staff.IssueRequest(entry, EncodeUpdate(0, 99)) })
 	w.RunUntil(3 * time.Second)
 	if notified != 1 {
 		t.Errorf("notified = %d, want 1 (subscription consumed by first match)", notified)
@@ -261,7 +261,7 @@ func TestMalformedPayloadStillAnswered(t *testing.T) {
 	w, n := sidamWorld(2, nil, DefaultConfig())
 	mh := w.AddMH(1, 1)
 	var req ids.RequestID
-	w.Kernel.After(0, func() { req = mh.IssueRequest(n.AnyTIS(), []byte("garbage")) })
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(n.AnyTIS(), []byte("garbage")) })
 	w.RunUntil(2 * time.Second)
 	if !mh.Seen(req) {
 		t.Error("malformed request left unanswered")
@@ -280,7 +280,7 @@ func TestOutOfRangeRegionAnswered(t *testing.T) {
 			got, _ = DecodeReading(payload)
 		}
 	})
-	w.Kernel.After(0, func() { mh.IssueRequest(n.AnyTIS(), EncodeQuery(99)) })
+	w.Kernel.Defer(0, func() { mh.IssueRequest(n.AnyTIS(), EncodeQuery(99)) })
 	w.RunUntil(time.Second)
 	if got.Congestion != -1 {
 		t.Errorf("out-of-range query answered %+v, want congestion -1", got)

@@ -29,26 +29,6 @@ func TestKernelAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTimerAllocBudget documents the cost of the cancellable path: one
-// Timer handle per After, and nothing else once warm. The message path
-// has left it — the wired ARQ and the windowed radio let spent timers
-// fire as no-ops — and the host's retry chain is its one protocol user.
-func TestTimerAllocBudget(t *testing.T) {
-	k := NewKernel(1)
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		k.Defer(0, fn)
-	}
-	k.Run()
-
-	if avg := testing.AllocsPerRun(500, func() {
-		k.After(time.Microsecond, fn)
-		k.Step()
-	}); avg > 1 {
-		t.Errorf("After+Step steady state: %.1f allocs/op, budget 1 (the Timer handle)", avg)
-	}
-}
-
 // TestFarTimerAllocBudget: a timer seconds ahead waits in the far tier,
 // and filing it there, spreading its bucket over the wheel, pouring its
 // slot into the heap and firing it recycle everything once warm. The load
@@ -75,27 +55,6 @@ func TestFarTimerAllocBudget(t *testing.T) {
 	}
 	if crossed := (k.Now() - before) / bucketWidth; crossed < 4 {
 		t.Fatalf("measured window crossed %d buckets, want several refills", crossed)
-	}
-}
-
-// TestFreeListReuseIsGuarded: a Timer kept across its event's firing
-// must not cancel the recycled event that now occupies the same slot.
-func TestFreeListReuseIsGuarded(t *testing.T) {
-	k := NewKernel(1)
-	fired := 0
-	tm := k.After(time.Millisecond, func() { fired++ })
-	k.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	// The event is now on the free list; schedule again so it is reused.
-	k.Defer(time.Millisecond, func() { fired++ })
-	if tm.Cancel() {
-		t.Error("stale Timer canceled a recycled event")
-	}
-	k.Run()
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2 (recycled event must still run)", fired)
 	}
 }
 
@@ -183,9 +142,8 @@ func BenchmarkKernelPreScheduled(b *testing.B) {
 	k.RunLimit(uint64(b.N))
 }
 
-// BenchmarkKernelDefer measures the no-handle scheduling fast path
-// (compare BenchmarkKernelThroughput, which uses After and pays for the
-// Timer handle).
+// BenchmarkKernelDefer measures the scheduling fast path: a chain of
+// 1 µs hops, each step firing one event and scheduling the next.
 func BenchmarkKernelDefer(b *testing.B) {
 	k := NewKernel(1)
 	n := 0

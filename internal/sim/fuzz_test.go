@@ -27,24 +27,13 @@ type kernelModel struct {
 	fired   []int
 }
 
-func (m *kernelModel) schedule(at Time, id int) uint64 {
+func (m *kernelModel) schedule(at Time, id int) {
 	if at < m.now {
 		at = m.now
 	}
 	i := sort.Search(len(m.pending), func(i int) bool { return m.pending[i].at > at })
 	m.pending = slices.Insert(m.pending, i, modelEvent{at, m.nextSeq, id})
 	m.nextSeq++
-	return m.nextSeq - 1
-}
-
-func (m *kernelModel) cancel(seq uint64) bool {
-	for i, e := range m.pending {
-		if e.seq == seq {
-			m.pending = slices.Delete(m.pending, i, i+1)
-			return true
-		}
-	}
-	return false
 }
 
 // step fires the earliest event, scheduling the child a spawning event
@@ -84,7 +73,7 @@ func spawns(id int) bool { return id > 0 && id%3 == 0 }
 func childDelay(id int) time.Duration { return time.Duration(id%5) * 500 * time.Millisecond }
 
 // addSat is now+d clamped to [0, maxTime], the instant the kernel's
-// After and Defer compute.
+// Defer computes.
 func addSat(now Time, d time.Duration) Time {
 	if d >= 0 && Time(d) > maxTime-now {
 		return maxTime
@@ -95,16 +84,17 @@ func addSat(now Time, d time.Duration) Time {
 	return now + Time(d)
 }
 
-// FuzzKernel drives the kernel with a program of schedules (Defer, After,
-// At and DeferAt, in the current slot, across slots and buckets, at their
-// edges and a wheel turn ahead, tied, past and saturating), cancellations
-// (stale handles included), Step, RunUntil, StepUntil, AdvanceTo,
-// NextEventAt and arena attach/detach, and after every call compares the
-// fire order, Now, Steps and Pending with the reference model's. The
-// seed corpus under testdata/fuzz/FuzzKernel replays the wheel's hazards
-// on every plain test run: a slot poured by a peek (NextEventAt,
-// StepUntil) before an event lands below it, a cancelled event waiting in
-// the wheel, and the wheel turning over from one bucket to the next.
+// FuzzKernel drives the kernel with a program of schedules (Defer and
+// DeferAt, in the current slot, across slots and buckets, at their edges
+// and a wheel turn ahead, tied, past and saturating), Step, RunUntil,
+// StepUntil, AdvanceTo, NextEventAt and arena attach/detach, and after
+// every call compares the fire order, Now, Steps and Pending with the
+// reference model's. Op 4 is reserved: it once cancelled, and is kept a
+// no-op so recorded programs decode as before. The seed corpus under
+// testdata/fuzz/FuzzKernel replays the wheel's hazards on every plain
+// test run: a slot poured by a peek (NextEventAt, StepUntil) before an
+// event lands below it, and the wheel turning over from one bucket to
+// the next.
 func FuzzKernel(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 1, 3, 4, 5, 0, 5, 5, 5})
 	f.Add([]byte{1, 3, 2, 1, 3, 5, 4, 0, 6, 3, 9, 9, 0, 4, 2, 7, 3, 7, 5, 8, 2, 200, 5, 5})
@@ -125,11 +115,6 @@ func FuzzKernel(f *testing.F) {
 		var got []int
 		lastAt := Time(0)
 		id := 0
-		type handle struct {
-			c   Canceler
-			seq uint64
-		}
-		var handles []handle
 
 		// delay draws a delay relative to now from one of the classes
 		// the three tiers treat differently.
@@ -180,31 +165,14 @@ func FuzzKernel(f *testing.F) {
 				d := delay()
 				at := addSat(k.Now(), d) // the model clamps a past instant to now
 				lastAt = max(at, k.Now())
-				var seq uint64
-				switch op {
-				case 0:
+				if op < 2 {
 					k.Defer(d, fn(id))
-					seq = m.schedule(at, id)
-				case 1:
-					c := k.After(d, fn(id))
-					seq = m.schedule(at, id)
-					handles = append(handles, handle{c, seq})
-				case 2:
-					c := k.At(at, fn(id))
-					seq = m.schedule(at, id)
-					handles = append(handles, handle{c, seq})
-				case 3:
+				} else {
 					k.DeferAt(at, fn(id))
-					m.schedule(at, id)
 				}
+				m.schedule(at, id)
 			case 4:
-				if len(handles) == 0 {
-					continue
-				}
-				h := handles[next()%len(handles)]
-				if g, w := h.c.Cancel(), m.cancel(h.seq); g != w {
-					t.Fatalf("step %d: Cancel of seq %d = %v, model %v", step, h.seq, g, w)
-				}
+				continue
 			case 5:
 				if g, w := k.Step(), m.step(); g != w {
 					t.Fatalf("step %d: Step = %v, model %v", step, g, w)

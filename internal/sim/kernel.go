@@ -1,6 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation kernel:
-// a virtual clock, a three-tier event queue with stable tie-breaking,
-// cancellable timers and a seeded random source.
+// a virtual clock, a three-tier event queue with stable tie-breaking
+// and a seeded random source. Nothing scheduled is ever taken back: an
+// event leaves the queue only by firing, and a caller that no longer
+// wants one lets it fire as a no-op (a generation it checks, as the
+// stations, hosts, wired ARQ and windowed radio do).
 //
 // The kernel is single-threaded by design. All protocol actors run as
 // event handlers; two runs with the same seed and the same schedule of
@@ -30,13 +33,12 @@ func (t Time) String() string { return time.Duration(t).String() }
 const maxTime = Time(math.MaxInt64)
 
 // event is one scheduled callback. Events are recycled through the
-// kernel's free list once fired or cancel-popped, so the steady-state
-// event rate causes no allocation; seq doubles as a generation counter
-// that keeps stale Timer handles from cancelling a recycled event.
+// kernel's free list once fired, so the steady-state event rate causes
+// no allocation.
 type event struct {
 	at   Time
 	seq  uint64 // insertion order; breaks ties deterministically
-	fn   func() // nil once cancelled or retired
+	fn   func() // nil once retired
 	next *event // the rest of its wheel slot or far bucket
 }
 
@@ -149,59 +151,8 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 func (k *Kernel) Steps() uint64 { return k.steps }
 
 // Pending returns the number of events still scheduled, in all three
-// tiers.
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, e := range k.queue {
-		if e.fn != nil {
-			n++
-		}
-	}
-	count := func(e *event) {
-		for ; e != nil; e = e.next {
-			if e.fn != nil {
-				n++
-			}
-		}
-	}
-	for w, word := range k.occupied {
-		for ; word != 0; word &= word - 1 {
-			count(k.wheel[w*64+bits.TrailingZeros64(word)])
-		}
-	}
-	for _, b := range k.far {
-		count(b.first)
-	}
-	return n
-}
-
-// Timer is a handle to a scheduled event. It remembers the event's
-// generation (seq): once the event has fired or been cancelled the
-// kernel recycles it, and a stale handle observing a different seq
-// knows its event is gone.
-type Timer struct {
-	e   *event
-	seq uint64
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled timer is a no-op. It reports whether the event was
-// still pending.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.e == nil || t.e.seq != t.seq || t.e.fn == nil {
-		return false
-	}
-	t.e.fn = nil
-	return true
-}
-
-// After schedules fn to run after delay of virtual time. A negative
-// delay is treated as zero (fn runs at the current instant, after any
-// events already scheduled for it); one reaching past the last
-// representable instant schedules fn there.
-func (k *Kernel) After(delay time.Duration, fn func()) Canceler {
-	return k.At(k.later(delay), fn)
-}
+// tiers: every one of them will fire.
+func (k *Kernel) Pending() int { return k.live }
 
 // later is the instant delay after now, clamped to [now, maxTime]: a
 // huge delay must not wrap into the past and fire at once.
@@ -215,17 +166,11 @@ func (k *Kernel) later(delay time.Duration) Time {
 	return k.now + Time(delay)
 }
 
-// At schedules fn for the given absolute virtual instant. Instants in
-// the past are clamped to now.
-func (k *Kernel) At(at Time, fn func()) Canceler {
-	e := k.schedule(at, fn)
-	return &Timer{e: e, seq: e.seq}
-}
-
-// Defer schedules fn like After but returns no cancellation handle, so
-// the steady-state cost is zero allocations (the event comes from the
-// free list). It is the right call for the fire-and-forget schedules
-// that dominate the hot path — message deliveries, processing steps.
+// Defer schedules fn to run after delay of virtual time. A negative
+// delay is treated as zero (fn runs at the current instant, after any
+// events already scheduled for it); one reaching past the last
+// representable instant schedules fn there. The steady-state cost is
+// zero allocations: the event comes from the free list.
 func (k *Kernel) Defer(delay time.Duration, fn func()) {
 	k.schedule(k.later(delay), fn)
 }
@@ -233,7 +178,7 @@ func (k *Kernel) Defer(delay time.Duration, fn func()) {
 // schedule allocates (or recycles) an event and files it in its tier. The
 // far test comes first, so a far event — most of a load scheduled up
 // front — pays for no slot number; only a near one computes its slot.
-func (k *Kernel) schedule(at Time, fn func()) *event {
+func (k *Kernel) schedule(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
@@ -270,7 +215,6 @@ func (k *Kernel) schedule(at Time, fn func()) *event {
 		// filed in the wheel, at an index the scan has passed.
 		k.push(e)
 	}
-	return e
 }
 
 // stash files e in the far tier's bucket b, which it creates if needed.
@@ -357,11 +301,11 @@ func (k *Kernel) pour() bool {
 }
 
 // retire returns a popped event to the free list (the shared arena when
-// one is attached). fn stays nil so a stale Timer holding the event sees
-// it as spent until reuse bumps its seq. The private list sheds retired
-// events by FreeList's rule, with the events still scheduled in any tier
-// as the ones out: a pre-scheduled load keeps it intact, and only a
-// drained burst lets it go.
+// one is attached), dropping its callback so a retired event pins no
+// closure. The private list sheds retired events by FreeList's rule,
+// with the events still scheduled in any tier as the ones out: a
+// pre-scheduled load keeps it intact, and only a drained burst lets it
+// go.
 func (k *Kernel) retire(e *event) {
 	e.fn = nil
 	k.live--
@@ -464,23 +408,16 @@ func (k *Kernel) shrink() {
 // Step executes the next pending event. It reports whether an event was
 // executed (false means the queue is empty or the kernel was stopped).
 func (k *Kernel) Step() bool {
-	if k.stopped {
+	if k.stopped || len(k.queue) == 0 && !k.refill() {
 		return false
 	}
-	for len(k.queue) > 0 || k.refill() {
-		e := k.pop()
-		if e.fn == nil {
-			k.retire(e)
-			continue
-		}
-		k.now = e.at
-		k.steps++
-		fn := e.fn
-		k.retire(e)
-		fn()
-		return true
-	}
-	return false
+	e := k.pop()
+	k.now = e.at
+	k.steps++
+	fn := e.fn
+	k.retire(e)
+	fn()
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -534,10 +471,9 @@ func (k *Kernel) NextEventAt() (at Time, ok bool) {
 	return e.at, true
 }
 
-// DeferAt schedules fn at the absolute instant at with no cancellation
-// handle — the zero-allocation analogue of At, used to inject
-// cross-region frames at their precomputed arrival instants. Instants in
-// the past are clamped to now.
+// DeferAt schedules fn at the absolute instant at — Defer's absolute
+// form, used to inject cross-region frames at their precomputed arrival
+// instants. Instants in the past are clamped to now.
 func (k *Kernel) DeferAt(at Time, fn func()) { k.schedule(at, fn) }
 
 // AdvanceTo moves the clock forward to t without executing anything. It
@@ -572,15 +508,12 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Resume clears a Stop.
 func (k *Kernel) Resume() { k.stopped = false }
 
-// peek returns the earliest non-cancelled event without popping it.
+// peek returns the earliest event without popping it.
 func (k *Kernel) peek() *event {
-	for len(k.queue) > 0 || k.refill() {
-		if e := k.queue[0]; e.fn != nil {
-			return e
-		}
-		k.retire(k.pop())
+	if len(k.queue) == 0 && !k.refill() {
+		return nil
 	}
-	return nil
+	return k.queue[0]
 }
 
 // RNG is a deterministic random source with the distributions the

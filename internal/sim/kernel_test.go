@@ -10,9 +10,9 @@ import (
 func TestEventsRunInTimeOrder(t *testing.T) {
 	k := NewKernel(1)
 	var got []int
-	k.After(3*time.Second, func() { got = append(got, 3) })
-	k.After(1*time.Second, func() { got = append(got, 1) })
-	k.After(2*time.Second, func() { got = append(got, 2) })
+	k.Defer(3*time.Second, func() { got = append(got, 3) })
+	k.Defer(1*time.Second, func() { got = append(got, 1) })
+	k.Defer(2*time.Second, func() { got = append(got, 2) })
 	k.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -30,7 +30,7 @@ func TestTieBreakIsInsertionOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.After(time.Second, func() { got = append(got, i) })
+		k.Defer(time.Second, func() { got = append(got, i) })
 	}
 	k.Run()
 	for i := range got {
@@ -43,9 +43,9 @@ func TestTieBreakIsInsertionOrder(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	k := NewKernel(1)
 	var fired []string
-	k.After(time.Second, func() {
+	k.Defer(time.Second, func() {
 		fired = append(fired, "outer")
-		k.After(time.Second, func() { fired = append(fired, "inner") })
+		k.Defer(time.Second, func() { fired = append(fired, "inner") })
 	})
 	k.Run()
 	if len(fired) != 2 || fired[1] != "inner" {
@@ -56,6 +56,8 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
+// TestTimerCancel holds After, the adapter over Defer: a cancelled call
+// stays queued and fires as a counted no-op, and a nil callback panics.
 func TestTimerCancel(t *testing.T) {
 	k := NewKernel(1)
 	fired := false
@@ -66,10 +68,22 @@ func TestTimerCancel(t *testing.T) {
 	if tm.Cancel() {
 		t.Error("second Cancel should report false")
 	}
+	if got := k.Pending(); got != 1 {
+		t.Errorf("Pending after Cancel = %d, want 1: the event still fires", got)
+	}
 	k.Run()
 	if fired {
-		t.Error("cancelled event fired")
+		t.Error("cancelled call ran")
 	}
+	if k.Steps() != 1 || k.Now() != Time(time.Second) {
+		t.Errorf("Steps %d at %v, want 1 at 1s: a cancelled call fires as a no-op", k.Steps(), k.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("After with a nil callback must panic")
+		}
+	}()
+	k.After(time.Second, nil)
 }
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
@@ -84,8 +98,8 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	k := NewKernel(1)
 	var fired []int
-	k.After(1*time.Second, func() { fired = append(fired, 1) })
-	k.After(5*time.Second, func() { fired = append(fired, 5) })
+	k.Defer(1*time.Second, func() { fired = append(fired, 1) })
+	k.Defer(5*time.Second, func() { fired = append(fired, 5) })
 	k.RunUntil(Time(3 * time.Second))
 	if len(fired) != 1 || fired[0] != 1 {
 		t.Fatalf("fired = %v, want [1]", fired)
@@ -105,9 +119,9 @@ func TestRunLimit(t *testing.T) {
 	var tick func()
 	tick = func() {
 		count++
-		k.After(time.Millisecond, tick)
+		k.Defer(time.Millisecond, tick)
 	}
-	k.After(0, tick)
+	k.Defer(0, tick)
 	if ran := k.RunLimit(100); ran != 100 {
 		t.Fatalf("RunLimit ran %d, want 100", ran)
 	}
@@ -119,8 +133,8 @@ func TestRunLimit(t *testing.T) {
 func TestStopAndResume(t *testing.T) {
 	k := NewKernel(1)
 	count := 0
-	k.After(1*time.Second, func() { count++; k.Stop() })
-	k.After(2*time.Second, func() { count++ })
+	k.Defer(1*time.Second, func() { count++; k.Stop() })
+	k.Defer(2*time.Second, func() { count++ })
 	k.Run()
 	if count != 1 {
 		t.Fatalf("count after Stop = %d, want 1", count)
@@ -134,8 +148,8 @@ func TestStopAndResume(t *testing.T) {
 
 func TestNegativeDelayClampsToNow(t *testing.T) {
 	k := NewKernel(1)
-	k.After(time.Second, func() {
-		k.After(-5*time.Second, func() {
+	k.Defer(time.Second, func() {
+		k.Defer(-5*time.Second, func() {
 			if k.Now() != Time(time.Second) {
 				t.Errorf("clamped event ran at %v, want 1s", k.Now())
 			}
@@ -150,8 +164,8 @@ func TestHugeDelaySaturates(t *testing.T) {
 	k := NewKernel(1)
 	k.RunUntil(Time(time.Second))
 	var fired []string
-	k.Defer(math.MaxInt64, func() { fired = append(fired, "defer") })
-	k.After(math.MaxInt64-1, func() { fired = append(fired, "after") })
+	k.Defer(math.MaxInt64, func() { fired = append(fired, "max") })
+	k.Defer(math.MaxInt64-1, func() { fired = append(fired, "max-1") })
 	k.Defer(time.Second, func() { fired = append(fired, "soon") })
 	if !k.Step() || len(fired) != 1 || fired[0] != "soon" {
 		t.Fatalf("first step fired %v, want [soon]", fired)
@@ -160,23 +174,23 @@ func TestHugeDelaySaturates(t *testing.T) {
 		t.Fatalf("NextEventAt = %v,%v; want the last instant", at, ok)
 	}
 	k.Run()
-	if len(fired) != 3 || fired[1] != "defer" || fired[2] != "after" || k.Now() != maxTime {
-		t.Fatalf("fired %v ending at %v, want [soon defer after] at the last instant", fired, k.Now())
+	if len(fired) != 3 || fired[1] != "max" || fired[2] != "max-1" || k.Now() != maxTime {
+		t.Fatalf("fired %v ending at %v, want [soon max max-1] at the last instant", fired, k.Now())
 	}
 }
 
-// Pending counts the events of both tiers, less the cancelled ones.
+// Pending counts the events of all three tiers until they fire.
 func TestPending(t *testing.T) {
 	k := NewKernel(1)
-	t1 := k.After(time.Second, func() {})
-	k.After(2*time.Second, func() {})
-	k.After(time.Millisecond, func() {})
+	k.Defer(time.Second, func() {})
+	k.Defer(2*time.Second, func() {})
+	k.Defer(time.Millisecond, func() {})
 	if got := k.Pending(); got != 3 {
 		t.Fatalf("Pending = %d, want 3", got)
 	}
-	t1.Cancel()
+	k.Step()
 	if got := k.Pending(); got != 2 {
-		t.Fatalf("Pending after cancel = %d, want 2", got)
+		t.Fatalf("Pending after a step = %d, want 2", got)
 	}
 }
 
@@ -190,10 +204,10 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			trace = append(trace, int64(k.Now()), k.RNG().Int63())
 			n++
 			if n < 50 {
-				k.After(k.RNG().Exp(100*time.Millisecond), step)
+				k.Defer(k.RNG().Exp(100*time.Millisecond), step)
 			}
 		}
-		k.After(0, step)
+		k.Defer(0, step)
 		k.Run()
 		return trace
 	}
@@ -294,19 +308,5 @@ func TestNilCallbackPanics(t *testing.T) {
 			t.Error("scheduling a nil callback must panic")
 		}
 	}()
-	NewKernel(1).After(time.Second, nil)
-}
-
-func BenchmarkKernelThroughput(b *testing.B) {
-	k := NewKernel(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		k.After(time.Microsecond, tick)
-	}
-	k.After(0, tick)
-	b.ReportAllocs()
-	b.ResetTimer()
-	k.RunLimit(uint64(b.N))
+	NewKernel(1).Defer(time.Second, nil)
 }

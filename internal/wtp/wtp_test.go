@@ -42,7 +42,7 @@ func newPipe(t *testing.T, cfg Config, latency time.Duration) *pipe {
 		if p.dropData[p.dataSent] {
 			return
 		}
-		p.k.After(p.latency, func() {
+		p.k.Defer(p.latency, func() {
 			deliver, ack, ok := p.r.Accept(f)
 			if !ok {
 				return
@@ -55,7 +55,7 @@ func newPipe(t *testing.T, cfg Config, latency time.Duration) *pipe {
 			if p.dropAcks[p.ackSent] {
 				return
 			}
-			p.k.After(p.latency, func() { p.s.OnAck(ack) })
+			p.k.Defer(p.latency, func() { p.s.OnAck(ack) })
 		})
 	})
 	return p

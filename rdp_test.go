@@ -71,7 +71,7 @@ func TestPublicBaselines(t *testing.T) {
 	mip := rdp.NewMobileIPWorld(rdp.DefaultMobileIPConfig())
 	mn := mip.AddMH(1, 2, 1)
 	var req rdp.RequestID
-	mip.Kernel.After(0, func() { req = mn.IssueRequest(1, []byte("q")) })
+	mip.Kernel.Defer(0, func() { req = mn.IssueRequest(1, []byte("q")) })
 	mip.RunUntil(2 * time.Second)
 	if !mn.Seen(req) {
 		t.Error("Mobile IP baseline failed a stationary delivery")
@@ -80,7 +80,7 @@ func TestPublicBaselines(t *testing.T) {
 	it := rdp.NewITCPWorld(rdp.DefaultITCPConfig())
 	m := it.AddMH(1, 1)
 	var req2 rdp.RequestID
-	it.Kernel.After(0, func() { req2 = m.IssueRequest(1, []byte("q")) })
+	it.Kernel.Defer(0, func() { req2 = m.IssueRequest(1, []byte("q")) })
 	it.RunUntil(2 * time.Second)
 	if !m.Seen(req2) {
 		t.Error("I-TCP baseline failed a stationary delivery")

@@ -16,6 +16,13 @@
 #     image (Proxy.image) is also what a migration ships, so migrateOut
 #     may take one: a copy into a message, not a journal write.
 #
+# A host has one way in too: mh.go reaches the scheduler only inside
+# MHNode.after, the door that voids a host's timers across leave, crash
+# and DetachMH by moving its generation on. And nothing is cancelled: no
+# non-test Go outside internal/sim and perf/ names sim.Canceler, calls
+# Kernel.After or cancels a scheduled event (.Cancel()) — a timer its
+# owner stops wanting fires as a no-op behind a generation check.
+#
 # It prints what it counted and exits 1 on a breach, or when the explicit
 # mark/persist call sites outside stable.go outgrow their budget.
 #
@@ -38,6 +45,36 @@ echo "station-doors: $doors scheduler calls inside after/scheduleProcessing"
 if [ -n "$strays" ]; then
 	echo "station-doors: scheduler reached outside the timer door:"
 	printf '%s\n' "$strays"
+	fail=1
+fi
+
+# The host's scheduler calls, by enclosing function, as above.
+htimers=$(awk '
+	/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
+	/^[[:space:]]*\/\// { next }
+	/Kernel\.(Defer|DeferAt|After)\(/ { print FILENAME ":" FNR ": in " fn }
+' mh.go)
+hdoors=$(printf '%s\n' "$htimers" | grep -cE ': in after$' || true)
+hstrays=$(printf '%s\n' "$htimers" | grep -vE ': in after$' | grep -v '^$' || true)
+echo "station-doors: $hdoors host scheduler calls inside MHNode.after"
+if [ -n "$hstrays" ]; then
+	echo "station-doors: a host reached the scheduler outside its timer door:"
+	printf '%s\n' "$hstrays"
+	fail=1
+fi
+
+# Cancellation, anywhere in the module's non-test Go but the kernel's own
+# adapter and the benchmark harness that still names it.
+# Hidden directories (build exports of other commits) are not the module.
+cancels=$(cd ../.. && find . -name '.?*' -prune -o -name '*.go' ! -name '*_test.go' -print |
+	grep -vE '^\./(internal/sim|perf)/' |
+	xargs grep -nHE 'sim\.Canceler|Kernel\.After\(|\.Cancel\(\)' |
+	grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+ncancels=$(printf '%s\n' "$cancels" | grep -c . || true)
+echo "station-doors: $ncancels cancellations outside internal/sim and perf/"
+if [ -n "$cancels" ]; then
+	echo "station-doors: a scheduled event is cancelled — let it fire as a no-op behind a generation:"
+	printf '%s\n' "$cancels" | sed 's/^/  /'
 	fail=1
 fi
 
