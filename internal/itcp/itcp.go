@@ -125,24 +125,14 @@ func NewWorld(cfg Config) *World {
 	for i := 1; i <= cfg.NumServers; i++ {
 		members = append(members, ids.Server(i).Node())
 	}
-	obs := func(at sim.Time, layer netsim.Layer, kind netsim.EventKind, from, to ids.NodeID, m msg.Message) {
-		if layer == netsim.LayerWireless && kind.IsDrop() {
-			w.Stats.WirelessDrops.Inc()
-		}
-		if layer == netsim.LayerWired && kind == netsim.EventSent && m.Kind() == msg.KindImageTransfer {
-			w.Stats.HandoffStateBytes.Add(int64(msg.WireSize(m)))
-		}
-		if cfg.Observer != nil {
-			cfg.Observer(at, layer, kind, from, to, m)
-		}
-	}
-	w.Wired = netsim.NewWired(w.Kernel, members, netsim.WiredConfig{Latency: cfg.WiredLatency, Causal: true}, obs)
+	w.Wired = netsim.NewWired(w.Kernel, members, netsim.WiredConfig{Latency: cfg.WiredLatency, Causal: true}, cfg.Observer)
 	w.Wireless = netsim.NewWireless(w.Kernel, netsim.WirelessConfig{
 		Latency:   cfg.WirelessLatency,
 		LossProb:  cfg.WirelessLoss,
 		Reachable: func(mss ids.MSS, mh ids.MH) bool { return w.loc[mh] == mss && w.active[mh] },
 		WTP:       cfg.WirelessWTP,
-	}, obs)
+		OnDrop:    func(netsim.Layer, netsim.EventKind) { w.Stats.WirelessDrops.Inc() },
+	}, cfg.Observer)
 
 	for _, id := range w.mssList {
 		st := &station{
@@ -309,6 +299,7 @@ func (s *station) handleDereg(m msg.Dereg) {
 			}
 		}
 	}
+	s.w.Stats.HandoffStateBytes.Add(int64(msg.WireSize(out)))
 	s.w.Wired.Send(s.id.Node(), m.NewMSS.Node(), out)
 }
 

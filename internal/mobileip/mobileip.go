@@ -127,25 +127,18 @@ func NewWorld(cfg Config) *World {
 	for i := 1; i <= cfg.NumServers; i++ {
 		members = append(members, ids.Server(i).Node())
 	}
-	obs := func(at sim.Time, layer netsim.Layer, kind netsim.EventKind, from, to ids.NodeID, m msg.Message) {
-		if layer == netsim.LayerWireless && kind.IsDrop() {
-			w.Stats.WirelessDrops.Inc()
-		}
-		if cfg.Observer != nil {
-			cfg.Observer(at, layer, kind, from, to, m)
-		}
-	}
 	// Plain IP has no ordering guarantee; the wired net runs without the
 	// causal layer.
 	w.Wired = netsim.NewWired(w.Kernel, members, netsim.WiredConfig{
 		Latency:     cfg.WiredLatency,
 		PairLatency: cfg.WiredPairLatency,
-	}, obs)
+	}, cfg.Observer)
 	w.Wireless = netsim.NewWireless(w.Kernel, netsim.WirelessConfig{
 		Latency:   cfg.WirelessLatency,
 		LossProb:  cfg.WirelessLoss,
 		Reachable: func(mss ids.MSS, mh ids.MH) bool { return w.loc[mh] == mss && w.active[mh] },
-	}, obs)
+		OnDrop:    func(netsim.Layer, netsim.EventKind) { w.Stats.WirelessDrops.Inc() },
+	}, cfg.Observer)
 
 	for _, id := range w.mssList {
 		st := &station{id: id, w: w, careOf: make(map[ids.MH]ids.MSS)}

@@ -160,19 +160,23 @@ func (p *arqPending) transmit(ack bool) {
 	}
 	lf := p.w.fault(p.w.members[fi], p.w.members[ti])
 	if lf.Drop {
-		p.observe(EventDroppedLoss, ack)
+		p.drop(EventDroppedLoss, ack)
 		return
 	}
 	sent, shed := p.w.enqueue(fi, ti, lf, fire)
 	p.refs += sent
 	for ; shed > 0; shed-- {
-		p.observe(EventShed, ack)
+		p.drop(EventShed, ack)
 	}
 }
 
-// observe reports the fate of the frame or of its ack. The link-layer
-// envelope exists only here: it is boxed when somebody is listening.
-func (p *arqPending) observe(kind EventKind, ack bool) {
+// drop reports the loss of the frame or of its ack, to the drop hook and
+// the observer. The link-layer envelope exists only here: it is boxed when
+// somebody is listening.
+func (p *arqPending) drop(kind EventKind, ack bool) {
+	if p.w.cfg.OnDrop != nil {
+		p.w.cfg.OnDrop(LayerWired, kind)
+	}
 	switch {
 	case p.w.observer == nil:
 	case ack:
@@ -191,7 +195,7 @@ func (p *arqPending) onArrival() {
 	p.refs--
 	w.dequeue(l.fi, l.ti)
 	if w.cfg.Down != nil && w.cfg.Down(l.to) {
-		p.observe(EventDroppedUnreachable, false)
+		p.drop(EventDroppedUnreachable, false)
 		p.retire()
 		return
 	}

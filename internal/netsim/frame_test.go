@@ -136,6 +136,25 @@ func TestWtpFrameAllocBudget(t *testing.T) {
 	}
 }
 
+// TestWtpDownlinkAllocBudget: a result sent down a warm windowed link
+// under a nil Observer, with a drop hook set, allocates only its frame's
+// message list, which the sender builds as it frames the queue. The frame
+// and its ack fly as typed fields of recycled records, and nothing boxes
+// them for a listener that is not there.
+func TestWtpDownlinkAllocBudget(t *testing.T) {
+	k := sim.NewKernel(1)
+	drops := 0
+	w := radioPair(k, WirelessConfig{QueueLimit: 8, WTP: wtp.Config{Enabled: true},
+		OnDrop: func(Layer, EventKind) { drops++ }})
+	var res msg.Message = msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 1}}
+	if avg := hopAllocs(k, func() { w.SendDownlink(1, 7, res) }); avg != 1 {
+		t.Errorf("windowed downlink frame + ack: %.1f allocs/op, budget 1 (the frame's message list)", avg)
+	}
+	if _, _, _, frames, _, _ := w.WTPStats(); frames != 64+201 || drops != 0 {
+		t.Errorf("%d frames sent, %d dropped; want one frame a result and no drop", frames, drops)
+	}
+}
+
 // TestFrameReleasedBeforeHandler: handlers send from inside delivery, so
 // the record that carried a message is the one its reply takes. A
 // ping-pong over one causal link must see every payload intact, on one

@@ -11,8 +11,9 @@
 //     configurable loss probability.
 //
 // The package is protocol-agnostic: it moves msg.Message values between
-// ids.NodeID addresses and reports every event to an optional Observer,
-// which the metrics and trace layers hook into.
+// ids.NodeID addresses, reports every event to an optional Observer, which
+// the trace layer hooks into, and every drop to an optional DropHook,
+// which the metrics do.
 package netsim
 
 import (
@@ -119,7 +120,13 @@ func (e EventKind) IsDrop() bool {
 }
 
 // Observer receives a callback for every message event on either layer.
+// A substrate with a nil Observer builds no event: each report costs one
+// nil check.
 type Observer func(at sim.Time, layer Layer, kind EventKind, from, to ids.NodeID, m msg.Message)
+
+// DropHook is told of every frame a substrate drops or sheds, with or
+// without an Observer: the owner's loss accounting.
+type DropHook func(layer Layer, kind EventKind)
 
 // Reachability reports whether mh can currently receive from (or be
 // heard by) the station mss: it must be located in mss's cell and be
@@ -191,6 +198,9 @@ type WiredConfig struct {
 	// queue has drained, so bounded links are backpressure, not loss.
 	// Without ARQ a shed frame is lost like any other drop.
 	QueueLimit int
+	// OnDrop, when set, is told of every dropped or shed transmission
+	// attempt — of a frame or, under ARQ, of its ack.
+	OnDrop DropHook
 }
 
 // Wired is the static network among MSSs and servers: reliable by
@@ -337,11 +347,11 @@ func (w *Wired) transmitRaw(f *wiredFrame) {
 	from, to := w.members[f.fi], w.members[f.ti]
 	lf := w.fault(from, to)
 	if lf.Drop {
-		w.observe(EventDroppedLoss, from, to, f.m)
+		w.drop(EventDroppedLoss, from, to, f.m)
 		return
 	}
 	for _, shed := w.enqueue(f.fi, f.ti, lf, f.run); shed > 0; shed-- {
-		w.observe(EventShed, from, to, f.m)
+		w.drop(EventShed, from, to, f.m)
 	}
 }
 
@@ -351,7 +361,7 @@ func (f *wiredFrame) fire() {
 	w := f.w
 	w.dequeue(f.fi, f.ti)
 	if to := w.members[f.ti]; w.cfg.Seq == nil && w.cfg.Down != nil && w.cfg.Down(to) {
-		w.observe(EventDroppedUnreachable, w.members[f.fi], to, f.m)
+		w.drop(EventDroppedUnreachable, w.members[f.fi], to, f.m)
 		w.release(f)
 		return
 	}
@@ -450,6 +460,14 @@ func (w *Wired) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
 	}
 }
 
+// drop reports a lost or shed attempt: to the drop hook, then the observer.
+func (w *Wired) drop(kind EventKind, from, to ids.NodeID, m msg.Message) {
+	if w.cfg.OnDrop != nil {
+		w.cfg.OnDrop(LayerWired, kind)
+	}
+	w.observe(kind, from, to, m)
+}
+
 // MeanLatency exposes the configured mean wired delay (t_wired in the
 // paper's §5 retransmission condition).
 func (w *Wired) MeanLatency() time.Duration { return w.cfg.Latency.Mean() }
@@ -515,6 +533,9 @@ type WirelessConfig struct {
 	// Off — the default — the legacy per-message path is untouched, so
 	// pre-E15 experiments stay byte-identical.
 	WTP wtp.Config
+	// OnDrop, when set, is told of every frame lost, found unreachable or
+	// shed — a windowed data frame or ack as much as a plain message.
+	OnDrop DropHook
 }
 
 // Wireless models every cell's radio link. There is one Wireless value
@@ -663,8 +684,12 @@ func (w *Wireless) release(f *radioFrame) {
 	}
 }
 
-// finish observes the frame's fate and retires it.
+// finish reports the frame's fate — a drop to the drop hook, then any
+// fate to the observer — and retires it.
 func (w *Wireless) finish(kind EventKind, f *radioFrame) {
+	if kind != EventDelivered && w.cfg.OnDrop != nil {
+		w.cfg.OnDrop(LayerWireless, kind)
+	}
 	w.observeFrame(kind, f)
 	w.release(f)
 }
@@ -830,9 +855,8 @@ func (w *Wireless) receiveWtpFrame(from ids.MSS, to ids.MH, f msg.WtpData, h Han
 		return // dead epoch: the sender reset and moved on
 	}
 	// The frame itself is observed as delivered (tracing sees the
-	// transport's arrows, not just the payloads); drop accounting never
-	// counts wireless deliveries, so stats are unaffected. Boxing f is
-	// the cost, so the listener check comes first.
+	// transport's arrows, not just the payloads). Boxing f is the cost,
+	// so the listener check comes first.
 	if w.observer != nil {
 		w.observer(w.k.Now(), LayerWireless, EventDelivered, from.Node(), to.Node(), f)
 	}

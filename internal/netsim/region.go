@@ -78,9 +78,8 @@ type RegionLinkConfig struct {
 }
 
 // NewRegionLink wraps a region's Wired substrate into the partitioned
-// world's wired transport. obs may be nil; use SetObserver to bind it
-// after the world exists (construction order: substrate, link, world,
-// then the world's stats observer).
+// world's wired transport. obs may be nil. A cross-region frame is never
+// dropped, so the link needs no drop hook of its own.
 func NewRegionLink(k sim.Scheduler, cfg RegionLinkConfig, obs Observer) *RegionLink {
 	if cfg.Local == nil || cfg.Emit == nil {
 		panic("netsim: RegionLink needs a local substrate and an emit hook")
@@ -109,10 +108,6 @@ func NewRegionLink(k sim.Scheduler, cfg RegionLinkConfig, obs Observer) *RegionL
 	}
 	return l
 }
-
-// SetObserver binds the network-event observer. Must be called before
-// the simulation runs (single-threaded construction time).
-func (l *RegionLink) SetObserver(obs Observer) { l.obs = obs }
 
 // Register installs the handler for a local host. Remote hosts are the
 // other regions' business; registering one here is a partitioning bug.

@@ -55,8 +55,7 @@ func TestRegionLinkDeliverAndObserver(t *testing.T) {
 		Latency:      Constant(5 * time.Millisecond),
 		Lookahead:    5 * time.Millisecond,
 		Emit:         func(CrossFrame) {},
-	}, nil)
-	l.SetObserver(func(at sim.Time, layer Layer, kind EventKind, from, to ids.NodeID, m msg.Message) {
+	}, func(at sim.Time, layer Layer, kind EventKind, from, to ids.NodeID, m msg.Message) {
 		events = append(events, kind)
 	})
 	var got []msg.Message

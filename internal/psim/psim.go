@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/rdpcore"
 	"repro/internal/sim"
@@ -136,18 +135,6 @@ type World struct {
 	serverRegion  map[ids.Server]int
 	scripts       map[ids.MH]*script
 	workers       int
-}
-
-// netObsRelay forwards network events to a target bound after the
-// region world exists: the substrates are built before the world but
-// need an observer at construction time. The target is set once, while
-// construction is still single-threaded.
-type netObsRelay struct{ target netsim.Observer }
-
-func (o *netObsRelay) observe(at sim.Time, layer netsim.Layer, kind netsim.EventKind, from, to ids.NodeID, m msg.Message) {
-	if o.target != nil {
-		o.target(at, layer, kind, from, to, m)
-	}
 }
 
 // New builds a partitioned world; with Workers > 1 the regions are
@@ -304,13 +291,16 @@ func (pw *World) buildRegion(idx int, stations []ids.MSS, servers []ids.Server) 
 		members = append(members, id.Node())
 	}
 	r := &region{pw: pw, idx: idx, kernel: k}
-	relay := &netObsRelay{}
+	// The substrates exist before the region's world, which builds its
+	// radio itself: the wired drops reach the world's accounting through
+	// r.world, set below while construction is still single-threaded.
 	wired := netsim.NewWired(k, members, netsim.WiredConfig{
 		Latency:     pw.cfg.Base.WiredLatency,
 		Causal:      pw.cfg.Base.Causal,
 		PairLatency: pw.cfg.Base.WiredPairLatency,
 		QueueLimit:  pw.cfg.Base.WiredQueueLimit,
-	}, relay.observe)
+		OnDrop:      func(layer netsim.Layer, kind netsim.EventKind) { r.world.CountDrop(layer, kind) },
+	}, pw.cfg.Base.Observer)
 	r.link = netsim.NewRegionLink(k, netsim.RegionLinkConfig{
 		Local:        wired,
 		LocalMembers: members,
@@ -318,7 +308,7 @@ func (pw *World) buildRegion(idx int, stations []ids.MSS, servers []ids.Server) 
 		PairLatency:  pw.cfg.Base.WiredPairLatency,
 		Lookahead:    pw.cfg.Lookahead,
 		Emit:         func(f netsim.CrossFrame) { pw.emitWired(r, f) },
-	}, relay.observe)
+	}, pw.cfg.Base.Observer)
 	r.crossCalls = sim.NewCalls(k, r.link.Deliver)
 	rcfg := pw.cfg.Base
 	rcfg.Stations = stations
@@ -326,7 +316,6 @@ func (pw *World) buildRegion(idx int, stations []ids.MSS, servers []ids.Server) 
 	// would fall back to the default 1..NumServers construction.
 	rcfg.ServerIDs = append([]ids.Server{}, servers...)
 	r.world = rdpcore.NewWorldWith(k, rcfg, r.link, nil)
-	relay.target = r.world.NetObserver()
 	return r
 }
 

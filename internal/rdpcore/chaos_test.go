@@ -231,8 +231,10 @@ type chaosParams struct {
 	// GroupTopic, so sharing never engages: the run must be externally
 	// indistinguishable from the faithful representation.
 	aggregated bool
-	horizon    time.Duration
-	drainFor   time.Duration
+	// observer is installed as Config.Observer.
+	observer netsim.Observer
+	horizon  time.Duration
+	drainFor time.Duration
 }
 
 // chaosPlan builds the fault schedule for a run: lossy, duplicating,
@@ -283,6 +285,7 @@ func chaos(t *testing.T, p chaosParams) (w *World, missing, total, admittedLost 
 	cfg.WiredLatency = netsim.Uniform{Lo: time.Millisecond, Hi: 15 * time.Millisecond}
 	cfg.WirelessLatency = netsim.Constant(20 * time.Millisecond)
 	cfg.ServerProc = netsim.Exponential{MeanDelay: 300 * time.Millisecond, Floor: 20 * time.Millisecond}
+	cfg.Observer = p.observer
 
 	if p.windowed {
 		cfg.WirelessWTP = wtp.Config{Enabled: true}

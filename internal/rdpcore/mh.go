@@ -246,17 +246,57 @@ func (h *MHNode) unsend(req ids.RequestID, q *mhReq, flags uint8) {
 	}
 }
 
+// hostTimer is one timer a host arms: what it is for, the request,
+// retained message or batch it is about, and the generation it was armed
+// in. The world defers it through one sim.Calls, so a host timer is a
+// recycled record rather than a closure.
+type hostTimer struct {
+	h    *MHNode
+	kind hostTimerKind
+	req  ids.RequestID
+	m    msg.Message // timerRetry, timerBusy: the request that goes out again
+	b    *mhBatch    // timerBatchRetry
+	gen  uint64
+}
+
+// hostTimerKind says what a hostTimer does when it fires.
+type hostTimerKind uint8
+
+const (
+	timerRefresh    hostTimerKind = iota // the registration beacon (Config.GreetRefresh)
+	timerRetry                           // a request's timeout retry (Config.RequestTimeout)
+	timerDeadline                        // a request's admission deadline (Config.RequestDeadline)
+	timerBusy                            // a busy re-issue after backoff (Config.BusyRetryBase)
+	timerBatchRetry                      // a committed batch's re-offer
+)
+
 // after is the one way a host's own timer gets back in, as
-// MSSNode.after is a station's: fn runs after d unless the host's timer
+// MSSNode.after is a station's: t fires after d unless the host's timer
 // generation moved on in between (leave, crash, DetachMH), in which case
 // the event fires and does nothing. Nothing is cancelled.
-func (h *MHNode) after(d time.Duration, fn func()) {
-	gen := h.timerGen
-	h.w.Kernel.Defer(d, func() {
-		if h.timerGen == gen {
-			fn()
-		}
-	})
+func (h *MHNode) after(d time.Duration, t hostTimer) {
+	t.h, t.gen = h, h.timerGen
+	h.w.hostTimers.Defer(d, t)
+}
+
+// fire runs the timer, unless its host's generation moved on.
+func (t hostTimer) fire() {
+	h := t.h
+	if h.timerGen != t.gen {
+		return
+	}
+	switch t.kind {
+	case timerRefresh:
+		h.refresh()
+	case timerRetry:
+		h.retry(t.req, t.m)
+	case timerDeadline:
+		h.deadline(t.req)
+	case timerBusy:
+		h.busyRetry(t.req, t.m)
+	case timerBatchRetry:
+		h.batchRetry(t.b)
+	}
 }
 
 // rearmTimers rebuilds the timer set from live state after an attach:
@@ -347,15 +387,18 @@ func (h *MHNode) refreshGreet() {
 // the MH is active (see Config.GreetRefresh). A disconnected host skips
 // the beacon (its radio is gone) but keeps the period running.
 func (h *MHNode) scheduleRefresh() {
-	h.after(h.w.cfg.GreetRefresh, func() {
-		if !h.joined {
-			return
-		}
-		if h.active && !h.disconnected {
-			h.refreshGreet()
-		}
-		h.scheduleRefresh()
-	})
+	h.after(h.w.cfg.GreetRefresh, hostTimer{kind: timerRefresh})
+}
+
+// refresh is the refresh beacon's period ending.
+func (h *MHNode) refresh() {
+	if !h.joined {
+		return
+	}
+	if h.active && !h.disconnected {
+		h.refreshGreet()
+	}
+	h.scheduleRefresh()
 }
 
 // leave exits the system (§2). Assumption 6 requires all results to have
@@ -550,16 +593,19 @@ func (h *MHNode) onReconnect(cell ids.MSS) {
 // covered by the delivery guarantee and are never abandoned; abandoning
 // stops the busy-retry machinery for this request.
 func (h *MHNode) scheduleDeadline(req ids.RequestID) {
-	h.after(h.w.cfg.RequestDeadline, func() {
-		q := h.row(req)
-		q.flags &^= reqDeadline
-		if q.flags&(reqSeen|reqAdmitted) != 0 {
-			return
-		}
-		q.flags |= reqAbandoned
-		h.settle(req, q)
-		h.w.Stats.RequestsAbandoned.Inc()
-	})
+	h.after(h.w.cfg.RequestDeadline, hostTimer{kind: timerDeadline, req: req})
+}
+
+// deadline is req's deadline expiring.
+func (h *MHNode) deadline(req ids.RequestID) {
+	q := h.row(req)
+	q.flags &^= reqDeadline
+	if q.flags&(reqSeen|reqAdmitted) != 0 {
+		return
+	}
+	q.flags |= reqAbandoned
+	h.settle(req, q)
+	h.w.Stats.RequestsAbandoned.Inc()
 }
 
 // scheduleRetry re-sends a request whose result has not arrived within
@@ -571,17 +617,21 @@ func (h *MHNode) scheduleDeadline(req ids.RequestID) {
 // A disconnected host skips the resend (dead radio) but keeps the chain
 // alive for after reconnection.
 func (h *MHNode) scheduleRetry(req ids.RequestID, m msg.Message) {
-	h.after(h.w.cfg.RequestTimeout, func() {
-		if h.has(req, reqSeen|reqAbandoned) || !h.joined {
-			h.unsend(req, h.row(req), reqRetry)
-			return
-		}
-		if h.active && !h.disconnected {
-			h.w.Stats.RequestRetries.Inc()
-			h.uplink(m)
-		}
-		h.scheduleRetry(req, m)
-	})
+	h.after(h.w.cfg.RequestTimeout, hostTimer{kind: timerRetry, req: req, m: m})
+}
+
+// retry is req's timeout expiring: re-send m and wait again, or end the
+// chain once the request is settled.
+func (h *MHNode) retry(req ids.RequestID, m msg.Message) {
+	if h.has(req, reqSeen|reqAbandoned) || !h.joined {
+		h.unsend(req, h.row(req), reqRetry)
+		return
+	}
+	if h.active && !h.disconnected {
+		h.w.Stats.RequestRetries.Inc()
+		h.uplink(m)
+	}
+	h.scheduleRetry(req, m)
 }
 
 // onMigrate is invoked by the World when the (active) MH enters a new
@@ -691,17 +741,20 @@ func (h *MHNode) onBusy(req ids.RequestID) {
 	}
 	attempt := int(q.busy)
 	q.busy++
-	m := h.sent[req]
-	h.after(h.backoff(attempt), func() {
-		if !h.has(req, reqBusyRetry) || h.has(req, done) {
-			return
-		}
-		if !h.joined || !h.active || h.disconnected {
-			return
-		}
-		h.w.Stats.BusyRetries.Inc()
-		h.uplink(m)
-	})
+	h.after(h.backoff(attempt), hostTimer{kind: timerBusy, req: req, m: h.sent[req]})
+}
+
+// busyRetry is a busy backoff ending: re-issue m unless req was settled
+// or admitted meanwhile, or the host cannot transmit.
+func (h *MHNode) busyRetry(req ids.RequestID, m msg.Message) {
+	if !h.has(req, reqBusyRetry) || h.has(req, reqSeen|reqAdmitted|reqAbandoned) {
+		return
+	}
+	if !h.joined || !h.active || h.disconnected {
+		return
+	}
+	h.w.Stats.BusyRetries.Inc()
+	h.uplink(m)
 }
 
 // backoff returns min(BusyRetryBase·2^attempt, BusyRetryMax) plus up to
@@ -805,22 +858,26 @@ func (h *MHNode) scheduleBatchRetry(b *mhBatch) {
 	if h.w.cfg.RequestTimeout <= 0 {
 		return
 	}
-	h.after(h.w.cfg.RequestTimeout, func() {
-		if h.batchResolved(b) || !h.joined {
-			return
-		}
-		if h.active && !h.disconnected {
-			h.w.Stats.RequestRetries.Inc()
-			h.uplink(b.open)
-			for _, it := range b.items {
-				if !h.has(it.Req, reqSeen) {
-					h.uplink(it)
-				}
+	h.after(h.w.cfg.RequestTimeout, hostTimer{kind: timerBatchRetry, b: b})
+}
+
+// batchRetry is a committed batch's timeout expiring: re-offer what is
+// still unresolved and wait again.
+func (h *MHNode) batchRetry(b *mhBatch) {
+	if h.batchResolved(b) || !h.joined {
+		return
+	}
+	if h.active && !h.disconnected {
+		h.w.Stats.RequestRetries.Inc()
+		h.uplink(b.open)
+		for _, it := range b.items {
+			if !h.has(it.Req, reqSeen) {
+				h.uplink(it)
 			}
-			h.uplink(msg.BatchCommit{MH: h.id, Batch: b.id, Count: uint32(len(b.items))})
 		}
-		h.scheduleBatchRetry(b)
-	})
+		h.uplink(msg.BatchCommit{MH: h.id, Batch: b.id, Count: uint32(len(b.items))})
+	}
+	h.scheduleBatchRetry(b)
 }
 
 // onBatchAbort abandons every member of an aborted batch: the proxy's

@@ -1265,8 +1265,10 @@ func (n *MSSNode) handleBatchAbort(from ids.NodeID, m msg.BatchAbort) {
 	n.w.Wireless.SendDownlink(n.id, m.MH, m)
 }
 
-// sendWired transmits to another static host over the wired network.
+// sendWired transmits to another static host over the wired network,
+// counting hand-off and migration traffic on the way out.
 func (n *MSSNode) sendWired(to ids.NodeID, m msg.Message) {
+	n.w.countWired(m)
 	n.w.Wired.Send(n.id.Node(), to, m)
 }
 

@@ -26,8 +26,10 @@ type Proxy struct {
 	// batch (E17) in opening order: live, released, and the abort memos
 	// that answer a late or replayed batch message with the same abort.
 	// With the identity, currentLoc and leaseInc they are the proxy's
-	// durable image (image, revive).
+	// durable image (image, revive). first is reqs' backing array until
+	// a second request arrives: most proxies only ever hold one.
 	reqs    []msg.ProxyReq
+	first   [1]msg.ProxyReq
 	batches []msg.ProxyBatch
 	// batchGen numbers the batch records this proxy has opened, and gens[i]
 	// is batches[i]'s number: a deadline aborts the record it was armed
@@ -75,7 +77,7 @@ func incLess(a, b ids.Incarnation) bool { return normInc(a) < normInc(b) }
 // currentLoc starts as the hosting station itself, since the proxy is
 // always created at the MH's current respMss (§3.1).
 func newProxy(id ids.ProxyID, mh ids.MH, host *MSSNode) *Proxy {
-	return &Proxy{
+	p := &Proxy{
 		id:             id,
 		mh:             mh,
 		host:           host,
@@ -83,6 +85,8 @@ func newProxy(id ids.ProxyID, mh ids.MH, host *MSSNode) *Proxy {
 		createdAt:      host.w.Kernel.Now(),
 		lastMigAttempt: host.w.Kernel.Now() - sim.Time(host.w.cfg.Migration.MinInterval),
 	}
+	p.reqs = p.first[:0]
+	return p
 }
 
 // setLazy stores m[k] = v in a map made on first write: most hosts never
@@ -603,7 +607,7 @@ func (p *Proxy) image(dst *msg.MigState) {
 func (n *MSSNode) revive(id ids.ProxyID, st *msg.MigState) *Proxy {
 	p := newProxy(id, st.MH, n)
 	p.currentLoc, p.leaseInc = st.CurrentLoc, st.LeaseInc
-	p.reqs = slices.Clone(st.Reqs)
+	p.reqs = append(p.reqs, st.Reqs...)
 	for _, b := range st.Batches {
 		b.Members = slices.Clone(b.Members)
 		p.openBatch(b)

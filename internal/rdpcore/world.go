@@ -280,6 +280,10 @@ type World struct {
 	down  map[ids.MSS]bool
 	store *stableStore
 
+	// hostTimers defers every host's timers (MHNode.after) as recycled
+	// records.
+	hostTimers *sim.Calls[hostTimer]
+
 	// violations holds the first maxViolations breaches violate recorded.
 	violations []violation
 }
@@ -397,6 +401,7 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 		down:    make(map[ids.MSS]bool),
 		store:   newStableStore(),
 	}
+	w.hostTimers = sim.NewCalls(sched, hostTimer.fire)
 
 	members := make([]ids.NodeID, 0, len(stations)+len(servers))
 	for _, id := range stations {
@@ -407,7 +412,6 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 		members = append(members, id.Node())
 	}
 
-	obs := w.statsObserver(cfg.Observer)
 	if wired == nil {
 		wired = netsim.NewWired(w.Kernel, members, netsim.WiredConfig{
 			Latency:     cfg.WiredLatency,
@@ -418,7 +422,8 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 			ARQ:         cfg.WiredARQ,
 			Down:        w.nodeDown,
 			QueueLimit:  cfg.WiredQueueLimit,
-		}, obs)
+			OnDrop:      w.CountDrop,
+		}, cfg.Observer)
 	}
 	w.Wired = wired
 	if wireless == nil {
@@ -430,7 +435,8 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 			DropFilter: cfg.WirelessDropFilter,
 			QueueLimit: cfg.WirelessQueueLimit,
 			WTP:        w.wtpConfig(cfg.WirelessWTP),
-		}, obs)
+			OnDrop:     w.CountDrop,
+		}, cfg.Observer)
 	}
 	w.Wireless = wireless
 
@@ -442,6 +448,7 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 	}
 	for _, id := range servers {
 		s := server.New(id, w.Kernel, w.Wired, cfg.ServerProc, nil)
+		s.OnEcho = w.Stats.MigMessages.Inc
 		w.Servers[id] = s
 		w.Wired.Register(id.Node(), s)
 	}
@@ -499,41 +506,49 @@ func (w *World) wtpConfig(c wtp.Config) wtp.Config {
 // windowed links account to the same Stats.
 func (w *World) WTPConfig() wtp.Config { return w.wtpConfig(w.cfg.WirelessWTP) }
 
-// NetObserver returns the world's network-event observer — the internal
-// accounting chained with Config.Observer. Custom transports built
-// before the world exists (the parallel engine's per-region substrates)
-// bind it after construction so their events reach the same stats.
-func (w *World) NetObserver() netsim.Observer {
-	return w.statsObserver(w.cfg.Observer)
+// CountDrop is the world's loss accounting, the substrates' drop hook:
+// NewWorldWith hands it to the netsim substrates it builds, and the
+// parallel engine to each region's wired substrate. Sheds are drops of a
+// distinct cause (a full bounded queue), counted apart from loss and
+// unreachability.
+func (w *World) CountDrop(layer netsim.Layer, kind netsim.EventKind) {
+	switch {
+	case kind == netsim.EventShed:
+		w.Stats.NetworkShed.Inc()
+	case layer == netsim.LayerWireless:
+		w.Stats.WirelessDrops.Inc()
+	default:
+		w.Stats.WiredDrops.Inc()
+	}
 }
 
-// statsObserver chains the world's internal accounting with an optional
-// external observer.
-func (w *World) statsObserver(ext netsim.Observer) netsim.Observer {
+// NetObserver returns CountDrop as a network-event observer, chained with
+// Config.Observer, for substrates built outside the world with no drop
+// hook (the benchmark harness's traced substrates).
+func (w *World) NetObserver() netsim.Observer {
+	ext := w.cfg.Observer
 	return func(at sim.Time, layer netsim.Layer, kind netsim.EventKind, from, to ids.NodeID, m msg.Message) {
-		if kind == netsim.EventShed {
-			// Sheds are drops of a distinct cause (a full bounded queue);
-			// account them separately from loss and unreachability.
-			w.Stats.NetworkShed.Inc()
-		} else if layer == netsim.LayerWireless && kind.IsDrop() {
-			w.Stats.WirelessDrops.Inc()
-		} else if layer == netsim.LayerWired && kind.IsDrop() {
-			w.Stats.WiredDrops.Inc()
-		}
-		if layer == netsim.LayerWired && kind == netsim.EventSent {
-			switch m.Kind() {
-			case msg.KindDeregAck, msg.KindImageTransfer:
-				w.Stats.HandoffStateBytes.Add(int64(msg.WireSize(m)))
-			case msg.KindMigOffer, msg.KindMigCommit, msg.KindPrefRedirect, msg.KindMigGC:
-				w.Stats.MigMessages.Inc()
-			case msg.KindMigState:
-				w.Stats.MigMessages.Inc()
-				w.Stats.MigStateBytes.Add(int64(msg.WireSize(m)))
-			}
+		if kind.IsDrop() {
+			w.CountDrop(layer, kind)
 		}
 		if ext != nil {
 			ext(at, layer, kind, from, to, m)
 		}
+	}
+}
+
+// countWired accounts the hand-off and migration traffic a station puts
+// on the wired network (MSSNode.sendWired); the servers' pref_redirect
+// echoes are counted through server.AppServer.OnEcho.
+func (w *World) countWired(m msg.Message) {
+	switch m.Kind() {
+	case msg.KindDeregAck, msg.KindImageTransfer:
+		w.Stats.HandoffStateBytes.Add(int64(msg.WireSize(m)))
+	case msg.KindMigOffer, msg.KindMigCommit, msg.KindPrefRedirect, msg.KindMigGC:
+		w.Stats.MigMessages.Inc()
+	case msg.KindMigState:
+		w.Stats.MigMessages.Inc()
+		w.Stats.MigStateBytes.Add(int64(msg.WireSize(m)))
 	}
 }
 

@@ -46,6 +46,9 @@ type AppServer struct {
 	// acks received from proxies.
 	Served metrics.Counter
 	Acked  metrics.Counter
+	// OnEcho, when set, is called for every pref_redirect echo the server
+	// sends: its owner counts migration traffic where it is sent.
+	OnEcho func()
 }
 
 // New constructs a server. proc models per-request processing time; a
@@ -94,6 +97,9 @@ func (s *AppServer) HandleMessage(from ids.NodeID, m msg.Message) {
 		// Always confirm, even when the reply already left (the tombstone
 		// redirects it): the old host blocks tombstone GC on this echo.
 		v.Confirm = true
+		if s.OnEcho != nil {
+			s.OnEcho()
+		}
 		s.wired.Send(s.id.Node(), v.OldProxy.Host.Node(), v)
 	case msg.ServerAck:
 		s.Acked.Inc()
