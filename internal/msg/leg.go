@@ -1,0 +1,119 @@
+package msg
+
+import (
+	"fmt"
+
+	"repro/internal/ids"
+)
+
+// Leg is one message of the request path (§3.1) carried by value: the
+// seven kinds request, srv-request, srv-result, result-fwd, result, ack
+// and ack-fwd, as the kind plus the union of their fields, with the
+// payload as its only pointer. A hop that only moves a message hands the
+// Leg on; whoever keeps it past its hop (an inbox, a hand-off buffer, a
+// queue, the journal) or shows it to a listener boxes it with Message.
+// The zero Leg (KindInvalid) is no message.
+type Leg struct {
+	Kind Kind
+	// Flag is the kind's one boolean: DelPref on ResultForward and
+	// ResultDeliver, HaveOutstanding on AckMH, DelProxy on AckForward.
+	Flag    bool
+	Inc     ids.Incarnation
+	MH      ids.MH
+	Server  ids.Server
+	Proxy   ids.ProxyID
+	Req     ids.RequestID
+	Payload []byte
+}
+
+// Message boxes the leg as the message it carries: the one place a leg
+// becomes a Message. It panics on a leg of no request-path kind.
+func (l Leg) Message() Message {
+	switch l.Kind {
+	case KindRequest:
+		return l.Request()
+	case KindServerRequest:
+		return l.ServerRequest()
+	case KindServerResult:
+		return l.ServerResult()
+	case KindResultForward:
+		return l.ResultForward()
+	case KindResultDeliver:
+		return l.ResultDeliver()
+	case KindAckMH:
+		return l.AckMH()
+	case KindAckForward:
+		return l.AckForward()
+	}
+	panic(fmt.Sprintf("msg: %v is not a request-path leg", l.Kind))
+}
+
+// LegOf carries m as a leg, and reports false for a kind that is not one
+// of the request path's seven.
+func LegOf(m Message) (Leg, bool) {
+	switch v := m.(type) {
+	case Request:
+		return v.Leg(), true
+	case ServerRequest:
+		return v.Leg(), true
+	case ServerResult:
+		return v.Leg(), true
+	case ResultForward:
+		return v.Leg(), true
+	case ResultDeliver:
+		return v.Leg(), true
+	case AckMH:
+		return v.Leg(), true
+	case AckForward:
+		return v.Leg(), true
+	}
+	return Leg{}, false
+}
+
+// The seven kinds to a leg and back; the typed handlers take the value a
+// leg converts to, unboxed.
+
+func (m Request) Leg() Leg {
+	return Leg{Kind: KindRequest, Req: m.Req, Server: m.Server, Payload: m.Payload, Inc: m.Inc}
+}
+func (m ServerRequest) Leg() Leg {
+	return Leg{Kind: KindServerRequest, Proxy: m.Proxy, Req: m.Req, Payload: m.Payload}
+}
+func (m ServerResult) Leg() Leg {
+	return Leg{Kind: KindServerResult, Proxy: m.Proxy, Req: m.Req, Payload: m.Payload}
+}
+func (m ResultForward) Leg() Leg {
+	return Leg{Kind: KindResultForward, Proxy: m.Proxy, MH: m.MH, Req: m.Req, Payload: m.Payload,
+		Flag: m.DelPref, Inc: m.Inc}
+}
+func (m ResultDeliver) Leg() Leg {
+	return Leg{Kind: KindResultDeliver, Req: m.Req, Payload: m.Payload, Flag: m.DelPref, Inc: m.Inc}
+}
+func (m AckMH) Leg() Leg {
+	return Leg{Kind: KindAckMH, MH: m.MH, Req: m.Req, Flag: m.HaveOutstanding}
+}
+func (m AckForward) Leg() Leg {
+	return Leg{Kind: KindAckForward, Proxy: m.Proxy, MH: m.MH, Req: m.Req, Flag: m.DelProxy}
+}
+
+func (l Leg) Request() Request {
+	return Request{Req: l.Req, Server: l.Server, Payload: l.Payload, Inc: l.Inc}
+}
+func (l Leg) ServerRequest() ServerRequest {
+	return ServerRequest{Proxy: l.Proxy, Req: l.Req, Payload: l.Payload}
+}
+func (l Leg) ServerResult() ServerResult {
+	return ServerResult{Proxy: l.Proxy, Req: l.Req, Payload: l.Payload}
+}
+func (l Leg) ResultForward() ResultForward {
+	return ResultForward{Proxy: l.Proxy, MH: l.MH, Req: l.Req, Payload: l.Payload, DelPref: l.Flag, Inc: l.Inc}
+}
+func (l Leg) ResultDeliver() ResultDeliver {
+	return ResultDeliver{Req: l.Req, Payload: l.Payload, DelPref: l.Flag, Inc: l.Inc}
+}
+func (l Leg) AckMH() AckMH {
+	return AckMH{MH: l.MH, Req: l.Req, HaveOutstanding: l.Flag}
+}
+func (l Leg) AckForward() AckForward {
+	return AckForward{Proxy: l.Proxy, MH: l.MH, Req: l.Req, DelProxy: l.Flag}
+}

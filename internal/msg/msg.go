@@ -18,6 +18,10 @@
 //	Baselines (§4 comparison):
 //	    MIPRegister, MIPData, MIPTunnel (Mobile IP);
 //	    ImageTransfer (I-TCP-style indirect image hand-off)
+//
+// The seven messages of the request path — Request, ServerRequest,
+// ServerResult, ResultForward, ResultDeliver, AckMH, AckForward — also
+// travel unboxed as a Leg (leg.go).
 package msg
 
 import (

@@ -91,7 +91,7 @@ type arqPending struct {
 	w       *Wired
 	l       *wiredLink
 	seq     uint64
-	m       msg.Message // what observers see inside a lost frame
+	m       msg.Message // what observers see inside a lost frame: the frame's box, made at Send for a listener
 	frame   *wiredFrame // performs the delivery; nil once handed up
 	attempt int
 	acked   bool

@@ -49,10 +49,91 @@ type WirelessTransport interface {
 	RegisterMSS(mss ids.MSS, h Handler)
 }
 
+// LegHandler is implemented by a Handler that takes the request path's
+// messages as msg.Leg values, unboxed — the io.WriterTo idiom: Wired,
+// Wireless and RegionLink hand a leg to a handler that has HandleLeg,
+// and box it for HandleMessage on any other.
+type LegHandler interface {
+	HandleLeg(from ids.NodeID, l msg.Leg)
+}
+
+// WiredLegs is implemented by a wired substrate that carries legs
+// unboxed: Wired and RegionLink.
+type WiredLegs interface {
+	SendLeg(from, to ids.NodeID, l msg.Leg)
+}
+
+// WirelessLegs is implemented by a radio that carries legs unboxed:
+// Wireless.
+type WirelessLegs interface {
+	SendDownlinkLeg(from ids.MSS, to ids.MH, l msg.Leg)
+	SendUplinkLeg(from ids.MH, to ids.MSS, l msg.Leg)
+}
+
+// WiredLegsOf returns t's leg sends, or, when t has none (tcpnet,
+// livenet, a wrapper), sends that box every leg for t.Send.
+func WiredLegsOf(t WiredTransport) WiredLegs {
+	if l, ok := t.(WiredLegs); ok {
+		return l
+	}
+	return boxedWired{t}
+}
+
+// WirelessLegsOf is WiredLegsOf for the radio.
+func WirelessLegsOf(t WirelessTransport) WirelessLegs {
+	if l, ok := t.(WirelessLegs); ok {
+		return l
+	}
+	return boxedWireless{t}
+}
+
+type boxedWired struct{ WiredTransport }
+
+func (b boxedWired) SendLeg(from, to ids.NodeID, l msg.Leg) { b.Send(from, to, l.Message()) }
+
+type boxedWireless struct{ WirelessTransport }
+
+func (b boxedWireless) SendDownlinkLeg(from ids.MSS, to ids.MH, l msg.Leg) {
+	b.SendDownlink(from, to, l.Message())
+}
+
+func (b boxedWireless) SendUplinkLeg(from ids.MH, to ids.MSS, l msg.Leg) {
+	b.SendUplink(from, to, l.Message())
+}
+
 var (
 	_ WiredTransport    = (*Wired)(nil)
 	_ WirelessTransport = (*Wireless)(nil)
+	_ WiredLegs         = (*Wired)(nil)
+	_ WirelessLegs      = (*Wireless)(nil)
 )
+
+// endpoint is a registered handler with its leg door, looked up once.
+type endpoint struct {
+	h    Handler
+	legs LegHandler // h's HandleLeg, or nil
+}
+
+func endpointOf(h Handler) endpoint {
+	lh, _ := h.(LegHandler)
+	return endpoint{h: h, legs: lh}
+}
+
+// hand gives a frame's content to the endpoint: a leg unboxed to a
+// LegHandler, boxed for any other handler unless a listener boxed it
+// already (m), and a message as it is.
+func (e endpoint) hand(from ids.NodeID, m msg.Message, l msg.Leg) {
+	if l.Kind != msg.KindInvalid {
+		if e.legs != nil {
+			e.legs.HandleLeg(from, l)
+			return
+		}
+		if m == nil {
+			m = l.Message()
+		}
+	}
+	e.h.HandleMessage(from, m)
+}
 
 // HandlerFunc adapts a function to the Handler interface.
 type HandlerFunc func(from ids.NodeID, m msg.Message)
@@ -214,7 +295,7 @@ type Wired struct {
 	// one (0: not a member): two array reads per hop instead of a hash.
 	index    [ids.KindServer + 1][]int32
 	members  []ids.NodeID
-	handlers []Handler
+	handlers []endpoint
 	eps      []*causal.Endpoint
 	observer Observer
 	links    map[int]*wiredLink // ARQ state per directed pair (see link)
@@ -235,12 +316,26 @@ type Wired struct {
 // record is released just before the handler it delivers to runs —
 // handlers send — or when its frame is dropped on arrival; a held-back
 // frame keeps it until handed up; nothing touches it after release.
+//
+// A request-path message rides as a leg, unboxed; m is then its box,
+// made on the first observer report (envelope) and shared by every later
+// one, so Sent and Delivered cost one boxing between them.
 type wiredFrame struct {
 	w      *Wired
 	fi, ti int          // member indices of sender and destination
 	st     causal.Stamp // under Causal
-	m      msg.Message
-	run    func() // fire, bound once when the record is first allocated
+	m      msg.Message  // the message, or the leg's box once made
+	leg    msg.Leg      // a request-path message unboxed, or the zero Leg
+	run    func()       // fire, bound once when the record is first allocated
+}
+
+// envelope is the frame's message as observers see it, boxed on first
+// use when the frame carries a leg.
+func (f *wiredFrame) envelope() msg.Message {
+	if f.m == nil {
+		f.m = f.leg.Message()
+	}
+	return f.m
 }
 
 // NewWired builds the wired network for a fixed membership of static
@@ -255,7 +350,7 @@ func NewWired(k sim.Scheduler, members []ids.NodeID, cfg WiredConfig, obs Observ
 		cfg:      cfg,
 		rng:      k.RNG().Fork(),
 		members:  append([]ids.NodeID(nil), members...),
-		handlers: make([]Handler, len(members)),
+		handlers: make([]endpoint, len(members)),
 		observer: obs,
 		links:    make(map[int]*wiredLink),
 	}
@@ -307,13 +402,27 @@ func (w *Wired) Register(n ids.NodeID, h Handler) {
 	if i < 0 {
 		panic(fmt.Sprintf("netsim: %v is not a wired member", n))
 	}
-	w.handlers[i] = h
+	w.handlers[i] = endpointOf(h)
 }
 
 // Send transmits m from one static host to another. Both must be
 // members. Delivery is reliable (under faults: reliable iff ARQ is on);
 // order is causal when configured.
 func (w *Wired) Send(from, to ids.NodeID, m msg.Message) {
+	f := w.frame(from, to)
+	f.m = m
+	w.launch(f)
+}
+
+// SendLeg is Send for a request-path message carried unboxed.
+func (w *Wired) SendLeg(from, to ids.NodeID, l msg.Leg) {
+	f := w.frame(from, to)
+	f.leg = l
+	w.launch(f)
+}
+
+// frame takes a record for one message between two members.
+func (w *Wired) frame(from, to ids.NodeID) *wiredFrame {
 	fi, ti := w.memberIndex(from), w.memberIndex(to)
 	if fi < 0 {
 		panic(fmt.Sprintf("netsim: wired send from non-member %v", from))
@@ -321,19 +430,24 @@ func (w *Wired) Send(from, to ids.NodeID, m msg.Message) {
 	if ti < 0 {
 		panic(fmt.Sprintf("netsim: wired send to non-member %v", to))
 	}
-	w.observe(EventSent, from, to, m)
 	f := w.frames.Get()
 	if f == nil {
 		f = &wiredFrame{w: w}
 		f.run = f.fire
 	}
-	f.fi, f.ti, f.m = fi, ti, m
+	f.fi, f.ti = fi, ti
+	return f
+}
+
+// launch puts a filled frame on its way.
+func (w *Wired) launch(f *wiredFrame) {
+	w.observeFrame(EventSent, f)
 	if w.cfg.Causal {
-		f.st = w.eps[fi].Send(ti)
+		f.st = w.eps[f.fi].Send(f.ti)
 	}
 	switch {
 	case w.cfg.Seq != nil:
-		w.cfg.Seq.Offer(LayerWired, from, to, f.run)
+		w.cfg.Seq.Offer(LayerWired, w.members[f.fi], w.members[f.ti], f.run)
 	case w.cfg.ARQ.Enabled:
 		w.sendARQ(f)
 	default:
@@ -344,14 +458,13 @@ func (w *Wired) Send(from, to ids.NodeID, m msg.Message) {
 // transmitRaw is the non-ARQ physical path: one attempt, subject to
 // faults and the Down gate. Without ARQ a lost frame stays lost.
 func (w *Wired) transmitRaw(f *wiredFrame) {
-	from, to := w.members[f.fi], w.members[f.ti]
-	lf := w.fault(from, to)
+	lf := w.fault(w.members[f.fi], w.members[f.ti])
 	if lf.Drop {
-		w.drop(EventDroppedLoss, from, to, f.m)
+		w.drop(EventDroppedLoss, f)
 		return
 	}
 	for _, shed := w.enqueue(f.fi, f.ti, lf, f.run); shed > 0; shed-- {
-		w.drop(EventShed, from, to, f.m)
+		w.drop(EventShed, f)
 	}
 }
 
@@ -360,8 +473,8 @@ func (w *Wired) transmitRaw(f *wiredFrame) {
 func (f *wiredFrame) fire() {
 	w := f.w
 	w.dequeue(f.fi, f.ti)
-	if to := w.members[f.ti]; w.cfg.Seq == nil && w.cfg.Down != nil && w.cfg.Down(to) {
-		w.drop(EventDroppedUnreachable, w.members[f.fi], to, f.m)
+	if w.cfg.Seq == nil && w.cfg.Down != nil && w.cfg.Down(w.members[f.ti]) {
+		w.drop(EventDroppedUnreachable, f)
 		w.release(f)
 		return
 	}
@@ -381,7 +494,7 @@ func (w *Wired) arrive(f *wiredFrame) {
 // release retires a fired record (see wiredFrame for when).
 func (w *Wired) release(f *wiredFrame) {
 	if w.pooled {
-		f.m, f.st = nil, causal.Stamp{}
+		f.m, f.leg, f.st = nil, msg.Leg{}, causal.Stamp{}
 		w.frames.Put(f)
 	}
 }
@@ -444,14 +557,14 @@ func (w *Wired) sampleLatency(from, to ids.NodeID) time.Duration {
 
 // deliver hands a frame's message to its destination handler.
 func (w *Wired) deliver(f *wiredFrame) {
-	h := w.handlers[f.ti]
-	from, to, m := w.members[f.fi], w.members[f.ti], f.m
-	if h == nil {
-		panic(fmt.Sprintf("netsim: wired member %v has no handler", to))
+	e := w.handlers[f.ti]
+	if e.h == nil {
+		panic(fmt.Sprintf("netsim: wired member %v has no handler", w.members[f.ti]))
 	}
+	w.observeFrame(EventDelivered, f)
+	from, m, l := w.members[f.fi], f.m, f.leg
 	w.release(f)
-	w.observe(EventDelivered, from, to, m)
-	h.HandleMessage(from, m)
+	e.hand(from, m, l)
 }
 
 func (w *Wired) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
@@ -460,12 +573,19 @@ func (w *Wired) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
 	}
 }
 
+// observeFrame reports a frame's event, boxing a leg only for a listener.
+func (w *Wired) observeFrame(kind EventKind, f *wiredFrame) {
+	if w.observer != nil {
+		w.observer(w.k.Now(), LayerWired, kind, w.members[f.fi], w.members[f.ti], f.envelope())
+	}
+}
+
 // drop reports a lost or shed attempt: to the drop hook, then the observer.
-func (w *Wired) drop(kind EventKind, from, to ids.NodeID, m msg.Message) {
+func (w *Wired) drop(kind EventKind, f *wiredFrame) {
 	if w.cfg.OnDrop != nil {
 		w.cfg.OnDrop(LayerWired, kind)
 	}
-	w.observe(kind, from, to, m)
+	w.observeFrame(kind, f)
 }
 
 // MeanLatency exposes the configured mean wired delay (t_wired in the
@@ -550,8 +670,8 @@ type Wireless struct {
 	k        sim.Scheduler
 	cfg      WirelessConfig
 	rng      *sim.RNG
-	mhs      map[ids.MH]Handler
-	stations map[ids.MSS]Handler
+	mhs      map[ids.MH]endpoint
+	stations map[ids.MSS]endpoint
 	observer Observer
 	links    [2]map[uint64]radioLink // links with frames in flight, by direction and radioKey
 	shed     int64                   // frames shed by full link queues
@@ -597,7 +717,8 @@ type radioFrame struct {
 	mh     ids.MH
 	from   ids.NodeID  // the sending end
 	to     ids.NodeID  // the receiving end
-	m      msg.Message // opDownlink, opUplink
+	m      msg.Message // opDownlink, opUplink: the message, or the leg's box once made
+	leg    msg.Leg     // opDownlink, opUplink: a request-path message unboxed
 	data   msg.WtpData // opWtpData
 	ack    msg.WtpAck  // opWtpAck
 	run    func()      // fire, bound once when the record is first allocated
@@ -606,14 +727,17 @@ type radioFrame struct {
 func (f *radioFrame) dir() int { return int(f.op & 1) }
 
 // envelope is the frame's content as observers and the drop filter see
-// it. The typed fields keep the windowed transport's frames unboxed
-// until somebody asks.
+// it. The typed fields keep the windowed transport's frames and a leg
+// unboxed until somebody asks; a leg's box is kept for the next asker.
 func (f *radioFrame) envelope() msg.Message {
 	switch f.op {
 	case opWtpData:
 		return f.data
 	case opWtpAck:
 		return f.ack
+	}
+	if f.m == nil {
+		f.m = f.leg.Message()
 	}
 	return f.m
 }
@@ -630,8 +754,8 @@ func NewWireless(k sim.Scheduler, cfg WirelessConfig, obs Observer) *Wireless {
 		k:        k,
 		cfg:      cfg,
 		rng:      k.RNG().Fork(),
-		mhs:      make(map[ids.MH]Handler),
-		stations: make(map[ids.MSS]Handler),
+		mhs:      make(map[ids.MH]endpoint),
+		stations: make(map[ids.MSS]endpoint),
 		observer: obs,
 	}
 	for d := range w.links {
@@ -651,8 +775,8 @@ func (w *Wireless) Shed() int64 { return w.shed }
 // signaling that rides the link-layer beacon exchange: never shed and
 // not counted against the bounded data queue (it still observes the
 // per-link FIFO delay).
-func wirelessControl(m msg.Message) bool {
-	switch m.Kind() {
+func wirelessControl(k msg.Kind) bool {
+	switch k {
 	case msg.KindJoin, msg.KindLeave, msg.KindGreet,
 		msg.KindRegConfirm, msg.KindAdmit, msg.KindBusy:
 		return true
@@ -679,7 +803,7 @@ func (w *Wireless) frame(op radioOp, mss ids.MSS, mh ids.MH) *radioFrame {
 // record again, so under it records are left to the GC.
 func (w *Wireless) release(f *radioFrame) {
 	if w.cfg.Seq == nil {
-		f.queued, f.m, f.data, f.ack = false, nil, msg.WtpData{}, msg.WtpAck{}
+		f.queued, f.m, f.leg, f.data, f.ack = false, nil, msg.Leg{}, msg.WtpData{}, msg.WtpAck{}
 		w.frames.Put(f)
 	}
 }
@@ -748,7 +872,7 @@ func (f *radioFrame) fire() {
 			links[key] = l
 		}
 	}
-	var h Handler
+	var h endpoint
 	switch f.op {
 	case opWtpAck:
 		// Acks terminate inside the transport, at the sender whose frame
@@ -770,26 +894,27 @@ func (f *radioFrame) fire() {
 		}
 		h = w.mhs[f.mh]
 	}
-	if h == nil {
+	if h.h == nil {
 		w.finish(EventDroppedUnreachable, f)
 		return
 	}
 	if f.op == opWtpData {
 		mss, mh, data := f.mss, f.mh, f.data
 		w.release(f)
-		w.receiveWtpFrame(mss, mh, data, h)
+		w.receiveWtpFrame(mss, mh, data, h.h)
 		return
 	}
-	from, m := f.from, f.m
-	w.finish(EventDelivered, f)
-	h.HandleMessage(from, m)
+	w.observeFrame(EventDelivered, f)
+	from, m, l := f.from, f.m, f.leg
+	w.release(f)
+	h.hand(from, m, l)
 }
 
 // RegisterMH installs the radio handler of a mobile host.
-func (w *Wireless) RegisterMH(mh ids.MH, h Handler) { w.mhs[mh] = h }
+func (w *Wireless) RegisterMH(mh ids.MH, h Handler) { w.mhs[mh] = endpointOf(h) }
 
 // RegisterMSS installs the radio handler of a support station.
-func (w *Wireless) RegisterMSS(mss ids.MSS, h Handler) { w.stations[mss] = h }
+func (w *Wireless) RegisterMSS(mss ids.MSS, h Handler) { w.stations[mss] = endpointOf(h) }
 
 // SendDownlink transmits from a station to a mobile host in its cell.
 // The frame is lost if the MH is unreachable at delivery time (it
@@ -798,19 +923,38 @@ func (w *Wireless) RegisterMSS(mss ids.MSS, h Handler) { w.stations[mss] = h }
 // does not attempt any new forwarding of the result" — recovery is the
 // proxy's job.
 func (w *Wireless) SendDownlink(from ids.MSS, to ids.MH, m msg.Message) {
-	w.observe(EventSent, from.Node(), to.Node(), m)
-	control := wirelessControl(m)
-	if w.cfg.WTP.Enabled && w.cfg.Seq == nil && !control {
+	control := wirelessControl(m.Kind())
+	if w.windowed() && !control {
 		// Windowed transport: the message joins the per-link coalescing
 		// buffer and travels inside a WtpData frame; the sender decides
 		// when (window, congestion, retransmission).
+		w.observe(EventSent, from.Node(), to.Node(), m)
 		w.wtpSender(from, to).Queue(m)
 		return
 	}
 	f := w.frame(opDownlink, from, to)
 	f.m = m
+	w.observeFrame(EventSent, f)
 	w.dispatch(f, control)
 }
+
+// SendDownlinkLeg is SendDownlink for a request-path message carried
+// unboxed — but for the windowed transport, whose sender keeps what it
+// queues: the leg is boxed for it.
+func (w *Wireless) SendDownlinkLeg(from ids.MSS, to ids.MH, l msg.Leg) {
+	if w.windowed() {
+		w.SendDownlink(from, to, l.Message())
+		return
+	}
+	f := w.frame(opDownlink, from, to)
+	f.leg = l
+	w.observeFrame(EventSent, f)
+	w.dispatch(f, false)
+}
+
+// windowed reports whether downlink data rides the windowed transport;
+// the sequencer hook bypasses it.
+func (w *Wireless) windowed() bool { return w.cfg.WTP.Enabled && w.cfg.Seq == nil }
 
 // wtpSender returns (creating on first use) the windowed-transport
 // sender of a directed downlink.
@@ -905,11 +1049,22 @@ func (w *Wireless) WTPStats() (retransmits, fast, resets, frames, msgs, dups int
 // exchange the paper abstracts over in §2 ("we abstract from the details
 // of how a MH learns that it is entering or leaving a cell").
 func (w *Wireless) SendUplink(from ids.MH, to ids.MSS, m msg.Message) {
-	w.observe(EventSent, from.Node(), to.Node(), m)
 	f := w.frame(opUplink, to, from)
 	f.m = m
-	control := wirelessControl(m)
-	if !w.cfg.Reachable(to, from) {
+	w.uplink(f, wirelessControl(m.Kind()))
+}
+
+// SendUplinkLeg is SendUplink for a request-path message carried unboxed.
+func (w *Wireless) SendUplinkLeg(from ids.MH, to ids.MSS, l msg.Leg) {
+	f := w.frame(opUplink, to, from)
+	f.leg = l
+	w.uplink(f, false)
+}
+
+// uplink puts a filled host-to-station frame on its way, gated now.
+func (w *Wireless) uplink(f *radioFrame, control bool) {
+	w.observeFrame(EventSent, f)
+	if !w.cfg.Reachable(f.mss, f.mh) {
 		w.finish(EventDroppedUnreachable, f)
 		return
 	}

@@ -13,11 +13,22 @@ import (
 // the absolute virtual instant it reaches the destination host. The
 // parallel coordinator (internal/psim) carries frames between region
 // kernels and injects them at Arrival, merged in deterministic
-// (arrival, source region, sequence) order.
+// (arrival, source region, sequence) order. A request-path message
+// crosses as a Leg, unboxed; M is then nil until a listener boxes it.
 type CrossFrame struct {
 	From, To ids.NodeID
 	M        msg.Message
+	Leg      msg.Leg
 	Arrival  sim.Time
+}
+
+// envelope is the frame's message as observers see it, boxed on first
+// use when the frame carries a leg.
+func (f *CrossFrame) envelope() msg.Message {
+	if f.M == nil {
+		f.M = f.Leg.Message()
+	}
+	return f.M
 }
 
 // RegionLink is the wired transport of one region in a partitioned
@@ -48,7 +59,7 @@ type RegionLink struct {
 	lookahead sim.Time
 	emit      func(CrossFrame)
 	obs       Observer
-	handlers  map[ids.NodeID]Handler
+	handlers  map[ids.NodeID]endpoint
 	// lastOut enforces per-pair FIFO on outbound cross links: a frame
 	// never arrives before an earlier frame of the same directed pair
 	// (physical links do not reorder). With a constant latency model the
@@ -100,7 +111,7 @@ func NewRegionLink(k sim.Scheduler, cfg RegionLinkConfig, obs Observer) *RegionL
 		lookahead: sim.Time(cfg.Lookahead),
 		emit:      cfg.Emit,
 		obs:       obs,
-		handlers:  make(map[ids.NodeID]Handler),
+		handlers:  make(map[ids.NodeID]endpoint),
 		lastOut:   make(map[[2]ids.NodeID]sim.Time),
 	}
 	for _, n := range cfg.LocalMembers {
@@ -115,7 +126,7 @@ func (l *RegionLink) Register(n ids.NodeID, h Handler) {
 	if !l.localSet[n] {
 		panic(fmt.Sprintf("netsim: %v is not a member of this region", n))
 	}
-	l.handlers[n] = h
+	l.handlers[n] = endpointOf(h)
 	l.local.Register(n, h)
 }
 
@@ -126,7 +137,24 @@ func (l *RegionLink) Send(from, to ids.NodeID, m msg.Message) {
 		l.local.Send(from, to, m)
 		return
 	}
-	l.observe(EventSent, from, to, m)
+	l.cross(CrossFrame{From: from, To: to, M: m})
+}
+
+// SendLeg is Send for a request-path message carried unboxed, across
+// regions too.
+func (l *RegionLink) SendLeg(from, to ids.NodeID, leg msg.Leg) {
+	if l.localSet[to] {
+		l.local.SendLeg(from, to, leg)
+		return
+	}
+	l.cross(CrossFrame{From: from, To: to, Leg: leg})
+}
+
+// cross stamps an outbound cross-region frame with its arrival and
+// emits it.
+func (l *RegionLink) cross(f CrossFrame) {
+	from, to := f.From, f.To
+	l.observe(EventSent, &f)
 	lat := l.sampleLatency(from, to)
 	if sim.Time(lat) < l.lookahead {
 		panic(fmt.Sprintf("netsim: cross-region latency %v below lookahead %v (%v -> %v)",
@@ -138,7 +166,8 @@ func (l *RegionLink) Send(from, to ids.NodeID, m msg.Message) {
 		arrival = last
 	}
 	l.lastOut[pair] = arrival
-	l.emit(CrossFrame{From: from, To: to, M: m, Arrival: arrival})
+	f.Arrival = arrival
+	l.emit(f)
 }
 
 // Deliver hands an inbound cross-region frame to its destination host.
@@ -152,8 +181,8 @@ func (l *RegionLink) Deliver(f CrossFrame) {
 	if !ok {
 		panic(fmt.Sprintf("netsim: cross-region frame for unregistered host %v", f.To))
 	}
-	l.observe(EventDelivered, f.From, f.To, f.M)
-	h.HandleMessage(f.From, f.M)
+	l.observe(EventDelivered, &f)
+	h.hand(f.From, f.M, f.Leg)
 }
 
 // Local reports whether the host is simulated by this region.
@@ -169,10 +198,15 @@ func (l *RegionLink) sampleLatency(from, to ids.NodeID) time.Duration {
 	return lat.Sample(l.rng)
 }
 
-func (l *RegionLink) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
+// observe reports a cross-region frame's event, boxing a leg only for a
+// listener; the box stays in the frame for its next report.
+func (l *RegionLink) observe(kind EventKind, f *CrossFrame) {
 	if l.obs != nil {
-		l.obs(l.k.Now(), LayerWired, kind, from, to, m)
+		l.obs(l.k.Now(), LayerWired, kind, f.From, f.To, f.envelope())
 	}
 }
 
-var _ WiredTransport = (*RegionLink)(nil)
+var (
+	_ WiredTransport = (*RegionLink)(nil)
+	_ WiredLegs      = (*RegionLink)(nil)
+)

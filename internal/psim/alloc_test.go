@@ -86,3 +86,60 @@ func TestCrossFrameAllocBudget(t *testing.T) {
 		t.Errorf("%d delivery records out after the last frame landed, want 0", out)
 	}
 }
+
+// TestCrossRegionRoundTripAllocBudget is rdpcore's
+// TestRequestRoundTripAllocBudget with the server in the other region:
+// the srv-request and the srv-result cross the barrier as msg.Leg values
+// — emitted, parked, merged and delivered unboxed — so one warm request's
+// whole cycle costs the same two allocations, the proxy and the server's
+// reply. The windows are stepped by hand with one arena, as in
+// TestCrossFrameAllocBudget.
+func TestCrossRegionRoundTripAllocBudget(t *testing.T) {
+	base := rdpcore.DefaultConfig()
+	base.NumMSS = 2
+	base.WiredLatency = netsim.Constant(2 * time.Millisecond)
+	pw := New(Config{Base: base, Regions: 2, Workers: 1, Lookahead: 2 * time.Millisecond,
+		AssignServer: func(ids.Server) int { return 1 }})
+	pw.AddMH(1, 1, nil)
+	pw.RunUntil(100 * time.Millisecond)
+	r0, r1 := pw.regions[0], pw.regions[1]
+	if _, ok := r1.world.Servers[1]; !ok {
+		t.Fatal("server 1 is not in region 1")
+	}
+	arena := sim.NewArena()
+	payload := []byte("q")
+	trip := func() {
+		// Issued the way a script event issues, with the worker's arena
+		// attached to the kernel.
+		r0.kernel.SetArena(arena)
+		r0.world.IssueRequest(1, 1, payload)
+		r0.kernel.SetArena(nil)
+		for {
+			at, ok := pw.low()
+			if !ok {
+				break
+			}
+			end := at + pw.lookahead
+			pw.inject(end)
+			for _, r := range pw.regions {
+				stepRegion(r, end, arena)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		trip()
+	}
+	before, crossed := r0.world.Stats.ResultsDelivered.Value(), r0.crossFrames+r1.crossFrames
+	if avg := testing.AllocsPerRun(200, trip); avg > 2 {
+		t.Errorf("cross-region request round trip: %.2f allocs, budget 2", avg)
+	}
+	if got := r0.world.Stats.ResultsDelivered.Value() - before; got != 201 {
+		t.Errorf("delivered %d results, want 201", got)
+	}
+	if got := r0.crossFrames + r1.crossFrames - crossed; got != 2*201 {
+		t.Errorf("%d frames crossed regions, want the srv-request and srv-result of each trip (%d)", got, 2*201)
+	}
+	if r0.world.TotalProxies() != 0 || r0.world.Stats.Violations.Value() != 0 {
+		t.Errorf("%d proxies left, %d violations", r0.world.TotalProxies(), r0.world.Stats.Violations.Value())
+	}
+}

@@ -233,6 +233,10 @@ type chaosParams struct {
 	aggregated bool
 	// observer is installed as Config.Observer.
 	observer netsim.Observer
+	// boxed builds the world on pass-through wrappers of the netsim
+	// substrates (boxedWorld), so every request-path message takes the
+	// boxed path.
+	boxed    bool
 	horizon  time.Duration
 	drainFor time.Duration
 }
@@ -358,7 +362,11 @@ func chaos(t *testing.T, p chaosParams) (w *World, missing, total, admittedLost 
 	if p.overload {
 		cfg.StationDelayHook = inj.ExtraProcDelay
 	}
-	w = NewWorldOn(k, cfg)
+	if p.boxed {
+		w = boxedWorld(k, cfg)
+	} else {
+		w = NewWorldOn(k, cfg)
+	}
 	inj.Schedule(w.CrashMSS, w.RestartMSS)
 	inj.ScheduleDisconnects(w.Disconnect, w.Reconnect)
 	inj.ScheduleMHCrashes(w.CrashMH, w.RestartMH)

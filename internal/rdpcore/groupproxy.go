@@ -167,8 +167,8 @@ func (g *GroupProxy) join(mh ids.MH, loc ids.MSS, req ids.RequestID, server ids.
 		if result, ok := g.host.cacheLookup(server, payload); ok {
 			e.result, e.hasResult = result, true
 		} else {
-			g.host.sendWired(server.Node(),
-				msg.ServerRequest{Proxy: g.id, Req: req, Payload: payload})
+			g.host.sendLeg(server.Node(),
+				msg.ServerRequest{Proxy: g.id, Req: req, Payload: payload}.Leg())
 		}
 	} else if !e.entrants.Contains(uint32(mh)) {
 		// fresh member of an existing entry: falls through to append
@@ -245,13 +245,13 @@ func (g *GroupProxy) forward(e *sharedEntry, i int) {
 	}
 	g.host.w.Stats.GroupFanouts.Inc()
 	g.host.w.Stats.ResultForwards[g.host.id]++
-	g.host.sendToStation(loc, msg.ResultForward{
+	g.host.sendLegToStation(loc, msg.ResultForward{
 		Proxy:   g.id,
 		MH:      w.mh,
 		Req:     ids.RequestID{Origin: w.mh, Seq: w.seq},
 		Payload: e.result,
 		Inc:     w.inc,
-	})
+	}.Leg())
 }
 
 // onServerResult stores the single server reply and fans it out to

@@ -500,8 +500,17 @@ func (h *MHNode) IssueRequest(server ids.Server, payload []byte) ids.RequestID {
 		return ids.RequestID{}
 	}
 	req := h.newRequest()
+	r := msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc}
+	if h.joined && h.active && !h.disconnected && h.w.cfg.BusyRetryBase <= 0 && h.w.cfg.RequestTimeout <= 0 {
+		// Nothing keeps the request past the radio hop — no queue, no
+		// retry, no busy backoff: it flies as a leg. Only a deadline can
+		// arm, and it keeps no message.
+		h.uplinkLeg(r.Leg())
+		h.armRequestTimers(req, nil)
+		return req
+	}
 	// Boxed once for the offline queue, the radio, the timers and sent.
-	var m msg.Message = msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc}
+	var m msg.Message = r
 	if h.w.cfg.BusyRetryBase > 0 {
 		h.row(req).flags |= reqBusyRetry
 		setLazy(&h.sent, req, m)
@@ -698,6 +707,25 @@ func (h *MHNode) HandleMessage(from ids.NodeID, m msg.Message) {
 		h.w.Stats.OrphanMessages.Inc()
 		return
 	}
+	h.deliverResult(r)
+}
+
+// HandleLeg implements netsim.LegHandler: a ResultDeliver arrives
+// unboxed; any other leg is handled as its message.
+func (h *MHNode) HandleLeg(from ids.NodeID, l msg.Leg) {
+	if l.Kind != msg.KindResultDeliver {
+		h.HandleMessage(from, l.Message())
+		return
+	}
+	if from != h.respMss.Node() {
+		h.w.Stats.OrphanMessages.Inc()
+		return
+	}
+	h.deliverResult(l.ResultDeliver())
+}
+
+// deliverResult takes a result from the respMss and acknowledges it.
+func (h *MHNode) deliverResult(r msg.ResultDeliver) {
 	if normInc(r.Inc) != normInc(h.inc) {
 		// A result addressed to a dead incarnation of this host (E18):
 		// the request's issuer lost its memory, so delivering would hand
@@ -722,7 +750,7 @@ func (h *MHNode) HandleMessage(from ids.NodeID, m msg.Message) {
 	// respMss — including retransmissions, or the proxy would re-send
 	// forever. The Ack states whether other requests are still awaiting
 	// results (§3.3's "not preceded by any new request" condition).
-	h.uplink(msg.AckMH{MH: h.id, Req: r.Req, HaveOutstanding: h.nOutstanding > 0})
+	h.uplinkLeg(msg.AckMH{MH: h.id, Req: r.Req, HaveOutstanding: h.nOutstanding > 0}.Leg())
 	if h.onResult != nil {
 		h.onResult(r.Req, r.Payload, duplicate)
 	}
@@ -934,4 +962,9 @@ func (h *MHNode) BatchStatus(id ids.BatchID) (delivered, members int, aborted bo
 // uplink transmits over the wireless link to the current respMss.
 func (h *MHNode) uplink(m msg.Message) {
 	h.w.Wireless.SendUplink(h.id, h.respMss, m)
+}
+
+// uplinkLeg is uplink for the request path's messages carried unboxed.
+func (h *MHNode) uplinkLeg(l msg.Leg) {
+	h.w.wirelessLegs.SendUplinkLeg(h.id, h.respMss, l)
 }

@@ -88,8 +88,15 @@ type MSSNode struct {
 	// procFn caches the processNext method value so scheduleProcessing
 	// does not materialize a fresh closure per processed message.
 	procFn func()
-	// selfHops carries the station's messages to itself (sendToStation).
-	selfHops *sim.Calls[msg.Message]
+	// selfHops carries the station's messages to itself (sendToStation,
+	// sendLegToStation).
+	selfHops *sim.Calls[selfHop]
+}
+
+// selfHop is one message a station sends itself: boxed, or a leg.
+type selfHop struct {
+	m msg.Message
+	l msg.Leg
 }
 
 // classInbox is the station's priority inbox: one FIFO queue per
@@ -142,7 +149,13 @@ func newMSSNode(id ids.MSS, w *World) *MSSNode {
 	n := &MSSNode{id: id, w: w}
 	n.crash() // a station starts as a crash leaves one: with empty tables
 	n.procFn = n.processNext
-	n.selfHops = sim.NewCalls(w.Kernel, func(m msg.Message) { n.process(id.Node(), m) })
+	n.selfHops = sim.NewCalls(w.Kernel, func(s selfHop) {
+		if s.m != nil {
+			n.process(id.Node(), s.m)
+		} else {
+			n.processLeg(id.Node(), s.l)
+		}
+	})
 	n.armLeaseBeat()
 	return n
 }
@@ -224,12 +237,36 @@ func (n *MSSNode) proxyAt(seq uint32) *Proxy {
 // of another station, or one nothing answers for any more, makes the
 // message an orphan.
 func (n *MSSNode) deliver(from ids.NodeID, id ids.ProxyID, m msg.ProxyAddressed) {
-	if a := n.hosted[id.Seq]; a != nil && id.Host == n.id {
-		n.markSlot(id.Seq)
+	if a := n.addressee(id); a != nil {
 		a.handle(from, m)
 		return
 	}
 	n.w.Stats.OrphanMessages.Inc()
+}
+
+// deliverLeg is deliver for a ServerResult or AckForward leg: a private
+// proxy takes it unboxed, any other addressee as the boxed message.
+func (n *MSSNode) deliverLeg(from ids.NodeID, l msg.Leg) {
+	a := n.addressee(l.Proxy)
+	if p, ok := a.(*Proxy); ok {
+		p.handleLeg(l)
+		return
+	}
+	if a == nil {
+		n.w.Stats.OrphanMessages.Inc()
+		return
+	}
+	a.handle(from, l.Message().(msg.ProxyAddressed))
+}
+
+// addressee returns what answers for id here, its slot marked for the
+// journal, or nil.
+func (n *MSSNode) addressee(id ids.ProxyID) addressee {
+	if a := n.hosted[id.Seq]; a != nil && id.Host == n.id {
+		n.markSlot(id.Seq)
+		return a
+	}
+	return nil
 }
 
 // HandleMessage implements netsim.Handler for both substrates. New
@@ -237,13 +274,32 @@ func (n *MSSNode) deliver(from ids.NodeID, id ids.ProxyID, m msg.ProxyAddressed)
 // NACKed without ever occupying an inbox slot or a processing turn —
 // refusal must stay cheap for shedding to raise, not lower, goodput.
 func (n *MSSNode) HandleMessage(from ids.NodeID, m msg.Message) {
-	if req, ok := m.(msg.Request); ok && n.refuseAdmission(req) {
+	if req, ok := m.(msg.Request); ok && n.refuseAdmission(req.Req) {
 		return
 	}
 	if n.procDelay() <= 0 {
 		n.process(from, m)
 		return
 	}
+	n.enqueue(from, m)
+}
+
+// HandleLeg implements netsim.LegHandler: HandleMessage for the request
+// path's messages carried unboxed. An inbox turn keeps its message, so a
+// leg is boxed only there.
+func (n *MSSNode) HandleLeg(from ids.NodeID, l msg.Leg) {
+	if l.Kind == msg.KindRequest && n.refuseAdmission(l.Req) {
+		return
+	}
+	if n.procDelay() <= 0 {
+		n.processLeg(from, l)
+		return
+	}
+	n.enqueue(from, l.Message())
+}
+
+// enqueue queues a message for its inbox turn.
+func (n *MSSNode) enqueue(from ids.NodeID, m msg.Message) {
 	n.inbox.push(n.classOf(m), inboxItem{from: from, m: m})
 	n.w.Stats.InboxPeak.Observe(int64(n.inbox.len()))
 	n.scheduleProcessing()
@@ -308,23 +364,23 @@ func (n *MSSNode) admissionEnabled() bool {
 // passing through along the forwarding chain are never refused here
 // (the chain's end runs its own admission check on arrival). The
 // refusal ground is a full inbox (past the high-watermark).
-func (n *MSSNode) refuseAdmission(m msg.Request) bool {
+func (n *MSSNode) refuseAdmission(req ids.RequestID) bool {
 	if !n.admissionEnabled() || n.w.down[n.id] {
 		return false
 	}
-	mh := m.Req.Origin
+	mh := req.Origin
 	h := n.peek(mh)
 	if h.arrival() != nil || !n.localMhs.contains(mh) {
 		return false
 	}
-	if h.outIndex(m.Req) >= 0 {
+	if h.outIndex(req) >= 0 {
 		return false // already admitted; the delivery guarantee covers it
 	}
 	if n.inbox.len() < n.w.cfg.AdmissionHighWater {
 		return false
 	}
 	n.w.Stats.BusyRefusals.Inc()
-	n.w.Wireless.SendDownlink(n.id, mh, msg.Busy{Req: m.Req})
+	n.w.Wireless.SendDownlink(n.id, mh, msg.Busy{Req: req})
 	return true
 }
 
@@ -383,6 +439,28 @@ func (n *MSSNode) process(from ids.NodeID, m msg.Message) {
 		return
 	}
 	n.dispatch(from, m)
+	n.flushJournal()
+}
+
+// processLeg is process for the request path's messages carried unboxed:
+// the typed handlers take what a leg converts to, and what only dispatch
+// knows is handed the boxed message.
+func (n *MSSNode) processLeg(from ids.NodeID, l msg.Leg) {
+	if n.w.down[n.id] {
+		return
+	}
+	switch l.Kind {
+	case msg.KindRequest:
+		n.handleRequest(from, l.Request())
+	case msg.KindAckMH:
+		n.handleAckMH(from, l.AckMH())
+	case msg.KindResultForward:
+		n.handleResultForward(l.ResultForward())
+	case msg.KindServerResult, msg.KindAckForward:
+		n.deliverLeg(from, l)
+	default:
+		n.dispatch(from, l.Message())
+	}
 	n.flushJournal()
 }
 
@@ -912,8 +990,8 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 		n.setPref(m.MH, pref)
 	}
 	n.w.Stats.AckForwards.Inc()
-	n.sendToStation(proxy.Host,
-		msg.AckForward{Proxy: proxy, MH: m.MH, Req: m.Req, DelProxy: delProxy})
+	n.sendLegToStation(proxy.Host,
+		msg.AckForward{Proxy: proxy, MH: m.MH, Req: m.Req, DelProxy: delProxy}.Leg())
 	// Release a deferred reactivation update only after the Ack relay
 	// above, so the proxy sees the Ack before any update_currentLoc.
 	n.noteHeldAck(m.MH, m.Req)
@@ -1027,8 +1105,8 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 	// reused the identifier. Acking it back instead lets the proxy
 	// retire the orphaned entry.
 	if n.staleInc(m.Inc, n.incOf(m.MH)) {
-		n.sendToStation(m.Proxy.Host,
-			msg.AckForward{Proxy: m.Proxy, MH: m.MH, Req: m.Req})
+		n.sendLegToStation(m.Proxy.Host,
+			msg.AckForward{Proxy: m.Proxy, MH: m.MH, Req: m.Req}.Leg())
 		return
 	}
 	if m.DelPref {
@@ -1058,7 +1136,7 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 		x.attempted, x.lastAttempt = true, now
 		x.noteAttempt(m.Req, now, window)
 	}
-	n.w.Wireless.SendDownlink(n.id, m.MH, deliver)
+	n.w.wirelessLegs.SendDownlinkLeg(n.id, m.MH, deliver.Leg())
 }
 
 // deliveryWindow is how long a downlink delivery attempt to a reachable
@@ -1093,7 +1171,7 @@ func (n *MSSNode) deliverHeld(mh ids.MH) {
 	}
 	for _, r := range held {
 		x.heldAcks[r.Req] = true
-		n.w.Wireless.SendDownlink(n.id, mh, r)
+		n.w.wirelessLegs.SendDownlinkLeg(n.id, mh, r.Leg())
 	}
 }
 
@@ -1278,8 +1356,23 @@ func (n *MSSNode) sendWired(to ids.NodeID, m msg.Message) {
 // co-located).
 func (n *MSSNode) sendToStation(to ids.MSS, m msg.Message) {
 	if to == n.id {
-		n.selfHops.Defer(0, m)
+		n.selfHops.Defer(0, selfHop{m: m})
 		return
 	}
 	n.sendWired(to.Node(), m)
+}
+
+// sendLeg is sendWired for the request path's messages carried unboxed.
+// None of them is hand-off or migration traffic, so nothing is counted.
+func (n *MSSNode) sendLeg(to ids.NodeID, l msg.Leg) {
+	n.w.wiredLegs.SendLeg(n.id.Node(), to, l)
+}
+
+// sendLegToStation is sendToStation for a leg.
+func (n *MSSNode) sendLegToStation(to ids.MSS, l msg.Leg) {
+	if to == n.id {
+		n.selfHops.Defer(0, selfHop{l: l})
+		return
+	}
+	n.sendLeg(to.Node(), l)
 }

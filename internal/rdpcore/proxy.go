@@ -156,10 +156,7 @@ func (p *Proxy) handle(_ ids.NodeID, m msg.ProxyAddressed) {
 	case msg.UpdateCurrentLoc:
 		p.onUpdateLoc(v.NewLoc)
 	case msg.AckForward:
-		if p.onAck(v.Req, v.DelProxy) {
-			p.host.retire(p)
-			p.host.w.Stats.ProxiesDeleted.Inc()
-		}
+		p.onAckForward(v.Req, v.DelProxy)
 	case msg.ServerResult:
 		p.onServerResult(v.Req, v.Payload)
 	case msg.LeaseHeartbeat:
@@ -174,6 +171,25 @@ func (p *Proxy) handle(_ ids.NodeID, m msg.ProxyAddressed) {
 		p.onBatchCommit(v)
 	default:
 		p.host.w.Stats.OrphanMessages.Inc() // group signaling for a private proxy
+	}
+}
+
+// handleLeg is handle for the two legs a station hands a proxy unboxed
+// (MSSNode.deliverLeg): a ServerResult or an AckForward.
+func (p *Proxy) handleLeg(l msg.Leg) {
+	if l.Kind == msg.KindServerResult {
+		p.onServerResult(l.Req, l.Payload)
+		return
+	}
+	p.onAckForward(l.Req, l.Flag)
+}
+
+// onAckForward takes a relayed Ack; one carrying del-proxy ends the
+// proxy.
+func (p *Proxy) onAckForward(req ids.RequestID, delProxy bool) {
+	if p.onAck(req, delProxy) {
+		p.host.retire(p)
+		p.host.w.Stats.ProxiesDeleted.Inc()
 	}
 }
 
@@ -230,7 +246,7 @@ func (p *Proxy) issue(r *msg.ProxyReq) {
 		p.resultReady(r)
 		return
 	}
-	p.host.sendWired(r.Server.Node(), msg.ServerRequest{Proxy: p.id, Req: r.Req, Payload: r.Payload})
+	p.host.sendLeg(r.Server.Node(), msg.ServerRequest{Proxy: p.id, Req: r.Req, Payload: r.Payload}.Leg())
 }
 
 // onServerResult stores the server's reply and forwards it to the MH's
@@ -284,7 +300,7 @@ func (p *Proxy) forwardResult(r *msg.ProxyReq) {
 	r.Forwarded = true
 	p.host.w.Stats.ResultForwards[p.host.id]++
 	fwd := msg.ResultForward{Proxy: p.id, MH: p.mh, Req: r.Req, Payload: r.Result, DelPref: delPref, Inc: r.Inc}
-	p.host.sendToStation(p.currentLoc, fwd)
+	p.host.sendLegToStation(p.currentLoc, fwd.Leg())
 	// Every forward is a migration-policy observation (migration.go); a
 	// fired trigger only sends an offer, so the proxy stays intact here.
 	p.host.noteForward(p)

@@ -417,7 +417,7 @@ func (n *MSSNode) recoveryResend() {
 				if r := &a.reqs[i]; r.HasResult {
 					a.forwardResult(r)
 				} else {
-					n.sendWired(r.Server.Node(), msg.ServerRequest{Proxy: a.id, Req: r.Req, Payload: r.Payload})
+					n.sendLeg(r.Server.Node(), msg.ServerRequest{Proxy: a.id, Req: r.Req, Payload: r.Payload}.Leg())
 				}
 			}
 			// Re-judge every restored batch for release. (The forwardResult
@@ -433,8 +433,8 @@ func (n *MSSNode) recoveryResend() {
 				e := a.entries[key]
 				if !e.hasResult {
 					n.w.Stats.RecoveryResends.Inc()
-					n.sendWired(e.server.Node(),
-						msg.ServerRequest{Proxy: a.id, Req: e.leaderReq, Payload: e.payload})
+					n.sendLeg(e.server.Node(),
+						msg.ServerRequest{Proxy: a.id, Req: e.leaderReq, Payload: e.payload}.Leg())
 					continue
 				}
 				for i := range e.waiters {

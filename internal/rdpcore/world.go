@@ -262,6 +262,12 @@ type World struct {
 	Kernel   sim.Scheduler
 	Wired    netsim.WiredTransport
 	Wireless netsim.WirelessTransport
+	// wiredLegs and wirelessLegs are the substrates' doors for the request
+	// path's seven messages carried unboxed (msg.Leg), picked once: the
+	// netsim substrates' own, or, over any other transport, sends that box
+	// each leg (netsim.WiredLegsOf).
+	wiredLegs    netsim.WiredLegs
+	wirelessLegs netsim.WirelessLegs
 
 	// MHs is the one index of hosts: location, activity, coverage, crash
 	// state and the incarnation word live on the MHNode itself, so a host
@@ -439,6 +445,7 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 		}, cfg.Observer)
 	}
 	w.Wireless = wireless
+	w.wiredLegs, w.wirelessLegs = netsim.WiredLegsOf(wired), netsim.WirelessLegsOf(wireless)
 
 	for _, id := range w.mssList {
 		n := newMSSNode(id, w)

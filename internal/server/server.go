@@ -31,6 +31,7 @@ func Echo(req []byte) []byte {
 type AppServer struct {
 	id      ids.Server
 	wired   netsim.WiredTransport
+	legs    netsim.WiredLegs // wired's leg sends: the reply travels unboxed
 	proc    netsim.LatencyModel
 	rng     *sim.RNG
 	handler Handler
@@ -63,6 +64,7 @@ func New(id ids.Server, kernel sim.Scheduler, wired netsim.WiredTransport, proc 
 	s := &AppServer{
 		id:      id,
 		wired:   wired,
+		legs:    netsim.WiredLegsOf(wired),
 		proc:    proc,
 		rng:     kernel.RNG().Fork(),
 		handler: handler,
@@ -85,8 +87,7 @@ func (s *AppServer) SetHandler(h Handler) { s.handler = h }
 func (s *AppServer) HandleMessage(from ids.NodeID, m msg.Message) {
 	switch v := m.(type) {
 	case msg.ServerRequest:
-		s.pending[v.Req] = v.Proxy
-		s.jobs.Defer(s.proc.Sample(s.rng), v)
+		s.accept(v)
 	case msg.PrefRedirect:
 		if v.Confirm {
 			return // echoes are station-bound; ignore a misdelivered one
@@ -106,6 +107,22 @@ func (s *AppServer) HandleMessage(from ids.NodeID, m msg.Message) {
 	}
 }
 
+// HandleLeg implements netsim.LegHandler: a ServerRequest arrives
+// unboxed; any other leg is handled as its message.
+func (s *AppServer) HandleLeg(from ids.NodeID, l msg.Leg) {
+	if l.Kind == msg.KindServerRequest {
+		s.accept(l.ServerRequest())
+		return
+	}
+	s.HandleMessage(from, l.Message())
+}
+
+// accept starts processing a request.
+func (s *AppServer) accept(v msg.ServerRequest) {
+	s.pending[v.Req] = v.Proxy
+	s.jobs.Defer(s.proc.Sample(s.rng), v)
+}
+
 // finish completes a request whose processing delay has elapsed.
 func (s *AppServer) finish(v msg.ServerRequest) {
 	s.Served.Inc()
@@ -119,6 +136,6 @@ func (s *AppServer) finish(v msg.ServerRequest) {
 		to = v.Proxy
 	}
 	delete(s.pending, v.Req)
-	s.wired.Send(s.id.Node(), to.Host.Node(),
-		msg.ServerResult{Proxy: to, Req: v.Req, Payload: reply})
+	s.legs.SendLeg(s.id.Node(), to.Host.Node(),
+		msg.ServerResult{Proxy: to, Req: v.Req, Payload: reply}.Leg())
 }

@@ -117,28 +117,56 @@ type sink struct{ sent int }
 func (s *sink) Send(_, _ ids.NodeID, _ msg.Message) { s.sent++ }
 func (s *sink) Register(ids.NodeID, netsim.Handler) {}
 
+// legSink is a sink with leg sends, like the netsim substrates.
+type legSink struct{ sink }
+
+func (s *legSink) SendLeg(_, _ ids.NodeID, l msg.Leg) {
+	if l.Kind == msg.KindServerResult {
+		s.sent++
+	}
+}
+
 // TestServerJobAllocBudget: a request in processing is a recycled job
-// record; what one still costs is the reply — Echo's slice and the
-// ServerResult boxed for the wire.
+// record; what one still costs is the reply — Echo's slice, and over a
+// transport without leg sends the ServerResult boxed for the wire. Over
+// one with leg sends, taking its requests as legs, the reply travels
+// unboxed.
 func TestServerJobAllocBudget(t *testing.T) {
-	k := sim.NewKernel(1)
-	out := &sink{}
-	srv := New(1, k, out, netsim.Constant(time.Millisecond), nil)
-	var req msg.Message = msg.ServerRequest{
+	req := msg.ServerRequest{
 		Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 7, Seq: 1}, Payload: []byte("q"),
 	}
-	step := func() {
-		srv.HandleMessage(ids.MSS(1).Node(), req)
-		srv.HandleMessage(ids.MSS(1).Node(), req) // two in processing at once
-		k.Run()
-	}
-	for i := 0; i < 8; i++ {
-		step()
-	}
-	if avg := testing.AllocsPerRun(200, step); avg > 4 {
-		t.Errorf("two server jobs: %.1f allocs, budget 4 (a reply slice and a boxed ServerResult each)", avg)
-	}
-	if out.sent != 2*(8+201) {
-		t.Errorf("server sent %d replies, want %d", out.sent, 2*(8+201))
+	var boxed msg.Message = req
+	for _, c := range []struct {
+		name   string
+		out    netsim.WiredTransport
+		handle func(*AppServer)
+		budget float64
+	}{
+		{"boxed", &sink{}, func(s *AppServer) { s.HandleMessage(ids.MSS(1).Node(), boxed) }, 4},
+		{"legs", &legSink{}, func(s *AppServer) { s.HandleLeg(ids.MSS(1).Node(), req.Leg()) }, 2},
+	} {
+		k := sim.NewKernel(1)
+		srv := New(1, k, c.out, netsim.Constant(time.Millisecond), nil)
+		step := func() {
+			c.handle(srv)
+			c.handle(srv) // two in processing at once
+			k.Run()
+		}
+		for i := 0; i < 8; i++ {
+			step()
+		}
+		if avg := testing.AllocsPerRun(200, step); avg > c.budget {
+			t.Errorf("two server jobs, %s: %.1f allocs, budget %v", c.name, avg, c.budget)
+		}
+		sent := 0
+		switch out := c.out.(type) {
+		case *sink:
+			sent = out.sent
+		case *legSink:
+			sent = out.sent
+		}
+		if sent != 2*(8+201) {
+			t.Errorf("%s: server sent %d replies, want %d", c.name, sent, 2*(8+201))
+		}
 	}
 }

@@ -25,6 +25,16 @@
 # Kernel.After or cancels a scheduled event (.Cancel()) — a timer its
 # owner stops wanting fires as a no-op behind a generation check.
 #
+# The request path's seven messages (request, srv-request, srv-result,
+# result-fwd, result, ack, ack-fwd) travel as msg.Leg values, boxed only
+# where something keeps them or listens: in internal/rdpcore and
+# internal/server, non-test code hands no composite literal of one of the
+# seven kinds straight to a door that takes a msg.Message (sendWired,
+# sendToStation, a transport's Send, SendUplink or SendDownlink, the
+# host's uplink, selfHops.Defer) — it sends the literal's .Leg() through
+# the leg door (sendLeg, sendLegToStation, uplinkLeg, the substrates'
+# leg sends) instead.
+#
 # It prints what it counted and exits 1 on a breach, or when the explicit
 # mark/persist call sites outside stable.go outgrow their budget.
 #
@@ -81,6 +91,47 @@ echo "station-doors: $ncancels cancellations outside internal/sim and perf/"
 if [ -n "$cancels" ]; then
 	echo "station-doors: a scheduled event is cancelled — let it fire as a no-op behind a generation:"
 	printf '%s\n' "$cancels" | sed 's/^/  /'
+	fail=1
+fi
+
+# Request-path literals boxed at a Message door, by file and line. A call
+# may span lines, so each file is scanned whole: from a door's opening
+# parenthesis to its matching close.
+legkinds='Request|ServerRequest|ServerResult|ResultForward|ResultDeliver|AckMH|AckForward'
+boxed=$(cd ../.. && find internal/rdpcore internal/server -name '*.go' ! -name '*_test.go' | sort |
+	xargs awk -v kinds="$legkinds" '
+	function scan(   rest, base, i, c, depth, args, pre) {
+		rest = text
+		base = 0
+		while (match(rest, /(sendWired|sendToStation|\.Send|SendUplink|SendDownlink|selfHops\.Defer|[^A-Za-z0-9_]uplink)\(/)) {
+			i = RSTART + RLENGTH
+			depth = 1
+			args = ""
+			while (depth > 0 && i <= length(rest)) {
+				c = substr(rest, i, 1)
+				if (c == "(") depth++
+				else if (c == ")") depth--
+				if (depth > 0) args = args c
+				i++
+			}
+			if (args ~ ("msg[.](" kinds ")[{]")) {
+				gsub(/[[:space:]]+/, " ", args)
+				pre = substr(text, 1, base + RSTART)
+				print file ":" gsub(/\n/, "", pre) + 1 ": " substr(rest, RSTART, RLENGTH) args ")"
+			}
+			base += RSTART + RLENGTH - 1
+			rest = substr(rest, RSTART + RLENGTH)
+		}
+	}
+	FNR == 1 && NR > 1 { scan(); text = "" }
+	{ file = FILENAME; line = $0; sub(/^[[:space:]]*\/\/.*/, "", line); text = text line "\n" }
+	END { scan() }
+' || true)
+nboxed=$(printf '%s\n' "$boxed" | grep -c . || true)
+echo "station-doors: $nboxed request-path messages boxed at a msg.Message door (rdpcore, server)"
+if [ -n "$boxed" ]; then
+	echo "station-doors: send the literal's .Leg() through the leg door instead:"
+	printf '%s\n' "$boxed" | sed 's/^/  /'
 	fail=1
 fi
 
