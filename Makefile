@@ -19,7 +19,8 @@ test-race:
 race: test-race
 
 # allocs runs every allocation pin on the message path: what a kernel
-# event, a causal stamp, a codec round trip, a wired or radio hop, a
+# event, a causal stamp, a codec round trip (and a decode of a hostile
+# list length, TestDecodeAllocBudgetHostileLength), a wired or radio hop, a
 # windowed-radio frame, a server job, a station's self-send, a pref
 # change in the aggregated table, and a cross-region frame or script
 # event of the partitioned engine may allocate once warm — that the

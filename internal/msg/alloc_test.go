@@ -55,9 +55,8 @@ func TestEncodeDecodeAllocBudget(t *testing.T) {
 		t.Errorf("Decode round trip corrupted message: %+v", dst)
 	}
 
-	// WireSize draws its scratch buffer from a pool; after warm-up it
-	// must not allocate either.
-	WireSize(boxed)
+	// WireSize walks the fields without a buffer: it must not allocate
+	// either.
 	if avg := testing.AllocsPerRun(200, func() { WireSize(boxed) }); avg != 0 {
 		t.Errorf("WireSize: %.1f allocs/op, budget 0", avg)
 	}
@@ -76,5 +75,17 @@ func BenchmarkAppendEncodeResultForward(b *testing.B) {
 			b.Fatal(err)
 		}
 		buf = out
+	}
+}
+
+// BenchmarkWireSizeResultForward measures sizing a message, which walks
+// its fields without encoding them.
+func BenchmarkWireSizeResultForward(b *testing.B) {
+	var m Message = allocSample()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if WireSize(m) == 0 {
+			b.Fatal("WireSize refused a valid message")
+		}
 	}
 }

@@ -10,16 +10,17 @@ import (
 )
 
 // Wire format: one version byte, one kind byte, then the message fields
-// in declaration order. Integers are big-endian; byte slices and lists
-// are length-prefixed with a uint32. The format is intentionally simple:
-// the simulator moves millions of messages and the codec sits on the hot
-// path of the livenet runtime.
+// in the order the kind's code method names them. Integers are
+// big-endian; byte slices and lists are length-prefixed with a uint32.
+// The format is intentionally simple: the simulator moves millions of
+// messages and the codec sits on the hot path of the livenet runtime.
 //
-// Two encode entry points exist: Encode allocates a fresh buffer, and
-// AppendEncode appends to a caller-owned one so steady-state encoding
-// reuses storage. Decode copies every variable-length field out of its
-// input, so a transport may recycle the frame buffer as soon as it
-// returns.
+// Each kind names its fields once, in a code method walked by a coder in
+// one of three modes: sizing (WireSize), appending (Encode, AppendEncode)
+// and reading (Decode). AppendEncode appends to a caller-owned buffer,
+// so steady-state encoding reuses storage. Decode copies every
+// variable-length field out of its input, so a transport may recycle the
+// frame buffer as soon as it returns.
 const codecVersion = 1
 
 // Codec errors. ErrTruncated and ErrBadMessage are matched by callers
@@ -48,848 +49,726 @@ func Encode(m Message) ([]byte, error) {
 // nil). It returns the extended buffer, so a caller that recycles its
 // buffer across messages encodes without allocating.
 func AppendEncode(dst []byte, m Message) ([]byte, error) {
-	e := encoder{buf: dst}
-	if err := e.message(m); err != nil {
-		return nil, err
+	c := coder{mode: appending, buf: dst}
+	c.message(m)
+	if c.err != nil {
+		return nil, c.err
 	}
-	return e.buf, nil
+	return c.buf, nil
 }
 
-// message appends one full version+kind+fields encoding.
-func (e *encoder) message(m Message) error {
-	e.u8(codecVersion)
-	e.u8(uint8(m.Kind()))
-	switch v := m.(type) {
-	case Join:
-		e.u32(uint32(v.MH))
-	case Leave:
-		e.u32(uint32(v.MH))
-	case Greet:
-		e.u32(uint32(v.MH))
-		e.u32(uint32(v.OldMSS))
-		e.inc(v.Inc)
-	case Request:
-		e.req(v.Req)
-		e.u32(uint32(v.Server))
-		e.bytes(v.Payload)
-		e.inc(v.Inc)
-	case ResultDeliver:
-		e.req(v.Req)
-		e.bytes(v.Payload)
-		e.bool(v.DelPref)
-		e.inc(v.Inc)
-	case AckMH:
-		e.u32(uint32(v.MH))
-		e.req(v.Req)
-		e.bool(v.HaveOutstanding)
-	case Dereg:
-		e.u32(uint32(v.MH))
-		e.u32(uint32(v.NewMSS))
-	case DeregAck:
-		e.u32(uint32(v.MH))
-		e.pref(v.Pref)
-		e.inc(v.Inc)
-	case RequestForward:
-		e.proxy(v.Proxy)
-		e.req(v.Req)
-		e.u32(uint32(v.Server))
-		e.bytes(v.Payload)
-		e.inc(v.Inc)
-	case UpdateCurrentLoc:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.u32(uint32(v.NewLoc))
-	case ResultForward:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.req(v.Req)
-		e.bytes(v.Payload)
-		e.bool(v.DelPref)
-		e.inc(v.Inc)
-	case AckForward:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.req(v.Req)
-		e.bool(v.DelProxy)
-	case DelPrefOnly:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-	case ServerRequest:
-		e.proxy(v.Proxy)
-		e.req(v.Req)
-		e.bytes(v.Payload)
-	case ServerResult:
-		e.proxy(v.Proxy)
-		e.req(v.Req)
-		e.bytes(v.Payload)
-	case ServerAck:
-		e.req(v.Req)
-	case MIPRegister:
-		e.u32(uint32(v.MH))
-		e.u32(uint32(v.CareOf))
-	case MIPData:
-		e.u32(uint32(v.MH))
-		e.req(v.Req)
-		e.bytes(v.Payload)
-	case MIPTunnel:
-		e.u32(uint32(v.MH))
-		e.req(v.Req)
-		e.bytes(v.Payload)
-	case ImageTransfer:
-		e.u32(uint32(v.MH))
-		e.reqs(v.Pending)
-		e.u32(uint32(len(v.Results)))
-		for _, b := range v.Results {
-			e.bytes(b)
-		}
-	case TISQuery:
-		e.u64(v.QID)
-		e.u32(uint32(v.Origin))
-		e.u8(uint8(v.Op))
-		e.u32(v.Region)
-		e.u32(uint32(v.Value))
-		e.u8(v.Hops)
-		e.proxy(v.Proxy)
-		e.req(v.Req)
-		e.bytes(v.Data)
-	case TISDeliver:
-		e.u32(uint32(v.Member))
-		e.u32(v.Group)
-		e.u64(v.Seq)
-		e.bytes(v.Data)
-	case TISReply:
-		e.u64(v.QID)
-		e.u32(v.Region)
-		e.u32(uint32(v.Value))
-		e.u64(uint64(v.Stamp))
-		e.u8(v.Hops)
-	case LinkFrame:
-		if v.Inner == nil {
-			return fmt.Errorf("%w: nil inner message", ErrBadKind)
-		}
-		if k := v.Inner.Kind(); k == KindLinkFrame || k == KindLinkAck {
-			return ErrBadNesting
-		}
-		// The inner message is encoded in place behind a length
-		// placeholder (patched below) instead of through a recursive
-		// Encode, so framing costs no intermediate buffer.
-		e.u64(v.Seq)
-		lenAt := len(e.buf)
-		e.u32(0)
-		if err := e.message(v.Inner); err != nil {
-			return err
-		}
-		binary.BigEndian.PutUint32(e.buf[lenAt:], uint32(len(e.buf)-lenAt-4))
-	case LinkAck:
-		e.u64(v.Seq)
-	case RegConfirm:
-		e.u32(uint32(v.MH))
-	case Busy:
-		e.req(v.Req)
-	case Admit:
-		e.req(v.Req)
-	case MigOffer:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.u32(v.Pending)
-		e.u32(v.HostLoad)
-		e.bool(v.LoadCheck)
-	case MigCommit:
-		e.proxy(v.Proxy)
-		e.proxy(v.NewProxy)
-		e.u32(uint32(v.MH))
-		e.bool(v.Accept)
-	case MigState:
-		e.proxy(v.Proxy)
-		e.proxy(v.NewProxy)
-		e.u32(uint32(v.MH))
-		e.u32(uint32(v.CurrentLoc))
-		e.u32(uint32(len(v.Reqs)))
-		for _, r := range v.Reqs {
-			e.req(r.Req)
-			e.u32(uint32(r.Server))
-			e.bytes(r.Payload)
-			e.bytes(r.Result)
-			e.bool(r.HasResult)
-			e.bool(r.Forwarded)
-			e.batch(r.Batch)
-			e.inc(r.Inc)
-		}
-		e.u32(uint32(len(v.Batches)))
-		for _, b := range v.Batches {
-			e.batch(b.Batch)
-			e.u32(b.Expected)
-			e.bool(b.Committed)
-			e.bool(b.Released)
-			e.bool(b.Aborted)
-			e.inc(b.Inc)
-			e.reqs(b.Members)
-		}
-		e.inc(v.LeaseInc)
-	case PrefRedirect:
-		e.u32(uint32(v.MH))
-		e.proxy(v.OldProxy)
-		e.proxy(v.NewProxy)
-		e.req(v.Req)
-		e.bool(v.Confirm)
-	case MigGC:
-		e.proxy(v.OldProxy)
-		e.proxy(v.NewProxy)
-		e.u32(uint32(v.MH))
-	case BatchOpen:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.batch(v.Batch)
-		e.inc(v.Inc)
-	case BatchItem:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.batch(v.Batch)
-		e.req(v.Req)
-		e.u32(uint32(v.Server))
-		e.bytes(v.Payload)
-		e.inc(v.Inc)
-	case BatchCommit:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.batch(v.Batch)
-		e.u32(v.Count)
-	case BatchAbort:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.batch(v.Batch)
-		e.reqs(v.Reqs)
-	case Register:
-		e.u32(uint32(v.MH))
-		e.inc(v.Inc)
-	case LeaseHeartbeat:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.inc(v.Inc)
-	case ReclaimMemo:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.MH))
-		e.inc(v.Inc)
-	case WtpData:
-		e.u64(v.Epoch)
-		e.u64(v.Seq)
-		e.u32(uint32(len(v.Inner)))
-		for _, in := range v.Inner {
-			if in == nil {
-				return fmt.Errorf("%w: nil inner message", ErrBadKind)
-			}
-			if k := in.Kind(); k == KindLinkFrame || k == KindLinkAck || k == KindWtpData || k == KindWtpAck {
-				return ErrBadNesting
-			}
-			// Same in-place framing trick as LinkFrame: each inner
-			// message sits behind a patched length prefix, so a
-			// coalesced frame costs no intermediate buffers.
-			lenAt := len(e.buf)
-			e.u32(0)
-			if err := e.message(in); err != nil {
-				return err
-			}
-			binary.BigEndian.PutUint32(e.buf[lenAt:], uint32(len(e.buf)-lenAt-4))
-		}
-	case WtpAck:
-		e.u64(v.Epoch)
-		e.u64(v.Cum)
-		e.u32(uint32(len(v.Sacks)))
-		for _, s := range v.Sacks {
-			e.u64(s)
-		}
-	case GroupUpdateLoc:
-		e.proxy(v.Proxy)
-		e.u32(uint32(v.NewLoc))
-		e.bytes(v.Members)
-	case GroupAckForward:
-		e.proxy(v.Proxy)
-		e.bytes(v.Members)
-		e.u32(uint32(len(v.Seqs)))
-		for _, s := range v.Seqs {
-			e.u32(s)
-		}
-	default:
-		return fmt.Errorf("%w: %T", ErrBadKind, m)
+// WireSize returns the encoded size of a message in bytes, or 0 for a
+// message Encode refuses. It walks the fields without encoding them, so
+// it costs no allocation. The metrics layer accounts hand-off and
+// migration state volume with it (E6, E12), and wtp packs frames to the
+// MTU by it.
+func WireSize(m Message) int {
+	c := coder{mode: sizing}
+	c.message(m)
+	if c.err != nil {
+		return 0
 	}
-	return nil
-}
-
-// Per-kind field decoders. Each reads exactly the fields its encode
-// case wrote; errors latch in the decoder.
-
-func decJoin(d *decoder) Join   { return Join{MH: ids.MH(d.u32())} }
-func decLeave(d *decoder) Leave { return Leave{MH: ids.MH(d.u32())} }
-func decGreet(d *decoder) Greet {
-	return Greet{MH: ids.MH(d.u32()), OldMSS: ids.MSS(d.u32()), Inc: d.inc()}
-}
-
-func decRequest(d *decoder) Request {
-	return Request{Req: d.req(), Server: ids.Server(d.u32()), Payload: d.bytes(), Inc: d.inc()}
-}
-
-func decResultDeliver(d *decoder) ResultDeliver {
-	return ResultDeliver{Req: d.req(), Payload: d.bytes(), DelPref: d.bool(), Inc: d.inc()}
-}
-
-func decAckMH(d *decoder) AckMH {
-	return AckMH{MH: ids.MH(d.u32()), Req: d.req(), HaveOutstanding: d.bool()}
-}
-
-func decDereg(d *decoder) Dereg {
-	return Dereg{MH: ids.MH(d.u32()), NewMSS: ids.MSS(d.u32())}
-}
-
-func decDeregAck(d *decoder) DeregAck {
-	return DeregAck{MH: ids.MH(d.u32()), Pref: d.pref(), Inc: d.inc()}
-}
-
-func decRequestForward(d *decoder) RequestForward {
-	return RequestForward{Proxy: d.proxy(), Req: d.req(), Server: ids.Server(d.u32()), Payload: d.bytes(), Inc: d.inc()}
-}
-
-func decUpdateCurrentLoc(d *decoder) UpdateCurrentLoc {
-	return UpdateCurrentLoc{Proxy: d.proxy(), MH: ids.MH(d.u32()), NewLoc: ids.MSS(d.u32())}
-}
-
-func decResultForward(d *decoder) ResultForward {
-	return ResultForward{Proxy: d.proxy(), MH: ids.MH(d.u32()), Req: d.req(), Payload: d.bytes(), DelPref: d.bool(), Inc: d.inc()}
-}
-
-func decAckForward(d *decoder) AckForward {
-	return AckForward{Proxy: d.proxy(), MH: ids.MH(d.u32()), Req: d.req(), DelProxy: d.bool()}
-}
-
-func decDelPrefOnly(d *decoder) DelPrefOnly {
-	return DelPrefOnly{Proxy: d.proxy(), MH: ids.MH(d.u32())}
-}
-
-func decServerRequest(d *decoder) ServerRequest {
-	return ServerRequest{Proxy: d.proxy(), Req: d.req(), Payload: d.bytes()}
-}
-
-func decServerResult(d *decoder) ServerResult {
-	return ServerResult{Proxy: d.proxy(), Req: d.req(), Payload: d.bytes()}
-}
-
-func decServerAck(d *decoder) ServerAck { return ServerAck{Req: d.req()} }
-
-func decMIPRegister(d *decoder) MIPRegister {
-	return MIPRegister{MH: ids.MH(d.u32()), CareOf: ids.MSS(d.u32())}
-}
-
-func decMIPData(d *decoder) MIPData {
-	return MIPData{MH: ids.MH(d.u32()), Req: d.req(), Payload: d.bytes()}
-}
-
-func decMIPTunnel(d *decoder) MIPTunnel {
-	return MIPTunnel{MH: ids.MH(d.u32()), Req: d.req(), Payload: d.bytes()}
-}
-
-func decImageTransfer(d *decoder) ImageTransfer {
-	it := ImageTransfer{MH: ids.MH(d.u32()), Pending: d.reqs()}
-	n := d.len()
-	if n > 0 && d.err == nil {
-		it.Results = make([][]byte, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		it.Results = append(it.Results, d.bytes())
-	}
-	return it
-}
-
-func decTISQuery(d *decoder) TISQuery {
-	return TISQuery{
-		QID:    d.u64(),
-		Origin: ids.Server(d.u32()),
-		Op:     TISOp(d.u8()),
-		Region: d.u32(),
-		Value:  int32(d.u32()),
-		Hops:   d.u8(),
-		Proxy:  d.proxy(),
-		Req:    d.req(),
-		Data:   d.bytes(),
-	}
-}
-
-func decTISDeliver(d *decoder) TISDeliver {
-	return TISDeliver{
-		Member: ids.MH(d.u32()),
-		Group:  d.u32(),
-		Seq:    d.u64(),
-		Data:   d.bytes(),
-	}
-}
-
-func decTISReply(d *decoder) TISReply {
-	return TISReply{
-		QID:    d.u64(),
-		Region: d.u32(),
-		Value:  int32(d.u32()),
-		Stamp:  int64(d.u64()),
-		Hops:   d.u8(),
-	}
-}
-
-// decLinkFrame decodes the frame header and recursively decodes the
-// inner message (which always allocates; link frames are not on the
-// zero-alloc path).
-func decLinkFrame(d *decoder) (LinkFrame, error) {
-	seq := d.u64()
-	body := d.bytes()
-	if d.err != nil {
-		return LinkFrame{}, d.err
-	}
-	inner, err := Decode(body)
-	if err != nil {
-		return LinkFrame{}, fmt.Errorf("msg: link frame inner: %w", err)
-	}
-	if k := inner.Kind(); k == KindLinkFrame || k == KindLinkAck {
-		return LinkFrame{}, ErrBadNesting
-	}
-	return LinkFrame{Seq: seq, Inner: inner}, nil
-}
-
-func decLinkAck(d *decoder) LinkAck { return LinkAck{Seq: d.u64()} }
-
-func decRegConfirm(d *decoder) RegConfirm { return RegConfirm{MH: ids.MH(d.u32())} }
-func decBusy(d *decoder) Busy             { return Busy{Req: d.req()} }
-func decAdmit(d *decoder) Admit           { return Admit{Req: d.req()} }
-
-func decMigOffer(d *decoder) MigOffer {
-	return MigOffer{Proxy: d.proxy(), MH: ids.MH(d.u32()), Pending: d.u32(), HostLoad: d.u32(), LoadCheck: d.bool()}
-}
-
-func decMigCommit(d *decoder) MigCommit {
-	return MigCommit{Proxy: d.proxy(), NewProxy: d.proxy(), MH: ids.MH(d.u32()), Accept: d.bool()}
-}
-
-func decMigState(d *decoder) MigState {
-	ms := MigState{Proxy: d.proxy(), NewProxy: d.proxy(), MH: ids.MH(d.u32()), CurrentLoc: ids.MSS(d.u32())}
-	n := d.len()
-	if n > 0 && d.err == nil {
-		ms.Reqs = make([]ProxyReq, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		ms.Reqs = append(ms.Reqs, ProxyReq{
-			Req:       d.req(),
-			Server:    ids.Server(d.u32()),
-			Payload:   d.bytes(),
-			Result:    d.bytes(),
-			HasResult: d.bool(),
-			Forwarded: d.bool(),
-			Batch:     d.batch(),
-			Inc:       d.inc(),
-		})
-	}
-	n = d.len()
-	if n > 0 && d.err == nil {
-		ms.Batches = make([]ProxyBatch, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		ms.Batches = append(ms.Batches, ProxyBatch{
-			Batch:     d.batch(),
-			Expected:  d.u32(),
-			Committed: d.bool(),
-			Released:  d.bool(),
-			Aborted:   d.bool(),
-			Inc:       d.inc(),
-			Members:   d.reqs(),
-		})
-	}
-	ms.LeaseInc = d.inc()
-	return ms
-}
-
-func decPrefRedirect(d *decoder) PrefRedirect {
-	return PrefRedirect{MH: ids.MH(d.u32()), OldProxy: d.proxy(), NewProxy: d.proxy(), Req: d.req(), Confirm: d.bool()}
-}
-
-func decMigGC(d *decoder) MigGC {
-	return MigGC{OldProxy: d.proxy(), NewProxy: d.proxy(), MH: ids.MH(d.u32())}
-}
-
-func decBatchOpen(d *decoder) BatchOpen {
-	return BatchOpen{Proxy: d.proxy(), MH: ids.MH(d.u32()), Batch: d.batch(), Inc: d.inc()}
-}
-
-func decBatchItem(d *decoder) BatchItem {
-	return BatchItem{
-		Proxy:   d.proxy(),
-		MH:      ids.MH(d.u32()),
-		Batch:   d.batch(),
-		Req:     d.req(),
-		Server:  ids.Server(d.u32()),
-		Payload: d.bytes(),
-		Inc:     d.inc(),
-	}
-}
-
-func decBatchCommit(d *decoder) BatchCommit {
-	return BatchCommit{Proxy: d.proxy(), MH: ids.MH(d.u32()), Batch: d.batch(), Count: d.u32()}
-}
-
-func decBatchAbort(d *decoder) BatchAbort {
-	return BatchAbort{Proxy: d.proxy(), MH: ids.MH(d.u32()), Batch: d.batch(), Reqs: d.reqs()}
-}
-
-func decRegister(d *decoder) Register {
-	return Register{MH: ids.MH(d.u32()), Inc: d.inc()}
-}
-
-func decLeaseHeartbeat(d *decoder) LeaseHeartbeat {
-	return LeaseHeartbeat{Proxy: d.proxy(), MH: ids.MH(d.u32()), Inc: d.inc()}
-}
-
-func decReclaimMemo(d *decoder) ReclaimMemo {
-	return ReclaimMemo{Proxy: d.proxy(), MH: ids.MH(d.u32()), Inc: d.inc()}
-}
-
-// decWtpData decodes the frame header and recursively decodes each
-// coalesced inner message (which always allocates; windowed frames, like
-// link frames, are not on the zero-alloc path).
-func decWtpData(d *decoder) (WtpData, error) {
-	f := WtpData{Epoch: d.u64(), Seq: d.u64()}
-	n := d.len()
-	if n > 0 && d.err == nil {
-		f.Inner = make([]Message, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		body := d.bytes()
-		if d.err != nil {
-			break
-		}
-		in, err := Decode(body)
-		if err != nil {
-			return WtpData{}, fmt.Errorf("msg: wtp frame inner: %w", err)
-		}
-		if k := in.Kind(); k == KindLinkFrame || k == KindLinkAck || k == KindWtpData || k == KindWtpAck {
-			return WtpData{}, ErrBadNesting
-		}
-		f.Inner = append(f.Inner, in)
-	}
-	if d.err != nil {
-		return WtpData{}, d.err
-	}
-	return f, nil
-}
-
-func decWtpAck(d *decoder) WtpAck {
-	a := WtpAck{Epoch: d.u64(), Cum: d.u64()}
-	n := d.len()
-	if n > 0 && d.err == nil {
-		a.Sacks = make([]uint64, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		a.Sacks = append(a.Sacks, d.u64())
-	}
-	return a
-}
-
-func decGroupUpdateLoc(d *decoder) GroupUpdateLoc {
-	return GroupUpdateLoc{Proxy: d.proxy(), NewLoc: ids.MSS(d.u32()), Members: d.bytes()}
-}
-
-func decGroupAckForward(d *decoder) GroupAckForward {
-	g := GroupAckForward{Proxy: d.proxy(), Members: d.bytes()}
-	n := d.len()
-	if n > 0 && d.err == nil {
-		g.Seqs = make([]uint32, 0, n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		g.Seqs = append(g.Seqs, d.u32())
-	}
-	return g
+	return c.off
 }
 
 // Decode parses a message previously produced by Encode. It rejects
 // unknown versions and kinds, truncated input, and trailing bytes. All
 // variable-length fields are copied, so the result does not retain b.
 func Decode(b []byte) (Message, error) {
-	d := decoder{buf: b}
-	if v := d.u8(); d.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+	c := coder{mode: reading, buf: b}
+	m := c.message(nil)
+	if c.err == nil && c.off != len(b) {
+		c.err = ErrTrailing
 	}
-	kind := Kind(d.u8())
-	var m Message
-	switch kind {
-	case KindJoin:
-		m = decJoin(&d)
-	case KindLeave:
-		m = decLeave(&d)
-	case KindGreet:
-		m = decGreet(&d)
-	case KindRequest:
-		m = decRequest(&d)
-	case KindResultDeliver:
-		m = decResultDeliver(&d)
-	case KindAckMH:
-		m = decAckMH(&d)
-	case KindDereg:
-		m = decDereg(&d)
-	case KindDeregAck:
-		m = decDeregAck(&d)
-	case KindRequestForward:
-		m = decRequestForward(&d)
-	case KindUpdateCurrentLoc:
-		m = decUpdateCurrentLoc(&d)
-	case KindResultForward:
-		m = decResultForward(&d)
-	case KindAckForward:
-		m = decAckForward(&d)
-	case KindDelPrefOnly:
-		m = decDelPrefOnly(&d)
-	case KindServerRequest:
-		m = decServerRequest(&d)
-	case KindServerResult:
-		m = decServerResult(&d)
-	case KindServerAck:
-		m = decServerAck(&d)
-	case KindMIPRegister:
-		m = decMIPRegister(&d)
-	case KindMIPData:
-		m = decMIPData(&d)
-	case KindMIPTunnel:
-		m = decMIPTunnel(&d)
-	case KindImageTransfer:
-		m = decImageTransfer(&d)
-	case KindTISQuery:
-		m = decTISQuery(&d)
-	case KindTISDeliver:
-		m = decTISDeliver(&d)
-	case KindTISReply:
-		m = decTISReply(&d)
-	case KindLinkFrame:
-		lf, err := decLinkFrame(&d)
-		if err != nil {
-			return nil, err
-		}
-		m = lf
-	case KindLinkAck:
-		m = decLinkAck(&d)
-	case KindRegConfirm:
-		m = decRegConfirm(&d)
-	case KindBusy:
-		m = decBusy(&d)
-	case KindAdmit:
-		m = decAdmit(&d)
-	case KindMigOffer:
-		m = decMigOffer(&d)
-	case KindMigCommit:
-		m = decMigCommit(&d)
-	case KindMigState:
-		m = decMigState(&d)
-	case KindPrefRedirect:
-		m = decPrefRedirect(&d)
-	case KindMigGC:
-		m = decMigGC(&d)
-	case KindBatchOpen:
-		m = decBatchOpen(&d)
-	case KindBatchItem:
-		m = decBatchItem(&d)
-	case KindBatchCommit:
-		m = decBatchCommit(&d)
-	case KindBatchAbort:
-		m = decBatchAbort(&d)
-	case KindRegister:
-		m = decRegister(&d)
-	case KindLeaseHeartbeat:
-		m = decLeaseHeartbeat(&d)
-	case KindReclaimMemo:
-		m = decReclaimMemo(&d)
-	case KindWtpData:
-		f, err := decWtpData(&d)
-		if err != nil {
-			return nil, err
-		}
-		m = f
-	case KindWtpAck:
-		m = decWtpAck(&d)
-	case KindGroupUpdateLoc:
-		m = decGroupUpdateLoc(&d)
-	case KindGroupAckForward:
-		m = decGroupAckForward(&d)
-	default:
-		if d.err != nil {
-			return nil, d.err
-		}
-		return nil, fmt.Errorf("%w: %d", ErrBadKind, uint8(kind))
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != d.off {
-		return nil, ErrTrailing
+	if c.err != nil {
+		return nil, c.err
 	}
 	return m, nil
 }
 
-// encoder appends fields to a buffer.
-type encoder struct {
-	buf []byte
+type mode uint8
+
+const (
+	sizing mode = iota
+	appending
+	reading
+)
+
+// coder walks one message's fields in one mode. Every field primitive
+// takes a pointer to the field: sizing counts its bytes in off,
+// appending writes it to buf, and reading fills it from buf at off. The
+// first error latches; reading, later primitives then do nothing.
+type coder struct {
+	mode mode
+	buf  []byte
+	off  int
+	err  error
 }
 
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
-
-func (e *encoder) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+func (c *coder) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
 }
 
-func (e *encoder) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-func (e *encoder) req(r ids.RequestID) {
-	e.u32(uint32(r.Origin))
-	e.u32(r.Seq)
-}
-
-func (e *encoder) reqs(rs []ids.RequestID) {
-	e.u32(uint32(len(rs)))
-	for _, r := range rs {
-		e.req(r)
+// message codes one whole message: the version and kind bytes, then the
+// kind's fields. Writing, it codes m; reading, it ignores m and returns
+// the message the kind byte names, read into that kind's zero value.
+func (c *coder) message(m Message) Message {
+	version, kind := uint8(codecVersion), KindInvalid
+	if c.mode != reading {
+		if m == nil {
+			c.fail(fmt.Errorf("%w: nil message", ErrBadKind))
+			return nil
+		}
+		kind = m.Kind()
 	}
-}
-
-func (e *encoder) proxy(p ids.ProxyID) {
-	e.u32(uint32(p.Host))
-	e.u32(p.Seq)
-}
-
-func (e *encoder) pref(p Pref) {
-	e.proxy(p.Proxy)
-	e.bool(p.RKpR)
-}
-
-func (e *encoder) batch(b ids.BatchID) {
-	e.u32(uint32(b.Origin))
-	e.u32(b.Seq)
-}
-
-func (e *encoder) inc(i ids.Incarnation) { e.u32(uint32(i)) }
-
-// decoder consumes fields from a buffer, latching the first error.
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrTruncated
+	u8(c, &version)
+	if c.mode == reading && c.err == nil && version != codecVersion {
+		c.fail(fmt.Errorf("%w: %d", ErrBadVersion, version))
 	}
+	u8(c, &kind)
+	if c.mode == reading {
+		if c.err != nil {
+			return nil
+		}
+		if !kind.Valid() {
+			c.fail(fmt.Errorf("%w: %d", ErrBadKind, kind))
+			return nil
+		}
+		m = kinds[kind].zero
+	}
+	switch v := m.(type) {
+	case Join:
+		return v.code(c)
+	case Leave:
+		return v.code(c)
+	case Greet:
+		return v.code(c)
+	case Request:
+		return v.code(c)
+	case ResultDeliver:
+		return v.code(c)
+	case AckMH:
+		return v.code(c)
+	case Dereg:
+		return v.code(c)
+	case DeregAck:
+		return v.code(c)
+	case RequestForward:
+		return v.code(c)
+	case UpdateCurrentLoc:
+		return v.code(c)
+	case ResultForward:
+		return v.code(c)
+	case AckForward:
+		return v.code(c)
+	case DelPrefOnly:
+		return v.code(c)
+	case ServerRequest:
+		return v.code(c)
+	case ServerResult:
+		return v.code(c)
+	case ServerAck:
+		return v.code(c)
+	case MIPRegister:
+		return v.code(c)
+	case MIPData:
+		return v.code(c)
+	case MIPTunnel:
+		return v.code(c)
+	case ImageTransfer:
+		return v.code(c)
+	case TISQuery:
+		return v.code(c)
+	case TISReply:
+		return v.code(c)
+	case TISDeliver:
+		return v.code(c)
+	case LinkFrame:
+		return v.code(c)
+	case LinkAck:
+		return v.code(c)
+	case RegConfirm:
+		return v.code(c)
+	case Busy:
+		return v.code(c)
+	case Admit:
+		return v.code(c)
+	case MigOffer:
+		return v.code(c)
+	case MigCommit:
+		return v.code(c)
+	case MigState:
+		return v.code(c)
+	case PrefRedirect:
+		return v.code(c)
+	case MigGC:
+		return v.code(c)
+	case BatchOpen:
+		return v.code(c)
+	case BatchItem:
+		return v.code(c)
+	case BatchCommit:
+		return v.code(c)
+	case BatchAbort:
+		return v.code(c)
+	case Register:
+		return v.code(c)
+	case LeaseHeartbeat:
+		return v.code(c)
+	case ReclaimMemo:
+		return v.code(c)
+	case WtpData:
+		return v.code(c)
+	case WtpAck:
+		return v.code(c)
+	case GroupUpdateLoc:
+		return v.code(c)
+	case GroupAckForward:
+		return v.code(c)
+	}
+	c.fail(fmt.Errorf("%w: %T", ErrBadKind, m))
+	return nil
 }
 
-func (d *decoder) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+1 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) bool() bool { return d.u8() != 0 }
-
-// len decodes a u32 length prefix, bounding it against both the sanity
-// cap and the remaining input so corrupted prefixes fail fast.
-func (d *decoder) len() int {
-	n := d.u32()
-	if d.err != nil {
-		return 0
-	}
-	if n > maxSliceLen || int(n) > len(d.buf)-d.off {
-		d.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) bytes() []byte {
-	n := d.len()
-	if d.err != nil {
+// done ends a kind's walk. Reading, it returns the message its fields
+// were read into; writing, nil, so sizing and encoding never box m.
+func done[T Message](c *coder, m *T) Message {
+	if c.mode != reading {
 		return nil
 	}
-	if n == 0 {
-		return nil
+	return *m
+}
+
+// Per-kind field lists: each code method names its kind's fields once,
+// in wire order.
+
+func (m Join) code(c *coder) Message {
+	u32(c, &m.MH)
+	return done(c, &m)
+}
+
+func (m Leave) code(c *coder) Message {
+	u32(c, &m.MH)
+	return done(c, &m)
+}
+
+func (m Greet) code(c *coder) Message {
+	u32(c, &m.MH)
+	u32(c, &m.OldMSS)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m Request) code(c *coder) Message {
+	c.req(&m.Req)
+	u32(c, &m.Server)
+	c.bytes(&m.Payload)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m ResultDeliver) code(c *coder) Message {
+	c.req(&m.Req)
+	c.bytes(&m.Payload)
+	c.bool(&m.DelPref)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m AckMH) code(c *coder) Message {
+	u32(c, &m.MH)
+	c.req(&m.Req)
+	c.bool(&m.HaveOutstanding)
+	return done(c, &m)
+}
+
+func (m Dereg) code(c *coder) Message {
+	u32(c, &m.MH)
+	u32(c, &m.NewMSS)
+	return done(c, &m)
+}
+
+func (m DeregAck) code(c *coder) Message {
+	u32(c, &m.MH)
+	c.proxy(&m.Pref.Proxy)
+	c.bool(&m.Pref.RKpR)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m RequestForward) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	c.req(&m.Req)
+	u32(c, &m.Server)
+	c.bytes(&m.Payload)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m UpdateCurrentLoc) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	u32(c, &m.NewLoc)
+	return done(c, &m)
+}
+
+func (m ResultForward) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	c.req(&m.Req)
+	c.bytes(&m.Payload)
+	c.bool(&m.DelPref)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m AckForward) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	c.req(&m.Req)
+	c.bool(&m.DelProxy)
+	return done(c, &m)
+}
+
+func (m DelPrefOnly) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	return done(c, &m)
+}
+
+func (m ServerRequest) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	c.req(&m.Req)
+	c.bytes(&m.Payload)
+	return done(c, &m)
+}
+
+func (m ServerResult) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	c.req(&m.Req)
+	c.bytes(&m.Payload)
+	return done(c, &m)
+}
+
+func (m ServerAck) code(c *coder) Message {
+	c.req(&m.Req)
+	return done(c, &m)
+}
+
+func (m MIPRegister) code(c *coder) Message {
+	u32(c, &m.MH)
+	u32(c, &m.CareOf)
+	return done(c, &m)
+}
+
+func (m MIPData) code(c *coder) Message {
+	u32(c, &m.MH)
+	c.req(&m.Req)
+	c.bytes(&m.Payload)
+	return done(c, &m)
+}
+
+func (m MIPTunnel) code(c *coder) Message {
+	u32(c, &m.MH)
+	c.req(&m.Req)
+	c.bytes(&m.Payload)
+	return done(c, &m)
+}
+
+func (m ImageTransfer) code(c *coder) Message {
+	u32(c, &m.MH)
+	c.reqs(&m.Pending)
+	for i := range list(c, &m.Results, 4) {
+		c.bytes(&m.Results[i])
 	}
-	b := make([]byte, n)
-	copy(b, d.buf[d.off:d.off+n])
-	d.off += n
-	return b
+	return done(c, &m)
 }
 
-func (d *decoder) req() ids.RequestID {
-	return ids.RequestID{Origin: ids.MH(d.u32()), Seq: d.u32()}
+func (m TISQuery) code(c *coder) Message {
+	u64(c, &m.QID)
+	u32(c, &m.Origin)
+	u8(c, &m.Op)
+	u32(c, &m.Region)
+	u32(c, &m.Value)
+	u8(c, &m.Hops)
+	c.proxy(&m.Proxy)
+	c.req(&m.Req)
+	c.bytes(&m.Data)
+	return done(c, &m)
 }
 
-// reqs decodes a length-prefixed request list; an empty one is nil.
-func (d *decoder) reqs() []ids.RequestID {
-	n := d.len()
-	if n == 0 {
-		return nil
+func (m TISReply) code(c *coder) Message {
+	u64(c, &m.QID)
+	u32(c, &m.Region)
+	u32(c, &m.Value)
+	u64(c, &m.Stamp)
+	u8(c, &m.Hops)
+	return done(c, &m)
+}
+
+func (m TISDeliver) code(c *coder) Message {
+	u32(c, &m.Member)
+	u32(c, &m.Group)
+	u64(c, &m.Seq)
+	c.bytes(&m.Data)
+	return done(c, &m)
+}
+
+func (m LinkFrame) code(c *coder) Message {
+	u64(c, &m.Seq)
+	c.inner(&m.Inner, false)
+	return done(c, &m)
+}
+
+func (m LinkAck) code(c *coder) Message {
+	u64(c, &m.Seq)
+	return done(c, &m)
+}
+
+func (m RegConfirm) code(c *coder) Message {
+	u32(c, &m.MH)
+	return done(c, &m)
+}
+
+func (m Busy) code(c *coder) Message {
+	c.req(&m.Req)
+	return done(c, &m)
+}
+
+func (m Admit) code(c *coder) Message {
+	c.req(&m.Req)
+	return done(c, &m)
+}
+
+func (m MigOffer) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	u32(c, &m.Pending)
+	u32(c, &m.HostLoad)
+	c.bool(&m.LoadCheck)
+	return done(c, &m)
+}
+
+func (m MigCommit) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	c.proxy(&m.NewProxy)
+	u32(c, &m.MH)
+	c.bool(&m.Accept)
+	return done(c, &m)
+}
+
+func (m MigState) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	c.proxy(&m.NewProxy)
+	u32(c, &m.MH)
+	u32(c, &m.CurrentLoc)
+	for i := range list(c, &m.Reqs, 34) {
+		r := &m.Reqs[i]
+		c.req(&r.Req)
+		u32(c, &r.Server)
+		c.bytes(&r.Payload)
+		c.bytes(&r.Result)
+		c.bool(&r.HasResult)
+		c.bool(&r.Forwarded)
+		c.batch(&r.Batch)
+		u32(c, &r.Inc)
 	}
-	rs := make([]ids.RequestID, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		rs = append(rs, d.req())
+	for i := range list(c, &m.Batches, 23) {
+		b := &m.Batches[i]
+		c.batch(&b.Batch)
+		u32(c, &b.Expected)
+		c.bool(&b.Committed)
+		c.bool(&b.Released)
+		c.bool(&b.Aborted)
+		u32(c, &b.Inc)
+		c.reqs(&b.Members)
 	}
-	return rs
+	u32(c, &m.LeaseInc)
+	return done(c, &m)
 }
 
-func (d *decoder) proxy() ids.ProxyID {
-	return ids.ProxyID{Host: ids.MSS(d.u32()), Seq: d.u32()}
+func (m PrefRedirect) code(c *coder) Message {
+	u32(c, &m.MH)
+	c.proxy(&m.OldProxy)
+	c.proxy(&m.NewProxy)
+	c.req(&m.Req)
+	c.bool(&m.Confirm)
+	return done(c, &m)
 }
 
-func (d *decoder) pref() Pref {
-	return Pref{Proxy: d.proxy(), RKpR: d.bool()}
+func (m MigGC) code(c *coder) Message {
+	c.proxy(&m.OldProxy)
+	c.proxy(&m.NewProxy)
+	u32(c, &m.MH)
+	return done(c, &m)
 }
 
-func (d *decoder) batch() ids.BatchID {
-	return ids.BatchID{Origin: ids.MH(d.u32()), Seq: d.u32()}
+func (m BatchOpen) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	c.batch(&m.Batch)
+	u32(c, &m.Inc)
+	return done(c, &m)
 }
 
-func (d *decoder) inc() ids.Incarnation { return ids.Incarnation(d.u32()) }
+func (m BatchItem) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	c.batch(&m.Batch)
+	c.req(&m.Req)
+	u32(c, &m.Server)
+	c.bytes(&m.Payload)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m BatchCommit) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	c.batch(&m.Batch)
+	u32(c, &m.Count)
+	return done(c, &m)
+}
+
+func (m BatchAbort) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	c.batch(&m.Batch)
+	c.reqs(&m.Reqs)
+	return done(c, &m)
+}
+
+func (m Register) code(c *coder) Message {
+	u32(c, &m.MH)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m LeaseHeartbeat) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m ReclaimMemo) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.MH)
+	u32(c, &m.Inc)
+	return done(c, &m)
+}
+
+func (m WtpData) code(c *coder) Message {
+	u64(c, &m.Epoch)
+	u64(c, &m.Seq)
+	for i := range list(c, &m.Inner, 6) {
+		c.inner(&m.Inner[i], true)
+	}
+	return done(c, &m)
+}
+
+func (m WtpAck) code(c *coder) Message {
+	u64(c, &m.Epoch)
+	u64(c, &m.Cum)
+	for i := range list(c, &m.Sacks, 8) {
+		u64(c, &m.Sacks[i])
+	}
+	return done(c, &m)
+}
+
+func (m GroupUpdateLoc) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	u32(c, &m.NewLoc)
+	c.bytes(&m.Members)
+	return done(c, &m)
+}
+
+func (m GroupAckForward) code(c *coder) Message {
+	c.proxy(&m.Proxy)
+	c.bytes(&m.Members)
+	for i := range list(c, &m.Seqs, 4) {
+		u32(c, &m.Seqs[i])
+	}
+	return done(c, &m)
+}
+
+// Field primitives.
+
+func u8[T ~uint8](c *coder, p *T) {
+	switch {
+	case c.mode == appending:
+		c.buf = append(c.buf, uint8(*p))
+	case c.mode == sizing:
+		c.off++
+	case c.err == nil && len(c.buf)-c.off >= 1:
+		*p = T(c.buf[c.off])
+		c.off++
+	default:
+		c.fail(ErrTruncated)
+	}
+}
+
+func u32[T ~uint32 | ~int32](c *coder, p *T) {
+	switch {
+	case c.mode == appending:
+		c.buf = binary.BigEndian.AppendUint32(c.buf, uint32(*p))
+	case c.mode == sizing:
+		c.off += 4
+	case c.err == nil && len(c.buf)-c.off >= 4:
+		*p = T(binary.BigEndian.Uint32(c.buf[c.off:]))
+		c.off += 4
+	default:
+		c.fail(ErrTruncated)
+	}
+}
+
+func u64[T ~uint64 | ~int64](c *coder, p *T) {
+	switch {
+	case c.mode == appending:
+		c.buf = binary.BigEndian.AppendUint64(c.buf, uint64(*p))
+	case c.mode == sizing:
+		c.off += 8
+	case c.err == nil && len(c.buf)-c.off >= 8:
+		*p = T(binary.BigEndian.Uint64(c.buf[c.off:]))
+		c.off += 8
+	default:
+		c.fail(ErrTruncated)
+	}
+}
+
+// bool is one byte: 1 for true, 0 for false; reading, any nonzero byte
+// is true.
+func (c *coder) bool(p *bool) {
+	var b uint8
+	if *p {
+		b = 1
+	}
+	u8(c, &b)
+	*p = b != 0
+}
+
+// count codes a list's length n. Reading, it returns the decoded count,
+// bounded by maxSliceLen and by the elements the bytes left can hold at
+// min bytes each, so a corrupt prefix fails before anything is
+// allocated for it.
+func (c *coder) count(n, min int) int {
+	v := uint32(n)
+	u32(c, &v)
+	if c.mode == reading && (c.err != nil || v > maxSliceLen || int(v) > (len(c.buf)-c.off)/min) {
+		c.fail(ErrTruncated)
+		return 0
+	}
+	return int(v)
+}
+
+// list codes the count of the list at p and returns the list, whose
+// elements the caller then codes. Reading, it first replaces *p with
+// that many zero elements (nil for none). min is the fewest bytes one
+// element encodes to.
+func list[T any](c *coder, p *[]T, min int) []T {
+	n := c.count(len(*p), min)
+	if c.mode == reading {
+		*p = nil
+		if n > 0 {
+			*p = make([]T, n)
+		}
+	}
+	return *p
+}
+
+// bytes is a length-prefixed byte string; reading copies it out of the
+// input, and an empty one reads as nil.
+func (c *coder) bytes(p *[]byte) {
+	n := c.count(len(*p), 1)
+	switch {
+	case c.mode == sizing:
+		c.off += n
+	case c.mode == appending:
+		c.buf = append(c.buf, *p...)
+	case c.err != nil || n == 0:
+		*p = nil
+	default:
+		*p = make([]byte, n)
+		c.off += copy(*p, c.buf[c.off:])
+	}
+}
+
+func (c *coder) req(r *ids.RequestID) {
+	u32(c, &r.Origin)
+	u32(c, &r.Seq)
+}
+
+// reqs is a request list; an empty one reads as nil.
+func (c *coder) reqs(p *[]ids.RequestID) {
+	for i := range list(c, p, 8) {
+		c.req(&(*p)[i])
+	}
+}
+
+func (c *coder) proxy(p *ids.ProxyID) {
+	u32(c, &p.Host)
+	u32(c, &p.Seq)
+}
+
+func (c *coder) batch(b *ids.BatchID) {
+	u32(c, &b.Origin)
+	u32(c, &b.Seq)
+}
+
+// inner codes a nested message behind a uint32 length prefix, the
+// framing LinkFrame and WtpData share. Writing, the message goes in place
+// and its length is patched in after, so a frame costs no intermediate
+// buffer; reading, it must fill exactly the length.
+func (c *coder) inner(p *Message, windowed bool) {
+	switch c.mode {
+	case sizing:
+		c.off += 4
+	case appending:
+		c.buf = append(c.buf, 0, 0, 0, 0)
+	default:
+		n := c.count(0, 1)
+		if c.err != nil {
+			return
+		}
+		end, all := c.off+n, c.buf
+		c.buf = c.buf[:end]
+		*p = c.message(nil)
+		if c.err == nil && c.off != end {
+			c.err = ErrTrailing
+		}
+		c.buf = all
+		switch {
+		case c.err != nil:
+			c.err = fmt.Errorf("msg: nested message: %w", c.err)
+		case framing((*p).Kind(), windowed):
+			c.err = ErrBadNesting
+		}
+		return
+	}
+	switch {
+	case *p == nil:
+		c.fail(fmt.Errorf("%w: nil inner message", ErrBadKind))
+	case framing((*p).Kind(), windowed):
+		c.fail(ErrBadNesting)
+	default:
+		at := len(c.buf)
+		c.message(*p)
+		if c.mode == appending {
+			binary.BigEndian.PutUint32(c.buf[at-4:], uint32(len(c.buf)-at))
+		}
+	}
+}
+
+// framing reports whether kind k is framing that may not be nested: a
+// link-layer kind anywhere, and a windowed kind inside a windowed frame.
+func framing(k Kind, windowed bool) bool {
+	return k == KindLinkFrame || k == KindLinkAck || windowed && (k == KindWtpData || k == KindWtpAck)
+}
 
 // encBufPool recycles scratch encode buffers across goroutines for the
-// encode-and-discard and encode-and-write paths (WireSize, transports).
+// transports' encode-and-write path.
 var encBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 256)
@@ -907,20 +786,4 @@ func GetBuffer() *[]byte { return encBufPool.Get().(*[]byte) }
 func PutBuffer(b *[]byte) {
 	*b = (*b)[:0]
 	encBufPool.Put(b)
-}
-
-// WireSize returns the encoded size of a message in bytes without
-// retaining the encoding. It is used by the metrics layer to account
-// hand-off state volume (experiment E6); the scratch buffer is pooled,
-// so measuring costs no allocation in the steady state.
-func WireSize(m Message) int {
-	bp := encBufPool.Get().(*[]byte)
-	b, err := AppendEncode((*bp)[:0], m)
-	n := len(b)
-	*bp = b[:0]
-	encBufPool.Put(bp)
-	if err != nil {
-		return 0
-	}
-	return n
 }

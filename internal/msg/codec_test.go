@@ -1,10 +1,12 @@
 package msg
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,6 +107,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEveryKindCovered: every kind has a sample, and its zero value in
+// the kind table is of that kind and round-trips, so a kind added
+// without a code method fails here even when sampleMessages misses it.
+// The one exception is a zero LinkFrame, which Encode refuses for its
+// nil inner message.
 func TestEveryKindCovered(t *testing.T) {
 	seen := make(map[Kind]bool)
 	for _, m := range sampleMessages() {
@@ -113,6 +120,25 @@ func TestEveryKindCovered(t *testing.T) {
 	for k := KindInvalid + 1; k < kindSentinel; k++ {
 		if !seen[k] {
 			t.Errorf("sampleMessages misses kind %v; codec round-trip untested", k)
+		}
+		zero := kinds[k].zero
+		if zero == nil || zero.Kind() != k {
+			t.Errorf("kind table: %v has zero value %#v", k, zero)
+			continue
+		}
+		b, err := Encode(zero)
+		if k == KindLinkFrame {
+			if !errors.Is(err, ErrBadKind) {
+				t.Errorf("Encode(zero link frame) = %v, want ErrBadKind", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Encode(zero %v): %v", k, err)
+			continue
+		}
+		if got, err := Decode(b); err != nil || !reflect.DeepEqual(got, zero) {
+			t.Errorf("zero %v round trip: got %#v, %v", k, got, err)
 		}
 	}
 }
@@ -198,15 +224,65 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 func TestDecodeRejectsHugeLengthPrefix(t *testing.T) {
 	// A Request whose payload length prefix claims more bytes than the
 	// buffer holds must fail with ErrTruncated, not allocate.
-	e := encoder{}
-	e.u8(codecVersion)
-	e.u8(uint8(KindRequest))
-	e.req(ids.RequestID{Origin: 1, Seq: 1})
-	e.u32(1)
-	e.u32(0xFFFFFFFF) // absurd payload length
-	if _, err := Decode(e.buf); !errors.Is(err, ErrTruncated) {
+	req, server, length := ids.RequestID{Origin: 1, Seq: 1}, ids.Server(1), uint32(0xFFFFFFFF) // absurd payload length
+	c := header(KindRequest)
+	c.req(&req)
+	u32(c, &server)
+	u32(c, &length)
+	if _, err := Decode(c.buf); !errors.Is(err, ErrTruncated) {
 		t.Errorf("Decode = %v, want ErrTruncated", err)
 	}
+}
+
+// TestDecodeAllocBudgetHostileLength: a list's count prefix may claim no
+// more elements than the bytes left can hold. Each frame is 1 MiB: the
+// kind's fixed fields, a list count, then zeros. A count equal to the
+// bytes after it must fail without preallocating that many elements; a
+// count of as many elements as those bytes hold at the element's minimum
+// encoded size may allocate them, within the kind's budget.
+func TestDecodeAllocBudgetHostileLength(t *testing.T) {
+	const frameLen = 1 << 20
+	for _, tc := range []struct {
+		kind   Kind
+		fixed  int // bytes of fields before the hostile count, all zero
+		min    int // fewest bytes one element encodes to
+		budget uint64
+	}{
+		{KindMigState, 24, 34, 4 << 20},    // proxy, new proxy, mh, current loc; then the requests
+		{KindImageTransfer, 8, 4, 8 << 20}, // mh, an empty pending list; then the results
+		{KindWtpAck, 16, 8, 2 << 20},       // epoch, cum; then the sacks
+		{KindBatchAbort, 20, 8, 2 << 20},   // proxy, mh, batch; then the requests
+	} {
+		at := 2 + tc.fixed
+		left := frameLen - at - 4
+		for _, count := range []int{left, left / tc.min} {
+			frame := make([]byte, frameLen)
+			frame[0], frame[1] = codecVersion, byte(tc.kind)
+			binary.BigEndian.PutUint32(frame[at:], uint32(count))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(frame)
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			if got > tc.budget {
+				t.Errorf("%v, count %d: Decode (err %v) allocated %d bytes, budget %d", tc.kind, count, err, got, tc.budget)
+			}
+			if count == left && err == nil {
+				t.Errorf("%v: Decode accepted a count of %d elements in %d bytes", tc.kind, count, left)
+			}
+			t.Logf("%v, count %d: Decode (err %v) allocated %d bytes", tc.kind, count, err, got)
+		}
+	}
+}
+
+// header starts a hand-built frame of kind k: a coder appending the
+// version and kind bytes, for a test to add the fields by hand.
+func header(k Kind) *coder {
+	c := &coder{mode: appending}
+	version := uint8(codecVersion)
+	u8(c, &version)
+	u8(c, &k)
+	return c
 }
 
 // TestDecodeRejectsTruncatedMemberList: a batch's member list that ends
@@ -384,7 +460,9 @@ func BenchmarkDecodeResultForward(b *testing.B) {
 }
 
 // FuzzDecode feeds arbitrary bytes to the decoder: it must never panic
-// and, when it succeeds, re-encoding must round-trip.
+// and, when it succeeds, re-encoding must round-trip, and WireSize,
+// which walks the fields without encoding them, must equal the encoded
+// length.
 func FuzzDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		b, err := Encode(m)
@@ -403,6 +481,9 @@ func FuzzDecode(f *testing.F) {
 		b2, err := Encode(m)
 		if err != nil {
 			t.Fatalf("decoded message failed to re-encode: %v", err)
+		}
+		if n := WireSize(m); n != len(b2) {
+			t.Fatalf("WireSize = %d, encoding is %d bytes: %#v", n, len(b2), m)
 		}
 		m2, err := Decode(b2)
 		if err != nil {

@@ -116,26 +116,24 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	e := encoder{}
-	e.u8(codecVersion)
-	e.u8(uint8(KindLinkFrame))
-	e.u64(9)
-	e.bytes(inner)
-	f.Add(e.buf)
+	seq := uint64(9)
+	c := header(KindLinkFrame)
+	u64(c, &seq)
+	c.bytes(&inner)
+	f.Add(c.buf)
 	// And the windowed-transport variant: a WtpData frame whose inner
 	// list smuggles in a WtpAck. Same rejection requirement.
 	wack, err := Encode(WtpAck{Epoch: 1, Cum: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
-	e = encoder{}
-	e.u8(codecVersion)
-	e.u8(uint8(KindWtpData))
-	e.u64(1)
-	e.u64(3)
-	e.u32(1)
-	e.bytes(wack)
-	f.Add(e.buf)
+	epoch, seq, count := uint64(1), uint64(3), uint32(1)
+	c = header(KindWtpData)
+	u64(c, &epoch)
+	u64(c, &seq)
+	u32(c, &count)
+	c.bytes(&wack)
+	f.Add(c.buf)
 	f.Add([]byte{})
 	f.Add([]byte{codecVersion, 0xFF, 0xFF, 0xFF})
 

@@ -22,6 +22,11 @@
 // The seven messages of the request path — Request, ServerRequest,
 // ServerResult, ResultForward, ResultDeliver, AckMH, AckForward — also
 // travel unboxed as a Leg (leg.go).
+//
+// The codec (codec.go) names each kind's wire fields once, in the kind's
+// code method, and walks that one list to size (WireSize), encode
+// (Encode, AppendEncode) or decode (Decode) a message;
+// testdata/wire.golden pins the format byte for byte.
 package msg
 
 import (
@@ -129,58 +134,63 @@ const (
 	kindSentinel // one past the last valid kind
 )
 
-var kindNames = [...]string{
-	KindInvalid:          "invalid",
-	KindJoin:             "join",
-	KindLeave:            "leave",
-	KindGreet:            "greet",
-	KindRequest:          "request",
-	KindResultDeliver:    "result",
-	KindAckMH:            "ack",
-	KindDereg:            "dereg",
-	KindDeregAck:         "deregack",
-	KindRequestForward:   "request-fwd",
-	KindUpdateCurrentLoc: "update-currl",
-	KindResultForward:    "result-fwd",
-	KindAckForward:       "ack-fwd",
-	KindDelPrefOnly:      "del-pref",
-	KindServerRequest:    "srv-request",
-	KindServerResult:     "srv-result",
-	KindServerAck:        "srv-ack",
-	KindMIPRegister:      "mip-register",
-	KindMIPData:          "mip-data",
-	KindMIPTunnel:        "mip-tunnel",
-	KindImageTransfer:    "image-transfer",
-	KindTISQuery:         "tis-query",
-	KindTISReply:         "tis-reply",
-	KindTISDeliver:       "tis-deliver",
-	KindLinkFrame:        "link-frame",
-	KindLinkAck:          "link-ack",
-	KindRegConfirm:       "reg-confirm",
-	KindBusy:             "busy",
-	KindAdmit:            "admit",
-	KindMigOffer:         "mig-offer",
-	KindMigCommit:        "mig-commit",
-	KindMigState:         "mig-state",
-	KindPrefRedirect:     "pref-redirect",
-	KindMigGC:            "mig-gc",
-	KindBatchOpen:        "batch-open",
-	KindBatchItem:        "batch-item",
-	KindBatchCommit:      "batch-commit",
-	KindBatchAbort:       "batch-abort",
-	KindRegister:         "register",
-	KindLeaseHeartbeat:   "lease-hb",
-	KindReclaimMemo:      "reclaim-memo",
-	KindWtpData:          "wtp-data",
-	KindWtpAck:           "wtp-ack",
-	KindGroupUpdateLoc:   "group-update-loc",
-	KindGroupAckForward:  "group-ack-fwd",
+// kinds is the kind table: each kind's trace tag, and the zero value
+// Decode reads the kind's fields into.
+var kinds = [...]struct {
+	name string
+	zero Message
+}{
+	KindInvalid:          {"invalid", nil},
+	KindJoin:             {"join", Join{}},
+	KindLeave:            {"leave", Leave{}},
+	KindGreet:            {"greet", Greet{}},
+	KindRequest:          {"request", Request{}},
+	KindResultDeliver:    {"result", ResultDeliver{}},
+	KindAckMH:            {"ack", AckMH{}},
+	KindDereg:            {"dereg", Dereg{}},
+	KindDeregAck:         {"deregack", DeregAck{}},
+	KindRequestForward:   {"request-fwd", RequestForward{}},
+	KindUpdateCurrentLoc: {"update-currl", UpdateCurrentLoc{}},
+	KindResultForward:    {"result-fwd", ResultForward{}},
+	KindAckForward:       {"ack-fwd", AckForward{}},
+	KindDelPrefOnly:      {"del-pref", DelPrefOnly{}},
+	KindServerRequest:    {"srv-request", ServerRequest{}},
+	KindServerResult:     {"srv-result", ServerResult{}},
+	KindServerAck:        {"srv-ack", ServerAck{}},
+	KindMIPRegister:      {"mip-register", MIPRegister{}},
+	KindMIPData:          {"mip-data", MIPData{}},
+	KindMIPTunnel:        {"mip-tunnel", MIPTunnel{}},
+	KindImageTransfer:    {"image-transfer", ImageTransfer{}},
+	KindTISQuery:         {"tis-query", TISQuery{}},
+	KindTISReply:         {"tis-reply", TISReply{}},
+	KindTISDeliver:       {"tis-deliver", TISDeliver{}},
+	KindLinkFrame:        {"link-frame", LinkFrame{}},
+	KindLinkAck:          {"link-ack", LinkAck{}},
+	KindRegConfirm:       {"reg-confirm", RegConfirm{}},
+	KindBusy:             {"busy", Busy{}},
+	KindAdmit:            {"admit", Admit{}},
+	KindMigOffer:         {"mig-offer", MigOffer{}},
+	KindMigCommit:        {"mig-commit", MigCommit{}},
+	KindMigState:         {"mig-state", MigState{}},
+	KindPrefRedirect:     {"pref-redirect", PrefRedirect{}},
+	KindMigGC:            {"mig-gc", MigGC{}},
+	KindBatchOpen:        {"batch-open", BatchOpen{}},
+	KindBatchItem:        {"batch-item", BatchItem{}},
+	KindBatchCommit:      {"batch-commit", BatchCommit{}},
+	KindBatchAbort:       {"batch-abort", BatchAbort{}},
+	KindRegister:         {"register", Register{}},
+	KindLeaseHeartbeat:   {"lease-hb", LeaseHeartbeat{}},
+	KindReclaimMemo:      {"reclaim-memo", ReclaimMemo{}},
+	KindWtpData:          {"wtp-data", WtpData{}},
+	KindWtpAck:           {"wtp-ack", WtpAck{}},
+	KindGroupUpdateLoc:   {"group-update-loc", GroupUpdateLoc{}},
+	KindGroupAckForward:  {"group-ack-fwd", GroupAckForward{}},
 }
 
 // String returns the trace tag of the kind, e.g. "update-currl".
 func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+	if int(k) < len(kinds) && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }

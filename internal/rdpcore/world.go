@@ -1040,6 +1040,8 @@ func (w *World) TotalProxies() int {
 //     transiently during a hand-off (old deregistered, new pending).
 //  3. Every pref pointing at a proxy refers to a proxy that exists at
 //     the named host.
+//  4. A station holds a pref for exactly the hosts it is responsible
+//     for: the key set of prefs is localMhs.
 func (w *World) CheckInvariants() error {
 	var firstErr error
 	fail := func(err error) {
@@ -1078,6 +1080,15 @@ func (w *World) CheckInvariants() error {
 			}
 			if err := w.resolveProxyRef(mh, pref.Proxy); err != nil {
 				fail(err)
+			}
+		})
+		// Equal sizes and one inclusion make the two key sets equal.
+		if hosts, prefs := st.localMhs.len(), st.prefs.len(); hosts != prefs {
+			fail(fmt.Errorf("invariant 4: %v responsible for %d hosts but holds %d prefs", id, hosts, prefs))
+		}
+		st.localMhs.forEach(func(mh ids.MH) {
+			if _, ok := st.prefs.get(mh); !ok {
+				fail(fmt.Errorf("invariant 4: %v responsible for %v but holds no pref for it", id, mh))
 			}
 		})
 	}

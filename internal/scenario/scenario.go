@@ -37,7 +37,7 @@ type Gate uint8
 const (
 	// Clock scenarios are gated only as played on the clock: their
 	// config carries a feature whose timers the explorer does not yet
-	// own as choices (ROADMAP item 1a), so an adversarial failure is a
+	// own as choices (ROADMAP item 2(a)), so an adversarial failure is a
 	// finding to record, not a regression.
 	Clock Gate = iota
 	// Walks scenarios must also survive random adversarial schedules.
