@@ -71,6 +71,17 @@ func WireSize(m Message) int {
 	return c.off
 }
 
+// WireSize is WireSize(m) for a deregack held by value: a station counts
+// every deregack it sends as hand-off state, and boxing one to size it
+// would cost an allocation.
+func (m DeregAck) WireSize() int {
+	c := coder{mode: sizing}
+	kind := KindDeregAck
+	c.header(&kind)
+	m.code(&c)
+	return c.off
+}
+
 // Decode parses a message previously produced by Encode. It rejects
 // unknown versions and kinds, truncated input, and trailing bytes. All
 // variable-length fields are copied, so the result does not retain b.
@@ -111,11 +122,22 @@ func (c *coder) fail(err error) {
 	}
 }
 
+// header codes the version and kind bytes that open every message,
+// refusing a version it reads that is not codecVersion.
+func (c *coder) header(kind *Kind) {
+	version := uint8(codecVersion)
+	u8(c, &version)
+	if c.mode == reading && c.err == nil && version != codecVersion {
+		c.fail(fmt.Errorf("%w: %d", ErrBadVersion, version))
+	}
+	u8(c, kind)
+}
+
 // message codes one whole message: the version and kind bytes, then the
 // kind's fields. Writing, it codes m; reading, it ignores m and returns
 // the message the kind byte names, read into that kind's zero value.
 func (c *coder) message(m Message) Message {
-	version, kind := uint8(codecVersion), KindInvalid
+	kind := KindInvalid
 	if c.mode != reading {
 		if m == nil {
 			c.fail(fmt.Errorf("%w: nil message", ErrBadKind))
@@ -123,11 +145,7 @@ func (c *coder) message(m Message) Message {
 		}
 		kind = m.Kind()
 	}
-	u8(c, &version)
-	if c.mode == reading && c.err == nil && version != codecVersion {
-		c.fail(fmt.Errorf("%w: %d", ErrBadVersion, version))
-	}
-	u8(c, &kind)
+	c.header(&kind)
 	if c.mode == reading {
 		if c.err != nil {
 			return nil

@@ -6,28 +6,35 @@ import (
 	"repro/internal/ids"
 )
 
-// Leg is one message of the request path (§3.1) carried by value: the
-// seven kinds request, srv-request, srv-result, result-fwd, result, ack
-// and ack-fwd, as the kind plus the union of their fields, with the
-// payload as its only pointer. A hop that only moves a message hands the
-// Leg on; whoever keeps it past its hop (an inbox, a hand-off buffer, a
-// queue, the journal) or shows it to a listener boxes it with Message.
-// The zero Leg (KindInvalid) is no message.
+// Leg is one message of the request path (§3.1) and the hand-off (§3.2)
+// carried by value: the request path's seven kinds request, srv-request,
+// srv-result, result-fwd, result, ack and ack-fwd, and the hand-off's
+// four greet, dereg, deregack and update-currl, as the kind plus the
+// union of their fields, with the payload as its only pointer. A hop
+// that only moves a message hands the Leg on; whoever keeps it past its
+// hop (an inbox, a hand-off buffer, a parked dereg, a queue, the journal)
+// or shows it to a listener boxes it with Message. The zero Leg
+// (KindInvalid) is no message.
 type Leg struct {
 	Kind Kind
 	// Flag is the kind's one boolean: DelPref on ResultForward and
-	// ResultDeliver, HaveOutstanding on AckMH, DelProxy on AckForward.
-	Flag    bool
-	Inc     ids.Incarnation
-	MH      ids.MH
-	Server  ids.Server
+	// ResultDeliver, HaveOutstanding on AckMH, DelProxy on AckForward,
+	// the pref's RKpR on DeregAck.
+	Flag   bool
+	Inc    ids.Incarnation
+	MH     ids.MH
+	Server ids.Server
+	// MSS is the hand-off's station: OldMSS on Greet, NewMSS on Dereg,
+	// NewLoc on UpdateCurrentLoc.
+	MSS ids.MSS
+	// Proxy is also the pref's proxy on DeregAck.
 	Proxy   ids.ProxyID
 	Req     ids.RequestID
 	Payload []byte
 }
 
 // Message boxes the leg as the message it carries: the one place a leg
-// becomes a Message. It panics on a leg of no request-path kind.
+// becomes a Message. It panics on a leg of no leg kind.
 func (l Leg) Message() Message {
 	switch l.Kind {
 	case KindRequest:
@@ -44,12 +51,20 @@ func (l Leg) Message() Message {
 		return l.AckMH()
 	case KindAckForward:
 		return l.AckForward()
+	case KindGreet:
+		return l.Greet()
+	case KindDereg:
+		return l.Dereg()
+	case KindDeregAck:
+		return l.DeregAck()
+	case KindUpdateCurrentLoc:
+		return l.UpdateCurrentLoc()
 	}
-	panic(fmt.Sprintf("msg: %v is not a request-path leg", l.Kind))
+	panic(fmt.Sprintf("msg: %v is not a leg kind", l.Kind))
 }
 
 // LegOf carries m as a leg, and reports false for a kind that is not one
-// of the request path's seven.
+// of the request path's seven or the hand-off's four.
 func LegOf(m Message) (Leg, bool) {
 	switch v := m.(type) {
 	case Request:
@@ -66,11 +81,19 @@ func LegOf(m Message) (Leg, bool) {
 		return v.Leg(), true
 	case AckForward:
 		return v.Leg(), true
+	case Greet:
+		return v.Leg(), true
+	case Dereg:
+		return v.Leg(), true
+	case DeregAck:
+		return v.Leg(), true
+	case UpdateCurrentLoc:
+		return v.Leg(), true
 	}
 	return Leg{}, false
 }
 
-// The seven kinds to a leg and back; the typed handlers take the value a
+// The eleven kinds to a leg and back; the typed handlers take the value a
 // leg converts to, unboxed.
 
 func (m Request) Leg() Leg {
@@ -96,6 +119,19 @@ func (m AckForward) Leg() Leg {
 	return Leg{Kind: KindAckForward, Proxy: m.Proxy, MH: m.MH, Req: m.Req, Flag: m.DelProxy}
 }
 
+func (m Greet) Leg() Leg {
+	return Leg{Kind: KindGreet, MH: m.MH, MSS: m.OldMSS, Inc: m.Inc}
+}
+func (m Dereg) Leg() Leg {
+	return Leg{Kind: KindDereg, MH: m.MH, MSS: m.NewMSS}
+}
+func (m DeregAck) Leg() Leg {
+	return Leg{Kind: KindDeregAck, MH: m.MH, Proxy: m.Pref.Proxy, Flag: m.Pref.RKpR, Inc: m.Inc}
+}
+func (m UpdateCurrentLoc) Leg() Leg {
+	return Leg{Kind: KindUpdateCurrentLoc, Proxy: m.Proxy, MH: m.MH, MSS: m.NewLoc}
+}
+
 func (l Leg) Request() Request {
 	return Request{Req: l.Req, Server: l.Server, Payload: l.Payload, Inc: l.Inc}
 }
@@ -116,4 +152,16 @@ func (l Leg) AckMH() AckMH {
 }
 func (l Leg) AckForward() AckForward {
 	return AckForward{Proxy: l.Proxy, MH: l.MH, Req: l.Req, DelProxy: l.Flag}
+}
+func (l Leg) Greet() Greet {
+	return Greet{MH: l.MH, OldMSS: l.MSS, Inc: l.Inc}
+}
+func (l Leg) Dereg() Dereg {
+	return Dereg{MH: l.MH, NewMSS: l.MSS}
+}
+func (l Leg) DeregAck() DeregAck {
+	return DeregAck{MH: l.MH, Pref: Pref{Proxy: l.Proxy, RKpR: l.Flag}, Inc: l.Inc}
+}
+func (l Leg) UpdateCurrentLoc() UpdateCurrentLoc {
+	return UpdateCurrentLoc{Proxy: l.Proxy, MH: l.MH, NewLoc: l.MSS}
 }

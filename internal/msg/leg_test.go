@@ -4,18 +4,20 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ids"
 )
 
-// legKinds are the request path's seven kinds, the only ones a Leg
-// carries.
+// legKinds are the request path's seven kinds and the hand-off's four,
+// the only ones a Leg carries.
 var legKinds = map[Kind]bool{
 	KindRequest: true, KindServerRequest: true, KindServerResult: true, KindResultForward: true,
 	KindResultDeliver: true, KindAckMH: true, KindAckForward: true,
+	KindGreet: true, KindDereg: true, KindDeregAck: true, KindUpdateCurrentLoc: true,
 }
 
-// legSamples returns each of the seven kinds zero, with every field set
+// legSamples returns each of the eleven kinds zero, with every field set
 // (every flag true), and with a nil and an empty payload where it has one.
 func legSamples() []Message {
 	req := ids.RequestID{Origin: 3, Seq: 41}
@@ -24,6 +26,12 @@ func legSamples() []Message {
 		Request{}, ServerRequest{}, ServerResult{}, ResultForward{}, ResultDeliver{}, AckMH{}, AckForward{},
 		AckMH{MH: 3, Req: req, HaveOutstanding: true},
 		AckForward{Proxy: prx, MH: 3, Req: req, DelProxy: true},
+		Greet{}, Dereg{}, DeregAck{}, UpdateCurrentLoc{},
+		Greet{MH: 3, OldMSS: 6, Inc: 4},
+		Dereg{MH: 3, NewMSS: 6},
+		DeregAck{MH: 3, Pref: Pref{Proxy: prx, RKpR: true}, Inc: 4},
+		DeregAck{MH: 3, Pref: Pref{Proxy: prx}},
+		UpdateCurrentLoc{Proxy: prx, MH: 3, NewLoc: 6},
 	}
 	for _, p := range [][]byte{[]byte("payload"), nil, {}} {
 		out = append(out,
@@ -37,9 +45,9 @@ func legSamples() []Message {
 	return out
 }
 
-// TestLegRoundTrip: every request-path message carried as a leg comes
-// back deep-equal — a nil payload nil, an empty one empty — and encodes
-// to the same bytes.
+// TestLegRoundTrip: every request-path and hand-off message carried as a
+// leg comes back deep-equal — a nil payload nil, an empty one empty — and
+// encodes to the same bytes, which the leg sizes unboxed.
 func TestLegRoundTrip(t *testing.T) {
 	seen := map[Kind]bool{}
 	for _, m := range legSamples() {
@@ -63,21 +71,32 @@ func TestLegRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%v: a leg encodes to %x, the message to %x", m, got, want)
 		}
+		if da, ok := m.(DeregAck); ok && da.WireSize() != WireSize(m) {
+			t.Errorf("%v: the value sizes %d bytes, the message %d", m, da.WireSize(), WireSize(m))
+		}
 	}
 	if len(seen) != len(legKinds) {
 		t.Errorf("samples cover %d kinds, want %d", len(seen), len(legKinds))
 	}
 }
 
-// TestLegOfRefusesOtherKinds: no other kind becomes a leg, and a leg of
-// no request-path kind will not box.
+// TestLegOfRefusesOtherKinds: no other kind becomes a leg — Join, Leave,
+// DelPrefOnly, RegConfirm and the migration kinds among them — and a leg
+// of no leg kind will not box.
 func TestLegOfRefusesOtherKinds(t *testing.T) {
+	refused := map[Kind]bool{}
 	for _, m := range sampleMessages() {
 		if legKinds[m.Kind()] {
 			continue
 		}
 		if l, ok := LegOf(m); ok || !reflect.DeepEqual(l, Leg{}) {
 			t.Errorf("LegOf(%v) = %+v, %t; want the zero Leg, false", m, l, ok)
+		}
+		refused[m.Kind()] = true
+	}
+	for _, k := range []Kind{KindJoin, KindLeave, KindDelPrefOnly, KindRegConfirm, KindMigState} {
+		if !refused[k] {
+			t.Errorf("no %v sample was offered to LegOf", k)
 		}
 	}
 	if _, ok := LegOf(nil); ok {
@@ -92,5 +111,14 @@ func TestLegOfRefusesOtherKinds(t *testing.T) {
 			}()
 			Leg{Kind: k}.Message()
 		}()
+	}
+}
+
+// TestLegSize: a leg rides in every radio and wired frame record and in
+// psim's parked cross frames, so the hand-off's station field must not
+// grow it past 64 bytes.
+func TestLegSize(t *testing.T) {
+	if size := unsafe.Sizeof(Leg{}); size > 64 {
+		t.Errorf("msg.Leg is %d bytes, budget 64", size)
 	}
 }

@@ -20,7 +20,8 @@
 //	    ImageTransfer (I-TCP-style indirect image hand-off)
 //
 // The seven messages of the request path — Request, ServerRequest,
-// ServerResult, ResultForward, ResultDeliver, AckMH, AckForward — also
+// ServerResult, ResultForward, ResultDeliver, AckMH, AckForward — and the
+// hand-off's four — Greet, Dereg, DeregAck, UpdateCurrentLoc — also
 // travel unboxed as a Leg (leg.go).
 //
 // The codec (codec.go) names each kind's wire fields once, in the kind's

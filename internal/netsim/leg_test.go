@@ -22,9 +22,10 @@ var sampleLeg = msg.ResultForward{
 
 // TestWiredLegAllocBudget: a warm causal wired hop of a leg allocates
 // nothing under a nil Observer and exactly one box under a set one — Sent
-// and Delivered share it, and the handler still takes the leg unboxed. A
-// handler without HandleLeg is handed the box: made at delivery when
-// nobody listens, the listener's when somebody does.
+// and Delivered share it, and the handler is handed that box, so a keeper
+// behind it boxes nothing more. A handler without HandleLeg is handed the
+// box too: made at delivery when nobody listens, the listener's when
+// somebody does.
 func TestWiredLegAllocBudget(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -58,7 +59,7 @@ func TestWiredLegAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.1f allocs a hop, budget %v", c.name, avg, c.budget)
 		}
 		legs, msgs := sink.legs, sink.msgs
-		if !c.legHandler {
+		if !c.legHandler || c.observed {
 			legs, msgs = msgs, legs
 		}
 		if legs != 64+201 || msgs != 0 {
@@ -71,7 +72,8 @@ func TestWiredLegAllocBudget(t *testing.T) {
 }
 
 // TestRadioLegAllocBudget: a leg up or down a warm radio link allocates
-// nothing under a nil Observer, one box under a set one.
+// nothing under a nil Observer, one box under a set one, which is what
+// the handler is then handed.
 func TestRadioLegAllocBudget(t *testing.T) {
 	for _, observed := range []bool{false, true} {
 		k := sim.NewKernel(1)
@@ -100,8 +102,48 @@ func TestRadioLegAllocBudget(t *testing.T) {
 				t.Errorf("radio %s leg, observed %t: %.1f allocs a hop, budget %v", name, observed, avg, budget)
 			}
 		}
-		if sink.msgs != 0 {
-			t.Errorf("%d legs boxed for a leg handler", sink.msgs)
+		if boxed := sink.msgs; observed && sink.legs != 0 || !observed && boxed != 0 {
+			t.Errorf("observed %t: %d hops handed as legs, %d as boxes", observed, sink.legs, boxed)
+		}
+	}
+}
+
+// TestGreetLegIsControl: a greet leg is registration control exactly as
+// a boxed greet is. On a radio that loses every data frame and queues one,
+// greets sent back to back all arrive; on a loss-free one, they hold no
+// queue slot, so the data frame sent behind them in the same instant is
+// not shed.
+func TestGreetLegIsControl(t *testing.T) {
+	greet := msg.Greet{MH: 7, OldMSS: 2, Inc: 1}
+	ack := msg.AckMH{MH: 7, Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()
+	run := func(loss float64, asLeg bool) (arrived int, shed int64) {
+		k := sim.NewKernel(1)
+		w := NewWireless(k, WirelessConfig{
+			Latency: Constant(time.Millisecond), LossProb: loss, QueueLimit: 1,
+			Reachable: func(ids.MSS, ids.MH) bool { return true },
+		}, nil)
+		sink := &legSink{}
+		w.RegisterMSS(1, sink)
+		for i := 0; i < 3; i++ {
+			if asLeg {
+				w.SendUplinkLeg(7, 1, greet.Leg())
+			} else {
+				w.SendUplink(7, 1, greet)
+			}
+		}
+		w.SendUplinkLeg(7, 1, ack)
+		k.Run()
+		return sink.legs + sink.msgs, w.Shed()
+	}
+	for _, c := range []struct {
+		loss float64
+		want int // the three greets, and the ack unless the radio loses it
+	}{{1, 3}, {0, 4}} {
+		for _, asLeg := range []bool{true, false} {
+			if arrived, shed := run(c.loss, asLeg); arrived != c.want || shed != 0 {
+				t.Errorf("loss %v, greets as legs %t: %d frames arrived, %d shed; want %d, 0",
+					c.loss, asLeg, arrived, shed, c.want)
+			}
 		}
 	}
 }

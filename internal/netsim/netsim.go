@@ -50,9 +50,9 @@ type WirelessTransport interface {
 }
 
 // LegHandler is implemented by a Handler that takes the request path's
-// messages as msg.Leg values, unboxed — the io.WriterTo idiom: Wired,
-// Wireless and RegionLink hand a leg to a handler that has HandleLeg,
-// and box it for HandleMessage on any other.
+// and the hand-off's messages as msg.Leg values, unboxed — the
+// io.WriterTo idiom: Wired, Wireless and RegionLink hand a leg to a
+// handler that has HandleLeg, and box it for HandleMessage on any other.
 type LegHandler interface {
 	HandleLeg(from ids.NodeID, l msg.Leg)
 }
@@ -120,17 +120,16 @@ func endpointOf(h Handler) endpoint {
 }
 
 // hand gives a frame's content to the endpoint: a leg unboxed to a
-// LegHandler, boxed for any other handler unless a listener boxed it
-// already (m), and a message as it is.
+// LegHandler, boxed for any other handler, and a message as it is. A leg
+// a listener already boxed (m) is handed on as that box, so a keeper that
+// takes the message whole (a station's inbox turn) does not box it again.
 func (e endpoint) hand(from ids.NodeID, m msg.Message, l msg.Leg) {
-	if l.Kind != msg.KindInvalid {
+	if m == nil {
 		if e.legs != nil {
 			e.legs.HandleLeg(from, l)
 			return
 		}
-		if m == nil {
-			m = l.Message()
-		}
+		m = l.Message()
 	}
 	e.h.HandleMessage(from, m)
 }
@@ -317,7 +316,7 @@ type Wired struct {
 // handlers send — or when its frame is dropped on arrival; a held-back
 // frame keeps it until handed up; nothing touches it after release.
 //
-// A request-path message rides as a leg, unboxed; m is then its box,
+// A leg-kind message rides as a leg, unboxed; m is then its box,
 // made on the first observer report (envelope) and shared by every later
 // one, so Sent and Delivered cost one boxing between them.
 type wiredFrame struct {
@@ -325,7 +324,7 @@ type wiredFrame struct {
 	fi, ti int          // member indices of sender and destination
 	st     causal.Stamp // under Causal
 	m      msg.Message  // the message, or the leg's box once made
-	leg    msg.Leg      // a request-path message unboxed, or the zero Leg
+	leg    msg.Leg      // a leg-kind message unboxed, or the zero Leg
 	run    func()       // fire, bound once when the record is first allocated
 }
 
@@ -414,7 +413,7 @@ func (w *Wired) Send(from, to ids.NodeID, m msg.Message) {
 	w.launch(f)
 }
 
-// SendLeg is Send for a request-path message carried unboxed.
+// SendLeg is Send for a leg-kind message carried unboxed.
 func (w *Wired) SendLeg(from, to ids.NodeID, l msg.Leg) {
 	f := w.frame(from, to)
 	f.leg = l
@@ -718,7 +717,7 @@ type radioFrame struct {
 	from   ids.NodeID  // the sending end
 	to     ids.NodeID  // the receiving end
 	m      msg.Message // opDownlink, opUplink: the message, or the leg's box once made
-	leg    msg.Leg     // opDownlink, opUplink: a request-path message unboxed
+	leg    msg.Leg     // opDownlink, opUplink: a leg-kind message unboxed
 	data   msg.WtpData // opWtpData
 	ack    msg.WtpAck  // opWtpAck
 	run    func()      // fire, bound once when the record is first allocated
@@ -938,7 +937,7 @@ func (w *Wireless) SendDownlink(from ids.MSS, to ids.MH, m msg.Message) {
 	w.dispatch(f, control)
 }
 
-// SendDownlinkLeg is SendDownlink for a request-path message carried
+// SendDownlinkLeg is SendDownlink for a leg-kind message carried
 // unboxed — but for the windowed transport, whose sender keeps what it
 // queues: the leg is boxed for it.
 func (w *Wireless) SendDownlinkLeg(from ids.MSS, to ids.MH, l msg.Leg) {
@@ -1054,11 +1053,12 @@ func (w *Wireless) SendUplink(from ids.MH, to ids.MSS, m msg.Message) {
 	w.uplink(f, wirelessControl(m.Kind()))
 }
 
-// SendUplinkLeg is SendUplink for a request-path message carried unboxed.
+// SendUplinkLeg is SendUplink for a leg: a greet is registration control
+// here as boxed, never lost and holding no queue slot.
 func (w *Wireless) SendUplinkLeg(from ids.MH, to ids.MSS, l msg.Leg) {
 	f := w.frame(opUplink, to, from)
 	f.leg = l
-	w.uplink(f, false)
+	w.uplink(f, wirelessControl(l.Kind))
 }
 
 // uplink puts a filled host-to-station frame on its way, gated now.

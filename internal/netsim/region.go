@@ -13,7 +13,7 @@ import (
 // the absolute virtual instant it reaches the destination host. The
 // parallel coordinator (internal/psim) carries frames between region
 // kernels and injects them at Arrival, merged in deterministic
-// (arrival, source region, sequence) order. A request-path message
+// (arrival, source region, sequence) order. A leg-kind message
 // crosses as a Leg, unboxed; M is then nil until a listener boxes it.
 type CrossFrame struct {
 	From, To ids.NodeID
@@ -140,7 +140,7 @@ func (l *RegionLink) Send(from, to ids.NodeID, m msg.Message) {
 	l.cross(CrossFrame{From: from, To: to, M: m})
 }
 
-// SendLeg is Send for a request-path message carried unboxed, across
+// SendLeg is Send for a leg-kind message carried unboxed, across
 // regions too.
 func (l *RegionLink) SendLeg(from, to ids.NodeID, leg msg.Leg) {
 	if l.localSet[to] {

@@ -143,3 +143,72 @@ func TestCrossRegionRoundTripAllocBudget(t *testing.T) {
 		t.Errorf("%d proxies left, %d violations", r0.world.TotalProxies(), r0.world.Stats.Violations.Value())
 	}
 }
+
+// TestCrossRegionHandoffAllocBudget is rdpcore's TestHandoffAllocBudget
+// with the two stations in different regions: the host moves from
+// station 1 (region 0) to 2 (region 1) and back while its proxy at 1
+// holds a request the server never answers, so the dereg, the deregack
+// and the outbound update_currentLoc cross the barrier as msg.Leg values.
+// The host is detached and attached by hand, the way a transfer frame
+// moves it, and the windows are stepped by hand with one arena, as in
+// TestCrossFrameAllocBudget. Bystanders keep both stations' aggregated
+// host sets populated, so the whole cycle costs nothing.
+func TestCrossRegionHandoffAllocBudget(t *testing.T) {
+	base := rdpcore.DefaultConfig()
+	base.NumMSS = 2
+	base.AggregatedState = true
+	base.WiredLatency = netsim.Constant(2 * time.Millisecond)
+	pw := New(Config{Base: base, Regions: 2, Workers: 1, Lookahead: 2 * time.Millisecond,
+		AssignServer: func(ids.Server) int { return 0 }})
+	r0, r1 := pw.regions[0], pw.regions[1]
+	r0.world.ReplaceServer(1, netsim.HandlerFunc(func(ids.NodeID, msg.Message) {}))
+	pw.AddMH(1, 1, nil)
+	pw.AddMH(2, 1, nil)
+	pw.AddMH(3, 2, nil)
+	pw.RunUntil(100 * time.Millisecond)
+	r0.world.IssueRequest(1, 1, []byte("q"))
+	pw.RunUntil(200 * time.Millisecond)
+	arena := sim.NewArena()
+	settle := func() {
+		for {
+			at, ok := pw.low()
+			if !ok {
+				break
+			}
+			end := at + pw.lookahead
+			pw.inject(end)
+			for _, r := range pw.regions {
+				stepRegion(r, end, arena)
+			}
+		}
+	}
+	move := func(from, to *region, cell ids.MSS) {
+		h, active := from.world.DetachMH(1)
+		to.kernel.SetArena(arena)
+		to.world.AttachMH(h, cell, active)
+		to.kernel.SetArena(nil)
+		settle()
+	}
+	cycle := func() {
+		move(r0, r1, 2)
+		move(r1, r0, 1)
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	handoffs := r0.world.Stats.Handoffs.Value() + r1.world.Stats.Handoffs.Value()
+	crossed := r0.crossFrames + r1.crossFrames
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Errorf("cross-region hand-off A -> B -> A: %.2f allocs, budget 0", avg)
+	}
+	if got := r0.world.Stats.Handoffs.Value() + r1.world.Stats.Handoffs.Value() - handoffs; got != 2*201 {
+		t.Errorf("%d hand-offs, want %d", got, 2*201)
+	}
+	// Out: dereg, deregack, update_currentLoc; back: dereg and deregack.
+	if got := r0.crossFrames + r1.crossFrames - crossed; got != 5*201 {
+		t.Errorf("%d frames crossed regions, want %d", got, 5*201)
+	}
+	if r0.world.TotalProxies() != 1 || r0.world.Stats.Retransmissions.Value() != 0 {
+		t.Errorf("%d proxies, %d re-forwards; want 1, 0", r0.world.TotalProxies(), r0.world.Stats.Retransmissions.Value())
+	}
+}

@@ -213,3 +213,57 @@ func TestJournalWriteAllocBudget(t *testing.T) {
 		t.Errorf("%d journal writes counted, want %d", got, 2*201)
 	}
 }
+
+// TestHandoffAllocBudget pins one warm hand-off cycle — the host moves
+// from station 1 to 2 and back while its proxy at 1 holds a request the
+// server never answers, so each move is greet, dereg, deregack and
+// update_currentLoc (over the wire, then to the proxy's own station) and
+// the proxy has nothing to re-forward. A bystander host in each cell
+// keeps the stations' host sets populated, as any busy cell's are (an
+// aggregated set that empties gives its chunk back). The four messages
+// travel as msg.Leg values and each arrival record lives in the host's
+// recycled transient part, so the aggregated tables take the cycle for
+// nothing; the faithful table's heap *Pref costs one allocation per
+// registration, two a cycle.
+func TestHandoffAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		aggregated bool
+		budget     float64
+	}{{"faithful", false, 2}, {"aggregated", true, 0}} {
+		cfg := DefaultConfig()
+		cfg.NumMSS = 2
+		cfg.AggregatedState = c.aggregated
+		w := NewWorld(cfg)
+		w.ReplaceServer(1, netsim.HandlerFunc(func(ids.NodeID, msg.Message) {}))
+		h := w.AddMH(1, 1)
+		w.AddMH(2, 1)
+		w.AddMH(3, 2)
+		w.Run()
+		h.IssueRequest(1, []byte("q"))
+		w.Run()
+		cycle := func() {
+			w.Migrate(1, 2)
+			w.Run()
+			w.Migrate(1, 1)
+			w.Run()
+		}
+		for i := 0; i < 8; i++ {
+			cycle()
+		}
+		handoffs, updates := w.Stats.Handoffs.Value(), w.Stats.UpdateCurrLocs.Value()
+		if avg := testing.AllocsPerRun(200, cycle); avg > c.budget {
+			t.Errorf("%s: hand-off A -> B -> A: %.2f allocs, budget %v", c.name, avg, c.budget)
+		}
+		if got := w.Stats.Handoffs.Value() - handoffs; got != 2*201 {
+			t.Errorf("%s: %d hand-offs, want %d", c.name, got, 2*201)
+		}
+		if got := w.Stats.UpdateCurrLocs.Value() - updates; got != 2*201 {
+			t.Errorf("%s: %d update_currentLocs, want %d", c.name, got, 2*201)
+		}
+		if w.TotalProxies() != 1 || w.Stats.Retransmissions.Value() != 0 || w.Stats.Violations.Value() != 0 {
+			t.Errorf("%s: %d proxies, %d re-forwards, %d violations; want 1, 0, 0", c.name,
+				w.TotalProxies(), w.Stats.Retransmissions.Value(), w.Stats.Violations.Value())
+		}
+	}
+}

@@ -58,8 +58,10 @@ type hostDurable struct {
 
 // hostTransient is the volatile, mostly empty part of a stationHost.
 type hostTransient struct {
-	// arr is the hand-off in flight toward this station, if any.
-	arr *arrival
+	// arr is the hand-off in flight toward this station while arriving:
+	// a value, so recycling the transient part recycles it too.
+	arr      arrival
+	arriving bool
 	// parked holds deregs for a host this station knows nothing about
 	// *yet*. An MH only names a station as its old respMss after greeting
 	// it, so such a dereg means our own greet (and hand-off) for that MH
@@ -189,7 +191,7 @@ func (n *MSSNode) transient(h *stationHost) *hostTransient {
 // settle retires h's volatile part once nothing in it is live: a host
 // that merely passed through costs the station its inline words only.
 func (n *MSSNode) settle(h *stationHost) {
-	if x := h.x; x != nil && x.arr == nil && len(x.parked) == 0 && len(x.held) == 0 &&
+	if x := h.x; x != nil && !x.arriving && len(x.parked) == 0 && len(x.held) == 0 &&
 		len(x.heldAcks) == 0 && !x.deferredUpdate && len(x.attempts) == 0 {
 		*x = hostTransient{}
 		n.spare, h.x = x, nil
@@ -197,11 +199,19 @@ func (n *MSSNode) settle(h *stationHost) {
 }
 
 // arrival returns the hand-off in flight toward this station, or nil.
+// The record lives in the transient part, so a caller must not hold it
+// across anything that may end the arrival (handleDeregAck copies it).
 func (h *stationHost) arrival() *arrival {
-	if h.x == nil {
+	if h.x == nil || !h.x.arriving {
 		return nil
 	}
-	return h.x.arr
+	return &h.x.arr
+}
+
+// arrive starts a hand-off toward this station: greeted at greetAt by a
+// host naming oldMSS, with deferred already waiting behind it.
+func (x *hostTransient) arrive(greetAt sim.Time, oldMSS ids.MSS, deferred []inboxItem) {
+	x.arr, x.arriving = arrival{greetAt: greetAt, oldMSS: oldMSS, deferred: deferred}, true
 }
 
 // returned notes that the host is (again) this station's own: its Acks

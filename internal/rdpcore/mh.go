@@ -11,13 +11,19 @@ import (
 )
 
 // sortRequestIDs and sortBatchIDs order identifier slices for
-// deterministic timer arming and replay.
+// deterministic timer arming and replay. Fewer than two ids are in order
+// already, and sort.Slice would box the slice to find that out: a host
+// attached in another region (psim) mostly rearms no batch at all.
 func sortRequestIDs(s []ids.RequestID) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
+	if len(s) > 1 {
+		sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
+	}
 }
 
 func sortBatchIDs(s []ids.BatchID) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
+	if len(s) > 1 {
+		sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
+	}
 }
 
 // MHNode is a mobile host (§2): a disconnected computer with a
@@ -380,7 +386,7 @@ func (h *MHNode) greetOld(prev ids.MSS) ids.MSS {
 
 // refreshGreet re-sends a registration beacon to the current respMss.
 func (h *MHNode) refreshGreet() {
-	h.uplink(msg.Greet{MH: h.id, OldMSS: h.greetOld(h.respMss), Inc: h.inc})
+	h.uplinkLeg(msg.Greet{MH: h.id, OldMSS: h.greetOld(h.respMss), Inc: h.inc}.Leg())
 }
 
 // scheduleRefresh re-greets the current respMss on a fixed period while
@@ -576,7 +582,7 @@ func (h *MHNode) armRequestTimers(req ids.RequestID, m msg.Message) {
 func (h *MHNode) onReconnect(cell ids.MSS) {
 	old := h.greetOld(h.respMss)
 	h.respMss = cell
-	h.uplink(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc})
+	h.uplinkLeg(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg())
 	offline := h.offline
 	h.offline = nil
 	h.w.persistOffline(h.id, nil)
@@ -650,7 +656,7 @@ func (h *MHNode) retry(req ids.RequestID, m msg.Message) {
 func (h *MHNode) onMigrate(newCell ids.MSS) {
 	old := h.greetOld(h.respMss)
 	h.respMss = newCell
-	h.uplink(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc})
+	h.uplinkLeg(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg())
 }
 
 // onActivate is invoked by the World when the MH becomes active. It
@@ -660,7 +666,7 @@ func (h *MHNode) onMigrate(newCell ids.MSS) {
 func (h *MHNode) onActivate(cell ids.MSS) {
 	old := h.greetOld(h.respMss)
 	h.respMss = cell
-	h.uplink(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc})
+	h.uplinkLeg(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg())
 	queued := h.queued
 	h.queued = nil
 	for _, m := range queued {
@@ -964,7 +970,8 @@ func (h *MHNode) uplink(m msg.Message) {
 	h.w.Wireless.SendUplink(h.id, h.respMss, m)
 }
 
-// uplinkLeg is uplink for the request path's messages carried unboxed.
+// uplinkLeg is uplink for a leg: the request path's messages and greets,
+// carried unboxed.
 func (h *MHNode) uplinkLeg(l msg.Leg) {
 	h.w.wirelessLegs.SendUplinkLeg(h.id, h.respMss, l)
 }

@@ -244,8 +244,9 @@ func (n *MSSNode) deliver(from ids.NodeID, id ids.ProxyID, m msg.ProxyAddressed)
 	n.w.Stats.OrphanMessages.Inc()
 }
 
-// deliverLeg is deliver for a ServerResult or AckForward leg: a private
-// proxy takes it unboxed, any other addressee as the boxed message.
+// deliverLeg is deliver for a ServerResult, AckForward or
+// UpdateCurrentLoc leg: a private proxy takes it unboxed, any other
+// addressee as the boxed message.
 func (n *MSSNode) deliverLeg(from ids.NodeID, l msg.Leg) {
 	a := n.addressee(l.Proxy)
 	if p, ok := a.(*Proxy); ok {
@@ -285,8 +286,8 @@ func (n *MSSNode) HandleMessage(from ids.NodeID, m msg.Message) {
 }
 
 // HandleLeg implements netsim.LegHandler: HandleMessage for the request
-// path's messages carried unboxed. An inbox turn keeps its message, so a
-// leg is boxed only there.
+// path's and the hand-off's messages carried unboxed. An inbox turn keeps
+// its message, so a leg is boxed only there.
 func (n *MSSNode) HandleLeg(from ids.NodeID, l msg.Leg) {
 	if l.Kind == msg.KindRequest && n.refuseAdmission(l.Req) {
 		return
@@ -442,9 +443,9 @@ func (n *MSSNode) process(from ids.NodeID, m msg.Message) {
 	n.flushJournal()
 }
 
-// processLeg is process for the request path's messages carried unboxed:
-// the typed handlers take what a leg converts to, and what only dispatch
-// knows is handed the boxed message.
+// processLeg is process for the request path's and the hand-off's
+// messages carried unboxed: the typed handlers take what a leg converts
+// to, and what only dispatch knows is handed the boxed message.
 func (n *MSSNode) processLeg(from ids.NodeID, l msg.Leg) {
 	if n.w.down[n.id] {
 		return
@@ -456,7 +457,13 @@ func (n *MSSNode) processLeg(from ids.NodeID, l msg.Leg) {
 		n.handleAckMH(from, l.AckMH())
 	case msg.KindResultForward:
 		n.handleResultForward(l.ResultForward())
-	case msg.KindServerResult, msg.KindAckForward:
+	case msg.KindGreet:
+		n.handleGreet(l.Greet())
+	case msg.KindDereg:
+		n.handleDereg(from, l.Dereg())
+	case msg.KindDeregAck:
+		n.handleDeregAck(l.DeregAck())
+	case msg.KindServerResult, msg.KindAckForward, msg.KindUpdateCurrentLoc:
 		n.deliverLeg(from, l)
 	default:
 		n.dispatch(from, l.Message())
@@ -752,7 +759,7 @@ func (n *MSSNode) handleGreet(m msg.Greet) {
 				// carried the registration elsewhere. Fetch it back: run
 				// a normal hand-off toward the station we forwarded to;
 				// the dereg follows the chain to the current holder.
-				n.transient(h).arr = &arrival{greetAt: n.w.Kernel.Now(), oldMSS: m.OldMSS}
+				n.transient(h).arrive(n.w.Kernel.Now(), m.OldMSS, nil)
 				n.sendDereg(h.forwardTo, m.MH)
 				return
 			}
@@ -779,7 +786,8 @@ func (n *MSSNode) handleGreet(m msg.Greet) {
 	// Migration into this cell: start the Hand-off with the old station.
 	// Deregs that overtook this greet join the arrival's deferred queue.
 	x := n.transient(n.entry(m.MH))
-	x.arr, x.parked = &arrival{greetAt: n.w.Kernel.Now(), oldMSS: m.OldMSS, deferred: x.parked}, nil
+	x.arrive(n.w.Kernel.Now(), m.OldMSS, x.parked)
+	x.parked = nil
 	n.sendDereg(m.OldMSS, m.MH)
 }
 
@@ -822,7 +830,7 @@ func (n *MSSNode) reactivateInPlace(mh ids.MH) {
 // timer that re-issues the Dereg while the hand-off stays pending — the
 // old station may have crashed before serving it.
 func (n *MSSNode) sendDereg(old ids.MSS, mh ids.MH) {
-	n.sendWired(old.Node(), msg.Dereg{MH: mh, NewMSS: n.id})
+	n.sendLeg(old.Node(), msg.Dereg{MH: mh, NewMSS: n.id}.Leg())
 	if n.w.cfg.HandoffTimeout <= 0 {
 		return
 	}
@@ -1028,11 +1036,11 @@ func (n *MSSNode) handleDereg(from ids.NodeID, m msg.Dereg) {
 		// respMss must not vouch for (or gate against) an older one.
 		inc := h.inc
 		n.forget(m.MH)
-		n.sendWired(m.NewMSS.Node(), msg.DeregAck{MH: m.MH, Pref: pref, Inc: inc})
+		n.sendLeg(m.NewMSS.Node(), msg.DeregAck{MH: m.MH, Pref: pref, Inc: inc}.Leg())
 		return
 	}
 	if h.departed {
-		n.sendWired(h.forwardTo.Node(), m)
+		n.sendLeg(h.forwardTo.Node(), m.Leg())
 		return
 	}
 	if arr := h.arrival(); arr != nil {
@@ -1053,21 +1061,26 @@ func (n *MSSNode) handleDereg(from ids.NodeID, m msg.Dereg) {
 func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 	n.noteInc(m.MH, m.Inc)
 	h := n.peek(m.MH)
-	arr := h.arrival()
-	if arr != nil {
-		h.x.arr = nil
+	// The replay below works on a copy of the finished record: what it
+	// dispatches may start the host's next arrival in the same place,
+	// with queues of its own.
+	var arr arrival
+	arriving := h.arrival() != nil
+	if arriving {
+		arr = h.x.arr
+		h.x.arr, h.x.arriving = arrival{}, false
 	}
 	pref := m.Pref
 	n.adopt(m.MH, pref)
 	n.sendRegConfirm(m.MH)
 	n.w.Stats.Handoffs.Inc()
-	if arr != nil {
+	if arriving {
 		n.w.Stats.HandoffLatency.Observe(time.Duration(n.w.Kernel.Now() - arr.greetAt))
 	}
 	if pref.HasProxy() {
 		n.announceLoc(pref.Proxy, m.MH)
 	}
-	if arr != nil {
+	if arriving {
 		for _, it := range arr.buffered {
 			n.dispatch(it.from, it.m)
 		}
@@ -1089,7 +1102,7 @@ func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 // sendUpdateCurrLoc notifies the proxy of the MH's new respMss (§3.1).
 func (n *MSSNode) sendUpdateCurrLoc(proxy ids.ProxyID, mh ids.MH) {
 	n.w.Stats.UpdateCurrLocs.Inc()
-	n.sendToStation(proxy.Host, msg.UpdateCurrentLoc{Proxy: proxy, MH: mh, NewLoc: n.id})
+	n.sendLegToStation(proxy.Host, msg.UpdateCurrentLoc{Proxy: proxy, MH: mh, NewLoc: n.id}.Leg())
 }
 
 // handleResultForward is the respMss side of result delivery (§3.1,
@@ -1362,9 +1375,12 @@ func (n *MSSNode) sendToStation(to ids.MSS, m msg.Message) {
 	n.sendWired(to.Node(), m)
 }
 
-// sendLeg is sendWired for the request path's messages carried unboxed.
-// None of them is hand-off or migration traffic, so nothing is counted.
+// sendLeg is sendWired for a leg. Of the leg kinds only the deregack
+// carries hand-off state; this is the one place a station counts it.
 func (n *MSSNode) sendLeg(to ids.NodeID, l msg.Leg) {
+	if l.Kind == msg.KindDeregAck {
+		n.w.Stats.HandoffStateBytes.Add(int64(l.DeregAck().WireSize()))
+	}
 	n.w.wiredLegs.SendLeg(n.id.Node(), to, l)
 }
 

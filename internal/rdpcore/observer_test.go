@@ -117,12 +117,14 @@ func boxedWorld(k *sim.Kernel, cfg Config) *World {
 // (boxedWorld). Drops are counted through the substrates' drop hook and
 // hand-off and migration traffic where stations and servers send it, so
 // every Stats counter and the kernel's step count must agree, and the
-// two recorded traces must be the same.
+// two recorded traces must be the same. The first run's hosts move, so
+// the hand-off's four messages take both paths too.
 func TestStatsIndependentOfObserver(t *testing.T) {
 	observerArms(t, chaosParams{
 		seed: 2, mhs: 6, cells: 5, recovery: true, overload: true, migrate: true, windowed: true,
 		horizon: 40 * time.Second, drainFor: 15 * time.Second,
-	}, "WiredDrops", "WirelessDrops", "NetworkShed", "HandoffStateBytes", "MigMessages", "MigStateBytes")
+	}, "WiredDrops", "WirelessDrops", "NetworkShed", "Handoffs", "HandoffStateBytes", "UpdateCurrLocs",
+		"MigMessages", "MigStateBytes")
 	observerArms(t, chaosParams{
 		seed: 5, mhs: 8, cells: 5, recovery: true, migrate: true, mhcrash: true, disconnect: true, aggregated: true,
 		horizon: 40 * time.Second, drainFor: 15 * time.Second,

@@ -174,14 +174,18 @@ func (p *Proxy) handle(_ ids.NodeID, m msg.ProxyAddressed) {
 	}
 }
 
-// handleLeg is handle for the two legs a station hands a proxy unboxed
-// (MSSNode.deliverLeg): a ServerResult or an AckForward.
+// handleLeg is handle for the three legs a station hands a proxy unboxed
+// (MSSNode.deliverLeg): a ServerResult, an AckForward or an
+// UpdateCurrentLoc.
 func (p *Proxy) handleLeg(l msg.Leg) {
-	if l.Kind == msg.KindServerResult {
+	switch l.Kind {
+	case msg.KindServerResult:
 		p.onServerResult(l.Req, l.Payload)
-		return
+	case msg.KindAckForward:
+		p.onAckForward(l.Req, l.Flag)
+	default:
+		p.onUpdateLoc(l.MSS)
 	}
-	p.onAckForward(l.Req, l.Flag)
 }
 
 // onAckForward takes a relayed Ack; one carrying del-proxy ends the

@@ -760,8 +760,8 @@ func stationTableHistory(t *testing.T, seed int64) {
 				x = &hostTransient{}
 			}
 			arrGot, arrWant := "none", "none"
-			if x.arr != nil {
-				arrGot = fmt.Sprint(x.arr.oldMSS, len(x.arr.buffered), len(x.arr.deferred))
+			if arr := h.arrival(); arr != nil {
+				arrGot = fmt.Sprint(arr.oldMSS, len(arr.buffered), len(arr.deferred))
 			}
 			if a := o.arriving[mh]; a != nil {
 				arrWant = fmt.Sprint(a.oldMSS, len(a.buffered), len(a.deferred))

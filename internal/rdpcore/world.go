@@ -263,9 +263,9 @@ type World struct {
 	Wired    netsim.WiredTransport
 	Wireless netsim.WirelessTransport
 	// wiredLegs and wirelessLegs are the substrates' doors for the request
-	// path's seven messages carried unboxed (msg.Leg), picked once: the
-	// netsim substrates' own, or, over any other transport, sends that box
-	// each leg (netsim.WiredLegsOf).
+	// path's and the hand-off's messages carried unboxed (msg.Leg), picked
+	// once: the netsim substrates' own, or, over any other transport, sends
+	// that box each leg (netsim.WiredLegsOf).
 	wiredLegs    netsim.WiredLegs
 	wirelessLegs netsim.WirelessLegs
 
@@ -544,13 +544,12 @@ func (w *World) NetObserver() netsim.Observer {
 	}
 }
 
-// countWired accounts the hand-off and migration traffic a station puts
-// on the wired network (MSSNode.sendWired); the servers' pref_redirect
-// echoes are counted through server.AppServer.OnEcho.
+// countWired accounts the migration traffic a station puts on the wired
+// network (MSSNode.sendWired); hand-off state is counted in
+// MSSNode.sendLeg, and the servers' pref_redirect echoes through
+// server.AppServer.OnEcho.
 func (w *World) countWired(m msg.Message) {
 	switch m.Kind() {
-	case msg.KindDeregAck, msg.KindImageTransfer:
-		w.Stats.HandoffStateBytes.Add(int64(msg.WireSize(m)))
 	case msg.KindMigOffer, msg.KindMigCommit, msg.KindPrefRedirect, msg.KindMigGC:
 		w.Stats.MigMessages.Inc()
 	case msg.KindMigState:
@@ -1172,7 +1171,7 @@ func (w *World) CheckQuiescent() error {
 		for _, h := range st.hosts {
 			if x := h.x; x != nil {
 				parked += len(x.parked)
-				if x.arr != nil {
+				if x.arriving {
 					arriving++
 				}
 			}

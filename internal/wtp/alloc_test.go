@@ -8,9 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// raceEnabled is set in race builds (race_test.go).
-var raceEnabled bool
-
 // senderAllocs warms a sender on cycle and returns the cycle's
 // steady-state allocations. The transmissions land in out, which the
 // cycle empties.
@@ -41,9 +38,6 @@ func ackAll(s *Sender, out []msg.WtpData) {
 // frame a value in the ring; a timeout retransmission and a fast
 // retransmission cost nothing more.
 func TestSenderAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes msg.WireSize's pooled buffer allocate")
-	}
 	var m msg.Message = req(1)
 	coalesced := Config{Enabled: true}
 	if avg := senderAllocs(coalesced, func(k *sim.Kernel, s *Sender, out *[]msg.WtpData) {

@@ -26,10 +26,11 @@
 # owner stops wanting fires as a no-op behind a generation check.
 #
 # The request path's seven messages (request, srv-request, srv-result,
-# result-fwd, result, ack, ack-fwd) travel as msg.Leg values, boxed only
-# where something keeps them or listens: in internal/rdpcore and
+# result-fwd, result, ack, ack-fwd) and the hand-off's four (greet, dereg,
+# deregack, update-currl) travel as msg.Leg values, boxed only where
+# something keeps them or listens: in internal/rdpcore and
 # internal/server, non-test code hands no composite literal of one of the
-# seven kinds straight to a door that takes a msg.Message (sendWired,
+# eleven kinds straight to a door that takes a msg.Message (sendWired,
 # sendToStation, a transport's Send, SendUplink or SendDownlink, the
 # host's uplink, selfHops.Defer) — it sends the literal's .Leg() through
 # the leg door (sendLeg, sendLegToStation, uplinkLeg, the substrates'
@@ -94,10 +95,10 @@ if [ -n "$cancels" ]; then
 	fail=1
 fi
 
-# Request-path literals boxed at a Message door, by file and line. A call
+# Leg-kind literals boxed at a Message door, by file and line. A call
 # may span lines, so each file is scanned whole: from a door's opening
 # parenthesis to its matching close.
-legkinds='Request|ServerRequest|ServerResult|ResultForward|ResultDeliver|AckMH|AckForward'
+legkinds='Request|ServerRequest|ServerResult|ResultForward|ResultDeliver|AckMH|AckForward|Greet|Dereg|DeregAck|UpdateCurrentLoc'
 boxed=$(cd ../.. && find internal/rdpcore internal/server -name '*.go' ! -name '*_test.go' | sort |
 	xargs awk -v kinds="$legkinds" '
 	function scan(   rest, base, i, c, depth, args, pre) {
@@ -128,7 +129,7 @@ boxed=$(cd ../.. && find internal/rdpcore internal/server -name '*.go' ! -name '
 	END { scan() }
 ' || true)
 nboxed=$(printf '%s\n' "$boxed" | grep -c . || true)
-echo "station-doors: $nboxed request-path messages boxed at a msg.Message door (rdpcore, server)"
+echo "station-doors: $nboxed request-path and hand-off messages boxed at a msg.Message door (rdpcore, server)"
 if [ -n "$boxed" ]; then
 	echo "station-doors: send the literal's .Leg() through the leg door instead:"
 	printf '%s\n' "$boxed" | sed 's/^/  /'
