@@ -21,7 +21,10 @@ race: test-race
 # allocs runs every allocation pin on the message path: what a kernel
 # event, a causal stamp, a codec round trip (and a decode of a hostile
 # list length, TestDecodeAllocBudgetHostileLength), a wired or radio hop, a
-# windowed-radio frame, a server job, a station's self-send, a pref
+# windowed-radio frame, a server job, a station's self-send, a warm
+# request round trip and a warm host's requests across a hand-off cycle
+# (the server's reply each: TestRequestRoundTripAllocBudget, over the E10
+# stack too, and TestWarmHostRequestCycleAllocBudget), a pref
 # change in the aggregated table, and a cross-region frame or script
 # event of the partitioned engine may allocate once warm — that the
 # kernel's heap and free lists let a drained burst go, and that its heap

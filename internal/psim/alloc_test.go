@@ -91,8 +91,8 @@ func TestCrossFrameAllocBudget(t *testing.T) {
 // TestRequestRoundTripAllocBudget with the server in the other region:
 // the srv-request and the srv-result cross the barrier as msg.Leg values
 // — emitted, parked, merged and delivered unboxed — so one warm request's
-// whole cycle costs the same two allocations, the proxy and the server's
-// reply. The windows are stepped by hand with one arena, as in
+// whole cycle costs the same one allocation, the server's reply. The
+// windows are stepped by hand with one arena, as in
 // TestCrossFrameAllocBudget.
 func TestCrossRegionRoundTripAllocBudget(t *testing.T) {
 	base := rdpcore.DefaultConfig()
@@ -130,8 +130,8 @@ func TestCrossRegionRoundTripAllocBudget(t *testing.T) {
 		trip()
 	}
 	before, crossed := r0.world.Stats.ResultsDelivered.Value(), r0.crossFrames+r1.crossFrames
-	if avg := testing.AllocsPerRun(200, trip); avg > 2 {
-		t.Errorf("cross-region request round trip: %.2f allocs, budget 2", avg)
+	if avg := testing.AllocsPerRun(200, trip); avg > 1 {
+		t.Errorf("cross-region request round trip: %.2f allocs, budget 1", avg)
 	}
 	if got := r0.world.Stats.ResultsDelivered.Value() - before; got != 201 {
 		t.Errorf("delivered %d results, want 201", got)

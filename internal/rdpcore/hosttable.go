@@ -35,7 +35,9 @@ type hostDurable struct {
 	// request can pass through before the del-pref result arrives and arms
 	// the flag. Like the pref's other local context, this knowledge is not
 	// transferred on hand-off. An emptied ledger keeps its capacity for
-	// the host's next request and goes when the host leaves or hands off.
+	// the host's next request. When the host leaves or hands off it goes
+	// to the station's spare stock (spareOut), and a host's first request
+	// takes its ledger from there.
 	out []outReq
 	// departed marks a host whose dereg has been processed: "it will
 	// ignore all future Ack messages from this MH" (§3.1). forwardTo is
@@ -227,11 +229,16 @@ func (h *stationHost) outIndex(req ids.RequestID) int {
 	return slices.IndexFunc(h.out, func(o outReq) bool { return o.req == req })
 }
 
-// outAdd puts req on the ledger, re-tagging an entry already there.
-func (h *stationHost) outAdd(req ids.RequestID, inc ids.Incarnation) {
+// outAdd puts req on mh's ledger, re-tagging an entry already there. A
+// host without a ledger takes one from the spare stock.
+func (n *MSSNode) outAdd(mh ids.MH, req ids.RequestID, inc ids.Incarnation) {
+	h := n.rec(mh)
 	if i := h.outIndex(req); i >= 0 {
 		h.out[i].inc = inc
 		return
+	}
+	if h.out == nil {
+		h.out = pop(&n.spareOut)
 	}
 	h.out = append(h.out, outReq{req: req, inc: inc})
 }

@@ -67,13 +67,20 @@ type MHNode struct {
 	// DetachMH to AttachMH.
 	xferJournal []byte
 
-	// reqs is the request table, indexed by Seq-1: "Seq is unique per MH"
-	// (assumption 5), so the host's own sequence numbers are the index.
+	// reqs is the request table's window: "Seq is unique per MH"
+	// (assumption 5), so row i is the host's own sequence number
+	// base+i+1. Each issue drops the leading rows whose result was seen
+	// and that hold nothing pending (reqKeep), moving base on, so the
+	// window spans the requests still in play; an own identifier at or
+	// below base reads as issued and seen (past). inline is the
+	// window's array until more than two rows are in play at once.
 	// stray holds the rows of identifiers this host never issued (a
-	// foreign origin, or a sequence beyond the table), made on first use.
+	// foreign origin, or a sequence beyond the window), made on first use.
 	// nOutstanding counts the rows still awaiting their result; whether
 	// it is zero is piggybacked on every Ack (msg.AckMH.HaveOutstanding).
 	reqs         []mhReq
+	base         uint32
+	inline       [2]mhReq
 	stray        map[ids.RequestID]*mhReq
 	nOutstanding int
 
@@ -164,24 +171,43 @@ const (
 	// reqRetry: a timeout retry chain is live (Config.RequestTimeout), to
 	// be re-armed on attach.
 	reqRetry
+
+	// reqKeep holds a seen row in the window: something is still pending
+	// on it, or it was abandoned.
+	reqKeep = reqOutstanding | reqAbandoned | reqDeadline | reqBusyRetry | reqRetry
 )
 
 // newMHNode constructs a mobile host bound to a world.
 func newMHNode(id ids.MH, w *World) *MHNode {
-	return &MHNode{id: id, w: w, inc: ids.FirstIncarnation}
+	h := &MHNode{id: id, w: w, inc: ids.FirstIncarnation}
+	h.reqs = h.inline[:0]
+	return h
 }
 
-// find returns req's row, or nil when the host holds no state for it.
+// find returns req's row, or nil when the host holds no state for it or
+// req is below the window.
 func (h *MHNode) find(req ids.RequestID) *mhReq {
-	if i := req.Seq - 1; req.Origin == h.id && i < uint32(len(h.reqs)) {
+	if i := req.Seq - 1 - h.base; req.Origin == h.id && req.Seq > h.base && i < uint32(len(h.reqs)) {
 		return &h.reqs[i]
 	}
 	return h.stray[req]
 }
 
-// row returns req's row, making a stray one for an identifier this host
-// did not issue. The pointer is good until the next issue grows the table.
+// past reports whether req is one of the host's own requests below the
+// window: issued, and its result seen.
+func (h *MHNode) past(req ids.RequestID) bool {
+	return req.Origin == h.id && req.Seq > 0 && req.Seq <= h.base
+}
+
+// row returns req's row for writing, making a stray one for an identifier
+// this host did not issue. A request below the window gets the world's
+// pastRow, written afresh, so what the caller writes there is forgotten.
+// The pointer is good until the next issue moves the window.
 func (h *MHNode) row(req ids.RequestID) *mhReq {
+	if h.past(req) {
+		h.w.pastRow = mhReq{flags: reqIssued | reqSeen}
+		return &h.w.pastRow
+	}
 	q := h.find(req)
 	if q == nil {
 		q = new(mhReq)
@@ -192,6 +218,9 @@ func (h *MHNode) row(req ids.RequestID) *mhReq {
 
 // has reports whether req carries any of the given flags.
 func (h *MHNode) has(req ids.RequestID, flags uint8) bool {
+	if h.past(req) {
+		return flags&(reqIssued|reqSeen) != 0
+	}
 	q := h.find(req)
 	return q != nil && q.flags&flags != 0
 }
@@ -201,7 +230,7 @@ func (h *MHNode) flagged(flag uint8) []ids.RequestID {
 	var out []ids.RequestID
 	for i := range h.reqs {
 		if h.reqs[i].flags&flag != 0 {
-			out = append(out, ids.RequestID{Origin: h.id, Seq: uint32(i + 1)})
+			out = append(out, ids.RequestID{Origin: h.id, Seq: h.base + uint32(i+1)})
 		}
 	}
 	for req, q := range h.stray {
@@ -213,10 +242,17 @@ func (h *MHNode) flagged(flag uint8) []ids.RequestID {
 	return out
 }
 
-// newRequest appends a row to the request table and returns its
-// identifier: the sequence number is the row's index plus one.
+// newRequest moves the window past its settled leading rows, appends a
+// row and returns its identifier: the sequence number after the window's
+// last.
 func (h *MHNode) newRequest() ids.RequestID {
-	req := ids.RequestID{Origin: h.id, Seq: uint32(len(h.reqs) + 1)}
+	done := 0
+	for done < len(h.reqs) && h.reqs[done].flags&(reqSeen|reqKeep) == reqSeen {
+		done++
+	}
+	h.base += uint32(done)
+	h.reqs = append(h.reqs[:0], h.reqs[done:]...)
+	req := ids.RequestID{Origin: h.id, Seq: h.base + uint32(len(h.reqs)) + 1}
 	q := mhReq{issuedAt: h.w.Kernel.Now(), flags: reqIssued | reqOutstanding}
 	if s := h.stray[req]; s != nil {
 		// What was noted about the identifier before it was issued (a
@@ -438,7 +474,7 @@ func (h *MHNode) crash() {
 	h.timerGen++
 	h.regOld = 0
 	h.nextBatchSeq = 0
-	h.reqs, h.stray, h.nOutstanding = nil, nil, 0
+	h.reqs, h.base, h.stray, h.nOutstanding = h.reqs[:0], 0, nil, 0
 	h.queued = nil
 	h.offline = nil
 	h.sent = nil

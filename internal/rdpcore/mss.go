@@ -36,6 +36,15 @@ type MSSNode struct {
 	hosts map[ids.MH]*stationHost
 	slab  []stationHost
 	spare *hostTransient
+	// spareProxies, spareImages and spareOut are the spare stocks the
+	// station's per-request records are made over: proxies del-proxy ended,
+	// the journal images of emptied slots, the ledgers of hosts that left.
+	// retired holds the proxies the current event ended; they are stocked
+	// once it is over (flushJournal).
+	spareProxies []*Proxy
+	spareImages  []*msg.MigState
+	spareOut     [][]outReq
+	retired      []*Proxy
 	// hosted is what answers for each proxy identity of this station, by
 	// sequence — exactly one addressee each (see deliver). nProxies and
 	// nReserved count the private proxies and the inbound migration
@@ -691,6 +700,9 @@ func (n *MSSNode) forget(mh ids.MH) {
 		// What outlives responsibility is where the host went, a hand-off
 		// still in flight toward this station, and recent delivery
 		// attempts.
+		if c := cap(h.out); c > 0 && c <= spareReqs {
+			push(&n.spareOut, h.out[:0])
+		}
 		h.out, h.inc = nil, 0
 		if x := h.x; x != nil {
 			x.held, x.heldAcks, x.deferredUpdate = nil, nil, false
@@ -868,7 +880,7 @@ func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
 		return
 	}
 	n.noteInc(mh, m.Inc)
-	n.rec(mh).outAdd(m.Req, normInc(m.Inc))
+	n.outAdd(mh, m.Req, normInc(m.Inc))
 	id, local := n.proxyFor(mh, m.Server, m.Payload)
 	switch a := local.(type) {
 	case *Proxy:
@@ -934,6 +946,57 @@ func (n *MSSNode) createProxy(mh ids.MH) *Proxy {
 func (n *MSSNode) retire(p *Proxy) {
 	n.take(p.id.Seq)
 	n.w.Stats.ProxySeconds[n.id] += time.Duration(n.w.Kernel.Now() - p.createdAt)
+}
+
+// recycle marks a proxy del-proxy ended (§3.3) for the spare stock at the
+// end of the event — unless it ever armed a timer (a lease, a batch
+// deadline): a stale timer must find the record it was armed for, never
+// a successor. A proxy that migrates or is reclaimed is never recycled.
+func (n *MSSNode) recycle(p *Proxy) {
+	if p.leaseEpoch == 0 && p.batchGen == 0 {
+		n.retired = append(n.retired, p)
+	}
+}
+
+// stockRetired puts the proxies the event retired on the spare stock,
+// their request arrays cleared, or dropped past spareReqs entries.
+func (n *MSSNode) stockRetired() {
+	for _, p := range n.retired {
+		if cap(p.reqs) > spareReqs {
+			p.reqs = p.first[:0]
+		}
+		clear(p.reqs[:cap(p.reqs)])
+		p.reqs = p.reqs[:0]
+		push(&n.spareProxies, p)
+	}
+	clear(n.retired)
+	n.retired = n.retired[:0]
+}
+
+// spareStock bounds each of a station's spare stocks, and spareReqs the
+// array a spare record keeps: what a burst leaves past either is the
+// collector's.
+const (
+	spareStock = 16
+	spareReqs  = 4
+)
+
+// pop takes the last record off a spare stock, clearing its slot, or
+// returns the zero value.
+func pop[T any](stock *[]T) T {
+	var t T
+	if s := *stock; len(s) > 0 {
+		t, s[len(s)-1] = s[len(s)-1], t
+		*stock = s[:len(s)-1]
+	}
+	return t
+}
+
+// push puts a record on a spare stock unless it is full.
+func push[T any](stock *[]T, t T) {
+	if len(*stock) < spareStock {
+		*stock = append(*stock, t)
+	}
 }
 
 // handleAckMH relays an MH's Ack to its proxy (§3.1), confirming proxy
@@ -1323,7 +1386,7 @@ func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 		n.noteInc(mh, inc)
 	}
 	if member.Valid() {
-		n.rec(mh).outAdd(member, inc)
+		n.outAdd(mh, member, inc)
 	}
 	id, local := n.proxyFor(mh, ids.NoServer, nil)
 	switch local.(type) {

@@ -27,7 +27,9 @@ type Proxy struct {
 	// that answer a late or replayed batch message with the same abort.
 	// With the identity, currentLoc and leaseInc they are the proxy's
 	// durable image (image, revive). first is reqs' backing array until
-	// a second request arrives: most proxies only ever hold one.
+	// a second request arrives: most proxies only ever hold one. A record
+	// reused from the station's spare stock keeps the array it had, up to
+	// spareReqs entries (MSSNode.stockRetired).
 	reqs    []msg.ProxyReq
 	first   [1]msg.ProxyReq
 	batches []msg.ProxyBatch
@@ -73,19 +75,25 @@ func normInc(i ids.Incarnation) ids.Incarnation {
 // incLess orders two incarnation tags after normalization.
 func incLess(a, b ids.Incarnation) bool { return normInc(a) < normInc(b) }
 
-// newProxy creates a proxy hosted at host on behalf of mh. Its
-// currentLoc starts as the hosting station itself, since the proxy is
-// always created at the MH's current respMss (§3.1).
+// newProxy creates a proxy hosted at host on behalf of mh, over a record
+// of host's spare stock when it has one. Its currentLoc starts as the
+// hosting station itself, since the proxy is always created at the MH's
+// current respMss (§3.1).
 func newProxy(id ids.ProxyID, mh ids.MH, host *MSSNode) *Proxy {
-	p := &Proxy{
+	p := pop(&host.spareProxies)
+	if p == nil {
+		p = new(Proxy)
+		p.reqs = p.first[:0]
+	}
+	*p = Proxy{
 		id:             id,
 		mh:             mh,
 		host:           host,
 		currentLoc:     host.id,
 		createdAt:      host.w.Kernel.Now(),
 		lastMigAttempt: host.w.Kernel.Now() - sim.Time(host.w.cfg.Migration.MinInterval),
+		reqs:           p.reqs,
 	}
-	p.reqs = p.first[:0]
 	return p
 }
 
@@ -193,6 +201,7 @@ func (p *Proxy) handleLeg(l msg.Leg) {
 func (p *Proxy) onAckForward(req ids.RequestID, delProxy bool) {
 	if p.onAck(req, delProxy) {
 		p.host.retire(p)
+		p.host.recycle(p)
 		p.host.w.Stats.ProxiesDeleted.Inc()
 	}
 }

@@ -158,8 +158,10 @@ func (n *MSSNode) markSlot(seq uint32) {
 }
 
 // flushJournal journals the marked host records and slots as they are
-// now — one stable-store write each — and clears the marks.
+// now — one stable-store write each — and clears the marks. Then, the
+// event being over, the proxies it retired go to the spare stock.
 func (n *MSSNode) flushJournal() {
+	defer n.stockRetired()
 	if len(n.dirtyHosts)+len(n.dirtySlots) == 0 {
 		return
 	}
@@ -181,7 +183,7 @@ func (n *MSSNode) flushJournal() {
 		case *Proxy:
 			st := rec.proxies[seq]
 			if st == nil {
-				st = new(msg.MigState)
+				st = n.newImage()
 				rec.proxies[seq] = st
 			}
 			a.image(st)
@@ -191,10 +193,34 @@ func (n *MSSNode) flushJournal() {
 		case *tombstone:
 			rec.tombstones[seq] = a.clone()
 		}
-		delete(rec.proxies, seq)
+		if st := rec.proxies[seq]; st != nil {
+			n.spareImage(st)
+			delete(rec.proxies, seq)
+		}
 	}
 	n.w.store.writes += int64(len(n.dirtyHosts) + len(n.dirtySlots))
 	n.dirtyHosts, n.dirtySlots = n.dirtyHosts[:0], n.dirtySlots[:0]
+}
+
+// newImage is the one constructor of a proxy's journal image: a record of
+// the spare stock, or a new one.
+func (n *MSSNode) newImage() *msg.MigState {
+	if st := pop(&n.spareImages); st != nil {
+		return st
+	}
+	return new(msg.MigState)
+}
+
+// spareImage stocks the image of an emptied slot, its request array
+// cleared — or dropped, past spareReqs entries — and its batches dropped.
+func (n *MSSNode) spareImage(st *msg.MigState) {
+	reqs := st.Reqs
+	if cap(reqs) > spareReqs {
+		reqs = nil
+	}
+	clear(reqs)
+	*st = msg.MigState{Reqs: reqs[:0]}
+	push(&n.spareImages, st)
 }
 
 // hostImage is this station's complete journaled state for mh, its
@@ -269,6 +295,7 @@ func (n *MSSNode) crash() {
 	n.boot++ // voids every timer armed through after
 	n.inbox = classInbox{}
 	n.hosts, n.slab, n.spare = make(map[ids.MH]*stationHost), nil, nil
+	n.spareProxies, n.spareImages, n.spareOut = nil, nil, nil
 	n.localMhs = newHostSet(n.w.cfg.AggregatedState)
 	n.prefs = newPrefTable(n.w.cfg.AggregatedState)
 	// The result cache is volatile by design (dcache doc): rebuilding it

@@ -42,7 +42,7 @@ type reqOracle struct {
 	crashed                                                 bool
 	nextSeq                                                 uint32
 	issued, seen, outstanding, admitted, abandoned, pending map[ids.RequestID]bool
-	latencies, violations, busyRetries                      int64
+	latencies, duplicates, violations, busyRetries          int64
 }
 
 func (o *reqOracle) wipe() {
@@ -56,8 +56,9 @@ func (o *reqOracle) wipe() {
 // foreign origin, beyond the table) / admit / busy / abandon / crash /
 // reboot / detach+attach and checks, step by step, that the request
 // table answers exactly as the plain-map bookkeeping would: Seen,
-// Admitted and Abandoned for every identifier touched so far,
-// HaveOutstanding on every Ack, and the ResultLatency, Violations and
+// Admitted and Abandoned for every identifier touched so far — also
+// those the table's window has moved past — HaveOutstanding on every
+// Ack, and the ResultLatency, DuplicateDeliveries, Violations and
 // BusyRetries counts.
 func TestRequestTableAgainstMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -92,6 +93,7 @@ func requestTableHistory(t *testing.T, seed int64) {
 	}
 	deliver := func(m msg.Message) { h.HandleMessage(h.RespMss().Node(), m) }
 	done := func(req ids.RequestID) bool { return o.seen[req] || o.admitted[req] || o.abandoned[req] }
+	windowed := false // the window moved past a settled row at some step
 
 	for step := 0; step < 400; step++ {
 		radio.up = radio.up[:0]
@@ -121,6 +123,9 @@ func requestTableHistory(t *testing.T, seed int64) {
 			deliver(msg.ResultDeliver{Req: req, Payload: []byte("r"), Inc: h.inc})
 			if !o.seen[req] && o.issued[req] {
 				o.latencies++
+			}
+			if o.seen[req] {
+				o.duplicates++
 			}
 			o.seen[req] = true
 			delete(o.outstanding, req)
@@ -193,12 +198,19 @@ func requestTableHistory(t *testing.T, seed int64) {
 		if got := int64(w.Stats.ResultLatency.Count()); got != o.latencies {
 			t.Fatalf("step %d op %d: %d latency samples, oracle %d", step, op, got, o.latencies)
 		}
+		if got := w.Stats.DuplicateDeliveries.Value(); got != o.duplicates {
+			t.Fatalf("step %d op %d: %d duplicates, oracle %d", step, op, got, o.duplicates)
+		}
+		windowed = windowed || h.base > 0
 		if got := w.Stats.Violations.Value(); got != o.violations {
 			t.Fatalf("step %d op %d: %d violations, oracle %d", step, op, got, o.violations)
 		}
 		if got := w.Stats.BusyRetries.Value(); got != o.busyRetries {
 			t.Fatalf("step %d op %d: %d busy retries, oracle %d", step, op, got, o.busyRetries)
 		}
+	}
+	if !windowed {
+		t.Errorf("the request table's window never moved")
 	}
 }
 

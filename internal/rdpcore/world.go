@@ -289,6 +289,10 @@ type World struct {
 	// hostTimers defers every host's timers (MHNode.after) as recycled
 	// records.
 	hostTimers *sim.Calls[hostTimer]
+	// pastRow is the row a host writes for one of its own requests below
+	// its table's window (MHNode.row): issued, and its result seen. Only
+	// the goroutine stepping the world writes it; reads never do (has).
+	pastRow mhReq
 
 	// violations holds the first maxViolations breaches violate recorded.
 	violations []violation

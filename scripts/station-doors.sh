@@ -36,6 +36,13 @@
 # the leg door (sendLeg, sendLegToStation, uplinkLeg, the substrates'
 # leg sends) instead.
 #
+# A proxy and a proxy's journal image are made over a record of the
+# station's spare stock when it has one, so each has one constructor: in
+# internal/rdpcore's non-test code a Proxy is built (new(Proxy), a Proxy
+# composite literal) only inside newProxy, and a msg.MigState allocated
+# (new(msg.MigState), &msg.MigState{...}) only inside newImage — a value
+# MigState, such as the one migrateOut ships, is a message.
+#
 # It prints what it counted and exits 1 on a breach, or when the explicit
 # mark/persist call sites outside stable.go outgrow their budget.
 #
@@ -133,6 +140,22 @@ echo "station-doors: $nboxed request-path and hand-off messages boxed at a msg.M
 if [ -n "$boxed" ]; then
 	echo "station-doors: send the literal's .Leg() through the leg door instead:"
 	printf '%s\n' "$boxed" | sed 's/^/  /'
+	fail=1
+fi
+
+# Proxy and journal-image constructions, by file, line and enclosing
+# function: newProxy and newImage are the only ones.
+builds=$(awk '
+	/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
+	/^[[:space:]]*\/\// { next }
+	/new\(Proxy\)|(^|[^A-Za-z0-9_.])Proxy[{]/ && fn != "newProxy" { print FILENAME ":" FNR ": Proxy in " fn }
+	/new\(msg\.MigState\)|&msg\.MigState[{]/ && fn != "newImage" { print FILENAME ":" FNR ": msg.MigState in " fn }
+' $(ls *.go | grep -v '_test\.go$'))
+nbuilds=$(printf '%s\n' "$builds" | grep -c . || true)
+echo "station-doors: $nbuilds proxies or journal images constructed outside newProxy/newImage"
+if [ -n "$builds" ]; then
+	echo "station-doors: make a proxy with newProxy and a journal image with newImage (they draw on the spare stock):"
+	printf '%s\n' "$builds" | sed 's/^/  /'
 	fail=1
 fi
 
