@@ -25,14 +25,17 @@ race: test-race
 # request round trip and a warm host's requests across a hand-off cycle
 # (the server's reply each: TestRequestRoundTripAllocBudget, over the E10
 # stack too, and TestWarmHostRequestCycleAllocBudget), a pref
-# change in the aggregated table, and a cross-region frame or script
+# change in the aggregated table, the recovery stack's records (a full
+# result cache's miss, Put and eviction, an offline journal rewrite, a
+# hand-off timeout's timer), and a cross-region frame or script
 # event of the partitioned engine may allocate once warm — that the
 # kernel's heap and free lists let a drained burst go, and that its heap
 # holds one wheel slot's events (HeapHolds). The pins use
 # testing.AllocsPerRun, so they run without the race detector.
 allocs:
 	go test -count=1 -run 'Alloc|Budget|Shrink|HeapHolds' ./internal/sim ./internal/causal ./internal/msg \
-		./internal/netsim ./internal/wtp ./internal/server ./internal/rdpcore ./internal/psim
+		./internal/netsim ./internal/wtp ./internal/server ./internal/rdpcore ./internal/psim \
+		./internal/dcache
 
 # perf-smoke runs the yardstick itself for a second a workload, the way
 # the benchmark driver does, and fails unless each run's result line says

@@ -98,10 +98,16 @@ type entry struct {
 
 // Cache is a TTL+LRU result cache. Not safe for concurrent use: one
 // cache lives inside one station's event-serialized state.
+//
+// An entry that leaves the cache (evicted, or found Stale) drops its
+// payload and waits on the spare chain for the next Put, so a warm cache
+// allocates no entries: live plus spare entries never exceed the most
+// the cache ever held at once.
 type Cache struct {
 	cfg        Config
 	entries    map[Key]*entry
 	head, tail *entry
+	spare      *entry // removed entries, chained through next
 	bytes      int64
 	evictions  int64
 }
@@ -163,21 +169,31 @@ func (c *Cache) Get(key Key, now time.Duration) ([]byte, Outcome) {
 
 // Put stores a result, replacing any previous entry for the key, then
 // evicts least-recently-used entries until the budgets hold again. A
-// payload larger than the entire byte budget is not cached.
+// payload larger than the entire byte budget is not cached, and the
+// key's older entry goes: it is no longer the newest result.
 func (c *Cache) Put(key Key, payload []byte, now time.Duration) {
 	if c == nil {
 		return
 	}
+	e, ok := c.entries[key]
 	if c.cfg.MaxBytes > 0 && int64(len(payload)) > c.cfg.MaxBytes {
+		if ok {
+			c.remove(e)
+		}
 		return
 	}
-	if e, ok := c.entries[key]; ok {
+	if ok {
 		c.bytes += int64(len(payload)) - int64(len(e.payload))
 		e.payload = payload
 		e.storedAt = now
 		c.moveToFront(e)
 	} else {
-		e := &entry{key: key, payload: payload, storedAt: now}
+		if e = c.spare; e != nil {
+			c.spare = e.next
+		} else {
+			e = new(entry)
+		}
+		e.key, e.payload, e.storedAt = key, payload, now
 		c.entries[key] = e
 		c.bytes += int64(len(payload))
 		c.pushFront(e)
@@ -222,8 +238,11 @@ func (c *Cache) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
+// remove takes e out of the cache and onto the spare chain.
 func (c *Cache) remove(e *entry) {
 	c.unlink(e)
 	delete(c.entries, e.key)
 	c.bytes -= int64(len(e.payload))
+	*e = entry{next: c.spare}
+	c.spare = e
 }

@@ -2,6 +2,7 @@ package dcache
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -128,5 +129,182 @@ func TestDigestDistinguishesPayloads(t *testing.T) {
 	k2 := Key{Server: 2, Digest: Digest([]byte("q"))}
 	if k1 == k2 {
 		t.Error("server must be part of the key")
+	}
+}
+
+// An oversized payload is not cached, and it supersedes the key's older
+// result: that entry must not be served any more.
+func TestOversizedPutDropsOlderEntry(t *testing.T) {
+	c := New(Config{MaxBytes: 100})
+	k := key(1, "q")
+	c.Put(k, []byte("old"), 0)
+	c.Put(key(1, "other"), []byte("kept"), 0)
+	c.Put(k, make([]byte, 101), time.Second)
+	if got, out := c.Get(k, time.Second); out != Miss {
+		t.Errorf("Get after an oversized Put = %q,%v; want miss", got, out)
+	}
+	if c.Len() != 1 || c.Bytes() != 4 || c.Evictions() != 0 {
+		t.Errorf("len=%d bytes=%d evictions=%d, want 1/4/0", c.Len(), c.Bytes(), c.Evictions())
+	}
+	if got, out := c.Get(key(1, "other"), time.Second); out != Hit || string(got) != "kept" {
+		t.Errorf("other key = %q,%v; want kept,hit", got, out)
+	}
+}
+
+// refLRU is the cache's specification as the plainest code: a slice,
+// most recently used first.
+type refLRU struct {
+	cfg       Config
+	list      []refEntry
+	evictions int64
+}
+
+type refEntry struct {
+	key      Key
+	payload  []byte
+	storedAt time.Duration
+}
+
+func (r *refLRU) find(k Key) int {
+	for i, e := range r.list {
+		if e.key == k {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refLRU) bytes() int64 {
+	var b int64
+	for _, e := range r.list {
+		b += int64(len(e.payload))
+	}
+	return b
+}
+
+func (r *refLRU) get(k Key, now time.Duration) ([]byte, Outcome) {
+	i := r.find(k)
+	if i < 0 {
+		return nil, Miss
+	}
+	e := r.list[i]
+	r.list = append(r.list[:i], r.list[i+1:]...)
+	if r.cfg.TTL > 0 && now-e.storedAt > r.cfg.TTL {
+		return nil, Stale
+	}
+	r.list = append([]refEntry{e}, r.list...)
+	return e.payload, Hit
+}
+
+func (r *refLRU) put(k Key, payload []byte, now time.Duration) {
+	if i := r.find(k); i >= 0 {
+		r.list = append(r.list[:i], r.list[i+1:]...)
+	}
+	if r.cfg.MaxBytes > 0 && int64(len(payload)) > r.cfg.MaxBytes {
+		return
+	}
+	r.list = append([]refEntry{{key: k, payload: payload, storedAt: now}}, r.list...)
+	for (r.cfg.MaxBytes > 0 && r.bytes() > r.cfg.MaxBytes) ||
+		(r.cfg.MaxEntries > 0 && len(r.list) > r.cfg.MaxEntries) {
+		r.list = r.list[:len(r.list)-1]
+		r.evictions++
+	}
+}
+
+// TestCacheMatchesReferenceLRU drives the cache and the reference with the
+// same random Put/Get sequence over a small key pool — budgets by entries,
+// by bytes and both, with and without a TTL — and compares every outcome
+// and payload and the accounting after each step. Every payload is unique
+// (it names the Put that stored it), so an entry the spare chain hands
+// back still carrying an old key or payload shows; some exceed the byte
+// budget.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	cfgs := []Config{
+		{MaxEntries: 4},
+		{MaxBytes: 64},
+		{TTL: 50 * time.Millisecond, MaxEntries: 6, MaxBytes: 96},
+		{TTL: 20 * time.Millisecond, MaxEntries: 3},
+	}
+	for ci, cfg := range cfgs {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c, ref := New(cfg), &refLRU{cfg: cfg}
+			var now time.Duration
+			for step := 0; step < 2000; step++ {
+				now += time.Duration(rng.Intn(5)) * time.Millisecond
+				k := key(1, fmt.Sprint("q", rng.Intn(10)))
+				var what string
+				if rng.Intn(2) == 0 {
+					payload := []byte(fmt.Sprintf("%d/%d/%s", seed, step, make([]byte, rng.Intn(60))))
+					what = fmt.Sprintf("put %d B", len(payload))
+					c.Put(k, payload, now)
+					ref.put(k, payload, now)
+				} else {
+					got, out := c.Get(k, now)
+					want, wantOut := ref.get(k, now)
+					what = "get"
+					if out != wantOut || string(got) != string(want) {
+						t.Fatalf("cfg %d seed %d step %d: Get = %q,%v; reference %q,%v", ci, seed, step, got, out, want, wantOut)
+					}
+				}
+				if c.Len() != len(ref.list) || c.Bytes() != ref.bytes() || c.Evictions() != ref.evictions {
+					t.Fatalf("cfg %d seed %d step %d (%s): len/bytes/evictions %d/%d/%d; reference %d/%d/%d",
+						ci, seed, step, what, c.Len(), c.Bytes(), c.Evictions(), len(ref.list), ref.bytes(), ref.evictions)
+				}
+			}
+		}
+	}
+}
+
+// TestResultCacheAllocBudget: a warm, full cache allocates nothing per
+// operation. A miss whose Put evicts the least recently used entry takes
+// that entry's record off the spare chain, and so does a Put after a
+// Stale lookup dropped the expired entry. (At the parent each such Put
+// allocated its entry: 1 a cycle.)
+func TestResultCacheAllocBudget(t *testing.T) {
+	const size = 64
+	c := New(Config{TTL: time.Second, MaxEntries: size})
+	keys := make([]Key, 4*size)
+	for i := range keys {
+		keys[i] = Key{Server: 1, Digest: uint64(i)}
+	}
+	payload := []byte("result")
+	var now time.Duration
+	i := 0
+	evict := func() {
+		k := keys[i%len(keys)]
+		i++
+		if _, out := c.Get(k, now); out != Miss {
+			t.Fatalf("Get = %v, want miss", out)
+		}
+		c.Put(k, payload, now)
+	}
+	for j := 0; j < 8*len(keys); j++ {
+		evict()
+	}
+	if avg := testing.AllocsPerRun(1000, evict); avg != 0 {
+		t.Errorf("miss, Put and eviction: %.2f allocs, budget 0", avg)
+	}
+	stale := func() {
+		k := keys[i%size]
+		i++
+		now += 2 * time.Second
+		if _, out := c.Get(k, now); out != Stale {
+			t.Fatalf("Get = %v, want stale", out)
+		}
+		c.Put(k, payload, now)
+	}
+	c, i = New(Config{TTL: time.Second, MaxEntries: size}), 0
+	for j := 0; j < size; j++ {
+		c.Put(keys[j], payload, now)
+	}
+	for j := 0; j < 8*size; j++ {
+		stale()
+	}
+	if avg := testing.AllocsPerRun(1000, stale); avg != 0 {
+		t.Errorf("Stale and Put: %.2f allocs, budget 0", avg)
+	}
+	if c.Evictions() != 0 || c.Len() != size {
+		t.Errorf("evictions %d len %d, want 0/%d", c.Evictions(), c.Len(), size)
 	}
 }

@@ -1,6 +1,7 @@
 package rdpcore
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -279,38 +280,97 @@ func TestHandoffAllocBudget(t *testing.T) {
 		budget     float64
 	}{{"faithful", false, 2}, {"aggregated", true, 0}} {
 		cfg := DefaultConfig()
-		cfg.NumMSS = 2
 		cfg.AggregatedState = c.aggregated
-		w := NewWorld(cfg)
-		w.ReplaceServer(1, netsim.HandlerFunc(func(ids.NodeID, msg.Message) {}))
-		h := w.AddMH(1, 1)
-		w.AddMH(2, 1)
-		w.AddMH(3, 2)
-		w.Run()
-		h.IssueRequest(1, []byte("q"))
-		w.Run()
-		cycle := func() {
-			w.Migrate(1, 2)
-			w.Run()
-			w.Migrate(1, 1)
-			w.Run()
-		}
-		for i := 0; i < 8; i++ {
-			cycle()
-		}
-		handoffs, updates := w.Stats.Handoffs.Value(), w.Stats.UpdateCurrLocs.Value()
-		if avg := testing.AllocsPerRun(200, cycle); avg > c.budget {
+		if avg := handoffCycleAllocs(t, c.name, cfg); avg > c.budget {
 			t.Errorf("%s: hand-off A -> B -> A: %.2f allocs, budget %v", c.name, avg, c.budget)
 		}
-		if got := w.Stats.Handoffs.Value() - handoffs; got != 2*201 {
-			t.Errorf("%s: %d hand-offs, want %d", c.name, got, 2*201)
+	}
+}
+
+// TestHandoffTimeoutAllocBudget: TestHandoffAllocBudget's cycle with
+// Config.HandoffTimeout set costs what it costs without: each hand-off's
+// re-issue timer is a stationTimer record the world's sim.Calls recycles,
+// and it fires as a no-op once the hand-off is done. (At the parent the
+// timer was a closure inside MSSNode.after's closure: 4 more allocations
+// a cycle, 6 faithful and 4 aggregated.)
+func TestHandoffTimeoutAllocBudget(t *testing.T) {
+	for _, aggregated := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.AggregatedState = aggregated
+		name := fmt.Sprintf("aggregated=%v", aggregated)
+		without := handoffCycleAllocs(t, name, cfg)
+		cfg.HandoffTimeout = 500 * time.Millisecond
+		with := handoffCycleAllocs(t, name+" with timeout", cfg)
+		if with > without {
+			t.Errorf("%s: hand-off A -> B -> A: %.2f allocs with a hand-off timeout, %.2f without", name, with, without)
 		}
-		if got := w.Stats.UpdateCurrLocs.Value() - updates; got != 2*201 {
-			t.Errorf("%s: %d update_currentLocs, want %d", c.name, got, 2*201)
-		}
-		if w.TotalProxies() != 1 || w.Stats.Retransmissions.Value() != 0 || w.Stats.Violations.Value() != 0 {
-			t.Errorf("%s: %d proxies, %d re-forwards, %d violations; want 1, 0, 0", c.name,
-				w.TotalProxies(), w.Stats.Retransmissions.Value(), w.Stats.Violations.Value())
-		}
+	}
+}
+
+// handoffCycleAllocs measures TestHandoffAllocBudget's cycle in a world of
+// cfg and checks what the cycles did.
+func handoffCycleAllocs(t *testing.T, name string, cfg Config) float64 {
+	cfg.NumMSS = 2
+	w := NewWorld(cfg)
+	w.ReplaceServer(1, netsim.HandlerFunc(func(ids.NodeID, msg.Message) {}))
+	h := w.AddMH(1, 1)
+	w.AddMH(2, 1)
+	w.AddMH(3, 2)
+	w.Run()
+	h.IssueRequest(1, []byte("q"))
+	w.Run()
+	cycle := func() {
+		w.Migrate(1, 2)
+		w.Run()
+		w.Migrate(1, 1)
+		w.Run()
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	handoffs, updates := w.Stats.Handoffs.Value(), w.Stats.UpdateCurrLocs.Value()
+	avg := testing.AllocsPerRun(200, cycle)
+	if got := w.Stats.Handoffs.Value() - handoffs; got != 2*201 {
+		t.Errorf("%s: %d hand-offs, want %d", name, got, 2*201)
+	}
+	if got := w.Stats.UpdateCurrLocs.Value() - updates; got != 2*201 {
+		t.Errorf("%s: %d update_currentLocs, want %d", name, got, 2*201)
+	}
+	if w.TotalProxies() != 1 || w.Stats.Retransmissions.Value() != 0 || w.Stats.Violations.Value() != 0 ||
+		w.Stats.HandoffReissues.Value() != 0 {
+		t.Errorf("%s: %d proxies, %d re-forwards, %d violations, %d re-issued deregs; want 1, 0, 0, 0", name,
+			w.TotalProxies(), w.Stats.Retransmissions.Value(), w.Stats.Violations.Value(), w.Stats.HandoffReissues.Value())
+	}
+	return avg
+}
+
+// TestOfflineJournalAllocBudget: a disconnected host's offline queue is
+// journaled on every change (World.persistOffline), and the rewrite goes
+// over the log's own array, each message encoded straight into it — so
+// once the log has grown, a rewrite allocates nothing. (At the parent, a
+// rewrite of this 16-message queue cost 22: an encoding per message and
+// the log regrown from nothing.) The queue's own boxed messages stay.
+func TestOfflineJournalAllocBudget(t *testing.T) {
+	w := NewWorld(recoveryConfig(1))
+	h := w.AddMH(1, 1)
+	w.RunUntil(200 * time.Millisecond)
+	w.Disconnect(1)
+	for i := 0; i < 16; i++ {
+		h.IssueRequest(1, []byte{byte(i)})
+	}
+	writes := w.CheckpointWrites()
+	if avg := testing.AllocsPerRun(200, func() { w.persistOffline(1, h.offline) }); avg != 0 {
+		t.Errorf("offline journal rewrite of %d messages: %.1f allocs, budget 0", len(h.offline), avg)
+	}
+	if got := w.CheckpointWrites() - writes; got != 201 {
+		t.Errorf("%d journal writes counted, want 201", got)
+	}
+	w.Reconnect(1)
+	w.Run()
+	if got := w.Stats.ResultsDelivered.Value(); got != 16 {
+		t.Errorf("%d of 16 queued requests delivered after reconnecting", got)
+	}
+	if _, kept := w.store.offline[1]; kept {
+		t.Error("the drained queue's journal was kept")
 	}
 }

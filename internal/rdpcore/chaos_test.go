@@ -991,3 +991,35 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Errorf("same seed diverged: %v vs %v", a, b)
 	}
 }
+
+// TestCrashVoidsPendingHandoffReissue: a hand-off re-issue timer armed
+// before its station crashed fires as a no-op (MSSNode.after's boot check),
+// even when the restarted station has started a new hand-off for the same
+// host in the meantime — only the new boot's own timer may re-issue. The
+// old station is down throughout, so every hand-off toward it stays
+// pending; the lease beat's twin is TestLeaseBeatSingleChainAcrossQuickRestart.
+func TestCrashVoidsPendingHandoffReissue(t *testing.T) {
+	cfg := recoveryConfig(1)
+	cfg.WiredARQ = netsim.ARQConfig{}
+	cfg.Causal = false
+	cfg.NumMSS = 2
+	cfg.HandoffTimeout = 300 * time.Millisecond
+	cfg.GreetRefresh = 100 * time.Millisecond // the beacon re-greets the restarted station
+	w := NewWorld(cfg)
+	w.AddMH(1, 1)
+	w.Schedule(100*time.Millisecond, func() { w.CrashMSS(1) })
+	w.Schedule(200*time.Millisecond, func() { w.Migrate(1, 2) }) // re-issue due at 0.5 s
+	w.Schedule(250*time.Millisecond, func() { w.CrashMSS(2) })
+	w.Schedule(260*time.Millisecond, func() { w.RestartMSS(2) })
+	w.RunUntil(560 * time.Millisecond)
+	if got := w.MSSs[2].peek(1).arrival(); got == nil {
+		t.Fatal("the restarted station has no hand-off pending for the host")
+	}
+	if got := w.Stats.HandoffReissues.Value(); got != 0 {
+		t.Errorf("HandoffReissues = %d by 0.56 s; the pre-crash timer must not re-issue", got)
+	}
+	w.RunUntil(time.Second)
+	if got := w.Stats.HandoffReissues.Value(); got == 0 {
+		t.Error("HandoffReissues = 0 by 1 s; the new boot's own timer should have re-issued")
+	}
+}

@@ -390,7 +390,7 @@ func (n *MSSNode) bufferGroupLoc(proxy ids.ProxyID, mh ids.MH) {
 	set.Add(uint32(mh))
 	if !n.aggLocArmed {
 		n.aggLocArmed = true
-		n.after(n.w.cfg.AggFlushDelay, n.flushGroupLocs)
+		n.after(n.w.cfg.AggFlushDelay, stationTimer{kind: timerGroupLocs})
 	}
 }
 
@@ -439,7 +439,7 @@ func (n *MSSNode) bufferGroupAck(proxy ids.ProxyID, mh ids.MH, seq uint32) {
 	buf.seqs[mh] = seq
 	if !n.aggAckArmed {
 		n.aggAckArmed = true
-		n.after(n.w.cfg.AggFlushDelay, n.flushGroupAcks)
+		n.after(n.w.cfg.AggFlushDelay, stationTimer{kind: timerGroupAcks})
 	}
 }
 

@@ -91,10 +91,15 @@ type hostTransient struct {
 	// own delivery attempt is still in flight (e.g. an ARQ-held forward
 	// racing a recovery re-send after a restart) is not re-transmitted
 	// over the radio. Only attempts younger than the delivery window are
-	// kept: an older one already reads as none.
+	// kept: an older one already reads as none. first is attempts' array
+	// until it outgrows it: a record that has been attempted holds a few
+	// attempts for as long as it lives, and it lives as long as its host
+	// record, so a separate array would be regrown for every host this
+	// station ever delivered to.
 	attempted   bool
 	lastAttempt sim.Time
 	attempts    []attempt
+	first       [4]attempt
 }
 
 // arrival tracks a mobile host whose greet has been received but whose
@@ -178,14 +183,13 @@ func (n *MSSNode) entry(mh ids.MH) *stationHost {
 }
 
 // transient returns h's volatile part for writing. Every hand-off needs
-// one for a few round trips and hand-offs into one cell seldom overlap,
-// so the last one retired (n.spare) serves the next.
+// one for a few round trips, so a retired one (spareTransients) serves
+// the next.
 func (n *MSSNode) transient(h *stationHost) *hostTransient {
 	if h.x == nil {
-		if h.x = n.spare; h.x == nil {
+		if h.x = pop(&n.spareTransients); h.x == nil {
 			h.x = new(hostTransient)
 		}
-		n.spare = nil
 	}
 	return h.x
 }
@@ -196,7 +200,8 @@ func (n *MSSNode) settle(h *stationHost) {
 	if x := h.x; x != nil && !x.arriving && len(x.parked) == 0 && len(x.held) == 0 &&
 		len(x.heldAcks) == 0 && !x.deferredUpdate && len(x.attempts) == 0 {
 		*x = hostTransient{}
-		n.spare, h.x = x, nil
+		h.x = nil
+		push(&n.spareTransients, x)
 	}
 }
 
@@ -262,6 +267,9 @@ func (x *hostTransient) attemptedWithin(req ids.RequestID, now, window sim.Time)
 // noteAttempt records (or refreshes) a delivery attempt for req at now
 // and drops every attempt window or more old.
 func (x *hostTransient) noteAttempt(req ids.RequestID, now, window sim.Time) {
+	if x.attempts == nil {
+		x.attempts = x.first[:0]
+	}
 	x.attempts = append(slices.DeleteFunc(x.attempts, func(a attempt) bool {
 		return a.req == req || now-a.at >= window
 	}), attempt{req: req, at: now})

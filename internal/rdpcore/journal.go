@@ -21,16 +21,33 @@ import (
 
 const journalHeaderLen = 4 + 8
 
+// journalOpen starts a record at the end of log: it reserves the header,
+// and the caller appends the body after it and seals the record with
+// journalSeal(log, at), at being len(log) before the call. It is the one
+// record framer: journalAppend frames a body it is given (a replay's
+// verified prefix), and the writers — World.persistOffline and
+// MSSNode.persistReclaim — encode each body straight into their log.
+func journalOpen(log []byte) []byte {
+	return append(log, make([]byte, journalHeaderLen)...)
+}
+
+// journalSeal fills in the header of the record that starts at at and
+// runs to the end of log.
+func journalSeal(log []byte, at int) {
+	body := log[at+journalHeaderLen:]
+	h := fnv.New64a()
+	h.Write(body)
+	binary.BigEndian.PutUint32(log[at:], uint32(len(body)))
+	binary.BigEndian.PutUint64(log[at+4:], h.Sum64())
+}
+
 // journalAppend frames body as one checksummed record at the end of
 // log and returns the grown log.
 func journalAppend(log []byte, body []byte) []byte {
-	var hdr [journalHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	h := fnv.New64a()
-	h.Write(body)
-	binary.BigEndian.PutUint64(hdr[4:12], h.Sum64())
-	log = append(log, hdr[:]...)
-	return append(log, body...)
+	at := len(log)
+	log = append(journalOpen(log), body...)
+	journalSeal(log, at)
+	return log
 }
 
 // journalScan walks the log and returns every record body up to (not

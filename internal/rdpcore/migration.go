@@ -330,12 +330,15 @@ func (t *tombstone) handle(from ids.NodeID, m msg.ProxyAddressed) {
 // full quiet period passes after the last confirmation or redirect.
 func (n *MSSNode) armTombstoneGC(t *tombstone) {
 	t.gcEpoch++
-	epoch := t.gcEpoch
-	n.after(n.w.cfg.Migration.Linger(), func() {
-		if n.hosted[t.oldProxy.Seq] == t && t.gcEpoch == epoch && len(t.pendingServers) == 0 {
-			n.gcTombstone(t)
-		}
-	})
+	n.after(n.w.cfg.Migration.Linger(), stationTimer{kind: timerTombstone, t: t, epoch: uint64(t.gcEpoch)})
+}
+
+// tombstoneQuiet ends arming epoch's quiet period: the tombstone goes if
+// it is still here, that arming is its last, and nothing is pending.
+func (n *MSSNode) tombstoneQuiet(t *tombstone, epoch int) {
+	if n.hosted[t.oldProxy.Seq] == t && t.gcEpoch == epoch && len(t.pendingServers) == 0 {
+		n.gcTombstone(t)
+	}
 }
 
 // gcTombstone retires a fully-confirmed, quiet tombstone and tells the

@@ -32,10 +32,11 @@ type MSSNode struct {
 	// (aggtable.go, E16).
 	prefs *prefTable
 	// hosts is everything else the station keeps about a mobile host, one
-	// record each (hosttable.go); slab and spare are its allocation stock.
-	hosts map[ids.MH]*stationHost
-	slab  []stationHost
-	spare *hostTransient
+	// record each (hosttable.go); slab and spareTransients are its
+	// allocation stock.
+	hosts           map[ids.MH]*stationHost
+	slab            []stationHost
+	spareTransients []*hostTransient
 	// spareProxies, spareImages and spareOut are the spare stocks the
 	// station's per-request records are made over: proxies del-proxy ended,
 	// the journal images of emptied slots, the ledgers of hosts that left.
@@ -412,18 +413,70 @@ func (n *MSSNode) scheduleProcessing() {
 	n.w.Kernel.Defer(n.procDelay(), n.procFn)
 }
 
-// after is the one way a station's own timer gets back in: fn runs after
+// stationTimer is one timer a station arms: what it is for, what it is
+// about, and the boot it was armed in. The world defers it through one
+// sim.Calls, as it does a hostTimer, so a station timer is a recycled
+// record rather than a closure.
+type stationTimer struct {
+	n     *MSSNode
+	boot  uint64
+	kind  stationTimerKind
+	mh    ids.MH     // timerDereg
+	old   ids.MSS    // timerDereg: the station the dereg went to
+	epoch uint64     // timerTombstone, timerLease: the arming; timerBatchDeadline: the batch record
+	p     *Proxy     // timerLease, timerBatchDeadline
+	t     *tombstone // timerTombstone
+}
+
+// stationTimerKind says what a stationTimer does when it fires.
+type stationTimerKind uint8
+
+const (
+	timerDereg         stationTimerKind = iota // a pending hand-off's re-issue (Config.HandoffTimeout)
+	timerBeat                                  // the lease heartbeat round (Config.LeaseTTL/3)
+	timerTombstone                             // a tombstone's quiet period (Migration.Linger)
+	timerGroupLocs                             // the group location flush (Config.AggFlushDelay)
+	timerGroupAcks                             // the group ack flush (Config.AggFlushDelay)
+	timerRecovery                              // the restart's resend (Config.RecoveryGrace)
+	timerBatchDeadline                         // a proxy's batch abort (Config.BatchDeadline)
+	timerLease                                 // a proxy's lease expiry (Config.LeaseTTL)
+)
+
+// after is the one way a station's own timer gets back in: t fires after
 // d unless the station crashed in between — whatever it was about died
-// with the station's memory, and a restart arms its own — and what fn
+// with the station's memory, and a restart arms its own — and what it
 // wrote is journaled on the way out.
-func (n *MSSNode) after(d time.Duration, fn func()) {
-	boot := n.boot
-	n.w.Kernel.Defer(d, func() {
-		if n.boot == boot {
-			fn()
-			n.flushJournal()
-		}
-	})
+func (n *MSSNode) after(d time.Duration, t stationTimer) {
+	t.n, t.boot = n, n.boot
+	n.w.stationTimers.Defer(d, t)
+}
+
+// fire runs the timer, unless its station crashed since it was armed.
+func (t stationTimer) fire() {
+	n := t.n
+	if n.boot != t.boot {
+		return
+	}
+	switch t.kind {
+	case timerDereg:
+		n.reissueDereg(t.old, t.mh)
+	case timerBeat:
+		n.leaseBeat()
+		n.armLeaseBeat()
+	case timerTombstone:
+		n.tombstoneQuiet(t.t, int(t.epoch))
+	case timerGroupLocs:
+		n.flushGroupLocs()
+	case timerGroupAcks:
+		n.flushGroupAcks()
+	case timerRecovery:
+		n.recoveryResend()
+	case timerBatchDeadline:
+		t.p.batchDeadline(uint32(t.epoch))
+	case timerLease:
+		t.p.leaseExpired(t.epoch)
+	}
+	n.flushJournal()
 }
 
 // processNext pops one inbox item — lowest priority class first — and
@@ -618,10 +671,7 @@ func (n *MSSNode) armLeaseBeat() {
 	if ttl <= 0 {
 		return
 	}
-	n.after(ttl/3, func() {
-		n.leaseBeat()
-		n.armLeaseBeat()
-	})
+	n.after(ttl/3, stationTimer{kind: timerBeat})
 }
 
 // leaseBeat sends one heartbeat round, in sorted MH order so the wire
@@ -700,9 +750,7 @@ func (n *MSSNode) forget(mh ids.MH) {
 		// What outlives responsibility is where the host went, a hand-off
 		// still in flight toward this station, and recent delivery
 		// attempts.
-		if c := cap(h.out); c > 0 && c <= spareReqs {
-			push(&n.spareOut, h.out[:0])
-		}
+		n.spareLedger(h.out)
 		h.out, h.inc = nil, 0
 		if x := h.x; x != nil {
 			x.held, x.heldAcks, x.deferredUpdate = nil, nil, false
@@ -846,12 +894,16 @@ func (n *MSSNode) sendDereg(old ids.MSS, mh ids.MH) {
 	if n.w.cfg.HandoffTimeout <= 0 {
 		return
 	}
-	n.after(n.w.cfg.HandoffTimeout, func() {
-		if n.peek(mh).arrival() != nil {
-			n.w.Stats.HandoffReissues.Inc()
-			n.sendDereg(old, mh)
-		}
-	})
+	n.after(n.w.cfg.HandoffTimeout, stationTimer{kind: timerDereg, mh: mh, old: old})
+}
+
+// reissueDereg re-issues the Dereg of a hand-off that is still pending
+// when its timeout fires.
+func (n *MSSNode) reissueDereg(old ids.MSS, mh ids.MH) {
+	if n.peek(mh).arrival() != nil {
+		n.w.Stats.HandoffReissues.Inc()
+		n.sendDereg(old, mh)
+	}
 }
 
 // sendRegConfirm confirms a registration to the MH over the downlink
@@ -971,6 +1023,15 @@ func (n *MSSNode) stockRetired() {
 	}
 	clear(n.retired)
 	n.retired = n.retired[:0]
+}
+
+// spareLedger stocks a ledger array nothing holds any more — a host's
+// that left, or a dropped journal image's — unless it holds more than
+// spareReqs entries.
+func (n *MSSNode) spareLedger(out []outReq) {
+	if c := cap(out); c > 0 && c <= spareReqs {
+		push(&n.spareOut, out[:0])
+	}
 }
 
 // spareStock bounds each of a station's spare stocks, and spareReqs the

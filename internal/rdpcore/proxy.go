@@ -511,13 +511,17 @@ func (p *Proxy) armBatchDeadline(gen uint32) {
 	if host.w.cfg.BatchDeadline <= 0 {
 		return
 	}
-	host.after(host.w.cfg.BatchDeadline, func() {
-		i := slices.Index(p.gens, gen)
-		if host.proxyAt(p.id.Seq) == p && i >= 0 && !p.batches[i].Released && !p.batches[i].Aborted {
-			host.markSlot(p.id.Seq)
-			p.abortBatch(&p.batches[i])
-		}
-	})
+	host.after(host.w.cfg.BatchDeadline, stationTimer{kind: timerBatchDeadline, p: p, epoch: uint64(gen)})
+}
+
+// batchDeadline aborts batch record gen if it is still live, here.
+func (p *Proxy) batchDeadline(gen uint32) {
+	host := p.host
+	i := slices.Index(p.gens, gen)
+	if host.proxyAt(p.id.Seq) == p && i >= 0 && !p.batches[i].Released && !p.batches[i].Aborted {
+		host.markSlot(p.id.Seq)
+		p.abortBatch(&p.batches[i])
+	}
 }
 
 // --- Incarnation leases (E18) -----------------------------------------
@@ -539,15 +543,18 @@ func (p *Proxy) armLease() {
 		return
 	}
 	p.leaseEpoch++
-	epoch := p.leaseEpoch
-	host.after(ttl, func() {
-		if p.leaseEpoch == epoch {
-			// No renewal for a full TTL: the host (and every incarnation up
-			// to the last one vouched for) is presumed dead. reclaimProxy
-			// does nothing for a proxy that is gone already.
-			host.reclaimProxy(p, normInc(p.leaseInc))
-		}
-	})
+	host.after(ttl, stationTimer{kind: timerLease, p: p, epoch: p.leaseEpoch})
+}
+
+// leaseExpired ends arming epoch's lease unless a later arming superseded
+// it.
+func (p *Proxy) leaseExpired(epoch uint64) {
+	if p.leaseEpoch == epoch {
+		// No renewal for a full TTL: the host (and every incarnation up
+		// to the last one vouched for) is presumed dead. reclaimProxy
+		// does nothing for a proxy that is gone already.
+		p.host.reclaimProxy(p, normInc(p.leaseInc))
+	}
 }
 
 // renewLease processes one heartbeat. A newer incarnation than the one

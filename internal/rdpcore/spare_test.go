@@ -156,13 +156,23 @@ func TestCrashEmptiesSpareStocks(t *testing.T) {
 	w.Migrate(1, 2)
 	w.Run()
 	n := w.MSSs[1]
-	if len(n.spareProxies) != 1 || len(n.spareImages) != 1 || len(n.spareOut) != 1 {
-		t.Fatalf("stocks before the crash: %d proxies, %d images, %d ledgers; want 1 each",
+	// Two ledger arrays: the host's own and its journal image's.
+	if len(n.spareProxies) != 1 || len(n.spareImages) != 1 || len(n.spareOut) != 2 {
+		t.Fatalf("stocks before the crash: %d proxies, %d images, %d ledgers; want 1, 1, 2",
 			len(n.spareProxies), len(n.spareImages), len(n.spareOut))
 	}
 	w.CrashMSS(1)
 	if n.spareProxies != nil || n.spareImages != nil || n.spareOut != nil || len(n.retired) != 0 {
 		t.Fatalf("stocks after the crash: %v %v %v %v", n.spareProxies, n.spareImages, n.spareOut, n.retired)
+	}
+	// Station 2 retired the hand-off's transient record once it settled.
+	m := w.MSSs[2]
+	if len(m.spareTransients) != 1 {
+		t.Fatalf("station 2 stocks %d transient records before its crash, want 1", len(m.spareTransients))
+	}
+	w.CrashMSS(2)
+	if m.spareTransients != nil {
+		t.Fatalf("transient stock after the crash: %v", m.spareTransients)
 	}
 }
 

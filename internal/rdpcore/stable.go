@@ -167,11 +167,13 @@ func (n *MSSNode) flushJournal() {
 	}
 	rec := n.w.store.station(n.id)
 	for _, mh := range n.dirtyHosts {
-		// A snapshot with nothing left to remember erases the entry.
+		// A snapshot with nothing left to remember erases the entry, and
+		// its ledger goes to the spare stock.
 		if j := n.hostImage(mh, rec.mhs[mh].out); j.responsible || j.hasPref || j.departed {
 			rec.mhs[mh] = j
 		} else {
 			delete(rec.mhs, mh)
+			n.spareLedger(j.out)
 		}
 	}
 	for _, seq := range n.dirtySlots {
@@ -224,11 +226,22 @@ func (n *MSSNode) spareImage(st *msg.MigState) {
 }
 
 // hostImage is this station's complete journaled state for mh, its
-// ledger copied into stored — the ledger of the image it replaces.
+// ledger copied into stored — the ledger array of the image it replaces,
+// or one from the spare stock when that image had none. An empty ledger
+// is journaled as none, and stored goes to the stock: like the live
+// ledger's, the image's array follows the host from station to station.
 func (n *MSSNode) hostImage(mh ids.MH, stored []outReq) hostJournal {
 	j := hostJournal{responsible: n.localMhs.contains(mh), hostDurable: n.peek(mh).hostDurable}
 	j.pref, j.hasPref = n.prefs.get(mh)
-	j.out = append(stored[:0], j.out...)
+	switch {
+	case len(j.out) == 0:
+		n.spareLedger(stored)
+		j.out = nil
+	case stored == nil:
+		j.out = append(pop(&n.spareOut), j.out...)
+	default:
+		j.out = append(stored[:0], j.out...)
+	}
 	return j
 }
 
@@ -272,15 +285,14 @@ func (n *MSSNode) persistReclaim(dest ids.MSS, memo msg.ReclaimMemo) {
 	if !n.w.cfg.Checkpoint {
 		return
 	}
-	enc, err := msg.Encode(memo)
+	rec := n.w.store.station(n.id)
+	at := len(rec.reclaims)
+	log, err := msg.AppendEncode(binary.BigEndian.AppendUint32(journalOpen(rec.reclaims), uint32(dest)), memo)
 	if err != nil {
 		return
 	}
-	body := make([]byte, 4, 4+len(enc))
-	binary.BigEndian.PutUint32(body, uint32(dest))
-	body = append(body, enc...)
-	rec := n.w.store.station(n.id)
-	rec.reclaims = journalAppend(rec.reclaims, body)
+	journalSeal(log, at)
+	rec.reclaims = log
 	n.w.store.writes++
 }
 
@@ -294,7 +306,7 @@ func (n *MSSNode) persistReclaim(dest ids.MSS, memo msg.ReclaimMemo) {
 func (n *MSSNode) crash() {
 	n.boot++ // voids every timer armed through after
 	n.inbox = classInbox{}
-	n.hosts, n.slab, n.spare = make(map[ids.MH]*stationHost), nil, nil
+	n.hosts, n.slab, n.spareTransients = make(map[ids.MH]*stationHost), nil, nil
 	n.spareProxies, n.spareImages, n.spareOut = nil, nil, nil
 	n.localMhs = newHostSet(n.w.cfg.AggregatedState)
 	n.prefs = newPrefTable(n.w.cfg.AggregatedState)

@@ -968,7 +968,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Errorf("proxy %v: volatile fields not reset", p.id)
 		}
 	}
-	if n.inbox.len()+n.nReserved+len(n.aggLocBuf)+len(n.aggAckBuf) != 0 || n.spare != nil {
+	if n.inbox.len()+n.nReserved+len(n.aggLocBuf)+len(n.aggAckBuf)+len(n.spareTransients) != 0 {
 		t.Error("station-level volatile state survived the crash")
 	}
 	if got := w.CheckpointWrites(); got != writes {

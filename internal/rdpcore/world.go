@@ -286,9 +286,11 @@ type World struct {
 	down  map[ids.MSS]bool
 	store *stableStore
 
-	// hostTimers defers every host's timers (MHNode.after) as recycled
+	// hostTimers and stationTimers defer every host's timers
+	// (MHNode.after) and every station's (MSSNode.after) as recycled
 	// records.
-	hostTimers *sim.Calls[hostTimer]
+	hostTimers    *sim.Calls[hostTimer]
+	stationTimers *sim.Calls[stationTimer]
 	// pastRow is the row a host writes for one of its own requests below
 	// its table's window (MHNode.row): issued, and its result seen. Only
 	// the goroutine stepping the world writes it; reads never do (has).
@@ -412,6 +414,7 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 		store:   newStableStore(),
 	}
 	w.hostTimers = sim.NewCalls(sched, hostTimer.fire)
+	w.stationTimers = sim.NewCalls(sched, stationTimer.fire)
 
 	members := make([]ids.NodeID, 0, len(stations)+len(servers))
 	for _, id := range stations {
@@ -723,15 +726,19 @@ func (w *World) persistOffline(mh ids.MH, queue []msg.Message) {
 	if len(queue) == 0 {
 		delete(w.store.offline, mh)
 	} else {
-		var log []byte
+		// The log is rewritten over its own array: nothing else holds it
+		// (loadOffline decodes copies, DetachMH takes it out of the store).
+		log := w.store.offline[mh][:0]
 		for _, m := range queue {
-			body, err := msg.Encode(m)
+			at := len(log)
+			rec, err := msg.AppendEncode(journalOpen(log), m)
 			if err != nil {
 				// Non-wire message in the queue (not produced by the
 				// protocol); skip it rather than poison the journal.
 				continue
 			}
-			log = journalAppend(log, body)
+			journalSeal(rec, at)
+			log = rec
 		}
 		w.store.offline[mh] = log
 	}
@@ -934,7 +941,7 @@ func (w *World) RestartMSS(id ids.MSS) {
 		return
 	}
 	n.restoreFromStore()
-	n.after(w.cfg.RecoveryGrace, n.recoveryResend)
+	n.after(w.cfg.RecoveryGrace, stationTimer{kind: timerRecovery})
 }
 
 // IsCrashed reports whether the MH is currently crashed (E18). Stations

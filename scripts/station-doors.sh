@@ -4,10 +4,14 @@
 # In internal/rdpcore's station and proxy files (everything a station
 # runs: not the MH, the world or the statistics), non-test code may
 #
-#   - reach the scheduler (Kernel.Defer / Kernel.After) only inside
+#   - reach the scheduler only through the world's stationTimers inside
 #     MSSNode.after — the timer door, which voids timers across a crash
-#     and journals on the way out — and MSSNode.scheduleProcessing, the
-#     inbox turn that ends in process;
+#     by the station's boot count and journals on the way out — and
+#     through Kernel.Defer inside MSSNode.scheduleProcessing, the inbox
+#     turn that ends in process; any other scheduler call in those files
+#     (a Kernel.Defer anywhere else, a stationTimers call outside after)
+#     is a breach. A station's messages to itself ride selfHops, a door
+#     for messages, not timers;
 #   - touch the stable store (w.store, a stationRecord's tables, the
 #     image builders) only in stable.go: everything else marks what it
 #     wrote (markHost, markSlot — mostly inside the write accessors) or
@@ -20,7 +24,17 @@
 # world's hostTimers, inside MHNode.after, the door that voids a host's
 # timers across leave, crash and DetachMH by moving its generation on; any
 # other scheduler call in mh.go (a Kernel.Defer anywhere, a hostTimers call
-# outside after) is a breach. And nothing is cancelled: no
+# outside after) is a breach. Both doors take a typed record — what the
+# timer is for and what it is about, a stationTimer or a hostTimer — that
+# the world's sim.Calls recycles: in internal/rdpcore's non-test code, every
+# call of after passes a stationTimer or hostTimer literal, never a function
+# literal or a method value. It prints, as of this writing,
+#
+#   station-doors: 2 station scheduler calls inside MSSNode.after (stationTimers) and scheduleProcessing (Kernel)
+#   station-doors: 1 host scheduler calls inside MHNode.after
+#   station-doors: 13 timers armed through after, each a typed record
+#
+# And nothing is cancelled: no
 # non-test Go outside internal/sim and perf/ names sim.Canceler, calls
 # Kernel.After or cancels a scheduled event (.Cancel()) — a timer its
 # owner stops wanting fires as a no-op behind a generation check.
@@ -53,17 +67,23 @@ station="mss.go proxy.go groupproxy.go migration.go hosttable.go aggtable.go sta
 budget=12
 fail=0
 
-# Scheduler calls, by enclosing function (a top-level func line opens one).
+# Scheduler calls, by enclosing function (a top-level func line opens one)
+# and by what they call: the doors are stationTimers.Defer inside after
+# and Kernel.Defer inside scheduleProcessing.
 timers=$(awk '
 	/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
 	/^[[:space:]]*\/\// { next }
-	/Kernel\.(Defer|After)\(/ { print FILENAME ":" FNR ": in " fn }
+	/(Kernel|stationTimers)\.(Defer|DeferAt|After)\(/ {
+		via = ($0 ~ /stationTimers\.Defer\(/) ? "stationTimers" : "Kernel"
+		print FILENAME ":" FNR ": in " fn " via " via
+	}
 ' $station)
-doors=$(printf '%s\n' "$timers" | grep -cE ': in (after|scheduleProcessing)$' || true)
-strays=$(printf '%s\n' "$timers" | grep -vE ': in (after|scheduleProcessing)$' | grep -v '^$' || true)
-echo "station-doors: $doors scheduler calls inside after/scheduleProcessing"
+sdoor=': in (after via stationTimers|scheduleProcessing via Kernel)$'
+doors=$(printf '%s\n' "$timers" | grep -cE "$sdoor" || true)
+strays=$(printf '%s\n' "$timers" | grep -vE "$sdoor" | grep -v '^$' || true)
+echo "station-doors: $doors station scheduler calls inside MSSNode.after (stationTimers) and scheduleProcessing (Kernel)"
 if [ -n "$strays" ]; then
-	echo "station-doors: scheduler reached outside the timer door:"
+	echo "station-doors: a station reached the scheduler outside its doors:"
 	printf '%s\n' "$strays"
 	fail=1
 fi
@@ -84,6 +104,21 @@ echo "station-doors: $hdoors host scheduler calls inside MHNode.after"
 if [ -n "$hstrays" ]; then
 	echo "station-doors: a host reached the scheduler outside its timer door:"
 	printf '%s\n' "$hstrays"
+	fail=1
+fi
+
+# What each timer door is handed: a stationTimer or hostTimer literal on
+# the line of the call, never a closure or a method value.
+arms=$(awk '
+	/^[[:space:]]*\/\// || /^func / { next }
+	/[^A-Za-z0-9_]after\(/ { print FILENAME ":" FNR ":" $0 }
+' $(ls *.go | grep -v '_test\.go$'))
+narms=$(printf '%s\n' "$arms" | grep -c . || true)
+untyped=$(printf '%s\n' "$arms" | grep -vE '[^A-Za-z0-9_]after\([^,]*, (stationTimer|hostTimer)[{]' | grep -v '^$' || true)
+echo "station-doors: $narms timers armed through after, each a typed record"
+if [ -n "$untyped" ]; then
+	echo "station-doors: a timer armed with something other than a stationTimer or hostTimer literal:"
+	printf '%s\n' "$untyped" | sed 's/^/  /'
 	fail=1
 fi
 
