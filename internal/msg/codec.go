@@ -57,16 +57,17 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	return c.buf, nil
 }
 
-// WireSize returns the encoded size of a message in bytes, or 0 for a
-// message Encode refuses. It walks the fields without encoding them, so
-// it costs no allocation. The metrics layer accounts hand-off and
-// migration state volume with it (E6, E12), and wtp packs frames to the
-// MTU by it.
+// WireSize returns the encoded size of a message in bytes. It walks the
+// fields without encoding them, so it costs no allocation. The metrics
+// layer accounts hand-off and migration state volume with it (E6, E12),
+// and wtp packs frames to the MTU by it. It panics on a message Encode
+// refuses — a type the codec does not know, a nil message, a link frame
+// nesting framing — rather than return a size that looks valid.
 func WireSize(m Message) int {
 	c := coder{mode: sizing}
 	c.message(m)
 	if c.err != nil {
-		return 0
+		panic(fmt.Sprintf("msg: WireSize: %v", c.err))
 	}
 	return c.off
 }
@@ -244,6 +245,18 @@ func (c *coder) message(m Message) Message {
 	case GroupUpdateLoc:
 		return v.code(c)
 	case GroupAckForward:
+		return v.code(c)
+	// What a substrate shows a listener (view.go) codes as what Keep
+	// makes of it; reading never meets these.
+	case View:
+		return v.l.code(c)
+	case *LinkFrame:
+		return v.code(c)
+	case *LinkAck:
+		return v.code(c)
+	case *WtpData:
+		return v.code(c)
+	case *WtpAck:
 		return v.code(c)
 	}
 	c.fail(fmt.Errorf("%w: %T", ErrBadKind, m))

@@ -13,7 +13,8 @@ import (
 // union of their fields, with the payload as its only pointer. A hop
 // that only moves a message hands the Leg on; whoever keeps it past its
 // hop (an inbox, a hand-off buffer, a parked dereg, a queue, the journal)
-// or shows it to a listener boxes it with Message. The zero Leg
+// boxes it with Message; a listener is shown a View of it and boxes
+// nothing unless it keeps what it is shown (Keep). The zero Leg
 // (KindInvalid) is no message.
 type Leg struct {
 	Kind Kind
@@ -64,9 +65,12 @@ func (l Leg) Message() Message {
 }
 
 // LegOf carries m as a leg, and reports false for a kind that is not one
-// of the request path's seven or the hand-off's four.
+// of the request path's seven or the hand-off's four. A View gives the
+// leg it shows.
 func LegOf(m Message) (Leg, bool) {
 	switch v := m.(type) {
+	case View:
+		return *v.l, true
 	case Request:
 		return v.Leg(), true
 	case ServerRequest:

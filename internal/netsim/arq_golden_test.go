@@ -45,9 +45,9 @@ func (c *countedLatency) Sample(rng *sim.RNG) time.Duration {
 	return c.LatencyModel.Sample(rng)
 }
 
-// describe renders a message as the observer saw it: its kind, which
-// message of the run it is and, for a link-layer frame, its epoch and
-// sequence number and what it carries or acknowledges.
+// describe renders a message an observer kept (msg.Keep): its kind,
+// which message of the run it is and, for a link-layer frame, its epoch
+// and sequence number and what it carries or acknowledges.
 func describe(m msg.Message) string {
 	switch v := m.(type) {
 	case msg.LinkFrame:
@@ -105,7 +105,7 @@ func arqGolden(t *testing.T, golden string, messages, queueLimit int) {
 
 		QueueLimit: queueLimit,
 	}, func(at sim.Time, _ Layer, kind EventKind, from, to ids.NodeID, m msg.Message) {
-		fmt.Fprintf(&out, "%d %v %v>%v %s\n", int64(at), kind, from, to, describe(m))
+		fmt.Fprintf(&out, "%d %v %v>%v %s\n", int64(at), kind, from, to, describe(msg.Keep(m)))
 	})
 	for _, n := range members {
 		w.Register(n, HandlerFunc(func(from ids.NodeID, m msg.Message) {

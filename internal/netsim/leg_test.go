@@ -21,11 +21,11 @@ var sampleLeg = msg.ResultForward{
 }.Leg()
 
 // TestWiredLegAllocBudget: a warm causal wired hop of a leg allocates
-// nothing under a nil Observer and exactly one box under a set one — Sent
-// and Delivered share it, and the handler is handed that box, so a keeper
-// behind it boxes nothing more. A handler without HandleLeg is handed the
-// box too: made at delivery when nobody listens, the listener's when
-// somebody does.
+// nothing, under a nil Observer and under a set one alike: Sent and
+// Delivered show the listener a view of the frame's leg, and the handler
+// takes the leg through HandleLeg. A handler without HandleLeg is handed
+// a box made at delivery, listener or not. (At the parent the listener's
+// hop cost 1, the box its envelope made and the handler was handed.)
 func TestWiredLegAllocBudget(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -34,7 +34,7 @@ func TestWiredLegAllocBudget(t *testing.T) {
 		budget     float64
 	}{
 		{"leg handler, nil observer", false, true, 0},
-		{"leg handler, observer", true, true, 1},
+		{"leg handler, observer", true, true, 0},
 		{"plain handler, nil observer", false, false, 1},
 		{"plain handler, observer", true, false, 1},
 	}
@@ -59,7 +59,7 @@ func TestWiredLegAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.1f allocs a hop, budget %v", c.name, avg, c.budget)
 		}
 		legs, msgs := sink.legs, sink.msgs
-		if !c.legHandler || c.observed {
+		if !c.legHandler {
 			legs, msgs = msgs, legs
 		}
 		if legs != 64+201 || msgs != 0 {
@@ -72,8 +72,9 @@ func TestWiredLegAllocBudget(t *testing.T) {
 }
 
 // TestRadioLegAllocBudget: a leg up or down a warm radio link allocates
-// nothing under a nil Observer, one box under a set one, which is what
-// the handler is then handed.
+// nothing, under a nil Observer and under a set one alike, and the
+// handler takes it through HandleLeg. (At the parent the listener's hop
+// cost 1, the box its envelope made and the handler was handed.)
 func TestRadioLegAllocBudget(t *testing.T) {
 	for _, observed := range []bool{false, true} {
 		k := sim.NewKernel(1)
@@ -88,22 +89,18 @@ func TestRadioLegAllocBudget(t *testing.T) {
 		sink := &legSink{}
 		w.RegisterMSS(1, sink)
 		w.RegisterMH(7, sink)
-		budget := 0.0
-		if observed {
-			budget = 1
-		}
 		ack := msg.AckMH{MH: 7, Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()
 		res := msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()
 		for name, step := range map[string]func(){
 			"uplink":   func() { w.SendUplinkLeg(7, 1, ack) },
 			"downlink": func() { w.SendDownlinkLeg(1, 7, res) },
 		} {
-			if avg := hopAllocs(k, step); avg != budget {
-				t.Errorf("radio %s leg, observed %t: %.1f allocs a hop, budget %v", name, observed, avg, budget)
+			if avg := hopAllocs(k, step); avg != 0 {
+				t.Errorf("radio %s leg, observed %t: %.1f allocs a hop, budget 0", name, observed, avg)
 			}
 		}
-		if boxed := sink.msgs; observed && sink.legs != 0 || !observed && boxed != 0 {
-			t.Errorf("observed %t: %d hops handed as legs, %d as boxes", observed, sink.legs, boxed)
+		if sink.legs != 2*(64+201) || sink.msgs != 0 {
+			t.Errorf("observed %t: %d hops handed as legs, %d as boxes", observed, sink.legs, sink.msgs)
 		}
 	}
 }
@@ -152,7 +149,9 @@ func TestGreetLegIsControl(t *testing.T) {
 // whether it carries a message boxed or as a leg — through causal
 // hold-back, the ARQ over a dropping, duplicating link (whose lost frames
 // show the leg inside a LinkFrame), and a lossy radio with a drop filter
-// — and the handler receives the same message.
+// — and the handler receives the same message. The listener keeps what it
+// is shown, so it keeps it through msg.Keep: a view of a leg and a
+// LinkFrame shown by pointer keep as the boxed run's messages.
 func TestLegsObserveAsBoxed(t *testing.T) {
 	type event struct {
 		at       sim.Time
@@ -171,7 +170,7 @@ func TestLegsObserveAsBoxed(t *testing.T) {
 		var seen []event
 		var got []msg.Message
 		obs := func(at sim.Time, l Layer, kind EventKind, from, to ids.NodeID, m msg.Message) {
-			seen = append(seen, event{at, l, kind, from, to, m})
+			seen = append(seen, event{at, l, kind, from, to, msg.Keep(m)})
 		}
 		into := HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) })
 		wired := NewWired(k, staticMembers(), WiredConfig{

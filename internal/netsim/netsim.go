@@ -120,9 +120,7 @@ func endpointOf(h Handler) endpoint {
 }
 
 // hand gives a frame's content to the endpoint: a leg unboxed to a
-// LegHandler, boxed for any other handler, and a message as it is. A leg
-// a listener already boxed (m) is handed on as that box, so a keeper that
-// takes the message whole (a station's inbox turn) does not box it again.
+// LegHandler, boxed for any other handler, and a message (m) as it is.
 func (e endpoint) hand(from ids.NodeID, m msg.Message, l msg.Leg) {
 	if m == nil {
 		if e.legs != nil {
@@ -202,6 +200,14 @@ func (e EventKind) IsDrop() bool {
 // Observer receives a callback for every message event on either layer.
 // A substrate with a nil Observer builds no event: each report costs one
 // nil check.
+//
+// The message is borrowed: it is valid for the call only. A leg is shown
+// as a msg.View of the frame record's leg, and a link-layer frame (an ARQ
+// LinkFrame or LinkAck, a windowed WtpData or WtpAck) by a pointer into
+// the record that carries it; the substrate recycles the record once the
+// report returns. An Observer may read the message during the call —
+// its Kind, its String, msg.WireSize, msg.LegOf — for nothing; one that
+// keeps it past the call keeps msg.Keep(m), which boxes what was shown.
 type Observer func(at sim.Time, layer Layer, kind EventKind, from, to ids.NodeID, m msg.Message)
 
 // DropHook is told of every frame a substrate drops or sheds, with or
@@ -314,27 +320,27 @@ type Wired struct {
 // ARQ link keeps until first delivery. Lifetime (DESIGN §10, Hops): a
 // record is released just before the handler it delivers to runs —
 // handlers send — or when its frame is dropped on arrival; a held-back
-// frame keeps it until handed up; nothing touches it after release.
+// frame keeps it until handed up; nothing touches it after release, and
+// every observer report of the frame comes before its release.
 //
-// A leg-kind message rides as a leg, unboxed; m is then its box,
-// made on the first observer report (envelope) and shared by every later
-// one, so Sent and Delivered cost one boxing between them.
+// A leg-kind message rides as a leg, unboxed, and is shown to observers
+// as a view of it: no report boxes it.
 type wiredFrame struct {
 	w      *Wired
 	fi, ti int          // member indices of sender and destination
 	st     causal.Stamp // under Causal
-	m      msg.Message  // the message, or the leg's box once made
+	m      msg.Message  // a message of no leg kind, or nil
 	leg    msg.Leg      // a leg-kind message unboxed, or the zero Leg
 	run    func()       // fire, bound once when the record is first allocated
 }
 
-// envelope is the frame's message as observers see it, boxed on first
-// use when the frame carries a leg.
+// envelope is the frame's content as observers see it: the message, or
+// a view of the leg, valid until the record is released.
 func (f *wiredFrame) envelope() msg.Message {
-	if f.m == nil {
-		f.m = f.leg.Message()
+	if f.m != nil {
+		return f.m
 	}
-	return f.m
+	return msg.ViewOf(&f.leg)
 }
 
 // NewWired builds the wired network for a fixed membership of static
@@ -572,7 +578,7 @@ func (w *Wired) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
 	}
 }
 
-// observeFrame reports a frame's event, boxing a leg only for a listener.
+// observeFrame reports a frame's event to the listener, if any.
 func (w *Wired) observeFrame(kind EventKind, f *wiredFrame) {
 	if w.observer != nil {
 		w.observer(w.k.Now(), LayerWired, kind, w.members[f.fi], w.members[f.ti], f.envelope())
@@ -629,7 +635,9 @@ type WirelessConfig struct {
 	// DropFilter, when set, force-drops matching frames (testing hook
 	// for targeted single-frame loss). It is consulted at delivery time
 	// on the downlink and at send time on the uplink, alongside random
-	// loss; a filtered frame is observed as EventDroppedLoss.
+	// loss; a filtered frame is observed as EventDroppedLoss. The filter
+	// is shown what an Observer is shown, borrowed for the call (see
+	// Observer): a leg as a msg.View, a windowed frame by pointer.
 	DropFilter func(from, to ids.NodeID, m msg.Message) bool
 	// QueueLimit, when positive, bounds the data frames concurrently in
 	// flight on each directed radio link. A frame offered to a full
@@ -716,7 +724,7 @@ type radioFrame struct {
 	mh     ids.MH
 	from   ids.NodeID  // the sending end
 	to     ids.NodeID  // the receiving end
-	m      msg.Message // opDownlink, opUplink: the message, or the leg's box once made
+	m      msg.Message // opDownlink, opUplink: a message of no leg kind, or nil
 	leg    msg.Leg     // opDownlink, opUplink: a leg-kind message unboxed
 	data   msg.WtpData // opWtpData
 	ack    msg.WtpAck  // opWtpAck
@@ -726,19 +734,19 @@ type radioFrame struct {
 func (f *radioFrame) dir() int { return int(f.op & 1) }
 
 // envelope is the frame's content as observers and the drop filter see
-// it. The typed fields keep the windowed transport's frames and a leg
-// unboxed until somebody asks; a leg's box is kept for the next asker.
+// it, valid until the record is released: a windowed frame by a pointer
+// to its typed field, a leg as a view of it, and a message as it is —
+// nothing boxed for the asker.
 func (f *radioFrame) envelope() msg.Message {
-	switch f.op {
-	case opWtpData:
-		return f.data
-	case opWtpAck:
-		return f.ack
+	switch {
+	case f.op == opWtpData:
+		return &f.data
+	case f.op == opWtpAck:
+		return &f.ack
+	case f.m != nil:
+		return f.m
 	}
-	if f.m == nil {
-		f.m = f.leg.Message()
-	}
-	return f.m
+	return msg.ViewOf(&f.leg)
 }
 
 // NewWireless builds the wireless substrate.
@@ -898,9 +906,7 @@ func (f *radioFrame) fire() {
 		return
 	}
 	if f.op == opWtpData {
-		mss, mh, data := f.mss, f.mh, f.data
-		w.release(f)
-		w.receiveWtpFrame(mss, mh, data, h.h)
+		w.receiveWtpFrame(f, h.h)
 		return
 	}
 	w.observeFrame(EventDelivered, f)
@@ -982,26 +988,28 @@ func (w *Wireless) transmitWtpFrame(from ids.MSS, to ids.MH, data msg.WtpData) {
 	w.send(f, true)
 }
 
-// receiveWtpFrame runs at the mobile end of a windowed downlink: the
-// receiver reorders and dedups, newly in-order messages go up to the
-// handler, and every live frame is acknowledged (cumulative watermark
-// plus selective blocks) on the reverse link.
-func (w *Wireless) receiveWtpFrame(from ids.MSS, to ids.MH, f msg.WtpData, h Handler) {
-	key := radioKey(from, to)
+// receiveWtpFrame runs at the mobile end of a windowed downlink, on the
+// record f of an arrived data frame: the receiver reorders and dedups,
+// newly in-order messages go up to the handler, and every live frame is
+// acknowledged (cumulative watermark plus selective blocks) on the
+// reverse link. The record is released once the frame is reported, before
+// the handler runs.
+func (w *Wireless) receiveWtpFrame(f *radioFrame, h Handler) {
+	from, to, key := f.mss, f.mh, radioKey(f.mss, f.mh)
 	r, ok := w.wtpIn[key]
 	if !ok {
 		r = wtp.NewReceiver(w.cfg.WTP)
 		w.wtpIn[key] = r
 	}
-	deliver, ack, live := r.Accept(f)
+	deliver, ack, live := r.Accept(f.data)
+	if live {
+		// The frame itself is observed as delivered (tracing sees the
+		// transport's arrows, not just the payloads).
+		w.observeFrame(EventDelivered, f)
+	}
+	w.release(f)
 	if !live {
 		return // dead epoch: the sender reset and moved on
-	}
-	// The frame itself is observed as delivered (tracing sees the
-	// transport's arrows, not just the payloads). Boxing f is the cost,
-	// so the listener check comes first.
-	if w.observer != nil {
-		w.observer(w.k.Now(), LayerWireless, EventDelivered, from.Node(), to.Node(), f)
 	}
 	for _, in := range deliver {
 		w.observe(EventDelivered, from.Node(), to.Node(), in)
@@ -1086,8 +1094,7 @@ func (w *Wireless) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
 	}
 }
 
-// observeFrame reports a frame-level event (the envelope is boxed only
-// when somebody is listening).
+// observeFrame reports a frame-level event to the listener, if any.
 func (w *Wireless) observeFrame(kind EventKind, f *radioFrame) {
 	if w.observer != nil {
 		w.observer(w.k.Now(), LayerWireless, kind, f.from, f.to, f.envelope())

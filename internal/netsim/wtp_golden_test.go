@@ -21,9 +21,9 @@ import (
 // whose receiver is handing results up. Every observer event with its
 // instant, every wtp hook call in order and WTPStats must repeat exactly:
 // the reference any rewrite of internal/wtp or of the radio's windowed
-// path is held to. The observer's messages are kept as it was handed
-// them and rendered only at the end, so a message list or a sack list
-// reused after an observer saw it shows up as a diff.
+// path is held to. The observer keeps its messages through msg.Keep and
+// renders them only at the end, so a message list or a sack list reused
+// after an observer kept it shows up as a diff.
 func TestWtpLossyGolden(t *testing.T) {
 	k := sim.NewKernel(11)
 	type entry struct {
@@ -55,7 +55,7 @@ func TestWtpLossyGolden(t *testing.T) {
 			OnReset:      func(n int) { hook("reset %d", n) },
 		},
 	}, func(at sim.Time, _ Layer, kind EventKind, from, to ids.NodeID, m msg.Message) {
-		log = append(log, entry{at: at, kind: kind, from: from, to: to, m: m})
+		log = append(log, entry{at: at, kind: kind, from: from, to: to, m: msg.Keep(m)})
 	})
 	result := func(mh ids.MH, seq uint32, size int) msg.ResultDeliver {
 		return msg.ResultDeliver{Req: ids.RequestID{Origin: mh, Seq: seq}, Payload: make([]byte, size)}

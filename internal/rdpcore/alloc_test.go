@@ -9,6 +9,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 // TestStationSelfSendAllocBudget: a station's message to itself (a proxy
@@ -342,6 +343,54 @@ func handoffCycleAllocs(t *testing.T, name string, cfg Config) float64 {
 			w.TotalProxies(), w.Stats.Retransmissions.Value(), w.Stats.Violations.Value(), w.Stats.HandoffReissues.Value())
 	}
 	return avg
+}
+
+// TestCountingObserverAllocBudget: a Config.Observer that only counts
+// costs nothing on the protocol's paths. TestRequestRoundTripAllocBudget's
+// round trip and TestHandoffAllocBudget's cycle, with the faithful and the
+// aggregated tables, cost exactly as much under a counting Observer as
+// under none: the substrates show it every leg as a msg.View, and the
+// handlers take the leg as they do unobserved. (At the parent, which
+// boxed each leg at its first report, the round trip cost 6 under the
+// listener against 1, and the cycle 9 against 2 faithful and 7 against
+// 0 aggregated.)
+func TestCountingObserverAllocBudget(t *testing.T) {
+	events := 0
+	counting := func(sim.Time, netsim.Layer, netsim.EventKind, ids.NodeID, ids.NodeID, msg.Message) { events++ }
+	roundTrip := func(obs netsim.Observer) float64 {
+		cfg := DefaultConfig()
+		cfg.NumMSS = 2
+		cfg.Observer = obs
+		w := NewWorld(cfg)
+		h := w.AddMH(1, 1)
+		w.Run()
+		payload := []byte("q")
+		step := func() {
+			h.IssueRequest(1, payload)
+			w.Run()
+		}
+		for i := 0; i < 64; i++ {
+			step()
+		}
+		return testing.AllocsPerRun(200, step)
+	}
+	if with, without := roundTrip(counting), roundTrip(nil); with != without {
+		t.Errorf("request round trip: %.2f allocs under a counting observer, %.2f without", with, without)
+	}
+	for _, aggregated := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.AggregatedState = aggregated
+		name := fmt.Sprintf("aggregated=%v", aggregated)
+		without := handoffCycleAllocs(t, name, cfg)
+		cfg.Observer = counting
+		with := handoffCycleAllocs(t, name+" observed", cfg)
+		if with != without {
+			t.Errorf("%s: hand-off A -> B -> A: %.2f allocs under a counting observer, %.2f without", name, with, without)
+		}
+	}
+	if events == 0 {
+		t.Error("the observer saw no event")
+	}
 }
 
 // TestOfflineJournalAllocBudget: a disconnected host's offline queue is

@@ -102,9 +102,14 @@ type Config struct {
 	RegConfirm bool
 	// WirelessDropFilter, when set, force-drops matching wireless frames
 	// (delivery-time on the downlink, send-time on the uplink) — a
-	// deterministic testing hook for targeted-loss scenarios.
+	// deterministic testing hook for targeted-loss scenarios. It is shown
+	// what the Observer is shown, borrowed for the call.
 	WirelessDropFilter func(from, to ids.NodeID, m msg.Message) bool
-	// Observer, when set, receives every network event (tracing).
+	// Observer, when set, receives every network event (tracing). The
+	// message it is handed is borrowed for the call (netsim.Observer): a
+	// request-path or hand-off message is a msg.View of the frame's leg,
+	// a lost link-layer frame a pointer into the substrate's record. Read
+	// it freely during the call; keep msg.Keep(m), not m, past it.
 	Observer netsim.Observer
 	// WiredSeq and WirelessSeq install adversarial delivery sequencers
 	// on the substrates (testing hook; see internal/explore).

@@ -31,7 +31,9 @@ func (e Entry) String() string {
 }
 
 // Recorder collects entries; it implements the netsim.Observer contract
-// via its Observe method.
+// via its Observe method. It keeps what it is shown, so it owns each
+// message through msg.Keep: an entry does not change when the substrate
+// reuses the record it was shown from.
 type Recorder struct {
 	entries []Entry
 }
@@ -39,9 +41,10 @@ type Recorder struct {
 // New returns an empty recorder.
 func New() *Recorder { return &Recorder{} }
 
-// Observe appends one event; pass it as the Observer to the substrates.
+// Observe appends one event, keeping its message; pass it as the
+// Observer to the substrates.
 func (r *Recorder) Observe(at sim.Time, layer netsim.Layer, kind netsim.EventKind, from, to ids.NodeID, m msg.Message) {
-	r.entries = append(r.entries, Entry{At: at, Layer: layer, Kind: kind, From: from, To: to, Msg: m})
+	r.entries = append(r.entries, Entry{At: at, Layer: layer, Kind: kind, From: from, To: to, Msg: msg.Keep(m)})
 }
 
 // Entries returns all recorded events in order.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,5 +124,41 @@ func TestEntryString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Entry.String() = %q missing %q", s, want)
 		}
+	}
+}
+
+// TestRecorderKeepsWhatItIsShown: a substrate shows a listener a leg as a
+// view of its frame record and a lost ARQ frame by a pointer into the ARQ
+// record, and reuses both once the report returns. The recorder keeps
+// what it is shown, so its entries hold the messages as shown even after
+// the leg and the frame are overwritten.
+func TestRecorderKeepsWhatItIsShown(t *testing.T) {
+	r := New()
+	res := msg.ResultDeliver{Req: ids.RequestID{Origin: 1, Seq: 1}, Payload: []byte("r"), DelPref: true}
+	l := res.Leg()
+	lost := msg.LinkFrame{Seq: 7, Inner: msg.ViewOf(&l)}
+	from, to := ids.MSS(1).Node(), ids.MH(1).Node()
+	r.Observe(1, netsim.LayerWireless, netsim.EventDelivered, from, to, msg.ViewOf(&l))
+	r.Observe(2, netsim.LayerWired, netsim.EventDroppedLoss, from, ids.MSS(2).Node(), &lost)
+	text := r.String()
+
+	l = msg.Greet{MH: 9, OldMSS: 2}.Leg()
+	lost = msg.LinkFrame{Seq: 8, Inner: msg.ViewOf(&l)}
+
+	e := r.Entries()
+	if len(e) != 2 || !reflect.DeepEqual(e[0].Msg, res) || !reflect.DeepEqual(e[1].Msg, msg.LinkFrame{Seq: 7, Inner: res}) {
+		t.Fatalf("entries after the shown records were reused: %v", e)
+	}
+	if r.CountDelivered(msg.KindResultDeliver) != 1 || r.CountDelivered(msg.KindGreet) != 0 {
+		t.Errorf("counted %d result deliveries, %d greets; want 1, 0",
+			r.CountDelivered(msg.KindResultDeliver), r.CountDelivered(msg.KindGreet))
+	}
+	if err := r.ExpectExactly([]Step{{Kind: msg.KindResultDeliver, Check: func(m msg.Message) bool {
+		return m.(msg.ResultDeliver).DelPref
+	}}}); err != nil {
+		t.Error(err)
+	}
+	if got := r.String(); got != text {
+		t.Errorf("the trace changed with the shown records:\n%s\nwas\n%s", got, text)
 	}
 }

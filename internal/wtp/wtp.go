@@ -316,7 +316,8 @@ func (s *Sender) flushNow() {
 		s.ring = ring
 	}
 	// The list is the frame's for good: the receiver parks and hands it
-	// up by reference, and observers keep the WtpData they are shown.
+	// up by reference, and a listener that keeps a frame it is shown
+	// (msg.Keep copies the WtpData, not the list) keeps this list.
 	*s.at(s.nextSeq) = frame{inner: slices.Clone(s.pend)}
 	s.unacked++
 	clear(s.pend)

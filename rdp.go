@@ -124,7 +124,10 @@ type (
 	// Counter is a monotonic event count.
 	Counter = metrics.Counter
 	// TraceRecorder records network events; install its Observe method
-	// as Config.Observer.
+	// as Config.Observer. The substrates lend an Observer each message for
+	// the call only, so the recorder keeps it through msg.Keep, and its
+	// entries stay as they were seen. A custom Observer that keeps what
+	// it is shown does the same.
 	TraceRecorder = trace.Recorder
 	// TraceStep describes one expected delivery in a scenario check.
 	TraceStep = trace.Step

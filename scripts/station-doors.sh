@@ -50,6 +50,19 @@
 # the leg door (sendLeg, sendLegToStation, uplinkLeg, the substrates'
 # leg sends) instead.
 #
+# A listener is shown a leg, never handed a box: netsim's substrates show
+# an Observer or a drop filter a msg.View of the frame's leg, and a lost
+# ARQ or windowed frame by a pointer into its record, so whoever keeps a
+# shown message boxes it (msg.Keep). In internal/netsim's non-test code a
+# leg is boxed (Leg.Message()) only where a plain handler or a keeper
+# needs the box: the adapters that box for a substrate without leg sends
+# (boxedWired.SendLeg, boxedWireless.SendDownlinkLeg and SendUplinkLeg),
+# endpoint.hand's fallback for a handler without HandleLeg, the windowed
+# sender's queue (Wireless.SendDownlinkLeg) and psim's cross-region frame
+# (CrossFrame.envelope). It prints, as of this writing,
+#
+#   station-doors: 6 legs boxed in internal/netsim, each at a keeper or a plain handler's door
+#
 # A proxy and a proxy's journal image are made over a record of the
 # station's spare stock when it has one, so each has one constructor: in
 # internal/rdpcore's non-test code a Proxy is built (new(Proxy), a Proxy
@@ -175,6 +188,30 @@ echo "station-doors: $nboxed request-path and hand-off messages boxed at a msg.M
 if [ -n "$boxed" ]; then
 	echo "station-doors: send the literal's .Leg() through the leg door instead:"
 	printf '%s\n' "$boxed" | sed 's/^/  /'
+	fail=1
+fi
+
+# Leg boxings in netsim, by file, line and enclosing function (its
+# receiver's type, a dot, its name): a listener never takes a box.
+legdoors='^(boxedWired\.SendLeg|boxedWireless\.SendDownlinkLeg|boxedWireless\.SendUplinkLeg|endpoint\.hand|Wireless\.SendDownlinkLeg|CrossFrame\.envelope)$'
+legboxes=$(cd ../netsim && awk '
+	/^func / {
+		fn = $0; sub(/^func /, "", fn); recv = ""
+		if (fn ~ /^\(/) { recv = fn; sub(/\).*/, "", recv); sub(/.*[ *]/, "", recv); sub(/^\([^)]*\) /, "", fn) }
+		sub(/[(\[].*/, "", fn)
+		if (recv != "") fn = recv "." fn
+	}
+	/^[[:space:]]*\/\// { next }
+	/\.Message\(\)/ { print FILENAME ":" FNR ": in " fn }
+' $(ls *.go | grep -v '_test\.go$'))
+nlegboxes=$(printf '%s\n' "$legboxes" | grep -c . || true)
+legstrays=$(printf '%s\n' "$legboxes" | grep -v '^$' | while IFS= read -r line; do
+	printf '%s\n' "${line##*: in }" | grep -qE "$legdoors" || printf '%s\n' "$line"
+done)
+echo "station-doors: $nlegboxes legs boxed in internal/netsim, each at a keeper or a plain handler's door"
+if [ -n "$legstrays" ]; then
+	echo "station-doors: a leg boxed for a listener — show it a view (msg.ViewOf) and let a keeper box it (msg.Keep):"
+	printf '%s\n' "$legstrays" | sed 's/^/  /'
 	fail=1
 fi
 
