@@ -250,21 +250,24 @@ type station struct {
 	forwardTo map[ids.MH]ids.MSS
 }
 
-// HandleMessage implements netsim.Handler.
+// HandleMessage implements netsim.Handler. The request path's and the
+// hand-off's kinds are read through their leg (they may be shown as a
+// borrowed view); what the station buffers it boxes from the typed value.
 func (s *station) HandleMessage(from ids.NodeID, m msg.Message) {
-	switch v := m.(type) {
-	case msg.Greet:
-		s.handleGreet(v)
-	case msg.Request:
-		s.handleRequest(v)
-	case msg.AckMH:
-		s.handleAck(v)
-	case msg.Dereg:
-		s.handleDereg(v)
-	case msg.ImageTransfer:
-		s.handleImage(v)
-	case msg.ServerResult:
-		s.handleServerResult(v)
+	l, _ := msg.LegOf(m)
+	switch m.Kind() {
+	case msg.KindGreet:
+		s.handleGreet(l.Greet())
+	case msg.KindRequest:
+		s.handleRequest(l.Request())
+	case msg.KindAckMH:
+		s.handleAck(l.AckMH())
+	case msg.KindDereg:
+		s.handleDereg(l.Dereg())
+	case msg.KindImageTransfer:
+		s.handleImage(m.(msg.ImageTransfer))
+	case msg.KindServerResult:
+		s.handleServerResult(l.ServerResult())
 	}
 }
 
@@ -460,10 +463,11 @@ func (m *Mobile) IssueRequest(server ids.Server, payload []byte) ids.RequestID {
 
 // HandleMessage implements netsim.Handler for the mobile's radio.
 func (m *Mobile) HandleMessage(from ids.NodeID, mm msg.Message) {
-	r, ok := mm.(msg.ResultDeliver)
-	if !ok {
+	if mm.Kind() != msg.KindResultDeliver {
 		return
 	}
+	l, _ := msg.LegOf(mm)
+	r := l.ResultDeliver()
 	dup := m.seen[r.Req]
 	m.seen[r.Req] = true
 	if dup {

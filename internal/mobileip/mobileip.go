@@ -256,8 +256,9 @@ type station struct {
 
 // HandleMessage implements netsim.Handler.
 func (s *station) HandleMessage(from ids.NodeID, m msg.Message) {
-	switch v := m.(type) {
-	case msg.MIPRegister:
+	switch m.Kind() {
+	case msg.KindMIPRegister:
+		v := m.(msg.MIPRegister)
 		// Uplink leg: a visitor registering through us as foreign agent
 		// -> relay to the home agent. Wired leg: we are the home agent.
 		if from.Kind == ids.KindMH {
@@ -266,11 +267,14 @@ func (s *station) HandleMessage(from ids.NodeID, m msg.Message) {
 		}
 		s.careOf[v.MH] = v.CareOf
 		s.w.Stats.Registrations.Inc()
-	case msg.Request:
-		// Foreign agent: forward the visitor's request to the server.
+	case msg.KindRequest:
+		// Foreign agent: forward the visitor's request, read through its
+		// leg (it may be shown as a borrowed view), to the server.
+		v, _ := msg.LegOf(m)
 		s.w.Wired.Send(s.id.Node(), v.Server.Node(),
 			msg.MIPData{MH: v.Req.Origin, Req: v.Req, Payload: v.Payload})
-	case msg.MIPData:
+	case msg.KindMIPData:
+		v := m.(msg.MIPData)
 		// We are the home agent for this MH: tunnel to the registered
 		// care-of address; without one the datagram is dropped.
 		co, ok := s.careOf[v.MH]
@@ -284,8 +288,8 @@ func (s *station) HandleMessage(from ids.NodeID, m msg.Message) {
 			return
 		}
 		s.w.Wired.Send(s.id.Node(), co.Node(), msg.MIPTunnel(v))
-	case msg.MIPTunnel:
-		s.deliver(v)
+	case msg.KindMIPTunnel:
+		s.deliver(m.(msg.MIPTunnel))
 	}
 }
 
@@ -378,8 +382,8 @@ func (mn *MobileNode) scheduleRetry(m msg.Request) {
 
 // HandleMessage implements netsim.Handler for the node's radio.
 func (mn *MobileNode) HandleMessage(from ids.NodeID, m msg.Message) {
-	r, ok := m.(msg.ResultDeliver)
-	if !ok {
+	r, ok := msg.LegOf(m)
+	if !ok || r.Kind != msg.KindResultDeliver {
 		return
 	}
 	if mn.seen[r.Req] {

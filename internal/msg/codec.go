@@ -72,17 +72,6 @@ func WireSize(m Message) int {
 	return c.off
 }
 
-// WireSize is WireSize(m) for a deregack held by value: a station counts
-// every deregack it sends as hand-off state, and boxing one to size it
-// would cost an allocation.
-func (m DeregAck) WireSize() int {
-	c := coder{mode: sizing}
-	kind := KindDeregAck
-	c.header(&kind)
-	m.code(&c)
-	return c.off
-}
-
 // Decode parses a message previously produced by Encode. It rejects
 // unknown versions and kinds, truncated input, and trailing bytes. All
 // variable-length fields are copied, so the result does not retain b.

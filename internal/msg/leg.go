@@ -68,9 +68,10 @@ func (l Leg) Message() Message {
 // of the request path's seven or the hand-off's four. A View gives the
 // leg it shows.
 func LegOf(m Message) (Leg, bool) {
-	switch v := m.(type) {
-	case View:
+	if v, ok := m.(View); ok { // what every door is shown: one comparison
 		return *v.l, true
+	}
+	switch v := m.(type) {
 	case Request:
 		return v.Leg(), true
 	case ServerRequest:

@@ -22,8 +22,8 @@
 // The seven messages of the request path — Request, ServerRequest,
 // ServerResult, ResultForward, ResultDeliver, AckMH, AckForward — and the
 // hand-off's four — Greet, Dereg, DeregAck, UpdateCurrentLoc — also
-// travel unboxed as a Leg (leg.go), which a substrate shows a listener
-// as a borrowed View (view.go).
+// travel unboxed as a Leg (leg.go), which crosses every door as a
+// borrowed View and is kept in an Envelope (view.go).
 //
 // The codec (codec.go) names each kind's wire fields once, in the kind's
 // code method, and walks that one list to size (WireSize), encode

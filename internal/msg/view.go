@@ -2,14 +2,15 @@ package msg
 
 import "fmt"
 
-// View shows a listener a leg without boxing it: a struct of one pointer
-// is stored in an interface as is, so handing a View to an Observer or a
-// drop filter costs nothing. It is a borrow, valid for the call that
-// shows it; the leg it points into is the frame record's, which the
-// substrate recycles once the report returns. A View renders (String),
-// sizes (WireSize), encodes (AppendEncode) and converts (LegOf) exactly as
-// the leg's box does. Whoever keeps a shown message past the call owns it
-// through Keep.
+// View shows a leg without boxing it: a struct of one pointer is stored
+// in an interface as is, so handing a View to a door — a handler, a
+// transport's send, an Observer, a drop filter — costs nothing. It is a
+// borrow, valid for the call that shows it; the leg it points into is the
+// sender's outgoing slot or the substrate's frame record, which are
+// written again once the call returns. A View renders (String), sizes
+// (WireSize), encodes (AppendEncode) and converts (LegOf) exactly as the
+// leg's box does. Whoever keeps a shown message past the call copies it:
+// into an Envelope (EnvelopeOf), or boxed (Keep).
 type View struct{ l *Leg }
 
 // A View and the link-layer frames a substrate shows by pointer are
@@ -27,6 +28,10 @@ func ViewOf(l *Leg) View { return View{l} }
 
 // Kind returns the kind of the leg shown.
 func (v View) Kind() Kind { return v.l.Kind }
+
+// Leg returns the leg shown, in place: a handler reads its fields during
+// the call without copying it out. Nobody writes through it.
+func (v View) Leg() *Leg { return v.l }
 
 // String renders the leg as its box renders.
 func (v View) String() string { return v.l.Message().String() }
@@ -51,6 +56,37 @@ func Keep(m Message) Message {
 		return *v
 	}
 	return m
+}
+
+// Envelope is a message kept past the call that showed it: a leg by
+// value, or any other message as it is — exactly one of them set. It is
+// what a transport keeps of what it is sent (a frame in flight) and what
+// a node keeps of what it is handed (a queue, a buffer), so a View is
+// copied, never boxed.
+type Envelope struct {
+	leg Leg
+	m   Message
+}
+
+// EnvelopeOf keeps m: the leg out of a View or out of a box of a leg
+// kind, and any other message as it is.
+func EnvelopeOf(m Message) Envelope {
+	if v, ok := m.(View); ok {
+		return Envelope{leg: *v.l}
+	}
+	if l, ok := LegOf(m); ok {
+		return Envelope{leg: l}
+	}
+	return Envelope{m: m}
+}
+
+// Message shows what the envelope holds: a view of its leg, valid while
+// the envelope is, or its message.
+func (e *Envelope) Message() Message {
+	if e.m != nil {
+		return e.m
+	}
+	return View{&e.leg}
 }
 
 // code walks the fields of the kind the leg carries, as that kind's own

@@ -11,8 +11,8 @@ import (
 
 // TestViewShowsItsLeg: for every sample of the eleven leg kinds, a view
 // of the leg is the leg's box to whoever reads it — the same kind and
-// rendering, the same leg back from LegOf, the same size and bytes from
-// the codec — and Keep of the view is that box.
+// rendering, the same leg back from LegOf (and in place from Leg), the
+// same size and bytes from the codec — and Keep of the view is that box.
 func TestViewShowsItsLeg(t *testing.T) {
 	seen := map[Kind]bool{}
 	for _, m := range legSamples() {
@@ -31,6 +31,9 @@ func TestViewShowsItsLeg(t *testing.T) {
 		}
 		if back, ok := LegOf(v); !ok || !reflect.DeepEqual(back, l) {
 			t.Errorf("LegOf(view of %v) = %+v, %t", box, back, ok)
+		}
+		if v.Leg() != &l {
+			t.Errorf("%v: a view's Leg is not the leg it shows", box)
 		}
 		if WireSize(v) != WireSize(box) {
 			t.Errorf("%v: a view sizes %d bytes, its box %d", box, WireSize(v), WireSize(box))

@@ -89,16 +89,14 @@ type wiredLink struct {
 // does something is what cancelling would have left.
 //
 // A lost attempt is reported after the frame may have been handed up and
-// its record released, so the ARQ keeps the frame's content by value (m
-// or leg, as the frame carries it) and shows a listener the link-layer
-// envelope as a pointer into its own record (lost, lostAck): a drop
-// report boxes nothing.
+// its record released, so the ARQ keeps the frame's envelope and shows a
+// listener the link-layer frame as a pointer into its own record (lost,
+// lostAck): a drop report boxes nothing.
 type arqPending struct {
 	w       *Wired
 	l       *wiredLink
 	seq     uint64
-	m       msg.Message   // the frame's message of no leg kind, or nil
-	leg     msg.Leg       // the frame's leg, when it carries one
+	env     msg.Envelope  // the frame's message
 	lost    msg.LinkFrame // the lost frame a drop report shows, by pointer
 	lostAck msg.LinkAck   // the lost ack a drop report shows, by pointer
 	frame   *wiredFrame   // performs the delivery; nil once handed up
@@ -134,7 +132,7 @@ func (w *Wired) sendARQ(f *wiredFrame) {
 		p = &arqPending{w: w}
 		p.recv, p.retx, p.ack = p.onArrival, p.onTimeout, p.onAck
 	}
-	p.l, p.seq, p.m, p.leg, p.frame, p.attempt, p.acked = l, l.nextSeq, f.m, f.leg, f, 1, false
+	p.l, p.seq, p.env, p.frame, p.attempt, p.acked = l, l.nextSeq, f.env, f, 1, false
 	p.transmit(false)
 	p.arm()
 }
@@ -180,9 +178,9 @@ func (p *arqPending) transmit(ack bool) {
 }
 
 // drop reports the loss of the frame or of its ack, to the drop hook and
-// the observer. The link-layer envelope exists only here, filled in the
-// record for a listener and shown by pointer, its Inner the kept message
-// or a view of the kept leg.
+// the observer. The link-layer frame exists only here, filled in the
+// record for a listener and shown by pointer, its Inner what the kept
+// envelope shows.
 func (p *arqPending) drop(kind EventKind, ack bool) {
 	if p.w.cfg.OnDrop != nil {
 		p.w.cfg.OnDrop(LayerWired, kind)
@@ -193,11 +191,7 @@ func (p *arqPending) drop(kind EventKind, ack bool) {
 		p.lostAck = msg.LinkAck{Seq: p.seq}
 		p.w.observe(kind, p.l.to, p.l.from, &p.lostAck)
 	default:
-		inner := p.m
-		if inner == nil {
-			inner = msg.ViewOf(&p.leg)
-		}
-		p.lost = msg.LinkFrame{Seq: p.seq, Inner: inner}
+		p.lost = msg.LinkFrame{Seq: p.seq, Inner: p.env.Message()}
 		p.w.observe(kind, p.l.from, p.l.to, &p.lost)
 	}
 }
@@ -244,7 +238,7 @@ func (p *arqPending) onAck() {
 // event names it any more; nothing touches it afterwards.
 func (p *arqPending) retire() {
 	if p.acked && p.refs == 0 {
-		p.m, p.leg, p.lost.Inner = nil, msg.Leg{}, nil
+		p.env, p.lost.Inner = msg.Envelope{}, nil
 		p.w.arq.Put(p)
 	}
 }

@@ -109,7 +109,7 @@ func arqGolden(t *testing.T, golden string, messages, queueLimit int) {
 	})
 	for _, n := range members {
 		w.Register(n, HandlerFunc(func(from ids.NodeID, m msg.Message) {
-			if v, ok := m.(msg.Dereg); ok && v.MH%7 == 0 { // send from inside delivery
+			if v, ok := msg.Keep(m).(msg.Dereg); ok && v.MH%7 == 0 { // send from inside delivery
 				w.Send(n, from, msg.Greet{MH: v.MH})
 			}
 		}))

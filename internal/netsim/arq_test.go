@@ -42,7 +42,7 @@ func wiredPair(t *testing.T, k *sim.Kernel, cfg WiredConfig) (*Wired, *[]msg.Mes
 	w := NewWired(k, []ids.NodeID{a, b}, cfg, nil)
 	var got []msg.Message
 	w.Register(a, HandlerFunc(func(ids.NodeID, msg.Message) {}))
-	w.Register(b, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) }))
+	w.Register(b, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, msg.Keep(m)) }))
 	return w, &got
 }
 
@@ -145,7 +145,7 @@ func TestWiredDownGateHoldsFramesUntilRestart(t *testing.T) {
 	}, nil)
 	var got []msg.Message
 	w.Register(a, HandlerFunc(func(ids.NodeID, msg.Message) {}))
-	w.Register(b, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) }))
+	w.Register(b, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, msg.Keep(m)) }))
 	w.Send(a, b, msg.Dereg{MH: 7, NewMSS: 2})
 	k.Defer(50*time.Millisecond, func() { down = false })
 	k.Run()
@@ -334,12 +334,12 @@ func TestARQSendFromInsideDelivery(t *testing.T) {
 	var got []ids.MH
 	bounce := func(self, peer ids.NodeID) Handler {
 		return HandlerFunc(func(from ids.NodeID, m msg.Message) {
-			mh := m.(msg.Greet).MH
+			mh := msg.Keep(m).(msg.Greet).MH
 			got = append(got, mh)
 			if mh < 500 {
 				w.Send(self, peer, msg.Greet{MH: mh + 1})
 			}
-			if from != peer || m != (msg.Greet{MH: mh}) {
+			if from != peer || msg.Keep(m) != (msg.Greet{MH: mh}) {
 				t.Errorf("delivery %d changed under the handler: from %v, %v", mh, from, m)
 			}
 		})
@@ -377,7 +377,7 @@ func TestARQReceiverDownThenRestart(t *testing.T) {
 		Down:   func(n ids.NodeID) bool { return down && n == b },
 	}, nil)
 	w.Register(a, nopHandler())
-	w.Register(b, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) }))
+	w.Register(b, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, msg.Keep(m)) }))
 	for mh := ids.MH(1); mh <= 20; mh++ {
 		w.Send(a, b, msg.Greet{MH: mh})
 	}

@@ -34,6 +34,7 @@ func hopAllocs(k *sim.Kernel, step func()) float64 {
 func TestWiredUncausalAllocBudget(t *testing.T) {
 	k := sim.NewKernel(1)
 	w, _ := wiredPair(t, k, WiredConfig{Latency: Constant(time.Millisecond)})
+	w.Register(ids.MSS(2).Node(), nopHandler()) // a recorder would box what it keeps
 	var m msg.Message = msg.Dereg{MH: 7, NewMSS: 2}
 	if avg := hopAllocs(k, func() { w.Send(ids.MSS(1).Node(), ids.MSS(2).Node(), m) }); avg != 0 {
 		t.Errorf("uncausal wired hop: %.1f allocs/op, budget 0", avg)
@@ -62,6 +63,7 @@ func TestWiredARQAllocBudget(t *testing.T) {
 			Latency: Constant(time.Millisecond), Causal: true, Faults: faults(k),
 			ARQ: ARQConfig{Enabled: true, RTO: 10 * time.Millisecond},
 		})
+		w.Register(ids.MSS(2).Node(), nopHandler())
 		// A burst a step: on the faulty link most steps retransmit, some
 		// reorder (the receiver's ahead set), some duplicate.
 		avg := hopAllocs(k, func() {
@@ -155,23 +157,26 @@ func TestWtpDownlinkAllocBudget(t *testing.T) {
 	}
 }
 
-// TestFrameReleasedBeforeHandler: handlers send from inside delivery, so
-// the record that carried a message is the one its reply takes. A
-// ping-pong over one causal link must see every payload intact, on one
-// record.
-func TestFrameReleasedBeforeHandler(t *testing.T) {
+// TestFrameReleasedAfterHandler: a handler is shown a view of the leg in
+// the record that carried it, and sends from inside delivery, so the
+// record is released only once the handler returns: the reply takes
+// another. A ping-pong over one causal link must see every payload
+// intact, read before and after the handler's own send, and leave no
+// record out.
+func TestFrameReleasedAfterHandler(t *testing.T) {
 	k := sim.NewKernel(1)
 	a, b := ids.MSS(1).Node(), ids.MSS(2).Node()
 	w := NewWired(k, []ids.NodeID{a, b}, WiredConfig{Latency: Constant(time.Millisecond), Causal: true}, nil)
 	var got []ids.MH
 	bounce := func(self, peer ids.NodeID) Handler {
 		return HandlerFunc(func(from ids.NodeID, m msg.Message) {
-			mh := m.(msg.Greet).MH
+			l, _ := msg.LegOf(m)
+			mh := l.MH
 			got = append(got, mh)
 			if mh < 100 {
 				w.Send(self, peer, msg.Greet{MH: mh + 1})
 			}
-			if from != peer || m.(msg.Greet).MH != mh {
+			if l, _ = msg.LegOf(m); from != peer || l.MH != mh {
 				t.Errorf("delivery %d changed under the handler: from %v, %v", mh, from, m)
 			}
 		})
@@ -194,6 +199,9 @@ func TestFrameReleasedBeforeHandler(t *testing.T) {
 		k.Run()
 	}); avg > 11 { // the eleven Greets boxed by the handlers
 		t.Errorf("ping-pong of 11 hops: %.1f allocs, want only the boxed messages", avg)
+	}
+	if w.frames.Out() != 0 {
+		t.Errorf("%d frame records out after the kernel drained", w.frames.Out())
 	}
 }
 
@@ -259,7 +267,7 @@ func TestDuplicateFaultWithoutARQDeliversTwice(t *testing.T) {
 	var got []record
 	w.Register(a, nopHandler())
 	w.Register(b, HandlerFunc(func(from ids.NodeID, m msg.Message) {
-		got = append(got, record{from, m})
+		got = append(got, record{from, msg.Keep(m)})
 		w.Send(b, a, msg.Dereg{MH: 1})
 	}))
 	w.Send(a, b, msg.Greet{MH: 42})
@@ -284,7 +292,7 @@ func TestSequencerMayFireOutOfOrderAndTwice(t *testing.T) {
 	var got []ids.MH
 	w.Register(a, nopHandler())
 	w.Register(b, HandlerFunc(func(_ ids.NodeID, m msg.Message) {
-		got = append(got, m.(msg.Greet).MH)
+		got = append(got, msg.Keep(m).(msg.Greet).MH)
 		w.Send(b, a, msg.Dereg{MH: 1})
 	}))
 	for mh := ids.MH(1); mh <= 3; mh++ {
@@ -308,7 +316,7 @@ func TestSequencerMayFireOutOfOrderAndTwice(t *testing.T) {
 	seq.fires = nil
 	got = nil
 	r.RegisterMH(7, HandlerFunc(func(_ ids.NodeID, m msg.Message) {
-		got = append(got, m.(msg.Greet).MH)
+		got = append(got, msg.Keep(m).(msg.Greet).MH)
 		r.SendUplink(7, 1, msg.Greet{MH: 99})
 	}))
 	r.RegisterMSS(1, nopHandler())

@@ -10,72 +10,71 @@ import (
 	"repro/internal/sim"
 )
 
-// legSink counts what reaches it, by door.
-type legSink struct{ legs, msgs int }
+// legSink counts what reaches its door: views, and anything else.
+type legSink struct{ views, others int }
 
-func (s *legSink) HandleMessage(ids.NodeID, msg.Message) { s.msgs++ }
-func (s *legSink) HandleLeg(ids.NodeID, msg.Leg)         { s.legs++ }
+func (s *legSink) HandleMessage(_ ids.NodeID, m msg.Message) {
+	if _, ok := m.(msg.View); ok {
+		s.views++
+	} else {
+		s.others++
+	}
+}
 
+// sampleLeg is the sender's slot of the pins below: a leg sent as a view
+// of it, as a node sends from its world's outgoing slot.
 var sampleLeg = msg.ResultForward{
 	Proxy: ids.ProxyID{Host: 1, Seq: 3}, MH: 7, Req: ids.RequestID{Origin: 7, Seq: 1}, Payload: []byte("r"),
 }.Leg()
 
-// TestWiredLegAllocBudget: a warm causal wired hop of a leg allocates
-// nothing, under a nil Observer and under a set one alike: Sent and
-// Delivered show the listener a view of the frame's leg, and the handler
-// takes the leg through HandleLeg. A handler without HandleLeg is handed
-// a box made at delivery, listener or not. (At the parent the listener's
-// hop cost 1, the box its envelope made and the handler was handed.)
+// TestWiredLegAllocBudget: a warm causal wired hop of a leg sent as a view
+// allocates nothing, under a nil Observer and under a set one alike: Send
+// copies the leg into the frame record, Sent and Delivered show the
+// listener a view of the record's leg, and so is the handler shown it, a
+// HandlerFunc as any other. (At the parent the leg door, SendLeg, cost 0
+// into a handler with HandleLeg, and 1 into any other handler, which was
+// handed a box.)
 func TestWiredLegAllocBudget(t *testing.T) {
-	cases := []struct {
-		name       string
-		observed   bool
-		legHandler bool
-		budget     float64
-	}{
-		{"leg handler, nil observer", false, true, 0},
-		{"leg handler, observer", true, true, 0},
-		{"plain handler, nil observer", false, false, 1},
-		{"plain handler, observer", true, false, 1},
-	}
-	for _, c := range cases {
-		k := sim.NewKernel(1)
-		var obs Observer
-		events := 0
-		if c.observed {
-			obs = func(sim.Time, Layer, EventKind, ids.NodeID, ids.NodeID, msg.Message) { events++ }
-		}
-		w := NewWired(k, staticMembers(), WiredConfig{Latency: Constant(time.Millisecond), Causal: true}, obs)
-		sink := &legSink{}
-		for _, n := range staticMembers() {
-			if c.legHandler {
-				w.Register(n, sink)
-			} else {
-				w.Register(n, HandlerFunc(func(ids.NodeID, msg.Message) { sink.msgs++ }))
+	for _, observed := range []bool{false, true} {
+		for _, fn := range []bool{false, true} {
+			k := sim.NewKernel(1)
+			var obs Observer
+			events := 0
+			if observed {
+				obs = func(sim.Time, Layer, EventKind, ids.NodeID, ids.NodeID, msg.Message) { events++ }
 			}
-		}
-		from, to := ids.MSS(1).Node(), ids.MSS(2).Node()
-		if avg := hopAllocs(k, func() { w.SendLeg(from, to, sampleLeg) }); avg != c.budget {
-			t.Errorf("%s: %.1f allocs a hop, budget %v", c.name, avg, c.budget)
-		}
-		legs, msgs := sink.legs, sink.msgs
-		if !c.legHandler {
-			legs, msgs = msgs, legs
-		}
-		if legs != 64+201 || msgs != 0 {
-			t.Errorf("%s: %d hops took the expected door, %d the other; want %d, 0", c.name, legs, msgs, 64+201)
-		}
-		if c.observed && events != 2*(64+201) {
-			t.Errorf("%s: observer saw %d events, want Sent and Delivered per hop", c.name, events)
+			w := NewWired(k, staticMembers(), WiredConfig{Latency: Constant(time.Millisecond), Causal: true}, obs)
+			sink := &legSink{}
+			for _, n := range staticMembers() {
+				if fn {
+					w.Register(n, HandlerFunc(sink.HandleMessage))
+				} else {
+					w.Register(n, sink)
+				}
+			}
+			from, to := ids.MSS(1).Node(), ids.MSS(2).Node()
+			if avg := hopAllocs(k, func() { w.Send(from, to, msg.ViewOf(&sampleLeg)) }); avg != 0 {
+				t.Errorf("observed %t, HandlerFunc %t: %.1f allocs a hop, budget 0", observed, fn, avg)
+			}
+			if sink.views != 64+201 || sink.others != 0 {
+				t.Errorf("observed %t, HandlerFunc %t: %d hops shown as views, %d otherwise; want %d, 0",
+					observed, fn, sink.views, sink.others, 64+201)
+			}
+			if observed && events != 2*(64+201) {
+				t.Errorf("observer saw %d events, want Sent and Delivered per hop", events)
+			}
 		}
 	}
 }
 
-// TestRadioLegAllocBudget: a leg up or down a warm radio link allocates
-// nothing, under a nil Observer and under a set one alike, and the
-// handler takes it through HandleLeg. (At the parent the listener's hop
-// cost 1, the box its envelope made and the handler was handed.)
+// TestRadioLegAllocBudget: a leg sent as a view up or down a warm radio
+// link allocates nothing, under a nil Observer and under a set one alike,
+// and the handler is shown a view of the frame's leg. (At the parent the
+// leg doors, SendUplinkLeg and SendDownlinkLeg, cost 0 into a handler with
+// HandleLeg.)
 func TestRadioLegAllocBudget(t *testing.T) {
+	ack := msg.AckMH{MH: 7, Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()
+	res := msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()
 	for _, observed := range []bool{false, true} {
 		k := sim.NewKernel(1)
 		var obs Observer
@@ -89,29 +88,28 @@ func TestRadioLegAllocBudget(t *testing.T) {
 		sink := &legSink{}
 		w.RegisterMSS(1, sink)
 		w.RegisterMH(7, sink)
-		ack := msg.AckMH{MH: 7, Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()
-		res := msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()
 		for name, step := range map[string]func(){
-			"uplink":   func() { w.SendUplinkLeg(7, 1, ack) },
-			"downlink": func() { w.SendDownlinkLeg(1, 7, res) },
+			"uplink":   func() { w.SendUplink(7, 1, msg.ViewOf(&ack)) },
+			"downlink": func() { w.SendDownlink(1, 7, msg.ViewOf(&res)) },
 		} {
 			if avg := hopAllocs(k, step); avg != 0 {
 				t.Errorf("radio %s leg, observed %t: %.1f allocs a hop, budget 0", name, observed, avg)
 			}
 		}
-		if sink.legs != 2*(64+201) || sink.msgs != 0 {
-			t.Errorf("observed %t: %d hops handed as legs, %d as boxes", observed, sink.legs, sink.msgs)
+		if sink.views != 2*(64+201) || sink.others != 0 {
+			t.Errorf("observed %t: %d hops shown as views, %d otherwise", observed, sink.views, sink.others)
 		}
 	}
 }
 
-// TestGreetLegIsControl: a greet leg is registration control exactly as
-// a boxed greet is. On a radio that loses every data frame and queues one,
+// TestGreetLegIsControl: a greet sent as a view is registration control
+// exactly as a boxed greet is. On a radio that loses every data frame and queues one,
 // greets sent back to back all arrive; on a loss-free one, they hold no
 // queue slot, so the data frame sent behind them in the same instant is
 // not shed.
 func TestGreetLegIsControl(t *testing.T) {
 	greet := msg.Greet{MH: 7, OldMSS: 2, Inc: 1}
+	slot := greet.Leg()
 	ack := msg.AckMH{MH: 7, Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()
 	run := func(loss float64, asLeg bool) (arrived int, shed int64) {
 		k := sim.NewKernel(1)
@@ -123,14 +121,14 @@ func TestGreetLegIsControl(t *testing.T) {
 		w.RegisterMSS(1, sink)
 		for i := 0; i < 3; i++ {
 			if asLeg {
-				w.SendUplinkLeg(7, 1, greet.Leg())
+				w.SendUplink(7, 1, msg.ViewOf(&slot))
 			} else {
 				w.SendUplink(7, 1, greet)
 			}
 		}
-		w.SendUplinkLeg(7, 1, ack)
+		w.SendUplink(7, 1, msg.ViewOf(&ack))
 		k.Run()
-		return sink.legs + sink.msgs, w.Shed()
+		return sink.views + sink.others, w.Shed()
 	}
 	for _, c := range []struct {
 		loss float64
@@ -146,12 +144,14 @@ func TestGreetLegIsControl(t *testing.T) {
 }
 
 // TestLegsObserveAsBoxed: a substrate shows a listener the same events
-// whether it carries a message boxed or as a leg — through causal
-// hold-back, the ARQ over a dropping, duplicating link (whose lost frames
-// show the leg inside a LinkFrame), and a lossy radio with a drop filter
-// — and the handler receives the same message. The listener keeps what it
-// is shown, so it keeps it through msg.Keep: a view of a leg and a
-// LinkFrame shown by pointer keep as the boxed run's messages.
+// whether it is sent a leg boxed or as a view of the sender's slot, which
+// the sender overwrites with its next leg as soon as Send returns —
+// through causal hold-back, the ARQ over a dropping, duplicating link
+// (whose lost frames show the leg inside a LinkFrame), and a lossy radio
+// with a drop filter — and the handler is shown the same message. The
+// listener and the handler keep what they are shown, so they keep it
+// through msg.Keep: a view of a leg and a LinkFrame shown by pointer keep
+// as the boxed run's messages.
 func TestLegsObserveAsBoxed(t *testing.T) {
 	type event struct {
 		at       sim.Time
@@ -172,7 +172,7 @@ func TestLegsObserveAsBoxed(t *testing.T) {
 		obs := func(at sim.Time, l Layer, kind EventKind, from, to ids.NodeID, m msg.Message) {
 			seen = append(seen, event{at, l, kind, from, to, msg.Keep(m)})
 		}
-		into := HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) })
+		into := HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, msg.Keep(m)) })
 		wired := NewWired(k, staticMembers(), WiredConfig{
 			Latency: Uniform{Lo: time.Millisecond, Hi: 9 * time.Millisecond}, Causal: true,
 			Faults: arqLinks["faulty"](k), ARQ: ARQConfig{Enabled: true, RTO: 20 * time.Millisecond},
@@ -187,13 +187,18 @@ func TestLegsObserveAsBoxed(t *testing.T) {
 		}, obs)
 		radio.RegisterMSS(1, into)
 		radio.RegisterMH(7, into)
+		var slot msg.Leg
+		send := func(l msg.Leg) msg.Message {
+			slot = l
+			return msg.ViewOf(&slot)
+		}
 		for i := 0; i < 40; i++ {
 			l := legs[i%len(legs)]
 			from, to := staticMembers()[i%3], staticMembers()[(i+1)%4]
 			if asLeg {
-				wired.SendLeg(from, to, l)
-				radio.SendUplinkLeg(7, 1, l)
-				radio.SendDownlinkLeg(1, 7, l)
+				wired.Send(from, to, send(l))
+				radio.SendUplink(7, 1, send(l))
+				radio.SendDownlink(1, 7, send(l))
 			} else {
 				wired.Send(from, to, l.Message())
 				radio.SendUplink(7, 1, l.Message())
@@ -210,7 +215,7 @@ func TestLegsObserveAsBoxed(t *testing.T) {
 		t.Errorf("a listener saw %d events of legs, %d of boxed messages, or different ones", len(legSeen), len(boxedSeen))
 	}
 	if !reflect.DeepEqual(legGot, boxedGot) {
-		t.Errorf("handlers took %d messages as legs, %d boxed, or different ones", len(legGot), len(boxedGot))
+		t.Errorf("handlers took %d messages sent as views, %d sent boxed, or different ones", len(legGot), len(boxedGot))
 	}
 	drops := 0
 	for _, e := range boxedSeen {

@@ -27,21 +27,32 @@ import (
 	"repro/internal/wtp"
 )
 
-// Handler consumes messages delivered to a node.
+// Handler consumes messages delivered to a node: its one door.
+//
+// What crosses a door — HandleMessage here, a transport's Send,
+// SendDownlink or SendUplink, an Observer — is borrowed for the call. A
+// message of one of the eleven leg kinds (msg.Leg) crosses as a msg.View
+// of a leg the caller owns: the sender's outgoing slot, or the frame
+// record a substrate delivers from, which it recycles once the handler
+// returns. A box of a leg kind is accepted at every door as well. Whoever
+// keeps a message past the call keeps a copy (msg.EnvelopeOf, or msg.Keep
+// for a box); a sender writes its next leg into the same slot, which is
+// never cleared.
 type Handler interface {
 	HandleMessage(from ids.NodeID, m msg.Message)
 }
 
 // WiredTransport is the interface the protocol layer needs from the
 // static network. Wired implements it over the simulation kernel;
-// tcpnet implements it over real TCP sockets.
+// tcpnet implements it over real TCP sockets. Send borrows m (see
+// Handler): it copies a view's leg before anything else runs.
 type WiredTransport interface {
 	Send(from, to ids.NodeID, m msg.Message)
 	Register(n ids.NodeID, h Handler)
 }
 
 // WirelessTransport is the interface the protocol layer needs from the
-// per-cell radio links.
+// per-cell radio links. Both sends borrow m as WiredTransport.Send does.
 type WirelessTransport interface {
 	SendDownlink(from ids.MSS, to ids.MH, m msg.Message)
 	SendUplink(from ids.MH, to ids.MSS, m msg.Message)
@@ -49,90 +60,13 @@ type WirelessTransport interface {
 	RegisterMSS(mss ids.MSS, h Handler)
 }
 
-// LegHandler is implemented by a Handler that takes the request path's
-// and the hand-off's messages as msg.Leg values, unboxed — the
-// io.WriterTo idiom: Wired, Wireless and RegionLink hand a leg to a
-// handler that has HandleLeg, and box it for HandleMessage on any other.
-type LegHandler interface {
-	HandleLeg(from ids.NodeID, l msg.Leg)
-}
-
-// WiredLegs is implemented by a wired substrate that carries legs
-// unboxed: Wired and RegionLink.
-type WiredLegs interface {
-	SendLeg(from, to ids.NodeID, l msg.Leg)
-}
-
-// WirelessLegs is implemented by a radio that carries legs unboxed:
-// Wireless.
-type WirelessLegs interface {
-	SendDownlinkLeg(from ids.MSS, to ids.MH, l msg.Leg)
-	SendUplinkLeg(from ids.MH, to ids.MSS, l msg.Leg)
-}
-
-// WiredLegsOf returns t's leg sends, or, when t has none (tcpnet,
-// livenet, a wrapper), sends that box every leg for t.Send.
-func WiredLegsOf(t WiredTransport) WiredLegs {
-	if l, ok := t.(WiredLegs); ok {
-		return l
-	}
-	return boxedWired{t}
-}
-
-// WirelessLegsOf is WiredLegsOf for the radio.
-func WirelessLegsOf(t WirelessTransport) WirelessLegs {
-	if l, ok := t.(WirelessLegs); ok {
-		return l
-	}
-	return boxedWireless{t}
-}
-
-type boxedWired struct{ WiredTransport }
-
-func (b boxedWired) SendLeg(from, to ids.NodeID, l msg.Leg) { b.Send(from, to, l.Message()) }
-
-type boxedWireless struct{ WirelessTransport }
-
-func (b boxedWireless) SendDownlinkLeg(from ids.MSS, to ids.MH, l msg.Leg) {
-	b.SendDownlink(from, to, l.Message())
-}
-
-func (b boxedWireless) SendUplinkLeg(from ids.MH, to ids.MSS, l msg.Leg) {
-	b.SendUplink(from, to, l.Message())
-}
-
 var (
 	_ WiredTransport    = (*Wired)(nil)
 	_ WirelessTransport = (*Wireless)(nil)
-	_ WiredLegs         = (*Wired)(nil)
-	_ WirelessLegs      = (*Wireless)(nil)
 )
 
-// endpoint is a registered handler with its leg door, looked up once.
-type endpoint struct {
-	h    Handler
-	legs LegHandler // h's HandleLeg, or nil
-}
-
-func endpointOf(h Handler) endpoint {
-	lh, _ := h.(LegHandler)
-	return endpoint{h: h, legs: lh}
-}
-
-// hand gives a frame's content to the endpoint: a leg unboxed to a
-// LegHandler, boxed for any other handler, and a message (m) as it is.
-func (e endpoint) hand(from ids.NodeID, m msg.Message, l msg.Leg) {
-	if m == nil {
-		if e.legs != nil {
-			e.legs.HandleLeg(from, l)
-			return
-		}
-		m = l.Message()
-	}
-	e.h.HandleMessage(from, m)
-}
-
-// HandlerFunc adapts a function to the Handler interface.
+// HandlerFunc adapts a function to the Handler interface; f borrows what
+// it is handed, as any Handler does.
 type HandlerFunc func(from ids.NodeID, m msg.Message)
 
 // HandleMessage calls f.
@@ -300,7 +234,7 @@ type Wired struct {
 	// one (0: not a member): two array reads per hop instead of a hash.
 	index    [ids.KindServer + 1][]int32
 	members  []ids.NodeID
-	handlers []endpoint
+	handlers []Handler
 	eps      []*causal.Endpoint
 	observer Observer
 	links    map[int]*wiredLink // ARQ state per directed pair (see link)
@@ -317,30 +251,17 @@ type Wired struct {
 
 // wiredFrame is one message in flight on the wired network: what the
 // kernel fires, what the causal layer holds back and hands up, what an
-// ARQ link keeps until first delivery. Lifetime (DESIGN §10, Hops): a
-// record is released just before the handler it delivers to runs —
-// handlers send — or when its frame is dropped on arrival; a held-back
-// frame keeps it until handed up; nothing touches it after release, and
-// every observer report of the frame comes before its release.
-//
-// A leg-kind message rides as a leg, unboxed, and is shown to observers
-// as a view of it: no report boxes it.
+// ARQ link keeps until first delivery. Lifetime (DESIGN §10, Doors and
+// views): a record is released once the handler it delivers to returns —
+// the handler is shown a view of the record's leg — or when its frame is
+// dropped on arrival; a held-back frame keeps it until handed up; nothing
+// touches it after release.
 type wiredFrame struct {
 	w      *Wired
 	fi, ti int          // member indices of sender and destination
 	st     causal.Stamp // under Causal
-	m      msg.Message  // a message of no leg kind, or nil
-	leg    msg.Leg      // a leg-kind message unboxed, or the zero Leg
+	env    msg.Envelope // the message: a leg by value, or another message
 	run    func()       // fire, bound once when the record is first allocated
-}
-
-// envelope is the frame's content as observers see it: the message, or
-// a view of the leg, valid until the record is released.
-func (f *wiredFrame) envelope() msg.Message {
-	if f.m != nil {
-		return f.m
-	}
-	return msg.ViewOf(&f.leg)
 }
 
 // NewWired builds the wired network for a fixed membership of static
@@ -355,7 +276,7 @@ func NewWired(k sim.Scheduler, members []ids.NodeID, cfg WiredConfig, obs Observ
 		cfg:      cfg,
 		rng:      k.RNG().Fork(),
 		members:  append([]ids.NodeID(nil), members...),
-		handlers: make([]endpoint, len(members)),
+		handlers: make([]Handler, len(members)),
 		observer: obs,
 		links:    make(map[int]*wiredLink),
 	}
@@ -407,22 +328,16 @@ func (w *Wired) Register(n ids.NodeID, h Handler) {
 	if i < 0 {
 		panic(fmt.Sprintf("netsim: %v is not a wired member", n))
 	}
-	w.handlers[i] = endpointOf(h)
+	w.handlers[i] = h
 }
 
 // Send transmits m from one static host to another. Both must be
 // members. Delivery is reliable (under faults: reliable iff ARQ is on);
-// order is causal when configured.
+// order is causal when configured. The frame keeps m's envelope, so a
+// view's leg is copied into the record.
 func (w *Wired) Send(from, to ids.NodeID, m msg.Message) {
 	f := w.frame(from, to)
-	f.m = m
-	w.launch(f)
-}
-
-// SendLeg is Send for a leg-kind message carried unboxed.
-func (w *Wired) SendLeg(from, to ids.NodeID, l msg.Leg) {
-	f := w.frame(from, to)
-	f.leg = l
+	f.env = msg.EnvelopeOf(m)
 	w.launch(f)
 }
 
@@ -499,7 +414,7 @@ func (w *Wired) arrive(f *wiredFrame) {
 // release retires a fired record (see wiredFrame for when).
 func (w *Wired) release(f *wiredFrame) {
 	if w.pooled {
-		f.m, f.leg, f.st = nil, msg.Leg{}, causal.Stamp{}
+		f.env, f.st = msg.Envelope{}, causal.Stamp{}
 		w.frames.Put(f)
 	}
 }
@@ -560,16 +475,17 @@ func (w *Wired) sampleLatency(from, to ids.NodeID) time.Duration {
 	return lat.Sample(w.rng)
 }
 
-// deliver hands a frame's message to its destination handler.
+// deliver hands a frame's message to its destination handler, a leg as
+// a view of the record's, and releases the record once the handler
+// returns.
 func (w *Wired) deliver(f *wiredFrame) {
-	e := w.handlers[f.ti]
-	if e.h == nil {
+	h := w.handlers[f.ti]
+	if h == nil {
 		panic(fmt.Sprintf("netsim: wired member %v has no handler", w.members[f.ti]))
 	}
 	w.observeFrame(EventDelivered, f)
-	from, m, l := w.members[f.fi], f.m, f.leg
+	h.HandleMessage(w.members[f.fi], f.env.Message())
 	w.release(f)
-	e.hand(from, m, l)
 }
 
 func (w *Wired) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
@@ -581,7 +497,7 @@ func (w *Wired) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
 // observeFrame reports a frame's event to the listener, if any.
 func (w *Wired) observeFrame(kind EventKind, f *wiredFrame) {
 	if w.observer != nil {
-		w.observer(w.k.Now(), LayerWired, kind, w.members[f.fi], w.members[f.ti], f.envelope())
+		w.observer(w.k.Now(), LayerWired, kind, w.members[f.fi], w.members[f.ti], f.env.Message())
 	}
 }
 
@@ -677,8 +593,8 @@ type Wireless struct {
 	k        sim.Scheduler
 	cfg      WirelessConfig
 	rng      *sim.RNG
-	mhs      map[ids.MH]endpoint
-	stations map[ids.MSS]endpoint
+	mhs      map[ids.MH]Handler
+	stations map[ids.MSS]Handler
 	observer Observer
 	links    [2]map[uint64]radioLink // links with frames in flight, by direction and radioKey
 	shed     int64                   // frames shed by full link queues
@@ -722,31 +638,27 @@ type radioFrame struct {
 	queued bool // holds a slot of the bounded link queue until it fires
 	mss    ids.MSS
 	mh     ids.MH
-	from   ids.NodeID  // the sending end
-	to     ids.NodeID  // the receiving end
-	m      msg.Message // opDownlink, opUplink: a message of no leg kind, or nil
-	leg    msg.Leg     // opDownlink, opUplink: a leg-kind message unboxed
-	data   msg.WtpData // opWtpData
-	ack    msg.WtpAck  // opWtpAck
-	run    func()      // fire, bound once when the record is first allocated
+	from   ids.NodeID   // the sending end
+	to     ids.NodeID   // the receiving end
+	env    msg.Envelope // opDownlink, opUplink
+	data   msg.WtpData  // opWtpData
+	ack    msg.WtpAck   // opWtpAck
+	run    func()       // fire, bound once when the record is first allocated
 }
 
 func (f *radioFrame) dir() int { return int(f.op & 1) }
 
-// envelope is the frame's content as observers and the drop filter see
-// it, valid until the record is released: a windowed frame by a pointer
-// to its typed field, a leg as a view of it, and a message as it is —
-// nothing boxed for the asker.
-func (f *radioFrame) envelope() msg.Message {
-	switch {
-	case f.op == opWtpData:
+// shown is the frame's content as a handler, an observer and the drop
+// filter see it, valid until the record is released: a windowed frame by
+// a pointer to its typed field, and a message as its envelope shows it.
+func (f *radioFrame) shown() msg.Message {
+	switch f.op {
+	case opWtpData:
 		return &f.data
-	case f.op == opWtpAck:
+	case opWtpAck:
 		return &f.ack
-	case f.m != nil:
-		return f.m
 	}
-	return msg.ViewOf(&f.leg)
+	return f.env.Message()
 }
 
 // NewWireless builds the wireless substrate.
@@ -761,8 +673,8 @@ func NewWireless(k sim.Scheduler, cfg WirelessConfig, obs Observer) *Wireless {
 		k:        k,
 		cfg:      cfg,
 		rng:      k.RNG().Fork(),
-		mhs:      make(map[ids.MH]endpoint),
-		stations: make(map[ids.MSS]endpoint),
+		mhs:      make(map[ids.MH]Handler),
+		stations: make(map[ids.MSS]Handler),
 		observer: obs,
 	}
 	for d := range w.links {
@@ -810,7 +722,7 @@ func (w *Wireless) frame(op radioOp, mss ids.MSS, mh ids.MH) *radioFrame {
 // record again, so under it records are left to the GC.
 func (w *Wireless) release(f *radioFrame) {
 	if w.cfg.Seq == nil {
-		f.queued, f.m, f.leg, f.data, f.ack = false, nil, msg.Leg{}, msg.WtpData{}, msg.WtpAck{}
+		f.queued, f.env, f.data, f.ack = false, msg.Envelope{}, msg.WtpData{}, msg.WtpAck{}
 		w.frames.Put(f)
 	}
 }
@@ -879,7 +791,7 @@ func (f *radioFrame) fire() {
 			links[key] = l
 		}
 	}
-	var h endpoint
+	var h Handler
 	switch f.op {
 	case opWtpAck:
 		// Acks terminate inside the transport, at the sender whose frame
@@ -901,25 +813,24 @@ func (f *radioFrame) fire() {
 		}
 		h = w.mhs[f.mh]
 	}
-	if h.h == nil {
+	if h == nil {
 		w.finish(EventDroppedUnreachable, f)
 		return
 	}
 	if f.op == opWtpData {
-		w.receiveWtpFrame(f, h.h)
+		w.receiveWtpFrame(f, h)
 		return
 	}
 	w.observeFrame(EventDelivered, f)
-	from, m, l := f.from, f.m, f.leg
+	h.HandleMessage(f.from, f.shown())
 	w.release(f)
-	h.hand(from, m, l)
 }
 
 // RegisterMH installs the radio handler of a mobile host.
-func (w *Wireless) RegisterMH(mh ids.MH, h Handler) { w.mhs[mh] = endpointOf(h) }
+func (w *Wireless) RegisterMH(mh ids.MH, h Handler) { w.mhs[mh] = h }
 
 // RegisterMSS installs the radio handler of a support station.
-func (w *Wireless) RegisterMSS(mss ids.MSS, h Handler) { w.stations[mss] = endpointOf(h) }
+func (w *Wireless) RegisterMSS(mss ids.MSS, h Handler) { w.stations[mss] = h }
 
 // SendDownlink transmits from a station to a mobile host in its cell.
 // The frame is lost if the MH is unreachable at delivery time (it
@@ -932,29 +843,17 @@ func (w *Wireless) SendDownlink(from ids.MSS, to ids.MH, m msg.Message) {
 	if w.windowed() && !control {
 		// Windowed transport: the message joins the per-link coalescing
 		// buffer and travels inside a WtpData frame; the sender decides
-		// when (window, congestion, retransmission).
+		// when (window, congestion, retransmission). Its ring keeps
+		// messages, so what it queues is boxed.
+		kept := msg.Keep(m)
 		w.observe(EventSent, from.Node(), to.Node(), m)
-		w.wtpSender(from, to).Queue(m)
+		w.wtpSender(from, to).Queue(kept)
 		return
 	}
 	f := w.frame(opDownlink, from, to)
-	f.m = m
+	f.env = msg.EnvelopeOf(m)
 	w.observeFrame(EventSent, f)
 	w.dispatch(f, control)
-}
-
-// SendDownlinkLeg is SendDownlink for a leg-kind message carried
-// unboxed — but for the windowed transport, whose sender keeps what it
-// queues: the leg is boxed for it.
-func (w *Wireless) SendDownlinkLeg(from ids.MSS, to ids.MH, l msg.Leg) {
-	if w.windowed() {
-		w.SendDownlink(from, to, l.Message())
-		return
-	}
-	f := w.frame(opDownlink, from, to)
-	f.leg = l
-	w.observeFrame(EventSent, f)
-	w.dispatch(f, false)
 }
 
 // windowed reports whether downlink data rides the windowed transport;
@@ -1057,20 +956,8 @@ func (w *Wireless) WTPStats() (retransmits, fast, resets, frames, msgs, dups int
 // of how a MH learns that it is entering or leaving a cell").
 func (w *Wireless) SendUplink(from ids.MH, to ids.MSS, m msg.Message) {
 	f := w.frame(opUplink, to, from)
-	f.m = m
-	w.uplink(f, wirelessControl(m.Kind()))
-}
-
-// SendUplinkLeg is SendUplink for a leg: a greet is registration control
-// here as boxed, never lost and holding no queue slot.
-func (w *Wireless) SendUplinkLeg(from ids.MH, to ids.MSS, l msg.Leg) {
-	f := w.frame(opUplink, to, from)
-	f.leg = l
-	w.uplink(f, wirelessControl(l.Kind))
-}
-
-// uplink puts a filled host-to-station frame on its way, gated now.
-func (w *Wireless) uplink(f *radioFrame, control bool) {
+	f.env = msg.EnvelopeOf(m)
+	control := wirelessControl(m.Kind())
 	w.observeFrame(EventSent, f)
 	if !w.cfg.Reachable(f.mss, f.mh) {
 		w.finish(EventDroppedUnreachable, f)
@@ -1085,7 +972,7 @@ func (w *Wireless) uplink(f *radioFrame, control bool) {
 
 // filtered consults the DropFilter test hook, if any.
 func (w *Wireless) filtered(f *radioFrame) bool {
-	return w.cfg.DropFilter != nil && w.cfg.DropFilter(f.from, f.to, f.envelope())
+	return w.cfg.DropFilter != nil && w.cfg.DropFilter(f.from, f.to, f.shown())
 }
 
 func (w *Wireless) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
@@ -1097,7 +984,7 @@ func (w *Wireless) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
 // observeFrame reports a frame-level event to the listener, if any.
 func (w *Wireless) observeFrame(kind EventKind, f *radioFrame) {
 	if w.observer != nil {
-		w.observer(w.k.Now(), LayerWireless, kind, f.from, f.to, f.envelope())
+		w.observer(w.k.Now(), LayerWireless, kind, f.from, f.to, f.shown())
 	}
 }
 

@@ -22,7 +22,7 @@ type record struct {
 
 func collector(dst *[]record) Handler {
 	return HandlerFunc(func(from ids.NodeID, m msg.Message) {
-		*dst = append(*dst, record{from: from, m: m})
+		*dst = append(*dst, record{from: from, m: msg.Keep(m)})
 	})
 }
 
@@ -314,7 +314,7 @@ func TestWirelessPerLinkFIFO(t *testing.T) {
 	}, nil)
 	var order []uint32
 	w.RegisterMSS(1, HandlerFunc(func(_ ids.NodeID, m msg.Message) {
-		order = append(order, m.(msg.Request).Req.Seq)
+		order = append(order, msg.Keep(m).(msg.Request).Req.Seq)
 	}))
 	const n = 200
 	for i := uint32(1); i <= n; i++ {

@@ -59,15 +59,15 @@ func TestARQDropReportAllocBudget(t *testing.T) {
 	from, to := ids.MSS(1).Node(), ids.MSS(2).Node()
 	avg := hopAllocs(k, func() {
 		for i := 0; i < 8; i++ {
-			w.SendLeg(from, to, sampleLeg)
+			w.Send(from, to, msg.ViewOf(&sampleLeg))
 		}
 	})
 	if avg != 0 {
 		t.Errorf("ARQ burst of 8 legs under a counting observer: %.1f allocs, budget 0", avg)
 	}
-	if c.lostFrames == 0 || c.lostAcks == 0 || sink.legs != 8*(64+201) || sink.msgs != 0 {
-		t.Errorf("%d lost frames, %d lost acks, %d legs and %d boxes delivered: the run does not exercise the reports",
-			c.lostFrames, c.lostAcks, sink.legs, sink.msgs)
+	if c.lostFrames == 0 || c.lostAcks == 0 || sink.views != 8*(64+201) || sink.others != 0 {
+		t.Errorf("%d lost frames, %d lost acks, %d views and %d others delivered: the run does not exercise the reports",
+			c.lostFrames, c.lostAcks, sink.views, sink.others)
 	}
 }
 

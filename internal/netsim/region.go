@@ -14,21 +14,11 @@ import (
 // parallel coordinator (internal/psim) carries frames between region
 // kernels and injects them at Arrival, merged in deterministic
 // (arrival, source region, sequence) order. A leg-kind message
-// crosses as a Leg, unboxed; M is then nil until a listener boxes it.
+// crosses as a leg, by value.
 type CrossFrame struct {
 	From, To ids.NodeID
-	M        msg.Message
-	Leg      msg.Leg
+	Env      msg.Envelope
 	Arrival  sim.Time
-}
-
-// envelope is the frame's message as observers see it, boxed on first
-// use when the frame carries a leg.
-func (f *CrossFrame) envelope() msg.Message {
-	if f.M == nil {
-		f.M = f.Leg.Message()
-	}
-	return f.M
 }
 
 // RegionLink is the wired transport of one region in a partitioned
@@ -59,7 +49,11 @@ type RegionLink struct {
 	lookahead sim.Time
 	emit      func(CrossFrame)
 	obs       Observer
-	handlers  map[ids.NodeID]endpoint
+	handlers  map[ids.NodeID]Handler
+	// in is the envelope of the inbound frame being delivered: Deliver is
+	// handed its frame by value, so the view its handler is shown points
+	// here.
+	in msg.Envelope
 	// lastOut enforces per-pair FIFO on outbound cross links: a frame
 	// never arrives before an earlier frame of the same directed pair
 	// (physical links do not reorder). With a constant latency model the
@@ -111,7 +105,7 @@ func NewRegionLink(k sim.Scheduler, cfg RegionLinkConfig, obs Observer) *RegionL
 		lookahead: sim.Time(cfg.Lookahead),
 		emit:      cfg.Emit,
 		obs:       obs,
-		handlers:  make(map[ids.NodeID]endpoint),
+		handlers:  make(map[ids.NodeID]Handler),
 		lastOut:   make(map[[2]ids.NodeID]sim.Time),
 	}
 	for _, n := range cfg.LocalMembers {
@@ -126,7 +120,7 @@ func (l *RegionLink) Register(n ids.NodeID, h Handler) {
 	if !l.localSet[n] {
 		panic(fmt.Sprintf("netsim: %v is not a member of this region", n))
 	}
-	l.handlers[n] = endpointOf(h)
+	l.handlers[n] = h
 	l.local.Register(n, h)
 }
 
@@ -137,24 +131,14 @@ func (l *RegionLink) Send(from, to ids.NodeID, m msg.Message) {
 		l.local.Send(from, to, m)
 		return
 	}
-	l.cross(CrossFrame{From: from, To: to, M: m})
+	l.cross(from, to, m)
 }
 
-// SendLeg is Send for a leg-kind message carried unboxed, across
-// regions too.
-func (l *RegionLink) SendLeg(from, to ids.NodeID, leg msg.Leg) {
-	if l.localSet[to] {
-		l.local.SendLeg(from, to, leg)
-		return
-	}
-	l.cross(CrossFrame{From: from, To: to, Leg: leg})
-}
-
-// cross stamps an outbound cross-region frame with its arrival and
-// emits it.
-func (l *RegionLink) cross(f CrossFrame) {
-	from, to := f.From, f.To
-	l.observe(EventSent, &f)
+// cross stamps an outbound cross-region frame, which keeps m's envelope,
+// with its arrival and emits it.
+func (l *RegionLink) cross(from, to ids.NodeID, m msg.Message) {
+	f := CrossFrame{From: from, To: to, Env: msg.EnvelopeOf(m)}
+	l.observe(EventSent, from, to, m)
 	lat := l.sampleLatency(from, to)
 	if sim.Time(lat) < l.lookahead {
 		panic(fmt.Sprintf("netsim: cross-region latency %v below lookahead %v (%v -> %v)",
@@ -181,8 +165,10 @@ func (l *RegionLink) Deliver(f CrossFrame) {
 	if !ok {
 		panic(fmt.Sprintf("netsim: cross-region frame for unregistered host %v", f.To))
 	}
-	l.observe(EventDelivered, &f)
-	h.hand(f.From, f.M, f.Leg)
+	l.in = f.Env
+	m := l.in.Message()
+	l.observe(EventDelivered, f.From, f.To, m)
+	h.HandleMessage(f.From, m)
 }
 
 // Local reports whether the host is simulated by this region.
@@ -198,15 +184,11 @@ func (l *RegionLink) sampleLatency(from, to ids.NodeID) time.Duration {
 	return lat.Sample(l.rng)
 }
 
-// observe reports a cross-region frame's event, boxing a leg only for a
-// listener; the box stays in the frame for its next report.
-func (l *RegionLink) observe(kind EventKind, f *CrossFrame) {
+// observe reports a cross-region frame's event.
+func (l *RegionLink) observe(kind EventKind, from, to ids.NodeID, m msg.Message) {
 	if l.obs != nil {
-		l.obs(l.k.Now(), LayerWired, kind, f.From, f.To, f.envelope())
+		l.obs(l.k.Now(), LayerWired, kind, from, to, m)
 	}
 }
 
-var (
-	_ WiredTransport = (*RegionLink)(nil)
-	_ WiredLegs      = (*RegionLink)(nil)
-)
+var _ WiredTransport = (*RegionLink)(nil)

@@ -26,7 +26,7 @@ func TestRegionLinkRoutesLocalAndRemote(t *testing.T) {
 
 	var gotLocal []msg.Message
 	l.Register(a, HandlerFunc(func(from ids.NodeID, m msg.Message) {}))
-	l.Register(b, HandlerFunc(func(from ids.NodeID, m msg.Message) { gotLocal = append(gotLocal, m) }))
+	l.Register(b, HandlerFunc(func(from ids.NodeID, m msg.Message) { gotLocal = append(gotLocal, msg.Keep(m)) }))
 
 	l.Send(a, b, &msg.Greet{MH: 7, OldMSS: 1})
 	l.Send(a, remote, &msg.Greet{MH: 7, OldMSS: 1})
@@ -59,9 +59,9 @@ func TestRegionLinkDeliverAndObserver(t *testing.T) {
 		events = append(events, kind)
 	})
 	var got []msg.Message
-	l.Register(a, HandlerFunc(func(from ids.NodeID, m msg.Message) { got = append(got, m) }))
+	l.Register(a, HandlerFunc(func(from ids.NodeID, m msg.Message) { got = append(got, msg.Keep(m)) }))
 
-	l.Deliver(CrossFrame{From: ids.MSS(9).Node(), To: a, M: &msg.Greet{MH: 1, OldMSS: 9}})
+	l.Deliver(CrossFrame{From: ids.MSS(9).Node(), To: a, Env: msg.EnvelopeOf(&msg.Greet{MH: 1, OldMSS: 9})})
 	if len(got) != 1 {
 		t.Fatalf("Deliver reached handler %d times, want 1", len(got))
 	}

@@ -160,7 +160,7 @@ func TestRadioLinkTableDrains(t *testing.T) {
 	order := func(self ids.NodeID) Handler {
 		return HandlerFunc(func(from ids.NodeID, m msg.Message) {
 			var seq uint32
-			switch m := m.(type) {
+			switch m := msg.Keep(m).(type) {
 			case msg.ResultDeliver:
 				seq = m.Req.Seq
 			case msg.Request:

@@ -62,7 +62,7 @@ func TestWtpLossyGolden(t *testing.T) {
 	}
 	for mh := ids.MH(1); mh <= hosts; mh++ {
 		w.RegisterMH(mh, HandlerFunc(func(_ ids.NodeID, m msg.Message) {
-			rd := m.(msg.ResultDeliver)
+			rd := msg.Keep(m).(msg.ResultDeliver)
 			if rd.Req.Seq >= 100000 {
 				return // a reply: it starts no chain of its own
 			}
@@ -76,7 +76,7 @@ func TestWtpLossyGolden(t *testing.T) {
 	}
 	for mss := ids.MSS(1); mss <= 2; mss++ {
 		w.RegisterMSS(mss, HandlerFunc(func(from ids.NodeID, m msg.Message) {
-			req := m.(msg.Request)
+			req := msg.Keep(m).(msg.Request)
 			w.SendDownlink(mss, req.Req.Origin, result(req.Req.Origin, req.Req.Seq+200000, 96))
 		}))
 	}

@@ -20,7 +20,7 @@ func TestWirelessWTPDeliversInOrderUnderLoss(t *testing.T) {
 		WTP:       wtp.Config{Enabled: true, InitialRTO: 40 * time.Millisecond},
 	}, nil)
 	var got []msg.Message
-	w.RegisterMH(7, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) }))
+	w.RegisterMH(7, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, msg.Keep(m)) }))
 	const n = 200
 	for i := 0; i < n; i++ {
 		seq := uint32(i + 1)
@@ -60,7 +60,7 @@ func TestWirelessWTPControlBypassesWindow(t *testing.T) {
 		WTP:       wtp.Config{Enabled: true, CoalesceDelay: 50 * time.Millisecond},
 	}, nil)
 	var got []msg.Message
-	w.RegisterMH(7, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) }))
+	w.RegisterMH(7, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, msg.Keep(m)) }))
 	w.SendDownlink(1, 7, msg.RegConfirm{MH: 7})
 	k.RunUntil(sim.Time(10 * time.Millisecond))
 	// The control message must arrive on the beacon path immediately,
@@ -82,7 +82,7 @@ func TestWirelessWTPStopsAtUnreachableMH(t *testing.T) {
 		WTP:       wtp.Config{Enabled: true, InitialRTO: 5 * time.Millisecond, MaxRetries: 3, CoalesceDelay: -1},
 	}, nil)
 	var got []msg.Message
-	w.RegisterMH(7, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, m) }))
+	w.RegisterMH(7, HandlerFunc(func(_ ids.NodeID, m msg.Message) { got = append(got, msg.Keep(m)) }))
 	// MH 7 lives in cell 2; station 1's link can never reach it.
 	w.SendDownlink(1, 7, msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 1}})
 	k.Run()

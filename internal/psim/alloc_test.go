@@ -16,8 +16,11 @@ import (
 // regions: a wired frame from one region to another — emitted into the
 // source's outbox, parked at the barrier, merged onto the destination's
 // inbound list, scheduled through its recycled delivery records and
-// delivered — costs nothing, and neither does a script event, which
-// schedules the run function its script bound once. The steps are the
+// delivered — costs nothing, a boxed message or a leg sent as a view (the
+// frame keeps the leg by value, and the destination link shows it from
+// its own slot), and neither does a script event, which schedules the run
+// function its script bound once. (At the parent: 0 for each, a leg
+// through the leg door beside Send, RegionLink.SendLeg.) The steps are the
 // ones a window runs, driven by hand so a worker's arena outlives them
 // the way it outlives a pooled run's windows.
 func TestCrossFrameAllocBudget(t *testing.T) {
@@ -36,33 +39,11 @@ func TestCrossFrameAllocBudget(t *testing.T) {
 	r0, r1 := pw.regions[0], pw.regions[1]
 	arena := sim.NewArena()
 
-	t.Run("wired frame", func(t *testing.T) {
-		from, to := ids.MSS(1).Node(), ids.MSS(2).Node()
-		// An orphan at the destination station: processed by counting it.
-		var m msg.Message = msg.DelPrefOnly{Proxy: ids.ProxyID{Host: 2, Seq: 9}, MH: 7}
-		now := r0.kernel.Now()
-		hop := func() {
-			now += sim.Time(time.Millisecond)
-			r0.kernel.AdvanceTo(now)
-			r0.link.Send(from, to, m) // emit
-			r0.drain()                // park
-			pw.inject(now + pw.lookahead + 1)
-			if len(r1.inbound) != 1 {
-				t.Fatalf("merge put %d frames on the destination's inbound list, want 1", len(r1.inbound))
-			}
-			stepRegion(r1, now+pw.lookahead+1, arena) // schedule, deliver
-		}
-		for i := 0; i < 8; i++ {
-			hop()
-		}
-		before := r1.world.Stats.OrphanMessages.Value()
-		if avg := testing.AllocsPerRun(100, hop); avg != 0 {
-			t.Errorf("cross-region wired frame: %.1f allocs, budget 0", avg)
-		}
-		if got := r1.world.Stats.OrphanMessages.Value() - before; got != 101 {
-			t.Errorf("delivered %d frames, want 101", got)
-		}
-	})
+	// An orphan at the destination station, boxed and as a leg: processed
+	// by counting it.
+	leg := msg.AckForward{Proxy: ids.ProxyID{Host: 2, Seq: 9}, MH: 7}.Leg()
+	crossFrameAllocs(t, pw, arena, "wired frame", msg.DelPrefOnly{Proxy: ids.ProxyID{Host: 2, Seq: 9}, MH: 7})
+	crossFrameAllocs(t, pw, arena, "wired leg", msg.ViewOf(&leg))
 
 	t.Run("script event", func(t *testing.T) {
 		s := pw.scripts[1]
@@ -87,9 +68,40 @@ func TestCrossFrameAllocBudget(t *testing.T) {
 	}
 }
 
+// crossFrameAllocs runs TestCrossFrameAllocBudget's subtest of one wired
+// frame m, from station 1 in region 0 to station 2 in region 1.
+func crossFrameAllocs(t *testing.T, pw *World, arena *sim.Arena, name string, m msg.Message) {
+	r0, r1 := pw.regions[0], pw.regions[1]
+	t.Run(name, func(t *testing.T) {
+		from, to := ids.MSS(1).Node(), ids.MSS(2).Node()
+		now := r0.kernel.Now()
+		hop := func() {
+			now += sim.Time(time.Millisecond)
+			r0.kernel.AdvanceTo(now)
+			r0.link.Send(from, to, m) // emit
+			r0.drain()                // park
+			pw.inject(now + pw.lookahead + 1)
+			if len(r1.inbound) != 1 {
+				t.Fatalf("merge put %d frames on the destination's inbound list, want 1", len(r1.inbound))
+			}
+			stepRegion(r1, now+pw.lookahead+1, arena) // schedule, deliver
+		}
+		for i := 0; i < 8; i++ {
+			hop()
+		}
+		before := r1.world.Stats.OrphanMessages.Value()
+		if avg := testing.AllocsPerRun(100, hop); avg != 0 {
+			t.Errorf("cross-region %s: %.1f allocs, budget 0", name, avg)
+		}
+		if got := r1.world.Stats.OrphanMessages.Value() - before; got != 101 {
+			t.Errorf("delivered %d frames, want 101", got)
+		}
+	})
+}
+
 // TestCrossRegionRoundTripAllocBudget is rdpcore's
 // TestRequestRoundTripAllocBudget with the server in the other region:
-// the srv-request and the srv-result cross the barrier as msg.Leg values
+// the srv-request and the srv-result cross the barrier as legs by value
 // — emitted, parked, merged and delivered unboxed — so one warm request's
 // whole cycle costs the same one allocation, the server's reply. The
 // windows are stepped by hand with one arena, as in
@@ -148,7 +160,7 @@ func TestCrossRegionRoundTripAllocBudget(t *testing.T) {
 // with the two stations in different regions: the host moves from
 // station 1 (region 0) to 2 (region 1) and back while its proxy at 1
 // holds a request the server never answers, so the dereg, the deregack
-// and the outbound update_currentLoc cross the barrier as msg.Leg values.
+// and the outbound update_currentLoc cross the barrier as legs by value.
 // The host is detached and attached by hand, the way a transfer frame
 // moves it, and the windows are stepped by hand with one arena, as in
 // TestCrossFrameAllocBudget. Bystanders keep both stations' aggregated

@@ -10,33 +10,43 @@ import (
 	"repro/internal/msg"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wtp"
 )
 
 // TestStationSelfSendAllocBudget: a station's message to itself (a proxy
 // talking to its own host) rides a recycled record — nothing allocated
-// per hop, and the record is released before the message is processed,
-// so processing may send again.
+// per hop, boxed or a leg sent as a view of the world's slot, which the
+// record keeps by value — and the record is released before the message
+// is processed, from the world's turn slot, so processing may send again.
+// (At the parent: 0 boxed, and 0 for a leg through the leg door beside
+// it, sendLegToStation.)
 func TestStationSelfSendAllocBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumMSS = 2
 	w := NewWorld(cfg)
 	n := w.MSSs[1]
-	// An orphan: processed by counting it.
-	var m msg.Message = msg.DelPrefOnly{Proxy: ids.ProxyID{Host: 1, Seq: 9}, MH: 7}
-	step := func() {
-		n.sendToStation(1, m)
-		n.sendToStation(1, m)
-		w.Run()
-	}
-	for i := 0; i < 8; i++ {
-		step()
-	}
-	before := w.Stats.OrphanMessages.Value()
-	if avg := testing.AllocsPerRun(100, step); avg != 0 {
-		t.Errorf("station self-send: %.1f allocs per two hops, budget 0", avg)
-	}
-	if got := w.Stats.OrphanMessages.Value() - before; got != 2*101 {
-		t.Errorf("processed %d self-sends, want %d", got, 2*101)
+	// An orphan, boxed and as a leg: processed by counting it.
+	orphan := ids.ProxyID{Host: 1, Seq: 9}
+	var boxed msg.Message = msg.DelPrefOnly{Proxy: orphan, MH: 7}
+	for name, send := range map[string]func(){
+		"boxed": func() { n.sendToStation(1, boxed) },
+		"leg":   func() { n.sendToStation(1, w.view(msg.AckForward{Proxy: orphan, MH: 7}.Leg())) },
+	} {
+		step := func() {
+			send()
+			send()
+			w.Run()
+		}
+		for i := 0; i < 8; i++ {
+			step()
+		}
+		before := w.Stats.OrphanMessages.Value()
+		if avg := testing.AllocsPerRun(100, step); avg != 0 {
+			t.Errorf("station self-send, %s: %.1f allocs per two hops, budget 0", name, avg)
+		}
+		if got := w.Stats.OrphanMessages.Value() - before; got != 2*101 {
+			t.Errorf("%s: processed %d self-sends, want %d", name, got, 2*101)
+		}
 	}
 }
 
@@ -74,8 +84,9 @@ func TestHostTimerAllocBudget(t *testing.T) {
 // keeps its capacity, and the proxy is made over the record the last one
 // left in the station's spare stock. The seven messages — Request,
 // ServerRequest, ServerResult, ResultForward, ResultDeliver, AckMH,
-// AckForward — travel as msg.Leg values, boxed by no hop: nothing keeps
-// them and nobody listens. What is left is server.Echo's reply payload.
+// AckForward — cross every door as views of the sender's slot, copied by
+// value into each frame record and boxed by no hop: nothing keeps them
+// and nobody listens. What is left is server.Echo's reply payload.
 func TestRequestRoundTripAllocBudget(t *testing.T) {
 	w, h := roundTripWorld()
 	payload := []byte("q")
@@ -131,6 +142,36 @@ func TestFaultTolerantRoundTripAllocBudget(t *testing.T) {
 	}
 	if w.TotalProxies() != 0 || w.Stats.Violations.Value() != 0 || w.CheckpointWrites() == 0 {
 		t.Errorf("%d proxies left, %d violations, %d journal writes", w.TotalProxies(), w.Stats.Violations.Value(), w.CheckpointWrites())
+	}
+}
+
+// TestWindowedRoundTripAllocBudget is TestRequestRoundTripAllocBudget
+// over the windowed radio: its frames carry boxes, so the result reaches
+// the host as one, and the host reads its leg through the world's boxed
+// slot without another allocation. What is left is server.Echo's reply,
+// the windowed queue's box and the frame's message list: 3, as at the
+// parent (a reader that copied a box's leg to the heap read 4).
+func TestWindowedRoundTripAllocBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumMSS = 2
+	cfg.WirelessWTP = wtp.Config{Enabled: true}
+	w := NewWorld(cfg)
+	h := w.AddMH(1, 1)
+	w.Run()
+	payload := []byte("q")
+	step := func() {
+		h.IssueRequest(1, payload)
+		w.Run()
+	}
+	for i := 0; i < 64; i++ {
+		step()
+	}
+	before := w.Stats.ResultsDelivered.Value()
+	if avg := testing.AllocsPerRun(200, step); avg > 3 {
+		t.Errorf("windowed request round trip: %.2f allocs, budget 3", avg)
+	}
+	if got := w.Stats.ResultsDelivered.Value() - before; got != 201 {
+		t.Errorf("delivered %d results, want 201", got)
 	}
 }
 
@@ -270,7 +311,7 @@ func TestJournalWriteAllocBudget(t *testing.T) {
 // the proxy has nothing to re-forward. A bystander host in each cell
 // keeps the stations' host sets populated, as any busy cell's are (an
 // aggregated set that empties gives its chunk back). The four messages
-// travel as msg.Leg values and each arrival record lives in the host's
+// cross every door as views and each arrival record lives in the host's
 // recycled transient part, so the aggregated tables take the cycle for
 // nothing; the faithful table's heap *Pref costs one allocation per
 // registration, two a cycle.
@@ -282,7 +323,7 @@ func TestHandoffAllocBudget(t *testing.T) {
 	}{{"faithful", false, 2}, {"aggregated", true, 0}} {
 		cfg := DefaultConfig()
 		cfg.AggregatedState = c.aggregated
-		if avg := handoffCycleAllocs(t, c.name, cfg); avg > c.budget {
+		if avg := handoffCycleAllocs(t, c.name, cfg, false); avg > c.budget {
 			t.Errorf("%s: hand-off A -> B -> A: %.2f allocs, budget %v", c.name, avg, c.budget)
 		}
 	}
@@ -299,9 +340,9 @@ func TestHandoffTimeoutAllocBudget(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.AggregatedState = aggregated
 		name := fmt.Sprintf("aggregated=%v", aggregated)
-		without := handoffCycleAllocs(t, name, cfg)
+		without := handoffCycleAllocs(t, name, cfg, false)
 		cfg.HandoffTimeout = 500 * time.Millisecond
-		with := handoffCycleAllocs(t, name+" with timeout", cfg)
+		with := handoffCycleAllocs(t, name+" with timeout", cfg, false)
 		if with > without {
 			t.Errorf("%s: hand-off A -> B -> A: %.2f allocs with a hand-off timeout, %.2f without", name, with, without)
 		}
@@ -309,10 +350,11 @@ func TestHandoffTimeoutAllocBudget(t *testing.T) {
 }
 
 // handoffCycleAllocs measures TestHandoffAllocBudget's cycle in a world of
-// cfg and checks what the cycles did.
-func handoffCycleAllocs(t *testing.T, name string, cfg Config) float64 {
+// cfg — on pass-through transports when passed — and checks what the
+// cycles did.
+func handoffCycleAllocs(t *testing.T, name string, cfg Config, passed bool) float64 {
 	cfg.NumMSS = 2
-	w := NewWorld(cfg)
+	w := passedWorld(cfg, passed)
 	w.ReplaceServer(1, netsim.HandlerFunc(func(ids.NodeID, msg.Message) {}))
 	h := w.AddMH(1, 1)
 	w.AddMH(2, 1)
@@ -381,9 +423,9 @@ func TestCountingObserverAllocBudget(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.AggregatedState = aggregated
 		name := fmt.Sprintf("aggregated=%v", aggregated)
-		without := handoffCycleAllocs(t, name, cfg)
+		without := handoffCycleAllocs(t, name, cfg, false)
 		cfg.Observer = counting
-		with := handoffCycleAllocs(t, name+" observed", cfg)
+		with := handoffCycleAllocs(t, name+" observed", cfg, false)
 		if with != without {
 			t.Errorf("%s: hand-off A -> B -> A: %.2f allocs under a counting observer, %.2f without", name, with, without)
 		}
@@ -391,6 +433,60 @@ func TestCountingObserverAllocBudget(t *testing.T) {
 	if events == 0 {
 		t.Error("the observer saw no event")
 	}
+}
+
+// TestPassThroughTransportsAllocBudget: a world on transports that pass
+// every message on as they are shown — shaped like the benchmark
+// harness's traced substrates, which wrap each send and each handler —
+// costs exactly what it costs on the bare substrates: a view crosses the
+// wrappers as it crosses the substrates' own doors.
+// TestRequestRoundTripAllocBudget's round trip costs 1 either way, and
+// TestHandoffAllocBudget's cycle 2 faithful and 0 aggregated. (At the
+// parent the wrappers hid the substrates' leg doors, so every leg took the
+// boxed fallback: the round trip cost 6, and the cycle 9 and 7.)
+func TestPassThroughTransportsAllocBudget(t *testing.T) {
+	roundTrip := func(passed bool) float64 {
+		cfg := DefaultConfig()
+		cfg.NumMSS = 2
+		w := passedWorld(cfg, passed)
+		h := w.AddMH(1, 1)
+		w.Run()
+		payload := []byte("q")
+		step := func() {
+			h.IssueRequest(1, payload)
+			w.Run()
+		}
+		for i := 0; i < 64; i++ {
+			step()
+		}
+		before := w.Stats.ResultsDelivered.Value()
+		avg := testing.AllocsPerRun(200, step)
+		if got := w.Stats.ResultsDelivered.Value() - before; got != 201 {
+			t.Errorf("passed %t: delivered %d results, want 201", passed, got)
+		}
+		return avg
+	}
+	if passed, bare := roundTrip(true), roundTrip(false); passed != bare {
+		t.Errorf("request round trip: %.2f allocs on pass-through transports, %.2f bare", passed, bare)
+	}
+	for _, aggregated := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.AggregatedState = aggregated
+		name := fmt.Sprintf("aggregated=%v", aggregated)
+		bare := handoffCycleAllocs(t, name, cfg, false)
+		passed := handoffCycleAllocs(t, name+" passed", cfg, true)
+		if passed != bare {
+			t.Errorf("%s: hand-off A -> B -> A: %.2f allocs on pass-through transports, %.2f bare", name, passed, bare)
+		}
+	}
+}
+
+// passedWorld is NewWorld(cfg), on pass-through transports when passed.
+func passedWorld(cfg Config, passed bool) *World {
+	if passed {
+		return wrappedWorld(sim.NewKernel(cfg.Seed), cfg, asShown)
+	}
+	return NewWorld(cfg)
 }
 
 // TestOfflineJournalAllocBudget: a disconnected host's offline queue is

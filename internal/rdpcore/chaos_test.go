@@ -233,9 +233,8 @@ type chaosParams struct {
 	aggregated bool
 	// observer is installed as Config.Observer.
 	observer netsim.Observer
-	// boxed builds the world on pass-through wrappers of the netsim
-	// substrates (boxedWorld), so every request-path message takes the
-	// boxed path.
+	// boxed builds the world on wrappers of the netsim substrates that
+	// box every leg at every door (boxedWorld).
 	boxed    bool
 	horizon  time.Duration
 	drainFor time.Duration

@@ -167,8 +167,8 @@ func (g *GroupProxy) join(mh ids.MH, loc ids.MSS, req ids.RequestID, server ids.
 		if result, ok := g.host.cacheLookup(server, payload); ok {
 			e.result, e.hasResult = result, true
 		} else {
-			g.host.sendLeg(server.Node(),
-				msg.ServerRequest{Proxy: g.id, Req: req, Payload: payload}.Leg())
+			g.host.sendWired(server.Node(),
+				g.host.w.view(msg.ServerRequest{Proxy: g.id, Req: req, Payload: payload}.Leg()))
 		}
 	} else if !e.entrants.Contains(uint32(mh)) {
 		// fresh member of an existing entry: falls through to append
@@ -245,13 +245,13 @@ func (g *GroupProxy) forward(e *sharedEntry, i int) {
 	}
 	g.host.w.Stats.GroupFanouts.Inc()
 	g.host.w.Stats.ResultForwards[g.host.id]++
-	g.host.sendLegToStation(loc, msg.ResultForward{
+	g.host.sendToStation(loc, g.host.w.view(msg.ResultForward{
 		Proxy:   g.id,
 		MH:      w.mh,
 		Req:     ids.RequestID{Origin: w.mh, Seq: w.seq},
 		Payload: e.result,
 		Inc:     w.inc,
-	}.Leg())
+	}.Leg()))
 }
 
 // onServerResult stores the single server reply and fans it out to
@@ -479,26 +479,32 @@ func compareProxyIDs(a, b ids.ProxyID) int {
 // without coalescing and from stale-incarnation bounces. DelProxy never
 // applies to a group proxy, and nothing else does either: leases and
 // batches are counted as orphans.
-func (g *GroupProxy) handle(from ids.NodeID, m msg.ProxyAddressed) {
-	switch v := m.(type) {
-	case msg.RequestForward:
+func (g *GroupProxy) handle(from ids.NodeID, m msg.Message) {
+	switch m.Kind() {
+	case msg.KindRequestForward:
+		v := m.(msg.RequestForward)
 		g.join(v.Req.Origin, from.MSS(), v.Req, v.Server, v.Payload, v.Inc)
-	case msg.UpdateCurrentLoc:
+	case msg.KindUpdateCurrentLoc:
+		l := g.host.w.legOf(m)
 		var one aggstate.Set
-		one.Add(uint32(v.MH))
-		g.updateLoc(&one, v.NewLoc)
-	case msg.AckForward:
-		g.ack(v.MH, v.Req.Seq)
-	case msg.ServerResult:
-		g.onServerResult(v.Req, v.Payload)
-	case msg.GroupUpdateLoc:
+		one.Add(uint32(l.MH))
+		g.updateLoc(&one, l.MSS)
+	case msg.KindAckForward:
+		l := g.host.w.legOf(m)
+		g.ack(l.MH, l.Req.Seq)
+	case msg.KindServerResult:
+		l := g.host.w.legOf(m)
+		g.onServerResult(l.Req, l.Payload)
+	case msg.KindGroupUpdateLoc:
+		v := m.(msg.GroupUpdateLoc)
 		moved, err := aggstate.DecodeDelta(v.Members)
 		if err != nil {
 			g.host.w.Stats.OrphanMessages.Inc()
 			return
 		}
 		g.updateLoc(moved, v.NewLoc)
-	case msg.GroupAckForward:
+	case msg.KindGroupAckForward:
+		v := m.(msg.GroupAckForward)
 		// Seqs aligns with the ascending iteration of the member set; a
 		// mismatched pair is rejected whole.
 		set, err := aggstate.DecodeDelta(v.Members)

@@ -422,7 +422,7 @@ func (h *MHNode) greetOld(prev ids.MSS) ids.MSS {
 
 // refreshGreet re-sends a registration beacon to the current respMss.
 func (h *MHNode) refreshGreet() {
-	h.uplinkLeg(msg.Greet{MH: h.id, OldMSS: h.greetOld(h.respMss), Inc: h.inc}.Leg())
+	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: h.greetOld(h.respMss), Inc: h.inc}.Leg()))
 }
 
 // scheduleRefresh re-greets the current respMss on a fixed period while
@@ -496,17 +496,17 @@ func (h *MHNode) reboot(inc ids.Incarnation) {
 	kept := h.offline[:0]
 	for _, m := range h.w.loadOffline(h.id) {
 		stale := true
-		switch v := m.(type) {
-		case msg.Request:
-			stale = normInc(v.Inc) != normInc(inc)
-		case msg.BatchOpen:
-			stale = normInc(v.Inc) != normInc(inc)
-		case msg.BatchItem:
-			stale = normInc(v.Inc) != normInc(inc)
-		case msg.BatchCommit:
+		switch m.Kind() {
+		case msg.KindRequest:
+			stale = normInc(h.w.legOf(m).Inc) != normInc(inc)
+		case msg.KindBatchOpen:
+			stale = normInc(m.(msg.BatchOpen).Inc) != normInc(inc)
+		case msg.KindBatchItem:
+			stale = normInc(m.(msg.BatchItem).Inc) != normInc(inc)
+		case msg.KindBatchCommit:
 			// BatchCommit carries no incarnation; it is live only while
 			// the host still knows the batch it seals.
-			stale = h.batches[v.Batch] == nil
+			stale = h.batches[m.(msg.BatchCommit).Batch] == nil
 		}
 		if stale {
 			h.w.Stats.OfflineDroppedStale.Inc()
@@ -547,7 +547,7 @@ func (h *MHNode) IssueRequest(server ids.Server, payload []byte) ids.RequestID {
 		// Nothing keeps the request past the radio hop — no queue, no
 		// retry, no busy backoff: it flies as a leg. Only a deadline can
 		// arm, and it keeps no message.
-		h.uplinkLeg(r.Leg())
+		h.uplink(h.w.view(r.Leg()))
 		h.armRequestTimers(req, nil)
 		return req
 	}
@@ -618,19 +618,20 @@ func (h *MHNode) armRequestTimers(req ids.RequestID, m msg.Message) {
 func (h *MHNode) onReconnect(cell ids.MSS) {
 	old := h.greetOld(h.respMss)
 	h.respMss = cell
-	h.uplinkLeg(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg())
+	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg()))
 	offline := h.offline
 	h.offline = nil
 	h.w.persistOffline(h.id, nil)
 	for _, m := range offline {
-		switch v := m.(type) {
-		case msg.Request:
-			if h.has(v.Req, reqSeen|reqAbandoned) {
+		switch m.Kind() {
+		case msg.KindRequest:
+			req := h.w.legOf(m).Req
+			if h.has(req, reqSeen|reqAbandoned) {
 				continue
 			}
-			h.armRequestTimers(v.Req, m)
-		case msg.BatchItem:
-			if h.has(v.Req, reqSeen|reqAbandoned) {
+			h.armRequestTimers(req, m)
+		case msg.KindBatchItem:
+			if h.has(m.(msg.BatchItem).Req, reqSeen|reqAbandoned) {
 				continue
 			}
 		}
@@ -692,7 +693,7 @@ func (h *MHNode) retry(req ids.RequestID, m msg.Message) {
 func (h *MHNode) onMigrate(newCell ids.MSS) {
 	old := h.greetOld(h.respMss)
 	h.respMss = newCell
-	h.uplinkLeg(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg())
+	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg()))
 }
 
 // onActivate is invoked by the World when the MH becomes active. It
@@ -702,7 +703,7 @@ func (h *MHNode) onMigrate(newCell ids.MSS) {
 func (h *MHNode) onActivate(cell ids.MSS) {
 	old := h.greetOld(h.respMss)
 	h.respMss = cell
-	h.uplinkLeg(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg())
+	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg()))
 	queued := h.queued
 	h.queued = nil
 	for _, m := range queued {
@@ -712,58 +713,37 @@ func (h *MHNode) onActivate(cell ids.MSS) {
 	}
 }
 
-// HandleMessage implements netsim.Handler for the MH's radio. Per §3.2,
-// after greeting a new station the MH "must not reply to any message
-// from any MSS other than" it, so traffic from other stations is
-// dropped.
+// HandleMessage implements netsim.Handler for the MH's radio: the host's
+// one door. Per §3.2, after greeting a new station the MH "must not
+// reply to any message from any MSS other than" it, so traffic from
+// other stations is dropped.
 func (h *MHNode) HandleMessage(from ids.NodeID, m msg.Message) {
 	if from != h.respMss.Node() {
 		h.w.Stats.OrphanMessages.Inc()
 		return
 	}
-	if _, ok := m.(msg.RegConfirm); ok {
+	switch m.Kind() {
+	case msg.KindRegConfirm:
 		// The station confirmed our registration; future greets may
 		// anchor their hand-off chain here (see Config.RegConfirm).
 		h.regOld = h.respMss
-		return
-	}
-	if a, ok := m.(msg.Admit); ok {
+	case msg.KindAdmit:
 		// The request is past admission control: the delivery guarantee
 		// now covers it, so the busy-retry machinery stands down.
-		q := h.row(a.Req)
+		req := m.(msg.Admit).Req
+		q := h.row(req)
 		q.flags |= reqAdmitted
 		q.busy = 0
-		h.unsend(a.Req, q, reqDeadline|reqBusyRetry)
-		return
-	}
-	if b, ok := m.(msg.Busy); ok {
-		h.onBusy(b.Req)
-		return
-	}
-	if a, ok := m.(msg.BatchAbort); ok {
-		h.onBatchAbort(a)
-		return
-	}
-	r, ok := m.(msg.ResultDeliver)
-	if !ok {
+		h.unsend(req, q, reqDeadline|reqBusyRetry)
+	case msg.KindBusy:
+		h.onBusy(m.(msg.Busy).Req)
+	case msg.KindBatchAbort:
+		h.onBatchAbort(m.(msg.BatchAbort))
+	case msg.KindResultDeliver:
+		h.deliverResult(h.w.legOf(m).ResultDeliver())
+	default:
 		h.w.Stats.OrphanMessages.Inc()
-		return
 	}
-	h.deliverResult(r)
-}
-
-// HandleLeg implements netsim.LegHandler: a ResultDeliver arrives
-// unboxed; any other leg is handled as its message.
-func (h *MHNode) HandleLeg(from ids.NodeID, l msg.Leg) {
-	if l.Kind != msg.KindResultDeliver {
-		h.HandleMessage(from, l.Message())
-		return
-	}
-	if from != h.respMss.Node() {
-		h.w.Stats.OrphanMessages.Inc()
-		return
-	}
-	h.deliverResult(l.ResultDeliver())
 }
 
 // deliverResult takes a result from the respMss and acknowledges it.
@@ -792,7 +772,7 @@ func (h *MHNode) deliverResult(r msg.ResultDeliver) {
 	// respMss — including retransmissions, or the proxy would re-send
 	// forever. The Ack states whether other requests are still awaiting
 	// results (§3.3's "not preceded by any new request" condition).
-	h.uplinkLeg(msg.AckMH{MH: h.id, Req: r.Req, HaveOutstanding: h.nOutstanding > 0}.Leg())
+	h.uplink(h.w.view(msg.AckMH{MH: h.id, Req: r.Req, HaveOutstanding: h.nOutstanding > 0}.Leg()))
 	if h.onResult != nil {
 		h.onResult(r.Req, r.Payload, duplicate)
 	}
@@ -1004,10 +984,4 @@ func (h *MHNode) BatchStatus(id ids.BatchID) (delivered, members int, aborted bo
 // uplink transmits over the wireless link to the current respMss.
 func (h *MHNode) uplink(m msg.Message) {
 	h.w.Wireless.SendUplink(h.id, h.respMss, m)
-}
-
-// uplinkLeg is uplink for a leg: the request path's messages and greets,
-// carried unboxed.
-func (h *MHNode) uplinkLeg(l msg.Leg) {
-	h.w.wirelessLegs.SendUplinkLeg(h.id, h.respMss, l)
 }

@@ -248,8 +248,8 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	}
 	// Traffic that arrived for the new identity before the state did.
 	if res != nil {
-		for _, it := range res.buffered {
-			n.dispatch(it.from, it.m)
+		for i := range res.buffered {
+			n.dispatch(res.buffered[i].from, res.buffered[i].env.Message())
 		}
 	}
 }
@@ -279,7 +279,7 @@ func (n *MSSNode) handlePrefRedirect(from ids.NodeID, m msg.PrefRedirect) {
 	if arr := h.arrival(); arr != nil {
 		// Our registration for the MH is in flight; apply the rebind
 		// after the deregack installs the pref it should act on.
-		arr.deferred = append(arr.deferred, inboxItem{from: from, m: m})
+		arr.deferred = append(arr.deferred, inboxItem{from: from, env: msg.EnvelopeOf(m)})
 		return
 	}
 	if pref, ok := n.prefs.get(m.MH); ok && pref.Proxy == m.OldProxy {
@@ -306,16 +306,21 @@ func (n *MSSNode) handleMigGC(m msg.MigGC) {
 
 // handle holds a message that reached the new identity before the
 // mig_state did; handleMigState replays it once the proxy is installed.
-func (r *migReservation) handle(from ids.NodeID, m msg.ProxyAddressed) {
-	r.buffered = append(r.buffered, inboxItem{from: from, m: m})
+func (r *migReservation) handle(from ids.NodeID, m msg.Message) {
+	r.buffered = append(r.buffered, inboxItem{from: from, env: msg.EnvelopeOf(m)})
 }
 
 // handle sends a message for the departed proxy after it, under the new
 // identity, tells the station that sent it where the proxy went — so the
 // next one goes direct — and extends the tombstone's quiet period.
-func (t *tombstone) handle(from ids.NodeID, m msg.ProxyAddressed) {
+func (t *tombstone) handle(from ids.NodeID, m msg.Message) {
 	n := t.host
-	n.sendWired(t.newProxy.Host.Node(), m.WithProxy(t.newProxy))
+	if l, ok := msg.LegOf(m); ok {
+		l.Proxy = t.newProxy
+		n.sendWired(t.newProxy.Host.Node(), n.w.view(l))
+	} else {
+		n.sendWired(t.newProxy.Host.Node(), m.(msg.ProxyAddressed).WithProxy(t.newProxy))
+	}
 	if from.Kind == ids.KindMSS && ids.MSS(from.Num) != n.id {
 		n.sendWired(from,
 			msg.PrefRedirect{MH: t.mh, OldProxy: t.oldProxy, NewProxy: t.newProxy})

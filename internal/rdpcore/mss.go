@@ -11,10 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// inboxItem is one queued message at an MSS.
+// inboxItem is one message a station keeps past the call that showed
+// it: queued for its inbox turn, buffered or deferred behind a hand-off,
+// parked, or held for a migrating proxy. A leg is kept by value.
 type inboxItem struct {
 	from ids.NodeID
-	m    msg.Message
+	env  msg.Envelope
 }
 
 // MSSNode is a mobile support station (§2): it serves one cell, holds
@@ -98,15 +100,8 @@ type MSSNode struct {
 	// procFn caches the processNext method value so scheduleProcessing
 	// does not materialize a fresh closure per processed message.
 	procFn func()
-	// selfHops carries the station's messages to itself (sendToStation,
-	// sendLegToStation).
-	selfHops *sim.Calls[selfHop]
-}
-
-// selfHop is one message a station sends itself: boxed, or a leg.
-type selfHop struct {
-	m msg.Message
-	l msg.Leg
+	// selfHops carries the station's messages to itself (sendToStation).
+	selfHops *sim.Calls[msg.Envelope]
 }
 
 // classInbox is the station's priority inbox: one FIFO queue per
@@ -159,12 +154,9 @@ func newMSSNode(id ids.MSS, w *World) *MSSNode {
 	n := &MSSNode{id: id, w: w}
 	n.crash() // a station starts as a crash leaves one: with empty tables
 	n.procFn = n.processNext
-	n.selfHops = sim.NewCalls(w.Kernel, func(s selfHop) {
-		if s.m != nil {
-			n.process(id.Node(), s.m)
-		} else {
-			n.processLeg(id.Node(), s.l)
-		}
+	n.selfHops = sim.NewCalls(w.Kernel, func(e msg.Envelope) {
+		w.turn = e
+		n.process(id.Node(), w.turn.Message())
 	})
 	n.armLeaseBeat()
 	return n
@@ -196,9 +188,10 @@ func (n *MSSNode) ProxyByID(id ids.ProxyID) *Proxy {
 
 // addressee is what answers for one proxy identity hosted at a station:
 // a private *Proxy, a shared *GroupProxy, the *tombstone of a proxy that
-// migrated away, or the *migReservation of one on its way in.
+// migrated away, or the *migReservation of one on its way in. It is
+// handed a message that names it, borrowed as the station's door was.
 type addressee interface {
-	handle(from ids.NodeID, m msg.ProxyAddressed)
+	handle(from ids.NodeID, m msg.Message)
 }
 
 // put installs a as what answers for seq, an empty slot.
@@ -246,28 +239,12 @@ func (n *MSSNode) proxyAt(seq uint32) *Proxy {
 // made of the slot is journaled on the way out of the event. An identity
 // of another station, or one nothing answers for any more, makes the
 // message an orphan.
-func (n *MSSNode) deliver(from ids.NodeID, id ids.ProxyID, m msg.ProxyAddressed) {
+func (n *MSSNode) deliver(from ids.NodeID, id ids.ProxyID, m msg.Message) {
 	if a := n.addressee(id); a != nil {
 		a.handle(from, m)
 		return
 	}
 	n.w.Stats.OrphanMessages.Inc()
-}
-
-// deliverLeg is deliver for a ServerResult, AckForward or
-// UpdateCurrentLoc leg: a private proxy takes it unboxed, any other
-// addressee as the boxed message.
-func (n *MSSNode) deliverLeg(from ids.NodeID, l msg.Leg) {
-	a := n.addressee(l.Proxy)
-	if p, ok := a.(*Proxy); ok {
-		p.handleLeg(l)
-		return
-	}
-	if a == nil {
-		n.w.Stats.OrphanMessages.Inc()
-		return
-	}
-	a.handle(from, l.Message().(msg.ProxyAddressed))
 }
 
 // addressee returns what answers for id here, its slot marked for the
@@ -280,38 +257,20 @@ func (n *MSSNode) addressee(id ids.ProxyID) addressee {
 	return nil
 }
 
-// HandleMessage implements netsim.Handler for both substrates. New
-// requests pass admission control at ingress: a refused request is
-// NACKed without ever occupying an inbox slot or a processing turn —
-// refusal must stay cheap for shedding to raise, not lower, goodput.
+// HandleMessage implements netsim.Handler for both substrates: the
+// station's one door. New requests pass admission control at ingress: a
+// refused request is NACKed without ever occupying an inbox slot or a
+// processing turn — refusal must stay cheap for shedding to raise, not
+// lower, goodput. An inbox turn keeps its message, a leg by value.
 func (n *MSSNode) HandleMessage(from ids.NodeID, m msg.Message) {
-	if req, ok := m.(msg.Request); ok && n.refuseAdmission(req.Req) {
+	if m.Kind() == msg.KindRequest && n.refuseAdmission(m) {
 		return
 	}
 	if n.procDelay() <= 0 {
 		n.process(from, m)
 		return
 	}
-	n.enqueue(from, m)
-}
-
-// HandleLeg implements netsim.LegHandler: HandleMessage for the request
-// path's and the hand-off's messages carried unboxed. An inbox turn keeps
-// its message, so a leg is boxed only there.
-func (n *MSSNode) HandleLeg(from ids.NodeID, l msg.Leg) {
-	if l.Kind == msg.KindRequest && n.refuseAdmission(l.Req) {
-		return
-	}
-	if n.procDelay() <= 0 {
-		n.processLeg(from, l)
-		return
-	}
-	n.enqueue(from, l.Message())
-}
-
-// enqueue queues a message for its inbox turn.
-func (n *MSSNode) enqueue(from ids.NodeID, m msg.Message) {
-	n.inbox.push(n.classOf(m), inboxItem{from: from, m: m})
+	n.inbox.push(n.classOf(m), inboxItem{from: from, env: msg.EnvelopeOf(m)})
 	n.w.Stats.InboxPeak.Observe(int64(n.inbox.len()))
 	n.scheduleProcessing()
 }
@@ -338,12 +297,12 @@ func (n *MSSNode) procDelay() time.Duration {
 // everything) or plain FIFO applies.
 func (n *MSSNode) classOf(m msg.Message) int {
 	if n.w.cfg.PriorityClasses {
-		switch m.(type) {
-		case msg.Request:
+		switch m.Kind() {
+		case msg.KindRequest:
 			return 2
-		case msg.ServerResult, msg.ResultForward, msg.RequestForward:
+		case msg.KindServerResult, msg.KindResultForward, msg.KindRequestForward:
 			return 1
-		case msg.BatchOpen, msg.BatchItem, msg.BatchCommit:
+		case msg.KindBatchOpen, msg.KindBatchItem, msg.KindBatchCommit:
 			// On the wireless uplink leg (Proxy still unset) batch traffic
 			// is new work like a plain request; once addressed to a proxy
 			// it is admitted work in progress. BatchAbort is control
@@ -375,10 +334,11 @@ func (n *MSSNode) admissionEnabled() bool {
 // passing through along the forwarding chain are never refused here
 // (the chain's end runs its own admission check on arrival). The
 // refusal ground is a full inbox (past the high-watermark).
-func (n *MSSNode) refuseAdmission(req ids.RequestID) bool {
+func (n *MSSNode) refuseAdmission(m msg.Message) bool {
 	if !n.admissionEnabled() || n.w.down[n.id] {
 		return false
 	}
+	req := n.w.legOf(m).Req
 	mh := req.Origin
 	h := n.peek(mh)
 	if h.arrival() != nil || !n.localMhs.contains(mh) {
@@ -487,7 +447,8 @@ func (n *MSSNode) processNext() {
 	if !ok {
 		return
 	}
-	n.process(it.from, it.m)
+	n.w.turn = it.env
+	n.process(it.from, n.w.turn.Message())
 	n.scheduleProcessing()
 }
 
@@ -505,82 +466,61 @@ func (n *MSSNode) process(from ids.NodeID, m msg.Message) {
 	n.flushJournal()
 }
 
-// processLeg is process for the request path's and the hand-off's
-// messages carried unboxed: the typed handlers take what a leg converts
-// to, and what only dispatch knows is handed the boxed message.
-func (n *MSSNode) processLeg(from ids.NodeID, l msg.Leg) {
-	if n.w.down[n.id] {
-		return
-	}
-	switch l.Kind {
-	case msg.KindRequest:
-		n.handleRequest(from, l.Request())
-	case msg.KindAckMH:
-		n.handleAckMH(from, l.AckMH())
-	case msg.KindResultForward:
-		n.handleResultForward(l.ResultForward())
-	case msg.KindGreet:
-		n.handleGreet(l.Greet())
-	case msg.KindDereg:
-		n.handleDereg(from, l.Dereg())
-	case msg.KindDeregAck:
-		n.handleDeregAck(l.DeregAck())
-	case msg.KindServerResult, msg.KindAckForward, msg.KindUpdateCurrentLoc:
-		n.deliverLeg(from, l)
-	default:
-		n.dispatch(from, l.Message())
-	}
-	n.flushJournal()
-}
-
-// dispatch hands one message to its handler. Handlers that replay queued
-// messages call it directly: they are still inside the event.
+// dispatch hands one message to its handler, by kind. A handler that
+// keeps the message keeps its envelope (msg.EnvelopeOf); the request
+// path's and the hand-off's kinds are read through their leg. Handlers
+// that replay kept messages call it directly: they are still inside the
+// event.
 func (n *MSSNode) dispatch(from ids.NodeID, m msg.Message) {
-	switch v := m.(type) {
-	case msg.Join:
-		n.handleJoin(v)
-	case msg.Leave:
-		n.handleLeave(v)
-	case msg.Greet:
-		n.handleGreet(v)
-	case msg.Request:
-		n.handleRequest(from, v)
-	case msg.AckMH:
-		n.handleAckMH(from, v)
-	case msg.Dereg:
-		n.handleDereg(from, v)
-	case msg.DeregAck:
-		n.handleDeregAck(v)
-	case msg.ResultForward:
-		n.handleResultForward(v)
-	case msg.DelPrefOnly:
-		n.handleDelPrefOnly(v)
-	case msg.MigOffer:
-		n.handleMigOffer(v)
-	case msg.MigCommit:
-		n.handleMigCommit(v)
-	case msg.MigState:
-		n.handleMigState(v)
-	case msg.PrefRedirect:
-		n.handlePrefRedirect(from, v)
-	case msg.MigGC:
-		n.handleMigGC(v)
-	case msg.BatchAbort:
-		n.handleBatchAbort(from, v)
-	case msg.Register:
-		n.handleRegister(v)
-	case msg.ReclaimMemo:
-		n.handleReclaimMemo(from, v)
-	case msg.ProxyAddressed:
-		// Every kind that names the proxy it is for goes through the one
-		// door; batch traffic on its wireless leg names none yet.
-		if id := v.ProxyID(); id != ids.NoProxy {
-			n.deliver(from, id, v)
-		} else {
+	switch m.Kind() {
+	case msg.KindJoin:
+		n.handleJoin(m.(msg.Join))
+	case msg.KindLeave:
+		n.handleLeave(m.(msg.Leave))
+	case msg.KindGreet:
+		n.handleGreet(m)
+	case msg.KindRequest:
+		n.handleRequest(from, m)
+	case msg.KindAckMH:
+		n.handleAckMH(from, m)
+	case msg.KindDereg:
+		n.handleDereg(from, m)
+	case msg.KindDeregAck:
+		n.handleDeregAck(n.w.legOf(m).DeregAck())
+	case msg.KindResultForward:
+		n.handleResultForward(n.w.legOf(m).ResultForward())
+	case msg.KindServerResult, msg.KindAckForward, msg.KindUpdateCurrentLoc:
+		n.deliver(from, n.w.legOf(m).Proxy, m)
+	case msg.KindDelPrefOnly:
+		n.handleDelPrefOnly(m.(msg.DelPrefOnly))
+	case msg.KindMigOffer:
+		n.handleMigOffer(m.(msg.MigOffer))
+	case msg.KindMigCommit:
+		n.handleMigCommit(m.(msg.MigCommit))
+	case msg.KindMigState:
+		n.handleMigState(m.(msg.MigState))
+	case msg.KindPrefRedirect:
+		n.handlePrefRedirect(from, m.(msg.PrefRedirect))
+	case msg.KindMigGC:
+		n.handleMigGC(m.(msg.MigGC))
+	case msg.KindBatchAbort:
+		n.handleBatchAbort(from, m)
+	case msg.KindRegister:
+		n.handleRegister(m.(msg.Register))
+	case msg.KindReclaimMemo:
+		n.handleReclaimMemo(from, m.(msg.ReclaimMemo))
+	default:
+		// Every other kind that names the proxy it is for goes through the
+		// one door; batch traffic on its wireless leg names none yet.
+		v, ok := m.(msg.ProxyAddressed)
+		switch {
+		case !ok:
+			n.w.Stats.OrphanMessages.Inc()
+		case v.ProxyID() != ids.NoProxy:
+			n.deliver(from, v.ProxyID(), m)
+		default:
 			n.handleBatchUplink(from, v)
 		}
-	default:
-		n.w.Stats.OrphanMessages.Inc()
 	}
 }
 
@@ -639,7 +579,7 @@ func (n *MSSNode) handleRegister(m msg.Register) {
 func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
 	h := n.peek(m.MH)
 	if arr := h.arrival(); arr != nil {
-		arr.deferred = append(arr.deferred, inboxItem{from: from, m: m})
+		arr.deferred = append(arr.deferred, inboxItem{from: from, env: msg.EnvelopeOf(m)})
 		return
 	}
 	if !n.localMhs.contains(m.MH) {
@@ -769,8 +709,8 @@ func (n *MSSNode) handleJoin(m msg.Join) {
 	if x := n.peek(m.MH).x; x != nil && len(x.parked) > 0 {
 		parked := x.parked
 		x.parked = nil
-		for _, it := range parked {
-			n.dispatch(it.from, it.m)
+		for i := range parked {
+			n.dispatch(parked[i].from, parked[i].env.Message())
 		}
 	}
 }
@@ -793,7 +733,8 @@ func (n *MSSNode) handleLeave(m msg.Leave) {
 // Hand-off; a greet naming this station is a reactivation in place and
 // triggers only an update_currentLoc (plus delivery of any held
 // results).
-func (n *MSSNode) handleGreet(m msg.Greet) {
+func (n *MSSNode) handleGreet(in msg.Message) {
+	m := n.w.legOf(in).Greet()
 	n.noteInc(m.MH, m.Inc)
 	h := n.peek(m.MH)
 	if arr := h.arrival(); arr != nil {
@@ -806,7 +747,7 @@ func (n *MSSNode) handleGreet(m msg.Greet) {
 		// The MH re-entered this cell (or reactivated here) while our own
 		// registration for it is still pending; replay the greet once the
 		// registration lands so the hand-off chain stays chronological.
-		arr.deferred = append(arr.deferred, inboxItem{from: m.MH.Node(), m: m})
+		arr.deferred = append(arr.deferred, inboxItem{from: m.MH.Node(), env: msg.EnvelopeOf(in)})
 		return
 	}
 	if m.OldMSS == n.id {
@@ -890,7 +831,7 @@ func (n *MSSNode) reactivateInPlace(mh ids.MH) {
 // timer that re-issues the Dereg while the hand-off stays pending — the
 // old station may have crashed before serving it.
 func (n *MSSNode) sendDereg(old ids.MSS, mh ids.MH) {
-	n.sendLeg(old.Node(), msg.Dereg{MH: mh, NewMSS: n.id}.Leg())
+	n.sendWired(old.Node(), n.w.view(msg.Dereg{MH: mh, NewMSS: n.id}.Leg()))
 	if n.w.cfg.HandoffTimeout <= 0 {
 		return
 	}
@@ -918,9 +859,10 @@ func (n *MSSNode) sendRegConfirm(mh ids.MH) {
 // handleRequest implements §3.1/§3.3 request routing: the request goes to
 // the MH's proxy (proxyFor) — registered with it in this same event when
 // it is hosted here, forwarded to its host otherwise.
-func (n *MSSNode) handleRequest(from ids.NodeID, m msg.Request) {
+func (n *MSSNode) handleRequest(from ids.NodeID, in msg.Message) {
+	m := n.w.legOf(in)
 	mh := m.Req.Origin
-	if !routeUplink(n, from, mh, m) {
+	if !n.routeUplink(from, mh, in) {
 		return
 	}
 	// Incarnation gates (E18): a request from a dead incarnation is a
@@ -1062,14 +1004,15 @@ func push[T any](stock *[]T, t T) {
 
 // handleAckMH relays an MH's Ack to its proxy (§3.1), confirming proxy
 // removal when RKpR is armed and no new request intervened (§3.3).
-func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
+func (n *MSSNode) handleAckMH(from ids.NodeID, in msg.Message) {
+	m := n.w.legOf(in).AckMH()
 	// A hand-off back to this station may be in flight: the MH greeted
 	// us again, so we are its next respMss and must buffer (not ignore)
 	// its traffic until the deregack arrives — the ignore rule below
 	// applies only to our *old* respMss role.
 	h := n.peek(m.MH)
 	if arr := h.arrival(); arr != nil {
-		arr.buffered = append(arr.buffered, inboxItem{from: from, m: m})
+		arr.buffered = append(arr.buffered, inboxItem{from: from, env: msg.EnvelopeOf(in)})
 		return
 	}
 	if h.departed {
@@ -1122,8 +1065,8 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 		n.setPref(m.MH, pref)
 	}
 	n.w.Stats.AckForwards.Inc()
-	n.sendLegToStation(proxy.Host,
-		msg.AckForward{Proxy: proxy, MH: m.MH, Req: m.Req, DelProxy: delProxy}.Leg())
+	n.sendToStation(proxy.Host,
+		n.w.view(msg.AckForward{Proxy: proxy, MH: m.MH, Req: m.Req, DelProxy: delProxy}.Leg()))
 	// Release a deferred reactivation update only after the Ack relay
 	// above, so the proxy sees the Ack before any update_currentLoc.
 	n.noteHeldAck(m.MH, m.Req)
@@ -1139,7 +1082,8 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, m msg.AckMH) {
 // MH has already left forwards the dereg along the hand-off chain to
 // wherever it sent the pref. Only a station that is itself *about to
 // receive* the pref defers the dereg until its registration completes.
-func (n *MSSNode) handleDereg(from ids.NodeID, m msg.Dereg) {
+func (n *MSSNode) handleDereg(from ids.NodeID, in msg.Message) {
+	m := n.w.legOf(in).Dereg()
 	h := n.peek(m.MH)
 	if m.NewMSS == n.id && n.localMhs.contains(m.MH) && h.arrival() == nil {
 		// A re-issued Dereg of ours returned along the forwarding chain
@@ -1160,22 +1104,22 @@ func (n *MSSNode) handleDereg(from ids.NodeID, m msg.Dereg) {
 		// respMss must not vouch for (or gate against) an older one.
 		inc := h.inc
 		n.forget(m.MH)
-		n.sendLeg(m.NewMSS.Node(), msg.DeregAck{MH: m.MH, Pref: pref, Inc: inc}.Leg())
+		n.sendWired(m.NewMSS.Node(), n.w.view(msg.DeregAck{MH: m.MH, Pref: pref, Inc: inc}.Leg()))
 		return
 	}
 	if h.departed {
-		n.sendLeg(h.forwardTo.Node(), m.Leg())
+		n.sendWired(h.forwardTo.Node(), in)
 		return
 	}
 	if arr := h.arrival(); arr != nil {
-		arr.deferred = append(arr.deferred, inboxItem{from: from, m: m})
+		arr.deferred = append(arr.deferred, inboxItem{from: from, env: msg.EnvelopeOf(in)})
 		return
 	}
 	// Unknown MH: our own greet for it must still be in flight (an MH
 	// names us as old respMss only after greeting us); park the dereg
 	// until that greet or a join arrives.
 	x := n.transient(n.entry(m.MH))
-	x.parked = append(x.parked, inboxItem{from: from, m: m})
+	x.parked = append(x.parked, inboxItem{from: from, env: msg.EnvelopeOf(in)})
 }
 
 // handleDeregAck completes the Hand-off on the new station (§3.2):
@@ -1205,15 +1149,15 @@ func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 		n.announceLoc(pref.Proxy, m.MH)
 	}
 	if arriving {
-		for _, it := range arr.buffered {
-			n.dispatch(it.from, it.m)
+		for i := range arr.buffered {
+			n.dispatch(arr.buffered[i].from, arr.buffered[i].env.Message())
 		}
 		// Replay deferred greets/deregs in arrival order. Processing one
 		// may start the next hand-off of the chain (re-entering the
 		// arriving state); the rest of the queue then carries over to
 		// that new arrival record and replays after *its* registration.
-		for i, it := range arr.deferred {
-			n.dispatch(it.from, it.m)
+		for i := range arr.deferred {
+			n.dispatch(arr.deferred[i].from, arr.deferred[i].env.Message())
 			if next := h.arrival(); next != nil {
 				next.deferred = append(next.deferred, arr.deferred[i+1:]...)
 				break
@@ -1226,7 +1170,7 @@ func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 // sendUpdateCurrLoc notifies the proxy of the MH's new respMss (§3.1).
 func (n *MSSNode) sendUpdateCurrLoc(proxy ids.ProxyID, mh ids.MH) {
 	n.w.Stats.UpdateCurrLocs.Inc()
-	n.sendLegToStation(proxy.Host, msg.UpdateCurrentLoc{Proxy: proxy, MH: mh, NewLoc: n.id}.Leg())
+	n.sendToStation(proxy.Host, n.w.view(msg.UpdateCurrentLoc{Proxy: proxy, MH: mh, NewLoc: n.id}.Leg()))
 }
 
 // handleResultForward is the respMss side of result delivery (§3.1,
@@ -1242,8 +1186,7 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 	// reused the identifier. Acking it back instead lets the proxy
 	// retire the orphaned entry.
 	if n.staleInc(m.Inc, n.incOf(m.MH)) {
-		n.sendLegToStation(m.Proxy.Host,
-			msg.AckForward{Proxy: m.Proxy, MH: m.MH, Req: m.Req}.Leg())
+		n.sendToStation(m.Proxy.Host, n.w.view(msg.AckForward{Proxy: m.Proxy, MH: m.MH, Req: m.Req}.Leg()))
 		return
 	}
 	if m.DelPref {
@@ -1273,7 +1216,7 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 		x.attempted, x.lastAttempt = true, now
 		x.noteAttempt(m.Req, now, window)
 	}
-	n.w.wirelessLegs.SendDownlinkLeg(n.id, m.MH, deliver.Leg())
+	n.w.Wireless.SendDownlink(n.id, m.MH, n.w.view(deliver.Leg()))
 }
 
 // deliveryWindow is how long a downlink delivery attempt to a reachable
@@ -1308,7 +1251,7 @@ func (n *MSSNode) deliverHeld(mh ids.MH) {
 	}
 	for _, r := range held {
 		x.heldAcks[r.Req] = true
-		n.w.wirelessLegs.SendDownlinkLeg(n.id, mh, r.Leg())
+		n.w.Wireless.SendDownlink(n.id, mh, n.w.view(r.Leg()))
 	}
 }
 
@@ -1395,12 +1338,11 @@ func (n *MSSNode) cacheStore(server ids.Server, reqPayload, result []byte) {
 // that chase it: buffer during a pending hand-off; when responsibility
 // moved on, pass the message along the chain of responsibility (it ends
 // at the MH's current, or arriving, station). It reports whether the
-// caller should go on processing locally. It is generic so that m is
-// boxed only when it is queued or sent on.
-func routeUplink[M msg.Message](n *MSSNode, from ids.NodeID, mh ids.MH, m M) bool {
+// caller should go on processing locally.
+func (n *MSSNode) routeUplink(from ids.NodeID, mh ids.MH, m msg.Message) bool {
 	h := n.peek(mh)
 	if arr := h.arrival(); arr != nil {
-		arr.buffered = append(arr.buffered, inboxItem{from: from, m: m})
+		arr.buffered = append(arr.buffered, inboxItem{from: from, env: msg.EnvelopeOf(m)})
 		return false
 	}
 	if n.localMhs.contains(mh) {
@@ -1437,7 +1379,7 @@ func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 		n.w.Stats.OrphanMessages.Inc() // no other kind travels unaddressed
 		return
 	}
-	if !routeUplink(n, from, mh, m) {
+	if !n.routeUplink(from, mh, m) {
 		return
 	}
 	if inc != 0 {
@@ -1467,8 +1409,9 @@ func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 // handleBatchAbort delivers a batch abort to the MH through its current
 // respMss, scrubbing the aborted members from the routing ledger — they
 // will never be acked and must not block proxy removal (§3.3).
-func (n *MSSNode) handleBatchAbort(from ids.NodeID, m msg.BatchAbort) {
-	if !routeUplink(n, from, m.MH, m) {
+func (n *MSSNode) handleBatchAbort(from ids.NodeID, in msg.Message) {
+	m := in.(msg.BatchAbort)
+	if !n.routeUplink(from, m.MH, in) {
 		return
 	}
 	if len(n.peek(m.MH).out) > 0 {
@@ -1477,7 +1420,7 @@ func (n *MSSNode) handleBatchAbort(from ids.NodeID, m msg.BatchAbort) {
 			h.outRemove(req)
 		}
 	}
-	n.w.Wireless.SendDownlink(n.id, m.MH, m)
+	n.w.Wireless.SendDownlink(n.id, m.MH, in)
 }
 
 // sendWired transmits to another static host over the wired network,
@@ -1490,29 +1433,11 @@ func (n *MSSNode) sendWired(to ids.NodeID, m msg.Message) {
 // sendToStation transmits to another MSS, short-circuiting delivery when
 // the destination is this station itself (a proxy talking to its own
 // host needs no network hop; cf. Fig. 3, where proxy and respMss start
-// co-located).
+// co-located). The self-hop keeps m's envelope, as a frame would.
 func (n *MSSNode) sendToStation(to ids.MSS, m msg.Message) {
 	if to == n.id {
-		n.selfHops.Defer(0, selfHop{m: m})
+		n.selfHops.Defer(0, msg.EnvelopeOf(m))
 		return
 	}
 	n.sendWired(to.Node(), m)
-}
-
-// sendLeg is sendWired for a leg. Of the leg kinds only the deregack
-// carries hand-off state; this is the one place a station counts it.
-func (n *MSSNode) sendLeg(to ids.NodeID, l msg.Leg) {
-	if l.Kind == msg.KindDeregAck {
-		n.w.Stats.HandoffStateBytes.Add(int64(l.DeregAck().WireSize()))
-	}
-	n.w.wiredLegs.SendLeg(n.id.Node(), to, l)
-}
-
-// sendLegToStation is sendToStation for a leg.
-func (n *MSSNode) sendLegToStation(to ids.MSS, l msg.Leg) {
-	if to == n.id {
-		n.selfHops.Defer(0, selfHop{l: l})
-		return
-	}
-	n.sendLeg(to.Node(), l)
 }

@@ -26,43 +26,63 @@ func statsCounters(st *Stats) map[string]int64 {
 	return out
 }
 
-// passWired and passWireless hand everything to a netsim substrate but
-// show the world only the transport interfaces: no leg sends, and every
-// handler registered behind a plainHandler, which has no HandleLeg.
-type passWired struct{ inner netsim.WiredTransport }
-
-func (p passWired) Send(from, to ids.NodeID, m msg.Message) { p.inner.Send(from, to, m) }
-func (p passWired) Register(n ids.NodeID, h netsim.Handler) {
-	p.inner.Register(n, plainHandler{h})
+// wrapWired and wrapWireless hand everything to a netsim substrate
+// through shown: each send forwards shown(m), and every handler is
+// registered behind a wrapHandler, which hands it shown of what it is
+// shown. Shown as it is, they are pass-through transports shaped like the
+// benchmark harness's traced ones; shown through msg.Keep, every leg
+// reaches every door — a send, a station's, a host's, a server's — boxed.
+type wrapWired struct {
+	inner netsim.WiredTransport
+	shown func(msg.Message) msg.Message
 }
 
-type passWireless struct{ inner netsim.WirelessTransport }
-
-func (p passWireless) SendDownlink(from ids.MSS, to ids.MH, m msg.Message) {
-	p.inner.SendDownlink(from, to, m)
-}
-func (p passWireless) SendUplink(from ids.MH, to ids.MSS, m msg.Message) {
-	p.inner.SendUplink(from, to, m)
-}
-func (p passWireless) RegisterMH(mh ids.MH, h netsim.Handler) {
-	p.inner.RegisterMH(mh, plainHandler{h})
-}
-func (p passWireless) RegisterMSS(mss ids.MSS, h netsim.Handler) {
-	p.inner.RegisterMSS(mss, plainHandler{h})
+func (p wrapWired) Send(from, to ids.NodeID, m msg.Message) { p.inner.Send(from, to, p.shown(m)) }
+func (p wrapWired) Register(n ids.NodeID, h netsim.Handler) {
+	p.inner.Register(n, wrapHandler{h, p.shown})
 }
 
-type plainHandler struct{ h netsim.Handler }
+type wrapWireless struct {
+	inner netsim.WirelessTransport
+	shown func(msg.Message) msg.Message
+}
 
-func (p plainHandler) HandleMessage(from ids.NodeID, m msg.Message) { p.h.HandleMessage(from, m) }
+func (p wrapWireless) SendDownlink(from ids.MSS, to ids.MH, m msg.Message) {
+	p.inner.SendDownlink(from, to, p.shown(m))
+}
+func (p wrapWireless) SendUplink(from ids.MH, to ids.MSS, m msg.Message) {
+	p.inner.SendUplink(from, to, p.shown(m))
+}
+func (p wrapWireless) RegisterMH(mh ids.MH, h netsim.Handler) {
+	p.inner.RegisterMH(mh, wrapHandler{h, p.shown})
+}
+func (p wrapWireless) RegisterMSS(mss ids.MSS, h netsim.Handler) {
+	p.inner.RegisterMSS(mss, wrapHandler{h, p.shown})
+}
 
-// boxedWorld builds the world NewWorldOn would, on the substrates
+type wrapHandler struct {
+	h     netsim.Handler
+	shown func(msg.Message) msg.Message
+}
+
+func (p wrapHandler) HandleMessage(from ids.NodeID, m msg.Message) {
+	p.h.HandleMessage(from, p.shown(m))
+}
+
+// asShown passes a message on as it is shown.
+func asShown(m msg.Message) msg.Message { return m }
+
+// boxedWorld is wrappedWorld through msg.Keep: every leg the world sends
+// or is handed is a box, the stations' self-hops and the servers' jobs
+// aside.
+func boxedWorld(k *sim.Kernel, cfg Config) *World { return wrappedWorld(k, cfg, msg.Keep) }
+
+// wrappedWorld builds the world NewWorldOn would, on the substrates
 // NewWorldWith would build, but hands them to NewWorldWith behind
-// passWired and passWireless: the world then sends every leg boxed
-// (netsim.WiredLegsOf), the stations' self-hops and the servers' jobs
-// aside, and every handler is handed the box. The world's gates, drop
-// hook and windowed-transport hooks are bound late, since they need the
+// wrapWired and wrapWireless through shown. The world's gates, drop hook
+// and windowed-transport hooks are bound late, since they need the
 // world.
-func boxedWorld(k *sim.Kernel, cfg Config) *World {
+func wrappedWorld(k *sim.Kernel, cfg Config, shown func(msg.Message) msg.Message) *World {
 	var w *World
 	members := make([]ids.NodeID, 0, cfg.NumMSS+cfg.NumServers)
 	for i := 1; i <= cfg.NumMSS; i++ {
@@ -102,23 +122,26 @@ func boxedWorld(k *sim.Kernel, cfg Config) *World {
 		WTP:        wcfg,
 		OnDrop:     drop,
 	}, cfg.Observer)
-	w = NewWorldWith(k, cfg, passWired{wired}, passWireless{wireless})
+	w = NewWorldWith(k, cfg, wrapWired{wired, shown}, wrapWireless{wireless, shown})
 	hooks = w.WTPConfig()
 	return w
 }
 
 // TestStatsIndependentOfObserver: the world counts without a tap, and
-// the same on a leg as on a box. Three chaos runs — lossy, duplicating
+// the same on a view as on a box. Three chaos runs — lossy, duplicating
 // wired links, station crashes and proxy migration, under ARQ with bounded
 // queues shedding on both substrates and a lossy windowed radio, under ARQ
 // with host crashes, disconnections and the aggregated tables, and with
-// host crashes and disconnections but no recovery stack — are each played with a nil Config.Observer, with a recording one, and
-// with a recording one on substrates that carry every message boxed
-// (boxedWorld). Drops are counted through the substrates' drop hook and
-// hand-off and migration traffic where stations and servers send it, so
-// every Stats counter and the kernel's step count must agree, and the
-// two recorded traces must be the same. The first run's hosts move, so
-// the hand-off's four messages take both paths too.
+// host crashes and disconnections but no recovery stack — are each played
+// with a nil Config.Observer, with a recording one, and with a recording
+// one on transports that box every leg at every send and every handler's
+// door (boxedWorld). Drops are counted through the substrates' drop hook
+// and hand-off and migration traffic where stations and servers send it,
+// so every Stats counter and the kernel's step count must agree, and the
+// two recorded traces must be the same. The first run is E11's shape
+// (priority classes, an admission high-water mark) and its hosts move, so
+// a request shown as a view is classed and admitted as its box is, and the
+// hand-off's four messages cross as both too.
 func TestStatsIndependentOfObserver(t *testing.T) {
 	observerArms(t, chaosParams{
 		seed: 2, mhs: 6, cells: 5, recovery: true, overload: true, migrate: true, windowed: true,

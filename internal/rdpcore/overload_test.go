@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 )
 
 // overloadWorld is a quickWorld with station processing time and the
@@ -49,6 +50,36 @@ func TestAdmissionRefusesPastHighWater(t *testing.T) {
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestViewRequestClassAndAdmission: E11's shape — priority classes and
+// an admission high-water mark — on a request shown as a view, the way
+// every substrate shows it, and as a box. classOf and the admission check
+// key on the kind, so either queues in class 2, new work, and once the
+// inbox holds the high-water mark the next is refused with a busy-NACK.
+func TestViewRequestClassAndAdmission(t *testing.T) {
+	for _, asView := range []bool{true, false} {
+		w := overloadWorld(func(c *Config) {
+			c.PriorityClasses = true
+			c.AdmissionHighWater = 2
+		})
+		w.AddMH(1, 1)
+		w.RunUntil(200 * time.Millisecond) // the join is processed
+		n := w.MSSs[1]
+		for seq := uint32(1); seq <= 3; seq++ {
+			l := msg.Request{Req: ids.RequestID{Origin: 1, Seq: seq}, Server: 1, Payload: []byte("x")}.Leg()
+			m := l.Message()
+			if asView {
+				m = msg.ViewOf(&l)
+			}
+			n.HandleMessage(ids.MH(1).Node(), m)
+		}
+		if new := len(n.inbox.q[2]) - n.inbox.head[2]; new != 2 || n.inbox.len() != 2 ||
+			w.Stats.BusyRefusals.Value() != 1 {
+			t.Errorf("shown as a view %t: %d of %d queued as new work (class 2), %d refused; want 2 of 2, 1",
+				asView, new, n.inbox.len(), w.Stats.BusyRefusals.Value())
+		}
 	}
 }
 

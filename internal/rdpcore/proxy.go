@@ -157,42 +157,32 @@ func (p *Proxy) batch(id ids.BatchID) *msg.ProxyBatch {
 
 // handle takes one message addressed to the proxy (MSSNode.deliver). A
 // relayed Ack carrying del-proxy ends it (§3.3).
-func (p *Proxy) handle(_ ids.NodeID, m msg.ProxyAddressed) {
-	switch v := m.(type) {
-	case msg.RequestForward:
+func (p *Proxy) handle(_ ids.NodeID, m msg.Message) {
+	switch m.Kind() {
+	case msg.KindRequestForward:
+		v := m.(msg.RequestForward)
 		p.addRequest(v.Req, v.Server, v.Payload, v.Inc)
-	case msg.UpdateCurrentLoc:
-		p.onUpdateLoc(v.NewLoc)
-	case msg.AckForward:
-		p.onAckForward(v.Req, v.DelProxy)
-	case msg.ServerResult:
-		p.onServerResult(v.Req, v.Payload)
-	case msg.LeaseHeartbeat:
-		p.renewLease(v.Inc)
-	case msg.BatchOpen:
+	case msg.KindUpdateCurrentLoc:
+		p.onUpdateLoc(p.host.w.legOf(m).MSS)
+	case msg.KindAckForward:
+		l := p.host.w.legOf(m)
+		p.onAckForward(l.Req, l.Flag)
+	case msg.KindServerResult:
+		l := p.host.w.legOf(m)
+		p.onServerResult(l.Req, l.Payload)
+	case msg.KindLeaseHeartbeat:
+		p.renewLease(m.(msg.LeaseHeartbeat).Inc)
+	case msg.KindBatchOpen:
+		v := m.(msg.BatchOpen)
 		if !p.answerAborted(v.Batch) {
 			p.ensureBatch(v.Batch, v.Inc)
 		}
-	case msg.BatchItem:
-		p.onBatchItem(v)
-	case msg.BatchCommit:
-		p.onBatchCommit(v)
+	case msg.KindBatchItem:
+		p.onBatchItem(m.(msg.BatchItem))
+	case msg.KindBatchCommit:
+		p.onBatchCommit(m.(msg.BatchCommit))
 	default:
 		p.host.w.Stats.OrphanMessages.Inc() // group signaling for a private proxy
-	}
-}
-
-// handleLeg is handle for the three legs a station hands a proxy unboxed
-// (MSSNode.deliverLeg): a ServerResult, an AckForward or an
-// UpdateCurrentLoc.
-func (p *Proxy) handleLeg(l msg.Leg) {
-	switch l.Kind {
-	case msg.KindServerResult:
-		p.onServerResult(l.Req, l.Payload)
-	case msg.KindAckForward:
-		p.onAckForward(l.Req, l.Flag)
-	default:
-		p.onUpdateLoc(l.MSS)
 	}
 }
 
@@ -259,7 +249,7 @@ func (p *Proxy) issue(r *msg.ProxyReq) {
 		p.resultReady(r)
 		return
 	}
-	p.host.sendLeg(r.Server.Node(), msg.ServerRequest{Proxy: p.id, Req: r.Req, Payload: r.Payload}.Leg())
+	p.host.sendWired(r.Server.Node(), p.host.w.view(msg.ServerRequest{Proxy: p.id, Req: r.Req, Payload: r.Payload}.Leg()))
 }
 
 // onServerResult stores the server's reply and forwards it to the MH's
@@ -313,7 +303,7 @@ func (p *Proxy) forwardResult(r *msg.ProxyReq) {
 	r.Forwarded = true
 	p.host.w.Stats.ResultForwards[p.host.id]++
 	fwd := msg.ResultForward{Proxy: p.id, MH: p.mh, Req: r.Req, Payload: r.Result, DelPref: delPref, Inc: r.Inc}
-	p.host.sendLegToStation(p.currentLoc, fwd.Leg())
+	p.host.sendToStation(p.currentLoc, p.host.w.view(fwd.Leg()))
 	// Every forward is a migration-policy observation (migration.go); a
 	// fired trigger only sends an offer, so the proxy stays intact here.
 	p.host.noteForward(p)

@@ -456,7 +456,7 @@ func (n *MSSNode) recoveryResend() {
 				if r := &a.reqs[i]; r.HasResult {
 					a.forwardResult(r)
 				} else {
-					n.sendLeg(r.Server.Node(), msg.ServerRequest{Proxy: a.id, Req: r.Req, Payload: r.Payload}.Leg())
+					n.sendWired(r.Server.Node(), n.w.view(msg.ServerRequest{Proxy: a.id, Req: r.Req, Payload: r.Payload}.Leg()))
 				}
 			}
 			// Re-judge every restored batch for release. (The forwardResult
@@ -472,8 +472,8 @@ func (n *MSSNode) recoveryResend() {
 				e := a.entries[key]
 				if !e.hasResult {
 					n.w.Stats.RecoveryResends.Inc()
-					n.sendLeg(e.server.Node(),
-						msg.ServerRequest{Proxy: a.id, Req: e.leaderReq, Payload: e.payload}.Leg())
+					n.sendWired(e.server.Node(),
+						n.w.view(msg.ServerRequest{Proxy: a.id, Req: e.leaderReq, Payload: e.payload}.Leg()))
 					continue
 				}
 				for i := range e.waiters {

@@ -23,7 +23,7 @@ import (
 	"repro/internal/workload"
 )
 
-// silentRadio is a wireless substrate that carries nothing: it records
+// silentRadio is a wireless substrate that carries nothing: it keeps
 // what hosts send up and delivers no frame in either direction, so a
 // test can drive MHNode.HandleMessage by hand with the stations out of
 // the picture.
@@ -31,7 +31,7 @@ type silentRadio struct{ up []msg.Message }
 
 func (r *silentRadio) SendDownlink(ids.MSS, ids.MH, msg.Message) {}
 func (r *silentRadio) SendUplink(_ ids.MH, _ ids.MSS, m msg.Message) {
-	r.up = append(r.up, m)
+	r.up = append(r.up, msg.Keep(m))
 }
 func (r *silentRadio) RegisterMH(ids.MH, netsim.Handler)   {}
 func (r *silentRadio) RegisterMSS(ids.MSS, netsim.Handler) {}
@@ -388,7 +388,7 @@ type silentWired struct {
 }
 
 func (s *silentWired) Send(_, to ids.NodeID, m msg.Message) {
-	s.sent, s.to = append(s.sent, m), append(s.to, to)
+	s.sent, s.to = append(s.sent, msg.Keep(m)), append(s.to, to)
 }
 func (s *silentWired) Register(ids.NodeID, netsim.Handler) {}
 

@@ -267,12 +267,21 @@ type World struct {
 	Kernel   sim.Scheduler
 	Wired    netsim.WiredTransport
 	Wireless netsim.WirelessTransport
-	// wiredLegs and wirelessLegs are the substrates' doors for the request
-	// path's and the hand-off's messages carried unboxed (msg.Leg), picked
-	// once: the netsim substrates' own, or, over any other transport, sends
-	// that box each leg (netsim.WiredLegsOf).
-	wiredLegs    netsim.WiredLegs
-	wirelessLegs netsim.WirelessLegs
+	// out is the world's one outgoing leg slot: a node writes the leg it
+	// sends here and hands the door a view of it (view). A door copies what
+	// it is shown before anything else runs, so the slot is free again once
+	// the send returns; it is never cleared. turn is the slot a station
+	// shows a kept message from when it takes it back (an inbox turn, a
+	// self-hop), since the record that kept it is recycled first. Only the
+	// goroutine stepping the world touches either: one slot each serves
+	// every station and host, where one per host would add its size to
+	// every host's footprint.
+	out  msg.Leg
+	turn msg.Envelope
+	// boxed is where legOf copies a box's leg for its reader (the windowed
+	// radio and tcpnet hand their handlers boxes): a handler reads one
+	// message at a time, and a replay only ever shows views.
+	boxed msg.Leg
 
 	// MHs is the one index of hosts: location, activity, coverage, crash
 	// state and the incarnation word live on the MHNode itself, so a host
@@ -457,7 +466,6 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 		}, cfg.Observer)
 	}
 	w.Wireless = wireless
-	w.wiredLegs, w.wirelessLegs = netsim.WiredLegsOf(wired), netsim.WirelessLegsOf(wireless)
 
 	for _, id := range w.mssList {
 		n := newMSSNode(id, w)
@@ -556,12 +564,31 @@ func (w *World) NetObserver() netsim.Observer {
 	}
 }
 
-// countWired accounts the migration traffic a station puts on the wired
-// network (MSSNode.sendWired); hand-off state is counted in
-// MSSNode.sendLeg, and the servers' pref_redirect echoes through
-// server.AppServer.OnEcho.
+// view writes l to the outgoing slot and shows it: what a door is handed
+// to send l.
+func (w *World) view(l msg.Leg) msg.View {
+	w.out = l
+	return msg.ViewOf(&w.out)
+}
+
+// legOf is the leg a message of a leg kind carries, for a handler to read
+// during the call: a view's leg in place, or a box's copied into the
+// world's boxed slot.
+func (w *World) legOf(m msg.Message) *msg.Leg {
+	if v, ok := m.(msg.View); ok {
+		return v.Leg()
+	}
+	w.boxed, _ = msg.LegOf(m)
+	return &w.boxed
+}
+
+// countWired accounts the hand-off state and the migration traffic a
+// station puts on the wired network (MSSNode.sendWired); the servers'
+// pref_redirect echoes are counted through server.AppServer.OnEcho.
 func (w *World) countWired(m msg.Message) {
 	switch m.Kind() {
+	case msg.KindDeregAck:
+		w.Stats.HandoffStateBytes.Add(int64(msg.WireSize(m)))
 	case msg.KindMigOffer, msg.KindMigCommit, msg.KindPrefRedirect, msg.KindMigGC:
 		w.Stats.MigMessages.Inc()
 	case msg.KindMigState:

@@ -31,7 +31,6 @@ func Echo(req []byte) []byte {
 type AppServer struct {
 	id      ids.Server
 	wired   netsim.WiredTransport
-	legs    netsim.WiredLegs // wired's leg sends: the reply travels unboxed
 	proc    netsim.LatencyModel
 	rng     *sim.RNG
 	handler Handler
@@ -42,6 +41,9 @@ type AppServer struct {
 	// new home instead of the tombstone.
 	pending map[ids.RequestID]ids.ProxyID
 	jobs    *sim.Calls[msg.ServerRequest] // requests in processing
+	// out is the server's outgoing leg slot: a reply is written here and
+	// sent as a view of it (see netsim.Handler).
+	out msg.Leg
 
 	// Served counts completed requests; Acked counts application-level
 	// acks received from proxies.
@@ -64,7 +66,6 @@ func New(id ids.Server, kernel sim.Scheduler, wired netsim.WiredTransport, proc 
 	s := &AppServer{
 		id:      id,
 		wired:   wired,
-		legs:    netsim.WiredLegsOf(wired),
 		proc:    proc,
 		rng:     kernel.RNG().Fork(),
 		handler: handler,
@@ -85,10 +86,14 @@ func (s *AppServer) SetHandler(h Handler) { s.handler = h }
 // the sampled processing delay and reply to the proxy's hosting station;
 // record ServerAck.
 func (s *AppServer) HandleMessage(from ids.NodeID, m msg.Message) {
-	switch v := m.(type) {
-	case msg.ServerRequest:
-		s.accept(v)
-	case msg.PrefRedirect:
+	switch m.Kind() {
+	case msg.KindServerRequest:
+		l, _ := msg.LegOf(m)
+		v := l.ServerRequest()
+		s.pending[v.Req] = v.Proxy
+		s.jobs.Defer(s.proc.Sample(s.rng), v)
+	case msg.KindPrefRedirect:
+		v := m.(msg.PrefRedirect)
 		if v.Confirm {
 			return // echoes are station-bound; ignore a misdelivered one
 		}
@@ -102,25 +107,9 @@ func (s *AppServer) HandleMessage(from ids.NodeID, m msg.Message) {
 			s.OnEcho()
 		}
 		s.wired.Send(s.id.Node(), v.OldProxy.Host.Node(), v)
-	case msg.ServerAck:
+	case msg.KindServerAck:
 		s.Acked.Inc()
 	}
-}
-
-// HandleLeg implements netsim.LegHandler: a ServerRequest arrives
-// unboxed; any other leg is handled as its message.
-func (s *AppServer) HandleLeg(from ids.NodeID, l msg.Leg) {
-	if l.Kind == msg.KindServerRequest {
-		s.accept(l.ServerRequest())
-		return
-	}
-	s.HandleMessage(from, l.Message())
-}
-
-// accept starts processing a request.
-func (s *AppServer) accept(v msg.ServerRequest) {
-	s.pending[v.Req] = v.Proxy
-	s.jobs.Defer(s.proc.Sample(s.rng), v)
 }
 
 // finish completes a request whose processing delay has elapsed.
@@ -136,6 +125,6 @@ func (s *AppServer) finish(v msg.ServerRequest) {
 		to = v.Proxy
 	}
 	delete(s.pending, v.Req)
-	s.legs.SendLeg(s.id.Node(), to.Host.Node(),
-		msg.ServerResult{Proxy: to, Req: v.Req, Payload: reply}.Leg())
+	s.out = msg.ServerResult{Proxy: to, Req: v.Req, Payload: reply}.Leg()
+	s.wired.Send(s.id.Node(), to.Host.Node(), msg.ViewOf(&s.out))
 }

@@ -24,7 +24,7 @@ func TestServerRepliesToProxyHost(t *testing.T) {
 	w.Register(ids.Server(1).Node(), srv)
 	var got []msg.Message
 	w.Register(ids.MSS(1).Node(), netsim.HandlerFunc(func(from ids.NodeID, m msg.Message) {
-		got = append(got, m)
+		got = append(got, msg.Keep(m))
 	}))
 
 	prx := ids.ProxyID{Host: 1, Seq: 1}
@@ -60,7 +60,7 @@ func TestServerCustomHandler(t *testing.T) {
 	w.Register(ids.Server(1).Node(), srv)
 	var payload []byte
 	w.Register(ids.MSS(1).Node(), netsim.HandlerFunc(func(_ ids.NodeID, m msg.Message) {
-		payload = m.(msg.ServerResult).Payload
+		payload = msg.Keep(m).(msg.ServerResult).Payload
 	}))
 	w.Send(ids.MSS(1).Node(), ids.Server(1).Node(), msg.ServerRequest{
 		Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 1},
@@ -78,7 +78,7 @@ func TestServerSetHandler(t *testing.T) {
 	srv.SetHandler(func([]byte) []byte { return []byte("swapped") })
 	var payload []byte
 	w.Register(ids.MSS(1).Node(), netsim.HandlerFunc(func(_ ids.NodeID, m msg.Message) {
-		payload = m.(msg.ServerResult).Payload
+		payload = msg.Keep(m).(msg.ServerResult).Payload
 	}))
 	w.Send(ids.MSS(1).Node(), ids.Server(1).Node(), msg.ServerRequest{
 		Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 1},
@@ -110,63 +110,42 @@ func TestEcho(t *testing.T) {
 	}
 }
 
-// sink is a wired transport that drops what it is given, so the job's
-// own cost is all that is measured.
+// sink is a wired transport that counts the replies it is handed, so
+// the job's own cost is all that is measured.
 type sink struct{ sent int }
 
-func (s *sink) Send(_, _ ids.NodeID, _ msg.Message) { s.sent++ }
-func (s *sink) Register(ids.NodeID, netsim.Handler) {}
-
-// legSink is a sink with leg sends, like the netsim substrates.
-type legSink struct{ sink }
-
-func (s *legSink) SendLeg(_, _ ids.NodeID, l msg.Leg) {
-	if l.Kind == msg.KindServerResult {
+func (s *sink) Send(_, _ ids.NodeID, m msg.Message) {
+	if m.Kind() == msg.KindServerResult {
 		s.sent++
 	}
 }
+func (s *sink) Register(ids.NodeID, netsim.Handler) {}
 
 // TestServerJobAllocBudget: a request in processing is a recycled job
-// record; what one still costs is the reply — Echo's slice, and over a
-// transport without leg sends the ServerResult boxed for the wire. Over
-// one with leg sends, taking its requests as legs, the reply travels
-// unboxed.
+// record, and its reply is written into the server's outgoing slot and
+// sent as a view of it; what one still costs is Echo's reply slice. The
+// request arrives as the substrates show it, a view. (At the parent: 2
+// taking the request through HandleLeg into a transport with leg sends, 4
+// taking it boxed into one without, where the reply was boxed too.)
 func TestServerJobAllocBudget(t *testing.T) {
 	req := msg.ServerRequest{
 		Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 7, Seq: 1}, Payload: []byte("q"),
+	}.Leg()
+	k := sim.NewKernel(1)
+	out := &sink{}
+	srv := New(1, k, out, netsim.Constant(time.Millisecond), nil)
+	step := func() {
+		srv.HandleMessage(ids.MSS(1).Node(), msg.ViewOf(&req))
+		srv.HandleMessage(ids.MSS(1).Node(), msg.ViewOf(&req)) // two in processing at once
+		k.Run()
 	}
-	var boxed msg.Message = req
-	for _, c := range []struct {
-		name   string
-		out    netsim.WiredTransport
-		handle func(*AppServer)
-		budget float64
-	}{
-		{"boxed", &sink{}, func(s *AppServer) { s.HandleMessage(ids.MSS(1).Node(), boxed) }, 4},
-		{"legs", &legSink{}, func(s *AppServer) { s.HandleLeg(ids.MSS(1).Node(), req.Leg()) }, 2},
-	} {
-		k := sim.NewKernel(1)
-		srv := New(1, k, c.out, netsim.Constant(time.Millisecond), nil)
-		step := func() {
-			c.handle(srv)
-			c.handle(srv) // two in processing at once
-			k.Run()
-		}
-		for i := 0; i < 8; i++ {
-			step()
-		}
-		if avg := testing.AllocsPerRun(200, step); avg > c.budget {
-			t.Errorf("two server jobs, %s: %.1f allocs, budget %v", c.name, avg, c.budget)
-		}
-		sent := 0
-		switch out := c.out.(type) {
-		case *sink:
-			sent = out.sent
-		case *legSink:
-			sent = out.sent
-		}
-		if sent != 2*(8+201) {
-			t.Errorf("%s: server sent %d replies, want %d", c.name, sent, 2*(8+201))
-		}
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(200, step); avg > 2 {
+		t.Errorf("two server jobs: %.1f allocs, budget 2", avg)
+	}
+	if out.sent != 2*(8+201) {
+		t.Errorf("server sent %d replies, want %d", out.sent, 2*(8+201))
 	}
 }

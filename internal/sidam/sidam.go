@@ -337,9 +337,14 @@ func (t *TIS) ensureRNG() *sim.RNG {
 
 // HandleMessage implements netsim.Handler.
 func (t *TIS) HandleMessage(from ids.NodeID, m msg.Message) {
+	if m.Kind() == msg.KindServerRequest {
+		// A client operation, read through its leg: a station sends it
+		// as a borrowed view.
+		l, _ := msg.LegOf(m)
+		t.handleClient(l.ServerRequest())
+		return
+	}
 	switch v := m.(type) {
-	case msg.ServerRequest:
-		t.handleClient(v)
 	case msg.TISQuery:
 		t.handleTISQuery(v)
 	case msg.TISReply:

@@ -39,29 +39,33 @@
 # Kernel.After or cancels a scheduled event (.Cancel()) — a timer its
 # owner stops wanting fires as a no-op behind a generation check.
 #
-# The request path's seven messages (request, srv-request, srv-result,
-# result-fwd, result, ack, ack-fwd) and the hand-off's four (greet, dereg,
-# deregack, update-currl) travel as msg.Leg values, boxed only where
-# something keeps them or listens: in internal/rdpcore and
-# internal/server, non-test code hands no composite literal of one of the
-# eleven kinds straight to a door that takes a msg.Message (sendWired,
-# sendToStation, a transport's Send, SendUplink or SendDownlink, the
-# host's uplink, selfHops.Defer) — it sends the literal's .Leg() through
-# the leg door (sendLeg, sendLegToStation, uplinkLeg, the substrates'
-# leg sends) instead.
+# Every node has one door, HandleMessage, and the request path's seven
+# messages (request, srv-request, srv-result, result-fwd, result, ack,
+# ack-fwd) and the hand-off's four (greet, dereg, deregack, update-currl)
+# cross it, and every transport's send, as a msg.View of a leg, borrowed
+# for the call; whoever keeps one copies it into a msg.Envelope. So
 #
-# A listener is shown a leg, never handed a box: netsim's substrates show
-# an Observer or a drop filter a msg.View of the frame's leg, and a lost
-# ARQ or windowed frame by a pointer into its record, so whoever keeps a
-# shown message boxes it (msg.Keep). In internal/netsim's non-test code a
-# leg is boxed (Leg.Message()) only where a plain handler or a keeper
-# needs the box: the adapters that box for a substrate without leg sends
-# (boxedWired.SendLeg, boxedWireless.SendDownlinkLeg and SendUplinkLeg),
-# endpoint.hand's fallback for a handler without HandleLeg, the windowed
-# sender's queue (Wireless.SendDownlinkLeg) and psim's cross-region frame
-# (CrossFrame.envelope). It prints, as of this writing,
+#   - no non-test Go outside internal/msg and perf/ asserts a message to
+#     the box type of one of the eleven kinds (m.(msg.Request)) or names
+#     one in a type switch's case: a view fails either silently. It
+#     switches on Kind() and reads the leg through msg.LegOf;
+#   - in internal/rdpcore and internal/server, non-test code hands no
+#     composite literal of one of the eleven kinds straight to a door
+#     (sendWired, sendToStation, a transport's Send, SendUplink or
+#     SendDownlink, the host's uplink, selfHops.Defer) — that would box
+#     it. It writes the literal's .Leg() to the world's outgoing slot and
+#     sends a view of it: w.view(msg.Dereg{...}.Leg());
+#   - in internal/netsim's non-test code a leg is boxed (msg.Keep, or a
+#     Leg's Message) only where a keeper needs the box: the windowed
+#     sender's queue in Wireless.SendDownlink, whose frames carry a list
+#     of messages. A frame record keeps its message's envelope, and shows
+#     it (Envelope.Message) to handlers and listeners alike.
 #
-#   station-doors: 6 legs boxed in internal/netsim, each at a keeper or a plain handler's door
+# It prints, as of this writing,
+#
+#   station-doors: 0 leg-kind box types asserted or switched on outside internal/msg and perf/
+#   station-doors: 0 request-path and hand-off messages boxed at a msg.Message door (rdpcore, server)
+#   station-doors: 1 legs boxed in internal/netsim, each at a keeper
 #
 # A proxy and a proxy's journal image are made over a record of the
 # station's spare stock when it has one, so each has one constructor: in
@@ -150,13 +154,29 @@ if [ -n "$cancels" ]; then
 	fail=1
 fi
 
+legkinds='Request|ServerRequest|ServerResult|ResultForward|ResultDeliver|AckMH|AckForward|Greet|Dereg|DeregAck|UpdateCurrentLoc'
+
+# Type assertions to, and type-switch cases on, a leg kind's box type, by
+# file and line: a view is none of them.
+asserts=$(cd ../.. && find . -name '.?*' -prune -o -name '*.go' ! -name '*_test.go' -print |
+	grep -vE '^\./(internal/msg|perf)/' | sort |
+	xargs grep -nHE "\.\(msg\.($legkinds)\)|^[[:space:]]*case .*msg\.($legkinds)([^A-Za-z0-9_{]|\$)" |
+	grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' || true)
+nasserts=$(printf '%s\n' "$asserts" | grep -c . || true)
+echo "station-doors: $nasserts leg-kind box types asserted or switched on outside internal/msg and perf/"
+if [ -n "$asserts" ]; then
+	echo "station-doors: a leg may arrive as a msg.View — switch on Kind() and read it through msg.LegOf:"
+	printf '%s\n' "$asserts" | sed 's/^/  /'
+	fail=1
+fi
+
 # Leg-kind literals boxed at a Message door, by file and line. A call
 # may span lines, so each file is scanned whole: from a door's opening
-# parenthesis to its matching close.
-legkinds='Request|ServerRequest|ServerResult|ResultForward|ResultDeliver|AckMH|AckForward|Greet|Dereg|DeregAck|UpdateCurrentLoc'
+# parenthesis to its matching close. A literal written to the outgoing
+# slot (view(msg.Dereg{...}.Leg())) is sent as a view.
 boxed=$(cd ../.. && find internal/rdpcore internal/server -name '*.go' ! -name '*_test.go' | sort |
 	xargs awk -v kinds="$legkinds" '
-	function scan(   rest, base, i, c, depth, args, pre) {
+	function scan(   rest, base, i, c, depth, args, shown, pre) {
 		rest = text
 		base = 0
 		while (match(rest, /(sendWired|sendToStation|\.Send|SendUplink|SendDownlink|selfHops\.Defer|[^A-Za-z0-9_]uplink)\(/)) {
@@ -170,7 +190,9 @@ boxed=$(cd ../.. && find internal/rdpcore internal/server -name '*.go' ! -name '
 				if (depth > 0) args = args c
 				i++
 			}
-			if (args ~ ("msg[.](" kinds ")[{]")) {
+			shown = args
+			gsub("view[(]msg[.](" kinds ")[{]", "", shown)
+			if (shown ~ ("msg[.](" kinds ")[{]")) {
 				gsub(/[[:space:]]+/, " ", args)
 				pre = substr(text, 1, base + RSTART)
 				print file ":" gsub(/\n/, "", pre) + 1 ": " substr(rest, RSTART, RLENGTH) args ")"
@@ -186,14 +208,14 @@ boxed=$(cd ../.. && find internal/rdpcore internal/server -name '*.go' ! -name '
 nboxed=$(printf '%s\n' "$boxed" | grep -c . || true)
 echo "station-doors: $nboxed request-path and hand-off messages boxed at a msg.Message door (rdpcore, server)"
 if [ -n "$boxed" ]; then
-	echo "station-doors: send the literal's .Leg() through the leg door instead:"
+	echo "station-doors: write the literal's .Leg() to the outgoing slot and send a view of it (w.view) instead:"
 	printf '%s\n' "$boxed" | sed 's/^/  /'
 	fail=1
 fi
 
 # Leg boxings in netsim, by file, line and enclosing function (its
-# receiver's type, a dot, its name): a listener never takes a box.
-legdoors='^(boxedWired\.SendLeg|boxedWireless\.SendDownlinkLeg|boxedWireless\.SendUplinkLeg|endpoint\.hand|Wireless\.SendDownlinkLeg|CrossFrame\.envelope)$'
+# receiver's type, a dot, its name): only a keeper boxes.
+legdoors='^Wireless\.SendDownlink$'
 legboxes=$(cd ../netsim && awk '
 	/^func / {
 		fn = $0; sub(/^func /, "", fn); recv = ""
@@ -202,15 +224,15 @@ legboxes=$(cd ../netsim && awk '
 		if (recv != "") fn = recv "." fn
 	}
 	/^[[:space:]]*\/\// { next }
-	/\.Message\(\)/ { print FILENAME ":" FNR ": in " fn }
+	/msg\.Keep\(/ || (/\.Message\(\)/ && !/(env|in)\.Message\(\)/) { print FILENAME ":" FNR ": in " fn }
 ' $(ls *.go | grep -v '_test\.go$'))
 nlegboxes=$(printf '%s\n' "$legboxes" | grep -c . || true)
 legstrays=$(printf '%s\n' "$legboxes" | grep -v '^$' | while IFS= read -r line; do
 	printf '%s\n' "${line##*: in }" | grep -qE "$legdoors" || printf '%s\n' "$line"
 done)
-echo "station-doors: $nlegboxes legs boxed in internal/netsim, each at a keeper or a plain handler's door"
+echo "station-doors: $nlegboxes legs boxed in internal/netsim, each at a keeper"
 if [ -n "$legstrays" ]; then
-	echo "station-doors: a leg boxed for a listener — show it a view (msg.ViewOf) and let a keeper box it (msg.Keep):"
+	echo "station-doors: a leg boxed where nothing keeps it — keep a frame's envelope (msg.EnvelopeOf) and show it (Envelope.Message):"
 	printf '%s\n' "$legstrays" | sed 's/^/  /'
 	fail=1
 fi
