@@ -584,7 +584,11 @@ func (m WtpData) code(c *coder) Message {
 	u64(c, &m.Epoch)
 	u64(c, &m.Seq)
 	for i := range list(c, &m.Inner, 6) {
-		c.inner(&m.Inner[i], true)
+		in := m.Inner[i].Message()
+		c.inner(&in, true)
+		if c.mode == reading {
+			m.Inner[i] = EnvelopeOf(in)
+		}
 	}
 	return done(c, &m)
 }

@@ -79,14 +79,23 @@ func sampleMessages() []Message {
 		Register{MH: 3, Inc: 2},
 		LeaseHeartbeat{Proxy: prx, MH: 3, Inc: 2},
 		ReclaimMemo{Proxy: prx, MH: 3, Inc: 1},
-		WtpData{Epoch: 1, Seq: 9, Inner: []Message{
+		WtpData{Epoch: 1, Seq: 9, Inner: envelopes(
 			ResultDeliver{Req: req, Payload: []byte("r1"), Inc: 1},
 			AckMH{MH: 3, Req: req},
-		}},
+		)},
 		WtpAck{Epoch: 1, Cum: 8, Sacks: []uint64{10, 12}},
 		GroupUpdateLoc{Proxy: prx, NewLoc: 4, Members: []byte{3, 1, 1, 1}},
 		GroupAckForward{Proxy: prx, Members: []byte{2, 3, 1}, Seqs: []uint32{7, 9}},
 	}
+}
+
+// envelopes keeps ms as a windowed frame carries them.
+func envelopes(ms ...Message) []Envelope {
+	out := make([]Envelope, len(ms))
+	for i, m := range ms {
+		out[i] = EnvelopeOf(m)
+	}
+	return out
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {

@@ -85,11 +85,11 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 		// Windowed-transport frames (E15): a coalesced multi-message data
 		// frame, an empty frame, and a selective ack, so the nested
 		// inner-list codec is fuzz-covered from day one.
-		WtpData{Epoch: 1, Seq: 4, Inner: []Message{
+		WtpData{Epoch: 1, Seq: 4, Inner: envelopes(
 			ResultDeliver{Req: ids.RequestID{Origin: 3, Seq: 9}, Payload: []byte("r1"), Inc: 1},
 			ResultDeliver{Req: ids.RequestID{Origin: 3, Seq: 10}, Payload: []byte("r2"), DelPref: true, Inc: 1},
 			AckMH{MH: 3, Req: ids.RequestID{Origin: 3, Seq: 8}},
-		}},
+		)},
 		WtpData{Epoch: 2, Seq: 0},
 		WtpAck{Epoch: 1, Cum: 3, Sacks: []uint64{5, 7, 9}},
 		WtpAck{Epoch: 2, Cum: 0},

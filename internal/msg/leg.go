@@ -7,9 +7,9 @@ import (
 )
 
 // Leg is one message of the request path (§3.1) and the hand-off (§3.2)
-// carried by value: the request path's seven kinds request, srv-request,
-// srv-result, result-fwd, result, ack and ack-fwd, and the hand-off's
-// four greet, dereg, deregack and update-currl, as the kind plus the
+// carried by value: the request path's eight kinds request, request-fwd,
+// srv-request, srv-result, result-fwd, result, ack and ack-fwd, and the
+// hand-off's four greet, dereg, deregack and update-currl, as the kind plus the
 // union of their fields, with the payload as its only pointer. A hop
 // that only moves a message hands the Leg on; whoever keeps it past its
 // hop (an inbox, a hand-off buffer, a parked dereg, a queue, the journal)
@@ -40,6 +40,8 @@ func (l Leg) Message() Message {
 	switch l.Kind {
 	case KindRequest:
 		return l.Request()
+	case KindRequestForward:
+		return l.RequestForward()
 	case KindServerRequest:
 		return l.ServerRequest()
 	case KindServerResult:
@@ -65,7 +67,7 @@ func (l Leg) Message() Message {
 }
 
 // LegOf carries m as a leg, and reports false for a kind that is not one
-// of the request path's seven or the hand-off's four. A View gives the
+// of the request path's eight or the hand-off's four. A View gives the
 // leg it shows.
 func LegOf(m Message) (Leg, bool) {
 	if v, ok := m.(View); ok { // what every door is shown: one comparison
@@ -73,6 +75,8 @@ func LegOf(m Message) (Leg, bool) {
 	}
 	switch v := m.(type) {
 	case Request:
+		return v.Leg(), true
+	case RequestForward:
 		return v.Leg(), true
 	case ServerRequest:
 		return v.Leg(), true
@@ -98,11 +102,14 @@ func LegOf(m Message) (Leg, bool) {
 	return Leg{}, false
 }
 
-// The eleven kinds to a leg and back; the typed handlers take the value a
+// The twelve kinds to a leg and back; the typed handlers take the value a
 // leg converts to, unboxed.
 
 func (m Request) Leg() Leg {
 	return Leg{Kind: KindRequest, Req: m.Req, Server: m.Server, Payload: m.Payload, Inc: m.Inc}
+}
+func (m RequestForward) Leg() Leg {
+	return Leg{Kind: KindRequestForward, Proxy: m.Proxy, Req: m.Req, Server: m.Server, Payload: m.Payload, Inc: m.Inc}
 }
 func (m ServerRequest) Leg() Leg {
 	return Leg{Kind: KindServerRequest, Proxy: m.Proxy, Req: m.Req, Payload: m.Payload}
@@ -139,6 +146,9 @@ func (m UpdateCurrentLoc) Leg() Leg {
 
 func (l Leg) Request() Request {
 	return Request{Req: l.Req, Server: l.Server, Payload: l.Payload, Inc: l.Inc}
+}
+func (l Leg) RequestForward() RequestForward {
+	return RequestForward{Proxy: l.Proxy, Req: l.Req, Server: l.Server, Payload: l.Payload, Inc: l.Inc}
 }
 func (l Leg) ServerRequest() ServerRequest {
 	return ServerRequest{Proxy: l.Proxy, Req: l.Req, Payload: l.Payload}

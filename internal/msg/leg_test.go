@@ -9,21 +9,21 @@ import (
 	"repro/internal/ids"
 )
 
-// legKinds are the request path's seven kinds and the hand-off's four,
+// legKinds are the request path's eight kinds and the hand-off's four,
 // the only ones a Leg carries.
 var legKinds = map[Kind]bool{
-	KindRequest: true, KindServerRequest: true, KindServerResult: true, KindResultForward: true,
+	KindRequest: true, KindRequestForward: true, KindServerRequest: true, KindServerResult: true, KindResultForward: true,
 	KindResultDeliver: true, KindAckMH: true, KindAckForward: true,
 	KindGreet: true, KindDereg: true, KindDeregAck: true, KindUpdateCurrentLoc: true,
 }
 
-// legSamples returns each of the eleven kinds zero, with every field set
+// legSamples returns each of the twelve kinds zero, with every field set
 // (every flag true), and with a nil and an empty payload where it has one.
 func legSamples() []Message {
 	req := ids.RequestID{Origin: 3, Seq: 41}
 	prx := ids.ProxyID{Host: 2, Seq: 5}
 	out := []Message{
-		Request{}, ServerRequest{}, ServerResult{}, ResultForward{}, ResultDeliver{}, AckMH{}, AckForward{},
+		Request{}, RequestForward{}, ServerRequest{}, ServerResult{}, ResultForward{}, ResultDeliver{}, AckMH{}, AckForward{},
 		AckMH{MH: 3, Req: req, HaveOutstanding: true},
 		AckForward{Proxy: prx, MH: 3, Req: req, DelProxy: true},
 		Greet{}, Dereg{}, DeregAck{}, UpdateCurrentLoc{},
@@ -36,6 +36,7 @@ func legSamples() []Message {
 	for _, p := range [][]byte{[]byte("payload"), nil, {}} {
 		out = append(out,
 			Request{Req: req, Server: 7, Payload: p, Inc: 4},
+			RequestForward{Proxy: prx, Req: req, Server: 7, Payload: p, Inc: 4},
 			ServerRequest{Proxy: prx, Req: req, Payload: p},
 			ServerResult{Proxy: prx, Req: req, Payload: p},
 			ResultForward{Proxy: prx, MH: 3, Req: req, Payload: p, DelPref: true, Inc: 4},
@@ -99,7 +100,7 @@ func TestLegOfRefusesOtherKinds(t *testing.T) {
 	if _, ok := LegOf(nil); ok {
 		t.Error("LegOf(nil) reported a leg")
 	}
-	for _, k := range []Kind{KindInvalid, KindRequestForward, KindDelPrefOnly} {
+	for _, k := range []Kind{KindInvalid, KindLeave, KindDelPrefOnly} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -19,9 +19,9 @@
 //	    MIPRegister, MIPData, MIPTunnel (Mobile IP);
 //	    ImageTransfer (I-TCP-style indirect image hand-off)
 //
-// The seven messages of the request path — Request, ServerRequest,
-// ServerResult, ResultForward, ResultDeliver, AckMH, AckForward — and the
-// hand-off's four — Greet, Dereg, DeregAck, UpdateCurrentLoc — also
+// The eight messages of the request path — Request, RequestForward,
+// ServerRequest, ServerResult, ResultForward, ResultDeliver, AckMH,
+// AckForward — and the hand-off's four — Greet, Dereg, DeregAck, UpdateCurrentLoc — also
 // travel unboxed as a Leg (leg.go), which crosses every door as a
 // borrowed View and is kept in an Envelope (view.go).
 //
@@ -761,11 +761,13 @@ type ReclaimMemo struct {
 // unreachable host resets its link and bumps the epoch, so frames and
 // acks of the abandoned generation are ignored by both ends. Inner
 // messages must themselves be application messages: link-layer kinds
-// (LinkFrame, LinkAck, WtpData, WtpAck) do not nest.
+// (LinkFrame, LinkAck, WtpData, WtpAck) do not nest. They are kept as
+// envelopes, so a leg rides a frame by value; the codec reads and writes
+// them as the messages they hold.
 type WtpData struct {
 	Epoch uint64
 	Seq   uint64
-	Inner []Message
+	Inner []Envelope
 }
 
 // WtpAck acknowledges WtpData frames: Cum is the cumulative in-order

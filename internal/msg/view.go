@@ -1,6 +1,9 @@
 package msg
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // View shows a leg without boxing it: a struct of one pointer is stored
 // in an interface as is, so handing a View to a door — a handler, a
@@ -39,9 +42,11 @@ func (v View) String() string { return v.l.Message().String() }
 // Keep returns a message its holder may keep past the call that showed
 // it: a View's leg boxed, a link-layer frame shown by pointer into its
 // substrate's record (*LinkFrame, *LinkAck, *WtpData, *WtpAck) copied into
-// a box of its value — a LinkFrame's Inner kept in turn — and any other
-// message as it is. The boxes Keep makes are the only ones a listener
-// costs, so a listener that only counts or reads the kind pays none.
+// a box of its value — a LinkFrame's Inner kept in turn, a WtpData's
+// envelopes and a WtpAck's Sacks copied out of the record's arrays, which
+// the substrate reuses — and any other message as it is. The boxes Keep
+// makes are the only ones a listener costs, so a listener that only
+// counts or reads the kind pays none.
 func Keep(m Message) Message {
 	switch v := m.(type) {
 	case View:
@@ -51,18 +56,19 @@ func Keep(m Message) Message {
 	case *LinkAck:
 		return *v
 	case *WtpData:
-		return *v
+		return WtpData{Epoch: v.Epoch, Seq: v.Seq, Inner: slices.Clone(v.Inner)}
 	case *WtpAck:
-		return *v
+		return WtpAck{Epoch: v.Epoch, Cum: v.Cum, Sacks: slices.Clone(v.Sacks)}
 	}
 	return m
 }
 
 // Envelope is a message kept past the call that showed it: a leg by
 // value, or any other message as it is — exactly one of them set. It is
-// what a transport keeps of what it is sent (a frame in flight) and what
-// a node keeps of what it is handed (a queue, a buffer), so a View is
-// copied, never boxed.
+// what a transport keeps of what it is sent (a frame in flight, a
+// windowed frame's messages) and what a node keeps of what it is handed
+// or will send again (a queue, a buffer, a host's re-sendable request),
+// so a View is copied, never boxed.
 type Envelope struct {
 	leg Leg
 	m   Message
@@ -95,6 +101,8 @@ func (l *Leg) code(c *coder) Message {
 	switch l.Kind {
 	case KindRequest:
 		return l.Request().code(c)
+	case KindRequestForward:
+		return l.RequestForward().code(c)
 	case KindServerRequest:
 		return l.ServerRequest().code(c)
 	case KindServerResult:

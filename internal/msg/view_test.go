@@ -9,7 +9,7 @@ import (
 	"repro/internal/ids"
 )
 
-// TestViewShowsItsLeg: for every sample of the eleven leg kinds, a view
+// TestViewShowsItsLeg: for every sample of the twelve leg kinds, a view
 // of the leg is the leg's box to whoever reads it — the same kind and
 // rendering, the same leg back from LegOf (and in place from Leg), the
 // same size and bytes from the codec — and Keep of the view is that box.
@@ -51,8 +51,9 @@ func TestViewShowsItsLeg(t *testing.T) {
 
 // TestKeepOwnsShownFrames: a link-layer frame shown by a pointer into a
 // substrate's record reads as its value, and Keep copies it out — a
-// LinkFrame's viewed Inner boxed — so the kept message does not change
-// when the record is reused.
+// LinkFrame's viewed Inner boxed, a WtpData's envelopes and a WtpAck's
+// Sacks copied — so the kept message does not change when the record and
+// the arrays it owns are reused.
 func TestKeepOwnsShownFrames(t *testing.T) {
 	l := Dereg{MH: 3, NewMSS: 6}.Leg()
 	rec := struct {
@@ -63,13 +64,13 @@ func TestKeepOwnsShownFrames(t *testing.T) {
 	}{
 		frame: LinkFrame{Seq: 300, Inner: ViewOf(&l)},
 		ack:   LinkAck{Seq: 300},
-		data:  WtpData{Epoch: 1, Seq: 9, Inner: []Message{ResultDeliver{Payload: []byte("r")}}},
+		data:  WtpData{Epoch: 1, Seq: 9, Inner: envelopes(ResultDeliver{Payload: []byte("r")})},
 		wack:  WtpAck{Epoch: 1, Cum: 8, Sacks: []uint64{10}},
 	}
 	want := []Message{
 		LinkFrame{Seq: 300, Inner: Dereg{MH: 3, NewMSS: 6}},
 		LinkAck{Seq: 300},
-		WtpData{Epoch: 1, Seq: 9, Inner: []Message{ResultDeliver{Payload: []byte("r")}}},
+		WtpData{Epoch: 1, Seq: 9, Inner: envelopes(ResultDeliver{Payload: []byte("r")})},
 		WtpAck{Epoch: 1, Cum: 8, Sacks: []uint64{10}},
 	}
 	shown := []Message{&rec.frame, &rec.ack, &rec.data, &rec.wack}
@@ -89,8 +90,10 @@ func TestKeepOwnsShownFrames(t *testing.T) {
 			t.Errorf("%v: shown encodes to %x (%v, %d bytes sized), kept to %x", k, got, err, WireSize(m), enc)
 		}
 	}
-	// The substrate reuses its record and the leg it showed.
+	// The substrate reuses its record, the leg it showed and its arrays.
 	l = Greet{MH: 4}.Leg()
+	rec.data.Inner[0] = EnvelopeOf(Greet{MH: 4})
+	rec.wack.Sacks[0] = 11
 	rec.frame, rec.ack, rec.data, rec.wack = LinkFrame{}, LinkAck{}, WtpData{}, WtpAck{}
 	if !reflect.DeepEqual(kept, want) {
 		t.Errorf("kept messages changed with the record: %v, want %v", kept, want)

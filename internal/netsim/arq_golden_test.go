@@ -57,7 +57,7 @@ func describe(m msg.Message) string {
 	case msg.WtpData:
 		inner := make([]string, len(v.Inner))
 		for i, in := range v.Inner {
-			inner[i] = describe(in)
+			inner[i] = describe(msg.Keep(in.Message()))
 		}
 		return fmt.Sprintf("%v/%d/%d[%s]", v.Kind(), v.Epoch, v.Seq, strings.Join(inner, " "))
 	case msg.WtpAck:

@@ -116,7 +116,7 @@ func TestRadioAllocBudget(t *testing.T) {
 // TestWtpFrameAllocBudget: a windowed data frame and the ack it provokes
 // cost nothing — a frame the receiver has already seen, which it only
 // re-acks, and a fresh one in order, whose messages it hands up as the
-// frame's own list.
+// record's own list.
 func TestWtpFrameAllocBudget(t *testing.T) {
 	k := sim.NewKernel(1)
 	w := radioPair(k, WirelessConfig{QueueLimit: 8, WTP: wtp.Config{Enabled: true}})
@@ -126,7 +126,7 @@ func TestWtpFrameAllocBudget(t *testing.T) {
 	if avg := hopAllocs(k, func() { w.transmitWtpFrame(1, 7, seen) }); avg != 0 {
 		t.Errorf("wtp frame already seen + ack: %.1f allocs/op, budget 0", avg)
 	}
-	fresh := msg.WtpData{Epoch: 2, Inner: []msg.Message{msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 2}}}}
+	fresh := msg.WtpData{Epoch: 2, Inner: []msg.Envelope{msg.EnvelopeOf(msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 2}})}}
 	if avg := hopAllocs(k, func() {
 		fresh.Seq++
 		w.transmitWtpFrame(1, 7, fresh)
@@ -139,18 +139,20 @@ func TestWtpFrameAllocBudget(t *testing.T) {
 }
 
 // TestWtpDownlinkAllocBudget: a result sent down a warm windowed link
-// under a nil Observer, with a drop hook set, allocates only its frame's
-// message list, which the sender builds as it frames the queue. The frame
-// and its ack fly as typed fields of recycled records, and nothing boxes
-// them for a listener that is not there.
+// under a nil Observer, with a drop hook set, allocates nothing: the
+// sender keeps its envelope in an array an acked frame handed on, the frame and
+// its ack fly as typed fields of recycled records that copy their lists
+// into arrays of their own, and nothing boxes them for a listener that is
+// not there. (At the parent, which boxed the result for the sender's
+// queue and cloned the frame's message list: 1.)
 func TestWtpDownlinkAllocBudget(t *testing.T) {
 	k := sim.NewKernel(1)
 	drops := 0
 	w := radioPair(k, WirelessConfig{QueueLimit: 8, WTP: wtp.Config{Enabled: true},
 		OnDrop: func(Layer, EventKind) { drops++ }})
 	var res msg.Message = msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 1}}
-	if avg := hopAllocs(k, func() { w.SendDownlink(1, 7, res) }); avg != 1 {
-		t.Errorf("windowed downlink frame + ack: %.1f allocs/op, budget 1 (the frame's message list)", avg)
+	if avg := hopAllocs(k, func() { w.SendDownlink(1, 7, res) }); avg != 0 {
+		t.Errorf("windowed downlink frame + ack: %.1f allocs/op, budget 0", avg)
 	}
 	if _, _, _, frames, _, _ := w.WTPStats(); frames != 64+201 || drops != 0 {
 		t.Errorf("%d frames sent, %d dropped; want one frame a result and no drop", frames, drops)

@@ -31,7 +31,7 @@ import (
 //
 // What crosses a door — HandleMessage here, a transport's Send,
 // SendDownlink or SendUplink, an Observer — is borrowed for the call. A
-// message of one of the eleven leg kinds (msg.Leg) crosses as a msg.View
+// message of one of the twelve leg kinds (msg.Leg) crosses as a msg.View
 // of a leg the caller owns: the sender's outgoing slot, or the frame
 // record a substrate delivers from, which it recycles once the handler
 // returns. A box of a leg kind is accepted at every door as well. Whoever
@@ -632,18 +632,25 @@ const (
 // radioFrame is one frame on the air, recycled under wiredFrame's
 // lifetime rule. Station-to-host frames are gated (reachability, loss,
 // drop filter) when they fire, host-to-station frames before they fly.
+// A windowed frame's lists are copied at send into arrays the record owns
+// and reuses (inner, sacks): the sender hands the frame's array on to a
+// later frame once the frame is acked, and the receiver rewrites its ack
+// buffer at its next frame, while this transmission may still be in the
+// air.
 type radioFrame struct {
 	w      *Wireless
 	op     radioOp
 	queued bool // holds a slot of the bounded link queue until it fires
 	mss    ids.MSS
 	mh     ids.MH
-	from   ids.NodeID   // the sending end
-	to     ids.NodeID   // the receiving end
-	env    msg.Envelope // opDownlink, opUplink
-	data   msg.WtpData  // opWtpData
-	ack    msg.WtpAck   // opWtpAck
-	run    func()       // fire, bound once when the record is first allocated
+	from   ids.NodeID     // the sending end
+	to     ids.NodeID     // the receiving end
+	env    msg.Envelope   // opDownlink, opUplink
+	data   msg.WtpData    // opWtpData; its Inner is inner
+	ack    msg.WtpAck     // opWtpAck; its Sacks are sacks
+	inner  []msg.Envelope // opWtpData
+	sacks  []uint64       // opWtpAck
+	run    func()         // fire, bound once when the record is first allocated
 }
 
 func (f *radioFrame) dir() int { return int(f.op & 1) }
@@ -723,6 +730,8 @@ func (w *Wireless) frame(op radioOp, mss ids.MSS, mh ids.MH) *radioFrame {
 func (w *Wireless) release(f *radioFrame) {
 	if w.cfg.Seq == nil {
 		f.queued, f.env, f.data, f.ack = false, msg.Envelope{}, msg.WtpData{}, msg.WtpAck{}
+		clear(f.inner) // no payload stays pinned by a spare record
+		f.inner, f.sacks = f.inner[:0], f.sacks[:0]
 		w.frames.Put(f)
 	}
 }
@@ -795,10 +804,11 @@ func (f *radioFrame) fire() {
 	switch f.op {
 	case opWtpAck:
 		// Acks terminate inside the transport, at the sender whose frame
-		// they answer, never at the station.
-		s, ack := w.wtpOut[key], f.ack
-		w.finish(EventDelivered, f)
-		s.OnAck(ack)
+		// they answer, never at the station; the sender reads the
+		// record's blocks, so it is released after.
+		w.observeFrame(EventDelivered, f)
+		w.wtpOut[key].OnAck(f.ack)
+		w.release(f)
 		return
 	case opUplink:
 		h = w.stations[f.mss]
@@ -843,11 +853,10 @@ func (w *Wireless) SendDownlink(from ids.MSS, to ids.MH, m msg.Message) {
 	if w.windowed() && !control {
 		// Windowed transport: the message joins the per-link coalescing
 		// buffer and travels inside a WtpData frame; the sender decides
-		// when (window, congestion, retransmission). Its ring keeps
-		// messages, so what it queues is boxed.
-		kept := msg.Keep(m)
+		// when (window, congestion, retransmission). It keeps the
+		// message's envelope.
 		w.observe(EventSent, from.Node(), to.Node(), m)
-		w.wtpSender(from, to).Queue(kept)
+		w.wtpSender(from, to).Queue(m)
 		return
 	}
 	f := w.frame(opDownlink, from, to)
@@ -880,10 +889,12 @@ func (w *Wireless) wtpSender(from ids.MSS, to ids.MH) *wtp.Sender {
 // exactly the gates a plain downlink message passes. Frame-level fates
 // (loss, shed, unreachable) are observed with the WtpData envelope; the
 // coalesced messages inside observe EventSent at Queue time and
-// EventDelivered when the receiver hands them up in order.
+// EventDelivered when the receiver hands them up in order. The record
+// copies the frame's envelopes out of the sender's ring.
 func (w *Wireless) transmitWtpFrame(from ids.MSS, to ids.MH, data msg.WtpData) {
 	f := w.frame(opWtpData, from, to)
-	f.data = data
+	f.inner = append(f.inner[:0], data.Inner...)
+	f.data = msg.WtpData{Epoch: data.Epoch, Seq: data.Seq, Inner: f.inner}
 	w.send(f, true)
 }
 
@@ -891,8 +902,9 @@ func (w *Wireless) transmitWtpFrame(from ids.MSS, to ids.MH, data msg.WtpData) {
 // record f of an arrived data frame: the receiver reorders and dedups,
 // newly in-order messages go up to the handler, and every live frame is
 // acknowledged (cumulative watermark plus selective blocks) on the
-// reverse link. The record is released once the frame is reported, before
-// the handler runs.
+// reverse link. The handler and the observer are shown views of the
+// handed-up envelopes — the record's own, or the receiver's — so the
+// record is released only once they have returned.
 func (w *Wireless) receiveWtpFrame(f *radioFrame, h Handler) {
 	from, to, key := f.mss, f.mh, radioKey(f.mss, f.mh)
 	r, ok := w.wtpIn[key]
@@ -901,28 +913,33 @@ func (w *Wireless) receiveWtpFrame(f *radioFrame, h Handler) {
 		w.wtpIn[key] = r
 	}
 	deliver, ack, live := r.Accept(f.data)
-	if live {
-		// The frame itself is observed as delivered (tracing sees the
-		// transport's arrows, not just the payloads).
-		w.observeFrame(EventDelivered, f)
-	}
-	w.release(f)
 	if !live {
+		w.release(f)
 		return // dead epoch: the sender reset and moved on
 	}
-	for _, in := range deliver {
-		w.observe(EventDelivered, from.Node(), to.Node(), in)
-		h.HandleMessage(from.Node(), in)
+	// The frame itself is observed as delivered (tracing sees the
+	// transport's arrows, not just the payloads).
+	w.observeFrame(EventDelivered, f)
+	for i := range deliver {
+		in := &deliver[i]
+		w.observe(EventDelivered, from.Node(), to.Node(), in.Message())
+		h.HandleMessage(from.Node(), in.Message())
 	}
 	w.sendWtpAck(from, to, ack)
+	w.release(f)
 }
 
 // sendWtpAck returns an acknowledgment on the reverse radio link. Acks
 // are subject to random loss (a lost ack costs one retransmission) but,
 // like the beacon control traffic, ride outside the bounded data queue.
+// The record copies the receiver's selective blocks.
 func (w *Wireless) sendWtpAck(from ids.MSS, to ids.MH, a msg.WtpAck) {
 	f := w.frame(opWtpAck, from, to)
 	f.ack = a
+	if a.Sacks != nil {
+		f.sacks = append(f.sacks[:0], a.Sacks...)
+		f.ack.Sacks = f.sacks
+	}
 	if w.rng.Prob(w.cfg.LossProb) {
 		w.finish(EventDroppedLoss, f)
 		return

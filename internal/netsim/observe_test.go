@@ -75,11 +75,12 @@ func TestARQDropReportAllocBudget(t *testing.T) {
 // result queued on the link, the Delivered and the drops of its data
 // frame and ack — show the frame by a pointer into its radio record, so a
 // counting Observer adds nothing: a result sent down a warm windowed link
-// costs its frame's message list (1), as TestWtpDownlinkAllocBudget pins
-// without a listener; a fresh frame delivered in order and acked, and a
-// frame dropped at an unreachable host, cost 0; and a lossy link costs
-// what it costs unobserved. (At the parent, which boxed the WtpData and
-// the WtpAck for the listener: 3, 2, 1, and 4.0 against 1.0.)
+// costs nothing, as TestWtpDownlinkAllocBudget pins without a listener; a
+// fresh frame delivered in order and acked, and a frame dropped at an
+// unreachable host, cost 0; and a lossy link costs what it costs
+// unobserved. (Before windowed frames carried envelopes, the first cost
+// the frame's message list, 1; before that, when the WtpData and the
+// WtpAck were boxed for the listener: 3, 2, 1, and 4.0 against 1.0.)
 func TestWtpReportAllocBudget(t *testing.T) {
 	away := false
 	radio := func(loss float64, obs Observer) (*sim.Kernel, *Wireless) {
@@ -95,12 +96,12 @@ func TestWtpReportAllocBudget(t *testing.T) {
 	var c tally
 	k, w := radio(0, c.observe)
 	var res msg.Message = msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 1}}
-	if avg := hopAllocs(k, func() { w.SendDownlink(1, 7, res) }); avg != 1 {
-		t.Errorf("windowed result sent, framed, delivered and acked: %.1f allocs, budget 1 (the frame's message list)", avg)
+	if avg := hopAllocs(k, func() { w.SendDownlink(1, 7, res) }); avg != 0 {
+		t.Errorf("windowed result sent, framed, delivered and acked: %.1f allocs, budget 0", avg)
 	}
 	// The sender's first frames were epoch 1, sequence 1 on; a frame of the
 	// next epoch resets the receiver and is taken in order from 1.
-	fresh := msg.WtpData{Epoch: 2, Inner: []msg.Message{res}}
+	fresh := msg.WtpData{Epoch: 2, Inner: []msg.Envelope{msg.EnvelopeOf(res)}}
 	if avg := hopAllocs(k, func() {
 		fresh.Seq++
 		w.transmitWtpFrame(1, 7, fresh)

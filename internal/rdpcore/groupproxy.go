@@ -482,8 +482,8 @@ func compareProxyIDs(a, b ids.ProxyID) int {
 func (g *GroupProxy) handle(from ids.NodeID, m msg.Message) {
 	switch m.Kind() {
 	case msg.KindRequestForward:
-		v := m.(msg.RequestForward)
-		g.join(v.Req.Origin, from.MSS(), v.Req, v.Server, v.Payload, v.Inc)
+		l := g.host.w.legOf(m)
+		g.join(l.Req.Origin, from.MSS(), l.Req, l.Server, l.Payload, l.Inc)
 	case msg.KindUpdateCurrentLoc:
 		l := g.host.w.legOf(m)
 		var one aggstate.Set

@@ -87,8 +87,9 @@ type MHNode struct {
 	// queued holds requests issued while inactive; they are transmitted
 	// on the next activation (a minimal QRPC-style request queue; the
 	// paper cites Rover's QRPC as the complementary mechanism for
-	// reliable request sending).
-	queued []msg.Message
+	// reliable request sending). It keeps envelopes, in an array the
+	// world's spareQueue lends it while the host has something queued.
+	queued []msg.Envelope
 	// offline holds requests issued while disconnected (out of coverage
 	// entirely, E17), in issue order. The queue is journaled through the
 	// world's stable store on every mutation and replayed verbatim on
@@ -96,12 +97,12 @@ type MHNode struct {
 	// seen-set make the replay idempotent.
 	offline []msg.Message
 
-	// sent retains a request's message while it may still have to go out
+	// sent retains a request's envelope while it may still have to go out
 	// again: a busy re-issue (a Busy NACK only carries the identifier) or
 	// a timeout retry, which of the two being the row's reqBusyRetry and
-	// reqRetry flags. Made on first write: only busy-retry and timeout
-	// configurations fill it.
-	sent map[ids.RequestID]msg.Message
+	// reqRetry flags; the timer reads it when it fires (resend). Made on
+	// first write: only busy-retry and timeout configurations fill it.
+	sent map[ids.RequestID]msg.Envelope
 	// rng is a lazily forked random stream for backoff jitter. Lazy so
 	// configurations without busy-retry never draw from the kernel
 	// stream (golden traces depend on the default draw order).
@@ -288,16 +289,15 @@ func (h *MHNode) unsend(req ids.RequestID, q *mhReq, flags uint8) {
 	}
 }
 
-// hostTimer is one timer a host arms: what it is for, the request,
-// retained message or batch it is about, and the generation it was armed
-// in. The world defers it through one sim.Calls, so a host timer is a
-// recycled record rather than a closure.
+// hostTimer is one timer a host arms: what it is for, the request or
+// batch it is about, and the generation it was armed in. The world defers
+// it through one sim.Calls, so a host timer is a recycled record rather
+// than a closure; a request that goes out again is read from sent.
 type hostTimer struct {
 	h    *MHNode
 	kind hostTimerKind
 	req  ids.RequestID
-	m    msg.Message // timerRetry, timerBusy: the request that goes out again
-	b    *mhBatch    // timerBatchRetry
+	b    *mhBatch // timerBatchRetry
 	gen  uint64
 }
 
@@ -331,11 +331,11 @@ func (t hostTimer) fire() {
 	case timerRefresh:
 		h.refresh()
 	case timerRetry:
-		h.retry(t.req, t.m)
+		h.retry(t.req)
 	case timerDeadline:
 		h.deadline(t.req)
 	case timerBusy:
-		h.busyRetry(t.req, t.m)
+		h.busyRetry(t.req)
 	case timerBatchRetry:
 		h.batchRetry(t.b)
 	}
@@ -355,7 +355,7 @@ func (h *MHNode) rearmTimers() {
 		h.scheduleRefresh()
 	}
 	for _, req := range h.flagged(reqRetry) {
-		h.scheduleRetry(req, h.sent[req])
+		h.scheduleRetry(req)
 	}
 	for _, req := range h.flagged(reqDeadline) {
 		h.scheduleDeadline(req)
@@ -542,20 +542,14 @@ func (h *MHNode) IssueRequest(server ids.Server, payload []byte) ids.RequestID {
 		return ids.RequestID{}
 	}
 	req := h.newRequest()
-	r := msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc}
-	if h.joined && h.active && !h.disconnected && h.w.cfg.BusyRetryBase <= 0 && h.w.cfg.RequestTimeout <= 0 {
-		// Nothing keeps the request past the radio hop — no queue, no
-		// retry, no busy backoff: it flies as a leg. Only a deadline can
-		// arm, and it keeps no message.
-		h.uplink(h.w.view(r.Leg()))
-		h.armRequestTimers(req, nil)
-		return req
-	}
-	// Boxed once for the offline queue, the radio, the timers and sent.
-	var m msg.Message = r
+	// The request flies as a leg; whatever keeps it — sent, the
+	// activation queue — keeps its envelope, and only the offline journal
+	// boxes it.
+	m := h.w.view(msg.Request{Req: req, Server: server, Payload: payload, Inc: h.inc}.Leg())
+	e := msg.EnvelopeOf(m)
 	if h.w.cfg.BusyRetryBase > 0 {
 		h.row(req).flags |= reqBusyRetry
-		setLazy(&h.sent, req, m)
+		setLazy(&h.sent, req, e)
 	}
 	if h.joined && h.active && h.disconnected {
 		// Out of coverage: journal for in-order replay on reconnection
@@ -566,18 +560,21 @@ func (h *MHNode) IssueRequest(server ids.Server, payload []byte) ids.RequestID {
 		return req
 	}
 	h.transmit(m)
-	h.armRequestTimers(req, m)
+	h.armRequestTimers(req, e)
 	return req
 }
 
 // transmit routes an outbound protocol message by the host's current
 // connectivity: up the radio when possible, into the activation queue
 // while inactive or departed, into the journaled offline queue while
-// disconnected (E17).
+// disconnected (E17). It borrows m (a door's rule): a queue keeps a copy.
 func (h *MHNode) transmit(m msg.Message) {
 	switch {
 	case !h.joined || !h.active:
-		h.queued = append(h.queued, m)
+		if h.queued == nil {
+			h.queued, h.w.spareQueue = h.w.spareQueue, nil
+		}
+		h.queued = append(h.queued, msg.EnvelopeOf(m))
 	case h.disconnected:
 		h.queueOffline(m)
 	default:
@@ -587,20 +584,22 @@ func (h *MHNode) transmit(m msg.Message) {
 
 // queueOffline journals one message into the offline queue (E17): the
 // queue rides the E10 stable-store machinery (write-through on every
-// mutation) and replays in issue order on reconnection.
+// mutation) and replays in issue order on reconnection. It keeps what it
+// is shown boxed (msg.Keep), as the journal decodes it.
 func (h *MHNode) queueOffline(m msg.Message) {
-	h.offline = append(h.offline, m)
+	h.offline = append(h.offline, msg.Keep(m))
 	h.w.persistOffline(h.id, h.offline)
 	h.w.Stats.OfflineQueued.Inc()
 }
 
 // armRequestTimers starts the retry chain and the deadline for one
-// tracked request, where configured.
-func (h *MHNode) armRequestTimers(req ids.RequestID, m msg.Message) {
+// tracked request, where configured; the chain keeps e, the request's
+// envelope, in sent.
+func (h *MHNode) armRequestTimers(req ids.RequestID, e msg.Envelope) {
 	if h.w.cfg.RequestTimeout > 0 {
 		h.row(req).flags |= reqRetry
-		setLazy(&h.sent, req, m)
-		h.scheduleRetry(req, m)
+		setLazy(&h.sent, req, e)
+		h.scheduleRetry(req)
 	}
 	if h.w.cfg.RequestDeadline > 0 {
 		h.row(req).flags |= reqDeadline
@@ -629,7 +628,7 @@ func (h *MHNode) onReconnect(cell ids.MSS) {
 			if h.has(req, reqSeen|reqAbandoned) {
 				continue
 			}
-			h.armRequestTimers(req, m)
+			h.armRequestTimers(req, msg.EnvelopeOf(m))
 		case msg.KindBatchItem:
 			if h.has(m.(msg.BatchItem).Req, reqSeen|reqAbandoned) {
 				continue
@@ -668,22 +667,29 @@ func (h *MHNode) deadline(req ids.RequestID) {
 // a duplicate request).
 // A disconnected host skips the resend (dead radio) but keeps the chain
 // alive for after reconnection.
-func (h *MHNode) scheduleRetry(req ids.RequestID, m msg.Message) {
-	h.after(h.w.cfg.RequestTimeout, hostTimer{kind: timerRetry, req: req, m: m})
+func (h *MHNode) scheduleRetry(req ids.RequestID) {
+	h.after(h.w.cfg.RequestTimeout, hostTimer{kind: timerRetry, req: req})
 }
 
-// retry is req's timeout expiring: re-send m and wait again, or end the
+// retry is req's timeout expiring: re-send it and wait again, or end the
 // chain once the request is settled.
-func (h *MHNode) retry(req ids.RequestID, m msg.Message) {
+func (h *MHNode) retry(req ids.RequestID) {
 	if h.has(req, reqSeen|reqAbandoned) || !h.joined {
 		h.unsend(req, h.row(req), reqRetry)
 		return
 	}
 	if h.active && !h.disconnected {
 		h.w.Stats.RequestRetries.Inc()
-		h.uplink(m)
+		h.resend(req)
 	}
-	h.scheduleRetry(req, m)
+	h.scheduleRetry(req)
+}
+
+// resend uplinks req's retained request again: a view of it, shown from
+// the world's turn slot since the uplink borrows what it is shown.
+func (h *MHNode) resend(req ids.RequestID) {
+	h.w.turn = h.sent[req]
+	h.uplink(h.w.turn.Message())
 }
 
 // onMigrate is invoked by the World when the (active) MH enters a new
@@ -704,12 +710,22 @@ func (h *MHNode) onActivate(cell ids.MSS) {
 	old := h.greetOld(h.respMss)
 	h.respMss = cell
 	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg()))
+	// Routed, not blindly uplinked: a host that wakes up outside coverage
+	// journals its queue for the eventual reconnection. An entry routed
+	// back into the queue lands on one already taken, so the array is
+	// reused in place; emptied, it goes back to the world.
 	queued := h.queued
-	h.queued = nil
-	for _, m := range queued {
-		// Routed, not blindly uplinked: a host that wakes up outside
-		// coverage journals its queue for the eventual reconnection.
-		h.transmit(m)
+	h.queued = queued[:0]
+	for i := range queued {
+		h.w.turn = queued[i]
+		h.transmit(h.w.turn.Message())
+	}
+	clear(queued[len(h.queued):])
+	if len(h.queued) == 0 {
+		if cap(queued) > cap(h.w.spareQueue) {
+			h.w.spareQueue = queued[:0]
+		}
+		h.queued = nil
 	}
 }
 
@@ -791,12 +807,12 @@ func (h *MHNode) onBusy(req ids.RequestID) {
 	}
 	attempt := int(q.busy)
 	q.busy++
-	h.after(h.backoff(attempt), hostTimer{kind: timerBusy, req: req, m: h.sent[req]})
+	h.after(h.backoff(attempt), hostTimer{kind: timerBusy, req: req})
 }
 
-// busyRetry is a busy backoff ending: re-issue m unless req was settled
+// busyRetry is a busy backoff ending: re-issue req unless it was settled
 // or admitted meanwhile, or the host cannot transmit.
-func (h *MHNode) busyRetry(req ids.RequestID, m msg.Message) {
+func (h *MHNode) busyRetry(req ids.RequestID) {
 	if !h.has(req, reqBusyRetry) || h.has(req, reqSeen|reqAdmitted|reqAbandoned) {
 		return
 	}
@@ -804,7 +820,7 @@ func (h *MHNode) busyRetry(req ids.RequestID, m msg.Message) {
 		return
 	}
 	h.w.Stats.BusyRetries.Inc()
-	h.uplink(m)
+	h.resend(req)
 }
 
 // backoff returns min(BusyRetryBase·2^attempt, BusyRetryMax) plus up to

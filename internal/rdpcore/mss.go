@@ -489,7 +489,7 @@ func (n *MSSNode) dispatch(from ids.NodeID, m msg.Message) {
 		n.handleDeregAck(n.w.legOf(m).DeregAck())
 	case msg.KindResultForward:
 		n.handleResultForward(n.w.legOf(m).ResultForward())
-	case msg.KindServerResult, msg.KindAckForward, msg.KindUpdateCurrentLoc:
+	case msg.KindRequestForward, msg.KindServerResult, msg.KindAckForward, msg.KindUpdateCurrentLoc:
 		n.deliver(from, n.w.legOf(m).Proxy, m)
 	case msg.KindDelPrefOnly:
 		n.handleDelPrefOnly(m.(msg.DelPrefOnly))
@@ -889,7 +889,7 @@ func (n *MSSNode) handleRequest(from ids.NodeID, in msg.Message) {
 		// A remote shared proxy takes the same forward: its host joins the
 		// MH into the matching group entry (GroupProxy.handle).
 		n.sendWired(id.Host.Node(),
-			msg.RequestForward{Proxy: id, Req: m.Req, Server: m.Server, Payload: m.Payload, Inc: m.Inc})
+			n.w.view(msg.RequestForward{Proxy: id, Req: m.Req, Server: m.Server, Payload: m.Payload, Inc: m.Inc}.Leg()))
 	}
 	n.sendAdmit(mh, m.Req)
 }

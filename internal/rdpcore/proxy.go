@@ -160,8 +160,8 @@ func (p *Proxy) batch(id ids.BatchID) *msg.ProxyBatch {
 func (p *Proxy) handle(_ ids.NodeID, m msg.Message) {
 	switch m.Kind() {
 	case msg.KindRequestForward:
-		v := m.(msg.RequestForward)
-		p.addRequest(v.Req, v.Server, v.Payload, v.Inc)
+		l := p.host.w.legOf(m)
+		p.addRequest(l.Req, l.Server, l.Payload, l.Inc)
 	case msg.KindUpdateCurrentLoc:
 		p.onUpdateLoc(p.host.w.legOf(m).MSS)
 	case msg.KindAckForward:

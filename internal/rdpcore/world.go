@@ -272,14 +272,21 @@ type World struct {
 	// it is shown before anything else runs, so the slot is free again once
 	// the send returns; it is never cleared. turn is the slot a station
 	// shows a kept message from when it takes it back (an inbox turn, a
-	// self-hop), since the record that kept it is recycled first. Only the
+	// self-hop), since the record that kept it is recycled first, and a
+	// host a kept request it sends again (MHNode.resend, onActivate),
+	// since a map value has no address and the activation queue is
+	// rewritten while it is replayed. Only the
 	// goroutine stepping the world touches either: one slot each serves
 	// every station and host, where one per host would add its size to
 	// every host's footprint.
 	out  msg.Leg
 	turn msg.Envelope
-	// boxed is where legOf copies a box's leg for its reader (the windowed
-	// radio and tcpnet hand their handlers boxes): a handler reads one
+	// spareQueue is an emptied activation queue (MHNode.queued), the
+	// largest one handed back, for the next host that queues: one array
+	// in the world rather than one kept by every host that ever slept.
+	spareQueue []msg.Envelope
+	// boxed is where legOf copies a box's leg for its reader (tcpnet and
+	// the §4 baselines hand their handlers boxes): a handler reads one
 	// message at a time, and a replay only ever shows views.
 	boxed msg.Leg
 

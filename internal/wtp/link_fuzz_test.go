@@ -1,11 +1,14 @@
 package wtp
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
@@ -15,7 +18,11 @@ import (
 // or an ack, let time pass, reset — and checks them against what the
 // link owes its user:
 //   - within each epoch the receiver hands up exactly the queued messages,
-//     in order, each once (a prefix of them until the drain);
+//     in order, each once (a prefix of them until the drain), each with
+//     the payload bytes it was queued with — though the pipe, like
+//     netsim's radio record, copies a frame's list at transmission and
+//     wipes the copy it showed Accept once Accept returns, and the sender
+//     hands an acked frame's message array on to a later frame;
 //   - a reset drops exactly the messages of the epoch no ack has covered,
 //     which is what OnReset reports;
 //   - a frame is only ever sent in the sender's current epoch, is never
@@ -54,7 +61,7 @@ func newLinkModel(t *testing.T) *linkModel {
 		acked: map[[2]uint64]bool{}, ackedMsgs: map[uint64]int{},
 	}
 	l.cfg = Config{
-		Enabled: true, Window: 4, InitialCwnd: 2, MTU: 3 * msg.WireSize(req(1)),
+		Enabled: true, Window: 4, InitialCwnd: 2, MTU: 3 * msg.WireSize(message(1)),
 		CoalesceDelay: 2 * time.Millisecond, DupThresh: 2, MaxSacks: 3, MaxRetries: 4,
 		InitialRTO: 8 * time.Millisecond, MinRTO: 4 * time.Millisecond, MaxRTO: 30 * time.Millisecond,
 		OnReset: l.onReset,
@@ -72,6 +79,12 @@ func messageIDs(ms []msg.Message) []uint32 {
 	return out
 }
 
+// message is the model's message id: a result whose payload spells the id
+// out, so a hand-up can be checked byte for byte.
+func message(id uint32) msg.Message {
+	return msg.ResultDeliver{Req: ids.RequestID{Origin: 1, Seq: id}, Payload: binary.BigEndian.AppendUint32(nil, id)}
+}
+
 func (l *linkModel) transmit(f msg.WtpData) {
 	l.transmissions++
 	now, key := l.k.Now(), [2]uint64{f.Epoch, f.Seq}
@@ -81,7 +94,7 @@ func (l *linkModel) transmit(f msg.WtpData) {
 	if l.acked[key] {
 		l.t.Fatalf("at %v: frame %v sent again after an ack covered it", now, key)
 	}
-	got := messageIDs(f.Inner)
+	got := messageIDs(kept(f.Inner))
 	if prev, ok := l.sent[key]; !ok {
 		l.sent[key] = got
 	} else if !slices.Equal(prev, got) {
@@ -95,6 +108,7 @@ func (l *linkModel) transmit(f msg.WtpData) {
 		d *= 2
 	}
 	l.due[key] = now + sim.Time(min(d, max))
+	f.Inner = slices.Clone(f.Inner) // the sender's, until an ack covers the frame
 	l.data = append(l.data, f)
 }
 
@@ -110,22 +124,30 @@ func (l *linkModel) queue() {
 	l.nextID++
 	e := l.s.Epoch()
 	l.queued[e] = append(l.queued[e], l.nextID)
-	l.s.Queue(req(l.nextID))
+	l.s.Queue(message(l.nextID))
 }
 
 func (l *linkModel) accept(f msg.WtpData) {
+	shown := slices.Clone(f.Inner)
+	f.Inner = shown
 	deliver, ack, ok := l.r.Accept(f)
 	if !ok {
 		return
 	}
 	q := l.queued[f.Epoch]
-	for _, id := range messageIDs(deliver) {
+	for _, m := range kept(deliver) {
+		id := m.(msg.ResultDeliver).Req.Seq
 		if n := l.handed[f.Epoch]; n >= len(q) || q[n] != id {
 			l.t.Fatalf("epoch %d: handed up message %d after %d of %v", f.Epoch, id, n, q)
 		}
+		if want := message(id); !reflect.DeepEqual(m, want) {
+			l.t.Fatalf("epoch %d: handed up %#v, queued %#v", f.Epoch, m, want)
+		}
 		l.handed[f.Epoch]++
 	}
+	ack.Sacks = slices.Clone(ack.Sacks) // the receiver's until the next Accept
 	l.acks = append(l.acks, ack)
+	clear(shown) // the record is recycled
 }
 
 func (l *linkModel) ack(a msg.WtpAck) {

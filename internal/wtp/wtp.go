@@ -12,11 +12,13 @@
 // netsim.Wireless is its one host, driving it with simulated radio
 // frames.
 //
-// A warm link makes no garbage beyond each frame's message list and each
-// selective ack's block list: frames are values in a ring indexed by
-// sequence number, and timers are recycled records that are never
-// cancelled — a spent one fires, finds its generation gone and does
-// nothing.
+// A warm link makes no garbage: frames are values in a ring indexed by
+// sequence number, each keeping its messages as msg.Envelope values in an
+// array an acked frame hands on to a later one; the receiver parks
+// out-of-order frames in arrays it reuses the same way and builds each
+// ack's block list in a buffer it owns; and timers are recycled records
+// that are never cancelled — a spent one fires, finds its generation gone
+// and does nothing.
 //
 // Contrast with netsim's wired ARQ (the E10 link layer): that protocol
 // retransmits each frame independently with no window, no congestion
@@ -171,9 +173,11 @@ func (c Config) maxSacks() int {
 }
 
 // frame is one data frame, from the flush that closes it until an ack
-// covers it: a value in the sender's ring, at its sequence number.
+// covers it: a value in the sender's ring, at its sequence number. A
+// transmission is shown inner, valid for the transmit call only: once
+// the frame is acked its array goes to a later frame.
 type frame struct {
-	inner   []msg.Message
+	inner   []msg.Envelope
 	sentAt  sim.Time
 	timer   uint64 // generation of its armed retransmission; 0 when none is
 	attempt int32  // transmissions so far (0 = still backlogged)
@@ -202,9 +206,11 @@ type Sender struct {
 	nextSeq uint64
 
 	// Coalescing buffer: messages accepted but not yet framed. Its array
-	// is reused; each frame takes a copy of exactly its messages.
-	pend      []msg.Message
+	// is reused; each frame copies exactly its messages into an array of
+	// spare, or a new one.
+	pend      []msg.Envelope
 	pendBytes int
+	spare     arrays
 
 	// ring holds the frames from the lowest un-acked one, base, to
 	// nextSeq, frame seq at ring[seq&(len(ring)-1)]. Those up to sent have
@@ -235,7 +241,9 @@ type Sender struct {
 // NewSender builds a sender that emits frames via transmit. The
 // callback owns actual delivery (radio simulation, socket write); the
 // sender only decides what to send when. transmit must not call back
-// into the sender.
+// into the sender, and is shown the frame's envelopes in the sender's
+// ring: whatever keeps them past the call copies them (netsim's radio
+// record does), since a later frame rewrites them once an ack covers it.
 func NewSender(k sim.Scheduler, cfg Config, transmit func(msg.WtpData)) *Sender {
 	s := &Sender{
 		k:        k,
@@ -279,13 +287,14 @@ func (s *Sender) arm(seq uint64, d time.Duration) uint64 {
 	return s.gen
 }
 
-// Queue accepts one message for (coalesced) reliable delivery.
+// Queue accepts one message for (coalesced) reliable delivery. It keeps
+// the message's envelope: a view shown it is copied, never boxed.
 func (s *Sender) Queue(m msg.Message) {
 	sz := msg.WireSize(m)
 	if len(s.pend) > 0 && s.pendBytes+sz > s.cfg.mtu() {
 		s.flushNow()
 	}
-	s.pend = append(s.pend, m)
+	s.pend = append(s.pend, msg.EnvelopeOf(m))
 	s.pendBytes += sz
 	if s.pendBytes >= s.cfg.mtu() {
 		s.flushNow()
@@ -315,10 +324,7 @@ func (s *Sender) flushNow() {
 		}
 		s.ring = ring
 	}
-	// The list is the frame's for good: the receiver parks and hands it
-	// up by reference, and a listener that keeps a frame it is shown
-	// (msg.Keep copies the WtpData, not the list) keeps this list.
-	*s.at(s.nextSeq) = frame{inner: slices.Clone(s.pend)}
+	*s.at(s.nextSeq) = frame{inner: append(s.spare.get(), s.pend...)}
 	s.unacked++
 	clear(s.pend)
 	s.pend, s.pendBytes = s.pend[:0], 0
@@ -420,6 +426,7 @@ func (s *Sender) ackFrame(seq uint64) {
 	if f.acked {
 		return
 	}
+	s.spare.put(f.inner)
 	f.acked, f.timer, f.inner = true, 0, nil
 	s.unacked--
 	if !f.rtxed {
@@ -535,8 +542,10 @@ func (s *Sender) Reset() { s.reset() }
 func (s *Sender) reset() {
 	dropped := len(s.pend)
 	for seq := s.base; seq <= s.nextSeq; seq++ {
-		dropped += len(s.at(seq).inner) // nil once acked
-		*s.at(seq) = frame{}
+		f := s.at(seq)
+		dropped += len(f.inner) // nil once acked
+		s.spare.put(f.inner)
+		*f = frame{}
 	}
 	clear(s.pend)
 	s.pend, s.pendBytes, s.flushGen = s.pend[:0], 0, 0
@@ -562,8 +571,10 @@ type Receiver struct {
 	cfg   Config
 	epoch uint64
 	cum   uint64 // every seq <= cum delivered
-	ahead map[uint64][]msg.Message
-	run   []msg.Message // the last hand-up that drained parked frames
+	ahead map[uint64][]msg.Envelope
+	run   []msg.Envelope // the last hand-up that drained parked frames
+	spare arrays         // for the next frames to park
+	sacks []uint64       // the last ack's selective blocks
 
 	// Duplicates counts redundant data frames (retransmissions that
 	// lost the race with their ack).
@@ -572,7 +583,7 @@ type Receiver struct {
 
 // NewReceiver returns an empty receiver.
 func NewReceiver(cfg Config) *Receiver {
-	return &Receiver{cfg: cfg, ahead: make(map[uint64][]msg.Message)}
+	return &Receiver{cfg: cfg, ahead: make(map[uint64][]msg.Envelope)}
 }
 
 // Cum returns the in-order delivery watermark (test hook).
@@ -584,19 +595,27 @@ func (r *Receiver) Cum() uint64 { return r.cum }
 // deliverable in sequence order (possibly none) and ack is the
 // acknowledgment to send back.
 //
-// deliver is valid until the next Accept: it is the frame's own list
-// when the frame arrives in order with nothing parked, and otherwise a
-// buffer the next call clears and reuses. ack, Sacks included, is the
-// caller's for as long as it holds it.
-func (r *Receiver) Accept(f msg.WtpData) (deliver []msg.Message, ack msg.WtpAck, ok bool) {
+// deliver and ack's Sacks are valid until the next Accept: deliver is the
+// frame's own list when the frame arrives in order with nothing parked,
+// and otherwise a buffer the next call clears and reuses, and Sacks is a
+// buffer the next call rewrites. A frame that has to wait for a hole is
+// copied into an array the receiver owns, so f's list is only read during
+// the call. Whoever holds an ack across calls copies its Sacks.
+func (r *Receiver) Accept(f msg.WtpData) (deliver []msg.Envelope, ack msg.WtpAck, ok bool) {
 	if f.Epoch < r.epoch {
 		return nil, msg.WtpAck{}, false
 	}
 	clear(r.run)
 	r.run = r.run[:0]
+	if cap(r.run) > maxRun {
+		r.run = nil // a burst's drain buffer is not kept
+	}
 	if f.Epoch > r.epoch {
 		// The sender reset: adopt the new epoch with fresh state.
 		r.epoch, r.cum = f.Epoch, 0
+		for _, inner := range r.ahead {
+			r.spare.put(inner)
+		}
 		clear(r.ahead)
 	}
 	_, buffered := r.ahead[f.Seq]
@@ -607,12 +626,11 @@ func (r *Receiver) Accept(f msg.WtpData) (deliver []msg.Message, ack msg.WtpAck,
 		r.cum++
 		deliver = f.Inner
 	default:
-		if f.Inner == nil {
-			f.Inner = []msg.Message{} // presence must survive an empty frame
-		}
-		r.ahead[f.Seq] = f.Inner
+		// Parked, even when empty: presence must survive an empty frame.
+		r.ahead[f.Seq] = append(r.spare.get(), f.Inner...)
 		for inner, ok := r.ahead[r.cum+1]; ok; inner, ok = r.ahead[r.cum+1] {
 			r.run = append(r.run, inner...)
+			r.spare.put(inner)
 			delete(r.ahead, r.cum+1)
 			r.cum++
 		}
@@ -620,12 +638,44 @@ func (r *Receiver) Accept(f msg.WtpData) (deliver []msg.Message, ack msg.WtpAck,
 	}
 	ack = msg.WtpAck{Epoch: r.epoch, Cum: r.cum}
 	if len(r.ahead) > 0 {
-		sacks := make([]uint64, 0, len(r.ahead))
+		r.sacks = r.sacks[:0]
 		for seq := range r.ahead {
-			sacks = append(sacks, seq)
+			r.sacks = append(r.sacks, seq)
 		}
-		slices.Sort(sacks)
-		ack.Sacks = sacks[:min(len(sacks), r.cfg.maxSacks())]
+		slices.Sort(r.sacks)
+		ack.Sacks = r.sacks[:min(len(r.sacks), r.cfg.maxSacks())]
 	}
 	return deliver, ack, true
+}
+
+// Reuse saves allocations, but what a link keeps for reuse is live
+// memory whether or not the link is busy, so it is bounded: at most
+// maxSpare emptied message arrays (arrays) and a drain buffer of at most
+// maxRun messages (Receiver.run). A link keeps arrays for the frames it
+// holds and a few besides, not for the most it ever held.
+const (
+	maxSpare = 3
+	maxRun   = 16
+)
+
+// arrays holds emptied message arrays for reuse, at most maxSpare.
+type arrays [][]msg.Envelope
+
+// get returns an empty array: a spare one, or nil to append to.
+func (p *arrays) get() []msg.Envelope {
+	n := len(*p)
+	if n == 0 {
+		return nil
+	}
+	a := (*p)[n-1]
+	*p = (*p)[:n-1]
+	return a
+}
+
+// put empties a, so it pins no payload, and keeps it if there is room.
+func (p *arrays) put(a []msg.Envelope) {
+	clear(a)
+	if a != nil && len(*p) < maxSpare {
+		*p = append(*p, a[:0])
+	}
 }

@@ -1,6 +1,7 @@
 package wtp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -42,19 +43,23 @@ func newPipe(t *testing.T, cfg Config, latency time.Duration) *pipe {
 		if p.dropData[p.dataSent] {
 			return
 		}
+		// What is in flight is the pipe's: the sender hands the frame's
+		// array on once an ack covers it.
+		f.Inner = slices.Clone(f.Inner)
 		p.k.Defer(p.latency, func() {
 			deliver, ack, ok := p.r.Accept(f)
 			if !ok {
 				return
 			}
 			if len(deliver) > 0 {
-				p.delivered = append(p.delivered, deliver...)
+				p.delivered = append(p.delivered, kept(deliver)...)
 				p.lastHandUp = p.k.Now()
 			}
 			p.ackSent++
 			if p.dropAcks[p.ackSent] {
 				return
 			}
+			ack.Sacks = slices.Clone(ack.Sacks) // valid until the next Accept
 			p.k.Defer(p.latency, func() { p.s.OnAck(ack) })
 		})
 	})
@@ -63,6 +68,24 @@ func newPipe(t *testing.T, cfg Config, latency time.Duration) *pipe {
 
 func req(seq uint32) msg.Message {
 	return msg.ResultDeliver{Req: ids.RequestID{Origin: 1, Seq: seq}, Payload: []byte("r")}
+}
+
+// envelopes keeps ms as a frame carries them.
+func envelopes(ms ...msg.Message) []msg.Envelope {
+	out := make([]msg.Envelope, len(ms))
+	for i, m := range ms {
+		out[i] = msg.EnvelopeOf(m)
+	}
+	return out
+}
+
+// kept boxes what a hand-up shows, to keep past the next Accept.
+func kept(in []msg.Envelope) []msg.Message {
+	out := make([]msg.Message, len(in))
+	for i := range in {
+		out[i] = msg.Keep(in[i].Message())
+	}
+	return out
 }
 
 func (p *pipe) queueN(n int) {
@@ -281,11 +304,11 @@ func TestMaxRetriesResetsLink(t *testing.T) {
 
 func TestReceiverAdoptsNewEpoch(t *testing.T) {
 	r := NewReceiver(Config{Enabled: true})
-	if _, _, ok := r.Accept(msg.WtpData{Epoch: 0, Seq: 1, Inner: []msg.Message{req(1)}}); !ok {
+	if _, _, ok := r.Accept(msg.WtpData{Epoch: 0, Seq: 1, Inner: envelopes(req(1))}); !ok {
 		t.Fatal("epoch-0 frame rejected")
 	}
 	// A frame from a newer epoch resets receiver state.
-	deliver, ack, ok := r.Accept(msg.WtpData{Epoch: 2, Seq: 1, Inner: []msg.Message{req(9)}})
+	deliver, ack, ok := r.Accept(msg.WtpData{Epoch: 2, Seq: 1, Inner: envelopes(req(9))})
 	if !ok || len(deliver) != 1 {
 		t.Fatalf("new-epoch frame not delivered: ok=%v deliver=%d", ok, len(deliver))
 	}
@@ -301,18 +324,18 @@ func TestReceiverAdoptsNewEpoch(t *testing.T) {
 func TestReceiverReordersAndSacks(t *testing.T) {
 	r := NewReceiver(Config{Enabled: true})
 	// Frames 2 and 3 arrive before 1.
-	deliver, ack, _ := r.Accept(msg.WtpData{Seq: 2, Inner: []msg.Message{req(2)}})
+	deliver, ack, _ := r.Accept(msg.WtpData{Seq: 2, Inner: envelopes(req(2))})
 	if len(deliver) != 0 {
 		t.Fatalf("out-of-order frame delivered early")
 	}
 	if ack.Cum != 0 || len(ack.Sacks) != 1 || ack.Sacks[0] != 2 {
 		t.Fatalf("ack = %+v, want cum 0 sacks [2]", ack)
 	}
-	_, ack, _ = r.Accept(msg.WtpData{Seq: 3, Inner: []msg.Message{req(3)}})
+	_, ack, _ = r.Accept(msg.WtpData{Seq: 3, Inner: envelopes(req(3))})
 	if len(ack.Sacks) != 2 || ack.Sacks[0] != 2 || ack.Sacks[1] != 3 {
 		t.Fatalf("ack = %+v, want sacks [2 3]", ack)
 	}
-	deliver, ack, _ = r.Accept(msg.WtpData{Seq: 1, Inner: []msg.Message{req(1)}})
+	deliver, ack, _ = r.Accept(msg.WtpData{Seq: 1, Inner: envelopes(req(1))})
 	if len(deliver) != 3 {
 		t.Fatalf("filling the hole delivered %d messages, want 3", len(deliver))
 	}
@@ -323,7 +346,7 @@ func TestReceiverReordersAndSacks(t *testing.T) {
 
 func TestReceiverDropsDuplicates(t *testing.T) {
 	r := NewReceiver(Config{Enabled: true})
-	f := msg.WtpData{Seq: 1, Inner: []msg.Message{req(1)}}
+	f := msg.WtpData{Seq: 1, Inner: envelopes(req(1))}
 	deliver, _, _ := r.Accept(f)
 	if len(deliver) != 1 {
 		t.Fatal("first copy not delivered")
@@ -345,7 +368,7 @@ func TestReceiverDropsDuplicates(t *testing.T) {
 	if r.Duplicates != 2 {
 		t.Errorf("Duplicates = %d, want 2", r.Duplicates)
 	}
-	deliver, ack, _ = r.Accept(msg.WtpData{Seq: 2, Inner: []msg.Message{req(2)}})
+	deliver, ack, _ = r.Accept(msg.WtpData{Seq: 2, Inner: envelopes(req(2))})
 	if len(deliver) != 1 || ack.Cum != 3 {
 		t.Errorf("empty frame wedged the watermark: deliver=%d cum=%d, want 1/3", len(deliver), ack.Cum)
 	}

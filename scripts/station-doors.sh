@@ -39,33 +39,38 @@
 # Kernel.After or cancels a scheduled event (.Cancel()) — a timer its
 # owner stops wanting fires as a no-op behind a generation check.
 #
-# Every node has one door, HandleMessage, and the request path's seven
-# messages (request, srv-request, srv-result, result-fwd, result, ack,
-# ack-fwd) and the hand-off's four (greet, dereg, deregack, update-currl)
-# cross it, and every transport's send, as a msg.View of a leg, borrowed
-# for the call; whoever keeps one copies it into a msg.Envelope. So
+# Every node has one door, HandleMessage, and the request path's eight
+# messages (request, request-fwd, srv-request, srv-result, result-fwd,
+# result, ack, ack-fwd) and the hand-off's four (greet, dereg, deregack,
+# update-currl) cross it, and every transport's send, as a msg.View of a
+# leg, borrowed for the call; whoever keeps one copies it into a
+# msg.Envelope. So
 #
 #   - no non-test Go outside internal/msg and perf/ asserts a message to
-#     the box type of one of the eleven kinds (m.(msg.Request)) or names
+#     the box type of one of the twelve kinds (m.(msg.Request)) or names
 #     one in a type switch's case: a view fails either silently. It
 #     switches on Kind() and reads the leg through msg.LegOf;
 #   - in internal/rdpcore and internal/server, non-test code hands no
-#     composite literal of one of the eleven kinds straight to a door
+#     composite literal of one of the twelve kinds straight to a door
 #     (sendWired, sendToStation, a transport's Send, SendUplink or
 #     SendDownlink, the host's uplink, selfHops.Defer) — that would box
 #     it. It writes the literal's .Leg() to the world's outgoing slot and
 #     sends a view of it: w.view(msg.Dereg{...}.Leg());
-#   - in internal/netsim's non-test code a leg is boxed (msg.Keep, or a
-#     Leg's Message) only where a keeper needs the box: the windowed
-#     sender's queue in Wireless.SendDownlink, whose frames carry a list
-#     of messages. A frame record keeps its message's envelope, and shows
-#     it (Envelope.Message) to handlers and listeners alike.
+#   - internal/netsim's non-test code boxes no leg (msg.Keep, or a Leg's
+#     Message): a frame record keeps its message's envelope — a windowed
+#     frame's record a copy of its envelopes — and shows it
+#     (Envelope.Message) to handlers and listeners alike;
+#   - a host keeps what it will send again as envelopes too: no field of
+#     MHNode or hostTimer in internal/rdpcore/mh.go has a type that names
+#     msg.Message, but for MHNode.offline, the journaled offline queue,
+#     which holds what the journal decodes.
 #
 # It prints, as of this writing,
 #
 #   station-doors: 0 leg-kind box types asserted or switched on outside internal/msg and perf/
 #   station-doors: 0 request-path and hand-off messages boxed at a msg.Message door (rdpcore, server)
-#   station-doors: 1 legs boxed in internal/netsim, each at a keeper
+#   station-doors: 0 legs boxed in internal/netsim
+#   station-doors: 0 msg.Message fields in MHNode and hostTimer (but the offline journal)
 #
 # A proxy and a proxy's journal image are made over a record of the
 # station's spare stock when it has one, so each has one constructor: in
@@ -154,7 +159,7 @@ if [ -n "$cancels" ]; then
 	fail=1
 fi
 
-legkinds='Request|ServerRequest|ServerResult|ResultForward|ResultDeliver|AckMH|AckForward|Greet|Dereg|DeregAck|UpdateCurrentLoc'
+legkinds='Request|RequestForward|ServerRequest|ServerResult|ResultForward|ResultDeliver|AckMH|AckForward|Greet|Dereg|DeregAck|UpdateCurrentLoc'
 
 # Type assertions to, and type-switch cases on, a leg kind's box type, by
 # file and line: a view is none of them.
@@ -214,8 +219,7 @@ if [ -n "$boxed" ]; then
 fi
 
 # Leg boxings in netsim, by file, line and enclosing function (its
-# receiver's type, a dot, its name): only a keeper boxes.
-legdoors='^Wireless\.SendDownlink$'
+# receiver's type, a dot, its name): there are none.
 legboxes=$(cd ../netsim && awk '
 	/^func / {
 		fn = $0; sub(/^func /, "", fn); recv = ""
@@ -227,13 +231,28 @@ legboxes=$(cd ../netsim && awk '
 	/msg\.Keep\(/ || (/\.Message\(\)/ && !/(env|in)\.Message\(\)/) { print FILENAME ":" FNR ": in " fn }
 ' $(ls *.go | grep -v '_test\.go$'))
 nlegboxes=$(printf '%s\n' "$legboxes" | grep -c . || true)
-legstrays=$(printf '%s\n' "$legboxes" | grep -v '^$' | while IFS= read -r line; do
-	printf '%s\n' "${line##*: in }" | grep -qE "$legdoors" || printf '%s\n' "$line"
-done)
-echo "station-doors: $nlegboxes legs boxed in internal/netsim, each at a keeper"
-if [ -n "$legstrays" ]; then
-	echo "station-doors: a leg boxed where nothing keeps it — keep a frame's envelope (msg.EnvelopeOf) and show it (Envelope.Message):"
-	printf '%s\n' "$legstrays" | sed 's/^/  /'
+echo "station-doors: $nlegboxes legs boxed in internal/netsim"
+if [ -n "$legboxes" ]; then
+	echo "station-doors: a leg boxed in netsim — keep a frame's envelope (msg.EnvelopeOf) and show it (Envelope.Message):"
+	printf '%s\n' "$legboxes" | sed 's/^/  /'
+	fail=1
+fi
+
+# Boxing keepers in a host, by file, line and struct: a field of MHNode or
+# hostTimer whose type names msg.Message, but for the offline journal.
+hostboxes=$(awk '
+	/^type (MHNode|hostTimer) struct/ { in_struct = $2; next }
+	in_struct != "" && /^}/ { in_struct = ""; next }
+	in_struct == "" || /^[[:space:]]*\/\// { next }
+	/msg\.Message([^A-Za-z0-9_]|$)/ && !(in_struct == "MHNode" && $1 == "offline") {
+		print FILENAME ":" FNR ": in " in_struct
+	}
+' mh.go)
+nhostboxes=$(printf '%s\n' "$hostboxes" | grep -c . || true)
+echo "station-doors: $nhostboxes msg.Message fields in MHNode and hostTimer (but the offline journal)"
+if [ -n "$hostboxes" ]; then
+	echo "station-doors: a host keeps a box — keep the message's envelope (msg.EnvelopeOf) and show it (Envelope.Message) when it goes out again:"
+	printf '%s\n' "$hostboxes" | sed 's/^/  /'
 	fail=1
 fi
 
