@@ -12,10 +12,11 @@ import (
 // hand-off's four greet, dereg, deregack and update-currl, as the kind plus the
 // union of their fields, with the payload as its only pointer. A hop
 // that only moves a message hands the Leg on; whoever keeps it past its
-// hop (an inbox, a hand-off buffer, a parked dereg, a queue, the journal)
-// boxes it with Message; a listener is shown a View of it and boxes
-// nothing unless it keeps what it is shown (Keep). The zero Leg
-// (KindInvalid) is no message.
+// hop (an inbox, a hand-off buffer, a parked dereg, a queue, a host's
+// re-sendable request, a frame in flight) copies it into an Envelope by
+// value; a listener is shown a View of it and boxes nothing unless it
+// keeps what it is shown (Keep). The zero Leg (KindInvalid) is no
+// message.
 type Leg struct {
 	Kind Kind
 	// Flag is the kind's one boolean: DelPref on ResultForward and

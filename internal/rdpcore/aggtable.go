@@ -1,36 +1,35 @@
 package rdpcore
 
 import (
-	"cmp"
+	"slices"
 
 	"repro/internal/aggstate"
 	"repro/internal/ids"
 	"repro/internal/msg"
 )
 
-// This file holds the two mode-switched per-MH state containers behind
-// the aggregated-location-state optimization (E16). In the
-// paper-faithful representation every responsible MH costs a hash-map
-// entry in the station's responsibility set and another one (with a
-// heap-allocated Pref) in its pref table — O(hosts) bytes per station.
-// The aggregated representation exploits that prefs are tiny and
-// massively shared: a subscriber population served by shared group
-// proxies collapses into a handful of distinct Pref *values*, so the
-// table keeps a compact member set per shared value (aggstate.Set, ~2
-// bits per member in dense cells), and the
-// responsibility set becomes one such member set — O(cells·servers)
-// group entries instead of O(hosts) map entries.
+// This file holds the station's pref table, the one record of the hosts
+// it is responsible for (§3.1: the respMss holds the MH's pref, so its
+// responsible hosts are exactly the table's keys), in the two
+// representations behind the aggregated-location-state optimization
+// (E16). In the paper-faithful representation every registered MH costs
+// a hash-map entry holding its Pref — O(hosts) bytes per station. The
+// aggregated representation exploits that prefs are tiny and massively
+// shared: a subscriber population served by shared group proxies
+// collapses into a handful of distinct Pref *values*, so the table keeps
+// a compact member set per shared value (aggstate.Set, ~2 bits per
+// member in dense cells) — O(cells·servers) group entries instead of
+// O(hosts) map entries.
 //
-// Both containers expose identical value-semantics accessors, and every
-// protocol path goes through them; with Config.AggregatedState off, the
-// faithful map representation is used and message traces are
-// byte-identical to earlier revisions.
+// Both representations expose identical value-semantics accessors, and
+// every protocol path goes through them; with Config.AggregatedState
+// off, the faithful map representation is used.
 
 // prefTable stores one pref per registered MH.
 type prefTable struct {
 	agg bool
 	// byMH is the faithful representation (§3.1: one pref per MH).
-	byMH map[ids.MH]*msg.Pref
+	byMH map[ids.MH]msg.Pref
 	// The aggregated representation keeps members by pref value, in one
 	// of two forms. A value one host holds is indexed by that host: lone
 	// maps the host to it and owner maps it back, so the holder is found
@@ -59,7 +58,7 @@ func newPrefTable(agg bool) *prefTable {
 		t.lone = make(map[ids.MH]msg.Pref)
 		t.owner = make(map[msg.Pref]ids.MH)
 	} else {
-		t.byMH = make(map[ids.MH]*msg.Pref)
+		t.byMH = make(map[ids.MH]msg.Pref)
 	}
 	return t
 }
@@ -78,10 +77,7 @@ func (t *prefTable) sharedOf(mh ids.MH) int {
 func (t *prefTable) get(mh ids.MH) (msg.Pref, bool) {
 	if !t.agg {
 		p, ok := t.byMH[mh]
-		if !ok {
-			return msg.Pref{}, false
-		}
-		return *p, true
+		return p, ok
 	}
 	if p, ok := t.lone[mh]; ok {
 		return p, true
@@ -95,12 +91,7 @@ func (t *prefTable) get(mh ids.MH) (msg.Pref, bool) {
 // set registers (or replaces) mh's pref.
 func (t *prefTable) set(mh ids.MH, p msg.Pref) {
 	if !t.agg {
-		if cur, ok := t.byMH[mh]; ok {
-			*cur = p
-		} else {
-			cp := p
-			t.byMH[mh] = &cp
-		}
+		t.byMH[mh] = p
 		return
 	}
 	if q, ok := t.lone[mh]; ok {
@@ -173,12 +164,12 @@ func (t *prefTable) len() int {
 	return n
 }
 
-// forEach visits every (MH, pref) pair. Iteration order is unspecified
-// (only invariant checks and state accounting iterate the table).
+// forEach visits every (MH, pref) pair in no particular order; walks
+// that send per host take forEachSorted.
 func (t *prefTable) forEach(fn func(ids.MH, msg.Pref)) {
 	if !t.agg {
 		for mh, p := range t.byMH {
-			fn(mh, *p)
+			fn(mh, p)
 		}
 		return
 	}
@@ -190,61 +181,15 @@ func (t *prefTable) forEach(fn func(ids.MH, msg.Pref)) {
 	}
 }
 
-// hostSet is the station's responsibility set (§2 localMhs).
-type hostSet struct {
-	agg bool
-	m   map[ids.MH]bool
-	s   aggstate.Set
-}
-
-func newHostSet(agg bool) *hostSet {
-	h := &hostSet{agg: agg}
-	if !agg {
-		h.m = make(map[ids.MH]bool)
+// forEachSorted visits every (MH, pref) pair in ascending MH order, in
+// both representations: the walks that send per registered host (lease
+// beats, recovery re-announcements) must not shuffle kernel event order.
+func (t *prefTable) forEachSorted(fn func(ids.MH, msg.Pref)) {
+	mhs := make([]ids.MH, 0, t.len())
+	t.forEach(func(mh ids.MH, _ msg.Pref) { mhs = append(mhs, mh) })
+	slices.Sort(mhs)
+	for _, mh := range mhs {
+		p, _ := t.get(mh)
+		fn(mh, p)
 	}
-	return h
-}
-
-func (h *hostSet) contains(mh ids.MH) bool {
-	if !h.agg {
-		return h.m[mh]
-	}
-	return h.s.Contains(uint32(mh))
-}
-
-func (h *hostSet) add(mh ids.MH) {
-	if !h.agg {
-		h.m[mh] = true
-		return
-	}
-	h.s.Add(uint32(mh))
-}
-
-func (h *hostSet) remove(mh ids.MH) {
-	if !h.agg {
-		delete(h.m, mh)
-		return
-	}
-	h.s.Remove(uint32(mh))
-}
-
-func (h *hostSet) len() int {
-	if !h.agg {
-		return len(h.m)
-	}
-	return h.s.Len()
-}
-
-// forEach visits members in ascending MH order in both modes — the
-// callers that emit wire traffic per member (lease beats, recovery
-// re-announcements) need a deterministic order, and the faithful code
-// sorted before iterating anyway.
-func (h *hostSet) forEach(fn func(ids.MH)) {
-	if !h.agg {
-		for _, mh := range sortedKeys(h.m, cmp.Compare[ids.MH]) {
-			fn(mh)
-		}
-		return
-	}
-	h.s.ForEach(func(v uint32) { fn(ids.MH(v)) })
 }

@@ -245,7 +245,7 @@ func TestQueuedRequestAllocBudget(t *testing.T) {
 // host's last hand-off from that station left in its spare stock, and
 // the request rows reuse the table's window; with the aggregated tables
 // a hand-off costs nothing (TestHandoffAllocBudget), and a bystander host
-// in each cell keeps the stations' host sets populated. What is left is
+// in each cell keeps the stations' pref tables populated. What is left is
 // server.Echo's reply payload: one allocation a request.
 func TestWarmHostRequestCycleAllocBudget(t *testing.T) {
 	cfg := DefaultConfig()
@@ -372,18 +372,16 @@ func TestJournalWriteAllocBudget(t *testing.T) {
 // server never answers, so each move is greet, dereg, deregack and
 // update_currentLoc (over the wire, then to the proxy's own station) and
 // the proxy has nothing to re-forward. A bystander host in each cell
-// keeps the stations' host sets populated, as any busy cell's are (an
-// aggregated set that empties gives its chunk back). The four messages
-// cross every door as views and each arrival record lives in the host's
-// recycled transient part, so the aggregated tables take the cycle for
-// nothing; the faithful table's heap *Pref costs one allocation per
-// registration, two a cycle.
+// keeps the stations' pref tables populated, as any busy cell's are. The
+// four messages cross every door as views, each arrival record lives in
+// the host's recycled transient part and either pref table holds a pref
+// by value, so both representations take the cycle for nothing.
 func TestHandoffAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		aggregated bool
 		budget     float64
-	}{{"faithful", false, 2}, {"aggregated", true, 0}} {
+	}{{"faithful", false, 0}, {"aggregated", true, 0}} {
 		cfg := DefaultConfig()
 		cfg.AggregatedState = c.aggregated
 		if avg := handoffCycleAllocs(t, c.name, cfg, false); avg > c.budget {

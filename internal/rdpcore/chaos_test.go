@@ -10,6 +10,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/proxymig"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/internal/wtp"
 )
@@ -155,6 +156,55 @@ func TestLeaseBeatSingleChainAcrossQuickRestart(t *testing.T) {
 	}
 	if calm, crashed := beats(false), beats(true); calm != crashed || calm < 30 {
 		t.Errorf("%d heartbeats without the outage, %d with it; want equal, one a second", calm, crashed)
+	}
+}
+
+// TestPerHostWalksRepeat: a station's lease beats and its recovery
+// re-announcements send one message per registered host, walking the
+// pref table in ascending MH order (prefTable.forEachSorted). Two runs of
+// the same world in one process must record the same trace byte for byte
+// — map order differs between the runs, so a walk in map order would
+// shuffle the sends. Station 1 starts with 32 hosts and hands 16 to
+// station 2, which holds 32 (16 whose proxies stay at station 1) when
+// it crashes; each host's proxy outlives the run.
+func TestPerHostWalksRepeat(t *testing.T) {
+	run := func(aggregated bool) (string, *World) {
+		cfg := recoveryConfig(1)
+		cfg.NumMSS = 2
+		cfg.LeaseTTL = 3 * time.Second // a beat every second
+		cfg.ServerProc = netsim.Constant(60 * time.Second)
+		cfg.AggregatedState = aggregated
+		rec := trace.New()
+		cfg.Observer = rec.Observe
+		w := NewWorld(cfg)
+		var hosts []*MHNode
+		for mh := ids.MH(1); mh <= 48; mh++ {
+			hosts = append(hosts, w.AddMH(mh, ids.MSS(1+(mh-1)/32)))
+		}
+		w.Schedule(0, func() {
+			for _, h := range hosts {
+				h.IssueRequest(1, []byte("q"))
+			}
+		})
+		for mh := ids.MH(1); mh <= 16; mh++ {
+			w.Schedule(200*time.Millisecond, func() { w.Migrate(mh, 2) })
+		}
+		w.Schedule(1500*time.Millisecond, func() { w.CrashMSS(2) })
+		w.Schedule(1700*time.Millisecond, func() { w.RestartMSS(2) })
+		w.RunUntil(5 * time.Second)
+		return rec.String(), w
+	}
+	for _, aggregated := range []bool{false, true} {
+		first, w := run(aggregated)
+		if beats := w.Stats.LeaseHeartbeats.Value(); beats < 3*48 {
+			t.Errorf("aggregated=%v: %d lease heartbeats, want at least three rounds of 48", aggregated, beats)
+		}
+		if resends := w.Stats.RecoveryResends.Value(); resends < 16 {
+			t.Errorf("aggregated=%v: %d recovery re-sends, want the 16 remote proxies' re-announcements", aggregated, resends)
+		}
+		if second, _ := run(aggregated); second != first {
+			t.Errorf("aggregated=%v: two runs of one world recorded different traces", aggregated)
+		}
 	}
 }
 

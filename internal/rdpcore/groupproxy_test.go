@@ -229,20 +229,6 @@ func setBytes(vs ...uint32) int {
 	return s.MemBytes()
 }
 
-// churnSetBytes is the footprint of a set that held vs and then lost
-// them all — an emptied set can retain container capacity, so it is not
-// byte-identical to a never-used one.
-func churnSetBytes(vs ...uint32) int {
-	var s aggstate.Set
-	for _, v := range vs {
-		s.Add(v)
-	}
-	for _, v := range vs {
-		s.Remove(v)
-	}
-	return s.MemBytes()
-}
-
 // TestStateBytesExact pins the E16 accounting model: after each protocol
 // phase — registration+subscription, hand-off, drain, departure — every
 // station's StateBytes must equal the hand-computed model value, in both
@@ -300,14 +286,14 @@ func TestStateBytesExact(t *testing.T) {
 
 	t.Run("faithful", func(t *testing.T) {
 		_, at := run(t, false)
-		// Model: per MH 48 (responsibility) + 80 (pref entry); per proxy
-		// 160 + 120 per request + payload (1 byte) + result (0 until the
-		// server replies, and the proxy dies with the ack).
+		// Model: per MH 64 (pref entry); per proxy 160 + 120 per request
+		// + payload (1 byte) + result (0 until the server replies, and the
+		// proxy dies with the ack).
 		proxy := bytesProxy + bytesProxyReq + 1
 		want := map[string][2]int{
-			"subscribed": {3*bytesHostEntry + 3*bytesPrefEntry + 3*proxy, 0},
-			"handoff":    {2*bytesHostEntry + 2*bytesPrefEntry + 3*proxy, bytesHostEntry + bytesPrefEntry},
-			"drained":    {2 * (bytesHostEntry + bytesPrefEntry), bytesHostEntry + bytesPrefEntry},
+			"subscribed": {3*bytesPrefEntry + 3*proxy, 0},
+			"handoff":    {2*bytesPrefEntry + 3*proxy, bytesPrefEntry},
+			"drained":    {2 * bytesPrefEntry, bytesPrefEntry},
 			"departed":   {0, 0},
 		}
 		for name, w2 := range want {
@@ -322,35 +308,31 @@ func TestStateBytesExact(t *testing.T) {
 		if got := w.Stats.SharedProxies.Value(); got != 1 {
 			t.Fatalf("SharedProxies = %d, want 1", got)
 		}
-		s123, s13, s2 := setBytes(1, 2, 3), setBytes(1, 3), setBytes(2)
+		s123, s13 := setBytes(1, 2, 3), setBytes(1, 3)
 		entry := bytesGroupEntry + 1 + 3*bytesWaiter + s123 // payload "q", 3 waiters, entrants
 		want := map[string][2]int{
-			// hostSet + prefTable group + group proxy (+ members) + entry.
-			// The pref group has three members, so it holds a set. mss2's
-			// only state so far is its (empty) responsibility set header.
-			"subscribed": {s123 + bytesPrefGroup + s123 + bytesGroupProxy + s123 + entry, setBytes()},
+			// prefTable group + group proxy (+ members) + entry. The pref
+			// group has three members, so it holds a set. mss2 holds
+			// nothing yet.
+			"subscribed": {bytesPrefGroup + s123 + bytesGroupProxy + s123 + entry, 0},
 			// MH2 moved: one memberLoc exception at mss1, its pref at mss2.
 			// mss1's group keeps its set ({1, 3}, the capacity of a set
 			// built that way); at mss2 MH2 is its group's lone member,
-			// held inline, so the group costs its record alone:
-			// s2 (98) + bytesPrefGroup (64) = 162 — a set would add
-			// another s2, 260.
+			// held inline, so the group costs its record alone,
+			// bytesPrefGroup (64) — a set would add setBytes(2) (98), 162.
 			"handoff": {
-				s13 + bytesPrefGroup + s13 + bytesGroupProxy + s123 + bytesMemberLoc + entry,
-				s2 + bytesPrefGroup,
+				bytesPrefGroup + s13 + bytesGroupProxy + s123 + bytesMemberLoc + entry,
+				bytesPrefGroup,
 			},
 			// Entry retired; group and (never-deleted) shared prefs remain.
 			"drained": {
-				s13 + bytesPrefGroup + s13 + bytesGroupProxy + s123 + bytesMemberLoc,
-				s2 + bytesPrefGroup,
+				bytesPrefGroup + s13 + bytesGroupProxy + s123 + bytesMemberLoc,
+				bytesPrefGroup,
 			},
-			// Members left: per-MH state gone, the group skeleton stays
-			// (append-only membership, documented). The drained
-			// responsibility sets keep their container capacity.
-			"departed": {
-				churnSetBytes(1, 2, 3) + bytesGroupProxy + s123 + bytesMemberLoc,
-				churnSetBytes(2),
-			},
+			// Members left: per-MH state gone (a pref value goes with its
+			// last holder), the group skeleton stays (append-only
+			// membership, documented).
+			"departed": {bytesGroupProxy + s123 + bytesMemberLoc, 0},
 		}
 		for name, w2 := range want {
 			if at[name] != w2 {
@@ -359,7 +341,7 @@ func TestStateBytesExact(t *testing.T) {
 		}
 		// The headline comparison the model exists for: the aggregated
 		// steady-subscribed footprint undercuts the faithful one.
-		faithful := 3*bytesHostEntry + 3*bytesPrefEntry + 3*(bytesProxy+bytesProxyReq+1)
+		faithful := 3*bytesPrefEntry + 3*(bytesProxy+bytesProxyReq+1)
 		if got := at["subscribed"][0]; got >= faithful {
 			t.Errorf("aggregated subscribed footprint %d not below faithful %d", got, faithful)
 		}

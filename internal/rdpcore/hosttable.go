@@ -10,8 +10,9 @@ import (
 
 // stationHost is one station's record of one mobile host (MSSNode.hosts),
 // the station-side twin of the MHNode table: all a station keeps about a
-// host besides the responsibility bit and the pref (localMhs/prefs, whose
-// two representations are E16's subject and fix the StateBytes contract).
+// host besides its pref (prefs, whose keys are the hosts the station is
+// responsible for, and whose two representations are E16's subject and
+// fix the StateBytes contract).
 // Every station a host has visited holds one, so the inline words are
 // few, and whatever only a hand-off in flight, a held result or a
 // delivery attempt needs sits behind x.

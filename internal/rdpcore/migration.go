@@ -126,7 +126,7 @@ func (n *MSSNode) maybeMigrate(p *Proxy, dist int) {
 // cheap and final for this offer; the old host's next trigger may try
 // again.
 func (n *MSSNode) handleMigOffer(m msg.MigOffer) {
-	refuse := !n.localMhs.contains(m.MH) // the MH moved on (or never arrived)
+	refuse := !n.Responsible(m.MH) // the MH moved on (or never arrived)
 	if hw := n.w.cfg.AdmissionHighWater; hw > 0 && n.inbox.len() >= hw {
 		refuse = true // an overloaded station does not adopt more work
 	}
@@ -221,7 +221,8 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	n.w.Stats.ProxyCreations[n.id]++ // placement accounting (E12 fairness)
 	// Rebind the local pref, or chase it along the hand-off chain if the
 	// MH deregistered between commit and install.
-	if pref, ok := n.prefs.get(m.MH); ok && n.localMhs.contains(m.MH) && pref.Proxy == m.Proxy {
+	pref, responsible := n.prefs.get(m.MH)
+	if responsible && pref.Proxy == m.Proxy {
 		pref.Proxy = m.NewProxy
 		n.setPref(m.MH, pref)
 		n.w.Stats.PrefRedirects.Inc()
@@ -235,7 +236,7 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	// station (the common trigger case), the single forwarding attempt
 	// already happened toward here — re-sending would only manufacture
 	// duplicates.
-	if n.localMhs.contains(m.MH) && p.currentLoc != n.id {
+	if responsible && p.currentLoc != n.id {
 		p.onUpdateLoc(n.id)
 	}
 	// Announce the new pref to every server still owing a reply; each

@@ -27,11 +27,10 @@ type MSSNode struct {
 	id ids.MSS
 	w  *World
 
-	// localMhs is the set of MHs this station is responsible for (§2).
-	localMhs *hostSet
-	// prefs holds one proxy reference per responsible MH (§3.1). Both
-	// containers switch representation under Config.AggregatedState
-	// (aggtable.go, E16).
+	// prefs holds one proxy reference per responsible MH (§3.1); its keys
+	// are the hosts this station is responsible for (§2 localMhs). It
+	// switches representation under Config.AggregatedState (aggtable.go,
+	// E16).
 	prefs *prefTable
 	// hosts is everything else the station keeps about a mobile host, one
 	// record each (hosttable.go); slab and spareTransients are its
@@ -166,8 +165,11 @@ func newMSSNode(id ids.MSS, w *World) *MSSNode {
 func (n *MSSNode) ID() ids.MSS { return n.id }
 
 // Responsible reports whether the station currently holds
-// responsibility for mh.
-func (n *MSSNode) Responsible(mh ids.MH) bool { return n.localMhs.contains(mh) }
+// responsibility for mh: whether it holds mh's pref.
+func (n *MSSNode) Responsible(mh ids.MH) bool {
+	_, ok := n.prefs.get(mh)
+	return ok
+}
 
 // PrefOf returns a copy of the pref held for mh and whether one exists
 // (test and invariant-checking hook).
@@ -341,7 +343,7 @@ func (n *MSSNode) refuseAdmission(m msg.Message) bool {
 	req := n.w.legOf(m).Req
 	mh := req.Origin
 	h := n.peek(mh)
-	if h.arrival() != nil || !n.localMhs.contains(mh) {
+	if h.arrival() != nil || !n.Responsible(mh) {
 		return false
 	}
 	if h.outIndex(req) >= 0 {
@@ -568,7 +570,9 @@ func (n *MSSNode) staleInc(owner, cur ids.Incarnation) bool {
 func (n *MSSNode) handleRegister(m msg.Register) {
 	n.noteInc(m.MH, m.Inc)
 	n.handleGreet(msg.Greet{MH: m.MH, OldMSS: n.id, Inc: m.Inc})
-	n.beatOne(m.MH)
+	if pref, ok := n.prefs.get(m.MH); ok {
+		n.beatOne(m.MH, pref)
+	}
 }
 
 // handleReclaimMemo is the respMss side of proxy reclamation: the named
@@ -582,7 +586,8 @@ func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
 		arr.deferred = append(arr.deferred, inboxItem{from: from, env: msg.EnvelopeOf(m)})
 		return
 	}
-	if !n.localMhs.contains(m.MH) {
+	pref, ok := n.prefs.get(m.MH)
+	if !ok {
 		if h.departed {
 			n.sendWired(h.forwardTo.Node(), m)
 			return
@@ -590,7 +595,7 @@ func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
 		n.w.Stats.OrphanMessages.Inc()
 		return
 	}
-	if pref, ok := n.prefs.get(m.MH); ok && pref.Proxy == m.Proxy {
+	if pref.Proxy == m.Proxy {
 		pref.Proxy = ids.NoProxy
 		pref.RKpR = false
 		n.setPref(m.MH, pref)
@@ -615,23 +620,19 @@ func (n *MSSNode) armLeaseBeat() {
 }
 
 // leaseBeat sends one heartbeat round, in sorted MH order so the wire
-// traffic is deterministic (hostSet.forEach iterates ascending).
+// traffic is deterministic.
 func (n *MSSNode) leaseBeat() {
-	n.localMhs.forEach(n.beatOne)
+	n.prefs.forEachSorted(n.beatOne)
 }
 
-// beatOne vouches for one registered host. A host the radio layer knows
-// to be crashed gets no vouching — the station's periodic page of the
-// host goes unanswered — so its proxy's lease runs out and the orphan
-// is reclaimed. A merely disconnected or inactive host keeps its lease:
-// the station is still its registrar and its state must survive the
-// coverage gap (E17 semantics).
-func (n *MSSNode) beatOne(mh ids.MH) {
-	if n.w.cfg.LeaseTTL <= 0 || !n.localMhs.contains(mh) {
-		return
-	}
-	pref, ok := n.prefs.get(mh)
-	if !ok || !pref.HasProxy() || isSharedProxy(pref.Proxy) {
+// beatOne vouches for one registered host, under its pref. A host the
+// radio layer knows to be crashed gets no vouching — the station's
+// periodic page of the host goes unanswered — so its proxy's lease runs
+// out and the orphan is reclaimed. A merely disconnected or inactive
+// host keeps its lease: the station is still its registrar and its state
+// must survive the coverage gap (E17 semantics).
+func (n *MSSNode) beatOne(mh ids.MH, pref msg.Pref) {
+	if n.w.cfg.LeaseTTL <= 0 || !pref.HasProxy() || isSharedProxy(pref.Proxy) {
 		// Shared group proxies take no per-MH leases (E16): they are
 		// durable per-(cell, server, topic) infrastructure, not per-host
 		// state an amnesiac host could orphan.
@@ -675,7 +676,6 @@ func (n *MSSNode) setPref(mh ids.MH, pref msg.Pref) {
 // deregack that completes a hand-off: the host's Acks count (again) and
 // nothing is passed along.
 func (n *MSSNode) adopt(mh ids.MH, pref msg.Pref) {
-	n.localMhs.add(mh)
 	n.peek(mh).returned()
 	n.setPref(mh, pref)
 }
@@ -684,7 +684,6 @@ func (n *MSSNode) adopt(mh ids.MH, pref msg.Pref) {
 // longer responsible for (departure or hand-off).
 func (n *MSSNode) forget(mh ids.MH) {
 	n.markHost(mh)
-	n.localMhs.remove(mh)
 	n.prefs.delete(mh)
 	if h := n.hosts[mh]; h != nil {
 		// What outlives responsibility is where the host went, a hand-off
@@ -753,7 +752,7 @@ func (n *MSSNode) handleGreet(in msg.Message) {
 	if m.OldMSS == n.id {
 		// Reactivation within the same cell: "no Hand-off is initiated".
 		n.w.Stats.Reactivations.Inc()
-		if !n.localMhs.contains(m.MH) {
+		if !n.Responsible(m.MH) {
 			if h.departed {
 				// The MH believes it is registered here, but an earlier
 				// hand-off chain (greets reordered across radio links)
@@ -773,7 +772,7 @@ func (n *MSSNode) handleGreet(in msg.Message) {
 		n.reactivateInPlace(m.MH)
 		return
 	}
-	if n.w.cfg.RegConfirm && n.localMhs.contains(m.MH) {
+	if n.w.cfg.RegConfirm && n.Responsible(m.MH) {
 		// Already responsible although the MH names another old station:
 		// its confirmation for our registration was lost, or the deregack
 		// re-establishing us outran this greet after our restart. Starting
@@ -1027,12 +1026,12 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, in msg.Message) {
 		h = n.entry(m.MH)
 		n.transient(h).noteAttempt(m.Req, n.w.Kernel.Now(), n.deliveryWindow())
 	}
-	if !n.localMhs.contains(m.MH) {
+	pref, ok := n.prefs.get(m.MH)
+	if !ok {
 		n.w.Stats.OrphanMessages.Inc()
 		return
 	}
-	pref, ok := n.prefs.get(m.MH)
-	if !ok || !pref.HasProxy() {
+	if !pref.HasProxy() {
 		// Ack for an already-completed request (duplicate delivery ack
 		// after the proxy was confirmed dead); nothing to relay.
 		n.w.Stats.OrphanMessages.Inc()
@@ -1085,7 +1084,8 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, in msg.Message) {
 func (n *MSSNode) handleDereg(from ids.NodeID, in msg.Message) {
 	m := n.w.legOf(in).Dereg()
 	h := n.peek(m.MH)
-	if m.NewMSS == n.id && n.localMhs.contains(m.MH) && h.arrival() == nil {
+	pref, responsible := n.prefs.get(m.MH)
+	if m.NewMSS == n.id && responsible && h.arrival() == nil {
 		// A re-issued Dereg of ours returned along the forwarding chain
 		// after its hand-off already completed (the deregack outran it,
 		// typically held by ARQ across our crash window): we are
@@ -1096,10 +1096,9 @@ func (n *MSSNode) handleDereg(from ids.NodeID, in msg.Message) {
 		// the normal path below.)
 		return
 	}
-	if n.localMhs.contains(m.MH) {
+	if responsible {
 		h = n.rec(m.MH)
 		h.departed, h.forwardTo = true, m.NewMSS
-		pref, _ := n.prefs.get(m.MH)
 		// The deregack carries the registered incarnation (E18): the new
 		// respMss must not vouch for (or gate against) an older one.
 		inc := h.inc
@@ -1196,7 +1195,7 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 		}
 	}
 	deliver := msg.ResultDeliver{Req: m.Req, Payload: m.Payload, DelPref: m.DelPref, Inc: m.Inc}
-	if n.w.cfg.HoldForInactive && n.localMhs.contains(m.MH) &&
+	if n.w.cfg.HoldForInactive && n.Responsible(m.MH) &&
 		n.w.InCell(m.MH, n.id) && !n.w.IsActive(m.MH) {
 		x := n.transient(n.entry(m.MH))
 		x.held = append(x.held, deliver)
@@ -1345,7 +1344,7 @@ func (n *MSSNode) routeUplink(from ids.NodeID, mh ids.MH, m msg.Message) bool {
 		arr.buffered = append(arr.buffered, inboxItem{from: from, env: msg.EnvelopeOf(m)})
 		return false
 	}
-	if n.localMhs.contains(mh) {
+	if n.Responsible(mh) {
 		return true
 	}
 	if h.departed {

@@ -14,7 +14,7 @@ import (
 
 // This file implements MSS crash/recovery. The paper assumes support
 // stations never fail; E10 removes that assumption. Stations journal
-// their protocol state — responsibility, prefs with life-cycle flags,
+// their protocol state — prefs with life-cycle flags (and so responsibility),
 // forwarding pointers, outstanding-request routing knowledge, and the
 // full requestList of every hosted proxy — to an in-sim stable store on
 // every event that mutates them (one snapshot per entity written). A
@@ -32,15 +32,14 @@ import (
 // arrays are the store's alone; a restart clones out of them), but a
 // journal write allocates nothing once the image has reached its size.
 
-// hostJournal is the journaled per-MH state of one station: the two
-// facts kept outside the host table, and the record's durable half —
-// the registered incarnation and the incarnation-tagged ledger among it,
-// so a restart can still scrub entries orphaned by a pre-crash reboot of
-// the host.
+// hostJournal is the journaled per-MH state of one station: the pref,
+// kept outside the host table (holding one is being responsible for the
+// host), and the record's durable half — the registered incarnation and
+// the incarnation-tagged ledger among it, so a restart can still scrub
+// entries orphaned by a pre-crash reboot of the host.
 type hostJournal struct {
-	responsible bool
-	hasPref     bool
-	pref        msg.Pref
+	hasPref bool
+	pref    msg.Pref
 	hostDurable
 }
 
@@ -136,11 +135,11 @@ func (s *stableStore) station(id ids.MSS) *stationRecord {
 
 // The journal is written at the event boundary. A station is entered by a
 // message (process), by one of its own timers (after) or by a restart;
-// inside, whatever writes a host record's durable half, a pref, the
-// responsibility set or what answers for a proxy-sequence slot does so
-// through an accessor that marks the record or the slot (rec, setPref,
-// adopt, forget; put, take, deliver, proxyFor); and on the way out
-// flushJournal writes the current image of everything marked, once each.
+// inside, whatever writes a host record's durable half, a pref or what
+// answers for a proxy-sequence slot does so through an accessor that
+// marks the record or the slot (rec, setPref, adopt, forget; put, take,
+// deliver, proxyFor); and on the way out flushJournal writes the current
+// image of everything marked, once each.
 // A crash strikes between events, so it cannot see a half-written one.
 
 // markHost notes that the event wrote mh's journaled state.
@@ -169,7 +168,7 @@ func (n *MSSNode) flushJournal() {
 	for _, mh := range n.dirtyHosts {
 		// A snapshot with nothing left to remember erases the entry, and
 		// its ledger goes to the spare stock.
-		if j := n.hostImage(mh, rec.mhs[mh].out); j.responsible || j.hasPref || j.departed {
+		if j := n.hostImage(mh, rec.mhs[mh].out); j.hasPref || j.departed {
 			rec.mhs[mh] = j
 		} else {
 			delete(rec.mhs, mh)
@@ -231,7 +230,7 @@ func (n *MSSNode) spareImage(st *msg.MigState) {
 // is journaled as none, and stored goes to the stock: like the live
 // ledger's, the image's array follows the host from station to station.
 func (n *MSSNode) hostImage(mh ids.MH, stored []outReq) hostJournal {
-	j := hostJournal{responsible: n.localMhs.contains(mh), hostDurable: n.peek(mh).hostDurable}
+	j := hostJournal{hostDurable: n.peek(mh).hostDurable}
 	j.pref, j.hasPref = n.prefs.get(mh)
 	switch {
 	case len(j.out) == 0:
@@ -308,7 +307,6 @@ func (n *MSSNode) crash() {
 	n.inbox = classInbox{}
 	n.hosts, n.slab, n.spareTransients = make(map[ids.MH]*stationHost), nil, nil
 	n.spareProxies, n.spareImages, n.spareOut = nil, nil, nil
-	n.localMhs = newHostSet(n.w.cfg.AggregatedState)
 	n.prefs = newPrefTable(n.w.cfg.AggregatedState)
 	// The result cache is volatile by design (dcache doc): rebuilding it
 	// empty costs recomputation, never correctness.
@@ -335,10 +333,7 @@ func (n *MSSNode) crash() {
 func (n *MSSNode) restoreFromStore() {
 	rec := n.w.store.station(n.id)
 	for mh, j := range rec.mhs {
-		if j.responsible {
-			n.localMhs.add(mh)
-		}
-		if j.hasPref {
+		if j.hasPref { // and with it, responsibility for mh
 			n.prefs.set(mh, j.pref)
 		}
 		if d := j.hostDurable; len(d.out) > 0 || d.inc != 0 || d.departed {
@@ -485,9 +480,8 @@ func (n *MSSNode) recoveryResend() {
 			}
 		}
 	}
-	n.localMhs.forEach(func(mh ids.MH) {
-		pref, ok := n.prefs.get(mh)
-		if ok && pref.HasProxy() && pref.Proxy.Host != n.id {
+	n.prefs.forEachSorted(func(mh ids.MH, pref msg.Pref) {
+		if pref.HasProxy() && pref.Proxy.Host != n.id {
 			n.w.Stats.RecoveryResends.Inc()
 			n.announceLoc(pref.Proxy, mh)
 		}

@@ -8,17 +8,18 @@ package rdpcore
 // and the regression test can assert exact counts.
 //
 // The model covers exactly the state the aggregation changes or could
-// plausibly change: responsibility membership, the pref table, hosted
-// proxies (private and group) with their request/entry lists, and the
-// incarnation table. The outstanding-request routing ledger is the same
-// size in both modes — it is per-(MH, in-flight request) transient
-// state by nature — and is reported separately (OutstandingBytes) so
-// the headline ratio compares representations, not workload phase.
+// plausibly change: the pref table (whose keys are the station's
+// responsible hosts), hosted proxies (private and group) with their
+// request/entry lists, and the incarnation table. The outstanding-request
+// routing ledger is the same size in both modes — it is per-(MH,
+// in-flight request) transient state by nature — and is reported
+// separately (OutstandingBytes) so the headline ratio compares
+// representations, not workload phase.
 
 const (
-	// Faithful per-MH containers.
-	bytesHostEntry = 48 // one localMhs map entry
-	bytesPrefEntry = 80 // one prefs map entry + heap-allocated Pref
+	// Faithful pref table: one map entry per registered MH, its Pref
+	// held by value.
+	bytesPrefEntry = 64
 	// Aggregated pref-table group record: one per Pref value held, a
 	// lone holder's index entries or a shared value's record (its
 	// member set's header and payload are the set's MemBytes).
@@ -43,14 +44,6 @@ const (
 	bytesOutstandingReq = 56
 )
 
-// stateBytes is the responsibility set's footprint under the model.
-func (h *hostSet) stateBytes() int {
-	if !h.agg {
-		return len(h.m) * bytesHostEntry
-	}
-	return h.s.MemBytes()
-}
-
 // stateBytes is the pref table's footprint under the model.
 func (t *prefTable) stateBytes() int {
 	if !t.agg {
@@ -64,10 +57,10 @@ func (t *prefTable) stateBytes() int {
 }
 
 // StateBytes returns the station's modeled location/subscription state
-// footprint: responsibility set, pref table, incarnation table, and
-// every hosted proxy with its stored requests and results.
+// footprint: pref table, incarnation table, and every hosted proxy with
+// its stored requests and results.
 func (n *MSSNode) StateBytes() int {
-	total := n.localMhs.stateBytes() + n.prefs.stateBytes()
+	total := n.prefs.stateBytes()
 	for _, h := range n.hosts {
 		if h.inc != 0 { // the incarnation table: records with one registered
 			total += bytesIncEntry

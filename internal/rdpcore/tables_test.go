@@ -255,8 +255,8 @@ func TestRequestListOrder(t *testing.T) {
 		t.Error("absent request found")
 	}
 	// The E16 accounting model sees the list exactly as it saw the map:
-	// one host entry, one pref, one proxy, four requests with payloads.
-	want := bytesHostEntry + bytesPrefEntry + bytesProxy + 4*bytesProxyReq +
+	// one pref, one proxy, four requests with payloads.
+	want := bytesPrefEntry + bytesProxy + 4*bytesProxyReq +
 		len("x") + len("reborn") + len("abc") + len("again")
 	if got := w.MSSs[1].StateBytes(); got != want {
 		t.Errorf("StateBytes = %d, want %d", got, want)
@@ -987,18 +987,17 @@ func liveRecord(n *MSSNode) *stationRecord {
 	rec := &stationRecord{mhs: map[ids.MH]hostJournal{}, proxies: map[uint32]*msg.MigState{},
 		groups: map[uint32]*groupRecord{}, tombstones: map[uint32]tombstone{}, nextSeq: n.nextProxySeq}
 	host := func(mh ids.MH) {
-		j := hostJournal{responsible: n.Responsible(mh), hostDurable: n.peek(mh).hostDurable}
+		j := hostJournal{hostDurable: n.peek(mh).hostDurable}
 		j.pref, j.hasPref = n.PrefOf(mh)
-		// A host the station is neither responsible for, nor holds a pref
-		// of, nor passes traffic on for is not worth an entry.
-		if j.responsible || j.hasPref || j.departed {
+		// A host the station neither holds a pref of (is responsible
+		// for) nor passes traffic on for is not worth an entry.
+		if j.hasPref || j.departed {
 			rec.mhs[mh] = j
 		}
 	}
 	for mh := range n.hosts {
 		host(mh)
 	}
-	n.localMhs.forEach(host)
 	n.prefs.forEach(func(mh ids.MH, _ msg.Pref) { host(mh) })
 	for seq, a := range n.hosted {
 		switch a := a.(type) {
@@ -1030,7 +1029,7 @@ func liveRecord(n *MSSNode) *stationRecord {
 func sameRecord(a, b *stationRecord) bool {
 	same := a.nextSeq == b.nextSeq && bytes.Equal(a.reclaims, b.reclaims) &&
 		maps.EqualFunc(a.mhs, b.mhs, func(x, y hostJournal) bool {
-			return x.responsible == y.responsible && x.hasPref == y.hasPref && x.pref == y.pref &&
+			return x.hasPref == y.hasPref && x.pref == y.pref &&
 				slices.Equal(x.out, y.out) && x.departed == y.departed && x.forwardTo == y.forwardTo && x.inc == y.inc
 		}) &&
 		maps.EqualFunc(a.tombstones, b.tombstones, func(x, y tombstone) bool {

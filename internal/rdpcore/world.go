@@ -216,10 +216,10 @@ type Config struct {
 
 	// --- Aggregated location state (E16) ---
 
-	// AggregatedState switches every station's per-MH state containers
-	// (responsibility set, pref table) from hash maps to compact
-	// aggregate structures: members by distinct pref value, membership
-	// as chunked sorted/bitmap sets (internal/aggstate). The protocol's
+	// AggregatedState switches every station's pref table — the record of
+	// the hosts it is responsible for — from a hash map to a compact
+	// aggregate structure: members by distinct pref value, membership as
+	// chunked sorted/bitmap sets (internal/aggstate). The protocol's
 	// message traces are unchanged by the representation alone; only
 	// memory drops. Combined with GroupTopic it additionally enables
 	// shared group proxies. Off — the default — keeps the faithful
@@ -1085,12 +1085,11 @@ func (w *World) TotalProxies() int {
 //     del-proxy Ack is still in flight to the proxy host, and a new
 //     request may legally create the successor proxy in that window.
 //     CheckQuiescent rules the orphan out once traffic has drained.
-//  2. Each MH is the responsibility of at most one station, except
-//     transiently during a hand-off (old deregistered, new pending).
+//  2. Each MH is the responsibility of at most one station — holds a
+//     pref there — except transiently during a hand-off (old
+//     deregistered, new pending).
 //  3. Every pref pointing at a proxy refers to a proxy that exists at
 //     the named host.
-//  4. A station holds a pref for exactly the hosts it is responsible
-//     for: the key set of prefs is localMhs.
 func (w *World) CheckInvariants() error {
 	var firstErr error
 	fail := func(err error) {
@@ -1099,9 +1098,13 @@ func (w *World) CheckInvariants() error {
 		}
 	}
 	refOwner := make(map[ids.MH]ids.ProxyID)
+	respOwner := make(map[ids.MH]ids.MSS)
 	for _, id := range w.mssList {
-		st := w.MSSs[id]
-		st.prefs.forEach(func(mh ids.MH, pref msg.Pref) {
+		w.MSSs[id].prefs.forEach(func(mh ids.MH, pref msg.Pref) {
+			if prev, dup := respOwner[mh]; dup {
+				fail(fmt.Errorf("invariant 2: %v responsible at both %v and %v", mh, prev, id))
+			}
+			respOwner[mh] = id
 			if !pref.HasProxy() {
 				return
 			}
@@ -1109,35 +1112,8 @@ func (w *World) CheckInvariants() error {
 				fail(fmt.Errorf("invariant 1: %v referenced by prefs for both %v and %v", mh, prev, pref.Proxy))
 			}
 			refOwner[mh] = pref.Proxy
-		})
-	}
-	respOwner := make(map[ids.MH]ids.MSS)
-	for _, id := range w.mssList {
-		st := w.MSSs[id]
-		st.localMhs.forEach(func(mh ids.MH) {
-			if prev, dup := respOwner[mh]; dup {
-				fail(fmt.Errorf("invariant 2: %v responsible at both %v and %v", mh, prev, id))
-			}
-			respOwner[mh] = id
-		})
-	}
-	for _, id := range w.mssList {
-		st := w.MSSs[id]
-		st.prefs.forEach(func(mh ids.MH, pref msg.Pref) {
-			if !pref.HasProxy() {
-				return
-			}
 			if err := w.resolveProxyRef(mh, pref.Proxy); err != nil {
 				fail(err)
-			}
-		})
-		// Equal sizes and one inclusion make the two key sets equal.
-		if hosts, prefs := st.localMhs.len(), st.prefs.len(); hosts != prefs {
-			fail(fmt.Errorf("invariant 4: %v responsible for %d hosts but holds %d prefs", id, hosts, prefs))
-		}
-		st.localMhs.forEach(func(mh ids.MH) {
-			if _, ok := st.prefs.get(mh); !ok {
-				fail(fmt.Errorf("invariant 4: %v responsible for %v but holds no pref for it", id, mh))
 			}
 		})
 	}
