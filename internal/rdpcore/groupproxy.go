@@ -1,35 +1,41 @@
 package rdpcore
 
 import (
+	"bytes"
 	"cmp"
+	"slices"
 
 	"repro/internal/aggstate"
-	"repro/internal/dcache"
 	"repro/internal/ids"
 	"repro/internal/msg"
-	"repro/internal/sim"
 )
 
-// This file implements shared group proxies, the fan-out half of the
-// aggregated-location-state optimization (E16). The paper's proxy is
-// strictly per-host: a cell of 10k subscribers asking one server the
-// same question builds 10k proxies, 10k server round-trips, and 10k
-// independent pref/location records. When the deployment can classify
-// requests into topics (Config.GroupTopic), all subscribers of a
-// (server, topic) pair in a cell share ONE group proxy: one server
-// request per distinct payload, one pref value for the whole
-// population (which the prefTable then stores as a single aggregate
-// record), and hand-off signaling batched into per-group messages
-// carrying delta-encoded member sets.
+// This file holds what makes a proxy a group proxy — the fan-out half of
+// the aggregated-location-state optimization (E16) — and the coalesced
+// signaling addressed to one. The paper's proxy is per-host: a cell of
+// 10k subscribers asking one server the same question builds 10k
+// proxies, 10k server round trips and 10k pref/location records. When
+// the deployment can classify requests into topics (Config.GroupTopic),
+// all subscribers of a (server, topic) pair in a cell share ONE proxy:
+// one server request per distinct question, one pref value for the
+// whole population (which the prefTable then stores as a single
+// aggregate record), and hand-off signaling batched into per-group
+// messages carrying delta-encoded member sets.
 //
-// Group proxies are durable cell infrastructure, not per-request
-// state: they are never deleted by the §3.3 RKpR machinery, never
-// offered for migration, and hold no incarnation lease (each member's
-// forward still carries — and is gated by — that member's own
-// incarnation). Their member sets are append-only: membership is
-// lazily correct, in that a departed member costs its bits in the set
-// and a possible wasted forward, but never a per-member bookkeeping
-// map, which is exactly the O(hosts) cost this representation removes.
+// A group proxy is a Proxy whose group is set. Its requestList holds one
+// entry per question in flight — the first joiner's request, whose
+// result the others share — and its currentLoc is its own station. What
+// the private proxy keeps of its one host, the group keeps of many: the
+// members each entry waits on, and where a member is when that is not
+// the proxy's own cell. Its life-cycle is durable: it is cell
+// infrastructure, not per-request state, so no §3.3 removal applies to
+// it (onAck), no del-pref rides on its forwards (forwardTo), it holds no
+// incarnation lease (armLease, renewLease; each member's forward still
+// carries — and is gated by — that member's own incarnation) and it is
+// never offered for migration (maybeMigrate). Its member set is append-only: a departed member
+// costs its bits in the set and a possible wasted forward, but never a
+// per-member bookkeeping map, which is exactly the O(hosts) cost this
+// representation removes.
 
 // sharedProxyBit marks a ProxyID.Seq as naming a group proxy. The bit
 // rides inside the existing identifier space so every message, pref and
@@ -48,69 +54,50 @@ type groupKey struct {
 	topic  uint32
 }
 
-// waiterKey identifies one member request inside a shared entry: the
-// member's RequestID re-expressed without the redundant origin.
-type waiterKey struct {
-	mh  ids.MH
-	seq uint32
+// proxyGroup is what makes a proxy a group proxy.
+type proxyGroup struct {
+	key groupKey
+	// members is the append-only subscriber population; memberLoc
+	// records only the members whose current respMss is NOT the proxy's
+	// own station — in the common case (subscribers in the group's own
+	// cell) it stays empty.
+	members   aggstate.Set
+	memberLoc map[ids.MH]ids.MSS
+	// waiters holds, by the entry's request, the members a shared entry
+	// fans out to. An entry without one — a batch member — has one
+	// member, its request's origin, as a private proxy's entry does.
+	waiters map[ids.RequestID]*waiterList
 }
 
-// sharedWaiter is one member subscribed to a shared entry: 16 bytes of
-// steady state per waiting request, against the faithful ~300+ bytes of
-// proxy + requestList entry.
+// sharedWaiter is one member request subscribed to a shared entry: 16
+// bytes of steady state per waiting request, against the faithful ~300+
+// bytes of proxy + requestList entry.
 type sharedWaiter struct {
-	mh        ids.MH
-	seq       uint32
+	req       ids.RequestID
 	inc       ids.Incarnation
 	acked     bool
 	forwarded bool
 }
 
-// sharedEntry is one distinct in-flight request payload of a group:
-// the single server round-trip and the waiters it will fan out to.
-type sharedEntry struct {
-	server    ids.Server
-	payload   []byte
-	leaderReq ids.RequestID // the first joiner's id; names the server exchange
-	result    []byte
-	hasResult bool
-	unacked   int
-	waiters   []sharedWaiter
-	// ackIdx maps (mh, seq) to the waiter index. Built lazily when the
-	// result arrives (acks can only follow forwards) and freed with the
+// waiterList is the member list of one shared entry.
+type waiterList struct {
+	list    []sharedWaiter
+	unacked int
+	// ackIdx maps a member request to its waiter's index. Built when the
+	// result is stored (acks can only follow forwards) and freed with the
 	// entry, so steady-state subscription memory stays at the 16-byte
 	// waiter records.
-	ackIdx map[waiterKey]int
+	ackIdx map[ids.RequestID]int
 	// entrants guards duplicate joins: the common path (new member) is
-	// one O(log n) set insert; only a repeated member pays the linear
-	// waiter scan to distinguish a retry from a new request.
+	// one O(log n) set insert; only a repeated member pays the scan that
+	// tells a retry from a new request.
 	entrants aggstate.Set
-}
-
-// GroupProxy is the shared proxy of one (server, topic) pair in one
-// cell. Like Proxy it lives inside its hosting MSSNode.
-type GroupProxy struct {
-	id     ids.ProxyID
-	host   *MSSNode
-	server ids.Server
-	topic  uint32
-
-	// members is the append-only subscriber population (see file
-	// comment); memberLoc records only the members whose current respMss
-	// is NOT the hosting station — in the common case (subscribers in
-	// the group's own cell) it stays empty.
-	members   aggstate.Set
-	memberLoc map[ids.MH]ids.MSS
-
-	entries    map[dcache.Key]*sharedEntry
-	entryOrder []dcache.Key // insertion order; keeps iteration deterministic
-	createdAt  sim.Time
 }
 
 // sharedGroupFor returns the group proxy serving (server, payload) in
 // this cell, creating it on first use — or nil when aggregation is off
 // or the deployment's topic classifier declines the request.
-func (n *MSSNode) sharedGroupFor(server ids.Server, payload []byte) *GroupProxy {
+func (n *MSSNode) sharedGroupFor(server ids.Server, payload []byte) *Proxy {
 	if !n.w.cfg.AggregatedState || n.w.cfg.GroupTopic == nil || !server.Valid() {
 		return nil
 	}
@@ -120,228 +107,94 @@ func (n *MSSNode) sharedGroupFor(server ids.Server, payload []byte) *GroupProxy 
 	}
 	key := groupKey{server: server, topic: topic}
 	if seq, ok := n.topicProxies[key]; ok {
-		return n.hosted[seq].(*GroupProxy)
+		return n.proxyAt(seq)
 	}
 	// Group proxies draw from the same persistent sequence counter as
 	// per-request proxies, so identifiers stay unique across crashes.
-	id := ids.ProxyID{Host: n.id, Seq: sharedProxyBit | n.newSeq()}
-	g := &GroupProxy{
-		id:        id,
-		host:      n,
-		server:    server,
-		topic:     topic,
-		memberLoc: make(map[ids.MH]ids.MSS),
-		entries:   make(map[dcache.Key]*sharedEntry),
-		createdAt: n.w.Kernel.Now(),
-	}
-	n.put(id.Seq, g)
-	n.topicProxies[key] = id.Seq
+	p := newProxy(ids.ProxyID{Host: n.id, Seq: sharedProxyBit | n.newSeq()}, ids.NoMH, n)
+	p.group = &proxyGroup{key: key, memberLoc: make(map[ids.MH]ids.MSS), waiters: make(map[ids.RequestID]*waiterList)}
+	n.put(p.id.Seq, p)
+	n.topicProxies[key] = p.id.Seq
 	n.w.Stats.SharedProxies.Inc()
-	return g
+	return p
 }
 
-// ID returns the group proxy identifier.
-func (g *GroupProxy) ID() ids.ProxyID { return g.id }
+// waitersOf returns the member list of req's entry, nil for a private
+// proxy's entry or a group proxy's one-member entry.
+func (g *proxyGroup) waitersOf(req ids.RequestID) *waiterList {
+	if g == nil {
+		return nil
+	}
+	return g.waiters[req]
+}
 
-// Members returns the subscriber population size (append-only; see
-// file comment).
-func (g *GroupProxy) Members() int { return g.members.Len() }
-
-// join subscribes mh (whose current respMss is loc) to the entry for
-// (server, payload), creating the entry — and its single server
-// round-trip — on first subscription.
-func (g *GroupProxy) join(mh ids.MH, loc ids.MSS, req ids.RequestID, server ids.Server, payload []byte, inc ids.Incarnation) {
+// locate records that member mh is at loc, home being the proxy's own
+// station.
+func (g *proxyGroup) locate(mh ids.MH, loc, home ids.MSS) {
 	g.members.Add(uint32(mh))
-	if loc == g.host.id {
+	if loc == home {
 		delete(g.memberLoc, mh)
 	} else {
 		g.memberLoc[mh] = loc
 	}
-	g.host.w.Stats.SharedJoins.Inc()
-	key := dcache.Key{Server: server, Digest: dcache.Digest(payload)}
-	e := g.entries[key]
-	if e == nil {
-		e = &sharedEntry{server: server, payload: payload, leaderReq: req}
-		g.entries[key] = e
-		g.entryOrder = append(g.entryOrder, key)
-		if result, ok := g.host.cacheLookup(server, payload); ok {
-			e.result, e.hasResult = result, true
-		} else {
-			g.host.sendWired(server.Node(),
-				g.host.w.view(msg.ServerRequest{Proxy: g.id, Req: req, Payload: payload}.Leg()))
-		}
-	} else if !e.entrants.Contains(uint32(mh)) {
-		// fresh member of an existing entry: falls through to append
-	} else if i := e.waiterIndex(mh, req.Seq); i >= 0 {
-		// Same (mh, seq): a retry. Incarnation arbitration mirrors
-		// Proxy.addRequest — older is a ghost, newer reuses the
-		// identifier for a brand-new request of the reborn host.
-		w := &e.waiters[i]
-		if incLess(inc, w.inc) {
-			g.host.w.Stats.StaleIncarnationDrops.Inc()
-			return
-		}
-		if incLess(w.inc, inc) {
-			w.inc = inc
-			if w.acked {
-				w.acked = false
-				e.unacked++
-			}
-			w.forwarded = false
-		}
-		if e.hasResult && !w.acked {
-			g.forward(e, i)
-		}
-		return
-	}
-	e.entrants.Add(uint32(mh))
-	e.waiters = append(e.waiters, sharedWaiter{mh: mh, seq: req.Seq, inc: inc})
-	e.unacked++
-	i := len(e.waiters) - 1
-	if e.ackIdx != nil {
-		e.ackIdx[waiterKey{mh: mh, seq: req.Seq}] = i
-	}
-	if e.hasResult {
-		g.forward(e, i)
-	}
 }
 
-// waiterIndex finds the waiter for (mh, seq), or -1. Only reached on
-// the duplicate-join path (entrants already contains mh).
-func (e *sharedEntry) waiterIndex(mh ids.MH, seq uint32) int {
-	if e.ackIdx != nil {
-		if i, ok := e.ackIdx[waiterKey{mh: mh, seq: seq}]; ok {
-			return i
-		}
-		return -1
+// join is addRequest's group arm: member req, at loc, joins the shared
+// entry asking server payload, which the first member to ask opens and
+// issues. A new member is appended, and served at once when the result is
+// in; a repeated one is a retry, arbitrated by incarnation like a private
+// proxy's request — older is a ghost, newer reuses the identifier for a
+// brand-new request of the reborn host.
+func (p *Proxy) join(req ids.RequestID, server ids.Server, payload []byte, inc ids.Incarnation, loc ids.MSS) {
+	g := p.group
+	g.locate(req.Origin, loc, p.currentLoc)
+	p.host.w.Stats.SharedJoins.Inc()
+	i := slices.IndexFunc(p.reqs, func(r msg.ProxyReq) bool {
+		return g.waiters[r.Req] != nil && r.Server == server && bytes.Equal(r.Payload, payload)
+	})
+	if i < 0 {
+		p.reqs = append(p.reqs, msg.ProxyReq{Req: req, Server: server, Payload: payload, Inc: inc})
+		i = len(p.reqs) - 1
+		g.waiters[req] = new(waiterList)
+		p.issue(&p.reqs[i])
 	}
-	for i := range e.waiters {
-		if e.waiters[i].mh == mh && e.waiters[i].seq == seq {
-			return i
+	r := &p.reqs[i]
+	ws := g.waiters[r.Req]
+	i = -1
+	if ws.entrants.Contains(uint32(req.Origin)) {
+		i = slices.IndexFunc(ws.list, func(w sharedWaiter) bool { return w.req == req })
+	}
+	if i < 0 {
+		ws.entrants.Add(uint32(req.Origin))
+		ws.list = append(ws.list, sharedWaiter{req: req, inc: inc})
+		ws.unacked++
+		i = len(ws.list) - 1
+		if ws.ackIdx != nil {
+			ws.ackIdx[req] = i
 		}
 	}
-	return -1
+	w := &ws.list[i]
+	switch {
+	case incLess(inc, w.inc):
+		p.host.w.Stats.StaleIncarnationDrops.Inc()
+		return
+	case incLess(w.inc, inc):
+		w.inc, w.forwarded = inc, false
+		if w.acked {
+			w.acked = false
+			ws.unacked++
+		}
+	}
+	if r.HasResult && !w.acked {
+		p.forwardTo(r, req, w.inc, &w.forwarded)
+	}
 }
 
 // indexAcks builds ackIdx over the current waiters.
-func (e *sharedEntry) indexAcks() {
-	e.ackIdx = make(map[waiterKey]int, len(e.waiters))
-	for i, w := range e.waiters {
-		e.ackIdx[waiterKey{mh: w.mh, seq: w.seq}] = i
-	}
-}
-
-// forward sends the entry's result to one waiter's current respMss.
-// DelPref never rides along: shared prefs are permanent (file comment).
-func (g *GroupProxy) forward(e *sharedEntry, i int) {
-	w := &e.waiters[i]
-	if w.forwarded {
-		g.host.w.Stats.Retransmissions.Inc()
-	}
-	w.forwarded = true
-	loc, ok := g.memberLoc[w.mh]
-	if !ok {
-		loc = g.host.id
-	}
-	g.host.w.Stats.GroupFanouts.Inc()
-	g.host.w.Stats.ResultForwards[g.host.id]++
-	g.host.sendToStation(loc, g.host.w.view(msg.ResultForward{
-		Proxy:   g.id,
-		MH:      w.mh,
-		Req:     ids.RequestID{Origin: w.mh, Seq: w.seq},
-		Payload: e.result,
-		Inc:     w.inc,
-	}.Leg()))
-}
-
-// onServerResult stores the single server reply and fans it out to
-// every waiting member.
-func (g *GroupProxy) onServerResult(req ids.RequestID, payload []byte) {
-	var e *sharedEntry
-	for _, key := range g.entryOrder {
-		if cand := g.entries[key]; cand != nil && cand.leaderReq == req {
-			e = cand
-			break
-		}
-	}
-	if e == nil {
-		g.host.w.Stats.OrphanMessages.Inc()
-		return
-	}
-	if e.hasResult {
-		return // duplicate server reply; the stored copy wins
-	}
-	e.result = payload
-	e.hasResult = true
-	g.host.cacheStore(e.server, e.payload, payload)
-	e.indexAcks()
-	for i := range e.waiters {
-		if !e.waiters[i].acked {
-			g.forward(e, i)
-		}
-	}
-}
-
-// ack completes one member's request; the entry is retired when the
-// last member has acknowledged.
-func (g *GroupProxy) ack(mh ids.MH, seq uint32) {
-	for _, key := range g.entryOrder {
-		e := g.entries[key]
-		if e == nil || e.ackIdx == nil {
-			continue
-		}
-		i, ok := e.ackIdx[waiterKey{mh: mh, seq: seq}]
-		if !ok {
-			continue
-		}
-		if e.waiters[i].acked {
-			return // duplicate ack; ignore like Proxy.onAck
-		}
-		e.waiters[i].acked = true
-		e.unacked--
-		if e.unacked == 0 {
-			g.completeEntry(key)
-		}
-		return
-	}
-	// Ack for an already-retired entry (duplicate after completion).
-}
-
-// completeEntry retires a fully-acknowledged entry, freeing its result,
-// waiters, ack index and entrants guard in one delete.
-func (g *GroupProxy) completeEntry(key dcache.Key) {
-	delete(g.entries, key)
-	for i, k := range g.entryOrder {
-		if k == key {
-			g.entryOrder = append(g.entryOrder[:i], g.entryOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// updateLoc applies a (possibly coalesced) hand-off notification: every
-// member in moved now sits at newLoc; unacknowledged results they wait
-// on are re-sent there (§3.1 semantics, batched).
-func (g *GroupProxy) updateLoc(moved *aggstate.Set, newLoc ids.MSS) {
-	moved.ForEach(func(v uint32) {
-		mh := ids.MH(v)
-		g.members.Add(v)
-		if newLoc == g.host.id {
-			delete(g.memberLoc, mh)
-		} else {
-			g.memberLoc[mh] = newLoc
-		}
-	})
-	for _, key := range g.entryOrder {
-		e := g.entries[key]
-		if e == nil || !e.hasResult || e.unacked == 0 {
-			continue
-		}
-		for i := range e.waiters {
-			if !e.waiters[i].acked && moved.Contains(uint32(e.waiters[i].mh)) {
-				g.forward(e, i)
-			}
-		}
+func (ws *waiterList) indexAcks() {
+	ws.ackIdx = make(map[ids.RequestID]int, len(ws.list))
+	for i, w := range ws.list {
+		ws.ackIdx[w.req] = i
 	}
 }
 
@@ -468,56 +321,4 @@ func (n *MSSNode) sendGroupAck(proxy ids.ProxyID, buf *groupAckBuf) {
 // compareProxyIDs orders proxy identifiers by host, then sequence.
 func compareProxyIDs(a, b ids.ProxyID) int {
 	return cmp.Or(cmp.Compare(a.Host, b.Host), cmp.Compare(a.Seq, b.Seq))
-}
-
-// handle takes one message addressed to the group proxy
-// (MSSNode.deliver): the coalesced group signaling, and the per-member
-// kinds a private proxy takes too — a member that moved to another cell
-// kept its shared pref, so its later requests arrive as forwards and
-// (re-)join the group with the sender station as delivery location;
-// single-member location updates and acks come from stations running
-// without coalescing and from stale-incarnation bounces. DelProxy never
-// applies to a group proxy, and nothing else does either: leases and
-// batches are counted as orphans.
-func (g *GroupProxy) handle(from ids.NodeID, m msg.Message) {
-	switch m.Kind() {
-	case msg.KindRequestForward:
-		l := g.host.w.legOf(m)
-		g.join(l.Req.Origin, from.MSS(), l.Req, l.Server, l.Payload, l.Inc)
-	case msg.KindUpdateCurrentLoc:
-		l := g.host.w.legOf(m)
-		var one aggstate.Set
-		one.Add(uint32(l.MH))
-		g.updateLoc(&one, l.MSS)
-	case msg.KindAckForward:
-		l := g.host.w.legOf(m)
-		g.ack(l.MH, l.Req.Seq)
-	case msg.KindServerResult:
-		l := g.host.w.legOf(m)
-		g.onServerResult(l.Req, l.Payload)
-	case msg.KindGroupUpdateLoc:
-		v := m.(msg.GroupUpdateLoc)
-		moved, err := aggstate.DecodeDelta(v.Members)
-		if err != nil {
-			g.host.w.Stats.OrphanMessages.Inc()
-			return
-		}
-		g.updateLoc(moved, v.NewLoc)
-	case msg.KindGroupAckForward:
-		v := m.(msg.GroupAckForward)
-		// Seqs aligns with the ascending iteration of the member set; a
-		// mismatched pair is rejected whole.
-		set, err := aggstate.DecodeDelta(v.Members)
-		if err != nil || set.Len() != len(v.Seqs) {
-			g.host.w.Stats.OrphanMessages.Inc()
-			return
-		}
-		i := 0
-		set.ForEach(func(mh uint32) {
-			g.ack(ids.MH(mh), v.Seqs[i])
-			i++
-		})
-	default:
-		g.host.w.Stats.OrphanMessages.Inc()
-	}
 }

@@ -5,9 +5,11 @@ import (
 	"time"
 
 	"repro/internal/aggstate"
+	"repro/internal/dcache"
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/netsim"
+	"repro/internal/proxymig"
 	"repro/internal/trace"
 )
 
@@ -17,8 +19,8 @@ func allOneTopic(ids.Server, []byte) (uint32, bool) { return 0, true }
 
 // aggWorld builds a 2-station aggregated-state world with deterministic
 // latencies (5ms wired, 10ms wireless) and a slow server, so tests can
-// measure state while requests are in flight.
-func aggWorld(t *testing.T, proc time.Duration) (*World, *trace.Recorder) {
+// measure state while requests are in flight; opts adjust the config.
+func aggWorld(t *testing.T, proc time.Duration, opts ...func(*Config)) (*World, *trace.Recorder) {
 	t.Helper()
 	rec := trace.New()
 	cfg := DefaultConfig()
@@ -29,6 +31,9 @@ func aggWorld(t *testing.T, proc time.Duration) (*World, *trace.Recorder) {
 	cfg.AggregatedState = true
 	cfg.GroupTopic = allOneTopic
 	cfg.Observer = rec.Observe
+	for _, o := range opts {
+		o(&cfg)
+	}
 	return NewWorld(cfg), rec
 }
 
@@ -216,6 +221,156 @@ func TestSharedGroupCrashRestore(t *testing.T) {
 	}
 	if err := w.CheckQuiescent(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBatchOfSubscribedHostDelivers: a host whose pref names its cell's
+// group proxy opens an atomic batch. The group proxy runs it as a private
+// proxy would, and both members reach the host: nothing is orphaned and
+// no routing ledger is left holding the members.
+func TestBatchOfSubscribedHostDelivers(t *testing.T) {
+	w, _ := aggWorld(t, 20*time.Millisecond)
+	mh := w.AddMH(1, ids.MSS(1))
+	var sub ids.RequestID
+	var b ids.BatchID
+	w.Kernel.Defer(0, func() { sub = mh.IssueRequest(1, []byte("sub")) })
+	w.Kernel.Defer(200*time.Millisecond, func() {
+		b = mh.BeginBatch()
+		mh.BatchRequest(b, 1, []byte("b1"))
+		mh.BatchRequest(b, 1, []byte("b2"))
+		mh.CommitBatch(b)
+	})
+	w.RunUntil(2 * time.Second)
+
+	if pref, _ := w.MSSs[1].PrefOf(1); !isSharedProxy(pref.Proxy) || !mh.Seen(sub) {
+		t.Fatalf("fixture: pref %v, subscription seen %v; want the host subscribed", pref, mh.Seen(sub))
+	}
+	if delivered, members, aborted := mh.BatchStatus(b); delivered != 2 || members != 2 || aborted {
+		t.Errorf("batch delivered %d of %d, aborted %v; want 2 of 2", delivered, members, aborted)
+	}
+	if got := w.Stats.OrphanMessages.Value(); got != 0 {
+		t.Errorf("OrphanMessages = %d, want 0", got)
+	}
+	if err := w.CheckQuiescent(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGroupEntryFromCacheRetires: a shared entry answered from the
+// station's result cache counts its members' acks like one the server
+// answered, and retires with the last of them.
+func TestGroupEntryFromCacheRetires(t *testing.T) {
+	w, _ := aggWorld(t, 20*time.Millisecond, func(cfg *Config) { cfg.ResultCache = dcache.Config{MaxEntries: 16} })
+	a, b := w.AddMH(1, ids.MSS(1)), w.AddMH(2, ids.MSS(1))
+	var ra, rb ids.RequestID
+	w.Kernel.Defer(0, func() { ra = a.IssueRequest(1, []byte("sub")) })
+	w.Kernel.Defer(500*time.Millisecond, func() { rb = b.IssueRequest(1, []byte("sub")) })
+	w.RunUntil(2 * time.Second)
+
+	if !a.Seen(ra) || !b.Seen(rb) || w.Stats.CacheHits.Value() != 1 {
+		t.Fatalf("fixture: seen %v %v, %d cache hits; want the second answered from the cache",
+			a.Seen(ra), b.Seen(rb), w.Stats.CacheHits.Value())
+	}
+	if err := w.CheckQuiescent(); err != nil {
+		t.Error(err)
+	}
+}
+
+// The durable life-cycle of a group proxy, one test per gate: no lease
+// (no heartbeat, no expiry), no migration offer, no del-pref (on a
+// forward, or as the Fig. 4 del-pref-only message), no §3.3 deletion.
+
+// TestGroupProxyHoldsNoLease: under leases, the station sends a
+// subscriber's group proxy no heartbeat, and a group proxy the journal
+// revived after a crash arms no expiry: it outlives many TTLs and serves
+// the next subscription.
+func TestGroupProxyHoldsNoLease(t *testing.T) {
+	w, _ := aggWorld(t, 20*time.Millisecond, func(cfg *Config) {
+		cfg.LeaseTTL, cfg.Checkpoint, cfg.RecoveryGrace = 300*time.Millisecond, true, 50*time.Millisecond
+	})
+	a, b := w.AddMH(1, ids.MSS(1)), w.AddMH(2, ids.MSS(1))
+	var first, second ids.RequestID
+	w.Kernel.Defer(0, func() { first = a.IssueRequest(1, []byte("sub")) })
+	w.Kernel.Defer(200*time.Millisecond, func() { w.CrashMSS(1) })
+	w.Kernel.Defer(250*time.Millisecond, func() { w.RestartMSS(1) })
+	w.Kernel.Defer(1500*time.Millisecond, func() { second = b.IssueRequest(1, []byte("sub")) })
+	w.RunUntil(2 * time.Second)
+
+	if !a.Seen(first) || !b.Seen(second) {
+		t.Fatal("a subscription went unanswered")
+	}
+	s := w.Stats
+	if s.LeaseHeartbeats.Value() != 0 || s.ProxiesReclaimed.Value() != 0 || s.OrphanMessages.Value() != 0 {
+		t.Errorf("%d heartbeats, %d proxies reclaimed, %d orphans; want none",
+			s.LeaseHeartbeats.Value(), s.ProxiesReclaimed.Value(), s.OrphanMessages.Value())
+	}
+	if got := s.SharedProxies.Value(); got != 1 {
+		t.Errorf("SharedProxies = %d, want 1 (the revived group serves the second subscriber)", got)
+	}
+	if err := w.CheckQuiescent(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGroupProxyNeverOffered: a member moved one hop away is fanned out
+// to there, a forward that makes a private proxy offer itself under a
+// one-hop threshold; the group proxy stays.
+func TestGroupProxyNeverOffered(t *testing.T) {
+	w, _ := aggWorld(t, 300*time.Millisecond, func(cfg *Config) { cfg.Migration = proxymig.Policy{HopThreshold: 1} })
+	mh := w.AddMH(1, ids.MSS(1))
+	var req ids.RequestID
+	w.Kernel.Defer(0, func() { req = mh.IssueRequest(1, []byte("sub")) })
+	w.Kernel.Defer(100*time.Millisecond, func() { w.Migrate(1, ids.MSS(2)) })
+	w.RunUntil(2 * time.Second)
+
+	if !mh.Seen(req) || w.Stats.ForwardHops.Value() == 0 {
+		t.Fatalf("fixture: seen %v, %d forward hops; want a remote fan-out", mh.Seen(req), w.Stats.ForwardHops.Value())
+	}
+	if got := w.Stats.MigOffers.Value(); got != 0 {
+		t.Errorf("MigOffers = %d, want 0", got)
+	}
+	if err := w.CheckQuiescent(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGroupProxySendsNoDelPref: a group proxy's last pending entry
+// carries no del-pref, and acking all but one entry sends no
+// del-pref-only message (Fig. 4): the shared pref never arms RKpR.
+func TestGroupProxySendsNoDelPref(t *testing.T) {
+	w, _ := aggWorld(t, 20*time.Millisecond)
+	mh := w.AddMH(1, ids.MSS(1))
+	var reqs []ids.RequestID
+	w.Kernel.Defer(0, func() {
+		reqs = append(reqs, mh.IssueRequest(1, []byte("a")), mh.IssueRequest(1, []byte("b")))
+	})
+	w.Kernel.Defer(500*time.Millisecond, func() { reqs = append(reqs, mh.IssueRequest(1, []byte("c"))) })
+	w.RunUntil(2 * time.Second)
+
+	for _, r := range reqs {
+		if !mh.Seen(r) {
+			t.Fatalf("%v went unanswered", r)
+		}
+	}
+	if pref, _ := w.MSSs[1].PrefOf(1); pref.RKpR || !isSharedProxy(pref.Proxy) {
+		t.Errorf("pref %+v; want the shared pref, RKpR never armed", pref)
+	}
+	if got := w.Stats.OrphanMessages.Value(); got != 0 {
+		t.Errorf("OrphanMessages = %d, want 0 (a del-pref-only message names no host)", got)
+	}
+	if err := w.CheckQuiescent(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestGroupProxyOutlivesDelProxy: a relayed Ack carrying del-proxy does
+// not end a group proxy (§3.3 removal applies to private proxies only).
+func TestGroupProxyOutlivesDelProxy(t *testing.T) {
+	w, n, _, id, mh := doorWorld(t, "group")
+	n.process(ids.MSS(3).Node(), msg.AckForward{Proxy: id, MH: mh, Req: ids.RequestID{Origin: mh, Seq: 1}, DelProxy: true})
+	if p := n.ProxyByID(id); p == nil || w.Stats.ProxiesDeleted.Value() != 0 || w.Stats.Violations.Value() != 0 {
+		t.Errorf("proxy %v, %d deleted, %d violations; want the group proxy kept",
+			p, w.Stats.ProxiesDeleted.Value(), w.Stats.Violations.Value())
 	}
 }
 

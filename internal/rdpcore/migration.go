@@ -76,10 +76,10 @@ type migReservation struct {
 	buffered []inboxItem
 }
 
-// noteForward runs on every result forward a proxy issues: it accounts
-// the forwarding-path length and consults the migration policy.
-func (n *MSSNode) noteForward(p *Proxy) {
-	d := n.w.distance(n.id, p.currentLoc)
+// noteForward runs on every result forward a proxy issues, to loc: it
+// accounts the forwarding-path length and consults the migration policy.
+func (n *MSSNode) noteForward(p *Proxy, loc ids.MSS) {
+	d := n.w.distance(n.id, loc)
 	n.w.Stats.ForwardHops.Add(int64(d))
 	n.w.Stats.ForwardCount.Inc()
 	n.w.Stats.ForwardHopMax.Observe(int64(d))
@@ -93,10 +93,11 @@ func (n *MSSNode) noteForward(p *Proxy) {
 // maybeMigrate offers the proxy to the MH's current station when the
 // policy fires. At most one offer per proxy is in flight; a lost
 // offer/commit (possible only without the ARQ) simply leaves the proxy
-// fixed until the cooldown lets the next trigger re-offer.
+// fixed until the cooldown lets the next trigger re-offer. A group proxy
+// stays with its cell: it is never offered.
 func (n *MSSNode) maybeMigrate(p *Proxy, dist int) {
 	pol := n.w.cfg.Migration
-	if !pol.Enabled() {
+	if !pol.Enabled() || p.group != nil {
 		return
 	}
 	if p.migOffered && time.Duration(n.w.Kernel.Now()-p.lastMigAttempt) < pol.Linger() {
@@ -214,7 +215,7 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 		return
 	}
 	n.take(m.NewProxy.Seq) // the reservation, unless a crash wiped it
-	p := n.revive(m.NewProxy, &m)
+	p := n.revive(m.NewProxy, &m, nil)
 	// The install itself counts as a migration attempt: an MH ping-ponging
 	// between cells must not drag its proxy along inside the cooldown.
 	p.lastMigAttempt = n.w.Kernel.Now()
@@ -237,7 +238,7 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 	// already happened toward here — re-sending would only manufacture
 	// duplicates.
 	if responsible && p.currentLoc != n.id {
-		p.onUpdateLoc(n.id)
+		p.onUpdateLoc(n.id, nil)
 	}
 	// Announce the new pref to every server still owing a reply; each
 	// confirms to the old host, draining the tombstone's confirm set.

@@ -44,7 +44,7 @@ type MSSNode struct {
 	// retired holds the proxies the current event ended; they are stocked
 	// once it is over (flushJournal).
 	spareProxies []*Proxy
-	spareImages  []*msg.MigState
+	spareImages  []*proxyImage
 	spareOut     [][]outReq
 	retired      []*Proxy
 	// hosted is what answers for each proxy identity of this station, by
@@ -189,8 +189,8 @@ func (n *MSSNode) ProxyByID(id ids.ProxyID) *Proxy {
 }
 
 // addressee is what answers for one proxy identity hosted at a station:
-// a private *Proxy, a shared *GroupProxy, the *tombstone of a proxy that
-// migrated away, or the *migReservation of one on its way in. It is
+// a *Proxy (private or group), the *tombstone of a proxy that migrated
+// away, or the *migReservation of one on its way in. It is
 // handed a message that names it, borrowed as the station's door was.
 type addressee interface {
 	handle(from ids.NodeID, m msg.Message)
@@ -212,9 +212,11 @@ func (n *MSSNode) take(seq uint32) {
 // a reservation is volatile, so filling or emptying its slot journals
 // nothing.
 func (n *MSSNode) count(seq uint32, a addressee, d int) {
-	switch a.(type) {
+	switch a := a.(type) {
 	case *Proxy:
-		n.nProxies += d
+		if a.group == nil {
+			n.nProxies += d
+		}
 	case *migReservation:
 		n.nReserved += d
 		return
@@ -230,7 +232,7 @@ func (n *MSSNode) newSeq() uint32 {
 	return n.nextProxySeq
 }
 
-// proxyAt returns the private proxy answering for seq, or nil.
+// proxyAt returns the proxy answering for seq, or nil.
 func (n *MSSNode) proxyAt(seq uint32) *Proxy {
 	p, _ := n.hosted[seq].(*Proxy)
 	return p
@@ -877,16 +879,14 @@ func (n *MSSNode) handleRequest(from ids.NodeID, in msg.Message) {
 	id, local := n.proxyFor(mh, m.Server, m.Payload)
 	switch a := local.(type) {
 	case *Proxy:
-		a.addRequest(m.Req, m.Server, m.Payload, m.Inc)
-	case *GroupProxy:
-		a.join(mh, n.id, m.Req, m.Server, m.Payload, m.Inc)
+		a.addRequest(m.Req, m.Server, m.Payload, m.Inc, n.id)
 	default:
 		if id.Host == n.id {
 			n.w.violate(violPrefDeadProxy, mh, id, m.Req)
 			return
 		}
-		// A remote shared proxy takes the same forward: its host joins the
-		// MH into the matching group entry (GroupProxy.handle).
+		// A remote group proxy takes the same forward: its host joins the
+		// MH into the matching group entry.
 		n.sendWired(id.Host.Node(),
 			n.w.view(msg.RequestForward{Proxy: id, Req: m.Req, Server: m.Server, Payload: m.Payload, Inc: m.Inc}.Leg()))
 	}
@@ -910,8 +910,8 @@ func (n *MSSNode) proxyFor(mh ids.MH, server ids.Server, payload []byte) (ids.Pr
 		if pref.Proxy.Host == n.id {
 			local = n.hosted[pref.Proxy.Seq]
 		}
-	} else if g := n.sharedGroupFor(server, payload); g != nil {
-		pref.Proxy, local = g.id, g
+	} else if p := n.sharedGroupFor(server, payload); p != nil {
+		pref.Proxy, local = p.id, p
 	} else {
 		p := n.createProxy(mh)
 		pref.Proxy, local = p.id, p
@@ -1392,9 +1392,7 @@ func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 	}
 	id, local := n.proxyFor(mh, ids.NoServer, nil)
 	switch local.(type) {
-	case *Proxy, *GroupProxy:
-		// A group proxy counts it as an orphan: batches and shared prefs
-		// do not combine (DESIGN §10).
+	case *Proxy:
 		local.handle(from, m)
 	default:
 		if id.Host == n.id {

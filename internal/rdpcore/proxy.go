@@ -3,6 +3,7 @@ package rdpcore
 import (
 	"slices"
 
+	"repro/internal/aggstate"
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -12,7 +13,9 @@ import (
 // respMss when it issues a request and has none, it provides the fixed
 // wired-network location for server replies, tracks pending requests,
 // stores results, and forwards them to the MH's current respMss. It
-// lives inside its hosting MSSNode and communicates through it.
+// lives inside its hosting MSSNode and communicates through it. A group
+// proxy (E16, groupproxy.go) is a Proxy too, serving a cell's
+// subscribers of one topic under a durable life-cycle.
 type Proxy struct {
 	id         ids.ProxyID
 	mh         ids.MH
@@ -60,6 +63,10 @@ type Proxy struct {
 	// renewals: an expiry timer armed under an earlier count is superseded.
 	leaseInc   ids.Incarnation
 	leaseEpoch uint64
+
+	// group makes the proxy a group proxy: nil for the paper's private
+	// one.
+	group *proxyGroup
 }
 
 // normInc maps the zero "unknown" incarnation onto the first one: a
@@ -129,14 +136,27 @@ func (p *Proxy) req(id ids.RequestID) *msg.ProxyReq {
 	return nil
 }
 
-// removeReq splices id's entry out of the requestList, keeping the order
-// of the rest, and reports whether it was there.
+// removeReq takes member id off its entry, and reports whether it was
+// there. An entry that no member waits on any more is spliced out of the
+// requestList, keeping the order of the rest: a private entry's one
+// member is its request's origin, so that entry goes with it.
 func (p *Proxy) removeReq(id ids.RequestID) bool {
 	for i := range p.reqs {
-		if p.reqs[i].Req == id {
-			p.reqs = slices.Delete(p.reqs, i, i+1)
-			return true
+		if ws := p.group.waitersOf(p.reqs[i].Req); ws != nil {
+			j, ok := ws.ackIdx[id]
+			if !ok || ws.list[j].acked {
+				continue
+			}
+			ws.list[j].acked = true
+			if ws.unacked--; ws.unacked > 0 {
+				return true
+			}
+			delete(p.group.waiters, p.reqs[i].Req)
+		} else if p.reqs[i].Req != id {
+			continue
 		}
+		p.reqs = slices.Delete(p.reqs, i, i+1)
+		return true
 	}
 	return false
 }
@@ -156,14 +176,23 @@ func (p *Proxy) batch(id ids.BatchID) *msg.ProxyBatch {
 }
 
 // handle takes one message addressed to the proxy (MSSNode.deliver). A
-// relayed Ack carrying del-proxy ends it (§3.3).
-func (p *Proxy) handle(_ ids.NodeID, m msg.Message) {
+// relayed Ack carrying del-proxy ends it (§3.3). A group proxy also takes
+// the coalesced signaling, and registers a forwarded request's origin at
+// the sending station — a member that moved to another cell keeps its
+// shared pref, so its later requests arrive as forwards.
+func (p *Proxy) handle(from ids.NodeID, m msg.Message) {
 	switch m.Kind() {
 	case msg.KindRequestForward:
 		l := p.host.w.legOf(m)
-		p.addRequest(l.Req, l.Server, l.Payload, l.Inc)
+		p.addRequest(l.Req, l.Server, l.Payload, l.Inc, from.MSS())
 	case msg.KindUpdateCurrentLoc:
-		p.onUpdateLoc(p.host.w.legOf(m).MSS)
+		l := p.host.w.legOf(m)
+		var moved *aggstate.Set // a private proxy's one host
+		if p.group != nil {
+			moved = new(aggstate.Set)
+			moved.Add(uint32(l.MH))
+		}
+		p.onUpdateLoc(l.MSS, moved)
 	case msg.KindAckForward:
 		l := p.host.w.legOf(m)
 		p.onAckForward(l.Req, l.Flag)
@@ -181,8 +210,27 @@ func (p *Proxy) handle(_ ids.NodeID, m msg.Message) {
 		p.onBatchItem(m.(msg.BatchItem))
 	case msg.KindBatchCommit:
 		p.onBatchCommit(m.(msg.BatchCommit))
+	case msg.KindGroupUpdateLoc:
+		v := m.(msg.GroupUpdateLoc)
+		if moved, err := aggstate.DecodeDelta(v.Members); err == nil && p.group != nil {
+			p.onUpdateLoc(v.NewLoc, moved)
+			return
+		}
+		p.host.w.Stats.OrphanMessages.Inc()
+	case msg.KindGroupAckForward:
+		// Seqs aligns with the ascending iteration of the member set; a
+		// mismatched pair is rejected whole.
+		v := m.(msg.GroupAckForward)
+		set, err := aggstate.DecodeDelta(v.Members)
+		if err != nil || set.Len() != len(v.Seqs) || p.group == nil {
+			p.host.w.Stats.OrphanMessages.Inc()
+			return
+		}
+		for i, mh := range set.Members() {
+			p.onAck(ids.RequestID{Origin: ids.MH(mh), Seq: v.Seqs[i]}, false)
+		}
 	default:
-		p.host.w.Stats.OrphanMessages.Inc() // group signaling for a private proxy
+		p.host.w.Stats.OrphanMessages.Inc()
 	}
 }
 
@@ -196,10 +244,13 @@ func (p *Proxy) onAckForward(req ids.RequestID, delProxy bool) {
 	}
 }
 
-// addRequest registers a request and issues it to the server. A duplicate
-// registration (client-side retry) is not re-issued to the server; if the
-// result is already stored it is re-forwarded instead, which is what lets
-// a stationary MH recover from a lost wireless delivery.
+// addRequest registers a request, sent by the station at from, and
+// issues it to the server. A duplicate registration (client-side retry)
+// is not re-issued to the server; if the result is already stored it is
+// re-forwarded instead, which is what lets a stationary MH recover from a
+// lost wireless delivery. A group proxy registers its origin as a member
+// at from, and only the first member asking a question opens an entry
+// and issues it; the others join that entry (join).
 //
 // Incarnation arbitration (E18): an amnesiac reboot restarts the MH's
 // sequence counter, so the same RequestID can arrive twice meaning two
@@ -208,7 +259,11 @@ func (p *Proxy) onAckForward(req ids.RequestID, delProxy bool) {
 // a newer incarnation is a brand-new request that reuses the identifier,
 // so the orphaned entry is replaced where it stands and the new request
 // executed.
-func (p *Proxy) addRequest(req ids.RequestID, server ids.Server, payload []byte, inc ids.Incarnation) {
+func (p *Proxy) addRequest(req ids.RequestID, server ids.Server, payload []byte, inc ids.Incarnation, from ids.MSS) {
+	if p.group != nil {
+		p.join(req, server, payload, inc, from)
+		return
+	}
 	r := p.req(req)
 	switch {
 	case r == nil:
@@ -219,7 +274,7 @@ func (p *Proxy) addRequest(req ids.RequestID, server ids.Server, payload []byte,
 		return
 	case !incLess(r.Inc, inc):
 		if r.HasResult {
-			p.forwardResult(r)
+			p.forwardResult(r, nil)
 		}
 		return
 	default:
@@ -272,19 +327,23 @@ func (p *Proxy) onServerResult(req ids.RequestID, payload []byte) {
 
 // resultReady forwards a freshly stored result — unless it belongs to a
 // batch member, which is withheld until the whole batch is complete: then
-// this result may be the one that releases it.
+// this result may be the one that releases it. A shared entry's waiters
+// are indexed for their acks from then on.
 func (p *Proxy) resultReady(r *msg.ProxyReq) {
+	if ws := p.group.waitersOf(r.Req); ws != nil {
+		ws.indexAcks()
+	}
 	if r.Batch.Valid() {
 		p.checkBatchRelease(p.batch(r.Batch))
 		return
 	}
-	p.forwardResult(r)
+	p.forwardResult(r, nil)
 }
 
-// forwardResult sends one stored result to currentLoc, piggybacking
-// del-pref when this is the proxy's only pending request (§3.3: the
-// flag rides on "the result of the last pending request").
-func (p *Proxy) forwardResult(r *msg.ProxyReq) {
+// forwardResult sends one stored result to every member of its entry
+// that has not acknowledged it — or, when moved is set, to those of them
+// in moved.
+func (p *Proxy) forwardResult(r *msg.ProxyReq, moved *aggstate.Set) {
 	if r.Batch.Valid() {
 		// Atomicity gate (E17): no member result ever leaves the proxy
 		// before its batch releases. This single check covers every
@@ -296,28 +355,68 @@ func (p *Proxy) forwardResult(r *msg.ProxyReq) {
 			return
 		}
 	}
-	delPref := len(p.reqs) == 1
-	if r.Forwarded {
+	ws := p.group.waitersOf(r.Req)
+	if ws == nil {
+		if moved == nil || moved.Contains(uint32(r.Req.Origin)) {
+			p.forwardTo(r, r.Req, r.Inc, &r.Forwarded)
+		}
+		return
+	}
+	for i := range ws.list {
+		if w := &ws.list[i]; !w.acked && (moved == nil || moved.Contains(uint32(w.req.Origin))) {
+			p.forwardTo(r, w.req, w.inc, &w.forwarded)
+		}
+	}
+}
+
+// locOf returns where member mh is: at its memberLoc exception if it has
+// one, else at currentLoc.
+func (p *Proxy) locOf(mh ids.MH) ids.MSS {
+	if g := p.group; g != nil {
+		if loc, ok := g.memberLoc[mh]; ok {
+			return loc
+		}
+	}
+	return p.currentLoc
+}
+
+// forwardTo sends r's result to member req, of incarnation inc, at its
+// location. del-pref rides along when this is the proxy's only pending request
+// (§3.3: the flag rides on "the result of the last pending request") —
+// never from a group proxy, which is never removed.
+func (p *Proxy) forwardTo(r *msg.ProxyReq, req ids.RequestID, inc ids.Incarnation, forwarded *bool) {
+	if *forwarded {
 		p.host.w.Stats.Retransmissions.Inc()
 	}
-	r.Forwarded = true
+	*forwarded = true
 	p.host.w.Stats.ResultForwards[p.host.id]++
-	fwd := msg.ResultForward{Proxy: p.id, MH: p.mh, Req: r.Req, Payload: r.Result, DelPref: delPref, Inc: r.Inc}
-	p.host.sendToStation(p.currentLoc, p.host.w.view(fwd.Leg()))
+	if p.group != nil {
+		p.host.w.Stats.GroupFanouts.Inc()
+	}
+	loc := p.locOf(req.Origin)
+	fwd := msg.ResultForward{Proxy: p.id, MH: req.Origin, Req: req, Payload: r.Result,
+		DelPref: len(p.reqs) == 1 && p.group == nil, Inc: inc}
+	p.host.sendToStation(loc, p.host.w.view(fwd.Leg()))
 	// Every forward is a migration-policy observation (migration.go); a
 	// fired trigger only sends an offer, so the proxy stays intact here.
-	p.host.noteForward(p)
+	p.host.noteForward(p, loc)
 }
 
 // onUpdateLoc handles update_currentLoc: record the MH's new respMss and
 // re-send every stored, not-yet-acknowledged result to it (§3.1: "causes
 // the variable currentLoc to be updated and any non-acknowledged results
-// from pending requests to be re-sent to the new location").
-func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
-	p.currentLoc = newLoc
+// from pending requests to be re-sent to the new location"). A group
+// proxy is told of the members in moved, one host's or a coalesced set's
+// (E16), and re-sends what they wait on.
+func (p *Proxy) onUpdateLoc(newLoc ids.MSS, moved *aggstate.Set) {
+	if moved == nil {
+		p.currentLoc = newLoc
+	} else {
+		moved.ForEach(func(mh uint32) { p.group.locate(ids.MH(mh), newLoc, p.currentLoc) })
+	}
 	for i := range p.reqs {
 		if p.reqs[i].HasResult {
-			p.forwardResult(&p.reqs[i])
+			p.forwardResult(&p.reqs[i], moved)
 		}
 	}
 }
@@ -329,8 +428,13 @@ func (p *Proxy) onUpdateLoc(newLoc ids.MSS) {
 // Fig. 4 rule: if after removal exactly one pending request remains and
 // its result has already been forwarded, the proxy sends the special
 // del-pref-only message so the respMss can arm RKpR.
+//
+// A group proxy is durable: neither rule applies to it.
 func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
 	removed := p.removeReq(req)
+	if p.group != nil {
+		return false
+	}
 	if delProxy {
 		if len(p.reqs) != 0 {
 			// del-proxy may only be confirmed when no request is pending
@@ -468,7 +572,7 @@ func (p *Proxy) checkBatchRelease(b *msg.ProxyBatch) {
 	}
 	b.Released = true
 	for _, req := range b.Members {
-		p.forwardResult(p.req(req))
+		p.forwardResult(p.req(req), nil)
 	}
 }
 
@@ -484,11 +588,12 @@ func (p *Proxy) abortBatch(b *msg.ProxyBatch) {
 	p.sendAbort(b)
 }
 
-// sendAbort tells the MH, through its respMss, to abandon the members of
-// an aborted batch. The memo's member list is never written again, so the
-// message may share it.
+// sendAbort tells the batch's origin host, through its respMss, to
+// abandon the members of an aborted batch. The memo's member list is
+// never written again, so the message may share it.
 func (p *Proxy) sendAbort(b *msg.ProxyBatch) {
-	p.host.sendToStation(p.currentLoc, msg.BatchAbort{Proxy: p.id, MH: p.mh, Batch: b.Batch, Reqs: b.Members})
+	mh := b.Batch.Origin
+	p.host.sendToStation(p.locOf(mh), msg.BatchAbort{Proxy: p.id, MH: mh, Batch: b.Batch, Reqs: b.Members})
 }
 
 // armBatchDeadline starts the abort timer of batch record gen: it aborts
@@ -525,11 +630,11 @@ func (p *Proxy) batchDeadline(gen uint32) {
 // incarnation scrubs everything owned by dead ones.
 
 // armLease (re)starts the proxy's lease-expiry timer; each arming
-// supersedes the one before (leaseEpoch).
+// supersedes the one before (leaseEpoch). A group proxy holds no lease.
 func (p *Proxy) armLease() {
 	host := p.host
 	ttl := host.w.cfg.LeaseTTL
-	if ttl <= 0 {
+	if ttl <= 0 || p.group != nil {
 		return
 	}
 	p.leaseEpoch++
@@ -552,8 +657,12 @@ func (p *Proxy) leaseExpired(epoch uint64) {
 // incarnations is scrubbed, and a proxy left with neither a request nor a
 // live batch by the scrub is reclaimed on the spot (the pref at the
 // respMss is dropped by the reclaim memo, so the next request builds a
-// fresh proxy).
+// fresh proxy). A group proxy, holding no lease, takes no heartbeat.
 func (p *Proxy) renewLease(inc ids.Incarnation) {
+	if p.group != nil {
+		p.host.w.Stats.OrphanMessages.Inc()
+		return
+	}
 	p.host.w.Stats.LeaseHeartbeats.Inc()
 	if incLess(p.leaseInc, inc) {
 		p.scrubStale(inc)
@@ -598,7 +707,8 @@ func (p *Proxy) scrubStale(inc ids.Incarnation) {
 // The journal keeps one per hosted proxy (flushJournal writes it, a restart
 // revives it) and a migration ships one (migrateOut takes it, the adopting
 // station revives it): one copy function each way, whichever path moves
-// the proxy.
+// the proxy. A group proxy, which never migrates, adds its members,
+// locations and waiters as a journal-only extension (proxyImage).
 
 // image writes the proxy's image over dst, into the arrays dst already
 // owns: a deep copy — the request list and every member list are dst's
@@ -623,22 +733,27 @@ func (p *Proxy) image(dst *msg.MigState) {
 }
 
 // revive installs at n, under identity id, the proxy an image describes —
-// the journal's after a restart, or a migration's on adoption. It clones
-// out of the image, so whatever later writes over the image leaves the
-// proxy alone, and arms what does not travel: a fresh, full deadline for
-// every live unreleased batch — pre-crash timers died with the crash,
-// pre-move ones stayed behind, and deadline precision across either is
-// outside the atomicity contract — and a fresh lease. createdAt restarts
-// now, so the station's ProxySeconds accounting starts over.
-func (n *MSSNode) revive(id ids.ProxyID, st *msg.MigState) *Proxy {
+// the journal's after a restart, or a migration's on adoption — a group
+// proxy when the journal's extension g comes with it. It clones out of
+// the image, so whatever later writes over the image leaves the proxy
+// alone, and arms what does not travel: a fresh, full deadline for every
+// live unreleased batch — pre-crash timers died with the crash, pre-move
+// ones stayed behind, and deadline precision across either is outside the
+// atomicity contract — and a fresh lease. createdAt restarts now, so the
+// station's ProxySeconds accounting starts over.
+func (n *MSSNode) revive(id ids.ProxyID, st *msg.MigState, g *proxyGroup) *Proxy {
 	p := newProxy(id, st.MH, n)
 	p.currentLoc, p.leaseInc = st.CurrentLoc, st.LeaseInc
 	p.reqs = append(p.reqs, st.Reqs...)
+	p.group = g.clone()
 	for _, b := range st.Batches {
 		b.Members = slices.Clone(b.Members)
 		p.openBatch(b)
 	}
 	n.put(id.Seq, p)
+	if p.group != nil {
+		n.topicProxies[p.group.key] = id.Seq
+	}
 	p.armLease()
 	return p
 }

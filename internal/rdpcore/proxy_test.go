@@ -92,7 +92,7 @@ func TestProxyRetryReforwardsStoredResult(t *testing.T) {
 	p.onServerResult(req, []byte("r"))
 	forwards := w.Stats.ResultForwards[1]
 	served := w.Servers[1].Served.Value()
-	p.addRequest(req, 1, []byte("x"), 0) // client retry arrives
+	p.addRequest(req, 1, []byte("x"), 0, p.host.id) // client retry arrives
 	if got := w.Stats.ResultForwards[1]; got != forwards+1 {
 		t.Errorf("retry did not re-forward the stored result (%d -> %d)", forwards, got)
 	}
@@ -105,7 +105,7 @@ func TestProxyRetryReforwardsStoredResult(t *testing.T) {
 func TestProxyRetryBeforeResultIsNoop(t *testing.T) {
 	w, p, req := proxyFixture(t)
 	forwards := w.Stats.ResultForwards[1]
-	p.addRequest(req, 1, []byte("x"), 0)
+	p.addRequest(req, 1, []byte("x"), 0, p.host.id)
 	if got := w.Stats.ResultForwards[1]; got != forwards {
 		t.Error("retry before the result forwarded something")
 	}

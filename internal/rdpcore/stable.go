@@ -22,15 +22,16 @@ import (
 // after a grace period, re-issues whatever the journal shows incomplete.
 
 // The journal stores value copies of the live types — a proxy's image
-// (msg.MigState, which is also what a migration ships), sharedWaiter,
-// tombstone, a host record's hostDurable — deep enough that later
-// mutation of the live state cannot reach into stable storage. What a
-// copy carries of the live type's volatile fields (a tombstone's host and
-// timer epoch) is zeroed on the way in. The two images an ordinary event
-// writes — a host's and a proxy's — are written over the stored one, into
-// the slices it already owns: still a deep copy (the store's backing
-// arrays are the store's alone; a restart clones out of them), but a
-// journal write allocates nothing once the image has reached its size.
+// (msg.MigState, which is also what a migration ships, and a group
+// proxy's extension of it), tombstone, a host record's hostDurable — deep
+// enough that later mutation of the live state cannot reach into stable
+// storage. What a copy carries of the live type's volatile fields (a
+// tombstone's host and timer epoch) is zeroed on the way in. The two
+// images an ordinary event writes — a host's and a private proxy's — are
+// written over the stored one, into the slices it already owns: still a
+// deep copy (the store's backing arrays are the store's alone; a restart
+// clones out of them), but a journal write allocates nothing once the
+// image has reached its size. A group proxy's extension is copied anew.
 
 // hostJournal is the journaled per-MH state of one station: the pref,
 // kept outside the host table (holding one is being responsible for the
@@ -43,35 +44,18 @@ type hostJournal struct {
 	hostDurable
 }
 
-// groupEntryRecord journals one shared entry of a group proxy.
-type groupEntryRecord struct {
-	server    ids.Server
-	payload   []byte
-	leaderReq ids.RequestID
-	result    []byte
-	hasResult bool
-	waiters   []sharedWaiter
-}
-
-// groupRecord is the journaled image of one shared group proxy (E16):
-// identity, the delta-encoded member set, the location exceptions, and
-// every in-flight entry. Group proxies journal whole images like
-// per-request proxies do; the snapshot is O(members) bytes, but group
-// membership mutates far less often than it is read.
-type groupRecord struct {
-	id        ids.ProxyID
-	server    ids.Server
-	topic     uint32
-	members   []byte // aggstate delta encoding
-	memberLoc map[ids.MH]ids.MSS
-	entries   []groupEntryRecord // entryOrder
+// proxyImage is the journal's record of one hosted proxy: its image
+// (Proxy.image) and, for a group proxy, a copy of the group — the
+// extension only the journal keeps, as a group proxy never migrates.
+type proxyImage struct {
+	msg.MigState
+	group *proxyGroup
 }
 
 // stationRecord is one station's journal.
 type stationRecord struct {
 	mhs     map[ids.MH]hostJournal
-	proxies map[uint32]*msg.MigState // each hosted proxy's image (Proxy.image)
-	groups  map[uint32]*groupRecord
+	proxies map[uint32]*proxyImage
 	// tombstones journals the old-to-new identity map plus the servers
 	// still owing a pref confirmation. A crash mid-migration must not lose
 	// the redirect — the transferred proxy lives on at the new host, and
@@ -124,8 +108,7 @@ func (s *stableStore) station(id ids.MSS) *stationRecord {
 	if rec == nil {
 		rec = &stationRecord{
 			mhs:        make(map[ids.MH]hostJournal),
-			proxies:    make(map[uint32]*msg.MigState),
-			groups:     make(map[uint32]*groupRecord),
+			proxies:    make(map[uint32]*proxyImage),
 			tombstones: make(map[uint32]tombstone),
 		}
 		s.stations[id] = rec
@@ -178,7 +161,7 @@ func (n *MSSNode) flushJournal() {
 	for _, seq := range n.dirtySlots {
 		// The image of what answers for the slot now replaces whatever the
 		// journal had there; an empty slot (or a reservation, which is
-		// volatile) leaves nothing. Group proxies are never deleted.
+		// volatile) leaves nothing.
 		delete(rec.tombstones, seq)
 		switch a := n.hosted[seq].(type) {
 		case *Proxy:
@@ -187,10 +170,9 @@ func (n *MSSNode) flushJournal() {
 				st = n.newImage()
 				rec.proxies[seq] = st
 			}
-			a.image(st)
+			a.image(&st.MigState)
+			st.group = a.group.clone()
 			continue // the stored record stays: it has just been written over
-		case *GroupProxy:
-			rec.groups[seq] = a.image()
 		case *tombstone:
 			rec.tombstones[seq] = a.clone()
 		}
@@ -205,22 +187,22 @@ func (n *MSSNode) flushJournal() {
 
 // newImage is the one constructor of a proxy's journal image: a record of
 // the spare stock, or a new one.
-func (n *MSSNode) newImage() *msg.MigState {
+func (n *MSSNode) newImage() *proxyImage {
 	if st := pop(&n.spareImages); st != nil {
 		return st
 	}
-	return new(msg.MigState)
+	return new(proxyImage)
 }
 
 // spareImage stocks the image of an emptied slot, its request array
 // cleared — or dropped, past spareReqs entries — and its batches dropped.
-func (n *MSSNode) spareImage(st *msg.MigState) {
+func (n *MSSNode) spareImage(st *proxyImage) {
 	reqs := st.Reqs
 	if cap(reqs) > spareReqs {
 		reqs = nil
 	}
 	clear(reqs)
-	*st = msg.MigState{Reqs: reqs[:0]}
+	*st = proxyImage{MigState: msg.MigState{Reqs: reqs[:0]}}
 	push(&n.spareImages, st)
 }
 
@@ -244,25 +226,19 @@ func (n *MSSNode) hostImage(mh ids.MH, stored []outReq) hostJournal {
 	return j
 }
 
-// image is the journaled image of the group proxy (E16).
-func (g *GroupProxy) image() *groupRecord {
-	gr := &groupRecord{
-		id:      g.id,
-		server:  g.server,
-		topic:   g.topic,
-		members: g.members.AppendDelta(nil),
+// clone returns a deep copy of g, nil for nil: the journal's copy of a
+// group proxy's extension, and a restart's copy back out of it.
+func (g *proxyGroup) clone() *proxyGroup {
+	if g == nil {
+		return nil
 	}
-	if len(g.memberLoc) > 0 {
-		gr.memberLoc = maps.Clone(g.memberLoc)
+	c := &proxyGroup{key: g.key, members: *g.members.Clone(), memberLoc: maps.Clone(g.memberLoc),
+		waiters: make(map[ids.RequestID]*waiterList, len(g.waiters))}
+	for req, ws := range g.waiters {
+		c.waiters[req] = &waiterList{list: slices.Clone(ws.list), unacked: ws.unacked,
+			ackIdx: maps.Clone(ws.ackIdx), entrants: *ws.entrants.Clone()}
 	}
-	for _, key := range g.entryOrder {
-		e := g.entries[key]
-		gr.entries = append(gr.entries, groupEntryRecord{
-			server: e.server, payload: e.payload, leaderReq: e.leaderReq,
-			result: e.result, hasResult: e.hasResult, waiters: slices.Clone(e.waiters),
-		})
-	}
-	return gr
+	return c
 }
 
 // persistSeq journals the proxy sequence counter so a restarted station
@@ -311,13 +287,13 @@ func (n *MSSNode) crash() {
 	// The result cache is volatile by design (dcache doc): rebuilding it
 	// empty costs recomputation, never correctness.
 	n.cache = dcache.New(n.w.cfg.ResultCache)
-	// Of the addressee table, proxies, group proxies and tombstones are
-	// recoverable from the journal. Inbound migration reservations are
-	// volatile, like a proxy's offer-in-flight mark: the reserved sequence
-	// numbers were persisted at allocation, so a post-restart mig_state
-	// still installs under a unique identity, and a lost offer merely
-	// leaves the proxy fixed until the next trigger. So are the signaling
-	// coalescing buffers.
+	// Of the addressee table, proxies and tombstones are recoverable from
+	// the journal. Inbound migration reservations are volatile, like a
+	// proxy's offer-in-flight mark: the reserved sequence numbers were
+	// persisted at allocation, so a post-restart mig_state still installs
+	// under a unique identity, and a lost offer merely leaves the proxy
+	// fixed until the next trigger. So are the signaling coalescing
+	// buffers.
 	n.hosted = make(map[uint32]addressee)
 	n.nProxies, n.nReserved = 0, 0
 	n.topicProxies = make(map[groupKey]uint32)
@@ -348,45 +324,7 @@ func (n *MSSNode) restoreFromStore() {
 	// sorted key order.
 	for _, seq := range sortedKeys(rec.proxies, cmp.Compare[uint32]) {
 		st := rec.proxies[seq]
-		n.revive(st.Proxy, st)
-	}
-	for _, seq := range sortedKeys(rec.groups, cmp.Compare[uint32]) {
-		gr := rec.groups[seq]
-		g := &GroupProxy{
-			id:        gr.id,
-			host:      n,
-			server:    gr.server,
-			topic:     gr.topic,
-			memberLoc: make(map[ids.MH]ids.MSS, len(gr.memberLoc)),
-			entries:   make(map[dcache.Key]*sharedEntry),
-			createdAt: n.w.Kernel.Now(),
-		}
-		if set, err := aggstate.DecodeDelta(gr.members); err == nil {
-			g.members = *set
-		}
-		for mh, loc := range gr.memberLoc {
-			g.memberLoc[mh] = loc
-		}
-		for _, er := range gr.entries {
-			e := &sharedEntry{
-				server: er.server, payload: er.payload, leaderReq: er.leaderReq,
-				result: er.result, hasResult: er.hasResult, waiters: slices.Clone(er.waiters),
-			}
-			for _, w := range e.waiters {
-				e.entrants.Add(uint32(w.mh))
-				if !w.acked {
-					e.unacked++
-				}
-			}
-			if e.hasResult {
-				e.indexAcks()
-			}
-			key := dcache.Key{Server: er.server, Digest: dcache.Digest(er.payload)}
-			g.entries[key] = e
-			g.entryOrder = append(g.entryOrder, key)
-		}
-		n.put(seq, g)
-		n.topicProxies[groupKey{server: gr.server, topic: gr.topic}] = seq
+		n.revive(st.Proxy, &st.MigState, st.group)
 	}
 	for _, seq := range sortedKeys(rec.tombstones, cmp.Compare[uint32]) {
 		t := rec.tombstones[seq].clone()
@@ -435,49 +373,32 @@ func (n *MSSNode) restoreFromStore() {
 // recoveryResend runs after RecoveryGrace: for every restored proxy it
 // re-issues the server request of each result-less entry (covers a
 // reply lost with the crash when the backbone has no ARQ) and
-// re-forwards each stored, still-unacked result; for every responsible
-// MH whose proxy lives elsewhere it re-announces this station as the
-// MH's location, prompting that proxy to re-send anything stranded.
+// re-forwards each stored result to every member still waiting on it,
+// one resend per entry; for every responsible MH whose proxy lives
+// elsewhere it re-announces this station as the MH's location, prompting
+// that proxy to re-send anything stranded.
 // Iteration is sorted so recovery traffic is deterministic.
 func (n *MSSNode) recoveryResend() {
 	// Ascending sequence is private proxies first, then group proxies
 	// (the shared bit is the top one).
 	for _, seq := range sortedKeys(n.hosted, cmp.Compare[uint32]) {
 		n.markSlot(seq) // re-forwarding and releasing write the forwarded and released flags
-		switch a := n.hosted[seq].(type) {
-		case *Proxy:
-			for i := range a.reqs {
-				n.w.Stats.RecoveryResends.Inc()
-				if r := &a.reqs[i]; r.HasResult {
-					a.forwardResult(r)
-				} else {
-					n.sendWired(r.Server.Node(), n.w.view(msg.ServerRequest{Proxy: a.id, Req: r.Req, Payload: r.Payload}.Leg()))
-				}
+		p, ok := n.hosted[seq].(*Proxy)
+		if !ok {
+			continue
+		}
+		for i := range p.reqs {
+			n.w.Stats.RecoveryResends.Inc()
+			if r := &p.reqs[i]; r.HasResult {
+				p.forwardResult(r, nil)
+			} else {
+				n.sendWired(r.Server.Node(), n.w.view(msg.ServerRequest{Proxy: p.id, Req: r.Req, Payload: r.Payload}.Leg()))
 			}
-			// Re-judge every restored batch for release. (The forwardResult
-			// calls above withheld any unreleased members.)
-			for i := range a.batches {
-				a.checkBatchRelease(&a.batches[i])
-			}
-		case *GroupProxy:
-			// The group analogue (E16): re-issue the server request of
-			// every result-less entry, re-fan-out every stored,
-			// still-unacked result.
-			for _, key := range a.entryOrder {
-				e := a.entries[key]
-				if !e.hasResult {
-					n.w.Stats.RecoveryResends.Inc()
-					n.sendWired(e.server.Node(),
-						n.w.view(msg.ServerRequest{Proxy: a.id, Req: e.leaderReq, Payload: e.payload}.Leg()))
-					continue
-				}
-				for i := range e.waiters {
-					if !e.waiters[i].acked {
-						n.w.Stats.RecoveryResends.Inc()
-						a.forward(e, i)
-					}
-				}
-			}
+		}
+		// Re-judge every restored batch for release. (The forwardResult
+		// calls above withheld any unreleased members.)
+		for i := range p.batches {
+			p.checkBatchRelease(&p.batches[i])
 		}
 	}
 	n.prefs.forEachSorted(func(mh ids.MH, pref msg.Pref) {

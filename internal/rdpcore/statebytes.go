@@ -9,12 +9,14 @@ package rdpcore
 //
 // The model covers exactly the state the aggregation changes or could
 // plausibly change: the pref table (whose keys are the station's
-// responsible hosts), hosted proxies (private and group) with their
-// request/entry lists, and the incarnation table. The outstanding-request
-// routing ledger is the same size in both modes — it is per-(MH,
-// in-flight request) transient state by nature — and is reported
-// separately (OutstandingBytes) so the headline ratio compares
-// representations, not workload phase.
+// responsible hosts), the incarnation table, and every hosted proxy with
+// its requestList — a private proxy's entries at a fixed cost each, a
+// group proxy's member set and location exceptions and its shared
+// entries' member lists besides. The outstanding-request routing ledger
+// is the same size in both modes — it is per-(MH, in-flight request)
+// transient state by nature — and is reported separately
+// (OutstandingBytes) so the headline ratio compares representations, not
+// workload phase.
 
 const (
 	// Faithful pref table: one map entry per registered MH, its Pref
@@ -27,13 +29,14 @@ const (
 	// Incarnation table entry (identical in both modes).
 	bytesIncEntry = 52
 	// Private proxy: struct + map/slice headers, and one requestList
-	// entry (excluding the variable payload/result bytes, added per
-	// request).
+	// entry with its one member (excluding the variable payload/result
+	// bytes, added per request).
 	bytesProxy    = 160
 	bytesProxyReq = 120
-	// Group proxy: struct + maps, one shared entry (again excluding
-	// payload/result), one waiter, one memberLoc exception, and one
-	// ackIdx element (only while a result is in fan-out).
+	// Group proxy: struct + its group's maps, one shared entry with its
+	// member list (again excluding payload/result), one waiter, one
+	// memberLoc exception, and one ackIdx element (only while a result is
+	// in fan-out).
 	bytesGroupProxy = 128
 	bytesGroupEntry = 96
 	bytesWaiter     = 16
@@ -66,22 +69,25 @@ func (n *MSSNode) StateBytes() int {
 			total += bytesIncEntry
 		}
 	}
+	// A group proxy's member set and location exceptions, and each shared
+	// entry's waiters, entrants and (once the result is in) ack index,
+	// count instead of a private proxy's and entry's fixed cost.
 	for _, a := range n.hosted {
-		switch a := a.(type) {
-		case *Proxy:
+		p, ok := a.(*Proxy)
+		if !ok {
+			continue
+		}
+		if g := p.group; g == nil {
 			total += bytesProxy
-			for _, r := range a.reqs {
-				total += bytesProxyReq + len(r.Payload) + len(r.Result)
-			}
-		case *GroupProxy:
-			total += bytesGroupProxy + a.members.MemBytes() + len(a.memberLoc)*bytesMemberLoc
-			for _, key := range a.entryOrder {
-				e := a.entries[key]
-				total += bytesGroupEntry + len(e.payload) + len(e.result)
-				total += len(e.waiters)*bytesWaiter + e.entrants.MemBytes()
-				if e.ackIdx != nil {
-					total += len(e.ackIdx) * bytesAckIdx
-				}
+		} else {
+			total += bytesGroupProxy + g.members.MemBytes() + len(g.memberLoc)*bytesMemberLoc
+		}
+		for _, r := range p.reqs {
+			total += len(r.Payload) + len(r.Result)
+			if ws := p.group.waitersOf(r.Req); ws != nil {
+				total += bytesGroupEntry + len(ws.list)*bytesWaiter + ws.entrants.MemBytes() + len(ws.ackIdx)*bytesAckIdx
+			} else {
+				total += bytesProxyReq
 			}
 		}
 	}

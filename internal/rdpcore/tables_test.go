@@ -236,17 +236,17 @@ func TestRequestListOrder(t *testing.T) {
 		}
 	}
 	for seq := uint32(2); seq <= 4; seq++ {
-		p.addRequest(id(seq), 1, []byte("abc"), ids.FirstIncarnation)
+		p.addRequest(id(seq), 1, []byte("abc"), ids.FirstIncarnation, p.host.id)
 	}
 	expect("after adds", first.Seq, 2, 3, 4)
-	p.addRequest(id(3), 1, []byte("dup"), ids.FirstIncarnation) // client retry
+	p.addRequest(id(3), 1, []byte("dup"), ids.FirstIncarnation, p.host.id) // client retry
 	expect("after duplicate", first.Seq, 2, 3, 4)
 	p.onAck(id(2), false)
 	expect("after ack", first.Seq, 3, 4)
-	p.addRequest(id(2), 1, []byte("again"), ids.FirstIncarnation)
+	p.addRequest(id(2), 1, []byte("again"), ids.FirstIncarnation, p.host.id)
 	expect("after re-add", first.Seq, 3, 4, 2)
 	old := p.req(id(3))
-	p.addRequest(id(3), 1, []byte("reborn"), ids.FirstIncarnation+1)
+	p.addRequest(id(3), 1, []byte("reborn"), ids.FirstIncarnation+1, p.host.id)
 	expect("after incarnation replacement", first.Seq, 3, 4, 2)
 	if r := p.req(id(3)); r != old || r.Inc != ids.FirstIncarnation+1 || string(r.Payload) != "reborn" {
 		t.Errorf("replacement: entry %+v, want the same entry re-tagged inc2/reborn", r)
@@ -902,15 +902,11 @@ func journalDump(n *MSSNode) string {
 			for _, r := range a.reqs {
 				fmt.Fprintf(&b, "  req %+v\n", r)
 			}
+			if a.group != nil {
+				fmt.Fprintf(&b, "  %s\n", groupString(a.group))
+			}
 			for _, bt := range a.batches {
 				fmt.Fprintf(&b, "  batch %+v\n", bt)
-			}
-		case *GroupProxy:
-			fmt.Fprintf(&b, "group %v %v %v %v %v\n", a.id, a.server, a.topic, a.members.Members(), a.memberLoc)
-			for _, key := range a.entryOrder {
-				e := a.entries[key]
-				fmt.Fprintf(&b, "  entry %v %q %v %q %v unacked %d waiters %+v index %v entrants %v\n", e.server, e.payload,
-					e.leaderReq, e.result, e.hasResult, e.unacked, e.waiters, e.ackIdx, e.entrants.Members())
 			}
 		case *tombstone:
 			if a.host != n {
@@ -984,8 +980,8 @@ func TestJournalRoundTrip(t *testing.T) {
 // journal a station ought to have from what it has in memory: the
 // reference the station's own writes are held to.
 func liveRecord(n *MSSNode) *stationRecord {
-	rec := &stationRecord{mhs: map[ids.MH]hostJournal{}, proxies: map[uint32]*msg.MigState{},
-		groups: map[uint32]*groupRecord{}, tombstones: map[uint32]tombstone{}, nextSeq: n.nextProxySeq}
+	rec := &stationRecord{mhs: map[ids.MH]hostJournal{}, proxies: map[uint32]*proxyImage{},
+		tombstones: map[uint32]tombstone{}, nextSeq: n.nextProxySeq}
 	host := func(mh ids.MH) {
 		j := hostJournal{hostDurable: n.peek(mh).hostDurable}
 		j.pref, j.hasPref = n.PrefOf(mh)
@@ -1002,17 +998,8 @@ func liveRecord(n *MSSNode) *stationRecord {
 	for seq, a := range n.hosted {
 		switch a := a.(type) {
 		case *Proxy:
-			rec.proxies[seq] = &msg.MigState{Proxy: a.id, MH: a.mh, CurrentLoc: a.currentLoc, LeaseInc: a.leaseInc,
-				Reqs: a.reqs, Batches: a.batches}
-		case *GroupProxy:
-			gr := &groupRecord{id: a.id, server: a.server, topic: a.topic,
-				members: a.members.AppendDelta(nil), memberLoc: a.memberLoc}
-			for _, key := range a.entryOrder {
-				e := a.entries[key]
-				gr.entries = append(gr.entries, groupEntryRecord{server: e.server, payload: e.payload,
-					leaderReq: e.leaderReq, result: e.result, hasResult: e.hasResult, waiters: e.waiters})
-			}
-			rec.groups[seq] = gr
+			rec.proxies[seq] = &proxyImage{MigState: msg.MigState{Proxy: a.id, MH: a.mh, CurrentLoc: a.currentLoc,
+				LeaseInc: a.leaseInc, Reqs: a.reqs, Batches: a.batches}, group: a.group}
 		case *tombstone:
 			rec.tombstones[seq] = a.clone()
 		}
@@ -1036,14 +1023,27 @@ func sameRecord(a, b *stationRecord) bool {
 			return x.oldProxy == y.oldProxy && x.newProxy == y.newProxy && x.mh == y.mh &&
 				maps.Equal(x.pendingServers, y.pendingServers)
 		})
-	return same && maps.EqualFunc(a.proxies, b.proxies, sameImage) && maps.EqualFunc(a.groups, b.groups, func(x, y *groupRecord) bool {
-		return x.id == y.id && x.server == y.server && x.topic == y.topic && bytes.Equal(x.members, y.members) &&
-			maps.Equal(x.memberLoc, y.memberLoc) &&
-			slices.EqualFunc(x.entries, y.entries, func(p, q groupEntryRecord) bool {
-				return p.server == q.server && bytes.Equal(p.payload, q.payload) && p.leaderReq == q.leaderReq &&
-					bytes.Equal(p.result, q.result) && p.hasResult == q.hasResult && slices.Equal(p.waiters, q.waiters)
-			})
+	return same && maps.EqualFunc(a.proxies, b.proxies, func(x, y *proxyImage) bool {
+		return sameImage(&x.MigState, &y.MigState) && groupString(x.group) == groupString(y.group)
 	})
+}
+
+// groupString prints a group proxy's extension deterministically: its
+// key, members and locations, and each shared entry's member list.
+func groupString(g *proxyGroup) string {
+	if g == nil {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "group %v %v %v", g.key, g.members.Members(), g.memberLoc)
+	for _, req := range sortedKeys(g.waiters, func(a, b ids.RequestID) int {
+		return cmp.Or(cmp.Compare(a.Origin, b.Origin), cmp.Compare(a.Seq, b.Seq))
+	}) {
+		ws := g.waiters[req]
+		fmt.Fprintf(&b, "\n    entry %v unacked %d waiters %+v index %v entrants %v",
+			req, ws.unacked, ws.list, ws.ackIdx, ws.entrants.Members())
+	}
+	return b.String()
 }
 
 // sameImage reports whether two proxy images hold the same state, an empty
@@ -1063,10 +1063,10 @@ func sameImage(x, y *msg.MigState) bool {
 }
 
 // imageString prints a proxy image field by field (MigState's String is the
-// trace form).
-func imageString(st *msg.MigState) string {
-	return fmt.Sprintf("%v->%v %v at %v lease %v reqs %+v batches %+v",
-		st.Proxy, st.NewProxy, st.MH, st.CurrentLoc, st.LeaseInc, st.Reqs, st.Batches)
+// trace form), and a group proxy's extension of it.
+func imageString(st *msg.MigState, g *proxyGroup) string {
+	return fmt.Sprintf("%v->%v %v at %v lease %v reqs %+v batches %+v %s",
+		st.Proxy, st.NewProxy, st.MH, st.CurrentLoc, st.LeaseInc, st.Reqs, st.Batches, groupString(g))
 }
 
 // dumpRecord prints a journal for a failure message.
@@ -1076,10 +1076,8 @@ func dumpRecord(rec *stationRecord) string {
 		fmt.Fprintf(&b, "host %v: %+v\n", mh, rec.mhs[mh])
 	}
 	for _, seq := range sortedKeys(rec.proxies, cmp.Compare[uint32]) {
-		fmt.Fprintf(&b, "proxy %s\n", imageString(rec.proxies[seq]))
-	}
-	for _, seq := range sortedKeys(rec.groups, cmp.Compare[uint32]) {
-		fmt.Fprintf(&b, "group %+v\n", *rec.groups[seq])
+		st := rec.proxies[seq]
+		fmt.Fprintf(&b, "proxy %s\n", imageString(&st.MigState, st.group))
 	}
 	for _, seq := range sortedKeys(rec.tombstones, cmp.Compare[uint32]) {
 		fmt.Fprintf(&b, "tombstone %+v\n", rec.tombstones[seq])
@@ -1262,11 +1260,11 @@ func TestTransferAtEveryBoundary(t *testing.T) {
 						t.Fatalf("seed %d step %d: %v: %v", seed, k.Steps(), p.id, err)
 					}
 					st := got.(msg.MigState)
-					twin.revive(p.id, &st).image(&back)
+					twin.revive(p.id, &st, nil).image(&back)
 					twin.take(p.id.Seq)
 					if !sameImage(&back, &sent) {
 						t.Fatalf("seed %d step %d at %v, %v: transfer changed the image\n--- sent\n%s\n--- revived\n%s",
-							seed, k.Steps(), k.Now(), p.id, imageString(&sent), imageString(&back))
+							seed, k.Steps(), k.Now(), p.id, imageString(&sent, nil), imageString(&back, nil))
 					}
 					images++
 					for _, b := range sent.Batches {
@@ -1441,17 +1439,17 @@ func doorMessages(id ids.ProxyID, mh ids.MH) []msg.ProxyAddressed {
 // journaled renders what the journal holds for a proxy identity: every
 // handled message changes it, since proxies write through.
 func journaled(w *World, id ids.ProxyID) string {
-	rec := w.store.station(1)
-	if st := rec.proxies[id.Seq]; st != nil {
-		return imageString(st)
+	if st := w.store.station(1).proxies[id.Seq]; st != nil {
+		return imageString(&st.MigState, st.group)
 	}
-	return fmt.Sprintf("%+v", rec.groups[id.Seq])
+	return ""
 }
 
 // TestOneDoor sends a message of every proxy-addressed kind, from a
 // remote station, to an identity answered by each sort of addressee, by
 // nothing, and by another station. A private or group proxy handles the
-// kinds it takes and counts the others as orphans; a tombstone sends the
+// kinds it takes — a private one no group signaling, a group one no lease
+// heartbeat — and counts the others as orphans; a tombstone sends the
 // message after the proxy under the new identity and tells the sender; a
 // reservation holds it until the mig_state installs the proxy, which then
 // gets it; an empty slot or a foreign identity is one orphan.
@@ -1459,7 +1457,7 @@ func TestOneDoor(t *testing.T) {
 	from := ids.MSS(3).Node()
 	takes := map[string][]bool{ // by doorMessages index
 		"private": {true, true, true, true, true, true, true, true, false, false},
-		"group":   {true, true, true, true, false, false, false, false, true, true},
+		"group":   {true, true, true, true, false, true, true, true, true, true},
 	}
 	for _, slot := range []string{"private", "group", "tombstone", "reservation", "empty", "foreign"} {
 		for k := range doorMessages(ids.NoProxy, 1) {
@@ -1517,23 +1515,32 @@ func TestOneDoor(t *testing.T) {
 	}
 }
 
-// TestBatchOfGroupMemberOrphanedOnTheSpot: batches and shared prefs do
-// not combine, and a host bound to a group proxy of its own station finds
-// that out in the event that carries its batch traffic — not after a
-// wired send from the station to itself.
-func TestBatchOfGroupMemberOrphanedOnTheSpot(t *testing.T) {
-	w, n, wired, _, mh := doorWorld(t, "group")
+// TestBatchOfGroupMemberTakenOnTheSpot: a host bound to a group proxy of
+// its own station has its batch taken by that proxy in the event that
+// carries its batch traffic — not after a wired send from the station to
+// itself: the batch opens and commits, and its member goes to the server,
+// the one wired send.
+func TestBatchOfGroupMemberTakenOnTheSpot(t *testing.T) {
+	w, n, wired, id, mh := doorWorld(t, "group")
 	b := ids.BatchID{Origin: mh, Seq: 1}
+	member := ids.RequestID{Origin: mh, Seq: 3}
 	for _, m := range []msg.Message{
 		msg.BatchOpen{MH: mh, Batch: b, Inc: 1},
-		msg.BatchItem{MH: mh, Batch: b, Req: ids.RequestID{Origin: mh, Seq: 3}, Server: 1, Payload: []byte("q"), Inc: 1},
+		msg.BatchItem{MH: mh, Batch: b, Req: member, Server: 1, Payload: []byte("q"), Inc: 1},
 		msg.BatchCommit{MH: mh, Batch: b, Count: 1},
 	} {
 		n.process(mh.Node(), m)
 	}
-	if got := w.Stats.OrphanMessages.Value(); got != 3 || len(wired.sent) != 0 || w.Stats.Violations.Value() != 0 {
-		t.Errorf("%d orphans, %d violations, sent %v; want 3 orphans counted in place",
-			got, w.Stats.Violations.Value(), wired.sent)
+	if got := w.Stats.OrphanMessages.Value(); got != 0 || w.Stats.Violations.Value() != 0 {
+		t.Errorf("%d orphans, %d violations; want the batch taken", got, w.Stats.Violations.Value())
+	}
+	p := n.ProxyByID(id)
+	if bt := p.batch(b); bt == nil || !bt.Committed || p.req(member) == nil || w.Stats.BatchesCommitted.Value() != 1 {
+		t.Errorf("batch %+v, member %v; want the batch committed at the group proxy", bt, p.req(member))
+	}
+	want := fmt.Sprint([]msg.Message{msg.ServerRequest{Proxy: id, Req: member, Payload: []byte("q")}}, []ids.NodeID{ids.Server(1).Node()})
+	if got := fmt.Sprint(wired.sent, wired.to); got != want {
+		t.Errorf("sent %s, want %s", got, want)
 	}
 }
 

@@ -1135,10 +1135,8 @@ func (w *World) resolveProxyRef(mh ids.MH, p ids.ProxyID) error {
 			return fmt.Errorf("invariant 3: pref of %v names unknown host %v", mh, p.Host)
 		}
 		switch a := host.hosted[p.Seq].(type) {
-		case *Proxy, *GroupProxy:
+		case *Proxy, *migReservation: // a reservation: mig_state install in flight
 			return nil
-		case *migReservation:
-			return nil // mig_state install in flight
 		case *tombstone:
 			p = a.newProxy
 			continue
@@ -1150,9 +1148,11 @@ func (w *World) resolveProxyRef(mh ids.MH, p ids.ProxyID) error {
 
 // CheckQuiescent verifies the stronger invariants that hold once all
 // traffic has drained (no in-flight messages, no pending hand-offs):
-// everything CheckInvariants demands, plus that no proxy exists without
-// a pref referencing it — in-flight deletions and hand-overs have
-// settled, so an orphan proxy would be a leak.
+// everything CheckInvariants demands, plus that no private proxy exists
+// without a pref referencing it — in-flight deletions and hand-overs have
+// settled, so an orphan proxy would be a leak — and that no station's
+// routing ledger still holds a request of a host that has not departed
+// from it: every request routed was answered and acknowledged.
 func (w *World) CheckQuiescent() error {
 	if err := w.CheckInvariants(); err != nil {
 		return err
@@ -1171,18 +1171,8 @@ func (w *World) CheckQuiescent() error {
 		for _, a := range st.hosted {
 			switch a := a.(type) {
 			case *Proxy:
-				if !referenced[a.id] {
-					return fmt.Errorf("quiescence: proxy %v for %v is orphaned (pending=%d)", a.id, a.mh, a.Pending())
-				}
-				if err := w.settledProxy(a); err != nil {
+				if err := w.settledProxy(a, referenced[a.id]); err != nil {
 					return err
-				}
-			case *GroupProxy:
-				// Group proxies themselves persist (durable infrastructure),
-				// but their entries must have drained: every subscribed
-				// member acknowledged its fan-out.
-				if len(a.entries) > 0 {
-					return fmt.Errorf("quiescence: group proxy %v still has %d open entries", a.id, len(a.entries))
 				}
 			case *tombstone:
 				tombstones++
@@ -1194,7 +1184,11 @@ func (w *World) CheckQuiescent() error {
 			return fmt.Errorf("quiescence: %v still has buffered group signaling", id)
 		}
 		arriving, parked := 0, 0
-		for _, h := range st.hosts {
+		for mh, h := range st.hosts {
+			if len(h.out) > 0 && !h.departed {
+				return fmt.Errorf("quiescence: %v still routes %d unacknowledged requests of %v (first %v)",
+					id, len(h.out), mh, h.out[0].req)
+			}
 			if x := h.x; x != nil {
 				parked += len(x.parked)
 				if x.arriving {
@@ -1218,16 +1212,25 @@ func (w *World) CheckQuiescent() error {
 	return nil
 }
 
-// settledProxy is CheckQuiescent's view of one private proxy: no batch
-// still unreleased and, under leases (E18), nothing owned by a dead
-// incarnation — the lease machinery must have scrubbed or reclaimed it.
-func (w *World) settledProxy(p *Proxy) error {
+// settledProxy is CheckQuiescent's view of one proxy: a private one
+// referenced by a pref, a group one — which persists, durable
+// infrastructure — with every entry drained (every subscribed member
+// acknowledged its fan-out); no batch still unreleased and, under leases
+// (E18), nothing owned by a dead incarnation — the lease machinery must
+// have scrubbed or reclaimed it.
+func (w *World) settledProxy(p *Proxy, referenced bool) error {
+	switch {
+	case p.group != nil && len(p.reqs) > 0:
+		return fmt.Errorf("quiescence: group proxy %v still has %d open entries", p.id, len(p.reqs))
+	case p.group == nil && !referenced:
+		return fmt.Errorf("quiescence: proxy %v for %v is orphaned (pending=%d)", p.id, p.mh, p.Pending())
+	}
 	for _, b := range p.batches {
 		if liveBatch(b) && !b.Released {
 			return fmt.Errorf("quiescence: proxy %v still holds unreleased batch %v", p.id, b.Batch)
 		}
 	}
-	if w.cfg.LeaseTTL <= 0 {
+	if w.cfg.LeaseTTL <= 0 || p.group != nil {
 		return nil
 	}
 	cur := w.IncarnationOf(p.mh)
