@@ -55,9 +55,9 @@ perf-smoke:
 # check is the full pre-commit gate: formatting, vet, the station's doors
 # (scripts/station-doors.sh: one timer door, one journal writer), the one
 # driver (scripts/one-driver.sh: host scripts are generated and
-# interpreted only in internal/workload), the module map
-# (scripts/design-types.sh: the key types DESIGN.md §4 names exist), build,
-# tests, the allocation pins, the race sweep of everything that owns a free list
+# interpreted only in internal/workload), build, tests (among them
+# design_test.go: every name DESIGN.md quotes is declared in the tree,
+# §4's key types in their package), the allocation pins, the race sweep of everything that owns a free list
 # (the E14 serial==parallel property harness, the kernel arena, the
 # pooled frame records under psim regions and livenet's dispatcher —
 # first, because a data race there invalidates the rest), and the
@@ -68,7 +68,6 @@ check:
 	go vet ./...
 	sh scripts/station-doors.sh
 	sh scripts/one-driver.sh
-	sh scripts/design-types.sh
 	go build ./...
 	go test ./...
 	$(MAKE) allocs

@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation: one sub-benchmark per
-// entry of experiments.Registry (DESIGN.md E1–E18) plus the Figure 3/4
+// entry of experiments.Registry (E1–E18, DESIGN §2) plus the Figure 3/4
 // and migration scenario replays. Each iteration runs the full
 // experiment at test scale and reports its headline quantities as
 // custom metrics, so

@@ -1,5 +1,5 @@
 // Command rdpbench regenerates the evaluation of the RDP paper: every
-// experiment of DESIGN.md (E1–E18) as a printed table. Run all of them,
+// experiment (E1–E18, DESIGN §2) as a printed table. Run all of them,
 // or a subset:
 //
 //	rdpbench                 # everything, standard scale

@@ -235,7 +235,7 @@ func TestRandomizedCausalOrderProperty(t *testing.T) {
 }
 
 // benchSizes are the group widths the causal micro-benches sweep, so the
-// per-message cost's growth with n is on file (DESIGN.md §10): 54 is the
+// per-message cost's growth with n shows (DESIGN §10, the causal layer): 54 is the
 // benchmark's region, 1024 is past E16's 984-wide group.
 var benchSizes = []int{16, 54, 256, 1024}
 

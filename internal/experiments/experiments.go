@@ -1,5 +1,5 @@
 // Package experiments implements the paper's evaluation: one sweep
-// function per experiment (E1–E18 of DESIGN.md) plus the Figure 3 /
+// function per experiment (E1–E18, DESIGN §2) plus the Figure 3 /
 // Figure 4 / migration scenario replays. Each sweep builds the required
 // worlds, drives the paper's workload, and returns the rows of the table
 // the experiment regenerates. Registry (registry.go) describes every

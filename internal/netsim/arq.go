@@ -77,7 +77,7 @@ type wiredLink struct {
 
 // arqPending is one message the ARQ answers for, from Send until it is
 // acked: a recycled record, like the wiredFrame it delivers (DESIGN §10,
-// Hops), so a hop over the fault-tolerant backbone allocates nothing.
+// Records, not closures), so a hop over the fault-tolerant backbone allocates nothing.
 // Every kernel event of the exchange — an arrival of the frame (each
 // transmission, each fault duplicate), an ack on its way back, the armed
 // retransmission — is one of the three fire methods bound below, and refs

@@ -31,9 +31,7 @@ var sampleLeg = msg.ResultForward{
 // allocates nothing, under a nil Observer and under a set one alike: Send
 // copies the leg into the frame record, Sent and Delivered show the
 // listener a view of the record's leg, and so is the handler shown it, a
-// HandlerFunc as any other. (At the parent the leg door, SendLeg, cost 0
-// into a handler with HandleLeg, and 1 into any other handler, which was
-// handed a box.)
+// HandlerFunc as any other.
 func TestWiredLegAllocBudget(t *testing.T) {
 	for _, observed := range []bool{false, true} {
 		for _, fn := range []bool{false, true} {
@@ -69,9 +67,7 @@ func TestWiredLegAllocBudget(t *testing.T) {
 
 // TestRadioLegAllocBudget: a leg sent as a view up or down a warm radio
 // link allocates nothing, under a nil Observer and under a set one alike,
-// and the handler is shown a view of the frame's leg. (At the parent the
-// leg doors, SendUplinkLeg and SendDownlinkLeg, cost 0 into a handler with
-// HandleLeg.)
+// and the handler is shown a view of the frame's leg.
 func TestRadioLegAllocBudget(t *testing.T) {
 	ack := msg.AckMH{MH: 7, Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()
 	res := msg.ResultDeliver{Req: ids.RequestID{Origin: 7, Seq: 1}}.Leg()

@@ -251,8 +251,8 @@ type Wired struct {
 
 // wiredFrame is one message in flight on the wired network: what the
 // kernel fires, what the causal layer holds back and hands up, what an
-// ARQ link keeps until first delivery. Lifetime (DESIGN §10, Doors and
-// views): a record is released once the handler it delivers to returns —
+// ARQ link keeps until first delivery. Lifetime (DESIGN §10, Records,
+// not closures): a record is released once the handler it delivers to returns —
 // the handler is shown a view of the record's leg — or when its frame is
 // dropped on arrival; a held-back frame keeps it until handed up; nothing
 // touches it after release.

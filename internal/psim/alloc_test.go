@@ -19,8 +19,7 @@ import (
 // delivered — costs nothing, a boxed message or a leg sent as a view (the
 // frame keeps the leg by value, and the destination link shows it from
 // its own slot), and neither does a script event, which schedules the run
-// function its script bound once. (At the parent: 0 for each, a leg
-// through the leg door beside Send, RegionLink.SendLeg.) The steps are the
+// function its script bound once. The steps are the
 // ones a window runs, driven by hand so a worker's arena outlives them
 // the way it outlives a pooled run's windows.
 func TestCrossFrameAllocBudget(t *testing.T) {

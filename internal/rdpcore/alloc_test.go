@@ -18,8 +18,6 @@ import (
 // per hop, boxed or a leg sent as a view of the world's slot, which the
 // record keeps by value — and the record is released before the message
 // is processed, from the world's turn slot, so processing may send again.
-// (At the parent: 0 boxed, and 0 for a leg through the leg door beside
-// it, sendLegToStation.)
 func TestStationSelfSendAllocBudget(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumMSS = 2

@@ -48,7 +48,7 @@ type hostDurable struct {
 	// delivery guarantee for that request, and unlike Acks (which
 	// retransmission covers) nothing would ever re-create it. The paper
 	// does not discuss this in-flight case; forwarding along the hand-off
-	// chain is the completing decision (cf. DESIGN.md).
+	// chain is the completing decision (DESIGN §5).
 	departed  bool
 	forwardTo ids.MSS
 	// inc is the newest incarnation this station has registered for the

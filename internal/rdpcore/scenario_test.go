@@ -140,7 +140,7 @@ func TestScenarioFigure3(t *testing.T) {
 //
 // Cast: mssP = mss1 (proxy host), mss = mss2, mh1, srv1. Server
 // processing times are scripted per request: A=30ms, B=60ms, C=55ms,
-// which yields the paper's event order (see DESIGN.md F4).
+// which yields the paper's event order (DESIGN §2, row F4).
 func TestScenarioFigure4(t *testing.T) {
 	proc := &scriptedProc{delays: []time.Duration{30 * time.Millisecond, 60 * time.Millisecond, 55 * time.Millisecond}}
 	w, rec := figureWorld(t, proc)

@@ -124,9 +124,7 @@ func (s *sink) Register(ids.NodeID, netsim.Handler) {}
 // TestServerJobAllocBudget: a request in processing is a recycled job
 // record, and its reply is written into the server's outgoing slot and
 // sent as a view of it; what one still costs is Echo's reply slice. The
-// request arrives as the substrates show it, a view. (At the parent: 2
-// taking the request through HandleLeg into a transport with leg sends, 4
-// taking it boxed into one without, where the reply was boxed too.)
+// request arrives as the substrates show it, a view.
 func TestServerJobAllocBudget(t *testing.T) {
 	req := msg.ServerRequest{
 		Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 7, Seq: 1}, Payload: []byte("q"),

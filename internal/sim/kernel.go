@@ -45,7 +45,8 @@ type event struct {
 // slotWidth is the wheel's granularity: the near bucket is cut into
 // slots this wide, and the heap holds one slot's events at a time — about
 // one at cell_mobility's shape, where a second holds about 3 000. It is
-// 2^18 ns (about 262 µs); DESIGN §10 has the widths measured.
+// 2^18 ns (about 262 µs); the widths measured against it are in DESIGN
+// §10's rejected attempts.
 //
 // bucketWidth is the far tier's granularity: an event whose instant lies
 // in a later bucket than the wheel's waits in that bucket's unsorted
