@@ -57,9 +57,10 @@ perf-smoke:
 # driver (scripts/one-driver.sh: host scripts are generated and
 # interpreted only in internal/workload), build, tests (among them
 # design_test.go: every name DESIGN.md quotes is declared in the tree,
-# §4's key types in their package), the allocation pins, the race sweep of everything that owns a free list
-# (the E14 serial==parallel property harness, the kernel arena, the
-# pooled frame records under psim regions and livenet's dispatcher —
+# §4's key types in their package), the allocation pins, the race sweep
+# of everything that owns a free list (the E14 serial==parallel property
+# harness, the kernel's event stock and the arena psim's workers share,
+# the pooled frame records under psim regions and livenet's dispatcher —
 # first, because a data race there invalidates the rest), and the
 # whole-tree race sweep.
 check:

@@ -8,6 +8,10 @@ import (
 	"time"
 )
 
+// maxFuzzScheduled bounds the events a program's loads may add to: past
+// it op 4 schedules nothing.
+const maxFuzzScheduled = 1 << 13
+
 // modelEvent is one pending event of the reference model.
 type modelEvent struct {
 	at  Time
@@ -63,6 +67,48 @@ func (m *kernelModel) stepWhile(ok func(Time) bool) uint64 {
 	return ran
 }
 
+// stockModel keeps, on the test's side, what sizes the kernel's stock of
+// retired events: the events pending in each bucket, how many are live
+// and their peak, and the most events the heap and wheel — every bucket
+// below the kernel's nearEnd — have held at a retire. It halves the last
+// two where the kernel's shrink does.
+type stockModel struct {
+	buckets              map[int64]int
+	live, peak, nearPeak int
+}
+
+func (s *stockModel) schedule(at Time) {
+	s.buckets[bucketOf(at)]++
+	s.live++
+	s.peak = max(s.peak, s.live)
+}
+
+// retire accounts for k firing its event at k.Now(), as k's callback
+// sees it: the event is counted in the near tiers it just left.
+func (s *stockModel) retire(k *Kernel) {
+	s.nearPeak = max(s.nearPeak, s.live-s.far(k.nearEnd))
+	b := bucketOf(k.Now())
+	if s.buckets[b]--; s.buckets[b] == 0 {
+		delete(s.buckets, b)
+	}
+	s.live--
+	if s.live < s.peak/4 && s.peak >= shrinkMinCap {
+		s.peak /= 2
+		s.nearPeak /= 2
+	}
+}
+
+// far counts the pending events in buckets from nearEnd on: the far tier.
+func (s *stockModel) far(nearEnd int64) int {
+	n := 0
+	for b, c := range s.buckets {
+		if b >= nearEnd {
+			n += c
+		}
+	}
+	return n
+}
+
 // spawns says whether the event with this id schedules a child when it
 // fires; children (negative ids) never do, so every program terminates.
 func spawns(id int) bool { return id > 0 && id%3 == 0 }
@@ -86,20 +132,26 @@ func addSat(now Time, d time.Duration) Time {
 
 // FuzzKernel drives the kernel with a program of schedules (Defer and
 // DeferAt, in the current slot, across slots and buckets, at their edges
-// and a wheel turn ahead, tied, past and saturating), Step, RunUntil,
-// StepUntil, AdvanceTo, NextEventAt and arena attach/detach, and after
-// every call compares the fire order, Now, Steps and Pending with the
-// reference model's. Op 4 is reserved: it once cancelled, and is kept a
-// no-op so recorded programs decode as before. The seed corpus under
-// testdata/fuzz/FuzzKernel replays the wheel's hazards on every plain
-// test run: a slot poured by a peek (NextEventAt, StepUntil) before an
-// event lands below it, and the wheel turning over from one bucket to
-// the next.
+// and a wheel turn ahead, tied, past and saturating), loads scheduled up
+// front, Step, RunUntil, StepUntil, AdvanceTo, NextEventAt and arena
+// attach/detach, and after every call compares the fire order, Now,
+// Steps and Pending with the reference model's, and the kernel's far
+// tier count, near-tier high-water mark and free list with the stock
+// model's. Op 4, once a cancel, schedules a load of 256 to 2 048
+// events spread over the next one to eight seconds while fewer than
+// maxFuzzScheduled events have been scheduled, so a program stays fast.
+// The seed corpus under testdata/fuzz/FuzzKernel replays the wheel's
+// hazards on every plain test run: a slot poured by a peek (NextEventAt,
+// StepUntil) before an event lands below it, and the wheel turning over
+// from one bucket to the next; the last seed below runs a load to its
+// sixth second, past the point where a stock sized by the far tier's
+// load outgrows shrinkMinCap.
 func FuzzKernel(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 1, 3, 4, 5, 0, 5, 5, 5})
 	f.Add([]byte{1, 3, 2, 1, 3, 5, 4, 0, 6, 3, 9, 9, 0, 4, 2, 7, 3, 7, 5, 8, 2, 200, 5, 5})
 	f.Add([]byte{0, 4, 1, 0, 4, 3, 0, 4, 0, 2, 7, 8, 4, 1, 6, 1, 50, 8, 3, 3, 5, 5, 5, 9, 6, 5, 0})
-	f.Add([]byte{3, 6, 9, 0, 0, 1, 5, 3, 2, 3, 2, 1, 4, 0, 4, 1, 6, 5, 0, 7, 4, 0, 8, 3, 1, 6, 3, 9})
+	f.Add([]byte{3, 6, 9, 0, 0, 1, 5, 3, 2, 3, 2, 1, 10, 0, 4, 1, 6, 5, 0, 7, 4, 0, 8, 3, 1, 6, 3, 9})
+	f.Add([]byte{4, 7, 7, 6, 3, 6, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		pos := 0
 		next := func() int {
@@ -112,6 +164,7 @@ func FuzzKernel(f *testing.F) {
 		k := NewKernel(1)
 		arena := NewArena()
 		m := &kernelModel{}
+		stock := &stockModel{buckets: map[int64]int{}}
 		var got []int
 		lastAt := Time(0)
 		id := 0
@@ -150,9 +203,14 @@ func FuzzKernel(f *testing.F) {
 		}
 		fn := func(id int) func() {
 			return func() {
+				stock.retire(k)
 				got = append(got, id)
 				if spawns(id) {
-					k.Defer(childDelay(id), func() { got = append(got, -id) })
+					stock.schedule(addSat(k.Now(), childDelay(id)))
+					k.Defer(childDelay(id), func() {
+						stock.retire(k)
+						got = append(got, -id)
+					})
 				}
 			}
 		}
@@ -171,8 +229,19 @@ func FuzzKernel(f *testing.F) {
 					k.DeferAt(at, fn(id))
 				}
 				m.schedule(at, id)
+				stock.schedule(lastAt)
 			case 4:
-				continue
+				n, span := 256*(1+next()%8), time.Duration(1+next()%8)*time.Second
+				if m.nextSeq >= maxFuzzScheduled {
+					continue
+				}
+				for i := 0; i < n; i++ {
+					id++
+					at := addSat(k.Now(), span*time.Duration(i)/time.Duration(n))
+					k.DeferAt(at, fn(id))
+					m.schedule(at, id)
+					stock.schedule(at)
+				}
 			case 5:
 				if g, w := k.Step(), m.step(); g != w {
 					t.Fatalf("step %d: Step = %v, model %v", step, g, w)
@@ -219,6 +288,12 @@ func FuzzKernel(f *testing.F) {
 			if k.Now() != m.now || k.Steps() != m.steps || k.Pending() != len(m.pending) {
 				t.Fatalf("step %d (op %d): Now %v Steps %d Pending %d, model %v %d %d",
 					step, op, k.Now(), k.Steps(), k.Pending(), m.now, m.steps, len(m.pending))
+			}
+			if far := stock.far(k.nearEnd); k.stashed != far || k.nearPeak != stock.nearPeak {
+				t.Fatalf("step %d (op %d): stashed %d nearPeak %d, model %d %d", step, op, k.stashed, k.nearPeak, far, stock.nearPeak)
+			}
+			if limit := max(stock.nearPeak, shrinkMinCap); len(k.free) > limit {
+				t.Fatalf("step %d (op %d): free list holds %d retired events, stock %d", step, op, len(k.free), limit)
 			}
 		}
 	})

@@ -97,9 +97,11 @@ type Kernel struct {
 	occupied [wheelSize / 64]uint64 // bit i: wheel[i] holds a chain
 	nearEnd  int64                  // first bucket of the far tier
 	far      []bucket               // far tier: non-empty buckets in ascending order
+	stashed  int                    // events in the far tier
 	live     int                    // events scheduled and not yet retired, all tiers
 	peak     int                    // most events live at once since the last shrink
-	free     []*event               // retired events awaiting reuse
+	nearPeak int                    // most events in the heap and wheel at once since the last shrink
+	free     []*event               // retired events awaiting reuse, at most stock()
 	arena    *Arena                 // optional shared free list; see SetArena
 	rng      *RNG
 	nextSeq  uint64
@@ -108,10 +110,10 @@ type Kernel struct {
 }
 
 // Arena is a free list of retired events shared between kernels. Without
-// it every kernel pins its own burst high-water mark of event structs;
-// with an arena, kernels that execute on the same OS thread in turn —
-// the parallel engine's regions, dealt to one worker — recycle a single
-// pool sized to the worker's peak, not the sum of per-kernel peaks. It
+// it every kernel keeps its own stock (see stock) of event structs; with
+// an arena, kernels that execute on the same OS thread in turn — the
+// parallel engine's regions, dealt to one worker — recycle a single pool
+// sized to the worker's peak, not the sum of per-kernel stocks. It
 // is trimmed when whichever kernel has it attached drains a burst (see
 // shrink).
 //
@@ -239,6 +241,7 @@ func (k *Kernel) stash(b int64, e *event) {
 	}
 	e.next = k.far[i].first
 	k.far[i].first = e
+	k.stashed++
 }
 
 // file pushes e onto the chain of wheel slot s, which lies after cur in
@@ -268,6 +271,7 @@ func (k *Kernel) refill() bool {
 	for e := b.first; e != nil; {
 		next := e.next
 		k.file(slotOf(e.at), e)
+		k.stashed--
 		e = next
 	}
 	return k.pour()
@@ -303,12 +307,14 @@ func (k *Kernel) pour() bool {
 
 // retire returns a popped event to the free list (the shared arena when
 // one is attached), dropping its callback so a retired event pins no
-// closure. The private list sheds retired events by FreeList's rule,
-// with the events still scheduled in any tier as the ones out: a
-// pre-scheduled load keeps it intact, and only a drained burst lets it
-// go.
+// closure. The private list keeps the event only while it holds fewer
+// than stock(); past that the event is left to the collector, so the
+// trim allocates nothing. The near tiers' count, the popped event
+// included, goes into nearPeak first: the tiers only grow between
+// retires, so that is their high-water mark.
 func (k *Kernel) retire(e *event) {
 	e.fn = nil
+	k.nearPeak = max(k.nearPeak, k.live-k.stashed)
 	k.live--
 	if k.live < k.peak/4 && k.peak >= shrinkMinCap {
 		k.shrink()
@@ -317,8 +323,18 @@ func (k *Kernel) retire(e *event) {
 		k.arena.free = append(k.arena.free, e)
 		return
 	}
-	k.free = shed(append(k.free, e), k.live)
+	if len(k.free) < k.stock() {
+		k.free = append(k.free, e)
+	}
 }
+
+// stock is how many retired events the private free list keeps: the
+// most events the heap and wheel have held at once since the last
+// shrink, never fewer than shrinkMinCap. Those are the events in flight
+// together, a far bucket spread over the wheel counting in full, so a
+// list that size serves the next such crowd without allocating; the far
+// tier's pre-scheduled load sizes nothing.
+func (k *Kernel) stock() int { return max(k.nearPeak, shrinkMinCap) }
 
 // eventLess orders events by (at, seq).
 func eventLess(a, b *event) bool {
@@ -384,18 +400,21 @@ func (k *Kernel) pop() *event {
 const shrinkMinCap = 1024
 
 // shrink lets a drained burst go once the events scheduled in all tiers
-// fall below a quarter of their peak: it halves the peak, halves the
-// heap's backing array if that is larger, and caps an attached arena at
-// the peak — without it all three stay pinned at the burst's high-water
-// mark for the rest of the run. It keys on live, not on the heap's
-// capacity, because the heap holds one slot and never grows with a burst
-// spread over many, and because a pre-scheduled load draining through
-// the heap refill by refill has not drained. The arena is capped at this
-// kernel's halved peak, never at its live count: the kernels sharing it
-// draw on it in turn. Halving per shrink keeps the cost amortized O(1)
-// per retire.
+// fall below a quarter of their peak: it halves the peak and the near
+// tiers' high-water mark, drops the free list's events past the stock
+// that leaves, halves the heap's backing array if that is larger, and
+// caps an attached arena at the peak — without it all of them stay
+// pinned at the burst's high-water mark for the rest of the run. It keys
+// on live, not on the heap's capacity, because the heap holds one slot
+// and never grows with a burst spread over many, and because a
+// pre-scheduled load draining through the heap refill by refill has not
+// drained. The arena is capped at this kernel's halved peak, never at
+// its live count: the kernels sharing it draw on it in turn. Halving per
+// shrink keeps the cost amortized O(1) per retire.
 func (k *Kernel) shrink() {
 	k.peak /= 2
+	k.nearPeak /= 2
+	k.free = trimmed(k.free, k.stock())
 	if c := cap(k.queue); c > k.peak {
 		nq := make([]*event, len(k.queue), c/2)
 		copy(nq, k.queue)

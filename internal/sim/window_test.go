@@ -124,16 +124,17 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 
 // checkDrained fails unless k, its queue empty, has let its bursts go:
 // the heap's backing array is below shrinkMinCap, the private free list
-// and the arena a (when one was attached) hold at most shrinkMinCap
-// retired events, no wheel slot is marked occupied, and the far tier
-// holds no bucket and kept room for at most 128 bucket headers.
+// holds at most shrinkMinCap retired events in an array of at most twice
+// that, the arena a (when one was attached) holds at most shrinkMinCap,
+// no wheel slot is marked occupied, and the far tier holds no bucket and
+// kept room for at most 128 bucket headers.
 func checkDrained(t *testing.T, k *Kernel, a *Arena) {
 	t.Helper()
 	if c := cap(k.queue); c >= shrinkMinCap {
 		t.Errorf("drained heap kept cap=%d, want < %d", c, shrinkMinCap)
 	}
-	if f := len(k.free); f > shrinkMinCap {
-		t.Errorf("free list kept %d retired events, want <= %d", f, shrinkMinCap)
+	if f, c := len(k.free), cap(k.free); f > shrinkMinCap || c > 2*shrinkMinCap {
+		t.Errorf("free list kept %d retired events in an array of %d, want <= %d in <= %d", f, c, shrinkMinCap, 2*shrinkMinCap)
 	}
 	if a != nil && len(a.free) > shrinkMinCap {
 		t.Errorf("arena kept %d retired events, want <= %d", len(a.free), shrinkMinCap)
@@ -175,6 +176,49 @@ func TestSawtoothUnderFarLoadAllocBudget(t *testing.T) {
 	if k.Now() >= Time(span) {
 		t.Fatalf("far load ran out at %v", k.Now())
 	}
+}
+
+// A load pre-scheduled for a minute drains through the near tiers a
+// bucket at a time, a few hundred events at once under sparse chains of
+// 1–200 ms hops. Half way through, the retired events the free list
+// keeps are sized by that in-flight work, never by the far load behind
+// it: no more than the heap and wheel held at once, or shrinkMinCap. A
+// list sized by everything scheduled keeps every event the load has
+// fired so far.
+func TestFreeListShrinksUnderFarLoad(t *testing.T) {
+	k := NewKernel(1)
+	rng := k.RNG()
+	fn := func() {}
+	const far = 16 * shrinkMinCap
+	const span = 64 * time.Second
+	for i := 0; i < far; i++ {
+		k.Defer(time.Duration(i)*(span/far), fn)
+	}
+	var hop func()
+	hop = func() { k.Defer(rng.Uniform(time.Millisecond, 200*time.Millisecond), hop) }
+	for i := 0; i < 16; i++ {
+		hop()
+	}
+	high := 0
+	for k.Now() < Time(span/2) {
+		high = max(high, nearEvents(k))
+		k.Step()
+	}
+	t.Logf("free list %d events at %v; the near tiers held at most %d", len(k.free), k.Now(), high)
+	if limit := max(high, shrinkMinCap); len(k.free) > limit {
+		t.Errorf("free list keeps %d retired events half way through a far load, want at most %d", len(k.free), limit)
+	}
+}
+
+// nearEvents counts the events in k's heap and wheel.
+func nearEvents(k *Kernel) int {
+	n := len(k.queue)
+	for _, e := range k.wheel {
+		for ; e != nil; e = e.next {
+			n++
+		}
+	}
+	return n
 }
 
 // Steady-state alloc budget around the shrink path: a sawtooth load that
