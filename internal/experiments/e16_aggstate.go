@@ -38,9 +38,6 @@ import (
 //     host and relay every delivery ack individually; aggregated
 //     hand-offs coalesce into delta-encoded group messages under
 //     AggFlushDelay. SigReduction is guarded the same way.
-//   - Outstanding: the outstanding-request ledger (identical in both
-//     modes by construction — workload state, not representation
-//     state), reported so the comparison's scope is visible.
 //
 // The top tier (1M subscribers) runs aggregated-only: the point of the
 // aggregation is exactly that the faithful representation does not fit
@@ -95,11 +92,9 @@ type E16Row struct {
 	Missing    int
 
 	// StateBytes is the modeled station state at the subscribed peak;
-	// PerMSS is StateBytes / Stations. Outstanding is the (mode-
-	// invariant) outstanding-ledger footprint at the same instant.
-	StateBytes  int64
-	PerMSS      float64
-	Outstanding int64
+	// PerMSS is StateBytes / Stations.
+	StateBytes int64
+	PerMSS     float64
 
 	// Signaling is the hand-off + fan-out signaling message total (see
 	// file comment); Handoffs is the raw hand-off count inside it.
@@ -231,11 +226,8 @@ func E16Run(seed int64, mhs int, agg bool) E16Row {
 		}
 	}
 
-	var stateBytes, outstanding int64
-	w.Kernel.Defer(e16MeasureAt, func() {
-		stateBytes = w.StateBytes()
-		outstanding = w.OutstandingBytes()
-	})
+	var stateBytes int64
+	w.Kernel.Defer(e16MeasureAt, func() { stateBytes = w.StateBytes() })
 	w.RunUntil(e16HorizonFor(stations))
 
 	missing := 0
@@ -255,9 +247,8 @@ func E16Run(seed int64, mhs int, agg bool) E16Row {
 		Duplicates: st.DuplicateDeliveries.Value(),
 		Missing:    missing,
 
-		StateBytes:  stateBytes,
-		PerMSS:      float64(stateBytes) / float64(stations),
-		Outstanding: outstanding,
+		StateBytes: stateBytes,
+		PerMSS:     float64(stateBytes) / float64(stations),
 
 		Signaling: 2*st.Handoffs.Value() + st.UpdateCurrLocs.Value() +
 			st.GroupUpdateLocs.Value() + st.AckForwards.Value() + st.GroupAckForwards.Value(),

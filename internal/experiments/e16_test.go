@@ -5,7 +5,7 @@ import "testing"
 // TestE16QuickSweep runs the quick-scale E16 tier in both
 // representations and enforces the experiment's gates: perfect paired
 // delivery (the guard that licenses the headline ratio), zero
-// duplicates, an identical outstanding ledger, shared proxies engaging
+// duplicates, shared proxies engaging
 // only on the aggregated row, and the state reduction itself.
 func TestE16QuickSweep(t *testing.T) {
 	rows := E16Aggregation(1, SmallScale())
@@ -36,10 +36,6 @@ func TestE16QuickSweep(t *testing.T) {
 	}
 	if f.Delivered != a.Delivered {
 		t.Errorf("delivered diverge: faithful %d vs aggregated %d", f.Delivered, a.Delivered)
-	}
-	if f.Outstanding != a.Outstanding || f.Outstanding == 0 {
-		t.Errorf("outstanding ledgers: faithful %d vs aggregated %d, want equal and non-zero",
-			f.Outstanding, a.Outstanding)
 	}
 	if f.SharedProxies != 0 {
 		t.Errorf("faithful row hosts %d shared proxies, want 0", f.SharedProxies)

@@ -418,7 +418,7 @@ var Registry = []Experiment{
 		noOpts(E16Aggregation),
 		func(rows []E16Row) []Table {
 			t := metrics.NewTable("mhs", "stations", "mode", "issued", "delivered", "dups", "missing",
-				"state-B/MSS", "outstanding", "signaling", "handoffs", "shared-proxies", "notifs",
+				"state-B/MSS", "signaling", "handoffs", "shared-proxies", "notifs",
 				"state-redux", "sig-redux", "peak-rss", "wall")
 			for _, row := range rows {
 				mode := "faithful"
@@ -431,7 +431,7 @@ var Registry = []Experiment{
 				}
 				t.AddRow(strconv.Itoa(row.MHs), strconv.Itoa(row.Stations), mode,
 					num(row.Issued), num(row.Delivered), num(row.Duplicates), strconv.Itoa(row.Missing),
-					fix(row.PerMSS, 0), num(row.Outstanding), num(row.Signaling), num(row.Handoffs),
+					fix(row.PerMSS, 0), num(row.Signaling), num(row.Handoffs),
 					num(row.SharedProxies), num(row.Notifications), redux, sig,
 					metrics.FormatBytes(row.PeakRSS, row.PeakRSSOK), dur(row.Wall))
 			}

@@ -62,7 +62,7 @@ func TestEncodeDecodeAllocBudget(t *testing.T) {
 	}
 	// A deregack sizes as a view without a box: a station sizes every
 	// deregack it sends as hand-off state.
-	da := DeregAck{MH: 3, Pref: Pref{Proxy: ids.ProxyID{Host: 2, Seq: 5}, RKpR: true}, Inc: 2}.Leg()
+	da := DeregAck{MH: 3, Pref: Pref{Proxy: ids.ProxyID{Host: 2, Seq: 5}, RKpR: 7}, Routed: 8, Inc: 2}.Leg()
 	if avg := testing.AllocsPerRun(200, func() { WireSize(ViewOf(&da)) }); avg != 0 {
 		t.Errorf("WireSize of a deregack's view: %.1f allocs/op, budget 0", avg)
 	}

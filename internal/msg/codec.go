@@ -313,7 +313,8 @@ func (m Dereg) code(c *coder) Message {
 func (m DeregAck) code(c *coder) Message {
 	u32(c, &m.MH)
 	c.proxy(&m.Pref.Proxy)
-	c.bool(&m.Pref.RKpR)
+	u32(c, &m.Pref.RKpR)
+	u32(c, &m.Routed)
 	u32(c, &m.Inc)
 	return done(c, &m)
 }
@@ -340,6 +341,7 @@ func (m ResultForward) code(c *coder) Message {
 	c.req(&m.Req)
 	c.bytes(&m.Payload)
 	c.bool(&m.DelPref)
+	u32(c, &m.Mark)
 	u32(c, &m.Inc)
 	return done(c, &m)
 }
@@ -355,6 +357,9 @@ func (m AckForward) code(c *coder) Message {
 func (m DelPrefOnly) code(c *coder) Message {
 	c.proxy(&m.Proxy)
 	u32(c, &m.MH)
+	c.req(&m.Req)
+	u32(c, &m.Mark)
+	u32(c, &m.Inc)
 	return done(c, &m)
 }
 
@@ -505,6 +510,8 @@ func (m MigState) code(c *coder) Message {
 		u32(c, &b.Inc)
 		c.reqs(&b.Members)
 	}
+	u32(c, &m.Mark)
+	u32(c, &m.MarkInc)
 	u32(c, &m.LeaseInc)
 	return done(c, &m)
 }

@@ -26,12 +26,12 @@ func sampleMessages() []Message {
 		ResultDeliver{Req: req, Payload: []byte("result"), DelPref: true, Inc: 1},
 		AckMH{MH: 3, Req: req},
 		Dereg{MH: 3, NewMSS: 4},
-		DeregAck{MH: 3, Pref: Pref{Proxy: prx, RKpR: true}},
+		DeregAck{MH: 3, Pref: Pref{Proxy: prx, RKpR: 41}, Routed: 42},
 		RequestForward{Proxy: prx, Req: req, Server: 1, Payload: []byte("p")},
 		UpdateCurrentLoc{Proxy: prx, MH: 3, NewLoc: 4},
-		ResultForward{Proxy: prx, MH: 3, Req: req, Payload: []byte("r"), DelPref: true},
+		ResultForward{Proxy: prx, MH: 3, Req: req, Payload: []byte("r"), DelPref: true, Mark: 42},
 		AckForward{Proxy: prx, MH: 3, Req: req, DelProxy: true},
-		DelPrefOnly{Proxy: prx, MH: 3},
+		DelPrefOnly{Proxy: prx, MH: 3, Req: req, Mark: 42, Inc: 1},
 		ServerRequest{Proxy: prx, Req: req, Payload: []byte("sq")},
 		ServerResult{Proxy: prx, Req: req, Payload: []byte("sr")},
 		ServerAck{Req: req},
@@ -68,6 +68,8 @@ func sampleMessages() []Message {
 				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Members: []ids.RequestID{{Origin: 3, Seq: 42}}, Expected: 2, Committed: true, Inc: 2},
 				{Batch: ids.BatchID{Origin: 3, Seq: 2}, Members: []ids.RequestID{{Origin: 3, Seq: 43}, {Origin: 3, Seq: 44}}, Aborted: true, Inc: 2},
 			},
+			Mark:     44,
+			MarkInc:  2,
 			LeaseInc: 2,
 		},
 		PrefRedirect{MH: 3, OldProxy: prx, NewProxy: ids.ProxyID{Host: 4, Seq: 9}, Req: req, Confirm: true},
@@ -428,7 +430,7 @@ func TestPrefString(t *testing.T) {
 	if got := (Pref{}).String(); got != "pref(nil)" {
 		t.Errorf("empty pref String() = %q", got)
 	}
-	p := Pref{Proxy: ids.ProxyID{Host: 2, Seq: 1}, RKpR: true}
+	p := Pref{Proxy: ids.ProxyID{Host: 2, Seq: 1}, RKpR: 3}
 	if got := p.String(); got != "pref(proxy(mss2#1),RKpR=true)" {
 		t.Errorf("pref String() = %q", got)
 	}

@@ -22,6 +22,7 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 			Req:     ids.RequestID{Origin: 3, Seq: 9},
 			Payload: []byte("result"),
 			DelPref: true,
+			Mark:    11,
 		}},
 		RegConfirm{MH: 5},
 		UpdateCurrentLoc{Proxy: ids.ProxyID{Host: 2, Seq: 1}, MH: 4, NewLoc: 6},
@@ -74,6 +75,8 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 			Proxy:    ids.ProxyID{Host: 1, Seq: 2},
 			NewProxy: ids.ProxyID{Host: 2, Seq: 7},
 			MH:       3,
+			Mark:     9,
+			MarkInc:  2,
 			LeaseInc: 3,
 			Reqs: []ProxyReq{
 				{Req: ids.RequestID{Origin: 3, Seq: 9}, Server: 1, Payload: []byte("q"), Inc: 2},

@@ -20,8 +20,7 @@ import (
 type Leg struct {
 	Kind Kind
 	// Flag is the kind's one boolean: DelPref on ResultForward and
-	// ResultDeliver, HaveOutstanding on AckMH, DelProxy on AckForward,
-	// the pref's RKpR on DeregAck.
+	// ResultDeliver, HaveOutstanding on AckMH, DelProxy on AckForward.
 	Flag   bool
 	Inc    ids.Incarnation
 	MH     ids.MH
@@ -29,9 +28,13 @@ type Leg struct {
 	// MSS is the hand-off's station: OldMSS on Greet, NewMSS on Dereg,
 	// NewLoc on UpdateCurrentLoc.
 	MSS ids.MSS
-	// Proxy is also the pref's proxy on DeregAck.
-	Proxy   ids.ProxyID
-	Req     ids.RequestID
+	// Proxy is also the pref's proxy on DeregAck, and Req the request
+	// its RKpR names.
+	Proxy ids.ProxyID
+	Req   ids.RequestID
+	// Mark is a request-sequence watermark in what would be padding: the
+	// proxy's Mark on ResultForward, the station's Routed on DeregAck.
+	Mark    uint32
 	Payload []byte
 }
 
@@ -120,7 +123,7 @@ func (m ServerResult) Leg() Leg {
 }
 func (m ResultForward) Leg() Leg {
 	return Leg{Kind: KindResultForward, Proxy: m.Proxy, MH: m.MH, Req: m.Req, Payload: m.Payload,
-		Flag: m.DelPref, Inc: m.Inc}
+		Flag: m.DelPref, Mark: m.Mark, Inc: m.Inc}
 }
 func (m ResultDeliver) Leg() Leg {
 	return Leg{Kind: KindResultDeliver, Req: m.Req, Payload: m.Payload, Flag: m.DelPref, Inc: m.Inc}
@@ -139,7 +142,8 @@ func (m Dereg) Leg() Leg {
 	return Leg{Kind: KindDereg, MH: m.MH, MSS: m.NewMSS}
 }
 func (m DeregAck) Leg() Leg {
-	return Leg{Kind: KindDeregAck, MH: m.MH, Proxy: m.Pref.Proxy, Flag: m.Pref.RKpR, Inc: m.Inc}
+	return Leg{Kind: KindDeregAck, MH: m.MH, Proxy: m.Pref.Proxy, Req: ids.RequestID{Origin: m.MH, Seq: m.Pref.RKpR},
+		Mark: m.Routed, Inc: m.Inc}
 }
 func (m UpdateCurrentLoc) Leg() Leg {
 	return Leg{Kind: KindUpdateCurrentLoc, Proxy: m.Proxy, MH: m.MH, MSS: m.NewLoc}
@@ -158,7 +162,7 @@ func (l Leg) ServerResult() ServerResult {
 	return ServerResult{Proxy: l.Proxy, Req: l.Req, Payload: l.Payload}
 }
 func (l Leg) ResultForward() ResultForward {
-	return ResultForward{Proxy: l.Proxy, MH: l.MH, Req: l.Req, Payload: l.Payload, DelPref: l.Flag, Inc: l.Inc}
+	return ResultForward{Proxy: l.Proxy, MH: l.MH, Req: l.Req, Payload: l.Payload, DelPref: l.Flag, Mark: l.Mark, Inc: l.Inc}
 }
 func (l Leg) ResultDeliver() ResultDeliver {
 	return ResultDeliver{Req: l.Req, Payload: l.Payload, DelPref: l.Flag, Inc: l.Inc}
@@ -176,7 +180,7 @@ func (l Leg) Dereg() Dereg {
 	return Dereg{MH: l.MH, NewMSS: l.MSS}
 }
 func (l Leg) DeregAck() DeregAck {
-	return DeregAck{MH: l.MH, Pref: Pref{Proxy: l.Proxy, RKpR: l.Flag}, Inc: l.Inc}
+	return DeregAck{MH: l.MH, Pref: Pref{Proxy: l.Proxy, RKpR: l.Req.Seq}, Routed: l.Mark, Inc: l.Inc}
 }
 func (l Leg) UpdateCurrentLoc() UpdateCurrentLoc {
 	return UpdateCurrentLoc{Proxy: l.Proxy, MH: l.MH, NewLoc: l.MSS}

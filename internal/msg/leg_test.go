@@ -29,7 +29,7 @@ func legSamples() []Message {
 		Greet{}, Dereg{}, DeregAck{}, UpdateCurrentLoc{},
 		Greet{MH: 3, OldMSS: 6, Inc: 4},
 		Dereg{MH: 3, NewMSS: 6},
-		DeregAck{MH: 3, Pref: Pref{Proxy: prx, RKpR: true}, Inc: 4},
+		DeregAck{MH: 3, Pref: Pref{Proxy: prx, RKpR: 41}, Routed: 42, Inc: 4},
 		DeregAck{MH: 3, Pref: Pref{Proxy: prx}},
 		UpdateCurrentLoc{Proxy: prx, MH: 3, NewLoc: 6},
 	}
@@ -39,7 +39,7 @@ func legSamples() []Message {
 			RequestForward{Proxy: prx, Req: req, Server: 7, Payload: p, Inc: 4},
 			ServerRequest{Proxy: prx, Req: req, Payload: p},
 			ServerResult{Proxy: prx, Req: req, Payload: p},
-			ResultForward{Proxy: prx, MH: 3, Req: req, Payload: p, DelPref: true, Inc: 4},
+			ResultForward{Proxy: prx, MH: 3, Req: req, Payload: p, DelPref: true, Mark: 42, Inc: 4},
 			ResultDeliver{Req: req, Payload: p, DelPref: true, Inc: 4},
 		)
 	}

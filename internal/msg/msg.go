@@ -211,10 +211,11 @@ type Message interface {
 // Pref is the proxy reference held by an MH's respMss and handed over on
 // every migration (paper §3.1). A zero Proxy means the MH currently has
 // no proxy (the paper's "null address"). RKpR is the "Ready to Kill pref"
-// flag (§3.3).
+// flag (§3.3), held as the sequence of the request whose Ack may confirm
+// the proxy's removal: the one whose del-pref armed it. Zero is disarmed.
 type Pref struct {
 	Proxy ids.ProxyID
-	RKpR  bool
+	RKpR  uint32
 }
 
 // HasProxy reports whether the reference points at a live proxy.
@@ -225,7 +226,7 @@ func (p Pref) String() string {
 	if !p.HasProxy() {
 		return "pref(nil)"
 	}
-	return fmt.Sprintf("pref(%v,RKpR=%t)", p.Proxy, p.RKpR)
+	return fmt.Sprintf("pref(%v,RKpR=%t)", p.Proxy, p.RKpR != 0)
 }
 
 // ---------------------------------------------------------------------
@@ -301,13 +302,16 @@ type Dereg struct {
 }
 
 // DeregAck transfers responsibility for the MH (with its pref) to the
-// new respMss. Inc carries the old station's record of the host's
+// new respMss. Routed is the highest request sequence the old station
+// routed to the pref's proxy, so the new one can tell whether a del-pref
+// covers it (§3.3). Inc carries the old station's record of the host's
 // registered incarnation, so incarnation knowledge survives hand-offs
 // the same way the pref does (E18).
 type DeregAck struct {
-	MH   ids.MH
-	Pref Pref
-	Inc  ids.Incarnation
+	MH     ids.MH
+	Pref   Pref
+	Routed uint32
+	Inc    ids.Incarnation
 }
 
 // ---------------------------------------------------------------------
@@ -335,13 +339,15 @@ type UpdateCurrentLoc struct {
 
 // ResultForward carries a stored result from the proxy to the MH's
 // current respMss. DelPref is piggy-backed when this is the result of the
-// proxy's last pending request (paper §3.3).
+// proxy's last pending request (paper §3.3), and Mark with it: the
+// highest request sequence the proxy has received for the MH.
 type ResultForward struct {
 	Proxy   ids.ProxyID
 	MH      ids.MH
 	Req     ids.RequestID
 	Payload []byte
 	DelPref bool
+	Mark    uint32
 	Inc     ids.Incarnation // incarnation that issued Req; stale => never delivered (E18)
 }
 
@@ -357,10 +363,15 @@ type AckForward struct {
 
 // DelPrefOnly is the Fig. 4 special message: the proxy's last pending
 // result has already been forwarded (and acked at the proxy later than
-// forwarded), so the proxy sends the del-pref flag alone to the respMss.
+// forwarded), so the proxy sends the del-pref flag alone to the respMss
+// — for that sole request Req, of incarnation Inc, with the proxy's Mark
+// as on a ResultForward.
 type DelPrefOnly struct {
 	Proxy ids.ProxyID
 	MH    ids.MH
+	Req   ids.RequestID
+	Mark  uint32
+	Inc   ids.Incarnation
 }
 
 // ---------------------------------------------------------------------
@@ -620,8 +631,9 @@ type ProxyBatch struct {
 // and what the old host ships to the target that accepted a migration
 // offer. CurrentLoc is the proxy's view of the MH's station; Reqs is the
 // requestList in issue order; Batches holds every batch and abort memo
-// in opening order. NewProxy is the identity at the target (zero in a
-// journal image).
+// in opening order; Mark and MarkInc are the proxy's high-water mark and
+// the incarnation it counts for. NewProxy is the identity at the target
+// (zero in a journal image).
 type MigState struct {
 	Proxy      ids.ProxyID // the identity the image was taken under
 	NewProxy   ids.ProxyID
@@ -629,6 +641,8 @@ type MigState struct {
 	CurrentLoc ids.MSS
 	Reqs       []ProxyReq
 	Batches    []ProxyBatch
+	Mark       uint32
+	MarkInc    ids.Incarnation
 	// LeaseInc is the newest incarnation the proxy's lease has heard for
 	// its MH; whoever revives the image re-arms the lease-expiry timer
 	// from scratch (E18).
@@ -722,7 +736,7 @@ type BatchAbort struct {
 // 1) and Greet (a cell change), Register re-asserts an existing
 // registration in place under a fresh incarnation. The station records
 // the incarnation durably, scrubs per-MH state belonging to older
-// incarnations (outstanding-request ledger entries, held results) and
+// incarnations (held results; its routed watermark restarts) and
 // confirms with RegConfirm.
 type Register struct {
 	MH  ids.MH
@@ -745,9 +759,8 @@ type LeaseHeartbeat struct {
 // ReclaimMemo records (and announces) the lease-GC reclamation of an
 // orphaned proxy. The proxy host journals the memo durably before
 // dropping the proxy — the decision must survive its own crash — and
-// sends it to the MH's last known respMss so the stale pref and any
-// outstanding-ledger entries are scrubbed there too. Inc is the lease's
-// last known incarnation at reclaim time.
+// sends it to the MH's last known respMss so the stale pref is emptied
+// there too. Inc is the lease's last known incarnation at reclaim time.
 type ReclaimMemo struct {
 	Proxy ids.ProxyID
 	MH    ids.MH

@@ -15,7 +15,7 @@ import (
 var prefPool = []msg.Pref{
 	{},
 	{Proxy: ids.ProxyID{Host: 1, Seq: 1}},
-	{Proxy: ids.ProxyID{Host: 1, Seq: 1}, RKpR: true},
+	{Proxy: ids.ProxyID{Host: 1, Seq: 1}, RKpR: 3},
 	{Proxy: ids.ProxyID{Host: 2, Seq: 7}},
 }
 

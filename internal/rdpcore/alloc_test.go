@@ -78,9 +78,8 @@ func TestHostTimerAllocBudget(t *testing.T) {
 // TestRequestRoundTripAllocBudget pins one warm request's whole cycle —
 // issue → proxy created → server → result forwarded → delivered → Ack
 // relayed → proxy deleted — in a two-station fault-free world. The
-// host's request row reuses its table's window, the station's ledger
-// keeps its capacity, and the proxy is made over the record the last one
-// left in the station's spare stock. The seven messages — Request,
+// host's request row reuses its table's window, and the proxy is made
+// over the record the last one left in the station's spare stock. The seven messages — Request,
 // ServerRequest, ServerResult, ResultForward, ResultDeliver, AckMH,
 // AckForward — cross every door as views of the sender's slot, copied by
 // value into each frame record and boxed by no hop: nothing keeps them
@@ -239,9 +238,8 @@ func TestQueuedRequestAllocBudget(t *testing.T) {
 // TestWarmHostRequestCycleAllocBudget pins a warm host's requests across
 // two cells: it issues a request at station 1, hands off to 2, issues
 // there and hands back, each request answered before the move. Each proxy
-// is made over its station's spare record, each ledger is the one the
-// host's last hand-off from that station left in its spare stock, and
-// the request rows reuse the table's window; with the aggregated tables
+// is made over its station's spare record, and the request rows reuse
+// the table's window; with the aggregated tables
 // a hand-off costs nothing (TestHandoffAllocBudget), and a bystander host
 // in each cell keeps the stations' pref tables populated. What is left is
 // server.Echo's reply payload: one allocation a request.
@@ -306,7 +304,7 @@ func TestAggPrefTableAllocBudget(t *testing.T) {
 	private := func() {
 		p := next()
 		tab.set(9, p)
-		p.RKpR = true
+		p.RKpR = seq
 		tab.set(9, p)
 		tab.set(9, msg.Pref{})
 	}

@@ -108,7 +108,7 @@ func BenchmarkAggPrefTable(b *testing.B) {
 				seq++
 				p := msg.Pref{Proxy: ids.ProxyID{Host: 1, Seq: seq}}
 				tab.set(mh, p)
-				p.RKpR = true
+				p.RKpR = seq
 				tab.set(mh, p)
 				tab.set(mh, msg.Pref{})
 			}
@@ -117,9 +117,8 @@ func BenchmarkAggPrefTable(b *testing.B) {
 }
 
 // journalWorld is a checkpointing station mid-protocol: host 1's proxy at
-// station 1 holds three requests the server has not answered yet, and the
-// host's ledger there two of them. It returns the station and the proxy's
-// slot.
+// station 1 holds three requests the server has not answered yet, all
+// three routed there. It returns the station and the proxy's slot.
 func journalWorld(tb testing.TB) (*MSSNode, uint32) {
 	cfg := DefaultConfig()
 	cfg.NumMSS = 2
@@ -134,11 +133,9 @@ func journalWorld(tb testing.TB) (*MSSNode, uint32) {
 	n := w.MSSs[1]
 	pref, _ := n.PrefOf(1)
 	p := n.proxyAt(pref.Proxy.Seq)
-	if p == nil || len(p.reqs) != 3 || len(n.peek(1).out) != 3 {
-		tb.Fatalf("set-up: proxy %v, ledger %v", p, n.peek(1).out)
+	if p == nil || len(p.reqs) != 3 || n.peek(1).routed != 3 {
+		tb.Fatalf("set-up: proxy %v, routed %d", p, n.peek(1).routed)
 	}
-	n.rec(1).out = n.rec(1).out[:2]
-	n.flushJournal()
 	return n, pref.Proxy.Seq
 }
 

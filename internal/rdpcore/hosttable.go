@@ -28,18 +28,16 @@ type stationHost struct {
 
 // hostDurable is the journaled half of a stationHost.
 type hostDurable struct {
-	// out is the outstanding ledger: the requests this station has routed
-	// for the host whose Acks it has not yet seen, tagged with the
-	// incarnation that issued each. §3.3 confirms proxy removal "only if
-	// ... RKpR = true and for all of MH's requests the corresponding Ack
-	// has been received" — the RKpR flag alone is not enough, because a
-	// request can pass through before the del-pref result arrives and arms
-	// the flag. Like the pref's other local context, this knowledge is not
-	// transferred on hand-off. An emptied ledger keeps its capacity for
-	// the host's next request. When the host leaves or hands off it goes
-	// to the station's spare stock (spareOut), and a host's first request
-	// takes its ledger from there.
-	out []outReq
+	// routed is the highest request sequence routed to the proxy the pref
+	// names, by this station or, handed over in the deregack beside the
+	// pref, by those before it. §3.3 confirms proxy removal "only if ...
+	// RKpR = true and for all of MH's requests the corresponding Ack has
+	// been received", and a request can pass through before a del-pref
+	// that was sent ahead of it arrives: RKpR arms only on a del-pref
+	// whose proxy's mark covers routed (armRKpR). It restarts with the
+	// proxy (proxyFor) and with the host's incarnation (noteInc), as the
+	// host's sequence does.
+	routed uint32
 	// departed marks a host whose dereg has been processed: "it will
 	// ignore all future Ack messages from this MH" (§3.1). forwardTo is
 	// then the station that took over responsibility, learned from the
@@ -123,13 +121,6 @@ type arrival struct {
 	oldMSS   ids.MSS     // the greet's old respMss (dedups refresh beacons)
 	buffered []inboxItem // wireless data (requests, acks) from the MH
 	deferred []inboxItem // greets/deregs awaiting our registration
-}
-
-// outReq is one entry of the outstanding ledger: a routed request and
-// the incarnation that issued it.
-type outReq struct {
-	req ids.RequestID
-	inc ids.Incarnation
 }
 
 // attempt is one delivery attempt: a ResultDeliver for req went out (or
@@ -228,34 +219,6 @@ func (h *stationHost) returned() {
 	if h.departed {
 		h.departed, h.forwardTo = false, ids.NoMSS
 	}
-}
-
-// outIndex returns req's place on the ledger, or -1.
-func (h *stationHost) outIndex(req ids.RequestID) int {
-	return slices.IndexFunc(h.out, func(o outReq) bool { return o.req == req })
-}
-
-// outAdd puts req on mh's ledger, re-tagging an entry already there. A
-// host without a ledger takes one from the spare stock.
-func (n *MSSNode) outAdd(mh ids.MH, req ids.RequestID, inc ids.Incarnation) {
-	h := n.rec(mh)
-	if i := h.outIndex(req); i >= 0 {
-		h.out[i].inc = inc
-		return
-	}
-	if h.out == nil {
-		h.out = pop(&n.spareOut)
-	}
-	h.out = append(h.out, outReq{req: req, inc: inc})
-}
-
-// outRemove takes req off the ledger and returns how many entries are
-// left.
-func (h *stationHost) outRemove(req ids.RequestID) int {
-	if i := h.outIndex(req); i >= 0 {
-		h.out = slices.Delete(h.out, i, i+1)
-	}
-	return len(h.out)
 }
 
 // attemptedWithin reports whether a delivery attempt for req is younger

@@ -38,14 +38,12 @@ type MSSNode struct {
 	hosts           map[ids.MH]*stationHost
 	slab            []stationHost
 	spareTransients []*hostTransient
-	// spareProxies, spareImages and spareOut are the spare stocks the
-	// station's per-request records are made over: proxies del-proxy ended,
-	// the journal images of emptied slots, the ledgers of hosts that left.
-	// retired holds the proxies the current event ended; they are stocked
-	// once it is over (flushJournal).
+	// spareProxies and spareImages are the spare stocks the station's
+	// per-request records are made over: proxies del-proxy ended and the
+	// journal images of emptied slots. retired holds the proxies the
+	// current event ended; they are stocked once it is over (flushJournal).
 	spareProxies []*Proxy
 	spareImages  []*proxyImage
-	spareOut     [][]outReq
 	retired      []*Proxy
 	// hosted is what answers for each proxy identity of this station, by
 	// sequence — exactly one addressee each (see deliver). nProxies and
@@ -331,12 +329,13 @@ func (n *MSSNode) admissionEnabled() bool {
 	return n.w.cfg.AdmissionHighWater > 0
 }
 
-// refuseAdmission decides, at ingress, whether a new request must be
-// refused with a busy-NACK. Only requests this station is responsible
-// for and has not already admitted are candidates: retries of admitted
-// requests, requests buffered during a hand-off, and requests merely
-// passing through along the forwarding chain are never refused here
-// (the chain's end runs its own admission check on arrival). The
+// refuseAdmission decides, at ingress, whether a request must be refused
+// with a busy-NACK. Only requests this station is responsible for are
+// candidates: requests buffered during a hand-off and requests merely
+// passing through along the forwarding chain are never refused here (the
+// chain's end runs its own admission check on arrival). A timeout retry
+// of an admitted request is refused like a new one: its proxy holds the
+// request, and a host told of the admission ignores the Busy NACK. The
 // refusal ground is a full inbox (past the high-watermark).
 func (n *MSSNode) refuseAdmission(m msg.Message) bool {
 	if !n.admissionEnabled() || n.w.down[n.id] {
@@ -347,9 +346,6 @@ func (n *MSSNode) refuseAdmission(m msg.Message) bool {
 	h := n.peek(mh)
 	if h.arrival() != nil || !n.Responsible(mh) {
 		return false
-	}
-	if h.outIndex(req) >= 0 {
-		return false // already admitted; the delivery guarantee covers it
 	}
 	if n.inbox.len() < n.w.cfg.AdmissionHighWater {
 		return false
@@ -536,8 +532,8 @@ func (n *MSSNode) incOf(mh ids.MH) ids.Incarnation { return normInc(n.peek(mh).i
 
 // noteInc records that mh is running incarnation inc. Learning a newer
 // incarnation than the registered one means the host crashed and
-// rebooted since we last heard from it: every admitted-but-unacked
-// request and every held result owned by the dead incarnations is
+// rebooted since we last heard from it: its request sequence starts over,
+// and so does routed; every held result owned by the dead incarnations is
 // scrubbed — the reborn host has no memory of them and will never
 // acknowledge anything on their behalf.
 func (n *MSSNode) noteInc(mh ids.MH, inc ids.Incarnation) {
@@ -545,8 +541,7 @@ func (n *MSSNode) noteInc(mh ids.MH, inc ids.Incarnation) {
 		return
 	}
 	h := n.rec(mh)
-	h.inc = inc
-	h.out = slices.DeleteFunc(h.out, func(o outReq) bool { return n.staleInc(o.inc, inc) })
+	h.inc, h.routed = inc, 0
 	if x := h.x; x != nil {
 		x.held = slices.DeleteFunc(x.held, func(r msg.ResultDeliver) bool { return n.staleInc(r.Inc, inc) })
 	}
@@ -579,8 +574,7 @@ func (n *MSSNode) handleRegister(m msg.Register) {
 
 // handleReclaimMemo is the respMss side of proxy reclamation: the named
 // proxy no longer exists, so a pref still pointing at it is emptied (the
-// next request builds a fresh proxy) and every ledger entry owned by an
-// incarnation the memo covers is scrubbed. The memo chases a moved
+// next request builds a fresh proxy). The memo chases a moved
 // registration along the forwarding chain like any per-MH traffic.
 func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
 	h := n.peek(m.MH)
@@ -598,14 +592,7 @@ func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
 		return
 	}
 	if pref.Proxy == m.Proxy {
-		pref.Proxy = ids.NoProxy
-		pref.RKpR = false
-		n.setPref(m.MH, pref)
-	}
-	// Entries of incarnations the memo covers (inc <= m.Inc) go.
-	if len(h.out) > 0 {
-		h = n.rec(m.MH)
-		h.out = slices.DeleteFunc(h.out, func(o outReq) bool { return !incLess(m.Inc, o.inc) })
+		n.setPref(m.MH, msg.Pref{})
 	}
 }
 
@@ -650,9 +637,8 @@ func (n *MSSNode) beatOne(mh ids.MH, pref msg.Pref) {
 // reclaimProxy removes an orphaned proxy (lease expired, or everything
 // it held belonged to dead incarnations), journals the reclaim memo
 // durably, and tells the MH's last known respMss so the dangling pref
-// is dropped. memoInc bounds the scrub at the receiver: only ledger
-// entries of incarnations <= memoInc are dead — requests a surviving
-// incarnation has in flight must not be swept up.
+// is dropped. memoInc is the newest incarnation the reclaim presumes
+// dead.
 func (n *MSSNode) reclaimProxy(p *Proxy, memoInc ids.Incarnation) {
 	if n.hosted[p.id.Seq] != p {
 		return
@@ -691,8 +677,7 @@ func (n *MSSNode) forget(mh ids.MH) {
 		// What outlives responsibility is where the host went, a hand-off
 		// still in flight toward this station, and recent delivery
 		// attempts.
-		n.spareLedger(h.out)
-		h.out, h.inc = nil, 0
+		h.routed, h.inc = 0, 0
 		if x := h.x; x != nil {
 			x.held, x.heldAcks, x.deferredUpdate = nil, nil, false
 			n.settle(h)
@@ -875,8 +860,7 @@ func (n *MSSNode) handleRequest(from ids.NodeID, in msg.Message) {
 		return
 	}
 	n.noteInc(mh, m.Inc)
-	n.outAdd(mh, m.Req, normInc(m.Inc))
-	id, local := n.proxyFor(mh, m.Server, m.Payload)
+	id, local := n.proxyFor(mh, m.Req.Seq, m.Server, m.Payload)
 	switch a := local.(type) {
 	case *Proxy:
 		a.addRequest(m.Req, m.Server, m.Payload, m.Inc, n.id)
@@ -898,13 +882,20 @@ func (n *MSSNode) handleRequest(from ids.NodeID, in msg.Message) {
 // the cell's shared group proxy for a groupable request (E16; its
 // identity is then the MH's only proxy reference, so every later request
 // routes through the same group host), a private one otherwise. New
-// uplink work keeps the proxy alive: RKpR is cleared (§3.3). Batch
-// traffic passes NoServer and is never grouped. With the identity comes
-// what answers for it at this station, marked for the journal since the
+// uplink work keeps the proxy alive: RKpR is cleared (§3.3), and routed
+// rises to seq, the traffic's request sequence (zero for a batch's open
+// and commit) — from nothing, for a proxy made here. Batch traffic
+// passes NoServer and is never grouped. With the identity comes what
+// answers for it at this station, marked for the journal since the
 // caller is about to hand it the traffic — nil for another station's.
-func (n *MSSNode) proxyFor(mh ids.MH, server ids.Server, payload []byte) (ids.ProxyID, addressee) {
+func (n *MSSNode) proxyFor(mh ids.MH, seq uint32, server ids.Server, payload []byte) (ids.ProxyID, addressee) {
 	pref, _ := n.prefs.get(mh) // registered MHs always have an entry
-	pref.RKpR = false
+	pref.RKpR = 0
+	h := n.rec(mh)
+	if !pref.HasProxy() {
+		h.routed = 0
+	}
+	h.routed = max(h.routed, seq)
 	var local addressee
 	if pref.HasProxy() {
 		if pref.Proxy.Host == n.id {
@@ -966,15 +957,6 @@ func (n *MSSNode) stockRetired() {
 	n.retired = n.retired[:0]
 }
 
-// spareLedger stocks a ledger array nothing holds any more — a host's
-// that left, or a dropped journal image's — unless it holds more than
-// spareReqs entries.
-func (n *MSSNode) spareLedger(out []outReq) {
-	if c := cap(out); c > 0 && c <= spareReqs {
-		push(&n.spareOut, out[:0])
-	}
-}
-
 // spareStock bounds each of a station's spare stocks, and spareReqs the
 // array a spare record keeps: what a burst leaves past either is the
 // collector's.
@@ -1002,7 +984,8 @@ func push[T any](stock *[]T, t T) {
 }
 
 // handleAckMH relays an MH's Ack to its proxy (§3.1), confirming proxy
-// removal when RKpR is armed and no new request intervened (§3.3).
+// removal when RKpR is armed for this very request and no new request
+// intervened (§3.3).
 func (n *MSSNode) handleAckMH(from ids.NodeID, in msg.Message) {
 	m := n.w.legOf(in).AckMH()
 	// A hand-off back to this station may be in flight: the MH greeted
@@ -1038,11 +1021,6 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, in msg.Message) {
 		n.noteHeldAck(m.MH, m.Req)
 		return
 	}
-	left := 0
-	if len(h.out) > 0 { // so h is the host's own record, not absentHost
-		n.markHost(m.MH)
-		left = h.outRemove(m.Req)
-	}
 	if isSharedProxy(pref.Proxy) {
 		// Shared prefs are never deleted (E16): the group proxy is durable
 		// cell infrastructure, so §3.3 removal does not apply. The ack is
@@ -1052,16 +1030,17 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, in msg.Message) {
 		return
 	}
 	// §3.3 removal condition: RKpR armed AND every request of the MH has
-	// been answered — judged both from this station's routing knowledge
-	// and from the MH's own statement on the Ack (the latter covers
-	// requests routed through a previous respMss and still in flight).
-	delProxy := pref.RKpR && left == 0 && !m.HaveOutstanding
+	// been answered. RKpR names the request whose del-pref armed it, after
+	// every request routed to the proxy had arrived there (armRKpR); only
+	// that request's own Ack confirms — an older Ack, duplicated or late,
+	// speaks for a moment before it — and only with the MH's statement on
+	// it that it awaits nothing else (which covers requests issued before
+	// the Ack and still on their way).
+	delProxy := pref.RKpR != 0 && pref.RKpR == m.Req.Seq && !m.HaveOutstanding
 	proxy := pref.Proxy
 	if delProxy {
 		// §3.3: erase the proxy address and confirm removal.
-		pref.Proxy = ids.NoProxy
-		pref.RKpR = false
-		n.setPref(m.MH, pref)
+		n.setPref(m.MH, msg.Pref{})
 	}
 	n.w.Stats.AckForwards.Inc()
 	n.sendToStation(proxy.Host,
@@ -1099,11 +1078,12 @@ func (n *MSSNode) handleDereg(from ids.NodeID, in msg.Message) {
 	if responsible {
 		h = n.rec(m.MH)
 		h.departed, h.forwardTo = true, m.NewMSS
-		// The deregack carries the registered incarnation (E18): the new
-		// respMss must not vouch for (or gate against) an older one.
-		inc := h.inc
+		// The deregack carries routed beside the pref, and the registered
+		// incarnation (E18) it counts for: the new respMss must not vouch
+		// for (or gate against) an older one.
+		routed, inc := h.routed, h.inc
 		n.forget(m.MH)
-		n.sendWired(m.NewMSS.Node(), n.w.view(msg.DeregAck{MH: m.MH, Pref: pref, Inc: inc}.Leg()))
+		n.sendWired(m.NewMSS.Node(), n.w.view(msg.DeregAck{MH: m.MH, Pref: pref, Routed: routed, Inc: inc}.Leg()))
 		return
 	}
 	if h.departed {
@@ -1139,6 +1119,11 @@ func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 	}
 	pref := m.Pref
 	n.adopt(m.MH, pref)
+	// routed counts for the deregack's incarnation; one this station
+	// already knows to be dead counts nothing.
+	if !incLess(m.Inc, h.inc) {
+		n.rec(m.MH).routed = m.Routed
+	}
 	n.sendRegConfirm(m.MH)
 	n.w.Stats.Handoffs.Inc()
 	if arriving {
@@ -1173,7 +1158,7 @@ func (n *MSSNode) sendUpdateCurrLoc(proxy ids.ProxyID, mh ids.MH) {
 }
 
 // handleResultForward is the respMss side of result delivery (§3.1,
-// §3.3): arm RKpR if del-pref rides along and the pref matches, then
+// §3.3): arm RKpR if del-pref rides along (armRKpR), then
 // attempt exactly one wireless forward — or hold the result for an
 // inactive MH when the §5 footnote 3 optimization is on. The station
 // keeps no copy: "the MSS can discard the result message after a single
@@ -1189,10 +1174,7 @@ func (n *MSSNode) handleResultForward(m msg.ResultForward) {
 		return
 	}
 	if m.DelPref {
-		if pref, ok := n.prefs.get(m.MH); ok && pref.Proxy == m.Proxy {
-			pref.RKpR = true
-			n.setPref(m.MH, pref)
-		}
+		n.armRKpR(m.MH, m.Proxy, m.Req, m.Mark)
 	}
 	deliver := msg.ResultDeliver{Req: m.Req, Payload: m.Payload, DelPref: m.DelPref, Inc: m.Inc}
 	if n.w.cfg.HoldForInactive && n.Responsible(m.MH) &&
@@ -1276,14 +1258,33 @@ func (n *MSSNode) noteHeldAck(mh ids.MH, req ids.RequestID) {
 	}
 }
 
-// handleDelPrefOnly arms RKpR without a result payload (Fig. 4 case).
+// handleDelPrefOnly arms RKpR without a result payload (Fig. 4 case),
+// unless its request belongs to a dead incarnation of the MH.
 func (n *MSSNode) handleDelPrefOnly(m msg.DelPrefOnly) {
-	if pref, ok := n.prefs.get(m.MH); ok && pref.Proxy == m.Proxy {
-		pref.RKpR = true
-		n.setPref(m.MH, pref)
+	if n.staleInc(m.Inc, n.incOf(m.MH)) {
 		return
 	}
-	n.w.Stats.OrphanMessages.Inc()
+	if !n.armRKpR(m.MH, m.Proxy, m.Req, m.Mark) {
+		n.w.Stats.OrphanMessages.Inc()
+	}
+}
+
+// armRKpR takes a del-pref from proxy for req, carrying the proxy's mark
+// (§3.3): RKpR arms for req when the pref names that proxy and the mark
+// covers routed — every request routed to the proxy had arrived there
+// when it sent the del-pref. A del-pref that crossed a request on its way
+// arms nothing; the crossing request's own result brings the next one. It
+// reports whether the pref names the proxy.
+func (n *MSSNode) armRKpR(mh ids.MH, proxy ids.ProxyID, req ids.RequestID, mark uint32) bool {
+	pref, ok := n.prefs.get(mh)
+	if !ok || pref.Proxy != proxy {
+		return false
+	}
+	if mark >= n.peek(mh).routed {
+		pref.RKpR = req.Seq
+		n.setPref(mh, pref)
+	}
+	return true
 }
 
 // cacheLookup consults the station's result cache (E17) for the result
@@ -1356,9 +1357,9 @@ func (n *MSSNode) routeUplink(from ids.NodeID, mh ids.MH, m msg.Message) bool {
 }
 
 // handleBatchUplink routes the wireless leg of batch traffic: gated by
-// incarnation and entered in the routing ledger like a plain request
-// (§3.3 proxy-removal accounting), then handed to the host's proxy —
-// here, or at its host under the identity filled in.
+// incarnation and counted in routed like a plain request (§3.3
+// proxy-removal accounting), then handed to the host's proxy — here, or
+// at its host under the identity filled in.
 func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 	var (
 		mh     ids.MH
@@ -1387,10 +1388,7 @@ func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 		}
 		n.noteInc(mh, inc)
 	}
-	if member.Valid() {
-		n.outAdd(mh, member, inc)
-	}
-	id, local := n.proxyFor(mh, ids.NoServer, nil)
+	id, local := n.proxyFor(mh, member.Seq, ids.NoServer, nil)
 	switch local.(type) {
 	case *Proxy:
 		local.handle(from, m)
@@ -1404,18 +1402,12 @@ func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 }
 
 // handleBatchAbort delivers a batch abort to the MH through its current
-// respMss, scrubbing the aborted members from the routing ledger — they
-// will never be acked and must not block proxy removal (§3.3).
+// respMss. The aborted members pin nothing: the proxy counted them in its
+// mark when they arrived.
 func (n *MSSNode) handleBatchAbort(from ids.NodeID, in msg.Message) {
 	m := in.(msg.BatchAbort)
 	if !n.routeUplink(from, m.MH, in) {
 		return
-	}
-	if len(n.peek(m.MH).out) > 0 {
-		h := n.rec(m.MH)
-		for _, req := range m.Reqs {
-			h.outRemove(req)
-		}
 	}
 	n.w.Wireless.SendDownlink(n.id, m.MH, in)
 }

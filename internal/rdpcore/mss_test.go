@@ -101,7 +101,7 @@ func TestDelPrefOnlyWithMismatchedProxyIgnored(t *testing.T) {
 		Proxy: ids.ProxyID{Host: 2, Seq: 5}, MH: 7,
 	})
 	pref, _ := mss1.PrefOf(7)
-	if pref.RKpR {
+	if pref.RKpR != 0 {
 		t.Error("RKpR armed by a mismatched del-pref")
 	}
 	if got := w.Stats.OrphanMessages.Value(); got != 1 {
@@ -122,7 +122,7 @@ func TestResultForwardWithMismatchedProxyDoesNotArmRKpR(t *testing.T) {
 		DelPref: true,
 	})
 	pref, _ := mss1.PrefOf(7)
-	if pref.RKpR {
+	if pref.RKpR != 0 {
 		t.Error("RKpR armed by a result for a proxy the pref does not hold")
 	}
 }

@@ -41,6 +41,13 @@ type Proxy struct {
 	// for, never a later one that reuses the identifier.
 	batchGen uint32
 	gens     []uint32
+	// mark is the highest request sequence the proxy has received for its
+	// host — requests and batch members, aborted ones too — within
+	// markInc, the newest incarnation it has heard from: a del-pref
+	// carries it, so the respMss can tell whether every request it routed
+	// here has arrived (§3.3, armRKpR).
+	mark    uint32
+	markInc ids.Incarnation
 
 	// remoteForwards counts results forwarded to a station other than the
 	// host since creation or installation here, and lastMigAttempt is the
@@ -112,6 +119,17 @@ func setLazy[K comparable, V any](m *map[K]V, k K, v V) {
 		*m = make(map[K]V)
 	}
 	(*m)[k] = v
+}
+
+// raise notes that the proxy received request req of incarnation inc: a
+// newer incarnation restarts the mark, as its host's sequence does.
+func (p *Proxy) raise(req ids.RequestID, inc ids.Incarnation) {
+	if incLess(p.markInc, inc) {
+		p.mark, p.markInc = 0, inc
+	}
+	if !incLess(inc, p.markInc) {
+		p.mark = max(p.mark, req.Seq)
+	}
 }
 
 // ID returns the proxy identifier.
@@ -264,6 +282,7 @@ func (p *Proxy) addRequest(req ids.RequestID, server ids.Server, payload []byte,
 		p.join(req, server, payload, inc, from)
 		return
 	}
+	p.raise(req, inc)
 	r := p.req(req)
 	switch {
 	case r == nil:
@@ -394,8 +413,10 @@ func (p *Proxy) forwardTo(r *msg.ProxyReq, req ids.RequestID, inc ids.Incarnatio
 		p.host.w.Stats.GroupFanouts.Inc()
 	}
 	loc := p.locOf(req.Origin)
-	fwd := msg.ResultForward{Proxy: p.id, MH: req.Origin, Req: req, Payload: r.Result,
-		DelPref: len(p.reqs) == 1 && p.group == nil, Inc: inc}
+	fwd := msg.ResultForward{Proxy: p.id, MH: req.Origin, Req: req, Payload: r.Result, Inc: inc}
+	if len(p.reqs) == 1 && p.group == nil {
+		fwd.DelPref, fwd.Mark = true, p.mark
+	}
 	p.host.sendToStation(loc, p.host.w.view(fwd.Leg()))
 	// Every forward is a migration-policy observation (migration.go); a
 	// fired trigger only sends an offer, so the proxy stays intact here.
@@ -427,7 +448,7 @@ func (p *Proxy) onUpdateLoc(newLoc ids.MSS, moved *aggstate.Set) {
 //
 // Fig. 4 rule: if after removal exactly one pending request remains and
 // its result has already been forwarded, the proxy sends the special
-// del-pref-only message so the respMss can arm RKpR.
+// del-pref-only message for it so the respMss can arm RKpR.
 //
 // A group proxy is durable: neither rule applies to it.
 func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
@@ -445,7 +466,7 @@ func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
 	}
 	if removed && len(p.reqs) == 1 {
 		if sole := &p.reqs[0]; sole.HasResult && sole.Forwarded {
-			p.host.sendToStation(p.currentLoc, msg.DelPrefOnly{Proxy: p.id, MH: p.mh})
+			p.host.sendToStation(p.currentLoc, msg.DelPrefOnly{Proxy: p.id, MH: p.mh, Req: sole.Req, Mark: p.mark, Inc: sole.Inc})
 		}
 	}
 	return false
@@ -525,6 +546,7 @@ func (p *Proxy) answerAborted(id ids.BatchID) bool {
 // onBatchItem registers one batch member and issues it to the server
 // (or answers it from the cache).
 func (p *Proxy) onBatchItem(m msg.BatchItem) {
+	p.raise(m.Req, m.Inc)
 	if p.answerAborted(m.Batch) {
 		return
 	}
@@ -703,7 +725,8 @@ func (p *Proxy) scrubStale(inc ids.Incarnation) {
 // --- The durable image -------------------------------------------------
 //
 // A proxy's durable state is one msg.MigState: identity, currentLoc, the
-// requestList, the batches and abort memos, and the lease's incarnation.
+// requestList, the batches and abort memos, the mark and the lease's
+// incarnation.
 // The journal keeps one per hosted proxy (flushJournal writes it, a restart
 // revives it) and a migration ships one (migrateOut takes it, the adopting
 // station revives it): one copy function each way, whichever path moves
@@ -720,6 +743,7 @@ func (p *Proxy) scrubStale(inc ids.Incarnation) {
 func (p *Proxy) image(dst *msg.MigState) {
 	reqs, batches := dst.Reqs, dst.Batches
 	*dst = msg.MigState{Proxy: p.id, MH: p.mh, CurrentLoc: p.currentLoc, LeaseInc: p.leaseInc,
+		Mark: p.mark, MarkInc: p.markInc,
 		Reqs:    append(reqs[:0], p.reqs...),
 		Batches: slices.Grow(batches[:0], len(p.batches))[:len(p.batches)]}
 	if len(dst.Reqs) < len(reqs) {
@@ -744,6 +768,7 @@ func (p *Proxy) image(dst *msg.MigState) {
 func (n *MSSNode) revive(id ids.ProxyID, st *msg.MigState, g *proxyGroup) *Proxy {
 	p := newProxy(id, st.MH, n)
 	p.currentLoc, p.leaseInc = st.CurrentLoc, st.LeaseInc
+	p.mark, p.markInc = st.Mark, st.MarkInc
 	p.reqs = append(p.reqs, st.Reqs...)
 	p.group = g.clone()
 	for _, b := range st.Batches {

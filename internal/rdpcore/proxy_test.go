@@ -135,7 +135,7 @@ func TestProxyDelPrefOnlyRequiresForwardedResult(t *testing.T) {
 	// so RKpR stays clear.
 	p.onAck(r1, false)
 	w.RunUntil(200 * time.Millisecond)
-	if pref2, _ := w.MSSs[1].PrefOf(1); pref2.RKpR {
+	if pref2, _ := w.MSSs[1].PrefOf(1); pref2.RKpR != 0 {
 		t.Error("RKpR armed although the remaining result was never forwarded")
 	}
 	_ = r2

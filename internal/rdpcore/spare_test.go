@@ -156,14 +156,13 @@ func TestCrashEmptiesSpareStocks(t *testing.T) {
 	w.Migrate(1, 2)
 	w.Run()
 	n := w.MSSs[1]
-	// Two ledger arrays: the host's own and its journal image's.
-	if len(n.spareProxies) != 1 || len(n.spareImages) != 1 || len(n.spareOut) != 2 {
-		t.Fatalf("stocks before the crash: %d proxies, %d images, %d ledgers; want 1, 1, 2",
-			len(n.spareProxies), len(n.spareImages), len(n.spareOut))
+	if len(n.spareProxies) != 1 || len(n.spareImages) != 1 {
+		t.Fatalf("stocks before the crash: %d proxies, %d images; want 1, 1",
+			len(n.spareProxies), len(n.spareImages))
 	}
 	w.CrashMSS(1)
-	if n.spareProxies != nil || n.spareImages != nil || n.spareOut != nil || len(n.retired) != 0 {
-		t.Fatalf("stocks after the crash: %v %v %v %v", n.spareProxies, n.spareImages, n.spareOut, n.retired)
+	if n.spareProxies != nil || n.spareImages != nil || len(n.retired) != 0 {
+		t.Fatalf("stocks after the crash: %v %v %v", n.spareProxies, n.spareImages, n.retired)
 	}
 	// Station 2 retired the hand-off's transient record once it settled.
 	m := w.MSSs[2]

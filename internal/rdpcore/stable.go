@@ -15,11 +15,11 @@ import (
 // This file implements MSS crash/recovery. The paper assumes support
 // stations never fail; E10 removes that assumption. Stations journal
 // their protocol state — prefs with life-cycle flags (and so responsibility),
-// forwarding pointers, outstanding-request routing knowledge, and the
-// full requestList of every hosted proxy — to an in-sim stable store on
-// every event that mutates them (one snapshot per entity written). A
-// crash wipes the station's memory; a restart replays the journal and,
-// after a grace period, re-issues whatever the journal shows incomplete.
+// forwarding pointers, the routed watermark, and the full requestList of
+// every hosted proxy — to an in-sim stable store on every event that
+// mutates them (one snapshot per entity written). A crash wipes the
+// station's memory; a restart replays the journal and, after a grace
+// period, re-issues whatever the journal shows incomplete.
 
 // The journal stores value copies of the live types — a proxy's image
 // (msg.MigState, which is also what a migration ships, and a group
@@ -35,9 +35,8 @@ import (
 
 // hostJournal is the journaled per-MH state of one station: the pref,
 // kept outside the host table (holding one is being responsible for the
-// host), and the record's durable half — the registered incarnation and
-// the incarnation-tagged ledger among it, so a restart can still scrub
-// entries orphaned by a pre-crash reboot of the host.
+// host), and the record's durable half — routed and the registered
+// incarnation it counts for among it.
 type hostJournal struct {
 	hasPref bool
 	pref    msg.Pref
@@ -149,13 +148,11 @@ func (n *MSSNode) flushJournal() {
 	}
 	rec := n.w.store.station(n.id)
 	for _, mh := range n.dirtyHosts {
-		// A snapshot with nothing left to remember erases the entry, and
-		// its ledger goes to the spare stock.
-		if j := n.hostImage(mh, rec.mhs[mh].out); j.hasPref || j.departed {
+		// A snapshot with nothing left to remember erases the entry.
+		if j := n.hostImage(mh); j.hasPref || j.departed {
 			rec.mhs[mh] = j
 		} else {
 			delete(rec.mhs, mh)
-			n.spareLedger(j.out)
 		}
 	}
 	for _, seq := range n.dirtySlots {
@@ -206,23 +203,10 @@ func (n *MSSNode) spareImage(st *proxyImage) {
 	push(&n.spareImages, st)
 }
 
-// hostImage is this station's complete journaled state for mh, its
-// ledger copied into stored — the ledger array of the image it replaces,
-// or one from the spare stock when that image had none. An empty ledger
-// is journaled as none, and stored goes to the stock: like the live
-// ledger's, the image's array follows the host from station to station.
-func (n *MSSNode) hostImage(mh ids.MH, stored []outReq) hostJournal {
+// hostImage is this station's complete journaled state for mh.
+func (n *MSSNode) hostImage(mh ids.MH) hostJournal {
 	j := hostJournal{hostDurable: n.peek(mh).hostDurable}
 	j.pref, j.hasPref = n.prefs.get(mh)
-	switch {
-	case len(j.out) == 0:
-		n.spareLedger(stored)
-		j.out = nil
-	case stored == nil:
-		j.out = append(pop(&n.spareOut), j.out...)
-	default:
-		j.out = append(stored[:0], j.out...)
-	}
 	return j
 }
 
@@ -282,7 +266,7 @@ func (n *MSSNode) crash() {
 	n.boot++ // voids every timer armed through after
 	n.inbox = classInbox{}
 	n.hosts, n.slab, n.spareTransients = make(map[ids.MH]*stationHost), nil, nil
-	n.spareProxies, n.spareImages, n.spareOut = nil, nil, nil
+	n.spareProxies, n.spareImages = nil, nil
 	n.prefs = newPrefTable(n.w.cfg.AggregatedState)
 	// The result cache is volatile by design (dcache doc): rebuilding it
 	// empty costs recomputation, never correctness.
@@ -312,9 +296,8 @@ func (n *MSSNode) restoreFromStore() {
 		if j.hasPref { // and with it, responsibility for mh
 			n.prefs.set(mh, j.pref)
 		}
-		if d := j.hostDurable; len(d.out) > 0 || d.inc != 0 || d.departed {
-			d.out = slices.Clone(d.out)
-			n.entry(mh).hostDurable = d
+		if j.hostDurable != (hostDurable{}) {
+			n.entry(mh).hostDurable = j.hostDurable
 		}
 	}
 	if rec.nextSeq > n.nextProxySeq {

@@ -12,11 +12,7 @@ package rdpcore
 // responsible hosts), the incarnation table, and every hosted proxy with
 // its requestList — a private proxy's entries at a fixed cost each, a
 // group proxy's member set and location exceptions and its shared
-// entries' member lists besides. The outstanding-request routing ledger
-// is the same size in both modes — it is per-(MH, in-flight request)
-// transient state by nature — and is reported separately
-// (OutstandingBytes) so the headline ratio compares representations, not
-// workload phase.
+// entries' member lists besides.
 
 const (
 	// Faithful pref table: one map entry per registered MH, its Pref
@@ -42,9 +38,6 @@ const (
 	bytesWaiter     = 16
 	bytesMemberLoc  = 16
 	bytesAckIdx     = 16
-	// Outstanding ledger: per-MH header plus per-request entry.
-	bytesOutstandingMH  = 48
-	bytesOutstandingReq = 56
 )
 
 // stateBytes is the pref table's footprint under the model.
@@ -94,33 +87,11 @@ func (n *MSSNode) StateBytes() int {
 	return total
 }
 
-// OutstandingBytes returns the modeled footprint of the station's
-// outstanding-request routing ledger, identical in both representations
-// (reported separately from StateBytes; see file comment).
-func (n *MSSNode) OutstandingBytes() int {
-	total := 0
-	for _, h := range n.hosts {
-		if len(h.out) > 0 { // an emptied ledger keeps only its capacity
-			total += bytesOutstandingMH + len(h.out)*bytesOutstandingReq
-		}
-	}
-	return total
-}
-
 // StateBytes sums the modeled station state over the whole world.
 func (w *World) StateBytes() int64 {
 	var total int64
 	for _, id := range w.mssList {
 		total += int64(w.MSSs[id].StateBytes())
-	}
-	return total
-}
-
-// OutstandingBytes sums the outstanding-ledger footprint over the world.
-func (w *World) OutstandingBytes() int64 {
-	var total int64
-	for _, id := range w.mssList {
-		total += int64(w.MSSs[id].OutstandingBytes())
 	}
 	return total
 }

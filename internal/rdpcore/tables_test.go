@@ -342,10 +342,10 @@ func TestDisconnectedHostTransfersWhole(t *testing.T) {
 	}
 }
 
-// TestOutstandingLedgerRoundTrip: the station's outstanding ledger
-// survives checkpoint → crash → restore entry for entry, and an emptied
-// ledger counts for nothing in OutstandingBytes.
-func TestOutstandingLedgerRoundTrip(t *testing.T) {
+// TestRoutedRoundTrip: the station's routed watermarks survive
+// checkpoint → crash → restore, and every request they count reaches its
+// proxy.
+func TestRoutedRoundTrip(t *testing.T) {
 	w := quickWorld(func(c *Config) {
 		c.Checkpoint = true
 		c.ServerProc = netsim.Constant(time.Second)
@@ -358,25 +358,24 @@ func TestOutstandingLedgerRoundTrip(t *testing.T) {
 	})
 	w.RunUntil(100 * time.Millisecond)
 	n := w.MSSs[1]
-	before := n.OutstandingBytes()
-	if want := 2*bytesOutstandingMH + 3*bytesOutstandingReq; before != want {
-		t.Fatalf("OutstandingBytes = %d, want %d", before, want)
+	routed := func() string { return fmt.Sprint(n.peek(1).routed, n.peek(2).routed) }
+	if got := routed(); got != "2 1" {
+		t.Fatalf("routed = %s, want 2 1", got)
 	}
-	ledger := fmt.Sprint(n.peek(1).out, n.peek(2).out)
 	w.CrashMSS(1)
-	if n.OutstandingBytes() != 0 {
-		t.Fatal("crash left a ledger behind")
+	if got := routed(); got != "0 0" {
+		t.Fatalf("crash left routed %s behind", got)
 	}
 	w.RestartMSS(1)
-	if got := fmt.Sprint(n.peek(1).out, n.peek(2).out); got != ledger || n.OutstandingBytes() != before {
-		t.Errorf("restored ledger %s (%d B), want %s (%d B)", got, n.OutstandingBytes(), ledger, before)
+	if got := routed(); got != "2 1" {
+		t.Errorf("restored routed %s, want 2 1", got)
 	}
 	w.RunUntil(5 * time.Second)
-	if n.OutstandingBytes() != 0 {
-		t.Errorf("OutstandingBytes = %d after every Ack, want 0", n.OutstandingBytes())
-	}
 	if !a.Seen(ids.RequestID{Origin: 1, Seq: 2}) || !b.Seen(ids.RequestID{Origin: 2, Seq: 1}) {
 		t.Error("results lost across the station crash")
+	}
+	if err := w.CheckQuiescent(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -415,7 +414,7 @@ type stationOracle struct {
 	prefs          map[ids.MH]msg.Pref
 	ignoreAcks     map[ids.MH]bool
 	forwardTo      map[ids.MH]ids.MSS
-	ledger         map[ids.MH][]outReq
+	routed         map[ids.MH]uint32
 	incs           map[ids.MH]ids.Incarnation
 	arriving       map[ids.MH]*oracleArrival
 	parked         map[ids.MH][]msg.Message
@@ -431,7 +430,7 @@ func newStationOracle(me ids.MSS, w *World) *stationOracle {
 	o := &stationOracle{me: me, w: w}
 	o.responsible, o.prefs = map[ids.MH]bool{}, map[ids.MH]msg.Pref{}
 	o.ignoreAcks, o.forwardTo = map[ids.MH]bool{}, map[ids.MH]ids.MSS{}
-	o.ledger, o.incs = map[ids.MH][]outReq{}, map[ids.MH]ids.Incarnation{}
+	o.routed, o.incs = map[ids.MH]uint32{}, map[ids.MH]ids.Incarnation{}
 	o.wipeVolatile()
 	return o
 }
@@ -450,9 +449,9 @@ func (o *stationOracle) crash() {
 		_, pref := o.prefs[mh]
 		return o.responsible[mh] || pref || o.ignoreAcks[mh]
 	}
-	for mh := range o.ledger {
+	for mh := range o.routed {
 		if !journaled(mh) {
-			delete(o.ledger, mh)
+			delete(o.routed, mh)
 		}
 	}
 	for mh := range o.incs {
@@ -467,13 +466,7 @@ func (o *stationOracle) noteInc(mh ids.MH, inc ids.Incarnation) {
 		return
 	}
 	o.incs[mh] = inc
-	o.ledger[mh] = slices.DeleteFunc(o.ledger[mh], func(r outReq) bool {
-		if incLess(r.inc, inc) {
-			o.staleDrops++
-			return true
-		}
-		return false
-	})
+	delete(o.routed, mh)
 	o.held[mh] = slices.DeleteFunc(o.held[mh], func(r oracleHeld) bool {
 		if incLess(r.inc, inc) {
 			o.staleDrops++
@@ -489,7 +482,7 @@ func (o *stationOracle) forget(mh ids.MH) {
 	delete(o.held, mh)
 	delete(o.heldAcks, mh)
 	delete(o.deferredUpdate, mh)
-	delete(o.ledger, mh)
+	delete(o.routed, mh)
 	delete(o.incs, mh)
 }
 
@@ -580,16 +573,13 @@ func (o *stationOracle) process(m msg.Message) {
 		}
 		o.noteInc(mh, m.Inc)
 		pref := o.prefs[mh]
-		pref.RKpR = false
-		if i := slices.IndexFunc(o.ledger[mh], func(r outReq) bool { return r.req == m.Req }); i >= 0 {
-			o.ledger[mh][i].inc = normInc(m.Inc)
-		} else {
-			o.ledger[mh] = append(o.ledger[mh], outReq{req: m.Req, inc: normInc(m.Inc)})
-		}
+		pref.RKpR = 0
 		if !pref.HasProxy() {
 			o.nextProxySeq++
 			pref.Proxy = ids.ProxyID{Host: o.me, Seq: o.nextProxySeq}
+			o.routed[mh] = 0
 		}
+		o.routed[mh] = max(o.routed[mh], m.Req.Seq)
 		o.prefs[mh] = pref
 	case msg.AckMH:
 		if arr := o.arriving[m.MH]; arr != nil {
@@ -610,8 +600,7 @@ func (o *stationOracle) process(m msg.Message) {
 			o.noteHeldAck(m.MH, m.Req)
 			return
 		}
-		o.ledger[m.MH] = slices.DeleteFunc(o.ledger[m.MH], func(r outReq) bool { return r.req == m.Req })
-		if pref.RKpR && len(o.ledger[m.MH]) == 0 && !m.HaveOutstanding {
+		if pref.RKpR != 0 && pref.RKpR == m.Req.Seq && !m.HaveOutstanding {
 			o.prefs[m.MH] = msg.Pref{}
 		}
 		o.noteHeldAck(m.MH, m.Req)
@@ -641,6 +630,9 @@ func (o *stationOracle) process(m msg.Message) {
 		delete(o.ignoreAcks, m.MH)
 		delete(o.forwardTo, m.MH)
 		o.prefs[m.MH] = m.Pref
+		if !incLess(m.Inc, o.incs[m.MH]) {
+			o.routed[m.MH] = m.Routed
+		}
 		if arr == nil {
 			return
 		}
@@ -659,8 +651,8 @@ func (o *stationOracle) process(m msg.Message) {
 			o.staleDrops++
 			return
 		}
-		if pref, ok := o.prefs[m.MH]; ok && m.DelPref && pref.Proxy == m.Proxy {
-			pref.RKpR = true
+		if pref, ok := o.prefs[m.MH]; ok && m.DelPref && pref.Proxy == m.Proxy && m.Mark >= o.routed[m.MH] {
+			pref.RKpR = m.Req.Seq
 			o.prefs[m.MH] = pref
 		}
 		if o.responsible[m.MH] && o.w.InCell(m.MH, o.me) && !o.w.IsActive(m.MH) {
@@ -735,7 +727,7 @@ func stationTableHistory(t *testing.T, seed int64) {
 				anyInc = inc[mh]
 			}
 			m = msg.ResultForward{Proxy: pref.Proxy, MH: mh, Req: ids.RequestID{Origin: mh, Seq: uint32(1 + rnd.Intn(int(seq[mh])+1))},
-				Payload: []byte("r"), DelPref: rnd.Intn(2) == 0, Inc: anyInc}
+				Payload: []byte("r"), DelPref: rnd.Intn(2) == 0, Mark: uint32(rnd.Intn(int(seq[mh]) + 2)), Inc: anyInc}
 		case 11:
 			inc[mh]++
 			m = msg.Register{MH: mh, Inc: inc[mh]}
@@ -756,14 +748,13 @@ func stationTableHistory(t *testing.T, seed int64) {
 				}
 			}
 		}
-		outBytes := 0
 		for _, mh := range hosts {
 			h := n.peek(mh)
 			pref, hasPref := n.PrefOf(mh)
 			wantPref, wantHasPref := o.prefs[mh]
 			fwd, hasFwd := o.forwardTo[mh]
-			got := fmt.Sprint(n.Responsible(mh), pref, hasPref, h.departed, h.forwardTo, h.out, h.inc)
-			want := fmt.Sprint(o.responsible[mh], wantPref, wantHasPref, o.ignoreAcks[mh], fwd, o.ledger[mh], o.incs[mh])
+			got := fmt.Sprint(n.Responsible(mh), pref, pref.RKpR, hasPref, h.departed, h.forwardTo, h.routed, h.inc)
+			want := fmt.Sprint(o.responsible[mh], wantPref, wantPref.RKpR, wantHasPref, o.ignoreAcks[mh], fwd, o.routed[mh], o.incs[mh])
 			if got != want || hasFwd != o.ignoreAcks[mh] {
 				t.Fatalf("step %d %T %v: durable state %s, oracle %s", step, m, mh, got, want)
 			}
@@ -783,19 +774,13 @@ func stationTableHistory(t *testing.T, seed int64) {
 			if got != want {
 				t.Fatalf("step %d %T %v: volatile state %s, oracle %s", step, m, mh, got, want)
 			}
-			if len(o.ledger[mh]) > 0 {
-				outBytes += bytesOutstandingMH + len(o.ledger[mh])*bytesOutstandingReq
-			}
-		}
-		if got := n.OutstandingBytes(); got != outBytes {
-			t.Fatalf("step %d: OutstandingBytes = %d, oracle %d", step, got, outBytes)
 		}
 		got := fmt.Sprint(w.Stats.IgnoredAcks.Value(), w.Stats.OrphanMessages.Value(), w.Stats.StaleIncarnationDrops.Value())
 		if want := fmt.Sprint(o.ignoredAcks, o.orphans, o.staleDrops); got != want {
 			t.Fatalf("step %d %T: ignored/orphan/stale counts %s, oracle %s", step, m, got, want)
 		}
 	}
-	if a := &absentHost; a.x != nil || a.out != nil || a.departed || a.forwardTo != 0 || a.inc != 0 {
+	if a := &absentHost; a.x != nil || a.hostDurable != (hostDurable{}) {
 		t.Errorf("the shared absent record was written: %+v", *a)
 	}
 	if w.Stats.Handoffs.Value() == 0 || w.Stats.HeldResults.Value() == 0 || o.ignoredAcks == 0 ||
@@ -999,7 +984,7 @@ func liveRecord(n *MSSNode) *stationRecord {
 		switch a := a.(type) {
 		case *Proxy:
 			rec.proxies[seq] = &proxyImage{MigState: msg.MigState{Proxy: a.id, MH: a.mh, CurrentLoc: a.currentLoc,
-				LeaseInc: a.leaseInc, Reqs: a.reqs, Batches: a.batches}, group: a.group}
+				Mark: a.mark, MarkInc: a.markInc, LeaseInc: a.leaseInc, Reqs: a.reqs, Batches: a.batches}, group: a.group}
 		case *tombstone:
 			rec.tombstones[seq] = a.clone()
 		}
@@ -1016,8 +1001,7 @@ func liveRecord(n *MSSNode) *stationRecord {
 func sameRecord(a, b *stationRecord) bool {
 	same := a.nextSeq == b.nextSeq && bytes.Equal(a.reclaims, b.reclaims) &&
 		maps.EqualFunc(a.mhs, b.mhs, func(x, y hostJournal) bool {
-			return x.hasPref == y.hasPref && x.pref == y.pref &&
-				slices.Equal(x.out, y.out) && x.departed == y.departed && x.forwardTo == y.forwardTo && x.inc == y.inc
+			return x == y
 		}) &&
 		maps.EqualFunc(a.tombstones, b.tombstones, func(x, y tombstone) bool {
 			return x.oldProxy == y.oldProxy && x.newProxy == y.newProxy && x.mh == y.mh &&
@@ -1050,7 +1034,7 @@ func groupString(g *proxyGroup) string {
 // list and a missing one alike.
 func sameImage(x, y *msg.MigState) bool {
 	return x.Proxy == y.Proxy && x.NewProxy == y.NewProxy && x.MH == y.MH && x.CurrentLoc == y.CurrentLoc &&
-		x.LeaseInc == y.LeaseInc &&
+		x.Mark == y.Mark && x.MarkInc == y.MarkInc && x.LeaseInc == y.LeaseInc &&
 		slices.EqualFunc(x.Reqs, y.Reqs, func(p, q msg.ProxyReq) bool {
 			return p.Req == q.Req && p.Server == q.Server && bytes.Equal(p.Payload, q.Payload) &&
 				bytes.Equal(p.Result, q.Result) && p.HasResult == q.HasResult && p.Forwarded == q.Forwarded &&
@@ -1065,8 +1049,8 @@ func sameImage(x, y *msg.MigState) bool {
 // imageString prints a proxy image field by field (MigState's String is the
 // trace form), and a group proxy's extension of it.
 func imageString(st *msg.MigState, g *proxyGroup) string {
-	return fmt.Sprintf("%v->%v %v at %v lease %v reqs %+v batches %+v %s",
-		st.Proxy, st.NewProxy, st.MH, st.CurrentLoc, st.LeaseInc, st.Reqs, st.Batches, groupString(g))
+	return fmt.Sprintf("%v->%v %v at %v mark %v/%v lease %v reqs %+v batches %+v %s",
+		st.Proxy, st.NewProxy, st.MH, st.CurrentLoc, st.Mark, st.MarkInc, st.LeaseInc, st.Reqs, st.Batches, groupString(g))
 }
 
 // dumpRecord prints a journal for a failure message.
@@ -1304,10 +1288,9 @@ func TestJournalImageOutOfLiveReach(t *testing.T) {
 	for round := 0; round < 3; round++ { // the second and third rounds scribble over reused arrays
 		before := dumpRecord(stored)
 		h := n.entry(1)
-		h.out[0].inc += 5
-		h.out = append(h.out[:1], outReq{req: ids.RequestID{Origin: 1, Seq: 40}, inc: 2})
+		h.routed++
 		h.inc++
-		p.currentLoc, p.leaseInc = 2, p.leaseInc+1
+		p.currentLoc, p.leaseInc, p.mark = 2, p.leaseInc+1, p.mark+1
 		p.reqs[0].HasResult, p.reqs[0].Result = true, []byte{byte(round)}
 		all[0], all[1] = all[1], all[0]
 		p.reqs = all[:2+round%2] // the image shrinks, then grows back
@@ -1339,11 +1322,10 @@ func TestRestoredStateOutOfJournalReach(t *testing.T) {
 	n.w.CrashMSS(1)
 	n.w.RestartMSS(1)
 	restored := dumpRecord(liveRecord(n))
-	pr, j := stored.proxies[seq], stored.mhs[1]
+	pr := stored.proxies[seq]
 	pr.Reqs[0].Req.Seq, pr.Reqs[1].HasResult = 99, true
 	pr.Batches[0].Members[0].Seq, pr.Batches[0].Released = 98, true
 	pr.Batches[1].Batch.Seq, pr.Batches[1].Members[0].Seq = 97, 96
-	j.out[0].inc = 96
 	if now := dumpRecord(liveRecord(n)); now != restored {
 		t.Fatalf("writes to the stored images reached the restored state:\n--- restored\n%s--- now\n%s", restored, now)
 	}

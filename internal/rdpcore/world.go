@@ -1150,9 +1150,9 @@ func (w *World) resolveProxyRef(mh ids.MH, p ids.ProxyID) error {
 // traffic has drained (no in-flight messages, no pending hand-offs):
 // everything CheckInvariants demands, plus that no private proxy exists
 // without a pref referencing it — in-flight deletions and hand-overs have
-// settled, so an orphan proxy would be a leak — and that no station's
-// routing ledger still holds a request of a host that has not departed
-// from it: every request routed was answered and acknowledged.
+// settled, so an orphan proxy would be a leak — and that every request a
+// station routed to a host's private proxy has arrived there: routed does
+// not pass the proxy's mark.
 func (w *World) CheckQuiescent() error {
 	if err := w.CheckInvariants(); err != nil {
 		return err
@@ -1183,12 +1183,19 @@ func (w *World) CheckQuiescent() error {
 		if len(st.aggLocBuf) > 0 || len(st.aggAckBuf) > 0 {
 			return fmt.Errorf("quiescence: %v still has buffered group signaling", id)
 		}
-		arriving, parked := 0, 0
-		for mh, h := range st.hosts {
-			if len(h.out) > 0 && !h.departed {
-				return fmt.Errorf("quiescence: %v still routes %d unacknowledged requests of %v (first %v)",
-					id, len(h.out), mh, h.out[0].req)
+		var err error
+		st.prefs.forEach(func(mh ids.MH, pref msg.Pref) {
+			p, routed := w.privateProxy(pref), st.peek(mh).routed
+			if err == nil && p != nil && routed > p.mark {
+				err = fmt.Errorf("quiescence: %v routed requests of %v up to #%d to %v, which has seen up to #%d",
+					id, mh, routed, p.id, p.mark)
 			}
+		})
+		if err != nil {
+			return err
+		}
+		arriving, parked := 0, 0
+		for _, h := range st.hosts {
 			if x := h.x; x != nil {
 				parked += len(x.parked)
 				if x.arriving {
@@ -1210,6 +1217,14 @@ func (w *World) CheckQuiescent() error {
 		}
 	}
 	return nil
+}
+
+// privateProxy returns the private proxy pref names, or nil.
+func (w *World) privateProxy(pref msg.Pref) *Proxy {
+	if !pref.HasProxy() || isSharedProxy(pref.Proxy) {
+		return nil
+	}
+	return w.MSSs[pref.Proxy.Host].ProxyByID(pref.Proxy)
 }
 
 // settledProxy is CheckQuiescent's view of one proxy: a private one

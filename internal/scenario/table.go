@@ -39,9 +39,10 @@ var All = []Scenario{
 		Gate:   Walks,
 	},
 	{
-		// Under the adversary mig1 trips the del-proxy-with-requests-
-		// pending violation of ROADMAP bug 1(i): Gate stays Clock until
-		// that is fixed (explore's TestMigrationUnderAdversary records it).
+		// Gate stays Clock because the explorer still drains kernel timers
+		// (the tombstone linger among them) between picks instead of
+		// scheduling them (ROADMAP item 2(a)); under the adversary mig1
+		// records no violation (explore's TestMigrationUnderAdversary).
 		Name: "mig1",
 		About: "Migration — two requests share a proxy at mss1; the MH moves to mss2 at 50ms.\n" +
 			"The fast result's remote forward fires the hop trigger: watch mig-offer,\n" +
