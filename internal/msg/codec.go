@@ -583,7 +583,6 @@ func (m LeaseHeartbeat) code(c *coder) Message {
 func (m ReclaimMemo) code(c *coder) Message {
 	c.proxy(&m.Proxy)
 	u32(c, &m.MH)
-	u32(c, &m.Inc)
 	return done(c, &m)
 }
 

@@ -80,7 +80,7 @@ func sampleMessages() []Message {
 		BatchAbort{Proxy: prx, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Reqs: []ids.RequestID{req, {Origin: 3, Seq: 42}}},
 		Register{MH: 3, Inc: 2},
 		LeaseHeartbeat{Proxy: prx, MH: 3, Inc: 2},
-		ReclaimMemo{Proxy: prx, MH: 3, Inc: 1},
+		ReclaimMemo{Proxy: prx, MH: 3},
 		WtpData{Epoch: 1, Seq: 9, Inner: envelopes(
 			ResultDeliver{Req: req, Payload: []byte("r1"), Inc: 1},
 			AckMH{MH: 3, Req: req},

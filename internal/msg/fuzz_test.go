@@ -70,7 +70,7 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 		// fuzz-covered from day one.
 		Register{MH: 3, Inc: 2},
 		LeaseHeartbeat{Proxy: ids.ProxyID{Host: 1, Seq: 2}, MH: 3, Inc: 2},
-		LinkFrame{Seq: 14, Inner: ReclaimMemo{Proxy: ids.ProxyID{Host: 1, Seq: 2}, MH: 3, Inc: 1}},
+		LinkFrame{Seq: 14, Inner: ReclaimMemo{Proxy: ids.ProxyID{Host: 1, Seq: 2}, MH: 3}},
 		LinkFrame{Seq: 15, Inner: MigState{
 			Proxy:    ids.ProxyID{Host: 1, Seq: 2},
 			NewProxy: ids.ProxyID{Host: 2, Seq: 7},

@@ -760,11 +760,10 @@ type LeaseHeartbeat struct {
 // orphaned proxy. The proxy host journals the memo durably before
 // dropping the proxy — the decision must survive its own crash — and
 // sends it to the MH's last known respMss so the stale pref is emptied
-// there too. Inc is the lease's last known incarnation at reclaim time.
+// there too: a pref naming Proxy, which no later proxy is named after.
 type ReclaimMemo struct {
 	Proxy ids.ProxyID
 	MH    ids.MH
-	Inc   ids.Incarnation
 }
 
 // WtpData is one windowed-wireless-transport data frame (E15,
@@ -1009,7 +1008,7 @@ func (m LeaseHeartbeat) String() string {
 	return fmt.Sprintf("lease-hb(%v,%v,%v)", m.Proxy, m.MH, m.Inc)
 }
 func (m ReclaimMemo) String() string {
-	return fmt.Sprintf("reclaim-memo(%v,%v,%v)", m.Proxy, m.MH, m.Inc)
+	return fmt.Sprintf("reclaim-memo(%v,%v)", m.Proxy, m.MH)
 }
 func (m WtpData) String() string {
 	return fmt.Sprintf("wtp-data(ep=%d,seq=%d,msgs=%d)", m.Epoch, m.Seq, len(m.Inner))

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/msg"
+	"repro/internal/sim"
 )
 
 // ARQConfig parameterizes the wired link-layer retransmission protocol
@@ -58,6 +59,20 @@ func (c ARQConfig) backoff(attempt int) time.Duration {
 	return d
 }
 
+// retransmissions returns one FIFO of retransmission timers per backoff
+// step, from RTO up to the cap: a retransmission after attempt a waits in
+// the FIFO at min(a, len)-1 (see sim.Timeouts).
+func (c ARQConfig) retransmissions(k sim.Scheduler) []*sim.Timeouts[*arqPending] {
+	var fifos []*sim.Timeouts[*arqPending]
+	for a := 1; ; a++ {
+		d := c.backoff(a)
+		fifos = append(fifos, sim.NewTimeouts(k, d, (*arqPending).onTimeout, (*arqPending).spent))
+		if d == c.BackoffCap() {
+			return fifos
+		}
+	}
+}
+
 // wiredLink is the ARQ state of one directed wired link: the send half
 // (sequence counter and un-acked count) and the receive half (dedup).
 // Like the links themselves it belongs to the network fabric, not to the
@@ -79,14 +94,16 @@ type wiredLink struct {
 // acked: a recycled record, like the wiredFrame it delivers (DESIGN §10,
 // Records, not closures), so a hop over the fault-tolerant backbone allocates nothing.
 // Every kernel event of the exchange — an arrival of the frame (each
-// transmission, each fault duplicate), an ack on its way back, the armed
-// retransmission — is one of the three fire methods bound below, and refs
-// counts the events still scheduled: the record outlives frame, which is
-// handed up at first accept and then belongs to the delivery, and is
-// retired once the message is acked and refs is back to zero. No timer is
-// cancelled: the retransmission that finds its message acked drops its
-// reference and does nothing else, so the schedule of every event that
-// does something is what cancelling would have left.
+// transmission, each fault duplicate), an ack on its way back — is one of
+// the two fire methods bound below, the armed retransmission a call
+// waiting in one of Wired.retx, and refs counts the events and calls
+// still scheduled: the record outlives frame, which is handed up at first
+// accept and then belongs to the delivery, and is retired once the
+// message is acked and refs is back to zero. No timer is cancelled: the
+// retransmission of an acked message drops its reference and does
+// nothing else (spent) — at its due, or earlier, without an event, when
+// its FIFO finds it so — and the schedule of every event that does
+// something is what cancelling would have left.
 //
 // A lost attempt is reported after the frame may have been handed up and
 // its record released, so the ARQ keeps the frame's envelope and shows a
@@ -104,7 +121,7 @@ type arqPending struct {
 	acked   bool
 	refs    int
 	// The fire methods, bound once when the record is first allocated.
-	recv, retx, ack func()
+	recv, ack func()
 }
 
 // link returns (creating on first use) the ARQ state of a directed link.
@@ -112,10 +129,7 @@ func (w *Wired) link(fi, ti int) *wiredLink {
 	key := fi*len(w.members) + ti
 	l, ok := w.links[key]
 	if !ok {
-		l = &wiredLink{
-			from: w.members[fi], to: w.members[ti], fi: fi, ti: ti,
-			recv: arqReceiver{ahead: make(map[uint64]bool)},
-		}
+		l = &wiredLink{from: w.members[fi], to: w.members[ti], fi: fi, ti: ti}
 		w.links[key] = l
 	}
 	return l
@@ -130,25 +144,37 @@ func (w *Wired) sendARQ(f *wiredFrame) {
 	p := w.arq.Get()
 	if p == nil {
 		p = &arqPending{w: w}
-		p.recv, p.retx, p.ack = p.onArrival, p.onTimeout, p.onAck
+		p.recv, p.ack = p.onArrival, p.onAck
 	}
 	p.l, p.seq, p.env, p.frame, p.attempt, p.acked = l, l.nextSeq, f.env, f, 1, false
 	p.transmit(false)
 	p.arm()
 }
 
-// arm schedules the retransmission that follows the current attempt.
+// arm schedules the retransmission that follows the current attempt, in
+// the FIFO of its backoff step.
 func (p *arqPending) arm() {
 	p.refs++
-	p.w.k.Defer(p.w.cfg.ARQ.backoff(p.attempt), p.retx)
+	retx := p.w.retx
+	retx[min(p.attempt, len(retx))-1].Add(p)
+}
+
+// spent is a retransmission's dead test: once the message is acked the
+// timer only drops its reference, and that is final.
+func (p *arqPending) spent() bool {
+	if !p.acked {
+		return false
+	}
+	p.refs--
+	p.retire()
+	return true
 }
 
 func (p *arqPending) onTimeout() {
-	p.refs--
-	if p.acked {
-		p.retire()
+	if p.spent() {
 		return
 	}
+	p.refs--
 	p.attempt++
 	p.l.retransmits++
 	p.transmit(false)
@@ -256,19 +282,32 @@ func (w *Wired) ARQStats() (retransmits int64, outstanding int) {
 // arqReceiver is the receive half: at-most-once delivery by sequence
 // number. Because the sender assigns contiguous numbers and every frame
 // is eventually delivered, the seen-set is compacted into a contiguous
-// watermark plus a (transient) set of out-of-order arrivals.
+// watermark plus a (transient) set of out-of-order arrivals, made on
+// first use.
 type arqReceiver struct {
-	contig uint64 // every seq <= contig has been accepted
-	ahead  map[uint64]bool
+	contig uint64          // every seq <= contig has been accepted
+	ahead  map[uint64]bool // accepted above contig+1
 }
 
 // accept reports whether seq is seen for the first time, recording it.
+// Only an out-of-order frame touches ahead; an in-order one moves contig
+// and drains ahead only while ahead holds something.
 func (r *arqReceiver) accept(seq uint64) bool {
-	if seq <= r.contig || r.ahead[seq] {
+	switch {
+	case seq <= r.contig:
 		return false
+	case seq > r.contig+1:
+		if r.ahead[seq] {
+			return false
+		}
+		if r.ahead == nil {
+			r.ahead = make(map[uint64]bool)
+		}
+		r.ahead[seq] = true
+		return true
 	}
-	r.ahead[seq] = true
-	for r.ahead[r.contig+1] {
+	r.contig++
+	for len(r.ahead) > 0 && r.ahead[r.contig+1] {
 		delete(r.ahead, r.contig+1)
 		r.contig++
 	}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -193,7 +194,7 @@ func TestARQBackoffIsCapped(t *testing.T) {
 }
 
 func TestARQReceiverCompactsSeenSet(t *testing.T) {
-	r := arqReceiver{ahead: make(map[uint64]bool)}
+	var r arqReceiver
 	for _, seq := range []uint64{2, 1, 3} {
 		if !r.accept(seq) {
 			t.Fatalf("first Accept(%d) = false", seq)
@@ -209,6 +210,62 @@ func TestARQReceiverCompactsSeenSet(t *testing.T) {
 	}
 	if !r.accept(5) || len(r.ahead) != 1 {
 		t.Error("out-of-order accept should park in ahead set")
+	}
+}
+
+// mapReceiver is the receiver's reference: every arrival looks its
+// sequence up in the seen-set, records it and drains the set up to the
+// watermark, with no fast path for an in-order frame.
+type mapReceiver struct {
+	contig uint64
+	ahead  map[uint64]bool
+}
+
+func (r *mapReceiver) accept(seq uint64) bool {
+	if seq <= r.contig || r.ahead[seq] {
+		return false
+	}
+	r.ahead[seq] = true
+	for r.ahead[r.contig+1] {
+		delete(r.ahead, r.contig+1)
+		r.contig++
+	}
+	return true
+}
+
+// TestARQReceiverMatchesMapReceiver: on random arrival orders of a
+// contiguous run of sequences, each arriving one to three times, accept
+// answers every arrival as the map-only receiver does and ends at the same
+// watermark with nothing parked.
+func TestARQReceiverMatchesMapReceiver(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(64)
+		var arrivals []uint64
+		for seq := uint64(1); seq <= uint64(n); seq++ {
+			for c := rng.Intn(3); c >= 0; c-- {
+				arrivals = append(arrivals, seq)
+			}
+		}
+		// Mostly in order, as a link delivers: each arrival swaps with a
+		// random later one with a probability drawn per trial.
+		p := rng.Float64()
+		for i := range arrivals {
+			if rng.Float64() < p {
+				j := i + rng.Intn(len(arrivals)-i)
+				arrivals[i], arrivals[j] = arrivals[j], arrivals[i]
+			}
+		}
+		var got arqReceiver
+		want := mapReceiver{ahead: make(map[uint64]bool)}
+		for i, seq := range arrivals {
+			if g, w := got.accept(seq), want.accept(seq); g != w {
+				t.Fatalf("trial %d, arrival %d (seq %d of %v): accept = %v, map receiver %v", trial, i, seq, arrivals, g, w)
+			}
+		}
+		if got.contig != uint64(n) || len(got.ahead) != 0 || want.contig != uint64(n) {
+			t.Fatalf("trial %d: contig %d with %d parked, map receiver %d; want %d, none", trial, got.contig, len(got.ahead), want.contig, n)
+		}
 	}
 }
 
@@ -267,8 +324,13 @@ func TestARQDuplicateLandsAfterAck(t *testing.T) {
 }
 
 // TestARQSpentTimerAfterAck: the retransmission timer of an acked frame
-// is not cancelled; it holds the record until it fires and then does
-// nothing — no transmission, no fault draw, no retransmission counted.
+// is not cancelled, and it does nothing — no transmission, no fault draw,
+// no retransmission counted — but it releases its record no later than
+// its due, and never while an arrival or an ack still names it. Two
+// frames acked at once wait behind one kernel event in their backoff
+// step's FIFO: the first timer fires at its due and lets its record go;
+// the second, found spent there, lets its record go without an event of
+// its own, before its due.
 func TestARQSpentTimerAfterAck(t *testing.T) {
 	k := sim.NewKernel(1)
 	hook := &dropNth{}
@@ -279,16 +341,28 @@ func TestARQSpentTimerAfterAck(t *testing.T) {
 	if _, out := w.ARQStats(); out != 0 || w.arq.Out() != 1 {
 		t.Fatalf("at 10ms: %d un-acked, %d records out; want acked, and held by the timer", out, w.arq.Out())
 	}
-	w.Send(a, b, msg.Greet{MH: 2}) // must not take the record the timer names
-	k.RunUntil(sim.Time(ms(35)))
-	if w.arq.Out() != 1 {
-		t.Fatalf("at 35ms: %d records out, want only the second message's", w.arq.Out())
+	w.Send(a, b, msg.Greet{MH: 2}) // must not take the record the timer names; its timer is due at 40ms
+	if w.arq.Out() != 2 {
+		t.Fatalf("at 10ms: %d records out, want two: the spent timer's and the second message's", w.arq.Out())
+	}
+	k.RunUntil(sim.Time(ms(29)))
+	if w.arq.Out() != 2 {
+		t.Fatalf("at 29ms: %d records out, want both, each held by its timer", w.arq.Out())
+	}
+	k.RunUntil(sim.Time(ms(30)))
+	if w.arq.Out() != 0 {
+		t.Fatalf("at 30ms: %d records out, want none: the first timer fired, the second was found spent", w.arq.Out())
 	}
 	k.Run()
 	wantGreets(t, *got, 1, 2)
-	if re, _ := w.ARQStats(); re != 0 || hook.n != 4 || w.arq.Out() != 0 {
-		t.Errorf("%d retransmissions, %d transmission attempts, %d records out; want 0, 4 (two frames, two acks), 0",
-			re, hook.n, w.arq.Out())
+	if re, _ := w.ARQStats(); re != 0 || hook.n != 4 || w.arq.Out() != 0 || k.Now() != sim.Time(ms(30)) {
+		t.Errorf("%d retransmissions, %d transmission attempts, %d records out, drained at %v; want 0, 4 (two frames, two acks), 0, 30ms",
+			re, hook.n, w.arq.Out(), k.Now())
+	}
+	// Two arrivals, two acks and the first timer: the second timer was
+	// never a kernel event.
+	if k.Steps() != 5 {
+		t.Errorf("%d kernel steps, want 5", k.Steps())
 	}
 }
 

@@ -246,7 +246,8 @@ type Wired struct {
 	shed   int64 // frames shed by full link queues
 	frames sim.FreeList[wiredFrame]
 	arq    sim.FreeList[arqPending]
-	pooled bool // a frame fires at most once, so fired records are recycled
+	retx   []*sim.Timeouts[*arqPending] // ARQ retransmissions, one FIFO per backoff step
+	pooled bool                         // a frame fires at most once, so fired records are recycled
 }
 
 // wiredFrame is one message in flight on the wired network: what the
@@ -279,6 +280,9 @@ func NewWired(k sim.Scheduler, members []ids.NodeID, cfg WiredConfig, obs Observ
 		handlers: make([]Handler, len(members)),
 		observer: obs,
 		links:    make(map[int]*wiredLink),
+	}
+	if cfg.ARQ.Enabled {
+		w.retx = cfg.ARQ.retransmissions(k)
 	}
 	if cfg.QueueLimit > 0 && cfg.Seq == nil {
 		w.queued = make([]int32, len(members)*len(members))

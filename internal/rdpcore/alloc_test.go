@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/aggstate"
 	"repro/internal/ids"
@@ -12,6 +13,17 @@ import (
 	"repro/internal/sim"
 	"repro/internal/wtp"
 )
+
+// TestMHNodeSize pins a mobile host's record at 240 B, as TestLegSize pins
+// msg.Leg: every host of a run holds one, and one word more puts it in the
+// 256 B size class, which costs region_scale about 1.9 % of
+// live_bytes_per_host. A host's timers live in the world's FIFOs and
+// sim.Calls, not on the host.
+func TestMHNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(MHNode{}); size > 240 {
+		t.Errorf("MHNode is %d bytes, budget 240", size)
+	}
+}
 
 // TestStationSelfSendAllocBudget: a station's message to itself (a proxy
 // talking to its own host) rides a recycled record — nothing allocated

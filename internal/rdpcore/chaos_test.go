@@ -285,7 +285,12 @@ type chaosParams struct {
 	observer netsim.Observer
 	// boxed builds the world on wrappers of the netsim substrates that
 	// box every leg at every door (boxedWorld).
-	boxed    bool
+	boxed bool
+	// deadline is Config.RequestDeadline.
+	deadline time.Duration
+	// keepDead gives the world retry and deadline FIFOs that drop no
+	// call: each fires at its due, dead or not, as its own event did.
+	keepDead bool
 	horizon  time.Duration
 	drainFor time.Duration
 }
@@ -339,6 +344,7 @@ func chaos(t *testing.T, p chaosParams) (w *World, missing, total, admittedLost 
 	cfg.WirelessLatency = netsim.Constant(20 * time.Millisecond)
 	cfg.ServerProc = netsim.Exponential{MeanDelay: 300 * time.Millisecond, Floor: 20 * time.Millisecond}
 	cfg.Observer = p.observer
+	cfg.RequestDeadline = p.deadline
 
 	if p.windowed {
 		cfg.WirelessWTP = wtp.Config{Enabled: true}
@@ -415,6 +421,11 @@ func chaos(t *testing.T, p chaosParams) (w *World, missing, total, admittedLost 
 		w = boxedWorld(k, cfg)
 	} else {
 		w = NewWorldOn(k, cfg)
+	}
+	if p.keepDead {
+		live := func(hostTimer) bool { return false }
+		w.retries = sim.NewTimeouts(w.Kernel, cfg.RequestTimeout, hostTimer.fire, live)
+		w.deadlines = sim.NewTimeouts(w.Kernel, cfg.RequestDeadline, hostTimer.fire, live)
 	}
 	inj.Schedule(w.CrashMSS, w.RestartMSS)
 	inj.ScheduleDisconnects(w.Disconnect, w.Reconnect)
@@ -534,6 +545,39 @@ func TestChaosSoakRecovery(t *testing.T) {
 				t.Error("no wired drops recorded; fault plan inactive?")
 			}
 		})
+	}
+}
+
+// TestDeadHostTimersDoNothing: a host's retry or deadline that is dead
+// when it reaches the head of its FIFO is dropped without an event, so
+// hostTimer.dead must say exactly that the timer would do nothing, for
+// good. Under chaos — station crashes, busy re-issues and request
+// deadlines under overload, migration, disconnections and host amnesia —
+// the run counts every Stats counter as a run whose FIFOs drop nothing,
+// and runs fewer kernel steps.
+func TestDeadHostTimersDoNothing(t *testing.T) {
+	for _, p := range []chaosParams{
+		{seed: 4, mhs: 8, cells: 5, recovery: true, overload: true, migrate: true, deadline: 1500 * time.Millisecond},
+		{seed: 5, mhs: 8, cells: 5, recovery: true, migrate: true, mhcrash: true, disconnect: true, deadline: 4 * time.Second},
+	} {
+		p.horizon, p.drainFor = 40*time.Second, 15*time.Second
+		w, _, _, _ := chaos(t, p)
+		p.keepDead = true
+		ref, _, _, _ := chaos(t, p)
+		got, want := statsCounters(w.Stats), statsCounters(ref.Stats)
+		for name, v := range want {
+			if got[name] != v {
+				t.Errorf("seed %d: %s = %d, %d when no dead timer is dropped", p.seed, name, got[name], v)
+			}
+		}
+		steps, refSteps := w.Kernel.(*sim.Kernel).Steps(), ref.Kernel.(*sim.Kernel).Steps()
+		if steps >= refSteps {
+			t.Errorf("seed %d: %d kernel steps, %d when no dead timer is dropped: nothing was dropped", p.seed, steps, refSteps)
+		}
+		if w.Stats.RequestRetries.Value() == 0 || w.Stats.RequestsAbandoned.Value() == 0 {
+			t.Errorf("seed %d: %d retries, %d abandoned: the run must exercise both FIFOs", p.seed,
+				w.Stats.RequestRetries.Value(), w.Stats.RequestsAbandoned.Value())
+		}
 	}
 }
 

@@ -291,8 +291,9 @@ func (h *MHNode) unsend(req ids.RequestID, q *mhReq, flags uint8) {
 
 // hostTimer is one timer a host arms: what it is for, the request or
 // batch it is about, and the generation it was armed in. The world defers
-// it through one sim.Calls, so a host timer is a recycled record rather
-// than a closure; a request that goes out again is read from sent.
+// it as a value — through one sim.Calls, or, for the constant-delay
+// retries and deadlines, one sim.Timeouts each — so a host timer is no
+// closure; a request that goes out again is read from sent.
 type hostTimer struct {
 	h    *MHNode
 	kind hostTimerKind
@@ -315,10 +316,42 @@ const (
 // after is the one way a host's own timer gets back in, as
 // MSSNode.after is a station's: t fires after d unless the host's timer
 // generation moved on in between (leave, crash, DetachMH), in which case
-// the event fires and does nothing. Nothing is cancelled.
+// it does nothing. Nothing is cancelled. Retries wait in the world's
+// retries and deadlines in its deadlines, whose delays are d
+// (Config.RequestTimeout, Config.RequestDeadline): a timer that can only
+// do nothing any more (dead) is dropped there without an event.
 func (h *MHNode) after(d time.Duration, t hostTimer) {
 	t.h, t.gen = h, h.timerGen
-	h.w.hostTimers.Defer(d, t)
+	switch t.kind {
+	case timerRetry, timerBatchRetry:
+		h.w.retries.Add(t)
+	case timerDeadline:
+		h.w.deadlines.Add(t)
+	default:
+		h.w.hostTimers.Defer(d, t)
+	}
+}
+
+// dead reports that a retry or a deadline would do nothing at its due,
+// for good: its host's generation moved on, or its request or batch is
+// settled — settle (or the Admit) already cleared the flags the timer
+// would clear. A host that left is not enough: leave moves the
+// generation on, and a retry of a host that never joined un-flags its
+// request at its due.
+func (t hostTimer) dead() bool {
+	h := t.h
+	if h.timerGen != t.gen {
+		return true
+	}
+	switch t.kind {
+	case timerRetry:
+		return h.has(t.req, reqSeen|reqAbandoned)
+	case timerDeadline:
+		return h.has(t.req, reqSeen|reqAdmitted)
+	case timerBatchRetry:
+		return h.batchResolved(t.b)
+	}
+	return false
 }
 
 // fire runs the timer, unless its host's generation moved on.

@@ -637,9 +637,8 @@ func (n *MSSNode) beatOne(mh ids.MH, pref msg.Pref) {
 // reclaimProxy removes an orphaned proxy (lease expired, or everything
 // it held belonged to dead incarnations), journals the reclaim memo
 // durably, and tells the MH's last known respMss so the dangling pref
-// is dropped. memoInc is the newest incarnation the reclaim presumes
-// dead.
-func (n *MSSNode) reclaimProxy(p *Proxy, memoInc ids.Incarnation) {
+// is dropped.
+func (n *MSSNode) reclaimProxy(p *Proxy) {
 	if n.hosted[p.id.Seq] != p {
 		return
 	}
@@ -647,7 +646,7 @@ func (n *MSSNode) reclaimProxy(p *Proxy, memoInc ids.Incarnation) {
 	n.w.Stats.ProxiesReclaimed.Inc()
 	rr := reclaimRecord{
 		dest: p.currentLoc,
-		memo: msg.ReclaimMemo{Proxy: p.id, MH: p.mh, Inc: memoInc},
+		memo: msg.ReclaimMemo{Proxy: p.id, MH: p.mh},
 	}
 	n.reclaims = append(n.reclaims, rr)
 	n.persistReclaim(rr.dest, rr.memo)

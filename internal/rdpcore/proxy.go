@@ -670,7 +670,7 @@ func (p *Proxy) leaseExpired(epoch uint64) {
 		// No renewal for a full TTL: the host (and every incarnation up
 		// to the last one vouched for) is presumed dead. reclaimProxy
 		// does nothing for a proxy that is gone already.
-		p.host.reclaimProxy(p, normInc(p.leaseInc))
+		p.host.reclaimProxy(p)
 	}
 }
 
@@ -690,9 +690,7 @@ func (p *Proxy) renewLease(inc ids.Incarnation) {
 		p.scrubStale(inc)
 		p.leaseInc = inc
 		if len(p.reqs) == 0 && !slices.ContainsFunc(p.batches, liveBatch) {
-			// Only the incarnations below inc are dead; the memo must not
-			// sweep up requests the live incarnation has in flight.
-			p.host.reclaimProxy(p, inc-1)
+			p.host.reclaimProxy(p)
 			return
 		}
 	}

@@ -135,7 +135,7 @@ func TestMigratedOrReclaimedProxyIsNotStocked(t *testing.T) {
 
 	q := liveProxy(t, w, 2, 1)
 	m := w.MSSs[2]
-	m.reclaimProxy(q, 1)
+	m.reclaimProxy(q)
 	m.flushJournal()
 	if m.proxyAt(q.id.Seq) != nil || len(m.spareProxies) != 0 {
 		t.Fatalf("a reclaimed proxy was stocked (%v) or kept (%v)", m.spareProxies, m.proxyAt(q.id.Seq))

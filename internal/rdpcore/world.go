@@ -309,9 +309,11 @@ type World struct {
 
 	// hostTimers and stationTimers defer every host's timers
 	// (MHNode.after) and every station's (MSSNode.after) as recycled
-	// records.
-	hostTimers    *sim.Calls[hostTimer]
-	stationTimers *sim.Calls[stationTimer]
+	// records; a host's retries (Config.RequestTimeout) and deadlines
+	// (Config.RequestDeadline) wait in retries and deadlines instead.
+	hostTimers         *sim.Calls[hostTimer]
+	stationTimers      *sim.Calls[stationTimer]
+	retries, deadlines *sim.Timeouts[hostTimer]
 	// pastRow is the row a host writes for one of its own requests below
 	// its table's window (MHNode.row): issued, and its result seen. Only
 	// the goroutine stepping the world writes it; reads never do (has).
@@ -436,6 +438,8 @@ func NewWorldWith(sched sim.Scheduler, cfg Config, wired netsim.WiredTransport, 
 	}
 	w.hostTimers = sim.NewCalls(sched, hostTimer.fire)
 	w.stationTimers = sim.NewCalls(sched, stationTimer.fire)
+	w.retries = sim.NewTimeouts(sched, cfg.RequestTimeout, hostTimer.fire, hostTimer.dead)
+	w.deadlines = sim.NewTimeouts(sched, cfg.RequestDeadline, hostTimer.fire, hostTimer.dead)
 
 	members := make([]ids.NodeID, 0, len(stations)+len(servers))
 	for _, id := range stations {

@@ -31,13 +31,25 @@ type kernelModel struct {
 	fired   []int
 }
 
-func (m *kernelModel) schedule(at Time, id int) {
+func (m *kernelModel) schedule(at Time, id int) { m.scheduleTicket(at, m.ticket(), id) }
+
+// ticket takes the next seq, as Kernel.Ticket does.
+func (m *kernelModel) ticket() uint64 {
+	seq := m.nextSeq
+	m.nextSeq++
+	return seq
+}
+
+// scheduleTicket files an event in its (at, seq) place.
+func (m *kernelModel) scheduleTicket(at Time, seq uint64, id int) {
 	if at < m.now {
 		at = m.now
 	}
-	i := sort.Search(len(m.pending), func(i int) bool { return m.pending[i].at > at })
-	m.pending = slices.Insert(m.pending, i, modelEvent{at, m.nextSeq, id})
-	m.nextSeq++
+	i := sort.Search(len(m.pending), func(i int) bool {
+		p := m.pending[i]
+		return p.at > at || p.at == at && p.seq > seq
+	})
+	m.pending = slices.Insert(m.pending, i, modelEvent{at, seq, id})
 }
 
 // step fires the earliest event, scheduling the child a spawning event
@@ -133,8 +145,10 @@ func addSat(now Time, d time.Duration) Time {
 // FuzzKernel drives the kernel with a program of schedules (Defer and
 // DeferAt, in the current slot, across slots and buckets, at their edges
 // and a wheel turn ahead, tied, past and saturating), loads scheduled up
-// front, Step, RunUntil, StepUntil, AdvanceTo, NextEventAt and arena
-// attach/detach, and after every call compares the fire order, Now,
+// front, Step, RunUntil, StepUntil, AdvanceTo, NextEventAt, arena
+// attach/detach and tickets (Ticket, and DeferTicket under the oldest
+// ticket held, in any later instant's place), and after every call
+// compares the fire order, Now,
 // Steps and Pending with the reference model's, and the kernel's far
 // tier count, near-tier high-water mark and free list with the stock
 // model's. Op 4, once a cancel, schedules a load of 256 to 2 048
@@ -151,6 +165,8 @@ func FuzzKernel(f *testing.F) {
 	f.Add([]byte{1, 3, 2, 1, 3, 5, 4, 0, 6, 3, 9, 9, 0, 4, 2, 7, 3, 7, 5, 8, 2, 200, 5, 5})
 	f.Add([]byte{0, 4, 1, 0, 4, 3, 0, 4, 0, 2, 7, 8, 4, 1, 6, 1, 50, 8, 3, 3, 5, 5, 5, 9, 6, 5, 0})
 	f.Add([]byte{3, 6, 9, 0, 0, 1, 5, 3, 2, 3, 2, 1, 10, 0, 4, 1, 6, 5, 0, 7, 4, 0, 8, 3, 1, 6, 3, 9})
+	// A ticket taken before a tie at the same instant fires first.
+	f.Add([]byte{11, 0, 0, 7, 11, 1, 7, 5, 5})
 	f.Add([]byte{4, 7, 7, 6, 3, 6, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		pos := 0
@@ -166,6 +182,7 @@ func FuzzKernel(f *testing.F) {
 		m := &kernelModel{}
 		stock := &stockModel{buckets: map[int64]int{}}
 		var got []int
+		var tickets []uint64 // taken and not yet used
 		lastAt := Time(0)
 		id := 0
 
@@ -216,7 +233,7 @@ func FuzzKernel(f *testing.F) {
 		}
 
 		for step := 0; pos < len(prog); step++ {
-			op := next() % 11
+			op := next() % 12
 			switch op {
 			case 0, 1, 2, 3:
 				id++
@@ -280,6 +297,23 @@ func FuzzKernel(f *testing.F) {
 				at, ok := k.NextEventAt()
 				if w := len(m.pending) > 0; ok != w || ok && at != m.pending[0].at {
 					t.Fatalf("step %d: NextEventAt = %v,%v; model %v", step, at, ok, m.pending)
+				}
+			case 11:
+				if next()%2 == 0 || len(tickets) == 0 {
+					tk := k.Ticket()
+					if w := m.ticket(); tk != w {
+						t.Fatalf("step %d: Ticket = %d, model %d", step, tk, w)
+					}
+					tickets = append(tickets, tk)
+				} else {
+					id++
+					tk := tickets[0]
+					tickets = tickets[1:]
+					at := addSat(k.Now(), delay())
+					lastAt = max(at, k.Now())
+					k.DeferTicket(at, tk, fn(id))
+					m.scheduleTicket(at, tk, id)
+					stock.schedule(lastAt)
 				}
 			}
 			if !slices.Equal(got, m.fired) {

@@ -3,7 +3,10 @@
 // and a seeded random source. Nothing scheduled is ever taken back: an
 // event leaves the queue only by firing, and a caller that no longer
 // wants one lets it fire as a no-op (a generation it checks, as the
-// stations, hosts, wired ARQ and windowed radio do).
+// stations, hosts, wired ARQ and windowed radio do). Calls of one
+// function after one constant delay wait in a Timeouts, behind one event
+// that keeps each call's place in the event order (Ticket), and a call
+// that can only do nothing any more is dropped there without an event.
 //
 // The kernel is single-threaded by design. All protocol actors run as
 // event handlers; two runs with the same seed and the same schedule of
@@ -37,7 +40,7 @@ const maxTime = Time(math.MaxInt64)
 // no allocation.
 type event struct {
 	at   Time
-	seq  uint64 // insertion order; breaks ties deterministically
+	seq  uint64 // insertion order, or a ticket's (Ticket); breaks ties deterministically
 	fn   func() // nil once retired
 	next *event // the rest of its wheel slot or far bucket
 }
@@ -105,6 +108,7 @@ type Kernel struct {
 	arena    *Arena                 // optional shared free list; see SetArena
 	rng      *RNG
 	nextSeq  uint64
+	held     uint64 // the ticket the next schedule files under, plus one; 0 for none
 	stopped  bool
 	steps    uint64
 }
@@ -141,7 +145,9 @@ func (k *Kernel) SetArena(a *Arena) { k.arena = a }
 // NewKernel returns a kernel whose random source is seeded with seed.
 // Equal seeds yield identical simulations.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: NewRNG(seed), nearEnd: 1}
+	k := &Kernel{rng: NewRNG(seed), nearEnd: 1}
+	k.rng.k = k
+	return k
 }
 
 // Now returns the current virtual time.
@@ -159,15 +165,38 @@ func (k *Kernel) Pending() int { return k.live }
 
 // later is the instant delay after now, clamped to [now, maxTime]: a
 // huge delay must not wrap into the past and fire at once.
-func (k *Kernel) later(delay time.Duration) Time {
+func later(now Time, delay time.Duration) Time {
 	if delay < 0 {
-		return k.now
+		return now
 	}
-	if Time(delay) > maxTime-k.now {
+	if Time(delay) > maxTime-now {
 		return maxTime
 	}
-	return k.now + Time(delay)
+	return now + Time(delay)
 }
+
+// Ticket takes the next place in the event order without scheduling
+// anything: an event scheduled under it later (DeferTicket) fires where
+// an event scheduled now for the same instant would have — after the
+// events already scheduled for that instant, before those scheduled
+// after the ticket was taken. A ticket is used at most once.
+func (k *Kernel) Ticket() uint64 {
+	t := k.nextSeq
+	k.nextSeq++
+	return t
+}
+
+// DeferTicket schedules fn at the absolute instant at, in the place
+// ticket holds (see Ticket). Instants in the past are clamped to now.
+func (k *Kernel) DeferTicket(at Time, ticket uint64, fn func()) {
+	k.hold(ticket)
+	k.schedule(at, fn)
+}
+
+// hold makes ticket the place of the next event scheduled, by whatever
+// call reaches schedule — also a Defer passed on by a scheduler that
+// wraps the kernel (Timeouts.arm).
+func (k *Kernel) hold(ticket uint64) { k.held = ticket + 1 }
 
 // Defer schedules fn to run after delay of virtual time. A negative
 // delay is treated as zero (fn runs at the current instant, after any
@@ -175,7 +204,7 @@ func (k *Kernel) later(delay time.Duration) Time {
 // representable instant schedules fn there. The steady-state cost is
 // zero allocations: the event comes from the free list.
 func (k *Kernel) Defer(delay time.Duration, fn func()) {
-	k.schedule(k.later(delay), fn)
+	k.schedule(later(k.now, delay), fn)
 }
 
 // schedule allocates (or recycles) an event and files it in its tier. The
@@ -203,8 +232,13 @@ func (k *Kernel) schedule(at Time, fn func()) {
 	if e == nil {
 		e = new(event)
 	}
-	e.at, e.seq, e.fn = at, k.nextSeq, fn
-	k.nextSeq++
+	e.at, e.fn = at, fn
+	if k.held != 0 {
+		e.seq, k.held = k.held-1, 0
+	} else {
+		e.seq = k.nextSeq
+		k.nextSeq++
+	}
 	if k.live++; k.live > k.peak {
 		k.peak = k.live
 	}
@@ -541,6 +575,11 @@ func (k *Kernel) peek() *event {
 // single stream, keeping runs reproducible.
 type RNG struct {
 	r *rand.Rand
+	// k is the kernel whose source this is (Kernel.RNG), nil for any
+	// other. Every scheduler, a wrapper of the kernel too, hands out its
+	// kernel's source, so this is how a Timeouts finds the event order
+	// behind the scheduler it is given (kernelOf).
+	k *Kernel
 }
 
 // NewRNG returns a source seeded with seed.

@@ -12,7 +12,8 @@ import "time"
 // Nothing scheduled can be taken back. A timer its owner stops wanting
 // (a crashed station's, a departed host's, an acknowledged frame's) fires
 // anyway and does nothing, because its callback checks a generation the
-// owner moved on (see Calls for the allocation-free form).
+// owner moved on (see Calls for the allocation-free form), or, waiting in
+// a Timeouts, is dropped unfired once it can only do nothing.
 //
 // Implementations must serialize all scheduled callbacks: protocol
 // state machines rely on running one event at a time.

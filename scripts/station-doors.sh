@@ -20,18 +20,20 @@
 #     image (Proxy.image) is also what a migration ships, so migrateOut
 #     may take one: a copy into a message, not a journal write.
 #
-# A host has one way in too: mh.go reaches the scheduler only through the
-# world's hostTimers, inside MHNode.after, the door that voids a host's
-# timers across leave, crash and DetachMH by moving its generation on; any
-# other scheduler call in mh.go (a Kernel.Defer anywhere, a hostTimers call
-# outside after) is a breach. Both doors take a typed record — what the
-# timer is for and what it is about, a stationTimer or a hostTimer — that
-# the world's sim.Calls recycles: in internal/rdpcore's non-test code, every
-# call of after passes a stationTimer or hostTimer literal, never a function
-# literal or a method value. It prints, as of this writing,
+# A host has one way in too: mh.go reaches the scheduler only inside
+# MHNode.after, the door that voids a host's timers across leave, crash
+# and DetachMH by moving its generation on — through the world's
+# hostTimers, or its retries and deadlines (the constant-delay FIFOs,
+# sim.Timeouts); any other scheduler call in mh.go (a Kernel.Defer
+# anywhere, one of those three outside after) is a breach. Both doors take
+# a typed record — what the timer is for and what it is about, a
+# stationTimer or a hostTimer — that the world defers by value: in
+# internal/rdpcore's non-test code, every call of after passes a
+# stationTimer or hostTimer literal, never a function literal or a method
+# value. It prints, as of this writing,
 #
 #   station-doors: 2 station scheduler calls inside MSSNode.after (stationTimers) and scheduleProcessing (Kernel)
-#   station-doors: 1 host scheduler calls inside MHNode.after
+#   station-doors: 3 host scheduler calls inside MHNode.after (hostTimers, retries, deadlines)
 #   station-doors: 13 timers armed through after, each a typed record
 #
 # And nothing is cancelled: no
@@ -111,18 +113,22 @@ if [ -n "$strays" ]; then
 fi
 
 # The host's scheduler calls, by enclosing function and by what they call:
-# the door is hostTimers.Defer inside after.
+# the door is hostTimers.Defer, retries.Add and deadlines.Add inside after.
 htimers=$(awk '
 	/^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
 	/^[[:space:]]*\/\// { next }
-	/(Kernel|hostTimers)\.(Defer|DeferAt|After)\(/ {
-		via = ($0 ~ /hostTimers\.Defer\(/) ? "hostTimers" : "Kernel"
+	/(Kernel|hostTimers)\.(Defer|DeferAt|After)\(|(retries|deadlines)\.Add\(/ {
+		via = "Kernel"
+		if ($0 ~ /hostTimers\.Defer\(/) via = "hostTimers"
+		else if ($0 ~ /retries\.Add\(/) via = "retries"
+		else if ($0 ~ /deadlines\.Add\(/) via = "deadlines"
 		print FILENAME ":" FNR ": in " fn " via " via
 	}
 ' mh.go)
-hdoors=$(printf '%s\n' "$htimers" | grep -cE ': in after via hostTimers$' || true)
-hstrays=$(printf '%s\n' "$htimers" | grep -vE ': in after via hostTimers$' | grep -v '^$' || true)
-echo "station-doors: $hdoors host scheduler calls inside MHNode.after"
+hdoor=': in after via (hostTimers|retries|deadlines)$'
+hdoors=$(printf '%s\n' "$htimers" | grep -cE "$hdoor" || true)
+hstrays=$(printf '%s\n' "$htimers" | grep -vE "$hdoor" | grep -v '^$' || true)
+echo "station-doors: $hdoors host scheduler calls inside MHNode.after (hostTimers, retries, deadlines)"
 if [ -n "$hstrays" ]; then
 	echo "station-doors: a host reached the scheduler outside its timer door:"
 	printf '%s\n' "$hstrays"
