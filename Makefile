@@ -20,7 +20,8 @@ race: test-race
 
 # allocs runs every allocation pin on the message path: what a kernel
 # event, a constant-delay timeout waiting in its FIFO
-# (TestTimeoutsAllocBudget), a causal stamp, a codec round trip (and a decode of a hostile
+# (TestTimeoutsAllocBudget), a causal stamp (and held-back bursts within a
+# channel's high-water mark, TestHeldBackBurstAllocBudget), a codec round trip (and a decode of a hostile
 # list length, TestDecodeAllocBudgetHostileLength), a wired or radio hop, a
 # windowed-radio frame, a server job, a station's self-send, a warm
 # request round trip and a warm host's requests across a hand-off cycle

@@ -1,7 +1,8 @@
 // Package causal implements causal-order point-to-point message delivery
 // for a fixed group of processes: the Raynal–Schiper–Toueg (RST)
-// delivery rule, with the matrix clock held as references to shared,
-// versioned rows so that a message costs O(n) instead of O(n²).
+// delivery rule, with the matrix clock held as one send count per
+// process and the group's per-channel send logs, so that a message
+// costs one contiguous pass over n words instead of O(n²).
 //
 // The paper's system model (assumption 1) requires that "communication
 // among the MSSs is reliable and message delivery is in causal order";
@@ -21,60 +22,68 @@
 // knew about. On delivery the receiver merges the piggybacked matrix
 // into its own by element-wise maximum.
 //
-// Row references: row k of every SENT matrix in the group has a single
+// Send counts: row k of every SENT matrix in the group has a single
 // writer — process k, in Send — and only grows. Every copy of row k
-// anywhere is therefore a past value of k's own row, any two copies are
-// ordered, and the later one is their element-wise maximum. So a matrix
-// is n references to immutable rows, each tagged with its owner's send
-// count; Send writes one new own row (n words), the stamp is a vector
-// of n references, and the merge is "keep the reference with the higher
-// count" — no matrix is ever copied or scanned.
+// anywhere is therefore a past value of k's own row, named by k's send
+// count when it was taken, its version; a matrix is a vector of n
+// versions, and the merge is their element-wise maximum. The rule reads
+// one cell of row k at version v: how many of k's first v sends went to
+// the receiver j. RST delivers k's messages to j in send order, so
+// "DELIV[k] covers that cell" is "the first k→j send j has not delivered
+// is newer than v". The group keeps one send log per channel k→j — the
+// versions of k's sends to j from the first one j has not delivered —
+// and j keeps each log's head in a contiguous vector, so the rule is one
+// pass comparing two vectors.
+//
+// A stamp names versions of rows the group keeps as logs, so it means
+// something only to the group that wrote it. Both substrates run a group
+// in one process — netsim on one kernel, tcpnet on one Net's dispatcher
+// — just as they always shared one group's state between sender and
+// receiver; a stamp read back from the wire is checked against that
+// group (Endpoint.ParseStamp).
 package causal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
-// row is one immutable value of a process's SENT row.
-type row struct {
-	ver  uint64   // the owner's total send count when it wrote this value
-	cnt  []uint64 // cnt[k]: messages the owner had sent to process k
-	refs int      // endpoints and undelivered stamps holding it (pooled groups)
-}
+// none is the head of an empty send log: newer than every version.
+const none = math.MaxUint64
 
 // Stamp is the causal metadata piggybacked on each message: the sender
-// and its SENT matrix taken just after the send, so the sender's own row
-// already counts this message.
+// and the versions of every SENT row it knew just after the send, so
+// the sender's own version is this message's.
 type Stamp struct {
-	From int // sending process index
-	rows []*row
+	From int      // sending process index
+	vers []uint64 // vers[k]: the version of k's row the sender knew
 }
 
 // stampHeader is the wire form's fixed prefix: from(4) n(4).
 const stampHeader = 8
 
 // AppendBinary appends the stamp's wire form to b: from(4) n(4), then
-// the n×n SENT matrix row by row as big-endian uint64s.
+// the n versions as big-endian uint64s.
 func (st Stamp) AppendBinary(b []byte) []byte {
-	b = slices.Grow(b, stampHeader+len(st.rows)*len(st.rows)*8)
+	b = slices.Grow(b, stampHeader+len(st.vers)*8)
 	b = binary.BigEndian.AppendUint32(b, uint32(st.From))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(st.rows)))
-	for _, r := range st.rows {
-		for _, c := range r.cnt {
-			b = binary.BigEndian.AppendUint64(b, c)
-		}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(st.vers)))
+	for _, v := range st.vers {
+		b = binary.BigEndian.AppendUint64(b, v)
 	}
 	return b
 }
 
-// ParseStamp decodes the wire form written by AppendBinary for a group
-// of n processes. Input that is truncated, oversized, built for another
-// group size or names a sender outside the group is an error, so what
-// it returns is always safe to hand to Receive.
-func ParseStamp(b []byte, n int) (Stamp, error) {
+// ParseStamp decodes the wire form written by AppendBinary for e's
+// group. Input that is truncated, oversized, built for another group
+// size, names a sender outside the group or a version its owner has not
+// reached is an error, so what it returns is always safe to hand to
+// Receive at any endpoint of the group.
+func (e *Endpoint) ParseStamp(b []byte) (Stamp, error) {
+	n := len(e.know)
 	if len(b) < stampHeader {
 		return Stamp{}, errors.New("causal: stamp too short")
 	}
@@ -82,35 +91,21 @@ func ParseStamp(b []byte, n int) (Stamp, error) {
 	if nn := int(binary.BigEndian.Uint32(b[4:])); nn != n {
 		return Stamp{}, fmt.Errorf("causal: stamp for a group of %d, want %d", nn, n)
 	}
-	if len(b)-stampHeader != n*n*8 {
-		return Stamp{}, fmt.Errorf("causal: stamp body is %d bytes, want %d", len(b)-stampHeader, n*n*8)
+	if len(b)-stampHeader != n*8 {
+		return Stamp{}, fmt.Errorf("causal: stamp body is %d bytes, want %d", len(b)-stampHeader, n*8)
 	}
 	if from < 0 || from >= n {
 		return Stamp{}, fmt.Errorf("causal: stamp sender %d out of range [0,%d)", from, n)
 	}
-	b = b[stampHeader:]
-	cnt := make([]uint64, n*n)
-	rows := make([]row, n)
-	st := Stamp{From: from, rows: make([]*row, n)}
-	for k := range rows {
-		r := &rows[k]
-		r.cnt = cnt[k*n : (k+1)*n : (k+1)*n]
-		for j := range r.cnt {
-			r.cnt[j] = binary.BigEndian.Uint64(b)
-			b = b[8:]
-			// A row's version is its owner's send count, which the
-			// matrix already carries.
-			r.ver += r.cnt[j]
+	vers := e.g.vec(n)
+	for k, owner := range e.g.eps {
+		vers[k] = binary.BigEndian.Uint64(b[stampHeader+8*k:])
+		if sent := owner.know[k]; vers[k] > sent {
+			return Stamp{}, fmt.Errorf("causal: stamp names send %d of process %d, which has sent %d", vers[k], k, sent)
 		}
-		r.refs = 1 // the stamp's own hold
-		st.rows[k] = r
 	}
-	return st, nil
+	return Stamp{From: from, vers: vers}, nil
 }
-
-// Deliver is the callback invoked when a buffered message becomes
-// deliverable. The payload is whatever was passed to Endpoint.Receive.
-type Deliver func(payload any)
 
 // pending is a received-but-not-yet-deliverable message.
 type pending struct {
@@ -118,43 +113,74 @@ type pending struct {
 	payload any
 }
 
-// pool recycles the per-message allocations of a causal group: the row
-// and the reference vector each Send writes and the buffer entry a
-// held-back Receive creates. A group runs on one goroutine (the
-// simulation kernel's, or a region's under psim), so the free lists
-// need no lock.
-type pool struct {
-	rows []*row
-	vecs [][]*row
-	pend []*pending
+// sendLog is one channel k→j: the versions of k's sends to j from the
+// first one j has not delivered, oldest first, in a ring that starts in
+// the log itself and grows only past its high-water mark.
+type sendLog struct {
+	ring    []uint64 // length a power of two
+	head, n uint32
+	// credit counts deliveries past the channel's sends, which only a
+	// stamp handed to Receive twice (or a forged one) makes: RST's DELIV
+	// then runs ahead of the sends, and the next sends count as
+	// delivered at once.
+	credit uint64
+	// first is the ring until it outgrows it. No channel of
+	// region_scale's count repetition held more than three entries, so
+	// there this saves the ring's allocation (DESIGN §10).
+	first [4]uint64
 }
 
-// rowSlab is how many rows an empty free list grows by at once; they
-// share two allocations, which keeps a group's warm-up cheap.
-const rowSlab = 8
+func (l *sendLog) at(i uint32) uint64 { return l.ring[(l.head+i)&uint32(len(l.ring)-1)] }
 
-// takeRow pops a free row for a group of n, growing the list if empty.
-func (p *pool) takeRow(n int) *row {
-	if len(p.rows) == 0 {
-		rows := make([]row, rowSlab)
-		cnt := make([]uint64, rowSlab*n)
-		for i := range rows {
-			rows[i].cnt = cnt[i*n : (i+1)*n : (i+1)*n]
-			p.rows = append(p.rows, &rows[i])
+func (l *sendLog) push(v uint64) {
+	if int(l.n) == len(l.ring) {
+		ring := make([]uint64, 2*len(l.ring))
+		for i := range l.n {
+			ring[i] = l.at(i)
 		}
+		l.ring, l.head = ring, 0
 	}
-	k := len(p.rows) - 1
-	r := p.rows[k]
-	p.rows = p.rows[:k]
-	return r
+	l.ring[(l.head+l.n)&uint32(len(l.ring)-1)] = v
+	l.n++
 }
 
-// release drops one hold on r and recycles it when that was the last.
-func (p *pool) release(r *row) {
-	r.refs--
-	if r.refs == 0 {
-		p.rows = append(p.rows, r)
+// group is what a group's endpoints share: each other, for the send
+// logs kept at the receiver, the logs not yet taken by a channel, the
+// delivery callback and, when pooled, the free stamp vectors. A group
+// runs on one goroutine (the simulation kernel's, or a region's under
+// psim), so nothing here needs a lock.
+type group struct {
+	eps     []*Endpoint
+	logs    []sendLog
+	deliver func(dst int, payload any)
+	pooled  bool
+	vecs    [][]uint64
+}
+
+// logSlab is how many channel logs the group allocates at once; a
+// channel takes one at its first send. region_scale sets up 2 680
+// channels in a run, one per 21 results, so logs allocated one by one
+// would cost it 2 % more allocations per result (DESIGN §10).
+const logSlab = 16
+
+func (g *group) newLog() *sendLog {
+	if len(g.logs) == 0 {
+		g.logs = make([]sendLog, logSlab)
 	}
+	l := &g.logs[0]
+	g.logs = g.logs[1:]
+	l.ring = l.first[:]
+	return l
+}
+
+// vec returns a version vector for a stamp, recycled when pooled.
+func (g *group) vec(n int) []uint64 {
+	if k := len(g.vecs); k > 0 {
+		v := g.vecs[k-1]
+		g.vecs = g.vecs[:k-1]
+		return v
+	}
+	return make([]uint64, n)
 }
 
 // Endpoint is one process's view of the causal group. Endpoints are not
@@ -162,188 +188,170 @@ func (p *pool) release(r *row) {
 // kernel serializes access, and tcpnet touches its group only from the
 // runtime's dispatcher.
 type Endpoint struct {
-	idx     int
-	n       int
-	rows    []*row // rows[k]: the latest value of k's SENT row known here
-	deliv   []uint64
-	buffer  []*pending // held-back messages, in arrival order
-	deliver Deliver
-	pool    *pool // non-nil when recycling is enabled for the group
+	idx    int
+	know   []uint64   // know[k]: the newest version of k's row merged here; know[idx] counts own sends
+	next   []uint64   // next[k]: the version of the first k→idx send not delivered here, or none
+	in     []*sendLog // in[k]: channel k→idx; allocated on the first send over it
+	buffer []pending  // held-back messages, in arrival order
+	g      *group
 }
 
 // Option configures a causal group.
-type Option func(*groupConfig)
+type Option func(*group)
 
-type groupConfig struct {
-	pooled bool
-}
-
-// Pooled enables recycling of rows, stamp vectors and buffer entries
-// through a group-shared free list, so the steady state allocates
-// nothing per message. Each row counts its holders — the endpoints
-// whose matrix references it and the stamps in flight that do — and
-// returns to the free list when the last one lets go. The count is only
-// sound when every stamp handed to Receive is delivered AT MOST ONCE: a
-// transport that can duplicate a delivery (two Receive calls sharing
-// one Stamp) would drop the stamp's holds twice and recycle rows that
-// are still referenced. Callers must leave pooling off on such paths
-// (netsim disables it when faults can duplicate frames below a
-// deduplicating ARQ). A stamp that is never delivered is harmless: its
-// rows simply never reach the free list and are left to the GC.
+// Pooled enables recycling of stamp vectors through a group-shared free
+// list, so the steady state allocates nothing per message (held-back
+// messages wait by value in their endpoint's buffer, which keeps its
+// array, pooled or not). A delivered stamp's vector goes back to the list at once,
+// which is only sound when every stamp handed to Receive is delivered
+// AT MOST ONCE: a transport that can duplicate a delivery (two Receive
+// calls sharing one Stamp) would read a vector that a later Send has
+// rewritten. Callers must leave pooling off on such paths (netsim
+// disables it when faults can duplicate frames below a deduplicating
+// ARQ). A stamp that is never delivered is harmless: its vector simply
+// never reaches the free list and is left to the GC.
 func Pooled(on bool) Option {
-	return func(c *groupConfig) { c.pooled = on }
+	return func(g *group) { g.pooled = on }
 }
 
 // Group creates n endpoints forming one causal group. deliver is invoked
 // on each endpoint's behalf when a message becomes deliverable, with the
 // destination endpoint's index.
 func Group(n int, deliver func(dst int, payload any), opts ...Option) []*Endpoint {
-	var cfg groupConfig
+	g := &group{eps: make([]*Endpoint, n), deliver: deliver}
 	for _, o := range opts {
-		o(&cfg)
+		o(g)
 	}
-	var pl *pool
-	if cfg.pooled {
-		pl = new(pool)
-	}
-	// Everyone starts from the same all-zero matrix: n shared rows.
-	zero := make([]*row, n)
-	for k := range zero {
-		zero[k] = &row{cnt: make([]uint64, n), refs: n}
-	}
-	eps := make([]*Endpoint, n)
-	for i := 0; i < n; i++ {
-		i := i
-		eps[i] = &Endpoint{
-			idx:     i,
-			n:       n,
-			rows:    append([]*row(nil), zero...),
-			deliv:   make([]uint64, n),
-			deliver: func(p any) { deliver(i, p) },
-			pool:    pl,
+	for i := range g.eps {
+		clock := make([]uint64, 2*n)
+		next := clock[n:]
+		for k := range next {
+			next[k] = none
 		}
+		g.eps[i] = &Endpoint{idx: i, know: clock[:n:n], next: next, g: g}
 	}
-	return eps
+	return slices.Clone(g.eps)
 }
 
 // Index returns the endpoint's process index within the group.
 func (e *Endpoint) Index() int { return e.idx }
 
+// log returns channel k→e, allocating it on first use.
+func (e *Endpoint) log(k int) *sendLog {
+	if e.in == nil {
+		e.in = make([]*sendLog, len(e.know))
+	}
+	l := e.in[k]
+	if l == nil {
+		l = e.g.newLog()
+		e.in[k] = l
+	}
+	return l
+}
+
 // Send records a send from this endpoint to process dst and returns the
 // stamp to piggyback on the message. dst must be a valid process index.
 func (e *Endpoint) Send(dst int) Stamp {
-	if dst < 0 || dst >= e.n {
-		panic(fmt.Sprintf("causal: destination %d out of range [0,%d)", dst, e.n))
+	n := len(e.know)
+	if dst < 0 || dst >= n {
+		panic(fmt.Sprintf("causal: destination %d out of range [0,%d)", dst, n))
 	}
-	// Copy-on-write: stamps in flight and other endpoints may still
-	// reference the current value of the own row.
-	old := e.rows[e.idx]
-	var own *row
-	var vec []*row
-	pl := e.pool
-	if pl != nil {
-		own = pl.takeRow(e.n)
-		if k := len(pl.vecs); k > 0 {
-			vec, pl.vecs = pl.vecs[k-1], pl.vecs[:k-1]
-		}
+	e.know[e.idx]++
+	v := e.know[e.idx]
+	r := e.g.eps[dst]
+	if l := r.log(e.idx); l.credit > 0 {
+		l.credit--
 	} else {
-		own = &row{cnt: make([]uint64, e.n)}
-	}
-	if vec == nil {
-		vec = make([]*row, e.n)
-	}
-	copy(own.cnt, old.cnt)
-	own.cnt[dst]++
-	own.ver = old.ver + 1
-	e.rows[e.idx] = own
-	copy(vec, e.rows)
-	if pl != nil {
-		own.refs = 1 // this endpoint's hold; the loop adds the stamp's
-		for _, r := range vec {
-			r.refs++
+		if l.n == 0 {
+			r.next[e.idx] = v
 		}
-		pl.release(old)
+		l.push(v)
 	}
-	return Stamp{From: e.idx, rows: vec}
+	vers := e.g.vec(n)
+	copy(vers, e.know)
+	return Stamp{From: e.idx, vers: vers}
 }
 
 // Receive hands an arrived message to the endpoint. If the causal
 // delivery condition holds it is delivered immediately (and buffered
 // messages that become deliverable are flushed, in arrival order);
 // otherwise it is buffered. The stamp must come from a Send in this
-// group or from ParseStamp with the group's size.
+// group or from its ParseStamp.
 func (e *Endpoint) Receive(st Stamp, payload any) {
-	if len(st.rows) != e.n {
-		panic(fmt.Sprintf("causal: stamp for a group of %d received in a group of %d", len(st.rows), e.n))
+	if len(st.vers) != len(e.know) {
+		panic(fmt.Sprintf("causal: stamp for a group of %d received in a group of %d", len(st.vers), len(e.know)))
 	}
 	// Nothing buffered is deliverable between calls (flush runs to a
-	// fixed point and only a delivery changes DELIV), so the arrival is
-	// the one candidate: deliver it without a buffer entry, or hold it
-	// back and leave the rest alone.
+	// fixed point, only a delivery retires a log entry, and a send only
+	// adds a newer one), so the arrival is the one candidate: deliver it
+	// without a buffer entry, or hold it back and leave the rest alone.
 	if e.deliverable(st) {
 		e.accept(st, payload)
 		e.flush()
 		return
 	}
-	var p *pending
-	if pl := e.pool; pl != nil && len(pl.pend) > 0 {
-		k := len(pl.pend) - 1
-		p, pl.pend = pl.pend[k], pl.pend[:k]
-	} else {
-		p = new(pending)
-	}
-	p.st, p.payload = st, payload
-	e.buffer = append(e.buffer, p)
+	e.buffer = append(e.buffer, pending{st, payload})
 }
 
-// blockedBy returns how many more of k's messages e must deliver before
-// a message stamped st may be: the shortfall of DELIV[k] against the
-// stamp's count of k's sends to e, the message itself excepted.
-func (e *Endpoint) blockedBy(st Stamp, k int) uint64 {
-	have := e.deliv[k]
-	if k == st.From {
-		have++
-	}
-	if want := st.rows[k].cnt[e.idx]; want > have {
-		return want - have
-	}
-	return 0
-}
-
-// deliverable reports whether the RST condition holds for st at e:
-// e has delivered every message to itself the sender knew of.
+// deliverable reports whether the RST condition holds for st at e: e
+// has delivered every message to itself the sender knew of. For k other
+// than the sender that is k's first undelivered send here being newer
+// than the stamp's version of k; the sender's may be this message
+// itself, so there it is the send after it that must be newer.
 func (e *Endpoint) deliverable(st Stamp) bool {
-	for k := range st.rows {
-		if e.blockedBy(st, k) != 0 {
+	next := e.next[:len(st.vers)]
+	for k, v := range st.vers {
+		if next[k] <= v && (k != st.From || e.in[k].n > 1 && e.in[k].at(1) <= v) {
 			return false
 		}
 	}
 	return true
 }
 
-// accept delivers one message: it counts the delivery, merges the
-// stamp's matrix into the endpoint's and hands the payload up. A stamp
-// row newer than the one held here replaces it — the stamp's hold
-// becomes the endpoint's — and whichever of the two is let go loses a
-// holder. The endpoint's own row is never older than a copy of it.
-func (e *Endpoint) accept(st Stamp, payload any) {
-	e.deliv[st.From]++
-	pl := e.pool
-	for k, r := range st.rows {
-		if mine := e.rows[k]; r.ver > mine.ver {
-			e.rows[k] = r
-			r = mine
-		}
-		if pl != nil {
-			pl.release(r)
-		}
+// blockedBy returns how many more of k's messages e must deliver before
+// a message stamped st may be: the sends over channel k→e not delivered
+// and no newer than the stamp's version of k, the message itself
+// excepted.
+func (e *Endpoint) blockedBy(st Stamp, k int) uint64 {
+	v := st.vers[k]
+	if e.next[k] > v {
+		return 0
 	}
-	if pl != nil {
+	l, c := e.in[k], uint32(1) // the head is no newer than v
+	for c < l.n && l.at(c) <= v {
+		c++
+	}
+	if k == st.From {
+		c--
+	}
+	return uint64(c)
+}
+
+// accept delivers one message: it retires the channel's oldest
+// undelivered send, merges the stamp's versions into the endpoint's and
+// hands the payload up. The endpoint's own version is never older than
+// a copy of it.
+func (e *Endpoint) accept(st Stamp, payload any) {
+	switch l := e.log(st.From); l.n {
+	case 0:
+		l.credit++
+	case 1:
+		l.n = 0
+		e.next[st.From] = none
+	default:
+		l.head, l.n = (l.head+1)&uint32(len(l.ring)-1), l.n-1
+		e.next[st.From] = l.ring[l.head]
+	}
+	know := e.know[:len(st.vers)]
+	for k, v := range st.vers {
+		know[k] = max(know[k], v)
+	}
+	if e.g.pooled {
 		// The stamp is dead once its message is delivered (see Pooled
 		// for the at-most-once requirement this relies on).
-		pl.vecs = append(pl.vecs, st.rows)
+		e.g.vecs = append(e.g.vecs, st.vers)
 	}
-	e.deliver(payload)
+	e.g.deliver(e.idx, payload)
 }
 
 // flush delivers buffered messages until none is deliverable. Among
@@ -356,13 +364,8 @@ func (e *Endpoint) flush() {
 			i++
 			continue
 		}
-		e.buffer = append(e.buffer[:i], e.buffer[i+1:]...)
-		st, payload := p.st, p.payload
-		if e.pool != nil {
-			p.st, p.payload = Stamp{}, nil
-			e.pool.pend = append(e.pool.pend, p)
-		}
-		e.accept(st, payload)
+		e.buffer = slices.Delete(e.buffer, i, i+1) // zeroes the vacated slot
+		e.accept(p.st, p.payload)
 		i = 0 // the delivery may have released an earlier arrival
 	}
 }
@@ -378,7 +381,7 @@ func (e *Endpoint) QueuedPayloads() []QueuedInfo {
 	out := make([]QueuedInfo, 0, len(e.buffer))
 	for _, p := range e.buffer {
 		info := QueuedInfo{From: p.st.From, Payload: p.payload}
-		for k := range p.st.rows {
+		for k := range p.st.vers {
 			if missing := e.blockedBy(p.st, k); missing != 0 {
 				info.BlockedOn = append(info.BlockedOn, k)
 				info.Missing = append(info.Missing, missing)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -258,7 +259,7 @@ func benchSendReceive(b *testing.B, pooled bool) {
 func BenchmarkCausalSendReceive(b *testing.B) { benchSendReceive(b, false) }
 
 // BenchmarkCausalSendReceivePooled is the pooled counterpart: steady-state
-// stamp traffic with recycled rows, vectors and buffer entries.
+// stamp traffic with recycled stamp vectors.
 func BenchmarkCausalSendReceivePooled(b *testing.B) { benchSendReceive(b, true) }
 
 // TestPooledSteadyStateAllocatesNothing is the allocation budget of the
@@ -284,6 +285,117 @@ func TestPooledSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestHeldBackBurstAllocBudget pins the send logs' storage: a channel's
+// ring grows only when a burst held back on it runs past the deepest one
+// before, so steady traffic with bursts up to that depth — pooled, like
+// the wired substrate — allocates nothing, and a deeper burst grows the
+// ring once.
+func TestHeldBackBurstAllocBudget(t *testing.T) {
+	const n, depth = 54, 16
+	eps := Group(n, func(int, any) {}, Pooled(true))
+	var payload any = struct{}{}
+	burst := make([]Stamp, 0, 2*depth)
+	// Process 0 sends d messages to 1 that arrive newest first: all but
+	// the last arrival are held back, then the oldest releases them all.
+	step := func(d int) {
+		burst = burst[:0]
+		for range d {
+			burst = append(burst, eps[0].Send(1))
+		}
+		for i := d - 1; i >= 0; i-- {
+			eps[1].Receive(burst[i], payload)
+		}
+		for from := 2; from < n; from++ { // steady traffic around it
+			to := (from*7 + 1) % n
+			eps[to].Receive(eps[from].Send(to), payload)
+		}
+	}
+	for range 4 {
+		step(depth)
+	}
+	ring := len(eps[1].in[0].ring)
+	if ring < depth || ring >= 2*depth {
+		t.Fatalf("after bursts of %d the channel's ring holds %d", depth, ring)
+	}
+	if avg := testing.AllocsPerRun(200, func() { step(depth) }); avg != 0 {
+		t.Errorf("a burst within the high-water mark = %v allocs, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { step(depth / 2) }); avg != 0 {
+		t.Errorf("a shallower burst = %v allocs, want 0", avg)
+	}
+	step(depth + 1)
+	if got := len(eps[1].in[0].ring); got != 2*ring {
+		t.Errorf("a burst past the high-water mark left a ring of %d, want %d", got, 2*ring)
+	}
+	if q := eps[1].Queued(); q != 0 {
+		t.Errorf("%d messages still held back after the bursts", q)
+	}
+}
+
+// groupHeapLimit is what Group(984) — E16's top tier — may take on the
+// heap: 1.1 times the 24.4 MB it took when a matrix was n references to
+// shared rows (n zero rows plus n references and n counts per endpoint).
+// warmHeapLimit is the same for the group after e16Traffic: 1.1 times
+// the row engine's 104.7 MB.
+const (
+	groupHeapLimit = 1.1 * 24.4e6
+	warmHeapLimit  = 1.1 * 104.7e6
+)
+
+// e16Traffic sends and delivers one message over every channel of a
+// backbone shaped like E16's: the last 8 endpoints are servers, the rest
+// stations; every station sends to every server and to its two ring
+// neighbours (hand-offs), every server to every station and every other
+// server.
+func e16Traffic(eps []*Endpoint) {
+	const servers = 8
+	n := len(eps)
+	stations := n - servers
+	var payload any = struct{}{}
+	send := func(from, to int) { eps[to].Receive(eps[from].Send(to), payload) }
+	for s := range stations {
+		for v := stations; v < n; v++ {
+			send(s, v)
+			send(v, s)
+		}
+		send(s, (s+1)%stations)
+		send(s, (s+stations-1)%stations)
+	}
+	for a := stations; a < n; a++ {
+		for b := stations; b < n; b++ {
+			if a != b {
+				send(a, b)
+			}
+		}
+	}
+}
+
+// TestGroupFootprint holds Group(984) to groupHeapLimit fresh, where an
+// endpoint owns two n-word vectors, and to warmHeapLimit after
+// e16Traffic, where every endpoint that has heard from another also owns
+// its n channel pointers and every channel used its log and ring.
+func TestGroupFootprint(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	eps := Group(984, func(int, any) {})
+	fresh := float64(heap()) - float64(before)
+	e16Traffic(eps)
+	warm := float64(heap()) - float64(before)
+	runtime.KeepAlive(eps)
+	t.Logf("Group(984): %.1f MB on the heap fresh, %.1f MB after E16-shaped traffic", fresh/1e6, warm/1e6)
+	if fresh > groupHeapLimit {
+		t.Errorf("a fresh Group(984) takes %.1f MB, want at most %.1f MB", fresh/1e6, groupHeapLimit/1e6)
+	}
+	if warm > warmHeapLimit {
+		t.Errorf("Group(984) after E16-shaped traffic takes %.1f MB, want at most %.1f MB", warm/1e6, warmHeapLimit/1e6)
+	}
+}
+
 // TestStampWireRoundTrip sends a stamp through its wire form: the parsed
 // copy must be held back and released exactly like the original.
 func TestStampWireRoundTrip(t *testing.T) {
@@ -294,10 +406,10 @@ func TestStampWireRoundTrip(t *testing.T) {
 	m3 := h.send(1, 2, "m3")
 
 	wire := m3.st.AppendBinary(nil)
-	if want := 8 + 3*3*8; len(wire) != want {
+	if want := 8 + 3*8; len(wire) != want {
 		t.Fatalf("wire form is %d bytes, want %d", len(wire), want)
 	}
-	parsed, err := ParseStamp(wire, 3)
+	parsed, err := h.eps[2].ParseStamp(wire)
 	if err != nil {
 		t.Fatalf("ParseStamp: %v", err)
 	}
@@ -315,15 +427,19 @@ func TestStampWireRoundTrip(t *testing.T) {
 }
 
 // TestParseStampRejectsWrongShape pins the remote-crash fix: a stamp
-// that is well-formed for some other group size, or is not well-formed
-// at all, is an error — it never reaches Receive's indexing.
+// that is well-formed for some other group size, is not well-formed at
+// all, or names a send its owner has not made is an error — it never
+// reaches Receive's indexing or a send log.
 func TestParseStampRejectsWrongShape(t *testing.T) {
 	wireFor := func(n int) []byte {
 		return Group(n, func(int, any) {})[0].Send(n - 1).AppendBinary(nil)
 	}
-	good := wireFor(3)
+	eps := Group(3, func(int, any) {})
+	good := eps[0].Send(2).AppendBinary(nil)
 	badSender := append([]byte(nil), good...)
 	badSender[3] = 3
+	unsent := append([]byte(nil), good...)
+	unsent[8+7]++ // process 0's second send, not yet made
 	cases := map[string][]byte{
 		"empty":             nil,
 		"short header":      good[:7],
@@ -332,13 +448,15 @@ func TestParseStampRejectsWrongShape(t *testing.T) {
 		"truncated body":    good[:len(good)-1],
 		"trailing byte":     append(append([]byte(nil), good...), 0),
 		"sender past group": badSender,
+		"unsent version":    unsent,
+		"another group":     Group(3, func(int, any) {})[1].Send(2).AppendBinary(nil),
 	}
 	for name, b := range cases {
-		if _, err := ParseStamp(b, 3); err == nil {
+		if _, err := eps[2].ParseStamp(b); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := ParseStamp(good, 3); err != nil {
+	if _, err := eps[2].ParseStamp(good); err != nil {
 		t.Errorf("well-formed stamp rejected: %v", err)
 	}
 }

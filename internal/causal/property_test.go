@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -21,9 +22,10 @@ import (
 //     maintains independently of either implementation;
 //  3. liveness — once every in-flight message has arrived, no endpoint
 //     still buffers anything;
-//  4. pool balance — with recycling on, every row's holder count is the
-//     number of endpoints and undelivered stamps referencing it, and
-//     nothing on a free list is still referenced.
+//  4. log audit — every channel's send log holds exactly the sends its
+//     receiver has not delivered, oldest first, and its head is the one
+//     the receiver tests against (so a drained group holds none); with
+//     recycling on, nothing on a free list is still referenced.
 //
 // Each history runs pooled and unpooled and must deliver the identical
 // sequences.
@@ -219,11 +221,15 @@ func propRun(t *testing.T, sh propShape, script []propOp, pooled bool) (delivere
 		vcs[i] = make([]uint64, n)
 	}
 	var dstOf []int
+	var verOf []uint64              // the sender's version, i.e. which of its sends each message is
+	chanSends := make([][]int, n*n) // chanSends[k*n+j]: the ids sent k→j, in send order
+	done := make(map[int]bool)      // ids delivered
 	eps := Group(n, func(dst int, payload any) {
 		id := payload.(int)
 		if dstOf[id] != dst {
 			t.Fatalf("message %d for %d delivered to %d", id, dstOf[id], dst)
 		}
+		done[id] = true
 		delivered[dst] = append(delivered[dst], id)
 		// Receiving extends the destination's causal past.
 		for k, v := range sendVC[id] {
@@ -235,12 +241,20 @@ func propRun(t *testing.T, sh propShape, script []propOp, pooled bool) (delivere
 	var stamps []Stamp
 	var oracleStamps []denseStamp
 	onWire := make(map[int]bool)
-	undelivered := func() []Stamp { // stamps that still hold rows, outside any buffer
-		var out []Stamp
+	audit := func() {
+		var inFlight []Stamp // stamps outside any buffer that may still arrive
 		for id := range onWire {
-			out = append(out, stamps[id])
+			inFlight = append(inFlight, stamps[id])
 		}
-		return out
+		checkLogs(t, eps, inFlight, func(k, j int) []uint64 {
+			var vers []uint64
+			for _, id := range chanSends[k*n+j] {
+				if !done[id] {
+					vers = append(vers, verOf[id])
+				}
+			}
+			return vers
+		})
 	}
 	for step, op := range script {
 		switch op.kind {
@@ -249,6 +263,8 @@ func propRun(t *testing.T, sh propShape, script []propOp, pooled bool) (delivere
 			sendVC = append(sendVC, append([]uint64(nil), vcs[op.src]...))
 			dstOf = append(dstOf, op.dst)
 			stamps = append(stamps, eps[op.src].Send(op.dst))
+			verOf = append(verOf, stamps[op.id].vers[op.src])
+			chanSends[op.src*n+op.dst] = append(chanSends[op.src*n+op.dst], op.id)
 			oracleStamps = append(oracleStamps, oracle.send(op.src, op.dst))
 			onWire[op.id] = true
 		case opArrive, opDup:
@@ -263,8 +279,8 @@ func propRun(t *testing.T, sh propShape, script []propOp, pooled bool) (delivere
 				t.Fatalf("step %d (%+v): process %d holds back\n  %+v\nthe dense RST holds back\n  %+v", step, op, op.dst, got, want)
 			}
 		case opDrop:
-			// A dropped stamp keeps its holds forever; it stays in
-			// onWire so the balance check counts them.
+			// A dropped send stays in its channel's log for good, and
+			// its stamp in onWire: its vector never reaches a free list.
 		}
 		if oracle.overcounted {
 			if !sh.dups {
@@ -272,8 +288,8 @@ func propRun(t *testing.T, sh propShape, script []propOp, pooled bool) (delivere
 			}
 			break
 		}
-		if pooled && step%64 == 0 {
-			checkPoolBalance(t, eps, undelivered())
+		if !sh.dups && step%64 == 0 {
+			audit()
 		}
 	}
 	for p := range delivered {
@@ -292,66 +308,72 @@ func propRun(t *testing.T, sh propShape, script []propOp, pooled bool) (delivere
 			}
 		}
 	}
-	if pooled {
-		checkPoolBalance(t, eps, undelivered())
+	if !sh.dups {
+		audit()
 	}
 	return delivered, sendVC, dupsCompared
 }
 
-// checkPoolBalance audits a pooled group's bookkeeping: every row's
-// holder count equals the endpoints, buffered messages and given
-// undelivered stamps that reference it, and no row or vector on a free
-// list is referenced by anyone (or listed twice).
-func checkPoolBalance(t *testing.T, eps []*Endpoint, undelivered []Stamp) {
+// logOf returns channel k→e's send log, oldest first.
+func logOf(e *Endpoint, k int) []uint64 {
+	var vers []uint64
+	if e.in != nil && e.in[k] != nil {
+		for i := range e.in[k].n {
+			vers = append(vers, e.in[k].at(i))
+		}
+	}
+	return vers
+}
+
+// checkLogs audits a group's bookkeeping: every channel k→j's log holds
+// exactly want(k, j), the versions of the sends j has not delivered, in
+// send order, with no credit, and j tests against its head; in a pooled
+// group no vector on the free list belongs to a buffered or in-flight
+// stamp (or is listed twice).
+func checkLogs(t *testing.T, eps []*Endpoint, inFlight []Stamp, want func(k, j int) []uint64) {
 	t.Helper()
-	holders := make(map[*row]int)
-	vecs := make(map[**row]string) // a vector is identified by its first slot
-	hold := func(who string, rows []*row, isStamp bool) {
-		for _, r := range rows {
-			holders[r]++
-		}
-		if isStamp {
-			if prev, dup := vecs[&rows[0]]; dup {
-				t.Fatalf("pool: %s and %s share one reference vector", prev, who)
+	for j, e := range eps {
+		for k := range eps {
+			got, w := logOf(e, k), want(k, j)
+			if !slices.Equal(got, w) {
+				t.Fatalf("channel %d→%d logs %v, its undelivered sends are %v", k, j, got, w)
 			}
-			vecs[&rows[0]] = who
+			head := uint64(none)
+			if len(w) > 0 {
+				head = w[0]
+			}
+			if e.next[k] != head {
+				t.Fatalf("channel %d→%d: endpoint %d tests against %d, the log's head is %v", k, j, j, e.next[k], w)
+			}
+			if e.in != nil && e.in[k] != nil && e.in[k].credit != 0 {
+				t.Fatalf("channel %d→%d: %d deliveries past its sends without a duplicate", k, j, e.in[k].credit)
+			}
 		}
+	}
+	g := eps[0].g
+	if !g.pooled {
+		return
+	}
+	vecs := make(map[*uint64]string) // a vector is identified by its first slot
+	hold := func(who string, st Stamp) {
+		if prev, dup := vecs[&st.vers[0]]; dup {
+			t.Fatalf("pool: %s and %s share one version vector", prev, who)
+		}
+		vecs[&st.vers[0]] = who
 	}
 	for i, e := range eps {
-		hold(fmt.Sprintf("endpoint %d", i), e.rows, false)
 		for _, p := range e.buffer {
-			hold(fmt.Sprintf("a message buffered at %d", i), p.st.rows, true)
+			hold(fmt.Sprintf("a message buffered at %d", i), p.st)
 		}
 	}
-	for _, st := range undelivered {
-		hold("a stamp in flight", st.rows, true)
+	for _, st := range inFlight {
+		hold("a stamp in flight", st)
 	}
-	for r, c := range holders {
-		if r.refs != c {
-			t.Fatalf("pool: row (ver %d) counts %d holders, has %d", r.ver, r.refs, c)
-		}
-	}
-	pl := eps[0].pool
-	free := make(map[*row]bool)
-	for _, r := range pl.rows {
-		if free[r] {
-			t.Fatalf("pool: row (ver %d) is on the free list twice", r.ver)
-		}
-		free[r] = true
-		if c := holders[r]; c != 0 || r.refs != 0 {
-			t.Fatalf("pool: free row (ver %d) still has %d holders (counts %d)", r.ver, c, r.refs)
-		}
-	}
-	for _, v := range pl.vecs {
+	for _, v := range g.vecs {
 		if who, used := vecs[&v[0]]; used {
-			t.Fatalf("pool: free reference vector also belongs to %s", who)
+			t.Fatalf("pool: free version vector also belongs to %s", who)
 		}
 		vecs[&v[0]] = "the free list"
-	}
-	for _, p := range pl.pend {
-		if p.st.rows != nil || p.payload != nil {
-			t.Fatalf("pool: free buffer entry still holds a message")
-		}
 	}
 }
 
@@ -407,8 +429,8 @@ func TestCausalDeliveryProperties(t *testing.T) {
 			})
 		})
 	}
-	// One history at a width where a row spans several cache lines and
-	// most of a stamp's references are shared with the receiver.
+	// One history at a width where a stamp spans several cache lines and
+	// most channels carry a send or two.
 	t.Run("n64", func(t *testing.T) {
 		propCheck(t, 64, propShape{n: 64, ops: 3000, drops: true})
 	})
@@ -419,15 +441,16 @@ func TestCausalDeliveryProperties(t *testing.T) {
 // below). Unpooled only: recycling requires at-most-once delivery.
 //
 // On a duplicate the dense RST inflates DELIV[from] and its own
-// SENT[from][me] together; here the rows stay exact and only DELIV
-// inflates. Column me of anybody's matrix is tested at me alone, and an
+// SENT[from][me] together; here the versions stay exact and only DELIV
+// inflates (the duplicate retires the channel's oldest undelivered send,
+// or, with none left, becomes credit against the next). Column me of anybody's matrix is tested at me alone, and an
 // inflated cell never exceeds the DELIV that inflated it, so wherever
 // the inflated cell travels the two engines take the same decisions —
 // with one exception. When the inflated SENT[j][k] travels back to j
 // and exceeds what j has sent, the dense j adopts it as its own count
-// and stamps its next message to k as the (sends+dups+1)-th; the rows
-// keep counting sends. From there the dense model happens to hold back
-// a reordered successor that the rows release early (both have given k
+// and stamps its next message to k as the (sends+dups+1)-th; the
+// versions keep counting sends. From there the dense model happens to
+// hold back a reordered successor that the versions release early (both have given k
 // credit for messages it never got; the dense one takes it back by
 // accident). A duplicate below the causal layer is outside assumption 1
 // either way — nothing in the repo runs causal order over a duplicating

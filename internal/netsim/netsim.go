@@ -266,8 +266,8 @@ type wiredFrame struct {
 }
 
 // NewWired builds the wired network for a fixed membership of static
-// hosts. Membership is fixed because the causal group's matrix clocks
-// are sized at creation (the paper likewise fixes the set of MSSs).
+// hosts. Membership is fixed because the causal group's clocks and send
+// logs are sized at creation (the paper likewise fixes the set of MSSs).
 func NewWired(k sim.Scheduler, members []ids.NodeID, cfg WiredConfig, obs Observer) *Wired {
 	if cfg.Latency == nil {
 		cfg.Latency = Constant(0)

@@ -14,14 +14,16 @@ import (
 // must never panic or over-allocate, every frame it does accept must
 // re-encode to the same bytes it consumed (when it consumed the whole
 // input), and dispatching it into a 3-member network must not panic
-// whatever its stamp claims to be.
+// whatever its stamp claims to be. The first seed's stamp is a send the
+// network's own group made, so it reaches the causal layer.
 func FuzzReadFrame(f *testing.F) {
+	net := New(livenet.New(1), []ids.NodeID{ids.MSS(1).Node(), ids.MSS(2).Node(), ids.Server(1).Node()})
 	seed := []frame{
 		{
 			layer: netsim.LayerWired,
 			from:  ids.MSS(1).Node(), to: ids.Server(1).Node(),
 			m:     msg.ServerRequest{Proxy: ids.ProxyID{Host: 1, Seq: 1}, Req: ids.RequestID{Origin: 1, Seq: 9}, Payload: []byte("fuzz")},
-			stamp: wireStamp(3, 1),
+			stamp: net.eps[0].Send(2).AppendBinary(nil),
 		},
 		{
 			layer: netsim.LayerWireless,
@@ -39,17 +41,17 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	// Well-formed frames whose stamp is for a smaller and a larger group
-	// than the receiver's: once a dispatcher panic, now a counted drop.
-	for _, nn := range []int{1, 4} {
+	// than the receiver's (once a dispatcher panic), and one of the right
+	// size naming sends the group has not made: each a counted drop.
+	for _, stamp := range [][]byte{wireStamp(1, 0), wireStamp(4, 0), wireStamp(3, 1)} {
 		fr := seed[0]
-		fr.stamp = wireStamp(nn, 0)
+		fr.stamp = stamp
 		b, err := encodeFrame(fr)
 		if err != nil {
 			f.Fatalf("seed encode: %v", err)
 		}
 		f.Add(b)
 	}
-	net := New(livenet.New(1), []ids.NodeID{ids.MSS(1).Node(), ids.MSS(2).Node(), ids.Server(1).Node()})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -37,7 +37,8 @@ import (
 // frame layout: layer(1) fromKind(1) fromNum(4) toKind(1) toNum(4)
 // stampLen(4) stamp msgLen(4) msg. A non-empty stamp is the causal
 // package's wire form (causal.Stamp.AppendBinary); framing carries it
-// as opaque bytes and the dispatcher parses it against the group size.
+// as opaque bytes and the dispatcher parses it against the network's
+// group, whose send logs its versions name.
 
 // Net is one in-process "network" of TCP endpoints. All handler
 // execution is posted to the runtime's dispatcher, so protocol state
@@ -78,7 +79,8 @@ type Stats struct {
 	WirelessFrames, WirelessBytes uint64
 	// BadStamps counts received wired frames dropped because their
 	// causal stamp did not parse for this network's group (malformed,
-	// or built for a group of another size).
+	// built for a group of another size, or naming a send the group
+	// has not made).
 	BadStamps uint64
 }
 
@@ -212,7 +214,7 @@ func (n *Net) dispatch(f frame) {
 		}
 		p := wiredDelivery{from: f.from, to: f.to, m: f.m}
 		if f.stamp != nil {
-			st, err := causal.ParseStamp(f.stamp, len(n.eps))
+			st, err := n.eps[ti].ParseStamp(f.stamp)
 			if err != nil {
 				// A peer speaking for some other group: drop the frame,
 				// keep the connection and the dispatcher.

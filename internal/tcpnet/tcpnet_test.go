@@ -404,7 +404,9 @@ func wireStamp(n, from int) []byte {
 // frame whose stamp is built for a smaller or larger group than this
 // network's (or disagrees with its own size field) used to reach
 // Endpoint.Receive and panic the dispatcher with an index out of range.
-// It is now dropped and counted, and the network keeps working.
+// It is now dropped and counted, and so is a stamp of the right shape
+// naming a send this network's group has not made; the network keeps
+// working.
 func TestMisshapenStampDropped(t *testing.T) {
 	rt := livenet.New(1)
 	a, b := ids.MSS(1).Node(), ids.MSS(2).Node()
@@ -414,12 +416,14 @@ func TestMisshapenStampDropped(t *testing.T) {
 
 	inconsistent := wireStamp(3, 0)
 	inconsistent[7]++ // the stamp now claims n = 4 in a 3-wide body
-	for name, stamp := range map[string][]byte{
+	bad := map[string][]byte{
 		"smaller group": wireStamp(1, 0),
 		"larger group":  wireStamp(4, 0),
 		"inconsistent":  inconsistent,
 		"truncated":     wireStamp(3, 0)[:20],
-	} {
+		"unsent":        wireStamp(3, 0), // process 0 has sent nothing here
+	}
+	for name, stamp := range bad {
 		raw, err := encodeFrame(frame{layer: netsim.LayerWired, from: a, to: b, m: msg.Greet{MH: 1}, stamp: stamp})
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
@@ -433,10 +437,11 @@ func TestMisshapenStampDropped(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("misshapen stamps delivered %d messages", len(got))
 	}
-	if bad := n.Stats().BadStamps; bad != 4 {
-		t.Errorf("BadStamps = %d, want 4", bad)
+	if bad, want := n.Stats().BadStamps, uint64(len(bad)); bad != want {
+		t.Errorf("BadStamps = %d, want %d", bad, want)
 	}
-	n.dispatch(frame{layer: netsim.LayerWired, from: a, to: b, m: msg.Greet{MH: 1}, stamp: wireStamp(3, 0)})
+	stamp := n.eps[0].Send(1).AppendBinary(nil)
+	n.dispatch(frame{layer: netsim.LayerWired, from: a, to: b, m: msg.Greet{MH: 1}, stamp: stamp})
 	if len(got) != 1 {
 		t.Errorf("well-formed stamp after the bad ones: delivered %d messages, want 1", len(got))
 	}
@@ -509,7 +514,7 @@ func TestWireStats(t *testing.T) {
 			s.WiredBytes, s.WiredFrames)
 	}
 	// Wired frames average larger than wireless ones: same header, plus
-	// an n×n causal matrix per frame.
+	// a causal stamp of n send counts per frame.
 	if s.WiredBytes/s.WiredFrames <= s.WirelessBytes/s.WirelessFrames {
 		t.Errorf("wired avg %d <= wireless avg %d; causal stamps missing",
 			s.WiredBytes/s.WiredFrames, s.WirelessBytes/s.WirelessFrames)
