@@ -500,7 +500,7 @@ func (m MigState) code(c *coder) Message {
 		c.batch(&r.Batch)
 		u32(c, &r.Inc)
 	}
-	for i := range list(c, &m.Batches, 23) {
+	for i := range list(c, &m.Batches, 19) {
 		b := &m.Batches[i]
 		c.batch(&b.Batch)
 		u32(c, &b.Expected)
@@ -508,7 +508,12 @@ func (m MigState) code(c *coder) Message {
 		c.bool(&b.Released)
 		c.bool(&b.Aborted)
 		u32(c, &b.Inc)
-		c.reqs(&b.Members)
+	}
+	for i := range list(c, &m.Floors, 12) {
+		f := &m.Floors[i]
+		u32(c, &f.MH)
+		u32(c, &f.Seq)
+		u32(c, &f.Inc)
 	}
 	u32(c, &m.Mark)
 	u32(c, &m.MarkInc)
@@ -537,6 +542,7 @@ func (m BatchOpen) code(c *coder) Message {
 	u32(c, &m.MH)
 	c.batch(&m.Batch)
 	u32(c, &m.Inc)
+	u32(c, &m.Floor)
 	return done(c, &m)
 }
 
@@ -556,6 +562,7 @@ func (m BatchCommit) code(c *coder) Message {
 	u32(c, &m.MH)
 	c.batch(&m.Batch)
 	u32(c, &m.Count)
+	u32(c, &m.Inc)
 	return done(c, &m)
 }
 
@@ -563,7 +570,7 @@ func (m BatchAbort) code(c *coder) Message {
 	c.proxy(&m.Proxy)
 	u32(c, &m.MH)
 	c.batch(&m.Batch)
-	c.reqs(&m.Reqs)
+	u32(c, &m.Inc)
 	return done(c, &m)
 }
 

@@ -63,21 +63,22 @@ func sampleMessages() []Message {
 				{Req: req, Server: 1, Payload: []byte("q"), Result: []byte("r"), HasResult: true, Forwarded: true, Inc: 1},
 				{Req: ids.RequestID{Origin: 3, Seq: 42}, Server: 2, Payload: []byte("q2"), Batch: ids.BatchID{Origin: 3, Seq: 1}, Inc: 2},
 			},
-			// One live batch and one abort memo, each with its members.
+			// One live batch and one abort memo above their host's floor.
 			Batches: []ProxyBatch{
-				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Members: []ids.RequestID{{Origin: 3, Seq: 42}}, Expected: 2, Committed: true, Inc: 2},
-				{Batch: ids.BatchID{Origin: 3, Seq: 2}, Members: []ids.RequestID{{Origin: 3, Seq: 43}, {Origin: 3, Seq: 44}}, Aborted: true, Inc: 2},
+				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Expected: 2, Committed: true, Inc: 2},
+				{Batch: ids.BatchID{Origin: 3, Seq: 2}, Aborted: true, Inc: 2},
 			},
+			Floors:   []BatchFloor{{MH: 3, Seq: 1, Inc: 2}},
 			Mark:     44,
 			MarkInc:  2,
 			LeaseInc: 2,
 		},
 		PrefRedirect{MH: 3, OldProxy: prx, NewProxy: ids.ProxyID{Host: 4, Seq: 9}, Req: req, Confirm: true},
 		MigGC{OldProxy: prx, NewProxy: ids.ProxyID{Host: 4, Seq: 9}, MH: 3},
-		BatchOpen{Proxy: prx, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}},
+		BatchOpen{Proxy: prx, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Inc: 2, Floor: 1},
 		BatchItem{Proxy: prx, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Req: req, Server: 1, Payload: []byte("bq")},
-		BatchCommit{Proxy: prx, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Count: 2},
-		BatchAbort{Proxy: prx, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Reqs: []ids.RequestID{req, {Origin: 3, Seq: 42}}},
+		BatchCommit{Proxy: prx, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Count: 2, Inc: 2},
+		BatchAbort{Proxy: prx, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Inc: 2},
 		Register{MH: 3, Inc: 2},
 		LeaseHeartbeat{Proxy: prx, MH: 3, Inc: 2},
 		ReclaimMemo{Proxy: prx, MH: 3},
@@ -294,23 +295,6 @@ func header(k Kind) *coder {
 	u8(c, &version)
 	u8(c, &k)
 	return c
-}
-
-// TestDecodeRejectsTruncatedMemberList: a batch's member list that ends
-// before its count says is a truncation, wherever the input stops.
-func TestDecodeRejectsTruncatedMemberList(t *testing.T) {
-	memo := ProxyBatch{Batch: ids.BatchID{Origin: 3, Seq: 2}, Aborted: true,
-		Members: []ids.RequestID{{Origin: 3, Seq: 43}, {Origin: 3, Seq: 44}}}
-	b, err := Encode(MigState{MH: 3, Batches: []ProxyBatch{memo}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The image ends in the memo's two members and the lease incarnation.
-	for name, cut := range map[string]int{"one member short": 4 + 8, "half a member": 4 + 4, "no members": 4 + 16} {
-		if _, err := Decode(b[:len(b)-cut]); !errors.Is(err, ErrTruncated) {
-			t.Errorf("%s: Decode = %v, want ErrTruncated", name, err)
-		}
-	}
 }
 
 func TestDecodeCorruptionNeverPanics(t *testing.T) {

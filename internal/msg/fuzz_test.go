@@ -44,14 +44,14 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 		// Atomic-batch messages (E17), bare and ARQ-framed, including a
 		// MigState carrying batch-tagged requests so the extended
 		// requestList/batchList codec is fuzz-covered from day one.
-		BatchOpen{Proxy: ids.ProxyID{Host: 1, Seq: 2}, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}},
+		BatchOpen{Proxy: ids.ProxyID{Host: 1, Seq: 2}, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Inc: 1, Floor: 1},
 		BatchItem{Proxy: ids.ProxyID{Host: 1, Seq: 2}, MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Req: ids.RequestID{Origin: 3, Seq: 9}, Server: 1, Payload: []byte("bq")},
-		BatchCommit{MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Count: 3},
+		BatchCommit{MH: 3, Batch: ids.BatchID{Origin: 3, Seq: 1}, Count: 3, Inc: 1},
 		LinkFrame{Seq: 12, Inner: BatchAbort{
 			Proxy: ids.ProxyID{Host: 1, Seq: 2},
 			MH:    3,
 			Batch: ids.BatchID{Origin: 3, Seq: 1},
-			Reqs:  []ids.RequestID{{Origin: 3, Seq: 9}, {Origin: 3, Seq: 10}},
+			Inc:   1,
 		}},
 		LinkFrame{Seq: 13, Inner: MigState{
 			Proxy:    ids.ProxyID{Host: 1, Seq: 2},
@@ -61,8 +61,9 @@ func FuzzDecodeLinkFrames(f *testing.F) {
 				{Req: ids.RequestID{Origin: 3, Seq: 9}, Server: 1, Payload: []byte("q"), Batch: ids.BatchID{Origin: 3, Seq: 1}},
 			},
 			Batches: []ProxyBatch{
-				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Members: []ids.RequestID{{Origin: 3, Seq: 9}}, Expected: 1, Committed: true},
+				{Batch: ids.BatchID{Origin: 3, Seq: 1}, Expected: 1, Committed: true},
 			},
+			Floors: []BatchFloor{{MH: 3, Seq: 1, Inc: 1}},
 		}},
 		// Crash/amnesia-recovery messages (E18), bare and ARQ-framed,
 		// plus a migration transfer that carries incarnation-stamped

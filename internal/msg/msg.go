@@ -608,18 +608,17 @@ type ProxyReq struct {
 	Inc ids.Incarnation
 }
 
-// ProxyBatch is one atomic batch (E17) at its proxy: the member set in
-// arrival order, the commit's member count (zero until the commit
-// arrives), and whether the batch has been committed, released or
-// aborted. A released batch stays as a memo so a late duplicate item
+// ProxyBatch is one atomic batch (E17) at its proxy: the commit's member
+// count (zero until the commit arrives), whether the batch has been
+// committed, released or aborted, and its opening incarnation. Its members
+// are the requestList entries tagged with it (ProxyReq.Batch). A released
+// batch stays until its host's floor passes it, so a late duplicate item
 // cannot re-execute a completed computation; an aborted one is the abort
-// memo, members and all — the decision to refuse a batch must survive
-// migration and crashes, or a replayed batch could be delivered after
-// its members were told to abandon it. The deadline is not part of it:
-// whoever revives the batch arms a fresh, full one.
+// memo, which answers a retry with the same abort and must survive
+// migration and crashes until the floor passes it too. The deadline is not
+// part of it: whoever revives the batch arms a fresh, full one.
 type ProxyBatch struct {
 	Batch     ids.BatchID
-	Members   []ids.RequestID
 	Expected  uint32
 	Committed bool
 	Released  bool
@@ -627,13 +626,24 @@ type ProxyBatch struct {
 	Inc       ids.Incarnation // opening incarnation of the batch (E18)
 }
 
+// BatchFloor is what a proxy knows of one origin host's batches (E17):
+// Inc is the newest incarnation it has heard from the host, and every
+// batch of Inc below Seq is resolved at the host — delivered or aborted —
+// so the proxy keeps no record of it and refuses its traffic as a replay.
+type BatchFloor struct {
+	MH  ids.MH
+	Seq uint32
+	Inc ids.Incarnation
+}
+
 // MigState is a proxy's durable image: what a station journals for it,
 // and what the old host ships to the target that accepted a migration
 // offer. CurrentLoc is the proxy's view of the MH's station; Reqs is the
-// requestList in issue order; Batches holds every batch and abort memo
-// in opening order; Mark and MarkInc are the proxy's high-water mark and
-// the incarnation it counts for. NewProxy is the identity at the target
-// (zero in a journal image).
+// requestList in issue order; Batches holds the batch records and abort
+// memos above their hosts' floors in opening order, and Floors one floor
+// per origin host that ever sent batch traffic; Mark and MarkInc are the
+// proxy's high-water mark and the incarnation it counts for. NewProxy is
+// the identity at the target (zero in a journal image).
 type MigState struct {
 	Proxy      ids.ProxyID // the identity the image was taken under
 	NewProxy   ids.ProxyID
@@ -641,6 +651,7 @@ type MigState struct {
 	CurrentLoc ids.MSS
 	Reqs       []ProxyReq
 	Batches    []ProxyBatch
+	Floors     []BatchFloor
 	Mark       uint32
 	MarkInc    ids.Incarnation
 	// LeaseInc is the newest incarnation the proxy's lease has heard for
@@ -682,12 +693,15 @@ type MigGC struct {
 
 // BatchOpen opens an atomic request batch at the MH's proxy. Member
 // results are withheld until every member's result is present and the
-// batch is committed — delivery is all-or-nothing.
+// batch is committed — delivery is all-or-nothing. Floor is the host's
+// lowest unresolved batch when the open was sent: the proxy forgets every
+// batch of the host below it.
 type BatchOpen struct {
 	Proxy ids.ProxyID // zero uplink; proxy identity on the wired forward
 	MH    ids.MH
 	Batch ids.BatchID
 	Inc   ids.Incarnation // opening incarnation of the MH (E18)
+	Floor uint32
 }
 
 // BatchItem adds one member request to an open batch. It carries the
@@ -713,18 +727,20 @@ type BatchCommit struct {
 	MH    ids.MH
 	Batch ids.BatchID
 	Count uint32
+	Inc   ids.Incarnation // committing incarnation of the MH (E18)
 }
 
 // BatchAbort tears a batch down without delivering any member result:
 // the proxy's batch deadline expired before commit-plus-results. It is
-// sent to the MH's current station and relayed downlink so the MH can
-// abandon the member requests; Reqs lists the members known to the
-// proxy at abort time.
+// sent to the MH's current station and relayed downlink; it names the
+// batch and the incarnation that opened it, and the MH abandons the
+// members it issued in that batch — only if it is still that
+// incarnation.
 type BatchAbort struct {
 	Proxy ids.ProxyID
 	MH    ids.MH
 	Batch ids.BatchID
-	Reqs  []ids.RequestID
+	Inc   ids.Incarnation
 }
 
 // ---------------------------------------------------------------------
@@ -990,7 +1006,7 @@ func (m MigGC) String() string {
 	return fmt.Sprintf("mig-gc(%v->%v,%v)", m.OldProxy, m.NewProxy, m.MH)
 }
 func (m BatchOpen) String() string {
-	return fmt.Sprintf("batch-open(%v,%v,%v)", m.Proxy, m.MH, m.Batch)
+	return fmt.Sprintf("batch-open(%v,%v,%v,floor=%d)", m.Proxy, m.MH, m.Batch, m.Floor)
 }
 func (m BatchItem) String() string {
 	return fmt.Sprintf("batch-item(%v,%v,%v->%v,%dB)", m.Proxy, m.Batch, m.Req, m.Server, len(m.Payload))
@@ -999,7 +1015,7 @@ func (m BatchCommit) String() string {
 	return fmt.Sprintf("batch-commit(%v,%v,count=%d)", m.Proxy, m.Batch, m.Count)
 }
 func (m BatchAbort) String() string {
-	return fmt.Sprintf("batch-abort(%v,%v,reqs=%d)", m.Proxy, m.Batch, len(m.Reqs))
+	return fmt.Sprintf("batch-abort(%v,%v,inc=%d)", m.Proxy, m.Batch, m.Inc)
 }
 func (m Register) String() string {
 	return fmt.Sprintf("register(%v,%v)", m.MH, m.Inc)

@@ -10,17 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// sortRequestIDs and sortBatchIDs order identifier slices for
-// deterministic timer arming and replay. Fewer than two ids are in order
-// already, and sort.Slice would box the slice to find that out: a host
-// attached in another region (psim) mostly rearms no batch at all.
+// sortRequestIDs orders identifiers for deterministic timer arming and
+// replay. Fewer than two ids are in order already, and sort.Slice would
+// box the slice to find that out.
 func sortRequestIDs(s []ids.RequestID) {
-	if len(s) > 1 {
-		sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
-	}
-}
-
-func sortBatchIDs(s []ids.BatchID) {
 	if len(s) > 1 {
 		sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
 	}
@@ -118,7 +111,9 @@ type MHNode struct {
 
 	// --- Atomic request batches (E17) ---
 
-	nextBatchSeq uint32
+	// resolved is the host's cursor over its batches: every batch up to
+	// it is resolved, and resolved+1 is the floor a BatchOpen carries.
+	nextBatchSeq, resolved uint32
 	// batches holds this host's batch bookkeeping, made on first write.
 	batches map[ids.BatchID]*mhBatch
 
@@ -378,8 +373,9 @@ func (t hostTimer) fire() {
 // the refresh beacon, one retry chain per un-answered tracked request,
 // one full deadline per armed request (conservatively restarted — a
 // deadline never fires early), and the retry chain of every unresolved
-// committed batch. Requests and batches are armed in sorted order so
-// the kernel event sequence stays a pure function of the seed.
+// committed batch, walked from the floor up. Requests and batches are
+// armed in sequence order so the kernel event sequence stays a pure
+// function of the seed.
 func (h *MHNode) rearmTimers() {
 	if !h.joined {
 		return
@@ -393,15 +389,10 @@ func (h *MHNode) rearmTimers() {
 	for _, req := range h.flagged(reqDeadline) {
 		h.scheduleDeadline(req)
 	}
-	bs := make([]ids.BatchID, 0, len(h.batches))
-	for id, b := range h.batches {
-		if b.committed && !h.batchResolved(b) {
-			bs = append(bs, id)
+	for seq := h.floor(); seq <= h.nextBatchSeq; seq++ {
+		if b := h.batches[ids.BatchID{Origin: h.id, Seq: seq}]; b.committed && !h.batchResolved(b) {
+			h.scheduleBatchRetry(b)
 		}
-	}
-	sortBatchIDs(bs)
-	for _, id := range bs {
-		h.scheduleBatchRetry(h.batches[id])
 	}
 }
 
@@ -506,7 +497,7 @@ func (h *MHNode) leave() {
 func (h *MHNode) crash() {
 	h.timerGen++
 	h.regOld = 0
-	h.nextBatchSeq = 0
+	h.nextBatchSeq, h.resolved = 0, 0
 	h.reqs, h.base, h.stray, h.nOutstanding = h.reqs[:0], 0, nil, 0
 	h.queued = nil
 	h.offline = nil
@@ -537,9 +528,7 @@ func (h *MHNode) reboot(inc ids.Incarnation) {
 		case msg.KindBatchItem:
 			stale = normInc(m.(msg.BatchItem).Inc) != normInc(inc)
 		case msg.KindBatchCommit:
-			// BatchCommit carries no incarnation; it is live only while
-			// the host still knows the batch it seals.
-			stale = h.batches[m.(msg.BatchCommit).Batch] == nil
+			stale = normInc(m.(msg.BatchCommit).Inc) != normInc(inc)
 		}
 		if stale {
 			h.w.Stats.OfflineDroppedStale.Inc()
@@ -893,6 +882,7 @@ func (h *MHNode) BeginBatch() ids.BatchID {
 	id := ids.BatchID{Origin: h.id, Seq: h.nextBatchSeq}
 	b := &mhBatch{id: id, open: msg.BatchOpen{MH: h.id, Batch: id, Inc: h.inc}}
 	setLazy(&h.batches, id, b)
+	b.open.Floor = h.floor()
 	h.transmit(b.open)
 	return id
 }
@@ -929,8 +919,17 @@ func (h *MHNode) CommitBatch(batch ids.BatchID) {
 		return
 	}
 	b.committed = true
-	h.transmit(msg.BatchCommit{MH: h.id, Batch: batch, Count: uint32(len(b.items))})
+	h.transmit(msg.BatchCommit{MH: h.id, Batch: batch, Count: uint32(len(b.items)), Inc: h.inc})
 	h.scheduleBatchRetry(b)
+}
+
+// floor advances the host's cursor past every resolved batch and returns
+// its lowest unresolved one (E17): its proxy forgets every batch below.
+func (h *MHNode) floor() uint32 {
+	for h.resolved < h.nextBatchSeq && h.batchResolved(h.batches[ids.BatchID{Origin: h.id, Seq: h.resolved + 1}]) {
+		h.resolved++
+	}
+	return h.resolved + 1
 }
 
 // batchResolved reports whether the batch needs no further client
@@ -968,49 +967,41 @@ func (h *MHNode) batchRetry(b *mhBatch) {
 	}
 	if h.active && !h.disconnected {
 		h.w.Stats.RequestRetries.Inc()
+		b.open.Floor = h.floor()
 		h.uplink(b.open)
 		for _, it := range b.items {
 			if !h.has(it.Req, reqSeen) {
 				h.uplink(it)
 			}
 		}
-		h.uplink(msg.BatchCommit{MH: h.id, Batch: b.id, Count: uint32(len(b.items))})
+		h.uplink(msg.BatchCommit{MH: h.id, Batch: b.id, Count: uint32(len(b.items)), Inc: h.inc})
 	}
 	h.scheduleBatchRetry(b)
 }
 
 // onBatchAbort abandons every member of an aborted batch: the proxy's
 // deadline expired before the batch became deliverable, and atomicity
-// means no member may be delivered afterwards. A delivered member at
-// abort time would be a partial delivery — the proxy guarantees this
-// cannot happen, so it is counted as a violation.
+// means no member may be delivered afterwards. An abort for a batch this
+// incarnation does not know speaks of a dead one's and is ignored. A
+// delivered member at abort time would be a partial delivery — the proxy
+// guarantees this cannot happen, so it is counted as a violation.
 func (h *MHNode) onBatchAbort(a msg.BatchAbort) {
-	// Union the abort's member list with our own: the proxy names the
-	// members it registered, but this host knows exactly what it issued —
-	// also an item that never reached the proxy before the abort.
-	reqs := append([]ids.RequestID(nil), a.Reqs...)
-	if b := h.batches[a.Batch]; b != nil {
-		b.aborted = true
-		for _, it := range b.items {
-			reqs = append(reqs, it.Req)
-		}
+	b := h.batches[a.Batch]
+	if b == nil || normInc(a.Inc) != normInc(h.inc) {
+		return
 	}
-	handled := make(map[ids.RequestID]bool, len(reqs))
-	for _, req := range reqs {
-		if handled[req] {
-			continue
-		}
-		handled[req] = true
-		q := h.row(req)
+	b.aborted = true
+	for _, it := range b.items {
+		q := h.row(it.Req)
 		if q.flags&reqSeen != 0 {
-			h.w.violate(violBatchPartial, h.id, a.Proxy, req)
+			h.w.violate(violBatchPartial, h.id, a.Proxy, it.Req)
 			continue
 		}
 		if q.flags&reqAbandoned != 0 {
 			continue
 		}
 		q.flags |= reqAbandoned
-		h.settle(req, q)
+		h.settle(it.Req, q)
 	}
 }
 

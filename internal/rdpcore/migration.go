@@ -169,10 +169,10 @@ func (n *MSSNode) handleMigCommit(m msg.MigCommit) {
 // the proxy with a tombstone — all in one simulation event, so a crash
 // either precedes the whole step or follows it, and the journal swaps the
 // one image for the other in the event's one write of the slot. The image
-// is a fresh copy of the one the journal keeps: requests, batches and
-// abort memos with their members, and the lease's vouched-for incarnation
-// (E17/E18) — the new incarnation answers replayed batch traffic with the
-// same abort, and the lease clock itself restarts at the new host.
+// is a fresh copy of the one the journal keeps: requests, batches, abort
+// memos and floors, and the lease's vouched-for incarnation (E17/E18) —
+// the new incarnation answers replayed batch traffic with the same abort,
+// and the lease clock itself restarts at the new host.
 func (n *MSSNode) migrateOut(p *Proxy, newID ids.ProxyID) {
 	var st msg.MigState
 	p.image(&st)

@@ -1,7 +1,6 @@
 package rdpcore
 
 import (
-	"slices"
 	"testing"
 	"time"
 
@@ -187,15 +186,16 @@ func TestMigrationDisabledNeverOffers(t *testing.T) {
 	}
 }
 
-// TestMigratedAbortMemoKeepsMembers: an abort memo keeps its members when
-// its proxy migrates. A batch aborts at mss1, the host moves to mss2, the
-// proxy follows it into a reservation there, and the host replays its
-// batch item. The adopted proxy must answer with the same abort, members
-// and all, and count the replayed item in its mark, so that the del-pref
-// of the host's next request covers what mss2 routed; otherwise the
-// proxy outlives that request and the host leaves with a live proxy. The
-// same script without the migration is the control.
-func TestMigratedAbortMemoKeepsMembers(t *testing.T) {
+// TestMigratedAbortMemoNamesItsBatch: an abort memo survives its proxy's
+// migration. A batch aborts at mss1, the host moves to mss2, the proxy
+// follows it into a reservation there, and the host replays its batch
+// item. The adopted proxy must answer with the same abort, naming the
+// batch and the incarnation that opened it, so the member stays
+// abandoned, and count the replayed item in its mark, so that the
+// del-pref of the host's next request covers what mss2 routed; otherwise
+// the proxy outlives that request and the host leaves with a live proxy.
+// The same script without the migration is the control.
+func TestMigratedAbortMemoNamesItsBatch(t *testing.T) {
 	for _, migrate := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.NumMSS, cfg.BatchDeadline = 2, 100*time.Millisecond
@@ -228,9 +228,12 @@ func TestMigratedAbortMemoKeepsMembers(t *testing.T) {
 			t.Fatalf("migrate %v: %d aborts reached the host, want 2", migrate, len(aborts))
 		}
 		for _, a := range aborts {
-			if !slices.Contains(a.Reqs, member) {
-				t.Errorf("migrate %v: abort %v does not name the member %v", migrate, a, member)
+			if a.Batch != b || a.Inc != h.inc {
+				t.Errorf("migrate %v: abort %v does not name batch %v of incarnation %v", migrate, a, b, h.inc)
 			}
+		}
+		if !h.Abandoned(member) {
+			t.Errorf("migrate %v: member %v not abandoned", migrate, member)
 		}
 		req := h.IssueRequest(1, []byte("r"))
 		w.RunUntil(5 * time.Second)

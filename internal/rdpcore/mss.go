@@ -381,9 +381,9 @@ type stationTimer struct {
 	n     *MSSNode
 	boot  uint64
 	kind  stationTimerKind
-	mh    ids.MH     // timerDereg
+	mh    ids.MH     // timerDereg; timerBatchDeadline: the batch's origin
 	old   ids.MSS    // timerDereg: the station the dereg went to
-	epoch uint64     // timerTombstone, timerLease: the arming; timerBatchDeadline: the batch record
+	epoch uint64     // timerTombstone, timerLease: the arming; timerBatchDeadline: the batch's sequence and incarnation
 	p     *Proxy     // timerLease, timerBatchDeadline
 	t     *tombstone // timerTombstone
 }
@@ -432,7 +432,7 @@ func (t stationTimer) fire() {
 	case timerRecovery:
 		n.recoveryResend()
 	case timerBatchDeadline:
-		t.p.batchDeadline(uint32(t.epoch))
+		t.p.batchDeadline(t.mh, t.epoch)
 	case timerLease:
 		t.p.leaseExpired(t.epoch)
 	}
@@ -932,11 +932,11 @@ func (n *MSSNode) retire(p *Proxy) {
 }
 
 // recycle marks a proxy del-proxy ended (§3.3) for the spare stock at the
-// end of the event — unless it ever armed a timer (a lease, a batch
-// deadline): a stale timer must find the record it was armed for, never
-// a successor. A proxy that migrates or is reclaimed is never recycled.
+// end of the event — unless it ever armed a timer (a lease, or a batch
+// deadline, which only a proxy holding floors can have): a stale timer
+// must find the record it was armed for, never a successor. A proxy that migrates or is reclaimed is never recycled.
 func (n *MSSNode) recycle(p *Proxy) {
-	if p.leaseEpoch == 0 && p.batchGen == 0 {
+	if p.leaseEpoch == 0 && len(p.floors) == 0 {
 		n.retired = append(n.retired, p)
 	}
 }
@@ -1371,9 +1371,7 @@ func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 	case msg.BatchItem:
 		mh, inc, member = v.MH, normInc(v.Inc), v.Req
 	case msg.BatchCommit:
-		// Carries no incarnation: the open and items that precede it
-		// already settled the batch's ownership.
-		mh = v.MH
+		mh, inc = v.MH, normInc(v.Inc)
 	default:
 		n.w.Stats.OrphanMessages.Inc() // no other kind travels unaddressed
 		return
@@ -1381,12 +1379,10 @@ func (n *MSSNode) handleBatchUplink(from ids.NodeID, m msg.ProxyAddressed) {
 	if !n.routeUplink(from, mh, m) {
 		return
 	}
-	if inc != 0 {
-		if n.staleInc(inc, n.incOf(mh)) {
-			return
-		}
-		n.noteInc(mh, inc)
+	if n.staleInc(inc, n.incOf(mh)) {
+		return
 	}
+	n.noteInc(mh, inc)
 	id, local := n.proxyFor(mh, member.Seq, ids.NoServer, nil)
 	switch local.(type) {
 	case *Proxy:

@@ -1,6 +1,7 @@
 package rdpcore
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/aggstate"
@@ -25,22 +26,19 @@ type Proxy struct {
 
 	// reqs is the requestList (§3.1) in insertion order, which keeps
 	// iteration deterministic; it holds one MH's pending requests — a
-	// handful — so lookup and removal are scans. batches holds every atomic
-	// batch (E17) in opening order: live, released, and the abort memos
-	// that answer a late or replayed batch message with the same abort.
-	// With the identity, currentLoc and leaseInc they are the proxy's
-	// durable image (image, revive). first is reqs' backing array until
-	// a second request arrives: most proxies only ever hold one. A record
-	// reused from the station's spare stock keeps the array it had, up to
-	// spareReqs entries (MSSNode.stockRetired).
+	// handful — so lookup and removal are scans. batches holds the atomic
+	// batches (E17) above their hosts' floors in opening order: live,
+	// released, and the abort memos that answer a retry with the same
+	// abort; floors holds one floor per origin host (admitBatch). With the
+	// identity, currentLoc and leaseInc they are the proxy's durable image
+	// (image, revive). first is reqs' backing array until a second request
+	// arrives: most proxies only ever hold one. A record reused from the
+	// station's spare stock keeps the array it had, up to spareReqs
+	// entries (MSSNode.stockRetired).
 	reqs    []msg.ProxyReq
 	first   [1]msg.ProxyReq
 	batches []msg.ProxyBatch
-	// batchGen numbers the batch records this proxy has opened, and gens[i]
-	// is batches[i]'s number: a deadline aborts the record it was armed
-	// for, never a later one that reuses the identifier.
-	batchGen uint32
-	gens     []uint32
+	floors  []msg.BatchFloor
 	// mark is the highest request sequence the proxy has received for its
 	// host — requests and batch members, aborted ones too — within
 	// markInc, the newest incarnation it has heard from: a del-pref
@@ -179,15 +177,10 @@ func (p *Proxy) removeReq(id ids.RequestID) bool {
 	return false
 }
 
-// batchAt returns the index of id's batch record, or -1.
-func (p *Proxy) batchAt(id ids.BatchID) int {
-	return slices.IndexFunc(p.batches, func(b msg.ProxyBatch) bool { return b.Batch == id })
-}
-
 // batch returns id's batch record — live, released or an abort memo — or
 // nil.
 func (p *Proxy) batch(id ids.BatchID) *msg.ProxyBatch {
-	if i := p.batchAt(id); i >= 0 {
+	if i := slices.IndexFunc(p.batches, func(b msg.ProxyBatch) bool { return b.Batch == id }); i >= 0 {
 		return &p.batches[i]
 	}
 	return nil
@@ -221,9 +214,7 @@ func (p *Proxy) handle(from ids.NodeID, m msg.Message) {
 		p.renewLease(m.(msg.LeaseHeartbeat).Inc)
 	case msg.KindBatchOpen:
 		v := m.(msg.BatchOpen)
-		if !p.answerAborted(v.Batch) {
-			p.ensureBatch(v.Batch, v.Inc)
-		}
+		p.admitBatch(v.Batch, v.Inc, v.Floor)
 	case msg.KindBatchItem:
 		p.onBatchItem(m.(msg.BatchItem))
 	case msg.KindBatchCommit:
@@ -296,22 +287,11 @@ func (p *Proxy) addRequest(req ids.RequestID, server ids.Server, payload []byte,
 			p.forwardResult(r, nil)
 		}
 		return
-	default:
-		p.detachFromBatch(r)
 	}
+	// Replacing the entry clears its tag: the new request is no member of
+	// the dead incarnation's batch.
 	*r = msg.ProxyReq{Req: req, Server: server, Payload: payload, Inc: inc}
 	p.issue(r)
-}
-
-// detachFromBatch takes a replaced request off its old batch's member
-// list (the batch belonged to a dead incarnation; its release bookkeeping
-// must not wait on an identifier that now names something else).
-func (p *Proxy) detachFromBatch(r *msg.ProxyReq) {
-	if b := p.batch(r.Batch); b != nil {
-		if i := slices.Index(b.Members, r.Req); i >= 0 {
-			b.Members = slices.Delete(b.Members, i, i+1)
-		}
-	}
 }
 
 // issue sends a newly registered request to its server — from the
@@ -479,86 +459,103 @@ func (p *Proxy) onAck(req ids.RequestID, delProxy bool) (deleted bool) {
 // arrived and all members have results, then releases the batch and
 // forwards the members in order. A batch that misses its deadline is
 // aborted: members are dropped, the MH is told to abandon them, and the
-// record stays as the abort memo so replayed batch traffic gets the same
-// answer.
+// record stays as the abort memo so a retry gets the same answer. A
+// batch's members are the entries tagged with it, and a record lasts
+// until its host's floor passes it.
 
-// ensureBatch returns the live record of batch id, creating it on first
-// contact (any member/commit message may arrive first after a retry).
-//
-// Incarnation arbitration (E18) mirrors addRequest: batch identifiers
-// restart with the host's sequence counter, so inc decides whether a
-// colliding identifier is a ghost (older — drop, nil returned), the
-// same batch (equal or unknown), or a reuse by a rebooted host (newer —
-// the orphaned record is torn down and replaced).
-func (p *Proxy) ensureBatch(id ids.BatchID, inc ids.Incarnation) *msg.ProxyBatch {
-	if i := p.batchAt(id); i >= 0 {
-		b := &p.batches[i]
-		switch {
-		case inc == 0:
-			return b
-		case incLess(inc, b.Inc):
-			p.host.w.Stats.StaleIncarnationDrops.Inc()
-			return nil
-		case !incLess(b.Inc, inc):
-			b.Inc = inc
-			return b
-		}
-		p.dropBatch(i)
+// admitBatch is the one gate batch traffic passes (E17/E18): it returns
+// the live record of batch id, opened on first contact (any open, member
+// or commit may arrive first after a retry), or nil for a message the
+// proxy refuses. Batch identifiers restart with the host's sequence
+// counter, so inc is judged against the origin's floor first: an older
+// incarnation is a ghost; a newer one is a rebooted host, whose dead
+// batches go with their members. A higher floor, which only a BatchOpen
+// carries, forgets the records below it. Below the floor the message is a
+// replay; for an aborted batch it draws the abort again.
+func (p *Proxy) admitBatch(id ids.BatchID, inc ids.Incarnation, floor uint32) *msg.ProxyBatch {
+	f := p.floorOf(id.Origin, inc)
+	if incLess(inc, f.Inc) {
+		p.host.w.Stats.StaleIncarnationDrops.Inc()
+		return nil
 	}
-	p.openBatch(msg.ProxyBatch{Batch: id, Inc: inc})
-	p.host.w.Stats.BatchesOpened.Inc()
-	return &p.batches[len(p.batches)-1]
-}
-
-// openBatch appends a batch record under the next number and arms the
-// deadline of a live, unreleased one.
-func (p *Proxy) openBatch(b msg.ProxyBatch) {
-	p.batchGen++
-	p.batches, p.gens = append(p.batches, b), append(p.gens, p.batchGen)
-	if !b.Released && !b.Aborted {
-		p.armBatchDeadline(p.batchGen)
+	p.reborn(f, inc)
+	if floor > f.Seq {
+		p.forget(id.Origin, floor, true)
+		f.Seq = floor
 	}
-}
-
-// dropBatch takes a batch's members off the requestList and the batch
-// record off the proxy. That is all that happens to a batch owned by a
-// dead incarnation: unlike abortBatch, no abort memo is kept and nobody is
-// notified — the owner no longer exists to care.
-func (p *Proxy) dropBatch(i int) {
-	for _, req := range p.batches[i].Members {
-		p.removeReq(req)
-	}
-	p.batches, p.gens = slices.Delete(p.batches, i, i+1), slices.Delete(p.gens, i, i+1)
-}
-
-// answerAborted answers a message for an aborted batch (a retry that
-// raced the abort, or a replay) with the abort again, and reports whether
-// it did.
-func (p *Proxy) answerAborted(id ids.BatchID) bool {
 	b := p.batch(id)
-	if b == nil || !b.Aborted {
-		return false
+	switch {
+	case id.Seq < f.Seq:
+		return nil
+	case b == nil:
+		p.openBatch(msg.ProxyBatch{Batch: id, Inc: inc})
+		p.host.w.Stats.BatchesOpened.Inc()
+		return &p.batches[len(p.batches)-1]
+	case b.Aborted:
+		p.sendAbort(b)
+		return nil
 	}
-	p.sendAbort(b)
-	return true
+	return b
+}
+
+// floorOf returns origin's floor record, made under incarnation inc on
+// first contact.
+func (p *Proxy) floorOf(origin ids.MH, inc ids.Incarnation) *msg.BatchFloor {
+	i := slices.IndexFunc(p.floors, func(f msg.BatchFloor) bool { return f.MH == origin })
+	if i < 0 {
+		i = len(p.floors)
+		p.floors = append(p.floors, msg.BatchFloor{MH: origin, Inc: normInc(inc)})
+	}
+	return &p.floors[i]
+}
+
+// reborn drops every batch of f's origin with its members once inc is
+// newer than f's: the host rebooted, and its dead batches have no owner.
+func (p *Proxy) reborn(f *msg.BatchFloor, inc ids.Incarnation) {
+	if incLess(f.Inc, inc) {
+		p.forget(f.MH, math.MaxUint32, false)
+		f.Seq, f.Inc = 0, normInc(inc)
+	}
+}
+
+// forget takes origin's batch records below seq off the proxy, and the
+// entries they tag with them — except, when keep is set, a released
+// batch's, which stay untagged for the Acks still due: their host has
+// seen them.
+func (p *Proxy) forget(origin ids.MH, seq uint32, keep bool) {
+	gone := func(id ids.BatchID) bool { return id.Valid() && id.Origin == origin && id.Seq < seq }
+	p.reqs = slices.DeleteFunc(p.reqs, func(r msg.ProxyReq) bool {
+		return gone(r.Batch) && !(keep && p.batch(r.Batch).Released)
+	})
+	for i := range p.reqs {
+		if gone(p.reqs[i].Batch) {
+			p.reqs[i].Batch = ids.BatchID{}
+		}
+	}
+	p.batches = slices.DeleteFunc(p.batches, func(b msg.ProxyBatch) bool { return gone(b.Batch) })
+}
+
+// openBatch appends a batch record and arms the deadline of a live,
+// unreleased one.
+func (p *Proxy) openBatch(b msg.ProxyBatch) {
+	p.batches = append(p.batches, b)
+	if !b.Released && !b.Aborted {
+		p.armBatchDeadline(b)
+	}
 }
 
 // onBatchItem registers one batch member and issues it to the server
 // (or answers it from the cache).
 func (p *Proxy) onBatchItem(m msg.BatchItem) {
 	p.raise(m.Req, m.Inc)
-	if p.answerAborted(m.Batch) {
-		return
-	}
-	b := p.ensureBatch(m.Batch, m.Inc)
+	b := p.admitBatch(m.Batch, m.Inc, 0)
 	if b == nil || b.Released || p.req(m.Req) != nil {
-		// A ghost; a late duplicate of an already-delivered batch, whose
+		// Refused; a late duplicate of an already-delivered batch, whose
 		// members were forwarded (and possibly acked away) and must never
 		// re-execute; or a duplicate member (retry): the first registration
 		// wins.
 		return
 	}
-	b.Members = append(b.Members, m.Req)
 	p.reqs = append(p.reqs, msg.ProxyReq{Req: m.Req, Server: m.Server, Payload: m.Payload, Batch: m.Batch, Inc: m.Inc})
 	p.issue(&p.reqs[len(p.reqs)-1])
 }
@@ -567,12 +564,10 @@ func (p *Proxy) onBatchItem(m msg.BatchItem) {
 // completeness criterion: release waits until that many members are
 // registered and all hold results.
 func (p *Proxy) onBatchCommit(m msg.BatchCommit) {
-	if p.answerAborted(m.Batch) {
+	b := p.admitBatch(m.Batch, m.Inc, 0)
+	if b == nil {
 		return
 	}
-	// BatchCommit carries no incarnation; the open/items that precede it
-	// already settled the batch's ownership.
-	b := p.ensureBatch(m.Batch, 0)
 	if !b.Committed { // else a duplicate commit (retry): just re-check
 		b.Committed, b.Expected = true, m.Count
 		p.host.w.Stats.BatchesCommitted.Inc()
@@ -582,19 +577,28 @@ func (p *Proxy) onBatchCommit(m msg.BatchCommit) {
 
 // checkBatchRelease releases the batch once it is committed, fully
 // registered, and every member holds a result; then all members are
-// forwarded in registration order.
+// forwarded in requestList order.
 func (p *Proxy) checkBatchRelease(b *msg.ProxyBatch) {
-	if b == nil || b.Released || b.Aborted || !b.Committed || uint32(len(b.Members)) != b.Expected {
+	if b == nil || b.Released || b.Aborted || !b.Committed {
 		return
 	}
-	for _, req := range b.Members {
-		if r := p.req(req); r == nil || !r.HasResult {
-			return
+	var n uint32
+	for i := range p.reqs {
+		if p.reqs[i].Batch == b.Batch {
+			if !p.reqs[i].HasResult {
+				return
+			}
+			n++
 		}
 	}
+	if n != b.Expected {
+		return
+	}
 	b.Released = true
-	for _, req := range b.Members {
-		p.forwardResult(p.req(req), nil)
+	for i := range p.reqs {
+		if p.reqs[i].Batch == b.Batch {
+			p.forwardResult(&p.reqs[i], nil)
+		}
 	}
 }
 
@@ -602,42 +606,43 @@ func (p *Proxy) checkBatchRelease(b *msg.ProxyBatch) {
 // notifies the MH. Exactly-once for aborted members means exactly-zero:
 // the forwardResult gate guarantees none was ever delivered.
 func (p *Proxy) abortBatch(b *msg.ProxyBatch) {
-	for _, req := range b.Members {
-		p.removeReq(req)
-	}
+	p.reqs = slices.DeleteFunc(p.reqs, func(r msg.ProxyReq) bool { return r.Batch == b.Batch })
 	b.Aborted = true
 	p.host.w.Stats.BatchesAborted.Inc()
 	p.sendAbort(b)
 }
 
 // sendAbort tells the batch's origin host, through its respMss, to
-// abandon the members of an aborted batch. The memo's member list is
-// never written again, so the message may share it.
+// abandon the members it issued in an aborted batch under the batch's
+// incarnation.
 func (p *Proxy) sendAbort(b *msg.ProxyBatch) {
 	mh := b.Batch.Origin
-	p.host.sendToStation(p.locOf(mh), msg.BatchAbort{Proxy: p.id, MH: mh, Batch: b.Batch, Reqs: b.Members})
+	p.host.sendToStation(p.locOf(mh), msg.BatchAbort{Proxy: p.id, MH: mh, Batch: b.Batch, Inc: b.Inc})
 }
 
-// armBatchDeadline starts the abort timer of batch record gen: it aborts
-// that very record if it is still live, here, when the deadline passes. A
-// restored or migrated batch is a new record that arms its own fresh, full
-// deadline — conservative, but deadline precision across crashes and moves
-// is not part of the atomicity contract.
-func (p *Proxy) armBatchDeadline(gen uint32) {
+// armBatchDeadline starts the abort timer of batch record b, which names
+// it by origin, sequence and incarnation: it aborts that very record if it
+// is still live, here, when the deadline passes. A restored or migrated
+// batch is a new record that arms its own fresh, full deadline —
+// conservative, but deadline precision across crashes and moves is not
+// part of the atomicity contract.
+func (p *Proxy) armBatchDeadline(b msg.ProxyBatch) {
 	host := p.host
 	if host.w.cfg.BatchDeadline <= 0 {
 		return
 	}
-	host.after(host.w.cfg.BatchDeadline, stationTimer{kind: timerBatchDeadline, p: p, epoch: uint64(gen)})
+	host.after(host.w.cfg.BatchDeadline, stationTimer{kind: timerBatchDeadline, p: p,
+		mh: b.Batch.Origin, epoch: uint64(b.Batch.Seq)<<32 | uint64(normInc(b.Inc))})
 }
 
-// batchDeadline aborts batch record gen if it is still live, here.
-func (p *Proxy) batchDeadline(gen uint32) {
+// batchDeadline aborts the batch record a deadline names if it is still
+// live, here.
+func (p *Proxy) batchDeadline(origin ids.MH, epoch uint64) {
 	host := p.host
-	i := slices.Index(p.gens, gen)
-	if host.proxyAt(p.id.Seq) == p && i >= 0 && !p.batches[i].Released && !p.batches[i].Aborted {
+	b := p.batch(ids.BatchID{Origin: origin, Seq: uint32(epoch >> 32)})
+	if host.proxyAt(p.id.Seq) == p && b != nil && uint32(normInc(b.Inc)) == uint32(epoch) && !b.Released && !b.Aborted {
 		host.markSlot(p.id.Seq)
-		p.abortBatch(&p.batches[i])
+		p.abortBatch(b)
 	}
 }
 
@@ -701,15 +706,13 @@ func (p *Proxy) renewLease(inc ids.Incarnation) {
 // memo.
 func liveBatch(b msg.ProxyBatch) bool { return !b.Aborted }
 
-// scrubStale drops every request and live batch owned by an incarnation
-// older than inc. No abort or ack flows anywhere: the owner lost its
-// memory of all of it, and the incarnation gates keep any replayed
-// traffic from resurrecting it.
+// scrubStale drops every request and batch owned by an incarnation older
+// than inc. No abort or ack flows anywhere: the owner lost its memory of
+// all of it, and the incarnation gates keep any replayed traffic from
+// resurrecting it.
 func (p *Proxy) scrubStale(inc ids.Incarnation) {
-	for i := len(p.batches) - 1; i >= 0; i-- {
-		if b := p.batches[i]; liveBatch(b) && incLess(b.Inc, inc) {
-			p.dropBatch(i)
-		}
+	for i := range p.floors {
+		p.reborn(&p.floors[i], inc)
 	}
 	p.reqs = slices.DeleteFunc(p.reqs, func(r msg.ProxyReq) bool {
 		if !incLess(r.Inc, inc) {
@@ -723,8 +726,8 @@ func (p *Proxy) scrubStale(inc ids.Incarnation) {
 // --- The durable image -------------------------------------------------
 //
 // A proxy's durable state is one msg.MigState: identity, currentLoc, the
-// requestList, the batches and abort memos, the mark and the lease's
-// incarnation.
+// requestList, the batches, abort memos and floors, the mark and the
+// lease's incarnation.
 // The journal keeps one per hosted proxy (flushJournal writes it, a restart
 // revives it) and a migration ships one (migrateOut takes it, the adopting
 // station revives it): one copy function each way, whichever path moves
@@ -732,25 +735,19 @@ func (p *Proxy) scrubStale(inc ids.Incarnation) {
 // locations and waiters as a journal-only extension (proxyImage).
 
 // image writes the proxy's image over dst, into the arrays dst already
-// owns: a deep copy — the request list and every member list are dst's
-// alone; payloads and results are shared, as nobody writes them — that
-// allocates nothing once dst has reached the image's size. The tail a
-// shrinking request list leaves is cleared, so dst never pins a removed
-// request's payload; a batch keeps its member array, also past the image's
-// length.
+// owns: a copy — its lists are dst's alone; payloads and results are
+// shared, as nobody writes them — that allocates nothing once dst has
+// reached the image's size. The tail a shrinking request list leaves is
+// cleared, so dst never pins a removed request's payload.
 func (p *Proxy) image(dst *msg.MigState) {
-	reqs, batches := dst.Reqs, dst.Batches
+	reqs := dst.Reqs
 	*dst = msg.MigState{Proxy: p.id, MH: p.mh, CurrentLoc: p.currentLoc, LeaseInc: p.leaseInc,
 		Mark: p.mark, MarkInc: p.markInc,
 		Reqs:    append(reqs[:0], p.reqs...),
-		Batches: slices.Grow(batches[:0], len(p.batches))[:len(p.batches)]}
+		Batches: append(dst.Batches[:0], p.batches...),
+		Floors:  append(dst.Floors[:0], p.floors...)}
 	if len(dst.Reqs) < len(reqs) {
 		clear(reqs[len(dst.Reqs):])
-	}
-	for i, b := range p.batches {
-		members := dst.Batches[i].Members
-		dst.Batches[i] = b
-		dst.Batches[i].Members = append(members[:0], b.Members...)
 	}
 }
 
@@ -769,8 +766,8 @@ func (n *MSSNode) revive(id ids.ProxyID, st *msg.MigState, g *proxyGroup) *Proxy
 	p.mark, p.markInc = st.Mark, st.MarkInc
 	p.reqs = append(p.reqs, st.Reqs...)
 	p.group = g.clone()
+	p.floors = slices.Clone(st.Floors)
 	for _, b := range st.Batches {
-		b.Members = slices.Clone(b.Members)
 		p.openBatch(b)
 	}
 	n.put(id.Seq, p)

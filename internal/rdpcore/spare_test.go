@@ -224,13 +224,15 @@ func TestRequestWindowBelow(t *testing.T) {
 	}
 }
 
-// TestRequestWindowHeldByAbandonedRow: an abandoned row stays in the
-// window, and so does everything issued after it.
+// TestRequestWindowHeldByAbandonedRow: an abandoned row — a member of an
+// aborted batch — stays in the window, and so does everything issued
+// after it.
 func TestRequestWindowHeldByAbandonedRow(t *testing.T) {
 	_, h, _, deliver := windowHost(t)
-	r1 := h.IssueRequest(1, []byte("1"))
+	b := h.BeginBatch()
+	r1 := h.BatchRequest(b, 1, []byte("1"))
 	r2 := h.IssueRequest(1, []byte("2"))
-	deliver(msg.BatchAbort{MH: h.id, Batch: ids.BatchID{Origin: h.id, Seq: 9}, Reqs: []ids.RequestID{r1}})
+	deliver(msg.BatchAbort{MH: h.id, Batch: b, Inc: h.inc})
 	deliver(msg.ResultDeliver{Req: r1, Inc: h.inc}) // a late result: seen, and still abandoned
 	deliver(msg.ResultDeliver{Req: r2, Inc: h.inc})
 	h.IssueRequest(1, []byte("3"))

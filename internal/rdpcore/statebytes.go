@@ -12,7 +12,8 @@ package rdpcore
 // responsible hosts), the incarnation table, and every hosted proxy with
 // its requestList — a private proxy's entries at a fixed cost each, a
 // group proxy's member set and location exceptions and its shared
-// entries' member lists besides.
+// entries' member lists besides — and each proxy's batch records and
+// floors (E17).
 
 const (
 	// Faithful pref table: one map entry per registered MH, its Pref
@@ -38,6 +39,9 @@ const (
 	bytesWaiter     = 16
 	bytesMemberLoc  = 16
 	bytesAckIdx     = 16
+	// A batch record or abort memo, and an origin host's batch floor.
+	bytesBatch = 20
+	bytesFloor = 12
 )
 
 // stateBytes is the pref table's footprint under the model.
@@ -54,7 +58,7 @@ func (t *prefTable) stateBytes() int {
 
 // StateBytes returns the station's modeled location/subscription state
 // footprint: pref table, incarnation table, and every hosted proxy with
-// its stored requests and results.
+// its stored requests and results, batch records and floors.
 func (n *MSSNode) StateBytes() int {
 	total := n.prefs.stateBytes()
 	for _, h := range n.hosts {
@@ -75,6 +79,7 @@ func (n *MSSNode) StateBytes() int {
 		} else {
 			total += bytesGroupProxy + g.members.MemBytes() + len(g.memberLoc)*bytesMemberLoc
 		}
+		total += len(p.batches)*bytesBatch + len(p.floors)*bytesFloor
 		for _, r := range p.reqs {
 			total += len(r.Payload) + len(r.Result)
 			if ws := p.group.waitersOf(r.Req); ws != nil {

@@ -43,10 +43,15 @@ type reqOracle struct {
 	nextSeq                                                 uint32
 	issued, seen, outstanding, admitted, abandoned, pending map[ids.RequestID]bool
 	latencies, duplicates, violations, busyRetries          int64
+	// batch is the host's open batch and members its requests; ghost is
+	// a batch of a dead incarnation, ghostInc that incarnation.
+	batch, ghost ids.BatchID
+	ghostInc     ids.Incarnation
+	members      []ids.RequestID
 }
 
 func (o *reqOracle) wipe() {
-	o.nextSeq = 0
+	o.nextSeq, o.batch, o.members = 0, ids.BatchID{}, nil
 	o.issued, o.seen, o.outstanding = map[ids.RequestID]bool{}, map[ids.RequestID]bool{}, map[ids.RequestID]bool{}
 	o.admitted, o.abandoned, o.pending = map[ids.RequestID]bool{}, map[ids.RequestID]bool{}, map[ids.RequestID]bool{}
 }
@@ -152,30 +157,44 @@ func requestTableHistory(t *testing.T, seed int64) {
 			}
 			deliver(msg.Busy{Req: req})
 			w.Run()
-		case 9: // abandon, through a batch abort naming arbitrary requests
-			reqs := []ids.RequestID{pick(), pick()}
-			touched = append(touched, reqs...)
-			if o.crashed {
-				break
-			}
-			deliver(msg.BatchAbort{MH: me, Batch: ids.BatchID{Origin: me, Seq: 99}, Reqs: reqs})
-			for i, req := range reqs {
-				switch {
-				case i == 1 && req == reqs[0]:
-				case o.seen[req]:
-					o.violations++
-				case o.abandoned[req]:
-				default:
-					o.abandoned[req] = true
-					delete(o.outstanding, req)
-					delete(o.pending, req)
+		case 9: // a batch of two: open it, or abandon it through an abort naming it
+			switch {
+			case o.crashed:
+			case o.ghost.Valid() && rnd.Intn(3) == 0:
+				// A dead incarnation's abort, maybe naming a batch this
+				// one reuses the identifier of: nothing is abandoned.
+				deliver(msg.BatchAbort{MH: me, Batch: o.ghost, Inc: o.ghostInc})
+			case !o.batch.Valid():
+				o.batch = h.BeginBatch()
+				for range 2 {
+					req := h.BatchRequest(o.batch, 1, []byte("b"))
+					o.nextSeq++
+					o.issued[req], o.outstanding[req] = true, true
+					o.members = append(o.members, req)
+					touched = append(touched, req)
 				}
+			default:
+				deliver(msg.BatchAbort{MH: me, Batch: o.batch, Inc: h.inc})
+				for _, req := range o.members {
+					switch {
+					case o.seen[req]:
+						o.violations++
+					case o.abandoned[req]:
+					default:
+						o.abandoned[req] = true
+						delete(o.outstanding, req)
+					}
+				}
+				o.batch, o.members = ids.BatchID{}, nil
 			}
 		case 10: // crash, or reboot under the next incarnation
 			if o.crashed {
 				w.RestartMH(me)
 				o.crashed = false
 			} else {
+				if o.batch.Valid() {
+					o.ghost, o.ghostInc = o.batch, h.inc
+				}
 				w.CrashMH(me)
 				o.crashed = true
 				o.wipe()
@@ -841,7 +860,7 @@ func journalScript() (*World, *MSSNode) {
 	do(msg.BatchItem{MH: 1, Batch: open, Req: req(1, 3), Server: 1, Payload: []byte("c"), Inc: 1})
 	do(msg.BatchOpen{MH: 1, Batch: released, Inc: 1})
 	do(msg.BatchItem{MH: 1, Batch: released, Req: req(1, 4), Server: 1, Payload: []byte("d"), Inc: 1})
-	do(msg.BatchCommit{MH: 1, Batch: released, Count: 1})
+	do(msg.BatchCommit{MH: 1, Batch: released, Count: 1, Inc: 1})
 	do(msg.ServerResult{Proxy: p.id, Req: req(1, 4), Payload: []byte("result-d")})
 	do(msg.BatchOpen{MH: 1, Batch: aborted, Inc: 1})
 	do(msg.BatchItem{MH: 1, Batch: aborted, Req: req(1, 5), Server: 1, Payload: []byte("e"), Inc: 1})
@@ -984,7 +1003,7 @@ func liveRecord(n *MSSNode) *stationRecord {
 		switch a := a.(type) {
 		case *Proxy:
 			rec.proxies[seq] = &proxyImage{MigState: msg.MigState{Proxy: a.id, MH: a.mh, CurrentLoc: a.currentLoc,
-				Mark: a.mark, MarkInc: a.markInc, LeaseInc: a.leaseInc, Reqs: a.reqs, Batches: a.batches}, group: a.group}
+				Mark: a.mark, MarkInc: a.markInc, LeaseInc: a.leaseInc, Reqs: a.reqs, Batches: a.batches, Floors: a.floors}, group: a.group}
 		case *tombstone:
 			rec.tombstones[seq] = a.clone()
 		}
@@ -1039,18 +1058,14 @@ func sameImage(x, y *msg.MigState) bool {
 			return p.Req == q.Req && p.Server == q.Server && bytes.Equal(p.Payload, q.Payload) &&
 				bytes.Equal(p.Result, q.Result) && p.HasResult == q.HasResult && p.Forwarded == q.Forwarded &&
 				p.Batch == q.Batch && p.Inc == q.Inc
-		}) &&
-		slices.EqualFunc(x.Batches, y.Batches, func(p, q msg.ProxyBatch) bool {
-			return p.Batch == q.Batch && slices.Equal(p.Members, q.Members) && p.Expected == q.Expected &&
-				p.Committed == q.Committed && p.Released == q.Released && p.Aborted == q.Aborted && p.Inc == q.Inc
-		})
+		}) && slices.Equal(x.Batches, y.Batches) && slices.Equal(x.Floors, y.Floors)
 }
 
 // imageString prints a proxy image field by field (MigState's String is the
 // trace form), and a group proxy's extension of it.
 func imageString(st *msg.MigState, g *proxyGroup) string {
-	return fmt.Sprintf("%v->%v %v at %v mark %v/%v lease %v reqs %+v batches %+v %s",
-		st.Proxy, st.NewProxy, st.MH, st.CurrentLoc, st.Mark, st.MarkInc, st.LeaseInc, st.Reqs, st.Batches, groupString(g))
+	return fmt.Sprintf("%v->%v %v at %v mark %v/%v lease %v reqs %+v batches %+v floors %+v %s",
+		st.Proxy, st.NewProxy, st.MH, st.CurrentLoc, st.Mark, st.MarkInc, st.LeaseInc, st.Reqs, st.Batches, st.Floors, groupString(g))
 }
 
 // dumpRecord prints a journal for a failure message.
@@ -1222,7 +1237,7 @@ func TestCrashAtEveryBoundary(t *testing.T) {
 func TestTransferAtEveryBoundary(t *testing.T) {
 	const horizon = 4 * time.Second
 	twin := NewWorldWith(sim.NewKernel(1), DefaultConfig(), &silentWired{}, &silentRadio{}).MSSs[1]
-	var images, memos int
+	var images, memos, floored int
 	for seed := int64(1); seed <= 20; seed++ {
 		w := journalChaos(seed, horizon)
 		k := w.kernel()
@@ -1251,8 +1266,11 @@ func TestTransferAtEveryBoundary(t *testing.T) {
 							seed, k.Steps(), k.Now(), p.id, imageString(&sent, nil), imageString(&back, nil))
 					}
 					images++
+					if len(sent.Floors) > 0 {
+						floored++
+					}
 					for _, b := range sent.Batches {
-						if b.Aborted && len(b.Members) > 0 {
+						if b.Aborted {
 							memos++
 						}
 					}
@@ -1260,18 +1278,21 @@ func TestTransferAtEveryBoundary(t *testing.T) {
 			}
 		}
 	}
-	if images == 0 || memos == 0 {
-		t.Errorf("thin script: %d images, %d with an abort memo", images, memos)
+	if images == 0 || memos == 0 || floored == 0 {
+		t.Errorf("thin script: %d images, %d abort memos, %d with floors", images, memos, floored)
 	}
 }
 
-// journalAliasWorld is journalWorld with a batch and an abort memo on the
-// proxy, journaled: every slice an image owns is in use.
+// journalAliasWorld is journalWorld with a batch of two members, an abort
+// memo and a floor on the proxy, journaled: every slice an image owns is
+// in use.
 func journalAliasWorld(t *testing.T) (n *MSSNode, seq uint32, p *Proxy, stored *stationRecord) {
 	n, seq = journalWorld(t)
 	p = n.proxyAt(seq)
-	p.openBatch(msg.ProxyBatch{Batch: ids.BatchID{Origin: 1, Seq: 1}, Members: []ids.RequestID{p.reqs[0].Req, p.reqs[1].Req}, Inc: 1})
-	p.openBatch(msg.ProxyBatch{Batch: ids.BatchID{Origin: 1, Seq: 9}, Members: []ids.RequestID{{Origin: 1, Seq: 77}}, Aborted: true})
+	p.floors = []msg.BatchFloor{{MH: 1, Seq: 1, Inc: 1}}
+	p.openBatch(msg.ProxyBatch{Batch: ids.BatchID{Origin: 1, Seq: 1}, Inc: 1})
+	p.openBatch(msg.ProxyBatch{Batch: ids.BatchID{Origin: 1, Seq: 9}, Aborted: true})
+	p.reqs[0].Batch, p.reqs[1].Batch = p.batches[0].Batch, p.batches[0].Batch
 	n.markSlot(seq)
 	n.flushJournal()
 	return n, seq, p, n.w.store.station(n.id)
@@ -1295,11 +1316,10 @@ func TestJournalImageOutOfLiveReach(t *testing.T) {
 		all[0], all[1] = all[1], all[0]
 		p.reqs = all[:2+round%2] // the image shrinks, then grows back
 		b, memo := &p.batches[0], &p.batches[1]
-		b.Members[0].Seq += 10
-		b.Members = append(b.Members, ids.RequestID{Origin: 1, Seq: uint32(50 + round)})
 		b.Committed = !b.Committed
 		memo.Batch.Seq++
-		memo.Members[0].Seq++
+		p.floors[0].Seq++
+		p.floors = append(p.floors, msg.BatchFloor{MH: ids.MH(50 + round), Inc: 1})
 		if after := dumpRecord(stored); after != before {
 			t.Fatalf("round %d: live writes reached the stored image:\n--- before\n%s--- after\n%s", round, before, after)
 		}
@@ -1324,8 +1344,8 @@ func TestRestoredStateOutOfJournalReach(t *testing.T) {
 	restored := dumpRecord(liveRecord(n))
 	pr := stored.proxies[seq]
 	pr.Reqs[0].Req.Seq, pr.Reqs[1].HasResult = 99, true
-	pr.Batches[0].Members[0].Seq, pr.Batches[0].Released = 98, true
-	pr.Batches[1].Batch.Seq, pr.Batches[1].Members[0].Seq = 97, 96
+	pr.Batches[0].Expected, pr.Batches[0].Released = 98, true
+	pr.Batches[1].Batch.Seq, pr.Floors[0].Seq = 97, 96
 	if now := dumpRecord(liveRecord(n)); now != restored {
 		t.Fatalf("writes to the stored images reached the restored state:\n--- restored\n%s--- now\n%s", restored, now)
 	}
@@ -1412,7 +1432,7 @@ func doorMessages(id ids.ProxyID, mh ids.MH) []msg.ProxyAddressed {
 		msg.LeaseHeartbeat{Proxy: id, MH: mh, Inc: 2},
 		msg.BatchOpen{Proxy: id, MH: mh, Batch: ids.BatchID{Origin: mh, Seq: 2}, Inc: 1},
 		msg.BatchItem{Proxy: id, MH: mh, Batch: b1, Req: req(8), Server: 1, Payload: []byte("c"), Inc: 1},
-		msg.BatchCommit{Proxy: id, MH: mh, Batch: b1, Count: 5},
+		msg.BatchCommit{Proxy: id, MH: mh, Batch: b1, Count: 5, Inc: 1},
 		msg.GroupUpdateLoc{Proxy: id, NewLoc: 3, Members: one.AppendDelta(nil)},
 		msg.GroupAckForward{Proxy: id, Members: one.AppendDelta(nil), Seqs: []uint32{1}},
 	}
@@ -1476,7 +1496,8 @@ func TestOneDoor(t *testing.T) {
 					Reqs: []msg.ProxyReq{
 						{Req: ids.RequestID{Origin: 1, Seq: 1}, Server: 1, Payload: []byte("a"), Inc: 1},
 						{Req: ids.RequestID{Origin: 1, Seq: 2}, Server: 1, Payload: []byte("b"), Inc: 1}},
-					Batches: []msg.ProxyBatch{{Batch: ids.BatchID{Origin: 1, Seq: 1}, Inc: 1}}}
+					Batches: []msg.ProxyBatch{{Batch: ids.BatchID{Origin: 1, Seq: 1}, Inc: 1}},
+					Floors:  []msg.BatchFloor{{MH: 1, Inc: 1}}}
 				w2, n2, _, _, _ := doorWorld(t, slot)
 				n.process(ids.MSS(2).Node(), st)
 				n2.process(ids.MSS(2).Node(), st)
@@ -1509,7 +1530,7 @@ func TestBatchOfGroupMemberTakenOnTheSpot(t *testing.T) {
 	for _, m := range []msg.Message{
 		msg.BatchOpen{MH: mh, Batch: b, Inc: 1},
 		msg.BatchItem{MH: mh, Batch: b, Req: member, Server: 1, Payload: []byte("q"), Inc: 1},
-		msg.BatchCommit{MH: mh, Batch: b, Count: 1},
+		msg.BatchCommit{MH: mh, Batch: b, Count: 1, Inc: 1},
 	} {
 		n.process(mh.Node(), m)
 	}
