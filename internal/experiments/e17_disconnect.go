@@ -30,10 +30,7 @@ type E17Row struct {
 	Replayed int64
 	// Batch outcomes: every batch must end Delivered (all members) or
 	// Aborted (no members); Partial counts violations of that atomicity.
-	Batches        int64
-	BatchDelivered int64
-	BatchAborted   int64
-	BatchPartial   int64
+	batchOutcomes
 	// Migrations counts completed proxy migrations on migration rows.
 	Migrations int64
 	// Cache effectiveness on the repeated-query workload.
@@ -126,10 +123,48 @@ func e17Life(w *rdpcore.World, horizon time.Duration, pool [][]byte) func(*sim.R
 	}
 }
 
-// e17Batch tracks one issued batch for post-run judgment.
+// e17Batch tracks one issued batch for post-run judgment: its host and
+// the member ids BatchRequest returned.
 type e17Batch struct {
-	mh ids.MH
-	id ids.BatchID
+	mh      ids.MH
+	members []ids.RequestID
+}
+
+// batchOutcomes counts how a run's atomic batches ended.
+type batchOutcomes struct {
+	Batches        int64
+	BatchDelivered int64
+	BatchAborted   int64
+	BatchPartial   int64
+}
+
+// judge counts one batch's outcome, read at its host h from its member
+// ids, and returns how many members were delivered and how many lost. A
+// member is abandoned only by its batch's abort (members arm no
+// deadline), so a batch with an abandoned member was aborted: cleanly if
+// no member was delivered. A batch neither aborted nor wholly delivered
+// loses every member not delivered.
+func (o *batchOutcomes) judge(h *rdpcore.MHNode, members []ids.RequestID) (delivered, lost int64) {
+	aborted := false
+	for _, r := range members {
+		if h.Seen(r) {
+			delivered++
+		}
+		aborted = aborted || h.Abandoned(r)
+	}
+	o.Batches++
+	switch n := int64(len(members)); {
+	case aborted && delivered == 0:
+		o.BatchAborted++
+	case !aborted && delivered == n:
+		o.BatchDelivered++
+	default:
+		if delivered > 0 {
+			o.BatchPartial++
+		}
+		lost = n - delivered // all of them if the batch never resolved either way
+	}
+	return delivered, lost
 }
 
 // E17Disconnected sweeps disconnection window length × MSS crashes ×
@@ -198,11 +233,9 @@ func e17Run(seed int64, sc Scale, dur time.Duration, crashes int, migration bool
 		pA, pB := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
 		w.Schedule(horizon/5, func() {
 			b := mh.BeginBatch()
-			mh.BatchRequest(b, srvA, pA)
-			mh.BatchRequest(b, srvB, pB)
-			mh.BatchRequest(b, srvA, pB)
+			members := []ids.RequestID{mh.BatchRequest(b, srvA, pA), mh.BatchRequest(b, srvB, pB), mh.BatchRequest(b, srvA, pB)}
 			mh.CommitBatch(b)
-			batches = append(batches, e17Batch{mh: mhID, id: b})
+			batches = append(batches, e17Batch{mh: mhID, members: members})
 		})
 
 		// Disconnected MHs additionally strand a batch across the
@@ -213,9 +246,8 @@ func e17Run(seed int64, sc Scale, dur time.Duration, crashes int, migration bool
 			var stranded ids.BatchID
 			w.Schedule(disconnectAt-100*time.Millisecond, func() {
 				stranded = mh.BeginBatch()
-				mh.BatchRequest(stranded, srvA, pA)
-				mh.BatchRequest(stranded, srvB, pB)
-				batches = append(batches, e17Batch{mh: mhID, id: stranded})
+				members := []ids.RequestID{mh.BatchRequest(stranded, srvA, pA), mh.BatchRequest(stranded, srvB, pB)}
+				batches = append(batches, e17Batch{mh: mhID, members: members})
 			})
 			w.Schedule(disconnectAt+dur+time.Second, func() {
 				mh.CommitBatch(stranded)
@@ -238,21 +270,10 @@ func e17Run(seed int64, sc Scale, dur time.Duration, crashes int, migration bool
 	d := tally(rdpWorld{w}, pl.Ledger)
 	row.Issued, row.Delivered, row.Lost = d.issued, d.delivered, d.issued-d.delivered
 	for _, b := range batches {
-		delivered, members, aborted := w.MHs[b.mh].BatchStatus(b.id)
-		row.Batches++
-		row.Issued += int64(members)
-		row.Delivered += int64(delivered)
-		switch {
-		case aborted && delivered == 0:
-			row.BatchAborted++ // clean abort: members abandoned, none delivered
-		case !aborted && delivered == members:
-			row.BatchDelivered++
-		case delivered == 0:
-			row.Lost += int64(members) // never resolved either way
-		default:
-			row.BatchPartial++
-			row.Lost += int64(members - delivered)
-		}
+		delivered, lost := row.judge(w.MHs[b.mh], b.members)
+		row.Issued += int64(len(b.members))
+		row.Delivered += delivered
+		row.Lost += lost
 	}
 	if lookups := row.CacheHits + row.CacheMisses + row.CacheStale; lookups > 0 {
 		row.HitRatio = float64(row.CacheHits) / float64(lookups)

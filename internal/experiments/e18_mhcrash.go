@@ -54,10 +54,7 @@ type E18Row struct {
 	Migrations int64
 	// Batch outcomes over survivor-scope batches (opened by the final
 	// incarnation): all-or-nothing still holds under host crashes.
-	Batches        int64
-	BatchDelivered int64
-	BatchAborted   int64
-	BatchPartial   int64
+	batchOutcomes
 	// Leaked is the leftover dead-incarnation proxy state found by the
 	// quiescence sweep (empty string means clean).
 	Leaked string
@@ -191,9 +188,9 @@ func e18Run(seed int64, sc Scale, dur time.Duration, mssCrashes int, migration b
 		inc ids.Incarnation
 	}
 	type pendingBatch struct {
-		mh  ids.MH
-		id  ids.BatchID
-		inc ids.Incarnation
+		mh      ids.MH
+		members []ids.RequestID
+		inc     ids.Incarnation
 	}
 	var plain []pendingReq
 	var batches []pendingBatch
@@ -262,11 +259,10 @@ func e18Run(seed int64, sc Scale, dur time.Duration, mssCrashes int, migration b
 					return // host crashed at this instant
 				}
 				inc := w.IncarnationOf(mhID)
-				r1 := mh.BatchRequest(b, srvA, pA)
-				r2 := mh.BatchRequest(b, srvB, pB)
+				members := []ids.RequestID{mh.BatchRequest(b, srvA, pA), mh.BatchRequest(b, srvB, pB)}
 				mh.CommitBatch(b)
-				batches = append(batches, pendingBatch{mh: mhID, id: b, inc: inc})
-				for _, r := range []ids.RequestID{r1, r2} {
+				batches = append(batches, pendingBatch{mh: mhID, members: members, inc: inc})
+				for _, r := range members {
 					issueInc[pendingReq{mh: mhID, req: r, inc: inc}] = true
 				}
 			})
@@ -305,21 +301,10 @@ func e18Run(seed int64, sc Scale, dur time.Duration, mssCrashes int, migration b
 		if w.IsCrashed(b.mh) || b.inc != w.IncarnationOf(b.mh) {
 			continue // the batch died with its incarnation
 		}
-		delivered, members, aborted := w.MHs[b.mh].BatchStatus(b.id)
-		row.Batches++
-		row.Issued += int64(members)
-		row.Delivered += int64(delivered)
-		switch {
-		case aborted && delivered == 0:
-			row.BatchAborted++
-		case !aborted && delivered == members:
-			row.BatchDelivered++
-		case delivered == 0:
-			row.Lost += int64(members)
-		default:
-			row.BatchPartial++
-			row.Lost += int64(members - delivered)
-		}
+		delivered, lost := row.judge(w.MHs[b.mh], b.members)
+		row.Issued += int64(len(b.members))
+		row.Delivered += delivered
+		row.Lost += lost
 	}
 	if err := w.CheckQuiescent(); err != nil {
 		row.Leaked = err.Error()

@@ -29,11 +29,11 @@ func TestGroupProxyForgetsResolvedBatches(t *testing.T) {
 			})
 			mh := w.AddMH(1, 1)
 			w.Kernel.Defer(0, func() { mh.IssueRequest(1, []byte("sub")) })
-			var b ids.BatchID
+			var member ids.RequestID
 			for i := 0; i < n; i++ {
 				w.Kernel.Defer(time.Duration(200*(i+1))*time.Millisecond, func() {
-					b = mh.BeginBatch()
-					mh.BatchRequest(b, 1, []byte("b"))
+					b := mh.BeginBatch()
+					member = mh.BatchRequest(b, 1, []byte("b"))
 					mh.CommitBatch(b)
 				})
 			}
@@ -44,8 +44,8 @@ func TestGroupProxyForgetsResolvedBatches(t *testing.T) {
 			if p == nil || isSharedProxy(pref.Proxy) != group {
 				t.Fatalf("group %v, n %d: pref %v names no proxy of the kind here", group, n, pref)
 			}
-			if delivered, _, _ := mh.BatchStatus(b); delivered != 1 || w.Stats.BatchesOpened.Value() != int64(n) {
-				t.Fatalf("group %v, n %d: last batch delivered %d, %d opened", group, n, delivered, w.Stats.BatchesOpened.Value())
+			if !mh.Seen(member) || w.Stats.BatchesOpened.Value() != int64(n) {
+				t.Fatalf("group %v, n %d: last batch delivered %v, %d opened", group, n, mh.Seen(member), w.Stats.BatchesOpened.Value())
 			}
 			if len(p.batches) > 1 || len(p.floors) != 1 {
 				t.Errorf("group %v, n %d: %d batch records, %d floors; want at most 1 and 1", group, n, len(p.batches), len(p.floors))
@@ -62,6 +62,60 @@ func TestGroupProxyForgetsResolvedBatches(t *testing.T) {
 		if state[5] != state[50] {
 			t.Errorf("group %v: StateBytes %d after 5 batches, %d after 50", group, state[5], state[50])
 		}
+	}
+}
+
+// TestHostForgetsResolvedBatches: a host keeps its batches from its floor
+// up, not every batch it ever opened. It opens n one-member batches in
+// sequence, every fifth one aborted by its deadline and the rest
+// delivered; whatever n, at most one batch is left in its window, and the
+// next BatchOpen carries floor n+1.
+func TestHostForgetsResolvedBatches(t *testing.T) {
+	rows := map[int]int{}
+	for _, n := range []int{5, 50} {
+		cfg := DefaultConfig()
+		cfg.NumMSS, cfg.BatchDeadline, cfg.RequestTimeout = 2, 100*time.Millisecond, 300*time.Millisecond
+		cfg.WiredLatency = netsim.Constant(5 * time.Millisecond)
+		cfg.WirelessLatency = netsim.Constant(10 * time.Millisecond)
+		delays := make([]time.Duration, n)
+		for i := 1; i < n; i += 5 {
+			delays[i] = time.Hour // batches 2, 7, 12, … are aborted
+		}
+		cfg.ServerProc = &scriptedProc{delays: delays}
+		var floor uint32
+		cfg.Observer = func(_ sim.Time, _ netsim.Layer, kind netsim.EventKind, _, to ids.NodeID, m msg.Message) {
+			if o, ok := m.(msg.BatchOpen); ok && kind == netsim.EventDelivered && to.Kind == ids.KindMSS {
+				floor = o.Floor
+			}
+		}
+		w := NewWorld(cfg)
+		h := w.AddMH(1, 1)
+		members := make([]ids.RequestID, n)
+		for i := 0; i < n; i++ {
+			w.Kernel.Defer(time.Duration(500*i)*time.Millisecond, func() {
+				b := h.BeginBatch()
+				members[i] = h.BatchRequest(b, 1, []byte("b"))
+				h.CommitBatch(b)
+			})
+		}
+		w.RunUntil(time.Duration(500*n) * time.Millisecond)
+		for i, m := range members {
+			if aborted := i%5 == 1; h.Abandoned(m) != aborted || h.Seen(m) == aborted {
+				t.Fatalf("n %d: batch %d's member %v abandoned %v, seen %v", n, i+1, m, h.Abandoned(m), h.Seen(m))
+			}
+		}
+		if got := len(h.batchWin.rows); got > 1 {
+			t.Errorf("n %d: the host keeps %d batches, want at most 1", n, got)
+		}
+		rows[n] = len(h.batchWin.rows)
+		h.BeginBatch()
+		w.RunUntil(time.Duration(500*n+100) * time.Millisecond)
+		if floor != uint32(n+1) {
+			t.Errorf("n %d: the next BatchOpen carries floor %d, want %d", n, floor, n+1)
+		}
+	}
+	if rows[5] != rows[50] {
+		t.Errorf("the host keeps %d batches after 5, %d after 50", rows[5], rows[50])
 	}
 }
 
@@ -156,10 +210,11 @@ func TestBatchReplayBelowFloorRefused(t *testing.T) {
 	h := w.AddMH(1, 1)
 	w.Kernel.Defer(0, func() { h.IssueRequest(1, []byte("slow")) })
 	var bs []ids.BatchID
+	var members []ids.RequestID
 	for i := 0; i < 3; i++ {
 		w.Kernel.Defer(time.Duration(300*i)*time.Millisecond, func() {
 			b := h.BeginBatch()
-			h.BatchRequest(b, 1, []byte("q"))
+			members = append(members, h.BatchRequest(b, 1, []byte("q")))
 			if i == 1 {
 				h.CommitBatch(b)
 			}
@@ -169,15 +224,14 @@ func TestBatchReplayBelowFloorRefused(t *testing.T) {
 	w.RunUntil(800 * time.Millisecond)
 	pref, _ := w.MSSs[1].PrefOf(1)
 	p := w.MSSs[1].ProxyByID(pref.Proxy)
-	if d, _, _ := h.BatchStatus(bs[1]); p == nil || d != 1 || aborts[bs[0]] != 1 || served != 4 ||
+	if d := h.Seen(members[1]); p == nil || !d || aborts[bs[0]] != 1 || served != 4 ||
 		p.batch(bs[0]) != nil || p.batch(bs[1]) != nil {
-		t.Fatalf("set-up: proxy %v, batch 2 delivered %d, %d aborts of batch 1, %d served", pref.Proxy, d, aborts[bs[0]], served)
+		t.Fatalf("set-up: proxy %v, batch 2 delivered %v, %d aborts of batch 1, %d served", pref.Proxy, d, aborts[bs[0]], served)
 	}
 	opened := w.Stats.BatchesOpened.Value()
-	for _, b := range bs[:2] {
-		hb := h.batches[b]
-		h.uplink(hb.open)
-		h.uplink(hb.items[0])
+	for i, b := range bs[:2] {
+		h.uplink(msg.BatchOpen{MH: 1, Batch: b, Inc: h.inc, Floor: b.Seq})
+		h.uplink(msg.BatchItem{MH: 1, Batch: b, Req: members[i], Server: 1, Payload: []byte("q"), Inc: h.inc})
 		h.uplink(msg.BatchCommit{MH: 1, Batch: b, Count: 1, Inc: h.inc})
 	}
 	w.RunUntil(time.Second)

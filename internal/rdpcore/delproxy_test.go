@@ -120,7 +120,7 @@ func TestAbortedMemberDoesNotPinProxy(t *testing.T) {
 	b := mh.BeginBatch()
 	member := mh.BatchRequest(b, 1, []byte("member"))
 	w.RunUntil(2 * time.Second)
-	if _, _, aborted := mh.BatchStatus(b); !aborted || member.Seq <= req.Seq {
+	if aborted := mh.Abandoned(member); !aborted || member.Seq <= req.Seq {
 		t.Fatalf("set-up: batch aborted %v, member %v, request %v", aborted, member, req)
 	}
 	if !mh.Seen(req) {

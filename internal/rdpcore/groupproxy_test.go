@@ -231,13 +231,12 @@ func TestSharedGroupCrashRestore(t *testing.T) {
 func TestBatchOfSubscribedHostDelivers(t *testing.T) {
 	w, _ := aggWorld(t, 20*time.Millisecond)
 	mh := w.AddMH(1, ids.MSS(1))
-	var sub ids.RequestID
-	var b ids.BatchID
+	var sub, m1, m2 ids.RequestID
 	w.Kernel.Defer(0, func() { sub = mh.IssueRequest(1, []byte("sub")) })
 	w.Kernel.Defer(200*time.Millisecond, func() {
-		b = mh.BeginBatch()
-		mh.BatchRequest(b, 1, []byte("b1"))
-		mh.BatchRequest(b, 1, []byte("b2"))
+		b := mh.BeginBatch()
+		m1 = mh.BatchRequest(b, 1, []byte("b1"))
+		m2 = mh.BatchRequest(b, 1, []byte("b2"))
 		mh.CommitBatch(b)
 	})
 	w.RunUntil(2 * time.Second)
@@ -245,8 +244,9 @@ func TestBatchOfSubscribedHostDelivers(t *testing.T) {
 	if pref, _ := w.MSSs[1].PrefOf(1); !isSharedProxy(pref.Proxy) || !mh.Seen(sub) {
 		t.Fatalf("fixture: pref %v, subscription seen %v; want the host subscribed", pref, mh.Seen(sub))
 	}
-	if delivered, members, aborted := mh.BatchStatus(b); delivered != 2 || members != 2 || aborted {
-		t.Errorf("batch delivered %d of %d, aborted %v; want 2 of 2", delivered, members, aborted)
+	if !mh.Seen(m1) || !mh.Seen(m2) || mh.Abandoned(m1) || mh.Abandoned(m2) {
+		t.Errorf("batch members %v, %v: seen %v/%v, abandoned %v/%v; want both delivered",
+			m1, m2, mh.Seen(m1), mh.Seen(m2), mh.Abandoned(m1), mh.Abandoned(m2))
 	}
 	if got := w.Stats.OrphanMessages.Value(); got != 0 {
 		t.Errorf("OrphanMessages = %d, want 0", got)

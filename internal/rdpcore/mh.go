@@ -2,22 +2,12 @@ package rdpcore
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/sim"
 )
-
-// sortRequestIDs orders identifiers for deterministic timer arming and
-// replay. Fewer than two ids are in order already, and sort.Slice would
-// box the slice to find that out.
-func sortRequestIDs(s []ids.RequestID) {
-	if len(s) > 1 {
-		sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
-	}
-}
 
 // MHNode is a mobile host (§2): a disconnected computer with a
 // system-wide unique identification that is either active or inactive,
@@ -62,13 +52,15 @@ type MHNode struct {
 
 	// reqs is the request table's window: "Seq is unique per MH"
 	// (assumption 5), so row i is the host's own sequence number
-	// base+i+1. Each issue drops the leading rows whose result was seen
-	// and that hold nothing pending (reqKeep), moving base on, so the
-	// window spans the requests still in play; an own identifier at or
-	// below base reads as issued and seen (past). inline is the
-	// window's array until more than two rows are in play at once.
-	// stray holds the rows of identifiers this host never issued (a
-	// foreign origin, or a sequence beyond the window), made on first use.
+	// base+i+1. Each issue drops the leading rows that hold nothing
+	// pending (reqPending), whether their result was seen or they were
+	// abandoned, moving base on, so the window spans the requests still
+	// in play; an abandoned row moves into stray, and any other own
+	// identifier at or below base reads as issued and seen (past). inline
+	// is the window's array until more than two rows are in play at once.
+	// stray holds the rows outside the window, made on first use: those
+	// of identifiers this host never issued (a foreign origin, or a
+	// sequence beyond the window) and the abandoned rows it has passed.
 	// nOutstanding counts the rows still awaiting their result; whether
 	// it is zero is piggybacked on every Ack (msg.AckMH.HaveOutstanding).
 	reqs         []mhReq
@@ -109,25 +101,29 @@ type MHNode struct {
 	// attach from the request table's reqRetry and reqDeadline flags.
 	timerGen uint64
 
-	// --- Atomic request batches (E17) ---
-
-	// resolved is the host's cursor over its batches: every batch up to
-	// it is resolved, and resolved+1 is the floor a BatchOpen carries.
-	nextBatchSeq, resolved uint32
-	// batches holds this host's batch bookkeeping, made on first write.
-	batches map[ids.BatchID]*mhBatch
+	// batchWin holds the host's atomic batches (E17) from its floor up,
+	// made on its first batch.
+	batchWin *batchWindow
 
 	// onResult, when set, observes every result delivery (first or
 	// duplicate) for application callbacks and tests.
 	onResult func(req ids.RequestID, payload []byte, duplicate bool)
 }
 
-// mhBatch is the client side of one atomic batch: the control messages
-// it re-sends until the batch resolves, and the member set it uses to
-// detect resolution (all delivered, or aborted).
+// batchWindow is a host's batch table, kept as its request table is: row
+// i is the host's batch resolved+i+1. Every batch up to resolved is
+// resolved and forgotten, and resolved+1 is the floor a BatchOpen
+// carries, below which the proxy forgets the host's batches too; floor
+// moves it past each leading resolved row.
+type batchWindow struct {
+	resolved uint32
+	rows     []mhBatch
+}
+
+// mhBatch is the client side of one atomic batch: the items it re-sends
+// until the batch resolves, which also tell resolution (all delivered, or
+// aborted).
 type mhBatch struct {
-	id        ids.BatchID
-	open      msg.BatchOpen
 	items     []msg.BatchItem
 	committed bool
 	aborted   bool
@@ -168,9 +164,9 @@ const (
 	// be re-armed on attach.
 	reqRetry
 
-	// reqKeep holds a seen row in the window: something is still pending
-	// on it, or it was abandoned.
-	reqKeep = reqOutstanding | reqAbandoned | reqDeadline | reqBusyRetry | reqRetry
+	// reqPending: something is still pending on the row, so it holds the
+	// window; a stray row never carries any of these.
+	reqPending = reqOutstanding | reqDeadline | reqBusyRetry | reqRetry
 )
 
 // newMHNode constructs a mobile host bound to a world.
@@ -181,7 +177,7 @@ func newMHNode(id ids.MH, w *World) *MHNode {
 }
 
 // find returns req's row, or nil when the host holds no state for it or
-// req is below the window.
+// req is below the window and was not abandoned.
 func (h *MHNode) find(req ids.RequestID) *mhReq {
 	if i := req.Seq - 1 - h.base; req.Origin == h.id && req.Seq > h.base && i < uint32(len(h.reqs)) {
 		return &h.reqs[i]
@@ -190,38 +186,40 @@ func (h *MHNode) find(req ids.RequestID) *mhReq {
 }
 
 // past reports whether req is one of the host's own requests below the
-// window: issued, and its result seen.
+// window: issued, and its result seen unless stray keeps its row as
+// abandoned.
 func (h *MHNode) past(req ids.RequestID) bool {
 	return req.Origin == h.id && req.Seq > 0 && req.Seq <= h.base
 }
 
 // row returns req's row for writing, making a stray one for an identifier
-// this host did not issue. A request below the window gets the world's
-// pastRow, written afresh, so what the caller writes there is forgotten.
-// The pointer is good until the next issue moves the window.
+// this host did not issue. A request below the window without a row gets
+// the world's pastRow, written afresh, so what the caller writes there is
+// forgotten. The pointer is good until the next issue moves the window.
 func (h *MHNode) row(req ids.RequestID) *mhReq {
+	if q := h.find(req); q != nil {
+		return q
+	}
 	if h.past(req) {
 		h.w.pastRow = mhReq{flags: reqIssued | reqSeen}
 		return &h.w.pastRow
 	}
-	q := h.find(req)
-	if q == nil {
-		q = new(mhReq)
-		setLazy(&h.stray, req, q)
-	}
+	q := new(mhReq)
+	setLazy(&h.stray, req, q)
 	return q
 }
 
 // has reports whether req carries any of the given flags.
 func (h *MHNode) has(req ids.RequestID, flags uint8) bool {
-	if h.past(req) {
-		return flags&(reqIssued|reqSeen) != 0
+	if q := h.find(req); q != nil {
+		return q.flags&flags != 0
 	}
-	q := h.find(req)
-	return q != nil && q.flags&flags != 0
+	return h.past(req) && flags&(reqIssued|reqSeen) != 0
 }
 
-// flagged lists the requests carrying flag, in identifier order.
+// flagged lists the requests carrying flag, one of reqPending's, in
+// identifier order: a row with something pending is in the window, never
+// stray.
 func (h *MHNode) flagged(flag uint8) []ids.RequestID {
 	var out []ids.RequestID
 	for i := range h.reqs {
@@ -229,12 +227,6 @@ func (h *MHNode) flagged(flag uint8) []ids.RequestID {
 			out = append(out, ids.RequestID{Origin: h.id, Seq: h.base + uint32(i+1)})
 		}
 	}
-	for req, q := range h.stray {
-		if q.flags&flag != 0 {
-			out = append(out, req)
-		}
-	}
-	sortRequestIDs(out)
 	return out
 }
 
@@ -243,8 +235,11 @@ func (h *MHNode) flagged(flag uint8) []ids.RequestID {
 // last.
 func (h *MHNode) newRequest() ids.RequestID {
 	done := 0
-	for done < len(h.reqs) && h.reqs[done].flags&(reqSeen|reqKeep) == reqSeen {
-		done++
+	for ; done < len(h.reqs) && h.reqs[done].flags&reqPending == 0 && h.reqs[done].flags&(reqSeen|reqAbandoned) != 0; done++ {
+		if h.reqs[done].flags&reqAbandoned != 0 {
+			q := h.reqs[done]
+			setLazy(&h.stray, ids.RequestID{Origin: h.id, Seq: h.base + uint32(done+1)}, &q)
+		}
 	}
 	h.base += uint32(done)
 	h.reqs = append(h.reqs[:0], h.reqs[done:]...)
@@ -290,11 +285,11 @@ func (h *MHNode) unsend(req ids.RequestID, q *mhReq, flags uint8) {
 // retries and deadlines, one sim.Timeouts each — so a host timer is no
 // closure; a request that goes out again is read from sent.
 type hostTimer struct {
-	h    *MHNode
-	kind hostTimerKind
-	req  ids.RequestID
-	b    *mhBatch // timerBatchRetry
-	gen  uint64
+	h     *MHNode
+	kind  hostTimerKind
+	batch uint32 // timerBatchRetry: the batch's sequence
+	req   ids.RequestID
+	gen   uint64
 }
 
 // hostTimerKind says what a hostTimer does when it fires.
@@ -330,9 +325,9 @@ func (h *MHNode) after(d time.Duration, t hostTimer) {
 // dead reports that a retry or a deadline would do nothing at its due,
 // for good: its host's generation moved on, or its request or batch is
 // settled — settle (or the Admit) already cleared the flags the timer
-// would clear. A host that left is not enough: leave moves the
-// generation on, and a retry of a host that never joined un-flags its
-// request at its due.
+// would clear, and a batch below the floor is resolved. A host that left
+// is not enough: leave moves the generation on, and a retry of a host
+// that never joined un-flags its request at its due.
 func (t hostTimer) dead() bool {
 	h := t.h
 	if h.timerGen != t.gen {
@@ -344,7 +339,7 @@ func (t hostTimer) dead() bool {
 	case timerDeadline:
 		return h.has(t.req, reqSeen|reqAdmitted)
 	case timerBatchRetry:
-		return h.batchResolved(t.b)
+		return h.batchResolved(h.batch(ids.BatchID{Origin: h.id, Seq: t.batch}))
 	}
 	return false
 }
@@ -365,7 +360,7 @@ func (t hostTimer) fire() {
 	case timerBusy:
 		h.busyRetry(t.req)
 	case timerBatchRetry:
-		h.batchRetry(t.b)
+		h.batchRetry(t.batch)
 	}
 }
 
@@ -389,9 +384,11 @@ func (h *MHNode) rearmTimers() {
 	for _, req := range h.flagged(reqDeadline) {
 		h.scheduleDeadline(req)
 	}
-	for seq := h.floor(); seq <= h.nextBatchSeq; seq++ {
-		if b := h.batches[ids.BatchID{Origin: h.id, Seq: seq}]; b.committed && !h.batchResolved(b) {
-			h.scheduleBatchRetry(b)
+	if bw := h.batchWin; bw != nil {
+		for i, floor := 0, h.floor(); i < len(bw.rows); i++ {
+			if b := &bw.rows[i]; b.committed && !h.batchResolved(b) {
+				h.scheduleBatchRetry(floor + uint32(i))
+			}
 		}
 	}
 }
@@ -489,20 +486,19 @@ func (h *MHNode) leave() {
 // the outstanding/admitted/abandoned bookkeeping and the request
 // sequence, so identifiers restart under the next incarnation — the
 // pending and retry messages, the activation and offline queues, and
-// the batch objects with their sequence counter. Only what the model
-// puts in non-volatile flash survives: the incarnation word (inc) and
-// the journaled offline queue in the stable store. The membership
+// the batch window with its floor. Only what the model puts in
+// non-volatile flash survives: the incarnation word (inc) and the
+// journaled offline queue in the stable store. The membership
 // itself survives too — the host never sent a Leave, so the system
 // still considers it registered; it is the *memory* that died.
 func (h *MHNode) crash() {
 	h.timerGen++
 	h.regOld = 0
-	h.nextBatchSeq, h.resolved = 0, 0
 	h.reqs, h.base, h.stray, h.nOutstanding = h.reqs[:0], 0, nil, 0
 	h.queued = nil
 	h.offline = nil
 	h.sent = nil
-	h.batches = nil
+	h.batchWin = nil
 }
 
 // reboot brings a crashed host back under a fresh incarnation (E18,
@@ -878,12 +874,13 @@ func (h *MHNode) BeginBatch() ids.BatchID {
 	if h.crashed {
 		return ids.BatchID{}
 	}
-	h.nextBatchSeq++
-	id := ids.BatchID{Origin: h.id, Seq: h.nextBatchSeq}
-	b := &mhBatch{id: id, open: msg.BatchOpen{MH: h.id, Batch: id, Inc: h.inc}}
-	setLazy(&h.batches, id, b)
-	b.open.Floor = h.floor()
-	h.transmit(b.open)
+	if h.batchWin == nil {
+		h.batchWin = new(batchWindow)
+	}
+	floor := h.floor()
+	id := ids.BatchID{Origin: h.id, Seq: floor + uint32(len(h.batchWin.rows))}
+	h.batchWin.rows = append(h.batchWin.rows, mhBatch{})
+	h.transmit(msg.BatchOpen{MH: h.id, Batch: id, Inc: h.inc, Floor: floor})
 	return id
 }
 
@@ -895,7 +892,7 @@ func (h *MHNode) BatchRequest(batch ids.BatchID, server ids.Server, payload []by
 	if h.crashed {
 		return ids.RequestID{}
 	}
-	b := h.batches[batch]
+	b := h.batch(batch)
 	if b == nil || b.committed || b.aborted {
 		panic(fmt.Sprintf("rdpcore: BatchRequest on closed batch %v", batch))
 	}
@@ -914,28 +911,41 @@ func (h *MHNode) CommitBatch(batch ids.BatchID) {
 	if h.crashed {
 		return
 	}
-	b := h.batches[batch]
+	b := h.batch(batch)
 	if b == nil || b.committed || b.aborted {
 		return
 	}
 	b.committed = true
 	h.transmit(msg.BatchCommit{MH: h.id, Batch: batch, Count: uint32(len(b.items)), Inc: h.inc})
-	h.scheduleBatchRetry(b)
+	h.scheduleBatchRetry(batch.Seq)
 }
 
-// floor advances the host's cursor past every resolved batch and returns
-// its lowest unresolved one (E17): its proxy forgets every batch below.
-func (h *MHNode) floor() uint32 {
-	for h.resolved < h.nextBatchSeq && h.batchResolved(h.batches[ids.BatchID{Origin: h.id, Seq: h.resolved + 1}]) {
-		h.resolved++
+// batch returns the row of one of the host's batches in its window, or
+// nil for a batch below the floor, not yet opened or not the host's.
+func (h *MHNode) batch(id ids.BatchID) *mhBatch {
+	if bw := h.batchWin; bw != nil && id.Origin == h.id && id.Seq > bw.resolved && id.Seq-bw.resolved <= uint32(len(bw.rows)) {
+		return &bw.rows[id.Seq-bw.resolved-1]
 	}
-	return h.resolved + 1
+	return nil
+}
+
+// floor moves the batch window past its leading resolved rows and
+// returns the host's lowest unresolved batch (E17): its proxy forgets
+// every batch below. The rows left stay where they are.
+func (h *MHNode) floor() uint32 {
+	bw := h.batchWin
+	for len(bw.rows) > 0 && h.batchResolved(&bw.rows[0]) {
+		bw.rows[0] = mhBatch{}
+		bw.rows, bw.resolved = bw.rows[1:], bw.resolved+1
+	}
+	return bw.resolved + 1
 }
 
 // batchResolved reports whether the batch needs no further client
-// action: aborted, or committed with every member result delivered.
+// action: below the floor (nil), aborted, or committed with every member
+// result delivered.
 func (h *MHNode) batchResolved(b *mhBatch) bool {
-	if b.aborted {
+	if b == nil || b.aborted {
 		return true
 	}
 	if !b.committed {
@@ -952,41 +962,44 @@ func (h *MHNode) batchResolved(b *mhBatch) bool {
 // scheduleBatchRetry keeps re-offering a committed batch until it
 // resolves. Like scheduleRetry it skips the resend while the host
 // cannot transmit, keeping the chain alive for later.
-func (h *MHNode) scheduleBatchRetry(b *mhBatch) {
+func (h *MHNode) scheduleBatchRetry(seq uint32) {
 	if h.w.cfg.RequestTimeout <= 0 {
 		return
 	}
-	h.after(h.w.cfg.RequestTimeout, hostTimer{kind: timerBatchRetry, b: b})
+	h.after(h.w.cfg.RequestTimeout, hostTimer{kind: timerBatchRetry, batch: seq})
 }
 
 // batchRetry is a committed batch's timeout expiring: re-offer what is
 // still unresolved and wait again.
-func (h *MHNode) batchRetry(b *mhBatch) {
+func (h *MHNode) batchRetry(seq uint32) {
+	id := ids.BatchID{Origin: h.id, Seq: seq}
+	b := h.batch(id)
 	if h.batchResolved(b) || !h.joined {
 		return
 	}
 	if h.active && !h.disconnected {
 		h.w.Stats.RequestRetries.Inc()
-		b.open.Floor = h.floor()
-		h.uplink(b.open)
+		h.uplink(msg.BatchOpen{MH: h.id, Batch: id, Inc: h.inc, Floor: h.floor()})
 		for _, it := range b.items {
 			if !h.has(it.Req, reqSeen) {
 				h.uplink(it)
 			}
 		}
-		h.uplink(msg.BatchCommit{MH: h.id, Batch: b.id, Count: uint32(len(b.items)), Inc: h.inc})
+		h.uplink(msg.BatchCommit{MH: h.id, Batch: id, Count: uint32(len(b.items)), Inc: h.inc})
 	}
-	h.scheduleBatchRetry(b)
+	h.scheduleBatchRetry(seq)
 }
 
 // onBatchAbort abandons every member of an aborted batch: the proxy's
 // deadline expired before the batch became deliverable, and atomicity
 // means no member may be delivered afterwards. An abort for a batch this
-// incarnation does not know speaks of a dead one's and is ignored. A
-// delivered member at abort time would be a partial delivery — the proxy
-// guarantees this cannot happen, so it is counted as a violation.
+// incarnation does not hold in its window speaks of a dead one's, or of
+// one already resolved, and is ignored. A delivered member at abort time
+// would be a partial delivery — the proxy guarantees this cannot happen,
+// so it is counted as a violation. The batch is resolved, and the window
+// forgets it once it leads.
 func (h *MHNode) onBatchAbort(a msg.BatchAbort) {
-	b := h.batches[a.Batch]
+	b := h.batch(a.Batch)
 	if b == nil || normInc(a.Inc) != normInc(h.inc) {
 		return
 	}
@@ -1003,22 +1016,7 @@ func (h *MHNode) onBatchAbort(a msg.BatchAbort) {
 		q.flags |= reqAbandoned
 		h.settle(it.Req, q)
 	}
-}
-
-// BatchStatus reports the terminal view of a batch at this host: how
-// many member results have been delivered, the member count, and
-// whether the batch was aborted (experiment and test hook).
-func (h *MHNode) BatchStatus(id ids.BatchID) (delivered, members int, aborted bool) {
-	b := h.batches[id]
-	if b == nil {
-		return 0, 0, false
-	}
-	for _, it := range b.items {
-		if h.has(it.Req, reqSeen) {
-			delivered++
-		}
-	}
-	return delivered, len(b.items), b.aborted
+	h.floor()
 }
 
 // uplink transmits over the wireless link to the current respMss.

@@ -222,7 +222,8 @@ func TestMigratedAbortMemoNamesItsBatch(t *testing.T) {
 				t.Fatalf("migrate: the proxy was not adopted at mss2 (%d placements)", got)
 			}
 		}
-		h.uplink(h.batches[b].items[0]) // the host replays its item
+		// The host replays its item.
+		h.uplink(msg.BatchItem{MH: 1, Batch: b, Req: member, Server: 1, Payload: []byte("q"), Inc: h.inc})
 		w.RunUntil(4 * time.Second)
 		if len(aborts) != 2 {
 			t.Fatalf("migrate %v: %d aborts reached the host, want 2", migrate, len(aborts))

@@ -224,23 +224,30 @@ func TestRequestWindowBelow(t *testing.T) {
 	}
 }
 
-// TestRequestWindowHeldByAbandonedRow: an abandoned row — a member of an
-// aborted batch — stays in the window, and so does everything issued
-// after it.
-func TestRequestWindowHeldByAbandonedRow(t *testing.T) {
+// TestAbandonedRowLeavesWindow: an abandoned row — a member of an
+// aborted batch — holds nothing pending, so the window moves past it as
+// past a seen one and keeps it in stray: after 200 later requests are
+// delivered, one row is left and base reads 200, while the member still
+// reads abandoned, and its late result seen.
+func TestAbandonedRowLeavesWindow(t *testing.T) {
 	_, h, _, deliver := windowHost(t)
 	b := h.BeginBatch()
-	r1 := h.BatchRequest(b, 1, []byte("1"))
-	r2 := h.IssueRequest(1, []byte("2"))
+	member := h.BatchRequest(b, 1, []byte("m"))
 	deliver(msg.BatchAbort{MH: h.id, Batch: b, Inc: h.inc})
-	deliver(msg.ResultDeliver{Req: r1, Inc: h.inc}) // a late result: seen, and still abandoned
-	deliver(msg.ResultDeliver{Req: r2, Inc: h.inc})
-	h.IssueRequest(1, []byte("3"))
-	if h.base != 0 || len(h.reqs) != 3 {
-		t.Fatalf("window base %d, %d rows; want 0, 3", h.base, len(h.reqs))
+	for i := 0; i < 200; i++ {
+		r := h.IssueRequest(1, []byte("q"))
+		deliver(msg.ResultDeliver{Req: r, Inc: h.inc})
+		if i == 0 && (!h.Abandoned(member) || h.Seen(member)) {
+			t.Fatalf("member %v left the window abandoned %v, seen %v; want true, false", member, h.Abandoned(member), h.Seen(member))
+		}
 	}
-	if !h.Abandoned(r1) || h.Abandoned(r2) || !h.Seen(r2) {
-		t.Errorf("abandoned %v/%v, seen r2 %v; want true/false, true", h.Abandoned(r1), h.Abandoned(r2), h.Seen(r2))
+	if h.base != 200 || len(h.reqs) != 1 || len(h.stray) != 1 {
+		t.Fatalf("window base %d, %d rows, %d stray; want 200, 1, 1", h.base, len(h.reqs), len(h.stray))
+	}
+	deliver(msg.ResultDeliver{Req: member, Inc: h.inc}) // a late result: seen, and still abandoned
+	if !h.Abandoned(member) || !h.Seen(member) || len(h.stray) != 1 {
+		t.Errorf("member %v after its late result: abandoned %v, seen %v, %d stray; want true, true, 1",
+			member, h.Abandoned(member), h.Seen(member), len(h.stray))
 	}
 }
 

@@ -64,7 +64,10 @@ func (o *reqOracle) wipe() {
 // Admitted and Abandoned for every identifier touched so far — also
 // those the table's window has moved past — HaveOutstanding on every
 // Ack, and the ResultLatency, DuplicateDeliveries, Violations and
-// BusyRetries counts.
+// BusyRetries counts. Neither window keeps what is closed: after every
+// issue the request window leads with a row that has something pending,
+// no stray row has anything pending, and the host's batch window holds
+// at most the model's open batch.
 func TestRequestTableAgainstMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { requestTableHistory(t, seed) })
@@ -99,6 +102,13 @@ func requestTableHistory(t *testing.T, seed int64) {
 	deliver := func(m msg.Message) { h.HandleMessage(h.RespMss().Node(), m) }
 	done := func(req ids.RequestID) bool { return o.seen[req] || o.admitted[req] || o.abandoned[req] }
 	windowed := false // the window moved past a settled row at some step
+	// leads checks, after an issue, that the window starts at a row with
+	// something pending: it moved past every settled row before it.
+	leads := func(step int) {
+		if len(h.reqs) == 0 || h.reqs[0].flags&reqPending == 0 {
+			t.Fatalf("step %d: after an issue the window (base %d) leads with %+v", step, h.base, h.reqs)
+		}
+	}
 
 	for step := 0; step < 400; step++ {
 		radio.up = radio.up[:0]
@@ -122,6 +132,7 @@ func requestTableHistory(t *testing.T, seed int64) {
 			}
 			o.issued[req], o.outstanding[req], o.pending[req] = true, true, true
 			touched = append(touched, req)
+			leads(step)
 		case 3, 4, 5: // result, first or duplicate
 			req := pick()
 			touched = append(touched, req)
@@ -172,6 +183,7 @@ func requestTableHistory(t *testing.T, seed int64) {
 					o.issued[req], o.outstanding[req] = true, true
 					o.members = append(o.members, req)
 					touched = append(touched, req)
+					leads(step)
 				}
 			default:
 				deliver(msg.BatchAbort{MH: me, Batch: o.batch, Inc: h.inc})
@@ -221,6 +233,15 @@ func requestTableHistory(t *testing.T, seed int64) {
 			t.Fatalf("step %d op %d: %d duplicates, oracle %d", step, op, got, o.duplicates)
 		}
 		windowed = windowed || h.base > 0
+		for req, q := range h.stray {
+			if q.flags&reqPending != 0 {
+				t.Fatalf("step %d op %d: stray row %v has something pending (%08b)", step, op, req, q.flags)
+			}
+		}
+		if bw := h.batchWin; bw != nil && (len(bw.rows) > 1 || len(bw.rows) == 1 && bw.resolved+1 != o.batch.Seq) {
+			t.Fatalf("step %d op %d: the host's batch window holds %d batches from %d, the model's open batch is %v",
+				step, op, len(bw.rows), bw.resolved+1, o.batch)
+		}
 		if got := w.Stats.Violations.Value(); got != o.violations {
 			t.Fatalf("step %d op %d: %d violations, oracle %d", step, op, got, o.violations)
 		}
