@@ -33,7 +33,7 @@ func TestRandomWalks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(out, "all schedules satisfied safety and bounded-liveness") {
+	if !strings.Contains(out, "all schedules satisfied safety and liveness") {
 		t.Errorf("missing success line:\n%s", out)
 	}
 	for _, sc := range []string{"tiny", "bounce-back-overlap", "two-hosts-crossing"} {

@@ -113,6 +113,10 @@ type E2Row struct {
 	Duplicates  int64
 	Violations  int64
 	IgnoredAcks int64
+	// Stranded counts the hosts the row ends with stranded
+	// (rdpcore.World.Stranded): registered where they do not listen, or
+	// waiting for a request no proxy holds.
+	Stranded int64
 }
 
 // E2ExactlyOnce runs an adversarial migrate-on-delivery workload in two
@@ -185,6 +189,7 @@ func E2ExactlyOnce(seed int64, sc Scale) []E2Row {
 			Duplicates:  w.Stats.DuplicateDeliveries.Value(),
 			Violations:  w.Stats.Violations.Value(),
 			IgnoredAcks: w.Stats.IgnoredAcks.Value(),
+			Stranded:    int64(len(w.Stranded())),
 		})
 	}
 	return rows

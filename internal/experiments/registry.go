@@ -144,9 +144,10 @@ var Registry = []Experiment{
 	describe("e2", "exactly-once needs causal order + ack priority (§5)",
 		noOpts(E2ExactlyOnce),
 		func(rows []E2Row) []Table {
-			t := metrics.NewTable("variant", "issued", "delivered", "duplicates", "violations", "ignored-acks")
+			t := metrics.NewTable("variant", "issued", "delivered", "duplicates", "violations", "ignored-acks", "stranded")
 			for _, row := range rows {
-				t.AddRow(row.Name, num(row.Issued), num(row.Delivered), num(row.Duplicates), num(row.Violations), num(row.IgnoredAcks))
+				t.AddRow(row.Name, num(row.Issued), num(row.Delivered), num(row.Duplicates), num(row.Violations), num(row.IgnoredAcks),
+					num(row.Stranded))
 			}
 			return one(t)
 		},

@@ -10,9 +10,9 @@
 // radio-link FIFO, and the causal wired layer's own delivery buffering.
 // Scenario checks then assert the protocol's safety properties
 // (cross-node invariants, zero violations) on every explored schedule,
-// and its liveness property (all results delivered) after bounded
-// registration-refresh rounds, mirroring how a real deployment's
-// periodic beacons bound recovery time.
+// and its liveness property — every result delivered, no host stranded —
+// once the schedule has drained and every host that ended asleep has
+// woken once, with no registration beacon to repair anything.
 //
 // Besides random walks, RunExhaustive enumerates the schedule tree
 // depth-first by replaying the scenario from scratch for every choice
@@ -101,27 +101,24 @@ func (c *Controller) StepAt(idx int) {
 
 // Result summarizes one exploration.
 type Result struct {
-	MaxRefreshes  int // worst-case settlement rounds needed
-	TotalFirings  int
-	TotalRecovery int // schedules that needed at least one refresh round
+	TotalFirings int
 }
 
 // Outcome is one executed schedule. Choices lists every pick the
-// chooser made, mid-run picks first and settlement picks after: with the
-// scenario's name it identifies the schedule, and Replay re-runs it.
+// chooser made, mid-run picks first and the wake-up's picks after: with
+// the scenario's name it identifies the schedule, and Replay re-runs it.
 type Outcome struct {
 	// Fanouts holds the number of options at each mid-run decision
 	// point; its length is the schedule's firings (world actions plus
 	// deliveries).
 	Fanouts []int
-	Rounds  int // refresh rounds the settlement needed
 	Choices []int
 	World   *rdpcore.World // the finished world (statistics, ViolationLog)
 }
 
 // chooser decides a schedule: it picks among n > 0 options. When act is
 // true option 0 is the next world action and the rest are the eligible
-// deliveries; otherwise (and throughout the settlement) all n are
+// deliveries; otherwise (and throughout the wake-up) all n are
 // deliveries.
 type chooser func(act bool, n int) int
 
@@ -157,27 +154,22 @@ func scripted(list []int) chooser {
 // Run explores the scenario under `schedules` random delivery orders
 // and reports via errf (typically t.Errorf) on any property violation;
 // see runSchedule for the properties.
-func Run(sc scenario.Scenario, seed int64, schedules, maxRefresh int, errf func(format string, args ...any)) Result {
+func Run(sc scenario.Scenario, seed int64, schedules int, errf func(format string, args ...any)) Result {
 	var res Result
 	for i := 0; i < schedules; i++ {
-		o := Walk(sc, seed, i, maxRefresh, errf)
-		res.TotalFirings += len(o.Fanouts)
-		res.MaxRefreshes = max(res.MaxRefreshes, o.Rounds)
-		if o.Rounds > 0 {
-			res.TotalRecovery++
-		}
+		res.TotalFirings += len(Walk(sc, seed, i, errf).Fanouts)
 	}
 	return res
 }
 
 // Walk executes the i-th random schedule of Run at seed.
-func Walk(sc scenario.Scenario, seed int64, i, maxRefresh int, errf func(format string, args ...any)) Outcome {
-	return runSchedule(sc, seeded(sim.NewRNG(seed+int64(i)*7919)), maxRefresh, fmt.Sprintf("schedule %d", i), errf)
+func Walk(sc scenario.Scenario, seed int64, i int, errf func(format string, args ...any)) Outcome {
+	return runSchedule(sc, seeded(sim.NewRNG(seed+int64(i)*7919)), fmt.Sprintf("schedule %d", i), errf)
 }
 
 // Replay executes the schedule a recorded choice list names.
-func Replay(sc scenario.Scenario, choices []int, maxRefresh int, errf func(format string, args ...any)) Outcome {
-	return runSchedule(sc, scripted(choices), maxRefresh, "replay", errf)
+func Replay(sc scenario.Scenario, choices []int, errf func(format string, args ...any)) Outcome {
+	return runSchedule(sc, scripted(choices), "replay", errf)
 }
 
 // ExhaustiveResult summarizes a systematic exploration.
@@ -196,16 +188,16 @@ type ExhaustiveResult struct {
 // same properties as Run on each. Choice points are (a) take the next
 // world action vs. fire a delivery, and (b) which eligible delivery to
 // fire.
-func RunExhaustive(sc scenario.Scenario, budget, maxRefresh int, errf func(format string, args ...any)) ExhaustiveResult {
+func RunExhaustive(sc scenario.Scenario, budget int, errf func(format string, args ...any)) ExhaustiveResult {
 	res := ExhaustiveResult{}
 	var prefix []int
 	for res.Schedules < budget {
-		o := runSchedule(sc, scripted(prefix), maxRefresh, fmt.Sprintf("exhaustive schedule %d", res.Schedules), errf)
+		o := runSchedule(sc, scripted(prefix), fmt.Sprintf("exhaustive schedule %d", res.Schedules), errf)
 		res.Schedules++
 		res.MaxDepth = max(res.MaxDepth, len(o.Fanouts))
 		// Advance like an odometer over the mid-run picks just taken:
 		// the deepest decision that can still take a later branch does,
-		// and everything below it starts over. Settlement order is not
+		// and everything below it starts over. The wake-up's order is not
 		// enumerated (it would explode the tree): past the prefix its
 		// deliveries fire head-first.
 		i := len(o.Fanouts) - 1
@@ -232,13 +224,14 @@ func RunExhaustive(sc scenario.Scenario, budget, maxRefresh int, errf func(forma
 // Properties checked:
 //
 //	safety   — cross-node invariants and Violations == 0 at every
-//	           quiescent point (after each step, each refresh round, and
-//	           at the end), and nothing left behind at quiescence;
-//	liveness — all of the requests the steps issued delivered within
-//	           maxRefresh registration-refresh rounds after the last
-//	           step (each round models one refresh beacon per host, in
-//	           the scenario's host order).
-func runSchedule(sc scenario.Scenario, choose chooser, maxRefresh int, label string, errf func(format string, args ...any)) Outcome {
+//	           quiescent point (after each step and at the end), and
+//	           nothing left behind at quiescence;
+//	liveness — once the steps and their deliveries have drained and
+//	           every host that ended asleep has woken once (in the
+//	           scenario's host order; its greet is the protocol's own),
+//	           every request the steps issued is delivered and no host
+//	           is stranded (rdpcore.World.CheckQuiescent).
+func runSchedule(sc scenario.Scenario, choose chooser, label string, errf func(format string, args ...any)) Outcome {
 	ctl := &Controller{}
 	cfg := sc.Config()
 	cfg.WiredSeq = ctl
@@ -291,33 +284,23 @@ func runSchedule(sc scenario.Scenario, choose chooser, maxRefresh int, label str
 		checkSafety("mid-run")
 	}
 
-	// Settlement: fire refresh beacons until everything is delivered
-	// (each round is one greet per host, as a real refresh would be).
-	delivered := func() bool {
-		for _, l := range ledger {
-			if !w.MHs[l.MH].Seen(l.Req) {
-				return false
-			}
+	// Wake-up: a host that ended asleep wakes once, and what its greet
+	// sets off drains in the chooser's order.
+	for _, h := range sc.Hosts {
+		if w.IsActive(h.ID) {
+			continue
 		}
-		return true
-	}
-	for !delivered() && out.Rounds < maxRefresh {
-		out.Rounds++
-		for _, h := range sc.Hosts {
-			w.SetActive(h.ID, true) // no-op when already active
-			w.Refresh(h.ID)
-			for ctl.Eligible() > 0 {
-				pick := choose(false, ctl.Eligible())
-				out.Choices = append(out.Choices, pick)
-				ctl.StepAt(pick)
-				w.Run()
-			}
-			w.Run()
+		w.SetActive(h.ID, true)
+		for w.Run(); ctl.Eligible() > 0; w.Run() {
+			pick := choose(false, ctl.Eligible())
+			out.Choices = append(out.Choices, pick)
+			ctl.StepAt(pick)
 		}
-		checkSafety(fmt.Sprintf("refresh round %d", out.Rounds))
 	}
-	if !delivered() {
-		fail("requests undelivered after %d refresh rounds", maxRefresh)
+	for _, l := range ledger {
+		if !w.MHs[l.MH].Seen(l.Req) {
+			fail("%v undelivered", l.Req)
+		}
 	}
 	checkSafety("end")
 	if err := w.CheckQuiescent(); err != nil {

@@ -22,18 +22,15 @@ func lookup(t *testing.T, name string) scenario.Scenario {
 }
 
 // TestAdversarialSchedules runs every scenario gated on the adversary
-// under many random delivery orders: safety must hold on all of them,
-// and liveness within a small number of refresh beacons. The legacy
-// scenarios' totals are pinned to what they were when each was a
-// hand-written closure list (seed 1, 400 walks).
+// under many random delivery orders: safety and liveness must hold on
+// all of them. The legacy scenarios' totals are pinned to what they were
+// when each was a hand-written closure list (seed 1, 400 walks), but for
+// bounce-back-overlap's, which the hand-off sequence moved.
 func TestAdversarialSchedules(t *testing.T) {
-	const (
-		schedules  = 400
-		maxRefresh = 5
-	)
+	const schedules = 400
 	pins := map[string]Result{
 		"single-request-two-migrations": {TotalFirings: 8172},
-		"bounce-back-overlap":           {TotalFirings: 18473, TotalRecovery: 43, MaxRefreshes: 1},
+		"bounce-back-overlap":           {TotalFirings: 16369},
 		"sleep-carry-wake":              {TotalFirings: 10245},
 		"two-hosts-crossing":            {TotalFirings: 16548},
 	}
@@ -42,23 +39,22 @@ func TestAdversarialSchedules(t *testing.T) {
 			continue
 		}
 		t.Run(sc.Name, func(t *testing.T) {
-			res := Run(sc, 1, schedules, maxRefresh, t.Errorf)
+			res := Run(sc, 1, schedules, t.Errorf)
 			if res.TotalFirings == 0 {
 				t.Fatal("explorer fired nothing; harness broken")
 			}
 			if want, ok := pins[sc.Name]; ok && res != want {
 				t.Errorf("got %+v, want %+v", res, want)
 			}
-			t.Logf("%s: %d schedules, %d firings, %d needed recovery (max %d refresh rounds)",
-				sc.Name, schedules, res.TotalFirings, res.TotalRecovery, res.MaxRefreshes)
+			t.Logf("%s: %d schedules, %d firings", sc.Name, schedules, res.TotalFirings)
 		})
 	}
 }
 
-// twoHostsRecovering is a two-host scenario that needs a refresh round
-// under most schedules: each host issues a request and falls asleep,
-// and nothing but the settlement wakes it.
-func twoHostsRecovering(t *testing.T) scenario.Scenario {
+// twoHostsAsleep is a two-host scenario whose hosts both end asleep:
+// each issues a request and falls asleep, and nothing but the wake-up at
+// the end wakes it.
+func twoHostsAsleep(t *testing.T) scenario.Scenario {
 	sc := lookup(t, "tiny-request-vs-sleep")
 	sc.Name = "two-hosts-asleep"
 	sc.Hosts = []scenario.Host{{ID: 1, Start: 1}, {ID: 2, Start: 2}}
@@ -73,45 +69,47 @@ func twoHostsRecovering(t *testing.T) scenario.Scenario {
 }
 
 // TestRunReproducible: one seed is one exploration, also when several
-// hosts need recovery — the settlement re-greets in the scenario's host
-// order, not a map's.
+// hosts wake at the end — the wake-up goes in the scenario's host order,
+// not a map's.
 func TestRunReproducible(t *testing.T) {
-	sc := twoHostsRecovering(t)
-	recovered := 0
+	sc := twoHostsAsleep(t)
+	woken := 0
 	for i := 0; i < 60; i++ {
-		a := Walk(sc, 1, i, 5, t.Errorf)
-		b := Walk(sc, 1, i, 5, t.Errorf)
-		if len(a.Fanouts) != len(b.Fanouts) || a.Rounds != b.Rounds || !slices.Equal(a.Choices, b.Choices) {
-			t.Fatalf("walk %d differs between two runs: %d firings, %d rounds, choices %v; then %d, %d, %v",
-				i, len(a.Fanouts), a.Rounds, a.Choices, len(b.Fanouts), b.Rounds, b.Choices)
+		a := Walk(sc, 1, i, t.Errorf)
+		b := Walk(sc, 1, i, t.Errorf)
+		if !slices.Equal(a.Fanouts, b.Fanouts) || !slices.Equal(a.Choices, b.Choices) {
+			t.Fatalf("walk %d differs between two runs: %d firings, choices %v; then %d, %v",
+				i, len(a.Fanouts), a.Choices, len(b.Fanouts), b.Choices)
 		}
-		if a.Rounds > 0 {
-			recovered++
+		if len(a.Choices) > len(a.Fanouts) {
+			woken++
 		}
 	}
-	if recovered == 0 {
-		t.Fatal("no walk needed a refresh round; the scenario does not exercise settlement order")
+	if woken == 0 {
+		t.Fatal("no walk picked a delivery during the wake-up; the scenario does not exercise wake order")
 	}
 }
 
 // TestReplayFollowsRecordedWalk: a walk's choice list, fed back through
-// the scripted chooser, is the same schedule — settlement included.
+// the scripted chooser, is the same schedule — the wake-up's picks
+// included.
 func TestReplayFollowsRecordedWalk(t *testing.T) {
-	sc := lookup(t, "bounce-back-overlap")
-	recovered := 0
-	for i := 0; i < 60; i++ {
-		walk := Walk(sc, 1, i, 5, t.Errorf)
-		replay := Replay(sc, walk.Choices, 5, t.Errorf)
-		if !slices.Equal(replay.Fanouts, walk.Fanouts) || replay.Rounds != walk.Rounds || !slices.Equal(replay.Choices, walk.Choices) {
-			t.Fatalf("walk %d: replay took %d firings, %d rounds, choices %v; the walk %d, %d, %v",
-				i, len(replay.Fanouts), replay.Rounds, replay.Choices, len(walk.Fanouts), walk.Rounds, walk.Choices)
-		}
-		if walk.Rounds > 0 {
-			recovered++
+	woken := 0
+	for _, sc := range []scenario.Scenario{lookup(t, "bounce-back-overlap"), twoHostsAsleep(t)} {
+		for i := 0; i < 60; i++ {
+			walk := Walk(sc, 1, i, t.Errorf)
+			replay := Replay(sc, walk.Choices, t.Errorf)
+			if !slices.Equal(replay.Fanouts, walk.Fanouts) || !slices.Equal(replay.Choices, walk.Choices) {
+				t.Fatalf("%s walk %d: replay took %d firings, choices %v; the walk %d, %v",
+					sc.Name, i, len(replay.Fanouts), replay.Choices, len(walk.Fanouts), walk.Choices)
+			}
+			if len(walk.Choices) > len(walk.Fanouts) {
+				woken++
+			}
 		}
 	}
-	if recovered == 0 {
-		t.Fatal("no replayed walk reached the settlement")
+	if woken == 0 {
+		t.Fatal("no replayed walk reached the wake-up")
 	}
 }
 
@@ -130,7 +128,7 @@ func TestMigrationUnderAdversary(t *testing.T) {
 	failures := 0
 	count := func(string, ...any) { failures++ }
 	for i := 0; i < 2000; i++ {
-		o := Walk(sc, 1, i, 5, count)
+		o := Walk(sc, 1, i, count)
 		if o.World.Stats.Violations.Value() == 0 {
 			continue
 		}
@@ -155,7 +153,7 @@ func TestBounceBackOverlapReplay(t *testing.T) {
 	choices := []int{0, 1, 1, 1, 1, 1, 0, 2, 1, 2, 1, 1, 0, 2, 1, 1, 1, 1, 0, 3, 2, 0, 1, 2,
 		3, 0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 2, 2, 0, 0, 0, 0, 0, 0}
 	var failures []string
-	o := Replay(lookup(t, "bounce-back-overlap"), choices, 5, func(format string, args ...any) {
+	o := Replay(lookup(t, "bounce-back-overlap"), choices, func(format string, args ...any) {
 		failures = append(failures, fmt.Sprintf(format, args...))
 	})
 	if log := o.World.ViolationLog(); len(log) != 0 {
@@ -215,7 +213,7 @@ func TestControllerEligibleCounts(t *testing.T) {
 // scenario: every possible interleaving of one request, one migration
 // and their induced messages satisfies safety, and delivers.
 func TestExhaustiveTiny(t *testing.T) {
-	res := RunExhaustive(lookup(t, "tiny-request-vs-migration"), 200000, 5, t.Errorf)
+	res := RunExhaustive(lookup(t, "tiny-request-vs-migration"), 200000, t.Errorf)
 	if !res.Complete {
 		t.Fatalf("tree not fully enumerated within budget (%d schedules)", res.Schedules)
 	}
@@ -226,7 +224,7 @@ func TestExhaustiveTiny(t *testing.T) {
 
 // TestExhaustiveBudgetStops verifies the budget bound.
 func TestExhaustiveBudgetStops(t *testing.T) {
-	res := RunExhaustive(lookup(t, "tiny-request-vs-migration"), 3, 5, t.Errorf)
+	res := RunExhaustive(lookup(t, "tiny-request-vs-migration"), 3, t.Errorf)
 	if res.Complete || res.Schedules != 3 {
 		t.Fatalf("budget not honoured: %+v", res)
 	}
@@ -234,7 +232,7 @@ func TestExhaustiveBudgetStops(t *testing.T) {
 
 // TestExhaustiveSleep fully enumerates the request-vs-inactivity tree.
 func TestExhaustiveSleep(t *testing.T) {
-	res := RunExhaustive(lookup(t, "tiny-request-vs-sleep"), 500000, 5, t.Errorf)
+	res := RunExhaustive(lookup(t, "tiny-request-vs-sleep"), 500000, t.Errorf)
 	if !res.Complete {
 		t.Fatalf("sleep tree not fully enumerated within budget (%d schedules)", res.Schedules)
 	}
@@ -248,7 +246,7 @@ func TestExhaustiveSleep(t *testing.T) {
 // tree exceeds two million schedules, so this enumerates a depth-first
 // prefix; every schedule in that region must satisfy the properties.
 func TestExhaustiveBounce(t *testing.T) {
-	res := RunExhaustive(lookup(t, "tiny-request-vs-bounce"), 20000, 5, t.Errorf)
+	res := RunExhaustive(lookup(t, "tiny-request-vs-bounce"), 20000, t.Errorf)
 	if res.Complete {
 		t.Log("bounce tree completed within 20000 schedules; budget note stale")
 	} else if res.Schedules != 20000 {

@@ -278,6 +278,7 @@ func (m Greet) code(c *coder) Message {
 	u32(c, &m.MH)
 	u32(c, &m.OldMSS)
 	u32(c, &m.Inc)
+	u32(c, &m.Seq)
 	return done(c, &m)
 }
 
@@ -307,15 +308,24 @@ func (m AckMH) code(c *coder) Message {
 func (m Dereg) code(c *coder) Message {
 	u32(c, &m.MH)
 	u32(c, &m.NewMSS)
+	u32(c, &m.Inc)
+	u32(c, &m.Seq)
 	return done(c, &m)
 }
 
+// A stale deregack carries no pref, and a hand-over names no holder.
 func (m DeregAck) code(c *coder) Message {
 	u32(c, &m.MH)
-	c.proxy(&m.Pref.Proxy)
-	u32(c, &m.Pref.RKpR)
-	u32(c, &m.Routed)
 	u32(c, &m.Inc)
+	c.bool(&m.Stale)
+	if m.Stale {
+		u32(c, &m.Holder)
+		u32(c, &m.Seq)
+	} else {
+		c.proxy(&m.Pref.Proxy)
+		u32(c, &m.Pref.RKpR)
+		u32(c, &m.Routed)
+	}
 	return done(c, &m)
 }
 

@@ -21,11 +21,11 @@ func sampleMessages() []Message {
 	return []Message{
 		Join{MH: 3},
 		Leave{MH: 3},
-		Greet{MH: 3, OldMSS: 2, Inc: 2},
+		Greet{MH: 3, OldMSS: 2, Inc: 2, Seq: 6},
 		Request{Req: req, Server: 1, Payload: []byte("query traffic zone 4"), Inc: 1},
 		ResultDeliver{Req: req, Payload: []byte("result"), DelPref: true, Inc: 1},
 		AckMH{MH: 3, Req: req},
-		Dereg{MH: 3, NewMSS: 4},
+		Dereg{MH: 3, NewMSS: 4, Inc: 2, Seq: 6},
 		DeregAck{MH: 3, Pref: Pref{Proxy: prx, RKpR: 41}, Routed: 42},
 		RequestForward{Proxy: prx, Req: req, Server: 1, Payload: []byte("p")},
 		UpdateCurrentLoc{Proxy: prx, MH: 3, NewLoc: 4},
@@ -89,6 +89,7 @@ func sampleMessages() []Message {
 		WtpAck{Epoch: 1, Cum: 8, Sacks: []uint64{10, 12}},
 		GroupUpdateLoc{Proxy: prx, NewLoc: 4, Members: []byte{3, 1, 1, 1}},
 		GroupAckForward{Proxy: prx, Members: []byte{2, 3, 1}, Seqs: []uint32{7, 9}},
+		DeregAck{MH: 3, Inc: 2, Stale: true, Holder: 4, Seq: 6},
 	}
 }
 

@@ -20,20 +20,23 @@ import (
 type Leg struct {
 	Kind Kind
 	// Flag is the kind's one boolean: DelPref on ResultForward and
-	// ResultDeliver, HaveOutstanding on AckMH, DelProxy on AckForward.
+	// ResultDeliver, HaveOutstanding on AckMH, DelProxy on AckForward,
+	// Stale on DeregAck.
 	Flag   bool
 	Inc    ids.Incarnation
 	MH     ids.MH
 	Server ids.Server
 	// MSS is the hand-off's station: OldMSS on Greet, NewMSS on Dereg,
-	// NewLoc on UpdateCurrentLoc.
+	// Holder on DeregAck, NewLoc on UpdateCurrentLoc.
 	MSS ids.MSS
 	// Proxy is also the pref's proxy on DeregAck, and Req the request
 	// its RKpR names.
 	Proxy ids.ProxyID
 	Req   ids.RequestID
-	// Mark is a request-sequence watermark in what would be padding: the
-	// proxy's Mark on ResultForward, the station's Routed on DeregAck.
+	// Mark is a sequence word in what would be padding: the proxy's Mark
+	// on ResultForward, the station's Routed on a DeregAck that hands the
+	// pref over, the host's registration Seq on Greet, Dereg and a stale
+	// DeregAck.
 	Mark    uint32
 	Payload []byte
 }
@@ -136,12 +139,15 @@ func (m AckForward) Leg() Leg {
 }
 
 func (m Greet) Leg() Leg {
-	return Leg{Kind: KindGreet, MH: m.MH, MSS: m.OldMSS, Inc: m.Inc}
+	return Leg{Kind: KindGreet, MH: m.MH, MSS: m.OldMSS, Inc: m.Inc, Mark: m.Seq}
 }
 func (m Dereg) Leg() Leg {
-	return Leg{Kind: KindDereg, MH: m.MH, MSS: m.NewMSS}
+	return Leg{Kind: KindDereg, MH: m.MH, MSS: m.NewMSS, Inc: m.Inc, Mark: m.Seq}
 }
 func (m DeregAck) Leg() Leg {
+	if m.Stale {
+		return Leg{Kind: KindDeregAck, MH: m.MH, Inc: m.Inc, Flag: true, MSS: m.Holder, Mark: m.Seq}
+	}
 	return Leg{Kind: KindDeregAck, MH: m.MH, Proxy: m.Pref.Proxy, Req: ids.RequestID{Origin: m.MH, Seq: m.Pref.RKpR},
 		Mark: m.Routed, Inc: m.Inc}
 }
@@ -174,12 +180,15 @@ func (l Leg) AckForward() AckForward {
 	return AckForward{Proxy: l.Proxy, MH: l.MH, Req: l.Req, DelProxy: l.Flag}
 }
 func (l Leg) Greet() Greet {
-	return Greet{MH: l.MH, OldMSS: l.MSS, Inc: l.Inc}
+	return Greet{MH: l.MH, OldMSS: l.MSS, Inc: l.Inc, Seq: l.Mark}
 }
 func (l Leg) Dereg() Dereg {
-	return Dereg{MH: l.MH, NewMSS: l.MSS}
+	return Dereg{MH: l.MH, NewMSS: l.MSS, Inc: l.Inc, Seq: l.Mark}
 }
 func (l Leg) DeregAck() DeregAck {
+	if l.Flag {
+		return DeregAck{MH: l.MH, Inc: l.Inc, Stale: true, Holder: l.MSS, Seq: l.Mark}
+	}
 	return DeregAck{MH: l.MH, Pref: Pref{Proxy: l.Proxy, RKpR: l.Req.Seq}, Routed: l.Mark, Inc: l.Inc}
 }
 func (l Leg) UpdateCurrentLoc() UpdateCurrentLoc {

@@ -27,8 +27,9 @@ func legSamples() []Message {
 		AckMH{MH: 3, Req: req, HaveOutstanding: true},
 		AckForward{Proxy: prx, MH: 3, Req: req, DelProxy: true},
 		Greet{}, Dereg{}, DeregAck{}, UpdateCurrentLoc{},
-		Greet{MH: 3, OldMSS: 6, Inc: 4},
-		Dereg{MH: 3, NewMSS: 6},
+		Greet{MH: 3, OldMSS: 6, Inc: 4, Seq: 9},
+		Dereg{MH: 3, NewMSS: 6, Inc: 4, Seq: 9},
+		DeregAck{MH: 3, Inc: 4, Stale: true, Holder: 6, Seq: 9},
 		DeregAck{MH: 3, Pref: Pref{Proxy: prx, RKpR: 41}, Routed: 42, Inc: 4},
 		DeregAck{MH: 3, Pref: Pref{Proxy: prx}},
 		UpdateCurrentLoc{Proxy: prx, MH: 3, NewLoc: 6},

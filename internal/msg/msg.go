@@ -248,11 +248,15 @@ type Leave struct {
 // same cell. OldMSS is the station responsible for the cell the MH is
 // leaving; if OldMSS equals the receiving station no hand-off is started
 // (paper §2, §3.2). Inc is the host's boot incarnation (E18); stations
-// treat 0 as "first incarnation".
+// treat 0 as "first incarnation". Seq numbers the host's registrations
+// within the incarnation: a greet that names a new cell takes the next
+// one, a beacon or a reactivation in place repeats it, so (Inc, Seq)
+// orders every hand-off race (DESIGN §5).
 type Greet struct {
 	MH     ids.MH
 	OldMSS ids.MSS
 	Inc    ids.Incarnation
+	Seq    uint32
 }
 
 // Request is a service request from an MH to its respMss, to be routed
@@ -296,9 +300,13 @@ type AckMH struct {
 // Wired MSS <-> MSS hand-off messages (paper §3.2).
 
 // Dereg asks the old respMss to de-register an MH and return its pref.
+// Inc and Seq are those of the greet that started the hand-off: the
+// station holding the pref hands it over only to a newer registration.
 type Dereg struct {
 	MH     ids.MH
 	NewMSS ids.MSS
+	Inc    ids.Incarnation
+	Seq    uint32
 }
 
 // DeregAck transfers responsibility for the MH (with its pref) to the
@@ -306,12 +314,17 @@ type Dereg struct {
 // routed to the pref's proxy, so the new one can tell whether a del-pref
 // covers it (§3.3). Inc carries the old station's record of the host's
 // registered incarnation, so incarnation knowledge survives hand-offs
-// the same way the pref does (E18).
+// the same way the pref does (E18). A Stale deregack hands nothing over:
+// it refuses the dereg for registration Seq, which is no newer than the
+// one Holder holds or is about to.
 type DeregAck struct {
 	MH     ids.MH
 	Pref   Pref
 	Routed uint32
 	Inc    ids.Incarnation
+	Stale  bool
+	Holder ids.MSS
+	Seq    uint32
 }
 
 // ---------------------------------------------------------------------
@@ -933,6 +946,9 @@ func (m AckMH) String() string {
 }
 func (m Dereg) String() string { return fmt.Sprintf("dereg(%v,new=%v)", m.MH, m.NewMSS) }
 func (m DeregAck) String() string {
+	if m.Stale {
+		return fmt.Sprintf("deregack(%v,stale#%d,holder=%v)", m.MH, m.Seq, m.Holder)
+	}
 	return fmt.Sprintf("deregack(%v,%v)", m.MH, m.Pref)
 }
 func (m RequestForward) String() string {

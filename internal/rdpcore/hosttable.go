@@ -1,6 +1,7 @@
 package rdpcore
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/ids"
@@ -38,16 +39,23 @@ type hostDurable struct {
 	// proxy (proxyFor) and with the host's incarnation (noteInc), as the
 	// host's sequence does.
 	routed uint32
-	// departed marks a host whose dereg has been processed: "it will
-	// ignore all future Ack messages from this MH" (§3.1). forwardTo is
-	// then the station that took over responsibility, learned from the
-	// Dereg (NoMSS otherwise). A request can be in flight over the old
-	// cell's radio when the hand-off completes; dropping it would break the
-	// delivery guarantee for that request, and unlike Acks (which
-	// retransmission covers) nothing would ever re-create it. The paper
-	// does not discuss this in-flight case; forwarding along the hand-off
-	// chain is the completing decision (DESIGN §5).
-	departed  bool
+	// seq is the host's registration sequence (msg.Greet.Seq) the station
+	// knows last: of the registration it holds, or of the one it handed
+	// the pref to (or was refused for) once departed. With inc it orders
+	// every greet and dereg about the host (order): the station ignores
+	// an older greet and hands the pref over only to a newer dereg
+	// (DESIGN §5).
+	seq uint32
+	// forwardTo is set once the host's dereg has been processed — the
+	// host has departed: "it will ignore all future Ack messages from
+	// this MH" (§3.1) — to the station that took over responsibility,
+	// learned from the Dereg, or that refused this station's own (NoMSS
+	// otherwise). A request can be in flight over the old cell's radio
+	// when the hand-off completes; dropping it would break the delivery
+	// guarantee for that request, and unlike Acks (which retransmission
+	// covers) nothing would ever re-create it. The paper does not discuss
+	// this in-flight case; forwarding along the hand-off chain is the
+	// completing decision (DESIGN §5).
 	forwardTo ids.MSS
 	// inc is the newest incarnation this station has registered for the
 	// host (E18). Requests, greets and registrations carry the issuing
@@ -118,7 +126,7 @@ type hostTransient struct {
 // decision for when they do not.
 type arrival struct {
 	greetAt  sim.Time
-	oldMSS   ids.MSS     // the greet's old respMss (dedups refresh beacons)
+	seq      uint32      // the greet's registration sequence
 	buffered []inboxItem // wireless data (requests, acks) from the MH
 	deferred []inboxItem // greets/deregs awaiting our registration
 }
@@ -207,18 +215,25 @@ func (h *stationHost) arrival() *arrival {
 	return &h.x.arr
 }
 
-// arrive starts a hand-off toward this station: greeted at greetAt by a
-// host naming oldMSS, with deferred already waiting behind it.
-func (x *hostTransient) arrive(greetAt sim.Time, oldMSS ids.MSS, deferred []inboxItem) {
-	x.arr, x.arriving = arrival{greetAt: greetAt, oldMSS: oldMSS, deferred: deferred}, true
+// arrive starts a hand-off toward this station: greeted at greetAt for
+// registration seq, with deferred already waiting behind it.
+func (x *hostTransient) arrive(greetAt sim.Time, seq uint32, deferred []inboxItem) {
+	x.arr, x.arriving = arrival{greetAt: greetAt, seq: seq, deferred: deferred}, true
 }
 
-// returned notes that the host is (again) this station's own: its Acks
-// count and nothing is passed along.
-func (h *stationHost) returned() {
-	if h.departed {
-		h.departed, h.forwardTo = false, ids.NoMSS
+// departed reports whether the host's registration has left this station
+// (forwardTo).
+func (d hostDurable) departed() bool { return d.forwardTo.Valid() }
+
+// order compares the registration (inc, seq) a greet or dereg names with
+// the newest one the station knows for the host — its pending arrival's,
+// or the record's — by incarnation first: -1 older, 0 the same, +1 newer.
+func (h *stationHost) order(inc ids.Incarnation, seq uint32) int {
+	known := h.seq
+	if arr := h.arrival(); arr != nil {
+		known = arr.seq
 	}
+	return cmp.Or(cmp.Compare(normInc(inc), normInc(h.inc)), cmp.Compare(seq, known))
 }
 
 // attemptedWithin reports whether a delivery attempt for req is younger

@@ -16,7 +16,12 @@ import (
 // (assumption 4). Duplicate detection (assumption 5) is implemented with
 // the set of request identifiers already answered.
 type MHNode struct {
-	id      ids.MH
+	id ids.MH
+	// seq numbers the host's registrations within its incarnation
+	// (msg.Greet.Seq): a greet that names a new cell takes the next one,
+	// a beacon or a reactivation in place repeats it, and a reboot
+	// starts over at 0, the sequence of its Register.
+	seq     uint32
 	w       *World
 	respMss ids.MSS
 	joined  bool
@@ -441,9 +446,19 @@ func (h *MHNode) greetOld(prev ids.MSS) ids.MSS {
 	return prev
 }
 
-// refreshGreet re-sends a registration beacon to the current respMss.
-func (h *MHNode) refreshGreet() {
-	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: h.greetOld(h.respMss), Inc: h.inc}.Leg()))
+// greet greets the station of cell, the host's respMss from now on,
+// naming the old one so a Hand-off can start (§2, §3.2); from this moment
+// the MH answers only that station. The World calls it when an active
+// MH enters a new cell. A greet that names a new cell starts a new
+// registration and takes the next sequence number; one to the cell the
+// host is registered in repeats it.
+func (h *MHNode) greet(cell ids.MSS) {
+	old := h.greetOld(h.respMss)
+	if cell != h.respMss {
+		h.seq++
+	}
+	h.respMss = cell
+	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc, Seq: h.seq}.Leg()))
 }
 
 // scheduleRefresh re-greets the current respMss on a fixed period while
@@ -459,7 +474,7 @@ func (h *MHNode) refresh() {
 		return
 	}
 	if h.active && !h.disconnected {
-		h.refreshGreet()
+		h.greet(h.respMss) // the beacon: a greet repeating the registration
 	}
 	h.scheduleRefresh()
 }
@@ -511,7 +526,7 @@ func (h *MHNode) crash() {
 // woke up in, carrying the new incarnation so stale proxy and station
 // state can be scrubbed everywhere.
 func (h *MHNode) reboot(inc ids.Incarnation) {
-	h.inc = inc
+	h.inc, h.seq = inc, 0
 	h.respMss = h.loc
 	kept := h.offline[:0]
 	for _, m := range h.w.loadOffline(h.id) {
@@ -633,9 +648,7 @@ func (h *MHNode) armRequestTimers(req ids.RequestID, e msg.Envelope) {
 // replayed request arms its retry/deadline machinery only now, so the
 // disconnection window never counts against the deadline.
 func (h *MHNode) onReconnect(cell ids.MSS) {
-	old := h.greetOld(h.respMss)
-	h.respMss = cell
-	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg()))
+	h.greet(cell)
 	offline := h.offline
 	h.offline = nil
 	h.w.persistOffline(h.id, nil)
@@ -710,24 +723,12 @@ func (h *MHNode) resend(req ids.RequestID) {
 	h.uplink(h.w.turn.Message())
 }
 
-// onMigrate is invoked by the World when the (active) MH enters a new
-// cell: it greets the new station, naming the old one so the Hand-off
-// can start (§2, §3.2). From this moment the MH answers only the new
-// station.
-func (h *MHNode) onMigrate(newCell ids.MSS) {
-	old := h.greetOld(h.respMss)
-	h.respMss = newCell
-	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg()))
-}
-
 // onActivate is invoked by the World when the MH becomes active. It
 // greets the station of the cell it woke up in — the same station (no
 // hand-off; §3.2) or a new one if it was carried while inactive — and
 // flushes requests queued during inactivity.
 func (h *MHNode) onActivate(cell ids.MSS) {
-	old := h.greetOld(h.respMss)
-	h.respMss = cell
-	h.uplink(h.w.view(msg.Greet{MH: h.id, OldMSS: old, Inc: h.inc}.Leg()))
+	h.greet(cell)
 	// Routed, not blindly uplinked: a host that wakes up outside coverage
 	// journals its queue for the eventual reconnection. An entry routed
 	// back into the queue lands on one already taken, so the array is

@@ -227,7 +227,7 @@ func (n *MSSNode) handleMigState(m msg.MigState) {
 		pref.Proxy = m.NewProxy
 		n.setPref(m.MH, pref)
 		n.w.Stats.PrefRedirects.Inc()
-	} else if h := n.peek(m.MH); h.departed {
+	} else if h := n.peek(m.MH); h.departed() {
 		n.sendWired(h.forwardTo.Node(),
 			msg.PrefRedirect{MH: m.MH, OldProxy: m.Proxy, NewProxy: m.NewProxy})
 	}
@@ -290,7 +290,7 @@ func (n *MSSNode) handlePrefRedirect(from ids.NodeID, m msg.PrefRedirect) {
 		n.w.Stats.PrefRedirects.Inc()
 		return
 	}
-	if h.departed {
+	if h.departed() {
 		n.sendWired(h.forwardTo.Node(), m)
 	}
 	// Otherwise stale: the pref was already rebound, erased, or lives on

@@ -532,16 +532,16 @@ func (n *MSSNode) incOf(mh ids.MH) ids.Incarnation { return normInc(n.peek(mh).i
 
 // noteInc records that mh is running incarnation inc. Learning a newer
 // incarnation than the registered one means the host crashed and
-// rebooted since we last heard from it: its request sequence starts over,
-// and so does routed; every held result owned by the dead incarnations is
-// scrubbed — the reborn host has no memory of them and will never
-// acknowledge anything on their behalf.
+// rebooted since we last heard from it: its request and registration
+// sequences start over, and so do routed and seq; every held result
+// owned by the dead incarnations is scrubbed — the reborn host has no
+// memory of them and will never acknowledge anything on their behalf.
 func (n *MSSNode) noteInc(mh ids.MH, inc ids.Incarnation) {
 	if inc == 0 || !incLess(n.peek(mh).inc, inc) {
 		return
 	}
 	h := n.rec(mh)
-	h.inc, h.routed = inc, 0
+	h.inc, h.routed, h.seq = inc, 0, 0
 	if x := h.x; x != nil {
 		x.held = slices.DeleteFunc(x.held, func(r msg.ResultDeliver) bool { return n.staleInc(r.Inc, inc) })
 	}
@@ -558,14 +558,13 @@ func (n *MSSNode) staleInc(owner, cur ids.Incarnation) bool {
 }
 
 // handleRegister processes the re-registration a rebooted host sends
-// under its fresh incarnation: record the incarnation (scrubbing what
-// the dead ones owned), then run the registration itself through the
-// greet path — it already handles every placement case (responsible,
-// forwarded-away, wholly unknown) — and finally vouch for the host
-// immediately so its proxy learns the new incarnation without waiting
-// for the next heartbeat round.
+// under its fresh incarnation: it runs through the greet path as the new
+// incarnation's first registration (sequence 0) — which records the
+// incarnation, scrubbing what the dead ones owned, and handles every
+// placement case (responsible, forwarded-away, wholly unknown) — and
+// then vouches for the host immediately so its proxy learns the new
+// incarnation without waiting for the next heartbeat round.
 func (n *MSSNode) handleRegister(m msg.Register) {
-	n.noteInc(m.MH, m.Inc)
 	n.handleGreet(msg.Greet{MH: m.MH, OldMSS: n.id, Inc: m.Inc})
 	if pref, ok := n.prefs.get(m.MH); ok {
 		n.beatOne(m.MH, pref)
@@ -584,7 +583,7 @@ func (n *MSSNode) handleReclaimMemo(from ids.NodeID, m msg.ReclaimMemo) {
 	}
 	pref, ok := n.prefs.get(m.MH)
 	if !ok {
-		if h.departed {
+		if h.departed() {
 			n.sendWired(h.forwardTo.Node(), m)
 			return
 		}
@@ -663,7 +662,9 @@ func (n *MSSNode) setPref(mh ids.MH, pref msg.Pref) {
 // deregack that completes a hand-off: the host's Acks count (again) and
 // nothing is passed along.
 func (n *MSSNode) adopt(mh ids.MH, pref msg.Pref) {
-	n.peek(mh).returned()
+	if h := n.peek(mh); h.departed() {
+		h.forwardTo = ids.NoMSS
+	}
 	n.setPref(mh, pref)
 }
 
@@ -676,7 +677,7 @@ func (n *MSSNode) forget(mh ids.MH) {
 		// What outlives responsibility is where the host went, a hand-off
 		// still in flight toward this station, and recent delivery
 		// attempts.
-		h.routed, h.inc = 0, 0
+		h.routed, h.inc, h.seq = 0, 0, 0
 		if x := h.x; x != nil {
 			x.held, x.heldAcks, x.deferredUpdate = nil, nil, false
 			n.settle(h)
@@ -717,64 +718,58 @@ func (n *MSSNode) handleLeave(m msg.Leave) {
 // handleGreet implements §3.2: a greet from a new cell starts the
 // Hand-off; a greet naming this station is a reactivation in place and
 // triggers only an update_currentLoc (plus delivery of any held
-// results).
+// results). The greet's registration (Inc, Seq) against the station's
+// (stationHost.order) decides every race a reordered radio makes: a
+// station ignores a greet older than what it holds or has handed on, and
+// takes one no older than the registration it holds in place — a
+// beacon's repeat, or the host back before a hand-off away reached it.
 func (n *MSSNode) handleGreet(in msg.Message) {
 	m := n.w.legOf(in).Greet()
-	n.noteInc(m.MH, m.Inc)
 	h := n.peek(m.MH)
+	order := h.order(m.Inc, m.Seq)
 	if arr := h.arrival(); arr != nil {
-		if n.w.cfg.RegConfirm && m.OldMSS == arr.oldMSS {
-			// A registration-refresh beacon repeating the greet that
-			// started the pending hand-off; deferring it would replay a
-			// redundant hand-off per beacon once we register.
-			return
+		if order > 0 {
+			// The host greeted us again, for a newer registration, while
+			// ours is still pending: replay the greet once ours lands so the
+			// hand-off chain stays chronological. A repeat asks for nothing
+			// the pending hand-off will not do.
+			arr.deferred = append(arr.deferred, inboxItem{from: m.MH.Node(), env: msg.EnvelopeOf(in)})
 		}
-		// The MH re-entered this cell (or reactivated here) while our own
-		// registration for it is still pending; replay the greet once the
-		// registration lands so the hand-off chain stays chronological.
-		arr.deferred = append(arr.deferred, inboxItem{from: m.MH.Node(), env: msg.EnvelopeOf(in)})
 		return
 	}
-	if m.OldMSS == n.id {
-		// Reactivation within the same cell: "no Hand-off is initiated".
-		n.w.Stats.Reactivations.Inc()
-		if !n.Responsible(m.MH) {
-			if h.departed {
-				// The MH believes it is registered here, but an earlier
-				// hand-off chain (greets reordered across radio links)
-				// carried the registration elsewhere. Fetch it back: run
-				// a normal hand-off toward the station we forwarded to;
-				// the dereg follows the chain to the current holder.
-				n.transient(h).arrive(n.w.Kernel.Now(), m.OldMSS, nil)
-				n.sendDereg(h.forwardTo, m.MH)
-				return
-			}
-			// Genuinely unknown MH with no trace of a registration: there
-			// is no state to reactivate; register it like a join.
-			n.handleJoin(msg.Join{MH: m.MH})
-		} else {
-			n.sendRegConfirm(m.MH)
-		}
-		n.reactivateInPlace(m.MH)
+	if order < 0 || order == 0 && h.departed() {
+		// The registration went on from here (or is held here) under a
+		// later greet: this one was overtaken on the radio.
 		return
 	}
-	if n.w.cfg.RegConfirm && n.Responsible(m.MH) {
-		// Already responsible although the MH names another old station:
-		// its confirmation for our registration was lost, or the deregack
-		// re-establishing us outran this greet after our restart. Starting
-		// a hand-off toward the named station would chase a pref that is
-		// already here; re-confirm and treat it as a reactivation.
-		n.w.Stats.Reactivations.Inc()
+	n.noteInc(m.MH, m.Inc)
+	if h.departed() || m.OldMSS != n.id && !n.Responsible(m.MH) {
+		// Migration into this cell: start the Hand-off with the old
+		// station. A host that names this station while the registration
+		// has left it (a rebooted host's greet, or one naming its last
+		// confirmed station) sends the dereg here first, and the departed
+		// record passes it along the chain. Deregs that overtook this
+		// greet join the arrival's deferred queue.
+		e := n.entry(m.MH)
+		x := n.transient(e)
+		x.arrive(n.w.Kernel.Now(), m.Seq, x.parked)
+		x.parked = nil
+		n.sendDereg(m.OldMSS, m.MH, e)
+		return
+	}
+	// Reactivation within the same cell: "no Hand-off is initiated".
+	n.w.Stats.Reactivations.Inc()
+	if n.Responsible(m.MH) {
 		n.sendRegConfirm(m.MH)
-		n.reactivateInPlace(m.MH)
-		return
+	} else {
+		// Genuinely unknown MH with no trace of a registration: there is
+		// no state to reactivate; register it like a join.
+		n.handleJoin(msg.Join{MH: m.MH})
 	}
-	// Migration into this cell: start the Hand-off with the old station.
-	// Deregs that overtook this greet join the arrival's deferred queue.
-	x := n.transient(n.entry(m.MH))
-	x.arrive(n.w.Kernel.Now(), m.OldMSS, x.parked)
-	x.parked = nil
-	n.sendDereg(m.OldMSS, m.MH)
+	if n.peek(m.MH).seq != m.Seq { // a repeat writes (and journals) nothing
+		n.rec(m.MH).seq = m.Seq
+	}
+	n.reactivateInPlace(m.MH)
 }
 
 // reactivateInPlace runs the reactivation tail for a responsible MH:
@@ -811,12 +806,13 @@ func (n *MSSNode) reactivateInPlace(mh ids.MH) {
 	n.deliverHeld(mh)
 }
 
-// sendDereg starts (or continues) a hand-off toward the station believed
-// to hold the pref and, when peer-outage detection is configured, arms a
-// timer that re-issues the Dereg while the hand-off stays pending — the
-// old station may have crashed before serving it.
-func (n *MSSNode) sendDereg(old ids.MSS, mh ids.MH) {
-	n.sendWired(old.Node(), n.w.view(msg.Dereg{MH: mh, NewMSS: n.id}.Leg()))
+// sendDereg starts (or continues) h's pending hand-off toward the station
+// believed to hold the pref, for the arrival's registration, and, when
+// peer-outage detection is configured, arms a timer that re-issues the
+// Dereg while the hand-off stays pending — the old station may have
+// crashed before serving it.
+func (n *MSSNode) sendDereg(old ids.MSS, mh ids.MH, h *stationHost) {
+	n.sendToStation(old, n.w.view(msg.Dereg{MH: mh, NewMSS: n.id, Inc: normInc(h.inc), Seq: h.arrival().seq}.Leg()))
 	if n.w.cfg.HandoffTimeout <= 0 {
 		return
 	}
@@ -826,9 +822,9 @@ func (n *MSSNode) sendDereg(old ids.MSS, mh ids.MH) {
 // reissueDereg re-issues the Dereg of a hand-off that is still pending
 // when its timeout fires.
 func (n *MSSNode) reissueDereg(old ids.MSS, mh ids.MH) {
-	if n.peek(mh).arrival() != nil {
+	if h := n.peek(mh); h.arrival() != nil {
 		n.w.Stats.HandoffReissues.Inc()
-		n.sendDereg(old, mh)
+		n.sendDereg(old, mh, h)
 	}
 }
 
@@ -996,7 +992,7 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, in msg.Message) {
 		arr.buffered = append(arr.buffered, inboxItem{from: from, env: msg.EnvelopeOf(in)})
 		return
 	}
-	if h.departed {
+	if h.departed() {
 		n.w.Stats.IgnoredAcks.Inc()
 		return
 	}
@@ -1050,62 +1046,60 @@ func (n *MSSNode) handleAckMH(from ids.NodeID, in msg.Message) {
 }
 
 // handleDereg implements the old-station side of the Hand-off (§3.2):
-// return the pref, drop responsibility, and ignore the MH's later acks.
+// return the pref, drop responsibility, and ignore the MH's later acks —
+// for a newer registration than the one held. A dereg for one no newer
+// was sent for a greet the host made before it greeted the registration
+// held here (a greet overtaken on the radio and a dereg that followed a
+// stale forwardTo, or this station's own dereg come back along the
+// chain): it is refused with a stale deregack naming this station.
 //
-// Fast migration chains require three further cases. A station that is
-// still responsible serves the dereg immediately even while its own
-// (re-)registration for the same MH is pending — deferring there would
-// deadlock two stations waiting on each other's deregack. A station the
-// MH has already left forwards the dereg along the hand-off chain to
-// wherever it sent the pref. Only a station that is itself *about to
-// receive* the pref defers the dereg until its registration completes.
+// Fast migration chains require two further cases. A station the MH has
+// already left forwards the dereg along the hand-off chain to wherever it
+// sent the pref. Only a station that is itself *about to receive* the
+// pref defers the dereg until its registration completes. It was named
+// as the old station, so the host greeted it first: a dereg waits only
+// on an older registration's hand-off, and no two stations ever wait on
+// each other.
 func (n *MSSNode) handleDereg(from ids.NodeID, in msg.Message) {
 	m := n.w.legOf(in).Dereg()
 	h := n.peek(m.MH)
 	pref, responsible := n.prefs.get(m.MH)
-	if m.NewMSS == n.id && responsible && h.arrival() == nil {
-		// A re-issued Dereg of ours returned along the forwarding chain
-		// after its hand-off already completed (the deregack outran it,
-		// typically held by ARQ across our crash window): we are
-		// responsible and expect no further deregack, so serving our own
-		// Dereg would just churn responsibility through a self round
-		// trip. Drop it. (A dereg reaching its own NewMSS *while* an
-		// arrival is pending is the fast-migration chain case and takes
-		// the normal path below.)
-		return
-	}
-	if responsible {
-		h = n.rec(m.MH)
-		h.departed, h.forwardTo = true, m.NewMSS
+	arr := h.arrival()
+	switch {
+	case responsible && h.order(m.Inc, m.Seq) > 0:
 		// The deregack carries routed beside the pref, and the registered
 		// incarnation (E18) it counts for: the new respMss must not vouch
 		// for (or gate against) an older one.
+		h = n.rec(m.MH)
 		routed, inc := h.routed, h.inc
 		n.forget(m.MH)
+		h.forwardTo, h.seq = m.NewMSS, m.Seq
 		n.sendWired(m.NewMSS.Node(), n.w.view(msg.DeregAck{MH: m.MH, Pref: pref, Routed: routed, Inc: inc}.Leg()))
-		return
-	}
-	if h.departed {
+	case h.departed():
 		n.sendWired(h.forwardTo.Node(), in)
-		return
-	}
-	if arr := h.arrival(); arr != nil {
+	case responsible:
+		n.sendToStation(m.NewMSS, n.w.view(msg.DeregAck{MH: m.MH, Stale: true, Holder: n.id, Seq: m.Seq}.Leg()))
+	case arr != nil:
 		arr.deferred = append(arr.deferred, inboxItem{from: from, env: msg.EnvelopeOf(in)})
-		return
+	default:
+		// Unknown MH: our own greet for it must still be in flight (an MH
+		// names us as old respMss only after greeting us); park the dereg
+		// until that greet or a join arrives.
+		x := n.transient(n.entry(m.MH))
+		x.parked = append(x.parked, inboxItem{from: from, env: msg.EnvelopeOf(in)})
 	}
-	// Unknown MH: our own greet for it must still be in flight (an MH
-	// names us as old respMss only after greeting us); park the dereg
-	// until that greet or a join arrives.
-	x := n.transient(n.entry(m.MH))
-	x.parked = append(x.parked, inboxItem{from: from, env: msg.EnvelopeOf(in)})
 }
 
 // handleDeregAck completes the Hand-off on the new station (§3.2):
 // responsibility is officially transferred, the pref is installed, the
 // proxy learns the new location, and traffic buffered during the
-// hand-off is processed.
+// hand-off is processed. A stale deregack ends the hand-off it refuses:
+// the host registered at (or beyond) the holder after greeting this
+// station, which becomes departed toward the holder and passes what the
+// arrival kept on along the chain. One for a hand-off no longer pending —
+// a re-issued dereg's second answer, or this station's own dereg come
+// back after its hand-off completed — does nothing.
 func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
-	n.noteInc(m.MH, m.Inc)
 	h := n.peek(m.MH)
 	// The replay below works on a copy of the finished record: what it
 	// dispatches may start the host's next arrival in the same place,
@@ -1114,22 +1108,34 @@ func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 	arriving := h.arrival() != nil
 	if arriving {
 		arr = h.x.arr
+	}
+	if m.Stale && (!arriving || arr.seq != m.Seq) {
+		return
+	}
+	if arriving {
 		h.x.arr, h.x.arriving = arrival{}, false
 	}
-	pref := m.Pref
-	n.adopt(m.MH, pref)
-	// routed counts for the deregack's incarnation; one this station
-	// already knows to be dead counts nothing.
-	if !incLess(m.Inc, h.inc) {
-		n.rec(m.MH).routed = m.Routed
-	}
-	n.sendRegConfirm(m.MH)
-	n.w.Stats.Handoffs.Inc()
-	if arriving {
-		n.w.Stats.HandoffLatency.Observe(time.Duration(n.w.Kernel.Now() - arr.greetAt))
-	}
-	if pref.HasProxy() {
-		n.announceLoc(pref.Proxy, m.MH)
+	if m.Stale {
+		h = n.rec(m.MH)
+		h.forwardTo, h.seq = m.Holder, arr.seq
+	} else {
+		n.noteInc(m.MH, m.Inc)
+		n.adopt(m.MH, m.Pref)
+		h = n.rec(m.MH)
+		// routed counts for the deregack's incarnation; one this station
+		// already knows to be dead counts nothing.
+		if !incLess(m.Inc, h.inc) {
+			h.routed = m.Routed
+		}
+		n.sendRegConfirm(m.MH)
+		n.w.Stats.Handoffs.Inc()
+		if arriving {
+			h.seq = arr.seq
+			n.w.Stats.HandoffLatency.Observe(time.Duration(n.w.Kernel.Now() - arr.greetAt))
+		}
+		if m.Pref.HasProxy() {
+			n.announceLoc(m.Pref.Proxy, m.MH)
+		}
 	}
 	if arriving {
 		for i := range arr.buffered {
@@ -1137,14 +1143,11 @@ func (n *MSSNode) handleDeregAck(m msg.DeregAck) {
 		}
 		// Replay deferred greets/deregs in arrival order. Processing one
 		// may start the next hand-off of the chain (re-entering the
-		// arriving state); the rest of the queue then carries over to
-		// that new arrival record and replays after *its* registration.
+		// arriving state); the rest of the queue then meets that new
+		// arrival, or the departed record a refusal left, as any message
+		// would.
 		for i := range arr.deferred {
 			n.dispatch(arr.deferred[i].from, arr.deferred[i].env.Message())
-			if next := h.arrival(); next != nil {
-				next.deferred = append(next.deferred, arr.deferred[i+1:]...)
-				break
-			}
 		}
 		n.settle(h)
 	}
@@ -1347,7 +1350,7 @@ func (n *MSSNode) routeUplink(from ids.NodeID, mh ids.MH, m msg.Message) bool {
 	if n.Responsible(mh) {
 		return true
 	}
-	if h.departed {
+	if h.departed() {
 		n.sendWired(h.forwardTo.Node(), m)
 	} else {
 		n.w.Stats.OrphanMessages.Inc()

@@ -26,7 +26,7 @@ func TestDeregForUnknownMHParksUntilGreetOrJoin(t *testing.T) {
 	// flight: the dereg parks instead of fabricating an empty pref.
 	w := edgeWorld()
 	mss1 := w.MSSs[1]
-	mss1.process(ids.MSS(2).Node(), msg.Dereg{MH: 42, NewMSS: 2})
+	mss1.process(ids.MSS(2).Node(), msg.Dereg{MH: 42, NewMSS: 2, Seq: 1})
 	w.Run()
 	if w.MSSs[2].Responsible(42) {
 		t.Fatal("dereg must not be answered while the MH is unknown")
@@ -151,11 +151,13 @@ func TestDuplicateGreetDuringHandoffIgnored(t *testing.T) {
 	w.AddMH(7, 1)
 	w.Run()
 	mss2 := w.MSSs[2]
-	// Two greets before the hand-off completes: only one dereg may flow.
-	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1})
-	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1})
-	if arr := mss2.peek(7).arrival(); arr == nil || len(arr.deferred) != 1 {
-		t.Fatalf("arrival = %+v, want one pending hand-off with the second greet deferred", arr)
+	// Two greets for one registration before the hand-off completes (a
+	// beacon's repeat): only one dereg may flow, and the repeat asks for
+	// nothing the hand-off will not do.
+	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1, Seq: 1})
+	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1, Seq: 1})
+	if arr := mss2.peek(7).arrival(); arr == nil || arr.seq != 1 || len(arr.deferred) != 0 {
+		t.Fatalf("arrival = %+v, want one pending hand-off for registration 1 and nothing deferred", arr)
 	}
 }
 
@@ -164,7 +166,7 @@ func TestRequestBufferedDuringHandoff(t *testing.T) {
 	w.AddMH(7, 1)
 	w.Run()
 	mss2 := w.MSSs[2]
-	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1})
+	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1, Seq: 1})
 	// Request lands while the dereg/deregack exchange is still pending.
 	mss2.process(ids.MH(7).Node(), msg.Request{
 		Req: ids.RequestID{Origin: 7, Seq: 1}, Server: 1, Payload: []byte("q"),

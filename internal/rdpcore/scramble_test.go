@@ -9,10 +9,11 @@ import (
 	"repro/internal/netsim"
 )
 
-// These tests pin down, as deterministic unit scenarios, the two greet
+// These tests pin down, as deterministic unit scenarios, the greet
 // re-ordering races originally found by TestRandomOpSequences: greets
 // sent over different radio links can arrive out of order, letting a
-// hand-off chain reach a station before the greet that explains it.
+// hand-off chain reach a station before the greet that explains it, or
+// a greet reach a station after the registration has moved on.
 
 // TestDeregOvertakesGreetKeepsPref reconstructs the seed-7 scramble:
 // the MH migrates A(mss1) -> B(mss2) -> C(mss3) so fast that C's dereg
@@ -36,8 +37,8 @@ func TestDeregOvertakesGreetKeepsPref(t *testing.T) {
 	// itself is already in cell 3 and believes in mss3 (it sent both
 	// greets; only their arrivals are reordered).
 	w.MHs[7].loc = 3
-	mh.respMss = 3
-	mss3.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 2})
+	mh.respMss, mh.seq = 3, 2
+	mss3.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 2, Seq: 2})
 	w.RunUntil(60 * time.Millisecond)
 	if w.MSSs[3].Responsible(7) {
 		t.Fatal("mss3 registered from a fabricated pref; dereg should be parked at mss2")
@@ -45,7 +46,7 @@ func TestDeregOvertakesGreetKeepsPref(t *testing.T) {
 	// Now the delayed greet to B (mss2) lands; B hands off from A,
 	// registers with the real pref, and serves the parked dereg — the
 	// registration (and pref) chain A -> B -> C completes.
-	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1})
+	mss2.process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1, Seq: 1})
 	w.RunUntil(200 * time.Millisecond)
 
 	if !mss3.Responsible(7) {
@@ -73,61 +74,54 @@ func TestDeregOvertakesGreetKeepsPref(t *testing.T) {
 	}
 }
 
-// TestReactivationFetchesDriftedRegistration reconstructs the seed-5
-// aftermath: the registration drifted to a station (mss2) other than
-// the one the MH believes in (mss1). A reactivation greet at mss1 must
-// fetch the registration back through the forwarding pointer instead of
-// fabricating a fresh one.
-func TestReactivationFetchesDriftedRegistration(t *testing.T) {
+// TestStaleGreetDoesNotDriftRegistration reconstructs the seed-5 race:
+// a greet the MH sent for an earlier registration (here: one naming its
+// registration at mss1, sequence 0) reaches mss2 while the MH is
+// registered at mss1 and stays there. mss2 cannot tell it is stale and
+// starts a hand-off, but mss1 holds that very registration and refuses
+// the dereg: the registration never drifts to mss2, which ends departed
+// toward mss1, and the result in flight is delivered where the MH is.
+func TestStaleGreetDoesNotDriftRegistration(t *testing.T) {
 	w := edgeWorld()
 	mh := w.AddMH(7, 1)
 	w.RunUntil(20 * time.Millisecond)
 
-	// Issue a request whose result will strand at the drifted station.
-	cfgServerSlow(w)
 	var req ids.RequestID
 	w.Schedule(0, func() { req = mh.IssueRequest(1, []byte("x")) })
 	w.RunUntil(30 * time.Millisecond)
 
-	// Force the drift: mss2 deregs mss1 directly (as a scrambled chain
-	// would), so mss2 becomes responsible while the MH still believes in
-	// mss1.
 	w.MSSs[2].process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1})
 	w.RunUntil(100 * time.Millisecond)
-	if !w.MSSs[2].Responsible(7) || w.MSSs[1].Responsible(7) {
-		t.Fatal("setup failed: registration did not drift to mss2")
+	if !w.MSSs[1].Responsible(7) || w.MSSs[2].Responsible(7) {
+		t.Fatal("the stale greet moved the registration to mss2")
 	}
-	// The MH (physically in cell 1, believing respMss=mss1) reactivates.
+	if h := w.MSSs[2].peek(7); h.arrival() != nil || h.forwardTo != 1 {
+		t.Fatalf("mss2: arrival %v, forwardTo %v; want the refused hand-off ended departed toward mss1", h.arrival(), h.forwardTo)
+	}
+	// The MH (in cell 1, believing respMss=mss1) reactivates in place.
 	w.MSSs[1].process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1})
 	w.RunUntil(3 * time.Second)
 
-	if !w.MSSs[1].Responsible(7) {
-		t.Fatal("reactivation did not fetch the drifted registration back")
-	}
-	if w.MSSs[2].Responsible(7) {
-		t.Error("mss2 still responsible after the fetch-back")
+	if got := w.Stats.Handoffs.Value(); got != 0 {
+		t.Errorf("Handoffs = %d, want 0", got)
 	}
 	if got := w.Stats.ProxiesCreated.Value(); got != 1 {
 		t.Errorf("ProxiesCreated = %d, want 1", got)
 	}
 	if !mh.Seen(req) {
-		t.Error("stranded result not delivered after the fetch-back")
+		t.Error("result not delivered")
 	}
-	if err := w.CheckInvariants(); err != nil {
+	if err := w.CheckQuiescent(); err != nil {
 		t.Error(err)
 	}
 }
 
-// cfgServerSlow makes in-flight results linger long enough for the
-// scramble scenarios to race them (test helper mutating the live world's
-// server processing model is not possible; instead we rely on the
-// default 50ms processing of edgeWorld — this helper documents intent).
-func cfgServerSlow(*World) {}
-
-// TestGreetRefreshRecoversStrandedResult verifies Config.GreetRefresh:
-// with periodic registration refresh, even an MH that never migrates or
-// sleeps again recovers results stranded by a drifted registration.
-func TestGreetRefreshRecoversStrandedResult(t *testing.T) {
+// TestStaleGreetUnderRefreshStrandsNothing: with periodic registration
+// refresh on (Config.GreetRefresh), a stale greet injected at mss2 while
+// a request is being served is refused as above — the registration stays
+// with mss1, where the MH is, for the whole run, and the result arrives
+// without a beacon having to repair anything.
+func TestStaleGreetUnderRefreshStrandsNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumMSS = 3
 	cfg.WiredLatency = netsim.Constant(time.Millisecond)
@@ -138,19 +132,26 @@ func TestGreetRefreshRecoversStrandedResult(t *testing.T) {
 	mh := w.AddMH(7, 1)
 	var req ids.RequestID
 	w.Schedule(0, func() { req = mh.IssueRequest(1, []byte("x")) })
-	// Drift the registration away while the request is being served; the
-	// MH stays put and issues nothing else.
 	w.Schedule(10*time.Millisecond, func() {
 		w.MSSs[2].process(ids.MH(7).Node(), msg.Greet{MH: 7, OldMSS: 1})
 	})
-	w.RunUntil(5 * time.Second)
-	if !mh.Seen(req) {
-		t.Fatal("refresh beacons did not recover the stranded result")
+	var seenAt time.Duration
+	for at := 20 * time.Millisecond; at <= 5*time.Second; at += 20 * time.Millisecond {
+		w.RunUntil(at)
+		if !w.MSSs[1].Responsible(7) || w.MSSs[2].Responsible(7) {
+			t.Fatalf("at %v the registration drifted away from mss1", at)
+		}
+		if seenAt == 0 && mh.Seen(req) {
+			seenAt = at
+		}
 	}
-	if !w.MSSs[1].Responsible(7) {
-		t.Error("registration not reconciled to the MH's actual cell")
+	if seenAt == 0 || seenAt > cfg.GreetRefresh {
+		t.Errorf("result seen at %v, want before the first beacon (%v)", seenAt, cfg.GreetRefresh)
 	}
-	if err := w.CheckInvariants(); err != nil {
+	if got := w.Stats.Handoffs.Value(); got != 0 {
+		t.Errorf("Handoffs = %d, want 0", got)
+	}
+	if err := w.CheckQuiescent(); err != nil {
 		t.Error(err)
 	}
 }

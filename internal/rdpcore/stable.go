@@ -149,7 +149,7 @@ func (n *MSSNode) flushJournal() {
 	rec := n.w.store.station(n.id)
 	for _, mh := range n.dirtyHosts {
 		// A snapshot with nothing left to remember erases the entry.
-		if j := n.hostImage(mh); j.hasPref || j.departed {
+		if j := n.hostImage(mh); j.hasPref || j.departed() {
 			rec.mhs[mh] = j
 		} else {
 			delete(rec.mhs, mh)

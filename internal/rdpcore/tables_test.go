@@ -433,7 +433,7 @@ func (s *silentWired) Register(ids.NodeID, netsim.Handler) {}
 
 // oracleArrival is a pending hand-off in the station oracle.
 type oracleArrival struct {
-	oldMSS             ids.MSS
+	seq                uint32
 	buffered, deferred []msg.Message
 }
 
@@ -455,6 +455,7 @@ type stationOracle struct {
 	ignoreAcks     map[ids.MH]bool
 	forwardTo      map[ids.MH]ids.MSS
 	routed         map[ids.MH]uint32
+	seqs           map[ids.MH]uint32
 	incs           map[ids.MH]ids.Incarnation
 	arriving       map[ids.MH]*oracleArrival
 	parked         map[ids.MH][]msg.Message
@@ -470,7 +471,7 @@ func newStationOracle(me ids.MSS, w *World) *stationOracle {
 	o := &stationOracle{me: me, w: w}
 	o.responsible, o.prefs = map[ids.MH]bool{}, map[ids.MH]msg.Pref{}
 	o.ignoreAcks, o.forwardTo = map[ids.MH]bool{}, map[ids.MH]ids.MSS{}
-	o.routed, o.incs = map[ids.MH]uint32{}, map[ids.MH]ids.Incarnation{}
+	o.routed, o.seqs, o.incs = map[ids.MH]uint32{}, map[ids.MH]uint32{}, map[ids.MH]ids.Incarnation{}
 	o.wipeVolatile()
 	return o
 }
@@ -494,6 +495,11 @@ func (o *stationOracle) crash() {
 			delete(o.routed, mh)
 		}
 	}
+	for mh := range o.seqs {
+		if !journaled(mh) {
+			delete(o.seqs, mh)
+		}
+	}
 	for mh := range o.incs {
 		if !journaled(mh) {
 			delete(o.incs, mh)
@@ -507,6 +513,7 @@ func (o *stationOracle) noteInc(mh ids.MH, inc ids.Incarnation) {
 	}
 	o.incs[mh] = inc
 	delete(o.routed, mh)
+	delete(o.seqs, mh)
 	o.held[mh] = slices.DeleteFunc(o.held[mh], func(r oracleHeld) bool {
 		if incLess(r.inc, inc) {
 			o.staleDrops++
@@ -523,7 +530,18 @@ func (o *stationOracle) forget(mh ids.MH) {
 	delete(o.heldAcks, mh)
 	delete(o.deferredUpdate, mh)
 	delete(o.routed, mh)
+	delete(o.seqs, mh)
 	delete(o.incs, mh)
+}
+
+// order compares a greet's or dereg's registration with the newest the
+// oracle knows for mh: its arrival's, or the recorded one.
+func (o *stationOracle) order(mh ids.MH, inc ids.Incarnation, seq uint32) int {
+	known := o.seqs[mh]
+	if arr := o.arriving[mh]; arr != nil {
+		known = arr.seq
+	}
+	return cmp.Or(cmp.Compare(normInc(inc), normInc(o.incs[mh])), cmp.Compare(seq, known))
 }
 
 func (o *stationOracle) join(mh ids.MH) {
@@ -574,27 +592,30 @@ func (o *stationOracle) process(m msg.Message) {
 	case msg.Leave:
 		o.forget(m.MH)
 	case msg.Register:
-		o.noteInc(m.MH, m.Inc)
 		o.process(msg.Greet{MH: m.MH, OldMSS: o.me, Inc: m.Inc})
 	case msg.Greet:
-		o.noteInc(m.MH, m.Inc)
+		order := o.order(m.MH, m.Inc, m.Seq)
 		if arr := o.arriving[m.MH]; arr != nil {
-			arr.deferred = append(arr.deferred, m)
-			return
-		}
-		if m.OldMSS == o.me {
-			if !o.responsible[m.MH] {
-				if _, ok := o.forwardTo[m.MH]; ok {
-					o.arriving[m.MH] = &oracleArrival{oldMSS: m.OldMSS}
-					return
-				}
-				o.join(m.MH)
+			if order > 0 {
+				arr.deferred = append(arr.deferred, m)
 			}
-			o.reactivate(m.MH)
 			return
 		}
-		o.arriving[m.MH] = &oracleArrival{oldMSS: m.OldMSS, deferred: o.parked[m.MH]}
-		delete(o.parked, m.MH)
+		_, departed := o.forwardTo[m.MH]
+		if order < 0 || order == 0 && departed {
+			return
+		}
+		o.noteInc(m.MH, m.Inc)
+		if !o.responsible[m.MH] && (m.OldMSS != o.me || departed) {
+			o.arriving[m.MH] = &oracleArrival{seq: m.Seq, deferred: o.parked[m.MH]}
+			delete(o.parked, m.MH)
+			return
+		}
+		if !o.responsible[m.MH] {
+			o.join(m.MH)
+		}
+		o.seqs[m.MH] = m.Seq
+		o.reactivate(m.MH)
 	case msg.Request:
 		mh := m.Req.Origin
 		if arr := o.arriving[mh]; arr != nil {
@@ -645,13 +666,14 @@ func (o *stationOracle) process(m msg.Message) {
 		}
 		o.noteHeldAck(m.MH, m.Req)
 	case msg.Dereg:
-		if m.NewMSS == o.me && o.responsible[m.MH] && o.arriving[m.MH] == nil {
-			return
-		}
 		if o.responsible[m.MH] {
+			if o.order(m.MH, m.Inc, m.Seq) <= 0 {
+				return // refused
+			}
+			o.forget(m.MH)
 			o.ignoreAcks[m.MH] = true
 			o.forwardTo[m.MH] = m.NewMSS
-			o.forget(m.MH)
+			o.seqs[m.MH] = m.Seq
 			return
 		}
 		if _, ok := o.forwardTo[m.MH]; ok {
@@ -663,15 +685,28 @@ func (o *stationOracle) process(m msg.Message) {
 		}
 		o.parked[m.MH] = append(o.parked[m.MH], m)
 	case msg.DeregAck:
-		o.noteInc(m.MH, m.Inc)
 		arr := o.arriving[m.MH]
-		delete(o.arriving, m.MH)
-		o.responsible[m.MH] = true
-		delete(o.ignoreAcks, m.MH)
-		delete(o.forwardTo, m.MH)
-		o.prefs[m.MH] = m.Pref
-		if !incLess(m.Inc, o.incs[m.MH]) {
-			o.routed[m.MH] = m.Routed
+		if m.Stale {
+			if arr == nil || arr.seq != m.Seq {
+				return
+			}
+			delete(o.arriving, m.MH)
+			o.ignoreAcks[m.MH] = true
+			o.forwardTo[m.MH] = m.Holder
+			o.seqs[m.MH] = arr.seq
+		} else {
+			o.noteInc(m.MH, m.Inc)
+			delete(o.arriving, m.MH)
+			o.responsible[m.MH] = true
+			delete(o.ignoreAcks, m.MH)
+			delete(o.forwardTo, m.MH)
+			o.prefs[m.MH] = m.Pref
+			if !incLess(m.Inc, o.incs[m.MH]) {
+				o.routed[m.MH] = m.Routed
+			}
+			if arr != nil {
+				o.seqs[m.MH] = arr.seq
+			}
 		}
 		if arr == nil {
 			return
@@ -679,12 +714,8 @@ func (o *stationOracle) process(m msg.Message) {
 		for _, b := range arr.buffered {
 			o.process(b)
 		}
-		for i, d := range arr.deferred {
+		for _, d := range arr.deferred {
 			o.process(d)
-			if next := o.arriving[m.MH]; next != nil {
-				next.deferred = append(next.deferred, arr.deferred[i+1:]...)
-				break
-			}
 		}
 	case msg.ResultForward:
 		if incLess(m.Inc, normInc(o.incs[m.MH])) {
@@ -703,8 +734,10 @@ func (o *stationOracle) process(m msg.Message) {
 
 // TestStationTableAgainstMapOracle drives one station by hand through
 // random histories of join / greet (from a new cell, in place, overtaken
-// by its own dereg) / dereg / deregack / request / ack / result forward
-// (to an active or an inactive host) / reboot under a newer incarnation /
+// by its own dereg) / dereg — each greet and dereg for an older, the same
+// or a newer registration — / deregack, stale ones too / request / ack /
+// result forward (to an active or an inactive host) / reboot under a
+// newer incarnation /
 // leave / station crash and restart, with both substrates silent and the
 // kernel never run, and checks after every step that the host table
 // answers exactly as the plain maps would.
@@ -727,7 +760,21 @@ func stationTableHistory(t *testing.T, seed int64) {
 	hosts := []ids.MH{1, 2, 3, 4}
 	inc := map[ids.MH]ids.Incarnation{}
 	seq := map[ids.MH]uint32{}
+	reg := map[ids.MH]uint32{}            // each host's newest registration sequence
 	gaveAway := map[ids.MH]msg.DeregAck{} // the station's last deregack per host
+	// regSeq draws a registration sequence for mh: its newest, one before,
+	// or (a new cell greeted) the next.
+	regSeq := func(mh ids.MH) uint32 {
+		switch rnd.Intn(3) {
+		case 0:
+			reg[mh]++
+		case 1:
+			if reg[mh] > 0 {
+				return reg[mh] - 1
+			}
+		}
+		return reg[mh]
+	}
 	for _, mh := range hosts {
 		w.AddMH(mh, me)
 		inc[mh] = ids.FirstIncarnation
@@ -741,15 +788,18 @@ func stationTableHistory(t *testing.T, seed int64) {
 		case 0:
 			m = msg.Join{MH: mh}
 		case 1, 2:
-			m = msg.Greet{MH: mh, OldMSS: other, Inc: inc[mh]}
+			m = msg.Greet{MH: mh, OldMSS: other, Inc: inc[mh], Seq: regSeq(mh)}
 		case 3:
-			m = msg.Greet{MH: mh, OldMSS: me, Inc: anyInc}
+			m = msg.Greet{MH: mh, OldMSS: me, Inc: anyInc, Seq: regSeq(mh)}
 		case 4:
-			m = msg.Dereg{MH: mh, NewMSS: ids.MSS(1 + rnd.Intn(3))}
+			m = msg.Dereg{MH: mh, NewMSS: ids.MSS(1 + rnd.Intn(3)), Inc: inc[mh], Seq: regSeq(mh) + uint32(rnd.Intn(2))}
 		case 5, 6:
 			ack := gaveAway[mh]
-			if rnd.Intn(3) == 0 {
+			switch rnd.Intn(4) {
+			case 0:
 				ack = msg.DeregAck{}
+			case 1:
+				ack = msg.DeregAck{Stale: true, Holder: other, Seq: regSeq(mh)}
 			}
 			ack.MH = mh
 			m = ack
@@ -770,6 +820,7 @@ func stationTableHistory(t *testing.T, seed int64) {
 				Payload: []byte("r"), DelPref: rnd.Intn(2) == 0, Mark: uint32(rnd.Intn(int(seq[mh]) + 2)), Inc: anyInc}
 		case 11:
 			inc[mh]++
+			reg[mh] = 0
 			m = msg.Register{MH: mh, Inc: inc[mh]}
 		case 12:
 			m = msg.Leave{MH: mh}
@@ -793,8 +844,8 @@ func stationTableHistory(t *testing.T, seed int64) {
 			pref, hasPref := n.PrefOf(mh)
 			wantPref, wantHasPref := o.prefs[mh]
 			fwd, hasFwd := o.forwardTo[mh]
-			got := fmt.Sprint(n.Responsible(mh), pref, pref.RKpR, hasPref, h.departed, h.forwardTo, h.routed, h.inc)
-			want := fmt.Sprint(o.responsible[mh], wantPref, wantPref.RKpR, wantHasPref, o.ignoreAcks[mh], fwd, o.routed[mh], o.incs[mh])
+			got := fmt.Sprint(n.Responsible(mh), pref, pref.RKpR, hasPref, h.departed(), h.forwardTo, h.routed, h.seq, h.inc)
+			want := fmt.Sprint(o.responsible[mh], wantPref, wantPref.RKpR, wantHasPref, o.ignoreAcks[mh], fwd, o.routed[mh], o.seqs[mh], o.incs[mh])
 			if got != want || hasFwd != o.ignoreAcks[mh] {
 				t.Fatalf("step %d %T %v: durable state %s, oracle %s", step, m, mh, got, want)
 			}
@@ -804,10 +855,10 @@ func stationTableHistory(t *testing.T, seed int64) {
 			}
 			arrGot, arrWant := "none", "none"
 			if arr := h.arrival(); arr != nil {
-				arrGot = fmt.Sprint(arr.oldMSS, len(arr.buffered), len(arr.deferred))
+				arrGot = fmt.Sprint(arr.seq, len(arr.buffered), len(arr.deferred))
 			}
 			if a := o.arriving[mh]; a != nil {
-				arrWant = fmt.Sprint(a.oldMSS, len(a.buffered), len(a.deferred))
+				arrWant = fmt.Sprint(a.seq, len(a.buffered), len(a.deferred))
 			}
 			got = fmt.Sprint(arrGot, len(x.parked), len(x.held), len(x.heldAcks), x.deferredUpdate)
 			want = fmt.Sprint(arrWant, len(o.parked[mh]), len(o.held[mh]), len(o.heldAcks[mh]), o.deferredUpdate[mh])
@@ -889,7 +940,7 @@ func journalScript() (*World, *MSSNode) {
 	p.abortBatch(p.batch(aborted))
 	n.flushJournal()
 	// mh3 departs; mh4 reboots twice and asks again.
-	do(msg.Dereg{MH: 3, NewMSS: 2})
+	do(msg.Dereg{MH: 3, NewMSS: 2, Seq: 1})
 	do(msg.Register{MH: 4, Inc: 3})
 	do(msg.Request{Req: req(4, 1), Server: 1, Payload: []byte("f"), Inc: 3})
 	// mh5 and mh8 share a group entry; mh5's copy is acknowledged.
@@ -905,9 +956,9 @@ func journalScript() (*World, *MSSNode) {
 	n.flushJournal()
 	// Volatile only: mh6 arriving with a buffered request, a dereg parked
 	// for mh7, a result held for the inactive mh2.
-	do(msg.Greet{MH: 6, OldMSS: 3, Inc: 1})
+	do(msg.Greet{MH: 6, OldMSS: 3, Inc: 1, Seq: 1})
 	do(msg.Request{Req: req(6, 1), Server: 1, Payload: []byte("g"), Inc: 1})
-	do(msg.Dereg{MH: 7, NewMSS: 3})
+	do(msg.Dereg{MH: 7, NewMSS: 3, Seq: 1})
 	w.AddMH(2, 1).active = false
 	do(msg.ResultForward{Proxy: ids.ProxyID{Host: 3, Seq: 1}, MH: 2, Req: req(2, 1), Payload: []byte("h"), Inc: 1})
 	return w, n
@@ -961,7 +1012,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal("fixture: the volatile state to lose is not there")
 	}
 	before := journalDump(n)
-	for _, want := range []string{"departed:true forwardTo:2", "inc:3}", "HasResult:true", "Released:true",
+	for _, want := range []string{"seq:1 forwardTo:2", "inc:3}", "HasResult:true", "Released:true",
 		"Aborted:true", "acked:true", "acked:false", "pendingServers:map[1:true 2:true]"} {
 		if !strings.Contains(before, want) {
 			t.Errorf("fixture: dump lacks %q:\n%s", want, before)
@@ -1012,7 +1063,7 @@ func liveRecord(n *MSSNode) *stationRecord {
 		j.pref, j.hasPref = n.PrefOf(mh)
 		// A host the station neither holds a pref of (is responsible
 		// for) nor passes traffic on for is not worth an entry.
-		if j.hasPref || j.departed {
+		if j.hasPref || j.departed() {
 			rec.mhs[mh] = j
 		}
 	}

@@ -2,6 +2,7 @@ package rdpcore
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/dcache"
@@ -689,7 +690,7 @@ func (w *World) Migrate(id ids.MH, cell ids.MSS) {
 	if h.active && !h.crashed {
 		// A crashed host is carried silently; it greets from the cell it
 		// reboots in (E18).
-		h.onMigrate(cell)
+		h.greet(cell)
 	}
 }
 
@@ -748,7 +749,7 @@ func (w *World) AttachMH(h *MHNode, cell ids.MSS, active bool) {
 	if active && h.joined && !h.crashed {
 		// A disconnected host's greet dies at the radio gate, as on a
 		// serial Migrate; Reconnect re-greets from here.
-		h.onMigrate(cell)
+		h.greet(cell)
 	}
 	// Rebuild the timer set DetachMH voided (refresh beacon, retry
 	// chains, deadlines, batch retries) from the host's live state.
@@ -843,7 +844,7 @@ func (w *World) Refresh(id ids.MH) {
 	if !ok || !h.joined || !h.active {
 		return
 	}
-	h.refreshGreet()
+	h.greet(h.respMss)
 }
 
 // Disconnect takes the MH out of radio coverage entirely (E17's
@@ -1154,12 +1155,16 @@ func (w *World) resolveProxyRef(mh ids.MH, p ids.ProxyID) error {
 // traffic has drained (no in-flight messages, no pending hand-offs):
 // everything CheckInvariants demands, plus that no private proxy exists
 // without a pref referencing it — in-flight deletions and hand-overs have
-// settled, so an orphan proxy would be a leak — and that every request a
+// settled, so an orphan proxy would be a leak — that every request a
 // station routed to a host's private proxy has arrived there: routed does
-// not pass the proxy's mark.
+// not pass the proxy's mark, and that no host is stranded (Stranded).
 func (w *World) CheckQuiescent() error {
 	if err := w.CheckInvariants(); err != nil {
 		return err
+	}
+	if s := w.Stranded(); len(s) > 0 {
+		h := w.MHs[s[0]]
+		return fmt.Errorf("quiescence: %d hosts stranded, the first %v: %v", len(s), h.id, w.strandedBy(h))
 	}
 	referenced := make(map[ids.ProxyID]bool)
 	for _, st := range w.MSSs {
@@ -1218,6 +1223,46 @@ func (w *World) CheckQuiescent() error {
 		}
 		if reservations > 0 {
 			return fmt.Errorf("quiescence: %v still has %d inbound migration reservations", id, reservations)
+		}
+	}
+	return nil
+}
+
+// Stranded lists, in id order, the hosts that a drained world leaves
+// unable to receive what they wait for: a host that is joined, in
+// coverage, active and alive whose respMss does not hold its pref, or
+// one of whose outstanding requests the private proxy that pref names
+// does not hold (a shared pref is exempt). Such a host gets nothing more
+// unless it moves: every result goes to a station it does not listen to,
+// or nowhere.
+func (w *World) Stranded() []ids.MH {
+	var out []ids.MH
+	for id, h := range w.MHs {
+		if w.strandedBy(h) != nil {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// strandedBy says why h is stranded, or nil.
+func (w *World) strandedBy(h *MHNode) error {
+	st := w.MSSs[h.respMss] // nil in a region world whose neighbour holds the cell
+	if !h.joined || !h.active || h.disconnected || h.crashed || st == nil {
+		return nil
+	}
+	pref, ok := st.PrefOf(h.id)
+	if !ok {
+		return fmt.Errorf("its respMss %v does not hold its pref", h.respMss)
+	}
+	if isSharedProxy(pref.Proxy) {
+		return nil
+	}
+	p := w.privateProxy(pref)
+	for _, req := range h.flagged(reqOutstanding) {
+		if p == nil || p.req(req) == nil {
+			return fmt.Errorf("its outstanding %v is not held by %v, the proxy its pref names", req, pref.Proxy)
 		}
 	}
 	return nil

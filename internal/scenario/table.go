@@ -142,6 +142,19 @@ var All = []Scenario{
 			migrate(250*ms, 3), migrate(260*ms, 1).by(2)},
 		Gate: Walks,
 	},
+	{
+		Name: "overtaken-greet-stale-forward",
+		About: "E2's registration split at its smallest: the host has visited mss2 and mss3 before,\n" +
+			"each keeps a forwarding pointer from then, and it moves to mss3 and straight on to\n" +
+			"mss2. When the greet to mss2 overtakes the one to mss3, mss3's dereg follows its\n" +
+			"stale pointer to the registration mss2 already holds; refused as older, it cannot\n" +
+			"take the pref to mss3 while the host listens to mss2.",
+		Config: figureNet(3, 150*ms),
+		Hosts:  []Host{{1, 1}},
+		Steps: []Step{migrate(50*ms, 2), migrate(100*ms, 3), migrate(150*ms, 1),
+			migrate(200*ms, 3), migrate(210*ms, 2), request(300*ms, "q")},
+		Gate: Walks,
+	},
 }
 
 // The step constructors act on host 1 and server 1; by re-addresses a
